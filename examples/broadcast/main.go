@@ -1,8 +1,7 @@
 // Broadcast: a CDN-style push of a large file using the extension
 // features together — coding generations (smaller headers and decode
-// state), a sparse parity precode (smaller reception overhead) and an
-// integrity manifest (end-to-end verification), all layered on LTNC
-// recoding.
+// state) and an integrity manifest (end-to-end verification), both
+// layered on LTNC recoding.
 package main
 
 import (

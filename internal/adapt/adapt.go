@@ -1,8 +1,7 @@
 // Package adapt estimates per-link loss from receipt-report feedback and
 // turns the estimate into the push-path control signals of the adaptive
 // coding loop (DESIGN.md §16): a redundancy budget replacing the static
-// per-node satiation constant, and a loss figure for picking a Robust
-// Soliton configuration off the precomputed soliton.Ladder.
+// per-node satiation constant, and the loss figure ObjectStats reports.
 //
 // One Link tracks one directed (sender → receiver) relationship for one
 // object. The sender counts every DATA row it pushes; the receiver's

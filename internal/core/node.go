@@ -172,21 +172,6 @@ func NewNode(opts Options) (*Node, error) {
 // K returns the code length.
 func (n *Node) K() int { return n.k }
 
-// SetDist swaps the degree distribution future Recode calls sample from.
-// The distribution must span exactly K degrees. Adaptive senders use this
-// to move a node between rungs of a precomputed soliton.Ladder; the swap
-// is a pointer assignment, safe to do between recodes at any time.
-func (n *Node) SetDist(d soliton.Dist) error {
-	if d == nil {
-		return fmt.Errorf("core: nil distribution")
-	}
-	if d.K() != n.k {
-		return fmt.Errorf("core: distribution over %d degrees, K = %d", d.K(), n.k)
-	}
-	n.opts.Dist = d
-	return nil
-}
-
 // M returns the payload size.
 func (n *Node) M() int { return n.m }
 

@@ -54,7 +54,7 @@ func (p *AdaptParams) setDefaults() error {
 // adaptModes are the three sender configurations the sweep compares at
 // every loss point: the static baseline, the systematic first pass
 // alone, and the full adaptive loop (receipts driving the systematic
-// pass, the redundancy budget and the soliton ladder).
+// pass and the redundancy budget).
 var adaptModes = []struct {
 	Name     string
 	Adaptive bool
@@ -110,7 +110,7 @@ func (r AdaptReport) WriteJSON(path string) error {
 // blur attribution). At low loss the systematic pass carries the win:
 // natives go out once as degree-1 rows and the coded repair tail is
 // skipped almost entirely. As loss grows, repair dominates and the
-// budget/ladder controls must hold the line — the adaptive rows may not
+// budget control must hold the line — the adaptive rows may not
 // sit materially above static.
 func RunAdaptCurve(p AdaptParams) (AdaptReport, error) {
 	if err := p.setDefaults(); err != nil {

@@ -24,7 +24,6 @@ import (
 	"ltnc/internal/lt"
 	"ltnc/internal/opcount"
 	"ltnc/internal/packet"
-	"ltnc/internal/soliton"
 	"ltnc/internal/xrand"
 )
 
@@ -283,19 +282,6 @@ func (c *Coder) NativeRow(x int) (*packet.Packet, bool) {
 	z := packet.Native(c.kPer, i, node.NativeData(i))
 	c.stamp(z, g)
 	return z, true
-}
-
-// SetDist swaps the degree distribution every generation samples recode
-// degrees from; it must span exactly KPer degrees. Adaptive senders use
-// this to re-rung a peer between bursts — the swap is a per-generation
-// pointer assignment.
-func (c *Coder) SetDist(d soliton.Dist) error {
-	for g, node := range c.gens {
-		if err := node.SetDist(d); err != nil {
-			return fmt.Errorf("generation %d: %w", g, err)
-		}
-	}
-	return nil
 }
 
 func (c *Coder) stamp(z *packet.Packet, g int) {

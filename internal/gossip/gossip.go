@@ -10,8 +10,8 @@
 // Two samplers are provided: Uniform, the idealized service the paper's
 // simulations assume, and Service, a Cyclon-style partial-view shuffler
 // (Jelasity et al., ACM TOCS 2007) for runs that model overlay dynamics
-// explicitly. Book adds dynamic membership (join/leave at runtime) for
-// long-running daemons whose peer set is not known up front.
+// explicitly. View (view.go) is the bounded partial view the session's
+// membership plane shuffles over MEMBER frames.
 package gossip
 
 import (

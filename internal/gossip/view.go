@@ -1,6 +1,8 @@
 package gossip
 
 import (
+	crand "crypto/rand"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -53,14 +55,21 @@ type View[P comparable] struct {
 
 // NewView returns an empty view bounded to size entries, drawing
 // sampling decisions from rng. A nil rng seeds from the operating
-// system's entropy source; deterministic callers pass an explicit rng
-// (see NewSeededBook for the same split on Book). size must be ≥ 1.
+// system's entropy source, so independently constructed views do not
+// share streams; deterministic callers pass an explicit rng. size must
+// be ≥ 1.
 func NewView[P comparable](size int, rng *rand.Rand) *View[P] {
 	if size < 1 {
 		panic(fmt.Sprintf("gossip: view size %d < 1", size))
 	}
 	if rng == nil {
-		rng = rand.New(rand.NewSource(entropySeed()))
+		// A broken entropy source is unrecoverable; like the stdlib's
+		// global rand, panic rather than degrade to a shared constant seed.
+		var b [8]byte
+		if _, err := crand.Read(b[:]); err != nil {
+			panic(fmt.Sprintf("gossip: reading entropy: %v", err))
+		}
+		rng = rand.New(rand.NewSource(int64(binary.BigEndian.Uint64(b[:]))))
 	}
 	return &View[P]{
 		size:  size,

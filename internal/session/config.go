@@ -1,0 +1,275 @@
+package session
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"time"
+
+	"ltnc/internal/transport"
+)
+
+// AdaptControls is a bitmask selecting which adaptive controls an
+// adaptive session runs; zero selects all of them.
+type AdaptControls uint8
+
+const (
+	// AdaptSystematic: the systematic first pass — every decoded native
+	// is pushed once as a degree-1 row per peer before coded repair.
+	AdaptSystematic AdaptControls = 1 << iota
+	// AdaptBudget: the satiation budget follows the estimated link loss
+	// instead of the static satiationLimit constant.
+	AdaptBudget
+
+	adaptAll = AdaptSystematic | AdaptBudget
+)
+
+// maxPeersPerObject bounds one object's peer table (REQ subscribers plus
+// feedback/steering state): at capacity a fresh REQ evicts a completed
+// or stalest subscriber, or is dropped. Without the bound the map grows
+// with every address that ever REQed or fed back, for the object's whole
+// lifetime.
+const maxPeersPerObject = 256
+
+// maxCacheAds bounds the per-object table of kind-4 advertisements a
+// fetching session retains for REQ steering; advertisement sources are
+// spoofable addresses, so the table must not grow without limit.
+const maxCacheAds = 32
+
+// satiationLimit is how many consecutive redundancy aborts a peer may
+// report for one object before the session pauses pushing that object to
+// it (the peer is either complete or momentarily receiving nothing
+// innovative). The pause is temporary — an incomplete peer must be able
+// to resume — and any REQ lifts it immediately.
+const satiationLimit = 64
+
+// receiptEvery is how many DATA frames a receiver accepts from one sender
+// between kind-5 receipt reports (adaptive sessions only). Small enough
+// that a loss estimate forms within one generation; large enough that the
+// feedback stream stays a small fraction of the data stream.
+const receiptEvery = 16
+
+// Config parameterizes a session.
+type Config struct {
+	// Transport carries the frames; required.
+	Transport transport.Transport
+	// Tick is the push period (default 2ms).
+	Tick time.Duration
+	// Burst is how many packets are pushed per object, target and tick
+	// (default 1).
+	Burst int
+	// Aggressiveness gates recoding as in the paper (default 0.01): a
+	// relay starts recoding an object once it holds K·Aggressiveness + 1
+	// packets.
+	Aggressiveness float64
+	// IdleTimeout evicts object state (and subscribers) untouched for
+	// this long; default 60s. Pinned (locally served) objects stay.
+	IdleTimeout time.Duration
+	// Relay makes the session create decode state for objects it first
+	// learns about from incoming DATA or META frames and re-push them —
+	// the paper's recoding intermediary. Fetch-only clients leave it
+	// false and decode only objects they asked for.
+	Relay bool
+	// CacheBudget, when positive, makes the session a partial cache for
+	// objects it learns from the network: innovative coded rows are
+	// retained under this global byte budget — never decoded — and
+	// served back to requesters, with admission and eviction policed by
+	// internal/cache. Mutually exclusive with Relay: a relay holds
+	// decode state and recodes live, a cache holds raw rank. Fetching a
+	// cached object promotes its rows into a real decoder first.
+	CacheBudget int64
+	// MaxObjects bounds how many objects a relay will learn from the
+	// network (default 1024); frames for further objects are dropped
+	// until eviction makes room. Locally served and fetched objects are
+	// not counted against the bound when created.
+	MaxObjects int
+	// MaxK bounds the code length a relay accepts from network headers
+	// (default 65536); larger k means larger decode state, and the wire
+	// header alone allows k up to 2^24.
+	MaxK int
+	// DecodeWorkers is the number of decode shards: DATA frames are
+	// dispatched by content ID onto this many workers, so up to this many
+	// objects decode concurrently. Default min(GOMAXPROCS, 8); frames of
+	// one object always land on the same worker, preserving arrival order
+	// per object.
+	DecodeWorkers int
+	// IngestBatch is how many DATA frames a decode worker drains per
+	// wakeup; a whole batch is fed to the decoders under amortized
+	// locking (default 32).
+	IngestBatch int
+	// IngestQueue bounds each decode worker's inbound frame queue; DATA
+	// frames arriving at a full queue are dropped, as a datagram network
+	// would under overload (default 64).
+	IngestQueue int
+	// Seed drives per-object node randomness. A zero Seed selects the
+	// default (1) unless HaveSeed marks it as deliberately chosen — the
+	// public option plumbing (ltnc.WithSeed(0) via swarm.Config.Node)
+	// must not silently collapse seed 0 onto seed 1.
+	Seed     int64
+	HaveSeed bool
+	// DisableRefinement and DisableRedundancyCheck turn off the paper's
+	// Algorithm 2 (recode refinement) and Algorithm 3 (header redundancy
+	// detection) in every per-object decode state the session creates.
+	// Both default to false — the algorithms run — and exist for
+	// experiments and the public option plumbing (ltnc.WithRefinement,
+	// ltnc.WithRedundancyDetection via swarm.Config).
+	DisableRefinement      bool
+	DisableRedundancyCheck bool
+	// Bootstrap enables the epidemic membership plane (member.go): the
+	// session joins the swarm by shuffling partial views with these
+	// addresses, discovers further peers via MEMBER gossip, and steers
+	// pushes and fetch REQs toward its sampled neighbors instead of a
+	// static peer list. Empty (the default) disables the plane entirely;
+	// AddPeer-configured peers then remain the only standing targets.
+	Bootstrap []transport.Addr
+	// ViewSize bounds the membership view — the resident per-peer state
+	// of the plane (default 32).
+	ViewSize int
+	// ShufflePeriod is the membership shuffle cadence (default
+	// max(25·Tick, 250ms)): every period the view ages one round and one
+	// partial-view exchange goes out.
+	ShufflePeriod time.Duration
+	// Fanout bounds the active neighbor selections and the shuffle
+	// sample size (default 8): pushes address at most Fanout membership
+	// neighbors per object, keeping the push sweep O(active neighbors)
+	// rather than O(swarm).
+	Fanout int
+	// Capacity is the serving-capacity hint this session advertises in
+	// MEMBER exchanges (neighbor selection prefers higher values). Zero
+	// selects a role-derived default: 200 for relays, 160 for caches, 16
+	// otherwise.
+	Capacity uint8
+	// Adaptive turns on the feedback-driven coding loop (DESIGN.md §16).
+	// Receivers emit kind-5 receipt reports (cumulative rows received /
+	// rows innovative per sender); senders feed them to a per-(peer,
+	// object) loss estimator (internal/adapt) driving the push path's two
+	// online controls: a systematic first pass per generation (each
+	// decoded native goes out once as a degree-1 row before coded repair)
+	// and a satiation budget tuned from estimated loss instead of the
+	// static constant. Off by default: the wire behavior of a
+	// non-adaptive session is byte-identical to pre-receipt versions.
+	Adaptive bool
+	// AdaptControls selects individual adaptive controls when Adaptive is
+	// set; 0 means all. Used by experiments to isolate the systematic
+	// pass from the estimator-driven controls.
+	AdaptControls AdaptControls
+	// Clock is the time source behind every session timer — push ticks,
+	// META resend, idle eviction, satiation backoff, fetch retries.
+	// Default: the system clock. Simulations (internal/simnet) inject a
+	// virtual clock so a minute of protocol time passes in milliseconds
+	// of wall time, deterministically.
+	Clock transport.Clock
+	// Logf, when set, receives one line per notable event (object
+	// learned, complete, evicted).
+	Logf func(format string, args ...any)
+}
+
+// ErrNoPeers is returned by Fetch when no source address was given and
+// the session has no configured peers to ask.
+var ErrNoPeers = errors.New("session: no peers to fetch from")
+
+// ErrPolluted is wrapped by Fetch when pollution defense has banned every
+// candidate peer for an object: the swarm the caller pointed at has no
+// remaining source whose rows survive integrity verification. Partial
+// pollution does not fail a fetch — quarantined generations are re-fetched
+// from the peers still standing — so this error means the defense worked
+// and there is genuinely nobody left to ask. Per-object pollution counters
+// travel in ObjectStats (Polluted, GensVerified, HaveManifest).
+var ErrPolluted = errors.New("session: every candidate peer banned for pollution")
+
+func (c *Config) setDefaults() error {
+	if c.Transport == nil {
+		return errors.New("session: nil transport")
+	}
+	if c.Tick == 0 {
+		c.Tick = 2 * time.Millisecond
+	}
+	if c.Tick < 0 {
+		return fmt.Errorf("session: tick %v < 0", c.Tick)
+	}
+	if c.Burst == 0 {
+		c.Burst = 1
+	}
+	if c.Burst < 1 {
+		return fmt.Errorf("session: burst %d < 1", c.Burst)
+	}
+	if c.Aggressiveness == 0 {
+		c.Aggressiveness = 0.01
+	}
+	if c.Aggressiveness < 0 || c.Aggressiveness > 1 {
+		return fmt.Errorf("session: aggressiveness %v outside [0,1]", c.Aggressiveness)
+	}
+	if c.IdleTimeout == 0 {
+		c.IdleTimeout = 60 * time.Second
+	}
+	if c.IdleTimeout < 0 {
+		return fmt.Errorf("session: idle timeout %v < 0", c.IdleTimeout)
+	}
+	if c.MaxObjects == 0 {
+		c.MaxObjects = 1024
+	}
+	if c.MaxObjects < 1 {
+		return fmt.Errorf("session: max objects %d < 1", c.MaxObjects)
+	}
+	if c.MaxK == 0 {
+		c.MaxK = 65536
+	}
+	if c.MaxK < 1 {
+		return fmt.Errorf("session: max k %d < 1", c.MaxK)
+	}
+	if c.DecodeWorkers == 0 {
+		c.DecodeWorkers = min(runtime.GOMAXPROCS(0), 8)
+	}
+	if c.DecodeWorkers < 1 {
+		return fmt.Errorf("session: decode workers %d < 1", c.DecodeWorkers)
+	}
+	if c.IngestBatch == 0 {
+		c.IngestBatch = 32
+	}
+	if c.IngestBatch < 1 {
+		return fmt.Errorf("session: ingest batch %d < 1", c.IngestBatch)
+	}
+	if c.IngestQueue == 0 {
+		c.IngestQueue = 64
+	}
+	if c.IngestQueue < 1 {
+		return fmt.Errorf("session: ingest queue %d < 1", c.IngestQueue)
+	}
+	if c.CacheBudget < 0 {
+		return fmt.Errorf("session: cache budget %d < 0", c.CacheBudget)
+	}
+	if c.CacheBudget > 0 && c.Relay {
+		return errors.New("session: Relay and CacheBudget are mutually exclusive")
+	}
+	if c.ViewSize == 0 {
+		c.ViewSize = 32
+	}
+	if c.ViewSize < 1 {
+		return fmt.Errorf("session: view size %d < 1", c.ViewSize)
+	}
+	if c.ShufflePeriod == 0 {
+		c.ShufflePeriod = max(25*c.Tick, 250*time.Millisecond)
+	}
+	if c.ShufflePeriod < 0 {
+		return fmt.Errorf("session: shuffle period %v < 0", c.ShufflePeriod)
+	}
+	if c.Fanout == 0 {
+		c.Fanout = 8
+	}
+	if c.Fanout < 1 {
+		return fmt.Errorf("session: fanout %d < 1", c.Fanout)
+	}
+	if c.Adaptive && c.AdaptControls == 0 {
+		c.AdaptControls = adaptAll
+	}
+	if !c.Adaptive {
+		c.AdaptControls = 0
+	}
+	if c.Seed == 0 && !c.HaveSeed {
+		c.Seed = 1
+	}
+	if c.Clock == nil {
+		c.Clock = transport.SystemClock()
+	}
+	return nil
+}

@@ -1,0 +1,493 @@
+package session
+
+import (
+	"encoding/binary"
+	"time"
+
+	"ltnc/internal/adapt"
+	"ltnc/internal/packet"
+	"ltnc/internal/transport"
+)
+
+// The control plane: REQ, META and FEEDBACK handlers (MANIFEST lives in
+// integrity.go, MEMBER in member.go), run inline on the receive loop, and
+// the frame encoders. Peer bookkeeping is guarded by s.mu.
+
+// handleFrame dispatches one control frame (REQ, META, FEEDBACK,
+// MANIFEST) inline on the receive loop and sends its replies after the
+// session lock is released — a reply is a syscall on UDP and must not
+// stall the session.
+func (s *Session) handleFrame(f transport.Frame) {
+	if len(f.Data) == 0 {
+		return
+	}
+	// Any control frame is a sign of life for the membership plane
+	// (deliberately not the DATA hot path: freshness does not need
+	// per-frame granularity there, and the view lock must stay off it).
+	s.memberAlive(f.From)
+	var reply []byte
+	var extras [][]byte
+	switch f.Data[0] {
+	case frameReq:
+		reply, extras = s.handleReq(f.From, f.Data[1:])
+	case frameMeta:
+		reply = s.handleMeta(f.From, f.Data[1:])
+	case frameFeedback:
+		s.handleFeedback(f.From, f.Data[1:])
+	case frameManifest:
+		s.handleManifest(f.From, f.Data[1:])
+	case frameMember:
+		reply = s.handleMember(f.From, f.Data[1:])
+	}
+	if reply != nil {
+		s.tr.Send(f.From, reply)
+	}
+	for _, e := range extras {
+		s.tr.Send(f.From, e)
+	}
+}
+
+// handleReq registers a subscriber and answers with the object's META
+// when the size is known. A cache-mode session additionally answers with
+// its kind-4 coverage advertisement, and a session holding the object's
+// integrity manifest attaches its MANIFEST frames to every META it sends
+// (extras), so a fetcher can verify generations as they complete.
+func (s *Session) handleReq(from transport.Addr, data []byte) (reply []byte, extras [][]byte) {
+	if len(data) != reqLen-1 {
+		return nil, nil
+	}
+	var id packet.ObjectID
+	copy(id[:], data)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, b := s.banned[from]; b {
+		return nil, nil // a banned peer is not served
+	}
+	st, ok := s.objects[id]
+	if !ok {
+		return nil, nil // unknown object: requester will retry elsewhere
+	}
+	now := s.clk.Now()
+	st.touch(now)
+	if s.cache != nil {
+		s.cache.Touch(id, now) // REQ demand drives the eviction score
+		if gensFull, gens, rank, held := s.cache.Coverage(id); held {
+			extras = append(extras, cacheAdFrame(id, gensFull, gens, rank))
+		}
+	}
+	if _, known := st.peers[from]; !known && len(st.peers) >= maxPeersPerObject && !st.dropOnePeerLocked() {
+		return nil, extras // peer table full of live subscribers: drop the REQ
+	}
+	ps := st.peer(from)
+	ps.lastReq = s.clk.Now()
+	ps.reqSub = true
+	ps.done = false
+	ps.consecRedund = 0
+	ps.pauseUntil = time.Time{}
+	// A fresh REQ may be a different client behind the same address (or a
+	// restarted one): forget which generations it had completed.
+	ps.gensDone = nil
+	ps.gensDoneN = 0
+	// REQ also re-arms META: over a lossy channel the requester may have
+	// missed it, and without the size it can never finish (it keeps
+	// re-REQing, so a lost reply heals on the next round).
+	ps.metaAt = time.Time{}
+	if st.size.Load() < 0 {
+		return nil, extras
+	}
+	ps.metaAt = s.clk.Now()
+	// The manifest travels with the META (same loss model: resent until the
+	// peer reports done). manFrames is replaced wholesale under st.mu and
+	// never mutated in place, so the snapshot is safe to send after unlock.
+	st.mu.Lock()
+	extras = append(extras, st.manFrames...)
+	st.mu.Unlock()
+	return s.metaFrame(st), extras
+}
+
+// dropOnePeerLocked evicts one entry from a full peer table: a peer that
+// reported completion if any (its state is pure history — even a
+// configured push peer, which simply re-enters the table on its next
+// interaction), else the REQ-subscriber with the stalest REQ. It reports
+// whether an entry was freed; a configured push peer that has NOT
+// reported completion is never the victim — it is neither done nor a
+// REQ subscriber. Session.mu must be held.
+func (st *objectState) dropOnePeerLocked() bool {
+	var victim transport.Addr
+	var stalest time.Time
+	found := false
+	for addr, ps := range st.peers {
+		if ps.done {
+			delete(st.peers, addr)
+			return true
+		}
+		if ps.reqSub && (!found || ps.lastReq.Before(stalest)) {
+			victim, stalest, found = addr, ps.lastReq, true
+		}
+	}
+	if found {
+		delete(st.peers, victim)
+	}
+	return found
+}
+
+func (s *Session) handleMeta(from transport.Addr, data []byte) []byte {
+	// Two accepted lengths: the gens-absent legacy body (G=1) and the
+	// extended body carrying the generation count.
+	gens := 1
+	switch len(data) {
+	case metaLen - 1:
+	case genMetaLen - 1:
+		gens = int(binary.BigEndian.Uint32(data[32:36]))
+	default:
+		return nil
+	}
+	var id packet.ObjectID
+	copy(id[:], data[:16])
+	k := int(binary.BigEndian.Uint32(data[16:20]))
+	m := int(binary.BigEndian.Uint32(data[20:24]))
+	size := int64(binary.BigEndian.Uint64(data[24:32]))
+	if id.IsZero() || k < 1 || m < 0 || size < 0 || size > int64(k)*int64(max(m, 1)) {
+		return nil
+	}
+	// Generation geometry must be consistent: every generation the same
+	// code length, at least one native each (out-of-range counts and
+	// ragged splits are ErrBadGeneration territory — dropped here, as a
+	// datagram receiver drops anything malformed).
+	if gens < 1 || gens > packet.MaxGenerations || k%gens != 0 {
+		return nil
+	}
+	kPer := k / gens
+	s.mu.Lock()
+	if _, b := s.banned[from]; b {
+		s.mu.Unlock()
+		return nil
+	}
+	st, ok := s.objects[id]
+	if !ok {
+		switch {
+		case s.cache != nil:
+			if k > s.cfg.MaxK || len(s.objects) >= s.cfg.MaxObjects {
+				s.mu.Unlock()
+				return nil
+			}
+			st = s.newCachedStateLocked(id, gens, kPer, m)
+			s.logf("session: caching %v meta from %s (k=%d G=%d m=%d size=%d)", id, from, k, gens, m, size)
+		case s.mayLearnLocked(k):
+			var err error
+			if st, err = s.newStateLocked(id, gens, kPer, m); err != nil {
+				s.mu.Unlock()
+				return nil
+			}
+			s.logf("session: learned %v meta from %s (k=%d G=%d m=%d size=%d)", id, from, k, gens, m, size)
+		default:
+			s.mu.Unlock()
+			return nil
+		}
+	}
+	s.mu.Unlock()
+
+	st.mu.Lock()
+	if st.dead {
+		st.mu.Unlock()
+		return nil // evicted between lookup and locking
+	}
+	if st.cached {
+		if int(st.gens.Load()) != gens || st.kPer != kPer || st.m != m {
+			st.mu.Unlock()
+			return nil // geometry mismatch with the cached rows: drop
+		}
+		st.touch(s.clk.Now())
+		learned := st.size.Load() < 0
+		if learned {
+			st.size.Store(size)
+		}
+		var reply []byte
+		if gensFull, g, _, held := s.cache.Coverage(id); held && g > 0 && gensFull == g {
+			// Full rank for every generation: repeat the completion the
+			// sender evidently has not heard, exactly like the decoder's
+			// idempotent META heal below.
+			reply = feedbackFrame(id, fbComplete)
+		}
+		st.mu.Unlock()
+		if learned {
+			s.notifyWatchers(st)
+		}
+		return reply
+	}
+	if !s.ensureCoderLocked(st, gens, kPer, m) {
+		st.mu.Unlock()
+		return nil // G (or shape) mismatch with local state: drop
+	}
+	st.touch(s.clk.Now())
+	var reply []byte
+	var acts pollActions
+	learned := false
+	if st.size.Load() < 0 {
+		st.size.Store(size)
+		learned = true
+		if st.coder.Complete() {
+			if s.completeObjLocked(st, &acts) {
+				reply = feedbackFrame(id, fbComplete)
+			}
+		}
+	} else if st.coder.Complete() {
+		// Redundant META to an already-complete, already-sized receiver:
+		// the sender evidently never heard our fbComplete (lost to the
+		// fabric) and will keep resending META until it does. Repeat it —
+		// the idempotent reply closes the loop, exactly as the DATA path
+		// aborts redundant payloads with the same frame.
+		reply = feedbackFrame(id, fbComplete)
+	}
+	st.mu.Unlock()
+	s.applyPollActions(&acts)
+	if learned {
+		s.notifyWatchers(st)
+	}
+	return reply
+}
+
+// handleFeedback validates a FEEDBACK frame's kind against its body
+// length — kinds 1 and 2 use the short body, kind 3 appends the completed
+// generation id, kinds 4 (cache advertisement) and 5 (receipt report)
+// share the long body — and hands it to the kind's handler under s.mu.
+func (s *Session) handleFeedback(from transport.Addr, data []byte) {
+	if len(data) < feedbackLen-1 {
+		return
+	}
+	kind := data[16]
+	want := feedbackLen
+	switch kind {
+	case fbGenComplete:
+		want = genFeedbackLen
+	case fbCacheAd, fbReceipt:
+		want = cacheAdLen
+	}
+	if len(data) != want-1 {
+		return
+	}
+	var id packet.ObjectID
+	copy(id[:], data[:16])
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, b := s.banned[from]; b {
+		return // a polluter's feedback steers nothing
+	}
+	st, ok := s.objects[id]
+	if !ok {
+		return
+	}
+	if kind == fbCacheAd {
+		// An advertisement names a peer we may FETCH from, not one we
+		// pushed to, so no peer state is required; the bounded per-object
+		// ad table is the only state it may grow.
+		st.onCacheAdLocked(from, data[17:], s.clk.Now())
+		return
+	}
+	// Look up without creating: feedback names a peer we pushed to, so
+	// its state already exists. Creating here would let arbitrary
+	// (spoofable) source addresses grow the peer map of a long-lived
+	// pinned object without bound.
+	ps, ok := st.peers[from]
+	if !ok {
+		return
+	}
+	switch kind {
+	case fbRedundant:
+		s.onRedundantLocked(ps)
+	case fbComplete:
+		ps.done = true
+	case fbGenComplete:
+		ps.onGenCompleteLocked(int(st.gens.Load()), binary.BigEndian.Uint32(data[17:21]))
+	case fbReceipt:
+		s.onReceiptLocked(ps, data[17:])
+	}
+}
+
+// onCacheAdLocked records a kind-4 advertisement (body: gensFull, gens,
+// rank) unless its coverage is vacuous or inconsistent. Session.mu must
+// be held.
+func (st *objectState) onCacheAdLocked(from transport.Addr, body []byte, now time.Time) {
+	ad := cacheAd{
+		gensFull: binary.BigEndian.Uint32(body[0:4]),
+		gens:     binary.BigEndian.Uint32(body[4:8]),
+		rank:     binary.BigEndian.Uint32(body[8:12]),
+		at:       now,
+	}
+	if ad.gens == 0 || ad.gensFull > ad.gens || ad.rank == 0 {
+		return
+	}
+	st.recordCacheAdLocked(from, ad)
+}
+
+// onRedundantLocked counts one redundancy abort (kind 1) toward the
+// peer's satiation pause. Session.mu must be held.
+func (s *Session) onRedundantLocked(ps *peerState) {
+	ps.consecRedund++
+	limit := satiationLimit
+	if s.cfg.AdaptControls&AdaptBudget != 0 && ps.link != nil {
+		// Adaptive budget: on a clean link a redundancy streak means
+		// satiation and the pause comes early; under loss the same
+		// streak is mostly noise and the full static budget applies.
+		limit = ps.link.Budget(satiationLimit)
+	}
+	if ps.consecRedund >= limit {
+		// Senders never hear about accepted packets, only redundant
+		// ones, so this count must not cut a peer off permanently: an
+		// incomplete peer still needs the stream. Back off instead;
+		// any REQ lifts the pause early.
+		ps.consecRedund = 0
+		ps.pauseUntil = s.clk.Now().Add(s.satiationBackoff())
+	}
+}
+
+// onGenCompleteLocked marks generation gen of a gens-generation object
+// complete at the peer (kind 3): recoding toward it skips gen from the
+// next round. Session.mu must be held.
+func (ps *peerState) onGenCompleteLocked(gens int, gen uint32) {
+	// Unsigned compare: int(gen) can wrap negative on 32-bit builds.
+	if gens < 2 || gen >= uint32(gens) {
+		return // no coder yet, or out-of-range generation: drop
+	}
+	if ps.gensDone == nil {
+		ps.gensDone = make([]bool, gens)
+	}
+	if !ps.gensDone[gen] {
+		ps.gensDone[gen] = true
+		ps.gensDoneN++
+	}
+	// A generation completing over there is information flowing, not
+	// satiation: reset the redundancy streak so the peer keeps
+	// receiving its remaining generations at full rate.
+	ps.consecRedund = 0
+}
+
+// onReceiptLocked feeds a kind-5 receipt report (body: gen, received,
+// innovative) to the peer's loss estimator. Session.mu must be held.
+func (s *Session) onReceiptLocked(ps *peerState, body []byte) {
+	if !s.cfg.Adaptive {
+		return // pre-adaptive behavior: unknown kind, drop silently
+	}
+	if ps.link == nil {
+		ps.link = &adapt.Link{}
+	}
+	if ps.link.OnReport(binary.BigEndian.Uint32(body[4:8]), binary.BigEndian.Uint32(body[8:12])) {
+		// Innovative progress over there is the opposite of satiation:
+		// clear the redundancy streak and any backoff so the stream
+		// keeps flowing while it is still doing work. This is also what
+		// un-sticks a streak gone stale — redundancy aborts and receipts
+		// race on the wire, and without the reset a burst of aborts
+		// could pause a peer that has since started accepting rows.
+		ps.consecRedund = 0
+		ps.pauseUntil = time.Time{}
+	}
+}
+
+// recordCacheAdLocked stores one kind-4 advertisement in the object's
+// bounded ad table: at capacity the weakest existing ad is displaced,
+// and an ad weaker than everything present is dropped. Session.mu must
+// be held.
+func (st *objectState) recordCacheAdLocked(from transport.Addr, ad cacheAd) {
+	if st.cacheAds == nil {
+		st.cacheAds = make(map[transport.Addr]cacheAd)
+	}
+	if _, ok := st.cacheAds[from]; !ok && len(st.cacheAds) >= maxCacheAds {
+		var weakest transport.Addr
+		found := false
+		for addr, have := range st.cacheAds {
+			if !found || st.cacheAds[weakest].better(have) {
+				weakest, found = addr, true
+			}
+		}
+		if !found || !ad.better(st.cacheAds[weakest]) {
+			return
+		}
+		delete(st.cacheAds, weakest)
+	}
+	st.cacheAds[from] = ad
+}
+
+// satiationBackoff is how long pushes to a satiated peer pause.
+func (s *Session) satiationBackoff() time.Duration {
+	return max(100*s.cfg.Tick, 50*time.Millisecond)
+}
+
+// metaFrame encodes a META for st: the gens-absent legacy form for
+// single-generation objects (pre-generation peers keep working) and the
+// extended form carrying G otherwise. Callers must hold either s.mu or
+// st.mu (k, gens and m are immutable once the coder exists, which is
+// guaranteed for any object with a known size).
+func (s *Session) metaFrame(st *objectState) []byte {
+	gens := st.gens.Load()
+	n := metaLen
+	if gens > 1 {
+		n = genMetaLen
+	}
+	buf := make([]byte, n)
+	buf[0] = frameMeta
+	copy(buf[1:17], st.id[:])
+	binary.BigEndian.PutUint32(buf[17:21], uint32(st.k))
+	binary.BigEndian.PutUint32(buf[21:25], uint32(st.m))
+	binary.BigEndian.PutUint64(buf[25:33], uint64(st.size.Load()))
+	if gens > 1 {
+		binary.BigEndian.PutUint32(buf[33:37], uint32(gens))
+	}
+	return buf
+}
+
+func feedbackFrame(id packet.ObjectID, kind byte) []byte {
+	buf := make([]byte, feedbackLen)
+	buf[0] = frameFeedback
+	copy(buf[1:17], id[:])
+	buf[17] = kind
+	return buf
+}
+
+// genFeedbackFrame encodes the kind-3 feedback: generation gen of object
+// id is complete at the sender of the frame.
+func genFeedbackFrame(id packet.ObjectID, gen int) []byte {
+	buf := make([]byte, genFeedbackLen)
+	buf[0] = frameFeedback
+	copy(buf[1:17], id[:])
+	buf[17] = fbGenComplete
+	binary.BigEndian.PutUint32(buf[18:22], uint32(gen))
+	return buf
+}
+
+// cacheAdFrame encodes the kind-4 feedback: the sender holds a partial
+// cache of object id covering gensFull complete generations out of gens
+// with rank innovative rows total.
+func cacheAdFrame(id packet.ObjectID, gensFull, gens uint32, rank int) []byte {
+	buf := make([]byte, cacheAdLen)
+	buf[0] = frameFeedback
+	copy(buf[1:17], id[:])
+	buf[17] = fbCacheAd
+	binary.BigEndian.PutUint32(buf[18:22], gensFull)
+	binary.BigEndian.PutUint32(buf[22:26], gens)
+	binary.BigEndian.PutUint32(buf[26:30], uint32(rank))
+	return buf
+}
+
+// receiptFrame encodes the kind-5 feedback: the sender of the frame has
+// accepted received DATA rows from the addressed peer for object id, of
+// which innovative advanced its decode; gen is the generation of the
+// frame that triggered the report. Counters are cumulative per (sender,
+// object), so a lost receipt costs nothing — the next one carries the
+// same information.
+func receiptFrame(id packet.ObjectID, gen, received, innovative uint32) []byte {
+	buf := make([]byte, receiptLen)
+	buf[0] = frameFeedback
+	copy(buf[1:17], id[:])
+	buf[17] = fbReceipt
+	binary.BigEndian.PutUint32(buf[18:22], gen)
+	binary.BigEndian.PutUint32(buf[22:26], received)
+	binary.BigEndian.PutUint32(buf[26:30], innovative)
+	return buf
+}
+
+func encodeReq(id packet.ObjectID) []byte {
+	buf := make([]byte, reqLen)
+	buf[0] = frameReq
+	copy(buf[1:], id[:])
+	return buf
+}

@@ -1,0 +1,616 @@
+package session
+
+import (
+	"slices"
+	"time"
+
+	"ltnc/internal/bitvec"
+	"ltnc/internal/integrity"
+	"ltnc/internal/packet"
+	"ltnc/internal/transport"
+)
+
+// The integrity plane (DESIGN.md §13): manifests, per-generation
+// verification, quarantine and probes, bans. Detection runs under st.mu
+// on the decode path; its consequences collect in pollActions and are
+// applied once every lock is dropped.
+
+// pollActions collects the consequences of pollution detection that must
+// run after the decode-plane lock is released: session-wide bans (they
+// take Session.mu) and REQ frames that re-arm upstream senders for a
+// quarantined generation's re-fetch (sends must not run under any lock).
+type pollActions struct {
+	bans   []transport.Addr
+	unbans []transport.Addr
+	sends  []ingestReply
+}
+
+// apply executes the collected actions. Call with no locks held. Unbans
+// run before bans so a peer appearing in both (a forged-manifest sender
+// that also solo-failed a refill) ends up banned.
+func (s *Session) applyPollActions(acts *pollActions) {
+	if acts == nil || (len(acts.bans) == 0 && len(acts.unbans) == 0 && len(acts.sends) == 0) {
+		return
+	}
+	s.unbanPeers(acts.unbans)
+	s.banPeers(acts.bans)
+	for _, r := range acts.sends {
+		s.tr.Send(r.addr, r.frame)
+	}
+	acts.bans = acts.bans[:0]
+	acts.unbans = acts.unbans[:0]
+	acts.sends = acts.sends[:0]
+}
+
+// unbanPeers lifts bans attributed to a manifest later proven forged:
+// the "byte-exact proof" against those peers was exact only relative to
+// digests that turned out to be lies. An unbanned peer must re-REQ to
+// resubscribe; nothing else is restored.
+func (s *Session) unbanPeers(addrs []transport.Addr) {
+	if len(addrs) == 0 {
+		return
+	}
+	s.mu.Lock()
+	for _, addr := range addrs {
+		if _, ok := s.banned[addr]; ok {
+			delete(s.banned, addr)
+			s.logf("session: unbanned %s: the manifest that blamed it was forged", addr)
+		}
+	}
+	s.mu.Unlock()
+}
+
+// banPeers convicts peers of pollution: every future frame from them is
+// dropped at resolution, they leave the configured push set and every
+// object's peer and advertisement tables, and Fetch stops asking them.
+func (s *Session) banPeers(addrs []transport.Addr) {
+	if len(addrs) == 0 {
+		return
+	}
+	s.mu.Lock()
+	for _, addr := range addrs {
+		if _, dup := s.banned[addr]; dup || addr == "" {
+			continue
+		}
+		s.banned[addr] = struct{}{}
+		if i := slices.Index(s.peers, addr); i >= 0 {
+			s.peers = slices.Delete(s.peers, i, i+1)
+		}
+		for _, st := range s.objects {
+			delete(st.peers, addr)
+			delete(st.cacheAds, addr)
+		}
+		s.logf("session: banned %s: contributed rows failed integrity verification", addr)
+	}
+	s.mu.Unlock()
+	if s.member != nil {
+		// Evict convictions from the membership view and neighbor sets;
+		// the merge-time exclusion keeps gossip from re-admitting them.
+		s.member.ban(addrs)
+	}
+}
+
+// BannedPeers returns the peers this session has banned for pollution,
+// in deterministic order.
+func (s *Session) BannedPeers() []transport.Addr {
+	s.mu.Lock()
+	out := make([]transport.Addr, 0, len(s.banned))
+	for addr := range s.banned {
+		out = append(out, addr)
+	}
+	s.mu.Unlock()
+	slices.Sort(out)
+	return out
+}
+
+// soliciteLocked records addrs as the object's chosen upstreams. Only
+// solicited peers can be convicted over this object's rows (see the
+// solicited field). st.mu must be held.
+func (st *objectState) soliciteLocked(addrs ...transport.Addr) {
+	if st.solicited == nil {
+		st.solicited = make(map[transport.Addr]struct{}, len(addrs))
+	}
+	for _, a := range addrs {
+		st.solicited[a] = struct{}{}
+	}
+}
+
+// solicitedPeer reports whether addr is a chosen upstream for this
+// object. st.mu must be held.
+func (st *objectState) solicitedPeer(addr transport.Addr) bool {
+	_, ok := st.solicited[addr]
+	return ok
+}
+
+// ensurePollLocked sizes the per-generation pollution-defense state to
+// the coder; st.mu must be held and the coder exist.
+func (st *objectState) ensurePollLocked() {
+	n := st.coder.Generations()
+	if len(st.verified) != n {
+		st.verified = make([]bool, n)
+		st.tainted = make([]bool, n)
+		st.contrib = make([]map[transport.Addr]int, n)
+		st.probe = make([]transport.Addr, n)
+		st.probeAt = make([]time.Time, n)
+		st.probeCands = make([][]transport.Addr, n)
+	}
+	if st.suspicion == nil {
+		st.suspicion = make(map[transport.Addr]int)
+		st.genNatives = make(map[int][][]byte)
+		st.soloFailed = make(map[int]map[transport.Addr]struct{})
+	}
+}
+
+// noteContribLocked records that one innovative row of generation g came
+// from addr — the blame ledger a later verification failure settles.
+func (st *objectState) noteContribLocked(g int, addr transport.Addr) {
+	st.ensurePollLocked()
+	if st.contrib[g] == nil {
+		st.contrib[g] = make(map[transport.Addr]int)
+	}
+	st.contrib[g][addr]++
+}
+
+// probeOf returns the active probe peer for generation g ("" when the
+// generation is open to every contributor); st.mu must be held.
+func (st *objectState) probeOf(g int) transport.Addr {
+	if g >= len(st.probe) {
+		return ""
+	}
+	return st.probe[g]
+}
+
+// probeTimeout is how long a quarantined generation waits on its probe
+// peer before moving to the next candidate — probe peers can be dead,
+// banned meanwhile, or simply slow.
+func (s *Session) probeTimeout() time.Duration {
+	return max(100*s.cfg.Tick, 250*time.Millisecond)
+}
+
+// adoptManifestLocked installs a validated manifest on st: parsed form
+// for verification, raw form and pre-built frames for re-serving
+// downstream. st.mu must be held.
+func (s *Session) adoptManifestLocked(st *objectState, man *integrity.Manifest, raw []byte, from transport.Addr) {
+	st.man = man
+	st.manRaw = raw
+	st.manFrames = manifestFrames(st.id, raw)
+	st.manFrom = from
+	st.manBuf, st.manNext = nil, 0
+}
+
+// dropManifestLocked discards a manifest proven worthless (forged, or
+// inconsistent with the object's geometry); every bit of verification
+// state built on its word is void, including the recode gate on tainted
+// generations. st.mu must be held.
+func (st *objectState) dropManifestLocked() {
+	st.man, st.manRaw, st.manFrames, st.manFrom = nil, nil, nil, ""
+	st.manBuf, st.manNext = nil, 0
+	for g := range st.verified {
+		st.verified[g] = false
+	}
+	for g := range st.tainted {
+		st.tainted[g] = false
+	}
+	clear(st.genNatives)
+}
+
+// manifestFrames splits one encoded manifest into ready-to-send MANIFEST
+// frames.
+func manifestFrames(id packet.ObjectID, raw []byte) [][]byte {
+	frames := make([][]byte, 0, (len(raw)+packet.MaxManifestChunk-1)/packet.MaxManifestChunk)
+	for off := 0; off < len(raw); off += packet.MaxManifestChunk {
+		end := min(off+packet.MaxManifestChunk, len(raw))
+		frame, err := packet.AppendManifestChunk(
+			[]byte{frameManifest}, id, uint32(len(raw)), uint32(off), raw[off:end])
+		if err != nil {
+			return nil
+		}
+		frames = append(frames, frame)
+	}
+	return frames
+}
+
+// verifyGenLocked runs the freshly completed generation g through the
+// manifest. true means "proceed as complete" (verified, or no manifest
+// to check against yet — a late manifest retro-verifies); false means
+// the generation failed and was quarantined into acts. st.mu must be
+// held and the coder complete for g.
+func (s *Session) verifyGenLocked(st *objectState, g int, acts *pollActions) bool {
+	if st.man == nil {
+		// Nothing to verify against — but a completed refill still ends
+		// this generation's probe isolation (the probe was armed by a
+		// content-ID quarantine, which completion re-checks).
+		if g < len(st.probe) && st.probe[g] != "" {
+			st.probe[g], st.probeCands[g] = "", nil
+		}
+		return true
+	}
+	st.ensurePollLocked()
+	if st.verified[g] {
+		return true
+	}
+	if st.man.K() != st.k || st.man.M() != st.m {
+		// A manifest inconsistent with the object's actual geometry can
+		// vouch for nothing: discard it and proceed unverified.
+		st.dropManifestLocked()
+		return true
+	}
+	natives, err := st.coder.GenData(g)
+	if err != nil {
+		return true
+	}
+	base := g * st.kPer
+	for i, nat := range natives {
+		if st.man.Verify(base+i, nat) != nil {
+			if !s.quarantineGenLocked(st, g, true, acts) {
+				// The manifest, not the data, was the forgery: the
+				// generation stands, unverified, and the content-ID check
+				// at completion remains the backstop.
+				return true
+			}
+			return false
+		}
+	}
+	st.verified[g] = true
+	if st.vigilant {
+		// Keep the proven natives as the audit reference: any further row
+		// offered to this generation can now be checked byte-exactly.
+		st.genNatives[g] = natives
+	}
+	if st.probe[g] != "" {
+		// The probed contributor delivered a clean refill: probe over.
+		st.probe[g], st.probeCands[g] = "", nil
+	}
+	st.contrib[g] = nil
+	return true
+}
+
+// quarantineGenLocked handles a generation whose decoded natives failed
+// digest verification: blame every contributing peer (a solo contributor
+// is convicted outright — all rows came from it, and exact linear algebra
+// over true rows cannot produce false natives), reset the generation's
+// decode state, drop its cached coverage, gate downstream recoding of it,
+// and arm the probe that re-fetches it one contributor at a time. It
+// reports whether the generation was actually quarantined: when a SECOND
+// distinct peer solo-fails the same generation the manifest itself is
+// proven forged instead (independent senders cannot both be forging) —
+// it is dropped, its sender banned, its victims unbanned, and the
+// generation stands.
+//
+// convict enables the solo-contributor ban. It is set only when the
+// failure is a manifest digest mismatch — localized, byte-exact evidence
+// against exactly the rows this peer sent. The content-ID backstop
+// (poisonedObjectLocked) quarantines with convict=false: its mismatch is
+// global, so blame over any single generation's contributor would be
+// guesswork. st.mu must be held.
+func (s *Session) quarantineGenLocked(st *objectState, g int, convict bool, acts *pollActions) bool {
+	st.ensurePollLocked()
+	contrib := st.contrib[g]
+	if convict && len(contrib) == 1 {
+		var solo transport.Addr
+		for addr := range contrib {
+			solo = addr
+		}
+		// Conviction requires solicitation: an unsolicited solo
+		// contributor (a push-back peer recoding a buffer it cannot
+		// verify) is neither banned nor counted toward the forged-
+		// manifest proof — an honest launderer solo-failing would
+		// otherwise fake the "two independent forgers" signal.
+		if st.solicitedPeer(solo) {
+			if prior := st.soloFailed[g]; len(prior) > 0 {
+				if _, same := prior[solo]; !same {
+					s.manifestForgedLocked(st, acts)
+					return false
+				}
+			}
+			if st.soloFailed[g] == nil {
+				st.soloFailed[g] = make(map[transport.Addr]struct{})
+			}
+			st.soloFailed[g][solo] = struct{}{}
+			st.manBans = append(st.manBans, solo)
+			acts.bans = append(acts.bans, solo)
+		}
+	}
+	st.polluted++
+	st.vigilant = true
+	for addr, rows := range contrib {
+		st.suspicion[addr] += rows
+	}
+	st.coder.ResetGen(g)
+	st.tainted[g] = true
+	st.verified[g] = false
+	delete(st.genNatives, g)
+	st.contrib[g] = nil
+	if s.cache != nil {
+		// A promoted cache object may still hold rows for this generation;
+		// quarantined coverage must never be re-served (cache is a leaf in
+		// the lock order).
+		s.cache.DropGen(st.id, uint32(g))
+	}
+	// Probe order: most suspicious contributor first (rows contributed to
+	// polluted generations of this object), address as the deterministic
+	// tie-break. Re-arm every contributor with a REQ — an upstream that
+	// heard our premature generation-complete feedback (or completion)
+	// has stopped sending and must resume for the re-fetch.
+	cands := make([]transport.Addr, 0, len(contrib))
+	for addr := range contrib {
+		cands = append(cands, addr)
+		acts.sends = append(acts.sends, ingestReply{addr, encodeReq(st.id)})
+	}
+	slices.SortFunc(cands, func(a, b transport.Addr) int {
+		if d := st.suspicion[b] - st.suspicion[a]; d != 0 {
+			return d
+		}
+		return cmpAddr(a, b)
+	})
+	st.probeCands[g] = cands
+	s.advanceProbeLocked(st, g, acts)
+	s.logf("session: %v generation %d failed verification: quarantined (%d contributors, probing %s)",
+		st.id, g, len(contrib), st.probe[g])
+	return true
+}
+
+// manifestForgedLocked reacts to byte-exact proof that the adopted
+// manifest lies (two distinct peers solo-failed one generation, or the
+// assembled content contradicted the ID with every generation verified):
+// ban the manifest's sender, lift the bans issued on its word, drop it
+// and every probe armed by it. st.mu must be held.
+func (s *Session) manifestForgedLocked(st *objectState, acts *pollActions) {
+	s.logf("session: %v manifest from %s proven forged: dropping it and lifting the bans it caused",
+		st.id, st.manFrom)
+	if st.manFrom != "" {
+		acts.bans = append(acts.bans, st.manFrom)
+	}
+	acts.unbans = append(acts.unbans, st.manBans...)
+	st.manBans = nil
+	st.dropManifestLocked()
+	for g := range st.probe {
+		st.probe[g], st.probeCands[g] = "", nil
+	}
+	clear(st.soloFailed)
+	st.polluted++
+}
+
+func cmpAddr(a, b transport.Addr) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// advanceProbeLocked moves a quarantined generation to its next probe
+// candidate, or to open mode when the candidate list is exhausted (every
+// remaining contributor gets another chance — a fresh pollution will
+// re-arm the probe with fresh suspicion). st.mu must be held.
+func (s *Session) advanceProbeLocked(st *objectState, g int, acts *pollActions) {
+	if len(st.probeCands[g]) > 0 {
+		p := st.probeCands[g][0]
+		st.probeCands[g] = st.probeCands[g][1:]
+		st.probe[g] = p
+		st.probeAt[g] = s.clk.Now()
+		acts.sends = append(acts.sends, ingestReply{p, encodeReq(st.id)})
+		return
+	}
+	st.probe[g] = ""
+}
+
+// auditFailsLocked checks a row offered to an already-verified generation
+// against the proven natives: the payload must equal the XOR of the
+// natives its code vector selects. Only runs in vigilant mode (pollution
+// already seen on the object) — honest peers stop sending completed
+// generations when they hear the kind-3 feedback, so the rows that keep
+// arriving are exactly the ones worth convicting on. A failed audit is
+// byte-exact proof the sender forged the row. st.mu must be held.
+func (s *Session) auditFailsLocked(st *objectState, g int, in *inFrame) bool {
+	if !st.vigilant || g >= len(st.verified) || !st.verified[g] {
+		return false
+	}
+	nats := st.genNatives[g]
+	if nats == nil {
+		// Verified before vigilant mode began: reconstruct the reference.
+		var err error
+		if nats, err = st.coder.GenData(g); err != nil {
+			return false
+		}
+		st.genNatives[g] = nats
+	}
+	data := in.f.Data[1:]
+	vec := bitvec.New(st.kPer)
+	if vec.UnmarshalInto(in.wv.VecBytes(data)) != nil {
+		return false
+	}
+	payload := in.wv.PayloadBytes(data)
+	if len(payload) != st.m {
+		return false
+	}
+	expect := make([]byte, st.m)
+	for i := vec.NextSet(0); i >= 0 && i < st.kPer; i = vec.NextSet(i + 1) {
+		nat := nats[i]
+		for j := range expect {
+			expect[j] ^= nat[j]
+		}
+	}
+	for j := range expect {
+		if expect[j] != payload[j] {
+			return true
+		}
+	}
+	return false
+}
+
+// poisonedObjectLocked handles a completed object whose assembled bytes
+// do not re-derive its content ID. With a manifest that vouched for every
+// generation the manifest itself is the forgery — drop it, blame its
+// sender, quarantine everything; otherwise quarantine every unverified
+// generation and re-fetch. st.mu must be held.
+func (s *Session) poisonedObjectLocked(st *objectState, acts *pollActions) {
+	st.ensurePollLocked()
+	st.vigilant = true
+	allVerified := st.man != nil
+	for g := range st.verified {
+		if !st.verified[g] {
+			allVerified = false
+			break
+		}
+	}
+	if allVerified {
+		s.logf("session: %v assembled bytes contradict the content ID with every generation verified",
+			st.id)
+		s.manifestForgedLocked(st, acts)
+	}
+	st.polluted++
+	for g := range st.verified {
+		if !st.verified[g] {
+			s.quarantineGenLocked(st, g, false, acts)
+		}
+	}
+}
+
+// handleManifest feeds one MANIFEST frame into the object's in-order
+// chunk reassembly and adopts the manifest once complete: geometry is
+// cross-checked against the coder, generations already complete are
+// retro-verified (quarantining any that fail). First manifest wins —
+// replacing an adopted manifest would let an attacker un-verify clean
+// state — until it is dropped as forged or inconsistent.
+func (s *Session) handleManifest(from transport.Addr, data []byte) {
+	mc, err := packet.ParseManifestChunk(data)
+	if err != nil {
+		return
+	}
+	s.mu.Lock()
+	if _, b := s.banned[from]; b {
+		s.mu.Unlock()
+		return
+	}
+	st, ok := s.objects[mc.Object]
+	s.mu.Unlock()
+	if !ok {
+		return
+	}
+	var acts pollActions
+	adopted := false
+	st.mu.Lock()
+	switch {
+	case st.dead, st.cached, st.man != nil, st.coder == nil:
+		// Caches hold undecodable rows (nothing to verify); a placeholder
+		// has no geometry to check a manifest against — the sender repeats
+		// MANIFEST with its META resends, so dropping is safe.
+	case int64(mc.Total) != int64(8+st.k*integrity.DigestSize):
+		// Wrong size for this object's k: not our manifest.
+	default:
+		if mc.Off == 0 {
+			st.manBuf = st.manBuf[:0] // (re)start assembly
+			st.manNext = 0
+		}
+		if int(mc.Off) != st.manNext {
+			break // out-of-order chunk: wait for a restart
+		}
+		if st.manBuf == nil {
+			st.manBuf = make([]byte, 0, mc.Total)
+		}
+		st.manBuf = append(st.manBuf, mc.Data...)
+		st.manNext += len(mc.Data)
+		if st.manNext == int(mc.Total) {
+			raw := st.manBuf
+			man, err := integrity.UnmarshalManifest(raw)
+			if err != nil || man.K() != st.k || man.M() != st.m {
+				st.manBuf, st.manNext = nil, 0
+				break
+			}
+			if st.data != nil {
+				// Already assembled and content-ID-proven: the decoded
+				// natives outrank any manifest. One that disagrees with
+				// them is rejected outright; one that agrees is adopted
+				// fully verified (for re-serving and audits).
+				natives, derr := st.coder.Data()
+				if derr != nil || man.VerifyAll(natives) != nil {
+					st.manBuf, st.manNext = nil, 0
+					break
+				}
+				s.adoptManifestLocked(st, man, raw, from)
+				st.ensurePollLocked()
+				for g := range st.verified {
+					st.verified[g] = true
+				}
+			} else {
+				s.adoptManifestLocked(st, man, raw, from)
+				for g := 0; g < st.coder.Generations(); g++ {
+					if st.coder.GenComplete(g) {
+						s.verifyGenLocked(st, g, &acts)
+					}
+				}
+			}
+			adopted = true
+			st.touch(s.clk.Now())
+		}
+	}
+	st.mu.Unlock()
+	s.applyPollActions(&acts)
+	if adopted {
+		// Forward the freshly adopted manifest to current REQ subscribers
+		// at once: they are mid-fetch and defenseless until they hold it —
+		// every tick of delay is a window for a polluter to poison their
+		// decoders (and for their recoded push-back to spread the poison
+		// further). META goes first: a subscriber that REQ'd before this
+		// node was sized has no coder yet, and coderless receivers drop
+		// MANIFEST frames. Adoption is once per object, so this cannot
+		// storm.
+		s.mu.Lock()
+		var subs []transport.Addr
+		for addr, ps := range st.peers {
+			if ps.reqSub && !ps.done {
+				if _, b := s.banned[addr]; !b {
+					subs = append(subs, addr)
+				}
+			}
+		}
+		s.mu.Unlock()
+		st.mu.Lock()
+		frames := st.manFrames
+		st.mu.Unlock()
+		var metaBuf []byte
+		if st.size.Load() >= 0 {
+			metaBuf = s.metaFrame(st)
+		}
+		for _, addr := range subs {
+			if metaBuf != nil {
+				s.tr.Send(addr, metaBuf)
+			}
+			for _, mf := range frames {
+				s.tr.Send(addr, mf)
+			}
+		}
+		s.notifyWatchers(st)
+	}
+}
+
+// probeSweep advances stalled probes: a quarantined generation waiting on
+// a probe peer that never answered (dead, banned meanwhile, or slow)
+// moves to its next candidate, or back to open refill when the candidate
+// list is exhausted. Runs every tick from tickLoop.
+func (s *Session) probeSweep() {
+	s.mu.Lock()
+	var objs []*objectState
+	for _, st := range s.objects {
+		objs = append(objs, st)
+	}
+	s.mu.Unlock()
+	now := s.clk.Now()
+	timeout := s.probeTimeout()
+	var acts pollActions
+	for _, st := range objs {
+		st.mu.Lock()
+		if st.vigilant && !st.dead {
+			for g := range st.probe {
+				if st.probe[g] != "" && now.Sub(st.probeAt[g]) >= timeout {
+					s.advanceProbeLocked(st, g, &acts)
+				}
+			}
+		}
+		st.mu.Unlock()
+	}
+	s.applyPollActions(&acts)
+}

@@ -1,0 +1,359 @@
+package session
+
+import (
+	"bytes"
+	"slices"
+	"time"
+
+	"ltnc/internal/adapt"
+	"ltnc/internal/packet"
+	"ltnc/internal/transport"
+)
+
+// The push plane. One round is plan → emit → commit over one peerPlan
+// record per (object, peer).
+//
+// Lock order, here as everywhere in the package: Session.mu before
+// objectState.mu, never the reverse, and nothing is sent under either.
+// planLocked and commitLocked run under s.mu (targetsLocked takes st.mu
+// briefly inside it); emit takes st.mu only to build rows, then sends
+// and stages with no lock held — over UDP every Send is a syscall, and
+// holding a lock across the sweep would stall the receive hot path for
+// its duration. The cache has its own lock and is a leaf. push runs on
+// the tick goroutine alone, so the coalescer needs no lock.
+
+// peerPlan is one (object, peer) push decision. planLocked fills the
+// snapshot half from the peer's state, emit draws and sends the burst it
+// describes and records what left, commitLocked writes the result back.
+type peerPlan struct {
+	addr transport.Addr
+	// Snapshot of the peer's state, taken under s.mu. needMeta marks a
+	// candidate only: metaAt is stamped at commit, after the META has
+	// actually been sent — a below-threshold object emits nothing this
+	// tick and must retry next tick. The stamp expires (metaResend), so
+	// delivery needs no ack: a META lost to the fabric is repeated until
+	// the peer reports completion.
+	gensDone []bool // generations complete at the peer (nil = none)
+	needMeta bool
+	// The cursors advance on this copy during emit and are written back
+	// at commit — per peer, so each fetcher walks the whole cached basis
+	// (see cache.AppendFrame on aliasing).
+	cacheCursor uint64
+	sysCursor   int
+
+	rows    []*packet.Packet // coder-drawn burst: sysRows natives, then recodes
+	sysRows int
+
+	// What left: metaSent — the META send succeeded; sent — DATA frames
+	// committed to the coalescer window (the flush's error, like a lost
+	// datagram, is not worth unwinding the stats for), sys of them
+	// systematic.
+	metaSent  bool
+	sent, sys int
+}
+
+// objectPlan is one object's share of a push round; needMeta is set when
+// any of its peers needs the META.
+type objectPlan struct {
+	st       *objectState
+	peers    []peerPlan
+	needMeta bool
+}
+
+// push sends one burst per object and live target.
+func (s *Session) push() {
+	s.mu.Lock()
+	plans := s.planLocked(s.clk.Now())
+	s.mu.Unlock()
+	if len(plans) == 0 {
+		return
+	}
+	// DATA frames are staged into the coalescer's pooled slabs and flushed
+	// as per-peer batches at the end of the round (early per-peer flushes
+	// bound the window) — sendmmsg/GSO-sized bursts on the Linux fast
+	// path, plain per-frame sends elsewhere.
+	if s.coal == nil {
+		s.coal = transport.NewCoalescer(s.tr, 0)
+	}
+	for i := range plans {
+		s.emit(&plans[i])
+	}
+	s.coal.Flush()
+	s.mu.Lock()
+	s.commitLocked(plans, s.clk.Now())
+	s.mu.Unlock()
+}
+
+// planLocked snapshots this round's targets: objects in ID order, each
+// object's peers in targetsLocked order. The order is part of the
+// protocol's determinism — every peer's Recode draws from the object's
+// one coder RNG, so who goes first decides what everyone gets. s.mu must
+// be held.
+func (s *Session) planLocked(now time.Time) []objectPlan {
+	objs := make([]*objectState, 0, len(s.objects))
+	for _, st := range s.objects {
+		objs = append(objs, st)
+	}
+	slices.SortFunc(objs, func(a, b *objectState) int { return bytes.Compare(a.id[:], b.id[:]) })
+	plans := make([]objectPlan, 0, len(objs))
+	for _, st := range objs {
+		addrs := s.targetsLocked(st, now)
+		if len(addrs) == 0 {
+			continue
+		}
+		op := objectPlan{st: st, peers: make([]peerPlan, len(addrs))}
+		sizeKnown := st.size.Load() >= 0
+		for i, addr := range addrs {
+			ps := st.peer(addr)
+			p := &op.peers[i]
+			p.addr = addr
+			p.needMeta = sizeKnown && now.Sub(ps.metaAt) >= s.metaResend()
+			op.needMeta = op.needMeta || p.needMeta
+			if ps.gensDoneN > 0 {
+				p.gensDone = slices.Clone(ps.gensDone)
+			}
+			p.cacheCursor, p.sysCursor = ps.cacheCursor, ps.sysCursor
+		}
+		plans = append(plans, op)
+	}
+	return plans
+}
+
+// emit sends one object's round: rows are built under st.mu, so decode
+// workers stall at most per object; then META and manifest go out
+// directly, ahead of the round's DATA, which is staged into the
+// coalescer. A dead, placeholder or below-threshold object emits
+// nothing.
+func (s *Session) emit(op *objectPlan) {
+	st := op.st
+	var meta []byte
+	var manifest [][]byte
+	cached, ready := false, false
+	st.mu.Lock()
+	switch {
+	case st.dead:
+	case st.cached:
+		// Cache mode: frames come from the cached basis (the cache has
+		// its own lock); no aggressiveness gate — whatever rank the cache
+		// holds is already worth serving. Its size stays -1 until the
+		// origin's META arrives, and with it needMeta stays false.
+		cached, ready = true, true
+	case st.coder != nil && (st.coder.Complete() || st.coder.Received() >= s.threshold(st.k)):
+		ready = true
+		// The integrity manifest rides the META resend cadence: lossy
+		// datagrams, no acks — repeat until the peer is done.
+		manifest = st.manFrames
+		for i := range op.peers {
+			s.drawRowsLocked(st, &op.peers[i])
+		}
+	}
+	if ready && op.needMeta {
+		meta = s.metaFrame(st)
+	}
+	st.mu.Unlock()
+	if meta != nil {
+		for i := range op.peers {
+			if p := &op.peers[i]; p.needMeta {
+				p.metaSent = s.tr.Send(p.addr, meta) == nil
+				for _, mf := range manifest {
+					s.tr.Send(p.addr, mf)
+				}
+			}
+		}
+	}
+	for i := range op.peers {
+		if cached {
+			s.stageCached(st, &op.peers[i])
+		} else {
+			s.stageRows(&op.peers[i])
+		}
+	}
+}
+
+// taintedLocked reports whether generation g must not recode downstream.
+// Quarantined generations (tainted, not re-verified) never do — a relay
+// must not launder pollution. And once the object's manifest is in hand,
+// only verified generations recode at all: a partially-filled generation
+// may hold a polluter's forged rows, and pushing recodes of it would
+// launder the garbage through this honest node — whose downstreams would
+// then convict *it* (their solo-probe of this node genuinely fails).
+// Verification is per completed generation, so the manifest's generation
+// granularity is exactly the store-and-forward granularity. Without a
+// manifest there is nothing to verify against; legacy flows recode
+// freely, gated only by explicit quarantine. st.mu must be held.
+func (st *objectState) taintedLocked(g int) bool {
+	if g < len(st.tainted) && st.tainted[g] && !st.verified[g] {
+		return true
+	}
+	return st.man != nil && (g >= len(st.verified) || !st.verified[g])
+}
+
+// drawRowsLocked builds one peer's burst from the coder: the systematic
+// first pass while it lasts (AdaptSystematic), coded repair after. Rows
+// are recoded per target so each peer's burst round-robins across
+// exactly the generations it still needs (kind-3 feedback) and may be
+// served (taintedLocked).
+//
+// The systematic pass walks the peer's cursor over the global native
+// rows, emitting each decoded native AT MOST once as a degree-1 row
+// before any coded repair. A native this node has not decoded when the
+// cursor passes is skipped for good — coded repair covers it. The cursor
+// deliberately never stalls or resumes: at a store-and-forward relay,
+// natives decode in GE back-substitution order, not cursor order, so a
+// stalled pass would resume only after the peer's coded stream already
+// spans the late natives, and every resumed degree-1 row would be a
+// duplicate (measured as a 2× frame blowup at 20% loss). Generations the
+// peer already has, or that the taint gate blocks, are stepped over
+// whole. st.mu must be held.
+func (s *Session) drawRowsLocked(st *objectState, p *peerPlan) {
+	skip := func(g int) bool {
+		return (g < len(p.gensDone) && p.gensDone[g]) || st.taintedLocked(g)
+	}
+	p.rows = make([]*packet.Packet, 0, s.cfg.Burst)
+	if s.cfg.AdaptControls&AdaptSystematic != 0 {
+		for len(p.rows) < s.cfg.Burst && p.sysCursor < st.k {
+			g := p.sysCursor / st.kPer
+			if skip(g) {
+				p.sysCursor = (g + 1) * st.kPer
+				continue
+			}
+			z, ok := st.coder.NativeRow(p.sysCursor)
+			p.sysCursor++
+			if ok {
+				p.rows = append(p.rows, z)
+			}
+		}
+		p.sysRows = len(p.rows)
+	}
+	for len(p.rows) < s.cfg.Burst {
+		z, ok := st.coder.Recode(skip)
+		if !ok {
+			break
+		}
+		p.rows = append(p.rows, z)
+	}
+	for _, z := range p.rows {
+		z.Object = st.id
+	}
+}
+
+// stageRows serializes a coder-drawn burst straight into coalescer slabs.
+func (s *Session) stageRows(p *peerPlan) {
+	for i, z := range p.rows {
+		frame := packet.AppendWire(append(s.coal.Stage(), frameData), z)
+		if len(frame) > transport.MaxFrame {
+			continue
+		}
+		s.coal.Commit(p.addr, frame)
+		p.sent++
+		if i < p.sysRows {
+			p.sys++
+		}
+	}
+}
+
+// stageCached deals one peer's burst from the cached basis, along the
+// peer's own cursor and around the generations it already covers.
+func (s *Session) stageCached(st *objectState, p *peerPlan) {
+	var skip func(uint32) bool
+	if done := p.gensDone; done != nil {
+		skip = func(g uint32) bool { return int(g) < len(done) && done[g] }
+	}
+	for p.sent < s.cfg.Burst {
+		frame, ok := s.cache.AppendFrame(append(s.coal.Stage(), frameData), st.id, &p.cacheCursor, skip)
+		if !ok || len(frame) > transport.MaxFrame {
+			break
+		}
+		s.coal.Commit(p.addr, frame)
+		p.sent++
+	}
+}
+
+// commitLocked writes one round's results back. Only peers still tracked
+// are written to: re-creating one evicted or banned mid-push just to
+// park a cursor would resurrect it. s.mu must be held.
+func (s *Session) commitLocked(plans []objectPlan, now time.Time) {
+	for i := range plans {
+		st := plans[i].st
+		for j := range plans[i].peers {
+			p := &plans[i].peers[j]
+			st.sent += int64(p.sent)
+			st.systematic += int64(p.sys)
+			ps, ok := st.peers[p.addr]
+			if !ok {
+				continue
+			}
+			if p.metaSent {
+				ps.metaAt = now
+			}
+			ps.cacheCursor = p.cacheCursor
+			// Monotone: a concurrent sweep may have pushed further already.
+			ps.sysCursor = max(ps.sysCursor, p.sysCursor)
+			if s.cfg.Adaptive && p.sent > 0 {
+				// Feed the DATA frames committed toward the peer to the link
+				// estimator's sender-side counter.
+				if ps.link == nil {
+					ps.link = &adapt.Link{}
+				}
+				ps.link.OnSend(p.sent)
+			}
+		}
+	}
+}
+
+// metaResend is how long a sent META is trusted before it is repeated to
+// a still-incomplete peer; see peerState.metaAt.
+func (s *Session) metaResend() time.Duration {
+	return max(25*s.cfg.Tick, 50*time.Millisecond)
+}
+
+// targetsLocked returns the push targets for one object: every live
+// subscriber, in address order, then the standing targets in configured
+// order — the configured peers and, with the membership plane on, the
+// current relay/cache-role neighbor selection (bounded by Fanout, so the
+// sweep is O(active neighbors) however large the swarm's view of the
+// world grows) — excluding peers that reported completion and peers
+// backing off after satiation. s.mu must be held.
+func (s *Session) targetsLocked(st *objectState, now time.Time) []transport.Addr {
+	skip := func(ps *peerState) bool {
+		return ps.done || now.Before(ps.pauseUntil)
+	}
+	var out []transport.Addr
+	for addr, ps := range st.peers {
+		if ps.reqSub && !skip(ps) {
+			out = append(out, addr)
+		}
+	}
+	slices.SortFunc(out, cmpAddr)
+	subs := len(out)
+	standing := s.peers
+	if s.member != nil {
+		standing = append(slices.Clone(s.peers), s.member.pushTargets()...)
+	}
+	st.mu.Lock()
+	for _, addr := range standing {
+		if _, sub := slices.BinarySearchFunc(out[:subs], addr, cmpAddr); sub || slices.Contains(out[subs:], addr) {
+			continue
+		}
+		if ps, ok := st.peers[addr]; ok && skip(ps) {
+			continue
+		}
+		if _, sol := st.solicited[addr]; sol && st.data == nil {
+			// This peer is our own upstream for an object we are still
+			// fetching: if it wants our rows it asks for them (reqSub,
+			// handled above — mesh peers fetching from each other do
+			// exactly that). Unasked push-back up the edge we fetch over
+			// wastes frames at best; at worst — before the manifest
+			// arrives — it launders a polluter's forged rows out of our
+			// unverifiable buffer into an honest peer's decoder. Once the
+			// object has assembled and passed the content-ID check
+			// (st.data set), push-back resumes: recodes of proven bytes
+			// cannot launder anything, and a finished fetcher re-seeding
+			// its upstream (an edge cache, say) is useful cut-through.
+			continue
+		}
+		out = append(out, addr)
+	}
+	st.mu.Unlock()
+	return out
+}

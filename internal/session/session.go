@@ -84,23 +84,18 @@ package session
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ltnc/internal/adapt"
-	"ltnc/internal/bitvec"
 	"ltnc/internal/cache"
 	"ltnc/internal/generation"
 	"ltnc/internal/integrity"
 	"ltnc/internal/lt"
 	"ltnc/internal/packet"
-	"ltnc/internal/soliton"
 	"ltnc/internal/transport"
 )
 
@@ -140,332 +135,6 @@ const (
 	// drop it silently.
 	receiptLen = feedbackLen + 12
 )
-
-// AdaptControls is a bitmask selecting which adaptive controls an
-// adaptive session runs; zero selects all of them.
-type AdaptControls uint8
-
-const (
-	// AdaptSystematic: the systematic first pass — every decoded native
-	// is pushed once as a degree-1 row per peer before coded repair.
-	AdaptSystematic AdaptControls = 1 << iota
-	// AdaptBudget: the satiation budget follows the estimated link loss
-	// instead of the static satiationLimit constant.
-	AdaptBudget
-	// AdaptLadder: the Robust Soliton configuration follows the estimated
-	// link loss across the precomputed (c, δ) ladder.
-	AdaptLadder
-
-	adaptAll = AdaptSystematic | AdaptBudget | AdaptLadder
-)
-
-// maxPeersPerObject bounds one object's peer table (REQ subscribers plus
-// feedback/steering state): at capacity a fresh REQ evicts a completed
-// or stalest subscriber, or is dropped. Without the bound the map grows
-// with every address that ever REQed or fed back, for the object's whole
-// lifetime.
-const maxPeersPerObject = 256
-
-// maxCacheAds bounds the per-object table of kind-4 advertisements a
-// fetching session retains for REQ steering; advertisement sources are
-// spoofable addresses, so the table must not grow without limit.
-const maxCacheAds = 32
-
-// satiationLimit is how many consecutive redundancy aborts a peer may
-// report for one object before the session pauses pushing that object to
-// it (the peer is either complete or momentarily receiving nothing
-// innovative). The pause is temporary — an incomplete peer must be able
-// to resume — and any REQ lifts it immediately.
-const satiationLimit = 64
-
-// receiptEvery is how many DATA frames a receiver accepts from one sender
-// between kind-5 receipt reports (adaptive sessions only). Small enough
-// that a loss estimate forms within one generation; large enough that the
-// feedback stream stays a small fraction of the data stream.
-const receiptEvery = 16
-
-// Config parameterizes a session.
-type Config struct {
-	// Transport carries the frames; required.
-	Transport transport.Transport
-	// Tick is the push period (default 2ms).
-	Tick time.Duration
-	// Burst is how many packets are pushed per object, target and tick
-	// (default 1).
-	Burst int
-	// Aggressiveness gates recoding as in the paper (default 0.01): a
-	// relay starts recoding an object once it holds K·Aggressiveness + 1
-	// packets.
-	Aggressiveness float64
-	// IdleTimeout evicts object state (and subscribers) untouched for
-	// this long; default 60s. Pinned (locally served) objects stay.
-	IdleTimeout time.Duration
-	// Relay makes the session create decode state for objects it first
-	// learns about from incoming DATA or META frames and re-push them —
-	// the paper's recoding intermediary. Fetch-only clients leave it
-	// false and decode only objects they asked for.
-	Relay bool
-	// CacheBudget, when positive, makes the session a partial cache for
-	// objects it learns from the network: innovative coded rows are
-	// retained under this global byte budget — never decoded — and
-	// served back to requesters, with admission and eviction policed by
-	// internal/cache. Mutually exclusive with Relay: a relay holds
-	// decode state and recodes live, a cache holds raw rank. Fetching a
-	// cached object promotes its rows into a real decoder first.
-	CacheBudget int64
-	// MaxObjects bounds how many objects a relay will learn from the
-	// network (default 1024); frames for further objects are dropped
-	// until eviction makes room. Locally served and fetched objects are
-	// not counted against the bound when created.
-	MaxObjects int
-	// MaxK bounds the code length a relay accepts from network headers
-	// (default 65536); larger k means larger decode state, and the wire
-	// header alone allows k up to 2^24.
-	MaxK int
-	// DecodeWorkers is the number of decode shards: DATA frames are
-	// dispatched by content ID onto this many workers, so up to this many
-	// objects decode concurrently. Default min(GOMAXPROCS, 8); frames of
-	// one object always land on the same worker, preserving arrival order
-	// per object.
-	DecodeWorkers int
-	// IngestBatch is how many DATA frames a decode worker drains per
-	// wakeup; a whole batch is fed to the decoders under amortized
-	// locking (default 32).
-	IngestBatch int
-	// IngestQueue bounds each decode worker's inbound frame queue; DATA
-	// frames arriving at a full queue are dropped, as a datagram network
-	// would under overload (default 64).
-	IngestQueue int
-	// Seed drives per-object node randomness. A zero Seed selects the
-	// default (1) unless HaveSeed marks it as deliberately chosen — the
-	// public option plumbing (ltnc.WithSeed(0) via swarm.Config.Node)
-	// must not silently collapse seed 0 onto seed 1.
-	Seed     int64
-	HaveSeed bool
-	// DisableRefinement and DisableRedundancyCheck turn off the paper's
-	// Algorithm 2 (recode refinement) and Algorithm 3 (header redundancy
-	// detection) in every per-object decode state the session creates.
-	// Both default to false — the algorithms run — and exist for
-	// experiments and the public option plumbing (ltnc.WithRefinement,
-	// ltnc.WithRedundancyDetection via swarm.Config).
-	DisableRefinement      bool
-	DisableRedundancyCheck bool
-	// Bootstrap enables the epidemic membership plane (member.go): the
-	// session joins the swarm by shuffling partial views with these
-	// addresses, discovers further peers via MEMBER gossip, and steers
-	// pushes and fetch REQs toward its sampled neighbors instead of a
-	// static peer list. Empty (the default) disables the plane entirely;
-	// AddPeer-configured peers then remain the only standing targets.
-	Bootstrap []transport.Addr
-	// ViewSize bounds the membership view — the resident per-peer state
-	// of the plane (default 32).
-	ViewSize int
-	// ShufflePeriod is the membership shuffle cadence (default
-	// max(25·Tick, 250ms)): every period the view ages one round and one
-	// partial-view exchange goes out.
-	ShufflePeriod time.Duration
-	// Fanout bounds the active neighbor selections and the shuffle
-	// sample size (default 8): pushes address at most Fanout membership
-	// neighbors per object, keeping the push sweep O(active neighbors)
-	// rather than O(swarm).
-	Fanout int
-	// Capacity is the serving-capacity hint this session advertises in
-	// MEMBER exchanges (neighbor selection prefers higher values). Zero
-	// selects a role-derived default: 200 for relays, 160 for caches, 16
-	// otherwise.
-	Capacity uint8
-	// Adaptive turns on the feedback-driven coding loop (DESIGN.md §16).
-	// Receivers emit kind-5 receipt reports (cumulative rows received /
-	// rows innovative per sender); senders feed them to a per-(peer,
-	// object) loss estimator (internal/adapt) driving the push path's
-	// three online controls: a systematic first pass per generation (each
-	// decoded native goes out once as a degree-1 row before coded
-	// repair), a satiation budget tuned from estimated loss instead of
-	// the static constant, and per-peer Robust Soliton configuration off
-	// a precomputed ladder (internal/soliton). Off by default: the wire
-	// behavior of a non-adaptive session is byte-identical to pre-receipt
-	// versions.
-	Adaptive bool
-	// AdaptControls selects individual adaptive controls when Adaptive is
-	// set; 0 means all. Used by experiments to isolate the systematic
-	// pass from the estimator-driven controls.
-	AdaptControls AdaptControls
-	// Clock is the time source behind every session timer — push ticks,
-	// META resend, idle eviction, satiation backoff, fetch retries.
-	// Default: the system clock. Simulations (internal/simnet) inject a
-	// virtual clock so a minute of protocol time passes in milliseconds
-	// of wall time, deterministically.
-	Clock transport.Clock
-	// Logf, when set, receives one line per notable event (object
-	// learned, complete, evicted).
-	Logf func(format string, args ...any)
-}
-
-// ErrNoPeers is returned by Fetch when no source address was given and
-// the session has no configured peers to ask.
-var ErrNoPeers = errors.New("session: no peers to fetch from")
-
-// ErrPolluted is wrapped by Fetch when pollution defense has banned every
-// candidate peer for an object: the swarm the caller pointed at has no
-// remaining source whose rows survive integrity verification. Partial
-// pollution does not fail a fetch — quarantined generations are re-fetched
-// from the peers still standing — so this error means the defense worked
-// and there is genuinely nobody left to ask. Per-object pollution counters
-// travel in ObjectStats (Polluted, GensVerified, HaveManifest).
-var ErrPolluted = errors.New("session: every candidate peer banned for pollution")
-
-func (c *Config) setDefaults() error {
-	if c.Transport == nil {
-		return errors.New("session: nil transport")
-	}
-	if c.Tick == 0 {
-		c.Tick = 2 * time.Millisecond
-	}
-	if c.Tick < 0 {
-		return fmt.Errorf("session: tick %v < 0", c.Tick)
-	}
-	if c.Burst == 0 {
-		c.Burst = 1
-	}
-	if c.Burst < 1 {
-		return fmt.Errorf("session: burst %d < 1", c.Burst)
-	}
-	if c.Aggressiveness == 0 {
-		c.Aggressiveness = 0.01
-	}
-	if c.Aggressiveness < 0 || c.Aggressiveness > 1 {
-		return fmt.Errorf("session: aggressiveness %v outside [0,1]", c.Aggressiveness)
-	}
-	if c.IdleTimeout == 0 {
-		c.IdleTimeout = 60 * time.Second
-	}
-	if c.IdleTimeout < 0 {
-		return fmt.Errorf("session: idle timeout %v < 0", c.IdleTimeout)
-	}
-	if c.MaxObjects == 0 {
-		c.MaxObjects = 1024
-	}
-	if c.MaxObjects < 1 {
-		return fmt.Errorf("session: max objects %d < 1", c.MaxObjects)
-	}
-	if c.MaxK == 0 {
-		c.MaxK = 65536
-	}
-	if c.MaxK < 1 {
-		return fmt.Errorf("session: max k %d < 1", c.MaxK)
-	}
-	if c.DecodeWorkers == 0 {
-		c.DecodeWorkers = min(runtime.GOMAXPROCS(0), 8)
-	}
-	if c.DecodeWorkers < 1 {
-		return fmt.Errorf("session: decode workers %d < 1", c.DecodeWorkers)
-	}
-	if c.IngestBatch == 0 {
-		c.IngestBatch = 32
-	}
-	if c.IngestBatch < 1 {
-		return fmt.Errorf("session: ingest batch %d < 1", c.IngestBatch)
-	}
-	if c.IngestQueue == 0 {
-		c.IngestQueue = 64
-	}
-	if c.IngestQueue < 1 {
-		return fmt.Errorf("session: ingest queue %d < 1", c.IngestQueue)
-	}
-	if c.CacheBudget < 0 {
-		return fmt.Errorf("session: cache budget %d < 0", c.CacheBudget)
-	}
-	if c.CacheBudget > 0 && c.Relay {
-		return errors.New("session: Relay and CacheBudget are mutually exclusive")
-	}
-	if c.ViewSize == 0 {
-		c.ViewSize = 32
-	}
-	if c.ViewSize < 1 {
-		return fmt.Errorf("session: view size %d < 1", c.ViewSize)
-	}
-	if c.ShufflePeriod == 0 {
-		c.ShufflePeriod = max(25*c.Tick, 250*time.Millisecond)
-	}
-	if c.ShufflePeriod < 0 {
-		return fmt.Errorf("session: shuffle period %v < 0", c.ShufflePeriod)
-	}
-	if c.Fanout == 0 {
-		c.Fanout = 8
-	}
-	if c.Fanout < 1 {
-		return fmt.Errorf("session: fanout %d < 1", c.Fanout)
-	}
-	if c.Adaptive && c.AdaptControls == 0 {
-		c.AdaptControls = adaptAll
-	}
-	if !c.Adaptive {
-		c.AdaptControls = 0
-	}
-	if c.Seed == 0 && !c.HaveSeed {
-		c.Seed = 1
-	}
-	if c.Clock == nil {
-		c.Clock = transport.SystemClock()
-	}
-	return nil
-}
-
-// ObjectStats is a point-in-time view of one object's session state.
-type ObjectStats struct {
-	ID   packet.ObjectID
-	K, M int
-	// Generations is the object's generation count G (1 for
-	// single-generation objects, 0 while unknown); KPer is the
-	// per-generation code length k/G — the length of every code vector
-	// on the wire for this object.
-	Generations int
-	KPer        int
-	Size        int64 // -1 while unknown (no META yet)
-	Decoded     int
-	Complete    bool
-	// GensComplete is how many generations are fully decoded;
-	// GenDecoded holds the decoded-native count of each generation —
-	// the per-generation progress Watch snapshots carry.
-	GensComplete int
-	GenDecoded   []int
-	Pinned       bool
-	// Cached marks a cache-mode object: the session holds coded rows for
-	// it in the partial cache (no decode state); see Config.CacheBudget.
-	Cached      bool
-	Received    int64 // DATA frames fed into the decoder
-	Aborted     int64 // redundant DATA dropped on the header
-	Sent        int64 // recoded DATA frames pushed
-	Subscribers int
-	// HaveManifest reports whether the object's integrity manifest has
-	// been adopted (served locally or assembled from MANIFEST frames);
-	// GensVerified counts generations that passed digest verification.
-	HaveManifest bool
-	GensVerified int
-	// Polluted counts pollution events on this object: generations that
-	// completed, failed manifest verification and were quarantined (plus
-	// whole-object content-ID mismatches). Each event resets the failed
-	// generation's decode progress, so Decoded/GensComplete may regress
-	// across snapshots exactly when Polluted grows — the one sanctioned
-	// exception to Watch's monotone-progress contract.
-	Polluted int64
-	// LossEst is the adaptive loss estimate for this object (DESIGN.md
-	// §16): the mean of the per-peer estimator outputs across peers that
-	// have sent at least one receipt report; 0 for non-adaptive sessions
-	// or before any report. Systematic counts DATA frames this session
-	// pushed as degree-1 native rows in the systematic first pass.
-	LossEst    float64
-	Systematic int64
-}
-
-// Overhead returns received packets relative to K — the reception
-// overhead the paper reports (1 + epsilon); 0 until K is known.
-func (o ObjectStats) Overhead() float64 {
-	if o.K == 0 {
-		return 0
-	}
-	return float64(o.Received) / float64(o.K)
-}
 
 type peerState struct {
 	lastReq time.Time // last REQ (zero for configured peers)
@@ -571,13 +240,6 @@ type objectState struct {
 	// Decode plane: ingest mutates it under mu. Bounded like the peer
 	// table (maxPeersPerObject).
 	rx map[transport.Addr]*rxTally
-	// ladder is the precomputed per-kPer Robust Soliton configuration
-	// ladder adaptive pushes re-rung the coder on (AdaptLadder; lazily
-	// built once the coder's geometry is known). rungApplied caches the
-	// rung currently applied to the coder, offset by one so the zero
-	// value means "none yet" and the first adaptive burst always rungs.
-	ladder      *soliton.Ladder
-	rungApplied int
 	// solicited holds the peers this session explicitly chose as upstreams
 	// for the object (the Fetch candidate set). Conviction requires
 	// solicitation: only solicited peers can be banned over this object's
@@ -601,14 +263,14 @@ type objectState struct {
 	cached bool
 
 	// Guarded by Session.mu.
-	pinned   bool
-	waiters  int // Fetch calls currently blocked on this object
-	sent     int64
+	pinned  bool
+	waiters int // Fetch calls currently blocked on this object
+	sent    int64
 	// systematic counts DATA frames pushed as degree-1 native rows in the
 	// adaptive systematic first pass.
 	systematic int64
 	peers      map[transport.Addr]*peerState
-	watchers map[int]func(ObjectStats) // progress subscriptions (Watch)
+	watchers   map[int]func(ObjectStats) // progress subscriptions (Watch)
 	// cacheAds records kind-4 advertisements received for this object
 	// (bounded by maxCacheAds): which peers hold cached coverage, for
 	// Fetch REQ steering.
@@ -872,6 +534,21 @@ func (s *Session) newCoder(gens, kPer, m int) (*generation.Coder, error) {
 	})
 }
 
+// placeholderLocked registers a bare object state for id — no decode node
+// yet; the first DATA or META header (or a local Serve) materializes it.
+// s.mu must be held.
+func (s *Session) placeholderLocked(id packet.ObjectID) *objectState {
+	st := &objectState{
+		id:    id,
+		done:  make(chan struct{}),
+		peers: make(map[transport.Addr]*peerState),
+	}
+	st.size.Store(-1)
+	st.touch(s.clk.Now())
+	s.objects[id] = st
+	return st
+}
+
 // newStateLocked allocates decode state for object id with gens
 // generations of code length kPer and payload size m; s.mu must be held.
 func (s *Session) newStateLocked(id packet.ObjectID, gens, kPer, m int) (*objectState, error) {
@@ -879,19 +556,9 @@ func (s *Session) newStateLocked(id packet.ObjectID, gens, kPer, m int) (*object
 	if err != nil {
 		return nil, err
 	}
-	st := &objectState{
-		id:    id,
-		k:     gens * kPer,
-		kPer:  kPer,
-		m:     m,
-		coder: coder,
-		done:  make(chan struct{}),
-		peers: make(map[transport.Addr]*peerState),
-	}
-	st.size.Store(-1)
+	st := s.placeholderLocked(id)
+	st.coder, st.k, st.kPer, st.m = coder, gens*kPer, kPer, m
 	st.gens.Store(int32(gens))
-	st.touch(s.clk.Now())
-	s.objects[id] = st
 	return st, nil
 }
 
@@ -899,19 +566,9 @@ func (s *Session) newStateLocked(id packet.ObjectID, gens, kPer, m int) (*object
 // geometry, no coder — the rows live in s.cache, admission-checked
 // against its per-generation bases. s.mu must be held.
 func (s *Session) newCachedStateLocked(id packet.ObjectID, gens, kPer, m int) *objectState {
-	st := &objectState{
-		id:     id,
-		k:      gens * kPer,
-		kPer:   kPer,
-		m:      m,
-		cached: true,
-		done:   make(chan struct{}),
-		peers:  make(map[transport.Addr]*peerState),
-	}
-	st.size.Store(-1)
+	st := s.placeholderLocked(id)
+	st.cached, st.k, st.kPer, st.m = true, gens*kPer, kPer, m
 	st.gens.Store(int32(gens))
-	st.touch(s.clk.Now())
-	s.objects[id] = st
 	return st
 }
 
@@ -992,1465 +649,6 @@ func (s *Session) Close() error {
 	return err
 }
 
-func (s *Session) recvLoop(ctx context.Context) error {
-	// Consume whole batches per wakeup: the UDP fast path hands over a
-	// recvmmsg vector at a time, the in-memory Switch drains its queue;
-	// transports without batch support degrade to one frame per call.
-	// Each frame is then dispatched exactly as a single Recv would be.
-	batch := make([]transport.Frame, 64)
-	for {
-		select {
-		case <-s.closed:
-			return nil
-		default:
-		}
-		n, err := transport.RecvBatch(ctx, s.tr, batch)
-		if err != nil {
-			if errors.Is(err, transport.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		for i := 0; i < n; i++ {
-			f := batch[i]
-			batch[i] = transport.Frame{} // drop the reference; ownership moves below
-			if len(f.Data) > 0 && f.Data[0] == frameData {
-				s.dispatchData(f) // ownership moves to the decode worker
-				continue
-			}
-			s.busy.Add(1)
-			s.handleFrame(f)
-			f.Release()
-			s.busy.Add(-1)
-		}
-	}
-}
-
-// dispatchData validates a DATA frame's wire layout and hands it to the
-// decode worker owning its content ID. Frames of one object always map to
-// the same shard, so per-object arrival order is preserved; a full shard
-// queue drops the frame as an overloaded datagram receiver would.
-func (s *Session) dispatchData(f transport.Frame) {
-	s.busy.Add(1)
-	wv, err := packet.ParseWire(f.Data[1:])
-	if err != nil || wv.Object.IsZero() {
-		f.Release()
-		s.busy.Add(-1)
-		return
-	}
-	shard := int(wv.Object[0]) % len(s.shards)
-	select {
-	case s.shards[shard] <- inFrame{f: f, wv: wv}:
-		// The frame stays counted in busy until its decode worker has
-		// fully processed it (ingestBatch decrements per frame).
-	default:
-		s.ingestDropped.Add(1)
-		f.Release()
-		s.busy.Add(-1)
-	}
-}
-
-// ingestLoop is one decode worker: it drains its shard queue in batches
-// and feeds them to the per-object decoders.
-func (s *Session) ingestLoop(ctx context.Context, ch chan inFrame) {
-	defer func() { // drop anything still queued at shutdown
-		for {
-			select {
-			case in := <-ch:
-				in.f.Release()
-				s.busy.Add(-1)
-			default:
-				return
-			}
-		}
-	}()
-	batch := make([]inFrame, 0, s.cfg.IngestBatch)
-	var scratch ingestScratch
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-s.closed:
-			return
-		case in := <-ch:
-			batch = append(batch[:0], in)
-		drain:
-			for len(batch) < cap(batch) {
-				select {
-				case more := <-ch:
-					batch = append(batch, more)
-				default:
-					break drain
-				}
-			}
-			s.ingestBatch(batch, &scratch)
-		}
-	}
-}
-
-// ingestScratch is a decode worker's reusable batch workspace, so the
-// steady-state ingest loop does not allocate per wakeup.
-type ingestScratch struct {
-	states   []*objectState
-	replies  []ingestReply
-	notify   []*objectState
-	forwards []ingestForward
-}
-
-type ingestReply struct {
-	addr  transport.Addr
-	frame []byte
-}
-
-// ingestForward is one DATA frame a budget-bound cache passes through to
-// the object's push targets instead of storing: the row was innovative
-// but the admission policy had no room, and downstream receivers can
-// still use it (pass-through keeps fetchers progressing past partial
-// budgets). The frame bytes are an owned copy.
-type ingestForward struct {
-	st    *objectState
-	from  transport.Addr
-	frame []byte
-}
-
-// ingestBatch decodes one drained batch: object states are resolved under
-// a single session-lock acquisition, then frames are fed to the decoders
-// under per-object locks (held across runs of consecutive frames for the
-// same object), and feedback replies go out after all locks are dropped.
-// scratch is the calling worker's reusable workspace.
-func (s *Session) ingestBatch(batch []inFrame, scratch *ingestScratch) {
-	if cap(scratch.states) < len(batch) {
-		scratch.states = make([]*objectState, len(batch))
-	}
-	states := scratch.states[:len(batch)]
-	replies := scratch.replies[:0]
-	notify := scratch.notify[:0]
-	forwards := scratch.forwards[:0]
-	defer func() {
-		clear(states) // do not retain object states across batches
-		clear(replies)
-		scratch.replies = replies[:0]
-		clear(notify)
-		scratch.notify = notify[:0]
-		clear(forwards)
-		scratch.forwards = forwards[:0]
-	}()
-	s.mu.Lock()
-	for i := range batch {
-		states[i] = s.resolveStateLocked(batch[i].wv, batch[i].f.From)
-	}
-	s.mu.Unlock()
-
-	var acts pollActions
-	var cur *objectState
-	for i := range batch {
-		st := states[i]
-		if st == nil {
-			batch[i].f.Release()
-			continue
-		}
-		if st != cur {
-			if cur != nil {
-				cur.mu.Unlock()
-			}
-			cur = st
-			cur.mu.Lock()
-		}
-		var fb []byte
-		var progressed bool
-		if st.cached {
-			var forward bool
-			fb, progressed, forward = s.ingestCachedLocked(st, &batch[i])
-			if forward {
-				forwards = append(forwards, ingestForward{
-					st, batch[i].f.From, append([]byte(nil), batch[i].f.Data...),
-				})
-			}
-		} else {
-			fb, progressed = s.ingestDataLocked(st, &batch[i], &acts)
-		}
-		if fb != nil {
-			replies = append(replies, ingestReply{batch[i].f.From, fb})
-		}
-		if progressed && (len(notify) == 0 || notify[len(notify)-1] != st) {
-			notify = append(notify, st)
-		}
-		batch[i].f.Release()
-	}
-	if cur != nil {
-		cur.mu.Unlock()
-	}
-	s.applyPollActions(&acts)
-	for _, r := range replies {
-		s.tr.Send(r.addr, r.frame)
-	}
-	for _, fw := range forwards {
-		s.mu.Lock()
-		addrs := s.targetsLocked(fw.st, s.clk.Now())
-		s.mu.Unlock()
-		sent := 0
-		for _, a := range addrs {
-			if a == fw.from {
-				continue
-			}
-			if s.tr.Send(a, fw.frame) == nil {
-				sent++
-			}
-		}
-		if sent == 0 {
-			// Nobody downstream wanted it either: throttle the sender the
-			// way a redundant abort would.
-			s.tr.Send(fw.from, feedbackFrame(fw.st.id, fbRedundant))
-		}
-	}
-	for _, st := range notify {
-		s.notifyWatchers(st)
-	}
-	// Frames leave the busy count only now, with decode, feedback replies
-	// and watcher notifications all done — this is what lets a virtual-time
-	// scheduler treat busy == 0 as "the session has digested everything it
-	// was handed".
-	s.busy.Add(-int64(len(batch)))
-}
-
-// genCount normalizes a wire generation count: gen-absent v1/v2 headers
-// (0) mean one generation.
-func genCount(gens uint32) int {
-	if gens == 0 {
-		return 1
-	}
-	return int(gens)
-}
-
-// resolveStateLocked maps a DATA frame to its object state, learning the
-// object when relay policy allows; s.mu must be held. nil means drop. A
-// v3 header carries everything needed to size the full generation array —
-// G and the per-generation code length — so relays learn generation-coded
-// objects from the data stream alone.
-func (s *Session) resolveStateLocked(wv packet.WireView, from transport.Addr) *objectState {
-	if _, b := s.banned[from]; b {
-		// A convicted polluter's rows are dropped before they can reach any
-		// decoder — or launder themselves into the cache's admission path.
-		return nil
-	}
-	st, ok := s.objects[wv.Object]
-	if ok {
-		return st
-	}
-	gens := genCount(wv.Generations)
-	// Overflow-safe total-k bound: wv.K ≥ 1 is guaranteed by ParseWire,
-	// and gens·wv.K could overflow int on 32-bit builds.
-	if gens > s.cfg.MaxK/wv.K {
-		return nil
-	}
-	if s.cache != nil {
-		// Cache mode learns like a relay but allocates no decode state:
-		// rows go to the budgeted cache, which enforces its own limits.
-		if len(s.objects) >= s.cfg.MaxObjects {
-			return nil
-		}
-		st = s.newCachedStateLocked(wv.Object, gens, wv.K, wv.M)
-		s.logf("session: caching %v from %s (k=%d G=%d m=%d)", wv.Object, from, gens*wv.K, gens, wv.M)
-		return st
-	}
-	if !s.mayLearnLocked(gens * wv.K) {
-		return nil
-	}
-	st, err := s.newStateLocked(wv.Object, gens, wv.K, wv.M)
-	if err != nil {
-		return nil
-	}
-	s.logf("session: learned %v from %s (k=%d G=%d m=%d)", wv.Object, from, gens*wv.K, gens, wv.M)
-	return st
-}
-
-// ingestDataLocked wraps decodeDataLocked with the adaptive receiver's
-// receipt accounting (Config.Adaptive; DESIGN.md §16): every frame the
-// decoder actually judged — innovative or aborted, but not geometry
-// drops — bumps the per-upstream tally, and every receiptEvery such
-// frames a kind-5 receipt report replaces an otherwise-empty feedback
-// slot. A frame that already produced feedback keeps it (completion and
-// redundancy signals outrank receipts); the due receipt simply rides the
-// next quiet frame, so the cumulative counters lose nothing.
-func (s *Session) ingestDataLocked(st *objectState, in *inFrame, acts *pollActions) (fb []byte, progressed bool) {
-	fb, progressed = s.decodeDataLocked(st, in, acts)
-	if !s.cfg.Adaptive || st.dead || (!progressed && fb == nil) {
-		return fb, progressed
-	}
-	t, ok := st.rx[in.f.From]
-	if !ok {
-		if st.rx == nil {
-			st.rx = make(map[transport.Addr]*rxTally)
-		} else if len(st.rx) >= maxPeersPerObject {
-			return fb, progressed
-		}
-		t = &rxTally{}
-		st.rx[in.f.From] = t
-	}
-	t.rows++
-	if progressed {
-		t.inno++
-	}
-	t.since++
-	if t.since >= receiptEvery && fb == nil {
-		fb = receiptFrame(st.id, in.wv.Generation, t.rows, t.inno)
-		t.since = 0
-	}
-	return fb, progressed
-}
-
-// decodeDataLocked is the decode hot path for one DATA frame; st.mu must
-// be held. The generation geometry is validated against the object's
-// coder, the code vector is checked next and a redundant payload is never
-// copied or decoded (Section III-C-2); an innovative packet moves from
-// the transport buffer into the owning generation's arena buffers with no
-// allocation. Returns the feedback frame to send (nil for none) and
-// whether the decode state advanced (an innovative packet was fed in),
-// which drives watcher notifications. Pollution consequences (bans,
-// re-arm REQs) accumulate in acts for the batch layer to apply once all
-// locks are dropped.
-func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActions) (fb []byte, progressed bool) {
-	if st.dead {
-		return nil, false // evicted between state resolution and locking: drop
-	}
-	if !s.ensureCoderLocked(st, genCount(in.wv.Generations), in.wv.K, in.wv.M) {
-		return nil, false
-	}
-	if st.coder.Check(in.wv.Generations, in.wv.Generation, in.wv.K) != nil {
-		return nil, false // inconsistent generation geometry: drop
-	}
-	st.touch(s.clk.Now())
-	g := int(in.wv.Generation)
-	if p := st.probeOf(g); p != "" && in.f.From != p {
-		// Quarantined generation under probe isolation: only the probed
-		// contributor's rows are admitted, so a failed refill convicts it
-		// beyond doubt. Everyone else waits for their turn (or for the
-		// probe to clear the generation).
-		st.aborted++
-		return nil, false
-	}
-	if s.auditFailsLocked(st, g, in) {
-		// The row disagrees byte-exactly with a verified generation: the
-		// sender forged it. (Honest senders stop pushing a generation when
-		// its kind-3 feedback arrives; a polluter that keeps pushing into
-		// verified territory convicts itself on the first frame.) Only a
-		// solicited upstream is convicted; an unsolicited pusher may be
-		// honestly relaying a poisoned buffer it cannot verify.
-		st.aborted++
-		if st.solicitedPeer(in.f.From) {
-			acts.bans = append(acts.bans, in.f.From)
-		}
-		return nil, false
-	}
-	if st.coder.Complete() {
-		st.aborted++
-		if st.size.Load() < 0 {
-			// Decode finished but the META never arrived (lost to the
-			// fabric). fbComplete would stop the sender — including its
-			// METAs — and wedge this state sizeless forever; ask for the
-			// metadata instead. handleReq replies with a direct META.
-			return encodeReq(st.id), false
-		}
-		return feedbackFrame(st.id, fbComplete), false
-	}
-	if st.coder.GenComplete(g) {
-		// This generation is done here even though the object is not:
-		// abort the payload and steer the sender's round-robin to the
-		// generations still missing.
-		st.aborted++
-		return genFeedbackFrame(st.id, g), false
-	}
-	data := in.f.Data[1:]
-	vec := st.coder.AcquireVec(g)
-	if vec.UnmarshalInto(in.wv.VecBytes(data)) != nil {
-		st.coder.ReleaseVec(g, vec)
-		return nil, false
-	}
-	if st.man != nil && vec.PopCount() == 1 && st.man.K() == st.k && st.man.M() == st.m {
-		// A degree-1 row over GF(2) is a native payload in the clear, so a
-		// held manifest makes it checkable on arrival. A digest mismatch is
-		// byte-exact proof of forgery against this sender alone: instant
-		// ban, no quarantine or probe round-trip. Dense forged rows still
-		// get caught at generation completion; this closes the polluter's
-		// cheapest move — spraying forged unit rows — before they poison a
-		// decode.
-		idx := g*st.kPer + vec.LowestSet()
-		if pay := in.wv.PayloadBytes(data); idx < st.k && len(pay) == st.m && st.man.Verify(idx, pay) != nil {
-			st.coder.ReleaseVec(g, vec)
-			st.aborted++
-			if st.solicitedPeer(in.f.From) {
-				acts.bans = append(acts.bans, in.f.From)
-			}
-			return nil, false
-		}
-	}
-	// The code vector has been read; if it is redundant the payload is
-	// never decoded and the sender is told so.
-	if st.coder.IsRedundant(g, vec) {
-		st.coder.ReleaseVec(g, vec)
-		st.aborted++
-		return feedbackFrame(st.id, fbRedundant), false
-	}
-	var payload []byte
-	if in.wv.M > 0 {
-		payload = st.coder.AcquireRow(g)
-		copy(payload, in.wv.PayloadBytes(data))
-	}
-	_, genDone := st.coder.ReceiveOwned(g, vec, payload)
-	st.received++
-	st.noteContribLocked(g, in.f.From)
-	if genDone {
-		if !s.verifyGenLocked(st, g, acts) {
-			// Quarantined: no feedback — upstream must keep streaming this
-			// generation — but the reset is visible progress (Polluted grew).
-			return nil, true
-		}
-		if st.coder.Complete() {
-			if !s.completeObjLocked(st, acts) {
-				return nil, true // poisoned at assembly: re-fetch, not complete
-			}
-			if st.size.Load() < 0 {
-				return encodeReq(st.id), true // complete but sizeless: fetch the META
-			}
-			return feedbackFrame(st.id, fbComplete), true
-		}
-		return genFeedbackFrame(st.id, g), true
-	}
-	return nil, true
-}
-
-// ingestCachedLocked is the cache-mode counterpart of ingestDataLocked:
-// the row goes to the cache's admission policy instead of a decoder, and
-// the resulting feedback mirrors what a real decoder would say — so the
-// sender's existing satiation, steering and completion machinery offloads
-// the origin with no new protocol state on its side. st.mu must be held
-// and st.cached true. forward asks the batch layer to pass the frame
-// through to the object's push targets (innovative row, no budget room).
-func (s *Session) ingestCachedLocked(st *objectState, in *inFrame) (fb []byte, progressed, forward bool) {
-	if st.dead {
-		return nil, false, false
-	}
-	gens := int(st.gens.Load())
-	if genCount(in.wv.Generations) != gens || in.wv.K != st.kPer || in.wv.M != st.m {
-		return nil, false, false // inconsistent geometry: drop
-	}
-	now := s.clk.Now()
-	st.touch(now)
-	data := in.f.Data[1:]
-	res := s.cache.Admit(st.id, uint32(gens), st.kPer, st.m, in.wv.Generation,
-		in.wv.VecBytes(data), in.wv.PayloadBytes(data), now)
-	switch res.Verdict {
-	case cache.Stored:
-		st.received++
-		switch {
-		case res.ObjFull:
-			// The cache holds full rank for every generation: the paper's
-			// completion feedback, even though nothing was decoded. The
-			// origin stops pushing — the offload this tier exists for.
-			return feedbackFrame(st.id, fbComplete), true, false
-		case res.GenFull && gens >= 2:
-			return genFeedbackFrame(st.id, int(in.wv.Generation)), true, false
-		}
-		return nil, true, false
-	case cache.Redundant:
-		st.aborted++
-		switch {
-		case res.ObjFull:
-			return feedbackFrame(st.id, fbComplete), false, false
-		case res.GenFull && gens >= 2:
-			return genFeedbackFrame(st.id, int(in.wv.Generation)), false, false
-		}
-		return feedbackFrame(st.id, fbRedundant), false, false
-	case cache.NoRoom:
-		st.aborted++
-		return nil, false, true
-	}
-	return nil, false, false // Mismatch: drop
-}
-
-// completeObjLocked assembles the content of a freshly completed object
-// when its size is known; st.mu must be held. It reports whether the
-// object is (still) cleanly complete: before anything is surfaced to
-// waiters the assembled bytes must re-derive the object's content ID —
-// the backstop that holds even without a manifest, so a Fetch can never
-// return polluted bytes. A mismatch quarantines the poisoned generations
-// into acts and returns false. Callers send the completion feedback only
-// on true.
-func (s *Session) completeObjLocked(st *objectState, acts *pollActions) bool {
-	size := st.size.Load()
-	if size < 0 || st.data != nil {
-		return true
-	}
-	natives, err := st.coder.Data()
-	if err != nil {
-		return true
-	}
-	content, err := lt.Join(natives, int(size))
-	if err != nil {
-		return true
-	}
-	if packet.NewObjectID(content) != st.id {
-		s.poisonedObjectLocked(st, acts)
-		return false
-	}
-	s.logf("session: %v complete after %d packets (overhead %.3f)",
-		st.id, st.received, float64(st.received)/float64(st.k))
-	st.data = content
-	close(st.done)
-	return true
-}
-
-// pollActions collects the consequences of pollution detection that must
-// run after the decode-plane lock is released: session-wide bans (they
-// take Session.mu) and REQ frames that re-arm upstream senders for a
-// quarantined generation's re-fetch (sends must not run under any lock).
-type pollActions struct {
-	bans   []transport.Addr
-	unbans []transport.Addr
-	sends  []ingestReply
-}
-
-// apply executes the collected actions. Call with no locks held. Unbans
-// run before bans so a peer appearing in both (a forged-manifest sender
-// that also solo-failed a refill) ends up banned.
-func (s *Session) applyPollActions(acts *pollActions) {
-	if acts == nil || (len(acts.bans) == 0 && len(acts.unbans) == 0 && len(acts.sends) == 0) {
-		return
-	}
-	s.unbanPeers(acts.unbans)
-	s.banPeers(acts.bans)
-	for _, r := range acts.sends {
-		s.tr.Send(r.addr, r.frame)
-	}
-	acts.bans = acts.bans[:0]
-	acts.unbans = acts.unbans[:0]
-	acts.sends = acts.sends[:0]
-}
-
-// unbanPeers lifts bans attributed to a manifest later proven forged:
-// the "byte-exact proof" against those peers was exact only relative to
-// digests that turned out to be lies. An unbanned peer must re-REQ to
-// resubscribe; nothing else is restored.
-func (s *Session) unbanPeers(addrs []transport.Addr) {
-	if len(addrs) == 0 {
-		return
-	}
-	s.mu.Lock()
-	for _, addr := range addrs {
-		if _, ok := s.banned[addr]; ok {
-			delete(s.banned, addr)
-			s.logf("session: unbanned %s: the manifest that blamed it was forged", addr)
-		}
-	}
-	s.mu.Unlock()
-}
-
-// banPeers convicts peers of pollution: every future frame from them is
-// dropped at resolution, they leave the configured push set and every
-// object's peer and advertisement tables, and Fetch stops asking them.
-func (s *Session) banPeers(addrs []transport.Addr) {
-	if len(addrs) == 0 {
-		return
-	}
-	s.mu.Lock()
-	for _, addr := range addrs {
-		if _, dup := s.banned[addr]; dup || addr == "" {
-			continue
-		}
-		s.banned[addr] = struct{}{}
-		if i := slices.Index(s.peers, addr); i >= 0 {
-			s.peers = slices.Delete(s.peers, i, i+1)
-		}
-		for _, st := range s.objects {
-			delete(st.peers, addr)
-			delete(st.cacheAds, addr)
-		}
-		s.logf("session: banned %s: contributed rows failed integrity verification", addr)
-	}
-	s.mu.Unlock()
-	if s.member != nil {
-		// Evict convictions from the membership view and neighbor sets;
-		// the merge-time exclusion keeps gossip from re-admitting them.
-		s.member.ban(addrs)
-	}
-}
-
-// BannedPeers returns the peers this session has banned for pollution,
-// in deterministic order.
-func (s *Session) BannedPeers() []transport.Addr {
-	s.mu.Lock()
-	out := make([]transport.Addr, 0, len(s.banned))
-	for addr := range s.banned {
-		out = append(out, addr)
-	}
-	s.mu.Unlock()
-	slices.Sort(out)
-	return out
-}
-
-// ensurePollLocked sizes the per-generation pollution-defense state to
-// the coder; st.mu must be held and the coder exist.
-// soliciteLocked records addrs as the object's chosen upstreams. Only
-// solicited peers can be convicted over this object's rows (see the
-// solicited field). st.mu must be held.
-func (st *objectState) soliciteLocked(addrs ...transport.Addr) {
-	if st.solicited == nil {
-		st.solicited = make(map[transport.Addr]struct{}, len(addrs))
-	}
-	for _, a := range addrs {
-		st.solicited[a] = struct{}{}
-	}
-}
-
-// solicitedPeer reports whether addr is a chosen upstream for this
-// object. st.mu must be held.
-func (st *objectState) solicitedPeer(addr transport.Addr) bool {
-	_, ok := st.solicited[addr]
-	return ok
-}
-
-func (st *objectState) ensurePollLocked() {
-	n := st.coder.Generations()
-	if len(st.verified) != n {
-		st.verified = make([]bool, n)
-		st.tainted = make([]bool, n)
-		st.contrib = make([]map[transport.Addr]int, n)
-		st.probe = make([]transport.Addr, n)
-		st.probeAt = make([]time.Time, n)
-		st.probeCands = make([][]transport.Addr, n)
-	}
-	if st.suspicion == nil {
-		st.suspicion = make(map[transport.Addr]int)
-		st.genNatives = make(map[int][][]byte)
-		st.soloFailed = make(map[int]map[transport.Addr]struct{})
-	}
-}
-
-// noteContribLocked records that one innovative row of generation g came
-// from addr — the blame ledger a later verification failure settles.
-func (st *objectState) noteContribLocked(g int, addr transport.Addr) {
-	st.ensurePollLocked()
-	if st.contrib[g] == nil {
-		st.contrib[g] = make(map[transport.Addr]int)
-	}
-	st.contrib[g][addr]++
-}
-
-// probeOf returns the active probe peer for generation g ("" when the
-// generation is open to every contributor); st.mu must be held.
-func (st *objectState) probeOf(g int) transport.Addr {
-	if g >= len(st.probe) {
-		return ""
-	}
-	return st.probe[g]
-}
-
-// probeTimeout is how long a quarantined generation waits on its probe
-// peer before moving to the next candidate — probe peers can be dead,
-// banned meanwhile, or simply slow.
-func (s *Session) probeTimeout() time.Duration {
-	return max(100*s.cfg.Tick, 250*time.Millisecond)
-}
-
-// adoptManifestLocked installs a validated manifest on st: parsed form
-// for verification, raw form and pre-built frames for re-serving
-// downstream. st.mu must be held.
-func (s *Session) adoptManifestLocked(st *objectState, man *integrity.Manifest, raw []byte, from transport.Addr) {
-	st.man = man
-	st.manRaw = raw
-	st.manFrames = manifestFrames(st.id, raw)
-	st.manFrom = from
-	st.manBuf, st.manNext = nil, 0
-}
-
-// dropManifestLocked discards a manifest proven worthless (forged, or
-// inconsistent with the object's geometry); every bit of verification
-// state built on its word is void, including the recode gate on tainted
-// generations. st.mu must be held.
-func (st *objectState) dropManifestLocked() {
-	st.man, st.manRaw, st.manFrames, st.manFrom = nil, nil, nil, ""
-	st.manBuf, st.manNext = nil, 0
-	for g := range st.verified {
-		st.verified[g] = false
-	}
-	for g := range st.tainted {
-		st.tainted[g] = false
-	}
-	clear(st.genNatives)
-}
-
-// manifestFrames splits one encoded manifest into ready-to-send MANIFEST
-// frames.
-func manifestFrames(id packet.ObjectID, raw []byte) [][]byte {
-	frames := make([][]byte, 0, (len(raw)+packet.MaxManifestChunk-1)/packet.MaxManifestChunk)
-	for off := 0; off < len(raw); off += packet.MaxManifestChunk {
-		end := min(off+packet.MaxManifestChunk, len(raw))
-		frame, err := packet.AppendManifestChunk(
-			[]byte{frameManifest}, id, uint32(len(raw)), uint32(off), raw[off:end])
-		if err != nil {
-			return nil
-		}
-		frames = append(frames, frame)
-	}
-	return frames
-}
-
-// verifyGenLocked runs the freshly completed generation g through the
-// manifest. true means "proceed as complete" (verified, or no manifest
-// to check against yet — a late manifest retro-verifies); false means
-// the generation failed and was quarantined into acts. st.mu must be
-// held and the coder complete for g.
-func (s *Session) verifyGenLocked(st *objectState, g int, acts *pollActions) bool {
-	if st.man == nil {
-		// Nothing to verify against — but a completed refill still ends
-		// this generation's probe isolation (the probe was armed by a
-		// content-ID quarantine, which completion re-checks).
-		if g < len(st.probe) && st.probe[g] != "" {
-			st.probe[g], st.probeCands[g] = "", nil
-		}
-		return true
-	}
-	st.ensurePollLocked()
-	if st.verified[g] {
-		return true
-	}
-	if st.man.K() != st.k || st.man.M() != st.m {
-		// A manifest inconsistent with the object's actual geometry can
-		// vouch for nothing: discard it and proceed unverified.
-		st.dropManifestLocked()
-		return true
-	}
-	natives, err := st.coder.GenData(g)
-	if err != nil {
-		return true
-	}
-	base := g * st.kPer
-	for i, nat := range natives {
-		if st.man.Verify(base+i, nat) != nil {
-			if !s.quarantineGenLocked(st, g, true, acts) {
-				// The manifest, not the data, was the forgery: the
-				// generation stands, unverified, and the content-ID check
-				// at completion remains the backstop.
-				return true
-			}
-			return false
-		}
-	}
-	st.verified[g] = true
-	if st.vigilant {
-		// Keep the proven natives as the audit reference: any further row
-		// offered to this generation can now be checked byte-exactly.
-		st.genNatives[g] = natives
-	}
-	if st.probe[g] != "" {
-		// The probed contributor delivered a clean refill: probe over.
-		st.probe[g], st.probeCands[g] = "", nil
-	}
-	st.contrib[g] = nil
-	return true
-}
-
-// quarantineGenLocked handles a generation whose decoded natives failed
-// digest verification: blame every contributing peer (a solo contributor
-// is convicted outright — all rows came from it, and exact linear algebra
-// over true rows cannot produce false natives), reset the generation's
-// decode state, drop its cached coverage, gate downstream recoding of it,
-// and arm the probe that re-fetches it one contributor at a time. It
-// reports whether the generation was actually quarantined: when a SECOND
-// distinct peer solo-fails the same generation the manifest itself is
-// proven forged instead (independent senders cannot both be forging) —
-// it is dropped, its sender banned, its victims unbanned, and the
-// generation stands.
-//
-// convict enables the solo-contributor ban. It is set only when the
-// failure is a manifest digest mismatch — localized, byte-exact evidence
-// against exactly the rows this peer sent. The content-ID backstop
-// (poisonedObjectLocked) quarantines with convict=false: its mismatch is
-// global, so blame over any single generation's contributor would be
-// guesswork. st.mu must be held.
-func (s *Session) quarantineGenLocked(st *objectState, g int, convict bool, acts *pollActions) bool {
-	st.ensurePollLocked()
-	contrib := st.contrib[g]
-	if convict && len(contrib) == 1 {
-		var solo transport.Addr
-		for addr := range contrib {
-			solo = addr
-		}
-		// Conviction requires solicitation: an unsolicited solo
-		// contributor (a push-back peer recoding a buffer it cannot
-		// verify) is neither banned nor counted toward the forged-
-		// manifest proof — an honest launderer solo-failing would
-		// otherwise fake the "two independent forgers" signal.
-		if st.solicitedPeer(solo) {
-			if prior := st.soloFailed[g]; len(prior) > 0 {
-				if _, same := prior[solo]; !same {
-					s.manifestForgedLocked(st, acts)
-					return false
-				}
-			}
-			if st.soloFailed[g] == nil {
-				st.soloFailed[g] = make(map[transport.Addr]struct{})
-			}
-			st.soloFailed[g][solo] = struct{}{}
-			st.manBans = append(st.manBans, solo)
-			acts.bans = append(acts.bans, solo)
-		}
-	}
-	st.polluted++
-	st.vigilant = true
-	for addr, rows := range contrib {
-		st.suspicion[addr] += rows
-	}
-	st.coder.ResetGen(g)
-	st.tainted[g] = true
-	st.verified[g] = false
-	delete(st.genNatives, g)
-	st.contrib[g] = nil
-	if s.cache != nil {
-		// A promoted cache object may still hold rows for this generation;
-		// quarantined coverage must never be re-served (cache is a leaf in
-		// the lock order).
-		s.cache.DropGen(st.id, uint32(g))
-	}
-	// Probe order: most suspicious contributor first (rows contributed to
-	// polluted generations of this object), address as the deterministic
-	// tie-break. Re-arm every contributor with a REQ — an upstream that
-	// heard our premature generation-complete feedback (or completion)
-	// has stopped sending and must resume for the re-fetch.
-	cands := make([]transport.Addr, 0, len(contrib))
-	for addr := range contrib {
-		cands = append(cands, addr)
-		acts.sends = append(acts.sends, ingestReply{addr, encodeReq(st.id)})
-	}
-	slices.SortFunc(cands, func(a, b transport.Addr) int {
-		if d := st.suspicion[b] - st.suspicion[a]; d != 0 {
-			return d
-		}
-		return cmpAddr(a, b)
-	})
-	st.probeCands[g] = cands
-	s.advanceProbeLocked(st, g, acts)
-	s.logf("session: %v generation %d failed verification: quarantined (%d contributors, probing %s)",
-		st.id, g, len(contrib), st.probe[g])
-	return true
-}
-
-// manifestForgedLocked reacts to byte-exact proof that the adopted
-// manifest lies (two distinct peers solo-failed one generation, or the
-// assembled content contradicted the ID with every generation verified):
-// ban the manifest's sender, lift the bans issued on its word, drop it
-// and every probe armed by it. st.mu must be held.
-func (s *Session) manifestForgedLocked(st *objectState, acts *pollActions) {
-	s.logf("session: %v manifest from %s proven forged: dropping it and lifting the bans it caused",
-		st.id, st.manFrom)
-	if st.manFrom != "" {
-		acts.bans = append(acts.bans, st.manFrom)
-	}
-	acts.unbans = append(acts.unbans, st.manBans...)
-	st.manBans = nil
-	st.dropManifestLocked()
-	for g := range st.probe {
-		st.probe[g], st.probeCands[g] = "", nil
-	}
-	clear(st.soloFailed)
-	st.polluted++
-}
-
-func cmpAddr(a, b transport.Addr) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-// advanceProbeLocked moves a quarantined generation to its next probe
-// candidate, or to open mode when the candidate list is exhausted (every
-// remaining contributor gets another chance — a fresh pollution will
-// re-arm the probe with fresh suspicion). st.mu must be held.
-func (s *Session) advanceProbeLocked(st *objectState, g int, acts *pollActions) {
-	if len(st.probeCands[g]) > 0 {
-		p := st.probeCands[g][0]
-		st.probeCands[g] = st.probeCands[g][1:]
-		st.probe[g] = p
-		st.probeAt[g] = s.clk.Now()
-		acts.sends = append(acts.sends, ingestReply{p, encodeReq(st.id)})
-		return
-	}
-	st.probe[g] = ""
-}
-
-// auditFailsLocked checks a row offered to an already-verified generation
-// against the proven natives: the payload must equal the XOR of the
-// natives its code vector selects. Only runs in vigilant mode (pollution
-// already seen on the object) — honest peers stop sending completed
-// generations when they hear the kind-3 feedback, so the rows that keep
-// arriving are exactly the ones worth convicting on. A failed audit is
-// byte-exact proof the sender forged the row. st.mu must be held.
-func (s *Session) auditFailsLocked(st *objectState, g int, in *inFrame) bool {
-	if !st.vigilant || g >= len(st.verified) || !st.verified[g] {
-		return false
-	}
-	nats := st.genNatives[g]
-	if nats == nil {
-		// Verified before vigilant mode began: reconstruct the reference.
-		var err error
-		if nats, err = st.coder.GenData(g); err != nil {
-			return false
-		}
-		st.genNatives[g] = nats
-	}
-	data := in.f.Data[1:]
-	vec := bitvec.New(st.kPer)
-	if vec.UnmarshalInto(in.wv.VecBytes(data)) != nil {
-		return false
-	}
-	payload := in.wv.PayloadBytes(data)
-	if len(payload) != st.m {
-		return false
-	}
-	expect := make([]byte, st.m)
-	for i := vec.NextSet(0); i >= 0 && i < st.kPer; i = vec.NextSet(i + 1) {
-		nat := nats[i]
-		for j := range expect {
-			expect[j] ^= nat[j]
-		}
-	}
-	for j := range expect {
-		if expect[j] != payload[j] {
-			return true
-		}
-	}
-	return false
-}
-
-// poisonedObjectLocked handles a completed object whose assembled bytes
-// do not re-derive its content ID. With a manifest that vouched for every
-// generation the manifest itself is the forgery — drop it, blame its
-// sender, quarantine everything; otherwise quarantine every unverified
-// generation and re-fetch. st.mu must be held.
-func (s *Session) poisonedObjectLocked(st *objectState, acts *pollActions) {
-	st.ensurePollLocked()
-	st.vigilant = true
-	allVerified := st.man != nil
-	for g := range st.verified {
-		if !st.verified[g] {
-			allVerified = false
-			break
-		}
-	}
-	if allVerified {
-		s.logf("session: %v assembled bytes contradict the content ID with every generation verified",
-			st.id)
-		s.manifestForgedLocked(st, acts)
-	}
-	st.polluted++
-	for g := range st.verified {
-		if !st.verified[g] {
-			s.quarantineGenLocked(st, g, false, acts)
-		}
-	}
-}
-
-// handleFrame dispatches one control frame (REQ, META, FEEDBACK,
-// MANIFEST) inline on the receive loop and sends its replies after the
-// session lock is released — a reply is a syscall on UDP and must not
-// stall the session.
-func (s *Session) handleFrame(f transport.Frame) {
-	if len(f.Data) == 0 {
-		return
-	}
-	// Any control frame is a sign of life for the membership plane
-	// (deliberately not the DATA hot path: freshness does not need
-	// per-frame granularity there, and the view lock must stay off it).
-	s.memberAlive(f.From)
-	var reply []byte
-	var extras [][]byte
-	switch f.Data[0] {
-	case frameReq:
-		reply, extras = s.handleReq(f.From, f.Data[1:])
-	case frameMeta:
-		reply = s.handleMeta(f.From, f.Data[1:])
-	case frameFeedback:
-		s.handleFeedback(f.From, f.Data[1:])
-	case frameManifest:
-		s.handleManifest(f.From, f.Data[1:])
-	case frameMember:
-		reply = s.handleMember(f.From, f.Data[1:])
-	}
-	if reply != nil {
-		s.tr.Send(f.From, reply)
-	}
-	for _, e := range extras {
-		s.tr.Send(f.From, e)
-	}
-}
-
-// handleReq registers a subscriber and answers with the object's META
-// when the size is known. A cache-mode session additionally answers with
-// its kind-4 coverage advertisement, and a session holding the object's
-// integrity manifest attaches its MANIFEST frames to every META it sends
-// (extras), so a fetcher can verify generations as they complete.
-func (s *Session) handleReq(from transport.Addr, data []byte) (reply []byte, extras [][]byte) {
-	if len(data) != reqLen-1 {
-		return nil, nil
-	}
-	var id packet.ObjectID
-	copy(id[:], data)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, b := s.banned[from]; b {
-		return nil, nil // a banned peer is not served
-	}
-	st, ok := s.objects[id]
-	if !ok {
-		return nil, nil // unknown object: requester will retry elsewhere
-	}
-	now := s.clk.Now()
-	st.touch(now)
-	if s.cache != nil {
-		s.cache.Touch(id, now) // REQ demand drives the eviction score
-		if gensFull, gens, rank, held := s.cache.Coverage(id); held {
-			extras = append(extras, cacheAdFrame(id, gensFull, gens, rank))
-		}
-	}
-	if _, known := st.peers[from]; !known && len(st.peers) >= maxPeersPerObject && !st.dropOnePeerLocked() {
-		return nil, extras // peer table full of live subscribers: drop the REQ
-	}
-	ps := st.peer(from)
-	ps.lastReq = s.clk.Now()
-	ps.reqSub = true
-	ps.done = false
-	ps.consecRedund = 0
-	ps.pauseUntil = time.Time{}
-	// A fresh REQ may be a different client behind the same address (or a
-	// restarted one): forget which generations it had completed.
-	ps.gensDone = nil
-	ps.gensDoneN = 0
-	// REQ also re-arms META: over a lossy channel the requester may have
-	// missed it, and without the size it can never finish (it keeps
-	// re-REQing, so a lost reply heals on the next round).
-	ps.metaAt = time.Time{}
-	if st.size.Load() < 0 {
-		return nil, extras
-	}
-	ps.metaAt = s.clk.Now()
-	// The manifest travels with the META (same loss model: resent until the
-	// peer reports done). manFrames is replaced wholesale under st.mu and
-	// never mutated in place, so the snapshot is safe to send after unlock.
-	st.mu.Lock()
-	extras = append(extras, st.manFrames...)
-	st.mu.Unlock()
-	return s.metaFrame(st), extras
-}
-
-// handleManifest feeds one MANIFEST frame into the object's in-order
-// chunk reassembly and adopts the manifest once complete: geometry is
-// cross-checked against the coder, generations already complete are
-// retro-verified (quarantining any that fail). First manifest wins —
-// replacing an adopted manifest would let an attacker un-verify clean
-// state — until it is dropped as forged or inconsistent.
-func (s *Session) handleManifest(from transport.Addr, data []byte) {
-	mc, err := packet.ParseManifestChunk(data)
-	if err != nil {
-		return
-	}
-	s.mu.Lock()
-	if _, b := s.banned[from]; b {
-		s.mu.Unlock()
-		return
-	}
-	st, ok := s.objects[mc.Object]
-	s.mu.Unlock()
-	if !ok {
-		return
-	}
-	var acts pollActions
-	adopted := false
-	st.mu.Lock()
-	switch {
-	case st.dead, st.cached, st.man != nil, st.coder == nil:
-		// Caches hold undecodable rows (nothing to verify); a placeholder
-		// has no geometry to check a manifest against — the sender repeats
-		// MANIFEST with its META resends, so dropping is safe.
-	case int64(mc.Total) != int64(8+st.k*integrity.DigestSize):
-		// Wrong size for this object's k: not our manifest.
-	default:
-		if mc.Off == 0 {
-			st.manBuf = st.manBuf[:0] // (re)start assembly
-			st.manNext = 0
-		}
-		if int(mc.Off) != st.manNext {
-			break // out-of-order chunk: wait for a restart
-		}
-		if st.manBuf == nil {
-			st.manBuf = make([]byte, 0, mc.Total)
-		}
-		st.manBuf = append(st.manBuf, mc.Data...)
-		st.manNext += len(mc.Data)
-		if st.manNext == int(mc.Total) {
-			raw := st.manBuf
-			man, err := integrity.UnmarshalManifest(raw)
-			if err != nil || man.K() != st.k || man.M() != st.m {
-				st.manBuf, st.manNext = nil, 0
-				break
-			}
-			if st.data != nil {
-				// Already assembled and content-ID-proven: the decoded
-				// natives outrank any manifest. One that disagrees with
-				// them is rejected outright; one that agrees is adopted
-				// fully verified (for re-serving and audits).
-				natives, derr := st.coder.Data()
-				if derr != nil || man.VerifyAll(natives) != nil {
-					st.manBuf, st.manNext = nil, 0
-					break
-				}
-				s.adoptManifestLocked(st, man, raw, from)
-				st.ensurePollLocked()
-				for g := range st.verified {
-					st.verified[g] = true
-				}
-			} else {
-				s.adoptManifestLocked(st, man, raw, from)
-				for g := 0; g < st.coder.Generations(); g++ {
-					if st.coder.GenComplete(g) {
-						s.verifyGenLocked(st, g, &acts)
-					}
-				}
-			}
-			adopted = true
-			st.touch(s.clk.Now())
-		}
-	}
-	st.mu.Unlock()
-	s.applyPollActions(&acts)
-	if adopted {
-		// Forward the freshly adopted manifest to current REQ subscribers
-		// at once: they are mid-fetch and defenseless until they hold it —
-		// every tick of delay is a window for a polluter to poison their
-		// decoders (and for their recoded push-back to spread the poison
-		// further). META goes first: a subscriber that REQ'd before this
-		// node was sized has no coder yet, and coderless receivers drop
-		// MANIFEST frames. Adoption is once per object, so this cannot
-		// storm.
-		s.mu.Lock()
-		var subs []transport.Addr
-		for addr, ps := range st.peers {
-			if ps.reqSub && !ps.done {
-				if _, b := s.banned[addr]; !b {
-					subs = append(subs, addr)
-				}
-			}
-		}
-		s.mu.Unlock()
-		st.mu.Lock()
-		frames := st.manFrames
-		st.mu.Unlock()
-		var metaBuf []byte
-		if st.size.Load() >= 0 {
-			metaBuf = s.metaFrame(st)
-		}
-		for _, addr := range subs {
-			if metaBuf != nil {
-				s.tr.Send(addr, metaBuf)
-			}
-			for _, mf := range frames {
-				s.tr.Send(addr, mf)
-			}
-		}
-		s.notifyWatchers(st)
-	}
-}
-
-// dropOnePeerLocked evicts one entry from a full peer table: a peer that
-// reported completion if any (its state is pure history — even a
-// configured push peer, which simply re-enters the table on its next
-// interaction), else the REQ-subscriber with the stalest REQ. It reports
-// whether an entry was freed; a configured push peer that has NOT
-// reported completion is never the victim — it is neither done nor a
-// REQ subscriber. Session.mu must be held.
-func (st *objectState) dropOnePeerLocked() bool {
-	var victim transport.Addr
-	var stalest time.Time
-	found := false
-	for addr, ps := range st.peers {
-		if ps.done {
-			delete(st.peers, addr)
-			return true
-		}
-		if ps.reqSub && (!found || ps.lastReq.Before(stalest)) {
-			victim, stalest, found = addr, ps.lastReq, true
-		}
-	}
-	if found {
-		delete(st.peers, victim)
-	}
-	return found
-}
-
-func (s *Session) handleMeta(from transport.Addr, data []byte) []byte {
-	// Two accepted lengths: the gens-absent legacy body (G=1) and the
-	// extended body carrying the generation count.
-	gens := 1
-	switch len(data) {
-	case metaLen - 1:
-	case genMetaLen - 1:
-		gens = int(binary.BigEndian.Uint32(data[32:36]))
-	default:
-		return nil
-	}
-	var id packet.ObjectID
-	copy(id[:], data[:16])
-	k := int(binary.BigEndian.Uint32(data[16:20]))
-	m := int(binary.BigEndian.Uint32(data[20:24]))
-	size := int64(binary.BigEndian.Uint64(data[24:32]))
-	if id.IsZero() || k < 1 || m < 0 || size < 0 || size > int64(k)*int64(max(m, 1)) {
-		return nil
-	}
-	// Generation geometry must be consistent: every generation the same
-	// code length, at least one native each (out-of-range counts and
-	// ragged splits are ErrBadGeneration territory — dropped here, as a
-	// datagram receiver drops anything malformed).
-	if gens < 1 || gens > packet.MaxGenerations || k%gens != 0 {
-		return nil
-	}
-	kPer := k / gens
-	s.mu.Lock()
-	if _, b := s.banned[from]; b {
-		s.mu.Unlock()
-		return nil
-	}
-	st, ok := s.objects[id]
-	if !ok {
-		switch {
-		case s.cache != nil:
-			if k > s.cfg.MaxK || len(s.objects) >= s.cfg.MaxObjects {
-				s.mu.Unlock()
-				return nil
-			}
-			st = s.newCachedStateLocked(id, gens, kPer, m)
-			s.logf("session: caching %v meta from %s (k=%d G=%d m=%d size=%d)", id, from, k, gens, m, size)
-		case s.mayLearnLocked(k):
-			var err error
-			if st, err = s.newStateLocked(id, gens, kPer, m); err != nil {
-				s.mu.Unlock()
-				return nil
-			}
-			s.logf("session: learned %v meta from %s (k=%d G=%d m=%d size=%d)", id, from, k, gens, m, size)
-		default:
-			s.mu.Unlock()
-			return nil
-		}
-	}
-	s.mu.Unlock()
-
-	st.mu.Lock()
-	if st.dead {
-		st.mu.Unlock()
-		return nil // evicted between lookup and locking
-	}
-	if st.cached {
-		if int(st.gens.Load()) != gens || st.kPer != kPer || st.m != m {
-			st.mu.Unlock()
-			return nil // geometry mismatch with the cached rows: drop
-		}
-		st.touch(s.clk.Now())
-		learned := st.size.Load() < 0
-		if learned {
-			st.size.Store(size)
-		}
-		var reply []byte
-		if gensFull, g, _, held := s.cache.Coverage(id); held && g > 0 && gensFull == g {
-			// Full rank for every generation: repeat the completion the
-			// sender evidently has not heard, exactly like the decoder's
-			// idempotent META heal below.
-			reply = feedbackFrame(id, fbComplete)
-		}
-		st.mu.Unlock()
-		if learned {
-			s.notifyWatchers(st)
-		}
-		return reply
-	}
-	if !s.ensureCoderLocked(st, gens, kPer, m) {
-		st.mu.Unlock()
-		return nil // G (or shape) mismatch with local state: drop
-	}
-	st.touch(s.clk.Now())
-	var reply []byte
-	var acts pollActions
-	learned := false
-	if st.size.Load() < 0 {
-		st.size.Store(size)
-		learned = true
-		if st.coder.Complete() {
-			if s.completeObjLocked(st, &acts) {
-				reply = feedbackFrame(id, fbComplete)
-			}
-		}
-	} else if st.coder.Complete() {
-		// Redundant META to an already-complete, already-sized receiver:
-		// the sender evidently never heard our fbComplete (lost to the
-		// fabric) and will keep resending META until it does. Repeat it —
-		// the idempotent reply closes the loop, exactly as the DATA path
-		// aborts redundant payloads with the same frame.
-		reply = feedbackFrame(id, fbComplete)
-	}
-	st.mu.Unlock()
-	s.applyPollActions(&acts)
-	if learned {
-		s.notifyWatchers(st)
-	}
-	return reply
-}
-
-func (s *Session) handleFeedback(from transport.Addr, data []byte) {
-	// Kinds 1 and 2 use the short body; kind 3 appends the completed
-	// generation id; kinds 4 (cache advertisement) and 5 (receipt report)
-	// share the long body.
-	var gen uint32
-	switch len(data) {
-	case feedbackLen - 1:
-		if data[16] == fbGenComplete || data[16] == fbCacheAd || data[16] == fbReceipt {
-			return // kinds 3, 4 and 5 require their extended bodies
-		}
-	case genFeedbackLen - 1:
-		if data[16] != fbGenComplete {
-			return
-		}
-		gen = binary.BigEndian.Uint32(data[17:21])
-	case cacheAdLen - 1:
-		if data[16] != fbCacheAd && data[16] != fbReceipt {
-			return
-		}
-	default:
-		return
-	}
-	var id packet.ObjectID
-	copy(id[:], data[:16])
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, b := s.banned[from]; b {
-		return // a polluter's feedback steers nothing
-	}
-	st, ok := s.objects[id]
-	if !ok {
-		return
-	}
-	if data[16] == fbCacheAd {
-		// An advertisement names a peer we may FETCH from, not one we
-		// pushed to, so no peer state is required; the bounded per-object
-		// ad table is the only state it may grow.
-		ad := cacheAd{
-			gensFull: binary.BigEndian.Uint32(data[17:21]),
-			gens:     binary.BigEndian.Uint32(data[21:25]),
-			rank:     binary.BigEndian.Uint32(data[25:29]),
-			at:       s.clk.Now(),
-		}
-		if ad.gens == 0 || ad.gensFull > ad.gens || ad.rank == 0 {
-			return // vacuous or inconsistent coverage: drop
-		}
-		st.recordCacheAdLocked(from, ad)
-		return
-	}
-	// Look up without creating: feedback names a peer we pushed to, so
-	// its state already exists. Creating here would let arbitrary
-	// (spoofable) source addresses grow the peer map of a long-lived
-	// pinned object without bound.
-	ps, ok := st.peers[from]
-	if !ok {
-		return
-	}
-	switch data[16] {
-	case fbComplete:
-		ps.done = true
-	case fbReceipt:
-		if !s.cfg.Adaptive {
-			return // pre-adaptive behavior: unknown kind, drop silently
-		}
-		received := binary.BigEndian.Uint32(data[21:25])
-		innovative := binary.BigEndian.Uint32(data[25:29])
-		if ps.link == nil {
-			ps.link = &adapt.Link{}
-		}
-		if ps.link.OnReport(received, innovative) {
-			// Innovative progress over there is the opposite of satiation:
-			// clear the redundancy streak and any backoff so the stream
-			// keeps flowing while it is still doing work. This is also what
-			// un-sticks a streak gone stale — redundancy aborts and receipts
-			// race on the wire, and without the reset a burst of aborts
-			// could pause a peer that has since started accepting rows.
-			ps.consecRedund = 0
-			ps.pauseUntil = time.Time{}
-		}
-	case fbGenComplete:
-		gens := int(st.gens.Load())
-		// Unsigned compare: int(gen) can wrap negative on 32-bit builds.
-		if gens < 2 || gen >= uint32(gens) {
-			return // no coder yet, or out-of-range generation: drop
-		}
-		if ps.gensDone == nil {
-			ps.gensDone = make([]bool, gens)
-		}
-		if !ps.gensDone[gen] {
-			ps.gensDone[gen] = true
-			ps.gensDoneN++
-		}
-		// A generation completing over there is information flowing, not
-		// satiation: reset the redundancy streak so the peer keeps
-		// receiving its remaining generations at full rate.
-		ps.consecRedund = 0
-	case fbRedundant:
-		ps.consecRedund++
-		limit := satiationLimit
-		if s.cfg.AdaptControls&AdaptBudget != 0 && ps.link != nil {
-			// Adaptive budget: on a clean link a redundancy streak means
-			// satiation and the pause comes early; under loss the same
-			// streak is mostly noise and the full static budget applies.
-			limit = ps.link.Budget(satiationLimit)
-		}
-		if ps.consecRedund >= limit {
-			// Senders never hear about accepted packets, only redundant
-			// ones, so this count must not cut a peer off permanently: an
-			// incomplete peer still needs the stream. Back off instead;
-			// any REQ lifts the pause early.
-			ps.consecRedund = 0
-			ps.pauseUntil = s.clk.Now().Add(s.satiationBackoff())
-		}
-	}
-}
-
-// recordCacheAdLocked stores one kind-4 advertisement in the object's
-// bounded ad table: at capacity the weakest existing ad is displaced,
-// and an ad weaker than everything present is dropped. Session.mu must
-// be held.
-func (st *objectState) recordCacheAdLocked(from transport.Addr, ad cacheAd) {
-	if st.cacheAds == nil {
-		st.cacheAds = make(map[transport.Addr]cacheAd)
-	}
-	if _, ok := st.cacheAds[from]; !ok && len(st.cacheAds) >= maxCacheAds {
-		var weakest transport.Addr
-		found := false
-		for addr, have := range st.cacheAds {
-			if !found || st.cacheAds[weakest].better(have) {
-				weakest, found = addr, true
-			}
-		}
-		if !found || !ad.better(st.cacheAds[weakest]) {
-			return
-		}
-		delete(st.cacheAds, weakest)
-	}
-	st.cacheAds[from] = ad
-}
-
-// satiationBackoff is how long pushes to a satiated peer pause.
-func (s *Session) satiationBackoff() time.Duration {
-	return max(100*s.cfg.Tick, 50*time.Millisecond)
-}
-
 func (s *Session) tickLoop(ctx context.Context) {
 	ticker := s.clk.NewTicker(s.cfg.Tick)
 	defer ticker.Stop()
@@ -2488,426 +686,6 @@ func (s *Session) tickLoop(ctx context.Context) {
 	}
 }
 
-// push recodes one burst per object and live target, then sends. The
-// session lock is held only to pick targets; recoding runs under each
-// object's own lock so decode workers stall at most per object; sends
-// use pooled frame buffers and run outside every lock — over UDP every
-// Send is a syscall, and holding a lock across the sweep would stall the
-// receive hot path for its duration.
-func (s *Session) push() {
-	type pushTarget struct {
-		st       *objectState
-		addrs    []transport.Addr
-		skips    [][]bool // aligned with addrs; generations done at that peer (nil = none)
-		cursors  []uint64 // aligned with addrs; the peer's cache serve cursor
-		sysCur   []int    // aligned with addrs; systematic-pass cursor (adaptive)
-		loss     []float64
-		needMeta []transport.Addr
-	}
-	s.mu.Lock()
-	now := s.clk.Now()
-	targets := make([]pushTarget, 0, len(s.objects))
-	for _, st := range s.objects {
-		pt := pushTarget{st: st}
-		sizeKnown := st.size.Load() >= 0
-		for _, addr := range s.targetsLocked(st, now) {
-			ps := st.peer(addr)
-			if sizeKnown && now.Sub(ps.metaAt) >= s.metaResend() {
-				// Candidate only: metaAt is stamped below, after the META
-				// frame has actually been sent — a below-threshold object
-				// emits nothing this tick and must retry next tick. The
-				// stamp expires (metaResend), so delivery needs no ack:
-				// a META lost to the fabric is repeated until the peer
-				// reports completion.
-				pt.needMeta = append(pt.needMeta, addr)
-			}
-			pt.addrs = append(pt.addrs, addr)
-			// Snapshot the peer's completed generations under s.mu; the
-			// recode below runs under st.mu only.
-			var done []bool
-			if ps.gensDoneN > 0 {
-				done = append([]bool(nil), ps.gensDone...)
-			}
-			pt.skips = append(pt.skips, done)
-			pt.cursors = append(pt.cursors, ps.cacheCursor)
-			if s.cfg.Adaptive {
-				pt.sysCur = append(pt.sysCur, ps.sysCursor)
-				loss := 0.0
-				if ps.link != nil {
-					loss = ps.link.Loss()
-				}
-				pt.loss = append(pt.loss, loss)
-			}
-		}
-		if len(pt.addrs) > 0 {
-			targets = append(targets, pt)
-		}
-	}
-	s.mu.Unlock()
-
-	type outPkt struct {
-		z    *packet.Packet
-		addr transport.Addr
-		ai   int  // index into the owning pushTarget's addrs
-		sys  bool // systematic first-pass native row
-	}
-	type sent struct {
-		st  *objectState
-		n   int64
-		sys int64
-	}
-	type metaSent struct {
-		st   *objectState
-		addr transport.Addr
-	}
-	type cursorMoved struct {
-		st     *objectState
-		addr   transport.Addr
-		cursor uint64
-	}
-	// adaptMoved is one peer's adaptive write-back: the systematic cursor
-	// after this round's burst and the DATA frames committed toward it
-	// (fed to the link estimator's sender-side counter).
-	type adaptMoved struct {
-		st     *objectState
-		addr   transport.Addr
-		cursor int
-		sent   int
-	}
-	var sends []sent
-	var metas []metaSent
-	var cursors []cursorMoved
-	var adapts []adaptMoved
-	// DATA frames are staged into the coalescer's pooled slabs and flushed
-	// as per-peer batches at the end of the round (early per-peer flushes
-	// bound the window) — sendmmsg/GSO-sized bursts on the Linux fast
-	// path, plain per-frame sends elsewhere. METAs and manifests keep
-	// their direct sends so they always hit the wire ahead of the round's
-	// DATA.
-	if s.coal == nil {
-		s.coal = transport.NewCoalescer(s.tr, 0)
-	}
-	for _, pt := range targets {
-		st := pt.st
-		var metaBuf []byte
-		var manFrames [][]byte
-		var burst []outPkt
-		serveCache := false
-		st.mu.Lock()
-		switch {
-		case st.dead:
-		case st.cached:
-			// Cache mode: frames come from the cached basis below (the
-			// cache has its own lock); no aggressiveness gate — whatever
-			// rank the cache holds is already worth serving.
-			serveCache = true
-			// A cached object's size stays -1 until the origin's META
-			// arrives; relay META downstream only once it is known.
-			if len(pt.needMeta) > 0 && st.size.Load() >= 0 {
-				metaBuf = s.metaFrame(st)
-			}
-		case st.coder != nil && (st.coder.Complete() || st.coder.Received() >= s.threshold(st.k)):
-			if len(pt.needMeta) > 0 {
-				metaBuf = s.metaFrame(st)
-				// The integrity manifest rides the META resend cadence:
-				// lossy datagrams, no acks — repeat until the peer is done.
-				manFrames = st.manFrames
-			}
-			// Recode per target so each peer's burst round-robins across
-			// exactly the generations it still needs (kind-3 feedback).
-			// Quarantined generations (tainted, not re-verified) never
-			// recode downstream — a relay must not launder pollution. And
-			// once the object's manifest is in hand, only verified
-			// generations recode at all: a partially-filled generation may
-			// hold a polluter's forged rows, and pushing recodes of it
-			// would launder the garbage through this honest node — whose
-			// downstreams would then convict *it* (their solo-probe of this
-			// node genuinely fails). Verification is per completed
-			// generation, so the manifest's generation granularity is
-			// exactly the store-and-forward granularity. Without a manifest
-			// there is nothing to verify against; legacy flows recode
-			// freely, gated only by explicit quarantine.
-			taintGate := func(g int) bool {
-				if g < len(st.tainted) && st.tainted[g] && !st.verified[g] {
-					return true
-				}
-				return st.man != nil && (g >= len(st.verified) || !st.verified[g])
-			}
-			var ladder *soliton.Ladder
-			if s.cfg.AdaptControls&AdaptLadder != 0 && st.kPer > 0 {
-				if st.ladder == nil {
-					if l, err := soliton.NewLadder(st.kPer, nil); err == nil {
-						st.ladder = l
-					}
-				}
-				ladder = st.ladder
-			}
-			for ai, addr := range pt.addrs {
-				skip := taintGate
-				if done := pt.skips[ai]; done != nil {
-					skip = func(g int) bool {
-						return (g < len(done) && done[g]) || taintGate(g)
-					}
-				}
-				if ladder != nil {
-					// Re-rung the coder for this peer's estimated loss just
-					// before its burst is recoded: the swap is a pointer
-					// assignment per generation, so peers on different rungs
-					// each get their own degree shape within one sweep.
-					if r := ladder.Rung(pt.loss[ai]); r+1 != st.rungApplied && st.coder.SetDist(ladder.At(r)) == nil {
-						st.rungApplied = r + 1
-					}
-				}
-				b := 0
-				if s.cfg.AdaptControls&AdaptSystematic != 0 {
-					// Systematic first pass: walk the peer's cursor over the
-					// global native rows, emitting each decoded native AT
-					// MOST once as a degree-1 row before any coded repair.
-					// A native this node has not decoded when the cursor
-					// passes is skipped for good — coded repair covers it.
-					// The cursor deliberately never stalls or resumes: at a
-					// store-and-forward relay, natives decode in GE
-					// back-substitution order, not cursor order, so a
-					// stalled pass would resume only after the peer's coded
-					// stream already spans the late natives, and every
-					// resumed degree-1 row would be a duplicate (measured
-					// as a 2× frame blowup at 20% loss). Generations the
-					// peer already has, or that the taint gate blocks, are
-					// stepped over whole. The cursor writes back under
-					// s.mu below.
-					cur := pt.sysCur[ai]
-					for b < s.cfg.Burst && cur < st.k {
-						g := cur / st.kPer
-						if skip(g) {
-							cur = (g + 1) * st.kPer
-							continue
-						}
-						z, ok := st.coder.NativeRow(cur)
-						cur++
-						if !ok {
-							continue
-						}
-						z.Object = st.id
-						burst = append(burst, outPkt{z, addr, ai, true})
-						b++
-					}
-					pt.sysCur[ai] = cur
-				}
-				for ; b < s.cfg.Burst; b++ {
-					z, ok := st.coder.Recode(skip)
-					if !ok {
-						break
-					}
-					z.Object = st.id
-					burst = append(burst, outPkt{z, addr, ai, false})
-				}
-			}
-		}
-		st.mu.Unlock()
-		if metaBuf != nil {
-			for _, addr := range pt.needMeta {
-				if s.tr.Send(addr, metaBuf) == nil {
-					metas = append(metas, metaSent{st, addr})
-				}
-				for _, mf := range manFrames {
-					s.tr.Send(addr, mf)
-				}
-			}
-		}
-		// Frames serialize straight into coalescer slabs; n counts frames
-		// committed to the window (the flush's error, like a lost
-		// datagram, is not worth unwinding the stats for).
-		n := int64(0)
-		sysN := int64(0)
-		var perSent []int
-		if s.cfg.Adaptive {
-			perSent = make([]int, len(pt.addrs))
-		}
-		if serveCache {
-			for ai, addr := range pt.addrs {
-				var skip func(uint32) bool
-				if done := pt.skips[ai]; done != nil {
-					skip = func(g uint32) bool { return int(g) < len(done) && done[g] }
-				}
-				// The cursor advances on a snapshot and is written back under
-				// s.mu below — per peer, so each fetcher walks the whole
-				// cached basis (see cache.AppendFrame on aliasing).
-				cur := pt.cursors[ai]
-				for b := 0; b < s.cfg.Burst; b++ {
-					frame, ok := s.cache.AppendFrame(append(s.coal.Stage(), frameData), st.id, &cur, skip)
-					if !ok || len(frame) > transport.MaxFrame {
-						break
-					}
-					s.coal.Commit(addr, frame)
-					n++
-					if perSent != nil {
-						perSent[ai]++
-					}
-				}
-				if cur != pt.cursors[ai] {
-					cursors = append(cursors, cursorMoved{st, addr, cur})
-				}
-			}
-		}
-		for _, out := range burst {
-			frame := append(s.coal.Stage(), frameData)
-			frame = packet.AppendWire(frame, out.z)
-			if len(frame) > transport.MaxFrame {
-				continue
-			}
-			s.coal.Commit(out.addr, frame)
-			n++
-			if out.sys {
-				sysN++
-			}
-			if perSent != nil {
-				perSent[out.ai]++
-			}
-		}
-		if n > 0 {
-			sends = append(sends, sent{st, n, sysN})
-		}
-		if perSent != nil {
-			for ai, addr := range pt.addrs {
-				cur := 0
-				if pt.sysCur != nil {
-					cur = pt.sysCur[ai]
-				}
-				adapts = append(adapts, adaptMoved{st, addr, cur, perSent[ai]})
-			}
-		}
-	}
-	s.coal.Flush()
-	if len(sends) == 0 && len(metas) == 0 && len(cursors) == 0 && len(adapts) == 0 {
-		return
-	}
-	s.mu.Lock()
-	stamp := s.clk.Now()
-	for _, sn := range sends {
-		sn.st.sent += sn.n
-		sn.st.systematic += sn.sys
-	}
-	for _, ms := range metas {
-		ms.st.peer(ms.addr).metaAt = stamp
-	}
-	for _, cm := range cursors {
-		// Write back only to peers still tracked: re-creating one evicted
-		// mid-push just to park a cursor would resurrect it.
-		if ps, ok := cm.st.peers[cm.addr]; ok {
-			ps.cacheCursor = cm.cursor
-		}
-	}
-	for _, am := range adapts {
-		if ps, ok := am.st.peers[am.addr]; ok {
-			// Monotone: a concurrent sweep may have pushed further already.
-			if am.cursor > ps.sysCursor {
-				ps.sysCursor = am.cursor
-			}
-			if am.sent > 0 {
-				if ps.link == nil {
-					ps.link = &adapt.Link{}
-				}
-				ps.link.OnSend(am.sent)
-			}
-		}
-	}
-	s.mu.Unlock()
-}
-
-// probeSweep advances stalled probes: a quarantined generation waiting on
-// a probe peer that never answered (dead, banned meanwhile, or slow)
-// moves to its next candidate, or back to open refill when the candidate
-// list is exhausted. Runs every tick from tickLoop.
-func (s *Session) probeSweep() {
-	s.mu.Lock()
-	var objs []*objectState
-	for _, st := range s.objects {
-		objs = append(objs, st)
-	}
-	s.mu.Unlock()
-	now := s.clk.Now()
-	timeout := s.probeTimeout()
-	var acts pollActions
-	for _, st := range objs {
-		st.mu.Lock()
-		if st.vigilant && !st.dead {
-			for g := range st.probe {
-				if st.probe[g] != "" && now.Sub(st.probeAt[g]) >= timeout {
-					s.advanceProbeLocked(st, g, &acts)
-				}
-			}
-		}
-		st.mu.Unlock()
-	}
-	s.applyPollActions(&acts)
-}
-
-// metaResend is how long a sent META is trusted before it is repeated to
-// a still-incomplete peer; see peerState.metaAt.
-func (s *Session) metaResend() time.Duration {
-	return max(25*s.cfg.Tick, 50*time.Millisecond)
-}
-
-// targetsLocked returns the push targets for one object: every live
-// subscriber plus the standing targets — the configured peers and, with
-// the membership plane on, the current relay/cache-role neighbor
-// selection (bounded by Fanout, so the sweep is O(active neighbors)
-// however large the swarm's view of the world grows) — excluding peers
-// that reported completion and peers backing off after satiation.
-func (s *Session) targetsLocked(st *objectState, now time.Time) []transport.Addr {
-	skip := func(ps *peerState) bool {
-		return ps.done || now.Before(ps.pauseUntil)
-	}
-	var out []transport.Addr
-	seen := make(map[transport.Addr]bool)
-	for addr, ps := range st.peers {
-		if ps.reqSub && !skip(ps) {
-			out = append(out, addr)
-			seen[addr] = true
-		}
-	}
-	standing := s.peers
-	if s.member != nil {
-		if push := s.member.pushTargets(); len(push) > 0 {
-			merged := make([]transport.Addr, 0, len(s.peers)+len(push))
-			merged = append(merged, s.peers...)
-			for _, addr := range push {
-				if !slices.Contains(merged, addr) {
-					merged = append(merged, addr)
-				}
-			}
-			standing = merged
-		}
-	}
-	st.mu.Lock()
-	for _, addr := range standing {
-		if seen[addr] {
-			continue
-		}
-		seen[addr] = true
-		if ps, ok := st.peers[addr]; ok && skip(ps) {
-			continue
-		}
-		if _, sol := st.solicited[addr]; sol && st.data == nil {
-			// This peer is our own upstream for an object we are still
-			// fetching: if it wants our rows it asks for them (reqSub,
-			// handled above — mesh peers fetching from each other do
-			// exactly that). Unasked push-back up the edge we fetch over
-			// wastes frames at best; at worst — before the manifest
-			// arrives — it launders a polluter's forged rows out of our
-			// unverifiable buffer into an honest peer's decoder. Once the
-			// object has assembled and passed the content-ID check
-			// (st.data set), push-back resumes: recodes of proven bytes
-			// cannot launder anything, and a finished fetcher re-seeding
-			// its upstream (an edge cache, say) is useful cut-through.
-			continue
-		}
-		out = append(out, addr)
-	}
-	st.mu.Unlock()
-	return out
-}
-
 // evict drops object state and subscribers that have been idle past the
 // configured timeout, so long-running relays do not leak decode state.
 func (s *Session) evict() {
@@ -2942,491 +720,4 @@ func (s *Session) evict() {
 			s.logf("session: evicted idle %v", id)
 		}
 	}
-}
-
-// metaFrame encodes a META for st: the gens-absent legacy form for
-// single-generation objects (pre-generation peers keep working) and the
-// extended form carrying G otherwise. Callers must hold either s.mu or
-// st.mu (k, gens and m are immutable once the coder exists, which is
-// guaranteed for any object with a known size).
-func (s *Session) metaFrame(st *objectState) []byte {
-	gens := st.gens.Load()
-	n := metaLen
-	if gens > 1 {
-		n = genMetaLen
-	}
-	buf := make([]byte, n)
-	buf[0] = frameMeta
-	copy(buf[1:17], st.id[:])
-	binary.BigEndian.PutUint32(buf[17:21], uint32(st.k))
-	binary.BigEndian.PutUint32(buf[21:25], uint32(st.m))
-	binary.BigEndian.PutUint64(buf[25:33], uint64(st.size.Load()))
-	if gens > 1 {
-		binary.BigEndian.PutUint32(buf[33:37], uint32(gens))
-	}
-	return buf
-}
-
-func feedbackFrame(id packet.ObjectID, kind byte) []byte {
-	buf := make([]byte, feedbackLen)
-	buf[0] = frameFeedback
-	copy(buf[1:17], id[:])
-	buf[17] = kind
-	return buf
-}
-
-// genFeedbackFrame encodes the kind-3 feedback: generation gen of object
-// id is complete at the sender of the frame.
-func genFeedbackFrame(id packet.ObjectID, gen int) []byte {
-	buf := make([]byte, genFeedbackLen)
-	buf[0] = frameFeedback
-	copy(buf[1:17], id[:])
-	buf[17] = fbGenComplete
-	binary.BigEndian.PutUint32(buf[18:22], uint32(gen))
-	return buf
-}
-
-// cacheAdFrame encodes the kind-4 feedback: the sender holds a partial
-// cache of object id covering gensFull complete generations out of gens
-// with rank innovative rows total.
-func cacheAdFrame(id packet.ObjectID, gensFull, gens uint32, rank int) []byte {
-	buf := make([]byte, cacheAdLen)
-	buf[0] = frameFeedback
-	copy(buf[1:17], id[:])
-	buf[17] = fbCacheAd
-	binary.BigEndian.PutUint32(buf[18:22], gensFull)
-	binary.BigEndian.PutUint32(buf[22:26], gens)
-	binary.BigEndian.PutUint32(buf[26:30], uint32(rank))
-	return buf
-}
-
-// receiptFrame encodes the kind-5 feedback: the sender of the frame has
-// accepted received DATA rows from the addressed peer for object id, of
-// which innovative advanced its decode; gen is the generation of the
-// frame that triggered the report. Counters are cumulative per (sender,
-// object), so a lost receipt costs nothing — the next one carries the
-// same information.
-func receiptFrame(id packet.ObjectID, gen, received, innovative uint32) []byte {
-	buf := make([]byte, receiptLen)
-	buf[0] = frameFeedback
-	copy(buf[1:17], id[:])
-	buf[17] = fbReceipt
-	binary.BigEndian.PutUint32(buf[18:22], gen)
-	binary.BigEndian.PutUint32(buf[22:26], received)
-	binary.BigEndian.PutUint32(buf[26:30], innovative)
-	return buf
-}
-
-func encodeReq(id packet.ObjectID) []byte {
-	buf := make([]byte, reqLen)
-	buf[0] = frameReq
-	copy(buf[1:], id[:])
-	return buf
-}
-
-// placeholderLocked registers a bare object state for id — no decode node
-// yet; the first DATA or META header (or a local Serve) materializes it.
-// s.mu must be held.
-func (s *Session) placeholderLocked(id packet.ObjectID) *objectState {
-	st := &objectState{
-		id:    id,
-		done:  make(chan struct{}),
-		peers: make(map[transport.Addr]*peerState),
-	}
-	st.size.Store(-1)
-	st.touch(s.clk.Now())
-	s.objects[id] = st
-	return st
-}
-
-// Watch subscribes fn to object id's progress: it is invoked once
-// immediately with a snapshot, then again on session goroutines whenever
-// the object's decode state advances (innovative packets ingested,
-// metadata learned, completion, local Serve). Snapshots reach fn in
-// monotone order: once fn has seen a Complete snapshot it never sees an
-// older one. One sanctioned exception: a pollution quarantine resets the
-// failed generation's decode state, so Decoded, GensComplete and
-// GenDecoded may regress between snapshots exactly when Polluted grows.
-// Callbacks must be fast and must not block — they run on the
-// decode workers' notification path, serialized per object — and must
-// not call Watch synchronously for ANY object (two callbacks
-// cross-watching each other's objects would deadlock the per-object
-// notify locks; register from a goroutine instead — cancel is fine).
-// Watching an unknown object registers a placeholder state;
-// watchers do not pin it against idle eviction, and an evicted object
-// stops notifying. The returned cancel unregisters fn (it never fires
-// again after cancel returns, barring calls already in flight).
-func (s *Session) Watch(id packet.ObjectID, fn func(ObjectStats)) (cancel func()) {
-	s.mu.Lock()
-	st, ok := s.objects[id]
-	if !ok {
-		st = s.placeholderLocked(id)
-	}
-	if st.watchers == nil {
-		st.watchers = make(map[int]func(ObjectStats))
-	}
-	s.nextWatch++
-	key := s.nextWatch
-	st.watchers[key] = fn
-	s.mu.Unlock()
-	// The initial delivery runs under the object's notify lock like every
-	// other: the snapshot is taken after the lock is won, so a concurrent
-	// notifier cannot slip a fresher snapshot in front of a staler one.
-	st.notifyMu.Lock()
-	s.mu.Lock()
-	stats := s.statsLocked(st)
-	s.mu.Unlock()
-	fn(stats)
-	st.notifyMu.Unlock()
-	return func() {
-		s.mu.Lock()
-		delete(st.watchers, key)
-		s.mu.Unlock()
-	}
-}
-
-// notifyWatchers snapshots st and invokes its watchers, serialized per
-// object by st.notifyMu (see its doc for the ordering guarantee). Call
-// with no locks held.
-func (s *Session) notifyWatchers(st *objectState) {
-	st.notifyMu.Lock()
-	defer st.notifyMu.Unlock()
-	s.mu.Lock()
-	if len(st.watchers) == 0 {
-		s.mu.Unlock()
-		return
-	}
-	fns := make([]func(ObjectStats), 0, len(st.watchers))
-	for _, fn := range st.watchers {
-		fns = append(fns, fn)
-	}
-	stats := s.statsLocked(st)
-	s.mu.Unlock()
-	for _, fn := range fns {
-		fn(stats)
-	}
-}
-
-// Fetch subscribes to object id, waits for the decode to complete and
-// returns the content. The REQ goes to every address in from — or, when
-// none is given, to every configured peer (AddPeer) plus, with the
-// membership plane on, the evolving neighbor selection (each resend
-// round re-draws candidates from the view, so a fetch started with an
-// empty view succeeds once discovery catches up); with no candidates
-// and no membership it fails with ErrNoPeers. REQs are resent
-// periodically (datagrams are lossy) until the transfer finishes or ctx
-// expires.
-func (s *Session) Fetch(ctx context.Context, id packet.ObjectID, from ...transport.Addr) ([]byte, ObjectStats, error) {
-	if id.IsZero() {
-		return nil, ObjectStats{}, errors.New("session: fetch of zero object id")
-	}
-	s.mu.Lock()
-	dynamic := len(from) == 0 && s.member != nil
-	if len(from) == 0 {
-		from = append([]transport.Addr(nil), s.peers...)
-	}
-	if len(from) == 0 && !dynamic {
-		s.mu.Unlock()
-		return nil, ObjectStats{}, ErrNoPeers
-	}
-	st, ok := s.objects[id]
-	if !ok {
-		st = s.placeholderLocked(id)
-	}
-	// A waiter pins the state against idle eviction for exactly as long
-	// as someone blocks on it; abandoned fetches then age out normally.
-	st.waiters++
-	done := st.done
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		st.waiters--
-		s.mu.Unlock()
-	}()
-	// The candidate set is this fetch's trust decision: these peers (and
-	// only these) can be convicted if their rows fail verification.
-	st.mu.Lock()
-	st.soliciteLocked(from...)
-	st.mu.Unlock()
-	if s.cache != nil {
-		// Fetching an object this session holds as a partial cache
-		// promotes the cached rows into a real decoder first — every one
-		// innovative by construction — then proceeds as a normal fetch
-		// for the rank still missing.
-		s.promoteCached(st)
-	}
-
-	req := encodeReq(id)
-	// One REQ per candidate peer, steered toward peers advertising
-	// cached coverage once advertisements arrive; the fetch fails only
-	// if no peer could be reached at all (a dead resolve on one address
-	// must not mask a live source on another) — or if pollution defense
-	// has banned every candidate, which fails fast with ErrPolluted.
-	attempt := 0
-	sendAll := func() error {
-		all := from
-		if dynamic {
-			all = s.fetchCandidates(st, from, attempt)
-		}
-		targets := s.steerTargets(st, all, attempt)
-		attempt++
-		if len(targets) == 0 {
-			if dynamic && len(s.bannedSnapshot()) == 0 {
-				// The view is simply still empty (fresh join, or every
-				// neighbor aged out); discovery will refill it — keep
-				// resending rather than failing.
-				return nil
-			}
-			return fmt.Errorf("session: fetch %v: %w", id, ErrPolluted)
-		}
-		var firstErr error
-		sent := 0
-		for _, addr := range targets {
-			if err := s.tr.Send(addr, req); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-			} else {
-				sent++
-			}
-		}
-		if sent == 0 {
-			return firstErr
-		}
-		return nil
-	}
-	// ErrUnknownPeer is tolerated on the initial send exactly as on
-	// resends: a peer that has not attached (or resolved) yet may appear
-	// before the next retry, and aborting would turn that startup race
-	// into a hard failure.
-	if err := sendAll(); err != nil && !errors.Is(err, transport.ErrUnknownPeer) {
-		s.mu.Lock()
-		stats := s.statsLocked(st)
-		s.mu.Unlock()
-		return nil, stats, err
-	}
-	resend := s.clk.NewTicker(250 * time.Millisecond)
-	defer resend.Stop()
-	for {
-		select {
-		case <-done:
-			st.mu.Lock()
-			data := st.data
-			st.mu.Unlock()
-			s.mu.Lock()
-			stats := s.statsLocked(st)
-			s.mu.Unlock()
-			return data, stats, nil
-		case <-resend.C():
-			if err := sendAll(); err != nil && !errors.Is(err, transport.ErrUnknownPeer) {
-				s.mu.Lock()
-				stats := s.statsLocked(st)
-				s.mu.Unlock()
-				return nil, stats, err
-			}
-		case <-ctx.Done():
-			s.mu.Lock()
-			stats := s.statsLocked(st)
-			s.mu.Unlock()
-			return nil, stats, fmt.Errorf("session: fetch %v: %w", id, ctx.Err())
-		case <-s.closed:
-			s.mu.Lock()
-			stats := s.statsLocked(st)
-			s.mu.Unlock()
-			return nil, stats, transport.ErrClosed
-		}
-	}
-}
-
-// promoteCached turns a cache-mode object into a normal fetch target:
-// the cached rows seed a freshly materialized decoder — each innovative
-// by construction, the cache stores a basis — the cache entry is
-// dropped, and the object proceeds as an ordinary fetch for the rank
-// still missing. Call with no locks held.
-func (s *Session) promoteCached(st *objectState) {
-	st.mu.Lock()
-	if !st.cached || st.dead {
-		st.mu.Unlock()
-		return
-	}
-	st.cached = false
-	gens := int(st.gens.Load())
-	if !s.ensureCoderLocked(st, gens, st.kPer, st.m) {
-		st.mu.Unlock()
-		return
-	}
-	progressed := false
-	s.cache.Drain(st.id, func(g uint32, vec *bitvec.Vector, payload []byte) {
-		gi := int(g)
-		if gi >= gens || st.coder.GenComplete(gi) {
-			return
-		}
-		v := st.coder.AcquireVec(gi)
-		v.CopyFrom(vec)
-		if st.coder.IsRedundant(gi, v) {
-			st.coder.ReleaseVec(gi, v)
-			return
-		}
-		var row []byte
-		if st.m > 0 {
-			row = st.coder.AcquireRow(gi)
-			copy(row, payload)
-		}
-		// No received++ here: each drained row was counted when it was
-		// admitted to the cache.
-		st.coder.ReceiveOwned(gi, v, row)
-		progressed = true
-	})
-	var acts pollActions
-	if st.coder.Complete() {
-		s.completeObjLocked(st, &acts)
-	}
-	st.touch(s.clk.Now())
-	st.mu.Unlock()
-	s.applyPollActions(&acts)
-	if progressed {
-		s.notifyWatchers(st)
-	}
-}
-
-// fetchCandidates assembles one resend round's candidate set for a
-// dynamic fetch (no explicit sources, membership plane on): the static
-// configured peers plus the current neighbor selection, with the
-// bootstrap set folded in periodically (and whenever nothing else is
-// known) so the origin stays reachable however the view drifts. Every
-// candidate is solicited before it is REQed — solicitation is the trust
-// decision pollution conviction requires, and it must cover peers
-// discovered mid-fetch exactly like those known at the start.
-func (s *Session) fetchCandidates(st *objectState, static []transport.Addr, attempt int) []transport.Addr {
-	m := s.member
-	out := append([]transport.Addr(nil), static...)
-	for _, addr := range m.fetchTargets() {
-		if !slices.Contains(out, addr) {
-			out = append(out, addr)
-		}
-	}
-	if attempt%4 == 0 || len(out) == 0 {
-		for _, addr := range m.bootstrap {
-			if !slices.Contains(out, addr) {
-				out = append(out, addr)
-			}
-		}
-	}
-	st.mu.Lock()
-	st.soliciteLocked(out...)
-	st.mu.Unlock()
-	return out
-}
-
-// steerTargets picks the REQ targets for one resend round: the full
-// candidate set until advertisements arrive (and periodically after, so
-// the origin and fresh caches stay discoverable), otherwise the peers
-// advertising cached coverage for the object, in deterministic order.
-// Banned peers are excluded everywhere; an empty result therefore means
-// every candidate has been convicted of pollution (ErrPolluted at the
-// caller).
-func (s *Session) steerTargets(st *objectState, all []transport.Addr, attempt int) []transport.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	live := all
-	if len(s.banned) > 0 {
-		live = make([]transport.Addr, 0, len(all))
-		for _, addr := range all {
-			if _, b := s.banned[addr]; !b {
-				live = append(live, addr)
-			}
-		}
-	}
-	// cacheAds never contains banned peers: banPeers scrubs every object's
-	// ad table when it convicts.
-	if attempt%4 == 0 || len(st.cacheAds) == 0 {
-		return live
-	}
-	out := make([]transport.Addr, 0, len(st.cacheAds))
-	for addr := range st.cacheAds {
-		out = append(out, addr)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// CacheStats returns the partial cache's occupancy and policy counters,
-// and whether the session runs in cache mode at all (Config.CacheBudget
-// > 0).
-func (s *Session) CacheStats() (cache.Stats, bool) {
-	if s.cache == nil {
-		return cache.Stats{}, false
-	}
-	return s.cache.Stats(), true
-}
-
-// statsLocked snapshots one object; s.mu must be held (st.mu is taken
-// briefly for the decode-plane counters).
-func (s *Session) statsLocked(st *objectState) ObjectStats {
-	st.mu.Lock()
-	o := ObjectStats{
-		ID:       st.id,
-		K:        st.k,
-		KPer:     st.kPer,
-		M:        st.m,
-		Size:     st.size.Load(),
-		Received: st.received,
-		Aborted:  st.aborted,
-		Cached:   st.cached,
-	}
-	if st.coder != nil {
-		o.Decoded = st.coder.DecodedCount()
-		o.Complete = st.coder.Complete()
-		o.Generations = st.coder.Generations()
-		o.GensComplete = st.coder.CompleteCount()
-		o.GenDecoded = st.coder.AppendGenDecoded(make([]int, 0, o.Generations))
-	}
-	o.HaveManifest = st.man != nil
-	o.Polluted = st.polluted
-	for _, v := range st.verified {
-		if v {
-			o.GensVerified++
-		}
-	}
-	st.mu.Unlock()
-	o.Pinned = st.pinned
-	o.Sent = st.sent
-	o.Systematic = st.systematic
-	lossSum, lossN := 0.0, 0
-	for _, ps := range st.peers {
-		if ps.reqSub && !ps.done {
-			o.Subscribers++
-		}
-		if ps.link != nil && ps.link.Reports() > 0 {
-			lossSum += ps.link.Loss()
-			lossN++
-		}
-	}
-	if lossN > 0 {
-		o.LossEst = lossSum / float64(lossN)
-	}
-	return o
-}
-
-// Objects returns a snapshot of every object the session currently holds.
-func (s *Session) Objects() []ObjectStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]ObjectStats, 0, len(s.objects))
-	for _, st := range s.objects {
-		out = append(out, s.statsLocked(st))
-	}
-	return out
-}
-
-// Object returns the snapshot of one object and whether the session
-// holds it — the O(1) form for pollers that track a single transfer.
-func (s *Session) Object(id packet.ObjectID) (ObjectStats, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.objects[id]
-	if !ok {
-		return ObjectStats{}, false
-	}
-	return s.statsLocked(st), true
 }

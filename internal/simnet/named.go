@@ -90,7 +90,7 @@ var named = map[string]namedScenario{
 		},
 	},
 	"harsh-multihop": {
-		desc: "adaptive loop under brutal loss: a 3-relay powerline chain at 40% per-hop loss; receipts steer the budget and soliton ladder so fetches still finish",
+		desc: "adaptive loop under brutal loss: a 3-relay powerline chain at 40% per-hop loss; receipts steer the redundancy budget so fetches still finish",
 		make: func(seed int64) Scenario {
 			return Scenario{
 				Name:    "harsh-multihop",

@@ -205,8 +205,8 @@ type Scenario struct {
 	IdleTimeout    time.Duration // default: session default (60s)
 	// Adaptive turns on every session's feedback-driven coding loop
 	// (session.Config.Adaptive; DESIGN.md §16): receipt reports feed a
-	// per-peer loss estimator driving the systematic first pass, the
-	// loss-tuned redundancy budget, and the Robust Soliton ladder.
+	// per-peer loss estimator driving the systematic first pass and the
+	// loss-tuned redundancy budget.
 	Adaptive bool
 	// AdaptControls selects individual adaptive controls when Adaptive
 	// is set (session semantics: zero = all controls).

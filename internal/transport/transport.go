@@ -7,9 +7,8 @@
 // allocate per datagram.
 //
 // The paper evaluates LTNC on simulated lossy push channels; this package
-// is the boundary where the same node logic (internal/livenet,
-// internal/session) runs unchanged over goroutine channels or real
-// sockets.
+// is the boundary where the same node logic (internal/session) runs
+// unchanged over goroutine channels or real sockets.
 package transport
 
 import (

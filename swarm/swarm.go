@@ -186,8 +186,7 @@ type Config struct {
 	// session emits receipt reports for what it receives, estimates
 	// per-peer link loss from the reports it gets back, and tunes its
 	// push path online — a systematic first pass of plain native rows
-	// per generation, a loss-scaled redundancy budget, and per-peer
-	// Robust Soliton parameters off a precomputed ladder. Off by
+	// per generation and a loss-scaled redundancy budget. Off by
 	// default: a non-adaptive session's wire behavior is unchanged.
 	Adaptive bool
 	// Clock is the time source behind every session timer — push ticks,

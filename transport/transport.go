@@ -17,8 +17,8 @@
 //
 // This package is a facade over internal/transport: the types are
 // aliases, so values cross the public/internal boundary freely and
-// existing internal users (livenet, session) interoperate with transports
-// constructed here.
+// the internal session engine interoperates with transports constructed
+// here.
 package transport
 
 import (
