@@ -5,11 +5,14 @@ import (
 	"testing"
 )
 
-// report pushes n rows and then delivers a receipt claiming the given
-// cumulative counters, mimicking one send→receipt round trip.
+// report pushes n rows, delivers a receipt claiming the given cumulative
+// counters and runs the next tick's fold, mimicking one send→receipt
+// round trip.
 func report(l *Link, sent int, received, innovative uint32) bool {
 	l.OnSend(sent)
-	return l.OnReport(received, innovative)
+	innovated := l.OnReport(received, innovative)
+	l.Pace(math.MaxInt32)
+	return innovated
 }
 
 func TestZeroValueIsCleanLink(t *testing.T) {
@@ -36,9 +39,6 @@ func TestLossTracksDeltas(t *testing.T) {
 	if got := l.Loss(); math.Abs(got-0.4) > 0.02 {
 		t.Errorf("loss after sustained 40%% erasures = %v, want ≈ 0.4", got)
 	}
-	if r := l.InnovationRatio(); r < 0.99 {
-		t.Errorf("all-innovative link ratio = %v", r)
-	}
 	// Recovery: the link heals and the estimate follows.
 	recv, inno := uint32(100+40*60), uint32(100+40*60)
 	for i := 0; i < 40; i++ {
@@ -59,9 +59,6 @@ func TestInnovationSignal(t *testing.T) {
 	// Received grows but nothing innovative: redundant traffic, no signal.
 	if got := report(&l, 10, 20, 10); got {
 		t.Error("redundant-only receipt reported as progress")
-	}
-	if r := l.InnovationRatio(); r > 0.95 {
-		t.Errorf("innovation ratio ignored the redundant round: %v", r)
 	}
 	if got := report(&l, 10, 30, 15); !got {
 		t.Error("innovative receipt not reported as progress")
@@ -150,5 +147,127 @@ func TestBudgetShape(t *testing.T) {
 	}
 	if got := (&Link{}).Budget(2); got < 1 {
 		t.Errorf("tiny base budget = %d, want ≥ 1", got)
+	}
+}
+
+// paceClean drives l over a loss-free link for the given ticks: every
+// tick pushes what Pace allows and delivers the receipts the receiver
+// would have sent (one per ReceiptEvery rows). It returns the bursts.
+func paceClean(l *Link, ticks int) []int {
+	var bursts []int
+	var got uint32
+	for i := 0; i < ticks; i++ {
+		b := l.Pace(math.MaxInt32)
+		bursts = append(bursts, b)
+		l.OnSend(b)
+		for n := 0; n < b; n++ {
+			if got++; got%ReceiptEvery == 0 {
+				l.OnReport(got, got)
+			}
+		}
+	}
+	return bursts
+}
+
+// TestBurstBounds: whatever a receiver claims — honestly or not — Pace
+// stays within [1, MaxBurst], a clean link reaches the cap, and each
+// forgery leaves the burst where the package doc says it does.
+func TestBurstBounds(t *testing.T) {
+	const wrap = math.MaxUint32
+	cases := []struct {
+		name string
+		// claim returns the i-th receipt's counters, given the rows sent.
+		claim func(i int, sent uint64) (recv, inno uint32)
+		// settles bounds the burst once the forgery has run its course.
+		settlesLo, settlesHi int
+	}{
+		{"honest", func(_ int, sent uint64) (uint32, uint32) { return uint32(sent), uint32(sent) }, MaxBurst, MaxBurst},
+		{"over-claim", func(i int, _ uint64) (uint32, uint32) { return uint32(i+1) << 20, uint32(i+1) << 20 }, MaxBurst, MaxBurst},
+		{"under-claim", func(int, uint64) (uint32, uint32) { return 0, 0 }, 1, 1},
+		{"half-claim", func(_ int, sent uint64) (uint32, uint32) { return uint32(sent / 2), uint32(sent / 2) }, 1, MaxBurst},
+		{"backwards", func(i int, _ uint64) (uint32, uint32) { return uint32(1<<20 - i), uint32(1<<20 - i) }, 1, 2 * startBurst},
+		{"innovative>received", func(i int, _ uint64) (uint32, uint32) { return uint32(i), uint32(i) + 9 }, 1, 2 * startBurst},
+		{"uint32 wrap", func(i int, _ uint64) (uint32, uint32) { v := uint32(wrap - 64 + 16*uint64(i)); return v, v }, 1, MaxBurst},
+		{"ceiling", func(int, uint64) (uint32, uint32) { return wrap, wrap }, 1, 2 * startBurst},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var l Link
+			b := 0
+			for i := 0; i < 400; i++ {
+				b = l.Pace(math.MaxInt32)
+				if b < 1 || b > MaxBurst {
+					t.Fatalf("tick %d: burst %d outside [1, %d]", i, b, MaxBurst)
+				}
+				l.OnSend(b)
+				l.OnReport(tc.claim(i, l.Sent()))
+			}
+			if b < tc.settlesLo || b > tc.settlesHi {
+				t.Errorf("burst settled at %d, want within [%d, %d]", b, tc.settlesLo, tc.settlesHi)
+			}
+			if loss := l.Loss(); loss < 0 || loss > MaxLoss {
+				t.Errorf("loss %v outside [0, %v]", loss, MaxLoss)
+			}
+		})
+	}
+}
+
+// TestBurstRampAndSilence: a clean link doubles per sampled interval up
+// to the cap; a link whose receipts stop halves back down to the floor
+// of 1 and never below.
+func TestBurstRampAndSilence(t *testing.T) {
+	var l Link
+	bursts := paceClean(&l, 40)
+	if bursts[0] != startBurst {
+		t.Errorf("first burst %d, want the start %d", bursts[0], startBurst)
+	}
+	for i := 1; i < len(bursts); i++ {
+		if bursts[i] < bursts[i-1] {
+			t.Fatalf("clean link's burst fell at tick %d: %v", i, bursts)
+		}
+	}
+	if last := bursts[len(bursts)-1]; last != MaxBurst {
+		t.Fatalf("clean link settled at %d, want the cap %d (%v)", last, MaxBurst, bursts)
+	}
+	// Receipts stop; rows keep going out.
+	for i := 0; i < 200; i++ {
+		b := l.Pace(math.MaxInt32)
+		if b < 1 {
+			t.Fatalf("silent link paced to %d", b)
+		}
+		l.OnSend(b)
+	}
+	if b := l.Pace(math.MaxInt32); b != 1 {
+		t.Errorf("silent link still at burst %d after 200 ticks, want 1", b)
+	}
+	// Nothing outstanding, nothing to decay: an idle link keeps its burst.
+	var idle Link
+	paceClean(&idle, 40)
+	idle.Pace(math.MaxInt32) // folds the last receipt: every row sent is now accounted for
+	for i := 0; i < 200; i++ {
+		idle.Pace(math.MaxInt32)
+	}
+	if b := idle.Pace(math.MaxInt32); b != MaxBurst {
+		t.Errorf("idle link with no rows outstanding decayed to %d", b)
+	}
+}
+
+// TestBurstTaper: as the peer's reported innovative count closes in on
+// k the burst tapers to half the rows missing, then holds at tailBurst.
+func TestBurstTaper(t *testing.T) {
+	var l Link
+	paceClean(&l, 40) // at the cap; the peer has reported 16·n innovative rows
+	inno := int(l.inno)
+	for _, tc := range []struct{ missing, want int }{
+		{1000, MaxBurst}, {2 * MaxBurst, MaxBurst}, {40, 20}, {2 * tailBurst, tailBurst}, {3, tailBurst}, {0, tailBurst}, {-500, tailBurst},
+	} {
+		if got := l.Pace(inno + tc.missing); got != tc.want {
+			t.Errorf("%d rows missing: burst %d, want %d", tc.missing, got, tc.want)
+		}
+	}
+	// The taper only ever lowers: a link still at its start burst keeps it.
+	var fresh Link
+	if got := fresh.Pace(0); got != startBurst {
+		t.Errorf("fresh link tapered to %d, want its start burst %d", got, startBurst)
 	}
 }

@@ -256,10 +256,21 @@ func (n *Node) Components() []int32 { return n.cc.Snapshot() }
 // occurrences in sent packets (the paper reports ≈ 0.1%).
 func (n *Node) OccurrenceRelStdDev() float64 { return n.occ.RelStdDev() }
 
+// ForgetSent restarts occurrence balancing (Algorithm 2) from zero, as if
+// the node had sent nothing yet. What a node sent while it held a fraction
+// of the content says nothing about what its peers still miss, and
+// balancing against that history keeps the natives it sent early — and a
+// lossy link dropped — out of every later packet until the rest have
+// caught up; a node that has just completed calls this and recodes like
+// the source it now is.
+func (n *Node) ForgetSent() { n.occ = occur.New(n.k) }
+
 // Seed bootstraps the node with the full content, turning it into a
 // source: all k natives are decoded locally, so Recode emits genuine LT
 // packets. natives must contain exactly k payloads of m bytes (payloads
-// ignored when m == 0).
+// ignored when m == 0). The node keeps the payloads as its decoded
+// natives without copying them: the caller must not modify them
+// afterwards.
 func (n *Node) Seed(natives [][]byte) error {
 	if len(natives) != n.k {
 		return fmt.Errorf("core: seed with %d natives, want %d", len(natives), n.k)
@@ -268,7 +279,15 @@ func (n *Node) Seed(natives [][]byte) error {
 		if n.m > 0 && len(data) != n.m {
 			return fmt.Errorf("core: seed native %d has %d bytes, want %d", i, len(data), n.m)
 		}
-		n.dec.Insert(packet.Native(n.k, i, data))
+	}
+	for i, data := range natives {
+		vec := n.dec.Arena().Vec()
+		vec.Reset()
+		vec.Set(i)
+		if n.m == 0 {
+			data = nil
+		}
+		n.dec.InsertOwned(vec, data)
 	}
 	return nil
 }

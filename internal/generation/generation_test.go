@@ -360,3 +360,55 @@ func TestOverheadVsG(t *testing.T) {
 			g, total/g, float64(received)/float64(total), total/g)
 	}
 }
+
+// A relay that recoded while it held only the first part of a generation
+// has sent those natives often and the rest never. Once it completes it is
+// a source like any other: what it recodes from then on must cover the
+// early natives at the same rate as the late ones, or a downstream that
+// lost some of the early ones waits behind thousands of rows that steer
+// around them (Algorithm 2 balancing against a history that no longer
+// means anything).
+func TestCompletedGenerationForgetsWhatItSent(t *testing.T) {
+	const k = 256
+	c, err := New(Options{Generations: 1, KPerGeneration: k, M: 0, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if _, err := c.Receive(packet.Native(k, i, nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	feed(0, k/4)
+	for i := 0; i < 4*k; i++ { // recode from the first quarter only
+		if _, ok := c.Recode(nil); !ok {
+			t.Fatal("partial coder cannot recode")
+		}
+	}
+	feed(k/4, k)
+	if !c.Complete() {
+		t.Fatal("coder incomplete after every native was fed")
+	}
+	early, late := 0, 0
+	for i := 0; i < 4*k; i++ {
+		z, ok := c.Recode(nil)
+		if !ok {
+			t.Fatal("complete coder cannot recode")
+		}
+		for x := z.Vec.LowestSet(); x >= 0; x = z.Vec.NextSet(x + 1) {
+			if x < k/4 {
+				early++
+			} else {
+				late++
+			}
+		}
+	}
+	// Uniform coverage puts a quarter of all occurrences in the first
+	// quarter; balancing against the pre-completion history puts almost
+	// none there.
+	if share := float64(early) / float64(early+late); share < 0.15 {
+		t.Errorf("natives sent before completion make up %.3f of the occurrences after it, want ≈ 0.25", share)
+	}
+}

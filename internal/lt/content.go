@@ -18,26 +18,41 @@ import (
 // ErrContentSize is returned when content cannot be split as requested.
 var ErrContentSize = errors.New("lt: invalid content split")
 
-// Split divides content into k native packets of equal size m =
-// ceil(len(content)/k), zero-padding the tail. It returns the native
-// payloads; Join inverts it given the original length.
-func Split(content []byte, k int) ([][]byte, error) {
+// Pad returns an owned copy of content, zero-padded to k natives of
+// m = ceil(len(content)/k) bytes each. Natives slices it.
+func Pad(content []byte, k int) (buf []byte, m int, err error) {
 	if k < 1 {
-		return nil, fmt.Errorf("%w: k = %d", ErrContentSize, k)
+		return nil, 0, fmt.Errorf("%w: k = %d", ErrContentSize, k)
 	}
 	if len(content) == 0 {
-		return nil, fmt.Errorf("%w: empty content", ErrContentSize)
+		return nil, 0, fmt.Errorf("%w: empty content", ErrContentSize)
 	}
-	m := (len(content) + k - 1) / k
-	natives := make([][]byte, k)
-	for i := 0; i < k; i++ {
-		natives[i] = make([]byte, m)
-		lo := i * m
-		if lo < len(content) {
-			copy(natives[i], content[lo:min(lo+m, len(content))])
-		}
+	m = (len(content) + k - 1) / k
+	buf = make([]byte, k*m)
+	copy(buf, content)
+	return buf, m, nil
+}
+
+// Natives views a padded buffer as its m-byte native payloads: sub-slices
+// of buf, each capped at its own end, no copy.
+func Natives(buf []byte, m int) [][]byte {
+	natives := make([][]byte, len(buf)/m)
+	for i := range natives {
+		natives[i] = buf[i*m : (i+1)*m : (i+1)*m]
 	}
-	return natives, nil
+	return natives
+}
+
+// Split divides content into k native packets of equal size m =
+// ceil(len(content)/k), zero-padding the tail. It returns the native
+// payloads — views of one padded copy of content; Join inverts it given
+// the original length.
+func Split(content []byte, k int) ([][]byte, error) {
+	buf, m, err := Pad(content, k)
+	if err != nil {
+		return nil, err
+	}
+	return Natives(buf, m), nil
 }
 
 // Join reassembles content of the given original size from k native

@@ -347,7 +347,7 @@ func TestLyingReceiverDoesNotStarveHonest(t *testing.T) {
 	s.mu.Lock()
 	st := s.objects[id]
 	var liarLoss float64
-	if ps, ok := st.peers["liar"]; ok && ps.link != nil {
+	if ps, ok := st.peers["liar"]; ok {
 		liarLoss = ps.link.Loss()
 	}
 	s.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"time"
 
+	"ltnc/internal/adapt"
 	"ltnc/internal/transport"
 )
 
@@ -39,15 +40,14 @@ const maxCacheAds = 32
 // satiationLimit is how many consecutive redundancy aborts a peer may
 // report for one object before the session pauses pushing that object to
 // it (the peer is either complete or momentarily receiving nothing
-// innovative). The pause is temporary — an incomplete peer must be able
-// to resume — and any REQ lifts it immediately.
+// innovative). The pause (satiationBackoff) is temporary — an incomplete
+// peer must be able to resume — and any REQ lifts it immediately.
 const satiationLimit = 64
 
 // receiptEvery is how many DATA frames a receiver accepts from one sender
-// between kind-5 receipt reports (adaptive sessions only). Small enough
-// that a loss estimate forms within one generation; large enough that the
-// feedback stream stays a small fraction of the data stream.
-const receiptEvery = 16
+// between kind-5 receipt reports; the estimator on the other end sizes
+// its windows by the same constant.
+const receiptEvery = adapt.ReceiptEvery
 
 // Config parameterizes a session.
 type Config struct {
@@ -55,8 +55,14 @@ type Config struct {
 	Transport transport.Transport
 	// Tick is the push period (default 2ms).
 	Tick time.Duration
-	// Burst is how many packets are pushed per object, target and tick
-	// (default 1).
+	// Burst, when positive, is a fixed number of packets pushed per object,
+	// target and tick. Zero (the default) leaves the burst to the peer's
+	// receipts: per (peer, object) it starts at a few frames a tick,
+	// doubles while the peer's kind-5 reports show the rows arriving,
+	// halves when they show a loss step or stop coming, and stays within
+	// [1, adapt.MaxBurst] (internal/adapt, DESIGN.md §16) — so a peer that
+	// never sends a receipt is pushed one frame a tick, and a forged one
+	// buys at most the cap.
 	Burst int
 	// Aggressiveness gates recoding as in the paper (default 0.01): a
 	// relay starts recoding an object once it holds K·Aggressiveness + 1
@@ -139,15 +145,15 @@ type Config struct {
 	// selects a role-derived default: 200 for relays, 160 for caches, 16
 	// otherwise.
 	Capacity uint8
-	// Adaptive turns on the feedback-driven coding loop (DESIGN.md §16).
-	// Receivers emit kind-5 receipt reports (cumulative rows received /
-	// rows innovative per sender); senders feed them to a per-(peer,
-	// object) loss estimator (internal/adapt) driving the push path's two
-	// online controls: a systematic first pass per generation (each
-	// decoded native goes out once as a degree-1 row before coded repair)
-	// and a satiation budget tuned from estimated loss instead of the
-	// static constant. Off by default: the wire behavior of a
-	// non-adaptive session is byte-identical to pre-receipt versions.
+	// Adaptive turns on the coding controls of the feedback loop (DESIGN.md
+	// §16). Every session emits kind-5 receipt reports (cumulative rows
+	// received / rows innovative per sender) and feeds the ones it gets to
+	// a per-(peer, object) estimator (internal/adapt) — that much is
+	// unconditional, it is what paces the push. Adaptive adds the two
+	// online controls the loss estimate drives: a systematic first pass
+	// per generation (each decoded native goes out once as a degree-1 row
+	// before coded repair) and a satiation budget tuned from estimated
+	// loss instead of the static constant. Off by default.
 	Adaptive bool
 	// AdaptControls selects individual adaptive controls when Adaptive is
 	// set; 0 means all. Used by experiments to isolate the systematic
@@ -187,11 +193,8 @@ func (c *Config) setDefaults() error {
 	if c.Tick < 0 {
 		return fmt.Errorf("session: tick %v < 0", c.Tick)
 	}
-	if c.Burst == 0 {
-		c.Burst = 1
-	}
-	if c.Burst < 1 {
-		return fmt.Errorf("session: burst %d < 1", c.Burst)
+	if c.Burst < 0 {
+		return fmt.Errorf("session: burst %d < 0", c.Burst)
 	}
 	if c.Aggressiveness == 0 {
 		c.Aggressiveness = 0.01

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"time"
 
-	"ltnc/internal/adapt"
 	"ltnc/internal/packet"
 	"ltnc/internal/transport"
 )
@@ -65,7 +64,15 @@ func (s *Session) handleReq(from transport.Addr, data []byte) (reply []byte, ext
 	}
 	st, ok := s.objects[id]
 	if !ok {
-		return nil, nil // unknown object: requester will retry elsewhere
+		if !s.cfg.Relay || len(s.objects) >= s.cfg.MaxObjects {
+			return nil, nil // unknown object: requester will retry elsewhere
+		}
+		// A relay remembers who asked: the object may be a tick away from
+		// its first DATA frame here, and the requester's next REQ is a
+		// quarter of a second off — longer than a paced transfer. The
+		// placeholder is bounded like every learned object (MaxObjects,
+		// idle eviction) and sized by the first header that arrives.
+		st = s.placeholderLocked(id)
 	}
 	now := s.clk.Now()
 	st.touch(now)
@@ -325,7 +332,7 @@ func (st *objectState) onCacheAdLocked(from transport.Addr, body []byte, now tim
 func (s *Session) onRedundantLocked(ps *peerState) {
 	ps.consecRedund++
 	limit := satiationLimit
-	if s.cfg.AdaptControls&AdaptBudget != 0 && ps.link != nil {
+	if s.cfg.AdaptControls&AdaptBudget != 0 {
 		// Adaptive budget: on a clean link a redundancy streak means
 		// satiation and the pause comes early; under loss the same
 		// streak is mostly noise and the full static budget applies.
@@ -337,7 +344,7 @@ func (s *Session) onRedundantLocked(ps *peerState) {
 		// incomplete peer still needs the stream. Back off instead;
 		// any REQ lifts the pause early.
 		ps.consecRedund = 0
-		ps.pauseUntil = s.clk.Now().Add(s.satiationBackoff())
+		ps.pauseUntil = s.clk.Now().Add(s.satiationBackoff(ps))
 	}
 }
 
@@ -365,12 +372,6 @@ func (ps *peerState) onGenCompleteLocked(gens int, gen uint32) {
 // onReceiptLocked feeds a kind-5 receipt report (body: gen, received,
 // innovative) to the peer's loss estimator. Session.mu must be held.
 func (s *Session) onReceiptLocked(ps *peerState, body []byte) {
-	if !s.cfg.Adaptive {
-		return // pre-adaptive behavior: unknown kind, drop silently
-	}
-	if ps.link == nil {
-		ps.link = &adapt.Link{}
-	}
 	if ps.link.OnReport(binary.BigEndian.Uint32(body[4:8]), binary.BigEndian.Uint32(body[8:12])) {
 		// Innovative progress over there is the opposite of satiation:
 		// clear the redundancy streak and any backoff so the stream
@@ -407,9 +408,19 @@ func (st *objectState) recordCacheAdLocked(from transport.Addr, ad cacheAd) {
 	st.cacheAds[from] = ad
 }
 
-// satiationBackoff is how long pushes to a satiated peer pause.
-func (s *Session) satiationBackoff() time.Duration {
-	return max(100*s.cfg.Tick, 50*time.Millisecond)
+// satiationBackoff is how long pushes to a satiated peer pause: the time
+// a hundred frames take at the peer's pace. With a fixed Config.Burst
+// that is a hundred ticks whatever the burst (the pause every version
+// took); a receipt-paced peer reaches the abort limit burst times sooner
+// and pauses burst times shorter — at 32 rows a tick, two ticks of aborts
+// must not buy a pause as long as a whole fetch — but never under two
+// ticks.
+func (s *Session) satiationBackoff(ps *peerState) time.Duration {
+	d := max(100*s.cfg.Tick, 50*time.Millisecond)
+	if s.cfg.Burst == 0 {
+		d = max(d/time.Duration(ps.link.Burst()), 2*s.cfg.Tick)
+	}
+	return d
 }
 
 // metaFrame encodes a META for st: the gens-absent legacy form for

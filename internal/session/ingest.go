@@ -184,13 +184,15 @@ func (s *Session) ingestBatch(batch []inFrame, scratch *ingestScratch) {
 		if st.cached {
 			var forward bool
 			fb, progressed, forward = s.ingestCachedLocked(st, &batch[i])
+			fb = st.receiptLocked(&batch[i], fb, progressed || forward)
 			if forward {
 				forwards = append(forwards, ingestForward{
 					st, batch[i].f.From, append([]byte(nil), batch[i].f.Data...),
 				})
 			}
 		} else {
-			fb, progressed = s.ingestDataLocked(st, &batch[i], &acts)
+			fb, progressed = s.decodeDataLocked(st, &batch[i], &acts)
+			fb = st.receiptLocked(&batch[i], fb, progressed)
 		}
 		if fb != nil {
 			replies = append(replies, ingestReply{batch[i].f.From, fb})
@@ -287,25 +289,25 @@ func (s *Session) resolveStateLocked(wv packet.WireView, from transport.Addr) *o
 	return st
 }
 
-// ingestDataLocked wraps decodeDataLocked with the adaptive receiver's
-// receipt accounting (Config.Adaptive; DESIGN.md §16): every frame the
-// decoder actually judged — innovative or aborted, but not geometry
-// drops — bumps the per-upstream tally, and every receiptEvery such
-// frames a kind-5 receipt report replaces an otherwise-empty feedback
-// slot. A frame that already produced feedback keeps it (completion and
-// redundancy signals outrank receipts); the due receipt simply rides the
-// next quiet frame, so the cumulative counters lose nothing.
-func (s *Session) ingestDataLocked(st *objectState, in *inFrame, acts *pollActions) (fb []byte, progressed bool) {
-	fb, progressed = s.decodeDataLocked(st, in, acts)
-	if !s.cfg.Adaptive || st.dead || (!progressed && fb == nil) {
-		return fb, progressed
+// receiptLocked is the receiver half of the receipt clock (DESIGN.md
+// §16), shared by the decode and cache-admission paths: every frame the
+// decoder or the admission policy actually judged — innovative or
+// aborted, but not geometry drops — bumps the per-upstream tally, and
+// every receiptEvery such frames a kind-5 receipt report fills an
+// otherwise-empty feedback slot. A frame that already produced feedback
+// keeps it (completion and redundancy signals outrank receipts); the due
+// receipt simply rides the next quiet frame, so the cumulative counters
+// lose nothing. st.mu must be held.
+func (st *objectState) receiptLocked(in *inFrame, fb []byte, progressed bool) []byte {
+	if st.dead || (!progressed && fb == nil) {
+		return fb
 	}
 	t, ok := st.rx[in.f.From]
 	if !ok {
 		if st.rx == nil {
 			st.rx = make(map[transport.Addr]*rxTally)
 		} else if len(st.rx) >= maxPeersPerObject {
-			return fb, progressed
+			return fb
 		}
 		t = &rxTally{}
 		st.rx[in.f.From] = t
@@ -319,7 +321,7 @@ func (s *Session) ingestDataLocked(st *objectState, in *inFrame, acts *pollActio
 		fb = receiptFrame(st.id, in.wv.Generation, t.rows, t.inno)
 		t.since = 0
 	}
-	return fb, progressed
+	return fb
 }
 
 // decodeDataLocked is the decode hot path for one DATA frame; st.mu must
@@ -442,7 +444,7 @@ func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActio
 	return nil, true
 }
 
-// ingestCachedLocked is the cache-mode counterpart of ingestDataLocked:
+// ingestCachedLocked is the cache-mode counterpart of decodeDataLocked:
 // the row goes to the cache's admission policy instead of a decoder, and
 // the resulting feedback mirrors what a real decoder would say — so the
 // sender's existing satiation, steering and completion machinery offloads

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"ltnc/internal/adapt"
 	"ltnc/internal/packet"
 	"ltnc/internal/transport"
 )
@@ -35,13 +34,16 @@ type peerPlan struct {
 	// the peer reports completion.
 	gensDone []bool // generations complete at the peer (nil = none)
 	needMeta bool
+	// burst is how many DATA frames this peer gets this tick: Config.Burst
+	// when set, else what the peer's receipts have earned (adapt.Link.Pace).
+	burst int
 	// The cursors advance on this copy during emit and are written back
 	// at commit — per peer, so each fetcher walks the whole cached basis
 	// (see cache.AppendFrame on aliasing).
 	cacheCursor uint64
 	sysCursor   int
 
-	rows    []*packet.Packet // coder-drawn burst: sysRows natives, then recodes
+	rows    []*packet.Packet // coder-drawn burst (a window of Session.rowBuf): sysRows natives, then recodes
 	sysRows int
 
 	// What left: metaSent — the META send succeeded; sent — DATA frames
@@ -113,6 +115,12 @@ func (s *Session) planLocked(now time.Time) []objectPlan {
 				p.gensDone = slices.Clone(ps.gensDone)
 			}
 			p.cacheCursor, p.sysCursor = ps.cacheCursor, ps.sysCursor
+			// Pace runs every tick, whoever sets the burst: it is also what
+			// folds the peer's receipts into its loss estimate.
+			p.burst = ps.link.Pace(st.k)
+			if s.cfg.Burst > 0 {
+				p.burst = s.cfg.Burst
+			}
 		}
 		plans = append(plans, op)
 	}
@@ -143,8 +151,19 @@ func (s *Session) emit(op *objectPlan) {
 		// The integrity manifest rides the META resend cadence: lossy
 		// datagrams, no acks — repeat until the peer is done.
 		manifest = st.manFrames
+		// Every peer's burst is drawn into its own window of one scratch
+		// slice the tick goroutine reuses round after round.
+		total := 0
 		for i := range op.peers {
-			s.drawRowsLocked(st, &op.peers[i])
+			total += op.peers[i].burst
+		}
+		s.rowBuf = slices.Grow(s.rowBuf[:0], total)[:total]
+		off := 0
+		for i := range op.peers {
+			p := &op.peers[i]
+			p.rows = s.rowBuf[off : off : off+p.burst]
+			s.drawRowsLocked(st, p)
+			off += p.burst
 		}
 	}
 	if ready && op.needMeta {
@@ -168,6 +187,7 @@ func (s *Session) emit(op *objectPlan) {
 			s.stageRows(&op.peers[i])
 		}
 	}
+	clear(s.rowBuf) // staged: the packets are garbage now
 }
 
 // taintedLocked reports whether generation g must not recode downstream.
@@ -209,9 +229,8 @@ func (s *Session) drawRowsLocked(st *objectState, p *peerPlan) {
 	skip := func(g int) bool {
 		return (g < len(p.gensDone) && p.gensDone[g]) || st.taintedLocked(g)
 	}
-	p.rows = make([]*packet.Packet, 0, s.cfg.Burst)
 	if s.cfg.AdaptControls&AdaptSystematic != 0 {
-		for len(p.rows) < s.cfg.Burst && p.sysCursor < st.k {
+		for len(p.rows) < p.burst && p.sysCursor < st.k {
 			g := p.sysCursor / st.kPer
 			if skip(g) {
 				p.sysCursor = (g + 1) * st.kPer
@@ -225,7 +244,7 @@ func (s *Session) drawRowsLocked(st *objectState, p *peerPlan) {
 		}
 		p.sysRows = len(p.rows)
 	}
-	for len(p.rows) < s.cfg.Burst {
+	for len(p.rows) < p.burst {
 		z, ok := st.coder.Recode(skip)
 		if !ok {
 			break
@@ -259,7 +278,7 @@ func (s *Session) stageCached(st *objectState, p *peerPlan) {
 	if done := p.gensDone; done != nil {
 		skip = func(g uint32) bool { return int(g) < len(done) && done[g] }
 	}
-	for p.sent < s.cfg.Burst {
+	for p.sent < p.burst {
 		frame, ok := s.cache.AppendFrame(append(s.coal.Stage(), frameData), st.id, &p.cacheCursor, skip)
 		if !ok || len(frame) > transport.MaxFrame {
 			break
@@ -289,12 +308,9 @@ func (s *Session) commitLocked(plans []objectPlan, now time.Time) {
 			ps.cacheCursor = p.cacheCursor
 			// Monotone: a concurrent sweep may have pushed further already.
 			ps.sysCursor = max(ps.sysCursor, p.sysCursor)
-			if s.cfg.Adaptive && p.sent > 0 {
+			if p.sent > 0 {
 				// Feed the DATA frames committed toward the peer to the link
 				// estimator's sender-side counter.
-				if ps.link == nil {
-					ps.link = &adapt.Link{}
-				}
 				ps.link.OnSend(p.sent)
 			}
 		}

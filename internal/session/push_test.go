@@ -44,6 +44,14 @@ func (r *recTransport) Recv(ctx context.Context) (transport.Frame, error) {
 }
 
 func (r *recTransport) Send(to transport.Addr, frame []byte) error {
+	r.frames[to] = append(r.frames[to], slices.Clone(frame))
+	if isReceipt(frame) {
+		// A receipt is the ingest path's reply to DATA fed in, not
+		// something push() emitted: a node that both receives and pushes
+		// (the cache of the golden's cache-req case) sends them upstream,
+		// and they stay out of its push stream digest.
+		return nil
+	}
 	h := r.sums[to]
 	if h == nil {
 		h = sha256.New()
@@ -53,8 +61,11 @@ func (r *recTransport) Send(to transport.Addr, frame []byte) error {
 	binary.BigEndian.PutUint32(n[:], uint32(len(frame)))
 	h.Write(n[:])
 	h.Write(frame)
-	r.frames[to] = append(r.frames[to], slices.Clone(frame))
 	return nil
+}
+
+func isReceipt(frame []byte) bool {
+	return len(frame) == receiptLen && frame[0] == frameFeedback && frame[17] == fbReceipt
 }
 
 // take returns and forgets the frames recorded since the last take; the
@@ -132,18 +143,22 @@ func feed(dst *Session, src *recTransport, without ...byte) {
 }
 
 // pushGoldens are the per-configuration digests of everything push()
-// emitted, recorded against the push() of commit 84bf7c9 — the monolithic
-// one, re-runging fork included — by running this file's TestPushGolden in a
-// checkout of that commit (8 runs, one digest each). The plan → emit →
-// commit pipeline must reproduce them byte for byte: same frames, same
-// per-destination order, same coder RNG consumption. Every configuration
-// keeps to at most one REQ subscriber plus standing peers, the only
-// population whose push order was deterministic before plans were sorted.
+// emitted. The first four were recorded against the push() of commit
+// 84bf7c9 — the monolithic one, re-runging fork included — by running this
+// file's TestPushGolden in a checkout of that commit (8 runs, one digest
+// each). The plan → emit → commit pipeline must reproduce them byte for
+// byte: same frames, same per-destination order, same coder RNG
+// consumption. They set Burst explicitly, so receipt pacing leaves them
+// alone. Every configuration keeps to at most one REQ subscriber plus
+// standing peers, the only population whose push order was deterministic
+// before plans were sorted. The fifth pins the receipt-paced stream as the
+// commit that introduced it emitted it.
 var pushGoldens = map[string]string{
 	"static-g1-manifest":  "7ce2f3fede8da7d1a086d1288b4056744519b1793089a01231709b55093a4af1",
 	"g4-gen-complete":     "942e475f1d6525b8c961472a4f6599e01cc0e548fec71b3b87afbfd7bb429225",
 	"adaptive-systematic": "a394421719bee887a1bf1801f8a7cd84f2a1c2a5071c0ccc93c20004295ab267",
 	"cache-req":           "295aa7d66e9ae4233e5fea494406b46d7a37980cb7031b718fb8523bbc90c267",
+	"paced":               "016af08097b0504b154303130e912bd765fa61e64b24507a34deefa68e4c2543",
 }
 
 func TestPushGolden(t *testing.T) {
@@ -216,6 +231,30 @@ func TestPushGolden(t *testing.T) {
 			pushTicks(s, clk, 30)
 			injectFrame(s, "sub", genFeedbackFrame(id, 1))
 			pushTicks(s, clk, 30)
+			return rec.digest()
+		},
+		// Burst unset: receipts set the pace. "a" acknowledges every row
+		// (one receipt per receiptEvery, folded by the next tick), the
+		// subscriber never does; the digest pins the ramp, the taper against
+		// a's innovative count, the silence decay and the rows drawn.
+		"paced": func(t *testing.T) string {
+			s, rec, clk := pushSession(t, "src", func(c *Config) { c.Burst = 0 })
+			s.AddPeer("a")
+			id, err := s.Serve(testContent(256*24, 5), 256, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			injectFrame(s, "sub", encodeReq(id))
+			got := uint32(0)
+			for tick := 0; tick < 60; tick++ {
+				pushTicks(s, clk, 1)
+				_, _, data := frameCounts(rec.take()["a"])
+				for ; data > 0; data-- {
+					if got++; got%receiptEvery == 0 {
+						injectFrame(s, "a", receiptFrame(id, 0, got, got))
+					}
+				}
+			}
 			return rec.digest()
 		},
 	}
@@ -492,8 +531,8 @@ func checkMatrixCell(t *testing.T, c *matrixCell, obj, peer int) {
 	if !systematic && !(c.adaptive && obj == objTainted) && ps.sysCursor != 0 {
 		t.Fatalf("sysCursor = %d with no systematic pass", ps.sysCursor)
 	}
-	if wantLink := c.adaptive && wantData > 0; (ps.link != nil) != wantLink {
-		t.Fatalf("link estimator present = %v, want %v", ps.link != nil, wantLink)
+	if got := ps.link.Sent() - before.link.Sent(); got != uint64(wantData) {
+		t.Fatalf("link estimator counted %d rows sent, %d DATA frames left", got, wantData)
 	}
 }
 

@@ -39,8 +39,9 @@
 //	               (gensFull, gens, rank present for kind 4 only)
 //	               5=receipt report (gen(4), received(4), innovative(4):
 //	               the receiver's cumulative per-sender row counters,
-//	               emitted by adaptive sessions and fed to the sender's
-//	               loss estimator — see Config.Adaptive and DESIGN.md §16)
+//	               one report per 16 rows, fed to the sender's loss
+//	               estimator and burst pacer — see Config.Burst and
+//	               DESIGN.md §16)
 //	MANIFEST 0x05 | manifest chunk (packet.ManifestChunk): objectID(16) |
 //	               total(4) | off(4) | n(2) | bytes — one slice of the
 //	               object's integrity manifest (internal/integrity),
@@ -131,7 +132,7 @@ const (
 	// Kind 5 (receipt report) appends the receiver's cumulative counters
 	// for rows arriving from the addressed sender: the generation of the
 	// triggering frame, rows received and rows innovative. Same length as
-	// kind 4 — pre-adaptive peers parse the length, see kind != 4, and
+	// kind 4 — pre-receipt peers parse the length, see kind != 4, and
 	// drop it silently.
 	receiptLen = feedbackLen + 12
 )
@@ -158,12 +159,12 @@ type peerState struct {
 	// object's G; gensDoneN counts the true entries.
 	gensDone  []bool
 	gensDoneN int
-	// Adaptive-mode sender state (Config.Adaptive; DESIGN.md §16).
-	// link estimates the loss toward this peer from its receipt reports;
-	// sysCursor is the systematic first pass position — the next global
-	// native row to push plainly (a cursor ≥ K means the pass is over and
-	// the peer gets coded repair only).
-	link      *adapt.Link
+	// link turns this peer's receipt reports into the loss estimate and
+	// the paced burst (DESIGN.md §16). sysCursor is the systematic first
+	// pass position (Config.Adaptive) — the next global native row to push
+	// plainly (a cursor ≥ K means the pass is over and the peer gets coded
+	// repair only).
+	link      adapt.Link
 	sysCursor int
 }
 
@@ -236,7 +237,7 @@ type objectState struct {
 	polluted   int64 // pollution events (quarantines)
 	vigilant   bool  // pollution seen: audit rows offered to verified generations
 	// rx tracks, per upstream peer, the rows this session accepted from it
-	// for this object (adaptive mode only; feeds kind-5 receipt reports).
+	// for this object (feeds kind-5 receipt reports).
 	// Decode plane: ingest mutates it under mu. Bounded like the peer
 	// table (maxPeersPerObject).
 	rx map[transport.Addr]*rxTally
@@ -356,6 +357,10 @@ type Session struct {
 	// the Linux fast path can ride sendmmsg/GSO. Owned by the tick loop
 	// (push runs on one goroutine); lazily built on first use.
 	coal *transport.Coalescer
+	// rowBuf is the push round's scratch for coder-drawn rows, one window
+	// per peer of the object being emitted; owned by the tick loop like
+	// coal.
+	rowBuf []*packet.Packet
 
 	// busy counts frames and ticks the session has accepted but not fully
 	// processed; see Busy.
@@ -448,11 +453,14 @@ func (s *Session) Serve(content []byte, k, gens int) (packet.ObjectID, error) {
 	}
 	kPer := (k + gens - 1) / gens
 	k = kPer * gens
-	natives, err := lt.Split(content, k)
+	// Everything that touches every byte happens before any lock is taken
+	// — the content ID above, the one padded copy the natives, the coder
+	// and st.data all share, the manifest digests — so serving a large
+	// object does not stall the ingest of every other.
+	buf, m, err := lt.Pad(content, k)
 	if err != nil {
 		return id, err
 	}
-	m := len(natives[0])
 	wire := 1 + packet.ObjectWireSize(kPer, m)
 	if gens > 1 {
 		wire = 1 + packet.GenWireSize(kPer, m)
@@ -461,53 +469,50 @@ func (s *Session) Serve(content []byte, k, gens int) (packet.ObjectID, error) {
 		return id, fmt.Errorf("session: k/G=%d yields %d-byte frames over the %d transport limit; raise k or G",
 			kPer, wire, transport.MaxFrame)
 	}
-	s.mu.Lock()
-	st, existing := s.objects[id]
-	if !existing {
-		if st, err = s.newStateLocked(id, gens, kPer, m); err != nil {
-			s.mu.Unlock()
-			return id, err
+	natives := lt.Natives(buf, m)
+	coder, err := s.newCoder(gens, kPer, m)
+	if err != nil {
+		return id, err
+	}
+	if err := coder.Seed(natives); err != nil {
+		return id, err
+	}
+	// The source is where the integrity manifest is born: digest the
+	// natives and let adoption pre-build the MANIFEST frames that will ride
+	// next to every META.
+	var man *integrity.Manifest
+	var manRaw []byte
+	if mf, err := integrity.NewManifest(natives); err == nil {
+		if raw, err := mf.MarshalBinary(); err == nil {
+			man, manRaw = mf, raw
 		}
 	}
+
+	s.mu.Lock()
+	st, ok := s.objects[id]
+	if !ok {
+		st = s.placeholderLocked(id)
+	}
 	st.mu.Lock()
-	if st.coder == nil {
-		// Adopted placeholder (Watch/Fetch before any DATA or META):
-		// materialize the source coder in place.
-		coder, err := s.newCoder(gens, kPer, m)
-		if err != nil {
-			st.mu.Unlock()
-			s.mu.Unlock()
-			return id, err
-		}
-		st.coder, st.k, st.kPer, st.m = coder, k, kPer, m
-		st.gens.Store(int32(gens))
-	} else if existing {
+	if st.coder != nil {
 		st.mu.Unlock()
 		s.mu.Unlock()
 		return id, fmt.Errorf("session: object %v already present", id)
 	}
-	if err := st.coder.Seed(natives); err != nil {
-		st.mu.Unlock()
-		if !existing {
-			delete(s.objects, id)
-		}
-		s.mu.Unlock()
-		return id, err
-	}
+	// A fresh state, or a placeholder adopted in place (Watch/Fetch before
+	// any DATA or META).
+	st.coder, st.k, st.kPer, st.m = coder, k, kPer, m
+	st.gens.Store(int32(gens))
 	st.size.Store(int64(len(content)))
-	st.data = append([]byte(nil), content...)
+	st.data = buf[:len(content):len(content)]
 	close(st.done)
-	// The source is where the integrity manifest is born: digest the
-	// natives now and pre-build the MANIFEST frames that will ride next to
-	// every META. Local content needs no verification — mark every
-	// generation verified so audits have their reference from the start.
-	if man, err := integrity.NewManifest(natives); err == nil {
-		if raw, err := man.MarshalBinary(); err == nil {
-			s.adoptManifestLocked(st, man, raw, "")
-			st.ensurePollLocked()
-			for g := range st.verified {
-				st.verified[g] = true
-			}
+	if man != nil {
+		// Local content needs no verification — mark every generation
+		// verified so audits have their reference from the start.
+		s.adoptManifestLocked(st, man, manRaw, "")
+		st.ensurePollLocked()
+		for g := range st.verified {
+			st.verified[g] = true
 		}
 	}
 	st.touch(s.clk.Now())

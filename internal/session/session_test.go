@@ -718,7 +718,7 @@ func TestEvictedStateDropsInFlightFrames(t *testing.T) {
 
 	in := frame(1)
 	stale.mu.Lock()
-	fb, _ := s.ingestDataLocked(stale, &in, &pollActions{})
+	fb, _ := s.decodeDataLocked(stale, &in, &pollActions{})
 	received := stale.received
 	stale.mu.Unlock()
 	in.f.Release()

@@ -45,11 +45,11 @@ type ObjectStats struct {
 	// across snapshots exactly when Polluted grows — the one sanctioned
 	// exception to Watch's monotone-progress contract.
 	Polluted int64
-	// LossEst is the adaptive loss estimate for this object (DESIGN.md
-	// §16): the mean of the per-peer estimator outputs across peers that
-	// have sent at least one receipt report; 0 for non-adaptive sessions
-	// or before any report. Systematic counts DATA frames this session
-	// pushed as degree-1 native rows in the systematic first pass.
+	// LossEst is the link-loss estimate for this object (DESIGN.md §16):
+	// the mean of the per-peer estimator outputs across peers whose
+	// receipt reports have been folded at least once; 0 before any report.
+	// Systematic counts DATA frames this session pushed as degree-1 native
+	// rows in the adaptive systematic first pass.
 	LossEst    float64
 	Systematic int64
 }
@@ -182,7 +182,7 @@ func (s *Session) statsLocked(st *objectState) ObjectStats {
 		if ps.reqSub && !ps.done {
 			o.Subscribers++
 		}
-		if ps.link != nil && ps.link.Reports() > 0 {
+		if ps.link.Reports() > 0 {
 			lossSum += ps.link.Loss()
 			lossN++
 		}

@@ -22,14 +22,18 @@ const (
 // liar is a lying receiver on the fabric: a raw port — no session, no
 // decoder — that REQ-subscribes at every serving node for every object,
 // silently drains the pushes it provokes, and floods forged kind-5
-// receipt reports claiming it received nothing. Against a naive
-// adaptive sender the under-claim pins the per-peer loss estimate at
-// its ceiling and extorts maximum redundancy forever; the estimator's
-// clamps (MaxLoss, a budget that never exceeds the static satiation
-// limit) are what the liar scenarios verify. Pumping runs on the fabric
-// scheduler at virtual intervals and goes quiet once no DATA has
-// arrived for liarIdle of virtual time, bounding the traffic a run can
-// see.
+// receipt reports. Even-numbered liars claim they received nothing:
+// against a naive adaptive sender the under-claim pins the per-peer loss
+// estimate at its ceiling and extorts maximum redundancy forever; the
+// estimator's clamps (MaxLoss, a budget that never exceeds the static
+// satiation limit) are what the liar scenarios verify. Odd-numbered
+// liars go after the receipt-paced burst instead, cycling through the
+// claims that could inflate it (liarClaims): everything and more
+// received, counters running backwards, counters wrapping uint32. The
+// pacer's cap (adapt.MaxBurst, checked frame by frame in a paced run) is
+// the defense. Pumping runs on the fabric scheduler at virtual intervals
+// and goes quiet once no DATA has arrived for liarIdle of virtual time,
+// bounding the traffic a run can see.
 type liar struct {
 	name    string
 	net     *Net
@@ -40,6 +44,11 @@ type liar struct {
 	every time.Duration // virtual pump interval
 	resub time.Duration // REQ re-subscription interval
 	idle  time.Duration // stop pumping this long after the last DATA
+
+	// claims is the cycle of forged (received, innovative) counters, one
+	// per pump; pumps counts them. Both belong to the scheduler goroutine.
+	claims [][2]uint32
+	pumps  int
 
 	mu       sync.Mutex
 	lastData time.Time
@@ -54,11 +63,21 @@ const (
 	liarIdle  = 2 * time.Second
 )
 
+// liarClaims are the burst-inflating forgeries, in pump order: an
+// over-claim growing faster than any sender could push, the same counters
+// running backwards, a climb to the top of uint32, and the wrap past it.
+var liarClaims = [][2]uint32{
+	{1 << 20, 1 << 20}, {2 << 20, 2 << 20}, {3 << 20, 3 << 20},
+	{1 << 10, 1 << 10},
+	{1<<32 - 32, 1<<32 - 32}, {1<<32 - 1, 1<<32 - 1},
+	{15, 15},
+}
+
 // startLiar attaches the actor to the fabric and arms its receive loop
 // and scheduler pump. ids and servers are read-only ground truth shared
 // with the runner; iteration order is the given slice order, so the
 // actor is deterministic.
-func startLiar(ctx context.Context, net *Net, name string, ids []packet.ObjectID, servers []transport.Addr) (*liar, error) {
+func startLiar(ctx context.Context, net *Net, name string, claims [][2]uint32, ids []packet.ObjectID, servers []transport.Addr) (*liar, error) {
 	port, err := net.Attach(transport.Addr(name))
 	if err != nil {
 		return nil, err
@@ -69,6 +88,7 @@ func startLiar(ctx context.Context, net *Net, name string, ids []packet.ObjectID
 		port:     port,
 		ids:      ids,
 		servers:  servers,
+		claims:   claims,
 		every:    liarEvery,
 		resub:    liarResub,
 		idle:     liarIdle,
@@ -115,8 +135,8 @@ func (l *liar) recvLoop(ctx context.Context) {
 	}
 }
 
-// pump runs on the scheduler goroutine at virtual intervals: forged
-// zero-counter receipts to every (server, object) pair, plus periodic
+// pump runs on the scheduler goroutine at virtual intervals: the next
+// forged receipt of the cycle to every (server, object) pair, plus periodic
 // REQ re-subscriptions so a sender that paused or evicted the liar is
 // solicited again. It re-arms itself until the run context dies.
 func (l *liar) pump(ctx context.Context) {
@@ -131,6 +151,8 @@ func (l *liar) pump(ctx context.Context) {
 	}
 	l.mu.Unlock()
 	if idleFor < l.idle {
+		claim := l.claims[l.pumps%len(l.claims)]
+		l.pumps++
 		for _, to := range l.servers {
 			for _, id := range l.ids {
 				if doSub {
@@ -141,7 +163,7 @@ func (l *liar) pump(ctx context.Context) {
 						return // port closed: the run is tearing down
 					}
 				}
-				if l.port.Send(to, forgedReceipt(id, 0, 0)) != nil {
+				if l.port.Send(to, forgedReceipt(id, claim[0], claim[1])) != nil {
 					return
 				}
 			}

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"ltnc/internal/adapt"
 	"ltnc/internal/cache"
 	"ltnc/internal/packet"
 	"ltnc/internal/session"
@@ -145,13 +146,16 @@ type Scenario struct {
 
 	// Liars adds lying-receiver actors (Adaptive swarms only): raw ports
 	// that REQ-subscribe at every source and relay for every object, drain
-	// the resulting pushes, and flood forged kind-5 receipt reports
-	// claiming they received nothing — the extortion play against the
-	// adaptive loop, trying to pin the sender's loss estimate at the
-	// ceiling and divert redundancy budget away from honest peers. The
-	// estimator's clamps (MaxLoss, budget never above the static
-	// satiation limit) must keep honest fetches completing. Requires
-	// static star wiring without caches or membership mode.
+	// the resulting pushes, and flood forged kind-5 receipt reports — the
+	// even-numbered ones claiming they received nothing (the extortion
+	// play against the adaptive loop, trying to pin the sender's loss
+	// estimate at the ceiling and divert redundancy budget away from
+	// honest peers), the odd-numbered ones over-claiming, running their
+	// counters backwards and wrapping them (the play against the paced
+	// burst). The estimator's clamps (MaxLoss, budget never above the
+	// static satiation limit, burst never above adapt.MaxBurst) must keep
+	// honest fetches completing. Requires static star wiring without
+	// caches or membership mode.
 	Liars int
 
 	// Caches inserts a tier of budgeted partial-cache sessions between
@@ -200,7 +204,7 @@ type Scenario struct {
 
 	// Session tuning (virtual durations).
 	Tick           time.Duration // default 10ms
-	Burst          int           // default 2
+	Burst          int           // default 2; BurstPaced leaves it to the receipts
 	Aggressiveness float64       // default: session default (0.01)
 	IdleTimeout    time.Duration // default: session default (60s)
 	// Adaptive turns on every session's feedback-driven coding loop
@@ -224,6 +228,14 @@ type Scenario struct {
 	MaxOverhead float64
 	WallBudget  time.Duration
 }
+
+// BurstPaced as Scenario.Burst runs every session receipt-paced — the
+// session default, session.Config.Burst unset — where the zero value keeps
+// meaning the lab's fixed two frames a tick. A paced run also checks, on
+// every DATA frame crossing the fabric, that no sender put more than
+// adapt.MaxBurst of them toward one receiver for one object into one
+// virtual instant (a push round): the cap a forged receipt cannot lift.
+const BurstPaced = -1
 
 func (sc *Scenario) setDefaults() error {
 	if sc.Seed == 0 {
@@ -299,6 +311,9 @@ func (sc *Scenario) setDefaults() error {
 	}
 	if sc.Burst == 0 {
 		sc.Burst = 2
+	}
+	if sc.Burst < BurstPaced {
+		return fmt.Errorf("simnet: burst %d invalid", sc.Burst)
 	}
 	if sc.Duration == 0 {
 		sc.Duration = 60 * time.Second
@@ -452,6 +467,20 @@ type runner struct {
 	originData  int64
 	dataFrames  int64
 	forgedData  int64
+	// rounds counts, in a paced run, the DATA frames of the push round in
+	// progress per (sender, receiver, object): frames of one round share a
+	// virtual instant.
+	rounds map[roundKey]roundCount
+}
+
+type roundKey struct {
+	from, to transport.Addr
+	obj      packet.ObjectID
+}
+
+type roundCount struct {
+	at time.Time
+	n  int
 }
 
 func (r *runner) violatef(format string, args ...any) {
@@ -653,7 +682,7 @@ func (sc Scenario) Run(ctx context.Context) (*Report, error) {
 		cfg := session.Config{
 			Transport:      port,
 			Tick:           sc.Tick,
-			Burst:          sc.Burst,
+			Burst:          max(sc.Burst, 0),
 			Aggressiveness: sc.Aggressiveness,
 			IdleTimeout:    sc.IdleTimeout,
 			Relay:          relay,
@@ -775,8 +804,12 @@ func (sc Scenario) Run(ctx context.Context) (*Report, error) {
 		for _, name := range relayNames {
 			servers = append(servers, transport.Addr(name))
 		}
-		for _, name := range liarNames {
-			ln, err := startLiar(ctx, net, name, r.ids, servers)
+		for i, name := range liarNames {
+			claims := [][2]uint32{{0, 0}} // "I received nothing", forever
+			if i%2 == 1 {
+				claims = liarClaims
+			}
+			ln, err := startLiar(ctx, net, name, claims, r.ids, servers)
 			if err != nil {
 				return nil, err
 			}
@@ -1284,6 +1317,24 @@ func (r *runner) inspect(from, to transport.Addr, frame []byte) {
 			r.maxHeader = hdr
 		}
 		r.mu.Unlock()
+	}
+	if r.sc.Burst == BurstPaced && !r.pollSet[from] {
+		r.mu.Lock()
+		if r.rounds == nil {
+			r.rounds = make(map[roundKey]roundCount)
+		}
+		key := roundKey{from, to, wv.Object}
+		c := r.rounds[key]
+		if now := r.net.Now(); !now.Equal(c.at) {
+			c = roundCount{at: now}
+		}
+		c.n++
+		r.rounds[key] = c
+		over := c.n == adapt.MaxBurst+1 // report each breached round once
+		r.mu.Unlock()
+		if over {
+			r.violatef("%s→%s: more than %d DATA frames of %v in one push round", from, to, adapt.MaxBurst, wv.Object)
+		}
 	}
 }
 

@@ -328,13 +328,24 @@ func TestScenarioPollutedSwarm(t *testing.T) {
 // TestScenarioLyingReceivers wires the lying-receiver actor into the
 // polluted-swarm harness with the adaptive loop on: 2 polluters forge
 // garbage rows while 2 liars REQ-subscribe everywhere and flood forged
-// zero-counter receipt reports, trying to extort the adaptive senders'
-// redundancy budget. The estimator's clamps must hold — every honest
-// fetch still completes byte-identically, within its per-fetch reception
-// overhead bound (enforced as run violations), with the polluters still
-// convicted. The committed polluted-swarm catalog entry stays untouched;
-// this is a clone, so its regression seeds keep replaying bytes.
+// receipt reports — one claiming nothing ever arrived, trying to extort
+// the adaptive senders' redundancy budget, one over-claiming, running its
+// counters backwards and wrapping them, trying to inflate its burst. The
+// estimator's clamps must hold — every honest fetch still completes
+// byte-identically, within its per-fetch reception overhead bound
+// (enforced as run violations), with the polluters still convicted. The
+// paced variant runs the same swarm with Burst unset, where receipts set
+// every sender's pace: on top of the above, no sender may put more than
+// adapt.MaxBurst DATA frames toward one receiver into one push round (the
+// fabric tap checks every frame), forged receipts or not. The committed
+// polluted-swarm catalog entry stays untouched; these are clones, so its
+// regression seeds keep replaying bytes.
 func TestScenarioLyingReceivers(t *testing.T) {
+	t.Run("burst2", func(t *testing.T) { runLyingReceivers(t, 0) })
+	t.Run("paced", func(t *testing.T) { runLyingReceivers(t, BurstPaced) })
+}
+
+func runLyingReceivers(t *testing.T, burst int) {
 	sc, err := Named("polluted-swarm", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -342,6 +353,7 @@ func TestScenarioLyingReceivers(t *testing.T) {
 	sc.Name = "polluted-swarm+liars"
 	sc.Adaptive = true
 	sc.Liars = 2
+	sc.Burst = burst
 	rep, err := sc.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -139,9 +139,7 @@ func (s *Switch) deliver(from, to Addr, frame []byte) error {
 	}
 	// The receiver owns the frame; copy into a pooled buffer so senders may
 	// reuse theirs. Release (or a drop on the way in) returns the buffer.
-	bufp := GetBuf()
-	data := (*bufp)[:copy(*bufp, frame)]
-	f := Frame{From: from, Data: data, release: func() { PutBuf(bufp) }}
+	f := copyFrame(from, frame)
 	if delay == 0 {
 		s.push(dst, f)
 		return nil

@@ -56,6 +56,30 @@ func PutBuf(buf *[]byte) {
 	framePool.Put(buf)
 }
 
+// smallFrame is the pool's second size class. A frame waiting in a
+// receive queue owns its buffer for as long as it waits, and a DATA frame
+// of the default geometry (1 KiB payload under a header of at most 164
+// bytes) is a sixtieth of MaxFrame: with tens of frames in flight toward
+// every receiver, full-size buffers would be most of a small swarm's
+// resident memory.
+const smallFrame = 2048
+
+var smallPool = sync.Pool{New: func() any {
+	buf := make([]byte, smallFrame)
+	return &buf
+}}
+
+// copyFrame returns a frame owning a pooled copy of data, in the smallest
+// size class that holds it.
+func copyFrame(from Addr, data []byte) Frame {
+	pool := &framePool
+	if len(data) <= smallFrame {
+		pool = &smallPool
+	}
+	bufp := pool.Get().(*[]byte)
+	return Frame{From: from, Data: (*bufp)[:copy(*bufp, data)], release: func() { pool.Put(bufp) }}
+}
+
 // Frame is one received datagram. Data is valid until Release is called;
 // receivers that keep bytes past Release must copy them. Release returns
 // pooled buffers to their transport and is safe to call once (further

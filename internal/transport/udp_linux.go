@@ -393,7 +393,6 @@ func (r *mmsgReceiver) recv(rc syscall.RawConn) (int, error) {
 // buffer under a refcount.
 func (r *mmsgReceiver) frames(j int, names *addrCache, out []Frame) []Frame {
 	bufp := r.bufs[j]
-	r.bufs[j] = nil
 	ln := int(r.hs[j].ln)
 	from := names.lookup(&r.names[j], r.hs[j].hdr.Namelen)
 	data := (*bufp)[:ln]
@@ -401,6 +400,13 @@ func (r *mmsgReceiver) frames(j int, names *addrCache, out []Frame) []Frame {
 	if r.gro {
 		seg = parseGROSegment(r.ctrls[j], int(r.hs[j].hdr.Controllen))
 	}
+	if (seg <= 0 || seg >= ln) && ln <= smallFrame {
+		// A lone small datagram moves to a buffer of its own size class
+		// and the slot keeps its MaxFrame buffer armed: the frame may wait
+		// in an ingest queue, and there it should hold 2 KiB, not 64.
+		return append(out, copyFrame(from, data))
+	}
+	r.bufs[j] = nil
 	if seg <= 0 || seg >= ln {
 		return append(out, Frame{From: from, Data: data, release: func() { PutBuf(bufp) }})
 	}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -378,5 +379,53 @@ func TestUDPStatsSnapshot(t *testing.T) {
 	}
 	if bs.BatchEnabled != batchSupported {
 		t.Fatalf("BatchEnabled = %v, batchSupported = %v", bs.BatchEnabled, batchSupported)
+	}
+}
+
+// A received frame may wait in an ingest queue for as long as its decode
+// worker is busy, and there it should hold a buffer of its own size
+// class: a small frame off the Switch or off the batched UDP path owns at
+// most smallFrame bytes, a large one still gets through intact.
+func TestSmallFramesOwnSmallBuffers(t *testing.T) {
+	sw, err := NewSwitch(SwitchConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa, err := sw.Attach("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := sw.Attach("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ua, ub := listenPair(t, UDPConfig{})
+	for _, link := range []struct {
+		name     string
+		from, to Transport
+		sized    bool
+	}{
+		{"switch", sa, sb, true},
+		{"udp", ua, ub, batchSupported},
+	} {
+		for _, n := range []int{1200, smallFrame, smallFrame + 1, 30000} {
+			payload := bytes.Repeat([]byte{byte(n)}, n)
+			if err := link.from.Send(link.to.LocalAddr(), payload); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			f, err := link.to.Recv(ctx)
+			cancel()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(f.Data, payload) {
+				t.Fatalf("%s: %d-byte frame corrupted in transit", link.name, n)
+			}
+			if link.sized && n <= smallFrame && cap(f.Data) > smallFrame {
+				t.Errorf("%s: %d-byte frame owns a %d-byte buffer, want ≤ %d", link.name, n, cap(f.Data), smallFrame)
+			}
+			f.Release()
+		}
 	}
 }

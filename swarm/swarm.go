@@ -125,8 +125,12 @@ type Config struct {
 	Relay bool
 	// Tick is the push period (default 2ms).
 	Tick time.Duration
-	// Burst is how many packets are pushed per object, target and tick
-	// (default 1).
+	// Burst, when positive, is a fixed number of packets pushed per object,
+	// target and tick. Zero (the default) lets each peer's receipt reports
+	// set it: the burst toward a peer starts at a few packets a tick,
+	// doubles while the reports show the packets arriving, halves on a
+	// loss step or when the reports stop, and stays between 1 and 32 — a
+	// peer that never reports is pushed one packet a tick.
 	Burst int
 	// Aggressiveness gates recoding as in the paper (default 0.01): a
 	// relay starts recoding an object once it holds K·Aggressiveness + 1
@@ -182,12 +186,13 @@ type Config struct {
 	// ltnc.WithRefinement(false) and ltnc.WithRedundancyDetection(false)
 	// disable the corresponding algorithms (experiments only).
 	Node []ltnc.Option
-	// Adaptive turns on the feedback-driven adaptive coding loop: the
-	// session emits receipt reports for what it receives, estimates
-	// per-peer link loss from the reports it gets back, and tunes its
-	// push path online — a systematic first pass of plain native rows
-	// per generation and a loss-scaled redundancy budget. Off by
-	// default: a non-adaptive session's wire behavior is unchanged.
+	// Adaptive turns on the coding controls of the feedback loop. Every
+	// session emits receipt reports for what it receives and estimates
+	// per-peer link loss from the reports it gets back (that is what
+	// paces the push, see Burst); Adaptive additionally tunes the push
+	// path from the estimate — a systematic first pass of plain native
+	// rows per generation and a loss-scaled redundancy budget. Off by
+	// default.
 	Adaptive bool
 	// Clock is the time source behind every session timer — push ticks,
 	// META resend, idle eviction, fetch retries. Default: the system
