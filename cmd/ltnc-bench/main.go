@@ -11,8 +11,8 @@
 // EXPERIMENTS.md for the recorded curve.
 //
 // With -adapt it instead sweeps the adaptive-loop overhead-vs-loss
-// grid: total DATA frames for the static, systematic-only and fully
-// adaptive sender on an identical single-path swarm at each link loss
+// grid: total DATA frames for the static and the adaptive (loss-tuned
+// budget) sender on an identical single-path swarm at each link loss
 // rate, written to ADAPT_curve.json (also archived by CI). See
 // EXPERIMENTS.md for the recorded grid.
 //
@@ -103,8 +103,8 @@ func runOffload(out *os.File, budgetsArg, outPath string, seed int64) error {
 }
 
 // runAdapt sweeps the overhead-vs-loss grid and prints it as a table:
-// what each adaptive control tier saves (or costs) against the static
-// sender at each loss rate.
+// what the loss-tuned budget saves (or costs) against the static sender
+// at each loss rate.
 func runAdapt(out *os.File, lossesArg, outPath string, seed int64) error {
 	var losses []float64
 	for _, part := range strings.Split(lossesArg, ",") {
@@ -162,7 +162,7 @@ func run(args []string, out *os.File) error {
 		offload    = fs.String("offload", "", "sweep the edge-cache offload curve over these cache budgets in bytes (comma list) instead of the decode bench")
 		offloadOut = fs.String("offload-out", "OFFLOAD_cache.json", "offload curve output JSON path (empty: stdout only)")
 
-		adapt       = fs.Bool("adapt", false, "sweep the adaptive-loop overhead-vs-loss grid (static vs systematic vs adaptive) instead of the decode bench")
+		adapt       = fs.Bool("adapt", false, "sweep the adaptive-loop overhead-vs-loss grid (static vs adaptive) instead of the decode bench")
 		adaptLosses = fs.String("adapt-losses", "0,0.05,0.20,0.40", "loss rates for the -adapt sweep (comma list)")
 		adaptOut    = fs.String("adapt-out", "ADAPT_curve.json", "adaptive sweep output JSON path (empty: stdout only)")
 

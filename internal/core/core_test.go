@@ -565,3 +565,52 @@ func BenchmarkRecodeSeeded2048(b *testing.B) {
 		}
 	}
 }
+
+// TestDecodeLog: the log lists each decoded native once, in the order it
+// was recovered — 0..k−1 for a seeded source, and at every step of a
+// random LT stream a permutation of exactly the decoded set.
+func TestDecodeLog(t *testing.T) {
+	const k, m = 64, 8
+	rng := rand.New(rand.NewSource(7))
+	natives := randomNatives(rng, k, m)
+	src := mustNode(t, Options{K: k, M: m, Rng: rng})
+	if len(src.DecodeLog()) != 0 {
+		t.Fatalf("fresh node logs %v", src.DecodeLog())
+	}
+	if err := src.Seed(natives); err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range src.DecodeLog() {
+		if int(x) != i {
+			t.Fatalf("seeded log[%d] = %d, want the natives in order", i, x)
+		}
+	}
+	if len(src.DecodeLog()) != k {
+		t.Fatalf("seeded log holds %d entries, want %d", len(src.DecodeLog()), k)
+	}
+
+	dst := mustNode(t, Options{K: k, M: m, Rng: rand.New(rand.NewSource(8))})
+	for sent := 0; !dst.Complete(); sent++ {
+		if sent > 20*k {
+			t.Fatal("receiver never completed")
+		}
+		z, ok := src.Recode()
+		if !ok {
+			t.Fatal("source cannot recode")
+		}
+		before := len(dst.DecodeLog())
+		res := dst.Receive(z)
+		log := dst.DecodeLog()
+		if len(log) != before+res.NewlyDecoded || len(log) != dst.DecodedCount() {
+			t.Fatalf("log grew %d → %d on a packet that decoded %d natives (%d decoded in all)",
+				before, len(log), res.NewlyDecoded, dst.DecodedCount())
+		}
+		seen := make(map[int32]bool, len(log))
+		for _, x := range log {
+			if seen[x] || !dst.IsDecoded(int(x)) {
+				t.Fatalf("log entry %d: duplicate %v, decoded %v", x, seen[x], dst.IsDecoded(int(x)))
+			}
+			seen[x] = true
+		}
+	}
+}

@@ -115,6 +115,10 @@ type Node struct {
 
 	stats Stats
 
+	// log lists the decoded natives in the order they were recovered: what
+	// a relay can forward plainly, as it becomes able to (DecodeLog).
+	log []int32
+
 	// Scratch buffers reused across recodes.
 	scratchIDs []int
 	scratchVec *bitvec.Vector
@@ -153,6 +157,7 @@ func NewNode(opts Options) (*Node, error) {
 		},
 		Decoded: func(x int) {
 			n.cc.MarkDecoded(x)
+			n.log = append(n.log, int32(x))
 		},
 		DegreeTwo: func(x, y int, payload []byte) {
 			n.cc.AddPair(x, y, payload)
@@ -237,6 +242,12 @@ func (n *Node) PrunedStored() int { return n.dec.PrunedStored() }
 
 // StoredCount returns the number of packets in the Tanner graph.
 func (n *Node) StoredCount() int { return n.dec.StoredCount() }
+
+// DecodeLog returns the decoded natives in decode order — 0..k−1 for a
+// seeded source, belief propagation's peeling order for a receiver. The
+// slice is a read-only view that grows, in place or not, with every
+// packet fed in: index it afresh after each.
+func (n *Node) DecodeLog() []int32 { return n.log }
 
 // IsDecoded reports whether native x is decoded.
 func (n *Node) IsDecoded(x int) bool { return n.dec.IsDecoded(x) }

@@ -7,13 +7,12 @@ import (
 	"os"
 	"time"
 
-	"ltnc/internal/session"
 	"ltnc/internal/simnet"
 )
 
 // AdaptParams configures the overhead-vs-loss sweep: one single-path
 // swarm per (loss, mode) point, identical except for the link loss and
-// which adaptive controls the sessions run.
+// whether the sessions run the loss-tuned redundancy budget.
 type AdaptParams struct {
 	// Losses are the symmetric link loss rates to sweep (defaults
 	// 0, 0.05, 0.20, 0.40 — the EXPERIMENTS.md grid).
@@ -51,17 +50,14 @@ func (p *AdaptParams) setDefaults() error {
 	return nil
 }
 
-// adaptModes are the three sender configurations the sweep compares at
-// every loss point: the static baseline, the systematic first pass
-// alone, and the full adaptive loop (receipts driving the systematic
-// pass and the redundancy budget).
+// adaptModes are the two sender configurations the sweep compares at
+// every loss point: the static satiation budget and the loss-tuned one.
+// Both run the systematic first pass — every sender does.
 var adaptModes = []struct {
 	Name     string
 	Adaptive bool
-	Controls session.AdaptControls
 }{
 	{Name: "static"},
-	{Name: "systematic", Adaptive: true, Controls: session.AdaptSystematic},
 	{Name: "adaptive", Adaptive: true},
 }
 
@@ -69,8 +65,7 @@ var adaptModes = []struct {
 type AdaptPoint struct {
 	// Loss is the symmetric per-link loss rate for this run.
 	Loss float64 `json:"loss"`
-	// Mode names the sender configuration (static / systematic /
-	// adaptive).
+	// Mode names the sender configuration (static / adaptive).
 	Mode string `json:"mode"`
 	// DataFrames counts every DATA frame put on the fabric before all
 	// fetches completed — the wire cost the adaptive loop exists to cut.
@@ -104,14 +99,13 @@ func (r AdaptReport) WriteJSON(path string) error {
 }
 
 // RunAdaptCurve measures total DATA frames as a function of link loss
-// for the three sender modes on an identical single-path swarm: one
+// for the two sender modes on an identical single-path swarm: one
 // source feeding one relay feeding each fetcher (PeersPerFetcher 1, so
 // the per-peer control loop is isolated — no second sender's stream to
-// blur attribution). At low loss the systematic pass carries the win:
-// natives go out once as degree-1 rows and the coded repair tail is
-// skipped almost entirely. As loss grows, repair dominates and the
-// budget control must hold the line — the adaptive rows may not
-// sit materially above static.
+// blur attribution). At low loss natives go out once as degree-1 rows
+// and the coded repair tail is skipped almost entirely, in both modes.
+// As loss grows, repair dominates and the budget control must hold the
+// line — the adaptive rows may not sit materially above static.
 func RunAdaptCurve(p AdaptParams) (AdaptReport, error) {
 	if err := p.setDefaults(); err != nil {
 		return AdaptReport{}, err
@@ -127,7 +121,6 @@ func RunAdaptCurve(p AdaptParams) (AdaptReport, error) {
 				Objects:         []simnet.ObjectSpec{{Size: p.Size, K: p.K}},
 				PeersPerFetcher: 1,
 				Adaptive:        mode.Adaptive,
-				AdaptControls:   mode.Controls,
 				Link:            simnet.LinkConfig{Loss: loss, Latency: 3 * time.Millisecond},
 				Duration:        120 * time.Second,
 			}

@@ -274,11 +274,17 @@ func (c *Coder) Recode(skip func(g int) bool) (*packet.Packet, bool) {
 	return nil, false
 }
 
+// DecodeLog returns generation g's natives, as indices within the
+// generation, in the order they were decoded here: 0..KPer−1 for a seeded
+// source, empty again after ResetGen(g). A read-only view (see
+// core.Node.DecodeLog).
+func (c *Coder) DecodeLog(g int) []int32 { return c.gens[g].DecodeLog() }
+
 // NativeRow returns native row x (in global content order, 0 ≤ x < K) as
-// a degree-1 packet stamped for its generation — the unit of the adaptive
-// push path's systematic first pass: each native is emitted plainly once,
-// and coded repair only covers what the link then loses. The bool is
-// false while the owning generation has not decoded that native. The
+// a degree-1 packet stamped for its generation — the unit of the push
+// path's systematic first pass: each native is emitted plainly once, and
+// coded repair only covers what the link then loses. The bool is false
+// while the owning generation has not decoded that native. The
 // packet owns its payload (packet.Native copies), so it stays valid
 // across later decode activity, including a quarantine ResetGen.
 func (c *Coder) NativeRow(x int) (*packet.Packet, bool) {
@@ -350,9 +356,9 @@ func (c *Coder) GenData(g int) ([][]byte, error) {
 // with a fresh empty node — the session's pollution quarantine: when a
 // completed generation fails manifest verification there is no way to
 // tell which rows were forged, so the generation is re-fetched from
-// scratch. The new node draws from the same deterministic child stream
-// as the old one; the received counter is NOT rolled back (the wasted
-// packets are real reception overhead).
+// scratch, and DecodeLog(g) starts over empty. The new node draws from the
+// same deterministic child stream as the old one; the received counter is
+// NOT rolled back (the wasted packets are real reception overhead).
 func (c *Coder) ResetGen(g int) error {
 	if g < 0 || g >= len(c.gens) {
 		return fmt.Errorf("%w: generation %d of %d", ErrBadGeneration, g, len(c.gens))

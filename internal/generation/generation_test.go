@@ -412,3 +412,77 @@ func TestCompletedGenerationForgetsWhatItSent(t *testing.T) {
 		t.Errorf("natives sent before completion make up %.3f of the occurrences after it, want ≈ 0.25", share)
 	}
 }
+
+// TestDecodeLogPerGeneration: every generation keeps its own decode-order
+// log — 0..k/G−1 after Seed, a permutation of the generation's decoded set
+// through a random stream — and ResetGen empties the one it rebuilds.
+func TestDecodeLogPerGeneration(t *testing.T) {
+	const (
+		g    = 3
+		kPer = 24
+		m    = 8
+	)
+	rng := rand.New(rand.NewSource(5))
+	src, err := New(Options{Generations: g, KPerGeneration: kPer, M: m, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Seed(randomNatives(rng, g*kPer, m)); err != nil {
+		t.Fatal(err)
+	}
+	for gen := 0; gen < g; gen++ {
+		log := src.DecodeLog(gen)
+		if len(log) != kPer {
+			t.Fatalf("seeded generation %d logs %d natives, want %d", gen, len(log), kPer)
+		}
+		for i, x := range log {
+			if int(x) != i {
+				t.Fatalf("seeded generation %d log[%d] = %d, want the natives in order", gen, i, x)
+			}
+		}
+	}
+
+	dst, err := New(Options{Generations: g, KPerGeneration: kPer, M: m, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sent := 0; !dst.Complete(); sent++ {
+		if sent > 40*g*kPer {
+			t.Fatal("receiver never completed")
+		}
+		z, ok := src.Recode(nil)
+		if !ok {
+			t.Fatal("source cannot recode")
+		}
+		if _, err := dst.Receive(z); err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for gen := 0; gen < g; gen++ {
+			seen := make(map[int32]bool)
+			for _, x := range dst.DecodeLog(gen) {
+				if seen[x] {
+					t.Fatalf("generation %d logs native %d twice", gen, x)
+				}
+				seen[x] = true
+				if _, ok := dst.NativeRow(gen*kPer + int(x)); !ok {
+					t.Fatalf("generation %d logs native %d, which is not decoded", gen, x)
+				}
+			}
+			total += len(seen)
+		}
+		if total != dst.DecodedCount() {
+			t.Fatalf("logs hold %d natives, %d are decoded", total, dst.DecodedCount())
+		}
+	}
+
+	if err := dst.ResetGen(1); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(dst.DecodeLog(1)); n != 0 {
+		t.Fatalf("generation 1 logs %d natives after ResetGen", n)
+	}
+	if len(dst.DecodeLog(0)) != kPer || len(dst.DecodeLog(2)) != kPer {
+		t.Fatal("ResetGen(1) touched another generation's log")
+	}
+}

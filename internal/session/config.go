@@ -10,21 +10,6 @@ import (
 	"ltnc/internal/transport"
 )
 
-// AdaptControls is a bitmask selecting which adaptive controls an
-// adaptive session runs; zero selects all of them.
-type AdaptControls uint8
-
-const (
-	// AdaptSystematic: the systematic first pass — every decoded native
-	// is pushed once as a degree-1 row per peer before coded repair.
-	AdaptSystematic AdaptControls = 1 << iota
-	// AdaptBudget: the satiation budget follows the estimated link loss
-	// instead of the static satiationLimit constant.
-	AdaptBudget
-
-	adaptAll = AdaptSystematic | AdaptBudget
-)
-
 // maxPeersPerObject bounds one object's peer table (REQ subscribers plus
 // feedback/steering state): at capacity a fresh REQ evicts a completed
 // or stalest subscriber, or is dropped. Without the bound the map grows
@@ -145,20 +130,16 @@ type Config struct {
 	// selects a role-derived default: 200 for relays, 160 for caches, 16
 	// otherwise.
 	Capacity uint8
-	// Adaptive turns on the coding controls of the feedback loop (DESIGN.md
-	// §16). Every session emits kind-5 receipt reports (cumulative rows
-	// received / rows innovative per sender) and feeds the ones it gets to
-	// a per-(peer, object) estimator (internal/adapt) — that much is
-	// unconditional, it is what paces the push. Adaptive adds the two
-	// online controls the loss estimate drives: a systematic first pass
-	// per generation (each decoded native goes out once as a degree-1 row
-	// before coded repair) and a satiation budget tuned from estimated
-	// loss instead of the static constant. Off by default.
+	// Adaptive tunes the satiation budget from the estimated link loss
+	// instead of the static constant (DESIGN.md §16). The rest of the
+	// feedback loop is unconditional: every session emits kind-5 receipt
+	// reports (cumulative rows received / rows innovative per sender) and
+	// feeds the ones it gets to a per-(peer, object) estimator
+	// (internal/adapt), which paces the push; and every sender runs the
+	// systematic first pass (each decoded native goes out once per peer as
+	// a degree-1 row, in the order it was decoded, before coded repair).
+	// Off by default.
 	Adaptive bool
-	// AdaptControls selects individual adaptive controls when Adaptive is
-	// set; 0 means all. Used by experiments to isolate the systematic
-	// pass from the estimator-driven controls.
-	AdaptControls AdaptControls
 	// Clock is the time source behind every session timer — push ticks,
 	// META resend, idle eviction, satiation backoff, fetch retries.
 	// Default: the system clock. Simulations (internal/simnet) inject a
@@ -261,12 +242,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.Fanout < 1 {
 		return fmt.Errorf("session: fanout %d < 1", c.Fanout)
-	}
-	if c.Adaptive && c.AdaptControls == 0 {
-		c.AdaptControls = adaptAll
-	}
-	if !c.Adaptive {
-		c.AdaptControls = 0
 	}
 	if c.Seed == 0 && !c.HaveSeed {
 		c.Seed = 1

@@ -332,7 +332,7 @@ func (st *objectState) onCacheAdLocked(from transport.Addr, body []byte, now tim
 func (s *Session) onRedundantLocked(ps *peerState) {
 	ps.consecRedund++
 	limit := satiationLimit
-	if s.cfg.AdaptControls&AdaptBudget != 0 {
+	if s.cfg.Adaptive {
 		// Adaptive budget: on a clean link a redundancy streak means
 		// satiation and the pause comes early; under loss the same
 		// streak is mostly noise and the full static budget applies.
@@ -409,18 +409,18 @@ func (st *objectState) recordCacheAdLocked(from transport.Addr, ad cacheAd) {
 }
 
 // satiationBackoff is how long pushes to a satiated peer pause: the time
-// a hundred frames take at the peer's pace. With a fixed Config.Burst
-// that is a hundred ticks whatever the burst (the pause every version
-// took); a receipt-paced peer reaches the abort limit burst times sooner
-// and pauses burst times shorter — at 32 rows a tick, two ticks of aborts
-// must not buy a pause as long as a whole fetch — but never under two
-// ticks.
+// a hundred frames take at the peer's burst — the fixed Config.Burst, or
+// what its receipts have earned — but never under two ticks. A peer pushed
+// burst rows a tick reaches the abort limit burst times sooner and must
+// pause burst times shorter: a paused sender triggers no receipts, so
+// nothing lifts the pause early, and behind a systematic pass a
+// near-complete receiver aborts most repair rows.
 func (s *Session) satiationBackoff(ps *peerState) time.Duration {
-	d := max(100*s.cfg.Tick, 50*time.Millisecond)
-	if s.cfg.Burst == 0 {
-		d = max(d/time.Duration(ps.link.Burst()), 2*s.cfg.Tick)
+	burst := s.cfg.Burst
+	if burst == 0 {
+		burst = ps.link.Burst()
 	}
-	return d
+	return max(max(100*s.cfg.Tick, 50*time.Millisecond)/time.Duration(burst), 2*s.cfg.Tick)
 }
 
 // metaFrame encodes a META for st: the gens-absent legacy form for

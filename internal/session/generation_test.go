@@ -64,8 +64,8 @@ func TestGenerationTransfer(t *testing.T) {
 
 // TestGenFeedbackSteersPush: after a peer reports generation 0 complete
 // (kind-3 feedback), every subsequent push toward it must carry other
-// generations only — the completed generation's redundancy stream is
-// aborted at the sender.
+// generations only — whatever is left of the completed generation's
+// systematic pass is passed over, and its redundancy stream never starts.
 func TestGenFeedbackSteersPush(t *testing.T) {
 	const (
 		k    = 64
@@ -77,7 +77,7 @@ func TestGenFeedbackSteersPush(t *testing.T) {
 	}
 	srcTr := attach(t, sw, "src")
 	peerTr := attach(t, sw, "peer")
-	cfg := Config{Transport: srcTr, Tick: time.Hour, Seed: 7} // manual pushes only
+	cfg := Config{Transport: srcTr, Tick: time.Hour, Burst: 4, Seed: 7} // manual pushes only
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -106,34 +106,39 @@ func TestGenFeedbackSteersPush(t *testing.T) {
 		}
 	}
 
-	// Before feedback: pushes round-robin, both generations appear.
-	seen := map[uint32]int{}
-	for i := 0; i < 8; i++ {
-		s.push()
-	}
-	for _, h := range drain() {
-		seen[h.Generation]++
-	}
-	if seen[0] == 0 || seen[1] == 0 {
-		t.Fatalf("expected both generations before feedback, saw %v", seen)
+	// Before feedback: the systematic pass walks generation 0 first, in
+	// order, a quarter of it in these two pushes.
+	s.push()
+	s.push()
+	for i, h := range drain() {
+		if h.Generation != 0 || h.Vec.PopCount() != 1 || h.Vec.LowestSet() != i {
+			t.Fatalf("row %d of the pass: generation %d, vector %v; want native %d of generation 0", i, h.Generation, h.Vec, i)
+		}
 	}
 
-	// Peer reports generation 0 complete.
+	// Peer reports generation 0 complete, three quarters of its pass unsent.
 	id := s.Objects()[0].ID
 	s.handleFrame(transport.NewFrame("peer", genFeedbackFrame(id, 0), nil))
 
-	seen = map[uint32]int{}
+	seen := map[uint32]int{}
 	for i := 0; i < 16; i++ {
 		s.push()
 	}
+	coded := 0
 	for _, h := range drain() {
 		seen[h.Generation]++
+		if h.Vec.PopCount() > 1 {
+			coded++
+		}
 	}
 	if seen[0] != 0 {
 		t.Fatalf("generation 0 still pushed after completion feedback: %v", seen)
 	}
-	if seen[1] == 0 {
-		t.Fatalf("generation 1 starved after feedback for generation 0: %v", seen)
+	if seen[1] != 16*cfg.Burst {
+		t.Fatalf("generation 1 got %d rows of %d after feedback for generation 0: %v", seen[1], 16*cfg.Burst, seen)
+	}
+	if coded == 0 {
+		t.Fatalf("no coded repair followed generation 1's %d-row pass in %d rows", k/gens, seen[1])
 	}
 }
 

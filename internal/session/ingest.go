@@ -391,6 +391,7 @@ func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActio
 		st.coder.ReleaseVec(g, vec)
 		return nil, false
 	}
+	plain := -1 // the native this row carries in the clear, once it matched its digest
 	if st.man != nil && vec.PopCount() == 1 && st.man.K() == st.k && st.man.M() == st.m {
 		// A degree-1 row over GF(2) is a native payload in the clear, so a
 		// held manifest makes it checkable on arrival. A digest mismatch is
@@ -398,15 +399,20 @@ func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActio
 		// ban, no quarantine or probe round-trip. Dense forged rows still
 		// get caught at generation completion; this closes the polluter's
 		// cheapest move — spraying forged unit rows — before they poison a
-		// decode.
+		// decode. A match is the native's proof (objectState.proof): behind
+		// a systematic upstream a relay hashes each native here, once, and
+		// forwards it from the next push on.
 		idx := g*st.kPer + vec.LowestSet()
-		if pay := in.wv.PayloadBytes(data); idx < st.k && len(pay) == st.m && st.man.Verify(idx, pay) != nil {
-			st.coder.ReleaseVec(g, vec)
-			st.aborted++
-			if st.solicitedPeer(in.f.From) {
-				acts.bans = append(acts.bans, in.f.From)
+		if pay := in.wv.PayloadBytes(data); idx < st.k && len(pay) == st.m {
+			if st.man.Verify(idx, pay) != nil {
+				st.coder.ReleaseVec(g, vec)
+				st.aborted++
+				if st.solicitedPeer(in.f.From) {
+					acts.bans = append(acts.bans, in.f.From)
+				}
+				return nil, false
 			}
-			return nil, false
+			plain = idx
 		}
 	}
 	// The code vector has been read; if it is redundant the payload is
@@ -424,6 +430,9 @@ func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActio
 	_, genDone := st.coder.ReceiveOwned(g, vec, payload)
 	st.received++
 	st.noteContribLocked(g, in.f.From)
+	if plain >= 0 {
+		st.proof[plain] = proofGood // not redundant, so decoded as received
+	}
 	if genDone {
 		if !s.verifyGenLocked(st, g, acts) {
 			// Quarantined: no feedback — upstream must keep streaming this

@@ -128,6 +128,7 @@ func (st *objectState) ensurePollLocked() {
 	n := st.coder.Generations()
 	if len(st.verified) != n {
 		st.verified = make([]bool, n)
+		st.proof = make([]uint8, st.k)
 		st.tainted = make([]bool, n)
 		st.contrib = make([]map[transport.Addr]int, n)
 		st.probe = make([]transport.Addr, n)
@@ -191,7 +192,30 @@ func (st *objectState) dropManifestLocked() {
 	for g := range st.tainted {
 		st.tainted[g] = false
 	}
+	clear(st.proof) // proofs made on a forged manifest's word are void
 	clear(st.genNatives)
+}
+
+// Per-native proof states (objectState.proof); the zero value is "not
+// checked yet".
+const (
+	proofGood = 1 + iota
+	proofBad
+)
+
+// nativeProvenLocked reports whether pay, the decoded payload of native x,
+// matches the manifest's digest for it, hashing it the first time only. A
+// decoded native never changes short of a ResetGen, which clears its
+// generation's bits. st.mu must be held and the manifest be in hand.
+func (st *objectState) nativeProvenLocked(x int, pay []byte) bool {
+	st.ensurePollLocked()
+	if st.proof[x] == 0 {
+		st.proof[x] = proofGood
+		if st.man.Verify(x, pay) != nil {
+			st.proof[x] = proofBad
+		}
+	}
+	return st.proof[x] == proofGood
 }
 
 // manifestFrames splits one encoded manifest into ready-to-send MANIFEST
@@ -241,7 +265,7 @@ func (s *Session) verifyGenLocked(st *objectState, g int, acts *pollActions) boo
 	}
 	base := g * st.kPer
 	for i, nat := range natives {
-		if st.man.Verify(base+i, nat) != nil {
+		if !st.nativeProvenLocked(base+i, nat) {
 			if !s.quarantineGenLocked(st, g, true, acts) {
 				// The manifest, not the data, was the forgery: the
 				// generation stands, unverified, and the content-ID check
@@ -317,6 +341,12 @@ func (s *Session) quarantineGenLocked(st *objectState, g int, convict bool, acts
 		st.suspicion[addr] += rows
 	}
 	st.coder.ResetGen(g)
+	// The generation's log starts over with its decoder, and what was
+	// proven of the old natives says nothing about the new ones.
+	if st.sysMerged != nil {
+		st.sysMerged[g] = 0
+	}
+	clear(st.proof[g*st.kPer : (g+1)*st.kPer])
 	st.tainted[g] = true
 	st.verified[g] = false
 	delete(st.genNatives, g)

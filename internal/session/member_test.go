@@ -71,16 +71,16 @@ func TestMembershipDiscoveryFetch(t *testing.T) {
 		if slices.Contains(ms.View, "client") {
 			t.Fatal("view contains self")
 		}
-		if slices.Contains(ms.View, "src") && slices.Contains(ms.View, "relay") {
+		// Neighbors are re-selected on the shuffle cadence, which a fetch
+		// this size can finish inside of: wait for the selection too.
+		if slices.Contains(ms.View, "src") && slices.Contains(ms.View, "relay") && len(client.Neighbors()) > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("view never converged: %v", ms.View)
+			t.Fatalf("view never converged, or no neighbors were selected from it: view %v, neighbors %v",
+				ms.View, client.Neighbors())
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-	if len(client.Neighbors()) == 0 {
-		t.Fatal("no neighbors selected from a populated view")
 	}
 }
 

@@ -283,3 +283,166 @@ func TestRelayRemembersEarlyREQ(t *testing.T) {
 		t.Errorf("a fetch-only session registered %d objects from a stranger's REQ", n)
 	}
 }
+
+// TestSatiationPauseScalesWithBurst: one rule for every peer — a satiated
+// peer is paused for the time a hundred frames take at its burst, fixed
+// (Config.Burst) or earned (its receipts), and never under two ticks. A
+// paused sender triggers no receipts, so nothing lifts the pause early: at
+// 20 frames a tick a pause of a hundred ticks would be a fetch's worth of
+// silence bought by three ticks of aborts.
+func TestSatiationPauseScalesWithBurst(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		burst     int // Config.Burst; 0 = paced, at the cap by the time it satiates
+		wantTicks int
+	}{
+		{"fixed-20", 20, 5},
+		{"fixed-1", 1, 100},
+		{"fixed-200", 200, 2},
+		{"paced-at-cap", 0, (100 + adapt.MaxBurst - 1) / adapt.MaxBurst},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, rec, clk := pushSession(t, "src", func(c *Config) { c.Burst = tc.burst })
+			id, err := s.Serve(testContent(4096*16, 37), 4096, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			injectFrame(s, "sub", encodeReq(id))
+			got := uint32(0)
+			for tick := 0; tick < 12; tick++ { // a paced peer earns the cap first
+				pushTicks(s, clk, 1)
+				_, _, n := frameCounts(rec.take()["sub"])
+				if got += uint32(n); tc.burst == 0 {
+					injectFrame(s, "sub", receiptFrame(id, 0, got, got))
+				}
+			}
+			for i := 0; i < satiationLimit; i++ {
+				injectFrame(s, "sub", feedbackFrame(id, fbRedundant))
+			}
+			quiet := 0
+			for ; quiet < 1000; quiet++ {
+				pushTicks(s, clk, 1)
+				if _, _, n := frameCounts(rec.take()["sub"]); n > 0 {
+					break
+				}
+			}
+			if quiet != tc.wantTicks {
+				t.Errorf("satiated peer paused for %d ticks, want %d", quiet, tc.wantTicks)
+			}
+		})
+	}
+}
+
+// pacedChain is source → relay → fetcher (or source → fetcher), Burst
+// unset, on one virtual clock: each step is one tick on every node, and
+// what they emitted is then carried one hop, minus what the link loses.
+type pacedChain struct {
+	names []transport.Addr
+	nodes []*Session
+	recs  []*recTransport
+	clk   *transport.VClock
+	id    packet.ObjectID
+	lose  func(from, to transport.Addr, frame []byte) bool
+}
+
+func newPacedChain(t *testing.T, relayed bool, k, m int, seed int64, mut func(*Config)) *pacedChain {
+	t.Helper()
+	c := &pacedChain{names: []transport.Addr{"src", "dst"}, clk: transport.NewVClock()}
+	if relayed {
+		c.names = []transport.Addr{"src", "relay", "dst"}
+	}
+	for _, name := range c.names {
+		s, rec, _ := pushSession(t, name, func(cfg *Config) {
+			cfg.Burst, cfg.Clock, cfg.Relay = 0, c.clk, name == "relay"
+			if mut != nil {
+				mut(cfg)
+			}
+		})
+		c.nodes, c.recs = append(c.nodes, s), append(c.recs, rec)
+	}
+	id, err := c.nodes[0].Serve(testContent(k*m, seed), k, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.id = id
+	last := len(c.nodes) - 1
+	c.nodes[last].Watch(id, func(ObjectStats) {}) // a fetch-only session decodes what it asked for
+	if relayed {
+		c.nodes[0].AddPeer("relay")
+	}
+	injectFrame(c.nodes[last-1], "dst", encodeReq(id))
+	return c
+}
+
+// step runs one tick and returns the DATA frames each node emitted in it.
+func (c *pacedChain) step() (data map[transport.Addr]int) {
+	for _, s := range c.nodes {
+		s.push()
+	}
+	c.clk.Advance(c.nodes[0].cfg.Tick)
+	// Collect the whole tick's output before delivering any of it: a frame
+	// crosses one hop per tick.
+	out := make([]map[transport.Addr][][]byte, len(c.nodes))
+	for i, rec := range c.recs {
+		out[i] = rec.take()
+	}
+	data = make(map[transport.Addr]int)
+	for i, from := range c.names {
+		for j, to := range c.names {
+			for _, f := range out[i][to] {
+				if f[0] == frameData {
+					data[from]++
+				}
+				if c.lose == nil || !c.lose(from, to, f) {
+					injectFrame(c.nodes[j], from, f)
+				}
+			}
+		}
+	}
+	return data
+}
+
+func (c *pacedChain) fetched() ObjectStats {
+	st, _ := c.nodes[len(c.nodes)-1].Object(c.id)
+	return st
+}
+
+// TestRelayCutThrough: source → relay → fetcher, paced, lossless. The
+// relay forwards what it decodes the tick after it decodes it — it does
+// not wait for the generation, only for the aggressiveness gate's first
+// k/100 rows, three ticks of a burst still ramping — so a second hop costs
+// a few ticks, not a second transfer, and the fetcher needs nothing beyond
+// the k plain rows.
+func TestRelayCutThrough(t *testing.T) {
+	const k, m, seed = 1024, 16, 38
+	run := func(relayed bool) (ticks, firstIn, firstOut int, stats ObjectStats) {
+		c := newPacedChain(t, relayed, k, m, seed, nil)
+		firstIn, firstOut = -1, -1
+		for ; ticks < 1000 && !c.fetched().Complete; ticks++ {
+			data := c.step()
+			if firstIn < 0 && relayed && data["src"] > 0 {
+				firstIn = ticks
+			}
+			if firstOut < 0 && data["relay"] > 0 {
+				firstOut = ticks
+			}
+		}
+		return ticks, firstIn, firstOut, c.fetched()
+	}
+	direct, _, _, _ := run(false)
+	relayed, in, out, stats := run(true)
+	t.Logf("direct fetch %d ticks; through the relay %d ticks, first DATA in at tick %d, out at tick %d, overhead %.3f",
+		direct, relayed, in, out, stats.Overhead())
+	if !stats.Complete {
+		t.Fatalf("fetch through the relay incomplete after %d ticks", relayed)
+	}
+	if in < 0 || out < 0 || out-in > 3 {
+		t.Errorf("relay's first DATA out at tick %d, first DATA in at tick %d: want out within 3 ticks of in", out, in)
+	}
+	if float64(relayed) > 1.3*float64(direct) {
+		t.Errorf("fetch through the relay took %d ticks, direct %d: want within 1.3×", relayed, direct)
+	}
+	if stats.Overhead() > 1.02 {
+		t.Errorf("fetcher overhead %.3f on a lossless fabric, want ≤ 1.02", stats.Overhead())
+	}
+}

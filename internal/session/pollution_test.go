@@ -255,3 +255,124 @@ func TestDropOnePeerVictimOrdering(t *testing.T) {
 		t.Fatal("configured push peer vanished")
 	}
 }
+
+// TestRelayEmitsOnlyProvenRows is the emit oracle for the taint gate's
+// native grain: a relay that holds the manifest forwards decoded natives
+// before their generation can be verified, so every DATA frame it emits —
+// whatever mix of true rows, forged unit rows and forged dense rows it was
+// fed — must carry exactly the XOR of the TRUE natives its vector names.
+// A false native belief propagation peeled out of a forged dense row never
+// leaves; its generation quarantines when it completes, emits nothing
+// while quarantined, and serves again, coded rows included, once a clean
+// refill has verified.
+func TestRelayEmitsOnlyProvenRows(t *testing.T) {
+	const k, m = 32, 48
+	content := testContent(k*m, 41)
+	src, srcRec, srcClk := pushSession(t, "src", nil)
+	src.AddPeer("relay")
+	id, err := src.Serve(content, k, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relay, rec, clk := pushSession(t, "relay", func(c *Config) { c.Relay = true; c.Burst = 4 })
+	// META and manifest come from the source's opening round; its DATA is
+	// replaced by the hand-made mix below.
+	pushTicks(src, srcClk, 1)
+	feed(relay, srcRec, frameData)
+	injectFrame(relay, "sub", encodeReq(id))
+	st := relay.objects[id]
+	if st.man == nil {
+		t.Fatal("set-up: the relay holds no manifest")
+	}
+	in := func(forged bool, idx ...int) {
+		injectFrame(relay, "src", handRow(t, id, content, 1, k, 0, forged, idx...))
+	}
+	plain, coded := map[int]int{}, 0 // degree-1 rows emitted per native, coded rows emitted
+	push := func(ticks int) (data int) {
+		t.Helper()
+		for ; ticks > 0; ticks-- {
+			pushTicks(relay, clk, 1)
+			for _, f := range rec.take()["sub"] {
+				if f[0] != frameData {
+					continue
+				}
+				data++
+				if !trueRow(t, content, m, f) {
+					t.Fatalf("the relay emitted a row that is not the XOR of the true natives it names: %x", f[:48])
+				}
+				h, err := packet.ReadHeader(bytes.NewReader(f[1:]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if h.Vec.PopCount() == 1 {
+					plain[h.Vec.LowestSet()]++
+				} else {
+					coded++
+				}
+			}
+		}
+		return data
+	}
+
+	for x := 0; x < 8; x++ {
+		in(false, x) // true unit rows: proven on arrival
+	}
+	in(true, 8)    // forged unit row: refused on arrival, never decoded
+	in(true, 0, 9) // forged dense row over a decoded native: peels a false 9
+	in(false, 10, 11)
+	in(false, 10)   // peels a true 11 nothing has hashed yet: proven when drawn
+	in(true, 9, 12) // the false 9 poisons what it touches: a false 12
+	if got := st.coder.DecodedCount(); got != 8+4 {
+		t.Fatalf("set-up: %d natives decoded, want 12", got)
+	}
+	push(6)
+	for x := 0; x < k; x++ {
+		if want := btoi(x < 8 || x == 10 || x == 11); plain[x] != want {
+			t.Fatalf("native %d left %d times as a plain row ahead of its generation, want %d (all: %v)", x, plain[x], want, plain)
+		}
+	}
+	if coded != 0 {
+		t.Fatalf("%d coded rows left an unverified generation", coded)
+	}
+	if st.proof[9] != proofBad || st.proof[12] != proofBad || st.proof[11] != proofGood {
+		t.Fatalf("proof bits: native 9 %d, 12 %d (want bad), 11 %d (want good)", st.proof[9], st.proof[12], st.proof[11])
+	}
+
+	// The rest arrives clean; 9 and 12 count as decoded, so their true
+	// unit rows are redundant and the generation completes around them.
+	for x := 8; x < k; x++ {
+		in(false, x)
+		push(1)
+	}
+	if st.polluted != 1 || !st.quarantinedLocked(0) || st.coder.DecodedCount() != 0 {
+		t.Fatalf("the generation did not quarantine at completion: polluted %d, quarantined %v, %d natives decoded",
+			st.polluted, st.quarantinedLocked(0), st.coder.DecodedCount())
+	}
+	if plain[9]+plain[12] != 0 {
+		t.Fatalf("a false native was forwarded: 9 ×%d, 12 ×%d", plain[9], plain[12])
+	}
+	for x, bit := range st.proof {
+		if bit != 0 {
+			t.Fatalf("proof[%d] = %d survived the quarantine", x, bit)
+		}
+	}
+	if n := push(3); n != 0 {
+		t.Fatalf("%d rows left a quarantined generation", n)
+	}
+
+	// A clean refill verifies, and the generation serves again: the natives
+	// decoded anew (re-sent, proven), then coded repair.
+	for x := 0; x < k; x++ {
+		in(false, x)
+	}
+	if !st.verified[0] {
+		t.Fatal("the clean refill did not verify")
+	}
+	push(2 * k / relay.cfg.Burst)
+	if plain[9] == 0 || plain[12] == 0 || coded == 0 {
+		t.Fatalf("after the refill: native 9 ×%d, 12 ×%d, %d coded rows", plain[9], plain[12], coded)
+	}
+	if b := relay.BannedPeers(); len(b) != 0 {
+		t.Fatalf("the relay banned %v: an unsolicited upstream is never convicted", b)
+	}
+}

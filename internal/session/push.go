@@ -151,6 +151,7 @@ func (s *Session) emit(op *objectPlan) {
 		// The integrity manifest rides the META resend cadence: lossy
 		// datagrams, no acks — repeat until the peer is done.
 		manifest = st.manFrames
+		st.mergeLogLocked()
 		// Every peer's burst is drawn into its own window of one scratch
 		// slice the tick goroutine reuses round after round.
 		total := 0
@@ -190,60 +191,83 @@ func (s *Session) emit(op *objectPlan) {
 	clear(s.rowBuf) // staged: the packets are garbage now
 }
 
+// quarantinedLocked reports whether generation g failed verification and
+// has not re-verified since: nothing of it leaves this node, in any form —
+// a relay must not launder pollution. st.mu must be held.
+func (st *objectState) quarantinedLocked(g int) bool {
+	return g < len(st.tainted) && st.tainted[g] && !st.verified[g]
+}
+
 // taintedLocked reports whether generation g must not recode downstream.
-// Quarantined generations (tainted, not re-verified) never do — a relay
-// must not launder pollution. And once the object's manifest is in hand,
-// only verified generations recode at all: a partially-filled generation
-// may hold a polluter's forged rows, and pushing recodes of it would
-// launder the garbage through this honest node — whose downstreams would
-// then convict *it* (their solo-probe of this node genuinely fails).
-// Verification is per completed generation, so the manifest's generation
-// granularity is exactly the store-and-forward granularity. Without a
-// manifest there is nothing to verify against; legacy flows recode
-// freely, gated only by explicit quarantine. st.mu must be held.
+// Quarantined generations never do. And once the object's manifest is in
+// hand, only verified generations recode at all: a partially-filled
+// generation may hold a polluter's forged rows, and pushing recodes of it
+// would launder the garbage through this honest node — whose downstreams
+// would then convict *it* (their solo-probe of this node genuinely fails).
+// A coded row can only be checked against its whole generation, so for
+// coded rows that is the store-and-forward unit; a decoded native is
+// checkable alone, and drawRowsLocked does not wait. Without a manifest
+// there is nothing to verify against; legacy flows recode freely, gated
+// only by explicit quarantine. st.mu must be held.
 func (st *objectState) taintedLocked(g int) bool {
-	if g < len(st.tainted) && st.tainted[g] && !st.verified[g] {
-		return true
+	return st.quarantinedLocked(g) || (st.man != nil && (g >= len(st.verified) || !st.verified[g]))
+}
+
+// mergeLogLocked appends what each generation decoded since the last call
+// to the object's decode-order log (0..k−1 for a seeded source). After a
+// quarantine rewinds sysMerged[g] the generation's natives are logged again
+// as they are re-decoded, behind their stale entries: a peer whose cursor
+// stands between the two may get such a native twice — proven both times,
+// harmless, and not worth per-peer state. st.mu must be held.
+func (st *objectState) mergeLogLocked() {
+	if st.sysMerged == nil {
+		st.sysMerged = make([]int, st.coder.Generations())
 	}
-	return st.man != nil && (g >= len(st.verified) || !st.verified[g])
+	for g, have := range st.sysMerged {
+		log := st.coder.DecodeLog(g)
+		for _, i := range log[have:] {
+			st.sysLog = append(st.sysLog, int32(g*st.kPer)+i)
+		}
+		st.sysMerged[g] = len(log)
+	}
 }
 
 // drawRowsLocked builds one peer's burst from the coder: the systematic
-// first pass while it lasts (AdaptSystematic), coded repair after. Rows
-// are recoded per target so each peer's burst round-robins across
-// exactly the generations it still needs (kind-3 feedback) and may be
-// served (taintedLocked).
+// first pass while it lasts, coded repair after. Rows are recoded per
+// target so each peer's burst round-robins across exactly the generations
+// it still needs (kind-3 feedback) and may be served (taintedLocked).
 //
-// The systematic pass walks the peer's cursor over the global native
-// rows, emitting each decoded native AT MOST once as a degree-1 row
-// before any coded repair. A native this node has not decoded when the
-// cursor passes is skipped for good — coded repair covers it. The cursor
-// deliberately never stalls or resumes: at a store-and-forward relay,
-// natives decode in GE back-substitution order, not cursor order, so a
-// stalled pass would resume only after the peer's coded stream already
-// spans the late natives, and every resumed degree-1 row would be a
-// duplicate (measured as a 2× frame blowup at 20% loss). Generations the
-// peer already has, or that the taint gate blocks, are stepped over
-// whole. st.mu must be held.
+// The systematic pass walks the peer's cursor along the object's
+// decode-order log, emitting each native AT MOST once as a degree-1 row
+// before any coded repair. It is the relay's cut-through path: a native
+// decoded this tick ends the log and leaves this tick, while its
+// generation is still filling. So the gate here is per native: manifest in
+// hand and generation unverified, the row goes out only if the decoded
+// payload matches its digest; a mismatch (belief propagation peeled a
+// forged row) is passed over for good, and quarantines its generation at
+// completion. The cursor indexes the log because an index-order cursor
+// cannot cut through: it must skip every native not yet decoded — a peer
+// subscribed before the relay completes then gets no plain row at all — or
+// stall on it, head-of-line blocked by the first native upstream lost. A
+// log cursor never waits on a native; at the end of the log it has sent
+// all there is. Entries of generations the peer has, or that are
+// quarantined, are passed over too. st.mu must be held.
 func (s *Session) drawRowsLocked(st *objectState, p *peerPlan) {
-	skip := func(g int) bool {
-		return (g < len(p.gensDone) && p.gensDone[g]) || st.taintedLocked(g)
-	}
-	if s.cfg.AdaptControls&AdaptSystematic != 0 {
-		for len(p.rows) < p.burst && p.sysCursor < st.k {
-			g := p.sysCursor / st.kPer
-			if skip(g) {
-				p.sysCursor = (g + 1) * st.kPer
-				continue
-			}
-			z, ok := st.coder.NativeRow(p.sysCursor)
-			p.sysCursor++
-			if ok {
-				p.rows = append(p.rows, z)
-			}
+	peerHas := func(g int) bool { return g < len(p.gensDone) && p.gensDone[g] }
+	skip := func(g int) bool { return peerHas(g) || st.taintedLocked(g) }
+	for len(p.rows) < p.burst && p.sysCursor < len(st.sysLog) {
+		x := int(st.sysLog[p.sysCursor])
+		p.sysCursor++
+		g := x / st.kPer
+		if peerHas(g) || st.quarantinedLocked(g) {
+			continue
 		}
-		p.sysRows = len(p.rows)
+		z, ok := st.coder.NativeRow(x)
+		if ok && (!st.taintedLocked(g) || st.nativeProvenLocked(x, z.Payload)) {
+			p.rows = append(p.rows, z)
+		}
 	}
+	p.sysRows = len(p.rows)
 	for len(p.rows) < p.burst {
 		z, ok := st.coder.Recode(skip)
 		if !ok {

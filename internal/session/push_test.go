@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"ltnc/internal/bitvec"
 	"ltnc/internal/packet"
 	"ltnc/internal/transport"
 )
@@ -143,22 +144,28 @@ func feed(dst *Session, src *recTransport, without ...byte) {
 }
 
 // pushGoldens are the per-configuration digests of everything push()
-// emitted. The first four were recorded against the push() of commit
-// 84bf7c9 — the monolithic one, re-runging fork included — by running this
-// file's TestPushGolden in a checkout of that commit (8 runs, one digest
-// each). The plan → emit → commit pipeline must reproduce them byte for
-// byte: same frames, same per-destination order, same coder RNG
-// consumption. They set Burst explicitly, so receipt pacing leaves them
-// alone. Every configuration keeps to at most one REQ subscriber plus
-// standing peers, the only population whose push order was deterministic
-// before plans were sorted. The fifth pins the receipt-paced stream as the
-// commit that introduced it emitted it.
+// emitted: same frames, same per-destination order, same coder RNG
+// consumption. adaptive-systematic still stands as recorded against the
+// monolithic push() of commit 84bf7c9 (by running this file's
+// TestPushGolden in a checkout of that commit, 8 runs, one digest), through
+// the plan → emit → commit rebuild and through the systematic pass moving
+// from native-index order to the decode-order log — a seeded source's log
+// is 0..k−1, so its stream did not change. The other four were re-pinned
+// when the pass became unconditional (Adaptive is off in all of them):
+// static-g1-manifest, g4-gen-complete and paced because a plain source
+// now opens every peer's stream with its natives in order before any coded
+// row; cache-req because the 48 rows its plain source offers the cache are
+// now natives 0..47 instead of coded rows dealt across both generations, so
+// the cache serves a different basis. All but paced set Burst explicitly,
+// so receipt pacing leaves them alone. Every configuration keeps to at
+// most one REQ subscriber plus standing peers, the only population whose
+// push order was deterministic before plans were sorted.
 var pushGoldens = map[string]string{
-	"static-g1-manifest":  "7ce2f3fede8da7d1a086d1288b4056744519b1793089a01231709b55093a4af1",
-	"g4-gen-complete":     "942e475f1d6525b8c961472a4f6599e01cc0e548fec71b3b87afbfd7bb429225",
+	"static-g1-manifest":  "6bbf3dce0d67d2b874d88116504a30f853e42c8c60f45e9215ba7b75cfd72963",
+	"g4-gen-complete":     "34b6cd801bd46f19dffc3c865b983fa54acb5a8809766539abfb9e9485d1becd",
 	"adaptive-systematic": "a394421719bee887a1bf1801f8a7cd84f2a1c2a5071c0ccc93c20004295ab267",
-	"cache-req":           "295aa7d66e9ae4233e5fea494406b46d7a37980cb7031b718fb8523bbc90c267",
-	"paced":               "016af08097b0504b154303130e912bd765fa61e64b24507a34deefa68e4c2543",
+	"cache-req":           "ac2fb3e1b634f16930081e1951c528f9ae3a28c74365cb586c4ae504a757ee15",
+	"paced":               "e7686cebe2c7a10b9c2f6bf2f294b0f9ba7ee867d1bc0817a9b06b838f1a47cc",
 }
 
 func TestPushGolden(t *testing.T) {
@@ -307,7 +314,13 @@ const (
 	objCached
 	objBelowThreshold
 	objReady
-	objTainted
+	objQuarantined
+	// Manifest in hand, no generation verified yet — the taint gate's
+	// native grain: what may leave is exactly the decoded natives that
+	// match their digests.
+	objUnverifiedProven
+	objUnverifiedMismatch
+	objUnverifiedUndecoded
 	objModes
 )
 
@@ -321,7 +334,8 @@ const (
 )
 
 var (
-	objModeNames   = [objModes]string{"dead", "cached-sizeless", "cached", "below-threshold", "ready", "tainted-unverified"}
+	objModeNames = [objModes]string{"dead", "cached-sizeless", "cached", "below-threshold", "ready", "tainted-unverified",
+		"unverified-native-proven", "unverified-digest-mismatch", "unverified-not-decoded"}
 	peerStateNames = [peerStates]string{"fresh", "needs-META", "done", "paused", "gensDone-partial"}
 )
 
@@ -333,7 +347,11 @@ type matrixCell struct {
 	st       *objectState
 	burst    int
 	adaptive bool
+	content  []byte
 	done     []bool // the peer's completed generations (gensDone-partial only)
+	// early (the unverified modes): the hand-fed rows arrived before the
+	// manifest did.
+	early bool
 }
 
 const matrixPeer transport.Addr = "peer"
@@ -344,16 +362,20 @@ const matrixPeer transport.Addr = "peer"
 func newMatrixCell(t *testing.T, rng *rand.Rand, obj, peer int) *matrixCell {
 	t.Helper()
 	gens, kPer, m := 2+rng.Intn(3), 8+rng.Intn(17), 16*(1+rng.Intn(3))
-	c := &matrixCell{burst: 1 + rng.Intn(5), adaptive: rng.Intn(2) == 0}
+	content := testContent(gens*kPer*m, rng.Int63())
+	c := &matrixCell{burst: 1 + rng.Intn(5), adaptive: rng.Intn(2) == 0, content: content}
 	seed := rng.Int63()
 	mut := func(cfg *Config) { cfg.Burst, cfg.Seed, cfg.Adaptive = c.burst, seed, c.adaptive }
 
 	// A plain source the node under test learns the object from.
 	src, srcRec, srcClk := pushSession(t, "src", func(cfg *Config) { cfg.Burst = c.burst; cfg.Seed = seed + 1 })
 	src.AddPeer("node")
-	id, err := src.Serve(testContent(gens*kPer*m, seed), gens*kPer, gens)
+	id, err := src.Serve(content, gens*kPer, gens)
 	if err != nil {
 		t.Fatal(err)
+	}
+	row := func(g int, forged bool, idx ...int) []byte {
+		return handRow(t, id, content, gens, kPer, g, forged, idx...)
 	}
 	// learn feeds n source push rounds into s, minus the frame kinds in
 	// without.
@@ -367,32 +389,75 @@ func newMatrixCell(t *testing.T, rng *rand.Rand, obj, peer int) *matrixCell {
 	switch obj {
 	case objReady, objDead:
 		c.s, c.rec, clk = pushSession(t, "node", mut)
-		if _, err := c.s.Serve(testContent(gens*kPer*m, seed), gens*kPer, gens); err != nil {
+		if _, err := c.s.Serve(content, gens*kPer, gens); err != nil {
 			t.Fatal(err)
 		}
 	case objCached, objCachedSizeless:
 		c.s, c.rec, clk = pushSession(t, "node", func(cfg *Config) { mut(cfg); cfg.CacheBudget = 1 << 20 })
-		if obj == objCached {
-			learn(c.s, 2*gens)
+		// The source's systematic pass walks generation by generation: run
+		// it through, so the cache covers every generation a peer may ask for.
+		if rounds := gens*kPer/c.burst + 2*gens; obj == objCached {
+			learn(c.s, rounds)
 		} else {
-			learn(c.s, 2*gens, frameMeta, frameManifest)
+			learn(c.s, rounds, frameMeta, frameManifest)
 		}
 	case objBelowThreshold:
 		c.s, c.rec, clk = pushSession(t, "node", func(cfg *Config) { mut(cfg); cfg.Relay = true; cfg.Aggressiveness = 0.9 })
 		learn(c.s, 1)
-	case objTainted:
+	case objQuarantined:
+		// No manifest, every generation explicitly quarantined.
 		c.s, c.rec, clk = pushSession(t, "node", func(cfg *Config) { mut(cfg); cfg.Relay = true })
-		if rng.Intn(2) == 0 {
-			// Manifest in hand, nothing verified yet.
-			learn(c.s, 1)
-		} else {
-			// No manifest, every generation explicitly quarantined.
-			learn(c.s, 1, frameManifest)
-			st := c.s.objects[id]
-			st.ensurePollLocked()
-			for g := range st.tainted {
-				st.tainted[g] = true
+		learn(c.s, 1, frameManifest)
+		st := c.s.objects[id]
+		st.ensurePollLocked()
+		for g := range st.tainted {
+			st.tainted[g] = true
+		}
+	case objUnverifiedProven, objUnverifiedMismatch, objUnverifiedUndecoded:
+		c.s, c.rec, clk = pushSession(t, "node", func(cfg *Config) { mut(cfg); cfg.Relay = true })
+		// Rows that arrive before the manifest are not checked on arrival:
+		// the proof is then made (or fails) when the push draws the native.
+		c.early = rng.Intn(2) == 0
+		pushTicks(src, srcClk, 1)
+		opening := srcRec.take()["node"]
+		deliver := func(kind byte) {
+			for _, f := range opening {
+				if f[0] == kind {
+					injectFrame(c.s, "src", f)
+				}
 			}
+		}
+		deliver(frameMeta)
+		if !c.early {
+			deliver(frameManifest)
+		}
+		for g := 0; g < gens; g++ {
+			switch obj {
+			case objUnverifiedProven:
+				injectFrame(c.s, "src", row(g, false, 0))
+				injectFrame(c.s, "src", row(g, false, 1))
+			case objUnverifiedMismatch:
+				if c.early {
+					// Forged unit rows, in before the manifest.
+					injectFrame(c.s, "src", row(g, true, 0))
+					injectFrame(c.s, "src", row(g, true, 1))
+				} else {
+					// A true native, then a forged dense row: belief
+					// propagation peels a false native 1 out of it.
+					injectFrame(c.s, "src", row(g, false, 0))
+					injectFrame(c.s, "src", row(g, true, 0, 1))
+				}
+			case objUnverifiedUndecoded:
+				injectFrame(c.s, "src", row(g, false, 0, 1))
+				injectFrame(c.s, "src", row(g, false, 2, 3))
+			}
+		}
+		if c.early {
+			deliver(frameManifest)
+		}
+		plain := 2 * gens * btoi(obj != objUnverifiedUndecoded) // natives 0 and 1 of every generation
+		if st := c.s.objects[id]; st.man == nil || st.coder.DecodedCount() != plain {
+			t.Fatalf("set-up: manifest %v, %d natives decoded, want %d", st.man != nil, st.coder.DecodedCount(), plain)
 		}
 	}
 	c.st = c.s.objects[id]
@@ -471,7 +536,25 @@ func checkMatrixCell(t *testing.T, c *matrixCell, obj, peer int) {
 	if wantMeta {
 		wantMan = len(st.manFrames)
 	}
-	if emits && obj != objTainted {
+	switch {
+	case !emits:
+	case obj >= objUnverifiedProven:
+		// Natives 0 and 1 of every generation are decoded, or none is;
+		// what leaves is those that match their digests, for the
+		// generations the peer still needs.
+		good := 0
+		switch obj {
+		case objUnverifiedProven:
+			good = 2
+		case objUnverifiedMismatch:
+			good = btoi(!c.early) // late: native 0 is true, 1 peeled false
+		}
+		need := int(st.gens.Load())
+		for _, d := range c.done {
+			need -= btoi(d)
+		}
+		wantData = min(c.burst, good*need)
+	case obj < objQuarantined:
 		wantData = c.burst
 	}
 	if meta != btoi(wantMeta) || manifest != wantMan || data != wantData {
@@ -481,7 +564,7 @@ func checkMatrixCell(t *testing.T, c *matrixCell, obj, peer int) {
 	if wantMeta && frames[matrixPeer][0][0] != frameMeta {
 		t.Fatalf("META did not lead the round: first frame kind %#x", frames[matrixPeer][0][0])
 	}
-	systematic := c.adaptive && obj == objReady
+	systematic := obj == objReady || obj >= objUnverifiedProven
 	for _, f := range frames[matrixPeer] {
 		if f[0] != frameData {
 			continue
@@ -495,6 +578,9 @@ func checkMatrixCell(t *testing.T, c *matrixCell, obj, peer int) {
 		}
 		if systematic && h.Vec.PopCount() != 1 {
 			t.Fatalf("degree-%d row inside the systematic first pass", h.Vec.PopCount())
+		}
+		if !trueRow(t, c.content, st.m, f) {
+			t.Fatalf("a row that is not the XOR of the true natives it names left the node: %x", f[:40])
 		}
 	}
 
@@ -525,15 +611,83 @@ func checkMatrixCell(t *testing.T, c *matrixCell, obj, peer int) {
 	if moved := ps.cacheCursor != before.cacheCursor; moved != (cached && wantData > 0) {
 		t.Fatalf("cacheCursor %d -> %d in mode %s", before.cacheCursor, ps.cacheCursor, objModeNames[obj])
 	}
-	if systematic && ps.sysCursor < wantData {
-		t.Fatalf("sysCursor = %d after %d systematic rows", ps.sysCursor, wantData)
+	switch {
+	case !emits || cached:
+		if ps.sysCursor != 0 {
+			t.Fatalf("sysCursor = %d with no systematic pass", ps.sysCursor)
+		}
+	case wantData == c.burst:
+		if ps.sysCursor < wantData {
+			t.Fatalf("sysCursor = %d after %d systematic rows", ps.sysCursor, wantData)
+		}
+	case ps.sysCursor != len(st.sysLog):
+		// A short burst means the pass ran out of log, passing over what
+		// it may not send — it never waits on an entry.
+		t.Fatalf("sysCursor = %d after a short burst, the log holds %d", ps.sysCursor, len(st.sysLog))
 	}
-	if !systematic && !(c.adaptive && obj == objTainted) && ps.sysCursor != 0 {
-		t.Fatalf("sysCursor = %d with no systematic pass", ps.sysCursor)
+	if emits && obj >= objUnverifiedProven {
+		// Every native the pass drew for this peer was hashed, once, and
+		// the verdict kept.
+		for _, x := range st.sysLog[:ps.sysCursor] {
+			if g := int(x) / st.kPer; g < len(c.done) && c.done[g] {
+				continue
+			}
+			want := uint8(proofGood)
+			if obj == objUnverifiedMismatch && (c.early || int(x)%st.kPer == 1) {
+				want = proofBad
+			}
+			if st.proof[x] != want {
+				t.Fatalf("proof[%d] = %d after the pass drew it, want %d", x, st.proof[x], want)
+			}
+		}
 	}
 	if got := ps.link.Sent() - before.link.Sent(); got != uint64(wantData) {
 		t.Fatalf("link estimator counted %d rows sent, %d DATA frames left", got, wantData)
 	}
+}
+
+// handRow builds a DATA frame of generation g (of gens, kPer natives each)
+// whose code vector selects idx. A true row carries the XOR of those
+// natives of content; a forged one carries noise.
+func handRow(t *testing.T, id packet.ObjectID, content []byte, gens, kPer, g int, forged bool, idx ...int) []byte {
+	t.Helper()
+	m := len(content) / (gens * kPer)
+	z := packet.Native(kPer, idx[0], make([]byte, m))
+	for _, i := range idx {
+		z.Vec.Set(i)
+		bitvec.XorBytes(z.Payload, content[(g*kPer+i)*m:][:m])
+	}
+	if forged {
+		// Noise that differs from row to row, or two forgeries would cancel.
+		for j := range z.Payload {
+			z.Payload[j] ^= 0xB6 + byte(j) + byte(idx[len(idx)-1])
+		}
+	}
+	z.Object, z.Generation = id, uint32(g)
+	if gens > 1 {
+		z.Generations = uint32(gens)
+	}
+	wire, err := packet.Marshal(z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]byte{frameData}, wire...)
+}
+
+// trueRow reports whether DATA frame f carries exactly the XOR of the
+// natives (m bytes each, content order) its code vector selects.
+func trueRow(t *testing.T, content []byte, m int, f []byte) bool {
+	t.Helper()
+	z, err := packet.Unmarshal(f[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, m)
+	base := int(z.Generation) * z.K()
+	for _, i := range z.Vec.Indices() {
+		bitvec.XorBytes(want, content[(base+i)*m:][:m])
+	}
+	return bytes.Equal(want, z.Payload)
 }
 
 func btoi(b bool) int {

@@ -161,9 +161,9 @@ type peerState struct {
 	gensDoneN int
 	// link turns this peer's receipt reports into the loss estimate and
 	// the paced burst (DESIGN.md §16). sysCursor is the systematic first
-	// pass position (Config.Adaptive) — the next global native row to push
-	// plainly (a cursor ≥ K means the pass is over and the peer gets coded
-	// repair only).
+	// pass position, unconditional for coder-backed objects: the next entry
+	// of the object's decode-order log (objectState.sysLog) to push plainly.
+	// At the end of the log the peer gets coded repair until the log grows.
 	link      adapt.Link
 	sysCursor int
 }
@@ -211,15 +211,19 @@ type objectState struct {
 	manFrom   transport.Addr
 	manBuf    []byte
 	manNext   int
-	// verified[g] — generation g passed digest verification; tainted[g] —
-	// g was quarantined at least once (recoding it downstream is gated
-	// until it verifies); contrib[g] — rows each peer contributed to g
-	// since its last reset; probe[g]/probeAt[g]/probeCands[g] — the
-	// one-contributor-at-a-time refill of a quarantined generation;
+	// verified[g] — generation g passed digest verification; proof[x] —
+	// the kept verdict of checking decoded native x against its digest, so
+	// it can cut through ahead of its generation and is hashed once
+	// (nativeProvenLocked); tainted[g] — g was quarantined at least once
+	// (recoding it downstream is gated until it verifies); contrib[g] —
+	// rows each peer contributed to g since its last reset;
+	// probe[g]/probeAt[g]/probeCands[g] — the one-contributor-at-a-time
+	// refill of a quarantined generation;
 	// genNatives — verified generations' natives, kept (vigilant mode
 	// only) as the reference for byte-exact row audits; suspicion — rows
 	// each peer contributed to polluted generations of this object.
 	verified   []bool
+	proof      []uint8
 	tainted    []bool
 	contrib    []map[transport.Addr]int
 	probe      []transport.Addr
@@ -236,6 +240,11 @@ type objectState struct {
 	manBans    []transport.Addr
 	polluted   int64 // pollution events (quarantines)
 	vigilant   bool  // pollution seen: audit rows offered to verified generations
+	// sysLog is the object's decode-order log — global native indices as
+	// they were decoded here, what the systematic pass walks — merged from
+	// the coder's per-generation logs, sysMerged[g] entries of g's so far.
+	sysLog    []int32
+	sysMerged []int
 	// rx tracks, per upstream peer, the rows this session accepted from it
 	// for this object (feeds kind-5 receipt reports).
 	// Decode plane: ingest mutates it under mu. Bounded like the peer
@@ -268,7 +277,7 @@ type objectState struct {
 	waiters int // Fetch calls currently blocked on this object
 	sent    int64
 	// systematic counts DATA frames pushed as degree-1 native rows in the
-	// adaptive systematic first pass.
+	// systematic first pass.
 	systematic int64
 	peers      map[transport.Addr]*peerState
 	watchers   map[int]func(ObjectStats) // progress subscriptions (Watch)

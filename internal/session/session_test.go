@@ -100,8 +100,11 @@ func attach(t *testing.T, sw *transport.Switch, name transport.Addr) *transport.
 // TestSourceRelayFetchChan is the deterministic counterpart of the UDP
 // end-to-end test: source → relay (recoding) → fetch over an in-memory
 // switch, byte-identical content, relay provably not store-and-forward.
+// The switch drops a tenth of the frames: on a lossless one the relay's
+// systematic pass alone completes the client — every native forwarded
+// plainly as it is decoded — and there is nothing left to recode.
 func TestSourceRelayFetchChan(t *testing.T) {
-	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 256, Seed: 11})
+	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 256, Seed: 11, LossRate: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}

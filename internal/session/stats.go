@@ -49,7 +49,7 @@ type ObjectStats struct {
 	// the mean of the per-peer estimator outputs across peers whose
 	// receipt reports have been folded at least once; 0 before any report.
 	// Systematic counts DATA frames this session pushed as degree-1 native
-	// rows in the adaptive systematic first pass.
+	// rows in the systematic first pass (every sender runs one).
 	LossEst    float64
 	Systematic int64
 }

@@ -126,7 +126,7 @@ var named = map[string]namedScenario{
 		},
 	},
 	"asym-uplink-adaptive": {
-		desc: "the asym-uplink swarm with the adaptive loop on: systematic first pass plus loss-steered redundancy over the clean downlink",
+		desc: "the asym-uplink swarm with the adaptive loop on: the redundancy budget follows the estimated loss over the clean downlink",
 		make: func(seed int64) Scenario {
 			return Scenario{
 				Name:    "asym-uplink-adaptive",

@@ -207,14 +207,10 @@ type Scenario struct {
 	Burst          int           // default 2; BurstPaced leaves it to the receipts
 	Aggressiveness float64       // default: session default (0.01)
 	IdleTimeout    time.Duration // default: session default (60s)
-	// Adaptive turns on every session's feedback-driven coding loop
-	// (session.Config.Adaptive; DESIGN.md §16): receipt reports feed a
-	// per-peer loss estimator driving the systematic first pass and the
-	// loss-tuned redundancy budget.
+	// Adaptive turns on every session's loss-tuned redundancy budget
+	// (session.Config.Adaptive; DESIGN.md §16): the per-peer loss estimate
+	// the receipt reports feed sets it instead of the static constant.
 	Adaptive bool
-	// AdaptControls selects individual adaptive controls when Adaptive
-	// is set (session semantics: zero = all controls).
-	AdaptControls session.AdaptControls
 
 	// Dynamics.
 	Churn    ChurnSpec
@@ -252,9 +248,6 @@ func (sc *Scenario) setDefaults() error {
 	}
 	if sc.Sources < 1 || sc.Relays < 0 || sc.Caches < 0 || sc.Fetchers < 1 || sc.Polluters < 0 || sc.Liars < 0 {
 		return fmt.Errorf("simnet: population %d/%d/%d/%d/%d/%d invalid", sc.Sources, sc.Relays, sc.Caches, sc.Fetchers, sc.Polluters, sc.Liars)
-	}
-	if sc.AdaptControls != 0 && !sc.Adaptive {
-		return fmt.Errorf("simnet: AdaptControls set without Adaptive")
 	}
 	if sc.Liars > 0 {
 		if !sc.Adaptive {
@@ -693,7 +686,6 @@ func (sc Scenario) Run(ctx context.Context) (*Report, error) {
 			HaveSeed:       true,
 			Clock:          net.Clock(),
 			Adaptive:       sc.Adaptive,
-			AdaptControls:  sc.AdaptControls,
 		}
 		if sc.Bootstrap > 0 {
 			cfg.Bootstrap = r.bootAddrs

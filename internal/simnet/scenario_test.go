@@ -184,10 +184,10 @@ func TestScenarioHarshMultihop(t *testing.T) {
 }
 
 // TestScenarioAsymUplinkAdaptive runs the asym-uplink swarm with the
-// adaptive loop on and guards the headline claim — the systematic first
-// pass plus loss-steered repair does not send more DATA than the static
-// swarm on the same fabric (the measured cut is in EXPERIMENTS.md) —
-// against regression to worse-than-static. Same-seed session runs are not
+// adaptive loop on and guards the headline claim — the loss-tuned budget
+// does not send more DATA than the static swarm on the same fabric (both
+// run the systematic first pass, every sender does; the measured cut is in
+// EXPERIMENTS.md) — against regression to worse-than-static. Same-seed session runs are not
 // reproducible yet (ROADMAP item 4a: static measured 1050–1372 frames and
 // adaptive 1032–1312 on seed 1 alone, 9 of 20 pairs inverted while the
 // means held 1201 vs 1164), so a single pair cannot carry a strict ≤.

@@ -186,12 +186,15 @@ type Config struct {
 	// ltnc.WithRefinement(false) and ltnc.WithRedundancyDetection(false)
 	// disable the corresponding algorithms (experiments only).
 	Node []ltnc.Option
-	// Adaptive turns on the coding controls of the feedback loop. Every
-	// session emits receipt reports for what it receives and estimates
-	// per-peer link loss from the reports it gets back (that is what
-	// paces the push, see Burst); Adaptive additionally tunes the push
-	// path from the estimate — a systematic first pass of plain native
-	// rows per generation and a loss-scaled redundancy budget. Off by
+	// Adaptive scales the redundancy budget — how many consecutive
+	// redundancy aborts pause the push to a peer — with the estimated link
+	// loss instead of a static constant. The rest of the feedback loop is
+	// unconditional: every session emits receipt reports for what it
+	// receives and estimates per-peer link loss from the reports it gets
+	// back (that is what paces the push, see Burst), and every sender
+	// opens with a systematic first pass — each native it has decoded goes
+	// out once per peer as a plain row before coded repair, which is also
+	// what a relay forwards before it holds a whole generation. Off by
 	// default.
 	Adaptive bool
 	// Clock is the time source behind every session timer — push ticks,
