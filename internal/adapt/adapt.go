@@ -1,29 +1,50 @@
 // Package adapt turns receipt-report feedback into the push path's
 // per-link control signals (DESIGN.md §16): a loss estimate, the
 // redundancy budget that replaces the static per-node satiation constant,
-// and the paced burst — how many DATA rows the sender may push toward the
-// peer per tick.
+// and the pacer — a window of DATA rows the sender may have in flight
+// toward the peer.
 //
 // One Link tracks one directed (sender → receiver) relationship for one
 // object. The sender counts every DATA row it pushes; the receiver's
 // receipt reports carry cumulative (received, innovative) counters for
-// rows arriving from this sender, one report per ReceiptEvery rows.
-// Receipts are recorded as they arrive and folded once per push tick
-// (Pace), when the sender-side counter is consistent — a receipt that
-// overtakes the commit of the burst it acknowledges must not read as
-// negative loss now and a loss spike one receipt later. Comparing the two
-// deltas over one receipt interval yields a loss sample; an exponentially
-// weighted moving average of the samples is the link's loss level, and a
-// sample against the level is what moves the burst.
+// rows arriving from this sender — one report per ReceiptEvery rows, and
+// one whenever its ingest queue runs dry with rows unreported, so a
+// window smaller than ReceiptEvery is still acknowledged. Receipts are
+// recorded as they arrive and folded by the next Grant, on the push
+// goroutine, when the sender-side counter is consistent — a receipt that
+// overtakes the commit of the rows it acknowledges must not read as rows
+// that were never sent.
+//
+// A row is in flight from OnSend until it departs, and there are two ways
+// out. A receipt credits the rows it newly reports received, never more
+// than are in flight. A row no receipt has credited by the end of the tick
+// after the one it was sent in ages out: the link lost it, or the peer
+// reports late or not at all. Rows aged out against rows credited over
+// one interval is a loss sample; an exponentially weighted moving average
+// of the samples is the link's loss level, and a sample against the level
+// is what moves the window.
+//
+// The Link's only notion of time is the tick index its caller passes to
+// Grant: the session's clock divided by its Config.Tick. Ageing rows out
+// after two ticks assumes receipts come back within two ticks. On a longer
+// round trip every row ages out before its receipt can arrive: the
+// in-flight count stops being the in-network count (TickCeiling rows per
+// tick of round trip can be on the wire, and a receiver's queue can
+// overflow), and while the rate climbs the loss level over-reads, up to
+// MaxLoss, until the rate is steady. The floor, the cap, the ceiling and
+// completion hold there (TestRoundTripBeyondTwoTicks, simnet's
+// TestScenarioPacedLongRoundTrip); the queue argument under MaxBurst does
+// not.
 //
 // Receivers are not trusted. Every output is clamped: an under-claiming
 // liar (reporting rows it received as lost) can drag the estimate no
 // higher than MaxLoss, bounding the redundancy it can extort, and halves
-// its own burst down to the floor of 1; an over-claiming liar buys at
-// most MaxBurst rows per tick, and only on its own link — nothing a peer
-// reports touches another peer's Link. Self-contradictory reports
-// (innovative > received, counters running backwards or wrapping)
-// re-baseline without producing a sample.
+// its own window down to the floor of 1; an over-claiming liar empties
+// its in-flight count with every forged receipt and so buys at most
+// MaxBurst rows in flight and TickCeiling rows per tick, and only on its
+// own link — nothing a peer reports touches another peer's Link.
+// Self-contradictory reports (innovative > received, counters running
+// backwards or wrapping) re-baseline without crediting anything.
 //
 // Link carries no lock: the session mutates it under the same mutex that
 // guards its peer table.
@@ -44,72 +65,96 @@ const (
 	budgetRiseSlope = 3.0
 
 	// ReceiptEvery is how many DATA rows a receiver accepts from one
-	// sender between receipt reports: small enough that a loss estimate
-	// forms within one generation and the burst ramps within tens of
-	// ticks; large enough that the feedback stream stays a small fraction
-	// of the data stream. It is also the smallest window a loss sample is
-	// taken over — between two folds the unreported remainder at the
-	// receiver shifts by up to ReceiptEvery−1 rows, and over a smaller
-	// window that shift masquerades as heavy loss.
+	// sender between receipt reports while its ingest queue stays busy:
+	// large enough that under load the feedback stream stays a small
+	// fraction of the data stream. It is also the smallest number of
+	// departures a loss sample is taken over.
 	ReceiptEvery = 16
 
-	// MaxBurst caps the paced burst: half the smallest default queue on
-	// the path (Switch port, ingest shard queue and receive batch are all
-	// 64 deep), so one sender at the cap cannot overflow a receiver by
-	// itself and a forged receipt buys at most this many rows per tick.
+	// MaxBurst caps the window: half the smallest default queue on the
+	// path (Switch port, ingest shard queue and receive batch are all 64
+	// deep), so one sender with a full window in flight cannot overflow a
+	// receiver by itself, however fast receipts turn the window over —
+	// while the round trip stays within two ticks (package doc).
 	MaxBurst = 32
-	// startBurst is the burst before any receipt has been folded; a peer
+	// TickCeiling caps the rows one link may take in one tick, whatever
+	// its receipts say: four windows, the offered load of a blind 0.5 ms
+	// ticker, taken only as fast as receipts free the window. With the
+	// ceiling lifted an honest link on this host (two cores, 1 KiB rows,
+	// loopback UDP or the in-memory Switch) peaks at 150–180 rows per
+	// 2 ms tick, where the CPU layers — not the pacer — are the limit and
+	// fetch times follow the host's memory phases. The ceiling sits at
+	// about three quarters of that: it costs an honest link little, it
+	// keeps an honest fetch's time set by the pacer and so repeatable, and
+	// it is all a forged receipt stream can take — every forged receipt
+	// empties the liar's in-flight count, so without it a flood would turn
+	// the window over as fast as the sender can run.
+	TickCeiling = 4 * MaxBurst
+	// startWindow is the window before any receipt has been folded; a peer
 	// that never sends one decays from here to 1.
-	startBurst = 4
+	startWindow = 4
 	// growMargin and stepMargin place a loss sample relative to the
 	// link's level. Link loss is a level — it shows in every interval and
-	// the coding absorbs it; a queue overflowing under the burst arrives
+	// the coding absorbs it; a queue overflowing under the window arrives
 	// as a step. A sample within growMargin of the level means the
-	// interval delivered what the link lets through, and the burst
-	// doubles; a sample more than stepMargin above it halves the burst;
+	// interval delivered what the link lets through, and the window
+	// doubles; a sample more than stepMargin above it halves the window;
 	// in between it holds.
 	growMargin = 0.05
 	stepMargin = 0.25
-	// tailBurst is what the end-of-object taper (Pace) slows a link to.
-	tailBurst = 8
+	// tailWindow is what the end-of-object taper (Grant) narrows a link to.
+	tailWindow = 8
 	// quietTicks is how many ticks past the expected receipt spacing a
-	// link with rows outstanding may stay silent before its burst halves.
+	// link with rows unacknowledged may stay silent before its window
+	// halves.
 	quietTicks = 4
 )
 
 // Link is the per-(peer, object) estimator state. The zero value is
-// ready to use and reports Loss() = 0 until the first receipt is folded,
-// so an adaptive sender treats a silent peer exactly like a clean link.
+// ready to use and reports Loss() = 0 until the first sample, so an
+// adaptive sender treats a silent peer exactly like a clean link.
 type Link struct {
 	sent uint64 // rows pushed to the peer, sender-side ground truth
-	last int    // rows in the latest push: the rate windows scale with
-	// The newest receipt, recorded on arrival, folded by the next Pace.
+	// The newest receipt, recorded on arrival, folded by the next Grant.
 	recv, inno uint32
 	fresh      bool
-	// The open receipt interval's baseline: the counters at the last fold.
-	baseSent           uint64
+	// The receiver's counters at the last fold: what has been credited.
 	baseRecv, baseInno uint32
-	loss               float64
-	reports            int
-	burst              int // paced rows per tick in [1, MaxBurst]; 0 before the first Pace
-	quiet              int // consecutive ticks with rows outstanding and no receipt
+	// The open loss interval: rows reported received and rows aged out
+	// since the last sample.
+	credited, expired int
+	loss              float64
+	reports           int
+
+	window   int   // rows allowed in flight, in [1, MaxBurst]; 0 before the first Grant
+	inFlight int   // rows sent and neither credited nor aged out
+	old      int   // of those, the rows sent before the current tick
+	tick     int64 // the latest Grant's tick index
+	tickSent int   // rows sent in that tick
+	heard    int64 // tick of the last fold, or of the first send after it
+	unacked  bool  // rows sent since the last fold
 }
 
-// OnSend records n DATA rows pushed to the peer in one tick.
+// OnSend records n DATA rows pushed to the peer.
 func (l *Link) OnSend(n int) {
 	l.sent += uint64(n)
-	l.last = n
+	l.inFlight += n
+	l.tickSent += n
+	if !l.unacked {
+		l.unacked, l.heard = true, l.tick
+	}
 }
 
 // Sent returns the rows pushed so far.
 func (l *Link) Sent() uint64 { return l.sent }
 
-// Reports returns the number of folded receipt intervals: those that
-// produced a sample or re-baselined the counters.
+// Reports returns the number of receipt folds that mattered: the first,
+// those that closed a loss sample and those that re-baselined the
+// counters.
 func (l *Link) Reports() int { return l.reports }
 
 // OnReport records one receipt report (cumulative received/innovative
-// counters for this link) for the next Pace to fold, and reports whether
+// counters for this link) for the next Grant to fold, and reports whether
 // it shows innovative progress since the previous one — the signal that
 // un-sticks a stale satiation streak. Malformed reports (counters
 // running backwards, innovative > received) never count as progress.
@@ -121,79 +166,117 @@ func (l *Link) OnReport(received, innovative uint32) (innovated bool) {
 	return innovated
 }
 
-// Burst returns the link's current paced burst, before the end-of-object
-// taper: 1 until the first Pace.
-func (l *Link) Burst() int { return max(1, l.burst) }
+// Window returns the link's current window, before the end-of-object
+// taper: 1 until the first Grant.
+func (l *Link) Window() int { return max(1, l.window) }
 
-// Pace is the once-per-tick step: it folds the newest receipt into the
-// loss level and the burst, ages the silence counter, and returns how
-// many rows to push toward the peer this tick, in [1, MaxBurst].
+// InFlight returns the rows sent and not yet credited or aged out.
+func (l *Link) InFlight() int { return l.inFlight }
+
+// Grant is the pacer's one step, taken by every push round that plans
+// this link: it ages the rows in flight to tick, folds the newest receipt
+// into the in-flight count, the loss level and the window, runs the
+// silence rule, and returns how many rows may leave toward the peer now —
+// what the window has free, at least one row per tick while fewer than
+// MaxBurst are in flight (the floor every peer had before receipts set
+// the pace, and all a peer that never sends one gets), never more than
+// TickCeiling in one tick.
 //
 // k is the object's native count. Whatever is in flight when the peer's
 // completion feedback lands is waste — and a receiver finishing a decode
 // (the peeling avalanche, verification, assembly) is slowest to answer
 // exactly then — so as the peer's reported innovative count closes in on
-// k the burst tapers to half the rows still missing, down to tailBurst:
+// k the window tapers to half the rows still missing, down to tailWindow:
 // from there on any row may be the last.
-func (l *Link) Pace(k int) int {
-	if l.burst == 0 {
-		l.burst = startBurst
+func (l *Link) Grant(tick int64, k int) int {
+	if l.window == 0 {
+		l.window, l.tick = startWindow, tick
 	}
+	l.age(tick)
 	switch {
 	case l.fresh:
-		l.fresh, l.quiet = false, 0
+		l.fresh, l.unacked, l.heard = false, false, tick
 		l.fold()
-	case l.sent > l.baseSent:
-		// Rows outstanding and no receipt: a peer that never sends one (a
-		// pre-receipt version), one that answers every row with a
-		// redundancy abort, or a dead link. Halve toward the floor of 1 —
-		// the pace every peer got before receipts set it.
-		if l.quiet++; l.quiet >= quietTicks+2*ReceiptEvery/max(l.last, 1) {
-			l.burst, l.quiet = max(1, l.burst/2), 0
-		}
+	case l.unacked && tick-l.heard >= int64(quietTicks+2*ReceiptEvery/l.window):
+		// Rows unacknowledged and no receipt: a peer that never sends one
+		// (a pre-receipt version), one that answers every row with a
+		// redundancy abort, or a dead link. Halve toward the floor of 1.
+		l.window, l.heard = max(1, l.window/2), tick
 	}
 	need := int64(k) - int64(l.inno)
-	return min(l.burst, int(max(tailBurst, need/2)))
+	free := min(l.window, int(max(tailWindow, need/2))) - l.inFlight
+	if l.tickSent == 0 && l.inFlight < MaxBurst {
+		free = max(free, 1)
+	}
+	return max(0, min(free, TickCeiling-l.tickSent))
 }
 
-// fold closes the open receipt interval against the newest receipt, if
-// the interval is wide enough to sample.
+// age moves the link to tick: rows sent before the previous tick began and
+// still uncredited leave the in-flight count as lost.
+func (l *Link) age(tick int64) {
+	if tick <= l.tick {
+		return
+	}
+	gone := l.old
+	if tick-l.tick > 1 {
+		gone = l.inFlight
+	}
+	l.expired += gone
+	l.inFlight -= gone
+	l.old = l.inFlight
+	l.tick, l.tickSent = tick, 0
+}
+
+// fold credits the rows the newest receipt reports for the first time
+// and, once the open interval has seen enough departures, closes it into
+// a loss sample.
 func (l *Link) fold() {
-	rebase := func() {
-		l.baseSent, l.baseRecv, l.baseInno = l.sent, l.recv, l.inno
-		l.reports++
-	}
+	defer func() { l.baseRecv, l.baseInno = l.recv, l.inno }()
 	// Self-contradictory claims (a receiver restart, a uint32 wrap, a
-	// liar) only re-baseline the counters.
+	// liar) only re-baseline: the counters, and with them the rows in
+	// flight and the open interval, which nothing can be credited against
+	// any more.
 	if l.recv < l.baseRecv || l.inno < l.baseInno || l.inno > l.recv {
-		rebase()
+		l.inFlight, l.old, l.credited, l.expired = 0, 0, 0, 0
+		l.reports++
 		return
 	}
-	// So does the first report, as far as loss goes: its interval starts
-	// at the flow's ramp-up, where everything still in flight would read
-	// as loss. But it is proof of life, and worth one doubling.
+	// Never credit more than was sent: the rows in flight, oldest first,
+	// then rows that aged out of this interval — reported after all, they
+	// were late, not lost. Whatever a receipt claims beyond that is noise.
+	reported := uint64(l.recv - l.baseRecv)
+	credit := int(min(reported, uint64(l.inFlight)))
+	late := int(min(reported-uint64(credit), uint64(l.expired)))
+	l.inFlight -= credit
+	l.old = max(0, l.old-credit)
+	l.expired -= late
+	l.credited += credit + late
 	if l.reports == 0 {
-		l.burst = min(MaxBurst, 2*l.burst)
-		rebase()
+		// The first receipt is proof of life, and worth one doubling. As far
+		// as loss goes it only opens the first interval: everything sent a
+		// round trip or more ago has aged out by now, on any link, and
+		// would read as loss.
+		l.window, l.reports = min(MaxBurst, 2*l.window), 1
+		l.credited, l.expired = 0, 0
 		return
 	}
-	dSent := l.sent - l.baseSent
-	if dSent < uint64(max(ReceiptEvery, 2*l.last)) {
-		return // too narrow to sample: leave the interval open
+	n := l.credited + l.expired
+	if n < max(ReceiptEvery, 2*l.window) {
+		return // too few departures to sample: leave the interval open
 	}
-	sample := 1 - float64(l.recv-l.baseRecv)/float64(dSent)
-	sample = math.Max(0, math.Min(1, sample))
+	sample := float64(l.expired) / float64(n)
 	if l.reports == 1 {
 		l.loss = sample // no level yet: the first sample is the level
 	}
 	switch level := l.Loss(); {
 	case sample > level+stepMargin:
-		l.burst = max(1, l.burst/2)
+		l.window = max(1, l.window/2)
 	case sample <= level+growMargin:
-		l.burst = min(MaxBurst, 2*l.burst)
+		l.window = min(MaxBurst, 2*l.window)
 	}
 	l.loss += Alpha * (sample - l.loss)
-	rebase()
+	l.credited, l.expired = 0, 0
+	l.reports++
 }
 
 // Loss returns the clamped loss estimate in [0, MaxLoss]; 0 until the

@@ -6,12 +6,12 @@ import (
 )
 
 // report pushes n rows, delivers a receipt claiming the given cumulative
-// counters and runs the next tick's fold, mimicking one send→receipt
-// round trip.
+// counters and folds it a tick later, mimicking one send→receipt round
+// trip.
 func report(l *Link, sent int, received, innovative uint32) bool {
 	l.OnSend(sent)
 	innovated := l.OnReport(received, innovative)
-	l.Pace(math.MaxInt32)
+	l.Grant(l.tick+1, math.MaxInt32)
 	return innovated
 }
 
@@ -150,63 +150,78 @@ func TestBudgetShape(t *testing.T) {
 	}
 }
 
-// paceClean drives l over a loss-free link for the given ticks: every
-// tick pushes what Pace allows and delivers the receipts the receiver
-// would have sent (one per ReceiptEvery rows). It returns the bursts.
+// paceClean drives l over a loss-free link for the given ticks, one round
+// trip a tick: every tick pushes what Grant allows and delivers the
+// receipt a receiver whose queue ran dry behind the rows would have sent.
+// It returns the rows pushed per tick.
 func paceClean(l *Link, ticks int) []int {
 	var bursts []int
-	var got uint32
 	for i := 0; i < ticks; i++ {
-		b := l.Pace(math.MaxInt32)
+		b := l.Grant(l.tick+1, math.MaxInt32)
 		bursts = append(bursts, b)
 		l.OnSend(b)
-		for n := 0; n < b; n++ {
-			if got++; got%ReceiptEvery == 0 {
-				l.OnReport(got, got)
-			}
-		}
+		l.OnReport(uint32(l.Sent()), uint32(l.Sent()))
 	}
 	return bursts
 }
 
-// TestBurstBounds: whatever a receiver claims — honestly or not — Pace
-// stays within [1, MaxBurst], a clean link reaches the cap, and each
-// forgery leaves the burst where the package doc says it does.
+// TestBurstBounds: whatever a receiver claims — honestly or not, once a
+// round trip or in a flood — the link never has more than MaxBurst rows in
+// flight nor takes more than TickCeiling in a tick, a clean link reaches
+// the cap, and each forgery leaves the window where the package doc says
+// it does. Every tick is several push rounds, a receipt between each two:
+// the shape of a wake-up per receipt.
 func TestBurstBounds(t *testing.T) {
 	const wrap = math.MaxUint32
 	cases := []struct {
 		name string
 		// claim returns the i-th receipt's counters, given the rows sent.
 		claim func(i int, sent uint64) (recv, inno uint32)
-		// settles bounds the burst once the forgery has run its course.
+		// rounds is how many receipts (and push rounds) a tick holds.
+		rounds int
+		// settles bounds the window once the forgery has run its course.
 		settlesLo, settlesHi int
 	}{
-		{"honest", func(_ int, sent uint64) (uint32, uint32) { return uint32(sent), uint32(sent) }, MaxBurst, MaxBurst},
-		{"over-claim", func(i int, _ uint64) (uint32, uint32) { return uint32(i+1) << 20, uint32(i+1) << 20 }, MaxBurst, MaxBurst},
-		{"under-claim", func(int, uint64) (uint32, uint32) { return 0, 0 }, 1, 1},
-		{"half-claim", func(_ int, sent uint64) (uint32, uint32) { return uint32(sent / 2), uint32(sent / 2) }, 1, MaxBurst},
-		{"backwards", func(i int, _ uint64) (uint32, uint32) { return uint32(1<<20 - i), uint32(1<<20 - i) }, 1, 2 * startBurst},
-		{"innovative>received", func(i int, _ uint64) (uint32, uint32) { return uint32(i), uint32(i) + 9 }, 1, 2 * startBurst},
-		{"uint32 wrap", func(i int, _ uint64) (uint32, uint32) { v := uint32(wrap - 64 + 16*uint64(i)); return v, v }, 1, MaxBurst},
-		{"ceiling", func(int, uint64) (uint32, uint32) { return wrap, wrap }, 1, 2 * startBurst},
+		{"honest", func(_ int, sent uint64) (uint32, uint32) { return uint32(sent), uint32(sent) }, 3, MaxBurst, MaxBurst},
+		{"over-claim", func(i int, _ uint64) (uint32, uint32) { return uint32(i+1) << 16, uint32(i+1) << 16 }, 3, MaxBurst, MaxBurst},
+		{"under-claim", func(int, uint64) (uint32, uint32) { return 0, 0 }, 3, 1, 1},
+		{"half-claim", func(_ int, sent uint64) (uint32, uint32) { return uint32(sent / 2), uint32(sent / 2) }, 3, 1, MaxBurst},
+		{"backwards", func(i int, _ uint64) (uint32, uint32) { return uint32(1<<20 - i), uint32(1<<20 - i) }, 3, 1, 2 * startWindow},
+		{"innovative>received", func(i int, _ uint64) (uint32, uint32) { return uint32(i), uint32(i) + 9 }, 3, 1, 2 * startWindow},
+		{"uint32 wrap", func(i int, _ uint64) (uint32, uint32) { v := uint32(wrap - 64 + 16*uint64(i)); return v, v }, 3, 1, MaxBurst},
+		{"ceiling", func(int, uint64) (uint32, uint32) { return wrap, wrap }, 3, 1, 2 * startWindow},
+		{"receipt-flood", func(i int, _ uint64) (uint32, uint32) { return uint32(i+1) << 12, uint32(i+1) << 12 }, 40, MaxBurst, MaxBurst},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var l Link
-			b := 0
-			for i := 0; i < 400; i++ {
-				b = l.Pace(math.MaxInt32)
-				if b < 1 || b > MaxBurst {
-					t.Fatalf("tick %d: burst %d outside [1, %d]", i, b, MaxBurst)
+			peak := 0
+			for i := 0; i < 400*tc.rounds; i++ {
+				tick := int64(1000 + i/tc.rounds)
+				if i%tc.rounds == 0 {
+					peak = 0
+				}
+				b := l.Grant(tick, math.MaxInt32)
+				if i%tc.rounds == 0 && b < 1 && l.InFlight() < MaxBurst {
+					t.Fatalf("tick %d: the first round of a tick granted %d rows with %d in flight: the floor is 1", tick, b, l.InFlight())
 				}
 				l.OnSend(b)
+				if peak += b; peak > TickCeiling {
+					t.Fatalf("tick %d: %d rows, the ceiling is %d", tick, peak, TickCeiling)
+				}
+				if l.InFlight() > MaxBurst {
+					t.Fatalf("tick %d: %d rows in flight, the cap is %d", tick, l.InFlight(), MaxBurst)
+				}
 				l.OnReport(tc.claim(i, l.Sent()))
 			}
-			if b < tc.settlesLo || b > tc.settlesHi {
-				t.Errorf("burst settled at %d, want within [%d, %d]", b, tc.settlesLo, tc.settlesHi)
+			if w := l.Window(); w < tc.settlesLo || w > tc.settlesHi {
+				t.Errorf("window settled at %d, want within [%d, %d]", w, tc.settlesLo, tc.settlesHi)
 			}
 			if loss := l.Loss(); loss < 0 || loss > MaxLoss {
 				t.Errorf("loss %v outside [0, %v]", loss, MaxLoss)
+			}
+			if tc.name == "receipt-flood" && peak != TickCeiling {
+				t.Errorf("a receipt flood took %d rows in the last tick, want the ceiling %d: the test exercised nothing", peak, TickCeiling)
 			}
 		})
 	}
@@ -214,60 +229,189 @@ func TestBurstBounds(t *testing.T) {
 
 // TestBurstRampAndSilence: a clean link doubles per sampled interval up
 // to the cap; a link whose receipts stop halves back down to the floor
-// of 1 and never below.
+// of 1 — one row a tick — and never below.
 func TestBurstRampAndSilence(t *testing.T) {
 	var l Link
 	bursts := paceClean(&l, 40)
-	if bursts[0] != startBurst {
-		t.Errorf("first burst %d, want the start %d", bursts[0], startBurst)
+	if bursts[0] != startWindow {
+		t.Errorf("first burst %d, want the start %d", bursts[0], startWindow)
 	}
 	for i := 1; i < len(bursts); i++ {
 		if bursts[i] < bursts[i-1] {
-			t.Fatalf("clean link's burst fell at tick %d: %v", i, bursts)
+			t.Fatalf("clean link's window fell at tick %d: %v", i, bursts)
 		}
 	}
 	if last := bursts[len(bursts)-1]; last != MaxBurst {
 		t.Fatalf("clean link settled at %d, want the cap %d (%v)", last, MaxBurst, bursts)
 	}
 	// Receipts stop; rows keep going out.
+	l.Grant(l.tick+1, math.MaxInt32) // folds the last receipt
+	silent := 0
 	for i := 0; i < 200; i++ {
-		b := l.Pace(math.MaxInt32)
-		if b < 1 {
-			t.Fatalf("silent link paced to %d", b)
+		b := l.Grant(l.tick+1, math.MaxInt32)
+		if b < 1 && l.InFlight() < MaxBurst {
+			t.Fatalf("silent link granted %d with %d rows in flight", b, l.InFlight())
 		}
 		l.OnSend(b)
+		silent += b
 	}
-	if b := l.Pace(math.MaxInt32); b != 1 {
-		t.Errorf("silent link still at burst %d after 200 ticks, want 1", b)
+	if b := l.Grant(l.tick+1, math.MaxInt32); b != 1 || l.Window() != 1 {
+		t.Errorf("silent link still grants %d at window %d after 200 ticks, want 1 and 1", b, l.Window())
 	}
-	// Nothing outstanding, nothing to decay: an idle link keeps its burst.
+	if silent > 200+8*MaxBurst {
+		t.Errorf("%d rows pushed into 200 ticks of silence", silent)
+	}
+	// Nothing outstanding, nothing to decay: an idle link keeps its window.
 	var idle Link
 	paceClean(&idle, 40)
-	idle.Pace(math.MaxInt32) // folds the last receipt: every row sent is now accounted for
 	for i := 0; i < 200; i++ {
-		idle.Pace(math.MaxInt32)
+		idle.Grant(idle.tick+1, math.MaxInt32)
 	}
-	if b := idle.Pace(math.MaxInt32); b != MaxBurst {
-		t.Errorf("idle link with no rows outstanding decayed to %d", b)
+	if w := idle.Window(); w != MaxBurst {
+		t.Errorf("idle link with no rows outstanding decayed to %d", w)
+	}
+}
+
+// TestLostRowsLeaveTheWindow: rows the link lost are never credited, and
+// still stop counting as in flight by the end of the tick after the one
+// they were sent in — so steady loss neither closes the window nor reads
+// as anything but its level.
+func TestLostRowsLeaveTheWindow(t *testing.T) {
+	var l Link
+	paceClean(&l, 40)
+	l.Grant(l.tick+1, math.MaxInt32)
+	l.OnSend(MaxBurst) // all lost: no receipt will ever name them
+	if got := l.Grant(l.tick, math.MaxInt32); got != 0 {
+		t.Fatalf("granted %d rows behind a full window", got)
+	}
+	if got := l.Grant(l.tick+1, math.MaxInt32); got != 0 {
+		t.Fatalf("granted %d rows a tick after a window that is still in flight (floor taken: %d in flight)", got, l.InFlight())
+	}
+	if got := l.Grant(l.tick+1, math.MaxInt32); got != MaxBurst || l.InFlight() != 0 {
+		t.Fatalf("two ticks on: granted %d with %d in flight, want the whole window back", got, l.InFlight())
+	}
+	// A quarter of every window lost, the rest acknowledged a tick later.
+	recv := uint32(l.Sent()) - MaxBurst
+	rows := 0
+	for i := 0; i < 200; i++ {
+		b := l.Grant(l.tick+1, math.MaxInt32)
+		l.OnSend(b)
+		rows += b
+		recv += uint32(b - b/4)
+		l.OnReport(recv, recv)
+	}
+	if mean := float64(rows) / 200; mean < 0.7*MaxBurst {
+		t.Errorf("mean %.1f rows a tick at 25%% loss: lost rows are clogging the window (cap %d)", mean, MaxBurst)
+	}
+	if got := l.Loss(); math.Abs(got-0.25) > 0.05 {
+		t.Errorf("loss level %.2f on a link losing a quarter", got)
+	}
+}
+
+// paceLagged drives a lossless link whose receipts take rtt ticks to come
+// back, one push round a tick, and returns the rows granted per tick and
+// the highest loss level seen on the way.
+func paceLagged(t *testing.T, l *Link, rtt, ticks int) (grants []int, peakLoss float64) {
+	t.Helper()
+	sentBy := []uint32{0} // cumulative rows sent by the end of tick i
+	for tick := 1; tick <= ticks; tick++ {
+		if tick > rtt && sentBy[tick-rtt] > 0 {
+			l.OnReport(sentBy[tick-rtt], sentBy[tick-rtt])
+		}
+		b := l.Grant(int64(tick), math.MaxInt32)
+		if b < 1 && l.InFlight() < MaxBurst {
+			t.Fatalf("tick %d: granted %d with %d in flight: the floor is 1", tick, b, l.InFlight())
+		}
+		l.OnSend(b)
+		if b > TickCeiling || l.InFlight() > MaxBurst {
+			t.Fatalf("tick %d: %d rows granted, %d in flight", tick, b, l.InFlight())
+		}
+		sentBy = append(sentBy, uint32(l.Sent()))
+		grants = append(grants, b)
+		peakLoss = math.Max(peakLoss, l.Loss())
+	}
+	return grants, peakLoss
+}
+
+// TestFirstReceiptTakesNoSample: everything sent more than a tick before
+// the first receipt has aged out by the time it is folded — on any link,
+// and by the dozen on one with a long round trip. The first fold is proof
+// of life and worth a doubling; the loss it would read is the ramp-up.
+func TestFirstReceiptTakesNoSample(t *testing.T) {
+	var l Link
+	const rtt = 10
+	paceLagged(t, &l, rtt, rtt) // nothing heard yet
+	if l.expired == 0 {
+		t.Fatal("no row aged out in a round trip of silence: the test exercises nothing")
+	}
+	if l.Reports() != 0 || l.Window() != startWindow {
+		t.Fatalf("before any receipt: %d reports, window %d", l.Reports(), l.Window())
+	}
+	l.OnReport(uint32(l.Sent()), uint32(l.Sent()))
+	l.Grant(rtt+1, math.MaxInt32)
+	if l.Reports() != 1 || l.Window() != 2*startWindow {
+		t.Errorf("first receipt: %d reports, window %d, want 1 and %d", l.Reports(), l.Window(), 2*startWindow)
+	}
+	if l.Loss() != 0 || l.expired != 0 || l.credited != 0 {
+		t.Errorf("first receipt left loss %.2f and an open interval of %d credited, %d expired: it must only open one",
+			l.Loss(), l.credited, l.expired)
+	}
+}
+
+// TestRoundTripBeyondTwoTicks pins what the pacer does outside the range
+// it is designed for. Rows stay in flight for at most two ticks, so on a
+// link whose round trip is longer every row ages out before its receipt
+// can arrive: the in-flight count is no longer the in-network count, and
+// while the rate is still climbing more rows age out than the receipts of
+// a round trip ago credit, which reads as loss on a lossless link. What
+// must hold anyway: the floor, the in-flight cap and the per-tick ceiling
+// (paceLagged checks them every tick), the level never above MaxLoss, the
+// link never slower than the window every other tick, and the false level
+// gone once the rate is steady. Inside the range (a round trip of one
+// tick) the level never leaves zero.
+func TestRoundTripBeyondTwoTicks(t *testing.T) {
+	for _, rtt := range []int{1, 5, 10, 40} {
+		var l Link
+		grants, peak := paceLagged(t, &l, rtt, 400)
+		rows := 0
+		for _, b := range grants[200:] {
+			rows += b
+		}
+		if mean := float64(rows) / 200; mean < MaxBurst/2 {
+			t.Errorf("rtt %d ticks: %.1f rows a tick once settled, want at least half the cap %d", rtt, mean, MaxBurst)
+		}
+		if l.Window() != MaxBurst {
+			t.Errorf("rtt %d ticks: lossless link settled at window %d, want the cap %d", rtt, l.Window(), MaxBurst)
+		}
+		if got := l.Loss(); got > 0.02 {
+			t.Errorf("rtt %d ticks: loss level %.2f on a lossless link at a steady rate", rtt, got)
+		}
+		if rtt <= 1 && peak != 0 {
+			t.Errorf("rtt %d tick: loss level reached %.2f on a lossless link inside the pacer's range", rtt, peak)
+		}
+		if peak > MaxLoss {
+			t.Errorf("rtt %d ticks: loss level reached %.2f, the clamp is %v", rtt, peak, MaxLoss)
+		}
 	}
 }
 
 // TestBurstTaper: as the peer's reported innovative count closes in on
-// k the burst tapers to half the rows missing, then holds at tailBurst.
+// k the window tapers to half the rows missing, then holds at tailWindow.
 func TestBurstTaper(t *testing.T) {
 	var l Link
-	paceClean(&l, 40) // at the cap; the peer has reported 16·n innovative rows
+	paceClean(&l, 40) // at the cap; the peer has reported every row innovative
+	l.Grant(l.tick+1, math.MaxInt32)
 	inno := int(l.inno)
 	for _, tc := range []struct{ missing, want int }{
-		{1000, MaxBurst}, {2 * MaxBurst, MaxBurst}, {40, 20}, {2 * tailBurst, tailBurst}, {3, tailBurst}, {0, tailBurst}, {-500, tailBurst},
+		{1000, MaxBurst}, {2 * MaxBurst, MaxBurst}, {40, 20}, {2 * tailWindow, tailWindow}, {3, tailWindow}, {0, tailWindow}, {-500, tailWindow},
 	} {
-		if got := l.Pace(inno + tc.missing); got != tc.want {
-			t.Errorf("%d rows missing: burst %d, want %d", tc.missing, got, tc.want)
+		if got := l.Grant(l.tick+1, inno+tc.missing); got != tc.want {
+			t.Errorf("%d rows missing: granted %d, want %d", tc.missing, got, tc.want)
 		}
 	}
-	// The taper only ever lowers: a link still at its start burst keeps it.
+	// The taper only ever lowers: a link still at its start window keeps it.
 	var fresh Link
-	if got := fresh.Pace(0); got != startBurst {
-		t.Errorf("fresh link tapered to %d, want its start burst %d", got, startBurst)
+	if got := fresh.Grant(0, 0); got != startWindow {
+		t.Errorf("fresh link tapered to %d, want its start window %d", got, startWindow)
 	}
 }

@@ -19,7 +19,8 @@ type OffloadParams struct {
 	// curve is reported sorted ascending and offload is measured against
 	// the smallest. At least two points are required.
 	Budgets []int64
-	// Fetchers is the flash-crowd size behind the cache (default 8).
+	// Fetchers is the number of fetchers behind the cache (default 8):
+	// the first pulls the object through, the rest are the flash crowd.
 	Fetchers int
 	// Size, K and Generations shape the hot object (defaults 64 KiB,
 	// k=256, G=4 — the edge-cache scenario geometry).
@@ -89,15 +90,35 @@ func (r OffloadReport) WriteJSON(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
+// The offload runs pin the push rate (simnet's defaults, stated here
+// because crowdAfter is derived from them): the origin's systematic pass
+// over a k-native object takes k/offloadBurst ticks.
+const (
+	offloadTick  = 10 * time.Millisecond
+	offloadBurst = 2
+)
+
+// crowdAfter is when the crowd arrives: one and a half times the origin's
+// first pass, so the pass and its last rows' flight are over.
+func crowdAfter(k int) time.Duration {
+	return time.Duration(k/offloadBurst) * offloadTick * 3 / 2
+}
+
 // RunOffloadCurve measures origin DATA frames as a function of the cache
-// budget: a flash crowd of fetchers pulls one hot object exclusively
-// through a single budgeted partial cache, and the origin's wire traffic
-// is counted per budget. A budget too small for the object leaves the
-// cache passing frames through (every row it cannot store is forwarded,
-// not absorbed), so the origin re-serves what the cache cannot hold;
-// once the budget covers the object the origin serves it roughly once.
-// The curve is the cache-sizing guide: offload bought per byte of
-// budget.
+// budget: one hot object behind a single budgeted partial cache, the
+// first fetcher pulling it through at t = 0 and the rest of the crowd
+// arriving once the origin's first pass is over (crowdAfter), and the
+// origin's wire traffic counted per budget until the last fetch
+// completes. The late arrival is what makes the budget matter: a crowd
+// subscribed while the origin's pass is still coming through is served by
+// pass-through (every row the cache cannot store is forwarded, not
+// absorbed) at k origin frames whatever the budget — multicast, not
+// caching. Arriving after it, the crowd gets what the cache kept: a
+// budget too small for the object never lets the cache report the object
+// covered, so the origin keeps streaming into it and re-serves what the
+// cache could not hold; once the budget covers the object the origin
+// serves it exactly once. The curve is the cache-sizing guide: offload
+// bought per byte of budget.
 func RunOffloadCurve(p OffloadParams) (OffloadReport, error) {
 	if err := p.setDefaults(); err != nil {
 		return OffloadReport{}, err
@@ -111,12 +132,19 @@ func RunOffloadCurve(p OffloadParams) (OffloadReport, error) {
 		sc := simnet.Scenario{
 			Name:    fmt.Sprintf("offload-%d", budget),
 			Seed:    p.Seed,
-			Sources: 1, Caches: 1, Fetchers: p.Fetchers,
+			Sources: 1, Caches: 1, Fetchers: 1,
 			Objects:         []simnet.ObjectSpec{{Size: p.Size, K: p.K, Generations: p.Generations}},
 			CacheBudget:     budget,
 			PeersPerFetcher: 1,
 			Link:            simnet.LinkConfig{Latency: 2 * time.Millisecond},
+			Tick:            offloadTick,
+			Burst:           offloadBurst,
 			Duration:        60 * time.Second,
+		}
+		for i := 1; i < p.Fetchers; i++ {
+			sc.Timeline = append(sc.Timeline, simnet.Event{
+				At: crowdAfter(p.K), Kind: simnet.EvJoin, Node: fmt.Sprintf("crowd%d", i),
+			})
 		}
 		res, err := sc.Run(context.Background())
 		if err != nil {

@@ -8,8 +8,9 @@ import (
 
 // TestRunOffloadCurve sweeps a small two-point curve: an undersized cache
 // forces the origin to keep serving the crowd, a cache that fits the
-// object absorbs it. The scaled-down geometry keeps the two virtual-time
-// runs in test-suite budget.
+// object absorbs it and the origin serves it exactly once. The
+// scaled-down geometry keeps the two virtual-time runs in test-suite
+// budget.
 func TestRunOffloadCurve(t *testing.T) {
 	rep, err := RunOffloadCurve(OffloadParams{
 		Budgets:  []int64{8 << 10, 24 << 10},
@@ -36,6 +37,9 @@ func TestRunOffloadCurve(t *testing.T) {
 	if big.OriginDataFrames >= small.OriginDataFrames {
 		t.Errorf("bigger cache did not offload the origin: %d frames at %d B vs %d at %d B",
 			big.OriginDataFrames, big.Budget, small.OriginDataFrames, small.Budget)
+	}
+	if big.OriginDataFrames != 64 {
+		t.Errorf("origin sent %d frames into a cache that fits the object, want the k=64 rows once", big.OriginDataFrames)
 	}
 	if big.CacheRows != 64 {
 		t.Errorf("full-budget cache holds %d rows, want the whole k=64 object", big.CacheRows)

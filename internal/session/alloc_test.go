@@ -76,7 +76,7 @@ func TestIngestAllocBudget(t *testing.T) {
 
 	// Warm up: learn the object and let the arenas and buckets grow.
 	for i := 0; i < 8; i++ {
-		s.ingestBatch(makeBatch(), &ingestScratch{})
+		s.ingestBatch(makeBatch(), &ingestScratch{}, false)
 	}
 
 	// Steady state: generating the batch is excluded by building it first.
@@ -89,7 +89,7 @@ func TestIngestAllocBudget(t *testing.T) {
 	next := 0
 	scratch := &ingestScratch{}
 	allocs := testing.AllocsPerRun(len(batches)-1, func() {
-		s.ingestBatch(batches[next], scratch)
+		s.ingestBatch(batches[next], scratch, false)
 		next++
 	})
 	perPacket := allocs / batchSize

@@ -29,6 +29,16 @@ const maxCacheAds = 32
 // peer must be able to resume — and any REQ lifts it immediately.
 const satiationLimit = 64
 
+// reqResend is a fetch's steady REQ cadence; reqRetry is how many Ticks
+// after its first REQ a fetch that has heard nothing of the object tries
+// again, doubling from there up to reqResend. A lost REQ then costs a few
+// ticks, not the 250 ms that outlast a whole paced transfer, and a fetch
+// nobody answers sends five REQs more than it used to.
+const (
+	reqResend = 250 * time.Millisecond
+	reqRetry  = 4
+)
+
 // receiptEvery is how many DATA frames a receiver accepts from one sender
 // between kind-5 receipt reports; the estimator on the other end sizes
 // its windows by the same constant.
@@ -38,16 +48,23 @@ const receiptEvery = adapt.ReceiptEvery
 type Config struct {
 	// Transport carries the frames; required.
 	Transport transport.Transport
-	// Tick is the push period (default 2ms).
+	// Tick is the push timer's period (default 2ms): the floor under the
+	// receipt clock — a peer whose receipts never come still gets a frame
+	// a Tick — the unit the silence rule, the META resend and the per-link
+	// rate ceiling are counted in, and the push period of a fixed Burst.
+	// The timer runs only while some peer is owed rows; an idle session
+	// wakes for housekeeping a few times a second.
 	Tick time.Duration
 	// Burst, when positive, is a fixed number of packets pushed per object,
-	// target and tick. Zero (the default) leaves the burst to the peer's
-	// receipts: per (peer, object) it starts at a few frames a tick,
-	// doubles while the peer's kind-5 reports show the rows arriving,
-	// halves when they show a loss step or stop coming, and stays within
-	// [1, adapt.MaxBurst] (internal/adapt, DESIGN.md §16) — so a peer that
-	// never sends a receipt is pushed one frame a tick, and a forged one
-	// buys at most the cap.
+	// target and Tick, on the timer alone. Zero (the default) leaves the
+	// push to the peer's receipts: per (peer, object) a window of frames in
+	// flight starts at a few, doubles while the peer's kind-5 reports show
+	// the rows arriving, halves when they show a loss step or stop coming,
+	// and stays within [1, adapt.MaxBurst]; frames leave whenever a receipt
+	// or a decode frees window, never more than adapt.TickCeiling per Tick
+	// (internal/adapt, DESIGN.md §16) — so a peer that never sends a
+	// receipt is pushed one frame a Tick, and forged ones buy at most the
+	// ceiling.
 	Burst int
 	// Aggressiveness gates recoding as in the paper (default 0.01): a
 	// relay starts recoding an object once it holds K·Aggressiveness + 1
@@ -140,8 +157,8 @@ type Config struct {
 	// a degree-1 row, in the order it was decoded, before coded repair).
 	// Off by default.
 	Adaptive bool
-	// Clock is the time source behind every session timer — push ticks,
-	// META resend, idle eviction, satiation backoff, fetch retries.
+	// Clock is the time source behind every session timer — the push
+	// timer, META resend, idle eviction, satiation backoff, fetch retries.
 	// Default: the system clock. Simulations (internal/simnet) inject a
 	// virtual clock so a minute of protocol time passes in milliseconds
 	// of wall time, deterministically.

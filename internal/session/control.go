@@ -99,6 +99,7 @@ func (s *Session) handleReq(from transport.Addr, data []byte) (reply []byte, ext
 	// missed it, and without the size it can never finish (it keeps
 	// re-REQing, so a lost reply heals on the next round).
 	ps.metaAt = time.Time{}
+	s.wake() // a new target: un-park the push timer, open its window now
 	if st.size.Load() < 0 {
 		return nil, extras
 	}
@@ -370,8 +371,10 @@ func (ps *peerState) onGenCompleteLocked(gens int, gen uint32) {
 }
 
 // onReceiptLocked feeds a kind-5 receipt report (body: gen, received,
-// innovative) to the peer's loss estimator. Session.mu must be held.
+// innovative) to the peer's link and wakes the push goroutine to fold it:
+// the rows it acknowledges have left the window. Session.mu must be held.
 func (s *Session) onReceiptLocked(ps *peerState, body []byte) {
+	s.wake()
 	if ps.link.OnReport(binary.BigEndian.Uint32(body[4:8]), binary.BigEndian.Uint32(body[8:12])) {
 		// Innovative progress over there is the opposite of satiation:
 		// clear the redundancy streak and any backoff so the stream
@@ -409,16 +412,17 @@ func (st *objectState) recordCacheAdLocked(from transport.Addr, ad cacheAd) {
 }
 
 // satiationBackoff is how long pushes to a satiated peer pause: the time
-// a hundred frames take at the peer's burst — the fixed Config.Burst, or
-// what its receipts have earned — but never under two ticks. A peer pushed
-// burst rows a tick reaches the abort limit burst times sooner and must
-// pause burst times shorter: a paused sender triggers no receipts, so
+// a hundred frames take at the slowest the peer is pushed — the fixed
+// Config.Burst a Tick, or the window its receipts have earned turning
+// over once a Tick — but never under two Ticks. A peer pushed that many
+// rows at a time reaches the abort limit that many times sooner and must
+// pause that many times shorter: a paused sender triggers no receipts, so
 // nothing lifts the pause early, and behind a systematic pass a
 // near-complete receiver aborts most repair rows.
 func (s *Session) satiationBackoff(ps *peerState) time.Duration {
 	burst := s.cfg.Burst
 	if burst == 0 {
-		burst = ps.link.Burst()
+		burst = ps.link.Window()
 	}
 	return max(max(100*s.cfg.Tick, 50*time.Millisecond)/time.Duration(burst), 2*s.cfg.Tick)
 }

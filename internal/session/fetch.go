@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"ltnc/internal/bitvec"
 	"ltnc/internal/packet"
@@ -20,9 +19,11 @@ import (
 // membership plane on, the evolving neighbor selection (each resend
 // round re-draws candidates from the view, so a fetch started with an
 // empty view succeeds once discovery catches up); with no candidates
-// and no membership it fails with ErrNoPeers. REQs are resent
-// periodically (datagrams are lossy) until the transfer finishes or ctx
-// expires.
+// and no membership it fails with ErrNoPeers. REQs are resent (datagrams
+// are lossy) until the transfer finishes or ctx expires: every reqResend
+// once anything of the object has arrived, and before that — when the REQ
+// itself may be what was lost, and waiting reqResend for it would cost
+// more than the whole transfer — after a few Ticks, doubling.
 func (s *Session) Fetch(ctx context.Context, id packet.ObjectID, from ...transport.Addr) ([]byte, ObjectStats, error) {
 	if id.IsZero() {
 		return nil, ObjectStats{}, errors.New("session: fetch of zero object id")
@@ -109,8 +110,9 @@ func (s *Session) Fetch(ctx context.Context, id packet.ObjectID, from ...transpo
 	if err := sendAll(); err != nil && !errors.Is(err, transport.ErrUnknownPeer) {
 		return nil, s.stats(st), err
 	}
-	resend := s.clk.NewTicker(250 * time.Millisecond)
-	defer resend.Stop()
+	interval := min(reqRetry*s.cfg.Tick, reqResend)
+	resend := s.clk.NewTicker(interval)
+	defer func() { resend.Stop() }()
 	for {
 		select {
 		case <-done:
@@ -119,6 +121,22 @@ func (s *Session) Fetch(ctx context.Context, id packet.ObjectID, from ...transpo
 			st.mu.Unlock()
 			return data, s.stats(st), nil
 		case <-resend.C():
+			if interval < reqResend {
+				// Still on the short retry. A REQ that was answered needs no
+				// repeat; one that was not gets it now, and the next later.
+				st.mu.Lock()
+				answered := st.size.Load() >= 0 || st.received+st.aborted > 0
+				st.mu.Unlock()
+				interval = min(2*interval, reqResend)
+				if answered {
+					interval = reqResend
+				}
+				resend.Stop()
+				resend = s.clk.NewTicker(interval)
+				if answered {
+					continue
+				}
+			}
 			if err := sendAll(); err != nil && !errors.Is(err, transport.ErrUnknownPeer) {
 				return nil, s.stats(st), err
 			}

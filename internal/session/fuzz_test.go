@@ -55,10 +55,32 @@ func injectFrame(s *Session, from transport.Addr, data []byte) {
 		if err != nil || wv.Object.IsZero() {
 			return
 		}
-		s.ingestBatch([]inFrame{{f: f, wv: wv}}, &ingestScratch{})
+		s.ingestBatch([]inFrame{{f: f, wv: wv}}, &ingestScratch{}, false)
 		return
 	}
 	s.handleFrame(f)
+}
+
+// injectBurst feeds frames that crossed the network from one peer into s as
+// its receive loop and a decode worker would: control frames inline, DATA
+// in batches of up to IngestBatch, the worker's queue running dry behind
+// the last of them.
+func injectBurst(s *Session, from transport.Addr, frames [][]byte) {
+	var batch []inFrame
+	for _, data := range frames {
+		if len(data) == 0 || data[0] != frameData {
+			injectFrame(s, from, data)
+			continue
+		}
+		if wv, err := packet.ParseWire(data[1:]); err == nil && !wv.Object.IsZero() {
+			batch = append(batch, inFrame{f: transport.NewFrame(from, data, nil), wv: wv})
+		}
+	}
+	for len(batch) > 0 {
+		n := min(len(batch), s.cfg.IngestBatch)
+		s.ingestBatch(batch[:n], &ingestScratch{}, n == len(batch))
+		batch = batch[n:]
+	}
 }
 
 // FuzzSessionFrames throws arbitrary bytes at the session's frame
@@ -126,8 +148,8 @@ func FuzzSessionFrames(f *testing.F) {
 	f.Add(shortAd)
 	rc := receiptFrame(id, 1, 32, 16)
 	f.Add(rc)
-	f.Add(rc[:receiptLen-3]) // truncated inside the innovative counter
-	f.Add(append(rc, 0x00))  // oversized receipt
+	f.Add(rc[:receiptLen-3])         // truncated inside the innovative counter
+	f.Add(append(rc, 0x00))          // oversized receipt
 	lie := receiptFrame(id, 0, 4, 9) // innovative > received: a lie on its face
 	f.Add(lie)
 	zero := receiptFrame(id, 0, 0, 0) // the under-claiming liar's favorite

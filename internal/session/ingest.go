@@ -106,7 +106,7 @@ func (s *Session) ingestLoop(ctx context.Context, ch chan inFrame) {
 					break drain
 				}
 			}
-			s.ingestBatch(batch, &scratch)
+			s.ingestBatch(batch, &scratch, len(ch) == 0)
 		}
 	}
 }
@@ -140,8 +140,10 @@ type ingestForward struct {
 // a single session-lock acquisition, then frames are fed to the decoders
 // under per-object locks (held across runs of consecutive frames for the
 // same object), and feedback replies go out after all locks are dropped.
-// scratch is the calling worker's reusable workspace.
-func (s *Session) ingestBatch(batch []inFrame, scratch *ingestScratch) {
+// scratch is the calling worker's reusable workspace; drained says the
+// worker's queue was empty behind this batch, so nothing else is coming to
+// carry a receipt the batch left owing.
+func (s *Session) ingestBatch(batch []inFrame, scratch *ingestScratch, drained bool) {
 	if cap(scratch.states) < len(batch) {
 		scratch.states = make([]*objectState, len(batch))
 	}
@@ -205,13 +207,22 @@ func (s *Session) ingestBatch(batch []inFrame, scratch *ingestScratch) {
 	if cur != nil {
 		cur.mu.Unlock()
 	}
+	if len(notify) > 0 {
+		// Progress is worth a push round now: a relay forwards a native in
+		// the wake-up that decoded it. With nobody to push to, the round
+		// plans nothing and costs nothing measurable.
+		s.wake()
+	}
+	if drained {
+		replies = flushReceipts(batch, states, replies)
+	}
 	s.applyPollActions(&acts)
 	for _, r := range replies {
 		s.tr.Send(r.addr, r.frame)
 	}
 	for _, fw := range forwards {
 		s.mu.Lock()
-		addrs := s.targetsLocked(fw.st, s.clk.Now())
+		addrs, _ := s.targetsLocked(fw.st, s.clk.Now())
 		s.mu.Unlock()
 		sent := 0
 		for _, a := range addrs {
@@ -289,6 +300,27 @@ func (s *Session) resolveStateLocked(wv packet.WireView, from transport.Addr) *o
 	return st
 }
 
+// flushReceipts is the other half of receiptLocked: behind a drained
+// queue no further frame is coming to carry the report for the rows a
+// sender has unreported, and a sender whose window is smaller than
+// receiptEvery is waiting on exactly that report to send the next. One
+// kind-5 receipt per (object, sender) of the batch that is owed one.
+func flushReceipts(batch []inFrame, states []*objectState, replies []ingestReply) []ingestReply {
+	for i := range batch {
+		st, from := states[i], batch[i].f.From
+		if st == nil || (i > 0 && states[i-1] == st && batch[i-1].f.From == from) {
+			continue
+		}
+		st.mu.Lock()
+		if t := st.rx[from]; t != nil && t.since > 0 && !st.dead {
+			replies = append(replies, ingestReply{from, receiptFrame(st.id, batch[i].wv.Generation, t.rows, t.inno)})
+			t.since = 0
+		}
+		st.mu.Unlock()
+	}
+	return replies
+}
+
 // receiptLocked is the receiver half of the receipt clock (DESIGN.md
 // §16), shared by the decode and cache-admission paths: every frame the
 // decoder or the admission policy actually judged — innovative or
@@ -296,8 +328,9 @@ func (s *Session) resolveStateLocked(wv packet.WireView, from transport.Addr) *o
 // every receiptEvery such frames a kind-5 receipt report fills an
 // otherwise-empty feedback slot. A frame that already produced feedback
 // keeps it (completion and redundancy signals outrank receipts); the due
-// receipt simply rides the next quiet frame, so the cumulative counters
-// lose nothing. st.mu must be held.
+// receipt rides the next quiet frame, or leaves when the worker's queue
+// drains (flushReceipts), so the cumulative counters lose nothing. st.mu
+// must be held.
 func (st *objectState) receiptLocked(in *inFrame, fb []byte, progressed bool) []byte {
 	if st.dead || (!progressed && fb == nil) {
 		return fb

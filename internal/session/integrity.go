@@ -37,6 +37,9 @@ func (s *Session) applyPollActions(acts *pollActions) {
 	for _, r := range acts.sends {
 		s.tr.Send(r.addr, r.frame)
 	}
+	if len(acts.sends) > 0 {
+		s.wake() // a probe went out: a parked push loop must time it
+	}
 	acts.bans = acts.bans[:0]
 	acts.unbans = acts.unbans[:0]
 	acts.sends = acts.sends[:0]
@@ -620,8 +623,10 @@ func (s *Session) handleManifest(from transport.Addr, data []byte) {
 // probeSweep advances stalled probes: a quarantined generation waiting on
 // a probe peer that never answered (dead, banned meanwhile, or slow)
 // moves to its next candidate, or back to open refill when the candidate
-// list is exhausted. Runs every tick from tickLoop.
-func (s *Session) probeSweep() {
+// list is exhausted. It returns when the earliest probe still unanswered
+// times out — the zero time with none out — which is when it must run
+// next: every timer round of the push loop, and before the loop parks.
+func (s *Session) probeSweep() (next time.Time) {
 	s.mu.Lock()
 	var objs []*objectState
 	for _, st := range s.objects {
@@ -638,9 +643,13 @@ func (s *Session) probeSweep() {
 				if st.probe[g] != "" && now.Sub(st.probeAt[g]) >= timeout {
 					s.advanceProbeLocked(st, g, &acts)
 				}
+				if at := st.probeAt[g].Add(timeout); st.probe[g] != "" && (next.IsZero() || at.Before(next)) {
+					next = at
+				}
 			}
 		}
 		st.mu.Unlock()
 	}
 	s.applyPollActions(&acts)
+	return next
 }

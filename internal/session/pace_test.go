@@ -1,21 +1,25 @@
 package session
 
 import (
+	"context"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"ltnc/internal/adapt"
 	"ltnc/internal/packet"
 	"ltnc/internal/transport"
 )
 
-// The receipt-paced push, in the push_test.go shape: recording
+// The receipt-clocked push, in the push_test.go shape: recording
 // transports, a virtual clock, push() and the frame handlers called
 // directly on the test goroutine. A pacedLink is a source with Burst
 // unset pushing one object at a fetching session over a hand-carried
-// link; each step is one source tick, the DATA it emitted carried
-// across, and the fetcher's replies carried back.
+// link, one round trip a tick: each step is one source timer round, the
+// DATA it emitted carried across, and the fetcher's replies carried back.
+// Wake-ups are left pending; pacedChain's immediate mode serves them.
 
 type pacedLink struct {
 	src, dst       *Session
@@ -48,14 +52,16 @@ func newPacedLink(t *testing.T, k, m int, seed int64) *pacedLink {
 func (l *pacedLink) step() (data int) {
 	l.src.push()
 	l.clk.Advance(l.src.cfg.Tick)
+	var arrived [][]byte
 	for _, f := range l.srcRec.take()["dst"] {
 		if f[0] == frameData {
 			data++
 		}
 		if l.lose == nil || !l.lose(f, true) {
-			injectFrame(l.dst, "src", f)
+			arrived = append(arrived, f)
 		}
 	}
+	injectBurst(l.dst, "src", arrived)
 	for _, f := range l.dstRec.take()["src"] {
 		if l.lose != nil && l.lose(f, false) {
 			continue
@@ -183,13 +189,16 @@ func TestPacedLossLevelVersusStep(t *testing.T) {
 	t.Logf("steady 20%% loss: mean burst %.1f, loss estimate %.2f; lowest burst through the step %d", mean, lossEst, low)
 }
 
-// TestPacedForgedReceiptsStayOnTheirLink: a subscriber forging receipts
-// — over-claims, under-claims, counters running backwards and wrapping
-// uint32 — never gets more than adapt.MaxBurst frames in a tick, and the
-// honest peer next to it gets, tick for tick, the bursts it would have got
-// alone.
+// TestPacedForgedReceiptsStayOnTheirLink: a subscriber flooding forged
+// receipts — over-claims, under-claims, counters running backwards and
+// wrapping uint32, one before every push round, several rounds a tick as
+// its wake-ups would have it — never has more than adapt.MaxBurst rows in
+// flight on its link nor gets more than adapt.TickCeiling in a tick, and
+// the honest peer next to it gets, tick for tick, the rows it would have
+// got alone.
 func TestPacedForgedReceiptsStayOnTheirLink(t *testing.T) {
-	run := func(withLiar bool) (honest []int, liarPeak int) {
+	const roundsPerTick = 6
+	run := func(withLiar bool) (honest []int, liarPeak, flightPeak int) {
 		s, rec, clk := pushSession(t, "src", func(c *Config) { c.Burst = 0 })
 		id, err := s.Serve(testContent(512*16, 35), 512, 1)
 		if err != nil {
@@ -199,48 +208,65 @@ func TestPacedForgedReceiptsStayOnTheirLink(t *testing.T) {
 		if withLiar {
 			injectFrame(s, "z-liar", encodeReq(id))
 		}
-		forged := [][2]uint32{
-			{1 << 20, 1 << 20},     // over-claim
-			{0, 0},                 // under-claim
-			{5, 3},                 // backwards
+		// Mostly an over-claim growing faster than any sender could push —
+		// what keeps a window wide open — and every eighth receipt one of
+		// the contradictions.
+		contradictions := [][2]uint32{
+			{0, 0},                 // under-claim, and backwards
 			{1<<32 - 8, 1<<32 - 8}, // about to wrap
 			{7, 7},                 // wrapped
 			{1 << 30, 1 << 31},     // innovative > received
 			{1<<32 - 1, 1<<32 - 1}, // the ceiling
 		}
-		got := 0
+		forged := func(i int) (recv, inno uint32) {
+			if i%8 == 7 {
+				c := contradictions[i/8%len(contradictions)]
+				return c[0], c[1]
+			}
+			return uint32(i%8+1) << 20, uint32(i%8+1) << 20
+		}
+		got := uint32(0)
 		for tick := 0; tick < 120; tick++ {
-			pushTicks(s, clk, 1)
-			frames := rec.take()
-			_, _, n := frameCounts(frames["honest"])
-			honest = append(honest, n)
-			for ; n > 0; n-- {
-				if got++; got%receiptEvery == 0 {
-					injectFrame(s, "honest", receiptFrame(id, 0, uint32(got), uint32(got)))
+			mine, liars := 0, 0
+			for round := 0; round < roundsPerTick; round++ {
+				s.push()
+				frames := rec.take()
+				_, _, n := frameCounts(frames["honest"])
+				mine += n
+				if got += uint32(n); n > 0 { // the honest queue ran dry behind them
+					injectFrame(s, "honest", receiptFrame(id, 0, got, got))
+				}
+				_, _, n = frameCounts(frames["z-liar"])
+				liars += n
+				if withLiar {
+					flightPeak = max(flightPeak, s.objects[id].peers["z-liar"].link.InFlight())
+					recv, inno := forged(tick*roundsPerTick + round)
+					injectFrame(s, "z-liar", receiptFrame(id, 0, recv, inno))
 				}
 			}
-			_, _, n = frameCounts(frames["z-liar"])
-			liarPeak = max(liarPeak, n)
-			if withLiar {
-				c := forged[tick%len(forged)]
-				injectFrame(s, "z-liar", receiptFrame(id, 0, c[0], c[1]))
-			}
+			honest = append(honest, mine)
+			liarPeak = max(liarPeak, liars)
+			clk.Advance(s.cfg.Tick)
 		}
-		return honest, liarPeak
+		return honest, liarPeak, flightPeak
 	}
-	alone, _ := run(false)
-	beside, liarPeak := run(true)
-	if liarPeak > adapt.MaxBurst {
-		t.Errorf("forged receipts bought %d frames in one tick, the cap is %d", liarPeak, adapt.MaxBurst)
+	alone, _, _ := run(false)
+	beside, liarPeak, flightPeak := run(true)
+	if liarPeak > adapt.TickCeiling {
+		t.Errorf("forged receipts bought %d frames in one tick, the ceiling is %d", liarPeak, adapt.TickCeiling)
 	}
-	if liarPeak == 0 {
-		t.Error("the liar was never pushed to: the test exercised nothing")
+	if flightPeak > adapt.MaxBurst {
+		t.Errorf("forged receipts put %d rows in flight, the cap is %d", flightPeak, adapt.MaxBurst)
+	}
+	t.Logf("liar peak %d rows a tick, %d in flight; honest peak %d", liarPeak, flightPeak, slices.Max(alone))
+	if liarPeak <= adapt.MaxBurst {
+		t.Errorf("the liar peaked at %d frames a tick: its flood never turned a window over, the test exercised nothing", liarPeak)
 	}
 	if !slices.Equal(alone, beside) {
-		t.Errorf("honest peer's bursts moved beside a liar:\n alone  %v\n beside %v", alone, beside)
+		t.Errorf("honest peer's rows moved beside a liar:\n alone  %v\n beside %v", alone, beside)
 	}
-	if peak := slices.Max(alone); peak != adapt.MaxBurst {
-		t.Errorf("honest peer peaked at %d frames a tick, want the cap %d", peak, adapt.MaxBurst)
+	if peak := slices.Max(alone); peak != adapt.TickCeiling {
+		t.Errorf("honest peer peaked at %d frames a tick, want the ceiling %d", peak, adapt.TickCeiling)
 	}
 }
 
@@ -334,20 +360,30 @@ func TestSatiationPauseScalesWithBurst(t *testing.T) {
 }
 
 // pacedChain is source → relay → fetcher (or source → fetcher), Burst
-// unset, on one virtual clock: each step is one tick on every node, and
-// what they emitted is then carried one hop, minus what the link loses.
+// unset, on one virtual clock. Each step is one timer round on every
+// node, then a carry, then a Tick of virtual time. The tick carry moves
+// what the round emitted one hop and leaves wake-ups pending: a frame
+// crosses one hop per tick, the tick is the clock. The immediate carry is
+// the event clock: within the one virtual instant, frames are delivered
+// and every node a delivery woke runs push() again, as its push loop
+// would, until nothing moves.
 type pacedChain struct {
-	names []transport.Addr
-	nodes []*Session
-	recs  []*recTransport
-	clk   *transport.VClock
-	id    packet.ObjectID
-	lose  func(from, to transport.Addr, frame []byte) bool
+	names     []transport.Addr
+	nodes     []*Session
+	recs      []*recTransport
+	clk       *transport.VClock
+	id        packet.ObjectID
+	lose      func(from, to transport.Addr, frame []byte) bool
+	immediate bool
+	// rounds counts each node's push() calls; receipts the kind-5 reports
+	// delivered.
+	rounds   map[transport.Addr]int
+	receipts int
 }
 
 func newPacedChain(t *testing.T, relayed bool, k, m int, seed int64, mut func(*Config)) *pacedChain {
 	t.Helper()
-	c := &pacedChain{names: []transport.Addr{"src", "dst"}, clk: transport.NewVClock()}
+	c := &pacedChain{names: []transport.Addr{"src", "dst"}, clk: transport.NewVClock(), rounds: make(map[transport.Addr]int)}
 	if relayed {
 		c.names = []transport.Addr{"src", "relay", "dst"}
 	}
@@ -374,32 +410,62 @@ func newPacedChain(t *testing.T, relayed bool, k, m int, seed int64, mut func(*C
 	return c
 }
 
+// woken consumes a pending wake-up, as the push loop's select would.
+func woken(s *Session) bool {
+	select {
+	case <-s.wakeC:
+		s.busy.Add(-1)
+		return true
+	default:
+		return false
+	}
+}
+
 // step runs one tick and returns the DATA frames each node emitted in it.
 func (c *pacedChain) step() (data map[transport.Addr]int) {
-	for _, s := range c.nodes {
+	data = make(map[transport.Addr]int)
+	for i, s := range c.nodes {
+		woken(s) // the timer round serves whatever was pending
 		s.push()
+		c.rounds[c.names[i]]++
+	}
+	for c.carry(data) && c.immediate {
+		for i, s := range c.nodes {
+			if woken(s) {
+				s.push()
+				c.rounds[c.names[i]]++
+			}
+		}
 	}
 	c.clk.Advance(c.nodes[0].cfg.Tick)
-	// Collect the whole tick's output before delivering any of it: a frame
-	// crosses one hop per tick.
+	return data
+}
+
+// carry delivers everything the nodes have emitted, minus what the link
+// loses, and reports whether anything moved. The whole output is collected
+// before any of it is delivered: a frame crosses one hop per carry.
+func (c *pacedChain) carry(data map[transport.Addr]int) (moved bool) {
 	out := make([]map[transport.Addr][][]byte, len(c.nodes))
 	for i, rec := range c.recs {
 		out[i] = rec.take()
 	}
-	data = make(map[transport.Addr]int)
 	for i, from := range c.names {
 		for j, to := range c.names {
+			var arrived [][]byte
 			for _, f := range out[i][to] {
+				moved = true
 				if f[0] == frameData {
 					data[from]++
 				}
 				if c.lose == nil || !c.lose(from, to, f) {
-					injectFrame(c.nodes[j], from, f)
+					arrived = append(arrived, f)
+					c.receipts += btoi(isReceipt(f))
 				}
 			}
+			injectBurst(c.nodes[j], from, arrived)
 		}
 	}
-	return data
+	return moved
 }
 
 func (c *pacedChain) fetched() ObjectStats {
@@ -407,16 +473,19 @@ func (c *pacedChain) fetched() ObjectStats {
 	return st
 }
 
-// TestRelayCutThrough: source → relay → fetcher, paced, lossless. The
-// relay forwards what it decodes the tick after it decodes it — it does
-// not wait for the generation, only for the aggressiveness gate's first
-// k/100 rows, three ticks of a burst still ramping — so a second hop costs
-// a few ticks, not a second transfer, and the fetcher needs nothing beyond
-// the k plain rows.
+// TestRelayCutThrough: source → relay → fetcher, receipt-clocked,
+// lossless. The relay forwards what it decodes in the wake-up that decoded
+// it — it does not wait for the generation, for a tick, or for anything
+// but the aggressiveness gate's first k/100 rows, which the source's
+// opening windows deliver inside the first instant — so a second hop adds
+// no tick at all, and the fetcher needs nothing beyond the k plain rows.
+// With the tick as the only clock (the tick carry) every hop still costs
+// ticks; the event clock is what removed them.
 func TestRelayCutThrough(t *testing.T) {
 	const k, m, seed = 1024, 16, 38
-	run := func(relayed bool) (ticks, firstIn, firstOut int, stats ObjectStats) {
+	run := func(relayed, immediate bool) (ticks, firstIn, firstOut int, stats ObjectStats) {
 		c := newPacedChain(t, relayed, k, m, seed, nil)
+		c.immediate = immediate
 		firstIn, firstOut = -1, -1
 		for ; ticks < 1000 && !c.fetched().Complete; ticks++ {
 			data := c.step()
@@ -429,20 +498,249 @@ func TestRelayCutThrough(t *testing.T) {
 		}
 		return ticks, firstIn, firstOut, c.fetched()
 	}
-	direct, _, _, _ := run(false)
-	relayed, in, out, stats := run(true)
-	t.Logf("direct fetch %d ticks; through the relay %d ticks, first DATA in at tick %d, out at tick %d, overhead %.3f",
-		direct, relayed, in, out, stats.Overhead())
+	direct, _, _, _ := run(false, true)
+	relayed, in, out, stats := run(true, true)
+	ticked, tin, tout, _ := run(true, false)
+	t.Logf("direct fetch %d ticks; through the relay %d ticks, first DATA in at tick %d, out at tick %d, overhead %.3f; tick-carried %d ticks, in %d, out %d",
+		direct, relayed, in, out, stats.Overhead(), ticked, tin, tout)
 	if !stats.Complete {
 		t.Fatalf("fetch through the relay incomplete after %d ticks", relayed)
 	}
-	if in < 0 || out < 0 || out-in > 3 {
-		t.Errorf("relay's first DATA out at tick %d, first DATA in at tick %d: want out within 3 ticks of in", out, in)
+	if in != 0 || out != in {
+		t.Errorf("relay's first DATA out at tick %d, first DATA in at tick %d: want both in the first instant", out, in)
 	}
-	if float64(relayed) > 1.3*float64(direct) {
-		t.Errorf("fetch through the relay took %d ticks, direct %d: want within 1.3×", relayed, direct)
+	if relayed > direct+1 {
+		t.Errorf("fetch through the relay took %d ticks, direct %d: the second hop should add none", relayed, direct)
 	}
-	if stats.Overhead() > 1.02 {
-		t.Errorf("fetcher overhead %.3f on a lossless fabric, want ≤ 1.02", stats.Overhead())
+	if stats.Overhead() != 1 {
+		t.Errorf("fetcher overhead %.3f on a lossless fabric, want exactly 1", stats.Overhead())
+	}
+	if tout-tin < 1 || ticked <= relayed {
+		t.Errorf("tick-carried: out %d, in %d, %d ticks against %d: the comparison exercised nothing", tout, tin, ticked, relayed)
+	}
+}
+
+// TestReceiptClockedFetch: with receipts as the clock a lossless direct
+// fetch of 1,024 natives takes fewer timer ticks than the k/MaxBurst a
+// window a tick would need — the window turns over as often as the
+// receiver answers — while no tick carries more than adapt.TickCeiling
+// rows, and nothing but the k plain rows is needed.
+func TestReceiptClockedFetch(t *testing.T) {
+	const k = 1024
+	c := newPacedChain(t, false, k, 16, 39, nil)
+	c.immediate = true
+	ticks, peak := 0, 0
+	for ; ticks < 1000 && !c.fetched().Complete; ticks++ {
+		peak = max(peak, c.step()["src"])
+	}
+	stats := c.fetched()
+	t.Logf("%d natives in %d ticks, %d source push rounds, %d receipts, peak %d rows a tick", k, ticks, c.rounds["src"], c.receipts, peak)
+	if !stats.Complete || stats.Overhead() != 1 {
+		t.Fatalf("complete %v, overhead %.3f after %d ticks", stats.Complete, stats.Overhead(), ticks)
+	}
+	if ticks >= k/adapt.MaxBurst {
+		t.Errorf("fetch took %d ticks: a window a tick needs %d, receipts should beat it", ticks, k/adapt.MaxBurst)
+	}
+	if peak > adapt.TickCeiling {
+		t.Errorf("a tick carried %d rows, the ceiling is %d", peak, adapt.TickCeiling)
+	}
+}
+
+// TestReceiptFlushedOnDrain: a sender at its start window has fewer rows
+// in flight than the receiptEvery a receipt used to wait for, and still
+// gets one: the receiver reports what it holds when its queue runs dry,
+// and the report — not the next tick — is what releases the next window.
+func TestReceiptFlushedOnDrain(t *testing.T) {
+	c := newPacedChain(t, false, 256, 16, 40, nil)
+	c.immediate = true
+	if first := c.nodes[0].objects[c.id].peers["dst"].link.Window(); first >= receiptEvery {
+		t.Fatalf("start window %d is not smaller than receiptEvery %d: the test exercises nothing", first, receiptEvery)
+	}
+	data := c.step()
+	if c.receipts == 0 {
+		t.Fatalf("no receipt for the %d rows of the first tick", data["src"])
+	}
+	if data["src"] <= 4 || c.rounds["src"] < 2 {
+		t.Errorf("%d rows in %d push rounds in the first instant: the flushed receipt did not clock a second window", data["src"], c.rounds["src"])
+	}
+	// Without the drain nothing is owed until receiptEvery rows: a batch
+	// with more behind it carries no receipt.
+	dst, rec := c.nodes[1], c.recs[1]
+	rec.take()
+	injectFrame(dst, "src", handRow(t, c.id, testContent(256*16, 40), 1, 256, 0, false, 255))
+	if n := len(rec.take()["src"]); n != 0 {
+		t.Errorf("%d frames answered one row with the queue still busy, want none", n)
+	}
+}
+
+// TestIdleSessionParksTimer: a session with nobody to push to runs its
+// push loop at the housekeeping cadence, not every Tick — and the REQ
+// that gives it a target un-parks it in that very wake-up.
+func TestIdleSessionParksTimer(t *testing.T) {
+	clk := transport.NewVClock()
+	clk.SetSyncGrace(2 * time.Millisecond)
+	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 256, Seed: 41, Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := startSession(t, attach(t, sw, "source"), func(c *Config) {
+		c.Clock, c.Burst, c.Tick = clk, 0, 2*time.Millisecond
+	})
+	id, err := src.Serve(testContent(64*16, 41), 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The session's push timer is the only deadline on this clock (the
+	// switch adds no latency), so every hop to the next deadline is one
+	// timer round. A round gives its busy count back with its timer
+	// re-armed, so an idle session's next deadline is on the clock; idle is
+	// read the way simnet's scheduler reads it, a few polls running (the
+	// tick's receiver takes its busy count a moment after the hand-off).
+	rounds := 0
+	for end := clk.Now().Add(time.Second); ; rounds++ {
+		for idle := 0; idle < 3; runtime.Gosched() {
+			if idle++; src.Busy() != 0 {
+				idle = 0
+			}
+		}
+		at, ok := clk.NextDeadline()
+		if !ok || at.After(end) {
+			break
+		}
+		clk.AdvanceTo(at)
+	}
+	t.Logf("%d timer rounds in an idle virtual second", rounds)
+	if rounds > 10 {
+		t.Errorf("%d timer rounds in an idle virtual second, want ≤ 10", rounds)
+	}
+	sub := attach(t, sw, "sub")
+	if err := sub.Send("source", encodeReq(id)); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	got := 0
+	for got < 2 { // META, then DATA — with the clock standing still
+		f, err := sub.Recv(ctx)
+		if err != nil {
+			t.Fatalf("no DATA from a parked source after a REQ, clock frozen: %v", err)
+		}
+		if f.Data[0] == frameData {
+			got = 2
+		}
+		f.Release()
+	}
+}
+
+// TestParkedTimerWakesForProbeTimeout: the deadline a parked push loop
+// sleeps to is the earliest unanswered probe's own timeout — not a sweep
+// period after the park, which noticed a dead probe peer up to twice the
+// timeout late — and no probe deadline at all with none out; a probe going
+// out wakes the loop so that it learns of it.
+func TestParkedTimerWakesForProbeTimeout(t *testing.T) {
+	s, rec, clk := pushSession(t, "dst", func(c *Config) { c.Burst = 0 })
+	id, err := s.Serve(testContent(64*16, 43), 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hk := s.newHousekeeping(clk.Now())
+	if hk.probeAt = s.probeSweep(); !hk.probeAt.IsZero() || hk.next() != hk.evictAt {
+		t.Fatalf("no probe out: sweep reports %v, parked until %v, want the eviction at %v", hk.probeAt, hk.next(), hk.evictAt)
+	}
+	// Generation 0 goes on probe to p, with q next in line, 50 ms in.
+	clk.Advance(50 * time.Millisecond)
+	st := s.objects[id]
+	st.mu.Lock()
+	st.ensurePollLocked()
+	st.vigilant = true
+	st.probeCands[0] = []transport.Addr{"p", "q"}
+	var acts pollActions
+	s.advanceProbeLocked(st, 0, &acts)
+	st.mu.Unlock()
+	sentAt := clk.Now()
+	s.applyPollActions(&acts)
+	select {
+	case <-s.wakeC:
+	default:
+		t.Error("a probe went out and the push loop was not woken")
+	}
+	if hk.probeAt = s.probeSweep(); hk.probeAt != sentAt.Add(s.probeTimeout()) || hk.next() != hk.probeAt {
+		t.Fatalf("probe sent at %v: sweep reports %v, parked until %v, want its timeout %v",
+			sentAt, hk.probeAt, hk.next(), sentAt.Add(s.probeTimeout()))
+	}
+	rec.take()
+	// p never answers: at the deadline the probe moves on to q, whose own
+	// timeout is the next deadline; q never answers either and the
+	// generation goes back to open refill, with no probe deadline left.
+	clk.AdvanceTo(hk.probeAt)
+	hk.probeAt = s.probeSweep()
+	if toQ := rec.take()["q"]; len(toQ) != 1 || toQ[0][0] != frameReq || hk.probeAt != clk.Now().Add(s.probeTimeout()) {
+		t.Fatalf("probe timed out: %d frames to the next candidate, next deadline %v, want one REQ and %v",
+			len(toQ), hk.probeAt, clk.Now().Add(s.probeTimeout()))
+	}
+	clk.AdvanceTo(hk.probeAt)
+	if hk.probeAt = s.probeSweep(); !hk.probeAt.IsZero() || st.probeOf(0) != "" {
+		t.Errorf("candidates exhausted: probing %q, next deadline %v, want open refill and none", st.probeOf(0), hk.probeAt)
+	}
+}
+
+// TestFetchRetriesLostREQ: a fetch whose first REQ the network dropped asks
+// again within ten ticks — not a quarter of a second later, longer than
+// the whole paced transfer — and one whose REQ was answered sends no
+// second REQ before the steady resend is due.
+func TestFetchRetriesLostREQ(t *testing.T) {
+	for _, dropped := range []bool{true, false} {
+		src, srcRec, _ := pushSession(t, "src", func(c *Config) { c.Burst = 0 })
+		id, err := src.Serve(testContent(64*16, 42), 64, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, dstRec, clk := pushSession(t, "dst", func(c *Config) { c.Burst = 0 })
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			dst.Fetch(ctx, id, "src")
+		}()
+		clk.SetSyncGrace(2 * time.Millisecond) // an Advance hands its ticks to the Fetch goroutine
+		// reqs gives the Fetch goroutine a moment to act on what it was
+		// handed, then counts the REQs it has sent in all.
+		sent := 0
+		reqs := func() int {
+			for i := 0; i < 20; i++ {
+				time.Sleep(200 * time.Microsecond)
+				for _, f := range dstRec.take()["src"] {
+					sent += btoi(f[0] == frameReq)
+				}
+			}
+			return sent
+		}
+		if reqs() != 1 {
+			t.Fatalf("fetch opened with %d REQs, want 1", sent)
+		}
+		if !dropped {
+			injectFrame(src, "dst", encodeReq(id))
+			feed(dst, srcRec) // the META answers it
+		}
+		ticks := 0
+		for ; ticks < 10 && sent < 2; ticks++ {
+			clk.Advance(dst.cfg.Tick)
+			reqs()
+		}
+		if dropped && sent != 2 {
+			t.Errorf("REQ lost: %d REQs after %d ticks, want the retry", sent, ticks)
+		}
+		if !dropped {
+			clk.Advance(reqResend - 11*dst.cfg.Tick)
+			if reqs() != 1 {
+				t.Errorf("REQ answered: %d REQs before the %v resend was due, want 1", sent, reqResend)
+			}
+			clk.Advance(reqRetry*dst.cfg.Tick + dst.cfg.Tick)
+			if reqs() != 2 {
+				t.Errorf("REQ answered: %d REQs once the %v resend was due, want 2", sent, reqResend)
+			}
+		}
+		cancel()
+		<-done
 	}
 }

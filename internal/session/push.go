@@ -10,7 +10,13 @@ import (
 )
 
 // The push plane. One round is plan → emit → commit over one peerPlan
-// record per (object, peer).
+// record per (object, peer). Rounds are run by the push goroutine alone
+// (pushLoop, session.go): one when its timer fires — the floor, every
+// Tick while any peer is owed rows, and the only rounds a fixed Burst
+// gets — and, with Burst unset, one whenever a receipt arrives, a decode
+// gives a relay something new to forward or a subscriber appears, so rows
+// leave as fast as the receiver's progress frees its window (adapt.Link)
+// and not a tick later.
 //
 // Lock order, here as everywhere in the package: Session.mu before
 // objectState.mu, never the reverse, and nothing is sent under either.
@@ -18,8 +24,8 @@ import (
 // briefly inside it); emit takes st.mu only to build rows, then sends
 // and stages with no lock held — over UDP every Send is a syscall, and
 // holding a lock across the sweep would stall the receive hot path for
-// its duration. The cache has its own lock and is a leaf. push runs on
-// the tick goroutine alone, so the coalescer needs no lock.
+// its duration. The cache has its own lock and is a leaf. Rounds run on
+// the push goroutine alone, so the coalescer and rowBuf need no lock.
 
 // peerPlan is one (object, peer) push decision. planLocked fills the
 // snapshot half from the peer's state, emit draws and sends the burst it
@@ -34,8 +40,8 @@ type peerPlan struct {
 	// the peer reports completion.
 	gensDone []bool // generations complete at the peer (nil = none)
 	needMeta bool
-	// burst is how many DATA frames this peer gets this tick: Config.Burst
-	// when set, else what the peer's receipts have earned (adapt.Link.Pace).
+	// burst is how many DATA frames this peer gets this round: Config.Burst
+	// when set, else what the peer's window has free (adapt.Link.Grant).
 	burst int
 	// The cursors advance on this copy during emit and are written back
 	// at commit — per peer, so each fetcher walks the whole cached basis
@@ -62,13 +68,15 @@ type objectPlan struct {
 	needMeta bool
 }
 
-// push sends one burst per object and live target.
-func (s *Session) push() {
+// push sends one burst per object and target with rows to come. It
+// reports whether any object still has a target that has not reported
+// completion: the push timer keeps its Tick period exactly that long.
+func (s *Session) push() (live bool) {
 	s.mu.Lock()
-	plans := s.planLocked(s.clk.Now())
+	plans, live := s.planLocked(s.clk.Now())
 	s.mu.Unlock()
 	if len(plans) == 0 {
-		return
+		return live
 	}
 	// DATA frames are staged into the coalescer's pooled slabs and flushed
 	// as per-peer batches at the end of the round (early per-peer flushes
@@ -84,47 +92,51 @@ func (s *Session) push() {
 	s.mu.Lock()
 	s.commitLocked(plans, s.clk.Now())
 	s.mu.Unlock()
+	return live
 }
 
 // planLocked snapshots this round's targets: objects in ID order, each
 // object's peers in targetsLocked order. The order is part of the
 // protocol's determinism — every peer's Recode draws from the object's
-// one coder RNG, so who goes first decides what everyone gets. s.mu must
+// one coder RNG, so who goes first decides what everyone gets. A peer
+// whose window is full and whose META is not due is left out. s.mu must
 // be held.
-func (s *Session) planLocked(now time.Time) []objectPlan {
+func (s *Session) planLocked(now time.Time) (plans []objectPlan, live bool) {
 	objs := make([]*objectState, 0, len(s.objects))
 	for _, st := range s.objects {
 		objs = append(objs, st)
 	}
 	slices.SortFunc(objs, func(a, b *objectState) int { return bytes.Compare(a.id[:], b.id[:]) })
-	plans := make([]objectPlan, 0, len(objs))
+	tick := now.UnixNano() / int64(s.cfg.Tick)
 	for _, st := range objs {
-		addrs := s.targetsLocked(st, now)
-		if len(addrs) == 0 {
-			continue
-		}
-		op := objectPlan{st: st, peers: make([]peerPlan, len(addrs))}
+		addrs, paused := s.targetsLocked(st, now)
+		live = live || paused || len(addrs) > 0
+		op := objectPlan{st: st}
 		sizeKnown := st.size.Load() >= 0
-		for i, addr := range addrs {
+		for _, addr := range addrs {
 			ps := st.peer(addr)
-			p := &op.peers[i]
-			p.addr = addr
+			p := peerPlan{addr: addr, cacheCursor: ps.cacheCursor, sysCursor: ps.sysCursor}
 			p.needMeta = sizeKnown && now.Sub(ps.metaAt) >= s.metaResend()
-			op.needMeta = op.needMeta || p.needMeta
-			if ps.gensDoneN > 0 {
-				p.gensDone = slices.Clone(ps.gensDone)
-			}
-			p.cacheCursor, p.sysCursor = ps.cacheCursor, ps.sysCursor
-			// Pace runs every tick, whoever sets the burst: it is also what
-			// folds the peer's receipts into its loss estimate.
-			p.burst = ps.link.Pace(st.k)
+			// Grant runs whoever sets the burst: it is also what folds the
+			// peer's receipts into its loss estimate.
+			p.burst = ps.link.Grant(tick, st.k)
 			if s.cfg.Burst > 0 {
 				p.burst = s.cfg.Burst
 			}
+			if p.burst == 0 && !p.needMeta {
+				continue
+			}
+			if ps.gensDoneN > 0 {
+				p.gensDone = slices.Clone(ps.gensDone)
+			}
+			op.needMeta = op.needMeta || p.needMeta
+			op.peers = append(op.peers, p)
 		}
-		plans = append(plans, op)
+		if len(op.peers) > 0 {
+			plans = append(plans, op)
+		}
 	}
-	return plans
+	return plans, live
 }
 
 // emit sends one object's round: rows are built under st.mu, so decode
@@ -333,8 +345,8 @@ func (s *Session) commitLocked(plans []objectPlan, now time.Time) {
 			// Monotone: a concurrent sweep may have pushed further already.
 			ps.sysCursor = max(ps.sysCursor, p.sysCursor)
 			if p.sent > 0 {
-				// Feed the DATA frames committed toward the peer to the link
-				// estimator's sender-side counter.
+				// The DATA frames committed toward the peer are in flight on
+				// its link from here on.
 				ps.link.OnSend(p.sent)
 			}
 		}
@@ -353,12 +365,14 @@ func (s *Session) metaResend() time.Duration {
 // current relay/cache-role neighbor selection (bounded by Fanout, so the
 // sweep is O(active neighbors) however large the swarm's view of the
 // world grows) — excluding peers that reported completion and peers
-// backing off after satiation. s.mu must be held.
-func (s *Session) targetsLocked(st *objectState, now time.Time) []transport.Addr {
+// backing off after satiation; paused reports whether any is, and so will
+// be a target again without sending a frame to say so. s.mu must be held.
+func (s *Session) targetsLocked(st *objectState, now time.Time) (out []transport.Addr, paused bool) {
 	skip := func(ps *peerState) bool {
-		return ps.done || now.Before(ps.pauseUntil)
+		pausing := !ps.done && now.Before(ps.pauseUntil)
+		paused = paused || pausing
+		return ps.done || pausing
 	}
-	var out []transport.Addr
 	for addr, ps := range st.peers {
 		if ps.reqSub && !skip(ps) {
 			out = append(out, addr)
@@ -395,5 +409,5 @@ func (s *Session) targetsLocked(st *objectState, now time.Time) []transport.Addr
 		out = append(out, addr)
 	}
 	st.mu.Unlock()
-	return out
+	return out, paused
 }

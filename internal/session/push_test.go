@@ -10,6 +10,7 @@ import (
 	"hash"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,7 +24,10 @@ import (
 // push() and the frame handlers directly on the test goroutine, so what a
 // session emits depends on its seed and the injected frames alone.
 type recTransport struct {
-	self   transport.Addr
+	self transport.Addr
+	// mu lets the one test that runs a blocking Fetch beside the test
+	// goroutine (TestFetchRetriesLostREQ) record from both.
+	mu     sync.Mutex
 	frames map[transport.Addr][][]byte
 	sums   map[transport.Addr]hash.Hash
 }
@@ -45,6 +49,8 @@ func (r *recTransport) Recv(ctx context.Context) (transport.Frame, error) {
 }
 
 func (r *recTransport) Send(to transport.Addr, frame []byte) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.frames[to] = append(r.frames[to], slices.Clone(frame))
 	if isReceipt(frame) {
 		// A receipt is the ingest path's reply to DATA fed in, not
@@ -72,6 +78,8 @@ func isReceipt(frame []byte) bool {
 // take returns and forgets the frames recorded since the last take; the
 // running per-destination digests are kept.
 func (r *recTransport) take() map[transport.Addr][][]byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := r.frames
 	r.frames = make(map[transport.Addr][][]byte)
 	return out
@@ -157,7 +165,11 @@ func feed(dst *Session, src *recTransport, without ...byte) {
 // row; cache-req because the 48 rows its plain source offers the cache are
 // now natives 0..47 instead of coded rows dealt across both generations, so
 // the cache serves a different basis. All but paced set Burst explicitly,
-// so receipt pacing leaves them alone. Every configuration keeps to at
+// so the pacer leaves them alone; paced was re-pinned again when the
+// pacer's state became a window of rows in flight (a receipt per sixteen
+// rows, a tick late, now frees sixteen rows of window where it used to
+// move a per-tick burst, and unacknowledged rows age out). Every
+// configuration keeps to at
 // most one REQ subscriber plus standing peers, the only population whose
 // push order was deterministic before plans were sorted.
 var pushGoldens = map[string]string{
@@ -165,7 +177,7 @@ var pushGoldens = map[string]string{
 	"g4-gen-complete":     "34b6cd801bd46f19dffc3c865b983fa54acb5a8809766539abfb9e9485d1becd",
 	"adaptive-systematic": "a394421719bee887a1bf1801f8a7cd84f2a1c2a5071c0ccc93c20004295ab267",
 	"cache-req":           "ac2fb3e1b634f16930081e1951c528f9ae3a28c74365cb586c4ae504a757ee15",
-	"paced":               "e7686cebe2c7a10b9c2f6bf2f294b0f9ba7ee867d1bc0817a9b06b838f1a47cc",
+	"paced":               "35547ee32418e300f13d17097c183c812af83d0daef554c460ccc720344119f2",
 }
 
 func TestPushGolden(t *testing.T) {
@@ -241,9 +253,10 @@ func TestPushGolden(t *testing.T) {
 			return rec.digest()
 		},
 		// Burst unset: receipts set the pace. "a" acknowledges every row
-		// (one receipt per receiptEvery, folded by the next tick), the
+		// (one receipt per receiptEvery, folded by the next round), the
 		// subscriber never does; the digest pins the ramp, the taper against
-		// a's innovative count, the silence decay and the rows drawn.
+		// a's innovative count, the ageing of rows no receipt names, the
+		// silence decay and the rows drawn.
 		"paced": func(t *testing.T) string {
 			s, rec, clk := pushSession(t, "src", func(c *Config) { c.Burst = 0 })
 			s.AddPeer("a")

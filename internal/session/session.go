@@ -363,16 +363,18 @@ type Session struct {
 	ingestDropped atomic.Int64
 
 	// coal gathers one push round's DATA frames into per-peer batches so
-	// the Linux fast path can ride sendmmsg/GSO. Owned by the tick loop
+	// the Linux fast path can ride sendmmsg/GSO. Owned by the push loop
 	// (push runs on one goroutine); lazily built on first use.
 	coal *transport.Coalescer
 	// rowBuf is the push round's scratch for coder-drawn rows, one window
-	// per peer of the object being emitted; owned by the tick loop like
+	// per peer of the object being emitted; owned by the push loop like
 	// coal.
 	rowBuf []*packet.Packet
+	// wakeC carries the coalescing wake signal to the push loop; see wake.
+	wakeC chan struct{}
 
-	// busy counts frames and ticks the session has accepted but not fully
-	// processed; see Busy.
+	// busy counts frames, push rounds and pending wake-ups the session has
+	// accepted but not fully processed; see Busy.
 	busy atomic.Int64
 
 	closed    chan struct{}
@@ -391,6 +393,7 @@ func New(cfg Config) (*Session, error) {
 		objects: make(map[packet.ObjectID]*objectState),
 		banned:  make(map[transport.Addr]struct{}),
 		shards:  make([]chan inFrame, cfg.DecodeWorkers),
+		wakeC:   make(chan struct{}, 1),
 		closed:  make(chan struct{}),
 	}
 	if cfg.CacheBudget > 0 {
@@ -424,11 +427,12 @@ func (s *Session) IngestDropped() int64 { return s.ingestDropped.Load() }
 
 // Busy returns the number of units of work the session has accepted but
 // not yet fully digested: received frames still queued or decoding
-// (including their feedback replies and watcher notifications) and push
-// ticks in progress. Zero means the session is quiescent — it will do
-// nothing further until a new frame arrives or its clock fires. Virtual
-// time schedulers (internal/simnet) poll it to decide when the simulated
-// world may safely advance.
+// (including their feedback replies and watcher notifications), push
+// rounds in progress and wake-ups the push loop has not served yet. Zero
+// means the session is quiescent — it will do nothing further until a new
+// frame arrives or its clock fires. Virtual time schedulers
+// (internal/simnet) poll it to decide when the simulated world may safely
+// advance.
 func (s *Session) Busy() int64 { return s.busy.Load() }
 
 // AddPeer registers a standing push target: every locally known object is
@@ -442,6 +446,7 @@ func (s *Session) AddPeer(addr transport.Addr) {
 		}
 	}
 	s.peers = append(s.peers, addr)
+	s.wake()
 }
 
 // Serve splits content into k natives across gens independently coded
@@ -529,6 +534,7 @@ func (s *Session) Serve(content []byte, k, gens int) (packet.ObjectID, error) {
 	st.pinned = true
 	s.mu.Unlock()
 	s.logf("session: serving %v (k=%d G=%d m=%d size=%d)", id, k, gens, m, len(content))
+	s.wake()
 	s.notifyWatchers(st)
 	return id, nil
 }
@@ -627,7 +633,8 @@ func (s *Session) threshold(k int) int {
 // Run pumps the session until ctx is cancelled or the session is closed:
 // one goroutine receives and dispatches frames, a decode worker per shard
 // drains and decodes DATA bursts, and one goroutine pushes recoded
-// packets every Tick and evicts idle state.
+// packets — woken by receipts and decodes, every Tick at the least — and
+// evicts idle state.
 func (s *Session) Run(ctx context.Context) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -635,7 +642,7 @@ func (s *Session) Run(ctx context.Context) error {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s.tickLoop(ctx)
+		s.pushLoop(ctx)
 	}()
 	for _, ch := range s.shards {
 		wg.Add(1)
@@ -663,41 +670,124 @@ func (s *Session) Close() error {
 	return err
 }
 
-func (s *Session) tickLoop(ctx context.Context) {
-	ticker := s.clk.NewTicker(s.cfg.Tick)
-	defer ticker.Stop()
-	// Evict roughly four times per idle timeout, at most once per tick
-	// and at least once per second.
-	evictPeriod := min(time.Second, max(s.cfg.Tick, s.cfg.IdleTimeout/4))
-	evictEvery := max(1, int(evictPeriod/s.cfg.Tick))
-	// Membership shuffles ride the same ticker at their own cadence, at
-	// a per-session random phase so a lockstep-started swarm does not
-	// stampede its bootstrap nodes in synchronized rounds.
-	shuffleEvery, shufflePhase := 0, 0
-	if s.member != nil {
-		shuffleEvery = max(1, int(s.cfg.ShufflePeriod/s.cfg.Tick))
-		shufflePhase = s.member.phase(shuffleEvery)
+// wake asks the push loop for a round now instead of at its next timer
+// fire (with a fixed Config.Burst: for its timer back, if parked, and no
+// more). The signal coalesces: a wake-up already pending will plan against
+// whatever the caller just changed. The waker takes the busy count the
+// woken round gives back, so a virtual-time scheduler never sees the
+// session idle between the signal and the rows it releases.
+func (s *Session) wake() {
+	s.busy.Add(1)
+	select {
+	case s.wakeC <- struct{}{}:
+	default:
+		s.busy.Add(-1)
 	}
-	tick := 0
+}
+
+// pushLoop is the push goroutine, the only caller of push. It selects on
+// the wake signal and one timer. While push finds a target the timer's
+// period is Tick: the floor (adapt.Link grants a row a Tick to a peer
+// whose receipts never come), the beat the silence rule and the META
+// resend are read against, and the only clock of a fixed Config.Burst,
+// for which a wake-up does no more than un-park it. With nothing owed to
+// anyone the timer parks until the next housekeeping deadline. The round's
+// busy count is given back only once the timer stands where the round
+// wants it, so to a virtual-time scheduler an idle session is one whose
+// next deadline is already on the clock.
+func (s *Session) pushLoop(ctx context.Context) {
+	hk := s.newHousekeeping(s.clk.Now())
+	var parked time.Time // the deadline the timer is parked at; zero: running at Tick
+	timer := s.clk.NewTicker(s.cfg.Tick)
+	defer func() { timer.Stop() }()
 	for {
+		var live bool
 		select {
 		case <-ctx.Done():
 			return
 		case <-s.closed:
 			return
-		case <-ticker.C():
+		case <-s.wakeC:
+			if live = s.cfg.Burst > 0 || s.push(); !live {
+				// About to park: a probe may have gone out since the last
+				// timer round looked.
+				hk.probeAt = s.probeSweep()
+			}
+		case <-timer.C():
 			s.busy.Add(1)
-			s.push()
-			s.probeSweep()
-			if shuffleEvery > 0 && tick%shuffleEvery == shufflePhase {
-				s.memberShuffle()
-			}
-			if tick++; tick%evictEvery == 0 {
-				s.evict()
-			}
-			s.busy.Add(-1)
+			hk.run(s, s.clk.Now()) // first: a shuffle may hand push new neighbors
+			live = s.push()
 		}
+		var at time.Time
+		now := s.clk.Now()
+		if next := hk.next(); !live && next.Sub(now) > s.cfg.Tick {
+			at = next
+		}
+		if at != parked {
+			timer.Stop()
+			if parked = at; at.IsZero() {
+				timer = s.clk.NewTicker(s.cfg.Tick)
+			} else {
+				timer = s.clk.NewTicker(at.Sub(now))
+			}
+		}
+		s.busy.Add(-1)
 	}
+}
+
+// housekeeping holds the push loop's slow duties as deadlines on the
+// session clock, so they keep their cadence whatever period the timer
+// runs at.
+type housekeeping struct {
+	evictEvery, shuffleEvery time.Duration
+	evictAt, shuffleAt       time.Time
+	probeAt                  time.Time // earliest unanswered probe's timeout; zero with none out
+}
+
+func (s *Session) newHousekeeping(now time.Time) *housekeeping {
+	// Evict roughly four times per idle timeout, at most once per tick
+	// and at least once per second.
+	hk := &housekeeping{evictEvery: min(time.Second, max(s.cfg.Tick, s.cfg.IdleTimeout/4))}
+	hk.evictAt = now.Add(hk.evictEvery)
+	if s.member != nil {
+		// Membership shuffles start at a per-session random phase so a
+		// lockstep-started swarm does not stampede its bootstrap nodes in
+		// synchronized rounds.
+		hk.shuffleEvery = max(s.cfg.Tick, s.cfg.ShufflePeriod)
+		phase := s.member.phase(int(hk.shuffleEvery / s.cfg.Tick))
+		hk.shuffleAt = now.Add(time.Duration(phase+1) * s.cfg.Tick)
+	}
+	return hk
+}
+
+// run does what is due at now; probe timeouts are checked every time.
+func (hk *housekeeping) run(s *Session, now time.Time) {
+	hk.probeAt = s.probeSweep()
+	if hk.shuffleEvery > 0 && !now.Before(hk.shuffleAt) {
+		s.memberShuffle()
+		hk.shuffleAt = laterThan(now, hk.shuffleAt, hk.shuffleEvery)
+	}
+	if !now.Before(hk.evictAt) {
+		s.evict()
+		hk.evictAt = laterThan(now, hk.evictAt, hk.evictEvery)
+	}
+}
+
+// next returns the earliest deadline a parked timer must wake for.
+func (hk *housekeeping) next() time.Time {
+	at := hk.evictAt
+	if !hk.probeAt.IsZero() && hk.probeAt.Before(at) {
+		at = hk.probeAt
+	}
+	if hk.shuffleEvery > 0 && hk.shuffleAt.Before(at) {
+		at = hk.shuffleAt
+	}
+	return at
+}
+
+// laterThan steps at forward by whole periods until it is after now.
+func laterThan(now, at time.Time, every time.Duration) time.Time {
+	return at.Add((now.Sub(at)/every + 1) * every)
 }
 
 // evict drops object state and subscribers that have been idle past the

@@ -706,7 +706,7 @@ func TestEvictedStateDropsInFlightFrames(t *testing.T) {
 
 	// Learn the object, then simulate the race: resolve the state as a
 	// worker would, evict it, and only then run the decode phase.
-	s.ingestBatch([]inFrame{frame(0)}, &ingestScratch{})
+	s.ingestBatch([]inFrame{frame(0)}, &ingestScratch{}, false)
 	s.mu.Lock()
 	stale := s.objects[id]
 	s.mu.Unlock()
@@ -733,7 +733,7 @@ func TestEvictedStateDropsInFlightFrames(t *testing.T) {
 	}
 
 	// A later batch relearns the object into fresh state.
-	s.ingestBatch([]inFrame{frame(2)}, &ingestScratch{})
+	s.ingestBatch([]inFrame{frame(2)}, &ingestScratch{}, false)
 	objs := s.Objects()
 	if len(objs) != 1 || objs[0].Received != 1 {
 		t.Fatalf("relearned state wrong: %+v", objs)

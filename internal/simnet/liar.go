@@ -27,11 +27,12 @@ const (
 // estimate at its ceiling and extorts maximum redundancy forever; the
 // estimator's clamps (MaxLoss, a budget that never exceeds the static
 // satiation limit) are what the liar scenarios verify. Odd-numbered
-// liars go after the receipt-paced burst instead, cycling through the
-// claims that could inflate it (liarClaims): everything and more
-// received, counters running backwards, counters wrapping uint32. The
-// pacer's cap (adapt.MaxBurst, checked frame by frame in a paced run) is
-// the defense. Pumping runs on the fabric scheduler at virtual intervals
+// liars go after the receipt-clocked window instead, flooding the claims
+// that could turn it over faster than any receiver empties it
+// (liarClaims, one every liarFlood): everything and more received,
+// counters running backwards, counters wrapping uint32. The pacer's
+// ceiling (adapt.TickCeiling rows a tick, checked frame by frame in a
+// paced run) is the defense. Pumping runs on the fabric scheduler at virtual intervals
 // and goes quiet once no DATA has arrived for liarIdle of virtual time,
 // bounding the traffic a run can see.
 type liar struct {
@@ -59,6 +60,7 @@ type liar struct {
 
 const (
 	liarEvery = 10 * time.Millisecond
+	liarFlood = time.Millisecond // a receipt per step of the fabric's default grid
 	liarResub = 250 * time.Millisecond
 	liarIdle  = 2 * time.Second
 )
@@ -77,7 +79,7 @@ var liarClaims = [][2]uint32{
 // and scheduler pump. ids and servers are read-only ground truth shared
 // with the runner; iteration order is the given slice order, so the
 // actor is deterministic.
-func startLiar(ctx context.Context, net *Net, name string, claims [][2]uint32, ids []packet.ObjectID, servers []transport.Addr) (*liar, error) {
+func startLiar(ctx context.Context, net *Net, name string, claims [][2]uint32, every time.Duration, ids []packet.ObjectID, servers []transport.Addr) (*liar, error) {
 	port, err := net.Attach(transport.Addr(name))
 	if err != nil {
 		return nil, err
@@ -89,7 +91,7 @@ func startLiar(ctx context.Context, net *Net, name string, claims [][2]uint32, i
 		ids:      ids,
 		servers:  servers,
 		claims:   claims,
-		every:    liarEvery,
+		every:    every,
 		resub:    liarResub,
 		idle:     liarIdle,
 		lastData: net.Now(),

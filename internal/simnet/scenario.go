@@ -151,10 +151,11 @@ type Scenario struct {
 	// play against the adaptive loop, trying to pin the sender's loss
 	// estimate at the ceiling and divert redundancy budget away from
 	// honest peers), the odd-numbered ones over-claiming, running their
-	// counters backwards and wrapping them (the play against the paced
-	// burst). The estimator's clamps (MaxLoss, budget never above the
-	// static satiation limit, burst never above adapt.MaxBurst) must keep
-	// honest fetches completing. Requires static star wiring without
+	// counters backwards and wrapping them, ten times a tick (the play
+	// against the receipt-clocked window: every forged receipt empties it).
+	// The estimator's clamps (MaxLoss, budget never above the static
+	// satiation limit, never more than adapt.TickCeiling rows a tick) must
+	// keep honest fetches completing. Requires static star wiring without
 	// caches or membership mode.
 	Liars int
 
@@ -225,12 +226,13 @@ type Scenario struct {
 	WallBudget  time.Duration
 }
 
-// BurstPaced as Scenario.Burst runs every session receipt-paced — the
+// BurstPaced as Scenario.Burst runs every session receipt-clocked — the
 // session default, session.Config.Burst unset — where the zero value keeps
 // meaning the lab's fixed two frames a tick. A paced run also checks, on
 // every DATA frame crossing the fabric, that no sender put more than
-// adapt.MaxBurst of them toward one receiver for one object into one
-// virtual instant (a push round): the cap a forged receipt cannot lift.
+// adapt.TickCeiling of them toward one receiver for one object into one
+// Tick of virtual time: the ceiling no receipt stream, forged or
+// flooded, can lift.
 const BurstPaced = -1
 
 func (sc *Scenario) setDefaults() error {
@@ -460,20 +462,20 @@ type runner struct {
 	originData  int64
 	dataFrames  int64
 	forgedData  int64
-	// rounds counts, in a paced run, the DATA frames of the push round in
-	// progress per (sender, receiver, object): frames of one round share a
-	// virtual instant.
-	rounds map[roundKey]roundCount
+	// ticks counts, in a paced run, the DATA frames of the tick in progress
+	// per (sender, receiver, object): the pacer's tick index is the clock
+	// divided by Tick, which the tap can read as well as the session.
+	ticks map[flowKey]tickCount
 }
 
-type roundKey struct {
+type flowKey struct {
 	from, to transport.Addr
 	obj      packet.ObjectID
 }
 
-type roundCount struct {
-	at time.Time
-	n  int
+type tickCount struct {
+	tick int64
+	n    int
 }
 
 func (r *runner) violatef(format string, args ...any) {
@@ -797,11 +799,11 @@ func (sc Scenario) Run(ctx context.Context) (*Report, error) {
 			servers = append(servers, transport.Addr(name))
 		}
 		for i, name := range liarNames {
-			claims := [][2]uint32{{0, 0}} // "I received nothing", forever
+			claims, every := [][2]uint32{{0, 0}}, liarEvery // "I received nothing", forever
 			if i%2 == 1 {
-				claims = liarClaims
+				claims, every = liarClaims, liarFlood
 			}
-			ln, err := startLiar(ctx, net, name, claims, r.ids, servers)
+			ln, err := startLiar(ctx, net, name, claims, every, r.ids, servers)
 			if err != nil {
 				return nil, err
 			}
@@ -1312,20 +1314,20 @@ func (r *runner) inspect(from, to transport.Addr, frame []byte) {
 	}
 	if r.sc.Burst == BurstPaced && !r.pollSet[from] {
 		r.mu.Lock()
-		if r.rounds == nil {
-			r.rounds = make(map[roundKey]roundCount)
+		if r.ticks == nil {
+			r.ticks = make(map[flowKey]tickCount)
 		}
-		key := roundKey{from, to, wv.Object}
-		c := r.rounds[key]
-		if now := r.net.Now(); !now.Equal(c.at) {
-			c = roundCount{at: now}
+		key := flowKey{from, to, wv.Object}
+		c := r.ticks[key]
+		if tick := r.net.Now().UnixNano() / int64(r.sc.Tick); tick != c.tick {
+			c = tickCount{tick: tick}
 		}
 		c.n++
-		r.rounds[key] = c
-		over := c.n == adapt.MaxBurst+1 // report each breached round once
+		r.ticks[key] = c
+		over := c.n == adapt.TickCeiling+1 // report each breached tick once
 		r.mu.Unlock()
 		if over {
-			r.violatef("%s→%s: more than %d DATA frames of %v in one push round", from, to, adapt.MaxBurst, wv.Object)
+			r.violatef("%s→%s: more than %d DATA frames of %v in one tick", from, to, adapt.TickCeiling, wv.Object)
 		}
 	}
 }

@@ -330,14 +330,16 @@ func TestScenarioPollutedSwarm(t *testing.T) {
 // garbage rows while 2 liars REQ-subscribe everywhere and flood forged
 // receipt reports — one claiming nothing ever arrived, trying to extort
 // the adaptive senders' redundancy budget, one over-claiming, running its
-// counters backwards and wrapping them, trying to inflate its burst. The
+// counters backwards and wrapping them ten times a tick, trying to turn
+// its window over faster than any receiver could. The
 // estimator's clamps must hold — every honest fetch still completes
 // byte-identically, within its per-fetch reception overhead bound
 // (enforced as run violations), with the polluters still convicted. The
-// paced variant runs the same swarm with Burst unset, where receipts set
-// every sender's pace: on top of the above, no sender may put more than
-// adapt.MaxBurst DATA frames toward one receiver into one push round (the
-// fabric tap checks every frame), forged receipts or not. The committed
+// paced variant runs the same swarm with Burst unset, where receipts clock
+// every sender's push: on top of the above, no sender may put more than
+// adapt.TickCeiling DATA frames toward one receiver into one Tick of
+// virtual time (the fabric tap checks every frame), forged receipts,
+// flooded receipts or not. The committed
 // polluted-swarm catalog entry stays untouched; these are clones, so its
 // regression seeds keep replaying bytes.
 func TestScenarioLyingReceivers(t *testing.T) {
@@ -386,6 +388,50 @@ func runLyingReceivers(t *testing.T, burst int) {
 	}
 	t.Logf("liar run: %d/%d fetches completed (%d poisoned), %d DATA frames (%d forged)",
 		rep.FetchesCompleted, len(rep.Fetches), poisoned, rep.DataFrames, rep.ForgedDataFrames)
+}
+
+// TestScenarioPacedLongRoundTrip runs a receipt-clocked swarm outside the
+// range its pacer is designed for: 25 ms links under a 10 ms Tick, so a
+// round trip is five ticks and every row ages out of its sender's window
+// before the receipt that names it can arrive (internal/adapt,
+// TestRoundTripBeyondTwoTicks). The window is then no bound on what is in
+// the network — receiver queues do overflow here, which the coding
+// absorbs — so what this pins is what must hold anyway: every fetch
+// completes byte-identically at a reception overhead near 1 on the
+// lossless fabric, and no sender passes adapt.TickCeiling DATA frames
+// toward one receiver in one Tick (the fabric tap, a run violation).
+func TestScenarioPacedLongRoundTrip(t *testing.T) {
+	seed := int64(1)
+	if *seedFlag != 0 {
+		seed = *seedFlag
+	}
+	sc := Scenario{
+		Name:    "paced-long-rtt",
+		Seed:    seed,
+		Sources: 1, Relays: 2, Fetchers: 4,
+		Objects:         []ObjectSpec{{Size: 256 << 10, K: 1024}},
+		PeersPerFetcher: 2,
+		Burst:           BurstPaced,
+		Tick:            10 * time.Millisecond,
+		Link:            LinkConfig{Latency: 25 * time.Millisecond},
+		Duration:        60 * time.Second,
+		MaxOverhead:     1.1,
+	}
+	rep, err := sc.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range rep.Violations {
+		t.Errorf("invariant violated: %s", v)
+	}
+	if rep.FetchesFailed > 0 || rep.FetchesCompleted != sc.Fetchers {
+		t.Errorf("%d of %d fetches completed, %d failed", rep.FetchesCompleted, sc.Fetchers, rep.FetchesFailed)
+	}
+	if t.Failed() {
+		t.Logf("reproduce with: go test ./internal/simnet -run %s -seed=%d", t.Name(), seed)
+	}
+	t.Logf("%d DATA frames, %d dropped at full queues, virtual %v, mean overhead %.3f",
+		rep.DataFrames, rep.Net.DropQueue, rep.VirtualElapsed.Round(time.Millisecond), rep.MeanOverhead)
 }
 
 // TestSeedCorpus replays the regression corpus: seeds that once broke a

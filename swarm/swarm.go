@@ -123,14 +123,19 @@ type Config struct {
 	// the paper's recoding intermediary. Fetch-only clients leave it
 	// false and decode only objects they asked for.
 	Relay bool
-	// Tick is the push period (default 2ms).
+	// Tick is the push timer's period (default 2ms): the floor under the
+	// receipt clock and the push period of a fixed Burst. With Burst unset
+	// packets leave as the peers' receipt reports arrive, and the timer
+	// only guarantees a peer that never reports one packet a Tick; it runs
+	// while some peer is owed packets and parks otherwise.
 	Tick time.Duration
 	// Burst, when positive, is a fixed number of packets pushed per object,
-	// target and tick. Zero (the default) lets each peer's receipt reports
-	// set it: the burst toward a peer starts at a few packets a tick,
-	// doubles while the reports show the packets arriving, halves on a
-	// loss step or when the reports stop, and stays between 1 and 32 — a
-	// peer that never reports is pushed one packet a tick.
+	// target and Tick. Zero (the default) lets each peer's receipt reports
+	// clock the push: a window of packets in flight toward the peer starts
+	// at a few, doubles while the reports show the packets arriving,
+	// halves on a loss step or when the reports stop, and stays between 1
+	// and 32; packets leave whenever a report frees window, at most 128 per
+	// Tick — a peer that never reports is pushed one packet a Tick.
 	Burst int
 	// Aggressiveness gates recoding as in the paper (default 0.01): a
 	// relay starts recoding an object once it holds K·Aggressiveness + 1
@@ -197,8 +202,8 @@ type Config struct {
 	// what a relay forwards before it holds a whole generation. Off by
 	// default.
 	Adaptive bool
-	// Clock is the time source behind every session timer — push ticks,
-	// META resend, idle eviction, fetch retries. Default: the system
+	// Clock is the time source behind every session timer — the push
+	// timer, META resend, idle eviction, fetch retries. Default: the system
 	// clock (transport.SystemClock). Simulations inject a virtual clock
 	// so a minute of protocol time passes in milliseconds of wall time;
 	// see ltnc/simlab.
