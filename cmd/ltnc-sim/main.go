@@ -12,12 +12,13 @@
 //	ltnc-sim -list
 //
 // Paper scale (N=1000, k up to 4096, 25 runs) takes a while; the defaults
-// are a laptop-scale variant with the same shapes. A -scenario run spins
-// up the real session stack on the deterministic virtual-time fabric —
+// are a laptop-scale variant with the same shapes. A -scenario run steps
+// the real session stack on the deterministic virtual-time fabric —
 // 50-node churn swarms, multihop partitions, asymmetric uplinks — and
-// prints the invariant-checked report as JSON; virtual minutes cost wall
-// seconds. EXPERIMENTS.md records both the command lines used and the
-// measured values.
+// prints the invariant-checked report as JSON; virtual minutes cost a
+// fraction of a wall second, and the same -seed prints the same report,
+// trace_hash included (wall_elapsed excepted). EXPERIMENTS.md records both
+// the command lines used and the measured values.
 package main
 
 import (
@@ -138,6 +139,7 @@ func runScenario(out io.Writer, name string, seed int64) error {
 	if err != nil {
 		return err
 	}
+	sc.Trace = true
 	rep, err := sc.Run(context.Background())
 	if err != nil {
 		return err

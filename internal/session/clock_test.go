@@ -1,7 +1,7 @@
 package session
 
 import (
-	"context"
+	"bytes"
 	"testing"
 	"time"
 
@@ -9,157 +9,68 @@ import (
 	"ltnc/internal/transport"
 )
 
-// advanceUntil drives a virtual clock forward in steps of the given
-// quantum until cond holds or maxVirtual has elapsed, yielding real time
-// between steps so session goroutines can digest what each step fired.
-func advanceUntil(t *testing.T, clk *transport.VClock, step, maxVirtual time.Duration, cond func() bool) {
-	t.Helper()
-	for elapsed := time.Duration(0); elapsed < maxVirtual; elapsed += step {
-		if cond() {
+// TestVirtualClockEndToEnd runs the full source → relay → fetch pipeline
+// with every session timer on a shared virtual clock (a stepNet at a fixed
+// Burst, which only the timer pushes): nothing moves while the clock stands
+// still, and the whole transfer completes inside a few hundred virtual
+// milliseconds.
+func TestVirtualClockEndToEnd(t *testing.T) {
+	n := newStepNet(t, 64, 64, 3, func(c *Config) { c.Burst, c.Relay = 4, true }, "source", "relay", "fetcher")
+	fetcher := n.nodes["fetcher"]
+	f, err := fetcher.BeginFetch(n.id, "relay")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.End()
+	// With the clock frozen the fetch must not complete: the only motion
+	// is the REQ and its answer, and pushes only happen on ticks.
+	n.settle()
+	if _, _, _, done := f.Result(); done {
+		t.Fatal("fetch completed with frozen clock")
+	}
+	for ticks := 0; ; ticks++ {
+		if data, _, err, done := f.Result(); done {
+			if err != nil {
+				t.Fatalf("fetch: %v", err)
+			}
+			if !bytes.Equal(data, testContent(64*64, 3)) {
+				t.Fatalf("fetched %d bytes differ from served content", len(data))
+			}
 			return
 		}
-		clk.Advance(step)
-		// Real-time settle: let the goroutines woken by the fired timers
-		// run before the next virtual step.
-		for i := 0; i < 20; i++ {
-			time.Sleep(100 * time.Microsecond)
-			if cond() {
-				return
-			}
+		if n.clk.Since(transport.VClockBase) > 10*time.Second {
+			t.Fatalf("fetch incomplete after %v of virtual time", n.clk.Since(transport.VClockBase))
 		}
+		n.tick()
 	}
-	if !cond() {
-		t.Fatalf("condition not reached after %v of virtual time", maxVirtual)
-	}
-}
-
-// TestVirtualClockEndToEnd runs the full source → relay → fetch pipeline
-// with every session timer on a shared virtual clock: nothing moves while
-// the clock stands still, and the whole transfer completes inside a few
-// hundred virtual milliseconds driven manually.
-func TestVirtualClockEndToEnd(t *testing.T) {
-	clk := transport.NewVClock()
-	clk.SetSyncGrace(2 * time.Millisecond)
-	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 256, Seed: 7, Clock: clk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	virt := func(c *Config) {
-		c.Clock = clk
-		c.Tick = 5 * time.Millisecond
-		c.Relay = true
-	}
-	src := startSession(t, attach(t, sw, "source"), virt)
-	relay := startSession(t, attach(t, sw, "relay"), virt)
-	_ = relay
-	fetcher := startSession(t, attach(t, sw, "fetcher"), virt)
-	src.AddPeer("relay")
-
-	content := testContent(4096, 3)
-	id, err := src.Serve(content, 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	type result struct {
-		data []byte
-		err  error
-	}
-	got := make(chan result, 1)
-	go func() {
-		data, _, err := fetcher.Fetch(ctx, id, "relay")
-		got <- result{data, err}
-	}()
-
-	// With the clock frozen the fetch must not complete: the only motion
-	// is the initial REQ (sent inline), and pushes only happen on ticks.
-	time.Sleep(20 * time.Millisecond)
-	select {
-	case r := <-got:
-		t.Fatalf("fetch completed with frozen clock: %v", r.err)
-	default:
-	}
-
-	done := func() bool {
-		select {
-		case r := <-got:
-			if r.err != nil {
-				t.Fatalf("fetch: %v", r.err)
-			}
-			if string(r.data) != string(content) {
-				t.Fatalf("fetched %d bytes differ from served content", len(r.data))
-			}
-			return true
-		default:
-			return false
-		}
-	}
-	advanceUntil(t, clk, 5*time.Millisecond, 10*time.Second, done)
 }
 
 // TestVirtualMetaResend pins the META repair path to the virtual clock: a
 // configured push peer that never acks keeps receiving periodic METAs at
 // the metaResend cadence, measured purely in virtual time.
 func TestVirtualMetaResend(t *testing.T) {
-	clk := transport.NewVClock()
-	clk.SetSyncGrace(2 * time.Millisecond)
-	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 256, Seed: 9, Clock: clk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := startSession(t, attach(t, sw, "source"), func(c *Config) {
-		c.Clock = clk
-		c.Tick = 5 * time.Millisecond
-	})
-	sink := attach(t, sw, "sink")
+	n := newStepNet(t, 16, 32, 1, func(c *Config) { c.Burst = 4 }, "source")
+	src := n.nodes["source"]
 	src.AddPeer("sink")
-	if _, err := src.Serve(testContent(512, 1), 16, 1); err != nil {
-		t.Fatal(err)
-	}
-
-	// Count META frames arriving at the silent sink while virtual time
-	// passes; the resend interval is max(25·Tick, 50ms) = 125ms, so one
-	// virtual second must carry several distinct METAs.
 	metas := 0
-	countQueued := func() {
-		for {
-			ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-			f, err := sink.Recv(ctx)
-			cancel()
-			if err != nil {
-				return
-			}
-			if len(f.Data) > 0 && f.Data[0] == frameMeta {
-				metas++
-			}
-			f.Release()
-		}
+	n.lose = func(_, to transport.Addr, f []byte) bool {
+		metas += btoi(to == "sink" && f[0] == frameMeta)
+		return false
 	}
-	advanceUntil(t, clk, 5*time.Millisecond, 5*time.Second, func() bool {
-		countQueued()
-		return metas >= 3
-	})
+	// The resend interval is max(25·Tick, 50ms), so one virtual second
+	// carries a META every interval and no more.
+	n.run(time.Second)
+	if want := int(time.Second / src.metaResend()); metas < want || metas > want+1 {
+		t.Fatalf("%d METAs to a silent peer in a virtual second, want one per %v", metas, src.metaResend())
+	}
 }
 
 // TestVirtualIdleEviction pins idle eviction to the virtual clock: a
 // relay-learned object is evicted once IdleTimeout of VIRTUAL time
-// passes, regardless of how little wall time does.
+// passes, and not before.
 func TestVirtualIdleEviction(t *testing.T) {
-	clk := transport.NewVClock()
-	clk.SetSyncGrace(2 * time.Millisecond)
-	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 64, Seed: 5, Clock: clk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	relay := startSession(t, attach(t, sw, "relay"), func(c *Config) {
-		c.Clock = clk
-		c.Tick = 10 * time.Millisecond
-		c.Relay = true
-		c.IdleTimeout = 10 * time.Second // virtual — far beyond the test's wall budget
-	})
-	feeder := attach(t, sw, "feeder")
+	n := newStepNet(t, 16, 32, 5, func(c *Config) { c.IdleTimeout = 10 * time.Second }, "relay")
+	relay := n.nodes["relay"]
 
 	// Teach the relay an object via META.
 	var id packet.ObjectID
@@ -170,25 +81,20 @@ func TestVirtualIdleEviction(t *testing.T) {
 	meta[17+3] = 16  // k = 16
 	meta[21+3] = 32  // m = 32
 	meta[25+7] = 200 // size = 200
-	if err := feeder.Send("relay", meta); err != nil {
-		t.Fatal(err)
-	}
+	n.recs["relay"].deliver("feeder", meta)
 	learned := func() bool {
 		_, ok := relay.Object(id)
 		return ok
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !learned() {
-		if time.Now().After(deadline) {
-			t.Fatalf("relay never learned the object")
-		}
-		time.Sleep(time.Millisecond)
+	if n.settle(); !learned() {
+		t.Fatalf("relay never learned the object")
 	}
-
-	// A long wall-clock pause changes nothing: idleness is virtual.
-	time.Sleep(50 * time.Millisecond)
-	if !learned() {
-		t.Fatalf("object evicted while virtual time stood still")
+	if n.run(relay.cfg.IdleTimeout - time.Second); !learned() {
+		t.Fatalf("object evicted %v into an idle timeout of %v", n.clk.Since(transport.VClockBase), relay.cfg.IdleTimeout)
 	}
-	advanceUntil(t, clk, 500*time.Millisecond, time.Minute, func() bool { return !learned() })
+	// Eviction sweeps once a second, for what has been idle longer than the
+	// timeout: the sweep of second 11 finds it.
+	if n.run(3 * time.Second); learned() {
+		t.Fatalf("object still held %v after its last use", n.clk.Since(transport.VClockBase))
+	}
 }

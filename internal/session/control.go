@@ -122,21 +122,29 @@ func (s *Session) handleReq(from transport.Addr, data []byte) (reply []byte, ext
 // REQ subscriber. Session.mu must be held.
 func (st *objectState) dropOnePeerLocked() bool {
 	var victim transport.Addr
-	var stalest time.Time
-	found := false
+	var vps *peerState
 	for addr, ps := range st.peers {
-		if ps.done {
-			delete(st.peers, addr)
-			return true
-		}
-		if ps.reqSub && (!found || ps.lastReq.Before(stalest)) {
-			victim, stalest, found = addr, ps.lastReq, true
+		if (ps.done || ps.reqSub) && (vps == nil || evictBefore(ps, vps, addr < victim)) {
+			victim, vps = addr, ps
 		}
 	}
-	if found {
+	if vps != nil {
 		delete(st.peers, victim)
 	}
-	return found
+	return vps != nil
+}
+
+// evictBefore orders two eviction candidates: done first, then the staler
+// REQ, then the address (lower says whether a's is the lower) — a total
+// order, so the victim is not whichever the map yields first.
+func evictBefore(a, b *peerState, lower bool) bool {
+	if a.done != b.done {
+		return a.done
+	}
+	if c := a.lastReq.Compare(b.lastReq); c != 0 && !a.done {
+		return c < 0
+	}
+	return lower
 }
 
 func (s *Session) handleMeta(from transport.Addr, data []byte) []byte {

@@ -5,52 +5,86 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"time"
 
 	"ltnc/internal/bitvec"
 	"ltnc/internal/packet"
 	"ltnc/internal/transport"
 )
 
-// The fetch plane: the blocking Fetch loop and its REQ steering.
+// The fetch plane: a fetch in progress (BeginFetch), its REQ resends —
+// deadlines the push timer's housekeeping serves — and their steering.
+
+// Fetching is one fetch in progress, as BeginFetch registered it. Its
+// waiter pins the object's state against idle eviction until End.
+type Fetching struct {
+	s       *Session
+	st      *objectState
+	from    []transport.Addr
+	dynamic bool // no explicit sources: candidates re-drawn from the membership view
+	failed  chan struct{}
+	// What follows belongs to whoever sends the REQs: BeginFetch until the
+	// fetch is registered, reqSweep from then on.
+	attempt  int
+	interval time.Duration
+	at       time.Time // the next REQ resend
+	err      error     // set before failed is closed
+}
 
 // Fetch subscribes to object id, waits for the decode to complete and
-// returns the content. The REQ goes to every address in from — or, when
-// none is given, to every configured peer (AddPeer) plus, with the
-// membership plane on, the evolving neighbor selection (each resend
-// round re-draws candidates from the view, so a fetch started with an
-// empty view succeeds once discovery catches up); with no candidates
-// and no membership it fails with ErrNoPeers. REQs are resent (datagrams
-// are lossy) until the transfer finishes or ctx expires: every reqResend
-// once anything of the object has arrived, and before that — when the REQ
-// itself may be what was lost, and waiting reqResend for it would cost
-// more than the whole transfer — after a few Ticks, doubling.
+// returns the content: BeginFetch, then a wait for its Result, ctx or
+// the session's end.
 func (s *Session) Fetch(ctx context.Context, id packet.ObjectID, from ...transport.Addr) ([]byte, ObjectStats, error) {
+	f, err := s.BeginFetch(id, from...)
+	if err != nil {
+		return nil, ObjectStats{}, err
+	}
+	defer f.End()
+	select {
+	case <-f.st.done:
+	case <-f.failed:
+	case <-ctx.Done():
+		return nil, s.stats(f.st), fmt.Errorf("session: fetch %v: %w", id, ctx.Err())
+	case <-s.closed:
+		return nil, s.stats(f.st), transport.ErrClosed
+	}
+	data, stats, err, _ := f.Result()
+	return data, stats, err
+}
+
+// BeginFetch subscribes to object id and returns at once. The REQ goes to
+// every address in from — or, when none is given, to every configured
+// peer (AddPeer) plus, with the membership plane on, the evolving neighbor
+// selection (each resend round re-draws candidates from the view, so a
+// fetch started with an empty view succeeds once discovery catches up);
+// with no candidates and no membership it fails with ErrNoPeers. REQs are
+// resent (datagrams are lossy) until the transfer finishes or the fetch
+// Ends: every reqResend once anything of the object has arrived, and
+// before that — when the REQ itself may be what was lost, and waiting
+// reqResend for it would cost more than the whole transfer — after a few
+// Ticks, doubling.
+func (s *Session) BeginFetch(id packet.ObjectID, from ...transport.Addr) (*Fetching, error) {
 	if id.IsZero() {
-		return nil, ObjectStats{}, errors.New("session: fetch of zero object id")
+		return nil, errors.New("session: fetch of zero object id")
 	}
 	s.mu.Lock()
-	dynamic := len(from) == 0 && s.member != nil
+	f := &Fetching{s: s, dynamic: len(from) == 0 && s.member != nil, failed: make(chan struct{})}
 	if len(from) == 0 {
 		from = append([]transport.Addr(nil), s.peers...)
 	}
-	if len(from) == 0 && !dynamic {
+	if len(from) == 0 && !f.dynamic {
 		s.mu.Unlock()
-		return nil, ObjectStats{}, ErrNoPeers
+		return nil, ErrNoPeers
 	}
 	st, ok := s.objects[id]
 	if !ok {
 		st = s.placeholderLocked(id)
 	}
 	// A waiter pins the state against idle eviction for exactly as long
-	// as someone blocks on it; abandoned fetches then age out normally.
+	// as someone waits on it; abandoned fetches then age out normally.
 	st.waiters++
-	done := st.done
 	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		st.waiters--
-		s.mu.Unlock()
-	}()
+	f.st, f.from = st, from
 	// The candidate set is this fetch's trust decision: these peers (and
 	// only these) can be convicted if their rows fail verification.
 	st.mu.Lock()
@@ -63,89 +97,135 @@ func (s *Session) Fetch(ctx context.Context, id packet.ObjectID, from ...transpo
 		// for the rank still missing.
 		s.promoteCached(st)
 	}
+	f.interval = min(reqRetry*s.cfg.Tick, reqResend)
+	f.at = s.clk.Now().Add(f.interval)
+	f.sendReqs()
+	s.mu.Lock()
+	s.fetches = append(s.fetches, f)
+	s.mu.Unlock()
+	s.wake() // a parked push timer must learn of the resend deadline
+	return f, nil
+}
 
-	req := encodeReq(id)
-	// One REQ per candidate peer, steered toward peers advertising
-	// cached coverage once advertisements arrive; the fetch fails only
-	// if no peer could be reached at all (a dead resolve on one address
-	// must not mask a live source on another) — or if pollution defense
-	// has banned every candidate, which fails fast with ErrPolluted.
-	attempt := 0
-	sendAll := func() error {
-		all := from
-		if dynamic {
-			all = s.fetchCandidates(st, from, attempt)
-		}
-		targets := s.steerTargets(st, all, attempt)
-		attempt++
-		if len(targets) == 0 {
-			if dynamic && len(s.bannedSnapshot()) == 0 {
-				// The view is simply still empty (fresh join, or every
-				// neighbor aged out); discovery will refill it — keep
-				// resending rather than failing.
-				return nil
-			}
-			return fmt.Errorf("session: fetch %v: %w", id, ErrPolluted)
-		}
-		var firstErr error
-		sent := 0
-		for _, addr := range targets {
-			if err := s.tr.Send(addr, req); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-			} else {
-				sent++
-			}
-		}
-		if sent == 0 {
-			return firstErr
-		}
-		return nil
+// End unregisters the fetch: no more REQs, and the object's state may age
+// out again. Call it once, whether or not the fetch resolved.
+func (f *Fetching) End() {
+	s := f.s
+	s.mu.Lock()
+	f.st.waiters--
+	s.fetches = slices.DeleteFunc(s.fetches, func(g *Fetching) bool { return g == f })
+	s.mu.Unlock()
+}
+
+// resolved reports whether the fetch has an outcome.
+func (f *Fetching) resolved() bool {
+	select {
+	case <-f.st.done:
+	case <-f.failed:
+	default:
+		return false
 	}
-	// ErrUnknownPeer is tolerated on the initial send exactly as on
-	// resends: a peer that has not attached (or resolved) yet may appear
-	// before the next retry, and aborting would turn that startup race
-	// into a hard failure.
-	if err := sendAll(); err != nil && !errors.Is(err, transport.ErrUnknownPeer) {
-		return nil, s.stats(st), err
+	return true
+}
+
+// Result reports the fetch's outcome, ok false while it has none yet: the
+// content once the decode completed, or the error of a resend round that
+// found nobody left to ask.
+func (f *Fetching) Result() (data []byte, stats ObjectStats, err error, ok bool) {
+	if !f.resolved() {
+		return nil, ObjectStats{}, nil, false
 	}
-	interval := min(reqRetry*s.cfg.Tick, reqResend)
-	resend := s.clk.NewTicker(interval)
-	defer func() { resend.Stop() }()
-	for {
-		select {
-		case <-done:
-			st.mu.Lock()
-			data := st.data
-			st.mu.Unlock()
-			return data, s.stats(st), nil
-		case <-resend.C():
-			if interval < reqResend {
-				// Still on the short retry. A REQ that was answered needs no
-				// repeat; one that was not gets it now, and the next later.
-				st.mu.Lock()
-				answered := st.size.Load() >= 0 || st.received+st.aborted > 0
-				st.mu.Unlock()
-				interval = min(2*interval, reqResend)
-				if answered {
-					interval = reqResend
-				}
-				resend.Stop()
-				resend = s.clk.NewTicker(interval)
-				if answered {
-					continue
-				}
-			}
-			if err := sendAll(); err != nil && !errors.Is(err, transport.ErrUnknownPeer) {
-				return nil, s.stats(st), err
-			}
-		case <-ctx.Done():
-			return nil, s.stats(st), fmt.Errorf("session: fetch %v: %w", id, ctx.Err())
-		case <-s.closed:
-			return nil, s.stats(st), transport.ErrClosed
+	select {
+	case <-f.st.done:
+		f.st.mu.Lock()
+		data = f.st.data
+		f.st.mu.Unlock()
+	default:
+		err = f.err
+	}
+	return data, f.s.stats(f.st), err, true
+}
+
+// sendReqs sends one REQ per candidate peer, steered toward peers
+// advertising cached coverage once advertisements arrive; the fetch fails
+// only if no peer could be reached at all (a dead resolve on one address
+// must not mask a live source on another) — or if pollution defense has
+// banned every candidate, which fails fast with ErrPolluted.
+// ErrUnknownPeer is tolerated, on the first send as on resends: a peer
+// that has not attached (or resolved) yet may appear before the next
+// retry, and failing would turn that startup race into a hard failure.
+func (f *Fetching) sendReqs() {
+	s, st := f.s, f.st
+	all := f.from
+	if f.dynamic {
+		all = s.fetchCandidates(st, f.from, f.attempt)
+	}
+	targets := s.steerTargets(st, all, f.attempt)
+	f.attempt++
+	var err error
+	if len(targets) == 0 {
+		if f.dynamic && len(s.bannedSnapshot()) == 0 {
+			// The view is simply still empty (fresh join, or every
+			// neighbor aged out); discovery will refill it — keep
+			// resending rather than failing.
+			return
+		}
+		err = fmt.Errorf("session: fetch %v: %w", st.id, ErrPolluted)
+	}
+	req := encodeReq(st.id)
+	sent := 0
+	for _, addr := range targets {
+		if e := s.tr.Send(addr, req); e == nil {
+			sent++
+		} else if err == nil {
+			err = e
 		}
 	}
+	if sent == 0 && err != nil && !errors.Is(err, transport.ErrUnknownPeer) {
+		f.err = err
+		close(f.failed)
+	}
+}
+
+// reqSweep sends the REQ resends that are due and returns when the next
+// one is — the zero time with no fetch waiting on one. Like probeSweep it
+// runs every timer round of the push plane, and before the timer parks.
+func (s *Session) reqSweep() (next time.Time) {
+	s.mu.Lock()
+	fetches := slices.Clone(s.fetches)
+	s.mu.Unlock()
+	now := s.clk.Now()
+	for _, f := range fetches {
+		if f.resolved() {
+			continue
+		}
+		if !now.Before(f.at) {
+			f.resend(now)
+		}
+		if next.IsZero() || f.at.Before(next) {
+			next = f.at
+		}
+	}
+	return next
+}
+
+// resend is one REQ deadline coming due.
+func (f *Fetching) resend(now time.Time) {
+	if f.interval < reqResend {
+		// Still on the short retry. A REQ that was answered needs no
+		// repeat; one that was not gets it now, and the next later.
+		f.st.mu.Lock()
+		answered := f.st.size.Load() >= 0 || f.st.received+f.st.aborted > 0
+		f.st.mu.Unlock()
+		f.interval = min(2*f.interval, reqResend)
+		if answered {
+			f.interval = reqResend
+			f.at = now.Add(f.interval)
+			return
+		}
+	}
+	f.at = now.Add(f.interval)
+	f.sendReqs()
 }
 
 // promoteCached turns a cache-mode object into a normal fetch target:

@@ -10,22 +10,14 @@ import (
 	"ltnc/internal/transport"
 )
 
-// fuzzSession builds a relay session without running its loops: frames
-// are injected synchronously through the same handlers the receive loop
-// and decode workers use, so the fuzzer exercises the full frame-parsing
-// surface (v2 DATA dispatch, REQ, META, FEEDBACK) without timing.
-func fuzzSession(tb testing.TB, mut func(*Config)) (*Session, *transport.Switch) {
+// fuzzSession builds a relay session nobody runs: the fuzz targets step it
+// frame by frame (stepFrame), so the fuzzer exercises the full
+// frame-parsing surface (v2 DATA dispatch, REQ, META, FEEDBACK) and the
+// push round behind it without timing.
+func fuzzSession(tb testing.TB, mut func(*Config)) *Session {
 	tb.Helper()
-	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 16})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tr, err := sw.Attach("fuzz")
-	if err != nil {
-		tb.Fatal(err)
-	}
 	cfg := Config{
-		Transport:  tr,
+		Transport:  newRecTransport("fuzz"),
 		Relay:      true,
 		Tick:       time.Hour,
 		MaxObjects: 8,
@@ -39,48 +31,30 @@ func fuzzSession(tb testing.TB, mut func(*Config)) (*Session, *transport.Switch)
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { s.Close() })
-	return s, sw
+	return s
 }
 
-// injectFrame routes one raw frame through the session exactly as the
-// receive loop would: DATA frames go through wire validation and the
-// batched decode path, everything else through the control handlers.
-func injectFrame(s *Session, from transport.Addr, data []byte) {
-	if len(data) == 0 {
-		return
-	}
-	f := transport.NewFrame(from, data, nil)
-	if data[0] == frameData {
-		wv, err := packet.ParseWire(data[1:])
-		if err != nil || wv.Object.IsZero() {
-			return
-		}
-		s.ingestBatch([]inFrame{{f: f, wv: wv}}, &ingestScratch{}, false)
-		return
-	}
-	s.handleFrame(f)
+// stepFrame has s take one raw frame off the network exactly as a driven
+// session would: queued at its transport, then Step.
+func stepFrame(s *Session, from transport.Addr, data []byte) {
+	s.tr.(*recTransport).deliver(from, data)
+	s.Step()
 }
 
-// injectBurst feeds frames that crossed the network from one peer into s as
-// its receive loop and a decode worker would: control frames inline, DATA
-// in batches of up to IngestBatch, the worker's queue running dry behind
-// the last of them.
+// injectBurst is the ingest half of that alone, for the tests that run
+// their push rounds themselves: frames that crossed the network from one
+// peer are queued at s's transport and taken as Step takes them — control
+// frames inline, DATA in batches of up to IngestBatch, the queue running
+// dry behind the last. Wake-ups stay pending.
 func injectBurst(s *Session, from transport.Addr, frames [][]byte) {
-	var batch []inFrame
 	for _, data := range frames {
-		if len(data) == 0 || data[0] != frameData {
-			injectFrame(s, from, data)
-			continue
-		}
-		if wv, err := packet.ParseWire(data[1:]); err == nil && !wv.Object.IsZero() {
-			batch = append(batch, inFrame{f: transport.NewFrame(from, data, nil), wv: wv})
-		}
+		s.tr.(*recTransport).deliver(from, data)
 	}
-	for len(batch) > 0 {
-		n := min(len(batch), s.cfg.IngestBatch)
-		s.ingestBatch(batch[:n], &ingestScratch{}, n == len(batch))
-		batch = batch[n:]
-	}
+	s.ingestReady(&s.stepper)
+}
+
+func injectFrame(s *Session, from transport.Addr, data []byte) {
+	injectBurst(s, from, [][]byte{data})
 }
 
 // FuzzSessionFrames throws arbitrary bytes at the session's frame
@@ -173,8 +147,8 @@ func FuzzSessionFrames(f *testing.F) {
 		// Adaptive on: the receipt tally and kind-5 parse paths are live
 		// (a non-adaptive session drops kind 5 before parsing it, which
 		// FuzzSessionFrameSequence still covers).
-		s, _ := fuzzSession(t, func(c *Config) { c.Adaptive = true })
-		injectFrame(s, "peer", data)
+		s := fuzzSession(t, func(c *Config) { c.Adaptive = true })
+		stepFrame(s, "peer", data)
 		// Whatever arrived, the relay bounds must hold.
 		objs := s.Objects()
 		if len(objs) > s.cfg.MaxObjects {
@@ -204,14 +178,14 @@ func FuzzSessionFrameSequence(f *testing.F) {
 	f.Add(seq)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, _ := fuzzSession(t, nil)
+		s := fuzzSession(t, nil)
 		for len(data) > 0 {
 			n := int(data[0])
 			data = data[1:]
 			if n == 0 || n > len(data) {
 				break
 			}
-			injectFrame(s, "peer", data[:n])
+			stepFrame(s, "peer", data[:n])
 			data = data[n:]
 		}
 		if len(s.Objects()) > s.cfg.MaxObjects {
@@ -280,14 +254,14 @@ func FuzzManifestFrames(f *testing.F) {
 	f.Add(pack(chunks[0])) // manifest before the object exists
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, _ := fuzzSession(t, nil)
+		s := fuzzSession(t, nil)
 		for len(data) > 0 {
 			n := int(data[0])
 			data = data[1:]
 			if n == 0 || n > len(data) {
 				break
 			}
-			injectFrame(s, "peer", data[:n])
+			stepFrame(s, "peer", data[:n])
 			data = data[n:]
 		}
 		for _, o := range s.Objects() {
@@ -331,7 +305,7 @@ func FuzzCacheSessionFrames(f *testing.F) {
 	f.Add(seq)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, _ := fuzzSession(t, func(c *Config) {
+		s := fuzzSession(t, func(c *Config) {
 			c.Relay = false
 			c.CacheBudget = 4096
 		})
@@ -341,7 +315,7 @@ func FuzzCacheSessionFrames(f *testing.F) {
 			if n == 0 || n > len(data) {
 				break
 			}
-			injectFrame(s, "peer", data[:n])
+			stepFrame(s, "peer", data[:n])
 			data = data[n:]
 		}
 		if len(s.Objects()) > s.cfg.MaxObjects {

@@ -218,12 +218,7 @@ func TestBadGenerationDataDropped(t *testing.T) {
 		gens = 2
 		kPer = 16
 	)
-	sw, err := transport.NewSwitch(transport.SwitchConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := attach(t, sw, "relay")
-	s, err := New(Config{Transport: tr, Relay: true, Tick: time.Hour, Seed: 9})
+	s, err := New(Config{Transport: newRecTransport("relay"), Relay: true, Tick: time.Hour, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,39 +37,41 @@ func (s *Session) recvLoop(ctx context.Context) error {
 		for i := 0; i < n; i++ {
 			f := batch[i]
 			batch[i] = transport.Frame{} // drop the reference; ownership moves below
-			if len(f.Data) > 0 && f.Data[0] == frameData {
-				s.dispatchData(f) // ownership moves to the decode worker
-				continue
+			if in, ok := s.parseFrame(f); ok {
+				s.dispatchData(in) // ownership moves to the decode worker
 			}
-			s.busy.Add(1)
-			s.handleFrame(f)
-			f.Release()
-			s.busy.Add(-1)
 		}
 	}
 }
 
-// dispatchData validates a DATA frame's wire layout and hands it to the
-// decode worker owning its content ID. Frames of one object always map to
-// the same shard, so per-object arrival order is preserved; a full shard
-// queue drops the frame as an overloaded datagram receiver would.
-func (s *Session) dispatchData(f transport.Frame) {
-	s.busy.Add(1)
+// parseFrame is the receive path's first look at a frame, shared by both
+// drivers: a control frame is handled inline and released, a DATA frame
+// comes back with its wire layout validated (a malformed one is dropped),
+// still owning its buffer.
+func (s *Session) parseFrame(f transport.Frame) (in inFrame, data bool) {
+	if len(f.Data) == 0 || f.Data[0] != frameData {
+		s.handleFrame(f)
+		f.Release()
+		return inFrame{}, false
+	}
 	wv, err := packet.ParseWire(f.Data[1:])
 	if err != nil || wv.Object.IsZero() {
 		f.Release()
-		s.busy.Add(-1)
-		return
+		return inFrame{}, false
 	}
-	shard := int(wv.Object[0]) % len(s.shards)
+	return inFrame{f: f, wv: wv}, true
+}
+
+// dispatchData hands a DATA frame to the decode worker owning its content
+// ID. Frames of one object always map to the same shard, so per-object
+// arrival order is preserved; a full shard queue drops the frame as an
+// overloaded datagram receiver would.
+func (s *Session) dispatchData(in inFrame) {
 	select {
-	case s.shards[shard] <- inFrame{f: f, wv: wv}:
-		// The frame stays counted in busy until its decode worker has
-		// fully processed it (ingestBatch decrements per frame).
+	case s.shards[int(in.wv.Object[0])%len(s.shards)] <- in:
 	default:
 		s.ingestDropped.Add(1)
-		f.Release()
-		s.busy.Add(-1)
+		in.f.Release()
 	}
 }
 
@@ -81,7 +83,6 @@ func (s *Session) ingestLoop(ctx context.Context, ch chan inFrame) {
 			select {
 			case in := <-ch:
 				in.f.Release()
-				s.busy.Add(-1)
 			default:
 				return
 			}
@@ -109,6 +110,30 @@ func (s *Session) ingestLoop(ctx context.Context, ch chan inFrame) {
 			s.ingestBatch(batch, &scratch, len(ch) == 0)
 		}
 	}
+}
+
+// ingestReady is Step's receive loop and decode worker in one: every frame
+// the transport has queued is taken, control frames handled as they come,
+// and the DATA among them decoded in arrival order in batches of
+// IngestBatch, the queue running dry behind the last.
+func (s *Session) ingestReady(d *stepper) {
+	p, ok := s.tr.(transport.Poller)
+	if !ok {
+		return
+	}
+	batch := d.batch[:0]
+	for f, ok := p.Poll(); ok; f, ok = p.Poll() {
+		if in, ok := s.parseFrame(f); ok {
+			batch = append(batch, in)
+		}
+	}
+	d.batch = batch
+	for len(batch) > 0 {
+		n := min(len(batch), s.cfg.IngestBatch)
+		s.ingestBatch(batch[:n], &d.scratch, n == len(batch))
+		batch = batch[n:]
+	}
+	clear(d.batch) // the frames are released; drop the references
 }
 
 // ingestScratch is a decode worker's reusable batch workspace, so the
@@ -242,11 +267,6 @@ func (s *Session) ingestBatch(batch []inFrame, scratch *ingestScratch, drained b
 	for _, st := range notify {
 		s.notifyWatchers(st)
 	}
-	// Frames leave the busy count only now, with decode, feedback replies
-	// and watcher notifications all done — this is what lets a virtual-time
-	// scheduler treat busy == 0 as "the session has digested everything it
-	// was handed".
-	s.busy.Add(-int64(len(batch)))
 }
 
 // genCount normalizes a wire generation count: gen-absent v1/v2 headers

@@ -368,7 +368,6 @@ func (s *Session) quarantineGenLocked(st *objectState, g int, convict bool, acts
 	cands := make([]transport.Addr, 0, len(contrib))
 	for addr := range contrib {
 		cands = append(cands, addr)
-		acts.sends = append(acts.sends, ingestReply{addr, encodeReq(st.id)})
 	}
 	slices.SortFunc(cands, func(a, b transport.Addr) int {
 		if d := st.suspicion[b] - st.suspicion[a]; d != 0 {
@@ -376,6 +375,9 @@ func (s *Session) quarantineGenLocked(st *objectState, g int, convict bool, acts
 		}
 		return cmpAddr(a, b)
 	})
+	for _, addr := range cands {
+		acts.sends = append(acts.sends, ingestReply{addr, encodeReq(st.id)})
+	}
 	st.probeCands[g] = cands
 	s.advanceProbeLocked(st, g, acts)
 	s.logf("session: %v generation %d failed verification: quarantined (%d contributors, probing %s)",
@@ -601,6 +603,7 @@ func (s *Session) handleManifest(from transport.Addr, data []byte) {
 			}
 		}
 		s.mu.Unlock()
+		slices.SortFunc(subs, cmpAddr) // not in map order: what a session sends is a function of its seed
 		st.mu.Lock()
 		frames := st.manFrames
 		st.mu.Unlock()

@@ -89,7 +89,7 @@ func TestMembershipDiscoveryFetch(t *testing.T) {
 // from the view, cannot be re-admitted by any later shuffle, and is
 // never forwarded to neighbors in our own exchanges.
 func TestMembershipBanNeverReadmits(t *testing.T) {
-	s, _ := fuzzSession(t, func(c *Config) {
+	s := fuzzSession(t, func(c *Config) {
 		c.Bootstrap = []transport.Addr{"boot"}
 	})
 	evil := packet.MemberEntry{Addr: "evil", Capacity: 255, Role: packet.MemberRoleRelay}
@@ -153,7 +153,7 @@ func TestMembershipBanNeverReadmits(t *testing.T) {
 // TestMembershipViewBoundAndSelf: hostile or buggy gossip can neither
 // grow the view past its bound nor insert the session's own address.
 func TestMembershipViewBoundAndSelf(t *testing.T) {
-	s, _ := fuzzSession(t, func(c *Config) {
+	s := fuzzSession(t, func(c *Config) {
 		c.Bootstrap = []transport.Addr{"boot"}
 		c.ViewSize = 4
 	})
@@ -180,7 +180,7 @@ func TestMembershipViewBoundAndSelf(t *testing.T) {
 // TestMembershipReplyNotAnswered: a reply-flagged exchange must not
 // produce a counter-reply (the ping-pong guard).
 func TestMembershipReplyNotAnswered(t *testing.T) {
-	s, _ := fuzzSession(t, func(c *Config) {
+	s := fuzzSession(t, func(c *Config) {
 		c.Bootstrap = []transport.Addr{"boot"}
 	})
 	if reply := s.handleMember("peer", memberBody(t, packet.MemberFlagReply)); reply != nil {
@@ -196,7 +196,7 @@ func TestMembershipReplyNotAnswered(t *testing.T) {
 // advertisement, so plain sources work as bootstrap targets — but it
 // never answers replies, and never answers convicted peers.
 func TestMembershipStatelessBootstrapReply(t *testing.T) {
-	s, _ := fuzzSession(t, nil) // no Bootstrap: membership off, Relay on
+	s := fuzzSession(t, nil) // no Bootstrap: membership off, Relay on
 	reply := s.handleMember("joiner", memberBody(t, 0))
 	if reply == nil {
 		t.Fatal("membership-less session did not answer a shuffle offer")
@@ -258,7 +258,7 @@ func FuzzMemberFrames(f *testing.F) {
 	f.Add(pack(offer, valid(0, packet.MemberEntry{Addr: "late"}), offer))         // sequences
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, _ := fuzzSession(t, func(c *Config) {
+		s := fuzzSession(t, func(c *Config) {
 			c.Bootstrap = []transport.Addr{"boot"}
 			c.ViewSize = 4
 		})
@@ -269,7 +269,7 @@ func FuzzMemberFrames(f *testing.F) {
 			if n == 0 || n > len(data) {
 				break
 			}
-			injectFrame(s, "peer", data[:n])
+			stepFrame(s, "peer", data[:n])
 			data = data[n:]
 		}
 		ms := s.MemberStats()

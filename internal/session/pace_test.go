@@ -1,9 +1,9 @@
 package session
 
 import (
-	"context"
+	"encoding/binary"
+	"maps"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -13,70 +13,166 @@ import (
 	"ltnc/internal/transport"
 )
 
-// The receipt-clocked push, in the push_test.go shape: recording
-// transports, a virtual clock, push() and the frame handlers called
-// directly on the test goroutine. A pacedLink is a source with Burst
-// unset pushing one object at a fetching session over a hand-carried
-// link, one round trip a tick: each step is one source timer round, the
-// DATA it emitted carried across, and the fetcher's replies carried back.
-// Wake-ups are left pending; pacedChain's immediate mode serves them.
+// The receipt-clocked push on a stepNet: a few sessions on recording
+// transports and one virtual clock, driven the way internal/simnet drives a
+// swarm — Step for every node with work, what each recorded carried to the
+// next, the clock moved to the earliest deadline — and small enough to
+// read a pacer's every round off it. (The tests that plant frames and count
+// what one push round emits still call push() themselves, push_test.go's
+// shape.)
 
-type pacedLink struct {
-	src, dst       *Session
-	srcRec, dstRec *recTransport
-	clk            *transport.VClock
-	id             packet.ObjectID
-	// lose decides, per frame and direction, what the link drops.
-	lose func(frame []byte, toDst bool) bool
-	// receipts counts kind-5 reports delivered to the source.
+type stepNet struct {
+	t     *testing.T
+	clk   *transport.VClock
+	names []transport.Addr // stepping order
+	nodes map[transport.Addr]*Session
+	recs  map[transport.Addr]*recTransport
+	next  map[transport.Addr]time.Time // each node's Step deadline
+	id    packet.ObjectID              // the object served at names[0]
+	// delay is what a hop costs: zero and a frame is answered within the
+	// instant it was sent in (the event clock), half a Tick and a round
+	// trip is a tick, a Tick and a frame crosses one hop per tick with the
+	// timer round the only one that sees it.
+	delay time.Duration
+	// lose sees every frame sent, to a node or not, and decides what the
+	// network drops.
+	lose   func(from, to transport.Addr, frame []byte) bool
+	flight []carried // in send order, which at a constant delay is arrival order
+	// data counts the DATA frames each node has emitted, receipts the
+	// kind-5 reports delivered.
+	data     map[transport.Addr]int
 	receipts int
 }
 
-func newPacedLink(t *testing.T, k, m int, seed int64) *pacedLink {
+type carried struct {
+	at       time.Time
+	from, to transport.Addr
+	frame    []byte
+}
+
+// newStepNet builds one session per name, Burst unset, on one clock: the
+// first serves a k·m-byte object and pushes it down the line, the one
+// named "relay" relays; mut adjusts every node's config.
+func newStepNet(t *testing.T, k, m int, seed int64, mut func(*Config), names ...transport.Addr) *stepNet {
 	t.Helper()
-	l := &pacedLink{}
-	l.src, l.srcRec, l.clk = pushSession(t, "src", func(c *Config) { c.Burst = 0 })
-	l.dst, l.dstRec, _ = pushSession(t, "dst", func(c *Config) { c.Burst = 0 })
-	id, err := l.src.Serve(testContent(k*m, seed), k, 1)
+	n := &stepNet{
+		t: t, clk: transport.NewVClock(), names: names,
+		nodes: make(map[transport.Addr]*Session), recs: make(map[transport.Addr]*recTransport),
+		next: make(map[transport.Addr]time.Time), data: make(map[transport.Addr]int),
+	}
+	for _, name := range names {
+		n.nodes[name], n.recs[name], _ = pushSession(t, name, func(c *Config) {
+			c.Burst, c.Clock, c.Relay = 0, n.clk, name == "relay"
+			if mut != nil {
+				mut(c)
+			}
+		})
+	}
+	id, err := n.nodes[names[0]].Serve(testContent(k*m, seed), k, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.id = id
-	l.dst.Watch(id, func(ObjectStats) {}) // a fetch-only session decodes what it asked for
-	injectFrame(l.src, "dst", encodeReq(id))
-	return l
+	n.id = id
+	for i := 1; i < len(names)-1; i++ {
+		n.nodes[names[i-1]].AddPeer(names[i])
+	}
+	return n
 }
 
-// step runs one source tick and returns the DATA frames it emitted
-// toward the fetcher.
-func (l *pacedLink) step() (data int) {
-	l.src.push()
-	l.clk.Advance(l.src.cfg.Tick)
-	var arrived [][]byte
-	for _, f := range l.srcRec.take()["dst"] {
-		if f[0] == frameData {
-			data++
-		}
-		if l.lose == nil || !l.lose(f, true) {
-			arrived = append(arrived, f)
-		}
-	}
-	injectBurst(l.dst, "src", arrived)
-	for _, f := range l.dstRec.take()["src"] {
-		if l.lose != nil && l.lose(f, false) {
-			continue
-		}
-		if isReceipt(f) {
-			l.receipts++
-		}
-		injectFrame(l.src, "dst", f)
-	}
-	return data
+// subscribe has the last node want the object — it only watches: a
+// fetch-only session decodes what it asked for — and its REQ reach its
+// predecessor.
+func (n *stepNet) subscribe() *stepNet {
+	last := len(n.names) - 1
+	n.nodes[n.names[last]].Watch(n.id, func(ObjectStats) {})
+	injectFrame(n.nodes[n.names[last-1]], n.names[last], encodeReq(n.id))
+	return n
 }
 
-func (l *pacedLink) complete() bool {
-	st, _ := l.dst.Object(l.id)
-	return st.Complete
+// settle runs the current instant to its fixed point: what is due is
+// delivered, every node with a frame queued or its deadline come is
+// stepped, and what they sent is put in flight, until a pass moves nothing.
+func (n *stepNet) settle() {
+	now := n.clk.Now()
+	for pass := 0; ; pass++ {
+		if pass == 1<<16 {
+			n.t.Fatalf("the instant at %v does not settle", now.Sub(transport.VClockBase))
+		}
+		for len(n.flight) > 0 && !n.flight[0].at.After(now) {
+			c := n.flight[0]
+			n.flight = n.flight[1:]
+			if rec := n.recs[c.to]; rec != nil {
+				rec.deliver(c.from, c.frame)
+				n.receipts += btoi(isReceipt(c.frame))
+			}
+		}
+		moved := false
+		for _, name := range n.names {
+			if len(n.recs[name].inbox) == 0 && n.next[name].After(now) {
+				continue
+			}
+			moved = true
+			n.next[name] = n.nodes[name].Step()
+			sent := n.recs[name].take()
+			for _, to := range slices.Sorted(maps.Keys(sent)) {
+				for _, f := range sent[to] {
+					n.data[name] += btoi(f[0] == frameData)
+					if n.lose == nil || !n.lose(name, to, f) {
+						n.flight = append(n.flight, carried{now.Add(n.delay), name, to, f})
+					}
+				}
+			}
+		}
+		if !moved {
+			return
+		}
+	}
+}
+
+// run settles every instant of the next d of virtual time — the one the
+// clock stands at included, the one it ends at left for the next run — and
+// returns the DATA frames each node emitted meanwhile.
+func (n *stepNet) run(d time.Duration) map[transport.Addr]int {
+	before := maps.Clone(n.data)
+	for end := n.clk.Now().Add(d); ; {
+		n.settle()
+		at := end
+		if len(n.flight) > 0 && n.flight[0].at.Before(at) {
+			at = n.flight[0].at
+		}
+		for _, t := range n.next {
+			if t.Before(at) {
+				at = t
+			}
+		}
+		n.clk.AdvanceTo(at)
+		if at == end {
+			break
+		}
+	}
+	out := make(map[transport.Addr]int)
+	for name, c := range n.data {
+		out[name] = c - before[name]
+	}
+	return out
+}
+
+// tick is one Tick of run.
+func (n *stepNet) tick() map[transport.Addr]int { return n.run(n.nodes[n.names[0]].cfg.Tick) }
+
+func (n *stepNet) fetched() ObjectStats {
+	st, _ := n.nodes[n.names[len(n.names)-1]].Object(n.id)
+	return st
+}
+
+// newPacedLink is a source pushing one object at a fetcher over a link
+// whose round trip is one tick: each tick is one source timer round, the
+// DATA it emitted carried across, and the fetcher's replies carried back
+// in time for the next.
+func newPacedLink(t *testing.T, k, m int, seed int64) *stepNet {
+	n := newStepNet(t, k, m, seed, nil, "src", "dst").subscribe()
+	n.delay = n.nodes["src"].cfg.Tick / 2
+	return n
 }
 
 // TestPacedRampReachesCap: on a clean link the burst climbs from its
@@ -87,8 +183,8 @@ func TestPacedRampReachesCap(t *testing.T) {
 	l := newPacedLink(t, 2048, 16, 31)
 	atCap, peak, sent := -1, 0, 0
 	var bursts []int
-	for tick := 0; tick < 400 && !l.complete(); tick++ {
-		n := l.step()
+	for tick := 0; tick < 400 && !l.fetched().Complete; tick++ {
+		n := l.tick()["src"]
 		bursts = append(bursts, n)
 		sent += n
 		peak = max(peak, n)
@@ -96,7 +192,7 @@ func TestPacedRampReachesCap(t *testing.T) {
 			atCap = l.receipts
 		}
 	}
-	if !l.complete() {
+	if !l.fetched().Complete {
 		t.Fatalf("fetch incomplete after %d ticks (bursts %v)", len(bursts), bursts)
 	}
 	if atCap < 0 || atCap > 8 {
@@ -111,7 +207,7 @@ func TestPacedRampReachesCap(t *testing.T) {
 	if ticks := len(bursts); ticks > sent/adapt.MaxBurst+60 {
 		t.Errorf("%d rows took %d ticks: the burst did not stay near the cap", sent, ticks)
 	}
-	if n := l.step() + l.step(); n != 0 {
+	if n := l.tick()["src"] + l.tick()["src"]; n != 0 {
 		t.Errorf("%d frames pushed after the completion feedback", n)
 	}
 	t.Logf("cap after %d receipts; %d rows in %d ticks; first ticks %v, last %v",
@@ -123,12 +219,12 @@ func TestPacedRampReachesCap(t *testing.T) {
 // always had, and its fetch still completes.
 func TestPacedLegacyFloor(t *testing.T) {
 	l := newPacedLink(t, 256, 16, 32)
-	l.lose = func(f []byte, toDst bool) bool { return !toDst && isReceipt(f) }
+	l.lose = func(_, _ transport.Addr, f []byte) bool { return isReceipt(f) }
 	var bursts []int
-	for tick := 0; tick < 2000 && !l.complete(); tick++ {
-		bursts = append(bursts, l.step())
+	for tick := 0; tick < 2000 && !l.fetched().Complete; tick++ {
+		bursts = append(bursts, l.tick()["src"])
 	}
-	if !l.complete() {
+	if !l.fetched().Complete {
 		t.Fatalf("receipt-less fetch incomplete after %d ticks", len(bursts))
 	}
 	for i, n := range bursts {
@@ -153,35 +249,32 @@ func TestPacedLossLevelVersusStep(t *testing.T) {
 	l := newPacedLink(t, 8192, 16, 33)
 	rng := rand.New(rand.NewSource(34))
 	loss := 0.20
-	l.lose = func([]byte, bool) bool { return rng.Float64() < loss }
+	l.lose = func(_, _ transport.Addr, _ []byte) bool { return rng.Float64() < loss }
 	sum, n := 0, 0
 	for tick := 0; tick < 200; tick++ {
-		b := l.step()
+		b := l.tick()["src"]
 		if tick >= 40 { // past the ramp
 			sum += b
 			n++
 		}
 	}
-	if l.complete() {
+	if l.fetched().Complete {
 		t.Fatal("object too small: the fetch finished inside the steady phase")
 	}
 	mean := float64(sum) / float64(n)
 	if mean < 0.6*adapt.MaxBurst {
 		t.Errorf("mean burst %.1f under steady 20%% loss: the level collapsed the pace (cap %d)", mean, adapt.MaxBurst)
 	}
-	s := l.src
-	s.mu.Lock()
-	lossEst := s.objects[l.id].peers["dst"].link.Loss()
-	s.mu.Unlock()
+	lossEst := l.nodes["src"].objects[l.id].peers["dst"].link.Loss()
 	if lossEst < 0.1 || lossEst > 0.35 {
 		t.Errorf("loss estimate %.2f on a 20%% link", lossEst)
 	}
 	// The step: only DATA drops (a queue overflowing under the burst), so
 	// receipts keep arriving and each one carries the bad news.
-	l.lose = func(f []byte, toDst bool) bool { return toDst && f[0] == frameData && rng.Float64() < 0.8 }
+	l.lose = func(_, _ transport.Addr, f []byte) bool { return f[0] == frameData && rng.Float64() < 0.8 }
 	low := adapt.MaxBurst
 	for tick := 0; tick < 30; tick++ {
-		low = min(low, l.step())
+		low = min(low, l.tick()["src"])
 	}
 	if low > adapt.MaxBurst/4 {
 		t.Errorf("burst never fell below %d through an 80%% drop step", low)
@@ -359,136 +452,28 @@ func TestSatiationPauseScalesWithBurst(t *testing.T) {
 	}
 }
 
-// pacedChain is source → relay → fetcher (or source → fetcher), Burst
-// unset, on one virtual clock. Each step is one timer round on every
-// node, then a carry, then a Tick of virtual time. The tick carry moves
-// what the round emitted one hop and leaves wake-ups pending: a frame
-// crosses one hop per tick, the tick is the clock. The immediate carry is
-// the event clock: within the one virtual instant, frames are delivered
-// and every node a delivery woke runs push() again, as its push loop
-// would, until nothing moves.
-type pacedChain struct {
-	names     []transport.Addr
-	nodes     []*Session
-	recs      []*recTransport
-	clk       *transport.VClock
-	id        packet.ObjectID
-	lose      func(from, to transport.Addr, frame []byte) bool
-	immediate bool
-	// rounds counts each node's push() calls; receipts the kind-5 reports
-	// delivered.
-	rounds   map[transport.Addr]int
-	receipts int
-}
-
-func newPacedChain(t *testing.T, relayed bool, k, m int, seed int64, mut func(*Config)) *pacedChain {
-	t.Helper()
-	c := &pacedChain{names: []transport.Addr{"src", "dst"}, clk: transport.NewVClock(), rounds: make(map[transport.Addr]int)}
-	if relayed {
-		c.names = []transport.Addr{"src", "relay", "dst"}
-	}
-	for _, name := range c.names {
-		s, rec, _ := pushSession(t, name, func(cfg *Config) {
-			cfg.Burst, cfg.Clock, cfg.Relay = 0, c.clk, name == "relay"
-			if mut != nil {
-				mut(cfg)
-			}
-		})
-		c.nodes, c.recs = append(c.nodes, s), append(c.recs, rec)
-	}
-	id, err := c.nodes[0].Serve(testContent(k*m, seed), k, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.id = id
-	last := len(c.nodes) - 1
-	c.nodes[last].Watch(id, func(ObjectStats) {}) // a fetch-only session decodes what it asked for
-	if relayed {
-		c.nodes[0].AddPeer("relay")
-	}
-	injectFrame(c.nodes[last-1], "dst", encodeReq(id))
-	return c
-}
-
-// woken consumes a pending wake-up, as the push loop's select would.
-func woken(s *Session) bool {
-	select {
-	case <-s.wakeC:
-		s.busy.Add(-1)
-		return true
-	default:
-		return false
-	}
-}
-
-// step runs one tick and returns the DATA frames each node emitted in it.
-func (c *pacedChain) step() (data map[transport.Addr]int) {
-	data = make(map[transport.Addr]int)
-	for i, s := range c.nodes {
-		woken(s) // the timer round serves whatever was pending
-		s.push()
-		c.rounds[c.names[i]]++
-	}
-	for c.carry(data) && c.immediate {
-		for i, s := range c.nodes {
-			if woken(s) {
-				s.push()
-				c.rounds[c.names[i]]++
-			}
-		}
-	}
-	c.clk.Advance(c.nodes[0].cfg.Tick)
-	return data
-}
-
-// carry delivers everything the nodes have emitted, minus what the link
-// loses, and reports whether anything moved. The whole output is collected
-// before any of it is delivered: a frame crosses one hop per carry.
-func (c *pacedChain) carry(data map[transport.Addr]int) (moved bool) {
-	out := make([]map[transport.Addr][][]byte, len(c.nodes))
-	for i, rec := range c.recs {
-		out[i] = rec.take()
-	}
-	for i, from := range c.names {
-		for j, to := range c.names {
-			var arrived [][]byte
-			for _, f := range out[i][to] {
-				moved = true
-				if f[0] == frameData {
-					data[from]++
-				}
-				if c.lose == nil || !c.lose(from, to, f) {
-					arrived = append(arrived, f)
-					c.receipts += btoi(isReceipt(f))
-				}
-			}
-			injectBurst(c.nodes[j], from, arrived)
-		}
-	}
-	return moved
-}
-
-func (c *pacedChain) fetched() ObjectStats {
-	st, _ := c.nodes[len(c.nodes)-1].Object(c.id)
-	return st
-}
-
 // TestRelayCutThrough: source → relay → fetcher, receipt-clocked,
 // lossless. The relay forwards what it decodes in the wake-up that decoded
 // it — it does not wait for the generation, for a tick, or for anything
 // but the aggressiveness gate's first k/100 rows, which the source's
 // opening windows deliver inside the first instant — so a second hop adds
 // no tick at all, and the fetcher needs nothing beyond the k plain rows.
-// With the tick as the only clock (the tick carry) every hop still costs
+// With the tick as the only clock (a hop a tick) every hop still costs
 // ticks; the event clock is what removed them.
 func TestRelayCutThrough(t *testing.T) {
 	const k, m, seed = 1024, 16, 38
 	run := func(relayed, immediate bool) (ticks, firstIn, firstOut int, stats ObjectStats) {
-		c := newPacedChain(t, relayed, k, m, seed, nil)
-		c.immediate = immediate
+		names := []transport.Addr{"src", "dst"}
+		if relayed {
+			names = []transport.Addr{"src", "relay", "dst"}
+		}
+		c := newStepNet(t, k, m, seed, nil, names...).subscribe()
+		if !immediate {
+			c.delay = c.nodes["src"].cfg.Tick
+		}
 		firstIn, firstOut = -1, -1
 		for ; ticks < 1000 && !c.fetched().Complete; ticks++ {
-			data := c.step()
+			data := c.tick()
 			if firstIn < 0 && relayed && data["src"] > 0 {
 				firstIn = ticks
 			}
@@ -501,7 +486,7 @@ func TestRelayCutThrough(t *testing.T) {
 	direct, _, _, _ := run(false, true)
 	relayed, in, out, stats := run(true, true)
 	ticked, tin, tout, _ := run(true, false)
-	t.Logf("direct fetch %d ticks; through the relay %d ticks, first DATA in at tick %d, out at tick %d, overhead %.3f; tick-carried %d ticks, in %d, out %d",
+	t.Logf("direct fetch %d ticks; through the relay %d ticks, first DATA in at tick %d, out at tick %d, overhead %.3f; a hop a tick %d ticks, in %d, out %d",
 		direct, relayed, in, out, stats.Overhead(), ticked, tin, tout)
 	if !stats.Complete {
 		t.Fatalf("fetch through the relay incomplete after %d ticks", relayed)
@@ -516,7 +501,7 @@ func TestRelayCutThrough(t *testing.T) {
 		t.Errorf("fetcher overhead %.3f on a lossless fabric, want exactly 1", stats.Overhead())
 	}
 	if tout-tin < 1 || ticked <= relayed {
-		t.Errorf("tick-carried: out %d, in %d, %d ticks against %d: the comparison exercised nothing", tout, tin, ticked, relayed)
+		t.Errorf("a hop a tick: out %d, in %d, %d ticks against %d: the comparison exercised nothing", tout, tin, ticked, relayed)
 	}
 }
 
@@ -527,14 +512,13 @@ func TestRelayCutThrough(t *testing.T) {
 // rows, and nothing but the k plain rows is needed.
 func TestReceiptClockedFetch(t *testing.T) {
 	const k = 1024
-	c := newPacedChain(t, false, k, 16, 39, nil)
-	c.immediate = true
+	c := newStepNet(t, k, 16, 39, nil, "src", "dst").subscribe()
 	ticks, peak := 0, 0
 	for ; ticks < 1000 && !c.fetched().Complete; ticks++ {
-		peak = max(peak, c.step()["src"])
+		peak = max(peak, c.tick()["src"])
 	}
 	stats := c.fetched()
-	t.Logf("%d natives in %d ticks, %d source push rounds, %d receipts, peak %d rows a tick", k, ticks, c.rounds["src"], c.receipts, peak)
+	t.Logf("%d natives in %d ticks, %d receipts, peak %d rows a tick", k, ticks, c.receipts, peak)
 	if !stats.Complete || stats.Overhead() != 1 {
 		t.Fatalf("complete %v, overhead %.3f after %d ticks", stats.Complete, stats.Overhead(), ticks)
 	}
@@ -551,101 +535,75 @@ func TestReceiptClockedFetch(t *testing.T) {
 // gets one: the receiver reports what it holds when its queue runs dry,
 // and the report — not the next tick — is what releases the next window.
 func TestReceiptFlushedOnDrain(t *testing.T) {
-	c := newPacedChain(t, false, 256, 16, 40, nil)
-	c.immediate = true
-	if first := c.nodes[0].objects[c.id].peers["dst"].link.Window(); first >= receiptEvery {
+	c := newStepNet(t, 256, 16, 40, nil, "src", "dst").subscribe()
+	first := c.nodes["src"].objects[c.id].peers["dst"].link.Window()
+	if first >= receiptEvery {
 		t.Fatalf("start window %d is not smaller than receiptEvery %d: the test exercises nothing", first, receiptEvery)
 	}
-	data := c.step()
+	c.settle()
 	if c.receipts == 0 {
-		t.Fatalf("no receipt for the %d rows of the first tick", data["src"])
+		t.Fatalf("no receipt for the %d rows of the first instant", c.data["src"])
 	}
-	if data["src"] <= 4 || c.rounds["src"] < 2 {
-		t.Errorf("%d rows in %d push rounds in the first instant: the flushed receipt did not clock a second window", data["src"], c.rounds["src"])
+	if c.data["src"] <= first {
+		t.Errorf("%d rows in the first instant, the start window is %d: the flushed receipt did not clock a second window", c.data["src"], first)
 	}
 	// Without the drain nothing is owed until receiptEvery rows: a batch
-	// with more behind it carries no receipt.
-	dst, rec := c.nodes[1], c.recs[1]
-	rec.take()
-	injectFrame(dst, "src", handRow(t, c.id, testContent(256*16, 40), 1, 256, 0, false, 255))
-	if n := len(rec.take()["src"]); n != 0 {
-		t.Errorf("%d frames answered one row with the queue still busy, want none", n)
+	// with more behind it carries no receipt, the one the queue runs dry
+	// behind reports for both.
+	dst, rec, _ := pushSession(t, "dst", func(c *Config) { c.IngestBatch = 1 })
+	content := testContent(256*16, 40)
+	dst.Watch(c.id, func(ObjectStats) {})
+	injectBurst(dst, "src", [][]byte{
+		handRow(t, c.id, content, 1, 256, 0, false, 254),
+		handRow(t, c.id, content, 1, 256, 0, false, 255),
+	})
+	answers := rec.take()["src"]
+	if len(answers) != 1 || !isReceipt(answers[0]) || binary.BigEndian.Uint32(answers[0][22:26]) != 2 {
+		t.Errorf("two rows in two batches answered by %d frames %x, want one receipt reporting both", len(answers), answers)
 	}
 }
 
-// TestIdleSessionParksTimer: a session with nobody to push to runs its
-// push loop at the housekeeping cadence, not every Tick — and the REQ
-// that gives it a target un-parks it in that very wake-up.
+// TestIdleSessionParksTimer: a session with nobody to push to asks to be
+// stepped at the housekeeping cadence, not every Tick — and the REQ that
+// gives it a target un-parks it in that very Step.
 func TestIdleSessionParksTimer(t *testing.T) {
-	clk := transport.NewVClock()
-	clk.SetSyncGrace(2 * time.Millisecond)
-	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 256, Seed: 41, Clock: clk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := startSession(t, attach(t, sw, "source"), func(c *Config) {
-		c.Clock, c.Burst, c.Tick = clk, 0, 2*time.Millisecond
-	})
+	src, rec, clk := pushSession(t, "source", func(c *Config) { c.Burst = 0 })
 	id, err := src.Serve(testContent(64*16, 41), 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The session's push timer is the only deadline on this clock (the
-	// switch adds no latency), so every hop to the next deadline is one
-	// timer round. A round gives its busy count back with its timer
-	// re-armed, so an idle session's next deadline is on the clock; idle is
-	// read the way simnet's scheduler reads it, a few polls running (the
-	// tick's receiver takes its busy count a moment after the hand-off).
-	rounds := 0
-	for end := clk.Now().Add(time.Second); ; rounds++ {
-		for idle := 0; idle < 3; runtime.Gosched() {
-			if idle++; src.Busy() != 0 {
-				idle = 0
-			}
+	evictEvery := time.Second // min(1 s, IdleTimeout/4)
+	for steps := 0; clk.Since(transport.VClockBase) < 3*time.Second; steps++ {
+		next := src.Step()
+		if idle := next.Sub(clk.Now()); idle < evictEvery {
+			t.Fatalf("step %d of an idle session asks for the next in %v, want the eviction period %v", steps, idle, evictEvery)
 		}
-		at, ok := clk.NextDeadline()
-		if !ok || at.After(end) {
-			break
-		}
-		clk.AdvanceTo(at)
+		clk.AdvanceTo(next)
 	}
-	t.Logf("%d timer rounds in an idle virtual second", rounds)
-	if rounds > 10 {
-		t.Errorf("%d timer rounds in an idle virtual second, want ≤ 10", rounds)
+	rec.deliver("sub", encodeReq(id))
+	if next := src.Step(); next.Sub(clk.Now()) != src.cfg.Tick {
+		t.Errorf("with a subscriber the next step is due in %v, want a Tick (%v)", next.Sub(clk.Now()), src.cfg.Tick)
 	}
-	sub := attach(t, sw, "sub")
-	if err := sub.Send("source", encodeReq(id)); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	got := 0
-	for got < 2 { // META, then DATA — with the clock standing still
-		f, err := sub.Recv(ctx)
-		if err != nil {
-			t.Fatalf("no DATA from a parked source after a REQ, clock frozen: %v", err)
-		}
-		if f.Data[0] == frameData {
-			got = 2
-		}
-		f.Release()
+	// META and DATA have left with the clock standing still.
+	if meta, _, data := frameCounts(rec.take()["sub"]); meta != 1 || data == 0 {
+		t.Errorf("a parked source answered a REQ with %d META and %d DATA frames in the Step that took it", meta, data)
 	}
 }
 
-// TestParkedTimerWakesForProbeTimeout: the deadline a parked push loop
-// sleeps to is the earliest unanswered probe's own timeout — not a sweep
-// period after the park, which noticed a dead probe peer up to twice the
-// timeout late — and no probe deadline at all with none out; a probe going
-// out wakes the loop so that it learns of it.
+// TestParkedTimerWakesForProbeTimeout: the deadline a parked session asks
+// to be stepped at is the earliest unanswered probe's own timeout — not a
+// sweep period after the park, which noticed a dead probe peer up to twice
+// the timeout late — and no probe deadline at all with none out; a probe
+// going out wakes the push plane so that it learns of it.
 func TestParkedTimerWakesForProbeTimeout(t *testing.T) {
 	s, rec, clk := pushSession(t, "dst", func(c *Config) { c.Burst = 0 })
 	id, err := s.Serve(testContent(64*16, 43), 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hk := s.newHousekeeping(clk.Now())
-	if hk.probeAt = s.probeSweep(); !hk.probeAt.IsZero() || hk.next() != hk.evictAt {
-		t.Fatalf("no probe out: sweep reports %v, parked until %v, want the eviction at %v", hk.probeAt, hk.next(), hk.evictAt)
+	evictAt := clk.Now().Add(time.Second)
+	if next := s.Step(); next != evictAt {
+		t.Fatalf("no probe out: parked until %v, want the eviction at %v", next, evictAt)
 	}
 	// Generation 0 goes on probe to p, with q next in line, 50 ms in.
 	clk.Advance(50 * time.Millisecond)
@@ -659,28 +617,23 @@ func TestParkedTimerWakesForProbeTimeout(t *testing.T) {
 	st.mu.Unlock()
 	sentAt := clk.Now()
 	s.applyPollActions(&acts)
-	select {
-	case <-s.wakeC:
-	default:
-		t.Error("a probe went out and the push loop was not woken")
-	}
-	if hk.probeAt = s.probeSweep(); hk.probeAt != sentAt.Add(s.probeTimeout()) || hk.next() != hk.probeAt {
-		t.Fatalf("probe sent at %v: sweep reports %v, parked until %v, want its timeout %v",
-			sentAt, hk.probeAt, hk.next(), sentAt.Add(s.probeTimeout()))
+	next := s.Step()
+	if want := sentAt.Add(s.probeTimeout()); next != want {
+		t.Fatalf("probe sent at %v: parked until %v, want its timeout %v", sentAt, next, want)
 	}
 	rec.take()
 	// p never answers: at the deadline the probe moves on to q, whose own
 	// timeout is the next deadline; q never answers either and the
 	// generation goes back to open refill, with no probe deadline left.
-	clk.AdvanceTo(hk.probeAt)
-	hk.probeAt = s.probeSweep()
-	if toQ := rec.take()["q"]; len(toQ) != 1 || toQ[0][0] != frameReq || hk.probeAt != clk.Now().Add(s.probeTimeout()) {
+	clk.AdvanceTo(next)
+	next = s.Step()
+	if toQ := rec.take()["q"]; len(toQ) != 1 || toQ[0][0] != frameReq || next != clk.Now().Add(s.probeTimeout()) {
 		t.Fatalf("probe timed out: %d frames to the next candidate, next deadline %v, want one REQ and %v",
-			len(toQ), hk.probeAt, clk.Now().Add(s.probeTimeout()))
+			len(toQ), next, clk.Now().Add(s.probeTimeout()))
 	}
-	clk.AdvanceTo(hk.probeAt)
-	if hk.probeAt = s.probeSweep(); !hk.probeAt.IsZero() || st.probeOf(0) != "" {
-		t.Errorf("candidates exhausted: probing %q, next deadline %v, want open refill and none", st.probeOf(0), hk.probeAt)
+	clk.AdvanceTo(next)
+	if next = s.Step(); next != evictAt || st.probeOf(0) != "" {
+		t.Errorf("candidates exhausted: probing %q, parked until %v, want open refill and the eviction at %v", st.probeOf(0), next, evictAt)
 	}
 }
 
@@ -690,57 +643,43 @@ func TestParkedTimerWakesForProbeTimeout(t *testing.T) {
 // second REQ before the steady resend is due.
 func TestFetchRetriesLostREQ(t *testing.T) {
 	for _, dropped := range []bool{true, false} {
-		src, srcRec, _ := pushSession(t, "src", func(c *Config) { c.Burst = 0 })
-		id, err := src.Serve(testContent(64*16, 42), 64, 1)
+		n := newStepNet(t, 64, 16, 42, nil, "src", "dst")
+		reqs := 0
+		n.lose = func(_, to transport.Addr, f []byte) bool {
+			if f[0] == frameReq {
+				reqs++
+				return dropped && reqs == 1
+			}
+			return f[0] == frameData // the META answers the REQ; the transfer must not end the fetch
+		}
+		dst := n.nodes["dst"]
+		f, err := dst.BeginFetch(n.id, "src")
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst, dstRec, clk := pushSession(t, "dst", func(c *Config) { c.Burst = 0 })
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			dst.Fetch(ctx, id, "src")
-		}()
-		clk.SetSyncGrace(2 * time.Millisecond) // an Advance hands its ticks to the Fetch goroutine
-		// reqs gives the Fetch goroutine a moment to act on what it was
-		// handed, then counts the REQs it has sent in all.
-		sent := 0
-		reqs := func() int {
-			for i := 0; i < 20; i++ {
-				time.Sleep(200 * time.Microsecond)
-				for _, f := range dstRec.take()["src"] {
-					sent += btoi(f[0] == frameReq)
-				}
-			}
-			return sent
+		n.next["dst"] = n.clk.Now() // called into: step it
+		n.settle()
+		if reqs != 1 {
+			t.Fatalf("fetch opened with %d REQs, want 1", reqs)
 		}
-		if reqs() != 1 {
-			t.Fatalf("fetch opened with %d REQs, want 1", sent)
-		}
-		if !dropped {
-			injectFrame(src, "dst", encodeReq(id))
-			feed(dst, srcRec) // the META answers it
-		}
+		start := n.clk.Now()
 		ticks := 0
-		for ; ticks < 10 && sent < 2; ticks++ {
-			clk.Advance(dst.cfg.Tick)
-			reqs()
+		for ; ticks < 10 && reqs < 2; ticks++ {
+			n.tick()
 		}
-		if dropped && sent != 2 {
-			t.Errorf("REQ lost: %d REQs after %d ticks, want the retry", sent, ticks)
+		if dropped && reqs != 2 {
+			t.Errorf("REQ lost: %d REQs after %d ticks, want the retry", reqs, ticks)
 		}
 		if !dropped {
-			clk.Advance(reqResend - 11*dst.cfg.Tick)
-			if reqs() != 1 {
-				t.Errorf("REQ answered: %d REQs before the %v resend was due, want 1", sent, reqResend)
+			n.run(reqResend - n.clk.Since(start) - dst.cfg.Tick)
+			if reqs != 1 {
+				t.Errorf("REQ answered: %d REQs before the %v resend was due, want 1", reqs, reqResend)
 			}
-			clk.Advance(reqRetry*dst.cfg.Tick + dst.cfg.Tick)
-			if reqs() != 2 {
-				t.Errorf("REQ answered: %d REQs once the %v resend was due, want 2", sent, reqResend)
+			n.run((reqRetry + 2) * dst.cfg.Tick)
+			if reqs != 2 {
+				t.Errorf("REQ answered: %d REQs once the %v resend was due, want 2", reqs, reqResend)
 			}
 		}
-		cancel()
-		<-done
+		f.End()
 	}
 }

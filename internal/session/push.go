@@ -10,13 +10,14 @@ import (
 )
 
 // The push plane. One round is plan → emit → commit over one peerPlan
-// record per (object, peer). Rounds are run by the push goroutine alone
-// (pushLoop, session.go): one when its timer fires — the floor, every
-// Tick while any peer is owed rows, and the only rounds a fixed Burst
-// gets — and, with Burst unset, one whenever a receipt arrives, a decode
-// gives a relay something new to forward or a subscriber appears, so rows
-// leave as fast as the receiver's progress frees its window (adapt.Link)
-// and not a tick later.
+// record per (object, peer). Rounds are run by the session's one driver
+// alone — Run's push goroutine or Step's caller, through
+// housekeeping.round (session.go): one when the timer fires — the floor,
+// every Tick while any peer is owed rows, and the only rounds a fixed
+// Burst gets — and, with Burst unset, one whenever a receipt arrives, a
+// decode gives a relay something new to forward or a subscriber appears,
+// so rows leave as fast as the receiver's progress frees its window
+// (adapt.Link) and not a tick later.
 //
 // Lock order, here as everywhere in the package: Session.mu before
 // objectState.mu, never the reverse, and nothing is sent under either.
@@ -25,7 +26,7 @@ import (
 // and stages with no lock held — over UDP every Send is a syscall, and
 // holding a lock across the sweep would stall the receive hot path for
 // its duration. The cache has its own lock and is a leaf. Rounds run on
-// the push goroutine alone, so the coalescer and rowBuf need no lock.
+// the driver's goroutine alone, so the coalescer and rowBuf need no lock.
 
 // peerPlan is one (object, peer) push decision. planLocked fills the
 // snapshot half from the peer's state, emit draws and sends the burst it

@@ -10,7 +10,6 @@ import (
 	"hash"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,15 +18,14 @@ import (
 	"ltnc/internal/transport"
 )
 
-// recTransport records what push() hands to the network, per destination
-// and in send order. Nothing is delivered anywhere: the push tests call
-// push() and the frame handlers directly on the test goroutine, so what a
-// session emits depends on its seed and the injected frames alone.
+// recTransport records what a session hands to the network, per
+// destination and in send order, and queues what the test hands the
+// session (deliver). Nothing moves by itself: the tests call push(), Step
+// and its ingest half directly on the test goroutine, so what a session
+// emits depends on its seed and the frames delivered alone.
 type recTransport struct {
-	self transport.Addr
-	// mu lets the one test that runs a blocking Fetch beside the test
-	// goroutine (TestFetchRetriesLostREQ) record from both.
-	mu     sync.Mutex
+	self   transport.Addr
+	inbox  []transport.Frame
 	frames map[transport.Addr][][]byte
 	sums   map[transport.Addr]hash.Hash
 }
@@ -48,9 +46,22 @@ func (r *recTransport) Recv(ctx context.Context) (transport.Frame, error) {
 	return transport.Frame{}, ctx.Err()
 }
 
+// deliver queues one frame as having crossed the network from a peer.
+func (r *recTransport) deliver(from transport.Addr, data []byte) {
+	r.inbox = append(r.inbox, transport.NewFrame(from, data, nil))
+}
+
+// Poll makes the recorder a transport.Poller: what Step drains.
+func (r *recTransport) Poll() (transport.Frame, bool) {
+	if len(r.inbox) == 0 {
+		return transport.Frame{}, false
+	}
+	f := r.inbox[0]
+	r.inbox = r.inbox[1:]
+	return f, true
+}
+
 func (r *recTransport) Send(to transport.Addr, frame []byte) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.frames[to] = append(r.frames[to], slices.Clone(frame))
 	if isReceipt(frame) {
 		// A receipt is the ingest path's reply to DATA fed in, not
@@ -78,8 +89,6 @@ func isReceipt(frame []byte) bool {
 // take returns and forgets the frames recorded since the last take; the
 // running per-destination digests are kept.
 func (r *recTransport) take() map[transport.Addr][][]byte {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := r.frames
 	r.frames = make(map[transport.Addr][][]byte)
 	return out

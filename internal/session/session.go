@@ -363,19 +363,20 @@ type Session struct {
 	ingestDropped atomic.Int64
 
 	// coal gathers one push round's DATA frames into per-peer batches so
-	// the Linux fast path can ride sendmmsg/GSO. Owned by the push loop
-	// (push runs on one goroutine); lazily built on first use.
+	// the Linux fast path can ride sendmmsg/GSO. Owned by whoever runs the
+	// push rounds (one goroutine); lazily built on first use.
 	coal *transport.Coalescer
 	// rowBuf is the push round's scratch for coder-drawn rows, one window
-	// per peer of the object being emitted; owned by the push loop like
-	// coal.
+	// per peer of the object being emitted; owned like coal.
 	rowBuf []*packet.Packet
-	// wakeC carries the coalescing wake signal to the push loop; see wake.
+	// wakeC carries the coalescing wake signal to the push rounds; see wake.
 	wakeC chan struct{}
-
-	// busy counts frames, push rounds and pending wake-ups the session has
-	// accepted but not fully processed; see Busy.
-	busy atomic.Int64
+	// fetches are the fetches in progress, whose REQ resends the push
+	// timer's housekeeping serves (fetch.go); guarded by mu.
+	fetches []*Fetching
+	// stepper is Step's state, owned by its caller as Run's goroutines own
+	// theirs.
+	stepper stepper
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -392,7 +393,6 @@ func New(cfg Config) (*Session, error) {
 		clk:     cfg.Clock,
 		objects: make(map[packet.ObjectID]*objectState),
 		banned:  make(map[transport.Addr]struct{}),
-		shards:  make([]chan inFrame, cfg.DecodeWorkers),
 		wakeC:   make(chan struct{}, 1),
 		closed:  make(chan struct{}),
 	}
@@ -405,9 +405,6 @@ func New(cfg Config) (*Session, error) {
 	}
 	if len(cfg.Bootstrap) > 0 {
 		s.member = newMembership(&s.cfg, s.tr.LocalAddr())
-	}
-	for i := range s.shards {
-		s.shards[i] = make(chan inFrame, cfg.IngestQueue)
 	}
 	return s, nil
 }
@@ -424,16 +421,6 @@ func (s *Session) LocalAddr() transport.Addr { return s.tr.LocalAddr() }
 // IngestDropped returns the number of DATA frames dropped at full decode
 // worker queues (receiver overload).
 func (s *Session) IngestDropped() int64 { return s.ingestDropped.Load() }
-
-// Busy returns the number of units of work the session has accepted but
-// not yet fully digested: received frames still queued or decoding
-// (including their feedback replies and watcher notifications), push
-// rounds in progress and wake-ups the push loop has not served yet. Zero
-// means the session is quiescent — it will do nothing further until a new
-// frame arrives or its clock fires. Virtual time schedulers
-// (internal/simnet) poll it to decide when the simulated world may safely
-// advance.
-func (s *Session) Busy() int64 { return s.busy.Load() }
 
 // AddPeer registers a standing push target: every locally known object is
 // gossiped toward configured peers.
@@ -630,26 +617,30 @@ func (s *Session) threshold(k int) int {
 	return int(float64(k)*s.cfg.Aggressiveness + 1)
 }
 
-// Run pumps the session until ctx is cancelled or the session is closed:
-// one goroutine receives and dispatches frames, a decode worker per shard
-// drains and decodes DATA bursts, and one goroutine pushes recoded
-// packets — woken by receipts and decodes, every Tick at the least — and
-// evicts idle state.
+// Run pumps the session in real time until ctx is cancelled or the
+// session is closed: one goroutine receives and dispatches frames, a
+// decode worker per shard drains and decodes DATA bursts, and one
+// goroutine pushes recoded packets — woken by receipts and decodes, every
+// Tick at the least — and evicts idle state. Step is the same session on
+// one goroutine; a session is driven by one or the other.
 func (s *Session) Run(ctx context.Context) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	s.shards = make([]chan inFrame, s.cfg.DecodeWorkers)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		s.pushLoop(ctx)
 	}()
-	for _, ch := range s.shards {
+	for i := range s.shards {
+		ch := make(chan inFrame, s.cfg.IngestQueue)
+		s.shards[i] = ch
 		wg.Add(1)
-		go func(ch chan inFrame) {
+		go func() {
 			defer wg.Done()
 			s.ingestLoop(ctx, ch)
-		}(ch)
+		}()
 	}
 	err := s.recvLoop(ctx)
 	cancel()
@@ -658,6 +649,49 @@ func (s *Session) Run(ctx context.Context) error {
 		return ctx.Err()
 	}
 	return err
+}
+
+// stepper is what Step keeps between calls: the push timer Run's push
+// goroutine holds in a clock ticker, as a deadline, and the ingest
+// workspace a decode worker holds.
+type stepper struct {
+	hk      *housekeeping // nil until the first Step
+	at      time.Time     // the push timer's next fire
+	period  time.Duration // and its period from there
+	batch   []inFrame
+	scratch ingestScratch
+}
+
+// Step drives the session on the caller's goroutine, at the clock's
+// current instant, through exactly what Run's goroutines would do with
+// it: every frame the transport has queued is taken (transport.Poller) and
+// ingested, then push rounds run — housekeeping first when the timer's
+// deadline has come — for as long as a wake-up is pending. It returns the
+// timer's next deadline: a Tick away while some peer is owed rows, the next
+// housekeeping deadline otherwise. The session does nothing before then
+// unless a frame arrives or it is called into; whoever steps it (a virtual
+// clock's owner: internal/simnet) calls Step again at either.
+func (s *Session) Step() (next time.Time) {
+	d, now := &s.stepper, s.clk.Now()
+	if d.hk == nil {
+		d.hk, d.at, d.period = s.newHousekeeping(now), now.Add(s.cfg.Tick), s.cfg.Tick
+	}
+	s.ingestReady(d)
+	for {
+		timed := !now.Before(d.at)
+		select {
+		case <-s.wakeC: // a timer round serves the wake-up too
+		default:
+			if !timed {
+				return d.at
+			}
+		}
+		if rearm := d.hk.round(s, timed); rearm > 0 {
+			d.at, d.period = now.Add(rearm), rearm
+		} else if timed {
+			d.at = laterThan(now, d.at, d.period) // like a ticker, missed fires are dropped
+		}
+	}
 }
 
 // Close stops Run and closes the underlying transport.
@@ -670,78 +704,51 @@ func (s *Session) Close() error {
 	return err
 }
 
-// wake asks the push loop for a round now instead of at its next timer
-// fire (with a fixed Config.Burst: for its timer back, if parked, and no
-// more). The signal coalesces: a wake-up already pending will plan against
-// whatever the caller just changed. The waker takes the busy count the
-// woken round gives back, so a virtual-time scheduler never sees the
-// session idle between the signal and the rows it releases.
+// wake asks for a push round now instead of at the timer's next fire (with
+// a fixed Config.Burst: for the timer back, if parked, and no more). The
+// signal coalesces: a wake-up already pending will plan against whatever
+// the caller just changed.
 func (s *Session) wake() {
-	s.busy.Add(1)
 	select {
 	case s.wakeC <- struct{}{}:
 	default:
-		s.busy.Add(-1)
 	}
 }
 
-// pushLoop is the push goroutine, the only caller of push. It selects on
-// the wake signal and one timer. While push finds a target the timer's
-// period is Tick: the floor (adapt.Link grants a row a Tick to a peer
-// whose receipts never come), the beat the silence rule and the META
-// resend are read against, and the only clock of a fixed Config.Burst,
-// for which a wake-up does no more than un-park it. With nothing owed to
-// anyone the timer parks until the next housekeeping deadline. The round's
-// busy count is given back only once the timer stands where the round
-// wants it, so to a virtual-time scheduler an idle session is one whose
-// next deadline is already on the clock.
+// pushLoop is Run's push goroutine: it selects on the wake signal and one
+// timer, and runs a housekeeping round (below) on either.
 func (s *Session) pushLoop(ctx context.Context) {
 	hk := s.newHousekeeping(s.clk.Now())
-	var parked time.Time // the deadline the timer is parked at; zero: running at Tick
 	timer := s.clk.NewTicker(s.cfg.Tick)
 	defer func() { timer.Stop() }()
 	for {
-		var live bool
+		timed := false
 		select {
 		case <-ctx.Done():
 			return
 		case <-s.closed:
 			return
 		case <-s.wakeC:
-			if live = s.cfg.Burst > 0 || s.push(); !live {
-				// About to park: a probe may have gone out since the last
-				// timer round looked.
-				hk.probeAt = s.probeSweep()
-			}
 		case <-timer.C():
-			s.busy.Add(1)
-			hk.run(s, s.clk.Now()) // first: a shuffle may hand push new neighbors
-			live = s.push()
+			timed = true
 		}
-		var at time.Time
-		now := s.clk.Now()
-		if next := hk.next(); !live && next.Sub(now) > s.cfg.Tick {
-			at = next
-		}
-		if at != parked {
+		if rearm := hk.round(s, timed); rearm > 0 {
 			timer.Stop()
-			if parked = at; at.IsZero() {
-				timer = s.clk.NewTicker(s.cfg.Tick)
-			} else {
-				timer = s.clk.NewTicker(at.Sub(now))
-			}
+			timer = s.clk.NewTicker(rearm)
 		}
-		s.busy.Add(-1)
 	}
 }
 
-// housekeeping holds the push loop's slow duties as deadlines on the
-// session clock, so they keep their cadence whatever period the timer
-// runs at.
+// housekeeping is the push timer's state, whichever driver holds the
+// timer: the slow duties as deadlines on the session clock, so they keep
+// their cadence whatever period the timer runs at, and where the timer
+// stands.
 type housekeeping struct {
 	evictEvery, shuffleEvery time.Duration
 	evictAt, shuffleAt       time.Time
 	probeAt                  time.Time // earliest unanswered probe's timeout; zero with none out
+	reqAt                    time.Time // earliest fetch REQ resend; zero with none due
+	parked                   time.Time // the deadline the timer is parked at; zero: running at Tick
 }
 
 func (s *Session) newHousekeeping(now time.Time) *housekeeping {
@@ -760,9 +767,42 @@ func (s *Session) newHousekeeping(now time.Time) *housekeeping {
 	return hk
 }
 
-// run does what is due at now; probe timeouts are checked every time.
+// round is one turn of the push plane, the timer's or a wake-up's, and
+// returns the period to re-arm the timer with, zero to leave it running.
+// While push finds a target the period is Tick: the floor (adapt.Link
+// grants a row a Tick to a peer whose receipts never come), the beat the
+// silence rule and the META resend are read against, and the only clock of
+// a fixed Config.Burst, for which a wake-up does no more than un-park the
+// timer. With nothing owed to anyone the timer parks until the next
+// housekeeping deadline.
+func (hk *housekeeping) round(s *Session, timed bool) (rearm time.Duration) {
+	var live bool
+	if timed {
+		hk.run(s, s.clk.Now()) // first: a shuffle may hand push new neighbors
+		live = s.push()
+	} else if live = s.cfg.Burst > 0 || s.push(); !live {
+		// About to park: a probe or a fetch's REQ may have gone out since
+		// the last timer round looked.
+		hk.probeAt, hk.reqAt = s.probeSweep(), s.reqSweep()
+	}
+	var at time.Time
+	now := s.clk.Now()
+	if next := hk.next(); !live && next.Sub(now) > s.cfg.Tick {
+		at = next
+	}
+	if at == hk.parked {
+		return 0
+	}
+	if hk.parked = at; at.IsZero() {
+		return s.cfg.Tick
+	}
+	return at.Sub(now)
+}
+
+// run does what is due at now; probe timeouts and fetch REQ resends are
+// checked every time.
 func (hk *housekeeping) run(s *Session, now time.Time) {
-	hk.probeAt = s.probeSweep()
+	hk.probeAt, hk.reqAt = s.probeSweep(), s.reqSweep()
 	if hk.shuffleEvery > 0 && !now.Before(hk.shuffleAt) {
 		s.memberShuffle()
 		hk.shuffleAt = laterThan(now, hk.shuffleAt, hk.shuffleEvery)
@@ -776,8 +816,10 @@ func (hk *housekeeping) run(s *Session, now time.Time) {
 // next returns the earliest deadline a parked timer must wake for.
 func (hk *housekeeping) next() time.Time {
 	at := hk.evictAt
-	if !hk.probeAt.IsZero() && hk.probeAt.Before(at) {
-		at = hk.probeAt
+	for _, t := range []time.Time{hk.probeAt, hk.reqAt} {
+		if !t.IsZero() && t.Before(at) {
+			at = t
+		}
 	}
 	if hk.shuffleEvery > 0 && hk.shuffleAt.Before(at) {
 		at = hk.shuffleAt

@@ -159,6 +159,66 @@ func TestSourceRelayFetchChan(t *testing.T) {
 	t.Logf("relay sent %d frames, %d recoded fresh", sent, fresh)
 }
 
+// TestRunSwarmSmoke is the production driver at small-swarm scale, for the
+// race detector: Run's goroutines — receive loop, decode workers, push
+// loop — in eleven sessions on one Switch, in real time, receipt-clocked.
+// A source pushes through two relays at 10 % loss, eight fetchers pull from
+// both, and one relay is closed once the first fetcher is a quarter
+// through; every fetch must still return the served bytes. (The virtual
+// time lab steps sessions on one goroutine, so it no longer exercises
+// this.)
+func TestRunSwarmSmoke(t *testing.T) {
+	const k, m, fetchers = 512, 256, 8
+	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 256, Seed: 17, LossRate: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paced := func(c *Config) { c.Burst, c.Tick = 0, 2*time.Millisecond }
+	src := startSession(t, attach(t, sw, "source"), paced)
+	relays := make([]*Session, 2)
+	for i, name := range []transport.Addr{"r0", "r1"} {
+		relays[i] = startSession(t, attach(t, sw, name), func(c *Config) { paced(c); c.Relay = true })
+		src.AddPeer(name)
+	}
+	content := testContent(k*m, 44)
+	id, err := src.Serve(content, k, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	quarter := make(chan struct{})
+	var once sync.Once
+	var wg sync.WaitGroup
+	for i := 0; i < fetchers; i++ {
+		f := startSession(t, attach(t, sw, transport.Addr("f"+string(rune('0'+i)))), paced)
+		if i == 0 {
+			f.Watch(id, func(o ObjectStats) {
+				if o.Decoded >= k/4 {
+					once.Do(func() { close(quarter) })
+				}
+			})
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, _, err := f.Fetch(ctx, id, "r0", "r1")
+			if err != nil {
+				t.Errorf("fetcher %d: %v", i, err)
+			} else if !bytes.Equal(got, content) {
+				t.Errorf("fetcher %d: fetched bytes differ from the served content", i)
+			}
+		}()
+	}
+	select {
+	case <-quarter:
+		relays[0].Close()
+	case <-ctx.Done():
+		t.Error("no fetcher got a quarter through")
+	}
+	wg.Wait()
+}
+
 // TestMultiObjectMultiplex serves several objects over one transport and
 // fetches them concurrently through the same client session.
 func TestMultiObjectMultiplex(t *testing.T) {

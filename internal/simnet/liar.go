@@ -1,9 +1,7 @@
 package simnet
 
 import (
-	"context"
 	"encoding/binary"
-	"sync"
 	"time"
 
 	"ltnc/internal/packet"
@@ -32,30 +30,22 @@ const (
 // (liarClaims, one every liarFlood): everything and more received,
 // counters running backwards, counters wrapping uint32. The pacer's
 // ceiling (adapt.TickCeiling rows a tick, checked frame by frame in a
-// paced run) is the defense. Pumping runs on the fabric scheduler at virtual intervals
-// and goes quiet once no DATA has arrived for liarIdle of virtual time,
-// bounding the traffic a run can see.
+// paced run) is the defense. The fabric steps it: it pumps at virtual
+// intervals and goes quiet once no DATA has arrived for liarIdle of
+// virtual time, bounding the traffic a run can see.
 type liar struct {
-	name    string
 	net     *Net
 	port    *Port
 	ids     []packet.ObjectID
 	servers []transport.Addr
 
 	every time.Duration // virtual pump interval
-	resub time.Duration // REQ re-subscription interval
-	idle  time.Duration // stop pumping this long after the last DATA
-
 	// claims is the cycle of forged (received, innovative) counters, one
-	// per pump; pumps counts them. Both belong to the scheduler goroutine.
+	// per pump; pumps counts them.
 	claims [][2]uint32
 	pumps  int
 
-	mu       sync.Mutex
-	lastData time.Time
-	lastSub  time.Time
-
-	recvDone chan struct{}
+	pumpAt, lastData, lastSub time.Time
 }
 
 const (
@@ -75,31 +65,20 @@ var liarClaims = [][2]uint32{
 	{15, 15},
 }
 
-// startLiar attaches the actor to the fabric and arms its receive loop
-// and scheduler pump. ids and servers are read-only ground truth shared
-// with the runner; iteration order is the given slice order, so the
-// actor is deterministic.
-func startLiar(ctx context.Context, net *Net, name string, claims [][2]uint32, every time.Duration, ids []packet.ObjectID, servers []transport.Addr) (*liar, error) {
+// startLiar attaches the actor to the fabric. ids and servers are
+// read-only ground truth shared with the runner; iteration order is the
+// given slice order.
+func startLiar(net *Net, name string, claims [][2]uint32, every time.Duration, ids []packet.ObjectID, servers []transport.Addr) error {
 	port, err := net.Attach(transport.Addr(name))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	l := &liar{
-		name:     name,
-		net:      net,
-		port:     port,
-		ids:      ids,
-		servers:  servers,
-		claims:   claims,
-		every:    every,
-		resub:    liarResub,
-		idle:     liarIdle,
-		lastData: net.Now(),
-		recvDone: make(chan struct{}),
+		net: net, port: port, ids: ids, servers: servers, claims: claims, every: every,
+		pumpAt: net.Now().Add(every), lastData: net.Now(),
 	}
-	go l.recvLoop(ctx)
-	net.After(l.every, func() { l.pump(ctx) })
-	return l, nil
+	port.Drive(l.step)
+	return nil
 }
 
 // forgedReceipt hand-builds the 30-byte kind-5 FEEDBACK frame the
@@ -116,66 +95,43 @@ func forgedReceipt(id packet.ObjectID, received, innovative uint32) []byte {
 	return buf
 }
 
-// recvLoop drains the port promptly — the fabric counts queued frames
-// as activity, so a slow consumer would stall every virtual advance —
-// and records only whether DATA is still flowing. The rows themselves
-// are dropped on the floor: a liar that decoded would have nothing to
-// lie about.
-func (l *liar) recvLoop(ctx context.Context) {
-	defer close(l.recvDone)
-	for {
-		f, err := l.port.Recv(ctx)
-		if err != nil {
-			return
-		}
+// step drains the port — recording only whether DATA is still flowing; a
+// liar that decoded would have nothing to lie about — and pumps when the
+// interval has passed.
+func (l *liar) step() time.Time {
+	now := l.net.Now()
+	for f, ok := l.port.Poll(); ok; f, ok = l.port.Poll() {
 		if len(f.Data) > 0 && f.Data[0] == dataTag {
-			l.mu.Lock()
-			l.lastData = l.net.Now()
-			l.mu.Unlock()
+			l.lastData = now
 		}
 		f.Release()
 	}
+	if !now.Before(l.pumpAt) {
+		l.pump(now)
+		l.pumpAt = now.Add(l.every)
+	}
+	return l.pumpAt
 }
 
-// pump runs on the scheduler goroutine at virtual intervals: the next
-// forged receipt of the cycle to every (server, object) pair, plus periodic
-// REQ re-subscriptions so a sender that paused or evicted the liar is
-// solicited again. It re-arms itself until the run context dies.
-func (l *liar) pump(ctx context.Context) {
-	if ctx.Err() != nil {
+// pump sends the next forged receipt of the cycle to every (server,
+// object) pair, plus periodic REQ re-subscriptions so a sender that paused
+// or evicted the liar is solicited again.
+func (l *liar) pump(now time.Time) {
+	if now.Sub(l.lastData) >= liarIdle {
 		return
 	}
-	l.mu.Lock()
-	idleFor := l.net.Now().Sub(l.lastData)
-	doSub := l.net.Now().Sub(l.lastSub) >= l.resub
+	doSub := now.Sub(l.lastSub) >= liarResub
 	if doSub {
-		l.lastSub = l.net.Now()
+		l.lastSub = now
 	}
-	l.mu.Unlock()
-	if idleFor < l.idle {
-		claim := l.claims[l.pumps%len(l.claims)]
-		l.pumps++
-		for _, to := range l.servers {
-			for _, id := range l.ids {
-				if doSub {
-					req := make([]byte, 1+len(id))
-					req[0] = reqTag
-					copy(req[1:], id[:])
-					if l.port.Send(to, req) != nil {
-						return // port closed: the run is tearing down
-					}
-				}
-				if l.port.Send(to, forgedReceipt(id, claim[0], claim[1])) != nil {
-					return
-				}
+	claim := l.claims[l.pumps%len(l.claims)]
+	l.pumps++
+	for _, to := range l.servers {
+		for _, id := range l.ids {
+			if doSub {
+				l.port.Send(to, append([]byte{reqTag}, id[:]...))
 			}
+			l.port.Send(to, forgedReceipt(id, claim[0], claim[1]))
 		}
 	}
-	l.net.After(l.every, func() { l.pump(ctx) })
-}
-
-// close detaches the actor; the receive loop exits on the closed port.
-func (l *liar) close() {
-	l.port.Close()
-	<-l.recvDone
 }

@@ -1,9 +1,9 @@
 package simnet
 
 import (
-	"context"
-	"sort"
-	"sync"
+	"bytes"
+	"cmp"
+	"slices"
 	"time"
 
 	"ltnc/internal/packet"
@@ -27,18 +27,13 @@ const (
 // and poison any decoder that accepts them. The polluter ignores all
 // feedback: it never stops on fbRedundant or completion signals, which
 // is precisely the behavior the session's blame/quarantine machinery
-// must convict. Pumping is driven by the fabric scheduler at virtual
-// intervals and stops once no REQ has arrived for pollIdle of virtual
-// time, bounding the forged-traffic inflation a run can see.
+// must convict. The fabric steps it: it pumps at virtual intervals and
+// stops once no REQ has arrived for pollIdle of virtual time, bounding
+// the forged-traffic inflation a run can see.
 type polluter struct {
-	name string
 	net  *Net
 	port *Port
 	geom map[packet.ObjectID]objGeom
-
-	every time.Duration // virtual pump interval
-	burst int           // forged rows per victim per pump
-	idle  time.Duration // stop pumping this long after the last REQ
 
 	// boot is the membership-mode bootstrap set; non-empty makes the
 	// polluter an ambitious gossip citizen: it advertises itself into the
@@ -51,43 +46,43 @@ type polluter struct {
 	advert []byte // prebuilt self-advert MEMBER offer
 	reply  []byte // the same advert with the reply flag (answering shuffles)
 
-	mu      sync.Mutex
-	victims map[transport.Addr]map[packet.ObjectID]struct{}
-	lastReq time.Time
+	// victims are the (subscriber, object) pairs to forge at, in the order
+	// a pump visits them.
+	victims []victim
 	seq     int
 
-	recvDone chan struct{}
+	pumpAt, advertAt, lastReq time.Time
+}
+
+type victim struct {
+	to transport.Addr
+	id packet.ObjectID
+}
+
+func (a victim) cmp(b victim) int {
+	if c := cmp.Compare(a.to, b.to); c != 0 {
+		return c
+	}
+	return bytes.Compare(a.id[:], b.id[:])
 }
 
 const (
-	pollEvery  = 5 * time.Millisecond
-	pollBurst  = 1
+	pollEvery  = 5 * time.Millisecond // pump interval; one forged row per victim per pump
 	pollIdle   = 500 * time.Millisecond
 	pollAdvert = 150 * time.Millisecond // membership self-advert interval
 )
 
-// startPolluter attaches the actor to the fabric and arms its receive
-// loop and scheduler pump. geom is read-only ground truth shared with
-// the runner (a real attacker would learn geometry by observing frames;
-// handing it the map keeps the actor deterministic and simple).
-func startPolluter(ctx context.Context, net *Net, name string, geom map[packet.ObjectID]objGeom, boot []transport.Addr) (*polluter, error) {
+// startPolluter attaches the actor to the fabric. geom is read-only
+// ground truth shared with the runner (a real attacker would learn
+// geometry by observing frames; handing it the map keeps the actor
+// simple).
+func startPolluter(net *Net, name string, geom map[packet.ObjectID]objGeom, boot []transport.Addr) error {
 	port, err := net.Attach(transport.Addr(name))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	p := &polluter{
-		name:     name,
-		net:      net,
-		port:     port,
-		geom:     geom,
-		every:    pollEvery,
-		burst:    pollBurst,
-		idle:     pollIdle,
-		boot:     boot,
-		victims:  make(map[transport.Addr]map[packet.ObjectID]struct{}),
-		lastReq:  net.Now(),
-		recvDone: make(chan struct{}),
-	}
+	now := net.Now()
+	p := &polluter{net: net, port: port, geom: geom, boot: boot, pumpAt: now.Add(pollEvery), lastReq: now}
 	if len(boot) > 0 {
 		entry := []packet.MemberEntry{{
 			Addr:     name,
@@ -96,138 +91,100 @@ func startPolluter(ctx context.Context, net *Net, name string, geom map[packet.O
 		}}
 		if p.advert, err = packet.AppendMemberBody([]byte{memberTag}, 0, entry); err != nil {
 			port.Close()
-			return nil, err
+			return err
 		}
 		if p.reply, err = packet.AppendMemberBody([]byte{memberTag}, packet.MemberFlagReply, entry); err != nil {
 			port.Close()
-			return nil, err
+			return err
 		}
-		net.After(pollAdvert, func() { p.advertise(ctx) })
+		p.advertAt = now.Add(pollAdvert)
 	}
-	go p.recvLoop(ctx)
-	net.After(p.every, func() { p.pump(ctx) })
-	return p, nil
+	port.Drive(p.step)
+	return nil
 }
 
-// advertise pushes the polluter's lying self-advert at every bootstrap
-// node on the scheduler goroutine, re-arming until the run ends. The
-// bootstrap nodes merge it into their views and the gossip spreads it —
-// the discovery path an honest high-capacity relay would take too.
-func (p *polluter) advertise(ctx context.Context) {
-	if ctx.Err() != nil {
+// step takes what arrived, then advertises and pumps as their intervals
+// come due.
+func (p *polluter) step() time.Time {
+	now := p.net.Now()
+	for f, ok := p.port.Poll(); ok; f, ok = p.port.Poll() {
+		p.receive(f, now)
+		f.Release()
+	}
+	next := p.pumpAt
+	if len(p.boot) > 0 {
+		if !now.Before(p.advertAt) {
+			// The lying self-advert, at every bootstrap node: they merge it
+			// into their views and the gossip spreads it — the discovery
+			// path an honest high-capacity relay would take too.
+			for _, to := range p.boot {
+				p.port.Send(to, p.advert)
+			}
+			p.advertAt = now.Add(pollAdvert)
+		}
+		next = p.advertAt
+	}
+	if !now.Before(p.pumpAt) {
+		p.pump(now)
+		p.pumpAt = now.Add(pollEvery)
+	}
+	if p.pumpAt.Before(next) {
+		next = p.pumpAt
+	}
+	return next
+}
+
+// receive records REQ subscriptions and keeps the membership lie alive.
+// Everything else (META, FEEDBACK, probes' duplicate REQs) is dropped on
+// the floor: a polluter that honored feedback would stop forging and
+// never be convicted.
+func (p *polluter) receive(f transport.Frame, now time.Time) {
+	if len(f.Data) > 0 && f.Data[0] == memberTag && p.reply != nil {
+		// Answer shuffle offers (never replies — the membership plane's
+		// ping-pong guard, honored so the lie stays plausible) with the
+		// self-advert: whoever probes the polluter keeps it fresh and
+		// maximally attractive in their view.
+		if flags, _, err := packet.ParseMemberBody(f.Data[1:]); err == nil && flags&packet.MemberFlagReply == 0 {
+			p.port.Send(f.From, p.reply)
+		}
+	}
+	if len(f.Data) != 1+len(packet.ObjectID{}) || f.Data[0] != reqTag {
 		return
 	}
-	for _, to := range p.boot {
-		if p.port.Send(to, p.advert) != nil {
-			return // port closed: tearing down
-		}
+	v := victim{to: f.From}
+	copy(v.id[:], f.Data[1:])
+	if _, ok := p.geom[v.id]; !ok {
+		return
 	}
-	p.net.After(pollAdvert, func() { p.advertise(ctx) })
+	if i, known := slices.BinarySearchFunc(p.victims, v, victim.cmp); !known {
+		p.victims = slices.Insert(p.victims, i, v)
+	}
+	p.lastReq = now
 }
 
-// recvLoop drains the port promptly — the fabric counts queued frames as
-// activity, so a slow consumer would stall every virtual advance — and
-// records REQ subscriptions. Everything else (META, FEEDBACK, probes'
-// duplicate REQs) is dropped on the floor: a polluter that honored
-// feedback would stop forging and never be convicted.
-func (p *polluter) recvLoop(ctx context.Context) {
-	defer close(p.recvDone)
-	for {
-		f, err := p.port.Recv(ctx)
+// pump sends one forged row to every (victim, object) subscription,
+// round-robin over row indices and generations so forgeries never
+// collapse to duplicates.
+func (p *polluter) pump(now time.Time) {
+	if now.Sub(p.lastReq) >= pollIdle {
+		return
+	}
+	for _, v := range p.victims {
+		g := p.geom[v.id]
+		payload := bytes.Repeat([]byte{0xB6}, g.m)
+		// Vary the garbage so forged rows stay "innovative".
+		payload[0], payload[1] = byte(p.seq), byte(p.seq>>8)
+		pk := packet.Native(g.kPer, p.seq%g.kPer, payload)
+		pk.Object = v.id
+		if g.gens > 1 {
+			pk.Generation = uint32(p.seq % g.gens)
+			pk.Generations = uint32(g.gens)
+		}
+		p.seq++
+		wire, err := packet.Marshal(pk)
 		if err != nil {
 			return
 		}
-		if len(f.Data) > 0 && f.Data[0] == memberTag && p.reply != nil {
-			// Answer shuffle offers (never replies — the membership
-			// plane's ping-pong guard, honored so the lie stays plausible)
-			// with the self-advert: whoever probes the polluter keeps it
-			// fresh and maximally attractive in their view.
-			if flags, _, err := packet.ParseMemberBody(f.Data[1:]); err == nil && flags&packet.MemberFlagReply == 0 {
-				_ = p.port.Send(f.From, p.reply)
-			}
-		}
-		if len(f.Data) == 1+len(packet.ObjectID{}) && f.Data[0] == reqTag {
-			var id packet.ObjectID
-			copy(id[:], f.Data[1:])
-			if _, ok := p.geom[id]; ok {
-				p.mu.Lock()
-				m := p.victims[f.From]
-				if m == nil {
-					m = make(map[packet.ObjectID]struct{})
-					p.victims[f.From] = m
-				}
-				m[id] = struct{}{}
-				p.lastReq = p.net.Now()
-				p.mu.Unlock()
-			}
-		}
-		f.Release()
+		p.port.Send(v.to, append([]byte{dataTag}, wire...))
 	}
-}
-
-// pump runs on the scheduler goroutine at virtual intervals: one burst
-// of forged rows to every (victim, object) subscription, round-robin
-// over row indices and generations so forgeries never collapse to
-// duplicates. It re-arms itself until the run context dies.
-func (p *polluter) pump(ctx context.Context) {
-	if ctx.Err() != nil {
-		return
-	}
-	type tgt struct {
-		to transport.Addr
-		id packet.ObjectID
-	}
-	p.mu.Lock()
-	idleFor := p.net.Now().Sub(p.lastReq)
-	var tgts []tgt
-	for to, objs := range p.victims {
-		for id := range objs {
-			tgts = append(tgts, tgt{to, id})
-		}
-	}
-	seq := p.seq
-	p.mu.Unlock()
-	sort.Slice(tgts, func(i, j int) bool {
-		if tgts[i].to != tgts[j].to {
-			return tgts[i].to < tgts[j].to
-		}
-		return tgts[i].id.String() < tgts[j].id.String()
-	})
-	if idleFor < p.idle {
-		for _, t := range tgts {
-			g := p.geom[t.id]
-			for i := 0; i < p.burst; i++ {
-				payload := make([]byte, g.m)
-				for j := range payload {
-					payload[j] = 0xB6
-				}
-				// Vary the garbage so forged rows stay "innovative".
-				payload[0], payload[1] = byte(seq), byte(seq>>8)
-				pk := packet.Native(g.kPer, seq%g.kPer, payload)
-				pk.Object = t.id
-				if g.gens > 1 {
-					pk.Generation = uint32(seq % g.gens)
-					pk.Generations = uint32(g.gens)
-				}
-				seq++
-				wire, err := packet.Marshal(pk)
-				if err != nil {
-					return
-				}
-				if p.port.Send(t.to, append([]byte{dataTag}, wire...)) != nil {
-					return // port closed: the run is tearing down
-				}
-			}
-		}
-		p.mu.Lock()
-		p.seq = seq
-		p.mu.Unlock()
-	}
-	p.net.After(p.every, func() { p.pump(ctx) })
-}
-
-// close detaches the actor; the receive loop exits on the closed port.
-func (p *polluter) close() {
-	p.port.Close()
-	<-p.recvDone
 }

@@ -3,12 +3,14 @@ package simnet
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -35,13 +37,47 @@ func runScenario(t *testing.T, name string, defaultSeed int64) *Report {
 	return rep
 }
 
+// firstRuns shares a catalog scenario's run between the tests that read
+// it: a run is a pure function of (scenario, seed) — which is what
+// TestCatalogDeterministic, with rerunScenario, holds the lab to — so the
+// acceptance test of a scenario and the property test need not both pay
+// for the same one.
+var firstRuns sync.Map // "name/seed" → *firstRun
+
+type firstRun struct {
+	once sync.Once
+	rep  *Report
+	err  error
+}
+
+// runScenarioSeed returns the named scenario's run on seed — run now, or
+// already by another test — checked for a clean report.
 func runScenarioSeed(t *testing.T, name string, seed int64) *Report {
 	t.Helper()
+	v, _ := firstRuns.LoadOrStore(fmt.Sprintf("%s/%d", name, seed), new(firstRun))
+	run := v.(*firstRun)
+	run.once.Do(func() { run.rep, run.err = runNamed(name, seed) })
+	return checkReport(t, name, seed, run.rep, run.err)
+}
+
+// rerunScenario is a run of its own, whatever ran before.
+func rerunScenario(t *testing.T, name string, seed int64) *Report {
+	t.Helper()
+	rep, err := runNamed(name, seed)
+	return checkReport(t, name, seed, rep, err)
+}
+
+func runNamed(name string, seed int64) (*Report, error) {
 	sc, err := Named(name, seed)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	rep, err := sc.Run(context.Background())
+	sc.Trace = true
+	return sc.Run(context.Background())
+}
+
+func checkReport(t *testing.T, name string, seed int64, rep *Report, err error) *Report {
+	t.Helper()
 	if err != nil {
 		t.Fatalf("scenario %s seed %d: %v", name, seed, err)
 	}
@@ -54,11 +90,37 @@ func runScenarioSeed(t *testing.T, name string, seed int64) *Report {
 	if rep.FetchesCompleted == 0 {
 		t.Errorf("scenario %s seed %d: nothing completed", name, seed)
 	}
-	t.Logf("scenario %s seed %d: %d completed / %d crashed, virtual %v in wall %v, mean overhead %.2f, max header %dB, stalls %d",
+	t.Logf("scenario %s seed %d: %d completed / %d crashed, virtual %v in wall %v, mean overhead %.2f, max header %dB",
 		name, seed, rep.FetchesCompleted, rep.FetchesCrashed,
 		rep.VirtualElapsed.Round(time.Millisecond), rep.WallElapsed.Round(time.Millisecond),
-		rep.MeanOverhead, rep.MaxHeaderBytes, rep.Stalls)
+		rep.MeanOverhead, rep.MaxHeaderBytes)
 	return rep
+}
+
+// sameReport requires two reports to agree in everything but the wall
+// time they took: trace hash, virtual elapsed, frame counts, the fetch
+// matrix row by row, cache counters, violations.
+func sameReport(t *testing.T, a, b *Report) {
+	t.Helper()
+	enc := func(r *Report) []string {
+		c := *r
+		c.WallElapsed = 0
+		out, err := json.MarshalIndent(&c, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Split(string(out), "\n")
+	}
+	la, lb := enc(a), enc(b)
+	for i := range min(len(la), len(lb)) {
+		if la[i] != lb[i] {
+			t.Fatalf("scenario %s seed %d: same seed, different runs; first difference at report line %d:\n  %s\n  %s",
+				a.Scenario, a.Seed, i+1, la[i], lb[i])
+		}
+	}
+	if len(la) != len(lb) {
+		t.Fatalf("scenario %s seed %d: same seed, reports of %d and %d lines", a.Scenario, a.Seed, len(la), len(lb))
+	}
 }
 
 // TestScenarioChurn50 is the acceptance scale case: a 50-node swarm with
@@ -67,6 +129,7 @@ func runScenarioSeed(t *testing.T, name string, seed int64) *Report {
 // Watch progress monotone throughout — and the run resolves from its seed
 // (the reproduction line on failure replays it event for event).
 func TestScenarioChurn50(t *testing.T) {
+	t.Parallel()
 	rep := runScenario(t, "churn50", 1)
 	if rep.FetchesCrashed == 0 {
 		t.Errorf("churn scenario crashed nothing — churn did not happen")
@@ -80,55 +143,31 @@ func TestScenarioChurn50(t *testing.T) {
 	}
 }
 
-// TestScenarioChurn50Reproducible pins the (Seed, Scenario) → run
-// resolution: two runs with the same seed resolve the identical event
-// timeline (victims, join wiring, partition schedule), while a different
-// seed resolves a different one. (Per-frame delivery determinism is pinned
-// separately by TestFabricDeterministicTrace, where the workload is fully
-// scripted.)
+// TestScenarioChurn50Reproducible pins (Seed, Scenario) → run: two runs
+// with the same seed are the same run — every frame's fate and instant
+// (TraceHash), the virtual time taken, every fetch's row including which
+// churn victims completed before their crash — while a different seed
+// resolves a different timeline.
 func TestScenarioChurn50Reproducible(t *testing.T) {
-	a, err := Named("churn50", 7)
-	if err != nil {
-		t.Fatal(err)
+	t.Parallel()
+	ra := runScenarioSeed(t, "churn50", 7)
+	rb := rerunScenario(t, "churn50", 7)
+	sameReport(t, ra, rb)
+	if ra.TraceHash == "" || ra.FetchesCrashed == 0 {
+		t.Errorf("nothing to compare: trace hash %q, %d crashed", ra.TraceHash, ra.FetchesCrashed)
 	}
-	b, _ := Named("churn50", 7)
-	c, _ := Named("churn50", 8)
 	// The differing-seed probe only needs the resolved timeline, not the
 	// protocol outcome: truncate its virtual horizon so it returns almost
 	// immediately (its fetches simply don't finish, which is fine).
+	c, _ := Named("churn50", 8)
 	c.Duration = 50 * time.Millisecond
 	c.MaxOverhead = 0
-	ra, err := a.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := b.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
 	rc, err := c.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ra.TimelineHash != rb.TimelineHash {
-		t.Errorf("same seed resolved different timelines:\n  %s\n  %s", ra.TimelineHash, rb.TimelineHash)
-	}
 	if ra.TimelineHash == rc.TimelineHash {
 		t.Errorf("different seeds resolved the same timeline")
-	}
-	// Both runs must present the same fetch matrix and leave nothing
-	// unaccounted. (Whether a churn victim squeezes its completion in
-	// just before its crash instant can differ between runs — that race
-	// is real concurrency, not fabric nondeterminism — so the
-	// completed/crashed split is not compared, only its total.)
-	if len(ra.Fetches) != len(rb.Fetches) {
-		t.Errorf("same seed, different fetch matrices: %d vs %d", len(ra.Fetches), len(rb.Fetches))
-	}
-	for _, r := range []*Report{ra, rb} {
-		if r.FetchesCompleted+r.FetchesCrashed != len(r.Fetches) {
-			t.Errorf("unaccounted fetches: %d completed + %d crashed != %d",
-				r.FetchesCompleted, r.FetchesCrashed, len(r.Fetches))
-		}
 	}
 }
 
@@ -137,6 +176,7 @@ func TestScenarioChurn50Reproducible(t *testing.T) {
 // while the far side is cut off, so every completion must land strictly
 // after the heal — and still complete, byte-identical.
 func TestScenarioPartitionHeal(t *testing.T) {
+	t.Parallel()
 	rep := runScenario(t, "partition3hop", 1)
 	const healAt = 3 * time.Second
 	for _, f := range rep.Fetches {
@@ -153,6 +193,7 @@ func TestScenarioPartitionHeal(t *testing.T) {
 // TestScenarioRelayCrash: fetchers subscribed at two relays keep
 // completing when one crashes mid-fetch.
 func TestScenarioRelayCrash(t *testing.T) {
+	t.Parallel()
 	rep := runScenario(t, "relay-crash", 1)
 	if rep.FetchesCrashed != 0 {
 		t.Errorf("no fetcher crashes were scheduled, yet %d fetches report crashed", rep.FetchesCrashed)
@@ -165,10 +206,12 @@ func TestScenarioRelayCrash(t *testing.T) {
 // TestScenarioAsymUplink: harsh uplinks (loss + latency + bandwidth cap)
 // under a clean downlink still converge with bounded overhead.
 func TestScenarioAsymUplink(t *testing.T) {
+	t.Parallel()
 	runScenario(t, "asym-uplink", 1)
 }
 
 func TestScenarioSmoke(t *testing.T) {
+	t.Parallel()
 	runScenario(t, "smoke", 1)
 }
 
@@ -177,6 +220,7 @@ func TestScenarioSmoke(t *testing.T) {
 // estimate toward the ceiling, the redundancy budget follows, and the
 // fetches must still complete byte-identically within the horizon.
 func TestScenarioHarshMultihop(t *testing.T) {
+	t.Parallel()
 	rep := runScenario(t, "harsh-multihop", 1)
 	if rep.Net.DropLoss == 0 {
 		t.Error("no frames were lost — the harsh fabric never bit")
@@ -186,45 +230,42 @@ func TestScenarioHarshMultihop(t *testing.T) {
 // TestScenarioAsymUplinkAdaptive runs the asym-uplink swarm with the
 // adaptive loop on and guards the headline claim — the loss-tuned budget
 // does not send more DATA than the static swarm on the same fabric (both
-// run the systematic first pass, every sender does; the measured cut is in
-// EXPERIMENTS.md) — against regression to worse-than-static. Same-seed session runs are not
-// reproducible yet (ROADMAP item 4a: static measured 1050–1372 frames and
-// adaptive 1032–1312 on seed 1 alone, 9 of 20 pairs inverted while the
-// means held 1201 vs 1164), so a single pair cannot carry a strict ≤.
-// The comparison is therefore over DATA frames summed across seeds 1–4
-// and fails only above 1.10× static, which still catches the 2× blow-ups
-// the push comments describe. It returns to a strict single-pair
-// adaptive ≤ static once 4(a) lands.
+// run the systematic first pass, every sender does) — against regression
+// to worse-than-static: one pair of runs, strictly. The claim is a
+// statistical one — once the two swarms' traffic differs the same link
+// streams deal them different losses, and over seeds 1–10 the adaptive
+// swarm sends 92 % of the static one's frames and fewer on 8 of them
+// (EXPERIMENTS.md, "Adaptive loop") — so the pair is pinned to a seed on
+// the majority side; runs repeat exactly, so it moves only when the
+// protocol does.
 func TestScenarioAsymUplinkAdaptive(t *testing.T) {
-	var adaptive, static int64
-	for seed := int64(1); seed <= 4; seed++ {
-		a := runScenarioSeed(t, "asym-uplink-adaptive", seed).DataFrames
-		s := runScenarioSeed(t, "asym-uplink", seed).DataFrames
-		t.Logf("seed %d: adaptive %d vs static %d DATA frames", seed, a, s)
-		adaptive, static = adaptive+a, static+s
-	}
+	t.Parallel()
+	const seed = 1
+	adaptive := runScenarioSeed(t, "asym-uplink-adaptive", seed).DataFrames
+	static := runScenarioSeed(t, "asym-uplink", seed).DataFrames
 	if static == 0 {
 		t.Fatal("static swarm sent no DATA frames")
 	}
-	if float64(adaptive) > 1.10*float64(static) {
-		t.Errorf("adaptive swarms sent %d DATA frames, static identical swarms sent %d — the loop made it worse",
-			adaptive, static)
+	if adaptive > static {
+		t.Errorf("adaptive swarm sent %d DATA frames, the static identical swarm %d — the loop made it worse", adaptive, static)
 	}
-	t.Logf("asym-uplink DATA frames over 4 seeds: adaptive %d vs static %d (%.0f%%)",
-		adaptive, static, 100*float64(adaptive)/float64(static))
+	t.Logf("asym-uplink DATA frames, seed %d: adaptive %d vs static %d (%.0f%%)",
+		seed, adaptive, static, 100*float64(adaptive)/float64(static))
 }
 
 // TestScenarioEdgeCache is the cache-tier acceptance case: 8 fetchers
 // pull one hot object exclusively from 3 budgeted partial caches. Every
 // fetch completes byte-identically (runScenario checks that), no cache
-// ever decodes, and the origin sends at most 1.5× the DATA frames a
-// single fetcher would have needed — the flash crowd is absorbed by
-// recoding from cached rows, the offload this tier exists for.
+// ever decodes, and the origin sends exactly the k DATA frames a single
+// lossless fetcher would have needed — its systematic pass, once, into the
+// head of the cache chain; the flash crowd is absorbed by recoding from
+// cached rows, the offload this tier exists for.
 func TestScenarioEdgeCache(t *testing.T) {
+	t.Parallel()
 	rep := runScenario(t, "edge-cache", 1)
 	sc, _ := Named("edge-cache", 1)
 	k := sc.Objects[0].K
-	bound := int64(1.5 * float64(k))
+	bound := int64(k)
 	if rep.OriginDataFrames == 0 {
 		t.Fatal("origin sent no DATA frames — the object never entered the swarm")
 	}
@@ -247,12 +288,15 @@ func TestScenarioEdgeCache(t *testing.T) {
 }
 
 // TestScenarioEdgeCacheReproducible pins determinism for the cache tier:
-// same seed, same origin-frame count and per-cache counters.
+// same seed, same run — the origin-frame count and every cache's counters
+// (Report.CacheTiers) included.
 func TestScenarioEdgeCacheReproducible(t *testing.T) {
-	a := runScenario(t, "edge-cache", 5)
-	b := runScenario(t, "edge-cache", 5)
-	if a.TimelineHash != b.TimelineHash {
-		t.Errorf("timeline hash differs across identical runs")
+	t.Parallel()
+	a := runScenarioSeed(t, "edge-cache", 5)
+	b := rerunScenario(t, "edge-cache", 5)
+	sameReport(t, a, b)
+	if len(a.CacheTiers) == 0 || a.OriginDataFrames == 0 {
+		t.Errorf("nothing to compare: %d cache tiers, %d origin frames", len(a.CacheTiers), a.OriginDataFrames)
 	}
 }
 
@@ -264,6 +308,7 @@ func TestScenarioEdgeCacheReproducible(t *testing.T) {
 // completes, and the forged stream plus the re-fetch traffic must not
 // inflate total DATA frames beyond 2× a clean run of the same swarm.
 func TestScenarioPollutedSwarm(t *testing.T) {
+	t.Parallel()
 	rep := runScenario(t, "polluted-swarm", 1)
 
 	sc, err := Named("polluted-swarm", 1)
@@ -343,6 +388,7 @@ func TestScenarioPollutedSwarm(t *testing.T) {
 // polluted-swarm catalog entry stays untouched; these are clones, so its
 // regression seeds keep replaying bytes.
 func TestScenarioLyingReceivers(t *testing.T) {
+	t.Parallel()
 	t.Run("burst2", func(t *testing.T) { runLyingReceivers(t, 0) })
 	t.Run("paced", func(t *testing.T) { runLyingReceivers(t, BurstPaced) })
 }
@@ -401,6 +447,7 @@ func runLyingReceivers(t *testing.T, burst int) {
 // lossless fabric, and no sender passes adapt.TickCeiling DATA frames
 // toward one receiver in one Tick (the fabric tap, a run violation).
 func TestScenarioPacedLongRoundTrip(t *testing.T) {
+	t.Parallel()
 	seed := int64(1)
 	if *seedFlag != 0 {
 		seed = *seedFlag
@@ -436,9 +483,12 @@ func TestScenarioPacedLongRoundTrip(t *testing.T) {
 
 // TestSeedCorpus replays the regression corpus: seeds that once broke a
 // scenario (or probe interesting corners) are kept in testdata/seeds.txt
-// and replayed on every run, so a fixed failure stays fixed. Append a
-// line per newly found failing seed.
+// with the trace hash of their run, and replayed on every run, so a fixed
+// failure stays fixed and a change in what the swarm puts on the wire
+// shows. A protocol change moves the hashes; re-pin them deliberately, as
+// with TestPushGolden — the failure prints the new line.
 func TestSeedCorpus(t *testing.T) {
+	t.Parallel()
 	f, err := os.Open("testdata/seeds.txt")
 	if err != nil {
 		t.Fatal(err)
@@ -453,22 +503,60 @@ func TestSeedCorpus(t *testing.T) {
 			continue
 		}
 		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			t.Fatalf("testdata/seeds.txt:%d: want `scenario seed`, got %q", lineNo, line)
+		if len(fields) != 3 {
+			t.Fatalf("testdata/seeds.txt:%d: want `scenario seed tracehash`, got %q", lineNo, line)
 		}
+		name, want := fields[0], fields[2]
 		seed, err := strconv.ParseInt(fields[1], 10, 64)
 		if err != nil {
 			t.Fatalf("testdata/seeds.txt:%d: bad seed: %v", lineNo, err)
 		}
-		t.Run(fmt.Sprintf("%s-%d", fields[0], seed), func(t *testing.T) {
-			runScenarioSeed(t, fields[0], seed)
+		t.Run(fmt.Sprintf("%s-%d", name, seed), func(t *testing.T) {
+			if got := runScenarioSeed(t, name, seed).TraceHash; got != want {
+				t.Errorf("testdata/seeds.txt:%d: the run's trace hash changed; if the protocol was meant to change, re-pin:\n%s %d %s",
+					lineNo, name, seed, got)
+			}
 			if t.Failed() {
-				t.Logf("reproduce with: go test ./internal/simnet -run 'TestSeedCorpus/%s-%d'", fields[0], seed)
+				t.Logf("reproduce with: go test ./internal/simnet -run 'TestSeedCorpus/%s-%d'; any scenario test replays a seed with -seed=%d", name, seed, seed)
 			}
 		})
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCatalogDeterministic is the lab's promise as a property of the whole
+// catalog: every scenario, on two seeds, run twice, gives the same report
+// both times — trace hash, virtual time, overhead, per-node DATA counts,
+// fetch matrix (sameReport) — and a clean one. It must hold under -race
+// and GOMAXPROCS=1 alike: one goroutine runs a scenario whatever the host
+// offers. The entries the catalog marks for the soak build run there only,
+// and the thousand-session ones twice only there; the ordinary run still
+// takes them once per seed, for a clean report.
+func TestCatalogDeterministic(t *testing.T) {
+	for _, name := range List() {
+		if named[name].soak && !soakBuild {
+			continue
+		}
+		sc, _ := Named(name, 1)
+		big := sc.Sources+sc.Relays+sc.Fetchers >= 1000
+		for _, seed := range []int64{1, 2} {
+			t.Run(fmt.Sprintf("%s-%d", name, seed), func(t *testing.T) {
+				t.Parallel()
+				if testing.Short() && big {
+					t.Skip("1,000-session swarm skipped in -short mode")
+				}
+				first := runScenarioSeed(t, name, seed)
+				if big && !soakBuild {
+					return
+				}
+				sameReport(t, first, rerunScenario(t, name, seed))
+				if t.Failed() {
+					t.Logf("reproduce with: go test ./internal/simnet -run '%s'", t.Name())
+				}
+			})
+		}
 	}
 }
 
@@ -504,6 +592,7 @@ func TestNamedCatalog(t *testing.T) {
 // guarantee are enforced as run violations (sampled and at teardown);
 // this test additionally pins that the machinery actually engaged.
 func TestScenarioFlashCrowd1k(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("1,000-session swarm skipped in -short mode")
 	}
@@ -537,6 +626,7 @@ func TestScenarioFlashCrowd1k(t *testing.T) {
 // with no static wiring at all — capacity-weighted neighbor selection
 // must find and favor the 10% serving tier through gossip alone.
 func TestScenarioAsym9010(t *testing.T) {
+	t.Parallel()
 	rep := runScenario(t, "asym-90-10", 1)
 	if rep.ViewConvergedAt == 0 {
 		t.Error("views never converged")
@@ -548,6 +638,7 @@ func TestScenarioAsym9010(t *testing.T) {
 // replacement joins through the bootstrap set alone; all surviving and
 // joining fetches complete byte-identically.
 func TestScenarioMemberChurn(t *testing.T) {
+	t.Parallel()
 	rep := runScenario(t, "member-churn", 1)
 	if rep.FetchesCrashed == 0 {
 		t.Error("churn crashed nothing — the scenario did not bite")

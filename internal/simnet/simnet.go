@@ -1,41 +1,40 @@
 // Package simnet is a deterministic discrete-event network fabric for
-// exercising the real dissemination stack (internal/session, ltnc/swarm)
-// at swarm scale in virtual time. A Net is a set of ports implementing
+// exercising the real dissemination stack (internal/session) at swarm
+// scale in virtual time. A Net is a set of ports implementing
 // transport.Transport, joined by directed links with configurable loss,
 // latency, jitter, bandwidth and MTU; partitions split the fabric and
 // heal, ports crash and join. Every random decision — loss coins, jitter
-// draws — comes from per-link RNG streams derived from one seed, so a
-// fabric driven by a scripted workload produces a byte-identical
-// per-frame delivery trace on every run (see TraceHash), and a fabric
-// driven by live sessions replays the same loss pattern per link for a
-// given send sequence.
+// draws — comes from per-link RNG streams derived from one seed.
 //
-// Time is virtual: the Net owns a transport.VClock that every session on
-// the fabric shares, and a scheduler goroutine advances it from one
-// pending deadline (frame delivery, session ticker, timeline event) to
-// the next, pausing between advances until the fabric and its sessions
-// are quiescent — no frames in flight, no decode work buffered
-// (session.Busy). A sixty-second churn scenario therefore runs in a
-// couple of wall seconds, and timers as slow as META resend or idle
-// eviction are exercised in an ordinary `go test`.
+// Time is virtual and the whole fabric runs on one goroutine: the Net owns
+// a transport.VClock that every session on it shares, and Run is a stepper
+// over one event heap. Per instant, the deliveries and callbacks that are
+// due run in (time, registration) order; every driven port with work — a
+// queued frame, or its own deadline come — is stepped in address order
+// (Port.Drive: a session's Step, or an actor's), again and again until
+// nothing due is left; then the clock moves to the earliest of the heap
+// and the steppers' deadlines. Nothing waits for anything, so a run is a
+// pure function of its seed: two runs produce byte-identical per-frame
+// traces (TraceHash), and a sixty-second churn scenario takes a fraction
+// of a wall second.
 //
 // The scenario engine on top (scenario.go) turns a declarative Scenario —
 // node counts, wiring, link shapes, a timeline of churn/partition events —
-// into a running swarm of real sessions and checks the global invariants
-// the dissemination protocol promises: byte-identical fetch completion,
+// into a swarm of real sessions and checks the global invariants the
+// dissemination protocol promises: byte-identical fetch completion,
 // monotone Watch progress, bounded per-packet headers, bounded
 // redundancy overhead, no deadlock.
 package simnet
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
+	"crypto/sha256"
 	"fmt"
+	"hash"
 	"hash/fnv"
-	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"ltnc/internal/transport"
@@ -68,28 +67,15 @@ type Config struct {
 	// arriving at a full queue are dropped, as at an overloaded receiver.
 	QueueDepth int
 	// Grid quantizes delivery times up to its multiples (default 1ms).
-	// Coarser grids batch deliveries into fewer scheduler advances —
+	// Coarser grids batch deliveries into fewer instants to settle —
 	// virtual time resolution traded for wall-time speed.
 	Grid time.Duration
-	// Trace records every frame verdict for TraceHash (default off; the
-	// per-frame records cost memory proportional to traffic).
+	// Trace digests every frame verdict into TraceHash (default off).
 	Trace bool
 	// Inspect, when set, sees every frame offered to the fabric before
-	// any verdict, on the sender's goroutine. The bytes are only valid
-	// during the call. Scenario invariant checks (header bounds) hook in
-	// here.
+	// any verdict. The bytes are only valid during the call. Scenario
+	// invariant checks (header bounds) hook in here.
 	Inspect func(from, to transport.Addr, frame []byte)
-
-	// SettleRounds and SettlePoll tune quiescence detection: the
-	// scheduler advances virtual time only after observing the fabric
-	// idle for SettleRounds consecutive polls SettlePoll of real time
-	// apart (defaults 3 and 30µs; SettlePoll < 0 disables sleeping, for
-	// fully scripted fabrics). MaxSettleWait caps how long one advance
-	// waits for quiescence before moving on anyway (default 2s; such
-	// forced advances are counted in Stalls).
-	SettleRounds  int
-	SettlePoll    time.Duration
-	MaxSettleWait time.Duration
 }
 
 func (c *Config) setDefaults() error {
@@ -107,18 +93,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.Grid < 0 {
 		return fmt.Errorf("simnet: grid %v < 0", c.Grid)
-	}
-	if c.SettleRounds == 0 {
-		c.SettleRounds = 3
-	}
-	if c.SettleRounds < 1 {
-		return fmt.Errorf("simnet: settle rounds %d < 1", c.SettleRounds)
-	}
-	if c.SettlePoll == 0 {
-		c.SettlePoll = 30 * time.Microsecond
-	}
-	if c.MaxSettleWait == 0 {
-		c.MaxSettleWait = 2 * time.Second
 	}
 	return checkLink(c.DefaultLink)
 }
@@ -181,33 +155,29 @@ type Stats struct {
 	DropQueue     int64
 	DropDown      int64
 	DropPartition int64
-	// Stalls counts scheduler advances forced through before the fabric
-	// quiesced (see Config.MaxSettleWait); nonzero values mean virtual
-	// timestamps may be skewed, not that results are wrong.
-	Stalls int64
 }
 
 type linkKey struct{ from, to transport.Addr }
 
 type link struct {
 	cfg      LinkConfig
-	rng      *rand.Rand
+	rng      uint64    // the link's draw stream (xrand.SplitMix64 state)
 	seq      uint64    // per-link frame counter (send order)
 	nextFree time.Time // bandwidth serialization horizon
 }
 
-// event is one scheduled occurrence: a frame delivery or a callback.
+// event is one scheduled occurrence: a callback, or with fn nil the
+// delivery of a frame.
 type event struct {
 	at  time.Time
 	seq uint64
 	fn  func()
-	del *delivery
+	del delivery
 }
 
 type delivery struct {
 	from, to transport.Addr
-	buf      *[]byte
-	size     int
+	data     []byte // the fabric's own copy of the frame
 	linkSeq  uint64
 	sentAt   time.Time
 }
@@ -233,64 +203,44 @@ func (h *eventHeap) Pop() any {
 }
 
 // Net is the deterministic virtual-time network fabric. Create with New,
-// attach ports, Start the scheduler, and Close when done.
+// attach ports, Drive the ones something steps, Run, and Close when done.
+// One goroutine owns a Net and everything on it.
 type Net struct {
 	cfg Config
 	clk *transport.VClock
 
-	mu        sync.Mutex
 	ports     map[transport.Addr]*Port
+	driven    []*Port // the ports with a stepper, in address order
 	links     map[linkKey]*link
 	overrides map[linkKey]LinkConfig
 	groups    map[transport.Addr]int // partition membership; nil = healed
 	events    eventHeap
 	eseq      uint64
-	trace     []TraceRec
-	quiescers map[int]func() bool
-	nextQ     int
-
-	// activity counts frames delivered into port queues but not yet
-	// consumed by a Recv. Frames merely in flight are NOT activity: they
-	// live in the event heap, and advancing the clock toward them is the
-	// scheduler's job — counting them would deadlock quiescence against
-	// time itself.
-	activity atomic.Int64
-	stats    [6]atomic.Int64
-	sent     atomic.Int64
-	stalls   atomic.Int64
-
-	kick      chan struct{}
-	stop      chan struct{}
-	done      chan struct{}
-	startOnce sync.Once
-	stopOnce  sync.Once
+	traceSum  hash.Hash // the running trace digest; nil unless Config.Trace
+	verdicts  [6]int64
+	sent      int64
 }
 
-// New builds a fabric. The scheduler does not run until Start.
+// New builds a fabric at virtual time zero (transport.VClockBase).
 func New(cfg Config) (*Net, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	clk := transport.NewVClock()
-	// Hand each fired session tick to its consumer before advancing
-	// further — the rendezvous that keeps virtual time behind the work it
-	// triggers.
-	clk.SetSyncGrace(2 * time.Millisecond)
-	return &Net{
+	n := &Net{
 		cfg:       cfg,
-		clk:       clk,
+		clk:       transport.NewVClock(),
 		ports:     make(map[transport.Addr]*Port),
 		links:     make(map[linkKey]*link),
 		overrides: make(map[linkKey]LinkConfig),
-		quiescers: make(map[int]func() bool),
-		kick:      make(chan struct{}, 1),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
-	}, nil
+	}
+	if cfg.Trace {
+		n.traceSum = sha256.New()
+	}
+	return n, nil
 }
 
 // Clock returns the fabric's virtual clock; every session on the fabric
-// must run on it (session.Config.Clock / swarm.Config.Clock).
+// must run on it (session.Config.Clock).
 func (n *Net) Clock() *transport.VClock { return n.clk }
 
 // Now returns the current virtual time; Elapsed the virtual time since
@@ -298,86 +248,117 @@ func (n *Net) Clock() *transport.VClock { return n.clk }
 func (n *Net) Now() time.Time         { return n.clk.Now() }
 func (n *Net) Elapsed() time.Duration { return n.clk.Since(transport.VClockBase) }
 
-// Start launches the scheduler goroutine that advances virtual time.
-func (n *Net) Start() { n.startOnce.Do(func() { go n.loop() }) }
-
-// Close stops the scheduler and detaches every port.
+// Close detaches every port and drops the frames still in flight.
 func (n *Net) Close() error {
-	n.stopOnce.Do(func() { close(n.stop) })
-	<-n.done
-	n.mu.Lock()
-	ports := make([]*Port, 0, len(n.ports))
 	for _, p := range n.ports {
-		ports = append(ports, p)
-	}
-	n.mu.Unlock()
-	for _, p := range ports {
 		p.Close()
 	}
-	// Release frames still scheduled for delivery.
-	n.mu.Lock()
-	for _, ev := range n.events {
-		if ev.del != nil {
-			transport.PutBuf(ev.del.buf)
-		}
-	}
 	n.events = nil
-	n.mu.Unlock()
 	return nil
 }
 
 // Stats returns the frame accounting so far.
 func (n *Net) Stats() Stats {
 	return Stats{
-		Sent:          n.sent.Load(),
-		Delivered:     n.stats[Delivered].Load(),
-		DropLoss:      n.stats[DropLoss].Load(),
-		DropMTU:       n.stats[DropMTU].Load(),
-		DropQueue:     n.stats[DropQueue].Load(),
-		DropDown:      n.stats[DropDown].Load(),
-		DropPartition: n.stats[DropPartition].Load(),
-		Stalls:        n.stalls.Load(),
+		Sent:          n.sent,
+		Delivered:     n.verdicts[Delivered],
+		DropLoss:      n.verdicts[DropLoss],
+		DropMTU:       n.verdicts[DropMTU],
+		DropQueue:     n.verdicts[DropQueue],
+		DropDown:      n.verdicts[DropDown],
+		DropPartition: n.verdicts[DropPartition],
 	}
 }
 
-// AddQuiescer registers a predicate the scheduler requires to be true
-// before advancing virtual time — typically a session's Busy() == 0. The
-// returned function unregisters it.
-func (n *Net) AddQuiescer(fn func() bool) (remove func()) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	key := n.nextQ
-	n.nextQ++
-	n.quiescers[key] = fn
-	return func() {
-		n.mu.Lock()
-		delete(n.quiescers, key)
-		n.mu.Unlock()
-	}
-}
-
-// After schedules fn to run on the scheduler goroutine once d of virtual
-// time has passed — the hook timeline events (churn, partitions) hang
-// off. Callbacks at equal deadlines run in registration order; fn must
-// not block.
+// After schedules fn to run once d of virtual time has passed — the hook
+// timeline events (churn, partitions) hang off. Callbacks at equal
+// deadlines run in registration order, ahead of the steppers of their
+// instant.
 func (n *Net) After(d time.Duration, fn func()) {
-	n.mu.Lock()
-	n.pushEventLocked(&event{at: n.clk.Now().Add(d), fn: fn})
-	n.mu.Unlock()
-	n.wake()
+	n.pushEvent(&event{at: n.clk.Now().Add(d), fn: fn})
 }
 
-func (n *Net) pushEventLocked(ev *event) {
+func (n *Net) pushEvent(ev *event) {
 	ev.seq = n.eseq
 	n.eseq++
 	heap.Push(&n.events, ev)
 }
 
-func (n *Net) wake() {
-	select {
-	case n.kick <- struct{}{}:
-	default:
+// maxRounds bounds the passes one instant may take to settle. Zero-delay
+// links let frames cross, and be answered, within an instant; an exchange
+// that never ends is a bug in whoever is exchanging, and Run reports it.
+const maxRounds = 1 << 16
+
+// Run steps the fabric, instant by instant, until done reports true, ctx
+// is cancelled (both checked once each instant has settled) or something
+// is wrong: an instant that does not settle within maxRounds passes, or
+// nothing left to happen — no event pending and no stepper with a
+// deadline — with done still false.
+func (n *Net) Run(ctx context.Context, done func() bool) error {
+	for {
+		if err := n.settle(); err != nil {
+			return err
+		}
+		if done() || ctx.Err() != nil {
+			return nil
+		}
+		t, ok := n.nextTime()
+		if !ok {
+			return fmt.Errorf("simnet: nothing left to happen at %v", n.Elapsed())
+		}
+		n.clk.AdvanceTo(t)
 	}
+}
+
+// settle runs the current instant to its fixed point: due events, then
+// every stepper with work in address order, until a pass finds nothing.
+// Steppers may send, poll and reshape links; attaching and closing ports
+// is for callbacks.
+func (n *Net) settle() error {
+	now := n.clk.Now()
+	for round := 0; round < maxRounds; round++ {
+		worked := n.runDue(now)
+		for _, p := range n.driven {
+			if p.queued() > 0 || !p.next.After(now) {
+				p.next = p.step()
+				worked = true
+			}
+		}
+		if !worked {
+			return nil
+		}
+	}
+	return fmt.Errorf("simnet: the instant at %v did not settle in %d passes", n.Elapsed(), maxRounds)
+}
+
+// nextTime is the earliest instant anything is due: the event heap's head
+// or a stepper's deadline.
+func (n *Net) nextTime() (t time.Time, ok bool) {
+	if len(n.events) > 0 {
+		t, ok = n.events[0].at, true
+	}
+	for _, p := range n.driven {
+		if !ok || p.next.Before(t) {
+			t, ok = p.next, true
+		}
+	}
+	return t, ok
+}
+
+// runDue executes every event due at or before t, including events
+// scheduled at t by the events themselves (zero-delay chains), and
+// reports whether there was any.
+func (n *Net) runDue(t time.Time) (ran bool) {
+	for len(n.events) > 0 && !n.events[0].at.After(t) {
+		ev := heap.Pop(&n.events).(*event)
+		if ev.fn != nil {
+			ev.fn()
+		} else {
+			n.deliver(&ev.del)
+		}
+		ran = true
+	}
+	return ran
 }
 
 // SetLink overrides the directed link from → to (both directions must be
@@ -388,8 +369,6 @@ func (n *Net) SetLink(from, to transport.Addr, lc LinkConfig) error {
 	if err := checkLink(lc); err != nil {
 		return err
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	key := linkKey{from, to}
 	n.overrides[key] = lc
 	if l, ok := n.links[key]; ok {
@@ -403,38 +382,29 @@ func (n *Net) SetLink(from, to transport.Addr, lc LinkConfig) error {
 // Addresses in no group keep full connectivity. A new Partition replaces
 // the previous one; Heal removes it.
 func (n *Net) Partition(groups ...[]transport.Addr) {
-	m := make(map[transport.Addr]int)
+	n.groups = make(map[transport.Addr]int)
 	for gi, g := range groups {
 		for _, a := range g {
-			m[a] = gi
+			n.groups[a] = gi
 		}
 	}
-	n.mu.Lock()
-	n.groups = m
-	n.mu.Unlock()
 }
 
 // Heal removes the current partition.
-func (n *Net) Heal() {
-	n.mu.Lock()
-	n.groups = nil
-	n.mu.Unlock()
-}
+func (n *Net) Heal() { n.groups = nil }
 
-func (n *Net) partitionedLocked(from, to transport.Addr) bool {
-	if n.groups == nil {
-		return false
-	}
+func (n *Net) partitioned(from, to transport.Addr) bool {
 	gf, okf := n.groups[from]
 	gt, okt := n.groups[to]
 	return okf && okt && gf != gt
 }
 
-// linkLocked returns (creating on first use) the state of the directed
-// link from → to. The link RNG is seeded from the fabric seed and the
+// link returns (creating on first use) the state of the directed link
+// from → to. The link's draw stream is seeded from the fabric seed and the
 // endpoint names only, so one link's draw sequence is independent of
-// traffic on every other link.
-func (n *Net) linkLocked(from, to transport.Addr) *link {
+// traffic on every other link. (A stream is eight bytes of SplitMix64
+// state: a thousand-node gossip swarm has a hundred thousand links.)
+func (n *Net) link(from, to transport.Addr) *link {
 	key := linkKey{from, to}
 	if l, ok := n.links[key]; ok {
 		return l
@@ -447,10 +417,7 @@ func (n *Net) linkLocked(from, to transport.Addr) *link {
 	h.Write([]byte(from))
 	h.Write([]byte{0})
 	h.Write([]byte(to))
-	l := &link{
-		cfg: cfg,
-		rng: rand.New(rand.NewSource(xrand.DeriveSeed(n.cfg.Seed, int(uint32(h.Sum64()))))),
-	}
+	l := &link{cfg: cfg, rng: uint64(n.cfg.Seed) ^ h.Sum64()}
 	n.links[key] = l
 	return l
 }
@@ -461,17 +428,10 @@ func (n *Net) Attach(addr transport.Addr) (*Port, error) {
 	if addr == "" {
 		return nil, fmt.Errorf("simnet: empty address")
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if _, ok := n.ports[addr]; ok {
 		return nil, fmt.Errorf("simnet: address %q already attached", addr)
 	}
-	p := &Port{
-		net:    n,
-		addr:   addr,
-		queue:  make(chan transport.Frame, n.cfg.QueueDepth),
-		closed: make(chan struct{}),
-	}
+	p := &Port{net: n, addr: addr}
 	n.ports[addr] = p
 	return p, nil
 }
@@ -480,38 +440,35 @@ func (n *Net) Attach(addr transport.Addr) (*Port, error) {
 // decided at send time (MTU, loss) is taken here with the per-link RNG,
 // and surviving frames are scheduled for delivery after the link's
 // serialization, latency and jitter delays.
-func (n *Net) send(from *Port, to transport.Addr, frame []byte) error {
+func (n *Net) send(from, to transport.Addr, frame []byte) error {
 	if len(frame) > transport.MaxFrame {
 		return transport.ErrFrameTooBig
 	}
 	if n.cfg.Inspect != nil {
-		n.cfg.Inspect(from.addr, to, frame)
+		n.cfg.Inspect(from, to, frame)
 	}
-	n.sent.Add(1)
-	n.mu.Lock()
-	l := n.linkLocked(from.addr, to)
-	lseq := l.seq
-	l.seq++
+	n.sent++
+	l := n.link(from, to)
 	now := n.clk.Now()
+	rec := TraceRec{From: from, To: to, Seq: l.seq, Size: len(frame), SentAt: now, At: now}
+	l.seq++
 	// Fixed draw order per link regardless of the frame's fate, so one
 	// frame's verdict never shifts the stream for the frames after it.
-	lossDraw := l.rng.Float64()
+	lossDraw := float64(xrand.SplitMix64(&l.rng)>>11) / (1 << 53)
 	var jit time.Duration
 	if l.cfg.Jitter > 0 {
-		jit = time.Duration(l.rng.Int63n(int64(l.cfg.Jitter)))
+		jit = time.Duration(xrand.SplitMix64(&l.rng) % uint64(l.cfg.Jitter))
 	}
 	mtu := l.cfg.MTU
 	if mtu == 0 {
 		mtu = transport.MaxFrame
 	}
-	if len(frame) > mtu {
-		n.finishLocked(TraceRec{From: from.addr, To: to, Seq: lseq, Size: len(frame), SentAt: now, At: now, Verdict: DropMTU})
-		n.mu.Unlock()
+	if rec.Verdict = DropMTU; len(frame) > mtu {
+		n.finish(rec)
 		return nil
 	}
-	if l.cfg.Loss > 0 && lossDraw < l.cfg.Loss {
-		n.finishLocked(TraceRec{From: from.addr, To: to, Seq: lseq, Size: len(frame), SentAt: now, At: now, Verdict: DropLoss})
-		n.mu.Unlock()
+	if rec.Verdict = DropLoss; l.cfg.Loss > 0 && lossDraw < l.cfg.Loss {
+		n.finish(rec)
 		return nil
 	}
 	at := now.Add(l.cfg.Latency + jit)
@@ -525,178 +482,73 @@ func (n *Net) send(from *Port, to transport.Addr, frame []byte) error {
 		at = l.nextFree.Add(l.cfg.Latency + jit)
 	}
 	if g := n.cfg.Grid; g > 0 {
-		// Quantize up to the grid so deliveries batch into few advances.
+		// Quantize up to the grid so deliveries batch into few instants.
 		off := at.Sub(transport.VClockBase)
 		at = transport.VClockBase.Add((off + g - 1) / g * g)
 	}
-	bufp := transport.GetBuf()
-	size := copy(*bufp, frame)
-	n.pushEventLocked(&event{at: at, del: &delivery{
-		from: from.addr, to: to, buf: bufp, size: size, linkSeq: lseq, sentAt: now,
+	n.pushEvent(&event{at: at, del: delivery{
+		from: from, to: to, data: slices.Clone(frame), linkSeq: rec.Seq, sentAt: now,
 	}})
-	n.mu.Unlock()
-	n.wake()
 	return nil
 }
 
-// finishLocked records one decided frame fate; n.mu must be held.
-func (n *Net) finishLocked(rec TraceRec) {
-	n.stats[rec.Verdict].Add(1)
-	if n.cfg.Trace {
-		n.trace = append(n.trace, rec)
+// finish records one decided frame fate.
+func (n *Net) finish(rec TraceRec) {
+	n.verdicts[rec.Verdict]++
+	if n.traceSum != nil {
+		n.record(rec)
 	}
 }
 
 // deliver executes one due delivery event: the destination must still be
-// attached and reachable across any partition, and have queue room. The
-// lookup and enqueue happen in one critical section with Port.Close's
-// detach (which also runs under n.mu before its drain), so a frame can
-// never slip into a port that has already been drained — either Close
-// sees it queued and releases it, or deliver sees the port gone.
+// attached and reachable across any partition, and have queue room.
 func (n *Net) deliver(d *delivery) {
-	now := n.clk.Now()
-	rec := TraceRec{From: d.from, To: d.to, Seq: d.linkSeq, Size: d.size, SentAt: d.sentAt, At: now}
-	n.mu.Lock()
+	rec := TraceRec{From: d.from, To: d.to, Seq: d.linkSeq, Size: len(d.data), SentAt: d.sentAt, At: n.clk.Now()}
 	dst, up := n.ports[d.to]
 	switch {
 	case !up:
 		rec.Verdict = DropDown
-	case n.partitionedLocked(d.from, d.to):
+	case n.partitioned(d.from, d.to):
 		rec.Verdict = DropPartition
+	case dst.queued() >= n.cfg.QueueDepth:
+		rec.Verdict = DropQueue
 	default:
-		f := transport.NewFrame(d.from, (*d.buf)[:d.size], func() { transport.PutBuf(d.buf) })
-		select {
-		case dst.queue <- f:
-			rec.Verdict = Delivered
-			n.activity.Add(1)
-		default:
-			rec.Verdict = DropQueue
-		}
+		rec.Verdict = Delivered
+		dst.queue = append(dst.queue, transport.NewFrame(d.from, d.data, nil))
 	}
-	if rec.Verdict != Delivered {
-		transport.PutBuf(d.buf)
-	}
-	n.finishLocked(rec)
-	n.mu.Unlock()
-}
-
-// loop is the scheduler: quiesce, hop virtual time to the next deadline
-// (frame delivery, clock timer, or After callback), fire it, repeat.
-func (n *Net) loop() {
-	defer close(n.done)
-	for {
-		select {
-		case <-n.stop:
-			return
-		default:
-		}
-		n.quiesce()
-		t, ok := n.nextTime()
-		if !ok {
-			select {
-			case <-n.stop:
-				return
-			case <-n.kick:
-			case <-time.After(200 * time.Microsecond):
-			}
-			continue
-		}
-		// t is the global minimum over deliveries, callbacks and session
-		// timers, so advancing the clock to t fires exactly the timers due
-		// at t and nothing the fabric still owes an earlier delivery.
-		n.clk.AdvanceTo(t)
-		n.runDue(t)
-	}
-}
-
-func (n *Net) nextTime() (time.Time, bool) {
-	n.mu.Lock()
-	var t time.Time
-	ok := false
-	if len(n.events) > 0 {
-		t, ok = n.events[0].at, true
-	}
-	n.mu.Unlock()
-	if ct, cok := n.clk.NextDeadline(); cok && (!ok || ct.Before(t)) {
-		t, ok = ct, true
-	}
-	return t, ok
-}
-
-// runDue executes every event due at or before t, including events
-// scheduled at t by the events themselves (zero-delay chains).
-func (n *Net) runDue(t time.Time) {
-	for {
-		n.mu.Lock()
-		if len(n.events) == 0 || n.events[0].at.After(t) {
-			n.mu.Unlock()
-			return
-		}
-		ev := heap.Pop(&n.events).(*event)
-		n.mu.Unlock()
-		if ev.del != nil {
-			n.deliver(ev.del)
-		} else {
-			ev.fn()
-		}
-	}
-}
-
-// quiesce blocks until the fabric has no frames in flight or queued and
-// every registered quiescer reports idle, observed stably across
-// SettleRounds polls — or until MaxSettleWait of real time has passed
-// (counted in Stalls).
-func (n *Net) quiesce() {
-	deadline := time.Now().Add(n.cfg.MaxSettleWait)
-	idle := 0
-	for idle < n.cfg.SettleRounds {
-		if n.idle() {
-			idle++
-		} else {
-			idle = 0
-			if time.Now().After(deadline) {
-				n.stalls.Add(1)
-				return
-			}
-		}
-		runtime.Gosched()
-		if n.cfg.SettlePoll > 0 {
-			time.Sleep(n.cfg.SettlePoll)
-		}
-	}
-}
-
-func (n *Net) idle() bool {
-	if n.activity.Load() != 0 {
-		return false
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, fn := range n.quiescers {
-		if !fn() {
-			return false
-		}
-	}
-	return true
+	n.finish(rec)
 }
 
 // Port is one attachment point of the fabric; it implements
-// transport.Transport, so a real session runs on it unchanged.
+// transport.Transport and transport.Poller, so a real session steps on
+// it unchanged.
 type Port struct {
-	net       *Net
-	addr      transport.Addr
-	queue     chan transport.Frame
-	closed    chan struct{}
-	closeOnce sync.Once
-	// handedOut marks a frame returned by Recv whose consumer has not
-	// come back for the next one: it stays counted as fabric activity
-	// until then, so the scheduler cannot advance virtual time in the
-	// window between the frame leaving the queue and the session's own
-	// Busy counter picking it up.
-	handedOut atomic.Bool
+	net    *Net
+	addr   transport.Addr
+	queue  []transport.Frame // queue[head:] is delivered, not yet polled; at most Config.QueueDepth
+	head   int
+	closed bool
+	step   func() time.Time // nil: nobody drives the port, its holder polls it
+	next   time.Time        // the deadline step last returned
 }
 
-var _ transport.Transport = (*Port)(nil)
+var (
+	_ transport.Transport = (*Port)(nil)
+	_ transport.Poller    = (*Port)(nil)
+)
+
+// Drive hands the port's side of the fabric to step: Run calls it at the
+// first instant it can, then whenever a frame is queued at the port or
+// the deadline the last call returned has come — which must lie after the
+// instant it was called in. A session's Step is one; the scenario actors
+// are others.
+func (p *Port) Drive(step func() (next time.Time)) {
+	p.step = step
+	i, _ := slices.BinarySearchFunc(p.net.driven, p.addr, func(q *Port, a transport.Addr) int {
+		return cmp.Compare(q.addr, a)
+	})
+	p.net.driven = slices.Insert(p.net.driven, i, p)
+}
 
 // LocalAddr returns the port's address on the fabric.
 func (p *Port) LocalAddr() transport.Addr { return p.addr }
@@ -705,79 +557,52 @@ func (p *Port) LocalAddr() transport.Addr { return p.addr }
 // attached is not an error — the frame vanishes, as a datagram to a dead
 // host would (the DropDown counter records it).
 func (p *Port) Send(to transport.Addr, frame []byte) error {
-	select {
-	case <-p.closed:
+	if p.closed {
 		return transport.ErrClosed
-	default:
 	}
-	return p.net.send(p, to, frame)
+	return p.net.send(p.addr, to, frame)
 }
 
-// settleHandout releases the activity held for the frame most recently
-// handed to the consumer; idempotent under the Recv/Close race.
-func (p *Port) settleHandout() {
-	if p.handedOut.CompareAndSwap(true, false) {
-		p.net.activity.Add(-1)
+func (p *Port) queued() int { return len(p.queue) - p.head }
+
+// Poll returns the next delivered frame, if one is queued.
+func (p *Port) Poll() (transport.Frame, bool) {
+	if p.queued() == 0 {
+		return transport.Frame{}, false
 	}
+	f := p.queue[p.head]
+	p.queue[p.head] = transport.Frame{}
+	if p.head++; p.head == len(p.queue) {
+		p.queue, p.head = p.queue[:0], 0
+	}
+	return f, true
 }
 
-// handout marks the frame being returned by Recv as held by the
-// consumer. If the port was closed while we were between the queue pop
-// and the mark — Close's settle then ran too early to see it — the
-// consumer may never call Recv again, so settle immediately rather than
-// strand the activity count (the CAS in settleHandout makes the
-// Close/Recv pairing settle exactly once).
-func (p *Port) handout(f transport.Frame) (transport.Frame, error) {
-	p.handedOut.Store(true)
-	select {
-	case <-p.closed:
-		p.settleHandout()
-	default:
-	}
-	return f, nil
-}
-
-// Recv returns the next delivered frame. The returned frame stays
-// counted as fabric activity until the consumer calls Recv again —
-// coming back for the next frame is the signal that the previous one
-// has been fully dispatched into the session's own Busy accounting.
+// Recv is Poll behind the transport.Transport signature. The fabric has
+// one goroutine, so a frame that is not queued cannot arrive while Recv
+// waits: with none it fails on a closed port and otherwise sits out ctx.
 func (p *Port) Recv(ctx context.Context) (transport.Frame, error) {
-	p.settleHandout()
-	select {
-	case f := <-p.queue:
-		return p.handout(f)
-	default:
+	if f, ok := p.Poll(); ok {
+		return f, nil
 	}
-	select {
-	case f := <-p.queue:
-		return p.handout(f)
-	case <-ctx.Done():
-		return transport.Frame{}, ctx.Err()
-	case <-p.closed:
+	if p.closed {
 		return transport.Frame{}, transport.ErrClosed
 	}
+	<-ctx.Done()
+	return transport.Frame{}, ctx.Err()
 }
 
-// Close detaches the port: pending Recvs fail with ErrClosed, in-flight
+// Close detaches the port: its stepper is not called again, in-flight
 // frames toward it are dropped as DropDown, queued frames are released.
-// The detach runs under n.mu — the same critical section deliver
-// enqueues in — so everything delivered is drained here or counted gone.
 func (p *Port) Close() error {
-	p.closeOnce.Do(func() {
-		close(p.closed)
-		p.net.mu.Lock()
-		delete(p.net.ports, p.addr)
-		p.net.mu.Unlock()
-		p.settleHandout()
-		for {
-			select {
-			case f := <-p.queue:
-				f.Release()
-				p.net.activity.Add(-1)
-			default:
-				return
-			}
-		}
-	})
+	if p.closed {
+		return nil
+	}
+	p.closed = true
+	delete(p.net.ports, p.addr)
+	p.net.driven = slices.DeleteFunc(p.net.driven, func(q *Port) bool { return q == p })
+	for f, ok := p.Poll(); ok; f, ok = p.Poll() {
+		f.Release()
+	}
 	return nil
 }

@@ -3,7 +3,6 @@ package simnet
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -29,14 +28,20 @@ func mustAttach(t *testing.T, n *Net, addr transport.Addr) *Port {
 	return p
 }
 
-func recvOne(t *testing.T, p *Port, timeout time.Duration) transport.Frame {
+// runUntil steps the fabric until cond holds; running out of things to
+// happen first fails the test.
+func runUntil(t *testing.T, n *Net, cond func() bool) {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	f, err := p.Recv(ctx)
-	if err != nil {
-		t.Fatalf("recv at %s: %v", p.LocalAddr(), err)
+	if err := n.Run(context.Background(), cond); err != nil {
+		t.Fatal(err)
 	}
+}
+
+// recvOne steps the fabric until a frame is queued at p and takes it.
+func recvOne(t *testing.T, n *Net, p *Port) transport.Frame {
+	t.Helper()
+	runUntil(t, n, func() bool { return p.queued() > 0 })
+	f, _ := p.Poll()
 	return f
 }
 
@@ -44,37 +49,36 @@ func TestFabricDeliversWithVirtualLatency(t *testing.T) {
 	n := newNet(t, Config{DefaultLink: LinkConfig{Latency: 250 * time.Millisecond}})
 	a := mustAttach(t, n, "a")
 	b := mustAttach(t, n, "b")
-	n.Start()
 	if err := a.Send("b", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	f := recvOne(t, b, 5*time.Second)
+	if _, ok := b.Poll(); ok {
+		t.Fatal("frame delivered before any virtual time passed")
+	}
+	f := recvOne(t, n, b)
 	if string(f.Data) != "hello" || f.From != "a" {
 		t.Fatalf("got %q from %s", f.Data, f.From)
 	}
 	f.Release()
-	// A quarter second of virtual latency passed in far less wall time;
-	// the clock sits at the (grid-quantized) delivery instant.
-	if el := n.Elapsed(); el < 250*time.Millisecond || el > 300*time.Millisecond {
-		t.Fatalf("virtual elapsed %v, want ≈250ms", el)
+	// The clock sits exactly at the delivery instant.
+	if el := n.Elapsed(); el != 250*time.Millisecond {
+		t.Fatalf("virtual elapsed %v, want 250ms", el)
 	}
 }
 
 func TestFabricSendToDownAddressVanishes(t *testing.T) {
 	n := newNet(t, Config{DefaultLink: LinkConfig{Latency: time.Millisecond}})
 	a := mustAttach(t, n, "a")
-	n.Start()
 	if err := a.Send("ghost", []byte("x")); err != nil {
 		t.Fatalf("send to down address errored: %v", err)
 	}
-	waitFor(t, time.Second, func() bool { return n.Stats().DropDown == 1 })
+	runUntil(t, n, func() bool { return n.Stats().DropDown == 1 })
 }
 
 func TestFabricMTUAndOversize(t *testing.T) {
 	n := newNet(t, Config{DefaultLink: LinkConfig{MTU: 100}})
 	a := mustAttach(t, n, "a")
 	mustAttach(t, n, "b")
-	n.Start()
 	if err := a.Send("b", make([]byte, transport.MaxFrame+1)); err != transport.ErrFrameTooBig {
 		t.Fatalf("oversize send: %v", err)
 	}
@@ -90,17 +94,16 @@ func TestFabricPartitionAndHeal(t *testing.T) {
 	n := newNet(t, Config{DefaultLink: LinkConfig{Latency: time.Millisecond}})
 	a := mustAttach(t, n, "a")
 	b := mustAttach(t, n, "b")
-	n.Start()
 	n.Partition([]transport.Addr{"a"}, []transport.Addr{"b"})
 	if err := a.Send("b", []byte("blocked")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, time.Second, func() bool { return n.Stats().DropPartition == 1 })
+	runUntil(t, n, func() bool { return n.Stats().DropPartition == 1 })
 	n.Heal()
 	if err := a.Send("b", []byte("open")); err != nil {
 		t.Fatal(err)
 	}
-	f := recvOne(t, b, 5*time.Second)
+	f := recvOne(t, n, b)
 	if string(f.Data) != "open" {
 		t.Fatalf("got %q after heal", f.Data)
 	}
@@ -114,33 +117,30 @@ func TestFabricAsymmetricLink(t *testing.T) {
 	}
 	a := mustAttach(t, n, "a")
 	b := mustAttach(t, n, "b")
-	n.Start()
 	if err := b.Send("a", []byte("fast")); err != nil {
 		t.Fatal(err)
 	}
-	f := recvOne(t, a, 5*time.Second)
+	f := recvOne(t, n, a)
 	f.Release()
 	fastAt := n.Elapsed()
 	if err := a.Send("b", []byte("slow")); err != nil {
 		t.Fatal(err)
 	}
-	f = recvOne(t, b, 5*time.Second)
+	f = recvOne(t, n, b)
 	f.Release()
-	slowAt := n.Elapsed()
-	if fastAt > 50*time.Millisecond {
-		t.Fatalf("reverse direction took %v of virtual time, want ≈1ms", fastAt)
+	if fastAt != time.Millisecond {
+		t.Fatalf("reverse direction took %v of virtual time, want 1ms", fastAt)
 	}
-	if d := slowAt - fastAt; d < 500*time.Millisecond {
-		t.Fatalf("overridden direction took %v, want ≥500ms", d)
+	if d := n.Elapsed() - fastAt; d != 500*time.Millisecond {
+		t.Fatalf("overridden direction took %v, want 500ms", d)
 	}
 }
 
 func TestFabricBandwidthSerializes(t *testing.T) {
-	// 1000 B/s: two 500-byte frames sent back to back arrive ~0.5s apart.
+	// 1000 B/s: two 500-byte frames sent back to back arrive 0.5s apart.
 	n := newNet(t, Config{DefaultLink: LinkConfig{BandwidthBPS: 1000}})
 	a := mustAttach(t, n, "a")
 	b := mustAttach(t, n, "b")
-	n.Start()
 	buf := make([]byte, 500)
 	if err := a.Send("b", buf); err != nil {
 		t.Fatal(err)
@@ -148,33 +148,86 @@ func TestFabricBandwidthSerializes(t *testing.T) {
 	if err := a.Send("b", buf); err != nil {
 		t.Fatal(err)
 	}
-	f := recvOne(t, b, 5*time.Second)
+	f := recvOne(t, n, b)
 	f.Release()
 	first := n.Elapsed()
-	f = recvOne(t, b, 5*time.Second)
+	f = recvOne(t, n, b)
 	f.Release()
-	second := n.Elapsed()
-	if first < 450*time.Millisecond || first > 600*time.Millisecond {
-		t.Fatalf("first frame at %v, want ≈500ms", first)
-	}
-	if d := second - first; d < 450*time.Millisecond || d > 600*time.Millisecond {
-		t.Fatalf("serialization gap %v, want ≈500ms", d)
+	if first != 500*time.Millisecond || n.Elapsed()-first != 500*time.Millisecond {
+		t.Fatalf("frames at %v and %v, want 500ms and 1s", first, n.Elapsed())
 	}
 }
 
-func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("condition not reached within %v", timeout)
+// TestFabricStepsDrivenPortsInAddressOrder pins the per-instant order:
+// callbacks first, then every stepper with work by address, again while
+// anything is due — a stepper is called at the first instant, when a frame
+// is queued at its port and when its own deadline comes, and not otherwise.
+func TestFabricStepsDrivenPortsInAddressOrder(t *testing.T) {
+	n := newNet(t, Config{}) // zero latency: a frame is due the instant it is sent
+	var log []string
+	drive := func(name transport.Addr, step func(p *Port, got int)) {
+		p := mustAttach(t, n, name)
+		p.Drive(func() time.Time {
+			got := 0
+			for f, ok := p.Poll(); ok; f, ok = p.Poll() {
+				got++
+				f.Release()
+			}
+			log = append(log, fmt.Sprintf("%s@%v+%d", name, n.Elapsed(), got))
+			step(p, got)
+			return n.Now().Add(10 * time.Millisecond)
+		})
+	}
+	// c is attached first and steps second; it answers a's frame in the
+	// instant it arrives.
+	drive("c", func(p *Port, got int) {
+		if got > 0 {
+			p.Send("a", []byte("pong"))
 		}
-		time.Sleep(200 * time.Microsecond)
+	})
+	pinged := false
+	drive("a", func(p *Port, _ int) {
+		if !pinged {
+			pinged = true
+			p.Send("c", []byte("ping"))
+		}
+	})
+	n.After(0, func() { log = append(log, "callback") })
+	runUntil(t, n, func() bool { return n.Elapsed() >= 10*time.Millisecond })
+	want := []string{"callback", "a@0s+0", "c@0s+0", "c@0s+1", "a@0s+1", "a@10ms+0", "c@10ms+0"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("step order\n got  %v\n want %v", log, want)
+	}
+}
+
+// TestFabricInstantMustSettle: two steppers that answer each other over a
+// zero-delay link forever never let their instant end; Run reports it
+// instead of hanging.
+func TestFabricInstantMustSettle(t *testing.T) {
+	n := newNet(t, Config{})
+	for _, pair := range [][2]transport.Addr{{"a", "b"}, {"b", "a"}} {
+		p, peer := mustAttach(t, n, pair[0]), pair[1]
+		p.Drive(func() time.Time {
+			for f, ok := p.Poll(); ok; f, ok = p.Poll() {
+				f.Release()
+			}
+			p.Send(peer, []byte("again"))
+			return n.Now().Add(time.Hour)
+		})
+	}
+	if err := n.Run(context.Background(), func() bool { return false }); err == nil || n.Elapsed() != 0 {
+		t.Fatalf("Run returned %v at %v, want the unsettled instant reported at 0s", err, n.Elapsed())
+	}
+	// With nothing driven and nothing scheduled there is nothing to wait
+	// for either.
+	idle := newNet(t, Config{})
+	if err := idle.Run(context.Background(), func() bool { return false }); err == nil {
+		t.Fatal("Run on an empty fabric returned nil with done still false")
 	}
 }
 
 // scriptedRun drives a fully scripted workload — every send, churn event
-// and partition issued from scheduler callbacks — over a lossy, jittery
+// and partition issued from fabric callbacks — over a lossy, jittery
 // 50-port fabric with mid-run crashes, a partition and rejoins, and
 // returns the canonical trace hash plus stats. It is the determinism
 // probe: everything that happens is a pure function of the seed.
@@ -184,7 +237,7 @@ func scriptedRun(t *testing.T, seed int64) (string, Stats) {
 		ports  = 50
 		rounds = 30
 	)
-	n, err := New(Config{
+	n := newNet(t, Config{
 		Seed:       seed,
 		Trace:      true,
 		QueueDepth: 4096,
@@ -193,58 +246,33 @@ func scriptedRun(t *testing.T, seed int64) (string, Stats) {
 			Latency: 3 * time.Millisecond,
 			Jitter:  2 * time.Millisecond,
 		},
-		SettleRounds: 1,
-		SettlePoll:   -1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-
 	addr := func(i int) transport.Addr { return transport.Addr(fmt.Sprintf("p%02d", i)) }
-	var mu sync.Mutex
 	live := make(map[int]*Port, ports)
-	var wg sync.WaitGroup
-	drain := func(p *Port) {
-		defer wg.Done()
-		for {
-			f, err := p.Recv(context.Background())
-			if err != nil {
-				return
-			}
-			f.Release()
-		}
-	}
 	up := func(i int) {
-		p, err := n.Attach(addr(i))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		mu.Lock()
+		p := mustAttach(t, n, addr(i))
 		live[i] = p
-		mu.Unlock()
-		wg.Add(1)
-		go drain(p)
+		p.Drive(func() time.Time {
+			for f, ok := p.Poll(); ok; f, ok = p.Poll() {
+				f.Release()
+			}
+			return n.Now().Add(time.Hour)
+		})
 	}
 	down := func(i int) {
-		mu.Lock()
-		p := live[i]
+		live[i].Close()
 		delete(live, i)
-		mu.Unlock()
-		if p != nil {
-			p.Close()
-		}
 	}
 	for i := 0; i < ports; i++ {
 		up(i)
 	}
 
-	finished := make(chan struct{})
+	settled := false
 	var tick func(round int)
 	tick = func(round int) {
 		if round == rounds {
-			close(finished)
+			// Let the tail of in-flight deliveries land before reading the trace.
+			n.After(100*time.Millisecond, func() { settled = true })
 			return
 		}
 		switch round {
@@ -268,35 +296,16 @@ func scriptedRun(t *testing.T, seed int64) (string, Stats) {
 			up(7)
 			up(11)
 		}
-		mu.Lock()
 		for i := 0; i < ports; i++ {
-			p := live[i]
-			if p == nil {
-				continue
+			if p := live[i]; p != nil {
+				p.Send(addr((i*7+round*3+1)%ports), make([]byte, 64+(i*13+round)%512))
 			}
-			to := addr((i*7 + round*3 + 1) % ports)
-			payload := make([]byte, 64+(i*13+round)%512)
-			p.Send(to, payload)
 		}
-		mu.Unlock()
 		n.After(2*time.Millisecond, func() { tick(round + 1) })
 	}
 	n.After(time.Millisecond, func() { tick(0) })
-	n.Start()
-
-	select {
-	case <-finished:
-	case <-time.After(30 * time.Second):
-		t.Fatal("scripted workload did not finish")
-	}
-	// Let the tail of in-flight deliveries land before reading the trace.
-	settled := make(chan struct{})
-	n.After(100*time.Millisecond, func() { close(settled) })
-	<-settled
-	hash, stats := n.TraceHash(), n.Stats()
-	n.Close()
-	wg.Wait()
-	return hash, stats
+	runUntil(t, n, func() bool { return settled })
+	return n.TraceHash(), n.Stats()
 }
 
 // TestFabricDeterministicTrace is the reproducibility property at the

@@ -6,6 +6,10 @@ import (
 	"testing"
 )
 
+// soakBuild widens TestCatalogDeterministic to the catalog's soak entries,
+// and to two runs a seed of the thousand-session ones.
+const soakBuild = true
+
 // TestScenarioSoak is the nightly-scale stress run: a 60-node mesh where
 // every node recodes, 10% loss, a mid-run partition and 30% churn across
 // four objects over minutes of virtual time. Build-tagged out of the

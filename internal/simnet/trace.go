@@ -1,10 +1,8 @@
 package simnet
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sort"
 	"time"
 
 	"ltnc/internal/transport"
@@ -12,8 +10,7 @@ import (
 
 // TraceRec is the fate of one frame offered to the fabric. Seq is the
 // frame's position in the send order of its directed link — together with
-// (From, To) it identifies the frame regardless of when the scheduler
-// happened to record the verdict.
+// (From, To) it identifies the frame.
 type TraceRec struct {
 	From, To transport.Addr
 	Seq      uint64
@@ -23,45 +20,32 @@ type TraceRec struct {
 	Verdict  Verdict
 }
 
-// Trace returns a copy of the recorded per-frame trace (empty unless
-// Config.Trace was set).
-func (n *Net) Trace() []TraceRec {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return append([]TraceRec(nil), n.trace...)
-}
-
-// TraceHash returns a hex SHA-256 over the canonical form of the recorded
-// trace: records sorted by (From, To, Seq) — the per-link send order —
-// with every field hashed, timestamps included. Two runs of the same
-// scripted workload on the same seed produce the same hash; any
-// divergence in a single frame's fate or timing changes it.
-func (n *Net) TraceHash() string {
-	recs := n.Trace()
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].From != recs[j].From {
-			return recs[i].From < recs[j].From
-		}
-		if recs[i].To != recs[j].To {
-			return recs[i].To < recs[j].To
-		}
-		return recs[i].Seq < recs[j].Seq
-	})
-	h := sha256.New()
+// record folds one frame's fate into the running trace digest: every
+// field, timestamps included, in the order the fabric decided them — which
+// one goroutine makes a function of the seed.
+func (n *Net) record(r TraceRec) {
 	var buf [8]byte
 	wu := func(v uint64) {
 		binary.BigEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+		n.traceSum.Write(buf[:])
 	}
-	for _, r := range recs {
-		h.Write([]byte(r.From))
-		h.Write([]byte{0})
-		h.Write([]byte(r.To))
-		h.Write([]byte{0, byte(r.Verdict)})
-		wu(r.Seq)
-		wu(uint64(r.Size))
-		wu(uint64(r.SentAt.Sub(transport.VClockBase)))
-		wu(uint64(r.At.Sub(transport.VClockBase)))
+	n.traceSum.Write([]byte(r.From))
+	n.traceSum.Write([]byte{0})
+	n.traceSum.Write([]byte(r.To))
+	n.traceSum.Write([]byte{0, byte(r.Verdict)})
+	wu(r.Seq)
+	wu(uint64(r.Size))
+	wu(uint64(r.SentAt.Sub(transport.VClockBase)))
+	wu(uint64(r.At.Sub(transport.VClockBase)))
+}
+
+// TraceHash returns a hex SHA-256 over every frame fate decided so far
+// (empty unless Config.Trace was set). Two runs of the same workload on
+// the same seed produce the same hash; any divergence in a single frame's
+// fate or timing changes it.
+func (n *Net) TraceHash() string {
+	if n.traceSum == nil {
+		return ""
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(n.traceSum.Sum(nil))
 }

@@ -146,6 +146,15 @@ type BatchRecver interface {
 	RecvBatch(ctx context.Context, out []Frame) (int, error)
 }
 
+// Poller is optionally implemented by transports whose receive queue can
+// be taken from without blocking. It is what lets one goroutine drive a
+// session (session.Step) in virtual time: Poll returns the next queued
+// frame, or false when none has arrived. Each returned frame must be
+// Released exactly as if it came from Recv.
+type Poller interface {
+	Poll() (Frame, bool)
+}
+
 // SendBatch sends frames to one peer through t, using the transport's
 // batch path when it has one and falling back to per-frame Send
 // otherwise. It returns how many frames were handed to the network.

@@ -2,18 +2,21 @@
 // swarm laboratory: declare a Scenario — a population of real
 // dissemination sessions (sources, recoding relays, fetchers) on a shaped
 // network fabric plus a timeline of churn, crash, partition and link
-// events — and Run it. Time is virtual: a minute of protocol time
-// (push ticks, META resend, idle eviction, fetch retries) passes in
-// seconds of wall time, and everything the engine randomizes derives from
-// the scenario seed, so a run resolves identically from (Seed, Scenario).
+// events — and Run it. Time is virtual and the whole swarm is stepped on
+// the caller's goroutine: a minute of protocol time (push ticks, META
+// resend, idle eviction, fetch retries) passes in a fraction of a wall
+// second, and everything the engine randomizes derives from the scenario
+// seed, so two runs of one (Seed, Scenario) return the same Report —
+// every frame's fate (TraceHash), the virtual time taken, every fetch's
+// row — WallElapsed excepted.
 //
 // The run checks the invariants the dissemination protocol promises and
 // reports any breach in Report.Violations: every fetch completes
 // byte-identical to the served content, Watch progress is monotone,
 // every DATA frame carries exactly the O(k/G) header the generation
 // layer promises, reception overhead stays under the scenario bound, and
-// the swarm never deadlocks (a wall-clock watchdog backs the virtual
-// deadline).
+// the swarm never deadlocks (fetches still outstanding at the virtual
+// deadline, Scenario.Duration, have failed).
 //
 // Run a named scenario from the catalog:
 //
@@ -32,11 +35,9 @@
 //
 // The ltnc-sim command exposes the same catalog on the command line
 // (`ltnc-sim -scenario churn50`, JSON on stdout). This package is a
-// facade over
-// internal/simnet; see DESIGN.md §11 for the architecture — the event
-// scheduler, the virtual clock contract with ltnc/transport.Clock, and
-// the quiescence protocol that keeps virtual time behind the work it
-// triggers.
+// facade over internal/simnet; see DESIGN.md §11 for the architecture —
+// the single-threaded stepper over one event heap, the order within an
+// instant, and what is seeded.
 package simlab
 
 import (
