@@ -16,19 +16,12 @@
 // rate, written to ADAPT_curve.json (also archived by CI). See
 // EXPERIMENTS.md for the recorded grid.
 //
-// With -transport it additionally runs the loopback UDP transport
-// benchmark — the per-frame syscall path versus the batched
-// sendmmsg/GSO + recvmmsg/GRO fast path — and records end-to-end MB/s,
-// syscalls/packet and allocs/packet under the "transport" key of the
-// output JSON.
-//
-// The -ref-* flags attach a fixed reference measurement of the hot path
-// before the batched engine existed (same workload, machine-specific);
-// see EXPERIMENTS.md for provenance.
+// The transport's cost per frame and the decoder's per row are measured
+// on real fetches by the end-to-end benchmark (bench/: transport.*,
+// generation.decode_ns_per_row, generation.allocs_per_row).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -154,10 +147,6 @@ func run(args []string, out *os.File) error {
 		genSize    = fs.Int("gen-size", 0, "generation sweep object bytes (default 1 MiB)")
 		genK       = fs.Int("gen-k", 0, "generation sweep total code length (default 1024)")
 		outPath    = fs.String("out", "BENCH_decode.json", "output JSON path (empty: stdout only)")
-		refMBps    = fs.Float64("ref-mbps", 0, "pre-PR reference throughput in MB/s (0: omit)")
-		refAllocs  = fs.Float64("ref-allocs", 0, "pre-PR reference allocs/packet")
-		refNote    = fs.String("ref-note", "", "provenance note for the pre-PR reference")
-		refKeep    = fs.Bool("ref-keep", true, "carry the pre_pr reference over from an existing -out file when no -ref-* flags are given")
 
 		offload    = fs.String("offload", "", "sweep the edge-cache offload curve over these cache budgets in bytes (comma list) instead of the decode bench")
 		offloadOut = fs.String("offload-out", "OFFLOAD_cache.json", "offload curve output JSON path (empty: stdout only)")
@@ -165,11 +154,6 @@ func run(args []string, out *os.File) error {
 		adapt       = fs.Bool("adapt", false, "sweep the adaptive-loop overhead-vs-loss grid (static vs adaptive) instead of the decode bench")
 		adaptLosses = fs.String("adapt-losses", "0,0.05,0.20,0.40", "loss rates for the -adapt sweep (comma list)")
 		adaptOut    = fs.String("adapt-out", "ADAPT_curve.json", "adaptive sweep output JSON path (empty: stdout only)")
-
-		tbench     = fs.Bool("transport", false, "also run the loopback UDP transport benchmark (per-frame vs batched syscall path) and record it in the output JSON")
-		tFrames    = fs.Int("transport-frames", 0, "transport bench datagrams per leg (default 20000)")
-		tFrameSize = fs.Int("transport-frame-size", 0, "transport bench payload bytes (default 1200)")
-		tReaders   = fs.Int("transport-readers", 0, "transport bench receive shards for the batched leg (default 1)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -179,26 +163,6 @@ func run(args []string, out *os.File) error {
 	}
 	if *adapt {
 		return runAdapt(out, *adaptLosses, *adaptOut, *seed)
-	}
-	// The pre-PR reference is a fixed external measurement (see
-	// tools/prebench); rewriting the JSON must not silently drop it. The
-	// transport section is likewise carried over when this run does not
-	// remeasure it.
-	var keepRef *experiments.DecodePathResult
-	var keepNote string
-	var keepTransport *experiments.TransportBenchReport
-	if *outPath != "" {
-		if data, err := os.ReadFile(*outPath); err == nil {
-			var prev experiments.DecodeBenchReport
-			if json.Unmarshal(data, &prev) == nil {
-				if *refKeep && *refMBps == 0 && prev.PrePR != nil {
-					keepRef, keepNote = prev.PrePR, prev.PrePRNote
-				}
-				if !*tbench {
-					keepTransport = prev.Transport
-				}
-			}
-		}
 	}
 	sweep, err := parseGenSweep(*gens)
 	if err != nil {
@@ -218,31 +182,6 @@ func run(args []string, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	switch {
-	case *refMBps > 0:
-		rep.SetPrePRReference(experiments.DecodePathResult{
-			Path:            "pre-pr-scalar",
-			MBps:            *refMBps,
-			AllocsPerPacket: *refAllocs,
-		}, *refNote)
-	case keepRef != nil:
-		rep.SetPrePRReference(*keepRef, keepNote)
-	}
-	if *tbench {
-		trep, err := experiments.RunTransportBench(experiments.TransportBenchParams{
-			Frames:    *tFrames,
-			FrameSize: *tFrameSize,
-			Readers:   *tReaders,
-			Rounds:    *rounds,
-			Seed:      *seed,
-		})
-		if err != nil {
-			return err
-		}
-		rep.Transport = &trep
-	} else if keepTransport != nil {
-		rep.Transport = keepTransport
-	}
 	fmt.Fprintf(out, "workload: %d objects x %d B, k=%d, batch=%d\n",
 		rep.Objects, rep.ObjectSize, rep.K, rep.Batch)
 	fmt.Fprintf(out, "scalar:  %8.1f MB/s  %6.2f allocs/pkt  (%d packets)\n",
@@ -251,21 +190,6 @@ func run(args []string, out *os.File) error {
 		rep.Engine.MBps, rep.Engine.AllocsPerPacket, rep.Engine.Packets)
 	fmt.Fprintf(out, "engine vs scalar: %.2fx throughput, %.2fx fewer allocs\n",
 		rep.SpeedupX, rep.AllocReductionX)
-	if rep.PrePR != nil {
-		fmt.Fprintf(out, "engine vs pre-PR: %.2fx throughput, %.2fx fewer allocs (%s)\n",
-			rep.SpeedupVsPrePRX, rep.AllocReductionVsPrePRX, rep.PrePRNote)
-	}
-	if tr := rep.Transport; tr != nil {
-		fmt.Fprintf(out, "transport: %d frames x %d B over loopback UDP, batch=%d\n",
-			tr.Frames, tr.FrameSize, tr.Batch)
-		for _, leg := range []experiments.TransportPathResult{tr.Baseline, tr.Batched} {
-			fmt.Fprintf(out, "  %-10s %8.1f MB/s  %5.3f syscalls/pkt (send %5.3f, recv %5.3f)  %5.2f allocs/pkt  gso=%v gro=%v readers=%d\n",
-				leg.Path, leg.MBps, leg.SyscallsPerPacket, leg.SendSyscallsPerPacket,
-				leg.RecvSyscallsPerPacket, leg.AllocsPerPacket, leg.GSO, leg.GRO, leg.Readers)
-		}
-		fmt.Fprintf(out, "  batched vs per-frame: %.1fx fewer syscalls/pkt, %.2fx throughput\n",
-			tr.SyscallReductionX, tr.SpeedupX)
-	}
 	if len(rep.GenSweep) > 0 {
 		fmt.Fprintf(out, "generation sweep: %d B object, k=%d\n", rep.GenObjectSize, rep.GenK)
 		for _, e := range rep.GenSweep {

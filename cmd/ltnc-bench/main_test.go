@@ -14,7 +14,6 @@ func TestRunWritesReport(t *testing.T) {
 	err := run([]string{
 		"-objects", "2", "-size", "2048", "-k", "16", "-rounds", "1",
 		"-out", out,
-		"-ref-mbps", "10", "-ref-allocs", "20", "-ref-note", "test ref",
 	}, os.Stdout)
 	if err != nil {
 		t.Fatal(err)
@@ -29,9 +28,6 @@ func TestRunWritesReport(t *testing.T) {
 	}
 	if rep.Engine.Packets == 0 {
 		t.Fatalf("empty engine result: %+v", rep)
-	}
-	if rep.PrePR == nil || rep.PrePR.MBps != 10 {
-		t.Fatalf("pre-PR reference missing: %+v", rep)
 	}
 }
 
@@ -97,30 +93,5 @@ func TestRunGenerationSweepInReport(t *testing.T) {
 	}
 	if len(rep.GenSweep) != 2 || rep.GenSweep[1].Generations != 4 {
 		t.Fatalf("generation sweep missing from report: %+v", rep.GenSweep)
-	}
-}
-
-// TestRunKeepsReference: rewriting an existing report without -ref-*
-// flags must carry the pre_pr block forward, not drop it (CI regenerates
-// the JSON on every push).
-func TestRunKeepsReference(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "bench.json")
-	base := []string{"-objects", "2", "-size", "2048", "-k", "16", "-rounds", "1", "-out", out}
-	if err := run(append(base, "-ref-mbps", "33", "-ref-allocs", "11", "-ref-note", "anchor"), os.Stdout); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(base, os.Stdout); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep experiments.DecodeBenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.PrePR == nil || rep.PrePR.MBps != 33 || rep.PrePRNote != "anchor" {
-		t.Fatalf("pre_pr reference dropped on rewrite: %+v", rep.PrePR)
 	}
 }

@@ -110,12 +110,7 @@ type DecodePathResult struct {
 
 // DecodeBenchReport is the JSON document emitted as BENCH_decode.json:
 // the scalar packet-at-a-time path versus the batched arena-backed
-// engine, on identical packet streams. The optional PrePR block is a
-// reference measurement of the hot path as it existed before the batched
-// engine landed (taken with the same workload and seed on the same
-// machine, from the pre-PR commit); it exists because the scalar path
-// measured by this harness shares the optimized kernels and decoder
-// internals, so it understates the full regression distance.
+// engine, on identical packet streams.
 type DecodeBenchReport struct {
 	Objects         int              `json:"objects"`
 	ObjectSize      int              `json:"object_size"`
@@ -127,22 +122,11 @@ type DecodeBenchReport struct {
 	SpeedupX        float64          `json:"speedup_x"`
 	AllocReductionX float64          `json:"alloc_reduction_x"`
 
-	PrePR                  *DecodePathResult `json:"pre_pr,omitempty"`
-	PrePRNote              string            `json:"pre_pr_note,omitempty"`
-	SpeedupVsPrePRX        float64           `json:"speedup_vs_pre_pr_x,omitempty"`
-	AllocReductionVsPrePRX float64           `json:"alloc_reduction_vs_pre_pr_x,omitempty"`
-
 	// The generation sweep: one GenObjectSize object, GenK natives,
 	// decoded through the arena path once per generation count.
 	GenObjectSize int             `json:"gen_object_size,omitempty"`
 	GenK          int             `json:"gen_k,omitempty"`
 	GenSweep      []GenSweepEntry `json:"generation_sweep,omitempty"`
-
-	// Transport is the loopback UDP benchmark (ltnc-bench -transport):
-	// end-to-end MB/s, syscalls/packet and allocs/packet for the
-	// per-frame path versus the batched sendmmsg/GSO + recvmmsg/GRO
-	// path.
-	Transport *TransportBenchReport `json:"transport,omitempty"`
 }
 
 // GenSweepEntry is one generation count of the sweep: decode throughput,
@@ -156,19 +140,6 @@ type GenSweepEntry struct {
 	Overhead             float64 `json:"overhead"`
 	Packets              int64   `json:"packets"`
 	Nanos                int64   `json:"nanos"`
-}
-
-// SetPrePRReference attaches an externally measured pre-PR hot-path
-// result and recomputes the cross-version ratios.
-func (r *DecodeBenchReport) SetPrePRReference(ref DecodePathResult, note string) {
-	r.PrePR = &ref
-	r.PrePRNote = note
-	if ref.MBps > 0 {
-		r.SpeedupVsPrePRX = r.Engine.MBps / ref.MBps
-	}
-	if r.Engine.AllocsPerPacket > 0 {
-		r.AllocReductionVsPrePRX = ref.AllocsPerPacket / r.Engine.AllocsPerPacket
-	}
 }
 
 // benchStream is one object's pregenerated wire traffic.

@@ -57,7 +57,7 @@ func TestNewServiceValidation(t *testing.T) {
 	}
 }
 
-func checkViewInvariants(t *testing.T, s *Service[int], n int) {
+func checkViewInvariants(t *testing.T, s *Service, n int) {
 	t.Helper()
 	for node := 0; node < n; node++ {
 		view := s.View(node)
@@ -151,62 +151,5 @@ func TestServiceIndegreeBalanced(t *testing.T) {
 	}
 	if missing > n/10 {
 		t.Errorf("%d of %d nodes unreachable after shuffling", missing, n)
-	}
-}
-
-func TestUniformOfAddrs(t *testing.T) {
-	peers := []string{"10.0.0.1:9", "10.0.0.2:9", "10.0.0.3:9"}
-	u, err := NewUniformOf(peers, rand.New(rand.NewSource(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		if p := u.Sample("10.0.0.1:9"); p == "10.0.0.1:9" {
-			t.Fatal("uniform sampler returned self")
-		}
-	}
-	// A non-member draws over the whole set.
-	seen := map[string]bool{}
-	for i := 0; i < 200; i++ {
-		seen[u.Sample("not-a-member")] = true
-	}
-	if len(seen) != len(peers) {
-		t.Fatalf("non-member draws covered %d/%d peers", len(seen), len(peers))
-	}
-	if _, err := NewUniformOf([]string{"a", "a"}, rand.New(rand.NewSource(1))); err == nil {
-		t.Fatal("duplicate peers accepted")
-	}
-}
-
-func TestServiceOfAddrs(t *testing.T) {
-	peers := make([]string, 16)
-	for i := range peers {
-		peers[i] = string(rune('a' + i))
-	}
-	s, err := NewServiceOf(peers, 4, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 50; round++ {
-		s.Tick()
-	}
-	for _, self := range peers {
-		view := s.View(self)
-		if len(view) == 0 || len(view) > s.ViewSize() {
-			t.Fatalf("view of %s has %d entries", self, len(view))
-		}
-		seen := map[string]bool{}
-		for _, p := range view {
-			if p == self {
-				t.Fatalf("%s lists itself", self)
-			}
-			if seen[p] {
-				t.Fatalf("%s lists %s twice", self, p)
-			}
-			seen[p] = true
-		}
-		if p := s.Sample(self); p == self {
-			t.Fatal("service sampled self")
-		}
 	}
 }

@@ -247,7 +247,7 @@ func TestCacheAdTableBounded(t *testing.T) {
 	})
 	id := packet.NewObjectID([]byte("ad table"))
 	s.mu.Lock()
-	st := s.placeholderLocked(id)
+	st := s.admitLocked(id, "", geometry{}, true)
 	s.mu.Unlock()
 
 	for i := 1; i <= maxCacheAds+20; i++ {

@@ -39,6 +39,26 @@ const (
 	reqRetry  = 4
 )
 
+// The sharded decode engine's dimensions (DESIGN.md §8). DATA frames are
+// dispatched by content ID onto decodeWorkers() shards, so up to that many
+// objects decode concurrently and frames of one object always land on the
+// same worker, in arrival order; a worker drains up to ingestBatchMax frames
+// per wakeup and feeds the batch to the decoders under amortized locking;
+// each worker's inbound queue holds ingestQueueLen frames, and DATA arriving
+// at a full one is dropped, as a datagram network would under overload.
+const (
+	ingestBatchMax = 32
+	ingestQueueLen = 64
+)
+
+func decodeWorkers() int { return min(runtime.GOMAXPROCS(0), 8) }
+
+// memberFanout bounds the membership plane's active neighbor selections
+// and its shuffle sample: pushes address at most this many membership
+// neighbors per object, keeping the push sweep O(active neighbors) rather
+// than O(swarm).
+const memberFanout = 8
+
 // receiptEvery is how many DATA frames a receiver accepts from one sender
 // between kind-5 receipt reports; the estimator on the other end sizes
 // its windows by the same constant.
@@ -95,20 +115,6 @@ type Config struct {
 	// (default 65536); larger k means larger decode state, and the wire
 	// header alone allows k up to 2^24.
 	MaxK int
-	// DecodeWorkers is the number of decode shards: DATA frames are
-	// dispatched by content ID onto this many workers, so up to this many
-	// objects decode concurrently. Default min(GOMAXPROCS, 8); frames of
-	// one object always land on the same worker, preserving arrival order
-	// per object.
-	DecodeWorkers int
-	// IngestBatch is how many DATA frames a decode worker drains per
-	// wakeup; a whole batch is fed to the decoders under amortized
-	// locking (default 32).
-	IngestBatch int
-	// IngestQueue bounds each decode worker's inbound frame queue; DATA
-	// frames arriving at a full queue are dropped, as a datagram network
-	// would under overload (default 64).
-	IngestQueue int
 	// Seed drives per-object node randomness. A zero Seed selects the
 	// default (1) unless HaveSeed marks it as deliberately chosen — the
 	// public option plumbing (ltnc.WithSeed(0) via swarm.Config.Node)
@@ -137,11 +143,6 @@ type Config struct {
 	// max(25·Tick, 250ms)): every period the view ages one round and one
 	// partial-view exchange goes out.
 	ShufflePeriod time.Duration
-	// Fanout bounds the active neighbor selections and the shuffle
-	// sample size (default 8): pushes address at most Fanout membership
-	// neighbors per object, keeping the push sweep O(active neighbors)
-	// rather than O(swarm).
-	Fanout int
 	// Capacity is the serving-capacity hint this session advertises in
 	// MEMBER exchanges (neighbor selection prefers higher values). Zero
 	// selects a role-derived default: 200 for relays, 160 for caches, 16
@@ -218,24 +219,6 @@ func (c *Config) setDefaults() error {
 	if c.MaxK < 1 {
 		return fmt.Errorf("session: max k %d < 1", c.MaxK)
 	}
-	if c.DecodeWorkers == 0 {
-		c.DecodeWorkers = min(runtime.GOMAXPROCS(0), 8)
-	}
-	if c.DecodeWorkers < 1 {
-		return fmt.Errorf("session: decode workers %d < 1", c.DecodeWorkers)
-	}
-	if c.IngestBatch == 0 {
-		c.IngestBatch = 32
-	}
-	if c.IngestBatch < 1 {
-		return fmt.Errorf("session: ingest batch %d < 1", c.IngestBatch)
-	}
-	if c.IngestQueue == 0 {
-		c.IngestQueue = 64
-	}
-	if c.IngestQueue < 1 {
-		return fmt.Errorf("session: ingest queue %d < 1", c.IngestQueue)
-	}
 	if c.CacheBudget < 0 {
 		return fmt.Errorf("session: cache budget %d < 0", c.CacheBudget)
 	}
@@ -253,12 +236,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.ShufflePeriod < 0 {
 		return fmt.Errorf("session: shuffle period %v < 0", c.ShufflePeriod)
-	}
-	if c.Fanout == 0 {
-		c.Fanout = 8
-	}
-	if c.Fanout < 1 {
-		return fmt.Errorf("session: fanout %d < 1", c.Fanout)
 	}
 	if c.Seed == 0 && !c.HaveSeed {
 		c.Seed = 1

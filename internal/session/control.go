@@ -59,20 +59,14 @@ func (s *Session) handleReq(from transport.Addr, data []byte) (reply []byte, ext
 	copy(id[:], data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, b := s.banned[from]; b {
-		return nil, nil // a banned peer is not served
-	}
-	st, ok := s.objects[id]
-	if !ok {
-		if !s.cfg.Relay || len(s.objects) >= s.cfg.MaxObjects {
-			return nil, nil // unknown object: requester will retry elsewhere
-		}
-		// A relay remembers who asked: the object may be a tick away from
-		// its first DATA frame here, and the requester's next REQ is a
-		// quarter of a second off — longer than a paced transfer. The
-		// placeholder is bounded like every learned object (MaxObjects,
-		// idle eviction) and sized by the first header that arrives.
-		st = s.placeholderLocked(id)
+	// A relay remembers who asked (the object becomes announced): it may be
+	// a tick away from its first DATA frame here, and the requester's next
+	// REQ is a quarter of a second off — longer than a paced transfer.
+	// Bounded like every learned object (MaxObjects, idle eviction), sized
+	// by the first header that arrives.
+	st := s.admitLocked(id, from, geometry{}, false)
+	if st == nil {
+		return nil, nil // banned peer, or unknown object: the requester will retry elsewhere
 	}
 	now := s.clk.Now()
 	st.touch(now)
@@ -147,114 +141,63 @@ func evictBefore(a, b *peerState, lower bool) bool {
 	return lower
 }
 
-func (s *Session) handleMeta(from transport.Addr, data []byte) []byte {
+// parseMeta decodes a META body: the object, its geometry and its size.
+func parseMeta(data []byte) (id packet.ObjectID, geo geometry, size int64, ok bool) {
 	// Two accepted lengths: the gens-absent legacy body (G=1) and the
 	// extended body carrying the generation count.
-	gens := 1
+	geo.gens = 1
 	switch len(data) {
 	case metaLen - 1:
 	case genMetaLen - 1:
-		gens = int(binary.BigEndian.Uint32(data[32:36]))
+		geo.gens = int(binary.BigEndian.Uint32(data[32:36]))
 	default:
-		return nil
+		return id, geo, 0, false
 	}
-	var id packet.ObjectID
 	copy(id[:], data[:16])
 	k := int(binary.BigEndian.Uint32(data[16:20]))
-	m := int(binary.BigEndian.Uint32(data[20:24]))
-	size := int64(binary.BigEndian.Uint64(data[24:32]))
-	if id.IsZero() || k < 1 || m < 0 || size < 0 || size > int64(k)*int64(max(m, 1)) {
-		return nil
-	}
+	geo.m = int(binary.BigEndian.Uint32(data[20:24]))
+	size = int64(binary.BigEndian.Uint64(data[24:32]))
 	// Generation geometry must be consistent: every generation the same
-	// code length, at least one native each (out-of-range counts and
-	// ragged splits are ErrBadGeneration territory — dropped here, as a
-	// datagram receiver drops anything malformed).
-	if gens < 1 || gens > packet.MaxGenerations || k%gens != 0 {
-		return nil
+	// code length, at least one native each (ragged splits are
+	// ErrBadGeneration territory — dropped here, as a datagram receiver
+	// drops anything malformed; the bounds are admitLocked's).
+	if id.IsZero() || k < 1 || geo.m < 0 || size < 0 || size > int64(k)*int64(max(geo.m, 1)) ||
+		geo.gens < 1 || k%geo.gens != 0 {
+		return id, geo, 0, false
 	}
-	kPer := k / gens
-	s.mu.Lock()
-	if _, b := s.banned[from]; b {
-		s.mu.Unlock()
-		return nil
-	}
-	st, ok := s.objects[id]
-	if !ok {
-		switch {
-		case s.cache != nil:
-			if k > s.cfg.MaxK || len(s.objects) >= s.cfg.MaxObjects {
-				s.mu.Unlock()
-				return nil
-			}
-			st = s.newCachedStateLocked(id, gens, kPer, m)
-			s.logf("session: caching %v meta from %s (k=%d G=%d m=%d size=%d)", id, from, k, gens, m, size)
-		case s.mayLearnLocked(k):
-			var err error
-			if st, err = s.newStateLocked(id, gens, kPer, m); err != nil {
-				s.mu.Unlock()
-				return nil
-			}
-			s.logf("session: learned %v meta from %s (k=%d G=%d m=%d size=%d)", id, from, k, gens, m, size)
-		default:
-			s.mu.Unlock()
-			return nil
-		}
-	}
-	s.mu.Unlock()
+	geo.kPer = k / geo.gens
+	return id, geo, size, true
+}
 
+// handleMeta admits the object a META describes, if it may be, learns its
+// size, and answers with whatever that completed (settleLocked): a META to
+// an object already complete — or, at a cache, fully covered — means the
+// sender never heard so and will keep resending until it does; the
+// idempotent reply closes the loop, exactly as the DATA path aborts
+// redundant payloads with the same frame.
+func (s *Session) handleMeta(from transport.Addr, data []byte) []byte {
+	id, geo, size, ok := parseMeta(data)
+	if !ok {
+		return nil
+	}
+	s.mu.Lock()
+	st := s.admitLocked(id, from, geo, false)
+	s.mu.Unlock()
+	if st == nil {
+		return nil
+	}
 	st.mu.Lock()
-	if st.dead {
+	if st.phase == phEvicted || !st.shapeIs(geo) {
 		st.mu.Unlock()
-		return nil // evicted between lookup and locking
-	}
-	if st.cached {
-		if int(st.gens.Load()) != gens || st.kPer != kPer || st.m != m {
-			st.mu.Unlock()
-			return nil // geometry mismatch with the cached rows: drop
-		}
-		st.touch(s.clk.Now())
-		learned := st.size.Load() < 0
-		if learned {
-			st.size.Store(size)
-		}
-		var reply []byte
-		if gensFull, g, _, held := s.cache.Coverage(id); held && g > 0 && gensFull == g {
-			// Full rank for every generation: repeat the completion the
-			// sender evidently has not heard, exactly like the decoder's
-			// idempotent META heal below.
-			reply = feedbackFrame(id, fbComplete)
-		}
-		st.mu.Unlock()
-		if learned {
-			s.notifyWatchers(st)
-		}
-		return reply
-	}
-	if !s.ensureCoderLocked(st, gens, kPer, m) {
-		st.mu.Unlock()
-		return nil // G (or shape) mismatch with local state: drop
+		return nil // evicted since, or not the object's geometry (still announced: it has none): drop
 	}
 	st.touch(s.clk.Now())
-	var reply []byte
-	var acts pollActions
-	learned := false
-	if st.size.Load() < 0 {
+	learned := st.size.Load() < 0
+	if learned {
 		st.size.Store(size)
-		learned = true
-		if st.coder.Complete() {
-			if s.completeObjLocked(st, &acts) {
-				reply = feedbackFrame(id, fbComplete)
-			}
-		}
-	} else if st.coder.Complete() {
-		// Redundant META to an already-complete, already-sized receiver:
-		// the sender evidently never heard our fbComplete (lost to the
-		// fabric) and will keep resending META until it does. Repeat it —
-		// the idempotent reply closes the loop, exactly as the DATA path
-		// aborts redundant payloads with the same frame.
-		reply = feedbackFrame(id, fbComplete)
 	}
+	var acts pollActions
+	reply := s.settleLocked(st, -1, &acts)
 	st.mu.Unlock()
 	s.applyPollActions(&acts)
 	if learned {

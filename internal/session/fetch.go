@@ -7,7 +7,6 @@ import (
 	"slices"
 	"time"
 
-	"ltnc/internal/bitvec"
 	"ltnc/internal/packet"
 	"ltnc/internal/transport"
 )
@@ -76,26 +75,26 @@ func (s *Session) BeginFetch(id packet.ObjectID, from ...transport.Addr) (*Fetch
 		s.mu.Unlock()
 		return nil, ErrNoPeers
 	}
-	st, ok := s.objects[id]
-	if !ok {
-		st = s.placeholderLocked(id)
-	}
+	st := s.admitLocked(id, "", geometry{}, true)
 	// A waiter pins the state against idle eviction for exactly as long
 	// as someone waits on it; abandoned fetches then age out normally.
 	st.waiters++
 	s.mu.Unlock()
 	f.st, f.from = st, from
+	var acts pollActions
+	st.mu.Lock()
 	// The candidate set is this fetch's trust decision: these peers (and
 	// only these) can be convicted if their rows fail verification.
-	st.mu.Lock()
 	st.soliciteLocked(from...)
+	// An object this session holds as a partial cache gets a decoder first,
+	// seeded with the cached rows; the fetch is for the rank still missing,
+	// if any is.
+	promoted := s.promoteLocked(st)
+	s.settleLocked(st, -1, &acts)
 	st.mu.Unlock()
-	if s.cache != nil {
-		// Fetching an object this session holds as a partial cache
-		// promotes the cached rows into a real decoder first — every one
-		// innovative by construction — then proceeds as a normal fetch
-		// for the rank still missing.
-		s.promoteCached(st)
+	s.applyPollActions(&acts)
+	if promoted {
+		s.notifyWatchers(st)
 	}
 	f.interval = min(reqRetry*s.cfg.Tick, reqResend)
 	f.at = s.clk.Now().Add(f.interval)
@@ -226,57 +225,6 @@ func (f *Fetching) resend(now time.Time) {
 	}
 	f.at = now.Add(f.interval)
 	f.sendReqs()
-}
-
-// promoteCached turns a cache-mode object into a normal fetch target:
-// the cached rows seed a freshly materialized decoder — each innovative
-// by construction, the cache stores a basis — the cache entry is
-// dropped, and the object proceeds as an ordinary fetch for the rank
-// still missing. Call with no locks held.
-func (s *Session) promoteCached(st *objectState) {
-	st.mu.Lock()
-	if !st.cached || st.dead {
-		st.mu.Unlock()
-		return
-	}
-	st.cached = false
-	gens := int(st.gens.Load())
-	if !s.ensureCoderLocked(st, gens, st.kPer, st.m) {
-		st.mu.Unlock()
-		return
-	}
-	progressed := false
-	s.cache.Drain(st.id, func(g uint32, vec *bitvec.Vector, payload []byte) {
-		gi := int(g)
-		if gi >= gens || st.coder.GenComplete(gi) {
-			return
-		}
-		v := st.coder.AcquireVec(gi)
-		v.CopyFrom(vec)
-		if st.coder.IsRedundant(gi, v) {
-			st.coder.ReleaseVec(gi, v)
-			return
-		}
-		var row []byte
-		if st.m > 0 {
-			row = st.coder.AcquireRow(gi)
-			copy(row, payload)
-		}
-		// No received++ here: each drained row was counted when it was
-		// admitted to the cache.
-		st.coder.ReceiveOwned(gi, v, row)
-		progressed = true
-	})
-	var acts pollActions
-	if st.coder.Complete() {
-		s.completeObjLocked(st, &acts)
-	}
-	st.touch(s.clk.Now())
-	st.mu.Unlock()
-	s.applyPollActions(&acts)
-	if progressed {
-		s.notifyWatchers(st)
-	}
 }
 
 // fetchCandidates assembles one resend round's candidate set for a

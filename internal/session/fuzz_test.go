@@ -142,6 +142,7 @@ func FuzzSessionFrames(f *testing.F) {
 	f.Add([]byte{frameFeedback})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xff, 0xff, 0xff})
+	f.Add(metaFor(id, 16, 1<<30, 128, 1, false)) // a geometry no frame could carry: must create no state
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Adaptive on: the receipt tally and kind-5 parse paths are live
@@ -158,7 +159,11 @@ func FuzzSessionFrames(f *testing.F) {
 			if o.K > s.cfg.MaxK {
 				t.Fatalf("session allocated k=%d above MaxK=%d", o.K, s.cfg.MaxK)
 			}
+			if (geometry{max(o.Generations, 1), o.KPer, o.M}).wireSize() > transport.MaxFrame {
+				t.Fatalf("session sized an object by a geometry no frame could carry: %+v", o)
+			}
 		}
+		checkPhaseInvariants(t, s)
 	})
 }
 
@@ -186,6 +191,7 @@ func FuzzSessionFrameSequence(f *testing.F) {
 				break
 			}
 			stepFrame(s, "peer", data[:n])
+			checkPhaseInvariants(t, s)
 			data = data[n:]
 		}
 		if len(s.Objects()) > s.cfg.MaxObjects {
@@ -262,6 +268,7 @@ func FuzzManifestFrames(f *testing.F) {
 				break
 			}
 			stepFrame(s, "peer", data[:n])
+			checkPhaseInvariants(t, s)
 			data = data[n:]
 		}
 		for _, o := range s.Objects() {
@@ -316,6 +323,7 @@ func FuzzCacheSessionFrames(f *testing.F) {
 				break
 			}
 			stepFrame(s, "peer", data[:n])
+			checkPhaseInvariants(t, s)
 			data = data[n:]
 		}
 		if len(s.Objects()) > s.cfg.MaxObjects {

@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 
+	"ltnc/internal/bitvec"
 	"ltnc/internal/cache"
-	"ltnc/internal/lt"
 	"ltnc/internal/packet"
 	"ltnc/internal/transport"
 )
@@ -88,7 +88,7 @@ func (s *Session) ingestLoop(ctx context.Context, ch chan inFrame) {
 			}
 		}
 	}()
-	batch := make([]inFrame, 0, s.cfg.IngestBatch)
+	batch := make([]inFrame, 0, ingestBatchMax)
 	var scratch ingestScratch
 	for {
 		select {
@@ -115,7 +115,7 @@ func (s *Session) ingestLoop(ctx context.Context, ch chan inFrame) {
 // ingestReady is Step's receive loop and decode worker in one: every frame
 // the transport has queued is taken, control frames handled as they come,
 // and the DATA among them decoded in arrival order in batches of
-// IngestBatch, the queue running dry behind the last.
+// ingestBatchMax, the queue running dry behind the last.
 func (s *Session) ingestReady(d *stepper) {
 	p, ok := s.tr.(transport.Poller)
 	if !ok {
@@ -129,7 +129,7 @@ func (s *Session) ingestReady(d *stepper) {
 	}
 	d.batch = batch
 	for len(batch) > 0 {
-		n := min(len(batch), s.cfg.IngestBatch)
+		n := min(len(batch), ingestBatchMax)
 		s.ingestBatch(batch[:n], &d.scratch, n == len(batch))
 		batch = batch[n:]
 	}
@@ -161,8 +161,9 @@ type ingestForward struct {
 	frame []byte
 }
 
-// ingestBatch decodes one drained batch: object states are resolved under
-// a single session-lock acquisition, then frames are fed to the decoders
+// ingestBatch decodes one drained batch: object states are resolved — and
+// the objects a relay or cache may learn from a header admitted — under a
+// single session-lock acquisition, then frames are fed to the decoders
 // under per-object locks (held across runs of consecutive frames for the
 // same object), and feedback replies go out after all locks are dropped.
 // scratch is the calling worker's reusable workspace; drained says the
@@ -173,99 +174,102 @@ func (s *Session) ingestBatch(batch []inFrame, scratch *ingestScratch, drained b
 		scratch.states = make([]*objectState, len(batch))
 	}
 	states := scratch.states[:len(batch)]
-	replies := scratch.replies[:0]
-	notify := scratch.notify[:0]
-	forwards := scratch.forwards[:0]
-	defer func() {
-		clear(states) // do not retain object states across batches
-		clear(replies)
-		scratch.replies = replies[:0]
-		clear(notify)
-		scratch.notify = notify[:0]
-		clear(forwards)
-		scratch.forwards = forwards[:0]
+	scratch.replies, scratch.notify, scratch.forwards = scratch.replies[:0], scratch.notify[:0], scratch.forwards[:0]
+	defer func() { // do not retain object states or frames across batches
+		clear(states)
+		clear(scratch.replies)
+		clear(scratch.notify)
+		clear(scratch.forwards)
 	}()
 	s.mu.Lock()
 	for i := range batch {
-		states[i] = s.resolveStateLocked(batch[i].wv, batch[i].f.From)
+		wv := &batch[i].wv
+		states[i] = s.admitLocked(wv.Object, batch[i].f.From, geometry{genCount(wv.Generations), wv.K, wv.M}, false)
 	}
 	s.mu.Unlock()
 
 	var acts pollActions
 	var cur *objectState
 	for i := range batch {
-		st := states[i]
-		if st == nil {
-			batch[i].f.Release()
-			continue
-		}
-		if st != cur {
-			if cur != nil {
-				cur.mu.Unlock()
+		if st := states[i]; st != nil {
+			if st != cur {
+				if cur != nil {
+					cur.mu.Unlock()
+				}
+				cur = st
+				cur.mu.Lock()
 			}
-			cur = st
-			cur.mu.Lock()
-		}
-		var fb []byte
-		var progressed bool
-		if st.cached {
-			var forward bool
-			fb, progressed, forward = s.ingestCachedLocked(st, &batch[i])
-			fb = st.receiptLocked(&batch[i], fb, progressed || forward)
-			if forward {
-				forwards = append(forwards, ingestForward{
-					st, batch[i].f.From, append([]byte(nil), batch[i].f.Data...),
-				})
-			}
-		} else {
-			fb, progressed = s.decodeDataLocked(st, &batch[i], &acts)
-			fb = st.receiptLocked(&batch[i], fb, progressed)
-		}
-		if fb != nil {
-			replies = append(replies, ingestReply{batch[i].f.From, fb})
-		}
-		if progressed && (len(notify) == 0 || notify[len(notify)-1] != st) {
-			notify = append(notify, st)
+			s.ingestOneLocked(st, &batch[i], scratch, &acts)
 		}
 		batch[i].f.Release()
 	}
 	if cur != nil {
 		cur.mu.Unlock()
 	}
-	if len(notify) > 0 {
+	if len(scratch.notify) > 0 {
 		// Progress is worth a push round now: a relay forwards a native in
 		// the wake-up that decoded it. With nobody to push to, the round
 		// plans nothing and costs nothing measurable.
 		s.wake()
 	}
 	if drained {
-		replies = flushReceipts(batch, states, replies)
+		scratch.replies = flushReceipts(batch, states, scratch.replies)
 	}
 	s.applyPollActions(&acts)
-	for _, r := range replies {
+	for _, r := range scratch.replies {
 		s.tr.Send(r.addr, r.frame)
 	}
-	for _, fw := range forwards {
-		s.mu.Lock()
-		addrs, _ := s.targetsLocked(fw.st, s.clk.Now())
-		s.mu.Unlock()
-		sent := 0
-		for _, a := range addrs {
-			if a == fw.from {
-				continue
-			}
-			if s.tr.Send(a, fw.frame) == nil {
-				sent++
-			}
+	for _, fw := range scratch.forwards {
+		s.passThrough(fw)
+	}
+	for _, st := range scratch.notify {
+		s.notifyWatchers(st)
+	}
+}
+
+// ingestOneLocked takes one DATA frame to where its object's phase says:
+// the cache's admission policy, the decoder, or — announced still (the
+// admission refused the geometry) or evicted between resolution and
+// locking — nowhere. What the frame owes goes into scratch. st.mu must be
+// held.
+func (s *Session) ingestOneLocked(st *objectState, in *inFrame, scratch *ingestScratch, acts *pollActions) {
+	var fb []byte
+	var progressed bool
+	switch st.phase {
+	case phCaching:
+		var forward bool
+		fb, progressed, forward = s.ingestCachedLocked(st, in)
+		fb = st.receiptLocked(in, fb, progressed || forward)
+		if forward {
+			scratch.forwards = append(scratch.forwards, ingestForward{st, in.f.From, append([]byte(nil), in.f.Data...)})
 		}
-		if sent == 0 {
-			// Nobody downstream wanted it either: throttle the sender the
-			// way a redundant abort would.
-			s.tr.Send(fw.from, feedbackFrame(fw.st.id, fbRedundant))
+	case phFilling, phDecoded, phComplete:
+		fb, progressed = s.decodeDataLocked(st, in, acts)
+		fb = st.receiptLocked(in, fb, progressed)
+	}
+	if fb != nil {
+		scratch.replies = append(scratch.replies, ingestReply{in.f.From, fb})
+	}
+	if n := len(scratch.notify); progressed && (n == 0 || scratch.notify[n-1] != st) {
+		scratch.notify = append(scratch.notify, st)
+	}
+}
+
+// passThrough sends on a row a budget-bound cache had no room for.
+func (s *Session) passThrough(fw ingestForward) {
+	s.mu.Lock()
+	addrs, _ := s.targetsLocked(fw.st, s.clk.Now())
+	s.mu.Unlock()
+	sent := 0
+	for _, a := range addrs {
+		if a != fw.from && s.tr.Send(a, fw.frame) == nil {
+			sent++
 		}
 	}
-	for _, st := range notify {
-		s.notifyWatchers(st)
+	if sent == 0 {
+		// Nobody downstream wanted it either: throttle the sender the
+		// way a redundant abort would.
+		s.tr.Send(fw.from, feedbackFrame(fw.st.id, fbRedundant))
 	}
 }
 
@@ -276,48 +280,6 @@ func genCount(gens uint32) int {
 		return 1
 	}
 	return int(gens)
-}
-
-// resolveStateLocked maps a DATA frame to its object state, learning the
-// object when relay policy allows; s.mu must be held. nil means drop. A
-// v3 header carries everything needed to size the full generation array —
-// G and the per-generation code length — so relays learn generation-coded
-// objects from the data stream alone.
-func (s *Session) resolveStateLocked(wv packet.WireView, from transport.Addr) *objectState {
-	if _, b := s.banned[from]; b {
-		// A convicted polluter's rows are dropped before they can reach any
-		// decoder — or launder themselves into the cache's admission path.
-		return nil
-	}
-	st, ok := s.objects[wv.Object]
-	if ok {
-		return st
-	}
-	gens := genCount(wv.Generations)
-	// Overflow-safe total-k bound: wv.K ≥ 1 is guaranteed by ParseWire,
-	// and gens·wv.K could overflow int on 32-bit builds.
-	if gens > s.cfg.MaxK/wv.K {
-		return nil
-	}
-	if s.cache != nil {
-		// Cache mode learns like a relay but allocates no decode state:
-		// rows go to the budgeted cache, which enforces its own limits.
-		if len(s.objects) >= s.cfg.MaxObjects {
-			return nil
-		}
-		st = s.newCachedStateLocked(wv.Object, gens, wv.K, wv.M)
-		s.logf("session: caching %v from %s (k=%d G=%d m=%d)", wv.Object, from, gens*wv.K, gens, wv.M)
-		return st
-	}
-	if !s.mayLearnLocked(gens * wv.K) {
-		return nil
-	}
-	st, err := s.newStateLocked(wv.Object, gens, wv.K, wv.M)
-	if err != nil {
-		return nil
-	}
-	s.logf("session: learned %v from %s (k=%d G=%d m=%d)", wv.Object, from, gens*wv.K, gens, wv.M)
-	return st
 }
 
 // flushReceipts is the other half of receiptLocked: behind a drained
@@ -332,7 +294,7 @@ func flushReceipts(batch []inFrame, states []*objectState, replies []ingestReply
 			continue
 		}
 		st.mu.Lock()
-		if t := st.rx[from]; t != nil && t.since > 0 && !st.dead {
+		if t := st.rx[from]; t != nil && t.since > 0 && st.phase != phEvicted {
 			replies = append(replies, ingestReply{from, receiptFrame(st.id, batch[i].wv.Generation, t.rows, t.inno)})
 			t.since = 0
 		}
@@ -352,7 +314,7 @@ func flushReceipts(batch []inFrame, states []*objectState, replies []ingestReply
 // drains (flushReceipts), so the cumulative counters lose nothing. st.mu
 // must be held.
 func (st *objectState) receiptLocked(in *inFrame, fb []byte, progressed bool) []byte {
-	if st.dead || (!progressed && fb == nil) {
+	if !progressed && fb == nil {
 		return fb
 	}
 	t, ok := st.rx[in.f.From]
@@ -378,9 +340,9 @@ func (st *objectState) receiptLocked(in *inFrame, fb []byte, progressed bool) []
 }
 
 // decodeDataLocked is the decode hot path for one DATA frame; st.mu must
-// be held. The generation geometry is validated against the object's
-// coder, the code vector is checked next and a redundant payload is never
-// copied or decoded (Section III-C-2); an innovative packet moves from
+// be held and the object have a coder. The generation geometry is validated
+// against it, the code vector is checked next and a redundant payload is
+// never copied or decoded (Section III-C-2); an innovative packet moves from
 // the transport buffer into the owning generation's arena buffers with no
 // allocation. Returns the feedback frame to send (nil for none) and
 // whether the decode state advanced (an innovative packet was fed in),
@@ -388,18 +350,12 @@ func (st *objectState) receiptLocked(in *inFrame, fb []byte, progressed bool) []
 // re-arm REQs) accumulate in acts for the batch layer to apply once all
 // locks are dropped.
 func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActions) (fb []byte, progressed bool) {
-	if st.dead {
-		return nil, false // evicted between state resolution and locking: drop
-	}
-	if !s.ensureCoderLocked(st, genCount(in.wv.Generations), in.wv.K, in.wv.M) {
-		return nil, false
-	}
-	if st.coder.Check(in.wv.Generations, in.wv.Generation, in.wv.K) != nil {
-		return nil, false // inconsistent generation geometry: drop
+	if in.wv.M != st.m || st.coder.Check(in.wv.Generations, in.wv.Generation, in.wv.K) != nil {
+		return nil, false // not the object's geometry: drop
 	}
 	st.touch(s.clk.Now())
 	g := int(in.wv.Generation)
-	if p := st.probeOf(g); p != "" && in.f.From != p {
+	if p := st.guard[g].probe; p != "" && in.f.From != p {
 		// Quarantined generation under probe isolation: only the probed
 		// contributor's rows are admitted, so a failed refill convicts it
 		// beyond doubt. Everyone else waits for their turn (or for the
@@ -411,32 +367,15 @@ func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActio
 		// The row disagrees byte-exactly with a verified generation: the
 		// sender forged it. (Honest senders stop pushing a generation when
 		// its kind-3 feedback arrives; a polluter that keeps pushing into
-		// verified territory convicts itself on the first frame.) Only a
-		// solicited upstream is convicted; an unsolicited pusher may be
-		// honestly relaying a poisoned buffer it cannot verify.
-		st.aborted++
-		if st.solicitedPeer(in.f.From) {
-			acts.bans = append(acts.bans, in.f.From)
-		}
-		return nil, false
+		// verified territory convicts itself on the first frame.)
+		return st.forgedRowLocked(in, acts)
 	}
-	if st.coder.Complete() {
+	if st.phase != phFilling || st.coder.GenComplete(g) {
+		// Done here, the object or this generation of it: abort the payload
+		// and say which (a generation: the sender's round-robin turns to the
+		// ones still missing).
 		st.aborted++
-		if st.size.Load() < 0 {
-			// Decode finished but the META never arrived (lost to the
-			// fabric). fbComplete would stop the sender — including its
-			// METAs — and wedge this state sizeless forever; ask for the
-			// metadata instead. handleReq replies with a direct META.
-			return encodeReq(st.id), false
-		}
-		return feedbackFrame(st.id, fbComplete), false
-	}
-	if st.coder.GenComplete(g) {
-		// This generation is done here even though the object is not:
-		// abort the payload and steer the sender's round-robin to the
-		// generations still missing.
-		st.aborted++
-		return genFeedbackFrame(st.id, g), false
+		return s.owedLocked(st, g), false
 	}
 	data := in.f.Data[1:]
 	vec := st.coder.AcquireVec(g)
@@ -444,29 +383,10 @@ func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActio
 		st.coder.ReleaseVec(g, vec)
 		return nil, false
 	}
-	plain := -1 // the native this row carries in the clear, once it matched its digest
-	if st.man != nil && vec.PopCount() == 1 && st.man.K() == st.k && st.man.M() == st.m {
-		// A degree-1 row over GF(2) is a native payload in the clear, so a
-		// held manifest makes it checkable on arrival. A digest mismatch is
-		// byte-exact proof of forgery against this sender alone: instant
-		// ban, no quarantine or probe round-trip. Dense forged rows still
-		// get caught at generation completion; this closes the polluter's
-		// cheapest move — spraying forged unit rows — before they poison a
-		// decode. A match is the native's proof (objectState.proof): behind
-		// a systematic upstream a relay hashes each native here, once, and
-		// forwards it from the next push on.
-		idx := g*st.kPer + vec.LowestSet()
-		if pay := in.wv.PayloadBytes(data); idx < st.k && len(pay) == st.m {
-			if st.man.Verify(idx, pay) != nil {
-				st.coder.ReleaseVec(g, vec)
-				st.aborted++
-				if st.solicitedPeer(in.f.From) {
-					acts.bans = append(acts.bans, in.f.From)
-				}
-				return nil, false
-			}
-			plain = idx
-		}
+	plain, forged := st.unitRowLocked(g, vec, in.wv.PayloadBytes(data))
+	if forged {
+		st.coder.ReleaseVec(g, vec)
+		return st.forgedRowLocked(in, acts)
 	}
 	// The code vector has been read; if it is redundant the payload is
 	// never decoded and the sender is told so.
@@ -487,23 +407,43 @@ func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActio
 		st.proof[plain] = proofGood // not redundant, so decoded as received
 	}
 	if genDone {
-		if !s.verifyGenLocked(st, g, acts) {
-			// Quarantined: no feedback — upstream must keep streaming this
-			// generation — but the reset is visible progress (Polluted grew).
-			return nil, true
-		}
-		if st.coder.Complete() {
-			if !s.completeObjLocked(st, acts) {
-				return nil, true // poisoned at assembly: re-fetch, not complete
-			}
-			if st.size.Load() < 0 {
-				return encodeReq(st.id), true // complete but sizeless: fetch the META
-			}
-			return feedbackFrame(st.id, fbComplete), true
-		}
-		return genFeedbackFrame(st.id, g), true
+		// A quarantine answers nothing — upstream must keep streaming the
+		// generation — but the reset is visible progress (Polluted grew).
+		return s.settleLocked(st, g, acts), true
 	}
 	return nil, true
+}
+
+// unitRowLocked checks a degree-1 row on arrival. Over GF(2) it is a native
+// payload in the clear, so a held manifest makes it checkable at once. A
+// digest mismatch (forged) is byte-exact proof of forgery against this
+// sender alone: instant ban, no quarantine or probe round-trip. Dense
+// forged rows still get caught at generation completion; this closes the
+// polluter's cheapest move — spraying forged unit rows — before they poison
+// a decode. A match returns the native's index (−1: not a checkable row):
+// its proof (objectState.proof) once the row has also decoded — behind a
+// systematic upstream a relay hashes each native here, once, and forwards
+// it from the next push on. st.mu must be held.
+func (st *objectState) unitRowLocked(g int, vec *bitvec.Vector, pay []byte) (plain int, forged bool) {
+	if st.man == nil || vec.PopCount() != 1 || st.man.K() != st.k || st.man.M() != st.m {
+		return -1, false
+	}
+	idx := g*st.kPer + vec.LowestSet()
+	if idx >= st.k || len(pay) != st.m {
+		return -1, false
+	}
+	return idx, st.man.Verify(idx, pay) != nil
+}
+
+// forgedRowLocked drops a row proven forged byte for byte. Only a solicited
+// upstream is convicted of it; an unsolicited pusher may be honestly
+// relaying a poisoned buffer it cannot verify. st.mu must be held.
+func (st *objectState) forgedRowLocked(in *inFrame, acts *pollActions) ([]byte, bool) {
+	st.aborted++
+	if st.solicitedPeer(in.f.From) {
+		acts.bans = append(acts.bans, in.f.From)
+	}
+	return nil, false
 }
 
 // ingestCachedLocked is the cache-mode counterpart of decodeDataLocked:
@@ -511,14 +451,11 @@ func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActio
 // the resulting feedback mirrors what a real decoder would say — so the
 // sender's existing satiation, steering and completion machinery offloads
 // the origin with no new protocol state on its side. st.mu must be held
-// and st.cached true. forward asks the batch layer to pass the frame
+// and the object be caching. forward asks the batch layer to pass the frame
 // through to the object's push targets (innovative row, no budget room).
 func (s *Session) ingestCachedLocked(st *objectState, in *inFrame) (fb []byte, progressed, forward bool) {
-	if st.dead {
-		return nil, false, false
-	}
 	gens := int(st.gens.Load())
-	if genCount(in.wv.Generations) != gens || in.wv.K != st.kPer || in.wv.M != st.m {
+	if !st.shapeIs(geometry{genCount(in.wv.Generations), in.wv.K, in.wv.M}) {
 		return nil, false, false // inconsistent geometry: drop
 	}
 	now := s.clk.Now()
@@ -553,36 +490,4 @@ func (s *Session) ingestCachedLocked(st *objectState, in *inFrame) (fb []byte, p
 		return nil, false, true
 	}
 	return nil, false, false // Mismatch: drop
-}
-
-// completeObjLocked assembles the content of a freshly completed object
-// when its size is known; st.mu must be held. It reports whether the
-// object is (still) cleanly complete: before anything is surfaced to
-// waiters the assembled bytes must re-derive the object's content ID —
-// the backstop that holds even without a manifest, so a Fetch can never
-// return polluted bytes. A mismatch quarantines the poisoned generations
-// into acts and returns false. Callers send the completion feedback only
-// on true.
-func (s *Session) completeObjLocked(st *objectState, acts *pollActions) bool {
-	size := st.size.Load()
-	if size < 0 || st.data != nil {
-		return true
-	}
-	natives, err := st.coder.Data()
-	if err != nil {
-		return true
-	}
-	content, err := lt.Join(natives, int(size))
-	if err != nil {
-		return true
-	}
-	if packet.NewObjectID(content) != st.id {
-		s.poisonedObjectLocked(st, acts)
-		return false
-	}
-	s.logf("session: %v complete after %d packets (overhead %.3f)",
-		st.id, st.received, float64(st.received)/float64(st.k))
-	st.data = content
-	close(st.done)
-	return true
 }

@@ -125,43 +125,23 @@ func (st *objectState) solicitedPeer(addr transport.Addr) bool {
 	return ok
 }
 
-// ensurePollLocked sizes the per-generation pollution-defense state to
-// the coder; st.mu must be held and the coder exist.
-func (st *objectState) ensurePollLocked() {
-	n := st.coder.Generations()
-	if len(st.verified) != n {
-		st.verified = make([]bool, n)
-		st.proof = make([]uint8, st.k)
-		st.tainted = make([]bool, n)
-		st.contrib = make([]map[transport.Addr]int, n)
-		st.probe = make([]transport.Addr, n)
-		st.probeAt = make([]time.Time, n)
-		st.probeCands = make([][]transport.Addr, n)
-	}
-	if st.suspicion == nil {
-		st.suspicion = make(map[transport.Addr]int)
-		st.genNatives = make(map[int][][]byte)
-		st.soloFailed = make(map[int]map[transport.Addr]struct{})
-	}
-}
-
 // noteContribLocked records that one innovative row of generation g came
 // from addr — the blame ledger a later verification failure settles.
 func (st *objectState) noteContribLocked(g int, addr transport.Addr) {
-	st.ensurePollLocked()
-	if st.contrib[g] == nil {
-		st.contrib[g] = make(map[transport.Addr]int)
+	gg := &st.guard[g]
+	if gg.contrib == nil {
+		gg.contrib = make(map[transport.Addr]int)
 	}
-	st.contrib[g][addr]++
+	gg.contrib[addr]++
 }
 
-// probeOf returns the active probe peer for generation g ("" when the
-// generation is open to every contributor); st.mu must be held.
-func (st *objectState) probeOf(g int) transport.Addr {
-	if g >= len(st.probe) {
-		return ""
+// vouchLocked marks every generation verified: the content is local, or
+// assembled and content-ID-proven and the manifest agrees with it. st.mu
+// must be held.
+func (st *objectState) vouchLocked() {
+	for g := range st.guard {
+		st.guard[g].state = genVerified
 	}
-	return st.probe[g]
 }
 
 // probeTimeout is how long a quarantined generation waits on its probe
@@ -184,19 +164,15 @@ func (s *Session) adoptManifestLocked(st *objectState, man *integrity.Manifest, 
 
 // dropManifestLocked discards a manifest proven worthless (forged, or
 // inconsistent with the object's geometry); every bit of verification
-// state built on its word is void, including the recode gate on tainted
-// generations. st.mu must be held.
+// state built on its word is void — every generation is open again,
+// the recode gate on quarantined ones included. st.mu must be held.
 func (st *objectState) dropManifestLocked() {
 	st.man, st.manRaw, st.manFrames, st.manFrom = nil, nil, nil, ""
 	st.manBuf, st.manNext = nil, 0
-	for g := range st.verified {
-		st.verified[g] = false
-	}
-	for g := range st.tainted {
-		st.tainted[g] = false
+	for g := range st.guard {
+		st.guard[g].state, st.guard[g].natives = genOpen, nil
 	}
 	clear(st.proof) // proofs made on a forged manifest's word are void
-	clear(st.genNatives)
 }
 
 // Per-native proof states (objectState.proof); the zero value is "not
@@ -211,7 +187,6 @@ const (
 // decoded native never changes short of a ResetGen, which clears its
 // generation's bits. st.mu must be held and the manifest be in hand.
 func (st *objectState) nativeProvenLocked(x int, pay []byte) bool {
-	st.ensurePollLocked()
 	if st.proof[x] == 0 {
 		st.proof[x] = proofGood
 		if st.man.Verify(x, pay) != nil {
@@ -243,17 +218,15 @@ func manifestFrames(id packet.ObjectID, raw []byte) [][]byte {
 // the generation failed and was quarantined into acts. st.mu must be
 // held and the coder complete for g.
 func (s *Session) verifyGenLocked(st *objectState, g int, acts *pollActions) bool {
+	gg := &st.guard[g]
 	if st.man == nil {
 		// Nothing to verify against — but a completed refill still ends
 		// this generation's probe isolation (the probe was armed by a
 		// content-ID quarantine, which completion re-checks).
-		if g < len(st.probe) && st.probe[g] != "" {
-			st.probe[g], st.probeCands[g] = "", nil
-		}
+		gg.probe, gg.cands = "", nil
 		return true
 	}
-	st.ensurePollLocked()
-	if st.verified[g] {
+	if gg.state == genVerified {
 		return true
 	}
 	if st.man.K() != st.k || st.man.M() != st.m {
@@ -269,26 +242,20 @@ func (s *Session) verifyGenLocked(st *objectState, g int, acts *pollActions) boo
 	base := g * st.kPer
 	for i, nat := range natives {
 		if !st.nativeProvenLocked(base+i, nat) {
-			if !s.quarantineGenLocked(st, g, true, acts) {
-				// The manifest, not the data, was the forgery: the
-				// generation stands, unverified, and the content-ID check
-				// at completion remains the backstop.
-				return true
-			}
-			return false
+			// Not quarantined means the manifest, not the data, was the
+			// forgery: the generation stands, unverified, and the
+			// content-ID check at completion remains the backstop.
+			return !s.quarantineGenLocked(st, g, true, acts)
 		}
 	}
-	st.verified[g] = true
+	// Verified: the probed contributor, if any, delivered a clean refill,
+	// and the blame ledger closes. Vigilant, the proven natives stay as the
+	// audit reference: any further row offered to this generation can now
+	// be checked byte-exactly.
+	*gg = genGuard{state: genVerified, soloFailed: gg.soloFailed}
 	if st.vigilant {
-		// Keep the proven natives as the audit reference: any further row
-		// offered to this generation can now be checked byte-exactly.
-		st.genNatives[g] = natives
+		gg.natives = natives
 	}
-	if st.probe[g] != "" {
-		// The probed contributor delivered a clean refill: probe over.
-		st.probe[g], st.probeCands[g] = "", nil
-	}
-	st.contrib[g] = nil
 	return true
 }
 
@@ -311,8 +278,8 @@ func (s *Session) verifyGenLocked(st *objectState, g int, acts *pollActions) boo
 // global, so blame over any single generation's contributor would be
 // guesswork. st.mu must be held.
 func (s *Session) quarantineGenLocked(st *objectState, g int, convict bool, acts *pollActions) bool {
-	st.ensurePollLocked()
-	contrib := st.contrib[g]
+	gg := &st.guard[g]
+	contrib := gg.contrib
 	if convict && len(contrib) == 1 {
 		var solo transport.Addr
 		for addr := range contrib {
@@ -324,22 +291,22 @@ func (s *Session) quarantineGenLocked(st *objectState, g int, convict bool, acts
 		// manifest proof — an honest launderer solo-failing would
 		// otherwise fake the "two independent forgers" signal.
 		if st.solicitedPeer(solo) {
-			if prior := st.soloFailed[g]; len(prior) > 0 {
-				if _, same := prior[solo]; !same {
+			if !slices.Contains(gg.soloFailed, solo) {
+				if len(gg.soloFailed) > 0 {
 					s.manifestForgedLocked(st, acts)
 					return false
 				}
+				gg.soloFailed = append(gg.soloFailed, solo)
 			}
-			if st.soloFailed[g] == nil {
-				st.soloFailed[g] = make(map[transport.Addr]struct{})
-			}
-			st.soloFailed[g][solo] = struct{}{}
 			st.manBans = append(st.manBans, solo)
 			acts.bans = append(acts.bans, solo)
 		}
 	}
 	st.polluted++
 	st.vigilant = true
+	if st.suspicion == nil {
+		st.suspicion = make(map[transport.Addr]int)
+	}
 	for addr, rows := range contrib {
 		st.suspicion[addr] += rows
 	}
@@ -350,10 +317,6 @@ func (s *Session) quarantineGenLocked(st *objectState, g int, convict bool, acts
 		st.sysMerged[g] = 0
 	}
 	clear(st.proof[g*st.kPer : (g+1)*st.kPer])
-	st.tainted[g] = true
-	st.verified[g] = false
-	delete(st.genNatives, g)
-	st.contrib[g] = nil
 	if s.cache != nil {
 		// A promoted cache object may still hold rows for this generation;
 		// quarantined coverage must never be re-served (cache is a leaf in
@@ -378,10 +341,12 @@ func (s *Session) quarantineGenLocked(st *objectState, g int, convict bool, acts
 	for _, addr := range cands {
 		acts.sends = append(acts.sends, ingestReply{addr, encodeReq(st.id)})
 	}
-	st.probeCands[g] = cands
+	// Decode state, ledger and audit reference are gone with the reset;
+	// recoding the generation downstream is gated until it verifies.
+	*gg = genGuard{state: genQuarantined, cands: cands, soloFailed: gg.soloFailed}
 	s.advanceProbeLocked(st, g, acts)
 	s.logf("session: %v generation %d failed verification: quarantined (%d contributors, probing %s)",
-		st.id, g, len(contrib), st.probe[g])
+		st.id, g, len(contrib), gg.probe)
 	return true
 }
 
@@ -399,10 +364,9 @@ func (s *Session) manifestForgedLocked(st *objectState, acts *pollActions) {
 	acts.unbans = append(acts.unbans, st.manBans...)
 	st.manBans = nil
 	st.dropManifestLocked()
-	for g := range st.probe {
-		st.probe[g], st.probeCands[g] = "", nil
+	for g := range st.guard {
+		st.guard[g] = genGuard{contrib: st.guard[g].contrib}
 	}
-	clear(st.soloFailed)
 	st.polluted++
 }
 
@@ -421,15 +385,13 @@ func cmpAddr(a, b transport.Addr) int {
 // remaining contributor gets another chance — a fresh pollution will
 // re-arm the probe with fresh suspicion). st.mu must be held.
 func (s *Session) advanceProbeLocked(st *objectState, g int, acts *pollActions) {
-	if len(st.probeCands[g]) > 0 {
-		p := st.probeCands[g][0]
-		st.probeCands[g] = st.probeCands[g][1:]
-		st.probe[g] = p
-		st.probeAt[g] = s.clk.Now()
-		acts.sends = append(acts.sends, ingestReply{p, encodeReq(st.id)})
+	gg := &st.guard[g]
+	if len(gg.cands) == 0 {
+		gg.probe = ""
 		return
 	}
-	st.probe[g] = ""
+	gg.probe, gg.cands, gg.probeAt = gg.cands[0], gg.cands[1:], s.clk.Now()
+	acts.sends = append(acts.sends, ingestReply{gg.probe, encodeReq(st.id)})
 }
 
 // auditFailsLocked checks a row offered to an already-verified generation
@@ -440,17 +402,18 @@ func (s *Session) advanceProbeLocked(st *objectState, g int, acts *pollActions) 
 // arriving are exactly the ones worth convicting on. A failed audit is
 // byte-exact proof the sender forged the row. st.mu must be held.
 func (s *Session) auditFailsLocked(st *objectState, g int, in *inFrame) bool {
-	if !st.vigilant || g >= len(st.verified) || !st.verified[g] {
+	gg := &st.guard[g]
+	if !st.vigilant || gg.state != genVerified {
 		return false
 	}
-	nats := st.genNatives[g]
+	nats := gg.natives
 	if nats == nil {
 		// Verified before vigilant mode began: reconstruct the reference.
 		var err error
 		if nats, err = st.coder.GenData(g); err != nil {
 			return false
 		}
-		st.genNatives[g] = nats
+		gg.natives = nats
 	}
 	data := in.f.Data[1:]
 	vec := bitvec.New(st.kPer)
@@ -482,145 +445,126 @@ func (s *Session) auditFailsLocked(st *objectState, g int, in *inFrame) bool {
 // sender, quarantine everything; otherwise quarantine every unverified
 // generation and re-fetch. st.mu must be held.
 func (s *Session) poisonedObjectLocked(st *objectState, acts *pollActions) {
-	st.ensurePollLocked()
 	st.vigilant = true
-	allVerified := st.man != nil
-	for g := range st.verified {
-		if !st.verified[g] {
-			allVerified = false
-			break
-		}
-	}
-	if allVerified {
+	open := func(gg genGuard) bool { return gg.state != genVerified }
+	if st.man != nil && !slices.ContainsFunc(st.guard, open) {
 		s.logf("session: %v assembled bytes contradict the content ID with every generation verified",
 			st.id)
 		s.manifestForgedLocked(st, acts)
 	}
 	st.polluted++
-	for g := range st.verified {
-		if !st.verified[g] {
+	for g := range st.guard {
+		if open(st.guard[g]) {
 			s.quarantineGenLocked(st, g, false, acts)
 		}
 	}
 }
 
 // handleManifest feeds one MANIFEST frame into the object's in-order
-// chunk reassembly and adopts the manifest once complete: geometry is
-// cross-checked against the coder, generations already complete are
-// retro-verified (quarantining any that fail). First manifest wins —
-// replacing an adopted manifest would let an attacker un-verify clean
-// state — until it is dropped as forged or inconsistent.
+// chunk reassembly and adopts the manifest once complete: generations
+// already complete are retro-verified (settleLocked quarantines any that
+// fail). First manifest wins — replacing an adopted manifest would let an
+// attacker un-verify clean state — until it is dropped as forged or
+// inconsistent.
 func (s *Session) handleManifest(from transport.Addr, data []byte) {
 	mc, err := packet.ParseManifestChunk(data)
 	if err != nil {
 		return
 	}
 	s.mu.Lock()
+	st := s.objects[mc.Object]
 	if _, b := s.banned[from]; b {
-		s.mu.Unlock()
-		return
+		st = nil
 	}
-	st, ok := s.objects[mc.Object]
 	s.mu.Unlock()
-	if !ok {
+	if st == nil {
 		return
 	}
 	var acts pollActions
-	adopted := false
 	st.mu.Lock()
-	switch {
-	case st.dead, st.cached, st.man != nil, st.coder == nil:
-		// Caches hold undecodable rows (nothing to verify); a placeholder
-		// has no geometry to check a manifest against — the sender repeats
-		// MANIFEST with its META resends, so dropping is safe.
-	case int64(mc.Total) != int64(8+st.k*integrity.DigestSize):
-		// Wrong size for this object's k: not our manifest.
-	default:
-		if mc.Off == 0 {
-			st.manBuf = st.manBuf[:0] // (re)start assembly
-			st.manNext = 0
-		}
-		if int(mc.Off) != st.manNext {
-			break // out-of-order chunk: wait for a restart
-		}
-		if st.manBuf == nil {
-			st.manBuf = make([]byte, 0, mc.Total)
-		}
-		st.manBuf = append(st.manBuf, mc.Data...)
-		st.manNext += len(mc.Data)
-		if st.manNext == int(mc.Total) {
-			raw := st.manBuf
-			man, err := integrity.UnmarshalManifest(raw)
-			if err != nil || man.K() != st.k || man.M() != st.m {
-				st.manBuf, st.manNext = nil, 0
-				break
-			}
-			if st.data != nil {
-				// Already assembled and content-ID-proven: the decoded
-				// natives outrank any manifest. One that disagrees with
-				// them is rejected outright; one that agrees is adopted
-				// fully verified (for re-serving and audits).
-				natives, derr := st.coder.Data()
-				if derr != nil || man.VerifyAll(natives) != nil {
-					st.manBuf, st.manNext = nil, 0
-					break
-				}
-				s.adoptManifestLocked(st, man, raw, from)
-				st.ensurePollLocked()
-				for g := range st.verified {
-					st.verified[g] = true
-				}
-			} else {
-				s.adoptManifestLocked(st, man, raw, from)
-				for g := 0; g < st.coder.Generations(); g++ {
-					if st.coder.GenComplete(g) {
-						s.verifyGenLocked(st, g, &acts)
-					}
-				}
-			}
-			adopted = true
-			st.touch(s.clk.Now())
-		}
+	adopted := s.manifestChunkLocked(st, from, mc)
+	if adopted {
+		s.settleLocked(st, -1, &acts)
+		st.touch(s.clk.Now())
 	}
+	frames := st.manFrames
 	st.mu.Unlock()
 	s.applyPollActions(&acts)
-	if adopted {
-		// Forward the freshly adopted manifest to current REQ subscribers
-		// at once: they are mid-fetch and defenseless until they hold it —
-		// every tick of delay is a window for a polluter to poison their
-		// decoders (and for their recoded push-back to spread the poison
-		// further). META goes first: a subscriber that REQ'd before this
-		// node was sized has no coder yet, and coderless receivers drop
-		// MANIFEST frames. Adoption is once per object, so this cannot
-		// storm.
-		s.mu.Lock()
-		var subs []transport.Addr
-		for addr, ps := range st.peers {
-			if ps.reqSub && !ps.done {
-				if _, b := s.banned[addr]; !b {
-					subs = append(subs, addr)
-				}
-			}
-		}
-		s.mu.Unlock()
-		slices.SortFunc(subs, cmpAddr) // not in map order: what a session sends is a function of its seed
-		st.mu.Lock()
-		frames := st.manFrames
-		st.mu.Unlock()
-		var metaBuf []byte
-		if st.size.Load() >= 0 {
-			metaBuf = s.metaFrame(st)
-		}
-		for _, addr := range subs {
-			if metaBuf != nil {
-				s.tr.Send(addr, metaBuf)
-			}
-			for _, mf := range frames {
-				s.tr.Send(addr, mf)
-			}
-		}
-		s.notifyWatchers(st)
+	if !adopted {
+		return
 	}
+	// Forward the freshly adopted manifest to current REQ subscribers at
+	// once: they are mid-fetch and defenseless until they hold it — every
+	// tick of delay is a window for a polluter to poison their decoders
+	// (and for their recoded push-back to spread the poison further). META
+	// goes first: a subscriber that REQ'd before this node was sized has no
+	// coder yet, and coderless receivers drop MANIFEST frames. Adoption is
+	// once per object, so this cannot storm.
+	s.mu.Lock()
+	var subs []transport.Addr
+	for addr, ps := range st.peers {
+		if _, b := s.banned[addr]; !b && ps.reqSub && !ps.done {
+			subs = append(subs, addr)
+		}
+	}
+	s.mu.Unlock()
+	slices.SortFunc(subs, cmpAddr) // not in map order: what a session sends is a function of its seed
+	var metaBuf []byte
+	if st.size.Load() >= 0 {
+		metaBuf = s.metaFrame(st)
+	}
+	for _, addr := range subs {
+		if metaBuf != nil {
+			s.tr.Send(addr, metaBuf)
+		}
+		for _, mf := range frames {
+			s.tr.Send(addr, mf)
+		}
+	}
+	s.notifyWatchers(st)
+}
+
+// manifestChunkLocked appends one chunk to the object's manifest assembly
+// and reports whether that completed and adopted it. Only an object with a
+// coder assembles one: a cache holds undecodable rows (nothing to verify),
+// an announced object has no geometry to check a manifest against — the
+// sender repeats MANIFEST with its META resends, so dropping is safe.
+// st.mu must be held.
+func (s *Session) manifestChunkLocked(st *objectState, from transport.Addr, mc packet.ManifestChunk) bool {
+	if !st.phase.decoding() || st.man != nil || int64(mc.Total) != int64(8+st.k*integrity.DigestSize) {
+		return false // no use for one, have one, or wrong size for this object's k
+	}
+	if mc.Off == 0 {
+		st.manBuf, st.manNext = st.manBuf[:0], 0 // (re)start assembly
+	}
+	if int(mc.Off) != st.manNext {
+		return false // out-of-order chunk: wait for a restart
+	}
+	if st.manBuf == nil {
+		st.manBuf = make([]byte, 0, mc.Total)
+	}
+	st.manBuf = append(st.manBuf, mc.Data...)
+	if st.manNext += len(mc.Data); st.manNext != int(mc.Total) {
+		return false
+	}
+	raw := st.manBuf
+	st.manBuf, st.manNext = nil, 0
+	man, err := integrity.UnmarshalManifest(raw)
+	if err != nil || man.K() != st.k || man.M() != st.m {
+		return false
+	}
+	if st.phase == phComplete {
+		// Already assembled and content-ID-proven: the decoded natives
+		// outrank any manifest. One that disagrees with them is rejected
+		// outright; one that agrees is adopted fully verified (for
+		// re-serving and audits).
+		if natives, err := st.coder.Data(); err != nil || man.VerifyAll(natives) != nil {
+			return false
+		}
+		st.vouchLocked()
+	}
+	s.adoptManifestLocked(st, man, raw, from)
+	return true
 }
 
 // probeSweep advances stalled probes: a quarantined generation waiting on
@@ -641,12 +585,13 @@ func (s *Session) probeSweep() (next time.Time) {
 	var acts pollActions
 	for _, st := range objs {
 		st.mu.Lock()
-		if st.vigilant && !st.dead {
-			for g := range st.probe {
-				if st.probe[g] != "" && now.Sub(st.probeAt[g]) >= timeout {
+		if st.vigilant && st.phase != phEvicted {
+			for g := range st.guard {
+				gg := &st.guard[g]
+				if gg.probe != "" && now.Sub(gg.probeAt) >= timeout {
 					s.advanceProbeLocked(st, g, &acts)
 				}
-				if at := st.probeAt[g].Add(timeout); st.probe[g] != "" && (next.IsZero() || at.Before(next)) {
+				if at := gg.probeAt.Add(timeout); gg.probe != "" && (next.IsZero() || at.Before(next)) {
 					next = at
 				}
 			}

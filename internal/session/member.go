@@ -80,7 +80,7 @@ func newMembership(cfg *Config, self transport.Addr) *membership {
 	capacity, role := memberProfile(cfg)
 	m := &membership{
 		self:     self,
-		fanout:   cfg.Fanout,
+		fanout:   memberFanout,
 		capacity: capacity,
 		role:     role,
 		view:     gossip.NewView[transport.Addr](cfg.ViewSize, viewRng),

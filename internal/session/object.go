@@ -1,0 +1,438 @@
+package session
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"ltnc/internal/bitvec"
+	"ltnc/internal/generation"
+	"ltnc/internal/integrity"
+	"ltnc/internal/lt"
+	"ltnc/internal/packet"
+	"ltnc/internal/transport"
+)
+
+// The object lifecycle. Every object a session knows is in exactly one
+// phase, and the functions of this file are the only code that creates an
+// objectState, assigns its phase, coder or data, or closes done: admitLocked
+// (outside input or a local call creates or sizes state), seedLocked (Serve),
+// promoteLocked (a fetch at a cache), settleLocked (whatever may have
+// completed something) and evictLocked. Every other file asks the phase.
+// DESIGN.md §4 has the phase × event table.
+//
+//	announced ─┬─► caching ──(fetched here)──┐
+//	           └─► filling ◄─────────────────┘
+//	               filling ◄─(quarantine)─► decoded ─► complete
+//	any ─► evicted;  announced | caching ─(Serve)─► complete
+type phase uint8
+
+const (
+	// phAnnounced: the id and nothing else — a Watch, a BeginFetch, or a REQ
+	// a relay heard before the object's first frame. The first admissible
+	// geometry (DATA header or META) makes it filling: somebody here asked.
+	phAnnounced phase = iota
+	// phCaching: geometry fixed, rows held undecoded in Session.cache, no
+	// coder (cache-mode sessions, objects learned from the network only).
+	phCaching
+	// phFilling: the coder exists and lacks rank, or holds a generation that
+	// has yet to be accepted.
+	phFilling
+	// phDecoded: every generation decoded and accepted, the content not
+	// assembled — the size is unknown because the META was lost.
+	phDecoded
+	// phComplete: content assembled, the content ID re-derived from it, done
+	// closed. Serve enters here.
+	phComplete
+	// phEvicted: out of Session.objects; a worker still holding the pointer
+	// drops what it has for it.
+	phEvicted
+)
+
+var phaseNames = [...]string{"announced", "caching", "filling", "decoded", "complete", "evicted"}
+
+func (p phase) String() string { return phaseNames[p] }
+
+// decoding reports whether an object in phase p has a coder.
+func (p phase) decoding() bool { return p == phFilling || p == phDecoded || p == phComplete }
+
+// geometry is an object's shape as a DATA header or a META states it; the
+// zero value is "none stated" (a REQ, Watch, BeginFetch).
+type geometry struct{ gens, kPer, m int }
+
+// admissible is the bound on geometry a session gives state to: a sane
+// generation split, gens·kPer ≤ maxK without the multiplication (both come
+// off the wire, and the product overflows int on 32-bit builds), and DATA
+// frames that fit a transport frame — the bound Serve applies to local
+// content, so that no stream is ever sized by a header none could carry.
+func (g geometry) admissible(maxK int) bool {
+	return g.gens >= 1 && g.gens <= packet.MaxGenerations && g.kPer >= 1 && g.kPer <= maxK/g.gens &&
+		g.m >= 0 && g.m <= transport.MaxFrame && g.wireSize() <= transport.MaxFrame
+}
+
+// wireSize is the session frame length of one DATA row of this geometry.
+func (g geometry) wireSize() int {
+	if g.gens > 1 {
+		return 1 + packet.GenWireSize(g.kPer, g.m)
+	}
+	return 1 + packet.ObjectWireSize(g.kPer, g.m)
+}
+
+// Generation guard states (DESIGN.md §13).
+const (
+	genOpen        uint8 = iota // not checked against a manifest (yet)
+	genVerified                 // decoded natives matched their digests
+	genQuarantined              // failed verification, reset, refilling; nothing of it leaves
+)
+
+// genGuard is one generation's pollution-defense state (guarded by mu).
+type genGuard struct {
+	state uint8
+	// contrib — rows each peer contributed since the last reset, the blame
+	// ledger a failed verification settles; probe / probeAt / cands — the
+	// one-contributor-at-a-time refill of a quarantined generation ("" =
+	// open to all); natives — the verified natives, kept (vigilant mode) as
+	// the reference for byte-exact row audits; soloFailed — peers whose solo
+	// refill failed: two distinct ones prove the manifest forged.
+	contrib    map[transport.Addr]int
+	probe      transport.Addr
+	probeAt    time.Time
+	cands      []transport.Addr
+	natives    [][]byte
+	soloFailed []transport.Addr
+}
+
+// objectState splits into two lock domains. The decode plane — phase,
+// coder, dimensions, assembled content, ingest counters — is guarded by the
+// per-object mu, so shard workers decoding different objects never
+// contend. The control plane — peers, pinning, waiter count, push
+// counter — is guarded by Session.mu. size, gens and lastActive are
+// atomics readable from either side. Lock order: Session.mu before
+// objectState.mu, never the reverse.
+type objectState struct {
+	id packet.ObjectID
+
+	mu       sync.Mutex
+	phase    phase
+	k, m     int // total code length and payload size
+	kPer     int // per-generation code length (k / gens)
+	coder    *generation.Coder
+	data     []byte        // assembled content (phComplete)
+	done     chan struct{} // closed on entering phComplete
+	received int64
+	aborted  int64
+
+	// Pollution defense (decode plane, guarded by mu; DESIGN.md §13).
+	// man/manRaw/manFrames hold the adopted integrity manifest (parsed,
+	// encoded, and pre-built MANIFEST frames for re-serving); manBuf and
+	// manNext track in-order chunk reassembly before adoption; manFrom is
+	// the peer the manifest came from (blamed if the whole-object content
+	// check later proves it forged; empty for a local Serve).
+	man       *integrity.Manifest
+	manRaw    []byte
+	manFrames [][]byte
+	manFrom   transport.Addr
+	manBuf    []byte
+	manNext   int
+	// guard[g] is generation g's verification state, proof[x] the kept
+	// verdict of checking decoded native x against its digest, so it can cut
+	// through ahead of its generation and is hashed once (nativeProvenLocked);
+	// both sized with the coder. suspicion — rows each peer contributed to
+	// polluted generations of this object; manBans — peers banned on this
+	// manifest's word, unbanned if it is ever proven forged.
+	guard     []genGuard
+	proof     []uint8
+	suspicion map[transport.Addr]int
+	manBans   []transport.Addr
+	polluted  int64 // pollution events (quarantines)
+	vigilant  bool  // pollution seen: audit rows offered to verified generations
+	// sysLog is the object's decode-order log — global native indices as
+	// they were decoded here, what the systematic pass walks — merged from
+	// the coder's per-generation logs, sysMerged[g] entries of g's so far.
+	sysLog    []int32
+	sysMerged []int
+	// rx tracks, per upstream peer, the rows this session accepted from it
+	// for this object (feeds kind-5 receipt reports).
+	// Decode plane: ingest mutates it under mu. Bounded like the peer
+	// table (maxPeersPerObject).
+	rx map[transport.Addr]*rxTally
+	// solicited holds the peers this session explicitly chose as upstreams
+	// for the object (the Fetch candidate set). Conviction requires
+	// solicitation: only solicited peers can be banned over this object's
+	// rows. An unsolicited peer pushing rows at us may be an honest node
+	// recoding a buffer it cannot yet verify (it holds no manifest), so its
+	// forgeries-by-proxy are dropped or quarantined away — blame for them
+	// belongs to whoever poisoned it, and that node's own defense settles
+	// it. A polluter, by contrast, only ever lands rows on its victims
+	// because they subscribed to it, so every polluter is solicited by
+	// every victim and conviction is unimpeded.
+	solicited map[transport.Addr]struct{}
+
+	size       atomic.Int64 // -1 until a META (or Serve) provides it
+	gens       atomic.Int32 // generation count G; 0 while announced
+	lastActive atomic.Int64 // unix nanos
+
+	// Guarded by Session.mu.
+	pinned  bool
+	waiters int // Fetch calls currently blocked on this object
+	sent    int64
+	// systematic counts DATA frames pushed as degree-1 native rows in the
+	// systematic first pass.
+	systematic int64
+	peers      map[transport.Addr]*peerState
+	watchers   map[int]func(ObjectStats) // progress subscriptions (Watch)
+	// cacheAds records kind-4 advertisements received for this object
+	// (bounded by maxCacheAds): which peers hold cached coverage, for
+	// Fetch REQ steering.
+	cacheAds map[transport.Addr]cacheAd
+
+	// notifyMu serializes watcher deliveries for this object: it is held
+	// across snapshot AND callback invocation, so snapshots reach each
+	// watcher in monotone order (a Complete snapshot is never followed by
+	// an older incomplete one). Lock order: notifyMu before Session.mu
+	// before objectState.mu; never acquire it while holding either.
+	notifyMu sync.Mutex
+}
+
+func (st *objectState) touch(now time.Time) { st.lastActive.Store(now.UnixNano()) }
+
+func (st *objectState) peer(addr transport.Addr) *peerState {
+	ps, ok := st.peers[addr]
+	if !ok {
+		ps = &peerState{}
+		st.peers[addr] = ps
+	}
+	return ps
+}
+
+// shaped reports whether the object's geometry is fixed — it has left
+// phAnnounced. Geometry never changes once fixed (short of a local Serve),
+// so this needs no lock.
+func (st *objectState) shaped() bool { return st.gens.Load() != 0 }
+
+// shapeIs reports whether a frame's geometry is the object's; st.mu must be
+// held. A frame that disagrees is dropped, whatever the phase.
+func (st *objectState) shapeIs(geo geometry) bool {
+	return geo.kPer == st.kPer && geo.m == st.m && geo.gens == int(st.gens.Load())
+}
+
+// admitLocked is the one place anything may create an object's state or
+// fix its geometry: outside input (a DATA header, a META, a REQ — from is
+// its sender, geo what it states) and the local calls (Serve, BeginFetch,
+// Watch: local, no geometry). It returns the object's state, nil when the
+// input is to be dropped. A state whose geometry is already fixed comes
+// back as it is — the caller compares shapes under st.mu. Otherwise:
+// nothing from a banned peer; geometry within bounds (admissible); an
+// announced object takes the first such geometry and starts filling,
+// whatever the session's role — it is announced because somebody here asked
+// for it; an unknown object gets state only under MaxObjects, caching on a
+// cache-mode session and filling on a relay when geometry came with it,
+// announced on a relay that heard a REQ, nothing elsewhere; a local call
+// always gets (announced) state. s.mu must be held.
+func (s *Session) admitLocked(id packet.ObjectID, from transport.Addr, geo geometry, local bool) *objectState {
+	if _, b := s.banned[from]; b {
+		return nil
+	}
+	st, sized := s.objects[id], geo != geometry{}
+	if st != nil && (!sized || st.shaped()) {
+		return st
+	}
+	if sized && !geo.admissible(s.cfg.MaxK) {
+		return nil
+	}
+	to := phAnnounced
+	switch {
+	case st != nil: // announced, and the first geometry is here
+		to = phFilling
+	case local:
+	case len(s.objects) >= s.cfg.MaxObjects:
+		return nil
+	case s.cfg.Relay:
+		if sized {
+			to = phFilling
+		}
+	case s.cache != nil && sized:
+		to = phCaching
+	default:
+		return nil
+	}
+	var coder *generation.Coder
+	if to == phFilling {
+		var err error
+		if coder, err = s.newCoder(geo); err != nil {
+			return nil
+		}
+	}
+	if st == nil {
+		st = &objectState{id: id, done: make(chan struct{}), peers: make(map[transport.Addr]*peerState)}
+		st.size.Store(-1)
+		st.touch(s.clk.Now())
+		s.objects[id] = st
+	}
+	if to != phAnnounced {
+		st.mu.Lock()
+		st.shapeLocked(to, geo, coder)
+		st.mu.Unlock()
+		s.logf("session: %v %v from %s (k=%d G=%d m=%d)", to, id, from, st.k, geo.gens, geo.m)
+	}
+	return st
+}
+
+// shapeLocked fixes the object's geometry and, with a coder, arms its
+// per-generation guards; st.mu must be held.
+func (st *objectState) shapeLocked(to phase, geo geometry, coder *generation.Coder) {
+	st.phase, st.coder = to, coder
+	st.k, st.kPer, st.m = geo.gens*geo.kPer, geo.kPer, geo.m
+	st.gens.Store(int32(geo.gens))
+	if coder != nil {
+		st.guard, st.proof = make([]genGuard, geo.gens), make([]uint8, st.k)
+	}
+}
+
+// seedLocked is Serve's transition, announced | caching → complete: local
+// content outranks whatever was cached of it — the cache entry is dropped
+// and pushes come from the seeded coder. buf is the padded copy the coder's
+// natives alias, size the content's length. s.mu and st.mu must be held.
+func (s *Session) seedLocked(st *objectState, geo geometry, coder *generation.Coder, buf []byte, size int) error {
+	if st.phase != phAnnounced && st.phase != phCaching {
+		return fmt.Errorf("session: object %v already present", st.id)
+	}
+	if st.phase == phCaching {
+		s.cache.Drop(st.id)
+	}
+	st.shapeLocked(phComplete, geo, coder)
+	st.size.Store(int64(size))
+	st.data = buf[:size:size]
+	close(st.done)
+	st.pinned = true
+	return nil
+}
+
+// promoteLocked is a fetch arriving at a cache-mode object, caching →
+// filling: the cached rows seed a fresh decoder — each innovative by
+// construction, the cache stores a basis — the cache entry is dropped, and
+// the object proceeds as an ordinary fetch for the rank still missing
+// (settleLocked, next, finds out whether any is). It reports whether rows
+// moved. st.mu must be held.
+func (s *Session) promoteLocked(st *objectState) (progressed bool) {
+	if st.phase != phCaching {
+		return false
+	}
+	geo := geometry{int(st.gens.Load()), st.kPer, st.m}
+	coder, err := s.newCoder(geo)
+	if err != nil {
+		return false
+	}
+	st.shapeLocked(phFilling, geo, coder)
+	s.cache.Drain(st.id, func(g uint32, vec *bitvec.Vector, payload []byte) {
+		gi := int(g)
+		if gi >= geo.gens || coder.GenComplete(gi) {
+			return
+		}
+		v := coder.AcquireVec(gi)
+		v.CopyFrom(vec)
+		if coder.IsRedundant(gi, v) {
+			coder.ReleaseVec(gi, v)
+			return
+		}
+		var row []byte
+		if st.m > 0 {
+			row = coder.AcquireRow(gi)
+			copy(row, payload)
+		}
+		// No received++ here: each drained row was counted when it was
+		// admitted to the cache.
+		coder.ReceiveOwned(gi, v, row)
+		progressed = true
+	})
+	st.touch(s.clk.Now())
+	return progressed
+}
+
+// settleLocked brings the phase up to date after any event that can
+// complete something — a row ingested, the size learned, a manifest
+// adopted, a cache promoted — and returns the one reply owed to the sender
+// of the frame behind it (owedLocked; g is that frame's generation, −1 for
+// none). Every complete generation not yet verified meets the manifest and
+// is accepted or quarantined (reset, with the consequences in acts); with
+// all of them in, the object is decoded, and once the size is known the
+// content is assembled and must re-derive the object's content ID — the
+// backstop that holds even without a manifest, so a Fetch can never return
+// polluted bytes — before the object is complete and done closes. A
+// mismatch quarantines the poisoned generations and the object fills
+// again. st.mu must be held.
+func (s *Session) settleLocked(st *objectState, g int, acts *pollActions) []byte {
+	if st.phase == phFilling || st.phase == phDecoded {
+		for gg := range st.guard {
+			if st.guard[gg].state != genVerified && st.coder.GenComplete(gg) {
+				s.verifyGenLocked(st, gg, acts)
+			}
+		}
+		st.phase = phFilling
+		if st.coder.Complete() {
+			st.phase = phDecoded
+			s.assembleLocked(st, acts)
+		}
+	}
+	return s.owedLocked(st, g)
+}
+
+// assembleLocked is settleLocked's last step, decoded → complete | filling.
+func (s *Session) assembleLocked(st *objectState, acts *pollActions) {
+	size := st.size.Load()
+	if size < 0 {
+		return
+	}
+	natives, err := st.coder.Data()
+	if err != nil {
+		return
+	}
+	content, err := lt.Join(natives, int(size))
+	if err != nil {
+		return
+	}
+	if packet.NewObjectID(content) != st.id {
+		s.poisonedObjectLocked(st, acts)
+		st.phase = phFilling
+		return
+	}
+	s.logf("session: %v complete after %d packets (overhead %.3f)",
+		st.id, st.received, float64(st.received)/float64(st.k))
+	st.phase, st.data = phComplete, content
+	close(st.done)
+}
+
+// owedLocked is the one answer to "what does the sender of this frame need
+// to hear about where the object stands": kind 2 once complete (or, at a
+// cache, once every generation is held at full rank); a REQ — which a
+// sender answers with its META — when decoded but sizeless, because kind 2
+// would stop the sender, its METAs included, and wedge the object there;
+// kind 3 when the frame's generation g (−1: none) is done and the object is
+// not; nothing otherwise. st.mu must be held.
+func (s *Session) owedLocked(st *objectState, g int) []byte {
+	switch st.phase {
+	case phCaching:
+		if full, gens, _, held := s.cache.Coverage(st.id); !held || gens == 0 || full != gens {
+			return nil
+		}
+	case phDecoded:
+		if st.size.Load() < 0 {
+			return encodeReq(st.id)
+		}
+	case phFilling:
+		if g >= 0 && st.coder.GenComplete(g) {
+			return genFeedbackFrame(st.id, g)
+		}
+		return nil
+	case phAnnounced, phEvicted:
+		return nil
+	}
+	return feedbackFrame(st.id, fbComplete)
+}
+
+// evictLocked takes the object out of the lifecycle: a shard worker that
+// resolved this state before it left the table re-checks the phase after
+// locking and drops its frames, so a decode can never split across an
+// evicted and a relearned state. st.mu must be held.
+func (st *objectState) evictLocked() { st.phase = phEvicted }

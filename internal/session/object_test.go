@@ -1,0 +1,571 @@
+package session
+
+import (
+	"bytes"
+	"encoding/binary"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"math/rand"
+	"strings"
+	"testing"
+	"time"
+
+	"ltnc/internal/integrity"
+	"ltnc/internal/lt"
+	"ltnc/internal/packet"
+	"ltnc/internal/transport"
+)
+
+// phaseNow is the tests' accessor to an object's phase.
+func (st *objectState) phaseNow() phase {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.phase
+}
+
+// checkPhaseInvariants holds every object in the session's table to what
+// its phase promises: a coder (and its guards) exactly while filling,
+// decoded or complete; rows in the cache only while caching; done closed
+// exactly when complete; and nothing evicted still in the table.
+func checkPhaseInvariants(tb testing.TB, s *Session) {
+	tb.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for id, st := range s.objects {
+		st.mu.Lock()
+		ph := st.phase
+		if ph == phEvicted {
+			tb.Errorf("%v: evicted, still in the table", id)
+		}
+		if (st.coder != nil) != ph.decoding() {
+			tb.Errorf("%v: phase %v, coder present: %v", id, ph, st.coder != nil)
+		}
+		if ph.decoding() && (len(st.guard) != st.coder.Generations() || len(st.proof) != st.k) {
+			tb.Errorf("%v: phase %v with %d guards and %d proofs for G=%d k=%d", id, ph, len(st.guard), len(st.proof), st.coder.Generations(), st.k)
+		}
+		if st.shaped() == (ph == phAnnounced) {
+			tb.Errorf("%v: phase %v, geometry fixed: %v", id, ph, st.shaped())
+		}
+		if (st.data != nil) != (ph == phComplete) {
+			tb.Errorf("%v: phase %v, content assembled: %v", id, ph, st.data != nil)
+		}
+		closed := false
+		select {
+		case <-st.done:
+			closed = true
+		default:
+		}
+		if closed != (ph == phComplete) {
+			tb.Errorf("%v: phase %v, done closed: %v", id, ph, closed)
+		}
+		if s.cache != nil {
+			if _, _, _, held := s.cache.Coverage(id); held && ph != phCaching {
+				tb.Errorf("%v: phase %v with rows in the cache", id, ph)
+			}
+		}
+		st.mu.Unlock()
+	}
+}
+
+// metaFor builds a META as a sender of (k, m, size, gens) would; long
+// selects the form carrying the generation count.
+func metaFor(id packet.ObjectID, k, m int, size int64, gens int, long bool) []byte {
+	buf := make([]byte, metaLen, genMetaLen)
+	buf[0] = frameMeta
+	copy(buf[1:17], id[:])
+	binary.BigEndian.PutUint32(buf[17:21], uint32(k))
+	binary.BigEndian.PutUint32(buf[21:25], uint32(m))
+	binary.BigEndian.PutUint64(buf[25:33], uint64(size))
+	if long {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(gens))
+	}
+	return buf
+}
+
+// TestServeOverCachedObject: Serve on an object the session holds as a
+// partial cache is the transition caching → complete — the cache entry is
+// dropped and pushes come from the seeded coder. Before the lifecycle had
+// one field, Serve looked at the coder and never at the cached flag: the
+// object read Cached Pinned Complete at once, emit kept dealing the nine
+// cached rows, and a fetcher asking this node sat at 9/16 natives for good.
+func TestServeOverCachedObject(t *testing.T) {
+	const k, m, burst = 16, 32, 3
+	content := testContent(k*m, 77)
+	src, srcRec, srcClk := pushSession(t, "src", nil)
+	src.AddPeer("cache")
+	id, err := src.Serve(content, k, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, cRec, cClk := pushSession(t, "cache", func(cfg *Config) { cfg.CacheBudget = 1 << 20 })
+	for i := 0; i < 3; i++ { // 9 of 16 rows
+		pushTicks(src, srcClk, 1)
+		feed(c, srcRec)
+	}
+	if o, _ := c.Object(id); !o.Cached || o.Received != 9 {
+		t.Fatalf("set-up: %+v, want a cached object holding 9 rows", o)
+	}
+	if got, err := c.Serve(content, k, 1); err != nil || got != id {
+		t.Fatalf("Serve over the cached object: %v %v", got, err)
+	}
+	o, _ := c.Object(id)
+	if cs, _ := c.CacheStats(); o.Cached || !o.Complete || !o.Pinned || cs.Rows != 0 {
+		t.Fatalf("after Serve: %+v with %d rows still cached; want complete, pinned, not cached", o, cs.Rows)
+	}
+	checkPhaseInvariants(t, c)
+	cRec.take()
+
+	f, fRec, _ := pushSession(t, "fetcher", nil)
+	fetch, err := f.BeginFetch(id, "cache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fetch.End()
+	for tick := 0; tick < k/burst+4; tick++ {
+		feed(c, fRec) // the REQ, then feedback
+		pushTicks(c, cClk, 1)
+		feed(f, cRec)
+	}
+	data, _, err, ok := fetch.Result()
+	if !ok || err != nil || !bytes.Equal(data, content) {
+		o, _ := f.Object(id)
+		t.Fatalf("fetch from the serving cache node after %d ticks: ok=%v err=%v, %d/%d natives, %d aborted",
+			k/burst+4, ok, err, o.Decoded, k, o.Aborted)
+	}
+}
+
+// TestForgedMetaGeometryNoFrameCouldCarry: a META whose (kPer, m) no DATA
+// frame could carry creates no state. Before admission was one function the
+// META path bounded m only by m ≥ 0, so one forged 33-byte frame sized the
+// relay's state and the real stream that followed was dropped frame for
+// frame as a geometry mismatch until idle eviction. (First-META-wins
+// against a forged geometry that IS plausible is ROADMAP item 6's
+// hostile-input work; out of scope here.)
+func TestForgedMetaGeometryNoFrameCouldCarry(t *testing.T) {
+	const k, m = 16, 32
+	content := testContent(k*m, 78)
+	src, srcRec, srcClk := pushSession(t, "src", nil)
+	src.AddPeer("relay")
+	id, err := src.Serve(content, k, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relay, _, _ := pushSession(t, "relay", func(cfg *Config) { cfg.Relay = true })
+	injectFrame(relay, "mallory", metaFor(id, k, 1<<30, 64, 1, false))
+	if objs := relay.Objects(); len(objs) != 0 {
+		t.Fatalf("forged META (m = 1<<30) created state: %+v", objs)
+	}
+	for tick := 0; tick < 20; tick++ {
+		pushTicks(src, srcClk, 1)
+		feed(relay, srcRec)
+	}
+	if o, _ := relay.Object(id); !o.Complete || o.Received == 0 {
+		t.Fatalf("the real stream after the forged META: %+v, want a complete decode", o)
+	}
+	checkPhaseInvariants(t, relay)
+}
+
+// Rows (set-ups) and columns (events) of the object state matrix.
+const (
+	rowAnnounced = iota
+	rowCaching
+	rowFilling
+	rowPoisoned // filling, and generation 0 is complete around a forged native (no manifest yet)
+	rowDecoded
+	rowComplete
+	rowEvicted
+	matrixRows
+)
+
+const (
+	evDataUnit = iota
+	evDataDense
+	evDataRedundant
+	evDataWrongGeometry
+	evReq
+	evMetaShort
+	evMetaLong
+	evFbRedundant
+	evFbComplete
+	evFbGenComplete
+	evFbCacheAd
+	evFbReceipt
+	evManifestFirst
+	evManifestOutOfOrder
+	evManifestLast
+	evMember
+	evServe
+	evBeginFetch
+	evWatch
+	evEvict
+	matrixEvents
+)
+
+var (
+	matrixRowNames = [matrixRows]string{"announced", "caching", "filling", "filling-poisoned", "decoded", "complete", "evicted"}
+	matrixEvNames  = [matrixEvents]string{"DATA-unit", "DATA-dense", "DATA-redundant", "DATA-wrong-geometry", "REQ",
+		"META-short", "META-long", "FB-redundant", "FB-complete", "FB-gen-complete", "FB-cache-ad", "FB-receipt",
+		"MANIFEST-first", "MANIFEST-out-of-order", "MANIFEST-last", "MEMBER", "Serve", "BeginFetch", "Watch", "evict"}
+)
+
+// objCell is one randomized set-up of the matrix: a session holding (or,
+// evicted, having held) one object in the row's phase.
+type objCell struct {
+	t             *testing.T
+	s             *Session
+	rec           *recTransport
+	clk           *transport.VClock
+	id            packet.ObjectID
+	content       []byte
+	gens, kPer, m int
+	held          int          // natives [0, held) of every generation were fed at set-up
+	old           *objectState // the evicted row's state, as a worker would still hold it
+	chunks        [][]byte     // the true manifest, in three MANIFEST frames
+}
+
+const matrixSender transport.Addr = "peer"
+
+func (c *objCell) row(g int, forged bool, idx ...int) []byte {
+	return handRow(c.t, c.id, c.content, c.gens, c.kPer, g, forged, idx...)
+}
+
+// newObjCell builds the set-up of row; geometry, seed and — where two fit —
+// the session's role are drawn from rng.
+func newObjCell(t *testing.T, rng *rand.Rand, row int) *objCell {
+	t.Helper()
+	c := &objCell{t: t, gens: 1 + rng.Intn(3), kPer: 4 + rng.Intn(9), m: 8 * (1 + rng.Intn(3))}
+	if row == rowPoisoned {
+		c.gens = 2 + rng.Intn(2) // one generation to complete, one to keep the object filling
+	}
+	k := c.gens * c.kPer
+	c.content = testContent(k*c.m, rng.Int63())
+	c.id = packet.NewObjectID(c.content)
+	seed := rng.Int63()
+	role := func(cfg *Config) { cfg.Relay = true }
+	switch {
+	case row == rowCaching:
+		role = func(cfg *Config) { cfg.CacheBudget = 1 << 20 }
+	case row == rowAnnounced && rng.Intn(2) == 0:
+		role = nil // a plain session, the object announced by a Watch
+	}
+	c.s, c.rec, c.clk = pushSession(t, "node", func(cfg *Config) {
+		cfg.Seed, cfg.IdleTimeout = seed, time.Minute
+		if role != nil {
+			role(cfg)
+		}
+	})
+	natives := lt.Natives(c.content, c.m)
+	man, err := integrity.NewManifest(natives)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := man.MarshalBinary()
+	for off, n := 0, (len(raw)+2)/3; off < len(raw); off += n {
+		fr, err := packet.AppendManifestChunk([]byte{frameManifest}, c.id, uint32(len(raw)), uint32(off), raw[off:min(off+n, len(raw))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.chunks = append(c.chunks, fr)
+	}
+	meta := metaFor(c.id, k, c.m, int64(len(c.content)), c.gens, true)
+	fill := func(upTo int) { // natives [0, upTo) of every generation, from "src"
+		for g := 0; g < c.gens; g++ {
+			for i := 0; i < upTo; i++ {
+				injectFrame(c.s, "src", c.row(g, false, i))
+			}
+		}
+		c.held = upTo
+	}
+	switch row {
+	case rowAnnounced:
+		if c.s.cfg.Relay {
+			injectFrame(c.s, "asker", encodeReq(c.id))
+		} else {
+			c.s.Watch(c.id, func(ObjectStats) {})
+		}
+	case rowCaching, rowFilling, rowEvicted:
+		injectFrame(c.s, "src", meta)
+		fill(c.kPer - 2)
+	case rowPoisoned:
+		injectFrame(c.s, "src", meta)
+		fill(c.kPer - 2)
+		injectFrame(c.s, "src", c.row(0, true, c.kPer-2))
+		injectFrame(c.s, "src", c.row(0, false, c.kPer-1))
+	case rowDecoded:
+		fill(c.kPer)
+	case rowComplete:
+		injectFrame(c.s, "src", meta)
+		fill(c.kPer)
+	}
+	if row == rowEvicted {
+		c.old = c.s.objects[c.id]
+		c.clk.Advance(2 * time.Minute)
+		c.s.evict()
+	}
+	c.rec.take()
+	return c
+}
+
+// kinds names the frames a cell sent to one address, receipts apart.
+func kinds(frames [][]byte) string {
+	var out []string
+	for _, f := range frames {
+		switch {
+		case isReceipt(f):
+		case f[0] == frameFeedback:
+			out = append(out, "FB"+string('0'+f[17]))
+		default:
+			out = append(out, map[byte]string{frameData: "DATA", frameReq: "REQ", frameMeta: "META",
+				frameManifest: "MANIFEST", frameMember: "MEMBER"}[f[0]])
+		}
+	}
+	return strings.Join(out, " ")
+}
+
+// fire plays event ev on the cell from matrixSender.
+func (c *objCell) fire(t *testing.T, ev int) {
+	t.Helper()
+	k, last := c.gens*c.kPer, c.gens-1 // DATA goes to the last generation: never the poisoned one
+	in := func(frame []byte) { injectFrame(c.s, matrixSender, frame) }
+	switch ev {
+	case evDataUnit:
+		in(c.row(last, false, c.kPer-2))
+	case evDataDense:
+		in(c.row(last, false, c.kPer-2, c.kPer-1))
+	case evDataRedundant:
+		in(c.row(last, false, 0))
+	case evDataWrongGeometry:
+		in(handRow(t, c.id, make([]byte, c.gens*(c.kPer+1)*c.m), c.gens, c.kPer+1, last, false, 0))
+	case evReq:
+		in(encodeReq(c.id))
+	case evMetaShort:
+		in(metaFor(c.id, k, c.m, int64(len(c.content)), c.gens, false))
+	case evMetaLong:
+		in(metaFor(c.id, k, c.m, int64(len(c.content)), c.gens, true))
+	case evFbRedundant:
+		in(feedbackFrame(c.id, fbRedundant))
+	case evFbComplete:
+		in(feedbackFrame(c.id, fbComplete))
+	case evFbGenComplete:
+		in(genFeedbackFrame(c.id, last))
+	case evFbCacheAd:
+		in(cacheAdFrame(c.id, 1, uint32(c.gens), c.kPer))
+	case evFbReceipt:
+		in(receiptFrame(c.id, 0, 16, 12))
+	case evManifestFirst:
+		in(c.chunks[0])
+	case evManifestOutOfOrder:
+		in(c.chunks[len(c.chunks)-1])
+	case evManifestLast:
+		for _, ch := range c.chunks {
+			in(ch)
+		}
+	case evMember:
+		body, err := packet.AppendMemberBody([]byte{frameMember}, 0, []packet.MemberEntry{{Addr: string(matrixSender)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in(body)
+	case evServe:
+		c.s.Serve(c.content, k, c.gens)
+	case evBeginFetch:
+		f, err := c.s.BeginFetch(c.id, "up")
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.End()
+	case evWatch:
+		c.s.Watch(c.id, func(ObjectStats) {})()
+	case evEvict:
+		c.clk.Advance(2 * time.Minute)
+		c.s.evict()
+	}
+}
+
+// expect is the matrix itself: the phase the object is in after ev hit it
+// in row's phase ("none": the session holds no state for it), and the
+// frames the sender of ev is owed, receipts apart.
+func (c *objCell) expect(row, ev int) (after, replies string) {
+	before := [matrixRows]string{"announced", "caching", "filling", "filling", "decoded", "complete", "none"}[row]
+	after = before
+	geometryMatches := ev != evMetaShort || c.gens == 1 // the short META states G = 1
+	switch ev {
+	case evDataUnit, evDataDense, evDataRedundant, evDataWrongGeometry:
+		switch {
+		case row == rowAnnounced || row == rowEvicted: // first geometry heard fixes it (a relay learns an unknown object)
+			after = "filling"
+		case ev == evDataWrongGeometry:
+		case row == rowDecoded:
+			replies = "REQ" // decoded, sizeless: ask for the META rather than stop the sender
+		case row == rowComplete:
+			replies = "FB2"
+		case ev == evDataRedundant:
+			replies = "FB1"
+		}
+	case evReq:
+		switch row {
+		case rowEvicted:
+			after = "announced" // a relay remembers who asked
+		case rowCaching:
+			replies = "META FB4"
+		case rowFilling, rowPoisoned, rowComplete:
+			replies = "META"
+		}
+	case evMetaShort, evMetaLong:
+		switch {
+		case row == rowAnnounced || row == rowEvicted:
+			after = "filling" // first META wins, whatever split it states
+		case !geometryMatches:
+		case row == rowDecoded:
+			after, replies = "complete", "FB2"
+		case row == rowComplete:
+			replies = "FB2"
+		}
+	case evMember:
+		replies = "MEMBER" // a memberless session answers with its self-advert
+	case evServe:
+		if row == rowAnnounced || row == rowCaching || row == rowEvicted {
+			after = "complete"
+		}
+	case evBeginFetch:
+		switch row {
+		case rowCaching:
+			after = "filling"
+		case rowEvicted:
+			after = "announced"
+		}
+	case evWatch:
+		if row == rowEvicted {
+			after = "announced"
+		}
+	case evEvict:
+		after = "none"
+	}
+	return after, replies
+}
+
+// TestObjectStateMatrix is the ingest-side twin of TestPushStateMatrix:
+// every phase meets every frame kind and every local event, with geometry,
+// seed and role drawn per run from a logged seed; each cell asserts the
+// phase after, the frames the sender is owed, and that the lifecycle's
+// invariants hold and no state appeared that may not. Every phase and every
+// generation-guard state must be entered by some cell.
+func TestObjectStateMatrix(t *testing.T) {
+	seed := time.Now().UnixNano()
+	t.Logf("matrix seed %d", seed)
+	rng := rand.New(rand.NewSource(seed))
+	phases, guards := map[string]int{}, map[uint8]int{}
+	for row := 0; row < matrixRows; row++ {
+		for ev := 0; ev < matrixEvents; ev++ {
+			t.Run(matrixRowNames[row]+"/"+matrixEvNames[ev], func(t *testing.T) {
+				c := newObjCell(t, rng, row)
+				wantAfter, wantReplies := c.expect(row, ev)
+				was := c.s.objects[c.id]
+				if row == rowEvicted {
+					was = c.old
+				}
+				c.fire(t, ev)
+				got := "none"
+				if st := c.s.objects[c.id]; st != nil {
+					got = st.phaseNow().String()
+					for _, gg := range st.guard {
+						guards[gg.state]++
+					}
+				}
+				phases[got]++
+				if was != nil && c.s.objects[c.id] != was {
+					// Out of the table: as a worker still holding it sees it.
+					if ph := was.phaseNow(); ph != phEvicted {
+						t.Errorf("the state that left the table is %v, want evicted", ph)
+					}
+					phases[phEvicted.String()]++
+				}
+				if got != wantAfter {
+					t.Errorf("phase after: %s, want %s (G=%d k/G=%d m=%d)", got, wantAfter, c.gens, c.kPer, c.m)
+				}
+				sent := c.rec.take()
+				if r := kinds(sent[matrixSender]); r != wantReplies {
+					t.Errorf("replied %q, want %q", r, wantReplies)
+				}
+				if len(c.s.objects) > 1 {
+					t.Errorf("%d objects in the table, one id in play", len(c.s.objects))
+				}
+				checkPhaseInvariants(t, c.s)
+				c.checkCell(t, row, ev, sent)
+			})
+		}
+	}
+	for _, ph := range phaseNames {
+		if phases[ph] == 0 {
+			t.Errorf("no cell ended in phase %s", ph)
+		}
+	}
+	for _, gs := range []uint8{genOpen, genVerified, genQuarantined} {
+		if guards[gs] == 0 {
+			t.Errorf("no cell ended with a generation guard in state %d", gs)
+		}
+	}
+}
+
+// checkCell asserts what is particular to single cells of the matrix.
+func (c *objCell) checkCell(t *testing.T, row, ev int, sent map[transport.Addr][][]byte) {
+	t.Helper()
+	o, held := c.s.Object(c.id)
+	switch {
+	case row == rowEvicted:
+		// The evicted state stays evicted whatever the table learns anew, and
+		// a worker still holding it decodes nothing into it.
+		var scratch ingestScratch
+		c.old.mu.Lock()
+		c.s.ingestOneLocked(c.old, &inFrame{f: transport.NewFrame(matrixSender, c.row(0, false, 0), nil)}, &scratch, &pollActions{})
+		c.old.mu.Unlock()
+		if len(scratch.replies) != 0 || len(scratch.notify) != 0 {
+			t.Errorf("evicted state: %d replies, %d notifications for a frame fed into it", len(scratch.replies), len(scratch.notify))
+		}
+	case ev == evEvict && held:
+		t.Errorf("idle object survived eviction: %+v", o)
+	case ev == evServe && row <= rowCaching && (o.Cached || !o.Pinned || !o.Complete):
+		t.Errorf("served: %+v, want complete, pinned and not cached", o)
+	case ev == evManifestLast && row >= rowFilling:
+		wantVerified := map[int]int{rowFilling: 0, rowPoisoned: 0, rowDecoded: c.gens, rowComplete: c.gens}[row]
+		wantPolluted := int64(btoi(row == rowPoisoned))
+		if !o.HaveManifest || o.GensVerified != wantVerified || o.Polluted != wantPolluted {
+			t.Errorf("manifest delivered: %+v, want it adopted, %d generations verified, %d quarantined", o, wantVerified, wantPolluted)
+		}
+		if row == rowPoisoned {
+			// The quarantine re-arms the generation's contributor and probes it.
+			if r := kinds(sent["src"]); r != "REQ REQ" || c.s.objects[c.id].guard[0].state != genQuarantined {
+				t.Errorf("quarantine sent %q to the contributor, guard state %d", r, c.s.objects[c.id].guard[0].state)
+			}
+		}
+	case (ev == evManifestFirst || ev == evManifestOutOfOrder) && o.HaveManifest:
+		t.Errorf("manifest adopted from a partial delivery: %+v", o)
+	case ev == evBeginFetch && row == rowCaching:
+		if cs, _ := c.s.CacheStats(); cs.Rows != 0 || o.Decoded != c.gens*c.held {
+			t.Errorf("promoted: %d rows left in the cache, %d natives decoded, want 0 and %d", cs.Rows, o.Decoded, c.gens*c.held)
+		}
+	}
+}
+
+// TestNoLongFunctions keeps the package's functions under 80 lines: the
+// ones that grew past it did so by carrying a copy of the lifecycle each.
+func TestNoLongFunctions(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, d := range file.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok {
+					if n := fset.Position(fn.End()).Line - fset.Position(fn.Pos()).Line + 1; n > 80 {
+						t.Errorf("%s: %s is %d lines long, over 80", fset.Position(fn.Pos()), fn.Name.Name, n)
+					}
+				}
+			}
+		}
+	}
+}

@@ -550,13 +550,14 @@ func TestReceiptFlushedOnDrain(t *testing.T) {
 	// Without the drain nothing is owed until receiptEvery rows: a batch
 	// with more behind it carries no receipt, the one the queue runs dry
 	// behind reports for both.
-	dst, rec, _ := pushSession(t, "dst", func(c *Config) { c.IngestBatch = 1 })
+	dst, rec, _ := pushSession(t, "dst", nil)
 	content := testContent(256*16, 40)
 	dst.Watch(c.id, func(ObjectStats) {})
-	injectBurst(dst, "src", [][]byte{
-		handRow(t, c.id, content, 1, 256, 0, false, 254),
-		handRow(t, c.id, content, 1, 256, 0, false, 255),
-	})
+	var scratch ingestScratch
+	for i, last := range []bool{false, true} { // two batches of one row, the queue dry behind the second
+		in, _ := dst.parseFrame(transport.NewFrame("src", handRow(t, c.id, content, 1, 256, 0, false, 254+i), nil))
+		dst.ingestBatch([]inFrame{in}, &scratch, last)
+	}
 	answers := rec.take()["src"]
 	if len(answers) != 1 || !isReceipt(answers[0]) || binary.BigEndian.Uint32(answers[0][22:26]) != 2 {
 		t.Errorf("two rows in two batches answered by %d frames %x, want one receipt reporting both", len(answers), answers)
@@ -609,9 +610,8 @@ func TestParkedTimerWakesForProbeTimeout(t *testing.T) {
 	clk.Advance(50 * time.Millisecond)
 	st := s.objects[id]
 	st.mu.Lock()
-	st.ensurePollLocked()
 	st.vigilant = true
-	st.probeCands[0] = []transport.Addr{"p", "q"}
+	st.guard[0].cands = []transport.Addr{"p", "q"}
 	var acts pollActions
 	s.advanceProbeLocked(st, 0, &acts)
 	st.mu.Unlock()
@@ -632,8 +632,8 @@ func TestParkedTimerWakesForProbeTimeout(t *testing.T) {
 			len(toQ), next, clk.Now().Add(s.probeTimeout()))
 	}
 	clk.AdvanceTo(next)
-	if next = s.Step(); next != evictAt || st.probeOf(0) != "" {
-		t.Errorf("candidates exhausted: probing %q, parked until %v, want open refill and the eviction at %v", st.probeOf(0), next, evictAt)
+	if next = s.Step(); next != evictAt || st.guard[0].probe != "" {
+		t.Errorf("candidates exhausted: probing %q, parked until %v, want open refill and the eviction at %v", st.guard[0].probe, next, evictAt)
 	}
 }
 

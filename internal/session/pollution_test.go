@@ -365,7 +365,7 @@ func TestRelayEmitsOnlyProvenRows(t *testing.T) {
 	for x := 0; x < k; x++ {
 		in(false, x)
 	}
-	if !st.verified[0] {
+	if st.guard[0].state != genVerified {
 		t.Fatal("the clean refill did not verify")
 	}
 	push(2 * k / relay.cfg.Burst)

@@ -143,7 +143,7 @@ func (s *Session) planLocked(now time.Time) (plans []objectPlan, live bool) {
 // emit sends one object's round: rows are built under st.mu, so decode
 // workers stall at most per object; then META and manifest go out
 // directly, ahead of the round's DATA, which is staged into the
-// coalescer. A dead, placeholder or below-threshold object emits
+// coalescer. An announced, evicted or below-threshold object emits
 // nothing.
 func (s *Session) emit(op *objectPlan) {
 	st := op.st
@@ -151,16 +151,19 @@ func (s *Session) emit(op *objectPlan) {
 	var manifest [][]byte
 	cached, ready := false, false
 	st.mu.Lock()
-	switch {
-	case st.dead:
-	case st.cached:
-		// Cache mode: frames come from the cached basis (the cache has
-		// its own lock); no aggressiveness gate — whatever rank the cache
-		// holds is already worth serving. Its size stays -1 until the
-		// origin's META arrives, and with it needMeta stays false.
+	switch st.phase {
+	case phCaching:
+		// Frames come from the cached basis (the cache has its own lock);
+		// no aggressiveness gate — whatever rank the cache holds is already
+		// worth serving. Its size stays -1 until the origin's META arrives,
+		// and with it needMeta stays false.
 		cached, ready = true, true
-	case st.coder != nil && (st.coder.Complete() || st.coder.Received() >= s.threshold(st.k)):
+	case phFilling:
+		ready = st.coder.Received() >= s.threshold(st.k)
+	case phDecoded, phComplete:
 		ready = true
+	}
+	if ready && !cached {
 		// The integrity manifest rides the META resend cadence: lossy
 		// datagrams, no acks — repeat until the peer is done.
 		manifest = st.manFrames
@@ -207,11 +210,9 @@ func (s *Session) emit(op *objectPlan) {
 // quarantinedLocked reports whether generation g failed verification and
 // has not re-verified since: nothing of it leaves this node, in any form —
 // a relay must not launder pollution. st.mu must be held.
-func (st *objectState) quarantinedLocked(g int) bool {
-	return g < len(st.tainted) && st.tainted[g] && !st.verified[g]
-}
+func (st *objectState) quarantinedLocked(g int) bool { return st.guard[g].state == genQuarantined }
 
-// taintedLocked reports whether generation g must not recode downstream.
+// gatedLocked reports whether generation g must not recode downstream.
 // Quarantined generations never do. And once the object's manifest is in
 // hand, only verified generations recode at all: a partially-filled
 // generation may hold a polluter's forged rows, and pushing recodes of it
@@ -222,8 +223,8 @@ func (st *objectState) quarantinedLocked(g int) bool {
 // checkable alone, and drawRowsLocked does not wait. Without a manifest
 // there is nothing to verify against; legacy flows recode freely, gated
 // only by explicit quarantine. st.mu must be held.
-func (st *objectState) taintedLocked(g int) bool {
-	return st.quarantinedLocked(g) || (st.man != nil && (g >= len(st.verified) || !st.verified[g]))
+func (st *objectState) gatedLocked(g int) bool {
+	return st.quarantinedLocked(g) || (st.man != nil && st.guard[g].state != genVerified)
 }
 
 // mergeLogLocked appends what each generation decoded since the last call
@@ -248,7 +249,7 @@ func (st *objectState) mergeLogLocked() {
 // drawRowsLocked builds one peer's burst from the coder: the systematic
 // first pass while it lasts, coded repair after. Rows are recoded per
 // target so each peer's burst round-robins across exactly the generations
-// it still needs (kind-3 feedback) and may be served (taintedLocked).
+// it still needs (kind-3 feedback) and may be served (gatedLocked).
 //
 // The systematic pass walks the peer's cursor along the object's
 // decode-order log, emitting each native AT MOST once as a degree-1 row
@@ -267,7 +268,7 @@ func (st *objectState) mergeLogLocked() {
 // quarantined, are passed over too. st.mu must be held.
 func (s *Session) drawRowsLocked(st *objectState, p *peerPlan) {
 	peerHas := func(g int) bool { return g < len(p.gensDone) && p.gensDone[g] }
-	skip := func(g int) bool { return peerHas(g) || st.taintedLocked(g) }
+	skip := func(g int) bool { return peerHas(g) || st.gatedLocked(g) }
 	for len(p.rows) < p.burst && p.sysCursor < len(st.sysLog) {
 		x := int(st.sysLog[p.sysCursor])
 		p.sysCursor++
@@ -276,7 +277,7 @@ func (s *Session) drawRowsLocked(st *objectState, p *peerPlan) {
 			continue
 		}
 		z, ok := st.coder.NativeRow(x)
-		if ok && (!st.taintedLocked(g) || st.nativeProvenLocked(x, z.Payload)) {
+		if ok && (!st.gatedLocked(g) || st.nativeProvenLocked(x, z.Payload)) {
 			p.rows = append(p.rows, z)
 		}
 	}
@@ -393,7 +394,7 @@ func (s *Session) targetsLocked(st *objectState, now time.Time) (out []transport
 		if ps, ok := st.peers[addr]; ok && skip(ps) {
 			continue
 		}
-		if _, sol := st.solicited[addr]; sol && st.data == nil {
+		if _, sol := st.solicited[addr]; sol && st.phase != phComplete {
 			// This peer is our own upstream for an object we are still
 			// fetching: if it wants our rows it asks for them (reqSub,
 			// handled above — mesh peers fetching from each other do
@@ -402,7 +403,7 @@ func (s *Session) targetsLocked(st *objectState, now time.Time) (out []transport
 			// arrives — it launders a polluter's forged rows out of our
 			// unverifiable buffer into an honest peer's decoder. Once the
 			// object has assembled and passed the content-ID check
-			// (st.data set), push-back resumes: recodes of proven bytes
+			// (it is complete), push-back resumes: recodes of proven bytes
 			// cannot launder anything, and a finished fetcher re-seeding
 			// its upstream (an edge cache, say) is useful cut-through.
 			continue

@@ -431,9 +431,8 @@ func newMatrixCell(t *testing.T, rng *rand.Rand, obj, peer int) *matrixCell {
 		c.s, c.rec, clk = pushSession(t, "node", func(cfg *Config) { mut(cfg); cfg.Relay = true })
 		learn(c.s, 1, frameManifest)
 		st := c.s.objects[id]
-		st.ensurePollLocked()
-		for g := range st.tainted {
-			st.tainted[g] = true
+		for g := range st.guard {
+			st.guard[g].state = genQuarantined
 		}
 	case objUnverifiedProven, objUnverifiedMismatch, objUnverifiedUndecoded:
 		c.s, c.rec, clk = pushSession(t, "node", func(cfg *Config) { mut(cfg); cfg.Relay = true })
@@ -510,7 +509,7 @@ func newMatrixCell(t *testing.T, rng *rand.Rand, obj, peer int) *matrixCell {
 		}
 	}
 	if obj == objDead {
-		c.st.dead = true
+		c.st.evictLocked()
 	}
 	c.rec.take()
 	return c

@@ -17,6 +17,16 @@
 // peers. Idle object states are evicted so a long-running relay does not
 // accumulate decode state for every object it ever carried.
 //
+// Every object is in exactly one phase (object.go; DESIGN.md §4 has the
+// phase × event table): announced → caching | filling → decoded → complete,
+// and evicted from any. Announced is an id with no geometry yet: a Watch or
+// BeginFetch registered it, or a relay heard a REQ ahead of the first DATA
+// frame. On a plain session, a relay and a cache-mode session alike the
+// first admissible DATA header or META makes an announced object filling —
+// it gets a decoder, because somebody here asked for it; only objects a
+// cache-mode session first hears of from the network are caching (rows held
+// undecoded, no decoder), and fetching one here promotes it to filling.
+//
 // Decoding is sharded: DATA frames are dispatched by content ID onto a
 // worker pool, each worker draining its queue in batches and feeding whole
 // bursts into the per-object decoder, so independent objects decode in
@@ -179,123 +189,6 @@ type rxTally struct {
 	since      int
 }
 
-// objectState splits into two lock domains. The decode plane — coder,
-// dimensions, assembled content, ingest counters — is guarded by the
-// per-object mu, so shard workers decoding different objects never
-// contend. The control plane — peers, pinning, waiter count, push
-// counter — is guarded by Session.mu. size, gens and lastActive are
-// atomics readable from either side. Lock order: Session.mu before
-// objectState.mu, never the reverse.
-type objectState struct {
-	id packet.ObjectID
-
-	mu       sync.Mutex
-	k, m     int // total code length and payload size
-	kPer     int // per-generation code length (k / gens)
-	coder    *generation.Coder
-	data     []byte        // assembled content once complete and size known
-	done     chan struct{} // closed when data is ready
-	received int64
-	aborted  int64
-	dead     bool // evicted: no longer reachable from Session.objects
-
-	// Pollution defense (decode plane, guarded by mu; DESIGN.md §13).
-	// man/manRaw/manFrames hold the adopted integrity manifest (parsed,
-	// encoded, and pre-built MANIFEST frames for re-serving); manBuf and
-	// manNext track in-order chunk reassembly before adoption; manFrom is
-	// the peer the manifest came from (blamed if the whole-object content
-	// check later proves it forged; empty for a local Serve).
-	man       *integrity.Manifest
-	manRaw    []byte
-	manFrames [][]byte
-	manFrom   transport.Addr
-	manBuf    []byte
-	manNext   int
-	// verified[g] — generation g passed digest verification; proof[x] —
-	// the kept verdict of checking decoded native x against its digest, so
-	// it can cut through ahead of its generation and is hashed once
-	// (nativeProvenLocked); tainted[g] — g was quarantined at least once
-	// (recoding it downstream is gated until it verifies); contrib[g] —
-	// rows each peer contributed to g since its last reset;
-	// probe[g]/probeAt[g]/probeCands[g] — the one-contributor-at-a-time
-	// refill of a quarantined generation;
-	// genNatives — verified generations' natives, kept (vigilant mode
-	// only) as the reference for byte-exact row audits; suspicion — rows
-	// each peer contributed to polluted generations of this object.
-	verified   []bool
-	proof      []uint8
-	tainted    []bool
-	contrib    []map[transport.Addr]int
-	probe      []transport.Addr
-	probeAt    []time.Time
-	probeCands [][]transport.Addr
-	genNatives map[int][][]byte
-	suspicion  map[transport.Addr]int
-	// soloFailed[g] — peers whose solo refill of generation g failed
-	// verification. Two DISTINCT peers in one set prove the manifest forged
-	// (independent senders cannot both forge; the manifest is the common
-	// factor); manBans lists peers banned on this manifest's word, unbanned
-	// if it is ever proven forged.
-	soloFailed map[int]map[transport.Addr]struct{}
-	manBans    []transport.Addr
-	polluted   int64 // pollution events (quarantines)
-	vigilant   bool  // pollution seen: audit rows offered to verified generations
-	// sysLog is the object's decode-order log — global native indices as
-	// they were decoded here, what the systematic pass walks — merged from
-	// the coder's per-generation logs, sysMerged[g] entries of g's so far.
-	sysLog    []int32
-	sysMerged []int
-	// rx tracks, per upstream peer, the rows this session accepted from it
-	// for this object (feeds kind-5 receipt reports).
-	// Decode plane: ingest mutates it under mu. Bounded like the peer
-	// table (maxPeersPerObject).
-	rx map[transport.Addr]*rxTally
-	// solicited holds the peers this session explicitly chose as upstreams
-	// for the object (the Fetch candidate set). Conviction requires
-	// solicitation: only solicited peers can be banned over this object's
-	// rows. An unsolicited peer pushing rows at us may be an honest node
-	// recoding a buffer it cannot yet verify (it holds no manifest), so its
-	// forgeries-by-proxy are dropped or quarantined away — blame for them
-	// belongs to whoever poisoned it, and that node's own defense settles
-	// it. A polluter, by contrast, only ever lands rows on its victims
-	// because they subscribed to it, so every polluter is solicited by
-	// every victim and conviction is unimpeded.
-	solicited map[transport.Addr]struct{}
-
-	size       atomic.Int64 // -1 until a META (or Serve) provides it
-	gens       atomic.Int32 // generation count G; 0 until the coder exists
-	lastActive atomic.Int64 // unix nanos
-
-	// cached marks a cache-mode object: rows live in Session.cache, no
-	// coder exists, and ingest feeds the cache's admission policy.
-	// Guarded by mu (the decode-plane lock); promotion to a real fetch
-	// clears it.
-	cached bool
-
-	// Guarded by Session.mu.
-	pinned  bool
-	waiters int // Fetch calls currently blocked on this object
-	sent    int64
-	// systematic counts DATA frames pushed as degree-1 native rows in the
-	// systematic first pass.
-	systematic int64
-	peers      map[transport.Addr]*peerState
-	watchers   map[int]func(ObjectStats) // progress subscriptions (Watch)
-	// cacheAds records kind-4 advertisements received for this object
-	// (bounded by maxCacheAds): which peers hold cached coverage, for
-	// Fetch REQ steering.
-	cacheAds map[transport.Addr]cacheAd
-
-	// notifyMu serializes watcher deliveries for this object: it is held
-	// across snapshot AND callback invocation, so snapshots reach each
-	// watcher in monotone order (a Complete snapshot is never followed by
-	// an older incomplete one). Lock order: notifyMu before Session.mu
-	// before objectState.mu; never acquire it while holding either.
-	notifyMu sync.Mutex
-}
-
-func (st *objectState) touch(now time.Time) { st.lastActive.Store(now.UnixNano()) }
-
 // cacheAd is one peer's kind-4 advertisement: how much of an object its
 // partial cache holds. Guarded by Session.mu.
 type cacheAd struct {
@@ -312,15 +205,6 @@ func (a cacheAd) better(b cacheAd) bool {
 		return a.gensFull > b.gensFull
 	}
 	return a.rank > b.rank
-}
-
-func (st *objectState) peer(addr transport.Addr) *peerState {
-	ps, ok := st.peers[addr]
-	if !ok {
-		ps = &peerState{}
-		st.peers[addr] = ps
-	}
-	return ps
 }
 
 // inFrame is one DATA frame travelling from the receive loop to a decode
@@ -441,19 +325,17 @@ func (s *Session) AddPeer(addr transport.Addr) {
 // content ID. k is rounded up to the next multiple of gens so every
 // generation has the same code length k/G (and so every wire header is
 // O(k/G)). The object is pushed to configured peers and to anyone who
-// REQs it. Serving an object that a Watch or Fetch registered before any
-// network state arrived adopts the placeholder — pending fetches complete
-// immediately; an object already decoding or serving is rejected.
+// REQs it. Serving an object that is only announced here (a Watch or Fetch
+// registered it before any network state arrived) or only cached completes
+// it — pending fetches return at once, cached rows are dropped for the
+// content itself; an object already decoding or serving is rejected.
 func (s *Session) Serve(content []byte, k, gens int) (packet.ObjectID, error) {
 	id := packet.NewObjectID(content)
 	if gens < 1 || gens > packet.MaxGenerations {
 		return id, fmt.Errorf("session: serve: %w: G = %d", generation.ErrBadGeneration, gens)
 	}
-	if k < gens {
-		k = gens
-	}
-	kPer := (k + gens - 1) / gens
-	k = kPer * gens
+	geo := geometry{gens: gens, kPer: (max(k, gens) + gens - 1) / gens}
+	k = geo.kPer * gens
 	// Everything that touches every byte happens before any lock is taken
 	// — the content ID above, the one padded copy the natives, the coder
 	// and st.data all share, the manifest digests — so serving a large
@@ -462,16 +344,12 @@ func (s *Session) Serve(content []byte, k, gens int) (packet.ObjectID, error) {
 	if err != nil {
 		return id, err
 	}
-	wire := 1 + packet.ObjectWireSize(kPer, m)
-	if gens > 1 {
-		wire = 1 + packet.GenWireSize(kPer, m)
-	}
-	if wire > transport.MaxFrame {
+	if geo.m = m; geo.wireSize() > transport.MaxFrame {
 		return id, fmt.Errorf("session: k/G=%d yields %d-byte frames over the %d transport limit; raise k or G",
-			kPer, wire, transport.MaxFrame)
+			geo.kPer, geo.wireSize(), transport.MaxFrame)
 	}
 	natives := lt.Natives(buf, m)
-	coder, err := s.newCoder(gens, kPer, m)
+	coder, err := s.newCoder(geo)
 	if err != nil {
 		return id, err
 	}
@@ -490,36 +368,21 @@ func (s *Session) Serve(content []byte, k, gens int) (packet.ObjectID, error) {
 	}
 
 	s.mu.Lock()
-	st, ok := s.objects[id]
-	if !ok {
-		st = s.placeholderLocked(id)
-	}
+	st := s.admitLocked(id, "", geometry{}, true)
 	st.mu.Lock()
-	if st.coder != nil {
-		st.mu.Unlock()
-		s.mu.Unlock()
-		return id, fmt.Errorf("session: object %v already present", id)
-	}
-	// A fresh state, or a placeholder adopted in place (Watch/Fetch before
-	// any DATA or META).
-	st.coder, st.k, st.kPer, st.m = coder, k, kPer, m
-	st.gens.Store(int32(gens))
-	st.size.Store(int64(len(content)))
-	st.data = buf[:len(content):len(content)]
-	close(st.done)
-	if man != nil {
-		// Local content needs no verification — mark every generation
-		// verified so audits have their reference from the start.
+	err = s.seedLocked(st, geo, coder, buf, len(content))
+	if err == nil && man != nil {
+		// Local content needs no verification — every generation verified,
+		// so audits have their reference from the start.
 		s.adoptManifestLocked(st, man, manRaw, "")
-		st.ensurePollLocked()
-		for g := range st.verified {
-			st.verified[g] = true
-		}
+		st.vouchLocked()
 	}
 	st.touch(s.clk.Now())
 	st.mu.Unlock()
-	st.pinned = true
 	s.mu.Unlock()
+	if err != nil {
+		return id, err
+	}
 	s.logf("session: serving %v (k=%d G=%d m=%d size=%d)", id, k, gens, m, len(content))
 	s.wake()
 	s.notifyWatchers(st)
@@ -529,86 +392,16 @@ func (s *Session) Serve(content []byte, k, gens int) (packet.ObjectID, error) {
 // newCoder builds one per-object decode state — G generations, each an
 // arena-backed LTNC node — with the session's node policy (seed-derived
 // rng sub-streams, algorithm toggles).
-func (s *Session) newCoder(gens, kPer, m int) (*generation.Coder, error) {
+func (s *Session) newCoder(geo geometry) (*generation.Coder, error) {
 	return generation.New(generation.Options{
-		Generations:            gens,
-		KPerGeneration:         kPer,
-		M:                      m,
+		Generations:            geo.gens,
+		KPerGeneration:         geo.kPer,
+		M:                      geo.m,
 		Seed:                   s.cfg.Seed,
 		Stream:                 int(s.nextRng.Add(1) - 1),
 		DisableRefinement:      s.cfg.DisableRefinement,
 		DisableRedundancyCheck: s.cfg.DisableRedundancyCheck,
 	})
-}
-
-// placeholderLocked registers a bare object state for id — no decode node
-// yet; the first DATA or META header (or a local Serve) materializes it.
-// s.mu must be held.
-func (s *Session) placeholderLocked(id packet.ObjectID) *objectState {
-	st := &objectState{
-		id:    id,
-		done:  make(chan struct{}),
-		peers: make(map[transport.Addr]*peerState),
-	}
-	st.size.Store(-1)
-	st.touch(s.clk.Now())
-	s.objects[id] = st
-	return st
-}
-
-// newStateLocked allocates decode state for object id with gens
-// generations of code length kPer and payload size m; s.mu must be held.
-func (s *Session) newStateLocked(id packet.ObjectID, gens, kPer, m int) (*objectState, error) {
-	coder, err := s.newCoder(gens, kPer, m)
-	if err != nil {
-		return nil, err
-	}
-	st := s.placeholderLocked(id)
-	st.coder, st.k, st.kPer, st.m = coder, gens*kPer, kPer, m
-	st.gens.Store(int32(gens))
-	return st, nil
-}
-
-// newCachedStateLocked allocates cache-mode state for object id: fixed
-// geometry, no coder — the rows live in s.cache, admission-checked
-// against its per-generation bases. s.mu must be held.
-func (s *Session) newCachedStateLocked(id packet.ObjectID, gens, kPer, m int) *objectState {
-	st := s.placeholderLocked(id)
-	st.cached, st.k, st.kPer, st.m = true, gens*kPer, kPer, m
-	st.gens.Store(int32(gens))
-	return st
-}
-
-// ensureCoderLocked materializes decode state for a placeholder created
-// before the object's geometry was known (a Fetch registered the object,
-// then the first DATA or META header arrived). It reports whether st now
-// has a coder matching (gens, kPer, m); a mismatch or an over-bound total
-// code length rejects the frame. st.mu must be held.
-func (s *Session) ensureCoderLocked(st *objectState, gens, kPer, m int) bool {
-	if st.coder != nil {
-		return gens == st.coder.Generations() && kPer == st.kPer && m == st.m
-	}
-	// kPer > MaxK/gens ⇔ gens·kPer > MaxK, without the multiplication —
-	// both factors come off the wire, and their product can overflow int
-	// on 32-bit builds.
-	if gens < 1 || gens > packet.MaxGenerations || kPer < 1 || kPer > s.cfg.MaxK/gens {
-		return false
-	}
-	coder, err := s.newCoder(gens, kPer, m)
-	if err != nil {
-		return false
-	}
-	st.coder, st.k, st.kPer, st.m = coder, gens*kPer, kPer, m
-	st.gens.Store(int32(gens))
-	return true
-}
-
-// mayLearnLocked reports whether a relay may allocate state for an
-// object it first hears about from the network: relays only, bounded
-// code length, bounded object count (forged headers must not let a
-// remote sender grow memory without limit). s.mu must be held.
-func (s *Session) mayLearnLocked(k int) bool {
-	return s.cfg.Relay && k <= s.cfg.MaxK && len(s.objects) < s.cfg.MaxObjects
 }
 
 // threshold is the received-packet count past which an object state may
@@ -626,7 +419,7 @@ func (s *Session) threshold(k int) int {
 func (s *Session) Run(ctx context.Context) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	s.shards = make([]chan inFrame, s.cfg.DecodeWorkers)
+	s.shards = make([]chan inFrame, decodeWorkers())
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -634,7 +427,7 @@ func (s *Session) Run(ctx context.Context) error {
 		s.pushLoop(ctx)
 	}()
 	for i := range s.shards {
-		ch := make(chan inFrame, s.cfg.IngestQueue)
+		ch := make(chan inFrame, ingestQueueLen)
 		s.shards[i] = ch
 		wg.Add(1)
 		go func() {
@@ -849,14 +642,8 @@ func (s *Session) evict() {
 		}
 		if st.lastActive.Load() < cutoff {
 			delete(s.objects, id)
-			// Mark the state dead under its own lock (s.mu before st.mu is
-			// the allowed order): a shard worker that resolved this state
-			// before the delete must not decode its batch into an orphan —
-			// it re-checks dead after locking and drops the frames, so a
-			// decode can never split across an evicted and a relearned
-			// state.
-			st.mu.Lock()
-			st.dead = true
+			st.mu.Lock() // s.mu before st.mu is the allowed order
+			st.evictLocked()
 			st.mu.Unlock()
 			if s.cache != nil {
 				// Cached rows ride on the object state's lifetime: cache

@@ -76,16 +76,16 @@ func (o ObjectStats) Overhead() float64 {
 // not call Watch synchronously for ANY object (two callbacks
 // cross-watching each other's objects would deadlock the per-object
 // notify locks; register from a goroutine instead — cancel is fine).
-// Watching an unknown object registers a placeholder state;
+// Watching an unknown object announces it: the session holds its id and,
+// on a plain session and a cache-mode one alike, gives it a decoder with
+// the first DATA header or META that arrives (a watched object is asked
+// for: a cache-mode session decodes it instead of caching its rows);
 // watchers do not pin it against idle eviction, and an evicted object
 // stops notifying. The returned cancel unregisters fn (it never fires
 // again after cancel returns, barring calls already in flight).
 func (s *Session) Watch(id packet.ObjectID, fn func(ObjectStats)) (cancel func()) {
 	s.mu.Lock()
-	st, ok := s.objects[id]
-	if !ok {
-		st = s.placeholderLocked(id)
-	}
+	st := s.admitLocked(id, "", geometry{}, true)
 	if st.watchers == nil {
 		st.watchers = make(map[int]func(ObjectStats))
 	}
@@ -157,19 +157,19 @@ func (s *Session) statsLocked(st *objectState) ObjectStats {
 		Size:     st.size.Load(),
 		Received: st.received,
 		Aborted:  st.aborted,
-		Cached:   st.cached,
+		Cached:   st.phase == phCaching,
 	}
-	if st.coder != nil {
+	if st.phase.decoding() {
 		o.Decoded = st.coder.DecodedCount()
-		o.Complete = st.coder.Complete()
+		o.Complete = st.phase == phDecoded || st.phase == phComplete
 		o.Generations = st.coder.Generations()
 		o.GensComplete = st.coder.CompleteCount()
 		o.GenDecoded = st.coder.AppendGenDecoded(make([]int, 0, o.Generations))
 	}
 	o.HaveManifest = st.man != nil
 	o.Polluted = st.polluted
-	for _, v := range st.verified {
-		if v {
+	for g := range st.guard {
+		if st.guard[g].state == genVerified {
 			o.GensVerified++
 		}
 	}

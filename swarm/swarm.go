@@ -161,15 +161,6 @@ type Config struct {
 	// any other value is used as given. ltnc.WithGenerations in Node
 	// overrides it. Serve rounds k up to a multiple of G.
 	Generations int
-	// DecodeWorkers, IngestBatch and IngestQueue tune the sharded decode
-	// engine: how many decode shards run (default min(GOMAXPROCS, 8)),
-	// how many DATA frames a worker drains per wakeup (default 32), and
-	// each worker's inbound queue bound (default 64; frames over it are
-	// dropped, as a datagram network would under overload — see
-	// IngestDropped).
-	DecodeWorkers int
-	IngestBatch   int
-	IngestQueue   int
 	// Seed drives the session's randomness; per-object decode states
 	// derive independent sub-streams from it. Zero draws a fresh entropy
 	// seed (ltnc.EntropySeed), so independently deployed nodes never
@@ -238,9 +229,6 @@ func (c Config) sessionConfig(tr transport.Transport, nc ltnc.NodeConfig) sessio
 		Relay:                  c.Relay,
 		MaxObjects:             c.MaxObjects,
 		MaxK:                   c.MaxK,
-		DecodeWorkers:          c.DecodeWorkers,
-		IngestBatch:            c.IngestBatch,
-		IngestQueue:            c.IngestQueue,
 		CacheBudget:            c.CacheBudget,
 		Adaptive:               c.Adaptive,
 		Seed:                   seed,
@@ -485,5 +473,5 @@ func (s *Session) BannedPeers() []Addr { return s.s.BannedPeers() }
 func (s *Session) CacheStats() (CacheStats, bool) { return s.s.CacheStats() }
 
 // IngestDropped returns the number of DATA frames dropped at full decode
-// worker queues — the receiver-overload counter; see Config.IngestQueue.
+// worker queues — the receiver-overload counter.
 func (s *Session) IngestDropped() int64 { return s.s.IngestDropped() }
