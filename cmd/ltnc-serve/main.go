@@ -11,7 +11,9 @@
 //	ltnc-serve -listen :4982 -bootstrap seed:4980       # join by gossip
 //
 // Each served file is announced on stdout as "serving <id> <path>"; pass
-// the id to ltnc-fetch. The daemon runs until SIGINT/SIGTERM.
+// the id to ltnc-fetch. The daemon runs until SIGINT/SIGTERM, and on the way
+// out prints, per object, the rows it pushed: "pushed <id>: N rows (F
+// first-pass, R repeated, C coded)".
 //
 // The command is a thin flag-parsing wrapper over the public ltnc/swarm
 // API; everything it does is available to library users.
@@ -115,5 +117,15 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		stats, _ := s.Object(id)
 		fmt.Fprintf(out, "serving %s %s (%d bytes, k=%d, G=%d)\n", id, path, stats.Size, stats.K, stats.Generations)
 	}
-	return s.Run(ctx)
+	err = s.Run(ctx)
+	// What the daemon pushed, by kind of row: a sender whose peers report
+	// their frontiers repairs by repeating natives, one coding blind shows
+	// here as coded rows.
+	for _, o := range s.Stats() {
+		if o.Sent > 0 {
+			fmt.Fprintf(out, "pushed %s: %d rows (%d first-pass, %d repeated, %d coded)\n",
+				o.ID, o.Sent, o.Systematic, o.Repeated, o.Sent-o.Systematic-o.Repeated)
+		}
+	}
+	return err
 }

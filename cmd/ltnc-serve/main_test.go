@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -135,5 +136,15 @@ func TestServeCLIThenFetch(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not stop on cancel")
+	}
+	// On the way out: the rows pushed by kind, the whole systematic pass
+	// among them.
+	var rows, first, repeated, coded int
+	m := regexp.MustCompile(`pushed ` + idHex + `: (\d+) rows \((\d+) first-pass, (\d+) repeated, (\d+) coded\)`).FindStringSubmatch(out.String())
+	if m != nil {
+		fmt.Sscan(strings.Join(m[1:], " "), &rows, &first, &repeated, &coded)
+	}
+	if m == nil || first != 128 || rows != first+repeated+coded {
+		t.Errorf("rows pushed, as printed on the way out: %v; want k = 128 first-pass rows and kinds that add up; output:\n%s", m, out.String())
 	}
 }

@@ -173,6 +173,17 @@ func (l *Link) Window() int { return max(1, l.window) }
 // InFlight returns the rows sent and not yet credited or aged out.
 func (l *Link) InFlight() int { return l.inFlight }
 
+// Settled returns how many of the rows pushed have left the in-flight
+// count, credited or aged out. Rows leave oldest first, so the n-th row
+// pushed has settled once Settled() ≥ n — and over a FIFO link the newest
+// receipt folded was then written after that row arrived or was lost.
+func (l *Link) Settled() uint64 { return l.sent - uint64(l.inFlight) }
+
+// Lacks returns how many of an object's k natives the peer still needs by
+// this link's own count: k less the innovative rows it reported receiving
+// from this sender.
+func (l *Link) Lacks(k int) int { return int(max(0, int64(k)-int64(l.inno))) }
+
 // Grant is the pacer's one step, taken by every push round that plans
 // this link: it ages the rows in flight to tick, folds the newest receipt
 // into the in-flight count, the loss level and the window, runs the
@@ -182,13 +193,15 @@ func (l *Link) InFlight() int { return l.inFlight }
 // the pace, and all a peer that never sends one gets), never more than
 // TickCeiling in one tick.
 //
-// k is the object's native count. Whatever is in flight when the peer's
-// completion feedback lands is waste — and a receiver finishing a decode
-// (the peeling avalanche, verification, assembly) is slowest to answer
-// exactly then — so as the peer's reported innovative count closes in on
-// k the window tapers to half the rows still missing, down to tailWindow:
+// lacks is how many natives the peer still needs, by the best count the
+// caller has: Lacks(k), or what the peer itself reported missing — a
+// receiver fed by several senders never brings one link's innovative count
+// near k. Whatever is in flight when the peer's completion feedback lands
+// is waste — and a receiver finishing a decode (the peeling avalanche,
+// verification, assembly) is slowest to answer exactly then — so as lacks
+// closes in on zero the window tapers to half of it, down to tailWindow:
 // from there on any row may be the last.
-func (l *Link) Grant(tick int64, k int) int {
+func (l *Link) Grant(tick int64, lacks int) int {
 	if l.window == 0 {
 		l.window, l.tick = startWindow, tick
 	}
@@ -203,8 +216,7 @@ func (l *Link) Grant(tick int64, k int) int {
 		// redundancy abort, or a dead link. Halve toward the floor of 1.
 		l.window, l.heard = max(1, l.window/2), tick
 	}
-	need := int64(k) - int64(l.inno)
-	free := min(l.window, int(max(tailWindow, need/2))) - l.inFlight
+	free := min(l.window, max(tailWindow, lacks/2)) - l.inFlight
 	if l.tickSent == 0 && l.inFlight < MaxBurst {
 		free = max(free, 1)
 	}

@@ -395,8 +395,9 @@ func TestRoundTripBeyondTwoTicks(t *testing.T) {
 	}
 }
 
-// TestBurstTaper: as the peer's reported innovative count closes in on
-// k the window tapers to half the rows missing, then holds at tailWindow.
+// TestBurstTaper: as the natives the peer lacks — here by the link's own
+// count, k less the innovative rows reported — close in on zero the window
+// tapers to half of them, then holds at tailWindow.
 func TestBurstTaper(t *testing.T) {
 	var l Link
 	paceClean(&l, 40) // at the cap; the peer has reported every row innovative
@@ -405,7 +406,7 @@ func TestBurstTaper(t *testing.T) {
 	for _, tc := range []struct{ missing, want int }{
 		{1000, MaxBurst}, {2 * MaxBurst, MaxBurst}, {40, 20}, {2 * tailWindow, tailWindow}, {3, tailWindow}, {0, tailWindow}, {-500, tailWindow},
 	} {
-		if got := l.Grant(l.tick+1, inno+tc.missing); got != tc.want {
+		if got := l.Grant(l.tick+1, l.Lacks(inno+tc.missing)); got != tc.want {
 			t.Errorf("%d rows missing: granted %d, want %d", tc.missing, got, tc.want)
 		}
 	}
@@ -413,5 +414,46 @@ func TestBurstTaper(t *testing.T) {
 	var fresh Link
 	if got := fresh.Grant(0, 0); got != startWindow {
 		t.Errorf("fresh link tapered to %d, want its start window %d", got, startWindow)
+	}
+}
+
+// TestSettledCountsDepartures: a row has settled once it has left the
+// in-flight count, by credit or by age, oldest first — the n-th row sent
+// when Settled reaches n. A receipt settles no more rows than it reports,
+// silence settles everything within two ticks, and a contradictory receipt,
+// which empties the in-flight count, settles it all at once.
+func TestSettledCountsDepartures(t *testing.T) {
+	var l Link
+	l.Grant(1, math.MaxInt32)
+	l.OnSend(10)
+	if l.Settled() != 0 {
+		t.Fatalf("%d rows settled with 10 just sent", l.Settled())
+	}
+	l.OnReport(6, 6) // four of the ten were lost, or are behind this receipt
+	l.Grant(1, math.MaxInt32)
+	if l.Settled() != 6 || l.InFlight() != 4 {
+		t.Fatalf("a receipt for 6 of 10 rows: %d settled, %d in flight", l.Settled(), l.InFlight())
+	}
+	l.OnSend(5)
+	l.Grant(2, math.MaxInt32)
+	if l.Settled() != 6 {
+		t.Fatalf("%d rows settled a tick on with no receipt, want 6 still", l.Settled())
+	}
+	l.Grant(3, math.MaxInt32)
+	if l.Settled() != 15 || l.InFlight() != 0 {
+		t.Fatalf("two ticks of silence: %d settled, %d in flight, want everything aged out", l.Settled(), l.InFlight())
+	}
+	l.OnSend(8)
+	l.OnReport(3, 9) // innovative > received
+	l.Grant(3, math.MaxInt32)
+	if l.Settled() != l.Sent() {
+		t.Fatalf("a contradictory receipt left %d of %d rows unsettled", l.Sent()-l.Settled(), l.Sent())
+	}
+	if got := (&Link{}).Lacks(100); got != 100 {
+		t.Errorf("a silent link lacks %d of 100 natives", got)
+	}
+	l.OnReport(1<<32-1, 1<<32-1)
+	if got := l.Lacks(100); got != 0 {
+		t.Errorf("an over-claiming link lacks %d natives, want 0", got)
 	}
 }

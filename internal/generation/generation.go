@@ -280,6 +280,11 @@ func (c *Coder) Recode(skip func(g int) bool) (*packet.Packet, bool) {
 // core.Node.DecodeLog).
 func (c *Coder) DecodeLog(g int) []int32 { return c.gens[g].DecodeLog() }
 
+// GenStored returns how many coded rows generation g holds that belief
+// propagation has not yet reduced to natives: what recoding from g can say
+// that its decoded natives, sent plainly, cannot.
+func (c *Coder) GenStored(g int) int { return c.gens[g].StoredCount() }
+
 // NativeRow returns native row x (in global content order, 0 ≤ x < K) as
 // a degree-1 packet stamped for its generation — the unit of the push
 // path's systematic first pass: each native is emitted plainly once, and

@@ -416,6 +416,8 @@ func TestCompletedGenerationForgetsWhatItSent(t *testing.T) {
 // TestDecodeLogPerGeneration: every generation keeps its own decode-order
 // log — 0..k/G−1 after Seed, a permutation of the generation's decoded set
 // through a random stream — and ResetGen empties the one it rebuilds.
+// GenStored counts the coded rows a generation holds undecoded: none at a
+// seeded source or in a complete generation, some on the way there.
 func TestDecodeLogPerGeneration(t *testing.T) {
 	const (
 		g    = 3
@@ -440,13 +442,20 @@ func TestDecodeLogPerGeneration(t *testing.T) {
 				t.Fatalf("seeded generation %d log[%d] = %d, want the natives in order", gen, i, x)
 			}
 		}
+		if n := src.GenStored(gen); n != 0 {
+			t.Fatalf("seeded generation %d holds %d undecoded rows", gen, n)
+		}
 	}
 
 	dst, err := New(Options{Generations: g, KPerGeneration: kPer, M: m, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
+	stored := 0
 	for sent := 0; !dst.Complete(); sent++ {
+		for gen := 0; gen < g; gen++ {
+			stored = max(stored, dst.GenStored(gen))
+		}
 		if sent > 40*g*kPer {
 			t.Fatal("receiver never completed")
 		}
@@ -476,6 +485,10 @@ func TestDecodeLogPerGeneration(t *testing.T) {
 		}
 	}
 
+	if stored == 0 || dst.GenStored(0)+dst.GenStored(1)+dst.GenStored(2) != 0 {
+		t.Fatalf("at most %d rows stored undecoded on the way, %d+%d+%d once complete; want some, then none",
+			stored, dst.GenStored(0), dst.GenStored(1), dst.GenStored(2))
+	}
 	if err := dst.ResetGen(1); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package session
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -121,8 +122,9 @@ func TestAdaptiveBudgetPausesEarly(t *testing.T) {
 
 // TestAdaptiveReceiptEmission feeds an adaptive relay a stream of native
 // rows by hand and expects kind-5 receipt reports carrying the cumulative
-// received/innovative counters: one by the time receiptEvery frames are
-// in, possibly earlier ones whenever the relay's queue ran dry in between.
+// received/innovative counters — one by the time receiptEvery frames are
+// in, possibly earlier ones whenever the relay's queue ran dry in between —
+// and, the generation still filling, its frontier: the natives fed so far.
 func TestAdaptiveReceiptEmission(t *testing.T) {
 	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 256})
 	if err != nil {
@@ -156,8 +158,8 @@ func TestAdaptiveReceiptEmission(t *testing.T) {
 		if err != nil {
 			t.Fatalf("last receipt reported %d rows of %d: %v", received, receiptEvery, err)
 		}
-		if len(f.Data) != receiptLen || f.Data[0] != frameFeedback || f.Data[17] != fbReceipt {
-			t.Fatalf("reply = %x, want kind-5 receipt", f.Data)
+		if !isReceipt(f.Data) || len(f.Data) != receiptLen+frontierLen(k) {
+			t.Fatalf("reply = %x, want a kind-5 receipt with a %d-byte frontier", f.Data, frontierLen(k))
 		}
 		var gotID packet.ObjectID
 		copy(gotID[:], f.Data[1:17])
@@ -165,6 +167,9 @@ func TestAdaptiveReceiptEmission(t *testing.T) {
 			t.Fatalf("receipt for %v, want %v", gotID, id)
 		}
 		next, innovative := bigEndianU32(f.Data[22:26]), bigEndianU32(f.Data[26:30])
+		if frontier := binary.LittleEndian.Uint32(f.Data[receiptLen:]); frontier != 1<<next-1 {
+			t.Fatalf("frontier %032b with natives 0..%d in", frontier, next-1)
+		}
 		f.Release()
 		if next <= received || next > receiptEvery || innovative != next {
 			t.Fatalf("receipt counters (%d, %d) after %d, want cumulative, all innovative, at most %d",

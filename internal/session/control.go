@@ -1,7 +1,9 @@
 package session
 
 import (
+	"bytes"
 	"encoding/binary"
+	"hash/fnv"
 	"time"
 
 	"ltnc/internal/packet"
@@ -86,9 +88,9 @@ func (s *Session) handleReq(from transport.Addr, data []byte) (reply []byte, ext
 	ps.consecRedund = 0
 	ps.pauseUntil = time.Time{}
 	// A fresh REQ may be a different client behind the same address (or a
-	// restarted one): forget which generations it had completed.
-	ps.gensDone = nil
-	ps.gensDoneN = 0
+	// restarted one): forget which generations it had completed and what
+	// it held of the others.
+	ps.forgetProgressLocked()
 	// REQ also re-arms META: over a lossy channel the requester may have
 	// missed it, and without the size it can never finish (it keeps
 	// re-REQing, so a lost reply heals on the next round).
@@ -209,7 +211,9 @@ func (s *Session) handleMeta(from transport.Addr, data []byte) []byte {
 // handleFeedback validates a FEEDBACK frame's kind against its body
 // length — kinds 1 and 2 use the short body, kind 3 appends the completed
 // generation id, kinds 4 (cache advertisement) and 5 (receipt report)
-// share the long body — and hands it to the kind's handler under s.mu.
+// share the long body, and a receipt may carry a frontier behind it, whose
+// length is the object's to judge — and hands it to the kind's handler
+// under s.mu.
 func (s *Session) handleFeedback(from transport.Addr, data []byte) {
 	if len(data) < feedbackLen-1 {
 		return
@@ -222,7 +226,7 @@ func (s *Session) handleFeedback(from transport.Addr, data []byte) {
 	case fbCacheAd, fbReceipt:
 		want = cacheAdLen
 	}
-	if len(data) != want-1 {
+	if len(data) != want-1 && (kind != fbReceipt || len(data) < want-1) {
 		return
 	}
 	var id packet.ObjectID
@@ -256,10 +260,11 @@ func (s *Session) handleFeedback(from transport.Addr, data []byte) {
 		s.onRedundantLocked(ps)
 	case fbComplete:
 		ps.done = true
+		ps.forgetProgressLocked()
 	case fbGenComplete:
 		ps.onGenCompleteLocked(int(st.gens.Load()), binary.BigEndian.Uint32(data[17:21]))
 	case fbReceipt:
-		s.onReceiptLocked(ps, data[17:])
+		s.onReceiptLocked(st, ps, from, data[17:])
 	}
 }
 
@@ -315,6 +320,9 @@ func (ps *peerState) onGenCompleteLocked(gens int, gen uint32) {
 		ps.gensDone[gen] = true
 		ps.gensDoneN++
 	}
+	if ps.frontier != nil {
+		ps.frontier[gen] = nil
+	}
 	// A generation completing over there is information flowing, not
 	// satiation: reset the redundancy streak so the peer keeps
 	// receiving its remaining generations at full rate.
@@ -322,9 +330,33 @@ func (ps *peerState) onGenCompleteLocked(gens int, gen uint32) {
 }
 
 // onReceiptLocked feeds a kind-5 receipt report (body: gen, received,
-// innovative) to the peer's link and wakes the push goroutine to fold it:
-// the rows it acknowledges have left the window. Session.mu must be held.
-func (s *Session) onReceiptLocked(ps *peerState, body []byte) {
+// innovative, then gen's frontier or nothing) to the peer's link and wakes
+// the push goroutine to fold it: the rows it acknowledges have left the
+// window. A tail that is not the object's frontier length voids the frame.
+// A frontier is kept only by a session that draws rows for the object from
+// a coder (a cache deals what it holds, whatever the peer lacks), and only
+// if it names an open generation and no native past its end; dropped, the
+// counters it rode in with are folded as a short receipt's are. Session.mu
+// must be held.
+func (s *Session) onReceiptLocked(st *objectState, ps *peerState, from transport.Addr, body []byte) {
+	if tail := body[12:]; len(tail) > 0 {
+		st.mu.Lock()
+		kPer, coded := st.kPer, st.phase.decoding()
+		st.mu.Unlock()
+		if len(tail) != frontierLen(kPer) {
+			return
+		}
+		// Unsigned compare: int(gen) can wrap negative on 32-bit builds.
+		gens, gen := int(st.gens.Load()), binary.BigEndian.Uint32(body[0:4])
+		open := coded && gen < uint32(gens) && !genDone(ps.gensDone, int(gen))
+		if pad := len(tail)*8 - kPer; open && tail[len(tail)-1]>>(8-pad) == 0 {
+			if ps.frontier == nil {
+				ps.frontier = make([][]byte, gens)
+				ps.repairAt, ps.repairStep = s.repairOrder(from)
+			}
+			ps.frontier[gen] = bytes.Clone(tail)
+		}
+	}
 	s.wake()
 	if ps.link.OnReport(binary.BigEndian.Uint32(body[4:8]), binary.BigEndian.Uint32(body[8:12])) {
 		// Innovative progress over there is the opposite of satiation:
@@ -336,6 +368,19 @@ func (s *Session) onReceiptLocked(ps *peerState, body []byte) {
 		ps.consecRedund = 0
 		ps.pauseUntil = time.Time{}
 	}
+}
+
+// repairOrder draws the order in which this session scans peer's frontiers
+// for natives to repeat (repairLocked): where it starts and its stride,
+// odd. Senders serving one receiver see the same frontier and must not walk
+// it the same way. The seed alone does not tell them apart — sessions left
+// on the default share it — so the addresses are mixed in.
+func (s *Session) repairOrder(peer transport.Addr) (at, step int) {
+	h := fnv.New64a()
+	h.Write(binary.BigEndian.AppendUint64(nil, uint64(s.cfg.Seed)))
+	h.Write([]byte(s.tr.LocalAddr() + "\x00" + peer))
+	sum := h.Sum64()
+	return int(sum >> 40), int(sum>>8&0xFFFFFF) | 1
 }
 
 // recordCacheAdLocked stores one kind-4 advertisement in the object's
@@ -441,13 +486,24 @@ func cacheAdFrame(id packet.ObjectID, gensFull, gens uint32, rank int) []byte {
 // object), so a lost receipt costs nothing — the next one carries the
 // same information.
 func receiptFrame(id packet.ObjectID, gen, received, innovative uint32) []byte {
-	buf := make([]byte, receiptLen)
+	return frontierReceipt(id, gen, received, innovative, 0, nil)
+}
+
+// frontierReceipt is the receipt of a receiver still filling generation
+// gen: behind the counters, the generation's frontier — kPer bits, those of
+// the natives in decoded (indices within the generation) set. Against it
+// the sender repeats exactly what is missing instead of coding blind.
+func frontierReceipt(id packet.ObjectID, gen, received, innovative uint32, kPer int, decoded []int32) []byte {
+	buf := make([]byte, receiptLen+frontierLen(kPer))
 	buf[0] = frameFeedback
 	copy(buf[1:17], id[:])
 	buf[17] = fbReceipt
 	binary.BigEndian.PutUint32(buf[18:22], gen)
 	binary.BigEndian.PutUint32(buf[22:26], received)
 	binary.BigEndian.PutUint32(buf[26:30], innovative)
+	for _, i := range decoded {
+		buf[receiptLen+int(i>>3)] |= 1 << (i & 7)
+	}
 	return buf
 }
 

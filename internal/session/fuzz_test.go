@@ -123,7 +123,7 @@ func FuzzSessionFrames(f *testing.F) {
 	rc := receiptFrame(id, 1, 32, 16)
 	f.Add(rc)
 	f.Add(rc[:receiptLen-3])         // truncated inside the innovative counter
-	f.Add(append(rc, 0x00))          // oversized receipt
+	f.Add(append(rc, 0x00))          // one byte of frontier: right for k/G ≤ 8 only
 	lie := receiptFrame(id, 0, 4, 9) // innovative > received: a lie on its face
 	f.Add(lie)
 	zero := receiptFrame(id, 0, 0, 0) // the under-claiming liar's favorite
@@ -131,6 +131,14 @@ func FuzzSessionFrames(f *testing.F) {
 	shortRc := append([]byte(nil), fb...)
 	shortRc[17] = fbReceipt // kind 5 without its counter body: must drop
 	f.Add(shortRc)
+	long := frontierReceipt(id, 0, 32, 16, 16, []int32{0, 3, 15}) // the seed DATA's geometry: k/G = 16
+	f.Add(long)
+	f.Add(long[:len(long)-1])                                 // truncated inside the frontier
+	f.Add(append(long, 0xff))                                 // over-long: a frontier for some other geometry
+	f.Add(frontierReceipt(id, 4, 32, 16, 16, nil))            // generation ≥ G
+	f.Add(frontierReceipt(id, 1<<31, 32, 16, 16, nil))        // a generation that wraps int on 32-bit builds
+	f.Add(frontierReceipt(id, 0, 32, 16, 12, []int32{13}))    // a native past k/G = 12 in the padding
+	f.Add(frontierReceipt(id, 0, 4, 9, 16, []int32{1, 2, 3})) // a good frontier on contradictory counters
 	mc, err := packet.AppendManifestChunk([]byte{frameManifest}, id, 520, 0, make([]byte, 64))
 	if err != nil {
 		f.Fatal(err)
@@ -175,12 +183,20 @@ func FuzzSessionFrameSequence(f *testing.F) {
 	p := packet.Native(8, 1, make([]byte, 4))
 	p.Object = id
 	wire, _ := packet.Marshal(p)
-	var seq []byte
-	for _, fr := range [][]byte{append([]byte{frameData}, wire...), encodeReq(id), feedbackFrame(id, fbComplete)} {
-		seq = append(seq, byte(len(fr)))
-		seq = append(seq, fr...)
+	sequence := func(frames ...[]byte) (seq []byte) {
+		for _, fr := range frames {
+			seq = append(seq, byte(len(fr)))
+			seq = append(seq, fr...)
+		}
+		return seq
 	}
-	f.Add(seq)
+	f.Add(sequence(append([]byte{frameData}, wire...), encodeReq(id), feedbackFrame(id, fbComplete)))
+	// A subscriber of a held object (k/G = 8) and its receipts: a frontier,
+	// one of the wrong length, one past the object's generations, one with a
+	// native past the generation's end.
+	f.Add(sequence(append([]byte{frameData}, wire...), encodeReq(id),
+		frontierReceipt(id, 0, 1, 1, 8, []int32{1}), frontierReceipt(id, 0, 2, 2, 16, nil),
+		frontierReceipt(id, 7, 3, 3, 8, nil), frontierReceipt(id, 0, 4, 4, 6, []int32{7})))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := fuzzSession(t, nil)

@@ -295,7 +295,7 @@ func flushReceipts(batch []inFrame, states []*objectState, replies []ingestReply
 		}
 		st.mu.Lock()
 		if t := st.rx[from]; t != nil && t.since > 0 && st.phase != phEvicted {
-			replies = append(replies, ingestReply{from, receiptFrame(st.id, batch[i].wv.Generation, t.rows, t.inno)})
+			replies = append(replies, ingestReply{from, st.receiptFrameLocked(batch[i].wv.Generation, t)})
 			t.since = 0
 		}
 		st.mu.Unlock()
@@ -333,10 +333,22 @@ func (st *objectState) receiptLocked(in *inFrame, fb []byte, progressed bool) []
 	}
 	t.since++
 	if t.since >= receiptEvery && fb == nil {
-		fb = receiptFrame(st.id, in.wv.Generation, t.rows, t.inno)
+		fb = st.receiptFrameLocked(in.wv.Generation, t)
 		t.since = 0
 	}
 	return fb
+}
+
+// receiptFrameLocked encodes the receipt for tally t, about generation gen
+// (as the frame behind it stated it, unchecked): with gen's frontier while
+// gen is filling here, the counters alone otherwise — a cache has no
+// decoder to speak for, and a finished generation says so by kind 3 or 2.
+// st.mu must be held.
+func (st *objectState) receiptFrameLocked(gen uint32, t *rxTally) []byte {
+	if st.phase != phFilling || gen >= uint32(st.coder.Generations()) || st.coder.GenComplete(int(gen)) {
+		return receiptFrame(st.id, gen, t.rows, t.inno)
+	}
+	return frontierReceipt(st.id, gen, t.rows, t.inno, st.kPer, st.coder.DecodeLog(int(gen)))
 }
 
 // decodeDataLocked is the decode hot path for one DATA frame; st.mu must

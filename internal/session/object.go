@@ -178,8 +178,10 @@ type objectState struct {
 	waiters int // Fetch calls currently blocked on this object
 	sent    int64
 	// systematic counts DATA frames pushed as degree-1 native rows in the
-	// systematic first pass.
+	// systematic first pass, repeated those pushed again against a peer's
+	// frontier.
 	systematic int64
+	repeated   int64
 	peers      map[transport.Addr]*peerState
 	watchers   map[int]func(ObjectStats) // progress subscriptions (Watch)
 	// cacheAds records kind-4 advertisements received for this object

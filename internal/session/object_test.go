@@ -65,6 +65,18 @@ func checkPhaseInvariants(tb testing.TB, s *Session) {
 				tb.Errorf("%v: phase %v with rows in the cache", id, ph)
 			}
 		}
+		// What is kept of a peer's frontier: only where rows are drawn from a
+		// coder, at most k bits and the rows a link can have in flight.
+		for addr, ps := range st.peers {
+			held := 0
+			for _, f := range ps.frontier {
+				held += len(f)
+			}
+			if gens := int(st.gens.Load()); (held > 0 && !ph.decoding()) || len(ps.frontier) > gens || held > gens*frontierLen(st.kPer) || len(ps.unsettled) > maxUnsettled {
+				tb.Errorf("%v: phase %v keeps %d frontier bytes in %d generations and %d rows in flight for %s (G=%d k/G=%d)",
+					id, ph, held, len(ps.frontier), len(ps.unsettled), addr, gens, st.kPer)
+			}
+		}
 		st.mu.Unlock()
 	}
 }
@@ -192,6 +204,7 @@ const (
 	evFbGenComplete
 	evFbCacheAd
 	evFbReceipt
+	evFbFrontier
 	evManifestFirst
 	evManifestOutOfOrder
 	evManifestLast
@@ -206,7 +219,7 @@ const (
 var (
 	matrixRowNames = [matrixRows]string{"announced", "caching", "filling", "filling-poisoned", "decoded", "complete", "evicted"}
 	matrixEvNames  = [matrixEvents]string{"DATA-unit", "DATA-dense", "DATA-redundant", "DATA-wrong-geometry", "REQ",
-		"META-short", "META-long", "FB-redundant", "FB-complete", "FB-gen-complete", "FB-cache-ad", "FB-receipt",
+		"META-short", "META-long", "FB-redundant", "FB-complete", "FB-gen-complete", "FB-cache-ad", "FB-receipt", "FB-receipt+frontier",
 		"MANIFEST-first", "MANIFEST-out-of-order", "MANIFEST-last", "MEMBER", "Serve", "BeginFetch", "Watch", "evict"}
 )
 
@@ -354,6 +367,13 @@ func (c *objCell) fire(t *testing.T, ev int) {
 		in(cacheAdFrame(c.id, 1, uint32(c.gens), c.kPer))
 	case evFbReceipt:
 		in(receiptFrame(c.id, 0, 16, 12))
+	case evFbFrontier:
+		// Feedback is heard only from a peer there is state for: one that was
+		// pushed to.
+		if st := c.s.objects[c.id]; st != nil {
+			st.peer(matrixSender)
+		}
+		in(frontierReceipt(c.id, uint32(last), 16, 12, c.kPer, []int32{0, 1}))
 	case evManifestFirst:
 		in(c.chunks[0])
 	case evManifestOutOfOrder:
@@ -539,6 +559,17 @@ func (c *objCell) checkCell(t *testing.T, row, ev int, sent map[transport.Addr][
 			if r := kinds(sent["src"]); r != "REQ REQ" || c.s.objects[c.id].guard[0].state != genQuarantined {
 				t.Errorf("quarantine sent %q to the contributor, guard state %d", r, c.s.objects[c.id].guard[0].state)
 			}
+		}
+	case ev == evFbFrontier:
+		// Kept where rows are drawn from a coder against it; announced (no
+		// geometry to read it by) and caching (rows dealt as held) ignore it,
+		// and nothing of it outlives the counters it came with.
+		ps := c.s.objects[c.id].peers[matrixSender]
+		if kept, want := ps.frontier != nil, row >= rowFilling; kept != want {
+			t.Errorf("frontier kept: %v, want %v", kept, want)
+		}
+		if want := uint64(btoi(row != rowAnnounced)); ps.link.Sent() != 0 || uint64(ps.link.Lacks(16)) != 16-12*want {
+			t.Errorf("the receipt's counters: link lacks %d of 16 natives, want %d", ps.link.Lacks(16), 16-12*want)
 		}
 	case (ev == evManifestFirst || ev == evManifestOutOfOrder) && o.HaveManifest:
 		t.Errorf("manifest adopted from a partial delivery: %+v", o)

@@ -262,9 +262,10 @@ func TestDropOnePeerVictimOrdering(t *testing.T) {
 // whatever mix of true rows, forged unit rows and forged dense rows it was
 // fed — must carry exactly the XOR of the TRUE natives its vector names.
 // A false native belief propagation peeled out of a forged dense row never
-// leaves; its generation quarantines when it completes, emits nothing
-// while quarantined, and serves again, coded rows included, once a clean
-// refill has verified.
+// leaves — not in the systematic pass and not as a repeat, when the
+// subscriber's frontier shows it missing; its generation quarantines when
+// it completes, emits nothing while quarantined, and serves again, coded
+// rows included, once a clean refill has verified.
 func TestRelayEmitsOnlyProvenRows(t *testing.T) {
 	const k, m = 32, 48
 	content := testContent(k*m, 41)
@@ -338,6 +339,20 @@ func TestRelayEmitsOnlyProvenRows(t *testing.T) {
 		t.Fatalf("proof bits: native 9 %d, 12 %d (want bad), 11 %d (want good)", st.proof[9], st.proof[12], st.proof[11])
 	}
 
+	// The subscriber reports that it holds nothing. Twelve natives are
+	// decoded here; the ten that are proven are repeated, the two false ones
+	// never, and the frontier buys no coded row from the gated generation.
+	injectFrame(relay, "sub", frontierReceipt(id, 0, 10, 10, k, nil))
+	push(6)
+	for x := 0; x < k; x++ {
+		if proven := x < 8 || x == 10 || x == 11; (plain[x] > 1) != proven {
+			t.Fatalf("native %d left %d times against an empty frontier; proven: %v (all: %v)", x, plain[x], proven, plain)
+		}
+	}
+	if o, _ := relay.Object(id); coded != 0 || o.Repeated < 10 || o.Systematic != 10 {
+		t.Fatalf("against an empty frontier: %d coded rows, stats %d repeated and %d systematic, want 0, at least 10 and 10", coded, o.Repeated, o.Systematic)
+	}
+
 	// The rest arrives clean; 9 and 12 count as decoded, so their true
 	// unit rows are redundant and the generation completes around them.
 	for x := 8; x < k; x++ {
@@ -361,10 +376,13 @@ func TestRelayEmitsOnlyProvenRows(t *testing.T) {
 	}
 
 	// A clean refill verifies, and the generation serves again: the natives
-	// decoded anew (re-sent, proven), then coded repair.
+	// decoded anew (re-sent, proven), then coded repair — a fresh REQ has
+	// dropped the frontier, and with nothing known of the subscriber the
+	// relay codes blind.
 	for x := 0; x < k; x++ {
 		in(false, x)
 	}
+	injectFrame(relay, "sub", encodeReq(id))
 	if st.guard[0].state != genVerified {
 		t.Fatal("the clean refill did not verify")
 	}

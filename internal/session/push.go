@@ -2,6 +2,7 @@ package session
 
 import (
 	"bytes"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -49,16 +50,41 @@ type peerPlan struct {
 	// (see cache.AppendFrame on aliasing).
 	cacheCursor uint64
 	sysCursor   int
+	// The peer's frontier state (peerState has the invariants that make
+	// the copies safe to read unlocked): unsettled, already rid of what has
+	// settled, grows by every native drawn; sentBase is the link's send
+	// count before this round, which dates them.
+	frontier             [][]byte
+	unsettled            []sentNative
+	repairAt, repairStep int
+	sentBase             uint32
 
-	rows    []*packet.Packet // coder-drawn burst (a window of Session.rowBuf): sysRows natives, then recodes
-	sysRows int
+	rows             []*packet.Packet // coder-drawn burst (a window of Session.rowBuf): sysRows natives, repRows repeats, then recodes
+	sysRows, repRows int
 
 	// What left: metaSent — the META send succeeded; sent — DATA frames
 	// committed to the coalescer window (the flush's error, like a lost
 	// datagram, is not worth unwinding the stats for), sys of them
-	// systematic.
-	metaSent  bool
-	sent, sys int
+	// systematic and rep repeats.
+	metaSent       bool
+	sent, sys, rep int
+}
+
+// has reports whether the peer reported generation g complete.
+func (p *peerPlan) has(g int) bool { return genDone(p.gensDone, g) }
+
+// genDone reads a peer's kind-3 reports, a slice sized lazily: nil, none.
+func genDone(done []bool, g int) bool { return g < len(done) && done[g] }
+
+// native adds native row z of x to the burst, and to the rows in flight.
+func (p *peerPlan) native(x int, z *packet.Packet) {
+	p.rows = append(p.rows, z)
+	if len(p.unsettled) == maxUnsettled {
+		// More in flight than a paced link can have (a large fixed Burst):
+		// forget the older half, which at worst repeats one of them early.
+		p.unsettled = p.unsettled[:copy(p.unsettled, p.unsettled[maxUnsettled/2:])]
+	}
+	p.unsettled = append(p.unsettled, sentNative{p.sentBase + uint32(len(p.rows)), int32(x)})
 }
 
 // objectPlan is one object's share of a push round; needMeta is set when
@@ -108,27 +134,15 @@ func (s *Session) planLocked(now time.Time) (plans []objectPlan, live bool) {
 		objs = append(objs, st)
 	}
 	slices.SortFunc(objs, func(a, b *objectState) int { return bytes.Compare(a.id[:], b.id[:]) })
-	tick := now.UnixNano() / int64(s.cfg.Tick)
 	for _, st := range objs {
 		addrs, paused := s.targetsLocked(st, now)
 		live = live || paused || len(addrs) > 0
 		op := objectPlan{st: st}
 		sizeKnown := st.size.Load() >= 0
 		for _, addr := range addrs {
-			ps := st.peer(addr)
-			p := peerPlan{addr: addr, cacheCursor: ps.cacheCursor, sysCursor: ps.sysCursor}
-			p.needMeta = sizeKnown && now.Sub(ps.metaAt) >= s.metaResend()
-			// Grant runs whoever sets the burst: it is also what folds the
-			// peer's receipts into its loss estimate.
-			p.burst = ps.link.Grant(tick, st.k)
-			if s.cfg.Burst > 0 {
-				p.burst = s.cfg.Burst
-			}
+			p := s.planPeerLocked(st, addr, sizeKnown, now)
 			if p.burst == 0 && !p.needMeta {
 				continue
-			}
-			if ps.gensDoneN > 0 {
-				p.gensDone = slices.Clone(ps.gensDone)
 			}
 			op.needMeta = op.needMeta || p.needMeta
 			op.peers = append(op.peers, p)
@@ -138,6 +152,61 @@ func (s *Session) planLocked(now time.Time) (plans []objectPlan, live bool) {
 		}
 	}
 	return plans, live
+}
+
+// planPeerLocked snapshots one peer of st for a round at now. s.mu must be
+// held.
+func (s *Session) planPeerLocked(st *objectState, addr transport.Addr, sizeKnown bool, now time.Time) peerPlan {
+	ps := st.peer(addr)
+	p := peerPlan{addr: addr, cacheCursor: ps.cacheCursor, sysCursor: ps.sysCursor, repairAt: ps.repairAt, repairStep: ps.repairStep}
+	p.needMeta = sizeKnown && now.Sub(ps.metaAt) >= s.metaResend()
+	// Grant runs whoever sets the burst: it is also what folds the peer's
+	// receipts into its loss estimate. The taper reads what the peer itself
+	// reported missing when it has: fed by several senders, it never brings
+	// one link's innovative count near k.
+	lacks := ps.link.Lacks(st.k)
+	if ps.frontier != nil {
+		lacks = ps.lacksLocked(st.kPer)
+	}
+	p.burst = ps.link.Grant(now.UnixNano()/int64(s.cfg.Tick), lacks)
+	if s.cfg.Burst > 0 {
+		p.burst = s.cfg.Burst
+	}
+	if p.burst == 0 && !p.needMeta {
+		return p // nothing to send: planLocked leaves the peer out
+	}
+	if ps.gensDoneN > 0 {
+		p.gensDone = slices.Clone(ps.gensDone)
+	}
+	// Rows leave the link's count oldest first: what was sent up to Settled
+	// is behind the newest receipt folded, or was never answered.
+	settled, n := uint32(ps.link.Settled()), 0
+	for n < len(ps.unsettled) && int32(settled-ps.unsettled[n].at) >= 0 {
+		n++
+	}
+	ps.unsettled = ps.unsettled[:copy(ps.unsettled, ps.unsettled[n:])]
+	p.frontier, p.unsettled, p.sentBase = slices.Clone(ps.frontier), ps.unsettled, uint32(ps.link.Sent())
+	return p
+}
+
+// lacksLocked counts the natives the peer's frontier leaves missing, over
+// the generations it has not reported complete. Session.mu must be held.
+func (ps *peerState) lacksLocked(kPer int) (n int) {
+	for g, f := range ps.frontier {
+		if !genDone(ps.gensDone, g) {
+			n += frontierLacks(f, kPer)
+		}
+	}
+	return n
+}
+
+// frontierLacks counts the natives frontier f leaves missing of a
+// generation of kPer: all of them when no receipt has named it (nil).
+func frontierLacks(f []byte, kPer int) int {
+	for _, b := range f {
+		kPer -= bits.OnesCount8(b)
+	}
+	return kPer
 }
 
 // emit sends one object's round: rows are built under st.mu, so decode
@@ -247,9 +316,17 @@ func (st *objectState) mergeLogLocked() {
 }
 
 // drawRowsLocked builds one peer's burst from the coder: the systematic
-// first pass while it lasts, coded repair after. Rows are recoded per
-// target so each peer's burst round-robins across exactly the generations
-// it still needs (kind-3 feedback) and may be served (gatedLocked).
+// first pass while it lasts, then repair — repeats of what the peer's
+// frontier lacks (repairLocked), coded rows for the generations it says
+// nothing about. Rows are recoded per target so each peer's burst
+// round-robins across exactly the generations it still needs (kind-3
+// feedback) and may be served (gatedLocked). A generation with a frontier
+// in hand is not coded for blind: what this node has decoded of it goes
+// out as repeats, and an LT row over the rest of the generation would
+// mostly land on natives the peer has. The exception is a node free to
+// recode (ungated) that holds coded rows of the generation it cannot
+// decode yet, and fewer natives than the peer lacks: those rows reach what
+// its natives cannot.
 //
 // The systematic pass walks the peer's cursor along the object's
 // decode-order log, emitting each native AT MOST once as a degree-1 row
@@ -267,21 +344,23 @@ func (st *objectState) mergeLogLocked() {
 // all there is. Entries of generations the peer has, or that are
 // quarantined, are passed over too. st.mu must be held.
 func (s *Session) drawRowsLocked(st *objectState, p *peerPlan) {
-	peerHas := func(g int) bool { return g < len(p.gensDone) && p.gensDone[g] }
-	skip := func(g int) bool { return peerHas(g) || st.gatedLocked(g) }
+	skip := func(g int) bool {
+		if p.has(g) || st.gatedLocked(g) {
+			return true
+		}
+		if p.frontier == nil || p.frontier[g] == nil {
+			return false
+		}
+		return st.coder.GenStored(g) == 0 || len(st.coder.DecodeLog(g)) >= frontierLacks(p.frontier[g], st.kPer)
+	}
 	for len(p.rows) < p.burst && p.sysCursor < len(st.sysLog) {
 		x := int(st.sysLog[p.sysCursor])
 		p.sysCursor++
-		g := x / st.kPer
-		if peerHas(g) || st.quarantinedLocked(g) {
-			continue
-		}
-		z, ok := st.coder.NativeRow(x)
-		if ok && (!st.gatedLocked(g) || st.nativeProvenLocked(x, z.Payload)) {
-			p.rows = append(p.rows, z)
-		}
+		st.drawNativeLocked(p, x)
 	}
 	p.sysRows = len(p.rows)
+	s.repairLocked(st, p)
+	p.repRows = len(p.rows) - p.sysRows
 	for len(p.rows) < p.burst {
 		z, ok := st.coder.Recode(skip)
 		if !ok {
@@ -294,6 +373,75 @@ func (s *Session) drawRowsLocked(st *objectState, p *peerPlan) {
 	}
 }
 
+// drawNativeLocked adds native x to the peer's burst as a degree-1 row if
+// it may leave: the peer lacks its generation, this node has decoded it,
+// and — the gate of the systematic pass and of every repeat alike —
+// manifest in hand and generation unverified, the decoded payload matches
+// its digest. st.mu must be held.
+func (st *objectState) drawNativeLocked(p *peerPlan, x int) {
+	g := x / st.kPer
+	if p.has(g) || st.quarantinedLocked(g) {
+		return
+	}
+	z, ok := st.coder.NativeRow(x)
+	if ok && (!st.gatedLocked(g) || st.nativeProvenLocked(x, z.Payload)) {
+		p.native(x, z)
+	}
+}
+
+// repairLocked is the repair phase of one peer's burst (the paper's
+// Algorithm 4, degree-1 branch, with the receiver's state on the wire): it
+// repeats the natives the peer's frontier lacks and this node may send
+// (drawNativeLocked), but none whose last send toward the peer the link
+// still counts in flight — its fate is not in the frontier yet.
+//
+// The scan visits the frontier's bytes — eight natives each, generation
+// after generation — in an order of this (sender, peer)'s own: from
+// repairAt in steps of repairStep, odd, round the next power of two, which
+// reaches every byte once before any twice. So a native repeated in vain
+// comes up again only after every other one missing, and two senders
+// serving one receiver, who see the same frontier, do not repeat the same
+// natives in the same order — walking it the same way, the slower ends up
+// in the faster one's wake, sending what that one has in flight.
+// st.mu must be held.
+func (s *Session) repairLocked(st *objectState, p *peerPlan) {
+	if p.frontier == nil || len(p.rows) >= p.burst {
+		return
+	}
+	inFlight := s.markLocked(st.k, p.unsettled)
+	defer clear(inFlight)
+	perGen := frontierLen(st.kPer)
+	blocks := len(p.frontier) * perGen
+	round := 1 << bits.Len(uint(blocks-1))
+	for n := 0; n < round; n, p.repairAt = n+1, (p.repairAt+p.repairStep)&(round-1) {
+		if p.repairAt >= blocks || p.frontier[p.repairAt/perGen] == nil {
+			continue
+		}
+		g, j := p.repairAt/perGen, p.repairAt%perGen
+		for missing := ^p.frontier[g][j]; missing != 0; missing &= missing - 1 {
+			i := 8*j + bits.TrailingZeros8(missing)
+			x := g*st.kPer + i
+			if i >= st.kPer || inFlight[x>>6]>>(x&63)&1 != 0 {
+				continue
+			}
+			if len(p.rows) == p.burst {
+				return // the rest of this byte is where the next scan starts
+			}
+			st.drawNativeLocked(p, x)
+		}
+	}
+}
+
+// markLocked returns a k-bit set — the push rounds' scratch, to be handed
+// back clear — with the natives of unsettled marked.
+func (s *Session) markLocked(k int, unsettled []sentNative) []uint64 {
+	s.markBuf = slices.Grow(s.markBuf[:0], (k+63)/64)[:(k+63)/64]
+	for _, u := range unsettled {
+		s.markBuf[u.x>>6] |= 1 << (u.x & 63)
+	}
+	return s.markBuf
+}
+
 // stageRows serializes a coder-drawn burst straight into coalescer slabs.
 func (s *Session) stageRows(p *peerPlan) {
 	for i, z := range p.rows {
@@ -303,8 +451,11 @@ func (s *Session) stageRows(p *peerPlan) {
 		}
 		s.coal.Commit(p.addr, frame)
 		p.sent++
-		if i < p.sysRows {
+		switch {
+		case i < p.sysRows:
 			p.sys++
+		case i < p.sysRows+p.repRows:
+			p.rep++
 		}
 	}
 }
@@ -336,6 +487,7 @@ func (s *Session) commitLocked(plans []objectPlan, now time.Time) {
 			p := &plans[i].peers[j]
 			st.sent += int64(p.sent)
 			st.systematic += int64(p.sys)
+			st.repeated += int64(p.rep)
 			ps, ok := st.peers[p.addr]
 			if !ok {
 				continue
@@ -346,6 +498,7 @@ func (s *Session) commitLocked(plans []objectPlan, now time.Time) {
 			ps.cacheCursor = p.cacheCursor
 			// Monotone: a concurrent sweep may have pushed further already.
 			ps.sysCursor = max(ps.sysCursor, p.sysCursor)
+			ps.unsettled, ps.repairAt = p.unsettled, p.repairAt
 			if p.sent > 0 {
 				// The DATA frames committed toward the peer are in flight on
 				// its link from here on.

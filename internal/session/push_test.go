@@ -82,8 +82,10 @@ func (r *recTransport) Send(to transport.Addr, frame []byte) error {
 	return nil
 }
 
+// isReceipt recognizes a kind-5 receipt in either form: the counters
+// alone, or with a frontier behind them.
 func isReceipt(frame []byte) bool {
-	return len(frame) == receiptLen && frame[0] == frameFeedback && frame[17] == fbReceipt
+	return len(frame) >= receiptLen && frame[0] == frameFeedback && frame[17] == fbReceipt
 }
 
 // take returns and forgets the frames recorded since the last take; the

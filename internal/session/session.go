@@ -51,7 +51,10 @@
 //	               the receiver's cumulative per-sender row counters,
 //	               one report per 16 rows, fed to the sender's loss
 //	               estimator and burst pacer — see Config.Burst and
-//	               DESIGN.md §16)
+//	               DESIGN.md §16 — then, while generation gen is still
+//	               filling there, its frontier: ⌈k/G ÷ 8⌉ bytes, bit i
+//	               (least significant first) set once native i of gen
+//	               is decoded; the sender repeats what is missing)
 //	MANIFEST 0x05 | manifest chunk (packet.ManifestChunk): objectID(16) |
 //	               total(4) | off(4) | n(2) | bytes — one slice of the
 //	               object's integrity manifest (internal/integrity),
@@ -143,9 +146,26 @@ const (
 	// for rows arriving from the addressed sender: the generation of the
 	// triggering frame, rows received and rows innovative. Same length as
 	// kind 4 — pre-receipt peers parse the length, see kind != 4, and
-	// drop it silently.
+	// drop it silently. A receiver still filling that generation appends
+	// its frontier (frontierLen bytes); the short form stays valid.
 	receiptLen = feedbackLen + 12
 )
+
+// frontierLen is the length of one generation's frontier — its
+// decoded-native bitmap, native i at bit i&7 of byte i>>3 — on the wire
+// and in peerState.
+func frontierLen(kPer int) int { return (kPer + 7) / 8 }
+
+// maxUnsettled bounds peerState.unsettled: what a link can take in the two
+// ticks a row stays in flight for.
+const maxUnsettled = 2 * adapt.TickCeiling
+
+// sentNative is one degree-1 row on its way to a peer: native x (content
+// order), the at-th row pushed on the peer's link, counted modulo 2³².
+type sentNative struct {
+	at uint32
+	x  int32
+}
 
 type peerState struct {
 	lastReq time.Time // last REQ (zero for configured peers)
@@ -176,6 +196,28 @@ type peerState struct {
 	// At the end of the log the peer gets coded repair until the log grows.
 	link      adapt.Link
 	sysCursor int
+	// Frontier repair (DESIGN.md §16). frontier[g] is generation g's
+	// decoded-native bitmap as the peer's newest receipt naming g carried
+	// it; nil for a generation no receipt has named or the peer reported
+	// complete, so at most k bits, and dropped with gensDone. A stored
+	// bitmap is never written again — a newer one replaces it — so a push
+	// round reads its plan's copy of the headers with no lock held.
+	// unsettled lists the degree-1 rows sent whose sends the link still
+	// counts in flight, oldest first, at most maxUnsettled; only push rounds
+	// write its elements. repairAt is where the next scan for natives to
+	// repeat starts and repairStep its stride (repairLocked), drawn with the
+	// first frontier.
+	frontier             [][]byte
+	unsettled            []sentNative
+	repairAt, repairStep int
+}
+
+// forgetProgressLocked drops what the peer reported of its progress: a
+// fresh REQ may be another client behind the address, and a peer that is
+// done needs none of it. Session.mu must be held.
+func (ps *peerState) forgetProgressLocked() {
+	ps.gensDone, ps.gensDoneN = nil, 0
+	ps.frontier, ps.unsettled = nil, nil
 }
 
 // rxTally is the receiver-side mirror of one upstream's pushes: the
@@ -253,6 +295,9 @@ type Session struct {
 	// rowBuf is the push round's scratch for coder-drawn rows, one window
 	// per peer of the object being emitted; owned like coal.
 	rowBuf []*packet.Packet
+	// markBuf is the push round's scratch bit set over one object's natives
+	// (markLocked); owned like coal, clear between uses.
+	markBuf []uint64
 	// wakeC carries the coalescing wake signal to the push rounds; see wake.
 	wakeC chan struct{}
 	// fetches are the fetches in progress, whose REQ resends the push

@@ -49,9 +49,12 @@ type ObjectStats struct {
 	// the mean of the per-peer estimator outputs across peers whose
 	// receipt reports have been folded at least once; 0 before any report.
 	// Systematic counts DATA frames this session pushed as degree-1 native
-	// rows in the systematic first pass (every sender runs one).
+	// rows in the systematic first pass (every sender runs one), Repeated
+	// those it pushed again as degree-1 rows because a peer's receipt showed
+	// the native missing there; Sent − Systematic − Repeated is coded rows.
 	LossEst    float64
 	Systematic int64
+	Repeated   int64
 }
 
 // Overhead returns received packets relative to K — the reception
@@ -177,6 +180,7 @@ func (s *Session) statsLocked(st *objectState) ObjectStats {
 	o.Pinned = st.pinned
 	o.Sent = st.sent
 	o.Systematic = st.systematic
+	o.Repeated = st.repeated
 	lossSum, lossN := 0.0, 0
 	for _, ps := range st.peers {
 		if ps.reqSub && !ps.done {

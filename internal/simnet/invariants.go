@@ -63,9 +63,12 @@ type flowKey struct {
 	obj      packet.ObjectID
 }
 
-type tickCount struct {
-	tick int64
-	n    int
+// flowCount is what the tap keeps per flow: the DATA frames it has carried
+// in all, and — read in paced runs only — n of them in tick.
+type flowCount struct {
+	total int64
+	tick  int64
+	n     int
 }
 
 // inspect is the fabric frame tap implementing the header-size invariant:
@@ -104,20 +107,22 @@ func (r *runner) inspect(from, to transport.Addr, frame []byte) {
 	default:
 		r.maxHeader = max(r.maxHeader, len(frame)-1-g.m)
 	}
-	if r.sc.Burst == BurstPaced && !r.pollSet[from] {
-		if r.ticks == nil {
-			r.ticks = make(map[flowKey]tickCount)
-		}
-		key := flowKey{from, to, wv.Object}
-		c := r.ticks[key]
-		if tick := r.net.Now().UnixNano() / int64(r.sc.Tick); tick != c.tick {
-			c = tickCount{tick: tick}
-		}
-		c.n++
-		r.ticks[key] = c
-		if c.n == adapt.TickCeiling+1 { // report each breached tick once
-			r.violatef("%s→%s: more than %d DATA frames of %v in one tick", from, to, adapt.TickCeiling, wv.Object)
-		}
+	if r.pollSet[from] {
+		return
+	}
+	if r.flows == nil {
+		r.flows = make(map[flowKey]flowCount)
+	}
+	key := flowKey{from, to, wv.Object}
+	c := r.flows[key]
+	if tick := r.net.Now().UnixNano() / int64(r.sc.Tick); tick != c.tick {
+		c.tick, c.n = tick, 0
+	}
+	c.total, c.n = c.total+1, c.n+1
+	r.flows[key] = c
+	r.maxFlow = max(r.maxFlow, c.total)
+	if r.sc.Burst == BurstPaced && c.n == adapt.TickCeiling+1 { // report each breached tick once
+		r.violatef("%s→%s: more than %d DATA frames of %v in one tick", from, to, adapt.TickCeiling, wv.Object)
 	}
 }
 

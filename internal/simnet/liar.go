@@ -28,9 +28,13 @@ const (
 // liars go after the receipt-clocked window instead, flooding the claims
 // that could turn it over faster than any receiver empties it
 // (liarClaims, one every liarFlood): everything and more received,
-// counters running backwards, counters wrapping uint32. The pacer's
+// counters running backwards, counters wrapping uint32 — and behind each a
+// forged frontier (forgedFrontier), which could redirect a sender's repair:
+// everything missing, everything present, a generation the object does not
+// have, the wrong length, natives past the generation's end. The pacer's
 // ceiling (adapt.TickCeiling rows a tick, checked frame by frame in a
-// paced run) is the defense. The fabric steps it: it pumps at virtual
+// paced run) is the defense: a frontier chooses which rows its claimant
+// gets, never how many. The fabric steps it: it pumps at virtual
 // intervals and goes quiet once no DATA has arrived for liarIdle of
 // virtual time, bounding the traffic a run can see.
 type liar struct {
@@ -38,6 +42,9 @@ type liar struct {
 	port    *Port
 	ids     []packet.ObjectID
 	servers []transport.Addr
+	// geom, for a liar that forges frontiers too, is every object's
+	// geometry; nil and its receipts are the 30-byte kind.
+	geom map[packet.ObjectID]objGeom
 
 	every time.Duration // virtual pump interval
 	// claims is the cycle of forged (received, innovative) counters, one
@@ -68,31 +75,56 @@ var liarClaims = [][2]uint32{
 // startLiar attaches the actor to the fabric. ids and servers are
 // read-only ground truth shared with the runner; iteration order is the
 // given slice order.
-func startLiar(net *Net, name string, claims [][2]uint32, every time.Duration, ids []packet.ObjectID, servers []transport.Addr) error {
+func startLiar(net *Net, name string, claims [][2]uint32, every time.Duration, ids []packet.ObjectID, geom map[packet.ObjectID]objGeom, servers []transport.Addr) error {
 	port, err := net.Attach(transport.Addr(name))
 	if err != nil {
 		return err
 	}
 	l := &liar{
-		net: net, port: port, ids: ids, servers: servers, claims: claims, every: every,
+		net: net, port: port, ids: ids, geom: geom, servers: servers, claims: claims, every: every,
 		pumpAt: net.Now().Add(every), lastData: net.Now(),
 	}
 	port.Drive(l.step)
 	return nil
 }
 
-// forgedReceipt hand-builds the 30-byte kind-5 FEEDBACK frame the
-// session layer's receipt path parses — the liar speaks the wire
-// protocol without a session.
-func forgedReceipt(id packet.ObjectID, received, innovative uint32) []byte {
-	buf := make([]byte, 30)
+// forgedReceipt hand-builds the kind-5 FEEDBACK frame the session layer's
+// receipt path parses — 30 bytes, then the frontier of generation gen or
+// nothing — the liar speaks the wire protocol without a session.
+func forgedReceipt(id packet.ObjectID, gen, received, innovative uint32, frontier []byte) []byte {
+	buf := make([]byte, 30, 30+len(frontier))
 	buf[0] = fbTag
 	copy(buf[1:17], id[:])
 	buf[17] = receiptKind
-	// Generation (buf[18:22]) stays zero: the estimator is per-peer.
+	binary.BigEndian.PutUint32(buf[18:22], gen)
 	binary.BigEndian.PutUint32(buf[22:26], received)
 	binary.BigEndian.PutUint32(buf[26:30], innovative)
-	return buf
+	return append(buf, frontier...)
+}
+
+// forgedFrontier is the n-th frontier forgery for an object of geometry g,
+// in a cycle of five: nothing decoded, in a generation that moves with n;
+// everything decoded, yet no completion reported; a generation past the
+// last; a byte too many; and natives past the generation's end (or, with no
+// padding to lie in, a byte too few).
+func forgedFrontier(g objGeom, n int) (gen uint32, frontier []byte) {
+	frontier = make([]byte, (g.kPer+7)/8)
+	gen = uint32(n / 5 % g.gens)
+	switch n % 5 {
+	case 1:
+		for i := 0; i < g.kPer; i++ {
+			frontier[i>>3] |= 1 << (i & 7)
+		}
+	case 2:
+		gen = uint32(g.gens)
+	case 3:
+		frontier = append(frontier, 0)
+	case 4:
+		if frontier[len(frontier)-1] = 0xFF; g.kPer%8 == 0 {
+			frontier = frontier[1:]
+		}
+	}
+	return gen, frontier
 }
 
 // step drains the port — recording only whether DATA is still flowing; a
@@ -131,7 +163,12 @@ func (l *liar) pump(now time.Time) {
 			if doSub {
 				l.port.Send(to, append([]byte{reqTag}, id[:]...))
 			}
-			l.port.Send(to, forgedReceipt(id, claim[0], claim[1]))
+			var gen uint32
+			var frontier []byte
+			if g, ok := l.geom[id]; ok {
+				gen, frontier = forgedFrontier(g, l.pumps)
+			}
+			l.port.Send(to, forgedReceipt(id, gen, claim[0], claim[1], frontier))
 		}
 	}
 }

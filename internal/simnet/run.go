@@ -87,10 +87,12 @@ type runner struct {
 	originData      int64
 	dataFrames      int64
 	forgedData      int64
-	// ticks counts, in a paced run, the DATA frames of the tick in progress
-	// per (sender, receiver, object): the pacer's tick index is the clock
-	// divided by Tick, which the tap can read as well as the session.
-	ticks map[flowKey]tickCount
+	// flows counts the DATA frames each (sender, receiver, object) has
+	// carried, polluters' aside — in all, maxFlow the most of any, and in
+	// the tick in progress: the pacer's tick index is the clock divided by
+	// Tick, which the tap can read as well as the session.
+	flows   map[flowKey]flowCount
+	maxFlow int64
 }
 
 func (r *runner) violatef(format string, args ...any) {
@@ -297,11 +299,11 @@ func (r *runner) populate() error {
 		servers = append(servers, transport.Addr(name))
 	}
 	for i, name := range pop.liars {
-		claims, every := [][2]uint32{{0, 0}}, liarEvery // "I received nothing", forever
+		claims, every, geom := [][2]uint32{{0, 0}}, liarEvery, map[packet.ObjectID]objGeom(nil) // "I received nothing", forever
 		if i%2 == 1 {
-			claims, every = liarClaims, liarFlood
+			claims, every, geom = liarClaims, liarFlood, r.geom // and a forged frontier behind every forged claim
 		}
-		if err := startLiar(r.net, name, claims, every, r.ids, servers); err != nil {
+		if err := startLiar(r.net, name, claims, every, r.ids, geom, servers); err != nil {
 			return err
 		}
 	}
@@ -641,6 +643,7 @@ func (r *runner) report() *Report {
 	rep.OriginDataFrames = r.originData
 	rep.DataFrames = r.dataFrames
 	rep.ForgedDataFrames = r.forgedData
+	rep.MaxFlowDataFrames = r.maxFlow
 	rep.Net = r.net.Stats()
 	if sc.Trace {
 		rep.TraceHash = r.net.TraceHash()

@@ -374,8 +374,12 @@ type Report struct {
 	// DataFrames counts every DATA frame offered to the fabric by anyone —
 	// the total a polluted run's traffic inflation is judged against.
 	// ForgedDataFrames is the slice of that total sent by polluter actors.
-	DataFrames       int64 `json:"data_frames"`
-	ForgedDataFrames int64 `json:"forged_data_frames,omitempty"`
+	// MaxFlowDataFrames is the most DATA frames any one honest sender
+	// offered for one object toward one receiver: what a hop cost, to hold
+	// against k/(1 − loss).
+	DataFrames        int64 `json:"data_frames"`
+	ForgedDataFrames  int64 `json:"forged_data_frames,omitempty"`
+	MaxFlowDataFrames int64 `json:"max_flow_data_frames"`
 
 	Net Stats `json:"net"`
 	// TimelineHash digests the resolved event schedule (churn victims,

@@ -225,6 +225,15 @@ func TestScenarioHarshMultihop(t *testing.T) {
 	if rep.Net.DropLoss == 0 {
 		t.Error("no frames were lost — the harsh fabric never bit")
 	}
+	// A hop that repeats what its peer's frontier lacks costs k/(1 − p)
+	// frames and what lost receipts make it repeat in vain; blind LT repair
+	// behind the systematic pass cost twice that and more.
+	sc, _ := Named("harsh-multihop", 1)
+	k, p := sc.Objects[0].K, sc.Link.Loss
+	if bound := int64(1.5 / (1 - p) * float64(k)); rep.MaxFlowDataFrames > bound {
+		t.Errorf("one hop carried %d DATA frames for k = %d at %.0f%% loss, want at most 1.5·k/(1 − p) = %d", rep.MaxFlowDataFrames, k, 100*p, bound)
+	}
+	t.Logf("most DATA frames on one hop: %d (k = %d, k/(1 − p) = %.0f)", rep.MaxFlowDataFrames, k, float64(k)/(1-p))
 }
 
 // TestScenarioAsymUplinkAdaptive runs the asym-uplink swarm with the
@@ -234,13 +243,13 @@ func TestScenarioHarshMultihop(t *testing.T) {
 // to worse-than-static: one pair of runs, strictly. The claim is a
 // statistical one — once the two swarms' traffic differs the same link
 // streams deal them different losses, and over seeds 1–10 the adaptive
-// swarm sends 92 % of the static one's frames and fewer on 8 of them
-// (EXPERIMENTS.md, "Adaptive loop") — so the pair is pinned to a seed on
-// the majority side; runs repeat exactly, so it moves only when the
-// protocol does.
+// swarm sends 85 % of the static one's frames and fewer on 9 of them, all
+// but seed 1 (EXPERIMENTS.md, "Frontier repair") — so the pair is pinned to
+// a seed on the majority side; runs repeat exactly, so it moves only when
+// the protocol does.
 func TestScenarioAsymUplinkAdaptive(t *testing.T) {
 	t.Parallel()
-	const seed = 1
+	const seed = 2
 	adaptive := runScenarioSeed(t, "asym-uplink-adaptive", seed).DataFrames
 	static := runScenarioSeed(t, "asym-uplink", seed).DataFrames
 	if static == 0 {

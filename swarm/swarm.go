@@ -65,7 +65,10 @@ func ParseObjectID(s string) (ObjectID, error) { return packet.ParseObjectID(s) 
 // Overhead method reports received packets relative to k — the reception
 // overhead the paper calls 1 + ε. For generation-coded objects the
 // Generations/KPer fields give the geometry and GensComplete/GenDecoded
-// the per-generation decode progress.
+// the per-generation decode progress. On the push side Sent splits three
+// ways: Systematic, the first-pass rows (each native once, plainly);
+// Repeated, natives sent again because a peer's receipt showed them
+// missing there; and the rest, coded rows.
 type ObjectStats = session.ObjectStats
 
 // CacheStats is a point-in-time view of a cache-mode session's partial
