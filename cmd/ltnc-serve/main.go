@@ -12,8 +12,9 @@
 //
 // Each served file is announced on stdout as "serving <id> <path>"; pass
 // the id to ltnc-fetch. The daemon runs until SIGINT/SIGTERM, and on the way
-// out prints, per object, the rows it pushed: "pushed <id>: N rows (F
-// first-pass, R repeated, C coded)".
+// out prints, per object, the rows it pushed and what its links lost:
+// "pushed <id>: N rows (F first-pass, R repeated, C coded), lost P proven,
+// A aged".
 //
 // The command is a thin flag-parsing wrapper over the public ltnc/swarm
 // API; everything it does is available to library users.
@@ -120,11 +121,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	err = s.Run(ctx)
 	// What the daemon pushed, by kind of row: a sender whose peers report
 	// their frontiers repairs by repeating natives, one coding blind shows
-	// here as coded rows.
+	// here as coded rows. And what the links lost, by how the sender learnt
+	// of it: proven by a receipt's departure count, or aged out.
 	for _, o := range s.Stats() {
 		if o.Sent > 0 {
-			fmt.Fprintf(out, "pushed %s: %d rows (%d first-pass, %d repeated, %d coded)\n",
-				o.ID, o.Sent, o.Systematic, o.Repeated, o.Sent-o.Systematic-o.Repeated)
+			fmt.Fprintf(out, "pushed %s: %d rows (%d first-pass, %d repeated, %d coded), lost %d proven, %d aged\n",
+				o.ID, o.Sent, o.Systematic, o.Repeated, o.Sent-o.Systematic-o.Repeated, o.LostProven, o.LostAged)
 		}
 	}
 	return err

@@ -138,13 +138,13 @@ func TestServeCLIThenFetch(t *testing.T) {
 		t.Fatal("daemon did not stop on cancel")
 	}
 	// On the way out: the rows pushed by kind, the whole systematic pass
-	// among them.
-	var rows, first, repeated, coded int
-	m := regexp.MustCompile(`pushed ` + idHex + `: (\d+) rows \((\d+) first-pass, (\d+) repeated, (\d+) coded\)`).FindStringSubmatch(out.String())
+	// among them, and the rows the link lost — none on loopback.
+	var rows, first, repeated, coded, proven, aged int
+	m := regexp.MustCompile(`pushed ` + idHex + `: (\d+) rows \((\d+) first-pass, (\d+) repeated, (\d+) coded\), lost (\d+) proven, (\d+) aged`).FindStringSubmatch(out.String())
 	if m != nil {
-		fmt.Sscan(strings.Join(m[1:], " "), &rows, &first, &repeated, &coded)
+		fmt.Sscan(strings.Join(m[1:], " "), &rows, &first, &repeated, &coded, &proven, &aged)
 	}
-	if m == nil || first != 128 || rows != first+repeated+coded {
+	if m == nil || first != 128 || rows != first+repeated+coded || proven+aged > rows {
 		t.Errorf("rows pushed, as printed on the way out: %v; want k = 128 first-pass rows and kinds that add up; output:\n%s", m, out.String())
 	}
 }

@@ -15,14 +15,27 @@
 // overtakes the commit of the rows it acknowledges must not read as rows
 // that were never sent.
 //
-// A row is in flight from OnSend until it departs, and there are two ways
-// out. A receipt credits the rows it newly reports received, never more
-// than are in flight. A row no receipt has credited by the end of the tick
-// after the one it was sent in ages out: the link lost it, or the peer
-// reports late or not at all. Rows aged out against rows credited over
-// one interval is a loss sample; an exponentially weighted moving average
-// of the samples is the link's loss level, and a sample against the level
-// is what moves the window.
+// A row is in flight from OnSend until it departs, and there are three
+// ways out. A receipt credits the rows it newly reports received, never
+// more than are in flight. A receipt that also reports how many of this
+// sender's rows have departed over there (OnDeparted) — arrived, or proven
+// lost by a later arrival: every DATA row carries its send sequence and
+// the link is FIFO — proves the rows up to that count it did not credit
+// lost, oldest first. And a row nothing has credited or proven by the end
+// of the tick after the one it was sent in ages out: the link lost it with
+// nothing behind it to say so, or the peer reports late, without
+// departures, or not at all. Proof and ageing feed one column: rows written
+// off as lost against rows credited over one interval is a loss sample; an
+// exponentially weighted moving average of the samples is the link's loss
+// level, and a sample against the level is what moves the window. A proof
+// arrives with the receipt after the loss, where ageing takes two ticks;
+// ageing stays the backstop for the case stamps cannot close — the last
+// receipt of a window lost — and for peers that send no departures at all.
+//
+// A departure count may only under-report: a count behind the rows already
+// settled proves nothing, and one beyond the rows sent (a receiver that
+// anchored its count on a stale stream, a liar) is ignored — neither is a
+// re-baseline, the counters it rode in with fold as usual.
 //
 // The Link's only notion of time is the tick index its caller passes to
 // Grant: the session's clock divided by its Config.Tick. Ageing rows out
@@ -41,10 +54,13 @@
 // higher than MaxLoss, bounding the redundancy it can extort, and halves
 // its own window down to the floor of 1; an over-claiming liar empties
 // its in-flight count with every forged receipt and so buys at most
-// MaxBurst rows in flight and TickCeiling rows per tick, and only on its
-// own link — nothing a peer reports touches another peer's Link.
+// MaxBurst rows in flight (two more while the probe is out, Grant) and
+// TickCeiling rows per tick, and only on its own link — nothing a peer
+// reports touches another peer's Link.
 // Self-contradictory reports (innovative > received, counters running
-// backwards or wrapping) re-baseline without crediting anything.
+// backwards or wrapping) re-baseline without crediting anything. A forged
+// departure count buys nothing a forged received count cannot: it only
+// empties the liar's own in-flight count.
 //
 // Link carries no lock: the session mutates it under the same mutex that
 // guards its peer table.
@@ -115,16 +131,20 @@ const (
 // adaptive sender treats a silent peer exactly like a clean link.
 type Link struct {
 	sent uint64 // rows pushed to the peer, sender-side ground truth
-	// The newest receipt, recorded on arrival, folded by the next Grant.
-	recv, inno uint32
-	fresh      bool
+	// The newest receipt, recorded on arrival, folded by the next Grant;
+	// departed, with departs, when it carried a departure count.
+	recv, inno, departed uint32
+	fresh, departs       bool
 	// The receiver's counters at the last fold: what has been credited.
 	baseRecv, baseInno uint32
-	// The open loss interval: rows reported received and rows aged out
-	// since the last sample.
+	// The open loss interval: rows reported received and rows written off
+	// as lost (proven or aged out) since the last sample.
 	credited, expired int
 	loss              float64
 	reports           int
+	// Rows written off over the link's life: proven lost by a departure
+	// count, and aged out and never reported after all.
+	proven, aged uint64
 
 	window   int   // rows allowed in flight, in [1, MaxBurst]; 0 before the first Grant
 	inFlight int   // rows sent and neither credited nor aged out
@@ -162,9 +182,20 @@ func (l *Link) OnReport(received, innovative uint32) (innovated bool) {
 	// Innovative progress requires received progress too: an innovative
 	// row is by definition a received one.
 	innovated = innovative <= received && innovative > l.inno && received > l.recv
-	l.recv, l.inno, l.fresh = received, innovative, true
+	l.recv, l.inno, l.fresh, l.departs = received, innovative, true, false
 	return innovated
 }
+
+// OnDeparted adds to the receipt OnReport just recorded the departure count
+// it carried: how many of the rows pushed on this link, counted from the
+// first, have arrived or been proven lost over there. The next Grant writes
+// off as lost every row up to it that no receipt credited.
+func (l *Link) OnDeparted(departed uint32) { l.departed, l.departs = departed, true }
+
+// Lost returns the rows written off as lost over the link's life: proven by
+// departure counts, and aged out — less those a receipt reported after
+// all, which were late, not lost.
+func (l *Link) Lost() (proven, aged uint64) { return l.proven, l.aged }
 
 // Window returns the link's current window, before the end-of-object
 // taper: 1 until the first Grant.
@@ -174,7 +205,7 @@ func (l *Link) Window() int { return max(1, l.window) }
 func (l *Link) InFlight() int { return l.inFlight }
 
 // Settled returns how many of the rows pushed have left the in-flight
-// count, credited or aged out. Rows leave oldest first, so the n-th row
+// count, credited, proven lost or aged out. Rows leave oldest first, so the n-th row
 // pushed has settled once Settled() ≥ n — and over a FIFO link the newest
 // receipt folded was then written after that row arrived or was lost.
 func (l *Link) Settled() uint64 { return l.sent - uint64(l.inFlight) }
@@ -192,6 +223,14 @@ func (l *Link) Lacks(k int) int { return int(max(0, int64(k)-int64(l.inno))) }
 // MaxBurst are in flight (the floor every peer had before receipts set
 // the pace, and all a peer that never sends one gets), never more than
 // TickCeiling in one tick.
+//
+// The floor row is also granted past a full window while rows sent since
+// the last fold are unanswered: the probe. When the last receipt of a full
+// window is lost nothing comes back to prove the window's losses, and
+// without the probe the sender would idle until they age out; the probe's
+// own receipt — a receiver reports what it holds when its queue runs dry —
+// carries the departure count that proves them. It costs at most one row a
+// tick, two in flight past MaxBurst.
 //
 // lacks is how many natives the peer still needs, by the best count the
 // caller has: Lacks(k), or what the peer itself reported missing — a
@@ -217,14 +256,14 @@ func (l *Link) Grant(tick int64, lacks int) int {
 		l.window, l.heard = max(1, l.window/2), tick
 	}
 	free := min(l.window, max(tailWindow, lacks/2)) - l.inFlight
-	if l.tickSent == 0 && l.inFlight < MaxBurst {
+	if l.tickSent == 0 && (l.inFlight < MaxBurst || l.unacked) {
 		free = max(free, 1)
 	}
 	return max(0, min(free, TickCeiling-l.tickSent))
 }
 
 // age moves the link to tick: rows sent before the previous tick began and
-// still uncredited leave the in-flight count as lost.
+// still in flight leave the in-flight count as lost.
 func (l *Link) age(tick int64) {
 	if tick <= l.tick {
 		return
@@ -233,15 +272,38 @@ func (l *Link) age(tick int64) {
 	if tick-l.tick > 1 {
 		gone = l.inFlight
 	}
-	l.expired += gone
-	l.inFlight -= gone
+	l.writeOff(gone)
+	l.aged += uint64(gone)
 	l.old = l.inFlight
 	l.tick, l.tickSent = tick, 0
 }
 
-// fold credits the rows the newest receipt reports for the first time
-// and, once the open interval has seen enough departures, closes it into
-// a loss sample.
+// writeOff takes the n oldest rows in flight out as lost.
+func (l *Link) writeOff(n int) {
+	l.expired += n
+	l.inFlight -= n
+	l.old = max(0, l.old-n)
+}
+
+// prove writes off the rows the newest receipt's departure count says have
+// left the link that no receipt credited: under FIFO they were lost. A
+// count at or behind what has settled proves nothing new; one past what
+// was sent is ignored.
+func (l *Link) prove() {
+	if !l.departs {
+		return
+	}
+	// Modulo 2³², like the counters: a count behind Settled wraps to far
+	// more than is in flight.
+	if n := l.departed - uint32(l.Settled()); n <= uint32(l.inFlight) {
+		l.writeOff(int(n))
+		l.proven += uint64(n)
+	}
+}
+
+// fold credits the rows the newest receipt reports for the first time,
+// proves lost what it says departed uncredited, and, once the open
+// interval has seen enough departures, closes it into a loss sample.
 func (l *Link) fold() {
 	defer func() { l.baseRecv, l.baseInno = l.recv, l.inno }()
 	// Self-contradictory claims (a receiver restart, a uint32 wrap, a
@@ -262,7 +324,9 @@ func (l *Link) fold() {
 	l.inFlight -= credit
 	l.old = max(0, l.old-credit)
 	l.expired -= late
+	l.aged -= min(l.aged, uint64(late)) // a proven row cannot arrive after the row that proved it
 	l.credited += credit + late
+	l.prove()
 	if l.reports == 0 {
 		// The first receipt is proof of life, and worth one doubling. As far
 		// as loss goes it only opens the first interval: everything sent a

@@ -2,6 +2,8 @@ package adapt
 
 import (
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -166,11 +168,12 @@ func paceClean(l *Link, ticks int) []int {
 }
 
 // TestBurstBounds: whatever a receiver claims — honestly or not, once a
-// round trip or in a flood — the link never has more than MaxBurst rows in
-// flight nor takes more than TickCeiling in a tick, a clean link reaches
-// the cap, and each forgery leaves the window where the package doc says
-// it does. Every tick is several push rounds, a receipt between each two:
-// the shape of a wake-up per receipt.
+// round trip or in a flood, departure counts included — the link never has
+// more than MaxBurst rows in flight (two more for the probe) nor takes more
+// than TickCeiling in a tick, a clean link reaches the cap, and each
+// forgery leaves the window where the package doc says it does. Every tick
+// is several push rounds, a receipt between each two: the shape of a
+// wake-up per receipt.
 func TestBurstBounds(t *testing.T) {
 	const wrap = math.MaxUint32
 	cases := []struct {
@@ -181,16 +184,32 @@ func TestBurstBounds(t *testing.T) {
 		rounds int
 		// settles bounds the window once the forgery has run its course.
 		settlesLo, settlesHi int
+		// departed, if set, is the departure count each receipt carries.
+		departed func(i int, sent uint64) uint32
 	}{
-		{"honest", func(_ int, sent uint64) (uint32, uint32) { return uint32(sent), uint32(sent) }, 3, MaxBurst, MaxBurst},
-		{"over-claim", func(i int, _ uint64) (uint32, uint32) { return uint32(i+1) << 16, uint32(i+1) << 16 }, 3, MaxBurst, MaxBurst},
-		{"under-claim", func(int, uint64) (uint32, uint32) { return 0, 0 }, 3, 1, 1},
-		{"half-claim", func(_ int, sent uint64) (uint32, uint32) { return uint32(sent / 2), uint32(sent / 2) }, 3, 1, MaxBurst},
-		{"backwards", func(i int, _ uint64) (uint32, uint32) { return uint32(1<<20 - i), uint32(1<<20 - i) }, 3, 1, 2 * startWindow},
-		{"innovative>received", func(i int, _ uint64) (uint32, uint32) { return uint32(i), uint32(i) + 9 }, 3, 1, 2 * startWindow},
-		{"uint32 wrap", func(i int, _ uint64) (uint32, uint32) { v := uint32(wrap - 64 + 16*uint64(i)); return v, v }, 3, 1, MaxBurst},
-		{"ceiling", func(int, uint64) (uint32, uint32) { return wrap, wrap }, 3, 1, 2 * startWindow},
-		{"receipt-flood", func(i int, _ uint64) (uint32, uint32) { return uint32(i+1) << 12, uint32(i+1) << 12 }, 40, MaxBurst, MaxBurst},
+		{"honest", func(_ int, sent uint64) (uint32, uint32) { return uint32(sent), uint32(sent) }, 3, MaxBurst, MaxBurst, nil},
+		{"over-claim", func(i int, _ uint64) (uint32, uint32) { return uint32(i+1) << 16, uint32(i+1) << 16 }, 3, MaxBurst, MaxBurst, nil},
+		{"under-claim", func(int, uint64) (uint32, uint32) { return 0, 0 }, 3, 1, 1, nil},
+		{"half-claim", func(_ int, sent uint64) (uint32, uint32) { return uint32(sent / 2), uint32(sent / 2) }, 3, 1, MaxBurst, nil},
+		{"backwards", func(i int, _ uint64) (uint32, uint32) { return uint32(1<<20 - i), uint32(1<<20 - i) }, 3, 1, 2 * startWindow, nil},
+		{"innovative>received", func(i int, _ uint64) (uint32, uint32) { return uint32(i), uint32(i) + 9 }, 3, 1, 2 * startWindow, nil},
+		{"uint32 wrap", func(i int, _ uint64) (uint32, uint32) { v := uint32(wrap - 64 + 16*uint64(i)); return v, v }, 3, 1, MaxBurst, nil},
+		{"ceiling", func(int, uint64) (uint32, uint32) { return wrap, wrap }, 3, 1, 2 * startWindow, nil},
+		{"receipt-flood", func(i int, _ uint64) (uint32, uint32) { return uint32(i+1) << 12, uint32(i+1) << 12 }, 40, MaxBurst, MaxBurst, nil},
+		// Departure counts: everything sent has departed and nothing arrived,
+		// every round (the 1 ms flood); past what was sent; running backwards;
+		// wrapping uint32 — each beside over-claimed counters, the forgery
+		// that keeps a window open, or none at all.
+		{"departed=sent", func(int, uint64) (uint32, uint32) { return 0, 0 }, 3, 1, 1,
+			func(_ int, sent uint64) uint32 { return uint32(sent) }},
+		{"departed=sent-flood", func(i int, _ uint64) (uint32, uint32) { return uint32(i+1) << 12, uint32(i+1) << 12 }, 40, MaxBurst, MaxBurst,
+			func(_ int, sent uint64) uint32 { return uint32(sent) }},
+		{"departed>sent", func(_ int, sent uint64) (uint32, uint32) { return uint32(sent / 2), uint32(sent / 2) }, 3, 1, MaxBurst,
+			func(i int, sent uint64) uint32 { return uint32(sent) + 1 + uint32(i) }},
+		{"departed-backwards", func(i int, _ uint64) (uint32, uint32) { return uint32(i+1) << 12, uint32(i+1) << 12 }, 3, MaxBurst, MaxBurst,
+			func(i int, _ uint64) uint32 { return uint32(1<<20 - i) }},
+		{"departed-wrap", func(int, uint64) (uint32, uint32) { return 0, 0 }, 3, 1, MaxBurst,
+			func(i int, _ uint64) uint32 { return uint32(wrap - 64 + 16*uint64(i)) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -209,10 +228,13 @@ func TestBurstBounds(t *testing.T) {
 				if peak += b; peak > TickCeiling {
 					t.Fatalf("tick %d: %d rows, the ceiling is %d", tick, peak, TickCeiling)
 				}
-				if l.InFlight() > MaxBurst {
-					t.Fatalf("tick %d: %d rows in flight, the cap is %d", tick, l.InFlight(), MaxBurst)
+				if l.InFlight() < 0 || l.InFlight() > MaxBurst+2 {
+					t.Fatalf("tick %d: %d rows in flight, the cap is %d and the probe's two", tick, l.InFlight(), MaxBurst)
 				}
 				l.OnReport(tc.claim(i, l.Sent()))
+				if tc.departed != nil {
+					l.OnDeparted(tc.departed(i, l.Sent()))
+				}
 			}
 			if w := l.Window(); w < tc.settlesLo || w > tc.settlesHi {
 				t.Errorf("window settled at %d, want within [%d, %d]", w, tc.settlesLo, tc.settlesHi)
@@ -220,7 +242,7 @@ func TestBurstBounds(t *testing.T) {
 			if loss := l.Loss(); loss < 0 || loss > MaxLoss {
 				t.Errorf("loss %v outside [0, %v]", loss, MaxLoss)
 			}
-			if tc.name == "receipt-flood" && peak != TickCeiling {
+			if strings.HasSuffix(tc.name, "flood") && peak != TickCeiling {
 				t.Errorf("a receipt flood took %d rows in the last tick, want the ceiling %d: the test exercised nothing", peak, TickCeiling)
 			}
 		})
@@ -273,38 +295,166 @@ func TestBurstRampAndSilence(t *testing.T) {
 }
 
 // TestLostRowsLeaveTheWindow: rows the link lost are never credited, and
-// still stop counting as in flight by the end of the tick after the one
+// still stop counting as in flight — at the receipt whose departure count
+// proves them lost, at the latest by the end of the tick after the one
 // they were sent in — so steady loss neither closes the window nor reads
-// as anything but its level.
+// as anything but its level. A full window whose every row was lost, no
+// receipt coming back, gets the probe: one row a tick past the window,
+// whose receipt proves the rest.
 func TestLostRowsLeaveTheWindow(t *testing.T) {
 	var l Link
 	paceClean(&l, 40)
 	l.Grant(l.tick+1, math.MaxInt32)
+	recv := uint32(l.Sent())
 	l.OnSend(MaxBurst) // all lost: no receipt will ever name them
 	if got := l.Grant(l.tick, math.MaxInt32); got != 0 {
 		t.Fatalf("granted %d rows behind a full window", got)
 	}
-	if got := l.Grant(l.tick+1, math.MaxInt32); got != 0 {
-		t.Fatalf("granted %d rows a tick after a window that is still in flight (floor taken: %d in flight)", got, l.InFlight())
+	if got := l.Grant(l.tick+1, math.MaxInt32); got != 1 {
+		t.Fatalf("granted %d rows a tick after a full window went unanswered, want the probe", got)
 	}
-	if got := l.Grant(l.tick+1, math.MaxInt32); got != MaxBurst || l.InFlight() != 0 {
-		t.Fatalf("two ticks on: granted %d with %d in flight, want the whole window back", got, l.InFlight())
+	l.OnSend(1) // the probe, lost too
+	if got := l.Grant(l.tick, math.MaxInt32); got != 0 || l.InFlight() != MaxBurst+1 {
+		t.Fatalf("granted %d more with %d in flight in the probe's tick, want none and %d", got, l.InFlight(), MaxBurst+1)
 	}
-	// A quarter of every window lost, the rest acknowledged a tick later.
-	recv := uint32(l.Sent()) - MaxBurst
-	rows := 0
-	for i := 0; i < 200; i++ {
-		b := l.Grant(l.tick+1, math.MaxInt32)
+	if got := l.Grant(l.tick+1, math.MaxInt32); got != MaxBurst-1 || l.InFlight() != 1 {
+		t.Fatalf("two ticks on: granted %d with %d in flight, want the window back but for the probe", got, l.InFlight())
+	}
+	// The same full window lost, and this time the probe arrives: its
+	// receipt's departure count proves everything before it lost in the
+	// probe's own tick. (That much loss at once is a step: the window
+	// halves.)
+	l.OnSend(MaxBurst - 1)
+	if got := l.Grant(l.tick+1, math.MaxInt32); got != 1 {
+		t.Fatalf("granted %d rows a tick after a full window went unanswered, want the probe", got)
+	}
+	l.OnSend(1)
+	recv++
+	l.OnReport(recv, recv)
+	l.OnDeparted(uint32(l.Sent()))
+	if got := l.Grant(l.tick, math.MaxInt32); got != l.Window() || l.InFlight() != 0 {
+		t.Fatalf("the probe's receipt: granted %d with %d in flight, want the whole window (%d) back at once", got, l.InFlight(), l.Window())
+	}
+	if proven, aged := l.Lost(); proven != MaxBurst-1 || aged != MaxBurst+1 {
+		t.Errorf("%d rows proven lost and %d aged out, want %d and %d", proven, aged, MaxBurst-1, MaxBurst+1)
+	}
+	// A receipt reporting aged-out rows after all takes them back: late,
+	// not lost.
+	var late Link
+	late.Grant(1, math.MaxInt32)
+	late.OnSend(4)
+	late.OnReport(4, 4)
+	late.Grant(1, math.MaxInt32)
+	late.OnSend(10)
+	late.Grant(3, math.MaxInt32) // two ticks of silence: all ten age out
+	late.OnReport(10, 10)        // and six of them were only late
+	late.Grant(3, math.MaxInt32)
+	if _, aged := late.Lost(); aged != 4 {
+		t.Errorf("six of ten aged-out rows reported late: %d counted as aged out, want 4", aged)
+	}
+
+	// A quarter of every window lost, the rest acknowledged a tick later:
+	// written off by age, and by proof.
+	for _, departs := range []bool{false, true} {
+		rows := 0
+		for i := 0; i < 200; i++ {
+			b := l.Grant(l.tick+1, math.MaxInt32)
+			l.OnSend(b)
+			rows += b
+			recv += uint32(b - b/4)
+			l.OnReport(recv, recv)
+			if departs {
+				l.OnDeparted(uint32(l.Sent())) // the lost quarter leads the burst
+			}
+		}
+		mean := float64(rows) / 200
+		if want := map[bool]float64{false: 0.7 * MaxBurst, true: MaxBurst - 1}[departs]; mean < want {
+			t.Errorf("departures %v: mean %.1f rows a tick at 25%% loss, want ≥ %.1f: lost rows are clogging the window", departs, mean, want)
+		}
+		if got := l.Loss(); math.Abs(got-0.25) > 0.05 {
+			t.Errorf("departures %v: loss level %.2f on a link losing a quarter", departs, got)
+		}
+	}
+}
+
+// TestDepartedOnlyUnderReports: a departure count proves only what lies
+// between the rows already settled and the rows sent. One past what was
+// sent (a count anchored on another stream, a liar) is ignored; one at or
+// behind what has settled (a stale receipt, a receiver that anchored late
+// and counts a multiple of 128 short) proves nothing. Neither is a
+// re-baseline: the counters it rode in with fold as usual.
+func TestDepartedOnlyUnderReports(t *testing.T) {
+	var l Link
+	l.Grant(1, math.MaxInt32)
+	l.OnSend(20)
+	for _, step := range []struct {
+		name                    string
+		recv, departed          uint32
+		wantSettled, wantProven uint64
+	}{
+		{"past what was sent", 10, 21, 10, 0},
+		{"honest", 12, 16, 16, 4},
+		{"stale", 12, 14, 16, 4},
+		{"anchored late", 15, 1<<32 + 20 - 256, 19, 4},
+		{"honest again", 15, 20, 20, 5},
+	} {
+		l.OnReport(step.recv, step.recv)
+		l.OnDeparted(step.departed)
+		l.Grant(1, math.MaxInt32)
+		if proven, _ := l.Lost(); l.Settled() != step.wantSettled || proven != step.wantProven {
+			t.Errorf("%s: %d settled, %d proven lost; want %d and %d", step.name, l.Settled(), proven, step.wantSettled, step.wantProven)
+		}
+	}
+}
+
+// TestDepartedProvesLoss: over a Bernoulli link (FIFO, a fifth of the rows
+// lost, receipts reliable, several push rounds a tick with a receipt
+// between each two, as wake-ups have it) a receiver reporting how many rows
+// have departed — the highest send sequence it has seen — lets the sender
+// write off every loss the receipt after it happens: what it writes off is
+// exactly the rows lost (departed − credited), in flight never goes
+// negative, nearly nothing is left to age out, and the loss level reads the
+// link to within 0.03.
+func TestDepartedProvesLoss(t *testing.T) {
+	const p, rounds = 0.2, 3
+	rng := rand.New(rand.NewSource(71))
+	var l Link
+	var recv, departed uint32
+	var seq uint64
+	lostUpTo := []int{0} // lost rows among the first n sent
+	lost := 0
+	for i := 0; i < 3000*rounds; i++ {
+		b := l.Grant(int64(1+i/rounds), math.MaxInt32)
+		if l.InFlight() < 0 || l.InFlight() > MaxBurst+2 {
+			t.Fatalf("round %d: %d rows in flight", i, l.InFlight())
+		}
 		l.OnSend(b)
-		rows += b
-		recv += uint32(b - b/4)
+		for ; b > 0; b-- {
+			seq++
+			if rng.Float64() < p {
+				lost++
+			} else {
+				recv, departed = recv+1, uint32(seq)
+			}
+			lostUpTo = append(lostUpTo, lost)
+		}
 		l.OnReport(recv, recv)
+		l.OnDeparted(departed)
 	}
-	if mean := float64(rows) / 200; mean < 0.7*MaxBurst {
-		t.Errorf("mean %.1f rows a tick at 25%% loss: lost rows are clogging the window (cap %d)", mean, MaxBurst)
+	l.Grant(l.tick, math.MaxInt32) // fold the last receipt
+	settled := l.Settled()
+	proven, aged := l.Lost()
+	if got, want := proven+aged, uint64(lostUpTo[settled]); got != want {
+		t.Errorf("%d rows written off of the first %d, %d of them were lost", got, settled, want)
 	}
-	if got := l.Loss(); math.Abs(got-0.25) > 0.05 {
-		t.Errorf("loss level %.2f on a link losing a quarter", got)
+	if settled != uint64(departed) || settled-uint64(recv) != proven+aged {
+		t.Errorf("settled %d, departed %d, received %d, written off %d: departed − credited is not the loss", settled, departed, recv, proven+aged)
+	}
+	if aged*20 > proven {
+		t.Errorf("%d rows proven lost, %d aged out: the proof is not what writes them off", proven, aged)
+	}
+	if truth := float64(lost) / float64(seq); math.Abs(l.Loss()-truth) > 0.03 {
+		t.Errorf("loss level %.3f on a link that lost %.3f", l.Loss(), truth)
 	}
 }
 

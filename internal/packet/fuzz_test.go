@@ -31,6 +31,10 @@ func FuzzUnmarshal(f *testing.F) {
 	gen.Generation = 3
 	gen.Generations = 8
 	seeds = append(seeds, gen)
+	// Stamped rows: a stamp is byte 3 and must survive the round trip.
+	stamped := gen.Clone()
+	stamped.Stamp = SeqStamp(300)
+	seeds = append(seeds, stamped)
 	for _, p := range seeds {
 		data, err := Marshal(p)
 		if err != nil {
@@ -112,6 +116,8 @@ func FuzzParseWire(f *testing.F) {
 		}
 		f.Add(data)
 		f.Add(data[:len(data)-1])
+		Restamp(data, SeqStamp(127)) // stamped DATA parses as unstamped does
+		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wv, errView := ParseWire(data)
@@ -123,7 +129,7 @@ func FuzzParseWire(f *testing.F) {
 			return
 		}
 		if wv.K != p.K() || wv.M != len(p.Payload) || wv.Object != p.Object ||
-			wv.Generation != p.Generation || wv.Generations != p.Generations {
+			wv.Generation != p.Generation || wv.Generations != p.Generations || wv.Stamp != p.Stamp {
 			t.Fatalf("views disagree: %+v vs %v", wv, p)
 		}
 		vec := bitvec.New(wv.K)

@@ -76,7 +76,26 @@ type Packet struct {
 	// several objects share a transport (zero when unused; zero-Object
 	// packets marshal to the v1 wire format).
 	Object ObjectID
+	// Stamp is header byte 3: 0, or StampFlag over the low seven bits of
+	// the row's send sequence on its link (SeqStamp). It says where the row
+	// stands in one sender's stream, not what it carries, so Equal ignores
+	// it.
+	Stamp byte
 }
+
+// StampFlag marks a stamped row's header byte 3; the seven bits under it
+// are the row's send sequence modulo 128. Writers before stamps wrote the
+// byte 0 and readers ignored it, so a stamp costs no wire version.
+const StampFlag = 0x80
+
+// SeqStamp returns the stamp of the seq-th row a sender pushes on one
+// (sender → peer, object) link.
+func SeqStamp(seq uint64) byte { return StampFlag | byte(seq)&^StampFlag }
+
+// Restamp overwrites the stamp of the packet encoded in wire (as AppendWire
+// wrote it): a sender stamps a row where it serializes it, a node forwarding
+// another sender's bytes verbatim clears it with 0.
+func Restamp(wire []byte, stamp byte) { wire[stampOffset] = stamp }
 
 // New returns an all-zero packet over k native packets with an m-byte
 // payload buffer (no buffer if m == 0).
@@ -131,7 +150,7 @@ func (p *Packet) Xor(o *Packet, c *opcount.Counter, control, data opcount.Phase)
 
 // Clone returns a deep copy of p.
 func (p *Packet) Clone() *Packet {
-	q := &Packet{Vec: p.Vec.Clone(), Generation: p.Generation, Generations: p.Generations, Object: p.Object}
+	q := &Packet{Vec: p.Vec.Clone(), Generation: p.Generation, Generations: p.Generations, Object: p.Object, Stamp: p.Stamp}
 	if p.Payload != nil {
 		q.Payload = append([]byte(nil), p.Payload...)
 	}
@@ -175,7 +194,7 @@ func (p *Packet) String() string {
 //
 //	magic   "LT"        2 bytes
 //	version 0x01        1 byte
-//	flags               1 byte (reserved, 0)
+//	stamp               1 byte (0, or StampFlag | send sequence mod 128)
 //	generation          4 bytes big-endian
 //	k                   4 bytes big-endian
 //	m                   4 bytes big-endian
@@ -203,6 +222,7 @@ const (
 	wireV2         = 0x02
 	wireV3         = 0x03
 	headerFixed    = 2 + 1 + 1 + 4 + 4 + 4
+	stampOffset    = 3
 	genCountSize   = 4
 	objectIDSize   = 16
 	maxWireK       = 1 << 24 // sanity bound against corrupt headers
@@ -245,6 +265,7 @@ type Header struct {
 	Generations uint32
 	Object      ObjectID
 	Vec         *bitvec.Vector
+	Stamp       byte // header byte 3 (Packet.Stamp)
 }
 
 // Degree returns the degree announced by the header's code vector.
@@ -286,7 +307,7 @@ func WriteHeader(w io.Writer, p *Packet) error {
 	buf := make([]byte, headerFixed, headerFixed+genCountSize+objectIDSize)
 	buf[0], buf[1] = wireMagic[0], wireMagic[1]
 	buf[2] = wireV1
-	buf[3] = 0
+	buf[stampOffset] = p.Stamp
 	binary.BigEndian.PutUint32(buf[4:], p.Generation)
 	binary.BigEndian.PutUint32(buf[8:], uint32(p.K()))
 	binary.BigEndian.PutUint32(buf[12:], uint32(len(p.Payload)))
@@ -346,6 +367,7 @@ func ReadHeader(r io.Reader) (Header, error) {
 	if version != wireV1 && version != wireV2 && version != wireV3 {
 		return h, fmt.Errorf("%w: %d", ErrBadVersion, version)
 	}
+	h.Stamp = buf[stampOffset]
 	h.Generation = binary.BigEndian.Uint32(buf[4:])
 	k := binary.BigEndian.Uint32(buf[8:])
 	m := binary.BigEndian.Uint32(buf[12:])
@@ -388,7 +410,7 @@ func ReadHeader(r io.Reader) (Header, error) {
 // ReadPayload reads the payload announced by h from r and returns the
 // completed packet.
 func ReadPayload(r io.Reader, h Header) (*Packet, error) {
-	p := &Packet{Vec: h.Vec, Generation: h.Generation, Generations: h.Generations, Object: h.Object}
+	p := &Packet{Vec: h.Vec, Generation: h.Generation, Generations: h.Generations, Object: h.Object, Stamp: h.Stamp}
 	if h.M > 0 {
 		p.Payload = make([]byte, h.M)
 		if _, err := io.ReadFull(r, p.Payload); err != nil {

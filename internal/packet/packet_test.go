@@ -28,6 +28,38 @@ func TestNativePacket(t *testing.T) {
 	}
 }
 
+// TestStampRoundTrip: byte 3 carries the stamp through both codecs and
+// Restamp, the seven bits under StampFlag are the sequence modulo 128, and
+// the stamp is not part of what a packet is (Equal).
+func TestStampRoundTrip(t *testing.T) {
+	for seq, want := range map[uint64]byte{1: 0x81, 127: 0xFF, 128: 0x80, 300: 0x80 | 300%128} {
+		if got := SeqStamp(seq); got != want {
+			t.Errorf("SeqStamp(%d) = %#x, want %#x", seq, got, want)
+		}
+	}
+	p := Native(16, 3, []byte{1, 2})
+	p.Object, p.Stamp = NewObjectID([]byte("stamp")), SeqStamp(5)
+	wire, err := Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wv, err := ParseWire(wire)
+	if err != nil || wv.Stamp != p.Stamp {
+		t.Fatalf("ParseWire: stamp %#x, %v; want %#x", wv.Stamp, err, p.Stamp)
+	}
+	q, err := Unmarshal(wire)
+	if err != nil || q.Stamp != p.Stamp || !q.Equal(p) {
+		t.Fatalf("Unmarshal: stamp %#x, equal %v, %v", q.Stamp, q.Equal(p), err)
+	}
+	Restamp(wire, 0)
+	if wv, _ := ParseWire(wire); wv.Stamp != 0 {
+		t.Errorf("restamped to 0, parses as %#x", wv.Stamp)
+	}
+	if q.Stamp = 0; !q.Equal(p) {
+		t.Error("packets differing only in their stamps compare unequal")
+	}
+}
+
 func TestNativeIndexNonNative(t *testing.T) {
 	p := New(8, 0)
 	if _, ok := p.NativeIndex(); ok {

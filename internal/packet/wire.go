@@ -19,8 +19,11 @@ type WireView struct {
 	Generations uint32
 	K, M        int
 	Object      ObjectID
-	vecOff      int
-	payloadOff  int
+	// Stamp is header byte 3: the row's place in its sender's stream
+	// (Packet.Stamp), 0 when the sender did not stamp it.
+	Stamp      byte
+	vecOff     int
+	payloadOff int
 }
 
 // VecBytes returns the code-vector bytes of the viewed packet inside
@@ -49,6 +52,7 @@ func ParseWire(data []byte) (WireView, error) {
 	if wv.Version != wireV1 && wv.Version != wireV2 && wv.Version != wireV3 {
 		return wv, fmt.Errorf("%w: %d", ErrBadVersion, wv.Version)
 	}
+	wv.Stamp = data[stampOffset]
 	wv.Generation = binary.BigEndian.Uint32(data[4:])
 	k := binary.BigEndian.Uint32(data[8:])
 	m := binary.BigEndian.Uint32(data[12:])
@@ -109,7 +113,7 @@ func AppendWire(dst []byte, p *Packet) []byte {
 	var fixed [headerFixed]byte
 	fixed[0], fixed[1] = wireMagic[0], wireMagic[1]
 	fixed[2] = version
-	fixed[3] = 0
+	fixed[stampOffset] = p.Stamp
 	binary.BigEndian.PutUint32(fixed[4:], p.Generation)
 	binary.BigEndian.PutUint32(fixed[8:], uint32(p.K()))
 	binary.BigEndian.PutUint32(fixed[12:], uint32(len(p.Payload)))

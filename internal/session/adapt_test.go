@@ -121,10 +121,14 @@ func TestAdaptiveBudgetPausesEarly(t *testing.T) {
 }
 
 // TestAdaptiveReceiptEmission feeds an adaptive relay a stream of native
-// rows by hand and expects kind-5 receipt reports carrying the cumulative
-// received/innovative counters — one by the time receiptEvery frames are
-// in, possibly earlier ones whenever the relay's queue ran dry in between —
+// rows by hand, stamped with their send sequence as a sender stamps them,
+// the fourth row's stamp missing — the link lost it — and expects kind-6
+// receipt reports carrying the cumulative received/innovative counters and
+// the departure count — one by the time receiptEvery frames are in,
+// possibly earlier ones whenever the relay's queue ran dry in between —
 // and, the generation still filling, its frontier: the natives fed so far.
+// (Unstamped rows get kind 5, byte for byte as before stamps:
+// TestReceiptFlushedOnDrain.)
 func TestAdaptiveReceiptEmission(t *testing.T) {
 	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 256})
 	if err != nil {
@@ -142,9 +146,10 @@ func TestAdaptiveReceiptEmission(t *testing.T) {
 	const k = 2 * receiptEvery // completion must not preempt the receipt
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
+	seq := func(i uint32) uint32 { return i + 1 + uint32(btoi(i >= 3)) } // row i's send sequence: 4 was lost
 	for i := 0; i < receiptEvery; i++ {
 		p := packet.Native(k, i, bytes.Repeat([]byte{byte(i)}, 8))
-		p.Object = id
+		p.Object, p.Stamp = id, packet.SeqStamp(uint64(seq(uint32(i))))
 		wire, err := packet.Marshal(p)
 		if err != nil {
 			t.Fatal(err)
@@ -158,22 +163,22 @@ func TestAdaptiveReceiptEmission(t *testing.T) {
 		if err != nil {
 			t.Fatalf("last receipt reported %d rows of %d: %v", received, receiptEvery, err)
 		}
-		if !isReceipt(f.Data) || len(f.Data) != receiptLen+frontierLen(k) {
-			t.Fatalf("reply = %x, want a kind-5 receipt with a %d-byte frontier", f.Data, frontierLen(k))
+		if f.Data[17] != fbDeparted || len(f.Data) != departedLen+frontierLen(k) {
+			t.Fatalf("reply = %x, want a kind-6 receipt with a %d-byte frontier", f.Data, frontierLen(k))
 		}
 		var gotID packet.ObjectID
 		copy(gotID[:], f.Data[1:17])
 		if gotID != id {
 			t.Fatalf("receipt for %v, want %v", gotID, id)
 		}
-		next, innovative := bigEndianU32(f.Data[22:26]), bigEndianU32(f.Data[26:30])
-		if frontier := binary.LittleEndian.Uint32(f.Data[receiptLen:]); frontier != 1<<next-1 {
+		next, innovative, departed := bigEndianU32(f.Data[22:26]), bigEndianU32(f.Data[26:30]), bigEndianU32(f.Data[30:34])
+		if frontier := binary.LittleEndian.Uint32(f.Data[departedLen:]); frontier != 1<<next-1 {
 			t.Fatalf("frontier %032b with natives 0..%d in", frontier, next-1)
 		}
 		f.Release()
-		if next <= received || next > receiptEvery || innovative != next {
-			t.Fatalf("receipt counters (%d, %d) after %d, want cumulative, all innovative, at most %d",
-				next, innovative, received, receiptEvery)
+		if next <= received || next > receiptEvery || innovative != next || departed != seq(next-1) {
+			t.Fatalf("receipt counters (%d, %d, departed %d) after %d, want cumulative, all innovative, at most %d, and the last row's sequence %d",
+				next, innovative, departed, received, receiptEvery, seq(next-1))
 		}
 		received = next
 	}

@@ -60,7 +60,7 @@ func decodeWorkers() int { return min(runtime.GOMAXPROCS(0), 8) }
 const memberFanout = 8
 
 // receiptEvery is how many DATA frames a receiver accepts from one sender
-// between kind-5 receipt reports; the estimator on the other end sizes
+// between receipt reports; the estimator on the other end sizes
 // its windows by the same constant.
 const receiptEvery = adapt.ReceiptEvery
 
@@ -78,7 +78,7 @@ type Config struct {
 	// Burst, when positive, is a fixed number of packets pushed per object,
 	// target and Tick, on the timer alone. Zero (the default) leaves the
 	// push to the peer's receipts: per (peer, object) a window of frames in
-	// flight starts at a few, doubles while the peer's kind-5 reports show
+	// flight starts at a few, doubles while the peer's receipt reports show
 	// the rows arriving, halves when they show a loss step or stop coming,
 	// and stays within [1, adapt.MaxBurst]; frames leave whenever a receipt
 	// or a decode frees window, never more than adapt.TickCeiling per Tick
@@ -150,8 +150,9 @@ type Config struct {
 	Capacity uint8
 	// Adaptive tunes the satiation budget from the estimated link loss
 	// instead of the static constant (DESIGN.md §16). The rest of the
-	// feedback loop is unconditional: every session emits kind-5 receipt
-	// reports (cumulative rows received / rows innovative per sender) and
+	// feedback loop is unconditional: every session emits receipt reports
+	// (cumulative rows received / rows innovative / rows departed per
+	// sender) and
 	// feeds the ones it gets to a per-(peer, object) estimator
 	// (internal/adapt), which paces the push; and every sender runs the
 	// systematic first pass (each decoded native goes out once per peer as

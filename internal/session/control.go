@@ -211,9 +211,10 @@ func (s *Session) handleMeta(from transport.Addr, data []byte) []byte {
 // handleFeedback validates a FEEDBACK frame's kind against its body
 // length — kinds 1 and 2 use the short body, kind 3 appends the completed
 // generation id, kinds 4 (cache advertisement) and 5 (receipt report)
-// share the long body, and a receipt may carry a frontier behind it, whose
-// length is the object's to judge — and hands it to the kind's handler
-// under s.mu.
+// share the long body, kind 6 (receipt report with departures) is four
+// bytes longer, and a receipt may carry a frontier behind it, whose length
+// is the object's to judge — and hands it to the kind's handler under
+// s.mu.
 func (s *Session) handleFeedback(from transport.Addr, data []byte) {
 	if len(data) < feedbackLen-1 {
 		return
@@ -225,8 +226,11 @@ func (s *Session) handleFeedback(from transport.Addr, data []byte) {
 		want = genFeedbackLen
 	case fbCacheAd, fbReceipt:
 		want = cacheAdLen
+	case fbDeparted:
+		want = departedLen
 	}
-	if len(data) != want-1 && (kind != fbReceipt || len(data) < want-1) {
+	receipt := kind == fbReceipt || kind == fbDeparted
+	if len(data) != want-1 && (!receipt || len(data) < want-1) {
 		return
 	}
 	var id packet.ObjectID
@@ -263,8 +267,8 @@ func (s *Session) handleFeedback(from transport.Addr, data []byte) {
 		ps.forgetProgressLocked()
 	case fbGenComplete:
 		ps.onGenCompleteLocked(int(st.gens.Load()), binary.BigEndian.Uint32(data[17:21]))
-	case fbReceipt:
-		s.onReceiptLocked(st, ps, from, data[17:])
+	case fbReceipt, fbDeparted:
+		s.onReceiptLocked(st, ps, from, data[17:], kind == fbDeparted)
 	}
 }
 
@@ -329,17 +333,22 @@ func (ps *peerState) onGenCompleteLocked(gens int, gen uint32) {
 	ps.consecRedund = 0
 }
 
-// onReceiptLocked feeds a kind-5 receipt report (body: gen, received,
-// innovative, then gen's frontier or nothing) to the peer's link and wakes
-// the push goroutine to fold it: the rows it acknowledges have left the
-// window. A tail that is not the object's frontier length voids the frame.
-// A frontier is kept only by a session that draws rows for the object from
-// a coder (a cache deals what it holds, whatever the peer lacks), and only
-// if it names an open generation and no native past its end; dropped, the
-// counters it rode in with are folded as a short receipt's are. Session.mu
-// must be held.
-func (s *Session) onReceiptLocked(st *objectState, ps *peerState, from transport.Addr, body []byte) {
-	if tail := body[12:]; len(tail) > 0 {
+// onReceiptLocked feeds a receipt report (body: gen, received, innovative,
+// with departed the departure count — kind 6 — then gen's frontier or
+// nothing) to the peer's link and wakes the push goroutine to fold it: the
+// rows it acknowledges, or proves lost, have left the window. A tail that
+// is not the object's frontier length voids the frame. A frontier is kept
+// only by a session that draws rows for the object from a coder (a cache
+// deals what it holds, whatever the peer lacks), and only if it names an
+// open generation and no native past its end; dropped, the counters it
+// rode in with are folded as a short receipt's are. Session.mu must be
+// held.
+func (s *Session) onReceiptLocked(st *objectState, ps *peerState, from transport.Addr, body []byte, departed bool) {
+	counters := receiptLen - feedbackLen
+	if departed {
+		counters = departedLen - feedbackLen
+	}
+	if tail := body[counters:]; len(tail) > 0 {
 		st.mu.Lock()
 		kPer, coded := st.kPer, st.phase.decoding()
 		st.mu.Unlock()
@@ -358,7 +367,11 @@ func (s *Session) onReceiptLocked(st *objectState, ps *peerState, from transport
 		}
 	}
 	s.wake()
-	if ps.link.OnReport(binary.BigEndian.Uint32(body[4:8]), binary.BigEndian.Uint32(body[8:12])) {
+	innovated := ps.link.OnReport(binary.BigEndian.Uint32(body[4:8]), binary.BigEndian.Uint32(body[8:12]))
+	if departed {
+		ps.link.OnDeparted(binary.BigEndian.Uint32(body[12:16]))
+	}
+	if innovated {
 		// Innovative progress over there is the opposite of satiation:
 		// clear the redundancy streak and any backoff so the stream
 		// keeps flowing while it is still doing work. This is also what
@@ -479,30 +492,38 @@ func cacheAdFrame(id packet.ObjectID, gensFull, gens uint32, rank int) []byte {
 	return buf
 }
 
-// receiptFrame encodes the kind-5 feedback: the sender of the frame has
+// frontierReceipt encodes the kind-5 feedback: the sender of the frame has
 // accepted received DATA rows from the addressed peer for object id, of
 // which innovative advanced its decode; gen is the generation of the
 // frame that triggered the report. Counters are cumulative per (sender,
 // object), so a lost receipt costs nothing — the next one carries the
-// same information.
-func receiptFrame(id packet.ObjectID, gen, received, innovative uint32) []byte {
-	return frontierReceipt(id, gen, received, innovative, 0, nil)
+// same information. A receiver still filling gen appends gen's frontier —
+// kPer bits, those of the natives in decoded (indices within the
+// generation) set — against which the sender repeats exactly what is
+// missing instead of coding blind; kPer 0 is the short form.
+func frontierReceipt(id packet.ObjectID, gen, received, innovative uint32, kPer int, decoded []int32) []byte {
+	return encodeReceipt(id, fbReceipt, []uint32{gen, received, innovative}, kPer, decoded)
 }
 
-// frontierReceipt is the receipt of a receiver still filling generation
-// gen: behind the counters, the generation's frontier — kPer bits, those of
-// the natives in decoded (indices within the generation) set. Against it
-// the sender repeats exactly what is missing instead of coding blind.
-func frontierReceipt(id packet.ObjectID, gen, received, innovative uint32, kPer int, decoded []int32) []byte {
-	buf := make([]byte, receiptLen+frontierLen(kPer))
+// departedReceipt encodes the kind-6 feedback, the receipt for a sender
+// whose rows carry stamps: kind 5's counters, then departed — how many of
+// the rows the sender pushed have arrived or been proven lost, counted
+// from its first — then the frontier as frontierReceipt's.
+func departedReceipt(id packet.ObjectID, gen, received, innovative, departed uint32, kPer int, decoded []int32) []byte {
+	return encodeReceipt(id, fbDeparted, []uint32{gen, received, innovative, departed}, kPer, decoded)
+}
+
+func encodeReceipt(id packet.ObjectID, kind byte, counters []uint32, kPer int, decoded []int32) []byte {
+	head := feedbackLen + 4*len(counters)
+	buf := make([]byte, head+frontierLen(kPer))
 	buf[0] = frameFeedback
 	copy(buf[1:17], id[:])
-	buf[17] = fbReceipt
-	binary.BigEndian.PutUint32(buf[18:22], gen)
-	binary.BigEndian.PutUint32(buf[22:26], received)
-	binary.BigEndian.PutUint32(buf[26:30], innovative)
+	buf[17] = kind
+	for i, c := range counters {
+		binary.BigEndian.PutUint32(buf[feedbackLen+4*i:], c)
+	}
 	for _, i := range decoded {
-		buf[receiptLen+int(i>>3)] |= 1 << (i & 7)
+		buf[head+int(i>>3)] |= 1 << (i & 7)
 	}
 	return buf
 }

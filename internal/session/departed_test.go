@@ -1,0 +1,225 @@
+package session
+
+import (
+	"bytes"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"ltnc/internal/cache"
+	"ltnc/internal/transport"
+)
+
+// Sequence-proven loss (DESIGN.md §16): DATA rows carry their send
+// sequence on the link, the receiver's receipts say how many have departed,
+// and the sender writes off a lost row at the receipt after it.
+
+// TestLossyFetchTicks: source → relay → fetcher on the event clock, k =
+// 1,024, every frame — DATA, receipts, META, MANIFEST — dropped with
+// probability 0.2. A row a hop lost leaves its sender's window at the
+// receipt after it, not when it ages out at the end of the next tick, so
+// the window keeps turning over: 36.9 ticks on average over 60 seeds
+// before departures (the source's rows per tick read 38 1 31 128 17 29 3
+// 68 27 85 0 104 0 128 …: whole ticks idle behind a window of rows
+// already lost), 17.4 with them, 8 on a lossless fabric. The rows it
+// takes per hop stay where frontier repair put them.
+func TestLossyFetchTicks(t *testing.T) {
+	const k, m, p, runs = 1024, 16, 0.20, 8
+	base := time.Now().UnixNano()
+	t.Logf("loss seeds %d..%d", base, base+runs-1)
+	ticks := 0
+	sent := map[transport.Addr]int64{}
+	for seed := base; seed < base+runs; seed++ {
+		c := newStepNet(t, k, m, 57, nil, "src", "relay", "dst").subscribe()
+		c.lose = lossy(seed, p)
+		var perTick []string
+		n := 0
+		for ; n < 2000 && !c.fetched().Complete; n++ {
+			perTick = append(perTick, fmt.Sprint(c.tick()["src"]))
+		}
+		if !c.fetched().Complete {
+			t.Fatalf("seed %d: fetch incomplete after %d ticks", seed, n)
+		}
+		for _, hop := range []transport.Addr{"src", "relay"} {
+			o, _ := c.nodes[hop].Object(c.id)
+			sent[hop] += o.Sent
+		}
+		ticks += n
+		t.Logf("seed %d: %d ticks; the source's rows per tick %s", seed, n, strings.Join(perTick, " "))
+	}
+	if mean := float64(ticks) / runs; mean > 24 {
+		t.Errorf("lossy fetch took %.1f ticks on average, want at most 24 (lossless: 8)", mean)
+	}
+	for hop, n := range sent {
+		if mean := float64(n) / runs; mean > 1.35*k {
+			t.Errorf("%s sent %.0f rows a run for k = %d at %.0f%% loss, want at most 1.35·k", hop, mean, k, 100*p)
+		}
+	}
+}
+
+// inNetwork counts the DATA rows from → to the network still holds: in
+// flight, or delivered and not yet taken by the receiver's Step.
+func (n *stepNet) inNetwork(from, to transport.Addr) (rows int) {
+	for _, c := range n.flight {
+		rows += btoi(c.from == from && c.to == to && c.frame[0] == frameData)
+	}
+	for _, f := range n.recs[to].inbox {
+		rows += btoi(f.From == from && f.Data[0] == frameData)
+	}
+	return rows
+}
+
+// TestLateAnchorFallsBackToAgeing: a departure count may only under-report.
+// A receiver that first hears the sender at its 300th row can only anchor
+// its count at the least that row's sequence can be — behind by 256 — and
+// a run of losses longer than a stamp unwraps (128) leaves it behind by as
+// much; either way the sender's rows settle ahead of the count, and the
+// link is back to ageing — what it was before departures, nothing worse.
+// Shorter runs of losses, from a good anchor, are proven. In no case is a
+// row the network still holds written off.
+func TestLateAnchorFallsBackToAgeing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		lost func(row int) bool // which of the sender's DATA rows the link drops
+		// From row off on departures prove nothing more (0: they prove
+		// losses to the end); behind is how far the receiver's count ends up
+		// behind the rows that reached it.
+		off, behind int
+	}{
+		{"late-anchor", func(row int) bool { return row < 300 || (row > 320 && row <= 390) }, 1, 256},
+		{"short-burst", func(row int) bool { return row > 100 && row <= 170 }, 0, 0},
+		{"burst-past-unwrap", func(row int) bool { return (row > 100 && row <= 170) || (row > 300 && row <= 430) }, 431, 128},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := newStepNet(t, 2048, 16, 58, nil, "src", "dst").subscribe()
+			// A round trip of 0.6 ticks: the probe of a tick's first round is
+			// still out when the receipt for the rows before it lands.
+			n.delay = 3 * n.nodes["src"].cfg.Tick / 10
+			rows, lost := 0, 0
+			n.lose = func(from, _ transport.Addr, f []byte) bool {
+				if from != "src" || f[0] != frameData {
+					return false
+				}
+				rows++
+				lost += btoi(tc.lost(rows))
+				return tc.lost(rows)
+			}
+			link := &n.nodes["src"].objects[n.id].peers["dst"].link
+			provenAtOff := -1
+			n.stepped = func(transport.Addr) {
+				inNet := n.inNetwork("src", "dst")
+				if settled, sent := link.Settled(), link.Sent(); settled > sent-uint64(inNet) {
+					t.Fatalf("row %d: %d of %d rows settled with %d still in the network", rows, settled, sent, inNet)
+				}
+				if proven, _ := link.Lost(); tc.off > 0 && rows >= tc.off && provenAtOff < 0 {
+					provenAtOff = int(proven)
+				}
+			}
+			for tick := 0; tick < 5000 && !n.fetched().Complete; tick++ {
+				n.tick()
+			}
+			if !n.fetched().Complete || rows < 500 {
+				t.Fatalf("fetch complete %v after %d rows: the test exercised nothing", n.fetched().Complete, rows)
+			}
+			tally := n.nodes["dst"].objects[n.id].rx["src"]
+			proven, aged := link.Lost()
+			t.Logf("%d rows, %d lost: %d proven lost, %d aged out; the receiver counts %d departed",
+				rows, lost, proven, aged, tally.departed)
+			if behind := rows - n.inNetwork("src", "dst") - int(tally.departed); behind != tc.behind {
+				t.Errorf("the receiver's count ends %d behind the rows that reached it, want %d", behind, tc.behind)
+			}
+			if tc.off == 0 && proven == 0 {
+				t.Error("no loss proven from a good anchor")
+			}
+			if tc.off > 0 && int(proven) != provenAtOff {
+				t.Errorf("%d rows proven lost by row %d, %d at the end: departures proved what they could not", provenAtOff, tc.off, proven)
+			}
+		})
+	}
+}
+
+// TestPassThroughClearsStamps: a budget-bound cache forwards the rows it
+// has no room for byte for byte — the upstream's stamp included, which is
+// the upstream's place on its own link. Cleared, the downstream's count of
+// the cache's rows departed never runs past what the cache sent it.
+func TestPassThroughClearsStamps(t *testing.T) {
+	const k, m = 256, 16
+	n := newStepNet(t, k, m, 59, func(c *Config) {
+		if c.Transport.LocalAddr() == "cache" {
+			c.CacheBudget = cache.EntryOverhead + 64*cache.RowCost(k, m)
+		}
+	}, "src", "cache", "down")
+	n.nodes["cache"].AddPeer("down")
+	n.nodes["down"].Watch(n.id, func(ObjectStats) {})
+	forwarded, dealt := 0, 0
+	n.lose = func(from, _ transport.Addr, f []byte) bool {
+		if from == "cache" && f[0] == frameData {
+			forwarded += btoi(f[1+3] == 0)
+			dealt += btoi(f[1+3] != 0)
+		}
+		return false
+	}
+	n.stepped = func(transport.Addr) {
+		down, cached := n.nodes["down"].objects[n.id], n.nodes["cache"].objects[n.id]
+		if down == nil || cached == nil || down.rx["cache"] == nil {
+			return
+		}
+		if departed, sent := uint64(down.rx["cache"].departed), cached.peers["down"].link.Sent(); departed > sent {
+			t.Fatalf("the downstream counts %d of the cache's rows departed, the cache sent it %d", departed, sent)
+		}
+	}
+	for tick := 0; tick < 200 && !n.fetched().Complete; tick++ {
+		n.tick()
+	}
+	t.Logf("the cache forwarded %d rows and dealt %d", forwarded, dealt)
+	if forwarded == 0 || dealt == 0 {
+		t.Fatalf("the cache forwarded %d rows and dealt %d: the test exercised nothing", forwarded, dealt)
+	}
+}
+
+// TestReceiptFormsParseAsThemselves: for every k/G from 1 to 64 each of
+// the four receipt forms — kind 5 and kind 6, short and with a frontier —
+// is taken as what it is: the counters folded, the departure count only
+// from kind 6, the frontier kept only from a form that carries one. Kind
+// 6's short form is as long as kind 5 with a 4-byte frontier (k/G of
+// 25–32): told apart by length alone, the two would collide.
+func TestReceiptFormsParseAsThemselves(t *testing.T) {
+	const received, departed = 3, 9
+	for kPer := 1; kPer <= 64; kPer++ {
+		decoded := []int32{0, int32(kPer - 1)}
+		for _, form := range []struct {
+			departs, frontier bool
+		}{{false, false}, {false, true}, {true, false}, {true, true}} {
+			s, _, _ := pushSession(t, "src", nil)
+			id, err := s.Serve(testContent(kPer*8, int64(kPer)), kPer, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			injectFrame(s, "peer", encodeReq(id))
+			ps := s.objects[id].peers["peer"]
+			ps.link.OnSend(16)
+			fl, dec := 0, []int32(nil)
+			if form.frontier {
+				fl, dec = kPer, decoded
+			}
+			frame := frontierReceipt(id, 0, received, received, fl, dec)
+			want := uint64(received)
+			if form.departs {
+				frame, want = departedReceipt(id, 0, received, received, departed, fl, dec), departed
+			}
+			injectFrame(s, "peer", frame)
+			ps.link.Grant(0, kPer)
+			if got := ps.link.Settled(); got != want {
+				t.Errorf("k/G %d, %+v: %d rows settled, want %d", kPer, form, got, want)
+			}
+			kept := ps.frontier != nil && ps.frontier[0] != nil
+			if kept != form.frontier || kept && !bytes.Equal(ps.frontier[0], frame[len(frame)-frontierLen(kPer):]) {
+				t.Errorf("k/G %d, %+v: frontier kept %v (%x)", kPer, form, kept, ps.frontier)
+			}
+		}
+	}
+	if departedLen != receiptLen+frontierLen(32) {
+		t.Fatalf("the collision this test pins is gone: kind 6 is %d bytes, kind 5 with a 4-byte frontier %d", departedLen, receiptLen+frontierLen(32))
+	}
+}

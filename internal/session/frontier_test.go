@@ -2,7 +2,9 @@ package session
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -214,11 +216,13 @@ func TestTwoSendersRepeatDifferentNatives(t *testing.T) {
 // TestFrontierForgedStaysOnItsLink: a subscriber whose receipts carry
 // forged frontiers — everything missing, everything present, the wrong
 // length, a generation the object does not have, natives past its end, one
-// before every push round with its window forged wide open — redirects
-// which rows it gets and nothing else: never more than adapt.MaxBurst rows
-// in flight on its link nor adapt.TickCeiling in a tick, no state beyond
-// the bound, and the honest peer next to it gets, byte for byte, the stream
-// it would have got alone.
+// before every push round with its window forged wide open, in kind 5 and
+// in kind 6 behind a forged departure count (everything sent, past what was
+// sent, backwards, wrapping) — redirects which rows it gets and nothing
+// else: never more than adapt.MaxBurst rows in flight on its link (two more
+// for the probe) nor adapt.TickCeiling in a tick, no state beyond the
+// bound, and the honest peer next to it gets, byte for byte, the stream it
+// would have got alone.
 func TestFrontierForgedStaysOnItsLink(t *testing.T) {
 	const k, gens, roundsPerTick, ticks = 8188, 2, 6, 60 // k/G = 4094: the last frontier byte has two bits to spare
 	kPer := k / gens
@@ -254,7 +258,7 @@ func TestFrontierForgedStaysOnItsLink(t *testing.T) {
 			return f
 		}, false},
 	}
-	run := func(forge func(packet.ObjectID, int) []byte) (honest string, perTick []int, s *Session, id packet.ObjectID) {
+	run := func(forge func(packet.ObjectID, int) []byte, departs bool) (honest string, perTick []int, s *Session, id packet.ObjectID) {
 		s, rec, clk := pushSession(t, "src", func(c *Config) { c.Burst = 0 })
 		id, err := s.Serve(testContent(k*16, 55), k, gens)
 		if err != nil {
@@ -280,10 +284,16 @@ func TestFrontierForgedStaysOnItsLink(t *testing.T) {
 				_, _, n = frameCounts(frames["z-liar"])
 				liars += n
 				if forge != nil {
-					if f := s.objects[id].peers["z-liar"].link.InFlight(); f > adapt.MaxBurst {
-						t.Fatalf("tick %d: %d rows in flight toward the liar, the cap is %d", tick, f, adapt.MaxBurst)
+					link := &s.objects[id].peers["z-liar"].link
+					if f := link.InFlight(); f > adapt.MaxBurst+2 {
+						t.Fatalf("tick %d: %d rows in flight toward the liar, the cap is %d and the probe's two", tick, f, adapt.MaxBurst)
 					}
-					injectFrame(s, "z-liar", forge(id, tick*roundsPerTick+round))
+					i := tick*roundsPerTick + round
+					f := forge(id, i)
+					if sent := uint32(link.Sent()); departs {
+						f = withDeparted(f, [...]uint32{sent, sent + 1<<20, sent / 2, 1<<32 - 8 + uint32(i)}[i%4])
+					}
+					injectFrame(s, "z-liar", f)
 					checkPhaseInvariants(t, s) // what is kept of a frontier among them
 				}
 			}
@@ -298,17 +308,31 @@ func TestFrontierForgedStaysOnItsLink(t *testing.T) {
 		}
 		return string(rec.sums["honest"].Sum(nil)), perTick, s, id
 	}
-	alone, _, _, _ := run(nil)
+	alone, _, _, _ := run(nil, false)
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			beside, perTick, s, id := run(tc.forge)
-			if beside != alone {
-				t.Errorf("the honest peer's stream moved beside the liar")
+		for _, departs := range []bool{false, true} {
+			name := tc.name
+			if departs {
+				name += "+departed"
 			}
-			o, _ := s.Object(id)
-			if (o.Repeated > 0) != tc.repeated {
-				t.Errorf("%d rows repeated toward the liar, want some: %v (rows per tick %v)", o.Repeated, tc.repeated, perTick)
-			}
-		})
+			t.Run(name, func(t *testing.T) {
+				beside, perTick, s, id := run(tc.forge, departs)
+				if beside != alone {
+					t.Errorf("the honest peer's stream moved beside the liar")
+				}
+				o, _ := s.Object(id)
+				if (o.Repeated > 0) != tc.repeated {
+					t.Errorf("%d rows repeated toward the liar, want some: %v (rows per tick %v)", o.Repeated, tc.repeated, perTick)
+				}
+			})
+		}
 	}
+}
+
+// withDeparted turns kind-5 receipt f into the kind-6 receipt with the same
+// counters and frontier and departed behind the counters.
+func withDeparted(f []byte, departed uint32) []byte {
+	out := append(slices.Clone(f[:receiptLen]), binary.BigEndian.AppendUint32(nil, departed)...)
+	out[17] = fbDeparted
+	return append(out, f[receiptLen:]...)
 }

@@ -139,6 +139,25 @@ func FuzzSessionFrames(f *testing.F) {
 	f.Add(frontierReceipt(id, 1<<31, 32, 16, 16, nil))        // a generation that wraps int on 32-bit builds
 	f.Add(frontierReceipt(id, 0, 32, 16, 12, []int32{13}))    // a native past k/G = 12 in the padding
 	f.Add(frontierReceipt(id, 0, 4, 9, 16, []int32{1, 2, 3})) // a good frontier on contradictory counters
+	// Kind 6, the receipt with a departure count, and the stamped DATA it
+	// answers: short, truncated inside the count, a frontier for k/G ≤ 8
+	// only, with the seed DATA's frontier, truncated inside it, over-long,
+	// kind 6 without its body, a count past anything sent.
+	stamped := append([]byte{frameData}, wire...)
+	packet.Restamp(stamped[1:], packet.SeqStamp(5))
+	f.Add(stamped)
+	dr := departedReceipt(id, 1, 32, 16, 40, 0, nil)
+	f.Add(dr)
+	f.Add(dr[:departedLen-2])
+	f.Add(append(dr, 0x00))
+	longDr := departedReceipt(id, 0, 32, 16, 40, 16, []int32{0, 3, 15})
+	f.Add(longDr)
+	f.Add(longDr[:len(longDr)-1])
+	f.Add(append(longDr, 0xff))
+	shortDr := append([]byte(nil), fb...)
+	shortDr[17] = fbDeparted
+	f.Add(shortDr)
+	f.Add(departedReceipt(id, 0, 32, 16, 1<<32-1, 0, nil))
 	mc, err := packet.AppendManifestChunk([]byte{frameManifest}, id, 520, 0, make([]byte, 64))
 	if err != nil {
 		f.Fatal(err)
@@ -197,6 +216,13 @@ func FuzzSessionFrameSequence(f *testing.F) {
 	f.Add(sequence(append([]byte{frameData}, wire...), encodeReq(id),
 		frontierReceipt(id, 0, 1, 1, 8, []int32{1}), frontierReceipt(id, 0, 2, 2, 16, nil),
 		frontierReceipt(id, 7, 3, 3, 8, nil), frontierReceipt(id, 0, 4, 4, 6, []int32{7})))
+	// Stamped rows, then kind-6 receipts: honest, past what was sent,
+	// backwards, and with a frontier.
+	stamped := append([]byte{frameData}, wire...)
+	packet.Restamp(stamped[1:], packet.SeqStamp(1))
+	f.Add(sequence(stamped, encodeReq(id), stamped,
+		departedReceipt(id, 0, 1, 1, 1, 0, nil), departedReceipt(id, 0, 2, 2, 90, 0, nil),
+		departedReceipt(id, 0, 3, 3, 0, 0, nil), departedReceipt(id, 0, 4, 4, 2, 8, []int32{1})))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := fuzzSession(t, nil)

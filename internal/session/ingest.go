@@ -255,8 +255,11 @@ func (s *Session) ingestOneLocked(st *objectState, in *inFrame, scratch *ingestS
 	}
 }
 
-// passThrough sends on a row a budget-bound cache had no room for.
+// passThrough sends on a row a budget-bound cache had no room for, its
+// stamp cleared: it is the upstream's place on the upstream's link, and
+// downstream it would advance the departure count of this node's own.
 func (s *Session) passThrough(fw ingestForward) {
+	packet.Restamp(fw.frame[1:], 0)
 	s.mu.Lock()
 	addrs, _ := s.targetsLocked(fw.st, s.clk.Now())
 	s.mu.Unlock()
@@ -285,8 +288,9 @@ func genCount(gens uint32) int {
 // flushReceipts is the other half of receiptLocked: behind a drained
 // queue no further frame is coming to carry the report for the rows a
 // sender has unreported, and a sender whose window is smaller than
-// receiptEvery is waiting on exactly that report to send the next. One
-// kind-5 receipt per (object, sender) of the batch that is owed one.
+// receiptEvery is waiting on exactly that report to send the next — and
+// its departure count is what proves the window's losses. One receipt per
+// (object, sender) of the batch that is owed one.
 func flushReceipts(batch []inFrame, states []*objectState, replies []ingestReply) []ingestReply {
 	for i := range batch {
 		st, from := states[i], batch[i].f.From
@@ -306,8 +310,9 @@ func flushReceipts(batch []inFrame, states []*objectState, replies []ingestReply
 // receiptLocked is the receiver half of the receipt clock (DESIGN.md
 // §16), shared by the decode and cache-admission paths: every frame the
 // decoder or the admission policy actually judged — innovative or
-// aborted, but not geometry drops — bumps the per-upstream tally, and
-// every receiptEvery such frames a kind-5 receipt report fills an
+// aborted, but not geometry drops — bumps the per-upstream tally and
+// advances its departure count by the frame's stamp, and every
+// receiptEvery such frames a receipt report fills an
 // otherwise-empty feedback slot. A frame that already produced feedback
 // keeps it (completion and redundancy signals outrank receipts); the due
 // receipt rides the next quiet frame, or leaves when the worker's queue
@@ -331,6 +336,7 @@ func (st *objectState) receiptLocked(in *inFrame, fb []byte, progressed bool) []
 	if progressed {
 		t.inno++
 	}
+	t.depart(in.wv.Stamp)
 	t.since++
 	if t.since >= receiptEvery && fb == nil {
 		fb = st.receiptFrameLocked(in.wv.Generation, t)
@@ -340,15 +346,21 @@ func (st *objectState) receiptLocked(in *inFrame, fb []byte, progressed bool) []
 }
 
 // receiptFrameLocked encodes the receipt for tally t, about generation gen
-// (as the frame behind it stated it, unchecked): with gen's frontier while
-// gen is filling here, the counters alone otherwise — a cache has no
-// decoder to speak for, and a finished generation says so by kind 3 or 2.
-// st.mu must be held.
+// (as the frame behind it stated it, unchecked): kind 6, with the
+// departure count, to an upstream whose rows carry stamps, kind 5 — byte
+// for byte what it always was — to one whose rows do not; with gen's
+// frontier while gen is filling here, the counters alone otherwise — a
+// cache has no decoder to speak for, and a finished generation says so by
+// kind 3 or 2. st.mu must be held.
 func (st *objectState) receiptFrameLocked(gen uint32, t *rxTally) []byte {
-	if st.phase != phFilling || gen >= uint32(st.coder.Generations()) || st.coder.GenComplete(int(gen)) {
-		return receiptFrame(st.id, gen, t.rows, t.inno)
+	kPer, decoded := 0, []int32(nil)
+	if st.phase == phFilling && gen < uint32(st.coder.Generations()) && !st.coder.GenComplete(int(gen)) {
+		kPer, decoded = st.kPer, st.coder.DecodeLog(int(gen))
 	}
-	return frontierReceipt(st.id, gen, t.rows, t.inno, st.kPer, st.coder.DecodeLog(int(gen)))
+	if t.stamped {
+		return departedReceipt(st.id, gen, t.rows, t.inno, t.departed, kPer, decoded)
+	}
+	return frontierReceipt(st.id, gen, t.rows, t.inno, kPer, decoded)
 }
 
 // decodeDataLocked is the decode hot path for one DATA frame; st.mu must

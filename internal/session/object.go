@@ -153,7 +153,7 @@ type objectState struct {
 	sysLog    []int32
 	sysMerged []int
 	// rx tracks, per upstream peer, the rows this session accepted from it
-	// for this object (feeds kind-5 receipt reports).
+	// for this object (feeds receipt reports, kinds 5 and 6).
 	// Decode plane: ingest mutates it under mu. Bounded like the peer
 	// table (maxPeersPerObject).
 	rx map[transport.Addr]*rxTally

@@ -442,15 +442,15 @@ func (s *Session) markLocked(k int, unsettled []sentNative) []uint64 {
 	return s.markBuf
 }
 
-// stageRows serializes a coder-drawn burst straight into coalescer slabs.
+// stageRows serializes a coder-drawn burst straight into coalescer slabs,
+// each row stamped with its place on the peer's link.
 func (s *Session) stageRows(p *peerPlan) {
 	for i, z := range p.rows {
 		frame := packet.AppendWire(append(s.coal.Stage(), frameData), z)
 		if len(frame) > transport.MaxFrame {
 			continue
 		}
-		s.coal.Commit(p.addr, frame)
-		p.sent++
+		s.commitRow(p, frame)
 		switch {
 		case i < p.sysRows:
 			p.sys++
@@ -472,9 +472,18 @@ func (s *Session) stageCached(st *objectState, p *peerPlan) {
 		if !ok || len(frame) > transport.MaxFrame {
 			break
 		}
-		s.coal.Commit(p.addr, frame)
-		p.sent++
+		s.commitRow(p, frame)
 	}
+}
+
+// commitRow stamps one staged DATA frame with its send sequence on the
+// peer's link — the rows pushed before this round, then this round's, in
+// the order the coalescer sends them — and commits it. The receiver turns
+// the stamps into the departure count its receipts carry (rxTally).
+func (s *Session) commitRow(p *peerPlan, frame []byte) {
+	p.sent++
+	packet.Restamp(frame[1:], packet.SeqStamp(uint64(p.sentBase)+uint64(p.sent)))
+	s.coal.Commit(p.addr, frame)
 }
 
 // commitLocked writes one round's results back. Only peers still tracked

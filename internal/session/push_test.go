@@ -8,6 +8,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -28,6 +29,9 @@ type recTransport struct {
 	inbox  []transport.Frame
 	frames map[transport.Addr][][]byte
 	sums   map[transport.Addr]hash.Hash
+	// masked is sums with every DATA row's stamp (header byte 3) zeroed:
+	// the stream as it was before rows carried stamps.
+	masked map[transport.Addr]hash.Hash
 }
 
 func newRecTransport(self transport.Addr) *recTransport {
@@ -35,6 +39,7 @@ func newRecTransport(self transport.Addr) *recTransport {
 		self:   self,
 		frames: make(map[transport.Addr][][]byte),
 		sums:   make(map[transport.Addr]hash.Hash),
+		masked: make(map[transport.Addr]hash.Hash),
 	}
 }
 
@@ -70,22 +75,39 @@ func (r *recTransport) Send(to transport.Addr, frame []byte) error {
 		// and they stay out of its push stream digest.
 		return nil
 	}
-	h := r.sums[to]
+	digestFrame(r.sums, to, frame)
+	if frame[0] == frameData {
+		frame = slices.Clone(frame)
+		packet.Restamp(frame[1:], 0)
+	}
+	digestFrame(r.masked, to, frame)
+	return nil
+}
+
+// digestFrame adds frame, length-prefixed, to to's running hash in sums.
+func digestFrame(sums map[transport.Addr]hash.Hash, to transport.Addr, frame []byte) {
+	h := sums[to]
 	if h == nil {
 		h = sha256.New()
-		r.sums[to] = h
+		sums[to] = h
 	}
 	var n [4]byte
 	binary.BigEndian.PutUint32(n[:], uint32(len(frame)))
 	h.Write(n[:])
 	h.Write(frame)
-	return nil
 }
 
-// isReceipt recognizes a kind-5 receipt in either form: the counters
-// alone, or with a frontier behind them.
+// receiptFrame is the short kind-5 receipt: the counters alone, what a
+// receiver reports to a sender whose rows carry no stamp.
+func receiptFrame(id packet.ObjectID, gen, received, innovative uint32) []byte {
+	return frontierReceipt(id, gen, received, innovative, 0, nil)
+}
+
+// isReceipt recognizes a receipt of either kind — 5, or 6 with the
+// departure count — in either form: the counters alone, or with a frontier
+// behind them.
 func isReceipt(frame []byte) bool {
-	return len(frame) >= receiptLen && frame[0] == frameFeedback && frame[17] == fbReceipt
+	return len(frame) >= receiptLen && frame[0] == frameFeedback && (frame[17] == fbReceipt || frame[17] == fbDeparted)
 }
 
 // take returns and forgets the frames recorded since the last take; the
@@ -98,15 +120,15 @@ func (r *recTransport) take() map[transport.Addr][][]byte {
 
 // digest folds the per-destination stream hashes (every frame sent since
 // the transport was built, length-prefixed, in send order) into one value.
-func (r *recTransport) digest() string {
-	dests := make([]transport.Addr, 0, len(r.sums))
-	for a := range r.sums {
-		dests = append(dests, a)
-	}
-	slices.Sort(dests)
+func (r *recTransport) digest() string { return foldDigests(r.sums) }
+
+// maskedDigest is digest with every DATA row's stamp zeroed.
+func (r *recTransport) maskedDigest() string { return foldDigests(r.masked) }
+
+func foldDigests(sums map[transport.Addr]hash.Hash) string {
 	all := sha256.New()
-	for _, a := range dests {
-		fmt.Fprintf(all, "%s %x\n", a, r.sums[a].Sum(nil))
+	for _, a := range slices.Sorted(maps.Keys(sums)) {
+		fmt.Fprintf(all, "%s %x\n", a, sums[a].Sum(nil))
 	}
 	return hex.EncodeToString(all.Sum(nil))
 }
@@ -182,8 +204,20 @@ func feed(dst *Session, src *recTransport, without ...byte) {
 // move a per-tick burst, and unacknowledged rows age out). Every
 // configuration keeps to at
 // most one REQ subscriber plus standing peers, the only population whose
-// push order was deterministic before plans were sorted.
+// push order was deterministic before plans were sorted. All five were
+// re-pinned once more when DATA rows began to carry their send sequence
+// in header byte 3; maskedGoldens, the same streams with that byte zeroed,
+// are the five digests as they stood before, so the stamp is the only
+// thing that moved in any stream.
 var pushGoldens = map[string]string{
+	"static-g1-manifest":  "154bc29a9816d080877389b7284b7c199fdc3fac3f97656814152409ecf21904",
+	"g4-gen-complete":     "b251340bebeb8d5c87ad59337315d5215822c5517ff92d704ecada7796ff9e36",
+	"adaptive-systematic": "5bd56aa55aace605477b3d64f27e297e98742a468fd0e7b322927c0c77497fcf",
+	"cache-req":           "c20934513c6657fff1661b40f7b62eb63ee1f78c455c9cf150d35c53cad8ce3b",
+	"paced":               "9fe82af8caff3fb0a2c3aee1d234952e16a12afbb185a5cbfc016eba8941dd2d",
+}
+
+var maskedGoldens = map[string]string{
 	"static-g1-manifest":  "6bbf3dce0d67d2b874d88116504a30f853e42c8c60f45e9215ba7b75cfd72963",
 	"g4-gen-complete":     "34b6cd801bd46f19dffc3c865b983fa54acb5a8809766539abfb9e9485d1becd",
 	"adaptive-systematic": "a394421719bee887a1bf1801f8a7cd84f2a1c2a5071c0ccc93c20004295ab267",
@@ -192,8 +226,8 @@ var pushGoldens = map[string]string{
 }
 
 func TestPushGolden(t *testing.T) {
-	cases := map[string]func(t *testing.T) string{
-		"static-g1-manifest": func(t *testing.T) string {
+	cases := map[string]func(t *testing.T) *recTransport{
+		"static-g1-manifest": func(t *testing.T) *recTransport {
 			s, rec, clk := pushSession(t, "src", nil)
 			s.AddPeer("a")
 			s.AddPeer("b")
@@ -206,9 +240,9 @@ func TestPushGolden(t *testing.T) {
 			pushTicks(s, clk, 40) // crosses a META+manifest resend
 			injectFrame(s, "a", feedbackFrame(id, fbComplete))
 			pushTicks(s, clk, 10)
-			return rec.digest()
+			return rec
 		},
-		"g4-gen-complete": func(t *testing.T) string {
+		"g4-gen-complete": func(t *testing.T) *recTransport {
 			s, rec, clk := pushSession(t, "src", func(c *Config) { c.Burst = 2 })
 			s.AddPeer("a")
 			s.AddPeer("b")
@@ -223,9 +257,9 @@ func TestPushGolden(t *testing.T) {
 			injectFrame(s, "sub", genFeedbackFrame(id, 0))
 			injectFrame(s, "b", genFeedbackFrame(id, 3))
 			pushTicks(s, clk, 30)
-			return rec.digest()
+			return rec
 		},
-		"adaptive-systematic": func(t *testing.T) string {
+		"adaptive-systematic": func(t *testing.T) *recTransport {
 			s, rec, clk := pushSession(t, "src", func(c *Config) { c.Adaptive = true; c.Burst = 4 })
 			s.AddPeer("a")
 			id, err := s.Serve(testContent(96*40, 3), 96, 2)
@@ -241,9 +275,9 @@ func TestPushGolden(t *testing.T) {
 			injectFrame(s, "a", receiptFrame(id, 0, 32, 30))
 			injectFrame(s, "a", genFeedbackFrame(id, 1))
 			pushTicks(s, clk, 40) // both systematic passes end, coded repair follows
-			return rec.digest()
+			return rec
 		},
-		"cache-req": func(t *testing.T) string {
+		"cache-req": func(t *testing.T) *recTransport {
 			src, srcRec, srcClk := pushSession(t, "src", func(c *Config) { c.Burst = 4 })
 			src.AddPeer("cache")
 			id, err := src.Serve(testContent(64*32, 4), 64, 2)
@@ -261,14 +295,14 @@ func TestPushGolden(t *testing.T) {
 			pushTicks(s, clk, 30)
 			injectFrame(s, "sub", genFeedbackFrame(id, 1))
 			pushTicks(s, clk, 30)
-			return rec.digest()
+			return rec
 		},
 		// Burst unset: receipts set the pace. "a" acknowledges every row
 		// (one receipt per receiptEvery, folded by the next round), the
 		// subscriber never does; the digest pins the ramp, the taper against
 		// a's innovative count, the ageing of rows no receipt names, the
 		// silence decay and the rows drawn.
-		"paced": func(t *testing.T) string {
+		"paced": func(t *testing.T) *recTransport {
 			s, rec, clk := pushSession(t, "src", func(c *Config) { c.Burst = 0 })
 			s.AddPeer("a")
 			id, err := s.Serve(testContent(256*24, 5), 256, 1)
@@ -286,13 +320,17 @@ func TestPushGolden(t *testing.T) {
 					}
 				}
 			}
-			return rec.digest()
+			return rec
 		},
 	}
 	for name, run := range cases {
 		t.Run(name, func(t *testing.T) {
-			if got := run(t); got != pushGoldens[name] {
+			rec := run(t)
+			if got := rec.digest(); got != pushGoldens[name] {
 				t.Errorf("push stream digest of %q changed:\n got  %s\n want %s", name, got, pushGoldens[name])
+			}
+			if got := rec.maskedDigest(); got != maskedGoldens[name] {
+				t.Errorf("push stream digest of %q, stamps zeroed, changed:\n got  %s\n want %s", name, got, maskedGoldens[name])
 			}
 		})
 	}

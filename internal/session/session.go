@@ -55,6 +55,12 @@
 //	               filling there, its frontier: ⌈k/G ÷ 8⌉ bytes, bit i
 //	               (least significant first) set once native i of gen
 //	               is decoded; the sender repeats what is missing)
+//	               6=receipt report with departures, sent to a sender
+//	               whose DATA rows carry stamps (header byte 3: the row's
+//	               send sequence on the link, mod 128): gen(4),
+//	               received(4), innovative(4), departed(4) — every row up
+//	               to that sequence has arrived or is lost — then the
+//	               frontier as kind 5's
 //	MANIFEST 0x05 | manifest chunk (packet.ManifestChunk): objectID(16) |
 //	               total(4) | off(4) | n(2) | bytes — one slice of the
 //	               object's integrity manifest (internal/integrity),
@@ -127,6 +133,9 @@ const (
 	fbGenComplete = 0x03
 	fbCacheAd     = 0x04
 	fbReceipt     = 0x05
+	// fbDeparted is the receipt report for an upstream whose rows carry
+	// stamps: kind 5's counters, then the departure count.
+	fbDeparted = 0x06
 
 	reqLen = 1 + 16
 	// META comes in two lengths: the gens-absent legacy form (≡ G=1,
@@ -149,6 +158,11 @@ const (
 	// drop it silently. A receiver still filling that generation appends
 	// its frontier (frontierLen bytes); the short form stays valid.
 	receiptLen = feedbackLen + 12
+	// Kind 6 inserts the departure count after the counters; its frontier,
+	// if any, follows that. A kind of its own, not a third length of kind
+	// 5: a 4-byte count and a 4-byte frontier (k/G of 25–32) would be the
+	// same length.
+	departedLen = receiptLen + 4
 )
 
 // frontierLen is the length of one generation's frontier — its
@@ -222,13 +236,39 @@ func (ps *peerState) forgetProgressLocked() {
 
 // rxTally is the receiver-side mirror of one upstream's pushes: the
 // cumulative DATA rows accepted from that peer for one object, how many
-// were innovative, and how many arrived since the last kind-5 receipt
-// went out. It lives on the object's decode plane (guarded by
-// objectState.mu, NOT Session.mu) because the ingest path that feeds it
-// holds only the per-object lock.
+// were innovative, how many arrived since the last receipt went out, and —
+// once a row of the upstream's came stamped — how many have departed. It
+// lives on the object's decode plane (guarded by objectState.mu, NOT
+// Session.mu) because the ingest path that feeds it holds only the
+// per-object lock.
 type rxTally struct {
 	rows, inno uint32
 	since      int
+	// departed is the highest send sequence among the upstream's stamped
+	// rows: per-object ingest is FIFO, so every row up to it has arrived or
+	// is lost. A stamp holds seven bits of it (packet.SeqStamp), unwrapped
+	// against the last. The count may only under-report — what the sender
+	// writes off must not include a row the link may still deliver: the
+	// first stamp anchors it at the least the sequence can be (a tally
+	// created past the upstream's 127th row, or re-created, stays behind by
+	// a multiple of 128, and the sender, whose rows settle ahead of it, is
+	// back to ageing them), and a run of 128 or more lost rows unwraps short
+	// by as much.
+	departed uint32
+	stamped  bool
+}
+
+// depart advances the departure count by one arriving row's stamp.
+func (t *rxTally) depart(stamp byte) {
+	if stamp&packet.StampFlag == 0 {
+		return // the upstream does not stamp, or a verbatim forward
+	}
+	seq := uint32(stamp &^ packet.StampFlag)
+	if !t.stamped {
+		t.departed, t.stamped = seq, true
+		return
+	}
+	t.departed += (seq - t.departed) & (packet.StampFlag - 1)
 }
 
 // cacheAd is one peer's kind-4 advertisement: how much of an object its

@@ -55,6 +55,14 @@ type ObjectStats struct {
 	LossEst    float64
 	Systematic int64
 	Repeated   int64
+	// LostProven and LostAged sum, over the peers the object is pushed to,
+	// the rows their links wrote off as lost (DESIGN.md §16): proven by a
+	// receipt's departure count — a later row arrived — or aged out with
+	// nothing to say so (and no receipt reporting them after all). On a
+	// lossless link both stay near 0; under loss the proven share is how
+	// much of it the sender learnt of a receipt after it happened.
+	LostProven int64
+	LostAged   int64
 }
 
 // Overhead returns received packets relative to K — the reception
@@ -190,6 +198,9 @@ func (s *Session) statsLocked(st *objectState) ObjectStats {
 			lossSum += ps.link.Loss()
 			lossN++
 		}
+		proven, aged := ps.link.Lost()
+		o.LostProven += int64(proven)
+		o.LostAged += int64(aged)
 	}
 	if lossN > 0 {
 		o.LossEst = lossSum / float64(lossN)

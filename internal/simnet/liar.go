@@ -9,18 +9,20 @@ import (
 )
 
 // fbTag is the session wire protocol's FEEDBACK frame type byte;
-// receiptKind is the kind-5 receipt-report discriminator inside it (see
-// the internal/session package doc for the frame vocabulary and
-// DESIGN.md §16 for the receipt layout).
+// receiptKind and departedKind are the receipt-report discriminators
+// inside it, without and with a departure count (see the internal/session
+// package doc for the frame vocabulary and DESIGN.md §16 for the receipt
+// layout).
 const (
-	fbTag       = 0x04
-	receiptKind = 0x05
+	fbTag        = 0x04
+	receiptKind  = 0x05
+	departedKind = 0x06
 )
 
 // liar is a lying receiver on the fabric: a raw port — no session, no
 // decoder — that REQ-subscribes at every serving node for every object,
-// silently drains the pushes it provokes, and floods forged kind-5
-// receipt reports. Even-numbered liars claim they received nothing:
+// silently drains the pushes it provokes, and floods forged receipt
+// reports. Even-numbered liars claim they received nothing, in kind 5:
 // against a naive adaptive sender the under-claim pins the per-peer loss
 // estimate at its ceiling and extorts maximum redundancy forever; the
 // estimator's clamps (MaxLoss, a budget that never exceeds the static
@@ -28,23 +30,29 @@ const (
 // liars go after the receipt-clocked window instead, flooding the claims
 // that could turn it over faster than any receiver empties it
 // (liarClaims, one every liarFlood): everything and more received,
-// counters running backwards, counters wrapping uint32 — and behind each a
-// forged frontier (forgedFrontier), which could redirect a sender's repair:
-// everything missing, everything present, a generation the object does not
-// have, the wrong length, natives past the generation's end. The pacer's
-// ceiling (adapt.TickCeiling rows a tick, checked frame by frame in a
-// paced run) is the defense: a frontier chooses which rows its claimant
-// gets, never how many. The fabric steps it: it pumps at virtual
-// intervals and goes quiet once no DATA has arrived for liarIdle of
-// virtual time, bounding the traffic a run can see.
+// counters running backwards, counters wrapping uint32 — and behind each,
+// in kind 6, a forged departure count (forgedDeparted: everything it was
+// sent, far past that, backwards, wrapping) and a forged frontier
+// (forgedFrontier), which could redirect a sender's repair: everything
+// missing, everything present, a generation the object does not have, the
+// wrong length, natives past the generation's end. The pacer's ceiling
+// (adapt.TickCeiling rows a tick, checked frame by frame in a paced run)
+// is the defense: a departure count empties no more than a received count
+// does, and a frontier chooses which rows its claimant gets, never how
+// many. The fabric steps it: it pumps at virtual intervals and goes quiet
+// once no DATA has arrived for liarIdle of virtual time, bounding the
+// traffic a run can see.
 type liar struct {
 	net     *Net
 	port    *Port
 	ids     []packet.ObjectID
 	servers []transport.Addr
-	// geom, for a liar that forges frontiers too, is every object's
-	// geometry; nil and its receipts are the 30-byte kind.
+	// geom, for a liar that forges departure counts and frontiers too, is
+	// every object's geometry; nil and its receipts are kind 5's 30 bytes.
 	geom map[packet.ObjectID]objGeom
+	// rows counts the DATA rows each (server, object) pushed at the liar:
+	// what it was sent, as near as it can tell.
+	rows map[pushedAt]uint32
 
 	every time.Duration // virtual pump interval
 	// claims is the cycle of forged (received, innovative) counters, one
@@ -53,6 +61,12 @@ type liar struct {
 	pumps  int
 
 	pumpAt, lastData, lastSub time.Time
+}
+
+// pushedAt names one (server, object) stream toward the liar.
+type pushedAt struct {
+	from transport.Addr
+	id   packet.ObjectID
 }
 
 const (
@@ -82,24 +96,41 @@ func startLiar(net *Net, name string, claims [][2]uint32, every time.Duration, i
 	}
 	l := &liar{
 		net: net, port: port, ids: ids, geom: geom, servers: servers, claims: claims, every: every,
-		pumpAt: net.Now().Add(every), lastData: net.Now(),
+		rows: make(map[pushedAt]uint32), pumpAt: net.Now().Add(every), lastData: net.Now(),
 	}
 	port.Drive(l.step)
 	return nil
 }
 
-// forgedReceipt hand-builds the kind-5 FEEDBACK frame the session layer's
-// receipt path parses — 30 bytes, then the frontier of generation gen or
-// nothing — the liar speaks the wire protocol without a session.
-func forgedReceipt(id packet.ObjectID, gen, received, innovative uint32, frontier []byte) []byte {
-	buf := make([]byte, 30, 30+len(frontier))
+// forgedReceipt hand-builds the FEEDBACK frame the session layer's receipt
+// path parses — kind 5 with counters gen, received and innovative, kind 6
+// with the departure count behind them — then the frontier of generation
+// gen or nothing: the liar speaks the wire protocol without a session.
+func forgedReceipt(id packet.ObjectID, kind byte, counters []uint32, frontier []byte) []byte {
+	buf := make([]byte, 18, 18+4*len(counters)+len(frontier))
 	buf[0] = fbTag
 	copy(buf[1:17], id[:])
-	buf[17] = receiptKind
-	binary.BigEndian.PutUint32(buf[18:22], gen)
-	binary.BigEndian.PutUint32(buf[22:26], received)
-	binary.BigEndian.PutUint32(buf[26:30], innovative)
+	buf[17] = kind
+	for _, c := range counters {
+		buf = binary.BigEndian.AppendUint32(buf, c)
+	}
 	return append(buf, frontier...)
+}
+
+// forgedDeparted is the n-th departure-count forgery toward a server that
+// has pushed sent rows at the liar, in a cycle of four: everything sent has
+// departed (what the liar's received claims did not credit, proven lost),
+// far past what was sent, running backwards, and wrapping uint32.
+func forgedDeparted(sent uint32, n int) uint32 {
+	switch n % 4 {
+	case 1:
+		return sent + 1<<20
+	case 2:
+		return sent / 2
+	case 3:
+		return 1<<32 - 16 + uint32(n)
+	}
+	return sent
 }
 
 // forgedFrontier is the n-th frontier forgery for an object of geometry g,
@@ -127,14 +158,17 @@ func forgedFrontier(g objGeom, n int) (gen uint32, frontier []byte) {
 	return gen, frontier
 }
 
-// step drains the port — recording only whether DATA is still flowing; a
-// liar that decoded would have nothing to lie about — and pumps when the
-// interval has passed.
+// step drains the port — recording only whether DATA is still flowing,
+// and how much of it each server sent; a liar that decoded would have
+// nothing to lie about — and pumps when the interval has passed.
 func (l *liar) step() time.Time {
 	now := l.net.Now()
 	for f, ok := l.port.Poll(); ok; f, ok = l.port.Poll() {
 		if len(f.Data) > 0 && f.Data[0] == dataTag {
 			l.lastData = now
+			if wv, err := packet.ParseWire(f.Data[1:]); err == nil {
+				l.rows[pushedAt{f.From, wv.Object}]++
+			}
 		}
 		f.Release()
 	}
@@ -163,12 +197,14 @@ func (l *liar) pump(now time.Time) {
 			if doSub {
 				l.port.Send(to, append([]byte{reqTag}, id[:]...))
 			}
-			var gen uint32
-			var frontier []byte
-			if g, ok := l.geom[id]; ok {
-				gen, frontier = forgedFrontier(g, l.pumps)
+			g, forges := l.geom[id]
+			if !forges {
+				l.port.Send(to, forgedReceipt(id, receiptKind, []uint32{0, claim[0], claim[1]}, nil))
+				continue
 			}
-			l.port.Send(to, forgedReceipt(id, gen, claim[0], claim[1], frontier))
+			gen, frontier := forgedFrontier(g, l.pumps)
+			departed := forgedDeparted(l.rows[pushedAt{to, id}], l.pumps)
+			l.port.Send(to, forgedReceipt(id, departedKind, []uint32{gen, claim[0], claim[1], departed}, frontier))
 		}
 	}
 }

@@ -132,7 +132,7 @@ type Scenario struct {
 
 	// Liars adds lying-receiver actors (Adaptive swarms only): raw ports
 	// that REQ-subscribe at every source and relay for every object, drain
-	// the resulting pushes, and flood forged kind-5 receipt reports — the
+	// the resulting pushes, and flood forged receipt reports — the
 	// even-numbered ones claiming they received nothing (the extortion
 	// play against the adaptive loop, trying to pin the sender's loss
 	// estimate at the ceiling and divert redundancy budget away from

@@ -68,7 +68,10 @@ func ParseObjectID(s string) (ObjectID, error) { return packet.ParseObjectID(s) 
 // the per-generation decode progress. On the push side Sent splits three
 // ways: Systematic, the first-pass rows (each native once, plainly);
 // Repeated, natives sent again because a peer's receipt showed them
-// missing there; and the rest, coded rows.
+// missing there; and the rest, coded rows. Of the rows the links lost,
+// LostProven were written off at the receipt after the loss (a later row
+// arrived, and the receipt's departure count says so) and LostAged only
+// when they aged out of the window.
 type ObjectStats = session.ObjectStats
 
 // CacheStats is a point-in-time view of a cache-mode session's partial
