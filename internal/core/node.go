@@ -60,6 +60,10 @@ type Options struct {
 	// O(d · budget) on the giant decoded component with no measurable
 	// effect on the occurrence variance (see EXPERIMENTS.md).
 	RefineScanBudget int
+	// Arena is the decode arena, K-bit vectors and M-byte rows; nil gives
+	// the node one of its own. Nodes sharing one pass freed rows to each
+	// other and must be used from one goroutine at a time.
+	Arena *bitvec.Arena
 }
 
 func (o *Options) setDefaults() error {
@@ -81,6 +85,12 @@ func (o *Options) setDefaults() error {
 	}
 	if o.Rng == nil {
 		o.Rng = rand.New(rand.NewSource(1))
+	}
+	if o.Arena == nil {
+		o.Arena = bitvec.NewArena(o.K, o.M)
+	}
+	if o.Arena.N() != o.K || o.Arena.M() != o.M {
+		return fmt.Errorf("core: arena of %d-bit vectors and %d-byte rows, K = %d, M = %d", o.Arena.N(), o.Arena.M(), o.K, o.M)
 	}
 	if o.MaxPickRetries == 0 {
 		o.MaxPickRetries = 64
@@ -166,7 +176,7 @@ func NewNode(opts Options) (*Node, error) {
 	if !opts.DisableRedundancyCheck {
 		hooks.CheckRedundant = n.isRedundantReduced
 	}
-	dec, err := lt.NewDecoder(opts.K, opts.M, opts.Counter, hooks)
+	dec, err := lt.NewDecoderIn(opts.Arena, opts.Counter, hooks)
 	if err != nil {
 		return nil, err
 	}
@@ -257,6 +267,10 @@ func (n *Node) NativeData(x int) []byte { return n.dec.NativeData(x) }
 
 // Data returns all native payloads once decoding is complete.
 func (n *Node) Data() ([][]byte, error) { return n.dec.Data() }
+
+// MoveNatives moves a complete node's natives into dst, K slots of M bytes
+// (lt.Decoder.MoveNatives): recoding reads them there from then on.
+func (n *Node) MoveNatives(dst []byte) bool { return n.dec.MoveNatives(dst) }
 
 // Components returns the node's connected-components snapshot in the
 // paper's cc representation; this is what the node ships to a sender over

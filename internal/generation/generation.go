@@ -7,13 +7,15 @@
 // tail.
 //
 // This is the one generation implementation in the tree. The Coder is
-// what the dissemination session stores per object: G arena-backed LTNC
-// nodes (each owning its own bitvec arena and batched decode engine) plus
-// the routing, validation and round-robin recoding that tie them into one
-// object. It exposes the same zero-copy hot-path surface as a single
-// core.Node — acquire a vector from the owning generation's arena,
-// redundancy-check it, move the payload in — so the session's batched
-// ingest works unchanged whether an object has one generation or hundreds.
+// what the dissemination session stores per object: G LTNC nodes over one
+// shared bitvec arena (every generation decodes k/G-bit vectors and m-byte
+// rows, so the rows one generation frees carry the next) plus the routing,
+// validation and round-robin recoding that tie them into one object. It
+// exposes the same zero-copy hot-path surface as a single core.Node —
+// acquire a vector from the arena, redundancy-check it, move the payload
+// in — so the session's batched ingest works unchanged whether an object
+// has one generation or hundreds, and MoveGen moves a complete
+// generation's natives out of the arena into the caller's object buffer.
 package generation
 
 import (
@@ -63,6 +65,7 @@ type Options struct {
 // not safe for concurrent use — the session guards it per object.
 type Coder struct {
 	gens     []*core.Node
+	arena    *bitvec.Arena // shared by every generation node
 	kPer     int
 	m        int
 	next     int     // round-robin cursor for Recode
@@ -84,20 +87,14 @@ func New(opts Options) (*Coder, error) {
 		return nil, fmt.Errorf("%w: k/G = %d < 1", ErrBadGeneration, opts.KPerGeneration)
 	}
 	c := &Coder{
-		gens: make([]*core.Node, opts.Generations),
-		kPer: opts.KPerGeneration,
-		m:    opts.M,
-		opts: opts,
+		gens:  make([]*core.Node, opts.Generations),
+		arena: bitvec.NewArena(opts.KPerGeneration, opts.M),
+		kPer:  opts.KPerGeneration,
+		m:     opts.M,
+		opts:  opts,
 	}
 	for g := range c.gens {
-		node, err := core.NewNode(core.Options{
-			K:                      opts.KPerGeneration,
-			M:                      opts.M,
-			DisableRefinement:      opts.DisableRefinement,
-			DisableRedundancyCheck: opts.DisableRedundancyCheck,
-			Counter:                opts.Counter,
-			Rng:                    xrand.NewChild(xrand.DeriveSeed(opts.Seed, opts.Stream), g),
-		})
+		node, err := c.newNode(g)
 		if err != nil {
 			return nil, err
 		}
@@ -105,6 +102,23 @@ func New(opts Options) (*Coder, error) {
 	}
 	return c, nil
 }
+
+// newNode builds generation g's empty node over the coder's arena, drawing
+// from the deterministic child stream (Seed, Stream, g).
+func (c *Coder) newNode(g int) (*core.Node, error) {
+	return core.NewNode(core.Options{
+		K:                      c.kPer,
+		M:                      c.m,
+		DisableRefinement:      c.opts.DisableRefinement,
+		DisableRedundancyCheck: c.opts.DisableRedundancyCheck,
+		Counter:                c.opts.Counter,
+		Rng:                    xrand.NewChild(xrand.DeriveSeed(c.opts.Seed, c.opts.Stream), g),
+		Arena:                  c.arena,
+	})
+}
+
+// Arena returns the decode arena every generation shares.
+func (c *Coder) Arena() *bitvec.Arena { return c.arena }
 
 // Generations returns G.
 func (c *Coder) Generations() int { return len(c.gens) }
@@ -160,8 +174,8 @@ func (c *Coder) Seed(natives [][]byte) error {
 	return nil
 }
 
-// AcquireVec returns a code vector from generation g's decode arena with
-// unspecified contents — overwrite fully before use. Pass it to
+// AcquireVec returns a code vector for generation g from the decode arena
+// with unspecified contents — overwrite fully before use. Pass it to
 // ReceiveOwned, or return it with ReleaseVec if the packet is aborted.
 func (c *Coder) AcquireVec(g int) *bitvec.Vector { return c.gens[g].AcquireVec() }
 
@@ -169,8 +183,9 @@ func (c *Coder) AcquireVec(g int) *bitvec.Vector { return c.gens[g].AcquireVec()
 // inserting it.
 func (c *Coder) ReleaseVec(g int, v *bitvec.Vector) { c.gens[g].ReleaseVec(v) }
 
-// AcquireRow returns an m-byte payload row from generation g's arena
-// (nil in control-plane-only coders). Overwrite all m bytes before use.
+// AcquireRow returns an m-byte payload row for generation g from the
+// decode arena (nil in control-plane-only coders). Overwrite all m bytes
+// before use.
 func (c *Coder) AcquireRow(g int) []byte { return c.gens[g].AcquireRow() }
 
 // IsRedundant runs generation g's redundancy detector (Algorithm 3) on a
@@ -285,25 +300,29 @@ func (c *Coder) DecodeLog(g int) []int32 { return c.gens[g].DecodeLog() }
 // that its decoded natives, sent plainly, cannot.
 func (c *Coder) GenStored(g int) int { return c.gens[g].StoredCount() }
 
-// NativeRow returns native row x (in global content order, 0 ≤ x < K) as
-// a degree-1 packet stamped for its generation — the unit of the push
+// NativeRow writes native row x (in global content order, 0 ≤ x < K) into
+// z as a degree-1 packet stamped for its generation — the unit of the push
 // path's systematic first pass: each native is emitted plainly once, and
-// coded repair only covers what the link then loses. The bool is false
-// while the owning generation has not decoded that native. The
-// packet owns its payload (packet.Native copies), so it stays valid
-// across later decode activity, including a quarantine ResetGen.
-func (c *Coder) NativeRow(x int) (*packet.Packet, bool) {
+// coded repair only covers what the link then loses. z's vector must be
+// KPer bits long; every other field is overwritten, and the payload is
+// copied into z's own (grown only if shorter than M), so the row stays
+// valid across later decode activity — a MoveGen, a quarantine ResetGen —
+// and z can be reused from row to row. It reports false, z untouched,
+// while the owning generation has not decoded that native.
+func (c *Coder) NativeRow(z *packet.Packet, x int) bool {
 	if x < 0 || x >= c.K() {
-		return nil, false
+		return false
 	}
 	g, i := x/c.kPer, x%c.kPer
 	node := c.gens[g]
 	if !node.IsDecoded(i) {
-		return nil, false
+		return false
 	}
-	z := packet.Native(c.kPer, i, node.NativeData(i))
+	z.Vec.Reset()
+	z.Vec.Set(i)
+	*z = packet.Packet{Vec: z.Vec, Payload: append(z.Payload[:0], node.NativeData(i)...)}
 	c.stamp(z, g)
-	return z, true
+	return true
 }
 
 func (c *Coder) stamp(z *packet.Packet, g int) {
@@ -344,8 +363,9 @@ func (c *Coder) AppendGenDecoded(dst []int) []int {
 
 // GenData returns generation g's kPer natives in order once that
 // generation is complete — the unit the integrity layer verifies. The
-// returned slices are live views owned by the generation's decode arena:
-// read-only, and invalid after ResetGen(g).
+// returned slices are live views, read-only: of arena rows, or after
+// MoveGen of the slots the natives moved to. Take them again after
+// MoveGen(g); they are invalid after ResetGen(g).
 func (c *Coder) GenData(g int) ([][]byte, error) {
 	if g < 0 || g >= len(c.gens) {
 		return nil, fmt.Errorf("%w: generation %d of %d", ErrBadGeneration, g, len(c.gens))
@@ -357,25 +377,29 @@ func (c *Coder) GenData(g int) ([][]byte, error) {
 	return data, nil
 }
 
+// MoveGen moves complete generation g's natives into dst, KPer slots of M
+// bytes in order, and returns the arena rows they leave to the arena, for
+// the generations still decoding (core.Node.MoveNatives). Natives already
+// in their slots stay put — a generation moved before, or seeded with
+// views of dst — so MoveGen is idempotent, and moving a source's
+// generations into the content they view hands none of it to the arena.
+// It reports whether g's natives sit in dst: false, with nothing moved,
+// while g is incomplete or dst is not KPer·M bytes.
+func (c *Coder) MoveGen(g int, dst []byte) bool { return c.gens[g].MoveNatives(dst) }
+
 // ResetGen discards generation g's entire decode state and replaces it
 // with a fresh empty node — the session's pollution quarantine: when a
 // completed generation fails manifest verification there is no way to
 // tell which rows were forged, so the generation is re-fetched from
 // scratch, and DecodeLog(g) starts over empty. The new node draws from the
 // same deterministic child stream as the old one; the received counter is
-// NOT rolled back (the wasted packets are real reception overhead).
+// NOT rolled back (the wasted packets are real reception overhead). The
+// old node's rows are not recycled: they may be slots MoveGen filled.
 func (c *Coder) ResetGen(g int) error {
 	if g < 0 || g >= len(c.gens) {
 		return fmt.Errorf("%w: generation %d of %d", ErrBadGeneration, g, len(c.gens))
 	}
-	node, err := core.NewNode(core.Options{
-		K:                      c.kPer,
-		M:                      c.m,
-		DisableRefinement:      c.opts.DisableRefinement,
-		DisableRedundancyCheck: c.opts.DisableRedundancyCheck,
-		Counter:                c.opts.Counter,
-		Rng:                    xrand.NewChild(xrand.DeriveSeed(c.opts.Seed, c.opts.Stream), g),
-	})
+	node, err := c.newNode(g)
 	if err != nil {
 		return err
 	}

@@ -474,7 +474,7 @@ func TestDecodeLogPerGeneration(t *testing.T) {
 					t.Fatalf("generation %d logs native %d twice", gen, x)
 				}
 				seen[x] = true
-				if _, ok := dst.NativeRow(gen*kPer + int(x)); !ok {
+				if !dst.NativeRow(packet.New(kPer, m), gen*kPer+int(x)) {
 					t.Fatalf("generation %d logs native %d, which is not decoded", gen, x)
 				}
 			}
@@ -497,5 +497,92 @@ func TestDecodeLogPerGeneration(t *testing.T) {
 	}
 	if len(dst.DecodeLog(0)) != kPer || len(dst.DecodeLog(2)) != kPer {
 		t.Fatal("ResetGen(1) touched another generation's log")
+	}
+}
+
+// TestMoveGen: a complete generation moves into the caller's slots —
+// GenData yields them in order and the shared arena gets back every row the
+// generation held, for the next generation to decode into; an incomplete
+// generation moves nothing; and after a ResetGen the refill moves into the
+// same slots again.
+func TestMoveGen(t *testing.T) {
+	const (
+		g    = 3
+		kPer = 16
+		m    = 8
+		span = kPer * m
+	)
+	natives := randomNatives(rand.New(rand.NewSource(8)), g*kPer, m)
+	src, err := New(Options{Generations: g, KPerGeneration: kPer, M: m, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Seed(natives); err != nil {
+		t.Fatal(err)
+	}
+	dst, err := New(Options{Generations: g, KPerGeneration: kPer, M: m, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := func(gen int) {
+		t.Helper()
+		for i := range kPer {
+			z := packet.New(kPer, m)
+			if !src.NativeRow(z, gen*kPer+i) {
+				t.Fatalf("the source has no native %d", gen*kPer+i)
+			}
+			if _, err := dst.Receive(z); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	freeRows := func() int { _, rows := dst.Arena().FreeCounts(); return rows }
+	buf := make([]byte, g*span)
+	slot := func(gen int) []byte { return buf[gen*span : (gen+1)*span] }
+	inSlots := func(gen int) bool {
+		data, err := dst.GenData(gen)
+		if err != nil {
+			return false
+		}
+		for i, nat := range data {
+			if &nat[0] != &slot(gen)[i*m] || !bytes.Equal(nat, natives[gen*kPer+i]) {
+				return false
+			}
+		}
+		return true
+	}
+
+	if dst.MoveGen(0, slot(0)) {
+		t.Fatal("an empty generation moved")
+	}
+	fill(0)
+	before := freeRows()
+	if !dst.MoveGen(0, slot(0)) || !inSlots(0) {
+		t.Fatal("generation 0 did not move into its slots")
+	}
+	if got := freeRows() - before; got != kPer {
+		t.Fatalf("the move gave the arena %d rows back, want the %d the generation held", got, kPer)
+	}
+	if dst.MoveGen(1, slot(1)) {
+		t.Fatal("an incomplete generation moved")
+	}
+	// Generation 1 decodes into the rows generation 0 left: the arena grows
+	// no new slab for it.
+	before = freeRows()
+	fill(1)
+	if got := before - freeRows(); got != kPer {
+		t.Fatalf("generation 1 took %d rows off the shared free list, want %d", got, kPer)
+	}
+	if !dst.MoveGen(0, slot(0)) || !inSlots(0) {
+		t.Fatal("moving a moved generation again changed it")
+	}
+
+	if err := dst.ResetGen(0); err != nil {
+		t.Fatal(err)
+	}
+	clear(slot(0))
+	fill(0)
+	if !dst.MoveGen(0, slot(0)) || !inSlots(0) {
+		t.Fatal("the refill after ResetGen did not move into the same slots")
 	}
 }

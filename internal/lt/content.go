@@ -43,6 +43,34 @@ func Natives(buf []byte, m int) [][]byte {
 	return natives
 }
 
+// SplitAliased views content as k natives of m = ceil(len(content)/k)
+// bytes without copying it: every native that fits in content is a
+// sub-slice of it, capped at its own end, and only the natives past its end
+// — the zero-padded tail, when len(content) is not a multiple of k — are
+// copied, into one buffer of their own. The natives alias content, which
+// must not change while they are in use.
+func SplitAliased(content []byte, k int) (natives [][]byte, m int, err error) {
+	if k < 1 {
+		return nil, 0, fmt.Errorf("%w: k = %d", ErrContentSize, k)
+	}
+	if len(content) == 0 {
+		return nil, 0, fmt.Errorf("%w: empty content", ErrContentSize)
+	}
+	m = (len(content) + k - 1) / k
+	full := len(content) / m
+	natives = make([][]byte, k)
+	src, base := content, 0
+	for i := range natives {
+		if i == full {
+			src, base = make([]byte, (k-full)*m), full
+			copy(src, content[full*m:])
+		}
+		j := i - base
+		natives[i] = src[j*m : (j+1)*m : (j+1)*m]
+	}
+	return natives, m, nil
+}
+
 // Split divides content into k native packets of equal size m =
 // ceil(len(content)/k), zero-padding the tail. It returns the native
 // payloads — views of one padded copy of content; Join inverts it given

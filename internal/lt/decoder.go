@@ -115,9 +115,18 @@ type Decoder struct {
 }
 
 // NewDecoder returns a decoder for k native packets of m bytes each
-// (m = 0 disables payloads for control-plane simulations). counter may be
-// nil.
+// (m = 0 disables payloads for control-plane simulations), over an arena of
+// its own. counter may be nil.
 func NewDecoder(k, m int, counter *opcount.Counter, hooks Hooks) (*Decoder, error) {
+	return NewDecoderIn(bitvec.NewArena(k, m), counter, hooks)
+}
+
+// NewDecoderIn is NewDecoder over the caller's arena, whose vector length
+// is k and row length m. Decoders sharing one arena — the generations of
+// one object — hand each other the rows they free, so they must be used
+// from one goroutine at a time.
+func NewDecoderIn(arena *bitvec.Arena, counter *opcount.Counter, hooks Hooks) (*Decoder, error) {
+	k, m := arena.N(), arena.M()
 	if k < 1 {
 		return nil, fmt.Errorf("lt: k = %d < 1", k)
 	}
@@ -130,7 +139,7 @@ func NewDecoder(k, m int, counter *opcount.Counter, hooks Hooks) (*Decoder, erro
 		decoded: make([]bool, k),
 		data:    make([][]byte, k),
 		adj:     make([][]int, k),
-		arena:   bitvec.NewArena(k, m),
+		arena:   arena,
 		counter: counter,
 		hooks:   hooks,
 	}, nil
@@ -187,6 +196,32 @@ func (d *Decoder) Data() ([][]byte, error) {
 		return nil, fmt.Errorf("%w: decoded %d of %d natives", ErrIncomplete, d.decodedCount, d.k)
 	}
 	return d.data, nil
+}
+
+// MoveNatives moves a complete decoder's natives into dst, native x to
+// dst[x·m:(x+1)·m], and hands every row they leave back to the arena. A
+// native already in its slot stays as it is, neither copied onto itself
+// nor recycled: it may be memory the decoder never owned (a Seed's
+// payloads). It reports whether the natives sit in dst — false, with
+// nothing moved, while the decoder is incomplete or if dst is not k·m
+// bytes. A NativeData slice taken before the move is stale after it.
+func (d *Decoder) MoveNatives(dst []byte) bool {
+	if !d.Complete() || len(dst) != d.k*d.m {
+		return false
+	}
+	if d.m == 0 {
+		return true // no payloads to move
+	}
+	for x, row := range d.data {
+		slot := dst[x*d.m : (x+1)*d.m : (x+1)*d.m]
+		if len(row) > 0 && &row[0] == &slot[0] {
+			continue
+		}
+		clear(slot[copy(slot, row):])
+		d.arena.PutRow(row)
+		d.data[x] = slot
+	}
+	return true
 }
 
 // StoredPacket returns the current (reduced) vector and payload of stored

@@ -108,3 +108,62 @@ func TestIngestAllocBudget(t *testing.T) {
 	}
 	t.Logf("session ingest: %.2f allocs/packet over %d-packet batches", perPacket, batchSize)
 }
+
+// discardTransport drops every frame it is asked to send, so that what a
+// push round allocates is the push path's own.
+type discardTransport struct{ *recTransport }
+
+func (discardTransport) Send(transport.Addr, []byte) error { return nil }
+
+// TestPushRowAllocBudget pins what a warmed push round costs per row on the
+// degree-1 paths: nothing, for systematic rows and for repeats against a
+// frontier alike. Each row is a packet off the push rounds' free list that
+// stageRows hands back once its bytes are in the coalescer; drawn through
+// packet.Native instead it cost four allocations (the packet, its vector
+// and the vector's words, its payload). The round's fixed costs — the
+// coalescer's per-peer batch, the plan — are the same at every burst, so
+// the budget is the difference between a large round and a small one.
+func TestPushRowAllocBudget(t *testing.T) {
+	const gens, kPer, m = 4, 1024, 64
+	s, _, _ := pushSession(t, "src", func(c *Config) { c.Transport = discardTransport{newRecTransport("src")} })
+	id, err := s.Serve(testContent(gens*kPer*m, 95), gens*kPer, gens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.objects[id]
+	s.coal = transport.NewCoalescer(s.tr, 0)
+	unsettled := make([]sentNative, 0, maxUnsettled)
+	frontier := make([][]byte, gens) // every native missing: the peer reports nothing decoded
+	for g := range frontier {
+		frontier[g] = make([]byte, frontierLen(kPer))
+	}
+	cursor := 0
+	round := func(rows int, repeat bool) {
+		p := peerPlan{addr: "sink", burst: rows, sysCursor: cursor, unsettled: unsettled[:0], repairStep: 1}
+		switch {
+		case repeat:
+			p.sysCursor, p.frontier = st.k, frontier
+		case cursor+2*rows > st.k:
+			cursor = 0 // start the pass over: every round draws rows natives
+		default:
+			cursor += rows
+		}
+		op := objectPlan{st: st, peers: []peerPlan{p}}
+		s.emit(&op)
+		s.coal.Flush()
+		if p := op.peers[0]; p.sent != rows || p.sys+p.rep != rows || (p.rep == rows) != repeat {
+			t.Fatalf("a round of %d rows sent %d: %d systematic, %d repeats", rows, p.sent, p.sys, p.rep)
+		}
+	}
+	for _, repeat := range []bool{false, true} {
+		for range 4 { // warm: the free list, the coalescer's slab and batch, rowBuf
+			round(maxFreeRows, repeat)
+		}
+		small := testing.AllocsPerRun(50, func() { round(32, repeat) })
+		large := testing.AllocsPerRun(50, func() { round(maxFreeRows, repeat) })
+		if perRow := (large - small) / float64(maxFreeRows-32); perRow > 0 {
+			t.Errorf("repeats %v: %.2f allocations per row (%v a round of 32, %v a round of %d), want none",
+				repeat, perRow, small, large, maxFreeRows)
+		}
+	}
+}

@@ -32,7 +32,7 @@ type Fetching struct {
 
 // Fetch subscribes to object id, waits for the decode to complete and
 // returns the content: BeginFetch, then a wait for its Result, ctx or
-// the session's end.
+// the session's end. The content is shared, see Result.
 func (s *Session) Fetch(ctx context.Context, id packet.ObjectID, from ...transport.Addr) ([]byte, ObjectStats, error) {
 	f, err := s.BeginFetch(id, from...)
 	if err != nil {
@@ -129,7 +129,10 @@ func (f *Fetching) resolved() bool {
 
 // Result reports the fetch's outcome, ok false while it has none yet: the
 // content once the decode completed, or the error of a resend round that
-// found nobody left to ask.
+// found nobody left to ask. The content is the session's own copy of the
+// object — the buffer its natives decoded into, or what Serve was given —
+// shared with every later fetch of it and served from while the session
+// holds the object: read-only.
 func (f *Fetching) Result() (data []byte, stats ObjectStats, err error, ok bool) {
 	if !f.resolved() {
 		return nil, ObjectStats{}, nil, false

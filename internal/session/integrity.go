@@ -136,11 +136,17 @@ func (st *objectState) noteContribLocked(g int, addr transport.Addr) {
 }
 
 // vouchLocked marks every generation verified: the content is local, or
-// assembled and content-ID-proven and the manifest agrees with it. st.mu
-// must be held.
+// assembled and content-ID-proven and the manifest agrees with it. Like
+// any verified generation, each moves into the object buffer where there
+// is one, which finds it in place: an assembled object's generations moved
+// there at assembly, and a source's natives are views of the content that
+// is its buffer. st.mu must be held.
 func (st *objectState) vouchLocked() {
 	for g := range st.guard {
 		st.guard[g].state = genVerified
+		if st.buf != nil {
+			st.moveGenLocked(g)
+		}
 	}
 }
 
@@ -249,12 +255,16 @@ func (s *Session) verifyGenLocked(st *objectState, g int, acts *pollActions) boo
 		}
 	}
 	// Verified: the probed contributor, if any, delivered a clean refill,
-	// and the blame ledger closes. Vigilant, the proven natives stay as the
-	// audit reference: any further row offered to this generation can now
-	// be checked byte-exactly.
+	// and the blame ledger closes. The natives move into the object buffer
+	// (allocated here for the first verified generation: a peer has had to
+	// deliver an adopted manifest and a generation that matches it first),
+	// and vigilant, the moved natives stay as the audit reference: any
+	// further row offered to this generation can now be checked
+	// byte-exactly.
 	*gg = genGuard{state: genVerified, soloFailed: gg.soloFailed}
+	st.moveGenLocked(g)
 	if st.vigilant {
-		gg.natives = natives
+		gg.natives, _ = st.coder.GenData(g)
 	}
 	return true
 }

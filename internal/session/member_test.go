@@ -249,7 +249,7 @@ func FuzzMemberFrames(f *testing.F) {
 	)
 	f.Add(pack(offer))
 	f.Add(pack(valid(packet.MemberFlagReply, packet.MemberEntry{Addr: "cache", Role: packet.MemberRoleCache})))
-	f.Add(pack(valid(0))) // empty offer
+	f.Add(pack(valid(0)))                                                         // empty offer
 	f.Add(pack(valid(0, packet.MemberEntry{Addr: "fuzz", Capacity: 255})))        // self-insertion attempt
 	f.Add(pack(valid(0, packet.MemberEntry{Addr: "banned-peer", Capacity: 255}))) // banned re-admission attempt
 	f.Add(pack(offer[:len(offer)-2]))                                             // truncated entry

@@ -2,6 +2,7 @@ package session
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,17 +10,17 @@ import (
 	"ltnc/internal/bitvec"
 	"ltnc/internal/generation"
 	"ltnc/internal/integrity"
-	"ltnc/internal/lt"
 	"ltnc/internal/packet"
 	"ltnc/internal/transport"
 )
 
 // The object lifecycle. Every object a session knows is in exactly one
 // phase, and the functions of this file are the only code that creates an
-// objectState, assigns its phase, coder or data, or closes done: admitLocked
-// (outside input or a local call creates or sizes state), seedLocked (Serve),
-// promoteLocked (a fetch at a cache), settleLocked (whatever may have
-// completed something) and evictLocked. Every other file asks the phase.
+// objectState, assigns its phase, coder, buffer or data, or closes done:
+// admitLocked (outside input or a local call creates or sizes state),
+// seedLocked (Serve), promoteLocked (a fetch at a cache), settleLocked
+// (whatever may have completed something, moveGenLocked under it) and
+// evictLocked. Every other file asks the phase.
 // DESIGN.md §4 has the phase × event table.
 //
 //	announced ─┬─► caching ──(fetched here)──┐
@@ -113,12 +114,20 @@ type genGuard struct {
 type objectState struct {
 	id packet.ObjectID
 
-	mu       sync.Mutex
-	phase    phase
-	k, m     int // total code length and payload size
-	kPer     int // per-generation code length (k / gens)
-	coder    *generation.Coder
-	data     []byte        // assembled content (phComplete)
+	mu    sync.Mutex
+	phase phase
+	k, m  int // total code length and payload size
+	kPer  int // per-generation code length (k / gens)
+	coder *generation.Coder
+	// buf is the object buffer, k·m bytes, native x of generation g in slot
+	// g·kPer + x: a generation's decoded natives move into it as the
+	// generation verifies, every generation at assembly, and data is its
+	// head (DESIGN.md §4, "One copy per object"). nil until a generation
+	// verifies against an adopted manifest or the object assembles, and
+	// again whenever a quarantine empties it; a source's is its content,
+	// when that is exactly k·m bytes.
+	buf      []byte
+	data     []byte        // assembled content (phComplete): buf's head, or a source's content
 	done     chan struct{} // closed on entering phComplete
 	received int64
 	aborted  int64
@@ -294,9 +303,11 @@ func (st *objectState) shapeLocked(to phase, geo geometry, coder *generation.Cod
 
 // seedLocked is Serve's transition, announced | caching → complete: local
 // content outranks whatever was cached of it — the cache entry is dropped
-// and pushes come from the seeded coder. buf is the padded copy the coder's
-// natives alias, size the content's length. s.mu and st.mu must be held.
-func (s *Session) seedLocked(st *objectState, geo geometry, coder *generation.Coder, buf []byte, size int) error {
+// and pushes come from the seeded coder, whose natives are views of
+// content (lt.SplitAliased). The content is the object's data as it is,
+// and its buffer too when it is exactly k·m bytes, every native already in
+// its slot. s.mu and st.mu must be held.
+func (s *Session) seedLocked(st *objectState, geo geometry, coder *generation.Coder, content []byte) error {
 	if st.phase != phAnnounced && st.phase != phCaching {
 		return fmt.Errorf("session: object %v already present", st.id)
 	}
@@ -304,8 +315,11 @@ func (s *Session) seedLocked(st *objectState, geo geometry, coder *generation.Co
 		s.cache.Drop(st.id)
 	}
 	st.shapeLocked(phComplete, geo, coder)
-	st.size.Store(int64(size))
-	st.data = buf[:size:size]
+	st.size.Store(int64(len(content)))
+	st.data = content[:len(content):len(content)]
+	if len(content) == st.k*st.m {
+		st.buf = st.data
+	}
 	close(st.done)
 	st.pinned = true
 	return nil
@@ -376,24 +390,27 @@ func (s *Session) settleLocked(st *objectState, g int, acts *pollActions) []byte
 			st.phase = phDecoded
 			s.assembleLocked(st, acts)
 		}
+		if st.phase == phFilling && st.buf != nil {
+			st.shedBufLocked()
+		}
 	}
 	return s.owedLocked(st, g)
 }
 
-// assembleLocked is settleLocked's last step, decoded → complete | filling.
+// assembleLocked is settleLocked's last step, decoded → complete | filling:
+// every generation moves into the object buffer, and its head is the
+// content.
 func (s *Session) assembleLocked(st *objectState, acts *pollActions) {
 	size := st.size.Load()
-	if size < 0 {
+	if size < 0 || size > int64(st.k)*int64(st.m) {
 		return
 	}
-	natives, err := st.coder.Data()
-	if err != nil {
-		return
+	for g := range st.guard {
+		if !st.moveGenLocked(g) {
+			return
+		}
 	}
-	content, err := lt.Join(natives, int(size))
-	if err != nil {
-		return
-	}
+	content := st.buf[:size:size]
 	if packet.NewObjectID(content) != st.id {
 		s.poisonedObjectLocked(st, acts)
 		st.phase = phFilling
@@ -403,6 +420,49 @@ func (s *Session) assembleLocked(st *objectState, acts *pollActions) {
 		st.id, st.received, float64(st.received)/float64(st.k))
 	st.phase, st.data = phComplete, content
 	close(st.done)
+}
+
+// moveGenLocked moves generation g's decoded natives into their slots of
+// the object buffer (generation.Coder.MoveGen), allocating the buffer on
+// first use: the rows they leave go back to the coder's arena for the
+// generations still decoding. A generation already in place stays as it
+// is. It reports whether g sits in the buffer — false while g is
+// incomplete, or if k·m bytes overflow an int. st.mu must be held.
+func (st *objectState) moveGenLocked(g int) bool {
+	if !st.coder.GenComplete(g) {
+		return false
+	}
+	if st.buf == nil {
+		if int64(st.k)*int64(st.m) > math.MaxInt {
+			return false
+		}
+		st.buf = make([]byte, st.k*st.m)
+	}
+	span := st.kPer * st.m
+	return st.coder.MoveGen(g, st.buf[g*span:(g+1)*span:(g+1)*span])
+}
+
+// genInBufLocked reports whether generation g's natives sit in the object
+// buffer; moveGenLocked moves a generation whole, so its first native
+// tells. st.mu must be held.
+func (st *objectState) genInBufLocked(g int) bool {
+	nats, err := st.coder.GenData(g)
+	if err != nil || st.buf == nil {
+		return false
+	}
+	return st.m == 0 || (len(nats[0]) > 0 && &nats[0][0] == &st.buf[g*st.kPer*st.m])
+}
+
+// shedBufLocked drops the object buffer once no generation sits in it — a
+// quarantine reset the last one — so that it is held only while a verified
+// or assembled generation is in it. st.mu must be held.
+func (st *objectState) shedBufLocked() {
+	for g := range st.guard {
+		if st.genInBufLocked(g) {
+			return
+		}
+	}
+	st.buf = nil
 }
 
 // owedLocked is the one answer to "what does the sender of this frame need

@@ -51,6 +51,11 @@ func checkPhaseInvariants(tb testing.TB, s *Session) {
 		if (st.data != nil) != (ph == phComplete) {
 			tb.Errorf("%v: phase %v, content assembled: %v", id, ph, st.data != nil)
 		}
+		if ph.decoding() {
+			checkObjectBufferLocked(tb, id, st, ph)
+		} else if st.buf != nil {
+			tb.Errorf("%v: phase %v with an object buffer", id, ph)
+		}
 		closed := false
 		select {
 		case <-st.done:
@@ -79,6 +84,61 @@ func checkPhaseInvariants(tb testing.TB, s *Session) {
 		}
 		st.mu.Unlock()
 	}
+}
+
+// checkObjectBufferLocked holds an object's buffer to its bound: it exists
+// only while some generation sits in it — a generation moves in when it
+// verifies against an adopted manifest, or at assembly, once every
+// generation is complete; a source's natives sit in the content it served —
+// so a peer has had to deliver a manifest and a generation that matches it,
+// or the whole object, before a receiver commits k·m bytes. Where it
+// exists it is k·m bytes, every verified generation sits in it, every
+// generation of a complete object does, and the content is its head.
+// st.mu must be held.
+func checkObjectBufferLocked(tb testing.TB, id packet.ObjectID, st *objectState, ph phase) {
+	tb.Helper()
+	if st.buf == nil {
+		return
+	}
+	if len(st.buf) != st.k*st.m {
+		tb.Errorf("%v: a %d-byte object buffer for k=%d m=%d", id, len(st.buf), st.k, st.m)
+	}
+	in := 0
+	for g := range st.guard {
+		switch {
+		case st.genInBufLocked(g):
+			in++
+		case st.guard[g].state == genVerified || ph == phComplete:
+			tb.Errorf("%v: phase %v, generation %d (guard state %d) is not in the object buffer", id, ph, g, st.guard[g].state)
+		}
+	}
+	if in == 0 {
+		tb.Errorf("%v: phase %v with an object buffer no generation is in", id, ph)
+	}
+	if ph == phComplete && len(st.data) > 0 && &st.data[0] != &st.buf[0] {
+		tb.Errorf("%v: the content is not the object buffer's head", id)
+	}
+}
+
+// manifestChunks builds the MANIFEST frames of content's m-byte natives
+// under id — a true manifest, or a forged one when content is not the
+// object's — in n chunks.
+func manifestChunks(tb testing.TB, id packet.ObjectID, content []byte, m, n int) [][]byte {
+	tb.Helper()
+	man, err := integrity.NewManifest(lt.Natives(content, m))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	raw, _ := man.MarshalBinary()
+	var chunks [][]byte
+	for off, size := 0, (len(raw)+n-1)/n; off < len(raw); off += size {
+		fr, err := packet.AppendManifestChunk([]byte{frameManifest}, id, uint32(len(raw)), uint32(off), raw[off:min(off+size, len(raw))])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		chunks = append(chunks, fr)
+	}
+	return chunks
 }
 
 // metaFor builds a META as a sender of (k, m, size, gens) would; long
@@ -269,19 +329,7 @@ func newObjCell(t *testing.T, rng *rand.Rand, row int) *objCell {
 			role(cfg)
 		}
 	})
-	natives := lt.Natives(c.content, c.m)
-	man, err := integrity.NewManifest(natives)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := man.MarshalBinary()
-	for off, n := 0, (len(raw)+2)/3; off < len(raw); off += n {
-		fr, err := packet.AppendManifestChunk([]byte{frameManifest}, c.id, uint32(len(raw)), uint32(off), raw[off:min(off+n, len(raw))])
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.chunks = append(c.chunks, fr)
-	}
+	c.chunks = manifestChunks(t, c.id, c.content, c.m, 3)
 	meta := metaFor(c.id, k, c.m, int64(len(c.content)), c.gens, true)
 	fill := func(upTo int) { // natives [0, upTo) of every generation, from "src"
 		for g := 0; g < c.gens; g++ {

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"time"
 
+	"ltnc/internal/adapt"
+	"ltnc/internal/bitvec"
 	"ltnc/internal/packet"
 	"ltnc/internal/transport"
 )
@@ -27,7 +29,8 @@ import (
 // and stages with no lock held — over UDP every Send is a syscall, and
 // holding a lock across the sweep would stall the receive hot path for
 // its duration. The cache has its own lock and is a leaf. Rounds run on
-// the driver's goroutine alone, so the coalescer and rowBuf need no lock.
+// the driver's goroutine alone, so the coalescer, rowBuf and the free list
+// of native rows need no lock.
 
 // peerPlan is one (object, peer) push decision. planLocked fills the
 // snapshot half from the peer's state, emit draws and sends the burst it
@@ -273,7 +276,7 @@ func (s *Session) emit(op *objectPlan) {
 			s.stageRows(&op.peers[i])
 		}
 	}
-	clear(s.rowBuf) // staged: the packets are garbage now
+	clear(s.rowBuf) // staged: natives back on the free list, coded rows garbage
 }
 
 // quarantinedLocked reports whether generation g failed verification and
@@ -356,7 +359,7 @@ func (s *Session) drawRowsLocked(st *objectState, p *peerPlan) {
 	for len(p.rows) < p.burst && p.sysCursor < len(st.sysLog) {
 		x := int(st.sysLog[p.sysCursor])
 		p.sysCursor++
-		st.drawNativeLocked(p, x)
+		s.drawNativeLocked(st, p, x)
 	}
 	p.sysRows = len(p.rows)
 	s.repairLocked(st, p)
@@ -377,15 +380,50 @@ func (s *Session) drawRowsLocked(st *objectState, p *peerPlan) {
 // it may leave: the peer lacks its generation, this node has decoded it,
 // and — the gate of the systematic pass and of every repeat alike —
 // manifest in hand and generation unverified, the decoded payload matches
-// its digest. st.mu must be held.
-func (st *objectState) drawNativeLocked(p *peerPlan, x int) {
+// its digest. The row is a packet off the push rounds' free list with the
+// native's bytes copied in, here under st.mu: a move or a quarantine after
+// the lock drops cannot change what is staged. st.mu must be held.
+func (s *Session) drawNativeLocked(st *objectState, p *peerPlan, x int) {
 	g := x / st.kPer
 	if p.has(g) || st.quarantinedLocked(g) {
 		return
 	}
-	z, ok := st.coder.NativeRow(x)
-	if ok && (!st.gatedLocked(g) || st.nativeProvenLocked(x, z.Payload)) {
+	z := s.takeNativeRow(st.kPer, st.m)
+	if st.coder.NativeRow(z, x) && (!st.gatedLocked(g) || st.nativeProvenLocked(x, z.Payload)) {
 		p.native(x, z)
+		return
+	}
+	s.putNativeRow(z)
+}
+
+// maxFreeRows bounds the push rounds' free list of native rows: what one
+// peer's window can draw in a round; rows past it are left to the GC.
+const maxFreeRows = adapt.TickCeiling
+
+// takeNativeRow takes a packet off the push rounds' free list, shaped for
+// kPer-bit vectors and m-byte payloads (one of another object's shape is
+// reshaped), or allocates one when the list is empty.
+func (s *Session) takeNativeRow(kPer, m int) *packet.Packet {
+	n := len(s.freeRows)
+	if n == 0 {
+		return packet.New(kPer, m)
+	}
+	z := s.freeRows[n-1]
+	s.freeRows[n-1], s.freeRows = nil, s.freeRows[:n-1]
+	if z.Vec.Len() != kPer {
+		z.Vec = bitvec.New(kPer)
+	}
+	if cap(z.Payload) < m {
+		z.Payload = make([]byte, m)
+	}
+	return z
+}
+
+// putNativeRow returns a native row to the free list once nothing reads
+// it any more.
+func (s *Session) putNativeRow(z *packet.Packet) {
+	if len(s.freeRows) < maxFreeRows {
+		s.freeRows = append(s.freeRows, z)
 	}
 }
 
@@ -427,7 +465,7 @@ func (s *Session) repairLocked(st *objectState, p *peerPlan) {
 			if len(p.rows) == p.burst {
 				return // the rest of this byte is where the next scan starts
 			}
-			st.drawNativeLocked(p, x)
+			s.drawNativeLocked(st, p, x)
 		}
 	}
 }
@@ -443,10 +481,14 @@ func (s *Session) markLocked(k int, unsettled []sentNative) []uint64 {
 }
 
 // stageRows serializes a coder-drawn burst straight into coalescer slabs,
-// each row stamped with its place on the peer's link.
+// each row stamped with its place on the peer's link. A native row goes
+// back to the free list as soon as its bytes are in the slab.
 func (s *Session) stageRows(p *peerPlan) {
 	for i, z := range p.rows {
 		frame := packet.AppendWire(append(s.coal.Stage(), frameData), z)
+		if i < p.sysRows+p.repRows {
+			s.putNativeRow(z)
+		}
 		if len(frame) > transport.MaxFrame {
 			continue
 		}

@@ -338,6 +338,10 @@ type Session struct {
 	// markBuf is the push round's scratch bit set over one object's natives
 	// (markLocked); owned like coal, clear between uses.
 	markBuf []uint64
+	// freeRows is the push rounds' free list of degree-1 row packets
+	// (takeNativeRow): drawn natives are copied into them and they come
+	// back once staged; owned like coal.
+	freeRows []*packet.Packet
 	// wakeC carries the coalescing wake signal to the push rounds; see wake.
 	wakeC chan struct{}
 	// fetches are the fetches in progress, whose REQ resends the push
@@ -414,6 +418,11 @@ func (s *Session) AddPeer(addr transport.Addr) {
 // registered it before any network state arrived) or only cached completes
 // it — pending fetches return at once, cached rows are dropped for the
 // content itself; an object already decoding or serving is rejected.
+//
+// The session keeps content, not a copy: its natives are views of it, it
+// is what a local Fetch of the object returns, and the session serves
+// from it for as long as it holds the object. The caller must treat it as
+// read-only from here on.
 func (s *Session) Serve(content []byte, k, gens int) (packet.ObjectID, error) {
 	id := packet.NewObjectID(content)
 	if gens < 1 || gens > packet.MaxGenerations {
@@ -422,10 +431,11 @@ func (s *Session) Serve(content []byte, k, gens int) (packet.ObjectID, error) {
 	geo := geometry{gens: gens, kPer: (max(k, gens) + gens - 1) / gens}
 	k = geo.kPer * gens
 	// Everything that touches every byte happens before any lock is taken
-	// — the content ID above, the one padded copy the natives, the coder
-	// and st.data all share, the manifest digests — so serving a large
-	// object does not stall the ingest of every other.
-	buf, m, err := lt.Pad(content, k)
+	// — the content ID above, the manifest digests — so serving a large
+	// object does not stall the ingest of every other. The natives are
+	// views of content itself (only a zero-padded tail is copied): the
+	// coder recodes from them and the object's data is content.
+	natives, m, err := lt.SplitAliased(content, k)
 	if err != nil {
 		return id, err
 	}
@@ -433,7 +443,6 @@ func (s *Session) Serve(content []byte, k, gens int) (packet.ObjectID, error) {
 		return id, fmt.Errorf("session: k/G=%d yields %d-byte frames over the %d transport limit; raise k or G",
 			geo.kPer, geo.wireSize(), transport.MaxFrame)
 	}
-	natives := lt.Natives(buf, m)
 	coder, err := s.newCoder(geo)
 	if err != nil {
 		return id, err
@@ -455,7 +464,7 @@ func (s *Session) Serve(content []byte, k, gens int) (packet.ObjectID, error) {
 	s.mu.Lock()
 	st := s.admitLocked(id, "", geometry{}, true)
 	st.mu.Lock()
-	err = s.seedLocked(st, geo, coder, buf, len(content))
+	err = s.seedLocked(st, geo, coder, content)
 	if err == nil && man != nil {
 		// Local content needs no verification — every generation verified,
 		// so audits have their reference from the start.

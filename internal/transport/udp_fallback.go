@@ -21,9 +21,9 @@ func reusePortControl(cfg UDPConfig) func(network, address string, c syscall.Raw
 	return nil
 }
 
-func (t *UDPTransport) initBatch() error    { return nil }
-func (t *UDPTransport) batchEnabled() bool  { return false }
-func (t *UDPTransport) closeBatch()         {}
+func (t *UDPTransport) initBatch() error   { return nil }
+func (t *UDPTransport) batchEnabled() bool { return false }
+func (t *UDPTransport) closeBatch()        {}
 
 func (t *UDPTransport) batchInfo() (enabled, gso, gro bool, readers int) {
 	return false, false, false, 1

@@ -331,7 +331,9 @@ func NewSource(content []byte, k int, opts ...Option) (*Source, error) {
 // NewSourceFromNatives builds a source over pre-split native payloads.
 // All natives must be the same length m; Size reports k×m, so if the
 // caller's own split zero-padded the tail, the padding counts as content —
-// see Size for the exact contract.
+// see Size for the exact contract. The source keeps the natives
+// themselves, not copies, and recodes from them for as long as it is in
+// use: treat them as read-only.
 func NewSourceFromNatives(natives [][]byte, opts ...Option) (*Source, error) {
 	if len(natives) == 0 {
 		return nil, fmt.Errorf("%w: no natives", ErrContentSize)

@@ -354,12 +354,16 @@ func (s *Session) pickGenerations(k int) int {
 // who requests it, and is pinned against idle eviction. Serving an
 // object someone is already fetching or watching completes those
 // subscriptions immediately.
+//
+// The session keeps content itself, not a copy: it recodes from it, serves
+// it for as long as it holds the object and returns it from a local Fetch.
+// Treat it as read-only once served.
 func (s *Session) Serve(content []byte, k int) (ObjectID, error) {
 	return s.s.Serve(content, k, s.pickGenerations(k))
 }
 
 // ServeReader reads r to EOF and serves the bytes as one object; see
-// Serve.
+// Serve. The session owns the buffer it read them into.
 func (s *Session) ServeReader(r io.Reader, k int) (ObjectID, error) {
 	content, err := io.ReadAll(r)
 	if err != nil {
@@ -372,7 +376,8 @@ func (s *Session) ServeReader(r io.Reader, k int) (ObjectID, error) {
 // Serve. Together with the automatic generation choice this is the
 // large-file entry point: a file served with k = size/4096 natives gets
 // G = ceil(k/1024) generations and constant-size headers regardless of
-// file size.
+// file size. The file is read once, into the one buffer the session
+// serves from.
 func (s *Session) ServeFile(path string, k int) (ObjectID, error) {
 	content, err := os.ReadFile(path)
 	if err != nil {
@@ -405,6 +410,10 @@ func (r FetchReport) Overhead() float64 { return r.Stats.Overhead() }
 // when none is given, to every configured peer (ErrNoPeers with neither).
 // Requests are resent periodically until the transfer finishes, ctx
 // expires, or the session closes; the report is meaningful even on error.
+//
+// The content returned is the session's own copy of the object, shared
+// with every later Fetch of it and served to peers for as long as the
+// session holds it: treat it as read-only, and copy it to modify it.
 func (s *Session) Fetch(ctx context.Context, id ObjectID, from ...Addr) ([]byte, FetchReport, error) {
 	start := s.clk.Now()
 	content, stats, err := s.s.Fetch(ctx, id, from...)
