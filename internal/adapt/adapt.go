@@ -94,18 +94,20 @@ const (
 	// while the round trip stays within two ticks (package doc).
 	MaxBurst = 32
 	// TickCeiling caps the rows one link may take in one tick, whatever
-	// its receipts say: four windows, the offered load of a blind 0.5 ms
-	// ticker, taken only as fast as receipts free the window. With the
-	// ceiling lifted an honest link on this host (two cores, 1 KiB rows,
-	// loopback UDP or the in-memory Switch) peaks at 150–180 rows per
-	// 2 ms tick, where the CPU layers — not the pacer — are the limit and
-	// fetch times follow the host's memory phases. The ceiling sits at
-	// about three quarters of that: it costs an honest link little, it
-	// keeps an honest fetch's time set by the pacer and so repeatable, and
-	// it is all a forged receipt stream can take — every forged receipt
-	// empties the liar's in-flight count, so without it a flood would turn
-	// the window over as fast as the sender can run.
-	TickCeiling = 4 * MaxBurst
+	// its receipts say. It does not pace an honest link — the window does,
+	// turned over as fast as receipts come back — and is set above what
+	// one takes: with no ceiling at all, 1 KiB rows on a two-core host
+	// (loopback UDP or the in-memory Switch, 2 ms ticks) run 370–500 rows
+	// a tick at the 90th percentile and 510–850 at the 99th, the CPU
+	// layers the limit; the largest tick seen is one hop of a whole
+	// 1,024-row object. Four windows (128) halved every paced fetch's
+	// goodput; sixteen (512) still bound one link-tick in a hundred. The
+	// ceiling is for two things: what a forged receipt stream can take —
+	// every forged receipt empties the liar's in-flight count, so without
+	// it a flood would turn the window over as fast as the sender can run
+	// — and an event clock's instant, in which receipts answer within the
+	// instant and a lossless window would otherwise turn over forever.
+	TickCeiling = 32 * MaxBurst
 	// startWindow is the window before any receipt has been folded; a peer
 	// that never sends one decays from here to 1.
 	startWindow = 4

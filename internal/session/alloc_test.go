@@ -122,7 +122,9 @@ func (discardTransport) Send(transport.Addr, []byte) error { return nil }
 // packet.Native instead it cost four allocations (the packet, its vector
 // and the vector's words, its payload). The round's fixed costs — the
 // coalescer's per-peer batch, the plan — are the same at every burst, so
-// the budget is the difference between a large round and a small one.
+// the budget is the difference between a large round and a small one. The
+// large round is the free list's own bound, maxFreeRows, not anything the
+// pacer grants: rows past what the list keeps are the GC's by design.
 func TestPushRowAllocBudget(t *testing.T) {
 	const gens, kPer, m = 4, 1024, 64
 	s, _, _ := pushSession(t, "src", func(c *Config) { c.Transport = discardTransport{newRecTransport("src")} })

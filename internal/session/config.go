@@ -81,10 +81,10 @@ type Config struct {
 	// flight starts at a few, doubles while the peer's receipt reports show
 	// the rows arriving, halves when they show a loss step or stop coming,
 	// and stays within [1, adapt.MaxBurst]; frames leave whenever a receipt
-	// or a decode frees window, never more than adapt.TickCeiling per Tick
-	// (internal/adapt, DESIGN.md §16) — so a peer that never sends a
-	// receipt is pushed one frame a Tick, and forged ones buy at most the
-	// ceiling.
+	// or a decode frees window (internal/adapt, DESIGN.md §16) — so a peer
+	// that never sends a receipt is pushed one frame a Tick. The window
+	// alone paces an honest peer; adapt.TickCeiling per Tick, far above
+	// what one takes, bounds what forged receipts can buy.
 	Burst int
 	// Aggressiveness gates recoding as in the paper (default 0.01): a
 	// relay starts recoding an object once it holds K·Aggressiveness + 1

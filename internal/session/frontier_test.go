@@ -224,7 +224,10 @@ func TestTwoSendersRepeatDifferentNatives(t *testing.T) {
 // bound, and the honest peer next to it gets, byte for byte, the stream it
 // would have got alone.
 func TestFrontierForgedStaysOnItsLink(t *testing.T) {
-	const k, gens, roundsPerTick, ticks = 8188, 2, 6, 60 // k/G = 4094: the last frontier byte has two bits to spare
+	// k/G = 4094: the last frontier byte has two bits to spare. A window a
+	// round, the honest peer takes at most ticks·roundsPerTick·MaxBurst = 7,680
+	// rows: its whole stream stays in the systematic pass.
+	const k, gens, roundsPerTick, ticks = 8188, 2, 6, 40
 	kPer := k / gens
 	full := func() []int32 {
 		all := make([]int32, kPer)

@@ -294,7 +294,8 @@ func TestPacedLossLevelVersusStep(t *testing.T) {
 // round, several rounds a tick as its wake-ups would have it — never has
 // more than adapt.MaxBurst rows in flight on its link (two more for the
 // probe) nor gets more than adapt.TickCeiling in a tick, and the honest
-// peer next to it gets, tick for tick, the rows it would have got alone.
+// peer next to it gets, tick for tick, the rows it would have got alone —
+// which, its window turned over by receipts, stay under the ceiling.
 func TestPacedForgedReceiptsStayOnTheirLink(t *testing.T) {
 	const roundsPerTick = 6
 	run := func(withLiar bool) (honest []int, liarPeak, flightPeak int) {
@@ -369,8 +370,10 @@ func TestPacedForgedReceiptsStayOnTheirLink(t *testing.T) {
 	if !slices.Equal(alone, beside) {
 		t.Errorf("honest peer's rows moved beside a liar:\n alone  %v\n beside %v", alone, beside)
 	}
-	if peak := slices.Max(alone); peak != adapt.TickCeiling {
-		t.Errorf("honest peer peaked at %d frames a tick, want the ceiling %d", peak, adapt.TickCeiling)
+	// The window paces an honest link, its receipts turning it over once a
+	// round; the ceiling is there for liars and never binds it.
+	if peak := slices.Max(alone); peak >= adapt.TickCeiling || peak <= adapt.MaxBurst {
+		t.Errorf("honest peer peaked at %d frames a tick, want more than a window (%d) and under the ceiling %d", peak, adapt.MaxBurst, adapt.TickCeiling)
 	}
 }
 

@@ -396,9 +396,10 @@ func (s *Session) drawNativeLocked(st *objectState, p *peerPlan, x int) {
 	s.putNativeRow(z)
 }
 
-// maxFreeRows bounds the push rounds' free list of native rows: what one
-// peer's window can draw in a round; rows past it are left to the GC.
-const maxFreeRows = adapt.TickCeiling
+// maxFreeRows bounds the push rounds' free list of native rows: four
+// windows, more than one peer's share of a paced round draws (a window, the
+// probe's row besides); rows past it are left to the GC.
+const maxFreeRows = 4 * adapt.MaxBurst
 
 // takeNativeRow takes a packet off the push rounds' free list, shaped for
 // kPer-bit vectors and m-byte payloads (one of another object's shape is

@@ -170,9 +170,10 @@ const (
 // and in peerState.
 func frontierLen(kPer int) int { return (kPer + 7) / 8 }
 
-// maxUnsettled bounds peerState.unsettled: what a link can take in the two
-// ticks a row stays in flight for.
-const maxUnsettled = 2 * adapt.TickCeiling
+// maxUnsettled bounds peerState.unsettled: eight windows, far more degree-1
+// rows than a link has in flight (adapt.MaxBurst, two more for the probe)
+// at any one time.
+const maxUnsettled = 8 * adapt.MaxBurst
 
 // sentNative is one degree-1 row on its way to a peer: native x (content
 // order), the at-th row pushed on the peer's link, counted modulo 2³².

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 )
@@ -324,12 +325,26 @@ func TestUDPSendBatchAllocs(t *testing.T) {
 	if !batchSupported {
 		t.Skip("no batch fast path on this platform")
 	}
-	a, b := listenPair(t, UDPConfig{})
+	a, err := ListenUDPConfig("127.0.0.1:0", UDPConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	// AllocsPerRun counts every malloc in the process: a receiving
+	// transport's reader goroutine, re-arming its pooled buffers as the
+	// frames pile up, would be counted against SendBatch. The frames go to a
+	// plain socket nothing reads; the kernel drops what its buffer cannot
+	// hold.
+	sink, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
 	frames := make([][]byte, 32)
 	for i := range frames {
 		frames[i] = make([]byte, 512)
 	}
-	dst := b.LocalAddr()
+	dst := Addr(sink.LocalAddr().String())
 	if _, err := a.SendBatch(dst, frames); err != nil {
 		t.Fatal(err)
 	}
@@ -342,19 +357,6 @@ func TestUDPSendBatchAllocs(t *testing.T) {
 	// cached, so the whole batch should cost at most ~2 allocations.
 	if got > 2 {
 		t.Fatalf("SendBatch(32 frames) = %.1f allocs/run, budget 2", got)
-	}
-	// Drain so the shard rings do not hold pooled buffers hostage.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	out := make([]Frame, 64)
-	for {
-		n, err := b.RecvBatch(ctx, out)
-		if err != nil {
-			break
-		}
-		for _, f := range out[:n] {
-			f.Release()
-		}
 	}
 }
 

@@ -140,8 +140,10 @@ type Config struct {
 	// clock the push: a window of packets in flight toward the peer starts
 	// at a few, doubles while the reports show the packets arriving,
 	// halves on a loss step or when the reports stop, and stays between 1
-	// and 32; packets leave whenever a report frees window, at most 128 per
-	// Tick — a peer that never reports is pushed one packet a Tick.
+	// and 32; packets leave whenever a report frees window — a peer that
+	// never reports is pushed one packet a Tick. At most 1,024 leave toward
+	// one peer per Tick, far above what an honest peer's reports free: the
+	// bound on what forged ones can take.
 	Burst int
 	// Aggressiveness gates recoding as in the paper (default 0.01): a
 	// relay starts recoding an object once it holds K·Aggressiveness + 1
