@@ -10,12 +10,6 @@
 // scenario, written to OFFLOAD_cache.json (also archived by CI). See
 // EXPERIMENTS.md for the recorded curve.
 //
-// With -adapt it instead sweeps the adaptive-loop overhead-vs-loss
-// grid: total DATA frames for the static and the adaptive (loss-tuned
-// budget) sender on an identical single-path swarm at each link loss
-// rate, written to ADAPT_curve.json (also archived by CI). See
-// EXPERIMENTS.md for the recorded grid.
-//
 // The transport's cost per frame and the decoder's per row are measured
 // on real fetches by the end-to-end benchmark (bench/: transport.*,
 // generation.decode_ns_per_row, generation.allocs_per_row).
@@ -95,45 +89,6 @@ func runOffload(out *os.File, budgetsArg, outPath string, seed int64) error {
 	return nil
 }
 
-// runAdapt sweeps the overhead-vs-loss grid and prints it as a table:
-// what the loss-tuned budget saves (or costs) against the static sender
-// at each loss rate.
-func runAdapt(out *os.File, lossesArg, outPath string, seed int64) error {
-	var losses []float64
-	for _, part := range strings.Split(lossesArg, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		l, err := strconv.ParseFloat(part, 64)
-		if err != nil || l < 0 || l >= 1 {
-			return fmt.Errorf("bad -adapt-losses rate %q", part)
-		}
-		losses = append(losses, l)
-	}
-	rep, err := experiments.RunAdaptCurve(experiments.AdaptParams{
-		Losses: losses,
-		Seed:   seed,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "adaptive-loop sweep: %d fetchers, %d B object, k=%d, seed %d\n",
-		rep.Fetchers, rep.Size, rep.K, rep.Seed)
-	fmt.Fprintln(out, "loss\tmode\tdata_frames\tcut_vs_static\tmean_overhead")
-	for _, pt := range rep.Points {
-		fmt.Fprintf(out, "%.2f\t%s\t%d\t%+.3f\t%.2f\n",
-			pt.Loss, pt.Mode, pt.DataFrames, pt.CutVsStatic, pt.MeanOverhead)
-	}
-	if outPath != "" {
-		if err := rep.WriteJSON(outPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", outPath)
-	}
-	return nil
-}
-
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("ltnc-bench", flag.ContinueOnError)
 	var (
@@ -150,19 +105,12 @@ func run(args []string, out *os.File) error {
 
 		offload    = fs.String("offload", "", "sweep the edge-cache offload curve over these cache budgets in bytes (comma list) instead of the decode bench")
 		offloadOut = fs.String("offload-out", "OFFLOAD_cache.json", "offload curve output JSON path (empty: stdout only)")
-
-		adapt       = fs.Bool("adapt", false, "sweep the adaptive-loop overhead-vs-loss grid (static vs adaptive) instead of the decode bench")
-		adaptLosses = fs.String("adapt-losses", "0,0.05,0.20,0.40", "loss rates for the -adapt sweep (comma list)")
-		adaptOut    = fs.String("adapt-out", "ADAPT_curve.json", "adaptive sweep output JSON path (empty: stdout only)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *offload != "" {
 		return runOffload(out, *offload, *offloadOut, *seed)
-	}
-	if *adapt {
-		return runAdapt(out, *adaptLosses, *adaptOut, *seed)
 	}
 	sweep, err := parseGenSweep(*gens)
 	if err != nil {

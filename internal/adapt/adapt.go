@@ -1,8 +1,9 @@
 // Package adapt turns receipt-report feedback into the push path's
-// per-link control signals (DESIGN.md §16): a loss estimate, the
-// redundancy budget that replaces the static per-node satiation constant,
-// and the pacer — a window of DATA rows the sender may have in flight
-// toward the peer.
+// per-link control signals (DESIGN.md §16): a loss estimate and the pacer —
+// a window of DATA rows the sender may have in flight toward the peer.
+// Receipts are the only progress signal a receiver sends its upstream; a
+// row it judges redundant counts in the next receipt's received total and
+// not in its innovative one.
 //
 // One Link tracks one directed (sender → receiver) relationship for one
 // object. The sender counts every DATA row it pushes; the receiver's
@@ -33,9 +34,10 @@
 // receipt of a window lost — and for peers that send no departures at all.
 //
 // A departure count may only under-report: a count behind the rows already
-// settled proves nothing, and one beyond the rows sent (a receiver that
-// anchored its count on a stale stream, a liar) is ignored — neither is a
-// re-baseline, the counters it rode in with fold as usual.
+// settled proves nothing — 0, what a receiver reports for rows that came
+// without stamps, is behind them all — and one beyond the rows sent (a
+// receiver that anchored its count on a stale stream, a liar) is ignored —
+// neither is a re-baseline, the counters it rode in with fold as usual.
 //
 // The Link's only notion of time is the tick index its caller passes to
 // Grant: the session's clock divided by its Config.Tick. Ageing rows out
@@ -51,12 +53,11 @@
 //
 // Receivers are not trusted. Every output is clamped: an under-claiming
 // liar (reporting rows it received as lost) can drag the estimate no
-// higher than MaxLoss, bounding the redundancy it can extort, and halves
-// its own window down to the floor of 1; an over-claiming liar empties
-// its in-flight count with every forged receipt and so buys at most
-// MaxBurst rows in flight (two more while the probe is out, Grant) and
-// TickCeiling rows per tick, and only on its own link — nothing a peer
-// reports touches another peer's Link.
+// higher than MaxLoss and halves its own window down to the floor of 1; an
+// over-claiming liar empties its in-flight count with every forged receipt
+// and so buys at most MaxBurst rows in flight (two more while the probe is
+// out, Grant) and TickCeiling rows per tick, and only on its own link —
+// nothing a peer reports touches another peer's Link.
 // Self-contradictory reports (innovative > received, counters running
 // backwards or wrapping) re-baseline without crediting anything. A forged
 // departure count buys nothing a forged received count cannot: it only
@@ -74,14 +75,10 @@ const (
 	// MaxLoss caps the loss estimate: no report can claim a link worse
 	// than this, bounding every downstream control.
 	MaxLoss = 0.6
-	// budgetFloorFrac and budgetRiseSlope shape Budget: at zero loss the
-	// redundancy budget drops to base·budgetFloorFrac, and it climbs back
-	// to the full static base by loss ≈ 0.3.
-	budgetFloorFrac = 0.125
-	budgetRiseSlope = 3.0
 
-	// ReceiptEvery is how many DATA rows a receiver accepts from one
-	// sender between receipt reports while its ingest queue stays busy:
+	// ReceiptEvery is how many DATA rows a receiver judges (innovative or
+	// redundant) from one sender between receipt reports while its ingest
+	// queue stays busy:
 	// large enough that under load the feedback stream stays a small
 	// fraction of the data stream. It is also the smallest number of
 	// departures a loss sample is taken over.
@@ -176,16 +173,9 @@ func (l *Link) Sent() uint64 { return l.sent }
 func (l *Link) Reports() int { return l.reports }
 
 // OnReport records one receipt report (cumulative received/innovative
-// counters for this link) for the next Grant to fold, and reports whether
-// it shows innovative progress since the previous one — the signal that
-// un-sticks a stale satiation streak. Malformed reports (counters
-// running backwards, innovative > received) never count as progress.
-func (l *Link) OnReport(received, innovative uint32) (innovated bool) {
-	// Innovative progress requires received progress too: an innovative
-	// row is by definition a received one.
-	innovated = innovative <= received && innovative > l.inno && received > l.recv
+// counters for this link) for the next Grant to fold.
+func (l *Link) OnReport(received, innovative uint32) {
 	l.recv, l.inno, l.fresh, l.departs = received, innovative, true, false
-	return innovated
 }
 
 // OnDeparted adds to the receipt OnReport just recorded the departure count
@@ -253,8 +243,8 @@ func (l *Link) Grant(tick int64, lacks int) int {
 		l.fold()
 	case l.unacked && tick-l.heard >= int64(quietTicks+2*ReceiptEvery/l.window):
 		// Rows unacknowledged and no receipt: a peer that never sends one
-		// (a pre-receipt version), one that answers every row with a
-		// redundancy abort, or a dead link. Halve toward the floor of 1.
+		// (a pre-receipt version) or a dead link. Halve toward the floor
+		// of 1.
 		l.window, l.heard = max(1, l.window/2), tick
 	}
 	free := min(l.window, max(tailWindow, lacks/2)) - l.inFlight
@@ -361,27 +351,4 @@ func (l *Link) fold() {
 // first sample.
 func (l *Link) Loss() float64 {
 	return math.Max(0, math.Min(MaxLoss, l.loss))
-}
-
-// Budget maps the loss estimate to the redundancy budget that replaces
-// the static satiation constant: the number of consecutive redundant
-// signals tolerated before pausing push to the peer. Clean links pause
-// after base·budgetFloorFrac (redundant traffic there is pure waste);
-// lossy links keep the full static budget, because under loss a
-// redundant streak is noise, not satiation. The result is clamped to
-// [max(1, base·budgetFloorFrac), base] — no report can push it past the
-// static ceiling.
-func (l *Link) Budget(base int) int {
-	floor := int(float64(base) * budgetFloorFrac)
-	if floor < 1 {
-		floor = 1
-	}
-	b := int(float64(base) * (budgetFloorFrac + budgetRiseSlope*l.Loss()))
-	if b < floor {
-		b = floor
-	}
-	if b > base {
-		b = base
-	}
-	return b
 }

@@ -10,11 +10,10 @@ import (
 // report pushes n rows, delivers a receipt claiming the given cumulative
 // counters and folds it a tick later, mimicking one send→receipt round
 // trip.
-func report(l *Link, sent int, received, innovative uint32) bool {
+func report(l *Link, sent int, received, innovative uint32) {
 	l.OnSend(sent)
-	innovated := l.OnReport(received, innovative)
+	l.OnReport(received, innovative)
 	l.Grant(l.tick+1, math.MaxInt32)
-	return innovated
 }
 
 func TestZeroValueIsCleanLink(t *testing.T) {
@@ -22,8 +21,8 @@ func TestZeroValueIsCleanLink(t *testing.T) {
 	if l.Loss() != 0 {
 		t.Errorf("silent link loss = %v, want 0", l.Loss())
 	}
-	if got := l.Budget(64); got != 8 {
-		t.Errorf("silent link budget = %d, want floor 8", got)
+	if l.Window() != 1 || l.InFlight() != 0 || l.Lacks(64) != 64 {
+		t.Errorf("silent link: window %d, %d in flight, lacks %d of 64; want 1, 0, 64", l.Window(), l.InFlight(), l.Lacks(64))
 	}
 }
 
@@ -53,23 +52,33 @@ func TestLossTracksDeltas(t *testing.T) {
 	}
 }
 
+// TestInnovationSignal: what the peer still lacks by this link's count
+// moves with the innovative counter alone. Rows a receiver judged redundant
+// raise received, and are credited like any other arrival, but leave the
+// peer lacking what it lacked.
 func TestInnovationSignal(t *testing.T) {
+	const k = 100
 	var l Link
-	if got := report(&l, 10, 10, 10); !got {
-		t.Error("first innovative receipt not reported as progress")
+	report(&l, 10, 10, 10)
+	if got := l.Lacks(k); got != 90 {
+		t.Errorf("after 10 innovative rows the peer lacks %d of %d, want 90", got, k)
 	}
-	// Received grows but nothing innovative: redundant traffic, no signal.
-	if got := report(&l, 10, 20, 10); got {
-		t.Error("redundant-only receipt reported as progress")
+	// Received grows but nothing innovative: redundant traffic.
+	report(&l, 10, 20, 10)
+	if got := l.Lacks(k); got != 90 {
+		t.Errorf("a redundant-only receipt moved the peer's need to %d, want 90", got)
 	}
-	if got := report(&l, 10, 30, 15); !got {
-		t.Error("innovative receipt not reported as progress")
+	if got := l.InFlight(); got != 0 {
+		t.Errorf("%d rows still in flight after the redundant rows were reported", got)
+	}
+	report(&l, 10, 30, 15)
+	if got := l.Lacks(k); got != 85 {
+		t.Errorf("after 15 innovative rows the peer lacks %d, want 85", got)
 	}
 }
 
 // TestUnderClaimingLiarClamped: a receiver that reports everything as
-// lost cannot drag the estimate past MaxLoss or the budget past the
-// static base — the extortion ceiling.
+// lost cannot drag the estimate past MaxLoss — the extortion ceiling.
 func TestUnderClaimingLiarClamped(t *testing.T) {
 	var l Link
 	for i := 0; i < 100; i++ {
@@ -78,15 +87,11 @@ func TestUnderClaimingLiarClamped(t *testing.T) {
 	if got := l.Loss(); got != MaxLoss {
 		t.Errorf("under-claiming liar drove loss to %v, clamp is %v", got, MaxLoss)
 	}
-	const base = 64
-	if got := l.Budget(base); got > base {
-		t.Errorf("liar inflated budget to %d past static base %d", got, base)
-	}
 }
 
 // TestOverClaimingLiarClamped: a receiver that claims more rows than
-// were ever sent (and perfect innovation) floors the estimate at 0 —
-// it starves only itself, and the budget never drops below its floor.
+// were ever sent (and perfect innovation) floors the estimate at 0 — it
+// starves only itself.
 func TestOverClaimingLiarClamped(t *testing.T) {
 	var l Link
 	recv := uint32(0)
@@ -97,58 +102,27 @@ func TestOverClaimingLiarClamped(t *testing.T) {
 	if got := l.Loss(); got != 0 {
 		t.Errorf("over-claiming liar drove loss to %v, want clamp at 0", got)
 	}
-	const base = 64
-	if got := l.Budget(base); got < 1 || got > base {
-		t.Errorf("budget %d outside [1, %d]", got, base)
-	}
 }
 
 // TestContradictoryReportsRebaseline: impossible claims produce no
-// sample and no progress signal, but re-anchor the counters so the
-// estimator survives a receiver restart.
+// sample, but re-anchor the counters so the estimator survives a receiver
+// restart.
 func TestContradictoryReportsRebaseline(t *testing.T) {
 	var l Link
 	report(&l, 100, 90, 90)
 	pre := l.Loss()
 	// innovative > received: a lie on its face.
-	if report(&l, 100, 200, 300) {
-		t.Error("contradictory report counted as progress")
-	}
+	report(&l, 100, 200, 300)
 	if got := l.Loss(); got != pre {
 		t.Errorf("contradictory report moved the estimate %v → %v", pre, got)
 	}
 	// Counters running backwards (receiver restarted): re-baseline only.
-	if report(&l, 100, 5, 5) {
-		t.Error("regressed counters counted as progress")
-	}
+	report(&l, 100, 5, 5)
 	// The next honest report samples from the new baseline without a
 	// huge spurious loss spike from the pre-restart counters.
 	report(&l, 100, 105, 105)
 	if got := l.Loss(); got > pre {
 		t.Errorf("post-restart honest report spiked loss to %v (was %v)", got, pre)
-	}
-}
-
-func TestBudgetShape(t *testing.T) {
-	const base = 64
-	var clean, mid, harsh Link
-	report(&clean, 100, 100, 100)
-	for i := 0; i < 50; i++ {
-		report(&mid, 100, uint32(100+i*85), uint32(100+i*85))
-		report(&harsh, 100, uint32(100+i*55), uint32(100+i*55))
-	}
-	bc, bm, bh := clean.Budget(base), mid.Budget(base), harsh.Budget(base)
-	if !(bc < bm && bm < bh) {
-		t.Errorf("budget not monotone in loss: clean %d, 15%% %d, 45%% %d", bc, bm, bh)
-	}
-	if bc != 8 {
-		t.Errorf("clean budget = %d, want floor 8", bc)
-	}
-	if bh > base {
-		t.Errorf("harsh budget %d above static base", bh)
-	}
-	if got := (&Link{}).Budget(2); got < 1 {
-		t.Errorf("tiny base budget = %d, want ≥ 1", got)
 	}
 }
 
@@ -605,5 +579,27 @@ func TestSettledCountsDepartures(t *testing.T) {
 	l.OnReport(1<<32-1, 1<<32-1)
 	if got := l.Lacks(100); got != 0 {
 		t.Errorf("an over-claiming link lacks %d natives, want 0", got)
+	}
+}
+
+// TestUnstampedReceiptWritesOffNothing: a receiver whose upstream's rows
+// came without stamps (a cache's verbatim pass-through) reports a
+// departure count of 0. That is at or behind every row settled, so it
+// proves nothing lost: the receipt credits what it reports received, and
+// the rest of the window stays in flight.
+func TestUnstampedReceiptWritesOffNothing(t *testing.T) {
+	var l Link
+	l.Grant(1, math.MaxInt32)
+	for _, recv := range []uint32{0, 4, 16, 25} {
+		l.OnSend(10)
+		l.OnReport(recv, recv)
+		l.OnDeparted(0)
+		l.Grant(1, math.MaxInt32) // one tick: nothing ages
+		if proven, aged := l.Lost(); proven != 0 || aged != 0 {
+			t.Fatalf("%d of %d rows reported received with departed 0: %d proven lost, %d aged", recv, l.Sent(), proven, aged)
+		}
+		if want := int(l.Sent()) - int(recv); l.InFlight() != want {
+			t.Fatalf("%d of %d rows reported received with departed 0: %d in flight, want %d", recv, l.Sent(), l.InFlight(), want)
+		}
 	}
 }

@@ -94,9 +94,8 @@ func (v Verdict) String() string {
 }
 
 // AdmitResult reports what one Admit did and where the generation and
-// object stand afterwards, so the session can emit the same satiation
-// feedback a real decoder would (redundant, generation-complete,
-// complete).
+// object stand afterwards, so the session can send the same feedback a
+// real decoder would (receipt counters, generation-complete, complete).
 type AdmitResult struct {
 	Verdict Verdict
 	// GenRank is the generation's rank after the call.

@@ -11,124 +11,14 @@ import (
 	"ltnc/internal/transport"
 )
 
-// TestReceiptResetsSatiationStreak pins the satiation streak's reset
-// paths: a kind-5 receipt showing innovative progress clears both the
-// redundancy streak and any standing backoff (redundancy aborts and
-// receipts race on the wire, so a stale streak must not keep a
-// progressing peer paused), while a receipt without innovative progress
-// leaves the streak alone.
-func TestReceiptResetsSatiationStreak(t *testing.T) {
-	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := startSession(t, attach(t, sw, "src"), func(c *Config) {
-		c.Adaptive = true
-		c.Tick = time.Hour // passive: no pushes interfere
-	})
-	id, err := s.Serve(testContent(1024, 21), 16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	st := s.objects[id]
-	ps := st.peer("peer")
-	ps.consecRedund = satiationLimit - 1
-	ps.pauseUntil = s.clk.Now().Add(time.Hour)
-	s.mu.Unlock()
-
-	// Innovative progress: 16 rows received, 8 innovative (from zero).
-	s.handleFeedback("peer", receiptFrame(id, 0, 16, 8)[1:])
-	s.mu.Lock()
-	if ps.consecRedund != 0 {
-		t.Errorf("innovative receipt left consecRedund = %d", ps.consecRedund)
-	}
-	if !ps.pauseUntil.IsZero() {
-		t.Error("innovative receipt did not lift the satiation pause")
-	}
-	ps.consecRedund = 5
-	s.mu.Unlock()
-
-	// Received grew, innovative did not: redundant traffic, no reset.
-	s.handleFeedback("peer", receiptFrame(id, 0, 32, 8)[1:])
-	s.mu.Lock()
-	if ps.consecRedund != 5 {
-		t.Errorf("redundant-only receipt changed consecRedund to %d", ps.consecRedund)
-	}
-	s.mu.Unlock()
-
-	// Kind-3 feedback (generation complete elsewhere) keeps resetting the
-	// streak as before — the pre-adaptive reset path must survive.
-	gid, err := s.Serve(testContent(2048, 22), 16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	gst := s.objects[gid]
-	gps := gst.peer("peer")
-	gps.consecRedund = satiationLimit - 1
-	s.mu.Unlock()
-	s.handleFeedback("peer", genFeedbackFrame(gid, 1)[1:])
-	s.mu.Lock()
-	if gps.consecRedund != 0 {
-		t.Errorf("kind-3 feedback left consecRedund = %d", gps.consecRedund)
-	}
-	if !gps.gensDone[1] || gps.gensDoneN != 1 {
-		t.Errorf("kind-3 feedback not recorded: %v n=%d", gps.gensDone, gps.gensDoneN)
-	}
-	s.mu.Unlock()
-}
-
-// TestAdaptiveBudgetPausesEarly: with AdaptBudget on and a clean link
-// estimate, the redundancy streak trips the pause at the estimator's
-// floored budget instead of the full static satiationLimit.
-func TestAdaptiveBudgetPausesEarly(t *testing.T) {
-	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := startSession(t, attach(t, sw, "src"), func(c *Config) {
-		c.Adaptive = true
-		c.Tick = time.Hour
-	})
-	id, err := s.Serve(testContent(1024, 23), 16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	st := s.objects[id]
-	ps := st.peer("peer")
-	s.mu.Unlock()
-	// A clean receipt (everything sent was received) drops the budget to
-	// the floor: satiationLimit/8.
-	s.handleFeedback("peer", receiptFrame(id, 0, 8, 8)[1:])
-	s.mu.Lock()
-	budget := ps.link.Budget(satiationLimit)
-	s.mu.Unlock()
-	if budget >= satiationLimit {
-		t.Fatalf("clean-link budget %d not below static %d", budget, satiationLimit)
-	}
-	fb := feedbackFrame(id, fbRedundant)
-	for i := 0; i < budget; i++ {
-		s.handleFeedback("peer", fb[1:])
-	}
-	s.mu.Lock()
-	paused := s.clk.Now().Before(ps.pauseUntil)
-	s.mu.Unlock()
-	if !paused {
-		t.Fatalf("peer not paused after %d redundant reports (adaptive budget)", budget)
-	}
-}
-
-// TestAdaptiveReceiptEmission feeds an adaptive relay a stream of native
+// TestAdaptiveReceiptEmission feeds a relay a stream of native
 // rows by hand, stamped with their send sequence as a sender stamps them,
 // the fourth row's stamp missing — the link lost it — and expects kind-6
 // receipt reports carrying the cumulative received/innovative counters and
 // the departure count — one by the time receiptEvery frames are in,
 // possibly earlier ones whenever the relay's queue ran dry in between —
 // and, the generation still filling, its frontier: the natives fed so far.
-// (Unstamped rows get kind 5, byte for byte as before stamps:
-// TestReceiptFlushedOnDrain.)
+// (Unstamped rows get a departure count of 0: TestReceiptFlushedOnDrain.)
 func TestAdaptiveReceiptEmission(t *testing.T) {
 	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 256})
 	if err != nil {
@@ -136,7 +26,6 @@ func TestAdaptiveReceiptEmission(t *testing.T) {
 	}
 	startSession(t, attach(t, sw, "relay"), func(c *Config) {
 		c.Relay = true
-		c.Adaptive = true
 		c.Tick = time.Hour
 	})
 	probe := attach(t, sw, "probe")
@@ -163,7 +52,7 @@ func TestAdaptiveReceiptEmission(t *testing.T) {
 		if err != nil {
 			t.Fatalf("last receipt reported %d rows of %d: %v", received, receiptEvery, err)
 		}
-		if f.Data[17] != fbDeparted || len(f.Data) != departedLen+frontierLen(k) {
+		if f.Data[17] != fbReceipt || len(f.Data) != receiptLen+frontierLen(k) {
 			t.Fatalf("reply = %x, want a kind-6 receipt with a %d-byte frontier", f.Data, frontierLen(k))
 		}
 		var gotID packet.ObjectID
@@ -172,7 +61,7 @@ func TestAdaptiveReceiptEmission(t *testing.T) {
 			t.Fatalf("receipt for %v, want %v", gotID, id)
 		}
 		next, innovative, departed := bigEndianU32(f.Data[22:26]), bigEndianU32(f.Data[26:30]), bigEndianU32(f.Data[30:34])
-		if frontier := binary.LittleEndian.Uint32(f.Data[departedLen:]); frontier != 1<<next-1 {
+		if frontier := binary.LittleEndian.Uint32(f.Data[receiptLen:]); frontier != 1<<next-1 {
 			t.Fatalf("frontier %032b with natives 0..%d in", frontier, next-1)
 		}
 		f.Release()
@@ -188,7 +77,7 @@ func bigEndianU32(b []byte) uint32 {
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }
 
-// TestSystematicFirstPass: an adaptive source answers a REQ with every
+// TestSystematicFirstPass: a source answers a REQ with every
 // native exactly once, in order, as degree-1 rows before any coded
 // repair — and the stats expose the count.
 func TestSystematicFirstPass(t *testing.T) {
@@ -197,7 +86,6 @@ func TestSystematicFirstPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := startSession(t, attach(t, sw, "source"), func(c *Config) {
-		c.Adaptive = true
 		c.Tick = time.Millisecond
 		c.Burst = 4
 	})
@@ -256,22 +144,18 @@ func TestSystematicFirstPass(t *testing.T) {
 	}
 }
 
-// TestAdaptiveEndToEnd runs a full adaptive source → adaptive relay →
-// adaptive fetcher transfer and checks the plain correctness bar: the
-// content arrives byte-identical, and the source saw receipt feedback
-// (its loss estimator has samples).
+// TestAdaptiveEndToEnd runs a full source → relay → fetcher transfer on
+// the feedback loop — receipts pacing every hop, the systematic first pass
+// — and checks the plain correctness bar: the content arrives
+// byte-identical, and the source's pass went out.
 func TestAdaptiveEndToEnd(t *testing.T) {
 	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 1024, Seed: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive := func(c *Config) { c.Adaptive = true }
-	src := startSession(t, attach(t, sw, "source"), adaptive)
-	startSession(t, attach(t, sw, "relay"), func(c *Config) {
-		c.Relay = true
-		c.Adaptive = true
-	})
-	client := startSession(t, attach(t, sw, "client"), adaptive)
+	src := startSession(t, attach(t, sw, "source"), nil)
+	startSession(t, attach(t, sw, "relay"), func(c *Config) { c.Relay = true })
+	client := startSession(t, attach(t, sw, "client"), nil)
 
 	content := testContent(32*1024, 26)
 	id, err := src.Serve(content, 64, 2)
@@ -287,7 +171,7 @@ func TestAdaptiveEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, content) {
-		t.Fatal("adaptive transfer corrupted the content")
+		t.Fatal("transfer corrupted the content")
 	}
 	if stats.Overhead() < 1 {
 		t.Fatalf("overhead %.3f < 1", stats.Overhead())
@@ -297,7 +181,7 @@ func TestAdaptiveEndToEnd(t *testing.T) {
 		t.Fatal("source lost its object")
 	}
 	if srcStats.Systematic == 0 {
-		t.Error("adaptive source pushed no systematic rows")
+		t.Error("source pushed no systematic rows")
 	}
 }
 
@@ -310,8 +194,8 @@ func TestLyingReceiverDoesNotStarveHonest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := startSession(t, attach(t, sw, "source"), func(c *Config) { c.Adaptive = true })
-	client := startSession(t, attach(t, sw, "client"), func(c *Config) { c.Adaptive = true })
+	src := startSession(t, attach(t, sw, "source"), nil)
+	client := startSession(t, attach(t, sw, "client"), nil)
 	liar := attach(t, sw, "liar")
 	defer liar.Close()
 

@@ -197,7 +197,7 @@ func TestForgedManifestRefillsMovedGenerations(t *testing.T) {
 	defer fetch.End()
 	fRec.take() // the first REQs: the source is asked after the forgery
 
-	injectFrame(f, "mallory", metaFor(id, k, m, int64(len(content)), gens, true))
+	injectFrame(f, "mallory", metaFor(id, k, m, int64(len(content)), gens))
 	injectBurst(f, "mallory", manifestChunks(t, id, forged, m, 1))
 	st := f.objects[id]
 	for g := range gens {
@@ -269,7 +269,7 @@ func TestObjectBufferNeedsAVerifiedGeneration(t *testing.T) {
 	}
 	k := geo.gens * geo.kPer
 	id := packet.NewObjectID([]byte("never served"))
-	injectFrame(relay, "mallory", metaFor(id, k, geo.m, int64(k)*int64(geo.m), geo.gens, true))
+	injectFrame(relay, "mallory", metaFor(id, k, geo.m, int64(k)*int64(geo.m), geo.gens))
 	payload := make([]byte, geo.m)
 	for g := range 4 {
 		for i := range geo.kPer {

@@ -75,13 +75,7 @@ func TestVirtualIdleEviction(t *testing.T) {
 	// Teach the relay an object via META.
 	var id packet.ObjectID
 	id[0] = 0xAB
-	meta := make([]byte, metaLen)
-	meta[0] = frameMeta
-	copy(meta[1:17], id[:])
-	meta[17+3] = 16  // k = 16
-	meta[21+3] = 32  // m = 32
-	meta[25+7] = 200 // size = 200
-	n.recs["relay"].deliver("feeder", meta)
+	n.recs["relay"].deliver("feeder", metaFor(id, 16, 32, 200, 1))
 	learned := func() bool {
 		_, ok := relay.Object(id)
 		return ok

@@ -22,13 +22,6 @@ const maxPeersPerObject = 256
 // spoofable addresses, so the table must not grow without limit.
 const maxCacheAds = 32
 
-// satiationLimit is how many consecutive redundancy aborts a peer may
-// report for one object before the session pauses pushing that object to
-// it (the peer is either complete or momentarily receiving nothing
-// innovative). The pause (satiationBackoff) is temporary — an incomplete
-// peer must be able to resume — and any REQ lifts it immediately.
-const satiationLimit = 64
-
 // reqResend is a fetch's steady REQ cadence; reqRetry is how many Ticks
 // after its first REQ a fetch that has heard nothing of the object tries
 // again, doubling from there up to reqResend. A lost REQ then costs a few
@@ -59,9 +52,9 @@ func decodeWorkers() int { return min(runtime.GOMAXPROCS(0), 8) }
 // than O(swarm).
 const memberFanout = 8
 
-// receiptEvery is how many DATA frames a receiver accepts from one sender
-// between receipt reports; the estimator on the other end sizes
-// its windows by the same constant.
+// receiptEvery is how many DATA frames a receiver judges from one sender —
+// innovative or redundant — between receipt reports; the estimator on the
+// other end sizes its windows by the same constant.
 const receiptEvery = adapt.ReceiptEvery
 
 // Config parameterizes a session.
@@ -148,22 +141,11 @@ type Config struct {
 	// selects a role-derived default: 200 for relays, 160 for caches, 16
 	// otherwise.
 	Capacity uint8
-	// Adaptive tunes the satiation budget from the estimated link loss
-	// instead of the static constant (DESIGN.md §16). The rest of the
-	// feedback loop is unconditional: every session emits receipt reports
-	// (cumulative rows received / rows innovative / rows departed per
-	// sender) and
-	// feeds the ones it gets to a per-(peer, object) estimator
-	// (internal/adapt), which paces the push; and every sender runs the
-	// systematic first pass (each decoded native goes out once per peer as
-	// a degree-1 row, in the order it was decoded, before coded repair).
-	// Off by default.
-	Adaptive bool
 	// Clock is the time source behind every session timer — the push
-	// timer, META resend, idle eviction, satiation backoff, fetch retries.
-	// Default: the system clock. Simulations (internal/simnet) inject a
-	// virtual clock so a minute of protocol time passes in milliseconds
-	// of wall time, deterministically.
+	// timer, META resend, idle eviction, fetch retries. Default: the
+	// system clock. Simulations (internal/simnet) inject a virtual clock
+	// so a minute of protocol time passes in milliseconds of wall time,
+	// deterministically.
 	Clock transport.Clock
 	// Logf, when set, receives one line per notable event (object
 	// learned, complete, evicted).

@@ -85,8 +85,6 @@ func (s *Session) handleReq(from transport.Addr, data []byte) (reply []byte, ext
 	ps.lastReq = s.clk.Now()
 	ps.reqSub = true
 	ps.done = false
-	ps.consecRedund = 0
-	ps.pauseUntil = time.Time{}
 	// A fresh REQ may be a different client behind the same address (or a
 	// restarted one): forget which generations it had completed and what
 	// it held of the others.
@@ -145,20 +143,14 @@ func evictBefore(a, b *peerState, lower bool) bool {
 
 // parseMeta decodes a META body: the object, its geometry and its size.
 func parseMeta(data []byte) (id packet.ObjectID, geo geometry, size int64, ok bool) {
-	// Two accepted lengths: the gens-absent legacy body (G=1) and the
-	// extended body carrying the generation count.
-	geo.gens = 1
-	switch len(data) {
-	case metaLen - 1:
-	case genMetaLen - 1:
-		geo.gens = int(binary.BigEndian.Uint32(data[32:36]))
-	default:
+	if len(data) != metaLen-1 {
 		return id, geo, 0, false
 	}
 	copy(id[:], data[:16])
 	k := int(binary.BigEndian.Uint32(data[16:20]))
 	geo.m = int(binary.BigEndian.Uint32(data[20:24]))
 	size = int64(binary.BigEndian.Uint64(data[24:32]))
+	geo.gens = int(binary.BigEndian.Uint32(data[32:36]))
 	// Generation geometry must be consistent: every generation the same
 	// code length, at least one native each (ragged splits are
 	// ErrBadGeneration territory — dropped here, as a datagram receiver
@@ -175,8 +167,8 @@ func parseMeta(data []byte) (id packet.ObjectID, geo geometry, size int64, ok bo
 // size, and answers with whatever that completed (settleLocked): a META to
 // an object already complete — or, at a cache, fully covered — means the
 // sender never heard so and will keep resending until it does; the
-// idempotent reply closes the loop, exactly as the DATA path aborts
-// redundant payloads with the same frame.
+// idempotent reply closes the loop, exactly as the DATA path answers a row
+// of a complete object with the same frame.
 func (s *Session) handleMeta(from transport.Addr, data []byte) []byte {
 	id, geo, size, ok := parseMeta(data)
 	if !ok {
@@ -209,28 +201,31 @@ func (s *Session) handleMeta(from transport.Addr, data []byte) []byte {
 }
 
 // handleFeedback validates a FEEDBACK frame's kind against its body
-// length — kinds 1 and 2 use the short body, kind 3 appends the completed
-// generation id, kinds 4 (cache advertisement) and 5 (receipt report)
-// share the long body, kind 6 (receipt report with departures) is four
-// bytes longer, and a receipt may carry a frontier behind it, whose length
-// is the object's to judge — and hands it to the kind's handler under
-// s.mu.
+// length — kind 2 uses the short body, kind 3 appends the completed
+// generation id, kind 4 (cache advertisement) its coverage, kind 6
+// (receipt report) its counters, and a receipt may carry a frontier behind
+// them, whose length is the object's to judge — and hands it to the kind's
+// handler under s.mu. Any other kind, the retired 1 and 5 among them, is
+// dropped.
 func (s *Session) handleFeedback(from transport.Addr, data []byte) {
 	if len(data) < feedbackLen-1 {
 		return
 	}
 	kind := data[16]
-	want := feedbackLen
+	var want int
 	switch kind {
+	case fbComplete:
+		want = feedbackLen
 	case fbGenComplete:
 		want = genFeedbackLen
-	case fbCacheAd, fbReceipt:
+	case fbCacheAd:
 		want = cacheAdLen
-	case fbDeparted:
-		want = departedLen
+	case fbReceipt:
+		want = receiptLen
+	default:
+		return
 	}
-	receipt := kind == fbReceipt || kind == fbDeparted
-	if len(data) != want-1 && (!receipt || len(data) < want-1) {
+	if len(data) != want-1 && (kind != fbReceipt || len(data) < want-1) {
 		return
 	}
 	var id packet.ObjectID
@@ -260,15 +255,13 @@ func (s *Session) handleFeedback(from transport.Addr, data []byte) {
 		return
 	}
 	switch kind {
-	case fbRedundant:
-		s.onRedundantLocked(ps)
 	case fbComplete:
 		ps.done = true
 		ps.forgetProgressLocked()
 	case fbGenComplete:
 		ps.onGenCompleteLocked(int(st.gens.Load()), binary.BigEndian.Uint32(data[17:21]))
-	case fbReceipt, fbDeparted:
-		s.onReceiptLocked(st, ps, from, data[17:], kind == fbDeparted)
+	case fbReceipt:
+		s.onReceiptLocked(st, ps, from, data[17:])
 	}
 }
 
@@ -286,27 +279,6 @@ func (st *objectState) onCacheAdLocked(from transport.Addr, body []byte, now tim
 		return
 	}
 	st.recordCacheAdLocked(from, ad)
-}
-
-// onRedundantLocked counts one redundancy abort (kind 1) toward the
-// peer's satiation pause. Session.mu must be held.
-func (s *Session) onRedundantLocked(ps *peerState) {
-	ps.consecRedund++
-	limit := satiationLimit
-	if s.cfg.Adaptive {
-		// Adaptive budget: on a clean link a redundancy streak means
-		// satiation and the pause comes early; under loss the same
-		// streak is mostly noise and the full static budget applies.
-		limit = ps.link.Budget(satiationLimit)
-	}
-	if ps.consecRedund >= limit {
-		// Senders never hear about accepted packets, only redundant
-		// ones, so this count must not cut a peer off permanently: an
-		// incomplete peer still needs the stream. Back off instead;
-		// any REQ lifts the pause early.
-		ps.consecRedund = 0
-		ps.pauseUntil = s.clk.Now().Add(s.satiationBackoff(ps))
-	}
 }
 
 // onGenCompleteLocked marks generation gen of a gens-generation object
@@ -327,28 +299,19 @@ func (ps *peerState) onGenCompleteLocked(gens int, gen uint32) {
 	if ps.frontier != nil {
 		ps.frontier[gen] = nil
 	}
-	// A generation completing over there is information flowing, not
-	// satiation: reset the redundancy streak so the peer keeps
-	// receiving its remaining generations at full rate.
-	ps.consecRedund = 0
 }
 
 // onReceiptLocked feeds a receipt report (body: gen, received, innovative,
-// with departed the departure count — kind 6 — then gen's frontier or
-// nothing) to the peer's link and wakes the push goroutine to fold it: the
-// rows it acknowledges, or proves lost, have left the window. A tail that
-// is not the object's frontier length voids the frame. A frontier is kept
-// only by a session that draws rows for the object from a coder (a cache
-// deals what it holds, whatever the peer lacks), and only if it names an
-// open generation and no native past its end; dropped, the counters it
-// rode in with are folded as a short receipt's are. Session.mu must be
-// held.
-func (s *Session) onReceiptLocked(st *objectState, ps *peerState, from transport.Addr, body []byte, departed bool) {
-	counters := receiptLen - feedbackLen
-	if departed {
-		counters = departedLen - feedbackLen
-	}
-	if tail := body[counters:]; len(tail) > 0 {
+// departed, then gen's frontier or nothing) to the peer's link and wakes
+// the push goroutine to fold it: the rows it acknowledges, or proves lost,
+// have left the window. A tail that is not the object's frontier length
+// voids the frame. A frontier is kept only by a session that draws rows
+// for the object from a coder (a cache deals what it holds, whatever the
+// peer lacks), and only if it names an open generation and no native past
+// its end; dropped, the counters it rode in with are folded as a short
+// receipt's are. Session.mu must be held.
+func (s *Session) onReceiptLocked(st *objectState, ps *peerState, from transport.Addr, body []byte) {
+	if tail := body[receiptLen-feedbackLen:]; len(tail) > 0 {
 		st.mu.Lock()
 		kPer, coded := st.kPer, st.phase.decoding()
 		st.mu.Unlock()
@@ -367,20 +330,8 @@ func (s *Session) onReceiptLocked(st *objectState, ps *peerState, from transport
 		}
 	}
 	s.wake()
-	innovated := ps.link.OnReport(binary.BigEndian.Uint32(body[4:8]), binary.BigEndian.Uint32(body[8:12]))
-	if departed {
-		ps.link.OnDeparted(binary.BigEndian.Uint32(body[12:16]))
-	}
-	if innovated {
-		// Innovative progress over there is the opposite of satiation:
-		// clear the redundancy streak and any backoff so the stream
-		// keeps flowing while it is still doing work. This is also what
-		// un-sticks a streak gone stale — redundancy aborts and receipts
-		// race on the wire, and without the reset a burst of aborts
-		// could pause a peer that has since started accepting rows.
-		ps.consecRedund = 0
-		ps.pauseUntil = time.Time{}
-	}
+	ps.link.OnReport(binary.BigEndian.Uint32(body[4:8]), binary.BigEndian.Uint32(body[8:12]))
+	ps.link.OnDeparted(binary.BigEndian.Uint32(body[12:16]))
 }
 
 // repairOrder draws the order in which this session scans peer's frontiers
@@ -420,42 +371,17 @@ func (st *objectState) recordCacheAdLocked(from transport.Addr, ad cacheAd) {
 	st.cacheAds[from] = ad
 }
 
-// satiationBackoff is how long pushes to a satiated peer pause: the time
-// a hundred frames take at the slowest the peer is pushed — the fixed
-// Config.Burst a Tick, or the window its receipts have earned turning
-// over once a Tick — but never under two Ticks. A peer pushed that many
-// rows at a time reaches the abort limit that many times sooner and must
-// pause that many times shorter: a paused sender triggers no receipts, so
-// nothing lifts the pause early, and behind a systematic pass a
-// near-complete receiver aborts most repair rows.
-func (s *Session) satiationBackoff(ps *peerState) time.Duration {
-	burst := s.cfg.Burst
-	if burst == 0 {
-		burst = ps.link.Window()
-	}
-	return max(max(100*s.cfg.Tick, 50*time.Millisecond)/time.Duration(burst), 2*s.cfg.Tick)
-}
-
-// metaFrame encodes a META for st: the gens-absent legacy form for
-// single-generation objects (pre-generation peers keep working) and the
-// extended form carrying G otherwise. Callers must hold either s.mu or
-// st.mu (k, gens and m are immutable once the coder exists, which is
-// guaranteed for any object with a known size).
+// metaFrame encodes a META for st. Callers must hold either s.mu or st.mu
+// (k, gens and m are immutable once the coder exists, which is guaranteed
+// for any object with a known size).
 func (s *Session) metaFrame(st *objectState) []byte {
-	gens := st.gens.Load()
-	n := metaLen
-	if gens > 1 {
-		n = genMetaLen
-	}
-	buf := make([]byte, n)
+	buf := make([]byte, metaLen)
 	buf[0] = frameMeta
 	copy(buf[1:17], st.id[:])
 	binary.BigEndian.PutUint32(buf[17:21], uint32(st.k))
 	binary.BigEndian.PutUint32(buf[21:25], uint32(st.m))
 	binary.BigEndian.PutUint64(buf[25:33], uint64(st.size.Load()))
-	if gens > 1 {
-		binary.BigEndian.PutUint32(buf[33:37], uint32(gens))
-	}
+	binary.BigEndian.PutUint32(buf[33:37], uint32(st.gens.Load()))
 	return buf
 }
 
@@ -492,38 +418,26 @@ func cacheAdFrame(id packet.ObjectID, gensFull, gens uint32, rank int) []byte {
 	return buf
 }
 
-// frontierReceipt encodes the kind-5 feedback: the sender of the frame has
-// accepted received DATA rows from the addressed peer for object id, of
-// which innovative advanced its decode; gen is the generation of the
-// frame that triggered the report. Counters are cumulative per (sender,
-// object), so a lost receipt costs nothing — the next one carries the
-// same information. A receiver still filling gen appends gen's frontier —
-// kPer bits, those of the natives in decoded (indices within the
+// encodeReceipt encodes the kind-6 feedback: the sender of the frame has
+// judged received DATA rows from the addressed peer for object id, of
+// which innovative advanced its decode, and the highest send sequence among
+// them that came stamped is departed (0: none did); gen is the generation
+// of the frame that triggered the report. Counters are cumulative per
+// (sender, object), so a lost receipt costs nothing — the next one carries
+// the same information. A receiver still filling gen appends gen's frontier
+// — kPer bits, those of the natives in decoded (indices within the
 // generation) set — against which the sender repeats exactly what is
 // missing instead of coding blind; kPer 0 is the short form.
-func frontierReceipt(id packet.ObjectID, gen, received, innovative uint32, kPer int, decoded []int32) []byte {
-	return encodeReceipt(id, fbReceipt, []uint32{gen, received, innovative}, kPer, decoded)
-}
-
-// departedReceipt encodes the kind-6 feedback, the receipt for a sender
-// whose rows carry stamps: kind 5's counters, then departed — how many of
-// the rows the sender pushed have arrived or been proven lost, counted
-// from its first — then the frontier as frontierReceipt's.
-func departedReceipt(id packet.ObjectID, gen, received, innovative, departed uint32, kPer int, decoded []int32) []byte {
-	return encodeReceipt(id, fbDeparted, []uint32{gen, received, innovative, departed}, kPer, decoded)
-}
-
-func encodeReceipt(id packet.ObjectID, kind byte, counters []uint32, kPer int, decoded []int32) []byte {
-	head := feedbackLen + 4*len(counters)
-	buf := make([]byte, head+frontierLen(kPer))
+func encodeReceipt(id packet.ObjectID, gen, received, innovative, departed uint32, kPer int, decoded []int32) []byte {
+	buf := make([]byte, receiptLen+frontierLen(kPer))
 	buf[0] = frameFeedback
 	copy(buf[1:17], id[:])
-	buf[17] = kind
-	for i, c := range counters {
+	buf[17] = fbReceipt
+	for i, c := range [...]uint32{gen, received, innovative, departed} {
 		binary.BigEndian.PutUint32(buf[feedbackLen+4*i:], c)
 	}
 	for _, i := range decoded {
-		buf[head+int(i>>3)] |= 1 << (i & 7)
+		buf[receiptLen+int(i>>3)] |= 1 << (i & 7)
 	}
 	return buf
 }

@@ -2,12 +2,14 @@ package session
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"ltnc/internal/cache"
+	"ltnc/internal/packet"
 	"ltnc/internal/transport"
 )
 
@@ -188,19 +190,66 @@ func TestPassThroughClearsStamps(t *testing.T) {
 	}
 }
 
-// TestReceiptFormsParseAsThemselves: for every k/G from 1 to 64 each of
-// the four receipt forms — kind 5 and kind 6, short and with a frontier —
-// is taken as what it is: the counters folded, the departure count only
-// from kind 6, the frontier kept only from a form that carries one. Kind
-// 6's short form is as long as kind 5 with a 4-byte frontier (k/G of
-// 25–32): told apart by length alone, the two would collide.
+// TestRedundantRowsClockReceipts: a row the receiver judges redundant on
+// its header gets no reply of its own, yet it still clocks the receipts —
+// counted received and not innovative, its stamp advancing the departure
+// count — or a sender whose rows have all turned redundant would hear
+// nothing at all: its window never turns over, and the rows in it age out
+// as if lost, tick after tick.
+func TestRedundantRowsClockReceipts(t *testing.T) {
+	const k = 64
+	content := testContent(k*16, 60)
+	id := packet.NewObjectID(content)
+	dst, rec, _ := pushSession(t, "dst", func(c *Config) { c.Relay = true })
+	seq := uint64(0)
+	burst := func(natives int) {
+		frames := make([][]byte, natives)
+		for i := range frames {
+			seq++
+			frames[i] = handRow(t, id, content, 1, k, 0, false, i)
+			packet.Restamp(frames[i][1:], packet.SeqStamp(seq))
+		}
+		injectBurst(dst, "src", frames)
+	}
+	counters := func() (receipts int, received, innovative, departed uint32) {
+		for _, f := range rec.take()["src"] {
+			if !isReceipt(f) {
+				t.Fatalf("the upstream was sent %x, want receipts only", f)
+			}
+			receipts++
+			received, innovative, departed = binary.BigEndian.Uint32(f[22:26]), binary.BigEndian.Uint32(f[26:30]), binary.BigEndian.Uint32(f[30:34])
+		}
+		return receipts, received, innovative, departed
+	}
+	burst(receiptEvery) // natives 0..15: innovative
+	if n, recv, inno, dep := counters(); n != 1 || recv != receiptEvery || inno != receiptEvery || dep != receiptEvery {
+		t.Fatalf("%d receipts for %d innovative rows, the last (%d received, %d innovative, departed %d)", n, receiptEvery, recv, inno, dep)
+	}
+	burst(receiptEvery) // natives 0..15 again: redundant on the header
+	n, recv, inno, dep := counters()
+	if n != 1 || recv != 2*receiptEvery || inno != receiptEvery || dep != uint32(seq) {
+		t.Errorf("%d receipts for %d redundant rows, the last (%d received, %d innovative, departed %d); want one (%d, %d, %d)",
+			n, receiptEvery, recv, inno, dep, 2*receiptEvery, receiptEvery, seq)
+	}
+	if o, _ := dst.Object(id); o.Aborted != receiptEvery || o.Received != receiptEvery {
+		t.Errorf("%d rows aborted, %d received, want %d of each", o.Aborted, o.Received, receiptEvery)
+	}
+}
+
+// TestReceiptFormsParseAsThemselves: for every k/G from 1 to 64 the
+// receipt in both forms — the counters alone, and with a frontier — and
+// with either departure count — a stamped upstream's, and the 0 an
+// unstamped one gets — is taken as what it is: the counters folded, the
+// departure count proving lost what no receipt credited, 0 proving nothing,
+// and the frontier kept only from the form that carries one.
 func TestReceiptFormsParseAsThemselves(t *testing.T) {
-	const received, departed = 3, 9
+	const received = 3
 	for kPer := 1; kPer <= 64; kPer++ {
 		decoded := []int32{0, int32(kPer - 1)}
 		for _, form := range []struct {
-			departs, frontier bool
-		}{{false, false}, {false, true}, {true, false}, {true, true}} {
+			departed uint32
+			frontier bool
+		}{{0, false}, {0, true}, {9, false}, {9, true}} {
 			s, _, _ := pushSession(t, "src", nil)
 			id, err := s.Serve(testContent(kPer*8, int64(kPer)), kPer, 1)
 			if err != nil {
@@ -213,23 +262,18 @@ func TestReceiptFormsParseAsThemselves(t *testing.T) {
 			if form.frontier {
 				fl, dec = kPer, decoded
 			}
-			frame := frontierReceipt(id, 0, received, received, fl, dec)
-			want := uint64(received)
-			if form.departs {
-				frame, want = departedReceipt(id, 0, received, received, departed, fl, dec), departed
-			}
+			frame := encodeReceipt(id, 0, received, received, form.departed, fl, dec)
 			injectFrame(s, "peer", frame)
 			ps.link.Grant(0, kPer)
-			if got := ps.link.Settled(); got != want {
-				t.Errorf("k/G %d, %+v: %d rows settled, want %d", kPer, form, got, want)
+			want := max(uint64(received), uint64(form.departed))
+			proven, _ := ps.link.Lost()
+			if got := ps.link.Settled(); got != want || proven != want-received {
+				t.Errorf("k/G %d, %+v: %d rows settled, %d proven lost; want %d and %d", kPer, form, got, proven, want, want-received)
 			}
 			kept := ps.frontier != nil && ps.frontier[0] != nil
 			if kept != form.frontier || kept && !bytes.Equal(ps.frontier[0], frame[len(frame)-frontierLen(kPer):]) {
 				t.Errorf("k/G %d, %+v: frontier kept %v (%x)", kPer, form, kept, ps.frontier)
 			}
 		}
-	}
-	if departedLen != receiptLen+frontierLen(32) {
-		t.Fatalf("the collision this test pins is gone: kind 6 is %d bytes, kind 5 with a 4-byte frontier %d", departedLen, receiptLen+frontierLen(32))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
-	"slices"
 	"testing"
 	"time"
 
@@ -216,9 +215,9 @@ func TestTwoSendersRepeatDifferentNatives(t *testing.T) {
 // TestFrontierForgedStaysOnItsLink: a subscriber whose receipts carry
 // forged frontiers — everything missing, everything present, the wrong
 // length, a generation the object does not have, natives past its end, one
-// before every push round with its window forged wide open, in kind 5 and
-// in kind 6 behind a forged departure count (everything sent, past what was
-// sent, backwards, wrapping) — redirects which rows it gets and nothing
+// before every push round with its window forged wide open, with a
+// departure count of 0 and behind a forged one (everything sent, past what
+// was sent, backwards, wrapping) — redirects which rows it gets and nothing
 // else: never more than adapt.MaxBurst rows in flight on its link (two more
 // for the probe) nor adapt.TickCeiling in a tick, no state beyond the
 // bound, and the honest peer next to it gets, byte for byte, the stream it
@@ -244,19 +243,19 @@ func TestFrontierForgedStaysOnItsLink(t *testing.T) {
 		repeated bool
 	}{
 		{"all-missing", func(id packet.ObjectID, i int) []byte {
-			return frontierReceipt(id, uint32(i%gens), uint32(i+1)<<16, uint32(i+1)<<16, kPer, nil)
+			return encodeReceipt(id, uint32(i%gens), uint32(i+1)<<16, uint32(i+1)<<16, 0, kPer, nil)
 		}, true},
 		{"all-present-but-incomplete", func(id packet.ObjectID, i int) []byte {
-			return frontierReceipt(id, uint32(i%gens), uint32(i+1)<<16, uint32(i+1)<<16, kPer, full)
+			return encodeReceipt(id, uint32(i%gens), uint32(i+1)<<16, uint32(i+1)<<16, 0, kPer, full)
 		}, false},
 		{"wrong-length", func(id packet.ObjectID, i int) []byte {
-			return frontierReceipt(id, 0, uint32(i+1)<<16, uint32(i+1)<<16, kPer+8, nil)
+			return encodeReceipt(id, 0, uint32(i+1)<<16, uint32(i+1)<<16, 0, kPer+8, nil)
 		}, false},
 		{"generation-past-G", func(id packet.ObjectID, i int) []byte {
-			return frontierReceipt(id, gens+uint32(i), uint32(i+1)<<16, uint32(i+1)<<16, kPer, nil)
+			return encodeReceipt(id, gens+uint32(i), uint32(i+1)<<16, uint32(i+1)<<16, 0, kPer, nil)
 		}, false},
 		{"bits-past-kPer", func(id packet.ObjectID, i int) []byte {
-			f := frontierReceipt(id, 0, uint32(i+1)<<16, uint32(i+1)<<16, kPer, nil)
+			f := encodeReceipt(id, 0, uint32(i+1)<<16, uint32(i+1)<<16, 0, kPer, nil)
 			f[len(f)-1] = 0x80
 			return f
 		}, false},
@@ -332,10 +331,8 @@ func TestFrontierForgedStaysOnItsLink(t *testing.T) {
 	}
 }
 
-// withDeparted turns kind-5 receipt f into the kind-6 receipt with the same
-// counters and frontier and departed behind the counters.
+// withDeparted sets receipt f's departure count.
 func withDeparted(f []byte, departed uint32) []byte {
-	out := append(slices.Clone(f[:receiptLen]), binary.BigEndian.AppendUint32(nil, departed)...)
-	out[17] = fbDeparted
-	return append(out, f[receiptLen:]...)
+	binary.BigEndian.PutUint32(f[receiptLen-4:], departed)
+	return f
 }

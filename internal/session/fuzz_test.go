@@ -57,6 +57,24 @@ func injectFrame(s *Session, from transport.Addr, data []byte) {
 	injectBurst(s, from, [][]byte{data})
 }
 
+// The FEEDBACK kinds a session no longer speaks: kind 1, the per-row
+// redundancy abort, and kind 5, the receipt without a departure count. A
+// session drops both.
+const (
+	fbRetiredRedundant = 0x01
+	fbRetiredReceipt   = 0x05
+)
+
+// retiredReceipt builds a kind-5 receipt as its senders did: counters gen,
+// received and innovative, then frontierBytes zero bytes of frontier.
+func retiredReceipt(id packet.ObjectID, gen, received, innovative uint32, frontierBytes int) []byte {
+	buf := feedbackFrame(id, fbRetiredReceipt)
+	for _, c := range []uint32{gen, received, innovative} {
+		buf = binary.BigEndian.AppendUint32(buf, c)
+	}
+	return append(buf, make([]byte, frontierBytes)...)
+}
+
 // FuzzSessionFrames throws arbitrary bytes at the session's frame
 // handlers: no input may panic or grow state beyond the configured
 // bounds, however the headers lie.
@@ -82,25 +100,16 @@ func FuzzSessionFrames(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(append([]byte{frameData}, genWire...)) // v3 generation-coded DATA
-	meta := make([]byte, metaLen)
-	meta[0] = frameMeta
-	copy(meta[1:17], id[:])
-	binary.BigEndian.PutUint32(meta[17:21], 16)
-	binary.BigEndian.PutUint32(meta[21:25], 8)
-	binary.BigEndian.PutUint64(meta[25:33], 128)
+	meta := metaFor(id, 16, 8, 128, 1)
 	f.Add(meta)
 	f.Add(meta[:20])                // truncated inside the content ID
 	f.Add(append(meta, 0xff, 0xee)) // oversized META
-	genMeta := make([]byte, genMetaLen)
-	copy(genMeta, meta)
-	binary.BigEndian.PutUint32(genMeta[17:21], 64) // k = 64, G = 4
-	binary.BigEndian.PutUint32(genMeta[33:37], 4)
+	f.Add(meta[:metaLen-4])         // the retired gens-absent form: must drop
+	genMeta := metaFor(id, 64, 8, 128, 4)
 	f.Add(genMeta)
-	ragged := append([]byte(nil), genMeta...)
-	binary.BigEndian.PutUint32(ragged[33:37], 5) // 64 % 5 != 0: must drop
-	f.Add(ragged)
-	f.Add(genMeta[:34]) // truncated inside the generation count
-	fb := feedbackFrame(id, fbRedundant)
+	f.Add(metaFor(id, 64, 8, 128, 5)) // 64 % 5 != 0: must drop
+	f.Add(genMeta[:34])               // truncated inside the generation count
+	fb := feedbackFrame(id, fbComplete)
 	f.Add(fb)
 	f.Add(fb[:9])           // truncated FEEDBACK
 	f.Add(append(fb, 0x01)) // oversized FEEDBACK
@@ -120,44 +129,42 @@ func FuzzSessionFrames(f *testing.F) {
 	shortAd := append([]byte(nil), fb...)
 	shortAd[17] = fbCacheAd // kind 4 without its coverage body: must drop
 	f.Add(shortAd)
-	rc := receiptFrame(id, 1, 32, 16)
-	f.Add(rc)
-	f.Add(rc[:receiptLen-3])         // truncated inside the innovative counter
-	f.Add(append(rc, 0x00))          // one byte of frontier: right for k/G ≤ 8 only
-	lie := receiptFrame(id, 0, 4, 9) // innovative > received: a lie on its face
-	f.Add(lie)
-	zero := receiptFrame(id, 0, 0, 0) // the under-claiming liar's favorite
-	f.Add(zero)
-	shortRc := append([]byte(nil), fb...)
-	shortRc[17] = fbReceipt // kind 5 without its counter body: must drop
-	f.Add(shortRc)
-	long := frontierReceipt(id, 0, 32, 16, 16, []int32{0, 3, 15}) // the seed DATA's geometry: k/G = 16
-	f.Add(long)
-	f.Add(long[:len(long)-1])                                 // truncated inside the frontier
-	f.Add(append(long, 0xff))                                 // over-long: a frontier for some other geometry
-	f.Add(frontierReceipt(id, 4, 32, 16, 16, nil))            // generation ≥ G
-	f.Add(frontierReceipt(id, 1<<31, 32, 16, 16, nil))        // a generation that wraps int on 32-bit builds
-	f.Add(frontierReceipt(id, 0, 32, 16, 12, []int32{13}))    // a native past k/G = 12 in the padding
-	f.Add(frontierReceipt(id, 0, 4, 9, 16, []int32{1, 2, 3})) // a good frontier on contradictory counters
-	// Kind 6, the receipt with a departure count, and the stamped DATA it
-	// answers: short, truncated inside the count, a frontier for k/G ≤ 8
-	// only, with the seed DATA's frontier, truncated inside it, over-long,
-	// kind 6 without its body, a count past anything sent.
+	// The retired kinds, as their senders built them: must drop.
+	f.Add(feedbackFrame(id, fbRetiredRedundant))
+	f.Add(retiredReceipt(id, 1, 32, 16, 0))
+	f.Add(retiredReceipt(id, 0, 32, 16, 2)) // with a frontier for k/G ≤ 16
+	f.Add(retiredReceipt(id, 0, 32, 16, 4)) // as long as the short receipt
+	f.Add(retiredReceipt(id, 0, 32, 16, 8)) // as long as a receipt with a frontier for k/G ≤ 32
+	f.Add(metaFor(id, 16, 8, 128, 0))       // no generations: must drop
+	f.Add(metaFor(id, 16, 8, 16*8+1, 1))    // larger than k natives hold: must drop
+	// The receipt and the stamped DATA it answers: short, truncated inside
+	// the departure count, a frontier for k/G ≤ 8 only, a lie on its face,
+	// the under-claiming liar's favorite, without its body, with the seed
+	// DATA's frontier, truncated inside it, over-long, for a generation ≥ G
+	// and one that wraps int on 32-bit builds, a native past k/G = 12 in the
+	// padding, a good frontier on contradictory counters, a departure count
+	// past anything sent.
 	stamped := append([]byte{frameData}, wire...)
 	packet.Restamp(stamped[1:], packet.SeqStamp(5))
 	f.Add(stamped)
-	dr := departedReceipt(id, 1, 32, 16, 40, 0, nil)
-	f.Add(dr)
-	f.Add(dr[:departedLen-2])
-	f.Add(append(dr, 0x00))
-	longDr := departedReceipt(id, 0, 32, 16, 40, 16, []int32{0, 3, 15})
-	f.Add(longDr)
-	f.Add(longDr[:len(longDr)-1])
-	f.Add(append(longDr, 0xff))
-	shortDr := append([]byte(nil), fb...)
-	shortDr[17] = fbDeparted
-	f.Add(shortDr)
-	f.Add(departedReceipt(id, 0, 32, 16, 1<<32-1, 0, nil))
+	rc := encodeReceipt(id, 1, 32, 16, 40, 0, nil)
+	f.Add(rc)
+	f.Add(rc[:receiptLen-2])
+	f.Add(append(rc, 0x00))
+	f.Add(receiptFrame(id, 0, 4, 9))
+	f.Add(receiptFrame(id, 0, 0, 0))
+	shortRc := append([]byte(nil), fb...)
+	shortRc[17] = fbReceipt
+	f.Add(shortRc)
+	long := encodeReceipt(id, 0, 32, 16, 40, 16, []int32{0, 3, 15}) // the seed DATA's geometry: k/G = 16
+	f.Add(long)
+	f.Add(long[:len(long)-1])
+	f.Add(append(long, 0xff))
+	f.Add(encodeReceipt(id, 4, 32, 16, 0, 16, nil))
+	f.Add(encodeReceipt(id, 1<<31, 32, 16, 0, 16, nil))
+	f.Add(encodeReceipt(id, 0, 32, 16, 0, 12, []int32{13}))
+	f.Add(encodeReceipt(id, 0, 4, 9, 0, 16, []int32{1, 2, 3}))
+	f.Add(encodeReceipt(id, 0, 32, 16, 1<<32-1, 0, nil))
 	mc, err := packet.AppendManifestChunk([]byte{frameManifest}, id, 520, 0, make([]byte, 64))
 	if err != nil {
 		f.Fatal(err)
@@ -169,13 +176,10 @@ func FuzzSessionFrames(f *testing.F) {
 	f.Add([]byte{frameFeedback})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xff, 0xff, 0xff})
-	f.Add(metaFor(id, 16, 1<<30, 128, 1, false)) // a geometry no frame could carry: must create no state
+	f.Add(metaFor(id, 16, 1<<30, 128, 1)) // a geometry no frame could carry: must create no state
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Adaptive on: the receipt tally and kind-5 parse paths are live
-		// (a non-adaptive session drops kind 5 before parsing it, which
-		// FuzzSessionFrameSequence still covers).
-		s := fuzzSession(t, func(c *Config) { c.Adaptive = true })
+		s := fuzzSession(t, nil)
 		stepFrame(s, "peer", data)
 		// Whatever arrived, the relay bounds must hold.
 		objs := s.Objects()
@@ -214,15 +218,16 @@ func FuzzSessionFrameSequence(f *testing.F) {
 	// one of the wrong length, one past the object's generations, one with a
 	// native past the generation's end.
 	f.Add(sequence(append([]byte{frameData}, wire...), encodeReq(id),
-		frontierReceipt(id, 0, 1, 1, 8, []int32{1}), frontierReceipt(id, 0, 2, 2, 16, nil),
-		frontierReceipt(id, 7, 3, 3, 8, nil), frontierReceipt(id, 0, 4, 4, 6, []int32{7})))
-	// Stamped rows, then kind-6 receipts: honest, past what was sent,
-	// backwards, and with a frontier.
+		encodeReceipt(id, 0, 1, 1, 0, 8, []int32{1}), encodeReceipt(id, 0, 2, 2, 0, 16, nil),
+		encodeReceipt(id, 7, 3, 3, 0, 8, nil), encodeReceipt(id, 0, 4, 4, 0, 6, []int32{7})))
+	// Stamped rows, then receipts: honest, past what was sent, backwards,
+	// and with a frontier; then the retired kinds 1 and 5.
 	stamped := append([]byte{frameData}, wire...)
 	packet.Restamp(stamped[1:], packet.SeqStamp(1))
 	f.Add(sequence(stamped, encodeReq(id), stamped,
-		departedReceipt(id, 0, 1, 1, 1, 0, nil), departedReceipt(id, 0, 2, 2, 90, 0, nil),
-		departedReceipt(id, 0, 3, 3, 0, 0, nil), departedReceipt(id, 0, 4, 4, 2, 8, []int32{1})))
+		encodeReceipt(id, 0, 1, 1, 1, 0, nil), encodeReceipt(id, 0, 2, 2, 90, 0, nil),
+		encodeReceipt(id, 0, 3, 3, 0, 0, nil), encodeReceipt(id, 0, 4, 4, 2, 8, []int32{1}),
+		feedbackFrame(id, fbRetiredRedundant), retiredReceipt(id, 0, 5, 5, 1)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := fuzzSession(t, nil)

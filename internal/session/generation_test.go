@@ -3,7 +3,6 @@ package session
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
@@ -158,16 +157,7 @@ func TestMetaGenerationMismatchDropped(t *testing.T) {
 	defer s.Close()
 
 	id := packet.NewObjectID([]byte("gen meta object"))
-	meta := func(k, m uint32, size uint64, gens uint32) []byte {
-		buf := make([]byte, genMetaLen)
-		buf[0] = frameMeta
-		copy(buf[1:17], id[:])
-		binary.BigEndian.PutUint32(buf[17:21], k)
-		binary.BigEndian.PutUint32(buf[21:25], m)
-		binary.BigEndian.PutUint64(buf[25:33], size)
-		binary.BigEndian.PutUint32(buf[33:37], gens)
-		return buf
-	}
+	meta := func(k, m int, size int64, gens int) []byte { return metaFor(id, k, m, size, gens) }
 
 	// Ragged split (k not divisible by G) never creates state.
 	s.handleFrame(transport.NewFrame("peer", meta(100, 16, 1600, 3), nil))
@@ -186,26 +176,26 @@ func TestMetaGenerationMismatchDropped(t *testing.T) {
 	if len(objs) != 1 || objs[0].Generations != 4 {
 		t.Fatalf("G mismatch mutated state: %+v", objs)
 	}
-	// Legacy gens-absent META still learns a single-generation object.
-	id2 := packet.NewObjectID([]byte("legacy meta object"))
-	legacy := make([]byte, metaLen)
-	legacy[0] = frameMeta
-	copy(legacy[1:17], id2[:])
-	binary.BigEndian.PutUint32(legacy[17:21], 16)
-	binary.BigEndian.PutUint32(legacy[21:25], 8)
-	binary.BigEndian.PutUint64(legacy[25:33], 128)
-	s.handleFrame(transport.NewFrame("peer", legacy, nil))
+	// The retired gens-absent META creates no state; G = 1 is a count like
+	// any other.
+	id2 := packet.NewObjectID([]byte("single generation meta object"))
+	single := metaFor(id2, 16, 8, 128, 1)
+	s.handleFrame(transport.NewFrame("peer", single[:metaLen-4], nil))
+	if len(s.Objects()) != 1 {
+		t.Fatalf("the gens-absent META created state: %+v", s.Objects())
+	}
+	s.handleFrame(transport.NewFrame("peer", single, nil))
 	found := false
 	for _, o := range s.Objects() {
 		if o.ID == id2 {
 			found = true
 			if o.Generations != 1 || o.KPer != 16 {
-				t.Fatalf("legacy META mislearned: %+v", o)
+				t.Fatalf("single-generation META mislearned: %+v", o)
 			}
 		}
 	}
 	if !found {
-		t.Fatal("legacy META did not create state")
+		t.Fatal("single-generation META did not create state")
 	}
 }
 

@@ -234,18 +234,18 @@ func (s *Session) ingestBatch(batch []inFrame, scratch *ingestScratch, drained b
 // held.
 func (s *Session) ingestOneLocked(st *objectState, in *inFrame, scratch *ingestScratch, acts *pollActions) {
 	var fb []byte
-	var progressed bool
+	var judged, progressed bool
 	switch st.phase {
 	case phCaching:
 		var forward bool
-		fb, progressed, forward = s.ingestCachedLocked(st, in)
-		fb = st.receiptLocked(in, fb, progressed || forward)
+		fb, judged, progressed, forward = s.ingestCachedLocked(st, in)
+		fb = st.receiptLocked(in, fb, judged, progressed || forward)
 		if forward {
 			scratch.forwards = append(scratch.forwards, ingestForward{st, in.f.From, append([]byte(nil), in.f.Data...)})
 		}
 	case phFilling, phDecoded, phComplete:
-		fb, progressed = s.decodeDataLocked(st, in, acts)
-		fb = st.receiptLocked(in, fb, progressed)
+		fb, judged, progressed = s.decodeDataLocked(st, in, acts)
+		fb = st.receiptLocked(in, fb, judged, progressed)
 	}
 	if fb != nil {
 		scratch.replies = append(scratch.replies, ingestReply{in.f.From, fb})
@@ -261,18 +261,12 @@ func (s *Session) ingestOneLocked(st *objectState, in *inFrame, scratch *ingestS
 func (s *Session) passThrough(fw ingestForward) {
 	packet.Restamp(fw.frame[1:], 0)
 	s.mu.Lock()
-	addrs, _ := s.targetsLocked(fw.st, s.clk.Now())
+	addrs := s.targetsLocked(fw.st)
 	s.mu.Unlock()
-	sent := 0
 	for _, a := range addrs {
-		if a != fw.from && s.tr.Send(a, fw.frame) == nil {
-			sent++
+		if a != fw.from {
+			s.tr.Send(a, fw.frame)
 		}
-	}
-	if sent == 0 {
-		// Nobody downstream wanted it either: throttle the sender the
-		// way a redundant abort would.
-		s.tr.Send(fw.from, feedbackFrame(fw.st.id, fbRedundant))
 	}
 }
 
@@ -309,17 +303,20 @@ func flushReceipts(batch []inFrame, states []*objectState, replies []ingestReply
 
 // receiptLocked is the receiver half of the receipt clock (DESIGN.md
 // §16), shared by the decode and cache-admission paths: every frame the
-// decoder or the admission policy actually judged — innovative or
-// aborted, but not geometry drops — bumps the per-upstream tally and
-// advances its departure count by the frame's stamp, and every
-// receiptEvery such frames a receipt report fills an
-// otherwise-empty feedback slot. A frame that already produced feedback
-// keeps it (completion and redundancy signals outrank receipts); the due
-// receipt rides the next quiet frame, or leaves when the worker's queue
-// drains (flushReceipts), so the cumulative counters lose nothing. st.mu
-// must be held.
-func (st *objectState) receiptLocked(in *inFrame, fb []byte, progressed bool) []byte {
-	if !progressed && fb == nil {
+// decoder or the admission policy actually judged — innovative, redundant
+// on its header, or for a generation or object already done, but not
+// geometry drops, quarantine refusals or forgeries — bumps the
+// per-upstream tally and advances its departure count by the frame's
+// stamp; progressed, it counts as innovative too. Every receiptEvery such
+// frames a receipt report fills an otherwise-empty feedback slot. The
+// receipt is the only word a redundant row gets back: its upstream reads
+// it as received and not innovative. A frame that already produced
+// feedback keeps it (completion signals outrank receipts); the due receipt
+// rides the next quiet frame, or leaves when the worker's queue drains
+// (flushReceipts), so the cumulative counters lose nothing. st.mu must be
+// held.
+func (st *objectState) receiptLocked(in *inFrame, fb []byte, judged, progressed bool) []byte {
+	if !judged {
 		return fb
 	}
 	t, ok := st.rx[in.f.From]
@@ -346,21 +343,17 @@ func (st *objectState) receiptLocked(in *inFrame, fb []byte, progressed bool) []
 }
 
 // receiptFrameLocked encodes the receipt for tally t, about generation gen
-// (as the frame behind it stated it, unchecked): kind 6, with the
-// departure count, to an upstream whose rows carry stamps, kind 5 — byte
-// for byte what it always was — to one whose rows do not; with gen's
-// frontier while gen is filling here, the counters alone otherwise — a
-// cache has no decoder to speak for, and a finished generation says so by
-// kind 3 or 2. st.mu must be held.
+// (as the frame behind it stated it, unchecked): with gen's frontier while
+// gen is filling here, the counters alone otherwise — a cache has no
+// decoder to speak for, and a finished generation says so by kind 3 or 2.
+// An upstream whose rows carry no stamps gets a departure count of 0, which
+// proves nothing. st.mu must be held.
 func (st *objectState) receiptFrameLocked(gen uint32, t *rxTally) []byte {
 	kPer, decoded := 0, []int32(nil)
 	if st.phase == phFilling && gen < uint32(st.coder.Generations()) && !st.coder.GenComplete(int(gen)) {
 		kPer, decoded = st.kPer, st.coder.DecodeLog(int(gen))
 	}
-	if t.stamped {
-		return departedReceipt(st.id, gen, t.rows, t.inno, t.departed, kPer, decoded)
-	}
-	return frontierReceipt(st.id, gen, t.rows, t.inno, kPer, decoded)
+	return encodeReceipt(st.id, gen, t.rows, t.inno, t.departed, kPer, decoded)
 }
 
 // decodeDataLocked is the decode hot path for one DATA frame; st.mu must
@@ -368,14 +361,16 @@ func (st *objectState) receiptFrameLocked(gen uint32, t *rxTally) []byte {
 // against it, the code vector is checked next and a redundant payload is
 // never copied or decoded (Section III-C-2); an innovative packet moves from
 // the transport buffer into the owning generation's arena buffers with no
-// allocation. Returns the feedback frame to send (nil for none) and
-// whether the decode state advanced (an innovative packet was fed in),
-// which drives watcher notifications. Pollution consequences (bans,
-// re-arm REQs) accumulate in acts for the batch layer to apply once all
-// locks are dropped.
-func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActions) (fb []byte, progressed bool) {
+// allocation. Returns the feedback frame to send (nil for none), whether
+// the frame was judged — innovative, redundant, or for a generation or
+// object already done: what its upstream's receipts count — and whether
+// the decode state advanced (an innovative packet was fed in), which
+// drives watcher notifications. Pollution consequences (bans, re-arm REQs)
+// accumulate in acts for the batch layer to apply once all locks are
+// dropped.
+func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActions) (fb []byte, judged, progressed bool) {
 	if in.wv.M != st.m || st.coder.Check(in.wv.Generations, in.wv.Generation, in.wv.K) != nil {
-		return nil, false // not the object's geometry: drop
+		return nil, false, false // not the object's geometry: drop
 	}
 	st.touch(s.clk.Now())
 	g := int(in.wv.Generation)
@@ -385,39 +380,41 @@ func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActio
 		// beyond doubt. Everyone else waits for their turn (or for the
 		// probe to clear the generation).
 		st.aborted++
-		return nil, false
+		return nil, false, false
 	}
 	if s.auditFailsLocked(st, g, in) {
 		// The row disagrees byte-exactly with a verified generation: the
 		// sender forged it. (Honest senders stop pushing a generation when
 		// its kind-3 feedback arrives; a polluter that keeps pushing into
 		// verified territory convicts itself on the first frame.)
-		return st.forgedRowLocked(in, acts)
+		st.forgedRowLocked(in, acts)
+		return nil, false, false
 	}
 	if st.phase != phFilling || st.coder.GenComplete(g) {
 		// Done here, the object or this generation of it: abort the payload
 		// and say which (a generation: the sender's round-robin turns to the
 		// ones still missing).
 		st.aborted++
-		return s.owedLocked(st, g), false
+		return s.owedLocked(st, g), true, false
 	}
 	data := in.f.Data[1:]
 	vec := st.coder.AcquireVec(g)
 	if vec.UnmarshalInto(in.wv.VecBytes(data)) != nil {
 		st.coder.ReleaseVec(g, vec)
-		return nil, false
+		return nil, false, false
 	}
 	plain, forged := st.unitRowLocked(g, vec, in.wv.PayloadBytes(data))
 	if forged {
 		st.coder.ReleaseVec(g, vec)
-		return st.forgedRowLocked(in, acts)
+		st.forgedRowLocked(in, acts)
+		return nil, false, false
 	}
 	// The code vector has been read; if it is redundant the payload is
-	// never decoded and the sender is told so.
+	// never copied or decoded, and only the sender's receipts say so.
 	if st.coder.IsRedundant(g, vec) {
 		st.coder.ReleaseVec(g, vec)
 		st.aborted++
-		return feedbackFrame(st.id, fbRedundant), false
+		return nil, true, false
 	}
 	var payload []byte
 	if in.wv.M > 0 {
@@ -433,9 +430,9 @@ func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActio
 	if genDone {
 		// A quarantine answers nothing — upstream must keep streaming the
 		// generation — but the reset is visible progress (Polluted grew).
-		return s.settleLocked(st, g, acts), true
+		return s.settleLocked(st, g, acts), true, true
 	}
-	return nil, true
+	return nil, true, true
 }
 
 // unitRowLocked checks a degree-1 row on arrival. Over GF(2) it is a native
@@ -462,25 +459,25 @@ func (st *objectState) unitRowLocked(g int, vec *bitvec.Vector, pay []byte) (pla
 // forgedRowLocked drops a row proven forged byte for byte. Only a solicited
 // upstream is convicted of it; an unsolicited pusher may be honestly
 // relaying a poisoned buffer it cannot verify. st.mu must be held.
-func (st *objectState) forgedRowLocked(in *inFrame, acts *pollActions) ([]byte, bool) {
+func (st *objectState) forgedRowLocked(in *inFrame, acts *pollActions) {
 	st.aborted++
 	if st.solicitedPeer(in.f.From) {
 		acts.bans = append(acts.bans, in.f.From)
 	}
-	return nil, false
 }
 
 // ingestCachedLocked is the cache-mode counterpart of decodeDataLocked:
 // the row goes to the cache's admission policy instead of a decoder, and
-// the resulting feedback mirrors what a real decoder would say — so the
-// sender's existing satiation, steering and completion machinery offloads
-// the origin with no new protocol state on its side. st.mu must be held
-// and the object be caching. forward asks the batch layer to pass the frame
-// through to the object's push targets (innovative row, no budget room).
-func (s *Session) ingestCachedLocked(st *objectState, in *inFrame) (fb []byte, progressed, forward bool) {
+// the resulting feedback mirrors what a real decoder would say — receipts,
+// generation-complete, complete — so the sender's existing pacing, steering
+// and completion machinery offloads the origin with no new protocol state
+// on its side. st.mu must be held and the object be caching. forward asks
+// the batch layer to pass the frame through to the object's push targets
+// (innovative row, no budget room).
+func (s *Session) ingestCachedLocked(st *objectState, in *inFrame) (fb []byte, judged, progressed, forward bool) {
 	gens := int(st.gens.Load())
 	if !st.shapeIs(geometry{genCount(in.wv.Generations), in.wv.K, in.wv.M}) {
-		return nil, false, false // inconsistent geometry: drop
+		return nil, false, false, false // inconsistent geometry: drop
 	}
 	now := s.clk.Now()
 	st.touch(now)
@@ -488,30 +485,26 @@ func (s *Session) ingestCachedLocked(st *objectState, in *inFrame) (fb []byte, p
 	res := s.cache.Admit(st.id, uint32(gens), st.kPer, st.m, in.wv.Generation,
 		in.wv.VecBytes(data), in.wv.PayloadBytes(data), now)
 	switch res.Verdict {
-	case cache.Stored:
-		st.received++
+	case cache.Stored, cache.Redundant:
+		stored := res.Verdict == cache.Stored
+		if stored {
+			st.received++
+		} else {
+			st.aborted++
+		}
 		switch {
 		case res.ObjFull:
 			// The cache holds full rank for every generation: the paper's
 			// completion feedback, even though nothing was decoded. The
 			// origin stops pushing — the offload this tier exists for.
-			return feedbackFrame(st.id, fbComplete), true, false
+			return feedbackFrame(st.id, fbComplete), true, stored, false
 		case res.GenFull && gens >= 2:
-			return genFeedbackFrame(st.id, int(in.wv.Generation)), true, false
+			return genFeedbackFrame(st.id, int(in.wv.Generation)), true, stored, false
 		}
-		return nil, true, false
-	case cache.Redundant:
-		st.aborted++
-		switch {
-		case res.ObjFull:
-			return feedbackFrame(st.id, fbComplete), false, false
-		case res.GenFull && gens >= 2:
-			return genFeedbackFrame(st.id, int(in.wv.Generation)), false, false
-		}
-		return feedbackFrame(st.id, fbRedundant), false, false
+		return nil, true, stored, false
 	case cache.NoRoom:
 		st.aborted++
-		return nil, false, true
+		return nil, true, false, true
 	}
-	return nil, false, false // Mismatch: drop
+	return nil, false, false, false // Mismatch: drop
 }

@@ -2,7 +2,6 @@ package session
 
 import (
 	"context"
-	"encoding/binary"
 	"testing"
 	"time"
 
@@ -36,13 +35,7 @@ func TestRedundantMetaElicitsComplete(t *testing.T) {
 	// A bare port plays the sender whose fbComplete was lost: it repeats
 	// the META, as the push loop would.
 	sender := attach(t, sw, "sender")
-	meta := make([]byte, metaLen)
-	meta[0] = frameMeta
-	copy(meta[1:17], id[:])
-	binary.BigEndian.PutUint32(meta[17:21], uint32(st.K))
-	binary.BigEndian.PutUint32(meta[21:25], uint32(st.M))
-	binary.BigEndian.PutUint64(meta[25:33], uint64(st.Size))
-	if err := sender.Send("recv", meta); err != nil {
+	if err := sender.Send("recv", metaFor(id, st.K, st.M, st.Size, st.Generations)); err != nil {
 		t.Fatal(err)
 	}
 

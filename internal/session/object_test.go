@@ -141,18 +141,16 @@ func manifestChunks(tb testing.TB, id packet.ObjectID, content []byte, m, n int)
 	return chunks
 }
 
-// metaFor builds a META as a sender of (k, m, size, gens) would; long
-// selects the form carrying the generation count.
-func metaFor(id packet.ObjectID, k, m int, size int64, gens int, long bool) []byte {
-	buf := make([]byte, metaLen, genMetaLen)
+// metaFor builds a META as a sender of (k, m, size, gens) would. Its first
+// metaLen−4 bytes are the retired gens-absent form, which a session drops.
+func metaFor(id packet.ObjectID, k, m int, size int64, gens int) []byte {
+	buf := make([]byte, metaLen)
 	buf[0] = frameMeta
 	copy(buf[1:17], id[:])
 	binary.BigEndian.PutUint32(buf[17:21], uint32(k))
 	binary.BigEndian.PutUint32(buf[21:25], uint32(m))
 	binary.BigEndian.PutUint64(buf[25:33], uint64(size))
-	if long {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(gens))
-	}
+	binary.BigEndian.PutUint32(buf[33:37], uint32(gens))
 	return buf
 }
 
@@ -210,7 +208,7 @@ func TestServeOverCachedObject(t *testing.T) {
 
 // TestForgedMetaGeometryNoFrameCouldCarry: a META whose (kPer, m) no DATA
 // frame could carry creates no state. Before admission was one function the
-// META path bounded m only by m ≥ 0, so one forged 33-byte frame sized the
+// META path bounded m only by m ≥ 0, so one forged META frame sized the
 // relay's state and the real stream that followed was dropped frame for
 // frame as a geometry mismatch until idle eviction. (First-META-wins
 // against a forged geometry that IS plausible is ROADMAP item 6's
@@ -225,7 +223,7 @@ func TestForgedMetaGeometryNoFrameCouldCarry(t *testing.T) {
 		t.Fatal(err)
 	}
 	relay, _, _ := pushSession(t, "relay", func(cfg *Config) { cfg.Relay = true })
-	injectFrame(relay, "mallory", metaFor(id, k, 1<<30, 64, 1, false))
+	injectFrame(relay, "mallory", metaFor(id, k, 1<<30, 64, 1))
 	if objs := relay.Objects(); len(objs) != 0 {
 		t.Fatalf("forged META (m = 1<<30) created state: %+v", objs)
 	}
@@ -257,9 +255,9 @@ const (
 	evDataRedundant
 	evDataWrongGeometry
 	evReq
-	evMetaShort
+	evMetaShort // the retired gens-absent META: dropped
 	evMetaLong
-	evFbRedundant
+	evFbRedundant // the retired kind-1 abort: dropped
 	evFbComplete
 	evFbGenComplete
 	evFbCacheAd
@@ -330,7 +328,7 @@ func newObjCell(t *testing.T, rng *rand.Rand, row int) *objCell {
 		}
 	})
 	c.chunks = manifestChunks(t, c.id, c.content, c.m, 3)
-	meta := metaFor(c.id, k, c.m, int64(len(c.content)), c.gens, true)
+	meta := metaFor(c.id, k, c.m, int64(len(c.content)), c.gens)
 	fill := func(upTo int) { // natives [0, upTo) of every generation, from "src"
 		for g := 0; g < c.gens; g++ {
 			for i := 0; i < upTo; i++ {
@@ -402,11 +400,11 @@ func (c *objCell) fire(t *testing.T, ev int) {
 	case evReq:
 		in(encodeReq(c.id))
 	case evMetaShort:
-		in(metaFor(c.id, k, c.m, int64(len(c.content)), c.gens, false))
+		in(metaFor(c.id, k, c.m, int64(len(c.content)), c.gens)[:metaLen-4])
 	case evMetaLong:
-		in(metaFor(c.id, k, c.m, int64(len(c.content)), c.gens, true))
+		in(metaFor(c.id, k, c.m, int64(len(c.content)), c.gens))
 	case evFbRedundant:
-		in(feedbackFrame(c.id, fbRedundant))
+		in(feedbackFrame(c.id, fbRetiredRedundant))
 	case evFbComplete:
 		in(feedbackFrame(c.id, fbComplete))
 	case evFbGenComplete:
@@ -421,7 +419,7 @@ func (c *objCell) fire(t *testing.T, ev int) {
 		if st := c.s.objects[c.id]; st != nil {
 			st.peer(matrixSender)
 		}
-		in(frontierReceipt(c.id, uint32(last), 16, 12, c.kPer, []int32{0, 1}))
+		in(encodeReceipt(c.id, uint32(last), 16, 12, 0, c.kPer, []int32{0, 1}))
 	case evManifestFirst:
 		in(c.chunks[0])
 	case evManifestOutOfOrder:
@@ -458,7 +456,8 @@ func (c *objCell) fire(t *testing.T, ev int) {
 func (c *objCell) expect(row, ev int) (after, replies string) {
 	before := [matrixRows]string{"announced", "caching", "filling", "filling", "decoded", "complete", "none"}[row]
 	after = before
-	geometryMatches := ev != evMetaShort || c.gens == 1 // the short META states G = 1
+	// The retired short META and kind-1 FEEDBACK are dropped whatever the
+	// phase: their cells keep the defaults.
 	switch ev {
 	case evDataUnit, evDataDense, evDataRedundant, evDataWrongGeometry:
 		switch {
@@ -469,8 +468,6 @@ func (c *objCell) expect(row, ev int) (after, replies string) {
 			replies = "REQ" // decoded, sizeless: ask for the META rather than stop the sender
 		case row == rowComplete:
 			replies = "FB2"
-		case ev == evDataRedundant:
-			replies = "FB1"
 		}
 	case evReq:
 		switch row {
@@ -481,11 +478,10 @@ func (c *objCell) expect(row, ev int) (after, replies string) {
 		case rowFilling, rowPoisoned, rowComplete:
 			replies = "META"
 		}
-	case evMetaShort, evMetaLong:
+	case evMetaLong:
 		switch {
 		case row == rowAnnounced || row == rowEvicted:
 			after = "filling" // first META wins, whatever split it states
-		case !geometryMatches:
 		case row == rowDecoded:
 			after, replies = "complete", "FB2"
 		case row == rowComplete:

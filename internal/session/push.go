@@ -138,8 +138,8 @@ func (s *Session) planLocked(now time.Time) (plans []objectPlan, live bool) {
 	}
 	slices.SortFunc(objs, func(a, b *objectState) int { return bytes.Compare(a.id[:], b.id[:]) })
 	for _, st := range objs {
-		addrs, paused := s.targetsLocked(st, now)
-		live = live || paused || len(addrs) > 0
+		addrs := s.targetsLocked(st)
+		live = live || len(addrs) > 0
 		op := objectPlan{st: st}
 		sizeKnown := st.size.Load() >= 0
 		for _, addr := range addrs {
@@ -571,17 +571,11 @@ func (s *Session) metaResend() time.Duration {
 // order — the configured peers and, with the membership plane on, the
 // current relay/cache-role neighbor selection (bounded by Fanout, so the
 // sweep is O(active neighbors) however large the swarm's view of the
-// world grows) — excluding peers that reported completion and peers
-// backing off after satiation; paused reports whether any is, and so will
-// be a target again without sending a frame to say so. s.mu must be held.
-func (s *Session) targetsLocked(st *objectState, now time.Time) (out []transport.Addr, paused bool) {
-	skip := func(ps *peerState) bool {
-		pausing := !ps.done && now.Before(ps.pauseUntil)
-		paused = paused || pausing
-		return ps.done || pausing
-	}
+// world grows) — excluding peers that reported completion. s.mu must be
+// held.
+func (s *Session) targetsLocked(st *objectState) (out []transport.Addr) {
 	for addr, ps := range st.peers {
-		if ps.reqSub && !skip(ps) {
+		if ps.reqSub && !ps.done {
 			out = append(out, addr)
 		}
 	}
@@ -596,7 +590,7 @@ func (s *Session) targetsLocked(st *objectState, now time.Time) (out []transport
 		if _, sub := slices.BinarySearchFunc(out[:subs], addr, cmpAddr); sub || slices.Contains(out[subs:], addr) {
 			continue
 		}
-		if ps, ok := st.peers[addr]; ok && skip(ps) {
+		if ps, ok := st.peers[addr]; ok && ps.done {
 			continue
 		}
 		if _, sol := st.solicited[addr]; sol && st.phase != phComplete {
@@ -616,5 +610,5 @@ func (s *Session) targetsLocked(st *objectState, now time.Time) (out []transport
 		out = append(out, addr)
 	}
 	st.mu.Unlock()
-	return out, paused
+	return out
 }

@@ -30,8 +30,10 @@ type recTransport struct {
 	frames map[transport.Addr][][]byte
 	sums   map[transport.Addr]hash.Hash
 	// masked is sums with every DATA row's stamp (header byte 3) zeroed:
-	// the stream as it was before rows carried stamps.
+	// the stream as it was before rows carried stamps. data is sums over
+	// the DATA frames alone.
 	masked map[transport.Addr]hash.Hash
+	data   map[transport.Addr]hash.Hash
 }
 
 func newRecTransport(self transport.Addr) *recTransport {
@@ -40,6 +42,7 @@ func newRecTransport(self transport.Addr) *recTransport {
 		frames: make(map[transport.Addr][][]byte),
 		sums:   make(map[transport.Addr]hash.Hash),
 		masked: make(map[transport.Addr]hash.Hash),
+		data:   make(map[transport.Addr]hash.Hash),
 	}
 }
 
@@ -77,6 +80,7 @@ func (r *recTransport) Send(to transport.Addr, frame []byte) error {
 	}
 	digestFrame(r.sums, to, frame)
 	if frame[0] == frameData {
+		digestFrame(r.data, to, frame)
 		frame = slices.Clone(frame)
 		packet.Restamp(frame[1:], 0)
 	}
@@ -97,17 +101,17 @@ func digestFrame(sums map[transport.Addr]hash.Hash, to transport.Addr, frame []b
 	h.Write(frame)
 }
 
-// receiptFrame is the short kind-5 receipt: the counters alone, what a
-// receiver reports to a sender whose rows carry no stamp.
+// receiptFrame is the short receipt with a departure count of 0: the
+// counters alone, what a receiver reports to a sender whose rows carry no
+// stamp.
 func receiptFrame(id packet.ObjectID, gen, received, innovative uint32) []byte {
-	return frontierReceipt(id, gen, received, innovative, 0, nil)
+	return encodeReceipt(id, gen, received, innovative, 0, 0, nil)
 }
 
-// isReceipt recognizes a receipt of either kind — 5, or 6 with the
-// departure count — in either form: the counters alone, or with a frontier
-// behind them.
+// isReceipt recognizes a receipt in either form: the counters alone, or
+// with a frontier behind them.
 func isReceipt(frame []byte) bool {
-	return len(frame) >= receiptLen && frame[0] == frameFeedback && (frame[17] == fbReceipt || frame[17] == fbDeparted)
+	return len(frame) >= receiptLen && frame[0] == frameFeedback && frame[17] == fbReceipt
 }
 
 // take returns and forgets the frames recorded since the last take; the
@@ -124,6 +128,9 @@ func (r *recTransport) digest() string { return foldDigests(r.sums) }
 
 // maskedDigest is digest with every DATA row's stamp zeroed.
 func (r *recTransport) maskedDigest() string { return foldDigests(r.masked) }
+
+// dataDigest is digest over the DATA frames alone.
+func (r *recTransport) dataDigest() string { return foldDigests(r.data) }
 
 func foldDigests(sums map[transport.Addr]hash.Hash) string {
 	all := sha256.New()
@@ -186,43 +193,57 @@ func feed(dst *Session, src *recTransport, without ...byte) {
 
 // pushGoldens are the per-configuration digests of everything push()
 // emitted: same frames, same per-destination order, same coder RNG
-// consumption. adaptive-systematic still stands as recorded against the
-// monolithic push() of commit 84bf7c9 (by running this file's
-// TestPushGolden in a checkout of that commit, 8 runs, one digest), through
-// the plan → emit → commit rebuild and through the systematic pass moving
-// from native-index order to the decode-order log — a seeded source's log
-// is 0..k−1, so its stream did not change. The other four were re-pinned
-// when the pass became unconditional (Adaptive is off in all of them):
-// static-g1-manifest, g4-gen-complete and paced because a plain source
-// now opens every peer's stream with its natives in order before any coded
-// row; cache-req because the 48 rows its plain source offers the cache are
-// now natives 0..47 instead of coded rows dealt across both generations, so
-// the cache serves a different basis. All but paced set Burst explicitly,
-// so the pacer leaves them alone; paced was re-pinned again when the
-// pacer's state became a window of rows in flight (a receipt per sixteen
-// rows, a tick late, now frees sixteen rows of window where it used to
-// move a per-tick burst, and unacknowledged rows age out). Every
-// configuration keeps to at
-// most one REQ subscriber plus standing peers, the only population whose
-// push order was deterministic before plans were sorted. All five were
-// re-pinned once more when DATA rows began to carry their send sequence
-// in header byte 3; maskedGoldens, the same streams with that byte zeroed,
-// are the five digests as they stood before, so the stamp is the only
-// thing that moved in any stream.
+// consumption. systematic stood as recorded against the monolithic push()
+// of commit 84bf7c9 (by running this file's TestPushGolden in a checkout
+// of that commit, 8 runs, one digest), through the plan → emit → commit
+// rebuild and through the systematic pass moving from native-index order
+// to the decode-order log — a seeded source's log is 0..k−1, so its stream
+// did not change. The other four were re-pinned when the pass became
+// unconditional: static-g1-manifest, g4-gen-complete and paced because a
+// plain source now opens every peer's stream with its natives in order
+// before any coded row; cache-req because the 48 rows its plain source
+// offers the cache are now natives 0..47 instead of coded rows dealt
+// across both generations, so the cache serves a different basis. All but
+// paced set Burst explicitly, so the pacer leaves them alone; paced was
+// re-pinned again when the pacer's state became a window of rows in flight
+// (a receipt per sixteen rows, a tick late, now frees sixteen rows of
+// window where it used to move a per-tick burst, and unacknowledged rows
+// age out). Every configuration keeps to at most one REQ subscriber plus
+// standing peers, the only population whose push order was deterministic
+// before plans were sorted. All five were re-pinned once more when DATA
+// rows began to carry their send sequence in header byte 3; maskedGoldens,
+// the same streams with that byte zeroed, are the five digests as they
+// stood before, so the stamp is the only thing that moved in any stream.
+//
+// The last re-pin came with the one META form: a single-generation object's
+// META grew from 33 bytes to the 37 of the generation form. That moved the
+// two single-generation streams, static-g1-manifest and paced, stamps
+// zeroed or not; dataGoldens — the streams' DATA frames alone — are all
+// five as they stood before it, so nothing a push round draws or sends as
+// DATA moved. systematic was adaptive-systematic until the Adaptive switch,
+// which no push stream ever depended on, was retired.
 var pushGoldens = map[string]string{
-	"static-g1-manifest":  "154bc29a9816d080877389b7284b7c199fdc3fac3f97656814152409ecf21904",
-	"g4-gen-complete":     "b251340bebeb8d5c87ad59337315d5215822c5517ff92d704ecada7796ff9e36",
-	"adaptive-systematic": "5bd56aa55aace605477b3d64f27e297e98742a468fd0e7b322927c0c77497fcf",
-	"cache-req":           "c20934513c6657fff1661b40f7b62eb63ee1f78c455c9cf150d35c53cad8ce3b",
-	"paced":               "9fe82af8caff3fb0a2c3aee1d234952e16a12afbb185a5cbfc016eba8941dd2d",
+	"static-g1-manifest": "a003f7628061c08d18d4fb0c61a919540fd5ece36957ec8c220e16794acd8fd3",
+	"g4-gen-complete":    "b251340bebeb8d5c87ad59337315d5215822c5517ff92d704ecada7796ff9e36",
+	"systematic":         "5bd56aa55aace605477b3d64f27e297e98742a468fd0e7b322927c0c77497fcf",
+	"cache-req":          "c20934513c6657fff1661b40f7b62eb63ee1f78c455c9cf150d35c53cad8ce3b",
+	"paced":              "6564e31017c6958bd3a5832f14e75938bc6433f685d8dc2c890df9c76460364a",
 }
 
 var maskedGoldens = map[string]string{
-	"static-g1-manifest":  "6bbf3dce0d67d2b874d88116504a30f853e42c8c60f45e9215ba7b75cfd72963",
-	"g4-gen-complete":     "34b6cd801bd46f19dffc3c865b983fa54acb5a8809766539abfb9e9485d1becd",
-	"adaptive-systematic": "a394421719bee887a1bf1801f8a7cd84f2a1c2a5071c0ccc93c20004295ab267",
-	"cache-req":           "ac2fb3e1b634f16930081e1951c528f9ae3a28c74365cb586c4ae504a757ee15",
-	"paced":               "35547ee32418e300f13d17097c183c812af83d0daef554c460ccc720344119f2",
+	"static-g1-manifest": "3fe1275cb5d4616f7ac2d0b257e00bdb72acbffe549cdaabd2405a180fb5fb78",
+	"g4-gen-complete":    "34b6cd801bd46f19dffc3c865b983fa54acb5a8809766539abfb9e9485d1becd",
+	"systematic":         "a394421719bee887a1bf1801f8a7cd84f2a1c2a5071c0ccc93c20004295ab267",
+	"cache-req":          "ac2fb3e1b634f16930081e1951c528f9ae3a28c74365cb586c4ae504a757ee15",
+	"paced":              "170304c2523f9eb71e59d7062f558676e3d9e14ce437c8bf5fb1db512096b2e9",
+}
+
+var dataGoldens = map[string]string{
+	"static-g1-manifest": "9609d5b2661a6c366b1838884f62ac22a83e460a571945d358e44dd400299009",
+	"g4-gen-complete":    "92bd1e825702a34548c2a6df7d9a15a9b7439d27ef841edb031b4f9025879912",
+	"systematic":         "694fecd811e99bbb33e1d6f88ece36ac452e963d7cf6a5157c52a36224688513",
+	"cache-req":          "60c55bf2bfb619cf61bc54ff164a039f89a6941746a9a8490a1935579d743fbf",
+	"paced":              "5d89b8a1e302ae34dd295396dbcfd163e82c828b64d767853d361173bcdd4e6c",
 }
 
 func TestPushGolden(t *testing.T) {
@@ -259,8 +280,8 @@ func TestPushGolden(t *testing.T) {
 			pushTicks(s, clk, 30)
 			return rec
 		},
-		"adaptive-systematic": func(t *testing.T) *recTransport {
-			s, rec, clk := pushSession(t, "src", func(c *Config) { c.Adaptive = true; c.Burst = 4 })
+		"systematic": func(t *testing.T) *recTransport {
+			s, rec, clk := pushSession(t, "src", func(c *Config) { c.Burst = 4 })
 			s.AddPeer("a")
 			id, err := s.Serve(testContent(96*40, 3), 96, 2)
 			if err != nil {
@@ -331,6 +352,9 @@ func TestPushGolden(t *testing.T) {
 			}
 			if got := rec.maskedDigest(); got != maskedGoldens[name] {
 				t.Errorf("push stream digest of %q, stamps zeroed, changed:\n got  %s\n want %s", name, got, maskedGoldens[name])
+			}
+			if got := rec.dataDigest(); got != dataGoldens[name] {
+				t.Errorf("push stream digest of %q, DATA frames alone, changed:\n got  %s\n want %s", name, got, dataGoldens[name])
 			}
 		})
 	}
@@ -404,13 +428,12 @@ var (
 // matrixCell is one randomized (object mode, peer state) set-up, ready
 // for its push().
 type matrixCell struct {
-	s        *Session
-	rec      *recTransport
-	st       *objectState
-	burst    int
-	adaptive bool
-	content  []byte
-	done     []bool // the peer's completed generations (gensDone-partial only)
+	s       *Session
+	rec     *recTransport
+	st      *objectState
+	burst   int
+	content []byte
+	done    []bool // the peer's completed generations (gensDone-partial only)
 	// early (the unverified modes): the hand-fed rows arrived before the
 	// manifest did.
 	early bool
@@ -419,15 +442,20 @@ type matrixCell struct {
 const matrixPeer transport.Addr = "peer"
 
 // newMatrixCell builds a session holding one object in mode obj, with
-// matrixPeer in state peer. Geometry, burst, seed and the adaptive switch
-// are drawn from rng.
+// matrixPeer in state peer. Geometry, burst and seed are drawn from rng; a
+// paused peer's node runs paced (Burst unset), the others at the burst.
 func newMatrixCell(t *testing.T, rng *rand.Rand, obj, peer int) *matrixCell {
 	t.Helper()
 	gens, kPer, m := 2+rng.Intn(3), 8+rng.Intn(17), 16*(1+rng.Intn(3))
 	content := testContent(gens*kPer*m, rng.Int63())
-	c := &matrixCell{burst: 1 + rng.Intn(5), adaptive: rng.Intn(2) == 0, content: content}
+	c := &matrixCell{burst: 1 + rng.Intn(5), content: content}
 	seed := rng.Int63()
-	mut := func(cfg *Config) { cfg.Burst, cfg.Seed, cfg.Adaptive = c.burst, seed, c.adaptive }
+	mut := func(cfg *Config) {
+		cfg.Burst, cfg.Seed = c.burst, seed
+		if peer == peerPaused {
+			cfg.Burst = 0
+		}
+	}
 
 	// A plain source the node under test learns the object from.
 	src, srcRec, srcClk := pushSession(t, "src", func(cfg *Config) { cfg.Burst = c.burst; cfg.Seed = seed + 1 })
@@ -537,7 +565,11 @@ func newMatrixCell(t *testing.T, rng *rand.Rand, obj, peer int) *matrixCell {
 		case peerDone:
 			ps.done = true
 		case peerPaused:
-			ps.pauseUntil = now.Add(time.Second)
+			// A window full of rows no receipt has answered yet, sent this
+			// tick: the pacer grants the peer nothing until one does, and
+			// the round leaves it out.
+			ps.link.Grant(now.UnixNano()/int64(c.s.cfg.Tick), c.st.k)
+			ps.link.OnSend(ps.link.Window())
 		case peerGensPartial:
 			ps.metaAt = now
 			ps.gensDone = make([]bool, gens)

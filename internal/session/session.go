@@ -10,12 +10,14 @@
 // their state from the stream itself.
 //
 // The paper's Section III-C-2 binary feedback — "the code vector travels
-// first; a redundant packet is aborted on the header" — becomes a
-// feedback frame on datagram transports: the receiver checks the header's
-// code vector against its decode state, drops redundant payloads without
-// decoding them, and tells the sender, which stops pushing to satiated
-// peers. Idle object states are evicted so a long-running relay does not
-// accumulate decode state for every object it ever carried.
+// first; a redundant packet is aborted on the header" — is local on
+// datagram transports: the receiver checks the header's code vector
+// against its decode state and drops a redundant payload without copying
+// or decoding it. The sender learns of it from the receipt counters every
+// receiver reports per upstream (kind 6 below: rows received, rows
+// innovative), the one progress signal a sender has, and from completion
+// (kinds 2 and 3). Idle object states are evicted so a long-running relay
+// does not accumulate decode state for every object it ever carried.
 //
 // Every object is in exactly one phase (object.go; DESIGN.md §4 has the
 // phase × event table): announced → caching | filling → decoded → complete,
@@ -41,26 +43,27 @@
 //	DATA     0x01 | packet v2/v3 wire encoding (object ID, generation id
 //	               and — v3 — the generation count inside)
 //	REQ      0x02 | objectID(16)                     subscribe to an object
-//	META     0x03 | objectID(16) | k(4) | m(4) | size(8) [| gens(4)]
-//	               gens-absent form ≡ gens=1 (pre-generation peers)
+//	META     0x03 | objectID(16) | k(4) | m(4) | size(8) | gens(4)
+//	               gens=1 for a single-generation object
 //	FEEDBACK 0x04 | objectID(16) | kind(1) [| gen(4) | gensFull(4) gens(4) rank(4)]
-//	               1=redundant 2=complete 3=generation complete (gen id
-//	               present for kind 3 only) 4=cache advertisement
-//	               (gensFull, gens, rank present for kind 4 only)
-//	               5=receipt report (gen(4), received(4), innovative(4):
-//	               the receiver's cumulative per-sender row counters,
-//	               one report per 16 rows, fed to the sender's loss
-//	               estimator and burst pacer — see Config.Burst and
-//	               DESIGN.md §16 — then, while generation gen is still
+//	               2=complete 3=generation complete (gen id present for
+//	               kind 3 only) 4=cache advertisement (gensFull, gens,
+//	               rank present for kind 4 only)
+//	               6=receipt report: gen(4), received(4), innovative(4),
+//	               departed(4) — the receiver's cumulative per-sender row
+//	               counters, one report per 16 rows judged, fed to the
+//	               sender's loss estimator and pacer (Config.Burst,
+//	               DESIGN.md §16); departed is the highest send sequence
+//	               among the sender's stamped rows (header byte 3: the
+//	               row's send sequence on the link, mod 128) — every row
+//	               up to it has arrived or is lost — and 0 when the rows
+//	               came unstamped — then, while generation gen is still
 //	               filling there, its frontier: ⌈k/G ÷ 8⌉ bytes, bit i
-//	               (least significant first) set once native i of gen
-//	               is decoded; the sender repeats what is missing)
-//	               6=receipt report with departures, sent to a sender
-//	               whose DATA rows carry stamps (header byte 3: the row's
-//	               send sequence on the link, mod 128): gen(4),
-//	               received(4), innovative(4), departed(4) — every row up
-//	               to that sequence has arrived or is lost — then the
-//	               frontier as kind 5's
+//	               (least significant first) set once native i of gen is
+//	               decoded; the sender repeats what is missing
+//	               Kinds 1 and 5 are retired (the per-row redundancy
+//	               abort, the receipt without a departure count): a
+//	               session drops them.
 //	MANIFEST 0x05 | manifest chunk (packet.ManifestChunk): objectID(16) |
 //	               total(4) | off(4) | n(2) | bytes — one slice of the
 //	               object's integrity manifest (internal/integrity),
@@ -94,9 +97,9 @@
 // edge-cache tier, internal/cache): it retains innovative coded rows of
 // objects it learns from the network — never decoding them — under a
 // byte budget, answers REQs for them by serving rows recoded from the
-// cached basis, and emits the same satiation feedback a decoder would
-// (redundant / generation-complete / complete) so an origin stops
-// streaming once the cache covers the object. Kind-4 feedback is its
+// cached basis, and sends the feedback a decoder would (receipts,
+// generation-complete, complete) so an origin stops streaming once the
+// cache covers the object. Kind-4 feedback is its
 // advertisement: a REQ for a cached object is answered with the cache's
 // coverage (generations at full rank, generation count, total rank), and
 // fetchers steer their REQ resends toward advertising peers.
@@ -128,41 +131,28 @@ const (
 	frameManifest = 0x05
 	frameMember   = 0x06
 
-	fbRedundant   = 0x01
 	fbComplete    = 0x02
 	fbGenComplete = 0x03
 	fbCacheAd     = 0x04
-	fbReceipt     = 0x05
-	// fbDeparted is the receipt report for an upstream whose rows carry
-	// stamps: kind 5's counters, then the departure count.
-	fbDeparted = 0x06
+	fbReceipt     = 0x06
 
 	reqLen = 1 + 16
-	// META comes in two lengths: the gens-absent legacy form (≡ G=1,
-	// what pre-generation peers emit and expect for single-generation
-	// objects) and the extended form carrying the generation count.
-	metaLen    = 1 + 16 + 4 + 4 + 8
-	genMetaLen = metaLen + 4
-	// FEEDBACK likewise: kinds 1 and 2 use the short form; kind 3
-	// appends the completed generation id.
+	// META carries the generation count; G = 1 is a count like any other.
+	metaLen = 1 + 16 + 4 + 4 + 8 + 4
+	// FEEDBACK kind 2 is the short form; kind 3 appends the completed
+	// generation id.
 	feedbackLen    = 1 + 16 + 1
 	genFeedbackLen = feedbackLen + 4
 	// Kind 4 (cache advertisement) appends the advertiser's coverage:
 	// generations at full rank, the object's generation count, and the
 	// summed rank across generations.
 	cacheAdLen = feedbackLen + 12
-	// Kind 5 (receipt report) appends the receiver's cumulative counters
+	// Kind 6 (receipt report) appends the receiver's cumulative counters
 	// for rows arriving from the addressed sender: the generation of the
-	// triggering frame, rows received and rows innovative. Same length as
-	// kind 4 — pre-receipt peers parse the length, see kind != 4, and
-	// drop it silently. A receiver still filling that generation appends
-	// its frontier (frontierLen bytes); the short form stays valid.
-	receiptLen = feedbackLen + 12
-	// Kind 6 inserts the departure count after the counters; its frontier,
-	// if any, follows that. A kind of its own, not a third length of kind
-	// 5: a 4-byte count and a 4-byte frontier (k/G of 25–32) would be the
-	// same length.
-	departedLen = receiptLen + 4
+	// triggering frame, rows received, rows innovative and rows departed. A
+	// receiver still filling that generation appends its frontier
+	// (frontierLen bytes); the short form stays valid.
+	receiptLen = feedbackLen + 16
 )
 
 // frontierLen is the length of one generation's frontier — its
@@ -190,11 +180,9 @@ type peerState struct {
 	// push-peer — unlike a fetching client — never re-REQs, so a single
 	// lost META would otherwise wedge the whole downstream pipeline
 	// (the relay could never tell ITS subscribers the object size).
-	metaAt       time.Time
-	done         bool      // reported complete: stop pushing
-	consecRedund int       // consecutive redundancy aborts reported
-	pauseUntil   time.Time // satiation backoff: push resumes afterwards
-	reqSub       bool      // subscribed via REQ (pruned when idle)
+	metaAt time.Time
+	done   bool // reported complete: stop pushing
+	reqSub bool // subscribed via REQ (pruned when idle)
 	// cacheCursor is this peer's position in the cache's serve rotation
 	// (cache mode only). Per peer so concurrent fetchers each walk the
 	// whole cached basis instead of aliasing onto disjoint slices of it.
@@ -236,9 +224,10 @@ func (ps *peerState) forgetProgressLocked() {
 }
 
 // rxTally is the receiver-side mirror of one upstream's pushes: the
-// cumulative DATA rows accepted from that peer for one object, how many
-// were innovative, how many arrived since the last receipt went out, and —
-// once a row of the upstream's came stamped — how many have departed. It
+// cumulative DATA rows judged from that peer for one object — innovative
+// or redundant — how many were innovative, how many arrived since the last
+// receipt went out, and — once a row of the upstream's came stamped — how
+// many have departed (0 until then). It
 // lives on the object's decode plane (guarded by objectState.mu, NOT
 // Session.mu) because the ingest path that feeds it holds only the
 // per-object lock.

@@ -8,30 +8,28 @@ import (
 	"ltnc/internal/transport"
 )
 
-// fbTag is the session wire protocol's FEEDBACK frame type byte;
-// receiptKind and departedKind are the receipt-report discriminators
-// inside it, without and with a departure count (see the internal/session
-// package doc for the frame vocabulary and DESIGN.md §16 for the receipt
-// layout).
+// fbTag is the session wire protocol's FEEDBACK frame type byte and
+// receiptKind the receipt report's discriminator inside it (see the
+// internal/session package doc for the frame vocabulary and DESIGN.md §16
+// for the receipt layout).
 const (
-	fbTag        = 0x04
-	receiptKind  = 0x05
-	departedKind = 0x06
+	fbTag       = 0x04
+	receiptKind = 0x06
 )
 
 // liar is a lying receiver on the fabric: a raw port — no session, no
 // decoder — that REQ-subscribes at every serving node for every object,
 // silently drains the pushes it provokes, and floods forged receipt
-// reports. Even-numbered liars claim they received nothing, in kind 5:
-// against a naive adaptive sender the under-claim pins the per-peer loss
-// estimate at its ceiling and extorts maximum redundancy forever; the
-// estimator's clamps (MaxLoss, a budget that never exceeds the static
-// satiation limit) are what the liar scenarios verify. Odd-numbered
-// liars go after the receipt-clocked window instead, flooding the claims
-// that could turn it over faster than any receiver empties it
-// (liarClaims, one every liarFlood): everything and more received,
-// counters running backwards, counters wrapping uint32 — and behind each,
-// in kind 6, a forged departure count (forgedDeparted: everything it was
+// reports. Even-numbered liars claim they received nothing of what they
+// were sent, all of it departed — proven lost: against a naive sender the
+// under-claim pins the per-peer loss estimate at its ceiling and extorts
+// maximum redundancy forever; the estimator's clamp (MaxLoss) and the
+// liar's own window halving to its floor are what the liar scenarios
+// verify. Odd-numbered liars go after the receipt-clocked window instead,
+// flooding the claims that could turn it over faster than any receiver
+// empties it (liarClaims, one every liarFlood): everything and more
+// received, counters running backwards, counters wrapping uint32 — and
+// behind each a forged departure count (forgedDeparted: everything it was
 // sent, far past that, backwards, wrapping) and a forged frontier
 // (forgedFrontier), which could redirect a sender's repair: everything
 // missing, everything present, a generation the object does not have, the
@@ -48,7 +46,8 @@ type liar struct {
 	ids     []packet.ObjectID
 	servers []transport.Addr
 	// geom, for a liar that forges departure counts and frontiers too, is
-	// every object's geometry; nil and its receipts are kind 5's 30 bytes.
+	// every object's geometry; nil and its receipts are the counters alone,
+	// the departure count what it was sent.
 	geom map[packet.ObjectID]objGeom
 	// rows counts the DATA rows each (server, object) pushed at the liar:
 	// what it was sent, as near as it can tell.
@@ -103,14 +102,14 @@ func startLiar(net *Net, name string, claims [][2]uint32, every time.Duration, i
 }
 
 // forgedReceipt hand-builds the FEEDBACK frame the session layer's receipt
-// path parses — kind 5 with counters gen, received and innovative, kind 6
-// with the departure count behind them — then the frontier of generation
-// gen or nothing: the liar speaks the wire protocol without a session.
-func forgedReceipt(id packet.ObjectID, kind byte, counters []uint32, frontier []byte) []byte {
+// path parses — counters gen, received, innovative and departed — then the
+// frontier of generation gen or nothing: the liar speaks the wire protocol
+// without a session.
+func forgedReceipt(id packet.ObjectID, counters [4]uint32, frontier []byte) []byte {
 	buf := make([]byte, 18, 18+4*len(counters)+len(frontier))
 	buf[0] = fbTag
 	copy(buf[1:17], id[:])
-	buf[17] = kind
+	buf[17] = receiptKind
 	for _, c := range counters {
 		buf = binary.BigEndian.AppendUint32(buf, c)
 	}
@@ -197,14 +196,12 @@ func (l *liar) pump(now time.Time) {
 			if doSub {
 				l.port.Send(to, append([]byte{reqTag}, id[:]...))
 			}
-			g, forges := l.geom[id]
-			if !forges {
-				l.port.Send(to, forgedReceipt(id, receiptKind, []uint32{0, claim[0], claim[1]}, nil))
-				continue
+			gen, departed, frontier := uint32(0), l.rows[pushedAt{to, id}], []byte(nil)
+			if g, forges := l.geom[id]; forges {
+				gen, frontier = forgedFrontier(g, l.pumps)
+				departed = forgedDeparted(departed, l.pumps)
 			}
-			gen, frontier := forgedFrontier(g, l.pumps)
-			departed := forgedDeparted(l.rows[pushedAt{to, id}], l.pumps)
-			l.port.Send(to, forgedReceipt(id, departedKind, []uint32{gen, claim[0], claim[1], departed}, frontier))
+			l.port.Send(to, forgedReceipt(id, [4]uint32{gen, claim[0], claim[1], departed}, frontier))
 		}
 	}
 }

@@ -92,7 +92,7 @@ var named = map[string]namedScenario{
 		},
 	},
 	"harsh-multihop": {
-		desc: "adaptive loop under brutal loss: a 3-relay powerline chain at 40% per-hop loss; receipts steer the redundancy budget so fetches still finish",
+		desc: "brutal loss: a 3-relay powerline chain at 40% per-hop loss; receipts pace every hop and frontier repair fills the gaps so fetches still finish",
 		make: func(seed int64) Scenario {
 			return Scenario{
 				Name:    "harsh-multihop",
@@ -100,13 +100,12 @@ var named = map[string]namedScenario{
 				Sources: 1, Relays: 3, Fetchers: 2,
 				Objects:  []ObjectSpec{{Size: 16 << 10, K: 64}},
 				Wiring:   WiringLine,
-				Adaptive: true,
 				Link:     LinkConfig{Loss: 0.4, Latency: 5 * time.Millisecond},
 				Duration: 120 * time.Second,
 				// At 40% per-hop loss the repair stream is mostly what gets
-				// through; reception overhead counts only arrivals, but the
-				// adaptive budget legitimately runs hot here (1.55 at the
-				// worst of seeds 1–20).
+				// through; reception overhead counts only arrivals, but it
+				// legitimately runs hot here (1.55 at the worst of seeds
+				// 1–20).
 				MaxOverhead: 2.5,
 			}
 		},
@@ -120,23 +119,6 @@ var named = map[string]namedScenario{
 				Sources: 1, Relays: 2, Fetchers: 6,
 				Objects:         []ObjectSpec{{Size: 24 << 10, K: 96}},
 				PeersPerFetcher: 2,
-				Link:            LinkConfig{Loss: 0.01, Latency: 3 * time.Millisecond},
-				Uplink:          &LinkConfig{Loss: 0.2, Latency: 40 * time.Millisecond, BandwidthBPS: 64 << 10},
-				Duration:        60 * time.Second,
-				MaxOverhead:     1.25,
-			}
-		},
-	},
-	"asym-uplink-adaptive": {
-		desc: "the asym-uplink swarm with the adaptive loop on: the redundancy budget follows the estimated loss over the clean downlink",
-		make: func(seed int64) Scenario {
-			return Scenario{
-				Name:    "asym-uplink-adaptive",
-				Seed:    seed,
-				Sources: 1, Relays: 2, Fetchers: 6,
-				Objects:         []ObjectSpec{{Size: 24 << 10, K: 96}},
-				PeersPerFetcher: 2,
-				Adaptive:        true,
 				Link:            LinkConfig{Loss: 0.01, Latency: 3 * time.Millisecond},
 				Uplink:          &LinkConfig{Loss: 0.2, Latency: 40 * time.Millisecond, BandwidthBPS: 64 << 10},
 				Duration:        60 * time.Second,
@@ -342,7 +324,6 @@ type ScenarioInfo struct {
 	Bootstrap int // membership-mode bootstrap nodes (0 = static wiring)
 	Objects   int
 	Wiring    Wiring
-	Adaptive  bool // feedback-driven coding loop on for every session
 }
 
 // Catalog returns the named scenarios with their descriptions and
@@ -369,7 +350,6 @@ func Catalog() []ScenarioInfo {
 			Bootstrap: sc.Bootstrap,
 			Objects:   len(sc.Objects),
 			Wiring:    sc.Wiring,
-			Adaptive:  sc.Adaptive,
 		})
 	}
 	return out

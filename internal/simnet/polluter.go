@@ -25,9 +25,9 @@ const (
 // (valid v2/v3 geometry for the requested object, exact honest frame
 // size) but carry garbage payloads, so they pass every syntactic check
 // and poison any decoder that accepts them. The polluter ignores all
-// feedback: it never stops on fbRedundant or completion signals, which
-// is precisely the behavior the session's blame/quarantine machinery
-// must convict. The fabric steps it: it pumps at virtual intervals and
+// feedback: it never stops on receipts or completion signals, which is
+// precisely the behavior the session's blame/quarantine machinery must
+// convict. The fabric steps it: it pumps at virtual intervals and
 // stops once no REQ has arrived for pollIdle of virtual time, bounding
 // the forged-traffic inflation a run can see.
 type polluter struct {

@@ -402,7 +402,6 @@ func (r *runner) startNode(name string, relay bool, cacheBudget int64, peers []s
 		Seed:           xrand.DeriveSeed(sc.Seed, 0x900d+r.started),
 		HaveSeed:       true,
 		Clock:          r.net.Clock(),
-		Adaptive:       sc.Adaptive,
 	}
 	if sc.Bootstrap > 0 {
 		cfg.Bootstrap = r.bootAddrs

@@ -130,19 +130,18 @@ type Scenario struct {
 	// star wiring without a cache tier.
 	Polluters int
 
-	// Liars adds lying-receiver actors (Adaptive swarms only): raw ports
-	// that REQ-subscribe at every source and relay for every object, drain
-	// the resulting pushes, and flood forged receipt reports — the
-	// even-numbered ones claiming they received nothing (the extortion
-	// play against the adaptive loop, trying to pin the sender's loss
-	// estimate at the ceiling and divert redundancy budget away from
-	// honest peers), the odd-numbered ones over-claiming, running their
-	// counters backwards and wrapping them, ten times a tick (the play
-	// against the receipt-clocked window: every forged receipt empties it).
-	// The estimator's clamps (MaxLoss, budget never above the static
-	// satiation limit, never more than adapt.TickCeiling rows a tick) must
-	// keep honest fetches completing. Requires static star wiring without
-	// caches or membership mode.
+	// Liars adds lying-receiver actors: raw ports that REQ-subscribe at
+	// every source and relay for every object, drain the resulting pushes,
+	// and flood forged kind-6 receipt reports — the even-numbered ones
+	// claiming they received nothing and that everything they were sent
+	// departed (the extortion play against the estimator, trying to pin the
+	// sender's loss estimate at the ceiling), the odd-numbered ones
+	// over-claiming, running their counters backwards and wrapping them,
+	// ten times a tick (the play against the receipt-clocked window: every
+	// forged receipt empties it). The estimator's clamps (MaxLoss, never
+	// more than adapt.TickCeiling rows a tick) must keep honest fetches
+	// completing. Requires static star wiring without caches or membership
+	// mode.
 	Liars int
 
 	// Caches inserts a tier of budgeted partial-cache sessions between
@@ -195,10 +194,6 @@ type Scenario struct {
 	Burst          int           // default 2; BurstPaced leaves it to the receipts
 	Aggressiveness float64       // default: session default (0.01)
 	IdleTimeout    time.Duration // default: session default (60s)
-	// Adaptive turns on every session's loss-tuned redundancy budget
-	// (session.Config.Adaptive; DESIGN.md §16): the per-peer loss estimate
-	// the receipt reports feed sets it instead of the static constant.
-	Adaptive bool
 
 	// Dynamics.
 	Churn    ChurnSpec
@@ -278,13 +273,8 @@ func (sc *Scenario) setDefaults() error {
 // checkTiers validates which optional tiers — liars, membership,
 // polluters, caches — go with which wiring, and defaults the cache budget.
 func (sc *Scenario) checkTiers() error {
-	if sc.Liars > 0 {
-		if !sc.Adaptive {
-			return fmt.Errorf("simnet: liar tier requires the adaptive loop")
-		}
-		if sc.Wiring != WiringStar || sc.Caches > 0 || sc.Bootstrap > 0 {
-			return fmt.Errorf("simnet: liar tier requires static star wiring without caches")
-		}
+	if sc.Liars > 0 && (sc.Wiring != WiringStar || sc.Caches > 0 || sc.Bootstrap > 0) {
+		return fmt.Errorf("simnet: liar tier requires static star wiring without caches")
 	}
 	if sc.Bootstrap < 0 || sc.ViewSize < 0 || sc.ShufflePeriod < 0 || sc.ViewConvergeBy < 0 {
 		return fmt.Errorf("simnet: membership knobs %d/%d/%v/%v invalid", sc.Bootstrap, sc.ViewSize, sc.ShufflePeriod, sc.ViewConvergeBy)

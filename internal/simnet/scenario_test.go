@@ -215,10 +215,10 @@ func TestScenarioSmoke(t *testing.T) {
 	runScenario(t, "smoke", 1)
 }
 
-// TestScenarioHarshMultihop: the adaptive loop's stress case — a 3-relay
+// TestScenarioHarshMultihop: the feedback loop's stress case — a 3-relay
 // powerline chain at 40% per-hop loss. Receipts push every hop's loss
-// estimate toward the ceiling, the redundancy budget follows, and the
-// fetches must still complete byte-identically within the horizon.
+// estimate toward the ceiling and name the natives each hop still lacks,
+// and the fetches must still complete byte-identically within the horizon.
 func TestScenarioHarshMultihop(t *testing.T) {
 	t.Parallel()
 	rep := runScenario(t, "harsh-multihop", 1)
@@ -234,32 +234,6 @@ func TestScenarioHarshMultihop(t *testing.T) {
 		t.Errorf("one hop carried %d DATA frames for k = %d at %.0f%% loss, want at most 1.5·k/(1 − p) = %d", rep.MaxFlowDataFrames, k, 100*p, bound)
 	}
 	t.Logf("most DATA frames on one hop: %d (k = %d, k/(1 − p) = %.0f)", rep.MaxFlowDataFrames, k, float64(k)/(1-p))
-}
-
-// TestScenarioAsymUplinkAdaptive runs the asym-uplink swarm with the
-// adaptive loop on and guards the headline claim — the loss-tuned budget
-// does not send more DATA than the static swarm on the same fabric (both
-// run the systematic first pass, every sender does) — against regression
-// to worse-than-static: one pair of runs, strictly. The claim is a
-// statistical one — once the two swarms' traffic differs the same link
-// streams deal them different losses, and over seeds 1–10 the adaptive
-// swarm sends 85 % of the static one's frames and fewer on 9 of them, all
-// but seed 1 (EXPERIMENTS.md, "Frontier repair") — so the pair is pinned to
-// a seed on the majority side; runs repeat exactly, so it moves only when
-// the protocol does.
-func TestScenarioAsymUplinkAdaptive(t *testing.T) {
-	t.Parallel()
-	const seed = 2
-	adaptive := runScenarioSeed(t, "asym-uplink-adaptive", seed).DataFrames
-	static := runScenarioSeed(t, "asym-uplink", seed).DataFrames
-	if static == 0 {
-		t.Fatal("static swarm sent no DATA frames")
-	}
-	if adaptive > static {
-		t.Errorf("adaptive swarm sent %d DATA frames, the static identical swarm %d — the loop made it worse", adaptive, static)
-	}
-	t.Logf("asym-uplink DATA frames, seed %d: adaptive %d vs static %d (%.0f%%)",
-		seed, adaptive, static, 100*float64(adaptive)/float64(static))
 }
 
 // TestScenarioEdgeCache is the cache-tier acceptance case: 8 fetchers
@@ -380,10 +354,10 @@ func TestScenarioPollutedSwarm(t *testing.T) {
 }
 
 // TestScenarioLyingReceivers wires the lying-receiver actor into the
-// polluted-swarm harness with the adaptive loop on: 2 polluters forge
-// garbage rows while 2 liars REQ-subscribe everywhere and flood forged
-// receipt reports — one claiming nothing ever arrived, trying to extort
-// the adaptive senders' redundancy budget, one over-claiming, running its
+// polluted-swarm harness: 2 polluters forge garbage rows while 2 liars
+// REQ-subscribe everywhere and flood forged kind-6 receipt reports — one
+// claiming nothing ever arrived and all of it departed, trying to pin the
+// senders' loss estimates at the ceiling, one over-claiming, running its
 // counters backwards and wrapping them ten times a tick, trying to turn
 // its window over faster than any receiver could. The
 // estimator's clamps must hold — every honest fetch still completes
@@ -408,7 +382,6 @@ func runLyingReceivers(t *testing.T, burst int) {
 		t.Fatal(err)
 	}
 	sc.Name = "polluted-swarm+liars"
-	sc.Adaptive = true
 	sc.Liars = 2
 	sc.Burst = burst
 	rep, err := sc.Run(context.Background())

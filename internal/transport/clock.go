@@ -9,7 +9,7 @@ import (
 
 // Clock abstracts the time source behind every timer the dissemination
 // stack arms — session push ticks, META resend intervals, idle eviction,
-// satiation backoff, fetch retries, switch latency injection. Production
+// fetch retries, switch latency injection. Production
 // code runs on SystemClock; simulations inject a VClock so a minute of
 // protocol time passes in milliseconds of wall time and every timer fires
 // at an exact, reproducible virtual instant.

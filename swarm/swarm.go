@@ -190,16 +190,13 @@ type Config struct {
 	// ltnc.WithRefinement(false) and ltnc.WithRedundancyDetection(false)
 	// disable the corresponding algorithms (experiments only).
 	Node []ltnc.Option
-	// Adaptive scales the redundancy budget — how many consecutive
-	// redundancy aborts pause the push to a peer — with the estimated link
-	// loss instead of a static constant. The rest of the feedback loop is
-	// unconditional: every session emits receipt reports for what it
-	// receives and estimates per-peer link loss from the reports it gets
-	// back (that is what paces the push, see Burst), and every sender
-	// opens with a systematic first pass — each native it has decoded goes
-	// out once per peer as a plain row before coded repair, which is also
-	// what a relay forwards before it holds a whole generation. Off by
-	// default.
+	// Adaptive once tuned how long a peer's redundancy aborts paused the
+	// push to it. Senders now learn of redundant rows from receipts alone
+	// (every session reports rows received and innovative per upstream,
+	// and that is what paces the push, see Burst), so there is nothing
+	// left for it to tune.
+	//
+	// Deprecated: has no effect.
 	Adaptive bool
 	// Clock is the time source behind every session timer — the push
 	// timer, META resend, idle eviction, fetch retries. Default: the system
@@ -238,7 +235,6 @@ func (c Config) sessionConfig(tr transport.Transport, nc ltnc.NodeConfig) sessio
 		MaxObjects:             c.MaxObjects,
 		MaxK:                   c.MaxK,
 		CacheBudget:            c.CacheBudget,
-		Adaptive:               c.Adaptive,
 		Seed:                   seed,
 		HaveSeed:               haveSeed,
 		DisableRefinement:      nc.DisableRefinement,
