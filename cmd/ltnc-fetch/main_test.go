@@ -41,7 +41,6 @@ func TestFetchCLI(t *testing.T) {
 	server, err := swarm.New(swarm.Config{
 		Listen: "127.0.0.1:0",
 		Tick:   500 * time.Microsecond,
-		Burst:  4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -64,8 +64,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		k       = fs.Int("k", 256, "code length for served files")
 		gens    = fs.Int("generations", 0, "coding generations per served file (0 = auto from k; headers and decode state are O(k/G))")
 		relay   = fs.Bool("relay", true, "recode and re-push objects learned from peers")
-		tick    = fs.Duration("tick", 2*time.Millisecond, "push timer period: the floor under the receipt clock, the push period of a fixed -burst")
-		burst   = fs.Int("burst", 0, "packets per object, target and tick (0 = clocked by the peers' receipt reports)")
+		tick    = fs.Duration("tick", 2*time.Millisecond, "push timer period: the floor under the receipt clock (rows are clocked by the peers' receipt reports)")
 		idle    = fs.Duration("idle-timeout", time.Minute, "evict object state idle this long")
 		seed    = fs.Int64("seed", 0, "randomness seed (0 = fresh entropy; set for reproducible runs)")
 		readers = fs.Int("udp-readers", 0, "receive shards on the Linux batched UDP path (SO_REUSEPORT sockets, one core each; 0 = single shard)")
@@ -88,7 +87,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		UDPReaders:  *readers,
 		Relay:       *relay,
 		Tick:        *tick,
-		Burst:       *burst,
 		IdleTimeout: *idle,
 		Seed:        *seed,
 		Generations: *gens,

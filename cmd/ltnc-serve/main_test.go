@@ -81,7 +81,6 @@ func TestServeCLIThenFetch(t *testing.T) {
 			"-file", path,
 			"-k", "128",
 			"-tick", "500us",
-			"-burst", "4",
 		}, out)
 	}()
 

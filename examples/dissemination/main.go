@@ -36,7 +36,6 @@ func newSession(relay bool, seed int64) (*swarm.Session, context.CancelFunc, err
 	s, err := swarm.New(swarm.Config{
 		Listen: "127.0.0.1:0",
 		Tick:   500 * time.Microsecond,
-		Burst:  4,
 		Relay:  relay,
 		Seed:   seed,
 	})

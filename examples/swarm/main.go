@@ -62,7 +62,6 @@ func run() error {
 			Peers:     peers,
 			Relay:     relay,
 			Tick:      500 * time.Microsecond,
-			Burst:     4,
 			Seed:      seed,
 		})
 		if err != nil {

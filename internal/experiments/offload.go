@@ -90,35 +90,35 @@ func (r OffloadReport) WriteJSON(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// The offload runs pin the push rate (simnet's defaults, stated here
-// because crowdAfter is derived from them): the origin's systematic pass
-// over a k-native object takes k/offloadBurst ticks.
-const (
-	offloadTick  = 10 * time.Millisecond
-	offloadBurst = 2
-)
-
-// crowdAfter is when the crowd arrives: one and a half times the origin's
-// first pass, so the pass and its last rows' flight are over.
-func crowdAfter(k int) time.Duration {
-	return time.Duration(k/offloadBurst) * offloadTick * 3 / 2
+// crowdAfter is when the crowd arrives: the instant the first fetcher,
+// alone behind the cache, completes, read off a run of sc without the
+// crowd — which the crowd's run replays exactly up to that instant.
+func crowdAfter(sc simnet.Scenario) (time.Duration, error) {
+	res, err := sc.Run(context.Background())
+	if err == nil && res.FetchesCompleted != 1 {
+		err = fmt.Errorf("the first fetch alone did not complete: %v", res.Violations)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return res.Fetches[0].CompletedAt, nil
 }
 
 // RunOffloadCurve measures origin DATA frames as a function of the cache
 // budget: one hot object behind a single budgeted partial cache, the
 // first fetcher pulling it through at t = 0 and the rest of the crowd
-// arriving once the origin's first pass is over (crowdAfter), and the
-// origin's wire traffic counted per budget until the last fetch
-// completes. The late arrival is what makes the budget matter: a crowd
-// subscribed while the origin's pass is still coming through is served by
-// pass-through (every row the cache cannot store is forwarded, not
-// absorbed) at k origin frames whatever the budget — multicast, not
-// caching. Arriving after it, the crowd gets what the cache kept: a
-// budget too small for the object never lets the cache report the object
-// covered, so the origin keeps streaming into it and re-serves what the
-// cache could not hold; once the budget covers the object the origin
-// serves it exactly once. The curve is the cache-sizing guide: offload
-// bought per byte of budget.
+// arriving once that fetch has completed (crowdAfter), and the origin's
+// wire traffic counted per budget until the last fetch completes. The
+// late arrival is what makes the budget matter: a crowd subscribed while
+// the origin's pass is still coming through is served by pass-through
+// (every row the cache cannot store is forwarded, not absorbed) at k
+// origin frames whatever the budget — multicast, not caching. Arriving
+// after it, the crowd gets what the cache kept: a budget too small for the
+// object never lets the cache report the object covered, so the origin
+// keeps streaming into it, at the pace the cache's receipts set, and
+// re-serves what the cache could not hold; once the budget covers the
+// object the origin serves it exactly once. The curve is the cache-sizing
+// guide: offload bought per byte of budget.
 func RunOffloadCurve(p OffloadParams) (OffloadReport, error) {
 	if err := p.setDefaults(); err != nil {
 		return OffloadReport{}, err
@@ -137,13 +137,16 @@ func RunOffloadCurve(p OffloadParams) (OffloadReport, error) {
 			CacheBudget:     budget,
 			PeersPerFetcher: 1,
 			Link:            simnet.LinkConfig{Latency: 2 * time.Millisecond},
-			Tick:            offloadTick,
-			Burst:           offloadBurst,
+			Tick:            10 * time.Millisecond,
 			Duration:        60 * time.Second,
+		}
+		at, err := crowdAfter(sc)
+		if err != nil {
+			return rep, fmt.Errorf("offload: budget %d: %w", budget, err)
 		}
 		for i := 1; i < p.Fetchers; i++ {
 			sc.Timeline = append(sc.Timeline, simnet.Event{
-				At: crowdAfter(p.K), Kind: simnet.EvJoin, Node: fmt.Sprintf("crowd%d", i),
+				At: at, Kind: simnet.EvJoin, Node: fmt.Sprintf("crowd%d", i),
 			})
 		}
 		res, err := sc.Run(context.Background())

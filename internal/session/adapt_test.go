@@ -85,10 +85,7 @@ func TestSystematicFirstPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := startSession(t, attach(t, sw, "source"), func(c *Config) {
-		c.Tick = time.Millisecond
-		c.Burst = 4
-	})
+	src := startSession(t, attach(t, sw, "source"), func(c *Config) { c.Tick = time.Millisecond })
 	probe := attach(t, sw, "probe")
 	defer probe.Close()
 

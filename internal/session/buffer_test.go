@@ -50,7 +50,7 @@ func TestFetchedContentIsTheNatives(t *testing.T) {
 	for _, verified := range []bool{true, false} {
 		t.Run(map[bool]string{true: "verified", false: "assembled"}[verified], func(t *testing.T) {
 			content := testContent(gens*kPer*m, 91)
-			src, _, srcClk := pushSession(t, "src", func(c *Config) { c.Burst = kPer / 2 })
+			src, _, srcClk := pushSession(t, "src", nil)
 			id, err := src.Serve(content, gens*kPer, gens)
 			if err != nil {
 				t.Fatal(err)
@@ -114,13 +114,13 @@ func TestServedContentNeverRecycled(t *testing.T) {
 	const gens, kPer, m = 4, 16, 32
 	content := testContent(gens*kPer*m, 92)
 	sum := sha256.Sum256(content)
-	src, _, srcClk := pushSession(t, "src", func(c *Config) { c.Burst = kPer / 2 })
+	src, _, srcClk := pushSession(t, "src", nil)
 	src.AddPeer("relay")
 	id, err := src.Serve(content, gens*kPer, gens)
 	if err != nil {
 		t.Fatal(err)
 	}
-	relay, relayRec, relayClk := pushSession(t, "relay", func(c *Config) { c.Relay = true; c.Burst = kPer / 2 })
+	relay, relayRec, relayClk := pushSession(t, "relay", func(c *Config) { c.Relay = true })
 	f, _, _ := pushSession(t, "fetcher", nil)
 	fetch, err := f.BeginFetch(id, "relay")
 	if err != nil {
@@ -184,7 +184,7 @@ func TestForgedManifestRefillsMovedGenerations(t *testing.T) {
 	const gens, kPer, m = 4, 8, 16
 	const k = gens * kPer
 	content, forged := testContent(k*m, 93), testContent(k*m, 94)
-	src, _, srcClk := pushSession(t, "src", func(c *Config) { c.Burst = kPer })
+	src, _, srcClk := pushSession(t, "src", nil)
 	id, err := src.Serve(content, k, gens)
 	if err != nil {
 		t.Fatal(err)

@@ -10,20 +10,21 @@ import (
 )
 
 // TestVirtualClockEndToEnd runs the full source → relay → fetch pipeline
-// with every session timer on a shared virtual clock (a stepNet at a fixed
-// Burst, which only the timer pushes): nothing moves while the clock stands
-// still, and the whole transfer completes inside a few hundred virtual
-// milliseconds.
+// with every session timer on a shared virtual clock, each hop taking half
+// a Tick: nothing crosses a hop while the clock stands still — receipts
+// clock the push, and a receipt too is a frame on the way — and the whole
+// transfer completes inside a few hundred virtual milliseconds.
 func TestVirtualClockEndToEnd(t *testing.T) {
-	n := newStepNet(t, 64, 64, 3, func(c *Config) { c.Burst, c.Relay = 4, true }, "source", "relay", "fetcher")
+	n := newStepNet(t, 64, 64, 3, func(c *Config) { c.Relay = true }, "source", "relay", "fetcher")
+	n.delay = n.nodes["source"].cfg.Tick / 2
 	fetcher := n.nodes["fetcher"]
 	f, err := fetcher.BeginFetch(n.id, "relay")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.End()
-	// With the clock frozen the fetch must not complete: the only motion
-	// is the REQ and its answer, and pushes only happen on ticks.
+	// With the clock frozen the fetch must not complete: the REQ is still
+	// on its way to the relay.
 	n.settle()
 	if _, _, _, done := f.Result(); done {
 		t.Fatal("fetch completed with frozen clock")
@@ -49,7 +50,7 @@ func TestVirtualClockEndToEnd(t *testing.T) {
 // configured push peer that never acks keeps receiving periodic METAs at
 // the metaResend cadence, measured purely in virtual time.
 func TestVirtualMetaResend(t *testing.T) {
-	n := newStepNet(t, 16, 32, 1, func(c *Config) { c.Burst = 4 }, "source")
+	n := newStepNet(t, 16, 32, 1, nil, "source")
 	src := n.nodes["source"]
 	src.AddPeer("sink")
 	metas := 0

@@ -63,22 +63,18 @@ type Config struct {
 	Transport transport.Transport
 	// Tick is the push timer's period (default 2ms): the floor under the
 	// receipt clock — a peer whose receipts never come still gets a frame
-	// a Tick — the unit the silence rule, the META resend and the per-link
-	// rate ceiling are counted in, and the push period of a fixed Burst.
-	// The timer runs only while some peer is owed rows; an idle session
-	// wakes for housekeeping a few times a second.
+	// a Tick — and the unit the silence rule, the META resend and the
+	// per-link rate ceiling are counted in. The peer's receipts clock the
+	// push: per (peer, object) a window of frames in flight starts at
+	// a few, doubles while the peer's receipt reports show the rows
+	// arriving, halves when they show a loss step or stop coming, and stays
+	// within [1, adapt.MaxBurst]; frames leave whenever a receipt or a
+	// decode frees window (internal/adapt, DESIGN.md §16). The window alone
+	// paces an honest peer; adapt.TickCeiling per Tick, far above what one
+	// takes, bounds what forged receipts can buy. The timer runs only while
+	// some peer is owed rows; an idle session wakes for housekeeping a few
+	// times a second.
 	Tick time.Duration
-	// Burst, when positive, is a fixed number of packets pushed per object,
-	// target and Tick, on the timer alone. Zero (the default) leaves the
-	// push to the peer's receipts: per (peer, object) a window of frames in
-	// flight starts at a few, doubles while the peer's receipt reports show
-	// the rows arriving, halves when they show a loss step or stop coming,
-	// and stays within [1, adapt.MaxBurst]; frames leave whenever a receipt
-	// or a decode frees window (internal/adapt, DESIGN.md §16) — so a peer
-	// that never sends a receipt is pushed one frame a Tick. The window
-	// alone paces an honest peer; adapt.TickCeiling per Tick, far above
-	// what one takes, bounds what forged receipts can buy.
-	Burst int
 	// Aggressiveness gates recoding as in the paper (default 0.01): a
 	// relay starts recoding an object once it holds K·Aggressiveness + 1
 	// packets.
@@ -174,9 +170,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.Tick < 0 {
 		return fmt.Errorf("session: tick %v < 0", c.Tick)
-	}
-	if c.Burst < 0 {
-		return fmt.Errorf("session: burst %d < 0", c.Burst)
 	}
 	if c.Aggressiveness == 0 {
 		c.Aggressiveness = 0.01

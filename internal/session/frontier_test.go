@@ -112,7 +112,7 @@ func TestFrontierRepairNearErasureBound(t *testing.T) {
 // subscribes it at a source.
 func twoSources(t *testing.T, k, m int, seed int64) *stepNet {
 	n := newStepNet(t, k, m, seed, nil, "srcA", "dst")
-	b, rec, _ := pushSession(t, "srcB", func(c *Config) { c.Burst, c.Clock = 0, n.clk })
+	b, rec, _ := pushSession(t, "srcB", func(c *Config) { c.Clock = n.clk })
 	if id, err := b.Serve(testContent(k*m, seed), k, 1); err != nil || id != n.id {
 		t.Fatalf("second source serves %v, %v; want %v", id, err, n.id)
 	}
@@ -261,7 +261,7 @@ func TestFrontierForgedStaysOnItsLink(t *testing.T) {
 		}, false},
 	}
 	run := func(forge func(packet.ObjectID, int) []byte, departs bool) (honest string, perTick []int, s *Session, id packet.ObjectID) {
-		s, rec, clk := pushSession(t, "src", func(c *Config) { c.Burst = 0 })
+		s, rec, clk := pushSession(t, "src", nil)
 		id, err := s.Serve(testContent(k*16, 55), k, gens)
 		if err != nil {
 			t.Fatal(err)
@@ -335,4 +335,45 @@ func TestFrontierForgedStaysOnItsLink(t *testing.T) {
 func withDeparted(f []byte, departed uint32) []byte {
 	binary.BigEndian.PutUint32(f[receiptLen-4:], departed)
 	return f
+}
+
+// TestCodedRowsWaitForThePassToSettle: toward a peer that names no frontier
+// (a cache, say) the natives of the systematic pass go out, and no coded
+// row of their generation follows them while any of them is still
+// unsettled — the peer's next receipt, or its completion, is what says
+// whether a coded row is owed at all. Once a receipt settles them the
+// coded rows come.
+func TestCodedRowsWaitForThePassToSettle(t *testing.T) {
+	const k = 8
+	s, rec, _ := pushSession(t, "src", nil)
+	id, err := s.Serve(testContent(k*16, 61), k, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	injectFrame(s, "peer", encodeReq(id))
+	// round pushes once and returns the DATA rows it sent, and how many of
+	// them were not degree 1.
+	round := func() (rows, coded int) {
+		s.push()
+		for _, f := range rec.take()["peer"] {
+			if f[0] == frameData {
+				rows++
+				coded += btoi(nativeOf(t, f) < 0)
+			}
+		}
+		return rows, coded
+	}
+	if n, c := round(); n != 4 || c != 0 {
+		t.Fatalf("opening round: %d rows, %d coded; want the start window's 4 natives", n, c)
+	}
+	// The first receipt doubles the window to 8 and credits all 4: the
+	// round has room for the last 4 natives and 4 rows more.
+	injectFrame(s, "peer", receiptFrame(id, 0, 4, 4))
+	if n, c := round(); n != k-4 || c != 0 {
+		t.Fatalf("the pass's last round: %d rows, %d coded; want the %d natives left and no coded row behind them", n, c, k-4)
+	}
+	injectFrame(s, "peer", receiptFrame(id, 0, k, k))
+	if _, c := round(); c == 0 {
+		t.Fatal("the receipt settled the pass, and still no coded row followed")
+	}
 }

@@ -65,6 +65,8 @@ func TestGenerationTransfer(t *testing.T) {
 // (kind-3 feedback), every subsequent push toward it must carry other
 // generations only — whatever is left of the completed generation's
 // systematic pass is passed over, and its redundancy stream never starts.
+// The peer acknowledges every round, so receipts open the window as they
+// would on the wire.
 func TestGenFeedbackSteersPush(t *testing.T) {
 	const (
 		k    = 64
@@ -76,14 +78,14 @@ func TestGenFeedbackSteersPush(t *testing.T) {
 	}
 	srcTr := attach(t, sw, "src")
 	peerTr := attach(t, sw, "peer")
-	cfg := Config{Transport: srcTr, Tick: time.Hour, Burst: 4, Seed: 7} // manual pushes only
-	s, err := New(cfg)
+	s, err := New(Config{Transport: srcTr, Tick: time.Hour, Seed: 7}) // manual pushes only
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	s.AddPeer("peer")
-	if _, err := s.Serve(testContent(4096, 8), k, gens); err != nil {
+	id, err := s.Serve(testContent(4096, 8), k, gens)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -104,24 +106,32 @@ func TestGenFeedbackSteersPush(t *testing.T) {
 			f.Release()
 		}
 	}
+	// acked pushes one round and has the peer acknowledge every row sent so
+	// far, returning the rows the round sent.
+	acked := func() int {
+		before := s.objects[id].sent
+		s.push()
+		n := uint32(s.objects[id].sent)
+		s.handleFrame(transport.NewFrame("peer", receiptFrame(id, 1, n, n), nil))
+		return int(int64(n) - before)
+	}
 
 	// Before feedback: the systematic pass walks generation 0 first, in
-	// order, a quarter of it in these two pushes.
-	s.push()
-	s.push()
+	// order, the start window's worth in this push.
+	acked()
 	for i, h := range drain() {
 		if h.Generation != 0 || h.Vec.PopCount() != 1 || h.Vec.LowestSet() != i {
 			t.Fatalf("row %d of the pass: generation %d, vector %v; want native %d of generation 0", i, h.Generation, h.Vec, i)
 		}
 	}
 
-	// Peer reports generation 0 complete, three quarters of its pass unsent.
-	id := s.Objects()[0].ID
+	// Peer reports generation 0 complete, most of its pass unsent.
 	s.handleFrame(transport.NewFrame("peer", genFeedbackFrame(id, 0), nil))
 
 	seen := map[uint32]int{}
+	sent := 0
 	for i := 0; i < 16; i++ {
-		s.push()
+		sent += acked()
 	}
 	coded := 0
 	for _, h := range drain() {
@@ -133,8 +143,8 @@ func TestGenFeedbackSteersPush(t *testing.T) {
 	if seen[0] != 0 {
 		t.Fatalf("generation 0 still pushed after completion feedback: %v", seen)
 	}
-	if seen[1] != 16*cfg.Burst {
-		t.Fatalf("generation 1 got %d rows of %d after feedback for generation 0: %v", seen[1], 16*cfg.Burst, seen)
+	if seen[1] != sent {
+		t.Fatalf("generation 1 got %d rows of %d after feedback for generation 0: %v", seen[1], sent, seen)
 	}
 	if coded == 0 {
 		t.Fatalf("no coded repair followed generation 1's %d-row pass in %d rows", k/gens, seen[1])

@@ -158,10 +158,10 @@ func metaFor(id packet.ObjectID, k, m int, size int64, gens int) []byte {
 // partial cache is the transition caching → complete — the cache entry is
 // dropped and pushes come from the seeded coder. Before the lifecycle had
 // one field, Serve looked at the coder and never at the cached flag: the
-// object read Cached Pinned Complete at once, emit kept dealing the nine
-// cached rows, and a fetcher asking this node sat at 9/16 natives for good.
+// object read Cached Pinned Complete at once, emit kept dealing the cached
+// rows, and a fetcher asking this node sat at 9/16 natives for good.
 func TestServeOverCachedObject(t *testing.T) {
-	const k, m, burst = 16, 32, 3
+	const k, m = 16, 32
 	content := testContent(k*m, 77)
 	src, srcRec, srcClk := pushSession(t, "src", nil)
 	src.AddPeer("cache")
@@ -170,12 +170,12 @@ func TestServeOverCachedObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, cRec, cClk := pushSession(t, "cache", func(cfg *Config) { cfg.CacheBudget = 1 << 20 })
-	for i := 0; i < 3; i++ { // 9 of 16 rows
+	for i := 0; i < 3; i++ { // part of the pass: no receipt goes back
 		pushTicks(src, srcClk, 1)
 		feed(c, srcRec)
 	}
-	if o, _ := c.Object(id); !o.Cached || o.Received != 9 {
-		t.Fatalf("set-up: %+v, want a cached object holding 9 rows", o)
+	if o, _ := c.Object(id); !o.Cached || o.Received == 0 || o.Received >= k {
+		t.Fatalf("set-up: %+v, want a cached object holding part of the %d rows", o, k)
 	}
 	if got, err := c.Serve(content, k, 1); err != nil || got != id {
 		t.Fatalf("Serve over the cached object: %v %v", got, err)
@@ -193,7 +193,9 @@ func TestServeOverCachedObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fetch.End()
-	for tick := 0; tick < k/burst+4; tick++ {
+	// The pacer's floor alone, a row a tick, would bring the k natives in k
+	// ticks; the fetcher's receipts open the window well before.
+	for tick := 0; tick < k; tick++ {
 		feed(c, fRec) // the REQ, then feedback
 		pushTicks(c, cClk, 1)
 		feed(f, cRec)
@@ -202,7 +204,7 @@ func TestServeOverCachedObject(t *testing.T) {
 	if !ok || err != nil || !bytes.Equal(data, content) {
 		o, _ := f.Object(id)
 		t.Fatalf("fetch from the serving cache node after %d ticks: ok=%v err=%v, %d/%d natives, %d aborted",
-			k/burst+4, ok, err, o.Decoded, k, o.Aborted)
+			k, ok, err, o.Decoded, k, o.Aborted)
 	}
 }
 

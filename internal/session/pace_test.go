@@ -52,7 +52,7 @@ type carried struct {
 	frame    []byte
 }
 
-// newStepNet builds one session per name, Burst unset, on one clock: the
+// newStepNet builds one session per name on one clock: the
 // first serves a k·m-byte object and pushes it down the line, the one
 // named "relay" relays; mut adjusts every node's config.
 func newStepNet(t *testing.T, k, m int, seed int64, mut func(*Config), names ...transport.Addr) *stepNet {
@@ -64,7 +64,7 @@ func newStepNet(t *testing.T, k, m int, seed int64, mut func(*Config), names ...
 	}
 	for _, name := range names {
 		n.nodes[name], n.recs[name], _ = pushSession(t, name, func(c *Config) {
-			c.Burst, c.Clock, c.Relay = 0, n.clk, name == "relay"
+			c.Clock, c.Relay = n.clk, name == "relay"
 			if mut != nil {
 				mut(c)
 			}
@@ -299,7 +299,7 @@ func TestPacedLossLevelVersusStep(t *testing.T) {
 func TestPacedForgedReceiptsStayOnTheirLink(t *testing.T) {
 	const roundsPerTick = 6
 	run := func(withLiar bool) (honest []int, liarPeak, flightPeak int) {
-		s, rec, clk := pushSession(t, "src", func(c *Config) { c.Burst = 0 })
+		s, rec, clk := pushSession(t, "src", nil)
 		id, err := s.Serve(testContent(512*16, 35), 512, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -383,13 +383,13 @@ func TestPacedForgedReceiptsStayOnTheirLink(t *testing.T) {
 // paced transfer — within the relay's object bound; a fetch-only session
 // still ignores REQs for objects it does not hold.
 func TestRelayRemembersEarlyREQ(t *testing.T) {
-	src, srcRec, srcClk := pushSession(t, "src", func(c *Config) { c.Burst = 8 })
+	src, srcRec, srcClk := pushSession(t, "src", nil)
 	src.AddPeer("relay")
 	id, err := src.Serve(testContent(64*16, 36), 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	relay, relayRec, relayClk := pushSession(t, "relay", func(c *Config) { c.Relay = true; c.Burst = 8; c.MaxObjects = 2 })
+	relay, relayRec, relayClk := pushSession(t, "relay", func(c *Config) { c.Relay = true; c.MaxObjects = 2 })
 	injectFrame(relay, "sub", encodeReq(id))
 	if st, ok := relay.Object(id); !ok || st.Subscribers != 1 {
 		t.Fatalf("relay dropped the early REQ: held %v, %+v", ok, st)
@@ -534,7 +534,7 @@ func TestReceiptFlushedOnDrain(t *testing.T) {
 // stepped at the housekeeping cadence, not every Tick — and the REQ that
 // gives it a target un-parks it in that very Step.
 func TestIdleSessionParksTimer(t *testing.T) {
-	src, rec, clk := pushSession(t, "source", func(c *Config) { c.Burst = 0 })
+	src, rec, clk := pushSession(t, "source", nil)
 	id, err := src.Serve(testContent(64*16, 41), 64, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -563,7 +563,7 @@ func TestIdleSessionParksTimer(t *testing.T) {
 // the timeout late — and no probe deadline at all with none out; a probe
 // going out wakes the push plane so that it learns of it.
 func TestParkedTimerWakesForProbeTimeout(t *testing.T) {
-	s, rec, clk := pushSession(t, "dst", func(c *Config) { c.Burst = 0 })
+	s, rec, clk := pushSession(t, "dst", nil)
 	id, err := s.Serve(testContent(64*16, 43), 64, 1)
 	if err != nil {
 		t.Fatal(err)

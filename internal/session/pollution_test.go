@@ -57,32 +57,31 @@ func TestManifestTravelsAndVerifies(t *testing.T) {
 
 // polluterPort is a hostile actor over a raw switch port: once it sees a
 // REQ it streams forged DATA rows — valid v3 geometry, garbage payloads —
-// at the requester continuously, ignoring every feedback frame, like a
-// peer whose only goal is to poison decoders. With dense set the forged
-// rows are degree-2 (immune to the on-arrival unit-row digest check, so
-// they reach the decoder and must be caught by generation verification);
-// without it they are unit rows, the cheapest forgery, convicted on
-// arrival once the victim holds the manifest.
+// at the requester, burst rows every 2 ms and burst more on every frame the
+// requester sends it (the REQ, and the receipts its own rows draw: the
+// clock an honest receipt-paced sender runs on), stopping for no feedback,
+// like a peer whose only goal is to poison decoders. With dense set the
+// forged rows are degree-2 (immune to the on-arrival unit-row digest check,
+// so they reach the decoder and must be caught by generation verification);
+// without it they are unit rows, the cheapest forgery, convicted on arrival
+// once the victim holds the manifest.
 func polluterPort(t *testing.T, tr *transport.ChanTransport, kPer, m, gens, burst int, dense bool) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
-	reqs := make(chan transport.Frame, 64)
-	go func() { // listen for REQs; drop everything else on the floor
-		defer close(reqs)
+	cues := make(chan transport.Frame, 64)
+	go func() { // every frame is a cue to pump; a REQ also names the victim
+		defer close(cues)
 		for {
 			f, err := tr.Recv(ctx)
 			if err != nil {
 				return
 			}
-			if len(f.Data) == reqLen && f.Data[0] == frameReq {
-				select {
-				case reqs <- f:
-					continue
-				default:
-				}
+			select {
+			case cues <- f:
+			default:
+				f.Release()
 			}
-			f.Release()
 		}
 	}()
 	go func() {
@@ -96,34 +95,36 @@ func polluterPort(t *testing.T, tr *transport.ChanTransport, kPer, m, gens, burs
 			select {
 			case <-ctx.Done():
 				return
-			case f, ok := <-reqs:
+			case f, ok := <-cues:
 				if !ok {
 					return
 				}
-				copy(id[:], f.Data[1:])
-				victim = f.From
+				if len(f.Data) == reqLen && f.Data[0] == frameReq {
+					copy(id[:], f.Data[1:])
+					victim = f.From
+				}
 				f.Release()
 			case <-tick.C:
-				if victim == "" {
-					continue
+			}
+			if victim == "" {
+				continue
+			}
+			for i := 0; i < burst; i++ {
+				payload := bytes.Repeat([]byte{0xB6}, m)
+				payload[0] = byte(seq) // vary: forged rows must not collapse
+				p := packet.Native(kPer, seq%kPer, payload)
+				if dense && kPer > 1 {
+					p.Vec.Set((seq + 1) % kPer)
 				}
-				for i := 0; i < burst; i++ {
-					payload := bytes.Repeat([]byte{0xB6}, m)
-					payload[0] = byte(seq) // vary: forged rows must not collapse
-					p := packet.Native(kPer, seq%kPer, payload)
-					if dense && kPer > 1 {
-						p.Vec.Set((seq + 1) % kPer)
-					}
-					p.Object = id
-					p.Generation = uint32(seq % gens)
-					p.Generations = uint32(gens)
-					seq++
-					wire, err := packet.Marshal(p)
-					if err != nil {
-						return
-					}
-					tr.Send(victim, append([]byte{frameData}, wire...))
+				p.Object = id
+				p.Generation = uint32(seq % gens)
+				p.Generations = uint32(gens)
+				seq++
+				wire, err := packet.Marshal(p)
+				if err != nil {
+					return
 				}
+				tr.Send(victim, append([]byte{frameData}, wire...))
 			}
 		}
 	}()
@@ -140,9 +141,14 @@ func polluterPort(t *testing.T, tr *transport.ChanTransport, kPer, m, gens, burs
 // machinery records the pollution, and the polluter ends the run banned.
 // The polluter sends dense forged rows — the kind the on-arrival digest
 // check cannot touch — so this exercises the full quarantine/probe/audit
-// pipeline rather than the instant unit-row conviction.
+// pipeline rather than the instant unit-row conviction. The switch delays
+// every frame by a millisecond: a receipt-clocked fetch over a zero-latency
+// switch can run source and fetcher back to back to completion before the
+// polluter's goroutines are scheduled at all (one CPU, a loaded machine),
+// and then nothing forged ever lands; with each hop a timer, the polluter
+// answers the REQ while the honest rows are still in flight.
 func TestPolluterConvictedFetchSurvives(t *testing.T) {
-	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 1024, Seed: 13})
+	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 1024, Seed: 13, Latency: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +281,7 @@ func TestRelayEmitsOnlyProvenRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relay, rec, clk := pushSession(t, "relay", func(c *Config) { c.Relay = true; c.Burst = 4 })
+	relay, rec, clk := pushSession(t, "relay", func(c *Config) { c.Relay = true })
 	// META and manifest come from the source's opening round; its DATA is
 	// replaced by the hand-made mix below.
 	pushTicks(src, srcClk, 1)
@@ -378,7 +384,9 @@ func TestRelayEmitsOnlyProvenRows(t *testing.T) {
 	// A clean refill verifies, and the generation serves again: the natives
 	// decoded anew (re-sent, proven), then coded repair — a fresh REQ has
 	// dropped the frontier, and with nothing known of the subscriber the
-	// relay codes blind.
+	// relay codes blind, once the natives ahead of it have settled. The
+	// subscriber sends no receipt, so the pacer's floor of a row a tick is
+	// the pace: k ticks and two more for the last native to age out bound it.
 	for x := 0; x < k; x++ {
 		in(false, x)
 	}
@@ -386,7 +394,9 @@ func TestRelayEmitsOnlyProvenRows(t *testing.T) {
 	if st.guard[0].state != genVerified {
 		t.Fatal("the clean refill did not verify")
 	}
-	push(2 * k / relay.cfg.Burst)
+	for tick := 0; tick < k+4 && coded == 0; tick++ {
+		push(1)
+	}
 	if plain[9] == 0 || plain[12] == 0 || coded == 0 {
 		t.Fatalf("after the refill: native 9 ×%d, 12 ×%d, %d coded rows", plain[9], plain[12], coded)
 	}

@@ -16,11 +16,10 @@ import (
 // record per (object, peer). Rounds are run by the session's one driver
 // alone — Run's push goroutine or Step's caller, through
 // housekeeping.round (session.go): one when the timer fires — the floor,
-// every Tick while any peer is owed rows, and the only rounds a fixed
-// Burst gets — and, with Burst unset, one whenever a receipt arrives, a
-// decode gives a relay something new to forward or a subscriber appears,
-// so rows leave as fast as the receiver's progress frees its window
-// (adapt.Link) and not a tick later.
+// every Tick while any peer is owed rows — and one whenever a receipt
+// arrives, a decode gives a relay something new to forward or a subscriber
+// appears, so rows leave as fast as the receiver's progress frees its
+// window (adapt.Link) and not a tick later.
 //
 // Lock order, here as everywhere in the package: Session.mu before
 // objectState.mu, never the reverse, and nothing is sent under either.
@@ -45,8 +44,8 @@ type peerPlan struct {
 	// the peer reports completion.
 	gensDone []bool // generations complete at the peer (nil = none)
 	needMeta bool
-	// burst is how many DATA frames this peer gets this round: Config.Burst
-	// when set, else what the peer's window has free (adapt.Link.Grant).
+	// burst is how many DATA frames this peer gets this round: what the
+	// peer's window has free (adapt.Link.Grant).
 	burst int
 	// The cursors advance on this copy during emit and are written back
 	// at commit — per peer, so each fetcher walks the whole cached basis
@@ -83,8 +82,9 @@ func genDone(done []bool, g int) bool { return g < len(done) && done[g] }
 func (p *peerPlan) native(x int, z *packet.Packet) {
 	p.rows = append(p.rows, z)
 	if len(p.unsettled) == maxUnsettled {
-		// More in flight than a paced link can have (a large fixed Burst):
-		// forget the older half, which at worst repeats one of them early.
+		// More in flight than any window lets a link have: the hard bound,
+		// should a grant ever exceed one. Forget the older half, which at
+		// worst repeats one of them early.
 		p.unsettled = p.unsettled[:copy(p.unsettled, p.unsettled[maxUnsettled/2:])]
 	}
 	p.unsettled = append(p.unsettled, sentNative{p.sentBase + uint32(len(p.rows)), int32(x)})
@@ -163,18 +163,15 @@ func (s *Session) planPeerLocked(st *objectState, addr transport.Addr, sizeKnown
 	ps := st.peer(addr)
 	p := peerPlan{addr: addr, cacheCursor: ps.cacheCursor, sysCursor: ps.sysCursor, repairAt: ps.repairAt, repairStep: ps.repairStep}
 	p.needMeta = sizeKnown && now.Sub(ps.metaAt) >= s.metaResend()
-	// Grant runs whoever sets the burst: it is also what folds the peer's
-	// receipts into its loss estimate. The taper reads what the peer itself
-	// reported missing when it has: fed by several senders, it never brings
-	// one link's innovative count near k.
+	// Grant is also what folds the peer's receipts into its loss estimate.
+	// The taper reads what the peer itself reported missing when it has:
+	// fed by several senders, it never brings one link's innovative count
+	// near k.
 	lacks := ps.link.Lacks(st.k)
 	if ps.frontier != nil {
 		lacks = ps.lacksLocked(st.kPer)
 	}
 	p.burst = ps.link.Grant(now.UnixNano()/int64(s.cfg.Tick), lacks)
-	if s.cfg.Burst > 0 {
-		p.burst = s.cfg.Burst
-	}
 	if p.burst == 0 && !p.needMeta {
 		return p // nothing to send: planLocked leaves the peer out
 	}
@@ -329,7 +326,11 @@ func (st *objectState) mergeLogLocked() {
 // mostly land on natives the peer has. The exception is a node free to
 // recode (ungated) that holds coded rows of the generation it cannot
 // decode yet, and fewer natives than the peer lacks: those rows reach what
-// its natives cannot.
+// its natives cannot. A generation with no frontier is not coded for while
+// a native of it sent toward the peer is unsettled — repairLocked's gate:
+// the next receipt or completion report says whether anything is owed, and
+// a frontier-less peer (a cache) handed a pass's last natives would
+// otherwise get coded rows behind them before it could report them.
 //
 // The systematic pass walks the peer's cursor along the object's
 // decode-order log, emitting each native AT MOST once as a degree-1 row
@@ -352,7 +353,7 @@ func (s *Session) drawRowsLocked(st *objectState, p *peerPlan) {
 			return true
 		}
 		if p.frontier == nil || p.frontier[g] == nil {
-			return false
+			return slices.ContainsFunc(p.unsettled, func(u sentNative) bool { return int(u.x)/st.kPer == g })
 		}
 		return st.coder.GenStored(g) == 0 || len(st.coder.DecodeLog(g)) >= frontierLacks(p.frontier[g], st.kPer)
 	}

@@ -161,7 +161,7 @@ func pushSession(t *testing.T, self transport.Addr, mut func(*Config)) (*Session
 	t.Helper()
 	rec := newRecTransport(self)
 	clk := transport.NewVClock()
-	cfg := Config{Transport: rec, Clock: clk, Tick: 2 * time.Millisecond, Burst: 3, Seed: 42, HaveSeed: true}
+	cfg := Config{Transport: rec, Clock: clk, Tick: 2 * time.Millisecond, Seed: 42, HaveSeed: true}
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -204,7 +204,7 @@ func feed(dst *Session, src *recTransport, without ...byte) {
 // before any coded row; cache-req because the 48 rows its plain source
 // offers the cache are now natives 0..47 instead of coded rows dealt
 // across both generations, so the cache serves a different basis. All but
-// paced set Burst explicitly, so the pacer leaves them alone; paced was
+// paced then ran at a fixed per-tick burst, which the pacer left alone; paced was
 // re-pinned again when the pacer's state became a window of rows in flight
 // (a receipt per sixteen rows, a tick late, now frees sixteen rows of
 // window where it used to move a per-tick burst, and unacknowledged rows
@@ -212,37 +212,48 @@ func feed(dst *Session, src *recTransport, without ...byte) {
 // standing peers, the only population whose push order was deterministic
 // before plans were sorted. All five were re-pinned once more when DATA
 // rows began to carry their send sequence in header byte 3; maskedGoldens,
-// the same streams with that byte zeroed, are the five digests as they
-// stood before, so the stamp is the only thing that moved in any stream.
+// the same streams with that byte zeroed, were then the five digests as
+// they stood before, so the stamp was the only thing that moved in any
+// stream. dataGoldens are the streams' DATA frames alone.
 //
-// The last re-pin came with the one META form: a single-generation object's
-// META grew from 33 bytes to the 37 of the generation form. That moved the
-// two single-generation streams, static-g1-manifest and paced, stamps
-// zeroed or not; dataGoldens — the streams' DATA frames alone — are all
-// five as they stood before it, so nothing a push round draws or sends as
-// DATA moved. systematic was adaptive-systematic until the Adaptive switch,
-// which no push stream ever depended on, was retired.
+// The one META form re-pinned the two single-generation streams,
+// static-g1-manifest and paced, stamps zeroed or not: a single-generation
+// object's META grew from 33 bytes to the 37 of the generation form, and
+// nothing a push round drew or sent as DATA moved. systematic was
+// adaptive-systematic until the Adaptive switch, which no push stream ever
+// depended on, was retired.
+//
+// The last re-pin came with the one pacer: the fixed per-tick burst the
+// other four set (pushSession's 3, and 2, 4 and 4) is gone, so every
+// configuration is now receipt-clocked like paced — a start window of four
+// rows, then the window the receipts free, or the floor of a row a tick
+// where none come — and all three digests of those four moved. g4-gen-complete
+// and cache-req moved with that alone; static-g1-manifest and systematic also
+// by the rule that a generation with no frontier gets no coded row while a
+// native of it sent to the peer is unsettled (recodeLocked). paced did not
+// move, in any of its three forms. systematic runs 80 ticks after the
+// receipt where it ran 40, so that both passes still end before it does.
 var pushGoldens = map[string]string{
-	"static-g1-manifest": "a003f7628061c08d18d4fb0c61a919540fd5ece36957ec8c220e16794acd8fd3",
-	"g4-gen-complete":    "b251340bebeb8d5c87ad59337315d5215822c5517ff92d704ecada7796ff9e36",
-	"systematic":         "5bd56aa55aace605477b3d64f27e297e98742a468fd0e7b322927c0c77497fcf",
-	"cache-req":          "c20934513c6657fff1661b40f7b62eb63ee1f78c455c9cf150d35c53cad8ce3b",
+	"static-g1-manifest": "35f383937d254eac432b8ca792cc08c4525a4e7332702df0d50a8e2b22e2dcf2",
+	"g4-gen-complete":    "30f61bb79823e8ffc3ee08d750b5087484e707af045961354a23bd9810abafbe",
+	"systematic":         "39f4a34d04dc133ad2706b04626a2988e342db00044fb629a2fdeb265c1e8b71",
+	"cache-req":          "ba5a3343a12457d34db3d2642aeed3c7092f506cae947f451f50b7514f01c0ad",
 	"paced":              "6564e31017c6958bd3a5832f14e75938bc6433f685d8dc2c890df9c76460364a",
 }
 
 var maskedGoldens = map[string]string{
-	"static-g1-manifest": "3fe1275cb5d4616f7ac2d0b257e00bdb72acbffe549cdaabd2405a180fb5fb78",
-	"g4-gen-complete":    "34b6cd801bd46f19dffc3c865b983fa54acb5a8809766539abfb9e9485d1becd",
-	"systematic":         "a394421719bee887a1bf1801f8a7cd84f2a1c2a5071c0ccc93c20004295ab267",
-	"cache-req":          "ac2fb3e1b634f16930081e1951c528f9ae3a28c74365cb586c4ae504a757ee15",
+	"static-g1-manifest": "38254701635b492b013ce7debfa84b8cde0b57d08916490e64a6b3f96a578e72",
+	"g4-gen-complete":    "ea26190f0d2c2e15cd1c86a07cf082fab837a2cac29acb78bf1010d89f8c272c",
+	"systematic":         "eb31c9ce8f860edde39f6014cc6f774e9b5a71ba11b864621cf13e2eebbcbf1c",
+	"cache-req":          "1ede31a8fc288985cac399ea90aace9f80f4ce968273971162a207728b2f4944",
 	"paced":              "170304c2523f9eb71e59d7062f558676e3d9e14ce437c8bf5fb1db512096b2e9",
 }
 
 var dataGoldens = map[string]string{
-	"static-g1-manifest": "9609d5b2661a6c366b1838884f62ac22a83e460a571945d358e44dd400299009",
-	"g4-gen-complete":    "92bd1e825702a34548c2a6df7d9a15a9b7439d27ef841edb031b4f9025879912",
-	"systematic":         "694fecd811e99bbb33e1d6f88ece36ac452e963d7cf6a5157c52a36224688513",
-	"cache-req":          "60c55bf2bfb619cf61bc54ff164a039f89a6941746a9a8490a1935579d743fbf",
+	"static-g1-manifest": "0d85aebdadd2a5fca9189e4bad8d72db60face784fd3c8b45a4decd8084f08ca",
+	"g4-gen-complete":    "50f04b1921e5241e5dc58928afba4f469c36da07bc2c626c8f445bf11e55e3ac",
+	"systematic":         "a049730a12c83abeeb1b524fafb7d5afff19a695933682164790590d96ab0dc4",
+	"cache-req":          "3fe0837532176881ecec538b83086bfe6c5e1db96cfa082162a8a722f5bed081",
 	"paced":              "5d89b8a1e302ae34dd295396dbcfd163e82c828b64d767853d361173bcdd4e6c",
 }
 
@@ -264,7 +275,7 @@ func TestPushGolden(t *testing.T) {
 			return rec
 		},
 		"g4-gen-complete": func(t *testing.T) *recTransport {
-			s, rec, clk := pushSession(t, "src", func(c *Config) { c.Burst = 2 })
+			s, rec, clk := pushSession(t, "src", nil)
 			s.AddPeer("a")
 			s.AddPeer("b")
 			id, err := s.Serve(testContent(128*32, 2), 128, 4)
@@ -281,7 +292,7 @@ func TestPushGolden(t *testing.T) {
 			return rec
 		},
 		"systematic": func(t *testing.T) *recTransport {
-			s, rec, clk := pushSession(t, "src", func(c *Config) { c.Burst = 4 })
+			s, rec, clk := pushSession(t, "src", nil)
 			s.AddPeer("a")
 			id, err := s.Serve(testContent(96*40, 3), 96, 2)
 			if err != nil {
@@ -295,11 +306,11 @@ func TestPushGolden(t *testing.T) {
 			// whole generation.
 			injectFrame(s, "a", receiptFrame(id, 0, 32, 30))
 			injectFrame(s, "a", genFeedbackFrame(id, 1))
-			pushTicks(s, clk, 40) // both systematic passes end, coded repair follows
+			pushTicks(s, clk, 80) // both systematic passes end, coded repair follows
 			return rec
 		},
 		"cache-req": func(t *testing.T) *recTransport {
-			src, srcRec, srcClk := pushSession(t, "src", func(c *Config) { c.Burst = 4 })
+			src, srcRec, srcClk := pushSession(t, "src", nil)
 			src.AddPeer("cache")
 			id, err := src.Serve(testContent(64*32, 4), 64, 2)
 			if err != nil {
@@ -307,7 +318,7 @@ func TestPushGolden(t *testing.T) {
 			}
 			s, rec, clk := pushSession(t, "cache", func(c *Config) { c.CacheBudget = 1 << 20 })
 			s.AddPeer("down")
-			for i := 0; i < 12; i++ { // partial coverage: 48 rows offered for k = 64
+			for i := 0; i < 12; i++ { // partial coverage: no receipt goes back, 25 rows offered for k = 64
 				pushTicks(src, srcClk, 1)
 				feed(s, srcRec)
 			}
@@ -318,13 +329,13 @@ func TestPushGolden(t *testing.T) {
 			pushTicks(s, clk, 30)
 			return rec
 		},
-		// Burst unset: receipts set the pace. "a" acknowledges every row
+		// Receipts set the pace. "a" acknowledges every row
 		// (one receipt per receiptEvery, folded by the next round), the
 		// subscriber never does; the digest pins the ramp, the taper against
 		// a's innovative count, the ageing of rows no receipt names, the
 		// silence decay and the rows drawn.
 		"paced": func(t *testing.T) *recTransport {
-			s, rec, clk := pushSession(t, "src", func(c *Config) { c.Burst = 0 })
+			s, rec, clk := pushSession(t, "src", nil)
 			s.AddPeer("a")
 			id, err := s.Serve(testContent(256*24, 5), 256, 1)
 			if err != nil {
@@ -431,7 +442,6 @@ type matrixCell struct {
 	s       *Session
 	rec     *recTransport
 	st      *objectState
-	burst   int
 	content []byte
 	done    []bool // the peer's completed generations (gensDone-partial only)
 	// early (the unverified modes): the hand-fed rows arrived before the
@@ -442,23 +452,17 @@ type matrixCell struct {
 const matrixPeer transport.Addr = "peer"
 
 // newMatrixCell builds a session holding one object in mode obj, with
-// matrixPeer in state peer. Geometry, burst and seed are drawn from rng; a
-// paused peer's node runs paced (Burst unset), the others at the burst.
+// matrixPeer in state peer. Geometry and seed are drawn from rng.
 func newMatrixCell(t *testing.T, rng *rand.Rand, obj, peer int) *matrixCell {
 	t.Helper()
 	gens, kPer, m := 2+rng.Intn(3), 8+rng.Intn(17), 16*(1+rng.Intn(3))
 	content := testContent(gens*kPer*m, rng.Int63())
-	c := &matrixCell{burst: 1 + rng.Intn(5), content: content}
+	c := &matrixCell{content: content}
 	seed := rng.Int63()
-	mut := func(cfg *Config) {
-		cfg.Burst, cfg.Seed = c.burst, seed
-		if peer == peerPaused {
-			cfg.Burst = 0
-		}
-	}
+	mut := func(cfg *Config) { cfg.Seed = seed }
 
 	// A plain source the node under test learns the object from.
-	src, srcRec, srcClk := pushSession(t, "src", func(cfg *Config) { cfg.Burst = c.burst; cfg.Seed = seed + 1 })
+	src, srcRec, srcClk := pushSession(t, "src", func(cfg *Config) { cfg.Seed = seed + 1 })
 	src.AddPeer("node")
 	id, err := src.Serve(content, gens*kPer, gens)
 	if err != nil {
@@ -468,11 +472,12 @@ func newMatrixCell(t *testing.T, rng *rand.Rand, obj, peer int) *matrixCell {
 		return handRow(t, id, content, gens, kPer, g, forged, idx...)
 	}
 	// learn feeds n source push rounds into s, minus the frame kinds in
-	// without.
+	// without, and s's receipts back: they are what paces the source.
 	learn := func(s *Session, n int, without ...byte) {
 		for i := 0; i < n; i++ {
 			pushTicks(src, srcClk, 1)
 			feed(s, srcRec, without...)
+			feed(src, s.tr.(*recTransport))
 		}
 	}
 	var clk *transport.VClock
@@ -486,10 +491,15 @@ func newMatrixCell(t *testing.T, rng *rand.Rand, obj, peer int) *matrixCell {
 		c.s, c.rec, clk = pushSession(t, "node", func(cfg *Config) { mut(cfg); cfg.CacheBudget = 1 << 20 })
 		// The source's systematic pass walks generation by generation: run
 		// it through, so the cache covers every generation a peer may ask for.
-		if rounds := gens*kPer/c.burst + 2*gens; obj == objCached {
-			learn(c.s, rounds)
-		} else {
-			learn(c.s, rounds, frameMeta, frameManifest)
+		var without []byte
+		if obj == objCachedSizeless {
+			without = []byte{frameMeta, frameManifest}
+		}
+		for full := uint32(0); full < uint32(gens); full, _, _, _ = c.s.cache.Coverage(id) {
+			if srcClk.Since(transport.VClockBase) > time.Second {
+				t.Fatalf("set-up: the cache covers %d of %d generations after a second of pushes", full, gens)
+			}
+			learn(c.s, 1, without...)
 		}
 	case objBelowThreshold:
 		c.s, c.rec, clk = pushSession(t, "node", func(cfg *Config) { mut(cfg); cfg.Relay = true; cfg.Aggressiveness = 0.9 })
@@ -612,6 +622,9 @@ func checkMatrixCell(t *testing.T, c *matrixCell, obj, peer int) {
 		before = *ps
 	}
 	sentBefore, now := st.sent, s.clk.Now()
+	// What the peer's window grants this round, read off a copy of its link.
+	probe := before.link
+	grant := probe.Grant(now.UnixNano()/int64(s.cfg.Tick), probe.Lacks(st.k))
 
 	s.push()
 
@@ -646,9 +659,9 @@ func checkMatrixCell(t *testing.T, c *matrixCell, obj, peer int) {
 		for _, d := range c.done {
 			need -= btoi(d)
 		}
-		wantData = min(c.burst, good*need)
+		wantData = min(grant, good*need)
 	case obj < objQuarantined:
-		wantData = c.burst
+		wantData = grant
 	}
 	if meta != btoi(wantMeta) || manifest != wantMan || data != wantData {
 		t.Fatalf("emitted %d META, %d MANIFEST, %d DATA; want %d, %d, %d",
@@ -709,12 +722,12 @@ func checkMatrixCell(t *testing.T, c *matrixCell, obj, peer int) {
 		if ps.sysCursor != 0 {
 			t.Fatalf("sysCursor = %d with no systematic pass", ps.sysCursor)
 		}
-	case wantData == c.burst:
+	case wantData == grant:
 		if ps.sysCursor < wantData {
 			t.Fatalf("sysCursor = %d after %d systematic rows", ps.sysCursor, wantData)
 		}
 	case ps.sysCursor != len(st.sysLog):
-		// A short burst means the pass ran out of log, passing over what
+		// A short round means the pass ran out of log, passing over what
 		// it may not send — it never waits on an entry.
 		t.Fatalf("sysCursor = %d after a short burst, the log holds %d", ps.sysCursor, len(st.sysLog))
 	}

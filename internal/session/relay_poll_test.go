@@ -41,6 +41,15 @@ func TestPolluterThroughRelay(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The relay answers the fetcher's REQ with META and manifest once it
+	// holds both; a REQ that beat them would get the manifest only at the
+	// META resend, after the paced fetch is over.
+	for o, _ := relay.Object(id); !o.HaveManifest; o, _ = relay.Object(id) {
+		if o.Complete {
+			t.Fatal("set-up: the relay completed the object without its manifest")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	got, stats, err := dst.Fetch(ctx, id, "relay", "polluter")

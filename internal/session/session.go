@@ -52,7 +52,7 @@
 //	               6=receipt report: gen(4), received(4), innovative(4),
 //	               departed(4) — the receiver's cumulative per-sender row
 //	               counters, one report per 16 rows judged, fed to the
-//	               sender's loss estimator and pacer (Config.Burst,
+//	               sender's loss estimator and pacer (adapt.Link,
 //	               DESIGN.md §16); departed is the highest send sequence
 //	               among the sender's stamped rows (header byte 3: the
 //	               row's send sequence on the link, mod 128) — every row
@@ -581,8 +581,7 @@ func (s *Session) Close() error {
 	return err
 }
 
-// wake asks for a push round now instead of at the timer's next fire (with
-// a fixed Config.Burst: for the timer back, if parked, and no more). The
+// wake asks for a push round now instead of at the timer's next fire. The
 // signal coalesces: a wake-up already pending will plan against whatever
 // the caller just changed.
 func (s *Session) wake() {
@@ -647,17 +646,15 @@ func (s *Session) newHousekeeping(now time.Time) *housekeeping {
 // round is one turn of the push plane, the timer's or a wake-up's, and
 // returns the period to re-arm the timer with, zero to leave it running.
 // While push finds a target the period is Tick: the floor (adapt.Link
-// grants a row a Tick to a peer whose receipts never come), the beat the
-// silence rule and the META resend are read against, and the only clock of
-// a fixed Config.Burst, for which a wake-up does no more than un-park the
-// timer. With nothing owed to anyone the timer parks until the next
-// housekeeping deadline.
+// grants a row a Tick to a peer whose receipts never come) and the beat the
+// silence rule and the META resend are read against. With nothing owed to
+// anyone the timer parks until the next housekeeping deadline.
 func (hk *housekeeping) round(s *Session, timed bool) (rearm time.Duration) {
-	var live bool
 	if timed {
 		hk.run(s, s.clk.Now()) // first: a shuffle may hand push new neighbors
-		live = s.push()
-	} else if live = s.cfg.Burst > 0 || s.push(); !live {
+	}
+	live := s.push()
+	if !live && !timed {
 		// About to park: a probe or a fetch's REQ may have gone out since
 		// the last timer round looked.
 		hk.probeAt, hk.reqAt = s.probeSweep(), s.reqSweep()

@@ -77,7 +77,6 @@ func startSession(t *testing.T, tr transport.Transport, mut func(*Config)) *Sess
 	cfg := Config{
 		Transport: tr,
 		Tick:      500 * time.Microsecond,
-		Burst:     4,
 		Seed:      int64(len(t.Name())),
 	}
 	if mut != nil {
@@ -186,7 +185,7 @@ func TestRunSwarmSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paced := func(c *Config) { c.Burst, c.Tick = 0, 2*time.Millisecond }
+	paced := func(c *Config) { c.Tick = 2 * time.Millisecond }
 	src := startSession(t, attach(t, sw, "source"), paced)
 	relays := make([]*Session, 2)
 	for i, name := range []transport.Addr{"r0", "r1"} {

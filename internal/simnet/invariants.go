@@ -64,7 +64,7 @@ type flowKey struct {
 }
 
 // flowCount is what the tap keeps per flow: the DATA frames it has carried
-// in all, and — read in paced runs only — n of them in tick.
+// in all, and n of them in tick.
 type flowCount struct {
 	total int64
 	tick  int64
@@ -121,7 +121,7 @@ func (r *runner) inspect(from, to transport.Addr, frame []byte) {
 	c.total, c.n = c.total+1, c.n+1
 	r.flows[key] = c
 	r.maxFlow = max(r.maxFlow, c.total)
-	if r.sc.Burst == BurstPaced && c.n == adapt.TickCeiling+1 { // report each breached tick once
+	if c.n == adapt.TickCeiling+1 { // report each breached tick once
 		r.violatef("%s→%s: more than %d DATA frames of %v in one tick", from, to, adapt.TickCeiling, wv.Object)
 	}
 }

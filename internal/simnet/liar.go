@@ -34,7 +34,7 @@ const (
 // (forgedFrontier), which could redirect a sender's repair: everything
 // missing, everything present, a generation the object does not have, the
 // wrong length, natives past the generation's end. The pacer's ceiling
-// (adapt.TickCeiling rows a tick, checked frame by frame in a paced run)
+// (adapt.TickCeiling rows a tick, checked frame by frame in every run)
 // is the defense: a departure count empties no more than a received count
 // does, and a frontier chooses which rows its claimant gets, never how
 // many. The fabric steps it: it pumps at virtual intervals and goes quiet

@@ -45,7 +45,7 @@ var named = map[string]namedScenario{
 				},
 				PeersPerFetcher: 2,
 				Link:            LinkConfig{Loss: 0.05, Latency: 5 * time.Millisecond, Jitter: 3 * time.Millisecond},
-				Churn:           ChurnSpec{Fraction: 0.2, Start: 500 * time.Millisecond, Interval: 100 * time.Millisecond},
+				Churn:           ChurnSpec{Fraction: 0.2, Start: 40 * time.Millisecond, Interval: 10 * time.Millisecond}, // inside the initial fetches: 58–140 ms in (seed 1)
 				Duration:        60 * time.Second,
 				MaxOverhead:     1.25,
 			}
@@ -83,8 +83,9 @@ var named = map[string]namedScenario{
 				Objects:         []ObjectSpec{{Size: 32 << 10, K: 128}},
 				PeersPerFetcher: 2, // = both relays
 				Link:            LinkConfig{Loss: 0.03, Latency: 4 * time.Millisecond, Jitter: 2 * time.Millisecond},
+				// Mid-fetch: the fetches complete ~100 ms in.
 				Timeline: []Event{
-					{At: 400 * time.Millisecond, Kind: EvCrash, Node: "r0"},
+					{At: 50 * time.Millisecond, Kind: EvCrash, Node: "r0"},
 				},
 				Duration:    60 * time.Second,
 				MaxOverhead: 1.25,
@@ -239,7 +240,7 @@ var named = map[string]namedScenario{
 				Objects:  []ObjectSpec{{Size: 16 << 10, K: 64}},
 				Tick:     25 * time.Millisecond,
 				Link:     LinkConfig{Latency: 2 * time.Millisecond},
-				Churn:    ChurnSpec{Fraction: 0.2, Start: 300 * time.Millisecond, Interval: 50 * time.Millisecond},
+				Churn:    ChurnSpec{Fraction: 0.2, Start: 30 * time.Millisecond, Interval: 5 * time.Millisecond}, // half the initial fetches are done 180 ms in (seed 1)
 				Duration: 120 * time.Second,
 			}
 		},
@@ -260,7 +261,7 @@ var named = map[string]namedScenario{
 				Objects:  []ObjectSpec{{Size: 8 << 10, K: 32}},
 				Tick:     25 * time.Millisecond,
 				Link:     LinkConfig{Latency: 2 * time.Millisecond},
-				Churn:    ChurnSpec{Fraction: 0.2, Start: 500 * time.Millisecond, Interval: 50 * time.Millisecond},
+				Churn:    ChurnSpec{Fraction: 0.2, Start: 100 * time.Millisecond, Interval: 2 * time.Millisecond}, // half the initial fetches are done 270 ms in (seed 1)
 				Duration: 180 * time.Second,
 			}
 		},
@@ -282,12 +283,13 @@ var named = map[string]namedScenario{
 				},
 				PeersPerFetcher: 3,
 				Link:            LinkConfig{Loss: 0.1, Latency: 8 * time.Millisecond, Jitter: 4 * time.Millisecond},
-				Churn:           ChurnSpec{Fraction: 0.3, Start: 300 * time.Millisecond, Interval: 300 * time.Millisecond},
+				Churn:           ChurnSpec{Fraction: 0.3, Start: 60 * time.Millisecond, Interval: 20 * time.Millisecond},
 				// The partition must overlap the initial bulk transfer to bite:
-				// it opens at 1s (the k=512 object is still streaming) and heals
-				// at 4s, stranding the f0–f9 side from the source mid-object.
+				// it opens at 100 ms (the k=512 object is still streaming; its
+				// fetches complete ~230 ms in) and heals at 4s, stranding the
+				// f0–f9 side from the source mid-object.
 				Timeline: []Event{
-					{At: time.Second, Kind: EvPartition, Groups: [][]string{
+					{At: 100 * time.Millisecond, Kind: EvPartition, Groups: [][]string{
 						{"f0", "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "f9"},
 						{"s0", "f10", "f11", "f12", "f13", "f14", "f15"},
 					}},

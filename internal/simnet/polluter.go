@@ -50,6 +50,7 @@ type polluter struct {
 	// a pump visits them.
 	victims []victim
 	seq     int
+	pumps   int // odd pumps forge unit rows, even ones dense
 
 	pumpAt, advertAt, lastReq time.Time
 }
@@ -164,17 +165,26 @@ func (p *polluter) receive(f transport.Frame, now time.Time) {
 
 // pump sends one forged row to every (victim, object) subscription,
 // round-robin over row indices and generations so forgeries never
-// collapse to duplicates.
+// collapse to duplicates. Pumps alternate the rows' degree, dense first:
+// receipts clock the honest push, so the manifest beats the first pump, and
+// a unit row is then digest-checked on arrival — convicting its sender on
+// the spot — where a degree-2 row poisons its generation until that fails
+// verification: quarantine, probe, blame.
 func (p *polluter) pump(now time.Time) {
 	if now.Sub(p.lastReq) >= pollIdle {
 		return
 	}
+	dense := p.pumps%2 == 0
+	p.pumps++
 	for _, v := range p.victims {
 		g := p.geom[v.id]
 		payload := bytes.Repeat([]byte{0xB6}, g.m)
 		// Vary the garbage so forged rows stay "innovative".
 		payload[0], payload[1] = byte(p.seq), byte(p.seq>>8)
 		pk := packet.Native(g.kPer, p.seq%g.kPer, payload)
+		if dense && g.kPer > 1 {
+			pk.Vec.Set((p.seq + 1) % g.kPer)
+		}
 		pk.Object = v.id
 		if g.gens > 1 {
 			pk.Generation = uint32(p.seq % g.gens)

@@ -394,7 +394,6 @@ func (r *runner) startNode(name string, relay bool, cacheBudget int64, peers []s
 	cfg := session.Config{
 		Transport:      port,
 		Tick:           sc.Tick,
-		Burst:          max(sc.Burst, 0),
 		Aggressiveness: sc.Aggressiveness,
 		IdleTimeout:    sc.IdleTimeout,
 		Relay:          relay,

@@ -189,9 +189,12 @@ type Scenario struct {
 	Grid       time.Duration
 	Trace      bool
 
-	// Session tuning (virtual durations).
+	// Session tuning (virtual durations). Every session is receipt-clocked,
+	// and the run checks, on every DATA frame crossing the fabric, that no
+	// sender put more than adapt.TickCeiling of them toward one receiver
+	// for one object into one Tick of virtual time: the ceiling no receipt
+	// stream, forged or flooded, can lift.
 	Tick           time.Duration // default 10ms
-	Burst          int           // default 2; BurstPaced leaves it to the receipts
 	Aggressiveness float64       // default: session default (0.01)
 	IdleTimeout    time.Duration // default: session default (60s)
 
@@ -206,15 +209,6 @@ type Scenario struct {
 	Duration    time.Duration
 	MaxOverhead float64
 }
-
-// BurstPaced as Scenario.Burst runs every session receipt-clocked — the
-// session default, session.Config.Burst unset — where the zero value keeps
-// meaning the lab's fixed two frames a tick. A paced run also checks, on
-// every DATA frame crossing the fabric, that no sender put more than
-// adapt.TickCeiling of them toward one receiver for one object into one
-// Tick of virtual time: the ceiling no receipt stream, forged or
-// flooded, can lift.
-const BurstPaced = -1
 
 func (sc *Scenario) setDefaults() error {
 	if sc.Seed == 0 {
@@ -248,12 +242,6 @@ func (sc *Scenario) setDefaults() error {
 	}
 	if sc.Tick == 0 {
 		sc.Tick = 10 * time.Millisecond
-	}
-	if sc.Burst == 0 {
-		sc.Burst = 2
-	}
-	if sc.Burst < BurstPaced {
-		return fmt.Errorf("simnet: burst %d invalid", sc.Burst)
 	}
 	if sc.Duration == 0 {
 		sc.Duration = 60 * time.Second

@@ -359,31 +359,27 @@ func TestScenarioPollutedSwarm(t *testing.T) {
 // claiming nothing ever arrived and all of it departed, trying to pin the
 // senders' loss estimates at the ceiling, one over-claiming, running its
 // counters backwards and wrapping them ten times a tick, trying to turn
-// its window over faster than any receiver could. The
-// estimator's clamps must hold — every honest fetch still completes
-// byte-identically, within its per-fetch reception overhead bound
-// (enforced as run violations), with the polluters still convicted. The
-// paced variant runs the same swarm with Burst unset, where receipts clock
-// every sender's push: on top of the above, no sender may put more than
+// its window over faster than any receiver could. The estimator's clamps
+// must hold — every honest fetch still completes byte-identically, within
+// its per-fetch reception overhead bound (enforced as run violations), with
+// the polluters still convicted — and no sender may put more than
 // adapt.TickCeiling DATA frames toward one receiver into one Tick of
 // virtual time (the fabric tap checks every frame), forged receipts,
-// flooded receipts or not. The committed
-// polluted-swarm catalog entry stays untouched; these are clones, so its
-// regression seeds keep replaying bytes.
+// flooded receipts or not. The committed polluted-swarm catalog entry stays
+// untouched; this is a clone, so its regression seeds keep replaying bytes.
+// Every sender is receipt-clocked, so the one run is the paced one.
 func TestScenarioLyingReceivers(t *testing.T) {
 	t.Parallel()
-	t.Run("burst2", func(t *testing.T) { runLyingReceivers(t, 0) })
-	t.Run("paced", func(t *testing.T) { runLyingReceivers(t, BurstPaced) })
+	t.Run("paced", runLyingReceivers)
 }
 
-func runLyingReceivers(t *testing.T, burst int) {
+func runLyingReceivers(t *testing.T) {
 	sc, err := Named("polluted-swarm", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc.Name = "polluted-swarm+liars"
 	sc.Liars = 2
-	sc.Burst = burst
 	rep, err := sc.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -440,7 +436,6 @@ func TestScenarioPacedLongRoundTrip(t *testing.T) {
 		Sources: 1, Relays: 2, Fetchers: 4,
 		Objects:         []ObjectSpec{{Size: 256 << 10, K: 1024}},
 		PeersPerFetcher: 2,
-		Burst:           BurstPaced,
 		Tick:            10 * time.Millisecond,
 		Link:            LinkConfig{Latency: 25 * time.Millisecond},
 		Duration:        60 * time.Second,

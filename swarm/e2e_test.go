@@ -38,7 +38,6 @@ func TestLoopbackEndToEnd(t *testing.T) {
 		Relay:  true,
 		Seed:   2,
 		Tick:   500 * time.Microsecond,
-		Burst:  4,
 	})
 
 	// Source pushes toward the relay only.
@@ -47,7 +46,6 @@ func TestLoopbackEndToEnd(t *testing.T) {
 		Peers:  []swarm.Addr{relay.LocalAddr()},
 		Seed:   3,
 		Tick:   500 * time.Microsecond,
-		Burst:  4,
 	})
 	id, err := src.Serve(content, k)
 	if err != nil {
@@ -114,7 +112,6 @@ func TestBootstrapEndToEnd(t *testing.T) {
 		Listen: "127.0.0.1:0",
 		Seed:   5,
 		Tick:   500 * time.Microsecond,
-		Burst:  4,
 	})
 	id, err := src.Serve(content, k)
 	if err != nil {
@@ -127,7 +124,6 @@ func TestBootstrapEndToEnd(t *testing.T) {
 		Bootstrap: []swarm.Addr{src.LocalAddr()},
 		Seed:      6,
 		Tick:      500 * time.Microsecond,
-		Burst:     4,
 	})
 	client := startNode(t, ctx, swarm.Config{
 		Listen:    "127.0.0.1:0",

@@ -79,14 +79,12 @@ func TestGenerationLargeObjectE2E(t *testing.T) {
 		Relay:     true,
 		Seed:      51,
 		Tick:      250 * time.Microsecond,
-		Burst:     16,
 	})
 	src := startNode(t, ctx, swarm.Config{
 		Transport: attach(t, sw, "source"),
 		Peers:     []swarm.Addr{"relay"},
 		Seed:      52,
 		Tick:      250 * time.Microsecond,
-		Burst:     16,
 	})
 	id, err := src.Serve(content, k)
 	if err != nil {

@@ -130,20 +130,21 @@ type Config struct {
 	// false and decode only objects they asked for.
 	Relay bool
 	// Tick is the push timer's period (default 2ms): the floor under the
-	// receipt clock and the push period of a fixed Burst. With Burst unset
-	// packets leave as the peers' receipt reports arrive, and the timer
-	// only guarantees a peer that never reports one packet a Tick; it runs
-	// while some peer is owed packets and parks otherwise.
+	// receipt clock. Packets leave as the peers' receipt reports arrive: a
+	// window of packets in flight toward each peer starts at a few, doubles
+	// while the reports show the packets arriving, halves on a loss step or
+	// when the reports stop, and stays between 1 and 32; packets leave
+	// whenever a report frees window. The timer only guarantees a peer that
+	// never reports one packet a Tick; it runs while some peer is owed
+	// packets and parks otherwise. At most 1,024 packets leave toward one
+	// peer per Tick, far above what an honest peer's reports free: the bound
+	// on what forged ones can take.
 	Tick time.Duration
-	// Burst, when positive, is a fixed number of packets pushed per object,
-	// target and Tick. Zero (the default) lets each peer's receipt reports
-	// clock the push: a window of packets in flight toward the peer starts
-	// at a few, doubles while the reports show the packets arriving,
-	// halves on a loss step or when the reports stop, and stays between 1
-	// and 32; packets leave whenever a report frees window — a peer that
-	// never reports is pushed one packet a Tick. At most 1,024 leave toward
-	// one peer per Tick, far above what an honest peer's reports free: the
-	// bound on what forged ones can take.
+	// Burst once fixed how many packets were pushed per object, target and
+	// Tick, on the timer alone. The peers' receipt reports now clock every
+	// push (see Tick), so there is nothing left for it to fix.
+	//
+	// Deprecated: has no effect.
 	Burst int
 	// Aggressiveness gates recoding as in the paper (default 0.01): a
 	// relay starts recoding an object once it holds K·Aggressiveness + 1
@@ -193,7 +194,7 @@ type Config struct {
 	// Adaptive once tuned how long a peer's redundancy aborts paused the
 	// push to it. Senders now learn of redundant rows from receipts alone
 	// (every session reports rows received and innovative per upstream,
-	// and that is what paces the push, see Burst), so there is nothing
+	// and that is what paces the push, see Tick), so there is nothing
 	// left for it to tune.
 	//
 	// Deprecated: has no effect.
@@ -228,7 +229,6 @@ func (c Config) sessionConfig(tr transport.Transport, nc ltnc.NodeConfig) sessio
 		Transport:              tr,
 		Bootstrap:              c.Bootstrap,
 		Tick:                   c.Tick,
-		Burst:                  c.Burst,
 		Aggressiveness:         c.Aggressiveness,
 		IdleTimeout:            c.IdleTimeout,
 		Relay:                  c.Relay,

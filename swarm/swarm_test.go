@@ -84,7 +84,6 @@ func TestSwitchEndToEndAdverse(t *testing.T) {
 		Relay:      true,
 		Seed:       12,
 		Tick:       500 * time.Microsecond,
-		Burst:      8,
 		MaxObjects: 4, // bounded-memory assertion below leans on this
 	})
 	src := startNode(t, ctx, swarm.Config{
@@ -92,7 +91,6 @@ func TestSwitchEndToEndAdverse(t *testing.T) {
 		Peers:       []swarm.Addr{"relay"},
 		Seed:        13,
 		Tick:        500 * time.Microsecond,
-		Burst:       8,
 		Generations: 4, // generations must complete (possibly out of order) under the same adversity
 	})
 	id, err := src.Serve(content, k)
@@ -323,7 +321,6 @@ func TestNodeOptionsPlumbing(t *testing.T) {
 	src := startNode(t, ctx, swarm.Config{
 		Transport: attach(t, sw, "src"),
 		Tick:      500 * time.Microsecond,
-		Burst:     4,
 		Node:      []ltnc.Option{ltnc.WithSeed(77), ltnc.WithRedundancyDetection(false)},
 	})
 	id, err := src.Serve(content, 64)
