@@ -2,12 +2,123 @@ package session
 
 import (
 	"bytes"
+	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"ltnc/internal/packet"
 	"ltnc/internal/transport"
 )
+
+// TestRunRefusesVirtualClock: Run keeps real time. A session on a virtual
+// clock is stepped by the clock's owner, so Run refuses it at once, before
+// it starts a goroutine.
+func TestRunRefusesVirtualClock(t *testing.T) {
+	s, _, _ := pushSession(t, "source", nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() { errc <- s.Run(ctx) }()
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Fatal("Run on a virtual clock returned nil")
+		}
+	case <-time.After(time.Second):
+		cancel()
+		<-errc
+		t.Fatal("Run on a virtual clock ran instead of refusing")
+	}
+	if s.shards != nil {
+		t.Fatal("Run started its decode workers before refusing")
+	}
+}
+
+// realTime names the package time functions that read or wait on the wall
+// clock.
+var realTime = map[string]bool{
+	"Now": true, "Since": true, "Until": true, "NewTimer": true, "NewTicker": true,
+	"AfterFunc": true, "After": true, "Tick": true, "Sleep": true,
+}
+
+// parseNonTest parses a directory's non-test Go files.
+func parseNonTest(t *testing.T, dir string) []*ast.File {
+	t.Helper()
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []*ast.File
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			files = append(files, f)
+		}
+	}
+	return files
+}
+
+// realTimeRef reports the real-time function n refers to, if any.
+func realTimeRef(n ast.Node) (string, bool) {
+	sel, ok := n.(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "time" && realTime[sel.Sel.Name] {
+		return "time." + sel.Sel.Name, true
+	}
+	return "", false
+}
+
+// TestOneGoroutinePerVirtualClock holds the drivers to their kinds of
+// time: virtual time ⇒ one goroutine, goroutines ⇒ real time. In the
+// session only Run's push goroutine (pushLoop) reads or waits on the wall
+// clock — everything else reads Config.Clock, so Step runs on whatever
+// instant its caller set — and the lab starts no goroutine and reads real
+// time only to report its own wall-clock cost (Report.WallElapsed).
+func TestOneGoroutinePerVirtualClock(t *testing.T) {
+	for _, f := range parseNonTest(t, ".") {
+		for _, d := range f.Decls {
+			fn, _ := d.(*ast.FuncDecl)
+			ast.Inspect(d, func(n ast.Node) bool {
+				if ref, ok := realTimeRef(n); ok && (fn == nil || fn.Name.Name != "pushLoop") {
+					t.Errorf("session: %s outside pushLoop", ref)
+				}
+				return true
+			})
+		}
+	}
+	// The lab: no go statement, and the wall clock read only by what fills
+	// in Report.WallElapsed — start := time.Now(), then time.Since(start).
+	for _, f := range parseNonTest(t, filepath.Join("..", "simnet")) {
+		for _, d := range f.Decls {
+			var refs []string
+			wall := false
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.GoStmt:
+					t.Errorf("simnet starts a goroutine")
+				case *ast.SelectorExpr:
+					if ref, ok := realTimeRef(n); ok {
+						refs = append(refs, ref)
+					}
+					wall = wall || n.Sel.Name == "WallElapsed"
+				}
+				return true
+			})
+			if len(refs) > 0 && (!wall || !slices.Equal(refs, []string{"time.Now", "time.Since"})) {
+				t.Errorf("simnet reads real time (%v) for more than Report.WallElapsed", refs)
+			}
+		}
+	}
+}
 
 // TestVirtualClockEndToEnd runs the full source → relay → fetch pipeline
 // with every session timer on a shared virtual clock, each hop taking half

@@ -137,11 +137,12 @@ type Config struct {
 	// selects a role-derived default: 200 for relays, 160 for caches, 16
 	// otherwise.
 	Capacity uint8
-	// Clock is the time source behind every session timer — the push
-	// timer, META resend, idle eviction, fetch retries. Default: the
-	// system clock. Simulations (internal/simnet) inject a virtual clock
-	// so a minute of protocol time passes in milliseconds of wall time,
-	// deterministically.
+	// Clock is the instant every session deadline is read against — the
+	// push timer, META resend, idle eviction, fetch retries. Default: the
+	// system clock, the only one Run accepts. Simulations
+	// (internal/simnet) inject a virtual clock and drive the session with
+	// Step, so a minute of protocol time passes in milliseconds of wall
+	// time, deterministically.
 	Clock transport.Clock
 	// Logf, when set, receives one line per notable event (object
 	// learned, complete, evicted).

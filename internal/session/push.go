@@ -14,8 +14,8 @@ import (
 
 // The push plane. One round is plan → emit → commit over one peerPlan
 // record per (object, peer). Rounds are run by the session's one driver
-// alone — Run's push goroutine or Step's caller, through
-// housekeeping.round (session.go): one when the timer fires — the floor,
+// alone — Run's push goroutine or Step's caller, through the push timer's
+// rounds (session.go): one when the timer fires — the floor,
 // every Tick while any peer is owed rows — and one whenever a receipt
 // arrives, a decode gives a relay something new to forward or a subscriber
 // appears, so rows leave as fast as the receiver's progress frees its

@@ -287,7 +287,8 @@ type inFrame struct {
 }
 
 // Session multiplexes objects over one transport. Create with New, drive
-// with Run, then Serve objects or Fetch them.
+// with Run (real time) or Step (a virtual clock), then Serve objects or
+// Fetch them.
 type Session struct {
 	cfg Config
 	tr  transport.Transport
@@ -499,8 +500,13 @@ func (s *Session) threshold(k int) int {
 // decode worker per shard drains and decodes DATA bursts, and one
 // goroutine pushes recoded packets — woken by receipts and decodes, every
 // Tick at the least — and evicts idle state. Step is the same session on
-// one goroutine; a session is driven by one or the other.
+// one goroutine; a session is driven by one or the other. Run keeps real
+// time: on any clock but transport.SystemClock it returns an error at once
+// (a virtual clock's owner steps its sessions).
 func (s *Session) Run(ctx context.Context) error {
+	if s.clk != transport.SystemClock() {
+		return errors.New("session: Run keeps real time; step a session on a virtual clock")
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	s.shards = make([]chan inFrame, decodeWorkers())
@@ -528,13 +534,10 @@ func (s *Session) Run(ctx context.Context) error {
 	return err
 }
 
-// stepper is what Step keeps between calls: the push timer Run's push
-// goroutine holds in a clock ticker, as a deadline, and the ingest
-// workspace a decode worker holds.
+// stepper is what Step keeps between calls: the push timer, which Run's
+// push goroutine holds too, and the ingest workspace a decode worker holds.
 type stepper struct {
-	hk      *housekeeping // nil until the first Step
-	at      time.Time     // the push timer's next fire
-	period  time.Duration // and its period from there
+	timer   *pushTimer // nil until the first Step
 	batch   []inFrame
 	scratch ingestScratch
 }
@@ -542,33 +545,17 @@ type stepper struct {
 // Step drives the session on the caller's goroutine, at the clock's
 // current instant, through exactly what Run's goroutines would do with
 // it: every frame the transport has queued is taken (transport.Poller) and
-// ingested, then push rounds run — housekeeping first when the timer's
-// deadline has come — for as long as a wake-up is pending. It returns the
-// timer's next deadline: a Tick away while some peer is owed rows, the next
-// housekeeping deadline otherwise. The session does nothing before then
-// unless a frame arrives or it is called into; whoever steps it (a virtual
-// clock's owner: internal/simnet) calls Step again at either.
+// ingested, then the push timer's rounds run. It returns the timer's next
+// deadline; the session does nothing before then unless a frame arrives or
+// it is called into. Whoever steps it (a virtual clock's owner:
+// internal/simnet) calls Step again at either.
 func (s *Session) Step() (next time.Time) {
-	d, now := &s.stepper, s.clk.Now()
-	if d.hk == nil {
-		d.hk, d.at, d.period = s.newHousekeeping(now), now.Add(s.cfg.Tick), s.cfg.Tick
+	d := &s.stepper
+	if d.timer == nil {
+		d.timer = s.newPushTimer(s.clk.Now())
 	}
 	s.ingestReady(d)
-	for {
-		timed := !now.Before(d.at)
-		select {
-		case <-s.wakeC: // a timer round serves the wake-up too
-		default:
-			if !timed {
-				return d.at
-			}
-		}
-		if rearm := d.hk.round(s, timed); rearm > 0 {
-			d.at, d.period = now.Add(rearm), rearm
-		} else if timed {
-			d.at = laterThan(now, d.at, d.period) // like a ticker, missed fires are dropped
-		}
-	}
+	return s.rounds(d.timer, false)
 }
 
 // Close stops Run and closes the underlying transport.
@@ -591,35 +578,34 @@ func (s *Session) wake() {
 	}
 }
 
-// pushLoop is Run's push goroutine: it selects on the wake signal and one
-// timer, and runs a housekeeping round (below) on either.
+// pushLoop is Run's push goroutine: the push timer's rounds on one
+// time.Timer, set to the deadline they return and run early by a wake-up.
 func (s *Session) pushLoop(ctx context.Context) {
-	hk := s.newHousekeeping(s.clk.Now())
-	timer := s.clk.NewTicker(s.cfg.Tick)
-	defer func() { timer.Stop() }()
+	t := s.newPushTimer(s.clk.Now())
+	timer := time.NewTimer(time.Until(t.at))
+	defer timer.Stop()
 	for {
-		timed := false
+		woken := false
 		select {
 		case <-ctx.Done():
 			return
 		case <-s.closed:
 			return
 		case <-s.wakeC:
-		case <-timer.C():
-			timed = true
+			woken = true
+		case <-timer.C:
 		}
-		if rearm := hk.round(s, timed); rearm > 0 {
-			timer.Stop()
-			timer = s.clk.NewTicker(rearm)
-		}
+		timer.Reset(time.Until(s.rounds(t, woken)))
 	}
 }
 
-// housekeeping is the push timer's state, whichever driver holds the
-// timer: the slow duties as deadlines on the session clock, so they keep
-// their cadence whatever period the timer runs at, and where the timer
-// stands.
-type housekeeping struct {
+// pushTimer is the push plane's one timer, whichever driver holds it: where
+// it fires next and at what period from there, and the slow duties as
+// deadlines on the session clock, so they keep their cadence whatever
+// period the timer runs at.
+type pushTimer struct {
+	at                       time.Time     // the next fire
+	period                   time.Duration // and the period from there
 	evictEvery, shuffleEvery time.Duration
 	evictAt, shuffleAt       time.Time
 	probeAt                  time.Time // earliest unanswered probe's timeout; zero with none out
@@ -627,20 +613,49 @@ type housekeeping struct {
 	parked                   time.Time // the deadline the timer is parked at; zero: running at Tick
 }
 
-func (s *Session) newHousekeeping(now time.Time) *housekeeping {
+func (s *Session) newPushTimer(now time.Time) *pushTimer {
+	t := &pushTimer{at: now.Add(s.cfg.Tick), period: s.cfg.Tick}
 	// Evict roughly four times per idle timeout, at most once per tick
 	// and at least once per second.
-	hk := &housekeeping{evictEvery: min(time.Second, max(s.cfg.Tick, s.cfg.IdleTimeout/4))}
-	hk.evictAt = now.Add(hk.evictEvery)
+	t.evictEvery = min(time.Second, max(s.cfg.Tick, s.cfg.IdleTimeout/4))
+	t.evictAt = now.Add(t.evictEvery)
 	if s.member != nil {
 		// Membership shuffles start at a per-session random phase so a
 		// lockstep-started swarm does not stampede its bootstrap nodes in
 		// synchronized rounds.
-		hk.shuffleEvery = max(s.cfg.Tick, s.cfg.ShufflePeriod)
-		phase := s.member.phase(int(hk.shuffleEvery / s.cfg.Tick))
-		hk.shuffleAt = now.Add(time.Duration(phase+1) * s.cfg.Tick)
+		t.shuffleEvery = max(s.cfg.Tick, s.cfg.ShufflePeriod)
+		phase := s.member.phase(int(t.shuffleEvery / s.cfg.Tick))
+		t.shuffleAt = now.Add(time.Duration(phase+1) * s.cfg.Tick)
 	}
-	return hk
+	return t
+}
+
+// rounds runs push rounds — housekeeping first when the timer's deadline
+// has come — for as long as a wake-up is pending (woken: the caller took
+// one already), and returns the timer's next deadline: a Tick away while
+// some peer is owed rows, the next housekeeping deadline otherwise. Each
+// round reads the clock afresh: a virtual one stands still for all of
+// them, and on the wall clock a stream of wake-ups cannot hold the timer's
+// own rounds off.
+func (s *Session) rounds(t *pushTimer, woken bool) time.Time {
+	for ; ; woken = false {
+		now := s.clk.Now()
+		timed := !now.Before(t.at)
+		if !woken {
+			select {
+			case <-s.wakeC: // a timer round serves the wake-up too
+			default:
+				if !timed {
+					return t.at
+				}
+			}
+		}
+		if rearm := t.round(s, now, timed); rearm > 0 {
+			t.at, t.period = now.Add(rearm), rearm
+		} else if timed {
+			t.at = laterThan(now, t.at, t.period) // like a ticker, missed fires are dropped
+		}
+	}
 }
 
 // round is one turn of the push plane, the timer's or a wake-up's, and
@@ -649,25 +664,24 @@ func (s *Session) newHousekeeping(now time.Time) *housekeeping {
 // grants a row a Tick to a peer whose receipts never come) and the beat the
 // silence rule and the META resend are read against. With nothing owed to
 // anyone the timer parks until the next housekeeping deadline.
-func (hk *housekeeping) round(s *Session, timed bool) (rearm time.Duration) {
+func (t *pushTimer) round(s *Session, now time.Time, timed bool) (rearm time.Duration) {
 	if timed {
-		hk.run(s, s.clk.Now()) // first: a shuffle may hand push new neighbors
+		t.run(s, now) // first: a shuffle may hand push new neighbors
 	}
 	live := s.push()
 	if !live && !timed {
 		// About to park: a probe or a fetch's REQ may have gone out since
 		// the last timer round looked.
-		hk.probeAt, hk.reqAt = s.probeSweep(), s.reqSweep()
+		t.probeAt, t.reqAt = s.probeSweep(), s.reqSweep()
 	}
 	var at time.Time
-	now := s.clk.Now()
-	if next := hk.next(); !live && next.Sub(now) > s.cfg.Tick {
+	if next := t.next(); !live && next.Sub(now) > s.cfg.Tick {
 		at = next
 	}
-	if at == hk.parked {
+	if at == t.parked {
 		return 0
 	}
-	if hk.parked = at; at.IsZero() {
+	if t.parked = at; at.IsZero() {
 		return s.cfg.Tick
 	}
 	return at.Sub(now)
@@ -675,28 +689,28 @@ func (hk *housekeeping) round(s *Session, timed bool) (rearm time.Duration) {
 
 // run does what is due at now; probe timeouts and fetch REQ resends are
 // checked every time.
-func (hk *housekeeping) run(s *Session, now time.Time) {
-	hk.probeAt, hk.reqAt = s.probeSweep(), s.reqSweep()
-	if hk.shuffleEvery > 0 && !now.Before(hk.shuffleAt) {
+func (t *pushTimer) run(s *Session, now time.Time) {
+	t.probeAt, t.reqAt = s.probeSweep(), s.reqSweep()
+	if t.shuffleEvery > 0 && !now.Before(t.shuffleAt) {
 		s.memberShuffle()
-		hk.shuffleAt = laterThan(now, hk.shuffleAt, hk.shuffleEvery)
+		t.shuffleAt = laterThan(now, t.shuffleAt, t.shuffleEvery)
 	}
-	if !now.Before(hk.evictAt) {
+	if !now.Before(t.evictAt) {
 		s.evict()
-		hk.evictAt = laterThan(now, hk.evictAt, hk.evictEvery)
+		t.evictAt = laterThan(now, t.evictAt, t.evictEvery)
 	}
 }
 
 // next returns the earliest deadline a parked timer must wake for.
-func (hk *housekeeping) next() time.Time {
-	at := hk.evictAt
-	for _, t := range []time.Time{hk.probeAt, hk.reqAt} {
-		if !t.IsZero() && t.Before(at) {
-			at = t
+func (t *pushTimer) next() time.Time {
+	at := t.evictAt
+	for _, d := range []time.Time{t.probeAt, t.reqAt} {
+		if !d.IsZero() && d.Before(at) {
+			at = d
 		}
 	}
-	if hk.shuffleEvery > 0 && hk.shuffleAt.Before(at) {
-		at = hk.shuffleAt
+	if t.shuffleEvery > 0 && t.shuffleAt.Before(at) {
+		at = t.shuffleAt
 	}
 	return at
 }

@@ -28,10 +28,6 @@ type SwitchConfig struct {
 	QueueDepth int
 	// Seed drives the loss coin (default 1, deterministic).
 	Seed int64
-	// Clock schedules latency and jitter delays (default: the system
-	// clock). Injecting a VClock makes delayed deliveries fire on virtual
-	// time.
-	Clock Clock
 }
 
 func (c *SwitchConfig) setDefaults() error {
@@ -52,9 +48,6 @@ func (c *SwitchConfig) setDefaults() error {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Clock == nil {
-		c.Clock = SystemClock()
 	}
 	return nil
 }
@@ -145,7 +138,7 @@ func (s *Switch) deliver(from, to Addr, frame []byte) error {
 		return nil
 	}
 	s.timers.Add(1)
-	s.cfg.Clock.AfterFunc(delay, func() {
+	time.AfterFunc(delay, func() {
 		defer s.timers.Done()
 		s.push(dst, f)
 	})

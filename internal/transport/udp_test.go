@@ -149,20 +149,6 @@ func TestUDPSendIntoClosedSocketReturnsErrClosed(t *testing.T) {
 	}
 }
 
-func TestUDPSendBatchIntoClosedSocketReturnsErrClosed(t *testing.T) {
-	if !batchSupported {
-		t.Skip("no batch fast path on this platform")
-	}
-	a, b := listenPair(t, UDPConfig{})
-	for _, c := range a.batch.socks {
-		c.Close()
-	}
-	_, err := a.SendBatch(b.LocalAddr(), [][]byte{[]byte("x"), []byte("y")})
-	if !errors.Is(err, ErrClosed) {
-		t.Fatalf("batch send into closed socket = %v, want ErrClosed", err)
-	}
-}
-
 // The portable receive path must block without deadline polling and
 // still honor context cancellation promptly (the old implementation
 // woke every 250ms to poll; the watcher wakes it exactly once).

@@ -48,7 +48,7 @@ import (
 // ltnc/transport for convenience).
 type Addr = transport.Addr
 
-// ObjectID is the 16-byte content identifier carried in every v2 packet
+// ObjectID is the 16-byte content identifier carried in every v2/v3 packet
 // header; it is derived from the content bytes, so any holder of the
 // content derives the same ID.
 type ObjectID = packet.ObjectID
@@ -199,12 +199,6 @@ type Config struct {
 	//
 	// Deprecated: has no effect.
 	Adaptive bool
-	// Clock is the time source behind every session timer — the push
-	// timer, META resend, idle eviction, fetch retries. Default: the system
-	// clock (transport.SystemClock). Simulations inject a virtual clock
-	// so a minute of protocol time passes in milliseconds of wall time;
-	// see ltnc/simlab.
-	Clock transport.Clock
 	// Logf, when set, receives one line per notable event (object
 	// learned, complete, evicted).
 	Logf func(format string, args ...any)
@@ -239,7 +233,6 @@ func (c Config) sessionConfig(tr transport.Transport, nc ltnc.NodeConfig) sessio
 		HaveSeed:               haveSeed,
 		DisableRefinement:      nc.DisableRefinement,
 		DisableRedundancyCheck: nc.DisableRedundancyDetection,
-		Clock:                  c.Clock,
 		Logf:                   c.Logf,
 	}
 }
@@ -250,10 +243,6 @@ func (c Config) sessionConfig(tr transport.Transport, nc ltnc.NodeConfig) sessio
 // concurrent use.
 type Session struct {
 	s *session.Session
-	// clk is the session's resolved time source; FetchReport.Elapsed is
-	// measured on it, so a virtual-clocked session reports virtual
-	// transfer time.
-	clk transport.Clock
 	// generations is the configured G preference: 0 = automatic.
 	generations int
 }
@@ -286,16 +275,14 @@ func New(cfg Config) (*Session, error) {
 	for _, p := range cfg.Peers {
 		s.AddPeer(p)
 	}
-	clk := cfg.Clock
-	if clk == nil {
-		clk = transport.SystemClock()
-	}
-	return &Session{s: s, clk: clk, generations: gens}, nil
+	return &Session{s: s, generations: gens}, nil
 }
 
 // Run pumps the session until ctx ends or the session is closed: it
 // receives and dispatches frames, decodes DATA bursts on the sharded
-// worker pool, pushes recoded packets every tick and evicts idle state.
+// worker pool, pushes recoded packets as the peers' receipt reports free
+// window — every Tick at the least to a peer still owed packets, the
+// floor (see Config.Tick) — and evicts idle state.
 // It returns nil on clean shutdown — Close, cancellation, or ctx's
 // deadline expiring; bounding the run with a deadline is a supported way
 // to stop it.
@@ -388,8 +375,7 @@ func (s *Session) ServeFile(path string, k int) (ObjectID, error) {
 type FetchReport struct {
 	// Bytes is the recovered content length.
 	Bytes int
-	// Elapsed is the transfer time on the session's clock — wall time by
-	// default, virtual time when Config.Clock injects a virtual clock.
+	// Elapsed is the transfer's wall time.
 	Elapsed time.Duration
 	// Stats carries the decode-side counters at completion;
 	// Stats.Overhead() is the paper's reception overhead (received
@@ -413,9 +399,9 @@ func (r FetchReport) Overhead() float64 { return r.Stats.Overhead() }
 // with every later Fetch of it and served to peers for as long as the
 // session holds it: treat it as read-only, and copy it to modify it.
 func (s *Session) Fetch(ctx context.Context, id ObjectID, from ...Addr) ([]byte, FetchReport, error) {
-	start := s.clk.Now()
+	start := time.Now()
 	content, stats, err := s.s.Fetch(ctx, id, from...)
-	report := FetchReport{Bytes: len(content), Elapsed: s.clk.Since(start), Stats: stats}
+	report := FetchReport{Bytes: len(content), Elapsed: time.Since(start), Stats: stats}
 	if err != nil {
 		return nil, report, err
 	}

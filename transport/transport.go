@@ -70,33 +70,9 @@ func GetBuf() *[]byte { return transport.GetBuf() }
 // PutBuf returns a buffer obtained from GetBuf to the pool.
 func PutBuf(buf *[]byte) { transport.PutBuf(buf) }
 
-// Clock abstracts the time source behind the timers of the dissemination
-// stack (session push ticks, META resend, idle eviction, fetch retries,
-// switch latency injection). Production code runs on SystemClock;
-// simulations inject a VClock so protocol time is virtual — see
-// ltnc/simlab.
-type Clock = transport.Clock
-
-// Ticker is a Clock's periodic timer; Timer its one-shot form.
-type Ticker = transport.Ticker
-type Timer = transport.Timer
-
-// SystemClock returns the real wall clock — the default Clock everywhere
-// one is injectable.
-func SystemClock() Clock { return transport.SystemClock() }
-
-// VClock is a virtual clock: time stands still until Advance moves it,
-// firing every timer crossed in deadline order. The whole dissemination
-// stack runs on it unchanged (swarm.Config.Clock), which is how the
-// simulation lab compresses minutes of protocol time into milliseconds.
-type VClock = transport.VClock
-
-// NewVClock returns a virtual clock frozen at VClockBase.
-func NewVClock() *VClock { return transport.NewVClock() }
-
 // SwitchConfig parameterizes the in-memory network: loss rate, fixed
-// latency, jitter (which reorders), per-port queue depth, the seed
-// driving the loss coin, and the clock delays are scheduled on.
+// latency, jitter (which reorders), per-port queue depth and the seed
+// driving the loss coin.
 type SwitchConfig = transport.SwitchConfig
 
 // Switch is an in-memory datagram network: a set of named ports with
