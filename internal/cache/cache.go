@@ -205,9 +205,6 @@ func New(cfg Config) (*Cache, error) {
 	}, nil
 }
 
-// Budget returns the configured byte budget.
-func (c *Cache) Budget() int64 { return c.budget }
-
 // Admit offers one coded row to the cache: object id, geometry
 // (generation count normalized so 0 and 1 both mean unstructured,
 // per-generation code length kPer, payload size m), the row's generation,
@@ -391,34 +388,16 @@ func (c *Cache) Drop(id packet.ObjectID) int64 {
 	return before - c.used
 }
 
-// DropGen removes one generation's cached rows (pollution quarantine:
-// when the session learns a generation failed manifest verification, the
-// cached basis for it may mix forged rows and must never be re-served).
-// It reports the bytes freed; unknown objects and generations free
-// nothing.
-func (c *Cache) DropGen(id packet.ObjectID, gen uint32) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.objects[id]
-	if e == nil || gen >= e.gens || len(e.g[gen].rows) == 0 {
-		return 0
-	}
-	before := c.used
-	c.evictGenLocked(e, int(gen))
-	return before - c.used
-}
-
-// Coverage reports how much of an object the cache holds: generations at
-// full rank, the object's generation count, and the summed rank across
-// generations. ok is false for objects the cache does not hold.
-func (c *Cache) Coverage(id packet.ObjectID) (gensFull, gens uint32, rank int, ok bool) {
+// Coverage reports whether the cache holds the object at all and whether
+// it holds every generation of it at full rank.
+func (c *Cache) Coverage(id packet.ObjectID) (full, held bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.objects[id]
 	if e == nil {
-		return 0, 0, 0, false
+		return false, false
 	}
-	return uint32(e.fullGens), e.gens, e.rowCount, true
+	return e.fullGens == int(e.gens), true
 }
 
 // AppendFrame appends one DATA frame for the object to dst and reports
@@ -467,19 +446,6 @@ func (c *Cache) AppendFrame(dst []byte, id packet.ObjectID, cursor *uint64, skip
 		return dst, true
 	}
 	return dst, false
-}
-
-// Geometry returns the cached geometry of an object: generation count,
-// per-generation code length and payload size. ok is false for objects
-// the cache does not hold.
-func (c *Cache) Geometry(id packet.ObjectID) (gens uint32, kPer, m int, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.objects[id]
-	if e == nil {
-		return 0, 0, 0, false
-	}
-	return e.gens, e.kPer, e.m, true
 }
 
 // Drain hands every stored row of an object to fn (in generation then

@@ -152,7 +152,7 @@ func TestBudgetExactlyRespected(t *testing.T) {
 		if before-after != freed {
 			t.Fatalf("Drop(%d): freed %d but used went %d -> %d", b, freed, before, after)
 		}
-		if _, _, _, ok := c.Coverage(id); ok && freed > 0 {
+		if _, ok := c.Coverage(id); ok && freed > 0 {
 			t.Fatalf("Drop(%d): object still covered", b)
 		}
 	}
@@ -178,6 +178,9 @@ func TestNoThrashGuard(t *testing.T) {
 		if res := c.Admit(hot, 1, kPer, m, 0, vb, pl, t0); res.Verdict != Stored {
 			t.Fatalf("hot row %d: %v", i, res.Verdict)
 		}
+		if full, ok := c.Coverage(hot); !ok || full != (i == kPer-1) {
+			t.Fatalf("hot row %d: coverage full=%v ok=%v", i, full, ok)
+		}
 	}
 	c.Touch(hot, t0.Add(time.Hour)) // hot demand, much later
 
@@ -189,8 +192,8 @@ func TestNoThrashGuard(t *testing.T) {
 	if res.Verdict != NoRoom {
 		t.Fatalf("cold row should not displace hot generation: %v", res.Verdict)
 	}
-	if gf, _, rank, ok := c.Coverage(hot); !ok || gf != 1 || rank != kPer {
-		t.Fatalf("hot object damaged: full=%d rank=%d ok=%v", gf, rank, ok)
+	if full, ok := c.Coverage(hot); !ok || !full || c.Stats().Rows != kPer {
+		t.Fatalf("hot object damaged: full=%v rows=%d ok=%v", full, c.Stats().Rows, ok)
 	}
 
 	// The reverse displaces: make the cold object the demanded one.
@@ -378,69 +381,5 @@ func TestGeometryMismatchRejected(t *testing.T) {
 		if res := c.Admit(id, tc.gens, tc.kPer, tc.m, tc.gen, v, make([]byte, tc.m), t0); res.Verdict != Mismatch {
 			t.Fatalf("case %d: verdict %v, want Mismatch", i, res.Verdict)
 		}
-	}
-}
-
-// TestDropGen: quarantining one generation frees exactly its rows, keeps
-// the other generations servable, and dropping the last generation
-// removes the entry entirely.
-func TestDropGen(t *testing.T) {
-	c := mustCache(t, 1<<20)
-	rng := rand.New(rand.NewSource(11))
-	id := oid(0x42)
-	const kPer, m, gens = 8, 32, 3
-	for g := uint32(0); g < gens; g++ {
-		for i := 0; i < 200; i++ {
-			vec, payload := randRow(rng, kPer, m)
-			c.Admit(id, gens, kPer, m, g, vec, payload, t0)
-			if full, _, _, _ := c.Coverage(id); full > g {
-				break
-			}
-		}
-	}
-	full, _, rank, ok := c.Coverage(id)
-	if !ok || full != gens || rank != gens*kPer {
-		t.Fatalf("setup coverage: full=%d rank=%d ok=%v", full, rank, ok)
-	}
-	usedBefore := c.Stats().Used
-
-	if got := c.DropGen(id, 5); got != 0 {
-		t.Errorf("DropGen(out of range) freed %d bytes", got)
-	}
-	if got := c.DropGen(oid(0x99), 0); got != 0 {
-		t.Errorf("DropGen(unknown object) freed %d bytes", got)
-	}
-
-	freed := c.DropGen(id, 1)
-	want := int64(kPer) * RowCost(kPer, m)
-	if freed != want {
-		t.Errorf("DropGen freed %d bytes, want %d", freed, want)
-	}
-	if c.Stats().Used != usedBefore-want {
-		t.Errorf("used %d, want %d", c.Stats().Used, usedBefore-want)
-	}
-	full, _, rank, ok = c.Coverage(id)
-	if !ok || full != gens-1 || rank != (gens-1)*kPer {
-		t.Errorf("after drop: full=%d rank=%d ok=%v", full, rank, ok)
-	}
-	if got := c.DropGen(id, 1); got != 0 {
-		t.Errorf("second DropGen freed %d bytes", got)
-	}
-
-	// A re-fetched (clean) basis for the quarantined generation is
-	// admissible again.
-	vec, payload := randRow(rng, kPer, m)
-	if res := c.Admit(id, gens, kPer, m, 1, vec, payload, t0); res.Verdict != Stored {
-		t.Errorf("readmission after DropGen: %v", res.Verdict)
-	}
-
-	// Dropping the remaining generations removes the entry.
-	c.DropGen(id, 1)
-	c.DropGen(id, 0)
-	if freed := c.DropGen(id, 2); freed == 0 {
-		t.Error("final DropGen freed nothing")
-	}
-	if _, _, _, ok := c.Coverage(id); ok {
-		t.Error("entry survived dropping every generation")
 	}
 }

@@ -3,7 +3,6 @@ package session
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -73,8 +72,8 @@ func TestCacheServesFetcher(t *testing.T) {
 	if cached == nil {
 		t.Fatal("cache session does not hold the object")
 	}
-	if !cached.Cached {
-		t.Fatalf("object not in cache mode: %+v", cached)
+	if !cached.Cached || cached.Generations != 4 {
+		t.Fatalf("object not in cache mode with its 4 generations: %+v", cached)
 	}
 	if cached.Decoded != 0 {
 		t.Fatalf("cache decoded %d natives; a partial cache must never decode", cached.Decoded)
@@ -218,7 +217,7 @@ func TestPeerTableBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < maxPeersPerObject+50; i++ {
-		reply, _ := src.handleReq(transport.Addr(fmt.Sprintf("p%d", i)), id[:])
+		reply := src.handleReq(transport.Addr(fmt.Sprintf("p%d", i)), id[:])
 		if reply == nil {
 			t.Fatalf("REQ %d got no META", i)
 		}
@@ -234,90 +233,27 @@ func TestPeerTableBounded(t *testing.T) {
 	}
 }
 
-// TestCacheAdTableBounded: kind-4 advertisements land in a bounded
-// per-object table that keeps the strongest coverage, and fetch steering
-// prefers the advertisers once any exist.
-func TestCacheAdTableBounded(t *testing.T) {
-	sw, err := transport.NewSwitch(transport.SwitchConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := startSession(t, attach(t, sw, "client"), func(c *Config) {
-		c.Tick = time.Hour
-	})
-	id := packet.NewObjectID([]byte("ad table"))
-	s.mu.Lock()
-	st := s.admitLocked(id, "", geometry{}, true)
-	s.mu.Unlock()
-
-	for i := 1; i <= maxCacheAds+20; i++ {
-		frame := cacheAdFrame(id, 0, 4, i) // rank strictly increasing
-		s.handleFeedback(transport.Addr(fmt.Sprintf("c%d", i)), frame[1:])
-	}
-	s.mu.Lock()
-	n := len(st.cacheAds)
-	minRank := uint32(1 << 30)
-	for _, ad := range st.cacheAds {
-		minRank = min(minRank, ad.rank)
-	}
-	s.mu.Unlock()
-	if n != maxCacheAds {
-		t.Fatalf("ad table holds %d entries, want bound %d", n, maxCacheAds)
-	}
-	// Strictly increasing ranks: the survivors must be the strongest.
-	if want := uint32(20 + 1); minRank != want {
-		t.Fatalf("weakest surviving ad has rank %d, want %d", minRank, want)
-	}
-
-	// A malformed ad (vacuous coverage) is dropped, not recorded.
-	bad := cacheAdFrame(id, 5, 4, 9) // gensFull > gens
-	s.handleFeedback("mallory", bad[1:])
-	s.mu.Lock()
-	_, recorded := st.cacheAds["mallory"]
-	s.mu.Unlock()
-	if recorded {
-		t.Fatal("inconsistent advertisement was recorded")
-	}
-
-	// Steering: attempt 0 broadcasts, later attempts go to advertisers.
-	all := []transport.Addr{"origin", "other"}
-	if got := s.steerTargets(st, all, 0); len(got) != len(all) {
-		t.Fatalf("attempt 0 steered to %v, want full set", got)
-	}
-	steered := s.steerTargets(st, all, 1)
-	if len(steered) != maxCacheAds {
-		t.Fatalf("attempt 1 steered to %d targets, want the %d advertisers", len(steered), maxCacheAds)
-	}
-	for _, a := range steered {
-		if a == "origin" || a == "other" {
-			t.Fatalf("steered set contains non-advertiser %s", a)
+// TestCacheReqDrawsOnlyMeta: a REQ to a cache-mode session for an object
+// it holds, sized, is answered by exactly one frame, the META, and the
+// cached object reports its generation count like any shaped object.
+func TestCacheReqDrawsOnlyMeta(t *testing.T) {
+	const gens, kPer, m = 2, 8, 16
+	content := testContent(gens*kPer*m, 41)
+	id, meta := servedMeta(t, content, gens*kPer, gens)
+	s, rec, _ := pushSession(t, "cache", func(cfg *Config) { cfg.CacheBudget = 1 << 20 })
+	injectFrame(s, "origin", meta)
+	for g := 0; g < gens; g++ {
+		for i := 0; i < kPer; i++ {
+			injectFrame(s, "origin", handRow(t, id, content, gens, kPer, g, false, i))
 		}
 	}
-}
-
-// TestCacheAdFrameRoundTrip pins the kind-4 wire form: length, kind
-// byte, and field offsets.
-func TestCacheAdFrameRoundTrip(t *testing.T) {
-	id := packet.NewObjectID([]byte("wire pin"))
-	frame := cacheAdFrame(id, 3, 8, 77)
-	if len(frame) != cacheAdLen {
-		t.Fatalf("frame length %d, want %d", len(frame), cacheAdLen)
+	if o, ok := s.Object(id); !ok || !o.Cached || o.Size != int64(len(content)) || o.Generations != gens || o.KPer != kPer {
+		t.Fatalf("set-up: %+v, want a sized cached object of %d generations of %d", o, gens, kPer)
 	}
-	if frame[0] != frameFeedback || frame[17] != fbCacheAd {
-		t.Fatalf("frame bytes: type=%#x kind=%#x", frame[0], frame[17])
-	}
-	var gotID packet.ObjectID
-	copy(gotID[:], frame[1:17])
-	if gotID != id {
-		t.Fatal("object id mangled")
-	}
-	if g := binary.BigEndian.Uint32(frame[18:22]); g != 3 {
-		t.Fatalf("gensFull = %d, want 3", g)
-	}
-	if g := binary.BigEndian.Uint32(frame[22:26]); g != 8 {
-		t.Fatalf("gens = %d, want 8", g)
-	}
-	if r := binary.BigEndian.Uint32(frame[26:30]); r != 77 {
-		t.Fatalf("rank = %d, want 77", r)
+	rec.take()
+	injectFrame(s, "fetcher", encodeReq(id))
+	got := rec.take()["fetcher"]
+	if len(got) != 1 || len(got[0]) != metaLen || got[0][0] != frameMeta {
+		t.Fatalf("the REQ drew %d frames (%q), want the META alone", len(got), kinds(got))
 	}
 }

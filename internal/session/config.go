@@ -17,11 +17,6 @@ import (
 // lifetime.
 const maxPeersPerObject = 256
 
-// maxCacheAds bounds the per-object table of kind-4 advertisements a
-// fetching session retains for REQ steering; advertisement sources are
-// spoofable addresses, so the table must not grow without limit.
-const maxCacheAds = 32
-
 // reqResend is a fetch's steady REQ cadence; reqRetry is how many Ticks
 // after its first REQ a fetch that has heard nothing of the object tries
 // again, doubling from there up to reqResend. A lost REQ then costs a few
@@ -75,10 +70,6 @@ type Config struct {
 	// some peer is owed rows; an idle session wakes for housekeeping a few
 	// times a second.
 	Tick time.Duration
-	// Aggressiveness gates recoding as in the paper (default 0.01): a
-	// relay starts recoding an object once it holds K·Aggressiveness + 1
-	// packets.
-	Aggressiveness float64
 	// IdleTimeout evicts object state (and subscribers) untouched for
 	// this long; default 60s. Pinned (locally served) objects stay.
 	IdleTimeout time.Duration
@@ -132,11 +123,6 @@ type Config struct {
 	// max(25·Tick, 250ms)): every period the view ages one round and one
 	// partial-view exchange goes out.
 	ShufflePeriod time.Duration
-	// Capacity is the serving-capacity hint this session advertises in
-	// MEMBER exchanges (neighbor selection prefers higher values). Zero
-	// selects a role-derived default: 200 for relays, 160 for caches, 16
-	// otherwise.
-	Capacity uint8
 	// Clock is the instant every session deadline is read against — the
 	// push timer, META resend, idle eviction, fetch retries. Default: the
 	// system clock, the only one Run accepts. Simulations
@@ -171,12 +157,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.Tick < 0 {
 		return fmt.Errorf("session: tick %v < 0", c.Tick)
-	}
-	if c.Aggressiveness == 0 {
-		c.Aggressiveness = 0.01
-	}
-	if c.Aggressiveness < 0 || c.Aggressiveness > 1 {
-		return fmt.Errorf("session: aggressiveness %v outside [0,1]", c.Aggressiveness)
 	}
 	if c.IdleTimeout == 0 {
 		c.IdleTimeout = 60 * time.Second

@@ -28,10 +28,9 @@ func (s *Session) handleFrame(f transport.Frame) {
 	// per-frame granularity there, and the view lock must stay off it).
 	s.memberAlive(f.From)
 	var reply []byte
-	var extras [][]byte
 	switch f.Data[0] {
 	case frameReq:
-		reply, extras = s.handleReq(f.From, f.Data[1:])
+		reply = s.handleReq(f.From, f.Data[1:])
 	case frameMeta:
 		reply = s.handleMeta(f.From, f.Data[1:])
 	case frameFeedback:
@@ -44,19 +43,15 @@ func (s *Session) handleFrame(f transport.Frame) {
 	if reply != nil {
 		s.tr.Send(f.From, reply)
 	}
-	for _, e := range extras {
-		s.tr.Send(f.From, e)
-	}
 }
 
 // handleReq registers a subscriber and answers with the object's META
-// when the size is known. A cache-mode session additionally answers with
-// its kind-4 coverage advertisement (extras). The manifest follows from
-// the next push round on, a few chunks a round (sendManifest), so a
-// fetcher can verify generations as they complete.
-func (s *Session) handleReq(from transport.Addr, data []byte) (reply []byte, extras [][]byte) {
+// when the size is known. The manifest follows from the next push round
+// on, a few chunks a round (sendManifest), so a fetcher can verify
+// generations as they complete.
+func (s *Session) handleReq(from transport.Addr, data []byte) []byte {
 	if len(data) != reqLen-1 {
-		return nil, nil
+		return nil
 	}
 	var id packet.ObjectID
 	copy(id[:], data)
@@ -69,18 +64,15 @@ func (s *Session) handleReq(from transport.Addr, data []byte) (reply []byte, ext
 	// by the first header that arrives.
 	st := s.admitLocked(id, from, geometry{}, false)
 	if st == nil {
-		return nil, nil // banned peer, or unknown object: the requester will retry elsewhere
+		return nil // banned peer, or unknown object: the requester will retry elsewhere
 	}
 	now := s.clk.Now()
 	st.touch(now)
 	if s.cache != nil {
 		s.cache.Touch(id, now) // REQ demand drives the eviction score
-		if gensFull, gens, rank, held := s.cache.Coverage(id); held {
-			extras = append(extras, cacheAdFrame(id, gensFull, gens, rank))
-		}
 	}
 	if _, known := st.peers[from]; !known && len(st.peers) >= maxPeersPerObject && !st.dropOnePeerLocked() {
-		return nil, extras // peer table full of live subscribers: drop the REQ
+		return nil // peer table full of live subscribers: drop the REQ
 	}
 	ps := st.peer(from)
 	ps.lastReq = s.clk.Now()
@@ -98,10 +90,10 @@ func (s *Session) handleReq(from transport.Addr, data []byte) (reply []byte, ext
 	ps.manNext = max(ps.manNext, 0)
 	s.wake() // a new target: un-park the push timer, open its window now
 	if st.size.Load() < 0 {
-		return nil, extras
+		return nil
 	}
 	ps.metaAt = s.clk.Now()
-	return s.metaFrame(st), extras
+	return s.metaFrame(st)
 }
 
 // dropOnePeerLocked evicts one entry from a full peer table: a peer that
@@ -208,11 +200,10 @@ func (s *Session) handleMeta(from transport.Addr, data []byte) []byte {
 
 // handleFeedback validates a FEEDBACK frame's kind against its body
 // length — kind 2 uses the short body, kind 3 appends the completed
-// generation id, kind 4 (cache advertisement) its coverage, kind 6
-// (receipt report) its counters, and a receipt may carry a frontier behind
-// them, whose length is the object's to judge — and hands it to the kind's
-// handler under s.mu. Any other kind, the retired 1 and 5 among them, is
-// dropped.
+// generation id, kind 6 (receipt report) its counters, and a receipt may
+// carry a frontier behind them, whose length is the object's to judge — and
+// hands it to the kind's handler under s.mu. Any other kind, the retired 1,
+// 4 and 5 among them, is dropped.
 func (s *Session) handleFeedback(from transport.Addr, data []byte) {
 	if len(data) < feedbackLen-1 {
 		return
@@ -224,8 +215,6 @@ func (s *Session) handleFeedback(from transport.Addr, data []byte) {
 		want = feedbackLen
 	case fbGenComplete:
 		want = genFeedbackLen
-	case fbCacheAd:
-		want = cacheAdLen
 	case fbReceipt:
 		want = receiptLen
 	default:
@@ -245,13 +234,6 @@ func (s *Session) handleFeedback(from transport.Addr, data []byte) {
 	if !ok {
 		return
 	}
-	if kind == fbCacheAd {
-		// An advertisement names a peer we may FETCH from, not one we
-		// pushed to, so no peer state is required; the bounded per-object
-		// ad table is the only state it may grow.
-		st.onCacheAdLocked(from, data[17:], s.clk.Now())
-		return
-	}
 	// Look up without creating: feedback names a peer we pushed to, so
 	// its state already exists. Creating here would let arbitrary
 	// (spoofable) source addresses grow the peer map of a long-lived
@@ -269,22 +251,6 @@ func (s *Session) handleFeedback(from transport.Addr, data []byte) {
 	case fbReceipt:
 		s.onReceiptLocked(st, ps, from, data[17:])
 	}
-}
-
-// onCacheAdLocked records a kind-4 advertisement (body: gensFull, gens,
-// rank) unless its coverage is vacuous or inconsistent. Session.mu must
-// be held.
-func (st *objectState) onCacheAdLocked(from transport.Addr, body []byte, now time.Time) {
-	ad := cacheAd{
-		gensFull: binary.BigEndian.Uint32(body[0:4]),
-		gens:     binary.BigEndian.Uint32(body[4:8]),
-		rank:     binary.BigEndian.Uint32(body[8:12]),
-		at:       now,
-	}
-	if ad.gens == 0 || ad.gensFull > ad.gens || ad.rank == 0 {
-		return
-	}
-	st.recordCacheAdLocked(from, ad)
 }
 
 // onGenCompleteLocked marks generation gen of a gens-generation object
@@ -353,30 +319,6 @@ func (s *Session) repairOrder(peer transport.Addr) (at, step int) {
 	return int(sum >> 40), int(sum>>8&0xFFFFFF) | 1
 }
 
-// recordCacheAdLocked stores one kind-4 advertisement in the object's
-// bounded ad table: at capacity the weakest existing ad is displaced,
-// and an ad weaker than everything present is dropped. Session.mu must
-// be held.
-func (st *objectState) recordCacheAdLocked(from transport.Addr, ad cacheAd) {
-	if st.cacheAds == nil {
-		st.cacheAds = make(map[transport.Addr]cacheAd)
-	}
-	if _, ok := st.cacheAds[from]; !ok && len(st.cacheAds) >= maxCacheAds {
-		var weakest transport.Addr
-		found := false
-		for addr, have := range st.cacheAds {
-			if !found || st.cacheAds[weakest].better(have) {
-				weakest, found = addr, true
-			}
-		}
-		if !found || !ad.better(st.cacheAds[weakest]) {
-			return
-		}
-		delete(st.cacheAds, weakest)
-	}
-	st.cacheAds[from] = ad
-}
-
 // metaFrame encodes a META for st, whose size must be known. Callers must
 // hold either s.mu or st.mu (k, gens and m are immutable once the coder
 // exists, which is guaranteed for any object with a known size, and the
@@ -409,20 +351,6 @@ func genFeedbackFrame(id packet.ObjectID, gen int) []byte {
 	copy(buf[1:17], id[:])
 	buf[17] = fbGenComplete
 	binary.BigEndian.PutUint32(buf[18:22], uint32(gen))
-	return buf
-}
-
-// cacheAdFrame encodes the kind-4 feedback: the sender holds a partial
-// cache of object id covering gensFull complete generations out of gens
-// with rank innovative rows total.
-func cacheAdFrame(id packet.ObjectID, gensFull, gens uint32, rank int) []byte {
-	buf := make([]byte, cacheAdLen)
-	buf[0] = frameFeedback
-	copy(buf[1:17], id[:])
-	buf[17] = fbCacheAd
-	binary.BigEndian.PutUint32(buf[18:22], gensFull)
-	binary.BigEndian.PutUint32(buf[22:26], gens)
-	binary.BigEndian.PutUint32(buf[26:30], uint32(rank))
 	return buf
 }
 

@@ -148,8 +148,7 @@ func (f *Fetching) Result() (data []byte, stats ObjectStats, err error, ok bool)
 	return data, f.s.stats(f.st), err, true
 }
 
-// sendReqs sends one REQ per candidate peer, steered toward peers
-// advertising cached coverage once advertisements arrive; the fetch fails
+// sendReqs sends one REQ per candidate peer not banned; the fetch fails
 // only if no peer could be reached at all (a dead resolve on one address
 // must not mask a live source on another) — or if pollution defense has
 // banned every candidate, which fails fast with ErrPolluted.
@@ -162,7 +161,7 @@ func (f *Fetching) sendReqs() {
 	if f.dynamic {
 		all = s.fetchCandidates(st, f.from, f.attempt)
 	}
-	targets := s.steerTargets(st, all, f.attempt)
+	targets := s.notBanned(all)
 	f.attempt++
 	var err error
 	if len(targets) == 0 {
@@ -259,34 +258,20 @@ func (s *Session) fetchCandidates(st *objectState, static []transport.Addr, atte
 	return out
 }
 
-// steerTargets picks the REQ targets for one resend round: the full
-// candidate set until advertisements arrive (and periodically after, so
-// the origin and fresh caches stay discoverable), otherwise the peers
-// advertising cached coverage for the object, in deterministic order.
-// Banned peers are excluded everywhere; an empty result therefore means
-// every candidate has been convicted of pollution (ErrPolluted at the
-// caller).
-func (s *Session) steerTargets(st *objectState, all []transport.Addr, attempt int) []transport.Addr {
+// notBanned picks the REQ targets for one resend round: the candidates not
+// banned. An empty result therefore means every candidate has been
+// convicted of pollution (ErrPolluted at the caller).
+func (s *Session) notBanned(all []transport.Addr) []transport.Addr {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	live := all
-	if len(s.banned) > 0 {
-		live = make([]transport.Addr, 0, len(all))
-		for _, addr := range all {
-			if _, b := s.banned[addr]; !b {
-				live = append(live, addr)
-			}
+	if len(s.banned) == 0 {
+		return all
+	}
+	live := make([]transport.Addr, 0, len(all))
+	for _, addr := range all {
+		if _, b := s.banned[addr]; !b {
+			live = append(live, addr)
 		}
 	}
-	// cacheAds never contains banned peers: banPeers scrubs every object's
-	// ad table when it convicts.
-	if attempt%4 == 0 || len(st.cacheAds) == 0 {
-		return live
-	}
-	out := make([]transport.Addr, 0, len(st.cacheAds))
-	for addr := range st.cacheAds {
-		out = append(out, addr)
-	}
-	slices.Sort(out)
-	return out
+	return live
 }

@@ -60,12 +60,23 @@ func injectFrame(s *Session, from transport.Addr, data []byte) {
 }
 
 // The FEEDBACK kinds a session no longer speaks: kind 1, the per-row
-// redundancy abort, and kind 5, the receipt without a departure count. A
-// session drops both.
+// redundancy abort, kind 4, the cache advertisement, and kind 5, the
+// receipt without a departure count. A session drops all three.
 const (
 	fbRetiredRedundant = 0x01
+	fbRetiredCacheAd   = 0x04
 	fbRetiredReceipt   = 0x05
 )
+
+// retiredCacheAd builds a kind-4 advertisement as caches sent it: the
+// generations held at full rank, the generation count and the summed rank.
+func retiredCacheAd(id packet.ObjectID, gensFull, gens, rank uint32) []byte {
+	buf := feedbackFrame(id, fbRetiredCacheAd)
+	for _, c := range []uint32{gensFull, gens, rank} {
+		buf = binary.BigEndian.AppendUint32(buf, c)
+	}
+	return buf
+}
 
 // retiredReceipt builds a kind-5 receipt as its senders did: counters gen,
 // received and innovative, then frontierBytes zero bytes of frontier.
@@ -124,17 +135,13 @@ func FuzzSessionFrames(f *testing.F) {
 	short := append([]byte(nil), fb...)
 	short[17] = fbGenComplete // kind 3 without its generation id: must drop
 	f.Add(short)
-	ad := cacheAdFrame(id, 1, 4, 16)
-	f.Add(ad)
-	f.Add(ad[:cacheAdLen-3]) // truncated inside the rank
-	f.Add(append(ad, 0x00))  // oversized advertisement
-	vac := append([]byte(nil), ad...)
-	binary.BigEndian.PutUint32(vac[18:22], 9) // gensFull > gens: must drop
-	f.Add(vac)
-	shortAd := append([]byte(nil), fb...)
-	shortAd[17] = fbCacheAd // kind 4 without its coverage body: must drop
-	f.Add(shortAd)
 	// The retired kinds, as their senders built them: must drop.
+	ad := retiredCacheAd(id, 1, 4, 16)
+	f.Add(ad)
+	f.Add(ad[:len(ad)-3])                      // truncated inside the rank
+	f.Add(append(ad, 0x00))                    // oversized advertisement
+	f.Add(retiredCacheAd(id, 9, 4, 16))        // gensFull > gens
+	f.Add(feedbackFrame(id, fbRetiredCacheAd)) // kind 4 without its coverage body
 	f.Add(feedbackFrame(id, fbRetiredRedundant))
 	f.Add(retiredReceipt(id, 1, 32, 16, 0))
 	f.Add(retiredReceipt(id, 0, 32, 16, 2))    // with a frontier for k/G ≤ 16
@@ -343,7 +350,7 @@ func FuzzManifestFrames(f *testing.F) {
 }
 
 // FuzzCacheSessionFrames drives the cache-mode ingest path (admission,
-// feedback synthesis, kind-4 parsing) with arbitrary frame sequences: no
+// feedback synthesis) with arbitrary frame sequences: no
 // input may panic, oversubscribe the byte budget, or grow the object
 // table past its bound.
 func FuzzCacheSessionFrames(f *testing.F) {
@@ -361,7 +368,7 @@ func FuzzCacheSessionFrames(f *testing.F) {
 		append([]byte{frameData}, wire...),
 		append([]byte{frameData}, genWire...),
 		encodeReq(id),
-		cacheAdFrame(id, 2, 4, 9),
+		retiredCacheAd(id, 2, 4, 9), // a retired kind: must drop
 	} {
 		seq = append(seq, byte(len(fr)))
 		seq = append(seq, fr...)

@@ -46,7 +46,7 @@ func (s *Session) applyPollActions(acts *pollActions) {
 
 // banPeers convicts peers of pollution: every future frame from them is
 // dropped at resolution, they leave the configured push set and every
-// object's peer and advertisement tables, and Fetch stops asking them.
+// object's peer table, and Fetch stops asking them.
 func (s *Session) banPeers(addrs []transport.Addr) {
 	if len(addrs) == 0 {
 		return
@@ -62,7 +62,6 @@ func (s *Session) banPeers(addrs []transport.Addr) {
 		}
 		for _, st := range s.objects {
 			delete(st.peers, addr)
-			delete(st.cacheAds, addr)
 		}
 		s.logf("session: banned %s: it sent data that failed integrity verification", addr)
 	}
@@ -219,7 +218,7 @@ func (s *Session) verifyGenLocked(st *objectState, g int, acts *pollActions) {
 // is convicted outright — all rows came from it, and exact linear algebra
 // over true rows cannot produce false natives: the manifest is the one the
 // ID commits to, so the proof is byte-exact), reset the generation's decode
-// state, drop its cached coverage, gate downstream recoding of it, and arm
+// state, gate downstream recoding of it, and arm
 // the probe that re-fetches it one contributor at a time. st.mu must be
 // held.
 func (s *Session) quarantineGenLocked(st *objectState, g int, acts *pollActions) {
@@ -248,12 +247,6 @@ func (s *Session) quarantineGenLocked(st *objectState, g int, acts *pollActions)
 		st.sysMerged[g] = 0
 	}
 	clear(st.proof[g*st.kPer : (g+1)*st.kPer])
-	if s.cache != nil {
-		// A promoted cache object may still hold rows for this generation;
-		// quarantined coverage must never be re-served (cache is a leaf in
-		// the lock order).
-		s.cache.DropGen(st.id, uint32(g))
-	}
 	// Probe order: most suspicious contributor first (rows contributed to
 	// polluted generations of this object), address as the deterministic
 	// tie-break. Re-arm every contributor with a REQ — an upstream that

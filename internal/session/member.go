@@ -99,26 +99,16 @@ func newMembership(cfg *Config, self transport.Addr) *membership {
 
 // memberProfile derives the capacity hint and role bits a session
 // advertises in MEMBER exchanges from its (already defaulted) config:
-// an explicit Capacity wins, otherwise relays and caches advertise the
-// serving capacity their role implies and plain fetchers a token value.
+// relays and caches advertise the serving capacity their role implies and
+// plain fetchers a token value.
 func memberProfile(cfg *Config) (capacity, role uint8) {
-	if cfg.Relay {
-		role |= gossip.RoleRelay
+	switch {
+	case cfg.Relay:
+		return 200, gossip.RoleRelay
+	case cfg.CacheBudget > 0:
+		return 160, gossip.RoleCache
 	}
-	if cfg.CacheBudget > 0 {
-		role |= gossip.RoleCache
-	}
-	if capacity = cfg.Capacity; capacity == 0 {
-		switch {
-		case cfg.Relay:
-			capacity = 200
-		case cfg.CacheBudget > 0:
-			capacity = 160
-		default:
-			capacity = 16
-		}
-	}
-	return capacity, role
+	return 16, 0
 }
 
 // phase picks this session's offset within the shuffle period, so a

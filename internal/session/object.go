@@ -189,10 +189,6 @@ type objectState struct {
 	repeated   int64
 	peers      map[transport.Addr]*peerState
 	watchers   map[int]func(ObjectStats) // progress subscriptions (Watch)
-	// cacheAds records kind-4 advertisements received for this object
-	// (bounded by maxCacheAds): which peers hold cached coverage, for
-	// Fetch REQ steering.
-	cacheAds map[transport.Addr]cacheAd
 
 	// notifyMu serializes watcher deliveries for this object: it is held
 	// across snapshot AND callback invocation, so snapshots reach each
@@ -508,7 +504,7 @@ func (st *objectState) shedBufLocked() {
 func (s *Session) owedLocked(st *objectState, g int) []byte {
 	switch st.phase {
 	case phCaching:
-		if full, gens, _, held := s.cache.Coverage(st.id); !held || gens == 0 || full != gens {
+		if full, _ := s.cache.Coverage(st.id); !full {
 			return nil
 		}
 	case phDecoded:

@@ -66,7 +66,7 @@ func checkPhaseInvariants(tb testing.TB, s *Session) {
 			tb.Errorf("%v: phase %v, done closed: %v", id, ph, closed)
 		}
 		if s.cache != nil {
-			if _, _, _, held := s.cache.Coverage(id); held && ph != phCaching {
+			if _, held := s.cache.Coverage(id); held && ph != phCaching {
 				tb.Errorf("%v: phase %v with rows in the cache", id, ph)
 			}
 		}
@@ -502,7 +502,7 @@ func (c *objCell) fire(t *testing.T, ev int) {
 	case evFbGenComplete:
 		in(genFeedbackFrame(c.id, last))
 	case evFbCacheAd:
-		in(cacheAdFrame(c.id, 1, uint32(c.gens), c.kPer))
+		in(retiredCacheAd(c.id, 1, uint32(c.gens), uint32(c.kPer)))
 	case evFbReceipt:
 		in(receiptFrame(c.id, 0, 16, 12))
 	case evFbFrontier:
@@ -548,8 +548,8 @@ func (c *objCell) fire(t *testing.T, ev int) {
 func (c *objCell) expect(row, ev int) (after, replies string) {
 	before := [matrixRows]string{"announced", "caching", "filling", "filling", "decoded", "complete", "none"}[row]
 	after = before
-	// The retired short META and kind-1 FEEDBACK are dropped whatever the
-	// phase: their cells keep the defaults.
+	// The retired short META and kind-1 and kind-4 FEEDBACK are dropped
+	// whatever the phase: their cells keep the defaults.
 	switch ev {
 	case evDataUnit, evDataDense, evDataRedundant, evDataWrongGeometry:
 		switch {
@@ -565,9 +565,7 @@ func (c *objCell) expect(row, ev int) (after, replies string) {
 		switch row {
 		case rowEvicted:
 			after = "announced" // a relay remembers who asked
-		case rowCaching:
-			replies = "META FB4"
-		case rowFilling, rowPoisoned, rowDecoded, rowComplete:
+		case rowCaching, rowFilling, rowPoisoned, rowDecoded, rowComplete:
 			replies = "META"
 		}
 	case evMetaLong:

@@ -194,7 +194,7 @@ func TestPolluterConvictedFetchSurvives(t *testing.T) {
 		t.Fatalf("banned = %v, want [polluter]", banned)
 	}
 	// Once banned, the polluter is refused service too.
-	if reply, extras := dst.handleReq("polluter", id[:]); reply != nil || extras != nil {
+	if reply := dst.handleReq("polluter", id[:]); reply != nil {
 		t.Fatal("banned peer was served a REQ reply")
 	}
 }

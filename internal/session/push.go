@@ -239,7 +239,7 @@ func (s *Session) emit(op *objectPlan) {
 		// and with it needMeta stays false.
 		cached, ready = true, true
 	case phFilling:
-		ready = st.coder.Received() >= s.threshold(st.k)
+		ready = st.coder.Received() >= threshold(st.k)
 	case phDecoded, phComplete:
 		ready = true
 	}

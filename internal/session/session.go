@@ -48,10 +48,9 @@
 //	               SHA-256 of the encoded manifest, and the fields hash
 //	               to the object ID (integrity.ObjectID) or the frame is
 //	               dropped
-//	FEEDBACK 0x04 | objectID(16) | kind(1) [| gen(4) | gensFull(4) gens(4) rank(4)]
+//	FEEDBACK 0x04 | objectID(16) | kind(1) [| gen(4)]
 //	               2=complete 3=generation complete (gen id present for
-//	               kind 3 only) 4=cache advertisement (gensFull, gens,
-//	               rank present for kind 4 only)
+//	               kind 3 only)
 //	               6=receipt report: gen(4), received(4), innovative(4),
 //	               departed(4) — the receiver's cumulative per-sender row
 //	               counters, one report per 16 rows judged, fed to the
@@ -64,9 +63,9 @@
 //	               filling there, its frontier: ⌈k/G ÷ 8⌉ bytes, bit i
 //	               (least significant first) set once native i of gen is
 //	               decoded; the sender repeats what is missing
-//	               Kinds 1 and 5 are retired (the per-row redundancy
-//	               abort, the receipt without a departure count): a
-//	               session drops them.
+//	               Kinds 1, 4 and 5 are retired (the per-row redundancy
+//	               abort, the cache advertisement, the receipt without a
+//	               departure count): a session drops them.
 //	MANIFEST 0x05 | manifest chunk (packet.ManifestChunk): objectID(16) |
 //	               total(4) | off(4) | n(2) | bytes — one slice of the
 //	               object's integrity manifest (internal/integrity),
@@ -89,12 +88,12 @@
 // manifest it verifies every generation the moment it completes, and an
 // object completes only once every generation has verified, so nothing
 // hashes a whole object; a digest mismatch quarantines the generation —
-// decode state reset, cached coverage dropped, downstream recoding of it
-// gated — and starts per-peer blame over the rows that contributed:
-// refill is probed one contributor at a time, a solo contributor whose
-// refill fails verification is banned session-wide, and once one clean
-// generation is verified every further row offered to it is audited
-// byte-exactly, which convicts persistent polluters on their next frame.
+// decode state reset, downstream recoding of it gated — and starts
+// per-peer blame over the rows that contributed: refill is probed one
+// contributor at a time, a solo contributor whose refill fails
+// verification is banned session-wide, and once one clean generation is
+// verified every further row offered to it is audited byte-exactly, which
+// convicts persistent polluters on their next frame.
 // Fetchers surface the events via ObjectStats (Polluted, GensVerified)
 // and fail with ErrPolluted only when every candidate peer is banned;
 // the content a Fetch returns is always byte-exact — every native of it
@@ -106,10 +105,8 @@
 // byte budget, answers REQs for them by serving rows recoded from the
 // cached basis, and sends the feedback a decoder would (receipts,
 // generation-complete, complete) so an origin stops streaming once the
-// cache covers the object. Kind-4 feedback is its
-// advertisement: a REQ for a cached object is answered with the cache's
-// coverage (generations at full rank, generation count, total rank), and
-// fetchers steer their REQ resends toward advertising peers.
+// cache covers the object. A REQ for a cached object is answered as any
+// other: with the META once the size is known.
 package session
 
 import (
@@ -140,7 +137,6 @@ const (
 
 	fbComplete    = 0x02
 	fbGenComplete = 0x03
-	fbCacheAd     = 0x04
 	fbReceipt     = 0x06
 
 	reqLen = 1 + 16
@@ -151,10 +147,6 @@ const (
 	// generation id.
 	feedbackLen    = 1 + 16 + 1
 	genFeedbackLen = feedbackLen + 4
-	// Kind 4 (cache advertisement) appends the advertiser's coverage:
-	// generations at full rank, the object's generation count, and the
-	// summed rank across generations.
-	cacheAdLen = feedbackLen + 12
 	// Kind 6 (receipt report) appends the receiver's cumulative counters
 	// for rows arriving from the addressed sender: the generation of the
 	// triggering frame, rows received, rows innovative and rows departed. A
@@ -272,24 +264,6 @@ func (t *rxTally) depart(stamp byte) {
 		return
 	}
 	t.departed += (seq - t.departed) & (packet.StampFlag - 1)
-}
-
-// cacheAd is one peer's kind-4 advertisement: how much of an object its
-// partial cache holds. Guarded by Session.mu.
-type cacheAd struct {
-	gensFull uint32 // generations the advertiser holds at full rank
-	gens     uint32 // the object's generation count as advertised
-	rank     uint32 // summed rank across generations
-	at       time.Time
-}
-
-// better orders advertisements for steering and bounded-table eviction:
-// more full generations first, then more rank.
-func (a cacheAd) better(b cacheAd) bool {
-	if a.gensFull != b.gensFull {
-		return a.gensFull > b.gensFull
-	}
-	return a.rank > b.rank
 }
 
 // inFrame is one DATA frame travelling from the receive loop to a decode
@@ -526,10 +500,14 @@ func (s *Session) newCoder(geo geometry) (*generation.Coder, error) {
 	})
 }
 
+// aggressiveness is the paper's recoding gate, at the ≈ 1 % its own
+// experiments settle on.
+const aggressiveness = 0.01
+
 // threshold is the received-packet count past which an object state may
-// recode (K·Aggressiveness + 1, as in the paper's aggressiveness gate).
-func (s *Session) threshold(k int) int {
-	return int(float64(k)*s.cfg.Aggressiveness + 1)
+// recode (K·0.01 + 1, as in the paper's aggressiveness gate).
+func threshold(k int) int {
+	return int(float64(k)*aggressiveness + 1)
 }
 
 // Run pumps the session in real time until ctx is cancelled or the

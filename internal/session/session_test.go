@@ -570,21 +570,21 @@ func TestLossyChanTransfer(t *testing.T) {
 // marking META as sent for a below-threshold object (which emits no
 // frames that tick) must not latch — the configured peer would otherwise
 // receive DATA forever but never the size, and could never assemble the
-// object. The relay here learns the META while it has no packets, then
-// crosses the recoding threshold; the peer must still get a META.
+// object. The relay here learns the META while it has no packets, holds
+// one short of the recoding threshold for a while, then crosses it; the
+// peer must still get a META.
 func TestPushMetaAfterThreshold(t *testing.T) {
 	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const (
-		k = 16
+		k = 400 // threshold k/100+1 = 5 rows
 		m = 4
 	)
 	relay := startSession(t, attach(t, sw, "relay"), func(c *Config) {
 		c.Relay = true
 		c.Tick = time.Millisecond
-		c.Aggressiveness = 0.5 // threshold k/2+1: stays unmet for a while
 	})
 	relay.AddPeer("probe")
 	probe := attach(t, sw, "probe")
@@ -594,11 +594,7 @@ func TestPushMetaAfterThreshold(t *testing.T) {
 	if err := probe.Send("relay", meta); err != nil {
 		t.Fatal(err)
 	}
-	// Let several ticks pass while the relay is below threshold — the
-	// buggy push() latched metaSent exactly here.
-	time.Sleep(20 * time.Millisecond)
-	// Cross the threshold.
-	for i := 0; i < k; i++ {
+	native := func(i int) {
 		p := packet.Native(k, i, bytes.Repeat([]byte{byte(i)}, m))
 		p.Object = id
 		wire, err := packet.Marshal(p)
@@ -609,6 +605,14 @@ func TestPushMetaAfterThreshold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	gate := threshold(k)
+	for i := 0; i < gate-1; i++ {
+		native(i)
+	}
+	// Let several ticks pass while the relay is below threshold — the
+	// buggy push() latched metaSent exactly here.
+	time.Sleep(20 * time.Millisecond)
+	native(gate - 1) // cross the threshold
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for {

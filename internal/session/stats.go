@@ -161,19 +161,19 @@ func (s *Session) stats(st *objectState) ObjectStats {
 func (s *Session) statsLocked(st *objectState) ObjectStats {
 	st.mu.Lock()
 	o := ObjectStats{
-		ID:       st.id,
-		K:        st.k,
-		KPer:     st.kPer,
-		M:        st.m,
-		Size:     st.size.Load(),
-		Received: st.received,
-		Aborted:  st.aborted,
-		Cached:   st.phase == phCaching,
+		ID:          st.id,
+		K:           st.k,
+		Generations: int(st.gens.Load()),
+		KPer:        st.kPer,
+		M:           st.m,
+		Size:        st.size.Load(),
+		Received:    st.received,
+		Aborted:     st.aborted,
+		Cached:      st.phase == phCaching,
 	}
 	if st.phase.decoding() {
 		o.Decoded = st.coder.DecodedCount()
 		o.Complete = st.phase == phComplete
-		o.Generations = st.coder.Generations()
 		o.GensComplete = st.coder.CompleteCount()
 		o.GenDecoded = st.coder.AppendGenDecoded(make([]int, 0, o.Generations))
 	}

@@ -395,15 +395,14 @@ func (r *runner) startNode(name string, relay bool, cacheBudget int64, peers []s
 		return nil, err
 	}
 	cfg := session.Config{
-		Transport:      port,
-		Tick:           sc.Tick,
-		Aggressiveness: sc.Aggressiveness,
-		IdleTimeout:    sc.IdleTimeout,
-		Relay:          relay,
-		CacheBudget:    cacheBudget,
-		Seed:           xrand.DeriveSeed(sc.Seed, 0x900d+r.started),
-		HaveSeed:       true,
-		Clock:          r.net.Clock(),
+		Transport:   port,
+		Tick:        sc.Tick,
+		IdleTimeout: sc.IdleTimeout,
+		Relay:       relay,
+		CacheBudget: cacheBudget,
+		Seed:        xrand.DeriveSeed(sc.Seed, 0x900d+r.started),
+		HaveSeed:    true,
+		Clock:       r.net.Clock(),
 	}
 	if sc.Bootstrap > 0 {
 		cfg.Bootstrap = r.bootAddrs

@@ -194,9 +194,8 @@ type Scenario struct {
 	// sender put more than adapt.TickCeiling of them toward one receiver
 	// for one object into one Tick of virtual time: the ceiling no receipt
 	// stream, forged or flooded, can lift.
-	Tick           time.Duration // default 10ms
-	Aggressiveness float64       // default: session default (0.01)
-	IdleTimeout    time.Duration // default: session default (60s)
+	Tick        time.Duration // default 10ms
+	IdleTimeout time.Duration // default: session default (60s)
 
 	// Dynamics.
 	Churn    ChurnSpec

@@ -139,8 +139,10 @@ type Config struct {
 	Bootstrap []Addr
 	// Relay makes the session create decode state for objects it first
 	// learns about from the network and re-push recoded packets of them —
-	// the paper's recoding intermediary. Fetch-only clients leave it
-	// false and decode only objects they asked for.
+	// the paper's recoding intermediary. A relay starts recoding an object
+	// once it holds K·0.01 + 1 packets, the paper's aggressiveness gate.
+	// Fetch-only clients leave it false and decode only objects they asked
+	// for.
 	Relay bool
 	// Tick is the push timer's period (default 2ms): the floor under the
 	// receipt clock. Packets leave as the peers' receipt reports arrive: a
@@ -159,10 +161,6 @@ type Config struct {
 	//
 	// Deprecated: has no effect.
 	Burst int
-	// Aggressiveness gates recoding as in the paper (default 0.01): a
-	// relay starts recoding an object once it holds K·Aggressiveness + 1
-	// packets.
-	Aggressiveness float64
 	// IdleTimeout evicts object state untouched for this long (default
 	// 60s). Locally served objects and objects with blocked fetches stay.
 	IdleTimeout time.Duration
@@ -194,9 +192,10 @@ type Config struct {
 	// innovative coded rows under this global byte budget — admitted only
 	// when they raise a generation's rank, evicted whole generations at a
 	// time by demand recency × innovation density — and served to
-	// requesters by recoding from the cached rows, without ever decoding.
-	// Mutually exclusive with Relay (a cache deliberately holds no decode
-	// state). See Session.CacheStats.
+	// requesters as stored rows, without ever decoding. A REQ is answered
+	// as at any other holder, with the metadata; a cache advertises
+	// nothing else. Mutually exclusive with Relay (a cache deliberately
+	// holds no decode state). See Session.CacheStats.
 	CacheBudget int64
 	// Node carries the root package's functional options to every
 	// per-object decode state the session creates — the same vocabulary
@@ -236,7 +235,6 @@ func (c Config) sessionConfig(tr transport.Transport, nc ltnc.NodeConfig) sessio
 		Transport:              tr,
 		Bootstrap:              c.Bootstrap,
 		Tick:                   c.Tick,
-		Aggressiveness:         c.Aggressiveness,
 		IdleTimeout:            c.IdleTimeout,
 		Relay:                  c.Relay,
 		MaxObjects:             c.MaxObjects,
