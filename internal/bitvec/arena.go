@@ -8,9 +8,10 @@ package bitvec
 // concurrent use — each decoder owns one, matching the one-goroutine-per-
 // object sharding of the session layer.
 type Arena struct {
-	n, m int
-	vecs []*Vector
-	rows [][]byte
+	n, m   int
+	vecs   []*Vector
+	rows   [][]byte
+	handed int // rows Row has handed out
 }
 
 // NewArena returns an arena handing out n-bit vectors and m-byte rows
@@ -83,6 +84,7 @@ func (a *Arena) Row() []byte {
 	r := a.rows[l-1]
 	a.rows[l-1] = nil
 	a.rows = a.rows[:l-1]
+	a.handed++
 	return r
 }
 
@@ -99,3 +101,6 @@ func (a *Arena) PutRow(r []byte) {
 
 // FreeCounts reports the number of pooled vectors and rows (test hook).
 func (a *Arena) FreeCounts() (vecs, rows int) { return len(a.vecs), len(a.rows) }
+
+// RowsHanded reports how many rows Row has handed out so far (test hook).
+func (a *Arena) RowsHanded() int { return a.handed }

@@ -268,9 +268,14 @@ func (n *Node) NativeData(x int) []byte { return n.dec.NativeData(x) }
 // Data returns all native payloads once decoding is complete.
 func (n *Node) Data() ([][]byte, error) { return n.dec.Data() }
 
-// MoveNatives moves a complete node's natives into dst, K slots of M bytes
-// (lt.Decoder.MoveNatives): recoding reads them there from then on.
-func (n *Node) MoveNatives(dst []byte) bool { return n.dec.MoveNatives(dst) }
+// Place makes dst, K slots of M bytes, where the node's natives live
+// (lt.Decoder.Place): those decoded so far move in, later ones decode
+// there, and recoding reads them there.
+func (n *Node) Place(dst []byte) bool { return n.dec.Place(dst) }
+
+// RowFor returns the row a degree-1 packet of native x is to be received
+// into (lt.Decoder.RowFor): x's slot once placed, an arena row otherwise.
+func (n *Node) RowFor(x int) []byte { return n.dec.RowFor(x) }
 
 // Components returns the node's connected-components snapshot in the
 // paper's cc representation; this is what the node ships to a sender over

@@ -14,8 +14,8 @@
 // exposes the same zero-copy hot-path surface as a single core.Node —
 // acquire a vector from the arena, redundancy-check it, move the payload
 // in — so the session's batched ingest works unchanged whether an object
-// has one generation or hundreds, and MoveGen moves a complete
-// generation's natives out of the arena into the caller's object buffer.
+// has one generation or hundreds, and Place gives each generation its
+// slots of the caller's object buffer, where its natives then decode.
 package generation
 
 import (
@@ -306,7 +306,7 @@ func (c *Coder) GenStored(g int) int { return c.gens[g].StoredCount() }
 // coded repair only covers what the link then loses. z's vector must be
 // KPer bits long; every other field is overwritten, and the payload is
 // copied into z's own (grown only if shorter than M), so the row stays
-// valid across later decode activity — a MoveGen, a quarantine ResetGen —
+// valid across later decode activity — a Place, a quarantine ResetGen —
 // and z can be reused from row to row. It reports false, z untouched,
 // while the owning generation has not decoded that native.
 func (c *Coder) NativeRow(z *packet.Packet, x int) bool {
@@ -363,9 +363,9 @@ func (c *Coder) AppendGenDecoded(dst []int) []int {
 
 // GenData returns generation g's kPer natives in order once that
 // generation is complete — the unit the integrity layer verifies. The
-// returned slices are live views, read-only: of arena rows, or after
-// MoveGen of the slots the natives moved to. Take them again after
-// MoveGen(g); they are invalid after ResetGen(g).
+// returned slices are live views, read-only: of arena rows, or once
+// placed of the slots the natives decoded into. Take them again after
+// Place(g); they are invalid after ResetGen(g).
 func (c *Coder) GenData(g int) ([][]byte, error) {
 	if g < 0 || g >= len(c.gens) {
 		return nil, fmt.Errorf("%w: generation %d of %d", ErrBadGeneration, g, len(c.gens))
@@ -377,15 +377,19 @@ func (c *Coder) GenData(g int) ([][]byte, error) {
 	return data, nil
 }
 
-// MoveGen moves complete generation g's natives into dst, KPer slots of M
-// bytes in order, and returns the arena rows they leave to the arena, for
-// the generations still decoding (core.Node.MoveNatives). Natives already
-// in their slots stay put — a generation moved before, or seeded with
-// views of dst — so MoveGen is idempotent, and moving a source's
-// generations into the content they view hands none of it to the arena.
-// It reports whether g's natives sit in dst: false, with nothing moved,
-// while g is incomplete or dst is not KPer·M bytes.
-func (c *Coder) MoveGen(g int, dst []byte) bool { return c.gens[g].MoveNatives(dst) }
+// Place makes dst, KPer slots of M bytes in order, generation g's native
+// buffer (core.Node.Place): the natives g has decoded move in, handing the
+// arena rows they leave to the generations still decoding, and each native
+// g decodes from now on is written into its slot. A native already in its
+// slot stays put. It reports false, with nothing placed, if dst is not
+// KPer·M bytes. A generation ResetGen replaces must be placed again.
+func (c *Coder) Place(g int, dst []byte) bool { return c.gens[g].Place(dst) }
+
+// RowFor returns the row a degree-1 packet of generation g's native x
+// (0 ≤ x < KPer) is to be received into: x's slot while g is placed and x
+// undecoded, an arena row otherwise (lt.Decoder.RowFor). Fill it and pass
+// it to ReceiveOwned at once, as the unit row of x.
+func (c *Coder) RowFor(g, x int) []byte { return c.gens[g].RowFor(x) }
 
 // ResetGen discards generation g's entire decode state and replaces it
 // with a fresh empty node — the session's pollution quarantine: when a
@@ -394,7 +398,8 @@ func (c *Coder) MoveGen(g int, dst []byte) bool { return c.gens[g].MoveNatives(d
 // scratch, and DecodeLog(g) starts over empty. The new node draws from the
 // same deterministic child stream as the old one; the received counter is
 // NOT rolled back (the wasted packets are real reception overhead). The
-// old node's rows are not recycled: they may be slots MoveGen filled.
+// old node's rows are not recycled: they may be slots of a placed buffer.
+// The new node is unplaced.
 func (c *Coder) ResetGen(g int) error {
 	if g < 0 || g >= len(c.gens) {
 		return fmt.Errorf("%w: generation %d of %d", ErrBadGeneration, g, len(c.gens))

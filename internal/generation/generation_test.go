@@ -500,12 +500,14 @@ func TestDecodeLogPerGeneration(t *testing.T) {
 	}
 }
 
-// TestMoveGen: a complete generation moves into the caller's slots —
-// GenData yields them in order and the shared arena gets back every row the
-// generation held, for the next generation to decode into; an incomplete
-// generation moves nothing; and after a ResetGen the refill moves into the
-// same slots again.
-func TestMoveGen(t *testing.T) {
+// TestPlaceGen: a generation placed once complete moves into the caller's
+// slots — GenData yields them in order and the shared arena gets back every
+// row the generation held, for the next generation to decode into; a
+// generation placed before it decodes decodes into its slots and holds no
+// arena row; one placed mid-decode finishes in its slots; placing again
+// changes nothing; and after a ResetGen the refill, placed again, decodes
+// into the same slots.
+func TestPlaceGen(t *testing.T) {
 	const (
 		g    = 3
 		kPer = 16
@@ -524,9 +526,9 @@ func TestMoveGen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fill := func(gen int) {
+	fill := func(gen, from, to int) {
 		t.Helper()
-		for i := range kPer {
+		for i := from; i < to; i++ {
 			z := packet.New(kPer, m)
 			if !src.NativeRow(z, gen*kPer+i) {
 				t.Fatalf("the source has no native %d", gen*kPer+i)
@@ -552,37 +554,49 @@ func TestMoveGen(t *testing.T) {
 		return true
 	}
 
-	if dst.MoveGen(0, slot(0)) {
-		t.Fatal("an empty generation moved")
+	fill(0, 0, kPer)
+	if dst.Place(0, slot(0)[:span-1]) {
+		t.Fatal("placed into slots that are not KPer·M bytes")
 	}
-	fill(0)
 	before := freeRows()
-	if !dst.MoveGen(0, slot(0)) || !inSlots(0) {
+	if !dst.Place(0, slot(0)) || !inSlots(0) {
 		t.Fatal("generation 0 did not move into its slots")
 	}
 	if got := freeRows() - before; got != kPer {
 		t.Fatalf("the move gave the arena %d rows back, want the %d the generation held", got, kPer)
 	}
-	if dst.MoveGen(1, slot(1)) {
-		t.Fatal("an incomplete generation moved")
+	// Generation 1, placed first, decodes into its slots: every row it
+	// takes off the shared free list goes back as its native lands.
+	if !dst.Place(1, slot(1)) {
+		t.Fatal("an empty generation refused its slots")
 	}
-	// Generation 1 decodes into the rows generation 0 left: the arena grows
-	// no new slab for it.
 	before = freeRows()
-	fill(1)
-	if got := before - freeRows(); got != kPer {
-		t.Fatalf("generation 1 took %d rows off the shared free list, want %d", got, kPer)
+	fill(1, 0, kPer)
+	if !inSlots(1) || freeRows() != before {
+		t.Fatalf("generation 1 decoded in its slots: %v, holding %d arena rows; want true, none", inSlots(1), before-freeRows())
 	}
-	if !dst.MoveGen(0, slot(0)) || !inSlots(0) {
-		t.Fatal("moving a moved generation again changed it")
+	fill(2, 0, kPer/2)
+	if !dst.Place(2, slot(2)) {
+		t.Fatal("a half-decoded generation refused its slots")
+	}
+	fill(2, kPer/2, kPer)
+	if !inSlots(2) {
+		t.Fatal("generation 2, placed mid-decode, did not finish in its slots")
+	}
+	before = freeRows()
+	if !dst.Place(0, slot(0)) || !inSlots(0) || freeRows() != before {
+		t.Fatal("placing a placed generation again changed it")
 	}
 
 	if err := dst.ResetGen(0); err != nil {
 		t.Fatal(err)
 	}
 	clear(slot(0))
-	fill(0)
-	if !dst.MoveGen(0, slot(0)) || !inSlots(0) {
-		t.Fatal("the refill after ResetGen did not move into the same slots")
+	if !dst.Place(0, slot(0)) {
+		t.Fatal("the fresh generation refused its slots")
+	}
+	fill(0, 0, kPer)
+	if !inSlots(0) {
+		t.Fatal("the refill after ResetGen did not decode into the same slots")
 	}
 }

@@ -3,6 +3,7 @@ package lt
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"ltnc/internal/bitvec"
 	"ltnc/internal/opcount"
@@ -103,6 +104,9 @@ type Decoder struct {
 	// the buffers of a dropped or pruned packet back the next insertion
 	// instead of being garbage-collected (zero-allocation hot path).
 	arena *bitvec.Arena
+	// dst, once placed, is where the natives live: native x in
+	// dst[x·m:(x+1)·m] (Place).
+	dst []byte
 	// freeStored, queueScratch and adjFree recycle the stored-packet
 	// boxes, the cascade work queue and retired adjacency buckets for the
 	// same reason.
@@ -181,7 +185,8 @@ func (d *Decoder) StoredCount() int { return d.nStored }
 func (d *Decoder) IsDecoded(x int) bool { return d.decoded[x] }
 
 // NativeData returns the payload of native x, or nil if x is not decoded
-// (or payloads are disabled).
+// (or payloads are disabled): its slot of the placed buffer, if there is
+// one (Place).
 func (d *Decoder) NativeData(x int) []byte {
 	if !d.decoded[x] {
 		return nil
@@ -198,30 +203,66 @@ func (d *Decoder) Data() ([][]byte, error) {
 	return d.data, nil
 }
 
-// MoveNatives moves a complete decoder's natives into dst, native x to
-// dst[x·m:(x+1)·m], and hands every row they leave back to the arena. A
-// native already in its slot stays as it is, neither copied onto itself
-// nor recycled: it may be memory the decoder never owned (a Seed's
-// payloads). It reports whether the natives sit in dst — false, with
-// nothing moved, while the decoder is incomplete or if dst is not k·m
-// bytes. A NativeData slice taken before the move is stale after it.
-func (d *Decoder) MoveNatives(dst []byte) bool {
-	if !d.Complete() || len(dst) != d.k*d.m {
+// Place makes dst, k slots of m bytes, the decoder's native buffer: every
+// native decoded so far moves into its slot, native x to dst[x·m:(x+1)·m],
+// handing the row it leaves back to the arena, and every native decoded
+// from now on is written into its slot as it peels. It may be called
+// before, during or after decoding, and again: a native already in its
+// slot is neither copied nor recycled, so natives seeded as views of dst
+// stay as they are (a decoder's other rows are its own to recycle). No row
+// inside dst ever reaches the arena. It reports false, with nothing
+// placed, if dst is not k·m bytes. A NativeData slice taken before the
+// call is stale after it.
+func (d *Decoder) Place(dst []byte) bool {
+	if len(dst) != d.k*d.m {
 		return false
 	}
-	if d.m == 0 {
-		return true // no payloads to move
-	}
+	dst = dst[:len(dst):len(dst)]
 	for x, row := range d.data {
-		slot := dst[x*d.m : (x+1)*d.m : (x+1)*d.m]
-		if len(row) > 0 && &row[0] == &slot[0] {
-			continue
+		if d.decoded[x] && d.m > 0 {
+			d.data[x] = d.intoSlot(dst, x, row)
 		}
-		clear(slot[copy(slot, row):])
-		d.arena.PutRow(row)
-		d.data[x] = slot
 	}
+	d.dst = dst
 	return true
+}
+
+// RowFor returns the row a degree-1 packet of native x is to be received
+// into (InsertOwned): x's slot of the placed buffer while x is undecoded,
+// so that the native lands where it belongs with no copy, and an arena row
+// otherwise — unplaced, payloads disabled, or x decoded, where the row is
+// redundant and goes back to the arena. A caller that fills a slot must
+// insert it as the unit row of x at once.
+func (d *Decoder) RowFor(x int) []byte {
+	if d.dst == nil || d.m == 0 || d.decoded[x] {
+		return d.arena.Row()
+	}
+	return d.dst[x*d.m : (x+1)*d.m : (x+1)*d.m]
+}
+
+// intoSlot moves native x's row into its slot of dst and returns the slot;
+// the row, unless it is that slot already, goes back to the arena.
+func (d *Decoder) intoSlot(dst []byte, x int, row []byte) []byte {
+	slot := dst[x*d.m : (x+1)*d.m : (x+1)*d.m]
+	if len(row) > 0 && &row[0] == &slot[0] {
+		return slot
+	}
+	clear(slot[copy(slot, row):])
+	d.putRow(row)
+	return slot
+}
+
+// putRow hands a row back to the arena unless it lies inside the placed
+// buffer: a slot is the native's for good, and an arena row handed out
+// again is overwritten.
+func (d *Decoder) putRow(r []byte) {
+	if len(r) > 0 && len(d.dst) > 0 {
+		p, lo := uintptr(unsafe.Pointer(&r[0])), uintptr(unsafe.Pointer(&d.dst[0]))
+		if p >= lo && p-lo < uintptr(len(d.dst)) {
+			return
+		}
+	}
+	d.arena.PutRow(r)
 }
 
 // StoredPacket returns the current (reduced) vector and payload of stored
@@ -343,7 +384,7 @@ func (d *Decoder) insertOwned(vec *bitvec.Vector, payload []byte) InsertResult {
 	case deg == 0:
 		d.redundant++
 		d.arena.PutVec(vec)
-		d.arena.PutRow(payload)
+		d.putRow(payload)
 		return InsertResult{Redundant: true}
 	case deg == 1:
 		x := vec.LowestSet()
@@ -355,7 +396,7 @@ func (d *Decoder) insertOwned(vec *bitvec.Vector, payload []byte) InsertResult {
 	if d.hooks.CheckRedundant != nil && deg <= redundancyCheckMaxDegree && d.hooks.CheckRedundant(vec) {
 		d.redundant++
 		d.arena.PutVec(vec)
-		d.arena.PutRow(payload)
+		d.putRow(payload)
 		return InsertResult{Redundant: true}
 	}
 
@@ -455,10 +496,13 @@ func (d *Decoder) runCascade(x0 int, payload []byte) int {
 		it := queue[i]
 		if d.decoded[it.x] {
 			d.duplicated++
-			d.arena.PutRow(it.payload)
+			d.putRow(it.payload)
 			continue
 		}
 		d.decoded[it.x] = true
+		if d.dst != nil && d.m > 0 {
+			it.payload = d.intoSlot(d.dst, it.x, it.payload)
+		}
 		d.data[it.x] = it.payload
 		d.decodedCount++
 		newly++
@@ -498,7 +542,7 @@ func (d *Decoder) runCascade(x0 int, payload []byte) int {
 					d.pruned++
 					d.remove(id, old)
 					d.arena.PutVec(vec)
-					d.arena.PutRow(pl)
+					d.putRow(pl)
 					continue
 				}
 				if d.hooks.DegreeChanged != nil {

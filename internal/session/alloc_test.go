@@ -1,6 +1,7 @@
 package session
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -167,5 +168,41 @@ func TestPushRowAllocBudget(t *testing.T) {
 			t.Errorf("repeats %v: %.2f allocations per row (%v a round of 32, %v a round of %d), want none",
 				repeat, perRow, small, large, maxFreeRows)
 		}
+	}
+}
+
+// TestUnitRowsTakeNoArenaRows: with the manifest in, a unit row is received
+// straight into its slot of the object buffer, so a G = 1 object fed only
+// unit rows — each native twice, the second copy redundant — takes no
+// payload row from its arena: none handed out, and the free list as it
+// was. The count is exact, and the same on every run.
+func TestUnitRowsTakeNoArenaRows(t *testing.T) {
+	const k, m = 64, 32
+	content := testContent(k*m, 97)
+	id, meta := servedMeta(t, content, k, 1)
+	for run := range 3 {
+		f, _, _ := pushSession(t, "fetcher", nil)
+		fetch, err := f.BeginFetch(id, "src")
+		if err != nil {
+			t.Fatal(err)
+		}
+		injectFrame(f, "src", meta)
+		injectBurst(f, "src", manifestChunks(t, id, content, m, 1))
+		arena := f.objects[id].coder.Arena()
+		_, free := arena.FreeCounts()
+		handed := arena.RowsHanded()
+		for x := range k {
+			row := handRow(t, id, content, 1, k, 0, false, x)
+			injectBurst(f, "src", [][]byte{row, row})
+		}
+		data, _, err, ok := fetch.Result()
+		if !ok || err != nil || !bytes.Equal(data, content) {
+			t.Fatalf("run %d: fetch ok=%v err=%v, bytes equal %v", run, ok, err, bytes.Equal(data, content))
+		}
+		if _, after := arena.FreeCounts(); arena.RowsHanded() != handed || after != free {
+			t.Fatalf("run %d: the unit rows took %d rows from the arena, and its free list went %d → %d; want none taken, unchanged",
+				run, arena.RowsHanded()-handed, free, after)
+		}
+		fetch.End()
 	}
 }

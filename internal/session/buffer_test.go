@@ -13,8 +13,9 @@ import (
 )
 
 // One copy per object (DESIGN.md §4): the source serves the caller's
-// content, a receiver decodes each verified generation into the one buffer
-// Fetch returns, and the buffer is committed only once a peer has earned it.
+// content, a receiver decodes every native into its slot of the one buffer
+// Fetch returns, and the buffer is committed only to a manifest that hashes
+// to the root the ID commits to.
 
 // route hands every frame the nodes' recorders hold to the node it is
 // addressed to, senders and destinations in a fixed order; frames to
@@ -41,11 +42,12 @@ func within(r, buf []byte) bool {
 
 // TestFetchedContentIsTheNatives: at a fetcher (G = 4) the bytes Fetch
 // returns are the object buffer, and every generation's natives are its
-// slots — one backing array, no joined copy. With the manifest in hand the
-// buffer appears when the first generation verifies and each generation
-// moves in as it does; without one nothing is committed and nothing
-// completes, every generation decoded or not, until the manifest comes and
-// they all verify and move in at once.
+// slots — one backing array, no joined copy. With the manifest in hand
+// (it comes right behind the META) the buffer exists before the first
+// generation completes, and the natives decode into it; without one
+// nothing is committed and nothing completes, every generation decoded or
+// not, until the manifest comes: then the natives move into their slots
+// at once, and every generation verifies.
 func TestFetchedContentIsTheNatives(t *testing.T) {
 	const gens, kPer, m = 4, 16, 32
 	for _, verified := range []bool{true, false} {
@@ -115,11 +117,10 @@ func TestFetchedContentIsTheNatives(t *testing.T) {
 
 // TestServedContentNeverRecycled: the content a source serves is the
 // caller's memory, and nothing the session does hands it to an arena or
-// writes to it — not seeding, not vouching for it (which moves every
-// generation into the content as the object buffer: a move that copied
-// natives already in their slots and recycled them would put the caller's
-// bytes on the free list, for the next decode to overwrite), not a fetch
-// through a relay, not redundant and duplicate rows pushed back at it.
+// writes to it — not seeding, not vouching for it, not a fetch through a
+// relay, not redundant and duplicate rows pushed back at it (a decoder
+// that recycled natives it does not own would put the caller's bytes on
+// the free list, for the next decode to overwrite).
 func TestServedContentNeverRecycled(t *testing.T) {
 	const gens, kPer, m = 4, 16, 32
 	content := testContent(gens*kPer*m, 92)
@@ -183,16 +184,17 @@ func TestServedContentNeverRecycled(t *testing.T) {
 }
 
 // TestForgedManifestRefillsMovedGenerations: a forged stream completes
-// every generation but one before any manifest is in, and nothing of it
-// moves into an object buffer: there is nothing to verify it against. A
-// manifest that a forger sends whole, but that does not hash to the root
-// the ID commits to, is refused on arrival and its sender banned on the
-// spot — nothing is adopted, nothing verifies against it. The honest
-// source's manifest is adopted, the forged generations fail against it
-// and are quarantined (their one solicited contributor banned), and the
-// source's refill verifies, moves in and completes byte-identically.
-// Vigilant from the quarantine on, each refilled generation keeps its
-// moved natives, not the rows they left, as the audit reference.
+// every generation but one before any manifest is in, and no object buffer
+// exists: nothing has hashed to the root yet. A manifest that a forger
+// sends whole, but that does not hash to the root the ID commits to, is
+// refused on arrival and its sender banned on the spot — nothing is
+// adopted, no buffer committed, nothing verifies. The honest source's
+// manifest is adopted with the buffer, and the forged natives move into
+// their slots; the forged generations fail against it and are quarantined
+// (their one solicited contributor banned), and the source's refill
+// decodes into the same slots of the same buffer, verifies and completes
+// byte-identically. Vigilant from the quarantine on, each refilled
+// generation keeps its natives — its slots — as the audit reference.
 func TestForgedManifestRefillsMovedGenerations(t *testing.T) {
 	const gens, kPer, m = 4, 8, 16
 	const k = gens * kPer
@@ -230,7 +232,14 @@ func TestForgedManifestRefillsMovedGenerations(t *testing.T) {
 	if o, _ := f.Object(id); o.HaveManifest || o.GensVerified != 0 || o.Polluted != 0 {
 		t.Fatalf("after the forged manifest: %+v; want it refused, nothing verified or quarantined", o)
 	}
+	st.mu.Lock()
+	if st.buf != nil {
+		t.Error("the forged manifest committed an object buffer")
+	}
+	st.mu.Unlock()
 	checkPhaseInvariants(t, f)
+	span := (gens - 1) * kPer * m
+	var buf []byte // the buffer the true manifest commits
 
 	// The probes wait on the banned forger until they time out; then the
 	// honest source's refill is admitted.
@@ -243,6 +252,13 @@ func TestForgedManifestRefillsMovedGenerations(t *testing.T) {
 			if b := f.BannedPeers(); len(b) != 2 || b[1] != "mallory" {
 				t.Fatalf("banned %v after the true manifest, want mallory too: it alone filled the generations that failed", b)
 			}
+			st.mu.Lock()
+			buf = st.buf
+			placed := buf != nil && bytes.Equal(buf[:span], forged[:span])
+			st.mu.Unlock()
+			if !placed {
+				t.Fatal("after the true manifest: the forged natives are not in their slots of an object buffer")
+			}
 			fClk.Advance(f.probeTimeout())
 			f.probeSweep()
 		}
@@ -253,6 +269,9 @@ func TestForgedManifestRefillsMovedGenerations(t *testing.T) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if &st.buf[0] != &buf[0] || &data[0] != &buf[0] {
+		t.Fatal("the refill did not decode into the buffer the forged natives were placed in")
+	}
 	for g := range gens - 1 {
 		nats := st.guard[g].natives
 		if st.guard[g].state != genVerified || len(nats) != kPer || &nats[0][0] != &st.buf[g*kPer*m] {
@@ -261,12 +280,12 @@ func TestForgedManifestRefillsMovedGenerations(t *testing.T) {
 	}
 }
 
-// TestObjectBufferNeedsAVerifiedGeneration: the largest object a META may
-// announce — k at MaxK, m the largest a DATA frame of its generations
-// carries, ≈ 4 GiB — costs a receiver nothing of that size while nobody has
-// earned it: forged DATA completes generations, but with no manifest there
-// is nothing to verify them against, and no object buffer exists until
-// every generation is in.
+// TestObjectBufferNeedsAVerifiedGeneration pins "no manifest → no
+// buffer": the largest object a META may announce — k at MaxK, m the
+// largest a DATA frame of its generations carries, ≈ 4 GiB — costs a
+// receiver nothing of that size while no manifest that hashes to the
+// root the ID commits to has been adopted, not even with forged DATA
+// completing generations.
 func TestObjectBufferNeedsAVerifiedGeneration(t *testing.T) {
 	relay, _, _ := pushSession(t, "relay", func(c *Config) { c.Relay = true })
 	geo := geometry{gens: 4096, kPer: 16}
@@ -304,4 +323,54 @@ func TestObjectBufferNeedsAVerifiedGeneration(t *testing.T) {
 		t.Fatal("forged DATA without a manifest committed an object buffer")
 	}
 	checkPhaseInvariants(t, relay)
+}
+
+// TestForgedUnitRowNeverTouchesTheBuffer: once the manifest is adopted a
+// unit row is digest-checked before it is received into its slot, so a
+// forged one from a solicited upstream leaves the object buffer's bytes as
+// they were — for a native still missing and for one decoded already —
+// and its sender is banned; the true row that follows decodes into the
+// slot.
+func TestForgedUnitRowNeverTouchesTheBuffer(t *testing.T) {
+	const gens, kPer, m = 2, 8, 16
+	const g, x = 1, 3 // the forged native: generation g's x
+	content := testContent(gens*kPer*m, 96)
+	id, meta := servedMeta(t, content, gens*kPer, gens)
+	f, _, _ := pushSession(t, "fetcher", nil)
+	fetch, err := f.BeginFetch(id, "mallory", "eve", "src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fetch.End()
+	injectFrame(f, "src", meta)
+	injectBurst(f, "src", manifestChunks(t, id, content, m, 2))
+	injectFrame(f, "src", handRow(t, id, content, gens, kPer, g, false, x-1))
+	st := f.objects[id]
+	st.mu.Lock()
+	before := bytes.Clone(st.buf)
+	st.mu.Unlock()
+	if before == nil {
+		t.Fatal("set-up: no object buffer with the manifest adopted")
+	}
+	injectFrame(f, "mallory", handRow(t, id, content, gens, kPer, g, true, x))
+	injectFrame(f, "eve", handRow(t, id, content, gens, kPer, g, true, x-1))
+	st.mu.Lock()
+	if !bytes.Equal(st.buf, before) {
+		t.Error("a forged unit row changed the object buffer")
+	}
+	if z := packet.New(kPer, m); st.coder.NativeRow(z, g*kPer+x) {
+		t.Error("the forged native decoded")
+	}
+	st.mu.Unlock()
+	if b := f.BannedPeers(); !slices.Equal(b, []transport.Addr{"eve", "mallory"}) {
+		t.Fatalf("banned %v, want both forgers", b)
+	}
+	checkPhaseInvariants(t, f)
+	injectFrame(f, "src", handRow(t, id, content, gens, kPer, g, false, x))
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	at := (g*kPer + x) * m
+	if !bytes.Equal(st.buf[at:at+m], content[at:at+m]) || !st.genInBufLocked(g) {
+		t.Fatal("the true unit row did not decode into its slot")
+	}
 }

@@ -361,13 +361,14 @@ func (st *objectState) receiptFrameLocked(gen uint32, t *rxTally) []byte {
 // against it, the code vector is checked next and a redundant payload is
 // never copied or decoded (Section III-C-2); an innovative packet moves from
 // the transport buffer into the owning generation's arena buffers with no
-// allocation. Returns the feedback frame to send (nil for none), whether
-// the frame was judged — innovative, redundant, or for a generation or
-// object already done: what its upstream's receipts count — and whether
-// the decode state advanced (an innovative packet was fed in), which
-// drives watcher notifications. Pollution consequences (bans, re-arm REQs)
-// accumulate in acts for the batch layer to apply once all locks are
-// dropped.
+// allocation — a unit row whose digest has matched straight into its
+// native's slot of the object buffer. Returns the feedback frame to send
+// (nil for none), whether the frame was judged — innovative, redundant, or
+// for a generation or object already done: what its upstream's receipts
+// count — and whether the decode state advanced (an innovative packet was
+// fed in), which drives watcher notifications. Pollution consequences
+// (bans, re-arm REQs) accumulate in acts for the batch layer to apply once
+// all locks are dropped.
 func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActions) (fb []byte, judged, progressed bool) {
 	if in.wv.M != st.m || st.coder.Check(in.wv.Generations, in.wv.Generation, in.wv.K) != nil {
 		return nil, false, false // not the object's geometry: drop
@@ -416,11 +417,15 @@ func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActio
 		st.aborted++
 		return nil, true, false
 	}
+	// A unit row checked against its digest goes straight into its slot
+	// (either row is nil when m = 0).
 	var payload []byte
-	if in.wv.M > 0 {
+	if plain >= 0 {
+		payload = st.coder.RowFor(g, plain-g*st.kPer)
+	} else {
 		payload = st.coder.AcquireRow(g)
-		copy(payload, in.wv.PayloadBytes(data))
 	}
+	copy(payload, in.wv.PayloadBytes(data))
 	_, genDone := st.coder.ReceiveOwned(g, vec, payload)
 	st.received++
 	st.noteContribLocked(g, in.f.From)
@@ -442,9 +447,10 @@ func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActio
 // forged rows still get caught at generation completion; this closes the
 // polluter's cheapest move — spraying forged unit rows — before they poison
 // a decode. A match returns the native's index (−1: not a checkable row):
-// its proof (objectState.proof) once the row has also decoded — behind a
-// systematic upstream a relay hashes each native here, once, and forwards
-// it from the next push on. st.mu must be held.
+// only such a row is received into the native's slot of the object buffer,
+// and its proof (objectState.proof) is kept once it has also decoded —
+// behind a systematic upstream a relay hashes each native here, once, and
+// forwards it from the next push on. st.mu must be held.
 func (st *objectState) unitRowLocked(g int, vec *bitvec.Vector, pay []byte) (plain int, forged bool) {
 	if st.man == nil || vec.PopCount() != 1 {
 		return -1, false

@@ -115,16 +115,11 @@ func (st *objectState) noteContribLocked(g int, addr transport.Addr) {
 	gg.contrib[addr]++
 }
 
-// vouchLocked marks every generation verified: the content is local. Like
-// any verified generation, each moves into the object buffer where there is
-// one, which finds it in place: a source's natives are views of the content
-// that is its buffer. st.mu must be held.
+// vouchLocked marks every generation verified: the content is local, and
+// a source's natives are views of it. st.mu must be held.
 func (st *objectState) vouchLocked() {
 	for g := range st.guard {
 		st.guard[g].state = genVerified
-		if st.buf != nil {
-			st.moveGenLocked(g)
-		}
 	}
 }
 
@@ -137,9 +132,11 @@ func (s *Session) probeTimeout() time.Duration {
 
 // adoptManifestLocked installs a manifest that hashes to the object's root:
 // the parsed form for verification, pre-built frames for re-serving it
-// downstream. st.mu must be held.
+// downstream; a filling or decoded object gets its buffer with it
+// (placeLocked). st.mu must be held.
 func (st *objectState) adoptManifestLocked(man *integrity.Manifest, raw []byte) {
 	st.man, st.manFrames, st.manAsm = man, manifestFrames(st.id, raw), nil
+	st.placeLocked()
 }
 
 // Per-native proof states (objectState.proof); the zero value is "not
@@ -201,13 +198,10 @@ func (s *Session) verifyGenLocked(st *objectState, g int, acts *pollActions) {
 		}
 	}
 	// Verified: the probed contributor, if any, delivered a clean refill,
-	// and the blame ledger closes. The natives move into the object buffer
-	// (allocated here for the first verified generation: a peer has had to
-	// deliver the manifest and a generation that matches it first), and
-	// vigilant, the moved natives stay as the audit reference: any further
-	// row offered to this generation can now be checked byte-exactly.
+	// and the blame ledger closes. Vigilant, the natives — in their slots of
+	// the object buffer — stay as the audit reference: any further row
+	// offered to this generation can now be checked byte-exactly.
 	*gg = genGuard{state: genVerified}
-	st.moveGenLocked(g)
 	if st.vigilant {
 		gg.natives, _ = st.coder.GenData(g)
 	}
@@ -241,6 +235,7 @@ func (s *Session) quarantineGenLocked(st *objectState, g int, acts *pollActions)
 		st.suspicion[addr] += rows
 	}
 	st.coder.ResetGen(g)
+	st.placeGenLocked(g) // the fresh decoder refills the same slots
 	// The generation's log starts over with its decoder, and what was
 	// proven of the old natives says nothing about the new ones.
 	if st.sysMerged != nil {

@@ -18,9 +18,9 @@ import (
 // phase, and the functions of this file are the only code that creates an
 // objectState, assigns its phase, coder, buffer or data, or closes done:
 // admitLocked (outside input or a local call creates or sizes state),
-// seedLocked (Serve), promoteLocked (a fetch at a cache), settleLocked
-// (whatever may have completed something, moveGenLocked under it) and
-// evictLocked. Every other file asks the phase.
+// seedLocked (Serve), promoteLocked (a fetch at a cache), placeLocked (a
+// manifest adopted), settleLocked (whatever may have completed something)
+// and evictLocked. Every other file asks the phase.
 // DESIGN.md §4 has the phase × event table.
 //
 //	announced ─┬─► caching ──(fetched here)──┐
@@ -118,12 +118,12 @@ type objectState struct {
 	kPer  int // per-generation code length (k / gens)
 	coder *generation.Coder
 	// buf is the object buffer, k·m bytes, native x of generation g in slot
-	// g·kPer + x: a generation's decoded natives move into it as the
-	// generation verifies, every generation at assembly, and data is its
-	// head (DESIGN.md §4, "One copy per object"). nil until a generation
-	// verifies against an adopted manifest or the object assembles, and
-	// again whenever a quarantine empties it; a source's is its content,
-	// when that is exactly k·m bytes.
+	// g·kPer + x, and data is its head once complete (DESIGN.md §4, "One
+	// copy per object"). A filling or decoded object has one exactly while
+	// it holds an adopted manifest (placeLocked): the natives decoded before
+	// the manifest move into their slots at adoption, and every native
+	// decoded after it is written into its slot as it peels. A source's is
+	// its content, when that is exactly k·m bytes.
 	buf      []byte
 	data     []byte        // assembled content (phComplete): buf's head, or a source's content
 	done     chan struct{} // closed on entering phComplete
@@ -378,6 +378,7 @@ func (s *Session) promoteLocked(st *objectState) (progressed bool) {
 		return false
 	}
 	st.shapeLocked(phFilling, geo, coder)
+	st.placeLocked()
 	s.cache.Drain(st.id, func(g uint32, vec *bitvec.Vector, payload []byte) {
 		gi := int(g)
 		if gi >= geo.gens || coder.GenComplete(gi) {
@@ -425,17 +426,14 @@ func (s *Session) settleLocked(st *objectState, g int, acts *pollActions) []byte
 			st.phase = phDecoded
 			st.assembleLocked()
 		}
-		if st.phase == phFilling && st.buf != nil {
-			st.shedBufLocked()
-		}
 	}
 	return s.owedLocked(st, g)
 }
 
 // assembleLocked is settleLocked's last step, decoded → complete: once every
-// generation has verified — and moved into the object buffer as it did —
-// the buffer's head is the content. A verified generation means an adopted
-// manifest, and that a META that verified gave the size.
+// generation has verified, the object buffer's head is the content: every
+// native decoded into its slot. A verified generation means an adopted
+// manifest, so the buffer, and that a META that verified gave the size.
 func (st *objectState) assembleLocked() {
 	size := st.size.Load()
 	if size < 0 || size > int64(len(st.buf)) {
@@ -450,47 +448,34 @@ func (st *objectState) assembleLocked() {
 	close(st.done)
 }
 
-// moveGenLocked moves generation g's decoded natives into their slots of
-// the object buffer (generation.Coder.MoveGen), allocating the buffer on
-// first use: the rows they leave go back to the coder's arena for the
-// generations still decoding. A generation already in place stays as it
-// is. Nothing moves while g is incomplete, or if k·m bytes overflow an int.
-// st.mu must be held.
-func (st *objectState) moveGenLocked(g int) {
-	if !st.coder.GenComplete(g) {
+// placeLocked gives a filling or decoded object that has adopted its
+// manifest the object buffer, and places every generation's decoder in its
+// slots (generation.Coder.Place): the natives decoded so far move in, once,
+// and each one decoded from now on is written there as it peels. A
+// receiver commits k·m bytes only to a manifest that hashes to the root
+// the ID commits to. Nothing is allocated if k·m bytes overflow an int
+// (32-bit builds): the natives stay in arena rows, and the object never
+// assembles. st.mu must be held.
+func (st *objectState) placeLocked() {
+	if (st.phase != phFilling && st.phase != phDecoded) || st.man == nil || st.buf != nil ||
+		int64(st.k)*int64(st.m) > math.MaxInt {
 		return
 	}
+	st.buf = make([]byte, st.k*st.m)
+	for g := range st.guard {
+		st.placeGenLocked(g)
+	}
+}
+
+// placeGenLocked places generation g's decoder in its slots of the object
+// buffer, if there is one — again after a quarantine's ResetGen, whose
+// fresh decoder decodes into the same slots. st.mu must be held.
+func (st *objectState) placeGenLocked(g int) {
 	if st.buf == nil {
-		if int64(st.k)*int64(st.m) > math.MaxInt {
-			return
-		}
-		st.buf = make([]byte, st.k*st.m)
+		return
 	}
 	span := st.kPer * st.m
-	st.coder.MoveGen(g, st.buf[g*span:(g+1)*span:(g+1)*span])
-}
-
-// genInBufLocked reports whether generation g's natives sit in the object
-// buffer; moveGenLocked moves a generation whole, so its first native
-// tells. st.mu must be held.
-func (st *objectState) genInBufLocked(g int) bool {
-	nats, err := st.coder.GenData(g)
-	if err != nil || st.buf == nil {
-		return false
-	}
-	return st.m == 0 || (len(nats[0]) > 0 && &nats[0][0] == &st.buf[g*st.kPer*st.m])
-}
-
-// shedBufLocked drops the object buffer once no generation sits in it — a
-// quarantine reset the last one — so that it is held only while a verified
-// or assembled generation is in it. st.mu must be held.
-func (st *objectState) shedBufLocked() {
-	for g := range st.guard {
-		if st.genInBufLocked(g) {
-			return
-		}
-	}
-	st.buf = nil
+	st.coder.Place(g, st.buf[g*span:(g+1)*span:(g+1)*span])
 }
 
 // owedLocked is the one answer to "what does the sender of this frame need

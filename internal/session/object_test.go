@@ -7,6 +7,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -86,38 +87,62 @@ func checkPhaseInvariants(tb testing.TB, s *Session) {
 	}
 }
 
-// checkObjectBufferLocked holds an object's buffer to its bound: it exists
-// only while some generation sits in it — a generation moves in when it
-// verifies against an adopted manifest, or at assembly, once every
-// generation is complete; a source's natives sit in the content it served —
-// so a peer has had to deliver a manifest and a generation that matches it,
-// or the whole object, before a receiver commits k·m bytes. Where it
-// exists it is k·m bytes, every verified generation sits in it, every
-// generation of a complete object does, and the content is its head.
-// st.mu must be held.
+// checkObjectBufferLocked holds an object's buffer to its rule: a filling
+// or decoded object with m > 0 has one exactly while it holds an adopted
+// manifest — a receiver commits k·m bytes to a manifest that hashes to the
+// root the ID commits to, and to nothing less — unless k·m bytes overflow
+// an int (32-bit builds), where it never has one. Where there is a buffer
+// it is k·m bytes, every native decoded here sits in its slot, and once
+// complete the content is its head. st.mu must be held.
 func checkObjectBufferLocked(tb testing.TB, id packet.ObjectID, st *objectState, ph phase) {
 	tb.Helper()
+	fits := int64(st.k)*int64(st.m) <= math.MaxInt
+	if (ph == phFilling || ph == phDecoded) && st.m > 0 && (st.buf != nil) != (st.man != nil && fits) {
+		tb.Errorf("%v: phase %v, object buffer %v, manifest adopted %v", id, ph, st.buf != nil, st.man != nil)
+	}
 	if st.buf == nil {
 		return
 	}
 	if len(st.buf) != st.k*st.m {
 		tb.Errorf("%v: a %d-byte object buffer for k=%d m=%d", id, len(st.buf), st.k, st.m)
 	}
-	in := 0
 	for g := range st.guard {
-		switch {
-		case st.genInBufLocked(g):
-			in++
-		case st.guard[g].state == genVerified || ph == phComplete:
-			tb.Errorf("%v: phase %v, generation %d (guard state %d) is not in the object buffer", id, ph, g, st.guard[g].state)
+		if !st.genInBufLocked(g) {
+			tb.Errorf("%v: phase %v, generation %d (guard state %d) has a decoded native outside its slot", id, ph, g, st.guard[g].state)
 		}
-	}
-	if in == 0 {
-		tb.Errorf("%v: phase %v with an object buffer no generation is in", id, ph)
 	}
 	if ph == phComplete && len(st.data) > 0 && &st.data[0] != &st.buf[0] {
 		tb.Errorf("%v: the content is not the object buffer's head", id)
 	}
+}
+
+// genInBufLocked reports whether every native generation g has decoded
+// sits in its slot of the object buffer: the slot holds its bytes, and once
+// g is complete the decoder's natives are the slots themselves. st.mu must
+// be held.
+func (st *objectState) genInBufLocked(g int) bool {
+	if st.buf == nil {
+		return false
+	}
+	if st.m == 0 {
+		return true
+	}
+	z := packet.New(st.kPer, st.m)
+	for x := g * st.kPer; x < (g+1)*st.kPer; x++ {
+		if st.coder.NativeRow(z, x) && !bytes.Equal(z.Payload, st.buf[x*st.m:(x+1)*st.m]) {
+			return false
+		}
+	}
+	if !st.coder.GenComplete(g) {
+		return true
+	}
+	nats, _ := st.coder.GenData(g)
+	for i, nat := range nats {
+		if &nat[0] != &st.buf[(g*st.kPer+i)*st.m] {
+			return false
+		}
+	}
+	return true
 }
 
 // manifestChunks builds the MANIFEST frames of content's m-byte natives
