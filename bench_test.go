@@ -400,7 +400,7 @@ func BenchmarkDecodeIngestBatched(b *testing.B) {
 			}
 			row := n.AcquireRow()
 			copy(row, wv.PayloadBytes(data))
-			n.ReceiveOwned(vec, row)
+			n.ReceiveOwned(vec, row, -1)
 		}
 		if !n.Complete() {
 			b.Fatal("stream did not decode")

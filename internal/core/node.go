@@ -227,10 +227,12 @@ func (n *Node) ReleaseRow(r []byte) { n.dec.Arena().PutRow(r) }
 // ReceiveOwned feeds one packet whose buffers were acquired from this
 // node's arena (AcquireVec/AcquireRow) and filled in place — the
 // zero-copy, zero-allocation receive path. Ownership of vec and payload
-// transfers to the node; payload may be nil for control-plane use.
-func (n *Node) ReceiveOwned(vec *bitvec.Vector, payload []byte) lt.InsertResult {
+// transfers to the node; payload may be nil for control-plane use. src
+// tags the packet (−1: untagged), the tag every native it releases reports
+// as its Source (lt.Decoder.InsertOwned).
+func (n *Node) ReceiveOwned(vec *bitvec.Vector, payload []byte, src int32) lt.InsertResult {
 	n.counter.Event(opcount.DecodeControl)
-	return n.dec.InsertOwned(vec, payload)
+	return n.dec.InsertOwned(vec, payload, src)
 }
 
 // Complete reports whether all k natives are decoded.
@@ -258,6 +260,10 @@ func (n *Node) StoredCount() int { return n.dec.StoredCount() }
 // slice is a read-only view that grows, in place or not, with every
 // packet fed in: index it afresh after each.
 func (n *Node) DecodeLog() []int32 { return n.log }
+
+// Source returns the tag of the packet that released native x, −1 for an
+// untagged one or x undecoded (lt.Decoder.Source).
+func (n *Node) Source(x int) int32 { return n.dec.Source(x) }
 
 // IsDecoded reports whether native x is decoded.
 func (n *Node) IsDecoded(x int) bool { return n.dec.IsDecoded(x) }
@@ -317,7 +323,7 @@ func (n *Node) Seed(natives [][]byte) error {
 		if n.m == 0 {
 			data = nil
 		}
-		n.dec.InsertOwned(vec, data)
+		n.dec.InsertOwned(vec, data, -1)
 	}
 	return nil
 }

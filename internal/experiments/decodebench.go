@@ -313,7 +313,7 @@ func runEngineShard(p DecodeBenchParams, streams []*benchStream, nodes []*core.N
 				}
 				row := node.AcquireRow()
 				copy(row, wv.PayloadBytes(data))
-				node.ReceiveOwned(vec, row)
+				node.ReceiveOwned(vec, row, -1)
 			}
 		}
 	}

@@ -202,10 +202,16 @@ func (c *Coder) GenComplete(g int) bool { return c.gens[g].Complete() }
 // acquired from that generation's arena — the zero-copy receive path.
 // genDone reports whether this packet completed the generation.
 func (c *Coder) ReceiveOwned(g int, vec *bitvec.Vector, payload []byte) (res lt.InsertResult, genDone bool) {
+	return c.ReceiveFrom(g, vec, payload, -1)
+}
+
+// ReceiveFrom is ReceiveOwned for a packet tagged src (≥ 0; −1 is
+// untagged): every native of g it releases reports src as its Source.
+func (c *Coder) ReceiveFrom(g int, vec *bitvec.Vector, payload []byte, src int32) (res lt.InsertResult, genDone bool) {
 	node := c.gens[g]
 	was := node.Complete()
 	c.received++
-	res = node.ReceiveOwned(vec, payload)
+	res = node.ReceiveOwned(vec, payload, src)
 	if !was && node.Complete() {
 		c.completed(node)
 		return res, true
@@ -294,6 +300,12 @@ func (c *Coder) Recode(skip func(g int) bool) (*packet.Packet, bool) {
 // source, empty again after ResetGen(g). A read-only view (see
 // core.Node.DecodeLog).
 func (c *Coder) DecodeLog(g int) []int32 { return c.gens[g].DecodeLog() }
+
+// Source returns the tag of the packet that released generation g's
+// native x (an index within the generation), −1 for an untagged packet or
+// x undecoded: walked in DecodeLog(g) order, the first native that proves
+// false names the packet that was false as received (lt.Decoder.Source).
+func (c *Coder) Source(g, x int) int32 { return c.gens[g].Source(x) }
 
 // GenStored returns how many coded rows generation g holds that belief
 // propagation has not yet reduced to natives: what recoding from g can say
@@ -393,13 +405,14 @@ func (c *Coder) RowFor(g, x int) []byte { return c.gens[g].RowFor(x) }
 
 // ResetGen discards generation g's entire decode state and replaces it
 // with a fresh empty node — the session's pollution quarantine: when a
-// completed generation fails manifest verification there is no way to
-// tell which rows were forged, so the generation is re-fetched from
-// scratch, and DecodeLog(g) starts over empty. The new node draws from the
-// same deterministic child stream as the old one; the received counter is
-// NOT rolled back (the wasted packets are real reception overhead). The
-// old node's rows are not recycled: they may be slots of a placed buffer.
-// The new node is unplaced.
+// completed generation fails manifest verification, its first false native
+// names the packet proven forged (Source), but every native decoded after
+// it may carry the error, so the generation is re-fetched from scratch,
+// and DecodeLog(g) and every Source of g start over. The new node draws
+// from the same deterministic child stream as the old one; the received
+// counter is NOT rolled back (the wasted packets are real reception
+// overhead). The old node's rows are not recycled: they may be slots of a
+// placed buffer. The new node is unplaced.
 func (c *Coder) ResetGen(g int) error {
 	if g < 0 || g >= len(c.gens) {
 		return fmt.Errorf("%w: generation %d of %d", ErrBadGeneration, g, len(c.gens))

@@ -600,3 +600,54 @@ func TestPlaceGen(t *testing.T) {
 		t.Fatal("the refill after ResetGen did not decode into the same slots")
 	}
 }
+
+// TestSourcePerGeneration: a native received through ReceiveFrom reports
+// its packet's tag, one received through ReceiveOwned reports −1, each
+// generation answers for its own natives only, and ResetGen forgets every
+// tag of the generation it rebuilds, whose refill reports its own.
+func TestSourcePerGeneration(t *testing.T) {
+	const g, kPer, m = 2, 8, 4
+	rng := rand.New(rand.NewSource(8))
+	natives := randomNatives(rng, g*kPer, m)
+	dst, err := New(Options{Generations: g, KPerGeneration: kPer, M: m, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(gen, x int, tag int32) {
+		v := dst.AcquireVec(gen)
+		v.Reset()
+		v.Set(x)
+		row := dst.RowFor(gen, x)
+		copy(row, natives[gen*kPer+x])
+		if tag < 0 {
+			dst.ReceiveOwned(gen, v, row)
+		} else {
+			dst.ReceiveFrom(gen, v, row, tag)
+		}
+	}
+	for x := range kPer {
+		send(0, x, int32(100+x))
+		send(1, x, -1)
+	}
+	for x := range kPer {
+		if s0, s1 := dst.Source(0, x), dst.Source(1, x); s0 != int32(100+x) || s1 != -1 {
+			t.Fatalf("native %d: generation 0 names %d, generation 1 %d; want %d and -1", x, s0, s1, 100+x)
+		}
+	}
+	if err := dst.ResetGen(0); err != nil {
+		t.Fatal(err)
+	}
+	for x := range kPer {
+		if s := dst.Source(0, x); s != -1 {
+			t.Fatalf("native %d names %d after ResetGen, want -1", x, s)
+		}
+	}
+	for x := range kPer {
+		send(0, x, int32(200+x))
+	}
+	for x := range kPer {
+		if s := dst.Source(0, x); s != int32(200+x) {
+			t.Fatalf("native %d of the refill names %d, want %d", x, s, 200+x)
+		}
+	}
+}

@@ -161,7 +161,7 @@ func TestInsertOwnedMatchesInsert(t *testing.T) {
 			row = owned.Arena().Row()
 			copy(row, p.Payload)
 		}
-		owned.InsertOwned(vec, row)
+		owned.InsertOwned(vec, row, -1)
 	}
 	if !owned.Complete() {
 		t.Fatal("owned-buffer decode incomplete")

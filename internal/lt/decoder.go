@@ -3,6 +3,7 @@ package lt
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"unsafe"
 
 	"ltnc/internal/bitvec"
@@ -72,12 +73,15 @@ type stored struct {
 	vec     *bitvec.Vector
 	payload []byte
 	deg     int
+	src     int32 // the tag the row arrived with (InsertOwned)
 }
 
-// pending is one cascade work item: a decoded native and its payload.
+// pending is one cascade work item: a decoded native, its payload and the
+// tag of the row that released it.
 type pending struct {
 	x       int
 	payload []byte
+	src     int32
 }
 
 // Decoder is a belief-propagation LT decoder over a Tanner graph. It is
@@ -107,6 +111,9 @@ type Decoder struct {
 	// dst, once placed, is where the natives live: native x in
 	// dst[x·m:(x+1)·m] (Place).
 	dst []byte
+	// src[x] is the tag of the row that released native x (Source); nil
+	// until a tagged row arrives, so an untagged decoder carries none.
+	src []int32
 	// freeStored, queueScratch and adjFree recycle the stored-packet
 	// boxes, the cascade work queue and retired adjacency buckets for the
 	// same reason.
@@ -227,6 +234,18 @@ func (d *Decoder) Place(dst []byte) bool {
 	return true
 }
 
+// Source returns the tag of the row that released native x, as it was
+// inserted (InsertOwned), or −1: x undecoded, or released by an
+// untagged row. Belief propagation gives x the value of that one row, which
+// only natives decoded before x have reduced; so if those are true and x is
+// not, the row was false as inserted, and the tag names who sent it.
+func (d *Decoder) Source(x int) int32 {
+	if d.src == nil || !d.decoded[x] {
+		return -1
+	}
+	return d.src[x]
+}
+
 // RowFor returns the row a degree-1 packet of native x is to be received
 // into (InsertOwned): x's slot of the placed buffer while x is undecoded,
 // so that the native lands where it belongs with no copy, and an arena row
@@ -310,22 +329,24 @@ func (d *Decoder) Insert(p *packet.Packet) InsertResult {
 			payload = append([]byte(nil), p.Payload...)
 		}
 	}
-	return d.insertOwned(vec, payload)
+	return d.insertOwned(vec, payload, -1)
 }
 
 // InsertOwned is Insert for callers that hand over buffer ownership: vec
 // (and payload, which may be nil) must be shaped like the decoder's arena
 // buffers — typically acquired from Arena() and filled from wire bytes —
 // and must not be used after the call. This is the zero-copy receive path:
-// wire → arena buffer → Tanner graph, with no per-packet allocation.
-func (d *Decoder) InsertOwned(vec *bitvec.Vector, payload []byte) InsertResult {
+// wire → arena buffer → Tanner graph, with no per-packet allocation. The
+// row is tagged src (≥ 0; −1 is untagged): every native it releases, now or
+// later in a cascade, reports src as its Source.
+func (d *Decoder) InsertOwned(vec *bitvec.Vector, payload []byte, src int32) InsertResult {
 	if vec.Len() != d.k {
 		panic(fmt.Sprintf("lt: packet k=%d inserted in decoder k=%d", vec.Len(), d.k))
 	}
 	if payload != nil && len(payload) != d.m {
 		panic(fmt.Sprintf("lt: payload of %d bytes inserted in decoder m=%d", len(payload), d.m))
 	}
-	return d.insertOwned(vec, payload)
+	return d.insertOwned(vec, payload, src)
 }
 
 // BatchResult aggregates the outcome of a batched ingest.
@@ -361,7 +382,7 @@ func (d *Decoder) InsertBatch(ps []*packet.Packet) BatchResult {
 }
 
 // insertOwned runs the insertion pipeline on decoder-owned buffers.
-func (d *Decoder) insertOwned(vec *bitvec.Vector, payload []byte) InsertResult {
+func (d *Decoder) insertOwned(vec *bitvec.Vector, payload []byte, src int32) InsertResult {
 	d.received++
 
 	// Reduce by decoded natives ("every encoded packet y involving x is
@@ -389,7 +410,7 @@ func (d *Decoder) insertOwned(vec *bitvec.Vector, payload []byte) InsertResult {
 	case deg == 1:
 		x := vec.LowestSet()
 		d.arena.PutVec(vec)
-		n := d.runCascade(x, payload)
+		n := d.runCascade(pending{x, payload, src})
 		return InsertResult{NewlyDecoded: n}
 	}
 
@@ -400,15 +421,14 @@ func (d *Decoder) insertOwned(vec *bitvec.Vector, payload []byte) InsertResult {
 		return InsertResult{Redundant: true}
 	}
 
-	id := d.store(vec, payload, deg)
+	d.store(vec, payload, deg, src)
 	if deg == 2 {
 		d.emitDegreeTwo(vec, payload)
 	}
-	_ = id
 	return InsertResult{Stored: true}
 }
 
-func (d *Decoder) store(vec *bitvec.Vector, payload []byte, deg int) int {
+func (d *Decoder) store(vec *bitvec.Vector, payload []byte, deg int, src int32) {
 	if len(d.freeStored) == 0 {
 		// Replenish the box pool a slab at a time (cf. the arena's chunked
 		// vectors): growing the stored set costs one allocation per slab,
@@ -422,7 +442,7 @@ func (d *Decoder) store(vec *bitvec.Vector, payload []byte, deg int) int {
 	s := d.freeStored[n-1]
 	d.freeStored[n-1] = nil
 	d.freeStored = d.freeStored[:n-1]
-	s.vec, s.payload, s.deg = vec, payload, deg
+	s.vec, s.payload, s.deg, s.src = vec, payload, deg, src
 	var id int
 	if n := len(d.free); n > 0 {
 		id = d.free[n-1]
@@ -459,7 +479,6 @@ func (d *Decoder) store(vec *bitvec.Vector, payload []byte, deg int) int {
 	if d.hooks.PacketStored != nil {
 		d.hooks.PacketStored(id, deg)
 	}
-	return id
 }
 
 func (d *Decoder) remove(id, lastDegree int) {
@@ -483,12 +502,12 @@ func (d *Decoder) emitDegreeTwo(vec *bitvec.Vector, payload []byte) {
 	d.hooks.DegreeTwo(x, y, payload)
 }
 
-// runCascade decodes native x0 (carrying payload) and propagates: every
-// stored packet containing a freshly decoded native is XORed with it; a
-// packet reduced to degree 1 is consumed and decodes another native.
+// runCascade decodes native first.x (carrying its payload) and propagates:
+// every stored packet containing a freshly decoded native is XORed with it;
+// a packet reduced to degree 1 is consumed and decodes another native.
 // Returns the number of natives decoded.
-func (d *Decoder) runCascade(x0 int, payload []byte) int {
-	queue := append(d.queueScratch[:0], pending{x0, payload})
+func (d *Decoder) runCascade(first pending) int {
+	queue := append(d.queueScratch[:0], first)
 	defer func() { d.queueScratch = queue[:0] }()
 	newly := 0
 
@@ -504,6 +523,12 @@ func (d *Decoder) runCascade(x0 int, payload []byte) int {
 			it.payload = d.intoSlot(d.dst, it.x, it.payload)
 		}
 		d.data[it.x] = it.payload
+		if it.src >= 0 && d.src == nil {
+			d.src = slices.Repeat([]int32{-1}, d.k)
+		}
+		if d.src != nil {
+			d.src[it.x] = it.src
+		}
 		d.decodedCount++
 		newly++
 		if d.hooks.Decoded != nil {
@@ -531,7 +556,7 @@ func (d *Decoder) runCascade(x0 int, payload []byte) int {
 				vec, pl := s.vec, s.payload
 				d.remove(id, old)
 				d.arena.PutVec(vec)
-				queue = append(queue, pending{y, pl})
+				queue = append(queue, pending{y, pl, s.src})
 			default:
 				if d.hooks.CheckRedundant != nil && s.deg <= redundancyCheckMaxDegree &&
 					d.hooks.CheckRedundant(s.vec) {

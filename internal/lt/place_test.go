@@ -134,7 +134,7 @@ func TestPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	for x := range k {
-		seeded.InsertOwned(bitvec.Single(k, x), dst[x*m:(x+1)*m:(x+1)*m])
+		seeded.InsertOwned(bitvec.Single(k, x), dst[x*m:(x+1)*m:(x+1)*m], -1)
 	}
 	if !seeded.Place(dst) {
 		t.Fatal("the seeded decoder refused the buffer its natives view")
@@ -180,7 +180,7 @@ func checkPlace(t *testing.T, seed int64, k, m int) {
 			if placed {
 				row := dec.RowFor(x)
 				copy(row, natives[x])
-				dec.InsertOwned(bitvec.Single(k, x), row)
+				dec.InsertOwned(bitvec.Single(k, x), row, -1)
 			} else {
 				dec.Insert(packet.Native(k, x, natives[x]))
 			}

@@ -190,11 +190,13 @@ func TestServedContentNeverRecycled(t *testing.T) {
 // refused on arrival and its sender banned on the spot — nothing is
 // adopted, no buffer committed, nothing verifies. The honest source's
 // manifest is adopted with the buffer, and the forged natives move into
-// their slots; the forged generations fail against it and are quarantined
-// (their one solicited contributor banned), and the source's refill
-// decodes into the same slots of the same buffer, verifies and completes
-// byte-identically. Vigilant from the quarantine on, each refilled
-// generation keeps its natives — its slots — as the audit reference.
+// their slots; the forged generations fail against it and are quarantined,
+// the row that released each one's first false native naming its solicited
+// sender, who is banned. The source's refill is admitted at once — nothing
+// waits on the banned sender — decodes into the same slots of the same
+// buffer, verifies and completes byte-identically. Vigilant from the
+// quarantine on, each refilled generation keeps its natives — its slots —
+// as the audit reference.
 func TestForgedManifestRefillsMovedGenerations(t *testing.T) {
 	const gens, kPer, m = 4, 8, 16
 	const k = gens * kPer
@@ -205,7 +207,7 @@ func TestForgedManifestRefillsMovedGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, meta := servedMeta(t, content, k, gens)
-	f, fRec, fClk := pushSession(t, "fetcher", nil)
+	f, fRec, _ := pushSession(t, "fetcher", nil)
 	fetch, err := f.BeginFetch(id, "mallory", "forger", "src")
 	if err != nil {
 		t.Fatal(err)
@@ -241,27 +243,38 @@ func TestForgedManifestRefillsMovedGenerations(t *testing.T) {
 	span := (gens - 1) * kPer * m
 	var buf []byte // the buffer the true manifest commits
 
-	// The probes wait on the banned forger until they time out; then the
-	// honest source's refill is admitted.
+	// The source's opening round: its META and manifest first, then its
+	// rows, every one of which is admitted.
 	injectFrame(src, "fetcher", encodeReq(id))
-	for tick := 0; tick < 4*gens; tick++ {
+	pushTicks(src, srcClk, 1)
+	var rows [][]byte
+	for _, fr := range src.tr.(*recTransport).take()["fetcher"] {
+		if fr[0] == frameData {
+			rows = append(rows, fr)
+		} else {
+			injectFrame(f, "src", fr)
+		}
+	}
+	if b := f.BannedPeers(); len(b) != 2 || b[1] != "mallory" {
+		t.Fatalf("banned %v after the true manifest, want mallory too: its rows released the first false natives", b)
+	}
+	st.mu.Lock()
+	buf = st.buf
+	placed := buf != nil && bytes.Equal(buf[:span], forged[:span])
+	aborted := st.aborted
+	st.mu.Unlock()
+	if !placed {
+		t.Fatal("after the true manifest: the forged natives are not in their slots of an object buffer")
+	}
+	injectBurst(f, "src", rows)
+	if o, _ := f.Object(id); len(rows) == 0 || o.Aborted != aborted {
+		t.Fatalf("the source's %d opening rows: %d refused, want every one admitted", len(rows), o.Aborted-aborted)
+	}
+	route(src, f) // the fetcher's replies to the opening round
+	for range 4 * gens {
 		pushTicks(src, srcClk, 1)
 		route(src, f)
 		checkPhaseInvariants(t, f)
-		if tick == 0 {
-			if b := f.BannedPeers(); len(b) != 2 || b[1] != "mallory" {
-				t.Fatalf("banned %v after the true manifest, want mallory too: it alone filled the generations that failed", b)
-			}
-			st.mu.Lock()
-			buf = st.buf
-			placed := buf != nil && bytes.Equal(buf[:span], forged[:span])
-			st.mu.Unlock()
-			if !placed {
-				t.Fatal("after the true manifest: the forged natives are not in their slots of an object buffer")
-			}
-			fClk.Advance(f.probeTimeout())
-			f.probeSweep()
-		}
 	}
 	data, stats, err, ok := fetch.Result()
 	if !ok || err != nil || !bytes.Equal(data, content) || stats.Polluted != gens-1 {
@@ -280,13 +293,13 @@ func TestForgedManifestRefillsMovedGenerations(t *testing.T) {
 	}
 }
 
-// TestObjectBufferNeedsAVerifiedGeneration pins "no manifest → no
+// TestObjectBufferNeedsTheManifest pins "no manifest → no
 // buffer": the largest object a META may announce — k at MaxK, m the
 // largest a DATA frame of its generations carries, ≈ 4 GiB — costs a
 // receiver nothing of that size while no manifest that hashes to the
 // root the ID commits to has been adopted, not even with forged DATA
 // completing generations.
-func TestObjectBufferNeedsAVerifiedGeneration(t *testing.T) {
+func TestObjectBufferNeedsTheManifest(t *testing.T) {
 	relay, _, _ := pushSession(t, "relay", func(c *Config) { c.Relay = true })
 	geo := geometry{gens: 4096, kPer: 16}
 	geo.m = transport.MaxFrame - geo.wireSize()

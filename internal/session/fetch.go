@@ -189,8 +189,8 @@ func (f *Fetching) sendReqs() {
 }
 
 // reqSweep sends the REQ resends that are due and returns when the next
-// one is — the zero time with no fetch waiting on one. Like probeSweep it
-// runs every timer round of the push plane, and before the timer parks.
+// one is — the zero time with no fetch waiting on one. It runs every timer
+// round of the push plane, and before the timer parks.
 func (s *Session) reqSweep() (next time.Time) {
 	s.mu.Lock()
 	fetches := slices.Clone(s.fetches)

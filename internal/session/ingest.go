@@ -319,15 +319,9 @@ func (st *objectState) receiptLocked(in *inFrame, fb []byte, judged, progressed 
 	if !judged {
 		return fb
 	}
-	t, ok := st.rx[in.f.From]
-	if !ok {
-		if st.rx == nil {
-			st.rx = make(map[transport.Addr]*rxTally)
-		} else if len(st.rx) >= maxPeersPerObject {
-			return fb
-		}
-		t = &rxTally{}
-		st.rx[in.f.From] = t
+	t := st.tallyLocked(in.f.From)
+	if t == nil {
+		return fb
 	}
 	t.rows++
 	if progressed {
@@ -340,6 +334,24 @@ func (st *objectState) receiptLocked(in *inFrame, fb []byte, judged, progressed 
 		t.since = 0
 	}
 	return fb
+}
+
+// tallyLocked returns from's tally, made with the next sender tag on its
+// first judged row; past maxPeersPerObject upstreams, only for a solicited
+// sender (the fetch's candidates bound those). st.mu must be held.
+func (st *objectState) tallyLocked(from transport.Addr) *rxTally {
+	if t, ok := st.rx[from]; ok {
+		return t
+	}
+	if st.rx == nil {
+		st.rx = make(map[transport.Addr]*rxTally)
+	} else if len(st.rx) >= maxPeersPerObject && !st.solicitedPeer(from) {
+		return nil
+	}
+	t := &rxTally{tag: int32(len(st.senders))}
+	st.rx[from] = t
+	st.senders = append(st.senders, from)
+	return t
 }
 
 // receiptFrameLocked encodes the receipt for tally t, about generation gen
@@ -362,24 +374,24 @@ func (st *objectState) receiptFrameLocked(gen uint32, t *rxTally) []byte {
 // never copied or decoded (Section III-C-2); an innovative packet moves from
 // the transport buffer into the owning generation's arena buffers with no
 // allocation — a unit row whose digest has matched straight into its
-// native's slot of the object buffer. Returns the feedback frame to send
-// (nil for none), whether the frame was judged — innovative, redundant, or
-// for a generation or object already done: what its upstream's receipts
-// count — and whether the decode state advanced (an innovative packet was
-// fed in), which drives watcher notifications. Pollution consequences
-// (bans, re-arm REQs) accumulate in acts for the batch layer to apply once
-// all locks are dropped.
+// native's slot of the object buffer — tagged with its sender
+// (objectState.senders), so a generation that fails verification names
+// who forged it. Returns the feedback frame to send (nil for none), whether
+// the frame was judged — innovative, redundant, or for a generation or
+// object already done: what its upstream's receipts count — and whether the
+// decode state advanced (an innovative packet was fed in), which drives
+// watcher notifications. Pollution consequences (bans, re-arm REQs)
+// accumulate in acts for the batch layer to apply once all locks are
+// dropped.
 func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActions) (fb []byte, judged, progressed bool) {
 	if in.wv.M != st.m || st.coder.Check(in.wv.Generations, in.wv.Generation, in.wv.K) != nil {
 		return nil, false, false // not the object's geometry: drop
 	}
-	st.touch(s.clk.Now())
+	now := s.clk.Now()
+	st.touch(now)
 	g := int(in.wv.Generation)
-	if p := st.guard[g].probe; p != "" && in.f.From != p {
-		// Quarantined generation under probe isolation: only the probed
-		// contributor's rows are admitted, so a failed refill convicts it
-		// beyond doubt. Everyone else waits for their turn (or for the
-		// probe to clear the generation).
+	if st.refusesLocked(g, in.f.From, now) {
+		// Unsolicited rows a quarantine of g turned away from its refill.
 		st.aborted++
 		return nil, false, false
 	}
@@ -417,6 +429,13 @@ func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActio
 		st.aborted++
 		return nil, true, false
 	}
+	t := st.tallyLocked(in.f.From)
+	if t == nil {
+		// No tag left to name this unsolicited sender by: fail closed.
+		st.coder.ReleaseVec(g, vec)
+		st.aborted++
+		return nil, false, false
+	}
 	// A unit row checked against its digest goes straight into its slot
 	// (either row is nil when m = 0).
 	var payload []byte
@@ -426,9 +445,8 @@ func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActio
 		payload = st.coder.AcquireRow(g)
 	}
 	copy(payload, in.wv.PayloadBytes(data))
-	_, genDone := st.coder.ReceiveOwned(g, vec, payload)
+	_, genDone := st.coder.ReceiveFrom(g, vec, payload, t.tag)
 	st.received++
-	st.noteContribLocked(g, in.f.From)
 	if plain >= 0 {
 		st.proof[plain] = proofGood // not redundant, so decoded as received
 	}
@@ -443,7 +461,7 @@ func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActio
 // unitRowLocked checks a degree-1 row on arrival. Over GF(2) it is a native
 // payload in the clear, so a held manifest makes it checkable at once. A
 // digest mismatch (forged) is byte-exact proof of forgery against this
-// sender alone: instant ban, no quarantine or probe round-trip. Dense
+// sender alone: instant ban, no quarantine round-trip. Dense
 // forged rows still get caught at generation completion; this closes the
 // polluter's cheapest move — spraying forged unit rows — before they poison
 // a decode. A match returns the native's index (−1: not a checkable row):

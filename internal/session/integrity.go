@@ -1,6 +1,7 @@
 package session
 
 import (
+	"maps"
 	"math/bits"
 	"slices"
 	"time"
@@ -12,12 +13,12 @@ import (
 )
 
 // The integrity plane (DESIGN.md §13): manifests, per-generation
-// verification, quarantine and probes, bans. An object's ID commits to its
-// geometry and its manifest's root (integrity.ObjectID): a META is checked
-// on arrival (parseMeta), a manifest on adoption, and every native against
-// the manifest, so nothing here hashes a whole object. Detection runs under
-// st.mu on the decode path; its consequences collect in pollActions and are
-// applied once every lock is dropped.
+// verification, quarantine and decode-provenance blame, bans. An object's
+// ID commits to its geometry and its manifest's root (integrity.ObjectID):
+// a META is checked on arrival (parseMeta), a manifest on adoption, and
+// every native against the manifest, so nothing here hashes a whole object.
+// Detection runs under st.mu on the decode path; its consequences collect
+// in pollActions and are applied once every lock is dropped.
 
 // pollActions collects the consequences of pollution detection that must
 // run after the decode-plane lock is released: session-wide bans (they
@@ -28,17 +29,18 @@ type pollActions struct {
 	sends []ingestReply
 }
 
-// apply executes the collected actions. Call with no locks held.
+// apply executes the collected actions: the bans first, then every send
+// but those to a banned peer. Call with no locks held.
 func (s *Session) applyPollActions(acts *pollActions) {
 	if acts == nil || (len(acts.bans) == 0 && len(acts.sends) == 0) {
 		return
 	}
 	s.banPeers(acts.bans)
-	for _, r := range acts.sends {
+	s.mu.Lock()
+	sends := slices.DeleteFunc(acts.sends, func(r ingestReply) bool { _, b := s.banned[r.addr]; return b })
+	s.mu.Unlock()
+	for _, r := range sends {
 		s.tr.Send(r.addr, r.frame)
-	}
-	if len(acts.sends) > 0 {
-		s.wake() // a probe went out: a parked push loop must time it
 	}
 	acts.bans = acts.bans[:0]
 	acts.sends = acts.sends[:0]
@@ -105,16 +107,6 @@ func (st *objectState) solicitedPeer(addr transport.Addr) bool {
 	return ok
 }
 
-// noteContribLocked records that one innovative row of generation g came
-// from addr — the blame ledger a later verification failure settles.
-func (st *objectState) noteContribLocked(g int, addr transport.Addr) {
-	gg := &st.guard[g]
-	if gg.contrib == nil {
-		gg.contrib = make(map[transport.Addr]int)
-	}
-	gg.contrib[addr]++
-}
-
 // vouchLocked marks every generation verified: the content is local, and
 // a source's natives are views of it. st.mu must be held.
 func (st *objectState) vouchLocked() {
@@ -123,11 +115,23 @@ func (st *objectState) vouchLocked() {
 	}
 }
 
-// probeTimeout is how long a quarantined generation waits on its probe
-// peer before moving to the next candidate — probe peers can be dead,
-// banned meanwhile, or simply slow.
-func (s *Session) probeTimeout() time.Duration {
+// refusalWindow is how long a quarantined generation refuses rows after a
+// failed verification named an unsolicited sender (refusesLocked).
+func (s *Session) refusalWindow() time.Duration {
 	return max(100*s.cfg.Tick, 250*time.Millisecond)
+}
+
+// refusesLocked reports whether generation g refuses from's rows: for
+// refusalWindow after a quarantine of g named an unsolicited sender, until
+// g verifies, those of every sender its quarantines named and, if solicited
+// upstreams can refill it, of every unsolicited one, so that a sprayer's
+// next address cannot poison the refill either. st.mu must be held.
+func (st *objectState) refusesLocked(g int, from transport.Addr, now time.Time) bool {
+	gg := &st.guard[g]
+	if !now.Before(gg.refusedUntil) {
+		return false
+	}
+	return slices.Contains(gg.refused, from) || len(st.solicited) > 0 && !st.solicitedPeer(from)
 }
 
 // adoptManifestLocked installs a manifest that hashes to the object's root:
@@ -179,8 +183,9 @@ func manifestFrames(id packet.ObjectID, raw []byte) [][]byte {
 // verifyGenLocked runs the freshly completed generation g through the
 // manifest, if there is one yet: a generation verifies, or fails and is
 // quarantined into acts. Without a manifest it stays open until one comes
-// (settleLocked retro-verifies). st.mu must be held and the coder complete
-// for g.
+// (settleLocked retro-verifies). Checked in decode order, the first native
+// that fails is the verdict and names its forger (generation.Coder.Source).
+// st.mu must be held and the coder complete for g.
 func (s *Session) verifyGenLocked(st *objectState, g int, acts *pollActions) {
 	gg := &st.guard[g]
 	if st.man == nil || gg.state == genVerified {
@@ -191,49 +196,39 @@ func (s *Session) verifyGenLocked(st *objectState, g int, acts *pollActions) {
 		return
 	}
 	base := g * st.kPer
-	for i, nat := range natives {
-		if !st.nativeProvenLocked(base+i, nat) {
-			s.quarantineGenLocked(st, g, acts)
+	for _, x := range st.coder.DecodeLog(g) {
+		if !st.nativeProvenLocked(base+int(x), natives[x]) {
+			s.quarantineGenLocked(st, g, st.coder.Source(g, int(x)), acts)
 			return
 		}
 	}
-	// Verified: the probed contributor, if any, delivered a clean refill,
-	// and the blame ledger closes. Vigilant, the natives — in their slots of
-	// the object buffer — stay as the audit reference: any further row
+	// Verified: any refusal lapses. Vigilant, the natives — in their slots
+	// of the object buffer — stay as the audit reference: any further row
 	// offered to this generation can now be checked byte-exactly.
 	*gg = genGuard{state: genVerified}
 	if st.vigilant {
-		gg.natives, _ = st.coder.GenData(g)
+		gg.natives = natives
 	}
 }
 
 // quarantineGenLocked handles a generation whose decoded natives failed
-// digest verification: blame every contributing peer (a solo contributor
-// is convicted outright — all rows came from it, and exact linear algebra
-// over true rows cannot produce false natives: the manifest is the one the
-// ID commits to, so the proof is byte-exact), reset the generation's decode
-// state, gate downstream recoding of it, and arm
-// the probe that re-fetches it one contributor at a time. st.mu must be
+// digest verification, the first of them released by a row from the sender
+// tagged src (−1: untagged). Every native decoded before it was true, so
+// that row was false as it arrived: byte-exact proof. A solicited sender is
+// convicted of it; an unsolicited one may be an honest node recoding a
+// buffer it cannot verify, so it is only refused the refill for a while
+// (refusesLocked). The decode state is reset, downstream recoding gated, and
+// every other upstream not refused re-armed with a REQ: one that heard the
+// premature generation-complete feedback has stopped sending. st.mu must be
 // held.
-func (s *Session) quarantineGenLocked(st *objectState, g int, acts *pollActions) {
+func (s *Session) quarantineGenLocked(st *objectState, g int, src int32, acts *pollActions) {
 	gg := &st.guard[g]
-	contrib := gg.contrib
-	for solo := range contrib {
-		// Conviction requires solicitation: an unsolicited solo contributor
-		// (a push-back peer recoding a buffer it cannot verify) is not
-		// banned.
-		if len(contrib) == 1 && st.solicitedPeer(solo) {
-			acts.bans = append(acts.bans, solo)
-		}
+	var forger transport.Addr
+	if src >= 0 {
+		forger = st.senders[src]
 	}
 	st.polluted++
 	st.vigilant = true
-	if st.suspicion == nil {
-		st.suspicion = make(map[transport.Addr]int)
-	}
-	for addr, rows := range contrib {
-		st.suspicion[addr] += rows
-	}
 	st.coder.ResetGen(g)
 	st.placeGenLocked(g) // the fresh decoder refills the same slots
 	// The generation's log starts over with its decoder, and what was
@@ -242,54 +237,25 @@ func (s *Session) quarantineGenLocked(st *objectState, g int, acts *pollActions)
 		st.sysMerged[g] = 0
 	}
 	clear(st.proof[g*st.kPer : (g+1)*st.kPer])
-	// Probe order: most suspicious contributor first (rows contributed to
-	// polluted generations of this object), address as the deterministic
-	// tie-break. Re-arm every contributor with a REQ — an upstream that
-	// heard our premature generation-complete feedback (or completion)
-	// has stopped sending and must resume for the re-fetch.
-	cands := make([]transport.Addr, 0, len(contrib))
-	for addr := range contrib {
-		cands = append(cands, addr)
-	}
-	slices.SortFunc(cands, func(a, b transport.Addr) int {
-		if d := st.suspicion[b] - st.suspicion[a]; d != 0 {
-			return d
-		}
-		return cmpAddr(a, b)
-	})
-	for _, addr := range cands {
-		acts.sends = append(acts.sends, ingestReply{addr, encodeReq(st.id)})
-	}
-	// Decode state, ledger and audit reference are gone with the reset;
-	// recoding the generation downstream is gated until it verifies.
-	*gg = genGuard{state: genQuarantined, cands: cands}
-	s.advanceProbeLocked(st, g, acts)
-	s.logf("session: %v generation %d failed verification: quarantined (%d contributors, probing %s)",
-		st.id, g, len(contrib), gg.probe)
-}
-
-func cmpAddr(a, b transport.Addr) int {
+	// The audit reference goes with the reset; the senders refused stay.
+	gg.state, gg.natives = genQuarantined, nil
+	now := s.clk.Now()
 	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
+	case forger == "":
+	case st.solicitedPeer(forger):
+		acts.bans = append(acts.bans, forger)
+	default:
+		if !slices.Contains(gg.refused, forger) {
+			gg.refused = append(gg.refused, forger)
+		}
+		gg.refusedUntil = now.Add(s.refusalWindow())
 	}
-	return 0
-}
-
-// advanceProbeLocked moves a quarantined generation to its next probe
-// candidate, or to open mode when the candidate list is exhausted (every
-// remaining contributor gets another chance — a fresh pollution will
-// re-arm the probe with fresh suspicion). st.mu must be held.
-func (s *Session) advanceProbeLocked(st *objectState, g int, acts *pollActions) {
-	gg := &st.guard[g]
-	if len(gg.cands) == 0 {
-		gg.probe = ""
-		return
+	for _, addr := range slices.Sorted(maps.Keys(st.rx)) {
+		if addr != forger && !st.refusesLocked(g, addr, now) {
+			acts.sends = append(acts.sends, ingestReply{addr, encodeReq(st.id)})
+		}
 	}
-	gg.probe, gg.cands, gg.probeAt = gg.cands[0], gg.cands[1:], s.clk.Now()
-	acts.sends = append(acts.sends, ingestReply{gg.probe, encodeReq(st.id)})
+	s.logf("session: %v generation %d failed verification: quarantined, first false native from %q", st.id, g, forger)
 }
 
 // auditFailsLocked checks a row offered to an already-verified generation
@@ -467,39 +433,4 @@ func (st *objectState) dropStaleAsmLocked(cutoff time.Time) bool {
 		delete(st.manAsm, victim)
 	}
 	return va != nil
-}
-
-// probeSweep advances stalled probes: a quarantined generation waiting on
-// a probe peer that never answered (dead, banned meanwhile, or slow)
-// moves to its next candidate, or back to open refill when the candidate
-// list is exhausted. It returns when the earliest probe still unanswered
-// times out — the zero time with none out — which is when it must run
-// next: every timer round of the push loop, and before the loop parks.
-func (s *Session) probeSweep() (next time.Time) {
-	s.mu.Lock()
-	var objs []*objectState
-	for _, st := range s.objects {
-		objs = append(objs, st)
-	}
-	s.mu.Unlock()
-	now := s.clk.Now()
-	timeout := s.probeTimeout()
-	var acts pollActions
-	for _, st := range objs {
-		st.mu.Lock()
-		if st.vigilant && st.phase != phEvicted {
-			for g := range st.guard {
-				gg := &st.guard[g]
-				if gg.probe != "" && now.Sub(gg.probeAt) >= timeout {
-					s.advanceProbeLocked(st, g, &acts)
-				}
-				if at := gg.probeAt.Add(timeout); gg.probe != "" && (next.IsZero() || at.Before(next)) {
-					next = at
-				}
-			}
-		}
-		st.mu.Unlock()
-	}
-	s.applyPollActions(&acts)
-	return next
 }

@@ -90,16 +90,13 @@ const (
 // genGuard is one generation's pollution-defense state (guarded by mu).
 type genGuard struct {
 	state uint8
-	// contrib — rows each peer contributed since the last reset, the blame
-	// ledger a failed verification settles; probe / probeAt / cands — the
-	// one-contributor-at-a-time refill of a quarantined generation ("" =
-	// open to all); natives — the verified natives, kept (vigilant mode) as
-	// the reference for byte-exact row audits.
-	contrib map[transport.Addr]int
-	probe   transport.Addr
-	probeAt time.Time
-	cands   []transport.Addr
-	natives [][]byte
+	// refused — the unsolicited senders its quarantines named, until it
+	// verifies; refusedUntil — when the refusal lapses (refusesLocked);
+	// natives — the verified natives, kept (vigilant mode) as the
+	// reference for byte-exact row audits.
+	refused      []transport.Addr
+	refusedUntil time.Time
+	natives      [][]byte
 }
 
 // objectState splits into two lock domains. The decode plane — phase,
@@ -145,33 +142,34 @@ type objectState struct {
 	// guard[g] is generation g's verification state, proof[x] the kept
 	// verdict of checking decoded native x against its digest, so it can cut
 	// through ahead of its generation and is hashed once (nativeProvenLocked);
-	// both sized with the coder. suspicion — rows each peer contributed to
-	// polluted generations of this object.
-	guard     []genGuard
-	proof     []uint8
-	suspicion map[transport.Addr]int
-	polluted  int64 // pollution events (quarantines)
-	vigilant  bool  // pollution seen: audit rows offered to verified generations
+	// both sized with the coder.
+	guard    []genGuard
+	proof    []uint8
+	polluted int64 // pollution events (quarantines)
+	vigilant bool  // pollution seen: audit rows offered to verified generations
 	// sysLog is the object's decode-order log — global native indices as
 	// they were decoded here, what the systematic pass walks — merged from
 	// the coder's per-generation logs, sysMerged[g] entries of g's so far.
 	sysLog    []int32
 	sysMerged []int
 	// rx tracks, per upstream peer, the rows this session accepted from it
-	// for this object (feeds receipt reports, kinds 5 and 6).
-	// Decode plane: ingest mutates it under mu. Bounded like the peer
-	// table (maxPeersPerObject).
-	rx map[transport.Addr]*rxTally
+	// for this object (feeds kind-6 receipt reports); senders[t.tag] names
+	// the peer of tally t, the tag its rows are decoded under, so a failed
+	// verification names who sent the row behind its first false native.
+	// Decode plane: ingest mutates both under mu. Bounded like the peer
+	// table but for solicited senders (tallyLocked); never pruned.
+	rx      map[transport.Addr]*rxTally
+	senders []transport.Addr
 	// solicited holds the peers this session explicitly chose as upstreams
-	// for the object (the Fetch candidate set). Conviction requires
-	// solicitation: only solicited peers can be banned over this object's
-	// rows. An unsolicited peer pushing rows at us may be an honest node
-	// recoding a buffer it cannot yet verify (it holds no manifest), so its
-	// forgeries-by-proxy are dropped or quarantined away — blame for them
-	// belongs to whoever poisoned it, and that node's own defense settles
-	// it. A polluter, by contrast, only ever lands rows on its victims
-	// because they subscribed to it, so every polluter is solicited by
-	// every victim and conviction is unimpeded.
+	// for the object (the Fetch candidate set). A proven forged row — a
+	// unit row failing its digest, an audited row, the row that released a
+	// generation's first false native — bans its sender only if it is
+	// solicited: an unsolicited pusher may be an honest node recoding a
+	// buffer it cannot yet verify (it holds no manifest), whose poisoner
+	// that node's own defense convicts. Its forgeries are dropped or
+	// quarantined away and its refill refused for a while (refusesLocked);
+	// a raw sender pushing forgeries unasked is never banned for them. A
+	// forged manifest convicts any sender: no honest node sends one.
 	solicited map[transport.Addr]struct{}
 
 	size       atomic.Int64 // -1 until a META that verified (or Serve) provides it, with root

@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -716,9 +717,12 @@ func (c *objCell) checkCell(t *testing.T, row, ev int, sent map[transport.Addr][
 			t.Errorf("manifest delivered: %+v, want it adopted, %d generations verified, %d quarantined", o, wantVerified, wantPolluted)
 		}
 		if row == rowPoisoned {
-			// The quarantine re-arms the generation's contributor and probes it.
-			if r := kinds(sent["src"]); r != "REQ REQ" || c.s.objects[c.id].guard[0].state != genQuarantined {
-				t.Errorf("quarantine sent %q to the contributor, guard state %d", r, c.s.objects[c.id].guard[0].state)
+			// The forged row that released the first false native came from
+			// src, unsolicited: not banned, but refused the refill and not
+			// re-armed for it.
+			gg := c.s.objects[c.id].guard[0]
+			if r := kinds(sent["src"]); r != "" || gg.state != genQuarantined || !slices.Equal(gg.refused, []transport.Addr{"src"}) || len(c.s.BannedPeers()) != 0 {
+				t.Errorf("quarantine sent %q to the forger, guard state %d refusing %v, banned %v", r, gg.state, gg.refused, c.s.BannedPeers())
 			}
 		}
 	case ev == evFbFrontier:

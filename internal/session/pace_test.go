@@ -557,52 +557,6 @@ func TestIdleSessionParksTimer(t *testing.T) {
 	}
 }
 
-// TestParkedTimerWakesForProbeTimeout: the deadline a parked session asks
-// to be stepped at is the earliest unanswered probe's own timeout — not a
-// sweep period after the park, which noticed a dead probe peer up to twice
-// the timeout late — and no probe deadline at all with none out; a probe
-// going out wakes the push plane so that it learns of it.
-func TestParkedTimerWakesForProbeTimeout(t *testing.T) {
-	s, rec, clk := pushSession(t, "dst", nil)
-	id, err := s.Serve(testContent(64*16, 43), 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evictAt := clk.Now().Add(time.Second)
-	if next := s.Step(); next != evictAt {
-		t.Fatalf("no probe out: parked until %v, want the eviction at %v", next, evictAt)
-	}
-	// Generation 0 goes on probe to p, with q next in line, 50 ms in.
-	clk.Advance(50 * time.Millisecond)
-	st := s.objects[id]
-	st.mu.Lock()
-	st.vigilant = true
-	st.guard[0].cands = []transport.Addr{"p", "q"}
-	var acts pollActions
-	s.advanceProbeLocked(st, 0, &acts)
-	st.mu.Unlock()
-	sentAt := clk.Now()
-	s.applyPollActions(&acts)
-	next := s.Step()
-	if want := sentAt.Add(s.probeTimeout()); next != want {
-		t.Fatalf("probe sent at %v: parked until %v, want its timeout %v", sentAt, next, want)
-	}
-	rec.take()
-	// p never answers: at the deadline the probe moves on to q, whose own
-	// timeout is the next deadline; q never answers either and the
-	// generation goes back to open refill, with no probe deadline left.
-	clk.AdvanceTo(next)
-	next = s.Step()
-	if toQ := rec.take()["q"]; len(toQ) != 1 || toQ[0][0] != frameReq || next != clk.Now().Add(s.probeTimeout()) {
-		t.Fatalf("probe timed out: %d frames to the next candidate, next deadline %v, want one REQ and %v",
-			len(toQ), next, clk.Now().Add(s.probeTimeout()))
-	}
-	clk.AdvanceTo(next)
-	if next = s.Step(); next != evictAt || st.guard[0].probe != "" {
-		t.Errorf("candidates exhausted: probing %q, parked until %v, want open refill and the eviction at %v", st.guard[0].probe, next, evictAt)
-	}
-}
-
 // TestFetchRetriesLostREQ: a fetch whose first REQ the network dropped asks
 // again within ten ticks — not a quarter of a second later, longer than
 // the whole paced transfer — and one whose REQ was answered sends no

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -499,6 +501,14 @@ func TestRelayEmitsOnlyProvenRows(t *testing.T) {
 	// relay codes blind, once the natives ahead of it have settled. The
 	// subscriber sends no receipt, so the pacer's floor of a row a tick is
 	// the pace: k ticks and two more for the last native to age out bound it.
+	// The refill comes from src, whose row released the first false native:
+	// unsolicited, it is not banned, but its rows of the generation are
+	// refused until the refusal window has passed.
+	in(false, 0)
+	if got := st.coder.DecodedCount(); got != 0 || !slices.Equal(st.guard[0].refused, []transport.Addr{"src"}) {
+		t.Fatalf("within the refusal window: %d natives decoded from src, refusing %v; want none, [src]", got, st.guard[0].refused)
+	}
+	clk.Advance(relay.refusalWindow())
 	for x := 0; x < k; x++ {
 		in(false, x)
 	}
@@ -575,4 +585,141 @@ func TestForgedManifestRefutedAtRelay(t *testing.T) {
 	if !o.Complete || o.Polluted != 0 || o.Received != k || emitted < k {
 		t.Fatalf("relay %+v after emitting %d rows: want complete, unpolluted, every native received once, k rows out", o, emitted)
 	}
+}
+
+// TestDenseForgerConvictedAtFirstFailure: a solicited upstream that forges
+// only dense rows — no unit-row check touches them, and degree-2 rows never
+// complete a generation alone — is banned at the first generation that
+// fails verification, though the honest source sent all its other rows: the
+// forger's row released the generation's first false native in decode
+// order, and every native decoded before that one was true. The honest
+// source is not blamed for the false native its own true row released
+// later, reduced by the forged one, though that native comes first in
+// index order. The quarantine re-arms the honest source and not the
+// convict. It holds as well after maxPeersPerObject other addresses have
+// each sent a row first: a solicited sender still gets a tag to be named
+// by, and a further unsolicited one, which would get none, has its rows
+// refused rather than decoded untagged.
+func TestDenseForgerConvictedAtFirstFailure(t *testing.T) {
+	for _, others := range []int{0, maxPeersPerObject} {
+		t.Run(fmt.Sprintf("%d-others", others), func(t *testing.T) { testDenseForger(t, others) })
+	}
+}
+
+func testDenseForger(t *testing.T, others int) {
+	const gens, kPer, m = 2, 8, 16
+	content := testContent(gens*kPer*m, 95)
+	id, meta := servedMeta(t, content, gens*kPer, gens)
+	f, rec, _ := pushSession(t, "fetcher", nil)
+	fetch, err := f.BeginFetch(id, "mallory", "src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fetch.End()
+	injectFrame(f, "src", meta)
+	injectBurst(f, "src", manifestChunks(t, id, content, m, 2))
+	if o, _ := f.Object(id); !o.HaveManifest {
+		t.Fatal("set-up: the manifest was not adopted")
+	}
+	// Each other address sends the same true row of generation 1: the first
+	// decodes, the rest are redundant, and every one takes a tally.
+	for i := range others {
+		injectFrame(f, transport.Addr(fmt.Sprintf("other-%d", i)), handRow(t, id, content, gens, kPer, 1, false, 0))
+	}
+	injectFrame(f, "late", handRow(t, id, content, gens, kPer, 1, false, 1))
+	if o, _ := f.Object(id); others > 0 && o.GenDecoded[1] != 1 {
+		t.Fatalf("generation 1 decoded %d natives: the row of an unsolicited sender past a full tally table was decoded", o.GenDecoded[1])
+	}
+	rec.take()
+	injectFrame(f, "mallory", handRow(t, id, content, gens, kPer, 0, true, 2, 3))
+	injectFrame(f, "src", handRow(t, id, content, gens, kPer, 0, false, 2))    // releases a false 3
+	injectFrame(f, "src", handRow(t, id, content, gens, kPer, 0, false, 0, 3)) // reduced by it: a false 0
+	for _, i := range []int{1, 4, 5, 6, 7} {
+		injectFrame(f, "src", handRow(t, id, content, gens, kPer, 0, false, i))
+	}
+	o, _ := f.Object(id)
+	if b := f.BannedPeers(); o.Polluted != 1 || !slices.Equal(b, []transport.Addr{"mallory"}) {
+		t.Fatalf("after generation 0 failed: %d quarantines, banned %v; want 1 and mallory", o.Polluted, b)
+	}
+	sent := rec.take()
+	if r, c := kinds(sent["src"]), kinds(sent["mallory"]); !strings.Contains(r, "REQ") || strings.Contains(c, "REQ") {
+		t.Fatalf("the quarantine sent %q to the source and %q to the convict; want a REQ and none", r, c)
+	}
+}
+
+// TestUnsolicitedSprayerCannotStallAFetch is a regression guard on virtual
+// time: while the source serves a node, addresses the node never asked —
+// one, two or four, as one host's UDP ports would be — spray forged dense
+// rows at it, two a tick between them, from the first tick to the end. The
+// forgeries poison the generation until it fails verification; the node
+// still completes byte-exact within the bound, and no sprayer is banned: an
+// unsolicited sender may be an honest node relaying what it cannot verify.
+// A fetcher solicited the source, which alone refills a generation a
+// sprayer poisoned. A relay the source pushes to solicited no one, so each
+// quarantine refuses one more sprayer and the refills run clean once every
+// one that got a row in is refused. Either is complete within 100 ms of
+// virtual time (a clean fetch of the object takes 22 ms here).
+func TestUnsolicitedSprayerCannotStallAFetch(t *testing.T) {
+	for _, fetching := range []bool{true, false} {
+		for _, sprayers := range []int{1, 2, 4} {
+			name := fmt.Sprintf("fetcher/%d-sprayers", sprayers)
+			if !fetching {
+				name = fmt.Sprintf("relay/%d-sprayers", sprayers)
+			}
+			t.Run(name, func(t *testing.T) { testSprayers(t, fetching, sprayers) })
+		}
+	}
+}
+
+func testSprayers(t *testing.T, fetching bool, sprayers int) {
+	const k, m, seed = 128, 32, 96
+	const bound = 100 * time.Millisecond
+	n := newStepNet(t, k, m, seed, nil, "src", "dst")
+	n.delay = n.nodes["src"].cfg.Tick / 2
+	dst := n.nodes["dst"]
+	content := testContent(k*m, seed)
+	if fetching {
+		fetch, err := dst.BeginFetch(n.id, "src")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fetch.End()
+	} else {
+		dst.Watch(n.id, func(ObjectStats) {})
+		n.join("src")
+	}
+	start, sprayed := n.clk.Now(), 0
+	for n.clk.Since(start) < 4*bound {
+		if o, _ := dst.Object(n.id); o.Complete {
+			break
+		}
+		for range 2 {
+			from := transport.Addr(fmt.Sprintf("spray-%d", sprayed%sprayers))
+			n.recs["dst"].deliver(from, handRow(t, n.id, content, 1, k, 0, true, sprayed%k, (sprayed+1)%k))
+			sprayed++
+		}
+		n.tick()
+	}
+	took := n.clk.Since(start)
+	o, _ := dst.Object(n.id)
+	st := dst.objects[n.id]
+	st.mu.Lock()
+	data := st.data
+	st.mu.Unlock()
+	if !o.Complete || !bytes.Equal(data, content) {
+		t.Fatalf("beside %d sprayers after %v: %+v, content byte-exact %v", sprayers, took, o, bytes.Equal(data, content))
+	}
+	if o.Polluted == 0 {
+		t.Fatal("no quarantine: the sprayed forgeries never poisoned a decode")
+	}
+	if fetching && o.Polluted != 1 {
+		t.Fatalf("%d quarantines beside %d sprayers: the first refuses every unsolicited sender, so the source's refill is clean", o.Polluted, sprayers)
+	}
+	if b := dst.BannedPeers(); len(b) != 0 {
+		t.Fatalf("banned %v: an unsolicited sender is never convicted", b)
+	}
+	if took > bound {
+		t.Fatalf("complete after %v of virtual time beside %d sprayers (%d quarantines), over %v", took, sprayers, o.Polluted, bound)
+	}
+	t.Logf("complete after %v, %d quarantines, %d rows sprayed", took, o.Polluted, sprayed)
 }

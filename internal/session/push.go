@@ -322,7 +322,8 @@ func (st *objectState) quarantinedLocked(g int) bool { return st.guard[g].state 
 // hand, only verified generations recode at all: a partially-filled
 // generation may hold a polluter's forged rows, and pushing recodes of it
 // would launder the garbage through this honest node — whose downstreams
-// would then convict *it* (their solo-probe of this node genuinely fails).
+// would then convict *it* (the row that released their first false native
+// came from this node).
 // A coded row can only be checked against its whole generation, so for
 // coded rows that is the store-and-forward unit; a decoded native is
 // checkable alone, and drawRowsLocked does not wait. Without a manifest
@@ -619,7 +620,7 @@ func (s *Session) targetsLocked(st *objectState) (out []transport.Addr) {
 			out = append(out, addr)
 		}
 	}
-	slices.SortFunc(out, cmpAddr)
+	slices.Sort(out)
 	subs := len(out)
 	standing := s.peers
 	if s.member != nil {
@@ -627,7 +628,7 @@ func (s *Session) targetsLocked(st *objectState) (out []transport.Addr) {
 	}
 	st.mu.Lock()
 	for _, addr := range standing {
-		if _, sub := slices.BinarySearchFunc(out[:subs], addr, cmpAddr); sub || slices.Contains(out[subs:], addr) {
+		if _, sub := slices.BinarySearch(out[:subs], addr); sub || slices.Contains(out[subs:], addr) {
 			continue
 		}
 		if ps, ok := st.peers[addr]; ok && ps.done {

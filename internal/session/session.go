@@ -88,12 +88,18 @@
 // manifest it verifies every generation the moment it completes, and an
 // object completes only once every generation has verified, so nothing
 // hashes a whole object; a digest mismatch quarantines the generation —
-// decode state reset, downstream recoding of it gated — and starts
-// per-peer blame over the rows that contributed: refill is probed one
-// contributor at a time, a solo contributor whose refill fails
-// verification is banned session-wide, and once one clean generation is
-// verified every further row offered to it is audited byte-exactly, which
-// convicts persistent polluters on their next frame.
+// decode state reset, downstream recoding of it gated, every upstream
+// re-armed for the refill. Every row is decoded under its sender's tag, and
+// a native takes its value from the one row that released it, so the first
+// native in decode order that fails its digest names the sender of a row
+// that was false as it arrived: a solicited one is banned session-wide; an
+// unsolicited one (it may be relaying a buffer it cannot verify) is not,
+// but for a while the generation refuses its rows and, if the fetch has
+// solicited upstreams to refill it, every unsolicited sender's. A sender
+// that could not be tagged is not decoded from. A unit row is digest-checked
+// on arrival, and once a generation is verified every further row offered
+// to it is audited byte-exactly; both convict a solicited sender on the
+// spot.
 // Fetchers surface the events via ObjectStats (Polluted, GensVerified)
 // and fail with ErrPolluted only when every candidate peer is banned;
 // the content a Fetch returns is always byte-exact — every native of it
@@ -232,11 +238,13 @@ func (ps *peerState) forgetProgressLocked() {
 // cumulative DATA rows judged from that peer for one object — innovative
 // or redundant — how many were innovative, how many arrived since the last
 // receipt went out, and — once a row of the upstream's came stamped — how
-// many have departed (0 until then). It
+// many have departed (0 until then); tag is the upstream's index in
+// objectState.senders, what the rows it sends are decoded under. It
 // lives on the object's decode plane (guarded by objectState.mu, NOT
 // Session.mu) because the ingest path that feeds it holds only the
 // per-object lock.
 type rxTally struct {
+	tag        int32
 	rows, inno uint32
 	since      int
 	// departed is the highest send sequence among the upstream's stamped
@@ -289,11 +297,12 @@ type Session struct {
 	objects   map[packet.ObjectID]*objectState
 	peers     []transport.Addr // configured push peers
 	nextWatch int              // watcher key counter
-	// banned holds peers convicted of pollution (a solo-probed refill or
-	// an audited row that failed verification — both byte-exact proof the
-	// peer sent forged data). Every frame from a banned peer is dropped at
-	// resolution, it is removed from push targets and fetch candidates,
-	// and its rows are refused cache admission. Bans last the session.
+	// banned holds peers convicted of pollution (a forged manifest, a unit
+	// or audited row, or the row that released a generation's first false
+	// native — each byte-exact proof the peer sent forged data). Every
+	// frame from a banned peer is dropped at resolution, it is removed from
+	// push targets and fetch candidates, and its rows are refused cache
+	// admission. Bans last the session.
 	banned map[transport.Addr]struct{}
 
 	// member is the epidemic membership plane (member.go) when
@@ -623,7 +632,6 @@ type pushTimer struct {
 	period                   time.Duration // and the period from there
 	evictEvery, shuffleEvery time.Duration
 	evictAt, shuffleAt       time.Time
-	probeAt                  time.Time // earliest unanswered probe's timeout; zero with none out
 	reqAt                    time.Time // earliest fetch REQ resend; zero with none due
 	parked                   time.Time // the deadline the timer is parked at; zero: running at Tick
 }
@@ -685,9 +693,9 @@ func (t *pushTimer) round(s *Session, now time.Time, timed bool) (rearm time.Dur
 	}
 	live := s.push()
 	if !live && !timed {
-		// About to park: a probe or a fetch's REQ may have gone out since
-		// the last timer round looked.
-		t.probeAt, t.reqAt = s.probeSweep(), s.reqSweep()
+		// About to park: a fetch's REQ may have gone out since the last
+		// timer round looked.
+		t.reqAt = s.reqSweep()
 	}
 	var at time.Time
 	if next := t.next(); !live && next.Sub(now) > s.cfg.Tick {
@@ -702,10 +710,9 @@ func (t *pushTimer) round(s *Session, now time.Time, timed bool) (rearm time.Dur
 	return at.Sub(now)
 }
 
-// run does what is due at now; probe timeouts and fetch REQ resends are
-// checked every time.
+// run does what is due at now; fetch REQ resends are checked every time.
 func (t *pushTimer) run(s *Session, now time.Time) {
-	t.probeAt, t.reqAt = s.probeSweep(), s.reqSweep()
+	t.reqAt = s.reqSweep()
 	if t.shuffleEvery > 0 && !now.Before(t.shuffleAt) {
 		s.memberShuffle()
 		t.shuffleAt = laterThan(now, t.shuffleAt, t.shuffleEvery)
@@ -719,10 +726,8 @@ func (t *pushTimer) run(s *Session, now time.Time) {
 // next returns the earliest deadline a parked timer must wake for.
 func (t *pushTimer) next() time.Time {
 	at := t.evictAt
-	for _, d := range []time.Time{t.probeAt, t.reqAt} {
-		if !d.IsZero() && d.Before(at) {
-			at = d
-		}
+	if !t.reqAt.IsZero() && t.reqAt.Before(at) {
+		at = t.reqAt
 	}
 	if t.shuffleEvery > 0 && t.shuffleAt.Before(at) {
 		at = t.shuffleAt

@@ -154,8 +154,8 @@ var named = map[string]namedScenario{
 				Seed:    seed,
 				Sources: 1, Relays: 6, Polluters: 2, Fetchers: 4,
 				// One 64 KiB object in 4 generations: big enough that the
-				// forged stream races real decoding, small enough that the
-				// quarantine/probe recovery resolves well inside the horizon.
+				// forged stream races real decoding, small enough that
+				// quarantine and refill resolve well inside the horizon.
 				Objects:         []ObjectSpec{{Size: 64 << 10, K: 256, Generations: 4}},
 				PeersPerFetcher: 2, // honest relays; every polluter is added on top
 				Link:            LinkConfig{Latency: 2 * time.Millisecond},

@@ -136,9 +136,9 @@ func (p *polluter) step() time.Time {
 }
 
 // receive records REQ subscriptions and keeps the membership lie alive.
-// Everything else (META, FEEDBACK, probes' duplicate REQs) is dropped on
-// the floor: a polluter that honored feedback would stop forging and
-// never be convicted.
+// Everything else (META, FEEDBACK; a repeated REQ only keeps its
+// subscription alive) is dropped on the floor: a polluter that honored
+// feedback would stop forging and never be convicted.
 func (p *polluter) receive(f transport.Frame, now time.Time) {
 	if len(f.Data) > 0 && f.Data[0] == memberTag && p.reply != nil {
 		// Answer shuffle offers (never replies — the membership plane's
@@ -169,7 +169,8 @@ func (p *polluter) receive(f transport.Frame, now time.Time) {
 // receipts clock the honest push, so the manifest beats the first pump, and
 // a unit row is then digest-checked on arrival — convicting its sender on
 // the spot — where a degree-2 row poisons its generation until that fails
-// verification: quarantine, probe, blame.
+// verification, and the quarantine convicts the sender of the row that
+// released the generation's first false native.
 func (p *polluter) pump(now time.Time) {
 	if now.Sub(p.lastReq) >= pollIdle {
 		return

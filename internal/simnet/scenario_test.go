@@ -313,9 +313,9 @@ func TestScenarioPollutedSwarm(t *testing.T) {
 		}
 		poisoned++
 		// A poisoned fetch cannot have completed with its attackers still
-		// trusted: completion requires every quarantined generation
-		// re-verified, which the blame machinery only reaches after
-		// convicting the forgers.
+		// trusted: each quarantine bans the solicited sender whose row
+		// released the generation's first false native, and a unit row
+		// or an audited one convicts a polluter on the spot.
 		for _, p := range polluters {
 			if !slices.Contains(f.Banned, p) {
 				t.Errorf("node %s completed a poisoned fetch (%d quarantines) without convicting %s (banned: %v)",
