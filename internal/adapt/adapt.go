@@ -1,6 +1,8 @@
 // Package adapt turns receipt-report feedback into the push path's
 // per-link control signals (DESIGN.md §16): a loss estimate and the pacer —
-// a window of DATA rows the sender may have in flight toward the peer.
+// a window of DATA rows the sender may have in flight toward the peer, at
+// most MaxBurst: two of the receiver's ingest batches, so the sender refills
+// one while the receiver decodes the other.
 // Receipts are the only progress signal a receiver sends its upstream; a
 // row it judges redundant counts in the next receipt's received total and
 // not in its innovative one.
@@ -84,12 +86,18 @@ const (
 	// departures a loss sample is taken over.
 	ReceiptEvery = 16
 
-	// MaxBurst caps the window: half the smallest default queue on the
-	// path (Switch port, ingest shard queue and receive batch are all 64
-	// deep), so one sender with a full window in flight cannot overflow a
-	// receiver by itself, however fast receipts turn the window over —
-	// while the round trip stays within two ticks (package doc).
-	MaxBurst = 32
+	// IngestBatch is how many frames a receiver's ingest worker takes per
+	// wakeup. Its receipts leave when the batch ends, so a window of one
+	// batch has the sender idle while its receiver decodes.
+	IngestBatch = 32
+	// MaxBurst caps the window at two receiver batches: the sender refills
+	// one while the receiver decodes the other. A full window is half the
+	// smallest default queue on the path (Switch port, simnet port and
+	// ingest shard queue are all 2·MaxBurst deep), so one sender with a
+	// full window in flight cannot overflow a receiver by itself, however
+	// fast receipts turn the window over — while the round trip stays
+	// within two ticks (package doc).
+	MaxBurst = 2 * IngestBatch
 	// TickCeiling caps the rows one link may take in one tick, whatever
 	// its receipts say. It does not pace an honest link — the window does,
 	// turned over as fast as receipts come back — and is set above what
@@ -97,14 +105,15 @@ const (
 	// (loopback UDP or the in-memory Switch, 2 ms ticks) run 370–500 rows
 	// a tick at the 90th percentile and 510–850 at the 99th, the CPU
 	// layers the limit; the largest tick seen is one hop of a whole
-	// 1,024-row object. Four windows (128) halved every paced fetch's
-	// goodput; sixteen (512) still bound one link-tick in a hundred. The
-	// ceiling is for two things: what a forged receipt stream can take —
-	// every forged receipt empties the liar's in-flight count, so without
-	// it a flood would turn the window over as fast as the sender can run
-	// — and an event clock's instant, in which receipts answer within the
-	// instant and a lossless window would otherwise turn over forever.
-	TickCeiling = 32 * MaxBurst
+	// 1,024-row object. 128 rows a tick halved every paced fetch's
+	// goodput; 512 still bound one link-tick in a hundred. The ceiling is
+	// a per-tick liar bound, not a window multiple: it is for what a
+	// forged receipt stream can take — every forged receipt empties the
+	// liar's in-flight count, so without it a flood would turn the window
+	// over as fast as the sender can run — and for an event clock's
+	// instant, in which receipts answer within the instant and a lossless
+	// window would otherwise turn over forever.
+	TickCeiling = 1024
 	// startWindow is the window before any receipt has been folded; a peer
 	// that never sends one decays from here to 1.
 	startWindow = 4

@@ -8,6 +8,7 @@
 package bitvec
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -301,8 +302,14 @@ func (v *Vector) MarshalBinary() ([]byte, error) {
 // letting hot-path serializers reuse one buffer across packets.
 func (v *Vector) AppendBinary(dst []byte) []byte {
 	nb := (v.n + 7) / 8
-	for i := 0; i < nb; i++ {
-		dst = append(dst, byte(v.words[i/8]>>(uint(i)%8*8)))
+	full := nb / 8
+	for _, w := range v.words[:full] {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
+	if tail := nb - full*8; tail > 0 {
+		var last [8]byte
+		binary.LittleEndian.PutUint64(last[:], v.words[full])
+		dst = append(dst, last[:tail]...)
 	}
 	return dst
 }
@@ -319,9 +326,14 @@ func (v *Vector) UnmarshalInto(data []byte) error {
 	if r := v.n % 8; r != 0 && data[len(data)-1]>>r != 0 {
 		return fmt.Errorf("bitvec: stray bits beyond length %d: %w", v.n, ErrLengthMismatch)
 	}
-	v.Reset()
-	for i, b := range data {
-		v.words[i/8] |= uint64(b) << (uint(i) % 8 * 8)
+	full := len(data) / 8
+	for i := range full {
+		v.words[i] = binary.LittleEndian.Uint64(data[i*8:])
+	}
+	if tail := data[full*8:]; len(tail) > 0 {
+		var last [8]byte
+		copy(last[:], tail)
+		v.words[full] = binary.LittleEndian.Uint64(last[:])
 	}
 	return nil
 }

@@ -31,12 +31,16 @@ const (
 // dispatched by object ID onto decodeWorkers() shards, so up to that many
 // objects decode concurrently and frames of one object always land on the
 // same worker, in arrival order; a worker drains up to ingestBatchMax frames
-// per wakeup and feeds the batch to the decoders under amortized locking;
-// each worker's inbound queue holds ingestQueueLen frames, and DATA arriving
-// at a full one is dropped, as a datagram network would under overload.
+// per wakeup and feeds the batch to the decoders under amortized locking,
+// and the receipts it owes leave when the batch ends — a sender's window
+// cap is two such batches (adapt.MaxBurst), so it refills one while the
+// worker decodes the other; each worker's inbound queue holds
+// ingestQueueLen frames, two full windows (TestQueuesHoldTwoWindows), and
+// DATA arriving at a full one is dropped, as a datagram network would
+// under overload.
 const (
-	ingestBatchMax = 32
-	ingestQueueLen = 64
+	ingestBatchMax = adapt.IngestBatch
+	ingestQueueLen = 128
 )
 
 func decodeWorkers() int { return min(runtime.GOMAXPROCS(0), 8) }

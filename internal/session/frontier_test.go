@@ -226,7 +226,7 @@ func TestFrontierForgedStaysOnItsLink(t *testing.T) {
 	// k/G = 4094: the last frontier byte has two bits to spare. A window a
 	// round, the honest peer takes at most ticks·roundsPerTick·MaxBurst = 7,680
 	// rows: its whole stream stays in the systematic pass.
-	const k, gens, roundsPerTick, ticks = 8188, 2, 6, 40
+	const k, gens, roundsPerTick, ticks = 8188, 2, 6, 20
 	kPer := k / gens
 	full := func() []int32 {
 		all := make([]int32, kPer)

@@ -3,6 +3,7 @@ package session
 import (
 	"encoding/binary"
 	"maps"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -180,10 +181,35 @@ func newPacedLink(t *testing.T, k, m int, seed int64) *stepNet {
 	return n
 }
 
+// TestQueuesHoldTwoWindows pins the sizes the pacer's queue argument rests
+// on (DESIGN.md §16): the window cap spans two receiver batches, so a
+// sender refills one while its receiver decodes the other; every default
+// queue a window can fill — the ingest shard queue, and the Switch and
+// simnet ports, which both take transport.DefaultQueueDepth — holds two
+// full windows; and a full window with the probe's two rows past it stays
+// under the 128 send sequences a stamp tells apart.
+func TestQueuesHoldTwoWindows(t *testing.T) {
+	if adapt.MaxBurst < 2*ingestBatchMax {
+		t.Errorf("window cap %d is under two receiver batches of %d", adapt.MaxBurst, ingestBatchMax)
+	}
+	for name, depth := range map[string]int{
+		"ingest shard queue": ingestQueueLen,
+		"default port queue": transport.DefaultQueueDepth,
+	} {
+		if depth < 2*adapt.MaxBurst {
+			t.Errorf("%s holds %d frames, under two full windows of %d", name, depth, adapt.MaxBurst)
+		}
+	}
+	if adapt.MaxBurst+2 >= packet.StampFlag {
+		t.Errorf("%d rows in flight past the stamp's %d send sequences", adapt.MaxBurst+2, packet.StampFlag)
+	}
+}
+
 // TestPacedRampReachesCap: on a clean link the burst climbs from its
-// start to adapt.MaxBurst within eight receipts, never exceeds it, tapers
-// as the fetcher's innovative count closes in on k, and stops when the
-// completion feedback lands.
+// start to adapt.MaxBurst within two receipts a doubling — the first
+// fold's, then log₂(MaxBurst/start) more — never exceeds it, tapers as the
+// fetcher's innovative count closes in on k, and stops when the completion
+// feedback lands.
 func TestPacedRampReachesCap(t *testing.T) {
 	l := newPacedLink(t, 2048, 16, 31)
 	atCap, peak, sent := -1, 0, 0
@@ -200,8 +226,12 @@ func TestPacedRampReachesCap(t *testing.T) {
 	if !l.fetched().Complete {
 		t.Fatalf("fetch incomplete after %d ticks (bursts %v)", len(bursts), bursts)
 	}
-	if atCap < 0 || atCap > 8 {
-		t.Errorf("burst reached the cap after %d receipts, want ≤ 8 (bursts %v)", atCap, bursts[:min(len(bursts), 40)])
+	// The first tick carries the start window; log₂(MaxBurst/start)
+	// doublings lead from there to the cap, and the first fold's one more.
+	doublings := bits.Len(uint(adapt.MaxBurst/bursts[0])) - 1
+	ramp := 2 * (doublings + 1)
+	if atCap < 0 || atCap > ramp {
+		t.Errorf("burst reached the cap after %d receipts, want ≤ %d (bursts %v)", atCap, ramp, bursts[:min(len(bursts), 40)])
 	}
 	if peak > adapt.MaxBurst {
 		t.Errorf("a tick carried %d frames, the cap is %d", peak, adapt.MaxBurst)
@@ -251,7 +281,7 @@ func TestPacedLegacyFloor(t *testing.T) {
 // level — the burst keeps near the cap through it — while the same link
 // suddenly dropping most of what it carries is a step, and halves it.
 func TestPacedLossLevelVersusStep(t *testing.T) {
-	l := newPacedLink(t, 8192, 16, 33)
+	l := newPacedLink(t, 16384, 16, 33)
 	rng := rand.New(rand.NewSource(34))
 	loss := 0.20
 	l.lose = func(_, _ transport.Addr, _ []byte) bool { return rng.Float64() < loss }

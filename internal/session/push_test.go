@@ -246,12 +246,19 @@ func feed(dst *Session, src *recTransport, without ...byte) {
 // cache advertisement was retired: the REQ it hears is answered by the META
 // alone. Its stream is the one it sent before with the advertisement taken
 // out; its DATA digest and the other four cases did not move.
+//
+// paced alone was re-pinned, in all three forms, when the window cap rose
+// from one receiver batch (32 rows) to two (64): a's window reaches the new
+// cap in one tick before the taper, so a takes 472 DATA rows in the 60
+// ticks where it took 464. With stamps zeroed, the 464 are the first 464 of
+// the 472, row for row, and the subscriber's 73 are unchanged: the window
+// moved, not the rows drawn. The other four never fill a 32-row window.
 var pushGoldens = map[string]string{
 	"static-g1-manifest": "4d083ad58f7fa1ea525e53f38107b9da8db678a0691dbf60e9eac992a3898100",
 	"g4-gen-complete":    "9e5fc00082cc4d1d41dc8d489f9a1ef3863a7aea9d67fe8f35aef1835d3f8441",
 	"systematic":         "4dbdab2bd9c684d681e8b6e1e63abecf0c1b73934aab90193beb8cf7d0315052",
 	"cache-req":          "bf7c45e68f53b67e711946c56d2027f6f9e5a957f655106eaed4048eb459dccd",
-	"paced":              "1920d6a112d9b170406a78b35b279c6950eb123fd0399b6c3bad85ebfbbef242",
+	"paced":              "560e6eaaba55c34316470475b4cbbe2f2f07d02202efb5a4397880814b8061c2",
 }
 
 var maskedGoldens = map[string]string{
@@ -259,7 +266,7 @@ var maskedGoldens = map[string]string{
 	"g4-gen-complete":    "184e19e09cf02ee5d084b60e5529ac30b2bc6475b1d53df94c9dacbc1b5b1719",
 	"systematic":         "aac1bb0a377933a2f1f83c9a6c57a182a2de4579b419df8ee367a91dd843b89a",
 	"cache-req":          "c05e37ca6f37eaa692ea2d9bdb0266ab3975a3dde4c2c968290d2996c71d9be5",
-	"paced":              "537a20d9b6cbc584b1cdde1ab6d8106a4a3e4dca5c45e86e41a55155d839d429",
+	"paced":              "88be065f096b7a520c28853a5a1c725a2f819b26728251d7ad9a4c1e74f8b50b",
 }
 
 var dataGoldens = map[string]string{
@@ -267,7 +274,7 @@ var dataGoldens = map[string]string{
 	"g4-gen-complete":    "fd9d10dafa558627cf6b4b869af70809e7de297d1a4e31b639e522c49b0353fe",
 	"systematic":         "44ead8fce81db1a1e6d77a8181b03bf5f2a5d9a8e48e89dd1dd815654eaac818",
 	"cache-req":          "ffb721d2ba2cd608c2f59c556ec01510f8434ec5bd1e3b9c324b0da591865dbc",
-	"paced":              "d45f1b4e68dd6d9f24cfc0dfac9c0dfffef19c5efa9b668b88c2a58e9eb12ccd",
+	"paced":              "2db29e7509b8990ee844b89289c9f9e3352025c9acd75d7b9ec6b810fe3a6296",
 }
 
 func TestPushGolden(t *testing.T) {

@@ -63,8 +63,9 @@ type Config struct {
 	Seed int64
 	// DefaultLink shapes links with no SetLink override.
 	DefaultLink LinkConfig
-	// QueueDepth bounds each port's inbound queue (default 64); frames
-	// arriving at a full queue are dropped, as at an overloaded receiver.
+	// QueueDepth bounds each port's inbound queue (default
+	// transport.DefaultQueueDepth, as a Switch port's); frames arriving at
+	// a full queue are dropped, as at an overloaded receiver.
 	QueueDepth int
 	// Grid quantizes delivery times up to its multiples (default 1ms).
 	// Coarser grids batch deliveries into fewer instants to settle —
@@ -83,7 +84,7 @@ func (c *Config) setDefaults() error {
 		c.Seed = 1
 	}
 	if c.QueueDepth == 0 {
-		c.QueueDepth = 64
+		c.QueueDepth = transport.DefaultQueueDepth
 	}
 	if c.QueueDepth < 1 {
 		return fmt.Errorf("simnet: queue depth %d < 1", c.QueueDepth)

@@ -9,6 +9,12 @@ import (
 	"time"
 )
 
+// DefaultQueueDepth is the default depth, in frames, of a Switch port's
+// inbound queue and of a simnet port's: twice the largest window a sender
+// may have in flight toward one receiver (adapt.MaxBurst), so a full window
+// fills at most half a port.
+const DefaultQueueDepth = 128
+
 // SwitchConfig parameterizes the in-memory network.
 type SwitchConfig struct {
 	// LossRate drops each frame independently with this probability
@@ -24,7 +30,8 @@ type SwitchConfig struct {
 	// default 0 (no reordering).
 	Jitter time.Duration
 	// QueueDepth bounds each port's inbound queue; frames arriving at a
-	// full queue are dropped, modelling an overloaded receiver. Default 64.
+	// full queue are dropped, modelling an overloaded receiver. Default
+	// DefaultQueueDepth, 128.
 	QueueDepth int
 	// Seed drives the loss coin (default 1, deterministic).
 	Seed int64
@@ -41,7 +48,7 @@ func (c *SwitchConfig) setDefaults() error {
 		return fmt.Errorf("transport: jitter %v < 0", c.Jitter)
 	}
 	if c.QueueDepth == 0 {
-		c.QueueDepth = 64
+		c.QueueDepth = DefaultQueueDepth
 	}
 	if c.QueueDepth < 1 {
 		return fmt.Errorf("transport: queue depth %d < 1", c.QueueDepth)

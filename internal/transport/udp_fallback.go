@@ -1,4 +1,4 @@
-//go:build !(linux && (amd64 || arm64))
+//go:build !(linux && (amd64 || arm64)) || ltnc_portable
 
 package transport
 
@@ -6,7 +6,9 @@ package transport
 // recvmmsg/sendmmsg fast path (darwin, windows, 32-bit linux, ...) run
 // the direct per-frame syscall path in udp.go. SendBatch/RecvBatch still
 // exist — they degrade to per-frame loops with identical semantics, so
-// callers written against the batch surface run unchanged.
+// callers written against the batch surface run unchanged. The
+// ltnc_portable build tag selects it on linux/amd64 and linux/arm64 too,
+// so the race detector and the tests run it on the hosts CI has.
 
 import (
 	"context"
@@ -21,7 +23,20 @@ func reusePortControl(cfg UDPConfig) func(network, address string, c syscall.Raw
 	return nil
 }
 
-func (t *UDPTransport) initBatch() error   { return nil }
+// portableReadBuffer is the socket receive buffer the per-frame path asks
+// for; the kernel caps it at its own limit (rmem_max on Linux). With no
+// reader goroutines and rings in front of it, as the fast path has, frames
+// wait in the kernel while the receive loop handles the one before, and
+// the default 208 KiB overflows under a 16 MiB object's manifest chunks
+// and the DATA between them (swarm's
+// TestLargeManifestArrivesBeforeFirstGeneration).
+const portableReadBuffer = 4 << 20
+
+func (t *UDPTransport) initBatch() error {
+	_ = t.conn.SetReadBuffer(portableReadBuffer) // best effort: refused, the default buffer stands
+	return nil
+}
+
 func (t *UDPTransport) batchEnabled() bool { return false }
 func (t *UDPTransport) closeBatch()        {}
 
