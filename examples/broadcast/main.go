@@ -42,7 +42,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("broadcasting %d KiB: %d generations × %d natives of %d B, manifest %d B\n",
-		fileSize/1024, gens, kPerGen, len(natives[0]), totalK*integrity.DigestSize+8)
+		fileSize/1024, gens, kPerGen, len(natives[0]), totalK*integrity.DigestSize)
 
 	newCoder := func(seed int64) (*generation.Coder, error) {
 		return generation.New(generation.Options{

@@ -1,7 +1,10 @@
 package integrity
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -73,59 +76,168 @@ func TestVerifyBounds(t *testing.T) {
 	}
 }
 
+// TestManifestRunProofs: each run of a manifest built from its natives
+// proves itself against the root, alone, in an expecting manifest; any
+// flipped bit of a run's index, digests or proof is refused, as is run i's
+// proof offered as run j's and every wrong digest or sibling count.
+func TestManifestRunProofs(t *testing.T) {
+	// 5,123 natives are six runs: RFC 6962's shape, not a power of two.
+	for _, k := range []int{1, 1023, 1024, 1025, 5*RunLen + 3, 8188, 16384} {
+		t.Run(fmt.Sprint(k), func(t *testing.T) {
+			ns := natives(t, k, 2, int64(k))
+			full, err := NewManifest(ns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs := full.Runs()
+			if want := (k + RunLen - 1) / RunLen; runs != want || !full.Complete() {
+				t.Fatalf("%d runs, complete %v; want %d, true", runs, full.Complete(), want)
+			}
+			fresh := func() *Manifest {
+				man, err := Expect(k, 2, full.Root())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return man
+			}
+			// refused wants err to wrap want, or any error when want is nil.
+			refused := func(what string, r int, digests, proof []byte, want error) {
+				t.Helper()
+				if err := fresh().AdoptRun(r, digests, proof); err == nil || want != nil && !errors.Is(err, want) {
+					t.Errorf("%s: got %v, want %v", what, err, want)
+				}
+			}
+			man := fresh()
+			if err := man.Verify(0, ns[0]); err == nil {
+				t.Error("a native verified against a run not held")
+			}
+			for r := range runs {
+				digests, proof := full.RunProof(r)
+				if n := min(RunLen, k-r*RunLen); len(digests) != n*DigestSize {
+					t.Fatalf("run %d: %d digest bytes, want %d", r, len(digests), n*DigestSize)
+				}
+				if man.HoldsRun(r) || man.Complete() {
+					t.Fatalf("run %d held before it was adopted", r)
+				}
+				if err := man.AdoptRun(r, digests, proof); err != nil || !man.HoldsRun(r) {
+					t.Fatalf("run %d: %v", r, err)
+				}
+				for j := range runs {
+					if j != r {
+						refused(fmt.Sprintf("run %d's proof as run %d", r, j), j, digests, proof, nil)
+					}
+				}
+				for bit := range 16 {
+					if j := r ^ 1<<bit; j < runs {
+						refused(fmt.Sprintf("run %d as %d", r, j), j, digests, proof, nil)
+					} else {
+						refused(fmt.Sprintf("run %d as %d", r, j), j, digests, proof, ErrBadManifest)
+					}
+				}
+				for _, at := range []int{0, len(digests) - 1} {
+					bad := bytes.Clone(digests)
+					bad[at] ^= 0x10
+					refused(fmt.Sprintf("run %d, digest byte %d flipped", r, at), r, bad, proof, ErrCorrupt)
+				}
+				for at := 0; at < len(proof); at += DigestSize {
+					bad := bytes.Clone(proof)
+					bad[at+7] ^= 0x01
+					refused(fmt.Sprintf("run %d, sibling %d flipped", r, at/DigestSize), r, digests, bad, ErrCorrupt)
+				}
+				extra := make([]byte, DigestSize)
+				refused("a digest short", r, digests[:len(digests)-DigestSize], proof, ErrBadManifest)
+				refused("a digest over", r, append(bytes.Clone(digests), extra...), proof, ErrBadManifest)
+				refused("a sibling over", r, digests, append(bytes.Clone(proof), extra...), ErrBadManifest)
+				if len(proof) > 0 {
+					refused("a sibling short", r, digests, proof[:len(proof)-DigestSize], ErrBadManifest)
+				}
+			}
+			if !man.Complete() {
+				t.Fatal("every run adopted, the manifest not complete")
+			}
+			if err := man.VerifyAll(ns); err != nil {
+				t.Fatalf("the assembled manifest: %v", err)
+			}
+		})
+	}
+}
+
+// TestManifestRootShape pins the tree: leaves are SHA-256(0x00 ‖ run), inner
+// nodes SHA-256(0x01 ‖ left ‖ right), and five runs hash as RFC 6962 has it,
+// the left subtree over the largest power of two below the count.
+func TestManifestRootShape(t *testing.T) {
+	const k = 4*RunLen + 1
+	man, err := NewManifest(natives(t, k, 1, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l [5][DigestSize]byte
+	for r := range l {
+		digests, _ := man.RunProof(r)
+		l[r] = sha256.Sum256(append([]byte{0x00}, digests...))
+	}
+	node := func(a, b [DigestSize]byte) [DigestSize]byte {
+		return sha256.Sum256(append(append([]byte{0x01}, a[:]...), b[:]...))
+	}
+	if want := node(node(node(l[0], l[1]), node(l[2], l[3])), l[4]); man.Root() != want {
+		t.Fatalf("root %x, want %x", man.Root(), want)
+	}
+}
+
+// TestManifestRoundtrip: a manifest survives the trip through its runs: a
+// receiver's manifest that adopts every run of one built from the natives
+// holds the same geometry and verifies every native.
 func TestManifestRoundtrip(t *testing.T) {
 	ns := natives(t, 16, 64, 4)
 	man, _ := NewManifest(ns)
-	data, err := man.MarshalBinary()
+	back, err := Expect(man.K(), man.M(), man.Root())
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalManifest(data)
-	if err != nil {
-		t.Fatal(err)
+	for r := range man.Runs() {
+		digests, proof := man.RunProof(r)
+		if err := back.AdoptRun(r, digests, proof); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := back.VerifyAll(ns); err != nil {
-		t.Errorf("roundtripped manifest fails verification: %v", err)
+	if err := back.VerifyAll(ns); err != nil || !back.Complete() {
+		t.Errorf("roundtripped manifest: complete %v, %v", back.Complete(), err)
 	}
 	if back.K() != man.K() || back.M() != man.M() {
 		t.Error("roundtrip metadata mismatch")
 	}
 }
 
+// TestUnmarshalErrors: every structural rejection of a manifest taken off
+// the wire — a geometry Expect refuses, a run of the wrong digest count —
+// wraps ErrBadManifest, and so is told apart from a digest mismatch.
 func TestUnmarshalErrors(t *testing.T) {
 	man, _ := NewManifest(natives(t, 4, 8, 5))
-	data, _ := man.MarshalBinary()
+	digests, proof := man.RunProof(0)
+	adopt := func(d []byte) error {
+		recv, _ := Expect(4, 8, man.Root())
+		return recv.AdoptRun(0, d, proof)
+	}
+	expect := func(k, m int) error {
+		_, err := Expect(k, m, man.Root())
+		return err
+	}
 	tests := []struct {
 		name string
-		data []byte
+		err  error
 	}{
-		{"short", data[:4]},
-		{"truncated digests", data[:len(data)-1]},
-		{"trailing", append(append([]byte(nil), data...), 0)},
-		{"zero k", func() []byte {
-			d := append([]byte(nil), data...)
-			d[0], d[1], d[2], d[3] = 0, 0, 0, 0
-			return d
-		}()},
-		{"zero m", func() []byte {
-			d := append([]byte(nil), data...)
-			d[4], d[5], d[6], d[7] = 0, 0, 0, 0
-			return d
-		}()},
-		{"huge m", func() []byte {
-			d := append([]byte(nil), data...)
-			d[4], d[5], d[6], d[7] = 0xff, 0xff, 0xff, 0xff
-			return d
-		}()},
+		{"short", adopt(digests[:DigestSize])},
+		{"truncated digests", adopt(digests[:len(digests)-1])},
+		{"trailing", adopt(append(bytes.Clone(digests), 0))},
+		{"zero k", expect(0, 8)},
+		{"huge k", expect(MaxK+1, 8)},
+		{"zero m", expect(4, 0)},
+		{"huge m", expect(4, MaxM+1)},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := UnmarshalManifest(tt.data)
-			if err == nil {
-				t.Fatal("corrupt manifest accepted")
-			}
-			if !errors.Is(err, ErrBadManifest) {
-				t.Errorf("error %v does not wrap ErrBadManifest", err)
+			if !errors.Is(tt.err, ErrBadManifest) {
+				t.Errorf("error %v does not wrap ErrBadManifest", tt.err)
 			}
 		})
 	}
@@ -162,7 +274,7 @@ func TestVerifyRejectsWrongLength(t *testing.T) {
 // every node that serves an object and every node that checks it, on every
 // platform (CI runs this under GOARCH=386 too).
 func TestObjectIDCommitsToEveryField(t *testing.T) {
-	root := Root([]byte("manifest"))
+	root := sha256.Sum256([]byte("manifest"))
 	id := ObjectID(1<<40+1000, 16, 2, 63, root)
 	other := root
 	other[DigestSize-1] ^= 1
@@ -177,7 +289,7 @@ func TestObjectIDCommitsToEveryField(t *testing.T) {
 			t.Errorf("field %d changed, the ID did not", i)
 		}
 	}
-	if got, want := id.String(), "d8aae457362840442ab874be2d36f5a8"; got != want {
+	if got, want := id.String(), "94291673bf93acf23c50756aa5a336cf"; got != want {
 		t.Errorf("ObjectID = %s, want %s", got, want)
 	}
 }

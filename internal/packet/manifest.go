@@ -5,95 +5,89 @@ import (
 	"fmt"
 )
 
-// Manifest chunk wire body — the payload of the session layer's MANIFEST
-// frame kind. An integrity manifest (k + m + k SHA-256 digests, see
-// internal/integrity) can outgrow a single transport frame for large k,
-// so it travels as offset-addressed chunks of one opaque byte string:
+// Manifest run wire body — the payload of the session layer's MANIFEST
+// frame kind. An integrity manifest (see internal/integrity) is a list of
+// k SHA-256 native digests under a Merkle root the object's ID commits to;
+// its leaves are runs of up to MaxManifestChunk bytes of digests, and one
+// frame carries one run with its proof, so every frame is checked against
+// the ID on its own and nothing is reassembled:
 //
 //	object  16 bytes   content ID the manifest covers
-//	total    4 bytes   length of the whole encoded manifest
-//	off      4 bytes   offset of this chunk within it
-//	n        2 bytes   chunk length
-//	bytes    n bytes   manifest[off : off+n]
+//	run      4 bytes   run index
+//	n        2 bytes   digests in the run, 1..MaxManifestChunk/32
+//	depth    1 byte    sibling hashes in the proof, 0..MaxManifestDepth
+//	digests 32·n bytes the run's native digests
+//	proof   32·depth   the sibling hashes from the run's leaf to the root,
+//	                   leaf level first
 //
-// The codec treats the manifest as opaque — integrity.UnmarshalManifest
-// validates the assembled bytes — but bounds every field so a hostile
-// chunk can neither oversize the reassembly buffer nor write outside it.
+// The codec bounds every count and requires the body to be exactly as
+// long as they say, so the encoding is canonical; whether the counts are
+// the ones the object's geometry implies, and whether the run hashes to
+// the root, is integrity.Manifest.AdoptRun's to check.
 const (
-	// manifestChunkFixed is the fixed prefix before the chunk bytes.
-	manifestChunkFixed = 16 + 4 + 4 + 2
-
-	// MaxManifestWire caps the total manifest length a chunk may
-	// declare. It is a codec-level backstop (the session further bounds
-	// total against its own MaxK before allocating); 128 MiB covers
-	// k = 2^22 digests.
-	MaxManifestWire = 1 << 27
-
-	// MaxManifestChunk is the largest chunk payload AppendManifestChunk
-	// will emit — sized so a chunk frame plus the session's one-byte
-	// frame tag stays well inside transport.MaxFrame.
+	// manifestChunkFixed is the fixed prefix before the digests.
+	manifestChunkFixed = 16 + 4 + 2 + 1
+	// hashSize is the size of one digest or sibling hash.
+	hashSize = 32
+	// MaxManifestChunk is the most digest bytes one run carries: 1,024
+	// digests, sized so a MANIFEST frame stays under 33 KiB, well inside
+	// transport.MaxFrame.
 	MaxManifestChunk = 32 * 1024
+	// MaxManifestDepth bounds a proof: the depth of a Merkle tree over the
+	// runs of the longest code (2^24 natives, 2^14 runs).
+	MaxManifestDepth = 14
 )
 
-// ErrBadManifestChunk marks a malformed manifest chunk body: truncated
-// buffer, zero or oversized total, or a chunk range outside [0, total).
-// It wraps ErrBadPacket.
-var ErrBadManifestChunk = fmt.Errorf("%w: bad manifest chunk", ErrBadPacket)
+// ErrBadManifestChunk marks a malformed manifest run body: a truncated or
+// overlong buffer, or a digest or sibling count out of bounds. It wraps
+// ErrBadPacket.
+var ErrBadManifestChunk = fmt.Errorf("%w: bad manifest run", ErrBadPacket)
 
-// ManifestChunk is one decoded manifest chunk.
+// ManifestChunk is one decoded MANIFEST body: one manifest run.
 type ManifestChunk struct {
 	Object ObjectID
-	// Total is the length in bytes of the complete encoded manifest.
-	Total uint32
-	// Off is the offset of Data within the complete manifest.
-	Off uint32
-	// Data aliases the input buffer passed to ParseManifestChunk; copy
-	// before retaining.
-	Data []byte
+	Run    uint32
+	// Digests and Proof alias the input buffer passed to ParseManifestChunk;
+	// copy before retaining.
+	Digests []byte
+	Proof   []byte
 }
 
-// AppendManifestChunk appends the wire body for manifest[off:off+n] of an
-// encoded manifest of total bytes and returns the extended slice.
-func AppendManifestChunk(dst []byte, object ObjectID, total, off uint32, chunk []byte) ([]byte, error) {
-	if len(chunk) < 1 || len(chunk) > MaxManifestChunk {
-		return dst, fmt.Errorf("%w: chunk of %d bytes", ErrBadManifestChunk, len(chunk))
+// AppendManifestChunk appends the wire body of run r — its digests and its
+// proof — and returns the extended slice.
+func AppendManifestChunk(dst []byte, object ObjectID, r uint32, digests, proof []byte) ([]byte, error) {
+	if len(digests) < hashSize || len(digests) > MaxManifestChunk || len(digests)%hashSize != 0 {
+		return dst, fmt.Errorf("%w: %d digest bytes", ErrBadManifestChunk, len(digests))
 	}
-	if total < 1 || total > MaxManifestWire {
-		return dst, fmt.Errorf("%w: total %d", ErrBadManifestChunk, total)
-	}
-	if uint64(off)+uint64(len(chunk)) > uint64(total) {
-		return dst, fmt.Errorf("%w: range [%d, %d) outside total %d",
-			ErrBadManifestChunk, off, int(off)+len(chunk), total)
+	if len(proof) > MaxManifestDepth*hashSize || len(proof)%hashSize != 0 {
+		return dst, fmt.Errorf("%w: %d proof bytes", ErrBadManifestChunk, len(proof))
 	}
 	dst = append(dst, object[:]...)
-	dst = binary.BigEndian.AppendUint32(dst, total)
-	dst = binary.BigEndian.AppendUint32(dst, off)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(chunk)))
-	return append(dst, chunk...), nil
+	dst = binary.BigEndian.AppendUint32(dst, r)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(digests)/hashSize))
+	dst = append(dst, byte(len(proof)/hashSize))
+	dst = append(dst, digests...)
+	return append(dst, proof...), nil
 }
 
-// ParseManifestChunk decodes a manifest chunk body. The returned Data
-// aliases data. Every accepted chunk satisfies
-// 1 ≤ Total ≤ MaxManifestWire and Off+len(Data) ≤ Total.
+// ParseManifestChunk decodes a manifest run body. The returned slices alias
+// data. Every accepted run holds 1 to MaxManifestChunk/32 digests and at
+// most MaxManifestDepth sibling hashes, and re-encodes to data exactly.
 func ParseManifestChunk(data []byte) (ManifestChunk, error) {
-	var mc ManifestChunk
-	if len(data) < manifestChunkFixed+1 {
-		return mc, fmt.Errorf("%w: %d bytes", ErrBadManifestChunk, len(data))
+	var mr ManifestChunk
+	if len(data) < manifestChunkFixed {
+		return mr, fmt.Errorf("%w: %d bytes", ErrBadManifestChunk, len(data))
 	}
-	copy(mc.Object[:], data)
-	mc.Total = binary.BigEndian.Uint32(data[16:])
-	mc.Off = binary.BigEndian.Uint32(data[20:])
-	n := int(binary.BigEndian.Uint16(data[24:]))
-	if len(data) != manifestChunkFixed+n {
-		return mc, fmt.Errorf("%w: %d trailing bytes", ErrBadManifestChunk, len(data)-manifestChunkFixed-n)
+	copy(mr.Object[:], data)
+	mr.Run = binary.BigEndian.Uint32(data[16:])
+	n, depth := int(binary.BigEndian.Uint16(data[20:])), int(data[22])
+	if n < 1 || n > MaxManifestChunk/hashSize || depth > MaxManifestDepth {
+		return mr, fmt.Errorf("%w: %d digests, %d siblings", ErrBadManifestChunk, n, depth)
 	}
-	if mc.Total < 1 || mc.Total > MaxManifestWire {
-		return mc, fmt.Errorf("%w: total %d", ErrBadManifestChunk, mc.Total)
+	if want := manifestChunkFixed + (n+depth)*hashSize; len(data) != want {
+		return mr, fmt.Errorf("%w: %d bytes, want %d", ErrBadManifestChunk, len(data), want)
 	}
-	if uint64(mc.Off)+uint64(n) > uint64(mc.Total) {
-		return mc, fmt.Errorf("%w: range [%d, %d) outside total %d",
-			ErrBadManifestChunk, mc.Off, int(mc.Off)+n, mc.Total)
-	}
-	mc.Data = data[manifestChunkFixed:]
-	return mc, nil
+	d := manifestChunkFixed + n*hashSize
+	mr.Digests, mr.Proof = data[manifestChunkFixed:d:d], data[d:]
+	return mr, nil
 }

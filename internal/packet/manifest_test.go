@@ -9,46 +9,28 @@ import (
 
 func TestManifestChunkRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	man := make([]byte, 8+17*32)
-	rng.Read(man)
 	id := NewObjectID([]byte("manifest roundtrip"))
-
-	// Split at an awkward chunk size and reassemble.
-	var frames [][]byte
-	const chunk = 100
-	for off := 0; off < len(man); off += chunk {
-		end := off + chunk
-		if end > len(man) {
-			end = len(man)
-		}
-		body, err := AppendManifestChunk(nil, id, uint32(len(man)), uint32(off), man[off:end])
+	for _, c := range []struct{ n, depth int }{{1, 0}, {17, 3}, {MaxManifestChunk / hashSize, MaxManifestDepth}} {
+		digests, proof := make([]byte, c.n*hashSize), make([]byte, c.depth*hashSize)
+		rng.Read(digests)
+		rng.Read(proof)
+		body, err := AppendManifestChunk(nil, id, 7, digests, proof)
 		if err != nil {
 			t.Fatal(err)
 		}
-		frames = append(frames, body)
-	}
-	got := make([]byte, len(man))
-	for _, body := range frames {
-		mc, err := ParseManifestChunk(body)
+		mr, err := ParseManifestChunk(body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mc.Object != id {
-			t.Fatal("object id mismatch")
+		if mr.Object != id || mr.Run != 7 || !bytes.Equal(mr.Digests, digests) || !bytes.Equal(mr.Proof, proof) {
+			t.Fatalf("%d digests, %d siblings: parsed %+v", c.n, c.depth, mr)
 		}
-		if int(mc.Total) != len(man) {
-			t.Fatalf("total %d, want %d", mc.Total, len(man))
-		}
-		copy(got[mc.Off:], mc.Data)
-	}
-	if !bytes.Equal(got, man) {
-		t.Fatal("reassembled manifest differs")
 	}
 }
 
 func TestManifestChunkParseErrors(t *testing.T) {
 	id := NewObjectID([]byte("manifest errors"))
-	good, err := AppendManifestChunk(nil, id, 64, 0, make([]byte, 16))
+	good, err := AppendManifestChunk(nil, id, 1, make([]byte, 2*hashSize), make([]byte, hashSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,12 +44,14 @@ func TestManifestChunkParseErrors(t *testing.T) {
 		data []byte
 	}{
 		{"empty", nil},
-		{"truncated fixed", good[:manifestChunkFixed]},
+		{"truncated fixed", good[:manifestChunkFixed-1]},
+		{"no digests", good[:manifestChunkFixed]},
 		{"truncated data", good[:len(good)-1]},
 		{"trailing", append(append([]byte(nil), good...), 0)},
-		{"zero total", mut(func(d []byte) { d[16], d[17], d[18], d[19] = 0, 0, 0, 0 })},
-		{"huge total", mut(func(d []byte) { d[16] = 0xff })},
-		{"range past total", mut(func(d []byte) { d[23] = 60 })}, // off=60, n=16 > total 64
+		{"zero total", mut(func(d []byte) { d[20], d[21] = 0, 0 })},       // a run of no digests
+		{"huge total", mut(func(d []byte) { d[20], d[21] = 0x04, 0x01 })}, // 1,025 digests, past a run
+		{"range past total", mut(func(d []byte) { d[22] = 2 })},           // two siblings declared, one sent
+		{"too deep", mut(func(d []byte) { d[22] = MaxManifestDepth + 1 })},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,22 +61,61 @@ func TestManifestChunkParseErrors(t *testing.T) {
 		})
 	}
 	if _, err := ParseManifestChunk(good); err != nil {
-		t.Fatalf("good chunk rejected: %v", err)
+		t.Fatalf("good run rejected: %v", err)
 	}
 }
 
 func TestAppendManifestChunkBounds(t *testing.T) {
 	id := NewObjectID([]byte("append bounds"))
-	if _, err := AppendManifestChunk(nil, id, 8, 0, nil); err == nil {
-		t.Error("empty chunk accepted")
+	for _, c := range []struct {
+		name          string
+		digests, sibs int
+	}{
+		{"no digests", 0, 0},
+		{"ragged digests", hashSize + 1, 0},
+		{"oversized run", MaxManifestChunk + hashSize, 0},
+		{"ragged proof", hashSize, 1},
+		{"too deep", hashSize, (MaxManifestDepth + 1) * hashSize},
+	} {
+		if _, err := AppendManifestChunk(nil, id, 0, make([]byte, c.digests), make([]byte, c.sibs)); !errors.Is(err, ErrBadManifestChunk) {
+			t.Errorf("%s: got %v, want ErrBadManifestChunk", c.name, err)
+		}
 	}
-	if _, err := AppendManifestChunk(nil, id, 8, 4, make([]byte, 8)); err == nil {
-		t.Error("chunk past total accepted")
+}
+
+// FuzzManifestRun hardens the MANIFEST body codec: no input panics, and
+// every accepted body survives a round trip — its fields re-encode to the
+// same bytes (the encoding is canonical) and parse back to the same fields.
+func FuzzManifestRun(f *testing.F) {
+	id := NewObjectID([]byte("fuzz manifest"))
+	for _, c := range []struct{ n, depth int }{{1, 0}, {3, 2}, {4, MaxManifestDepth}} {
+		body, err := AppendManifestChunk(nil, id, uint32(c.n), bytes.Repeat([]byte{0xd1}, c.n*hashSize), bytes.Repeat([]byte{0x5b}, c.depth*hashSize))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+		f.Add(body[:len(body)-1])
 	}
-	if _, err := AppendManifestChunk(nil, id, MaxManifestWire+1, 0, make([]byte, 8)); err == nil {
-		t.Error("oversized total accepted")
-	}
-	if _, err := AppendManifestChunk(nil, id, 1<<20, 0, make([]byte, MaxManifestChunk+1)); err == nil {
-		t.Error("oversized chunk accepted")
-	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		mr, err := ParseManifestChunk(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadManifestChunk) {
+				t.Fatalf("error %v does not wrap ErrBadManifestChunk", err)
+			}
+			return
+		}
+		again, err := AppendManifestChunk(nil, mr.Object, mr.Run, mr.Digests, mr.Proof)
+		if err != nil {
+			t.Fatalf("accepted body does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("non-canonical: %x re-encodes as %x", data, again)
+		}
+		back, err := ParseManifestChunk(again)
+		if err != nil || back.Object != mr.Object || back.Run != mr.Run ||
+			!bytes.Equal(back.Digests, mr.Digests) || !bytes.Equal(back.Proof, mr.Proof) {
+			t.Fatalf("round trip: %+v, %v; want %+v", back, err, mr)
+		}
+	})
 }

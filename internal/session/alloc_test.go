@@ -187,7 +187,7 @@ func TestUnitRowsTakeNoArenaRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		injectFrame(f, "src", meta)
-		injectBurst(f, "src", manifestChunks(t, id, content, m, 1))
+		injectBurst(f, "src", manifestRuns(t, id, content, m))
 		arena := f.objects[id].coder.Arena()
 		_, free := arena.FreeCounts()
 		handed := arena.RowsHanded()

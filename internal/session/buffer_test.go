@@ -185,9 +185,9 @@ func TestServedContentNeverRecycled(t *testing.T) {
 
 // TestForgedManifestRefillsMovedGenerations: a forged stream completes
 // every generation but one before any manifest is in, and no object buffer
-// exists: nothing has hashed to the root yet. A manifest that a forger
-// sends whole, but that does not hash to the root the ID commits to, is
-// refused on arrival and its sender banned on the spot — nothing is
+// exists: nothing has hashed to the root yet. A manifest run that a forger
+// sends, but that does not hash to the root the ID commits to, is refused
+// on arrival and its sender banned on the spot — nothing is
 // adopted, no buffer committed, nothing verifies. The honest source's
 // manifest is adopted with the buffer, and the forged natives move into
 // their slots; the forged generations fail against it and are quarantined,
@@ -227,7 +227,7 @@ func TestForgedManifestRefillsMovedGenerations(t *testing.T) {
 		t.Errorf("set-up: %d generations complete, object buffer %v; want %d, none", st.coder.CompleteCount(), st.buf != nil, gens-1)
 	}
 	st.mu.Unlock()
-	injectBurst(f, "forger", manifestChunks(t, id, forged, m, 3))
+	injectBurst(f, "forger", manifestRuns(t, id, forged, m))
 	if b := f.BannedPeers(); len(b) != 1 || b[0] != "forger" {
 		t.Fatalf("banned %v, want the forged manifest's sender", b)
 	}
@@ -356,7 +356,7 @@ func TestForgedUnitRowNeverTouchesTheBuffer(t *testing.T) {
 	}
 	defer fetch.End()
 	injectFrame(f, "src", meta)
-	injectBurst(f, "src", manifestChunks(t, id, content, m, 2))
+	injectBurst(f, "src", manifestRuns(t, id, content, m))
 	injectFrame(f, "src", handRow(t, id, content, gens, kPer, g, false, x-1))
 	st := f.objects[id]
 	st.mu.Lock()

@@ -47,7 +47,7 @@ func (s *Session) handleFrame(f transport.Frame) {
 
 // handleReq registers a subscriber and answers with the object's META
 // when the size is known. The manifest follows from the next push round
-// on, a few chunks a round (sendManifest), so a fetcher can verify
+// on, two runs a round (sendManifest), so a fetcher can verify
 // generations as they complete.
 func (s *Session) handleReq(from transport.Addr, data []byte) []byte {
 	if len(data) != reqLen-1 {

@@ -2,8 +2,8 @@ package session
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
-	"slices"
 	"testing"
 	"time"
 
@@ -92,7 +92,7 @@ func retiredReceipt(id packet.ObjectID, gen, received, innovative uint32, fronti
 // handlers: no input may panic or grow state beyond the configured
 // bounds, however the headers lie.
 func FuzzSessionFrames(f *testing.F) {
-	root := integrity.Root([]byte("fuzz object"))
+	root := sha256.Sum256([]byte("fuzz object"))
 	id := integrity.ObjectID(128, 16, 1, 8, root)
 
 	// Seed: one valid frame of each type, plus truncated/oversized
@@ -116,11 +116,11 @@ func FuzzSessionFrames(f *testing.F) {
 	f.Add(append([]byte{frameData}, genWire...)) // v3 generation-coded DATA
 	meta := metaFor(id, 16, 8, 128, 1, root)     // its fields hash to id
 	f.Add(meta)
-	f.Add(meta[:20])                                                    // truncated inside the content ID
-	f.Add(append(meta, 0xff, 0xee))                                     // oversized META
-	f.Add(meta[:metaV1Len])                                             // the retired root-less form: must drop
-	f.Add(metaFor(id, 16, 8, 128, 1, integrity.Root([]byte("forged")))) // a forged root: must drop
-	f.Add(metaFor(id, 32, 4, 128, 1, root))                             // a plausible forged geometry: must drop
+	f.Add(meta[:20])                                                   // truncated inside the content ID
+	f.Add(append(meta, 0xff, 0xee))                                    // oversized META
+	f.Add(meta[:metaV1Len])                                            // the retired root-less form: must drop
+	f.Add(metaFor(id, 16, 8, 128, 1, sha256.Sum256([]byte("forged")))) // a forged root: must drop
+	f.Add(metaFor(id, 32, 4, 128, 1, root))                            // a plausible forged geometry: must drop
 	_, genMeta := fakeObject("fuzz generations", 64, 8, 128, 4)
 	f.Add(genMeta)
 	f.Add(metaFor(id, 64, 8, 128, 5, root)) // 64 % 5 != 0: must drop
@@ -177,11 +177,11 @@ func FuzzSessionFrames(f *testing.F) {
 	f.Add(encodeReceipt(id, 0, 32, 16, 0, 12, []int32{13}))
 	f.Add(encodeReceipt(id, 0, 4, 9, 0, 16, []int32{1, 2, 3}))
 	f.Add(encodeReceipt(id, 0, 32, 16, 1<<32-1, 0, nil))
-	mc, err := packet.AppendManifestChunk([]byte{frameManifest}, id, 520, 0, make([]byte, 64))
+	mc, err := packet.AppendManifestChunk([]byte{frameManifest}, id, 0, make([]byte, 64), nil)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(mc)                    // MANIFEST chunk for an unknown/known object
+	f.Add(mc)                    // MANIFEST run for an unknown/known object
 	f.Add(mc[:12])               // truncated inside the content ID
 	f.Add(append(mc, 0x00))      // trailing byte: must drop
 	f.Add([]byte{frameManifest}) // bare kind byte
@@ -260,74 +260,68 @@ func FuzzSessionFrameSequence(f *testing.F) {
 	})
 }
 
-// FuzzManifestFrames drives the MANIFEST reassembly and adoption path
-// with frame sequences: an object learned from its META, then arbitrary
-// manifest chunks — in order, out of order, duplicated, past the total,
-// corrupt. No input may panic, adopt any manifest but the one the object's
-// root names, or grow state beyond the session bounds.
-func FuzzManifestFrames(f *testing.F) {
-	const (
-		k = 8
-		m = 4
-	)
-	natives := make([][]byte, k)
-	for i := range natives {
-		natives[i] = []byte{byte(i), 1, 2, 3}
-	}
-	man, err := integrity.NewManifest(natives)
-	if err != nil {
-		f.Fatal(err)
-	}
-	raw, err := man.MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
-	}
-	root := integrity.Root(raw)
-	id := integrity.ObjectID(k*m, k, 1, m, root)
-	learn := metaFor(id, k, m, k*m, 1, root)
+// FuzzManifestFrames' object is manifestFuzzK natives of manifestFuzzM
+// bytes: a manifest of two runs, each with a one-hash proof.
+const manifestFuzzK, manifestFuzzM = integrity.RunLen + 6, 1
 
-	// Chunk the real manifest small enough for the one-byte length prefix.
-	var chunks [][]byte
-	const chunk = 100
-	for off := 0; off < len(raw); off += chunk {
-		end := min(off+chunk, len(raw))
-		fr, err := packet.AppendManifestChunk([]byte{frameManifest}, id, uint32(len(raw)), uint32(off), raw[off:end])
+// manifestFuzzSeeds are the object's META, its two MANIFEST frames and the
+// boundary shapes of the run layout, each a frame sequence as
+// FuzzManifestFrames reads one: every frame behind a two-byte length.
+func manifestFuzzSeeds(tb testing.TB) (seeds [][]byte, id packet.ObjectID, runs [][]byte) {
+	content := make([]byte, manifestFuzzK*manifestFuzzM)
+	for i := range content {
+		content[i] = byte(i * 7)
+	}
+	id, learn := servedMeta(tb, content, manifestFuzzK, 1)
+	runs = manifestRuns(tb, id, content, manifestFuzzM)
+	mr, err := packet.ParseManifestChunk(runs[1][1:])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	reRun := func(r uint32, digests, proof []byte) []byte {
+		fr, err := packet.AppendManifestChunk([]byte{frameManifest}, id, r, digests, proof)
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
-		chunks = append(chunks, fr)
+		return fr
 	}
 	pack := func(frames ...[]byte) []byte {
 		var seq []byte
 		for _, fr := range frames {
-			seq = append(seq, byte(len(fr)))
+			seq = binary.BigEndian.AppendUint16(seq, uint16(len(fr)))
 			seq = append(seq, fr...)
 		}
 		return seq
 	}
-	f.Add(pack(append([][]byte{learn}, chunks...)...))                        // clean adoption
-	f.Add(pack(learn, chunks[2], chunks[0], chunks[1]))                       // out of order
-	f.Add(pack(learn, chunks[1], chunks[1], chunks[0], chunks[1], chunks[2])) // duplicates
-	// Past the total: a chunk claiming a longer manifest (the codec takes
-	// it, the object does not), and one running past its own total (the
-	// codec refuses it).
-	longer, err := packet.AppendManifestChunk([]byte{frameManifest}, id, uint32(len(raw)+chunk), uint32(len(raw)), raw[:chunk])
-	if err != nil {
-		f.Fatal(err)
-	}
-	past := append([]byte(nil), chunks[2]...)
-	binary.BigEndian.PutUint32(past[1+16+4:], uint32(len(raw)-1))
-	f.Add(pack(learn, chunks[0], longer, chunks[1], past, chunks[2]))
-	bad := append([]byte(nil), chunks[0]...)
-	bad[len(bad)-1] ^= 0xff // corrupt digest bytes: refused on the root, the sender banned
-	f.Add(pack(learn, bad, chunks[1], chunks[2]))
-	f.Add(pack(chunks[0], learn)) // manifest before the object exists
+	return [][]byte{
+		pack(learn, runs[0], runs[1]),                            // clean adoption
+		pack(learn, runs[1]),                                     // a valid run alone
+		pack(learn, reRun(1, mr.Digests, nil), runs[1]),          // a short proof, then the true run
+		pack(learn, reRun(2, mr.Digests, mr.Proof), runs[1]),     // a run index past the end
+		pack(learn, runs[1], runs[1]),                            // a duplicate run
+		pack(learn, forgedRun(runs[1]), runs[0]),                 // a forged run: its sender banned
+		pack(learn, runs[1], forgedRun(runs[1]), runs[0]),        // forged, once held: dropped unhashed
+		pack(runs[1], learn, runs[0]),                            // a run before the object is rooted
+		pack(learn, reRun(0, mr.Digests, mr.Proof)),              // run 1's digests as run 0's
+		pack(learn, runs[1][:len(runs[1])-1], runs[1][:1+23+32]), // truncated frames
+	}, id, runs
+}
 
+// FuzzManifestFrames drives MANIFEST checking and adoption with frame
+// sequences: an object learned from its META, then arbitrary runs — in
+// order, out of order, duplicated, past the last run, short of proof,
+// forged. No input may panic, adopt a run but the one the object's root
+// names, or grow state beyond the session bounds.
+func FuzzManifestFrames(f *testing.F) {
+	seeds, id, runs := manifestFuzzSeeds(f)
+	for _, seq := range seeds {
+		f.Add(seq)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := fuzzSession(t, nil)
-		for len(data) > 0 {
-			n := int(data[0])
-			data = data[1:]
+		s := fuzzSession(t, func(c *Config) { c.MaxK = 2 * manifestFuzzK })
+		for len(data) >= 2 {
+			n := int(binary.BigEndian.Uint16(data))
+			data = data[2:]
 			if n == 0 || n > len(data) {
 				break
 			}
@@ -339,8 +333,12 @@ func FuzzManifestFrames(f *testing.F) {
 			if o.K > s.cfg.MaxK {
 				t.Fatalf("session allocated k=%d above MaxK=%d", o.K, s.cfg.MaxK)
 			}
-			if o.HaveManifest && !slices.EqualFunc(s.objects[o.ID].manFrames, manifestFrames(id, raw), bytes.Equal) {
-				t.Fatal("adopted a manifest the object's root does not name")
+		}
+		if st := s.objects[id]; st != nil {
+			for r, fr := range st.manFrames {
+				if fr != nil && !bytes.Equal(fr, runs[r]) {
+					t.Fatalf("adopted run %d, which the object's root does not name", r)
+				}
 			}
 		}
 		if len(s.Objects()) > s.cfg.MaxObjects {

@@ -3,12 +3,12 @@ package session
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"testing"
 	"time"
 
 	"ltnc/internal/generation"
-	"ltnc/internal/integrity"
 	"ltnc/internal/packet"
 	"ltnc/internal/transport"
 )
@@ -177,7 +177,7 @@ func TestMetaGenerationMismatchDropped(t *testing.T) {
 	// Valid extended META learns the object with G=4.
 	id, good := fakeObject("gen meta object", 128, 16, 2048, 4)
 	meta := func(k, m int, size int64, gens int) []byte {
-		return metaFor(id, k, m, size, gens, integrity.Root([]byte("gen meta object")))
+		return metaFor(id, k, m, size, gens, sha256.Sum256([]byte("gen meta object")))
 	}
 	s.handleFrame(transport.NewFrame("peer", good, nil))
 	objs := s.Objects()

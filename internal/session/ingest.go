@@ -459,7 +459,8 @@ func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActio
 }
 
 // unitRowLocked checks a degree-1 row on arrival. Over GF(2) it is a native
-// payload in the clear, so a held manifest makes it checkable at once. A
+// payload in the clear, so the run of the manifest that holds its digest
+// makes it checkable at once. A
 // digest mismatch (forged) is byte-exact proof of forgery against this
 // sender alone: instant ban, no quarantine round-trip. Dense
 // forged rows still get caught at generation completion; this closes the
@@ -470,11 +471,11 @@ func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActio
 // behind a systematic upstream a relay hashes each native here, once, and
 // forwards it from the next push on. st.mu must be held.
 func (st *objectState) unitRowLocked(g int, vec *bitvec.Vector, pay []byte) (plain int, forged bool) {
-	if st.man == nil || vec.PopCount() != 1 {
+	if vec.PopCount() != 1 {
 		return -1, false
 	}
 	idx := g*st.kPer + vec.LowestSet()
-	if idx >= st.k || len(pay) != st.m {
+	if idx >= st.k || len(pay) != st.m || !st.man.Holds(idx) {
 		return -1, false
 	}
 	return idx, st.man.Verify(idx, pay) != nil

@@ -1,8 +1,8 @@
 package session
 
 import (
+	"errors"
 	"maps"
-	"math/bits"
 	"slices"
 	"time"
 
@@ -14,9 +14,10 @@ import (
 
 // The integrity plane (DESIGN.md §13): manifests, per-generation
 // verification, quarantine and decode-provenance blame, bans. An object's
-// ID commits to its geometry and its manifest's root (integrity.ObjectID):
-// a META is checked on arrival (parseMeta), a manifest on adoption, and
-// every native against the manifest, so nothing here hashes a whole object.
+// ID commits to its geometry and its manifest's Merkle root
+// (integrity.ObjectID): a META and each MANIFEST frame are checked on
+// arrival, alone, and every native against its run of the manifest, so
+// nothing here hashes a whole object.
 // Detection runs under st.mu on the decode path; its consequences collect
 // in pollActions and are applied once every lock is dropped.
 
@@ -134,13 +135,16 @@ func (st *objectState) refusesLocked(g int, from transport.Addr, now time.Time) 
 	return slices.Contains(gg.refused, from) || len(st.solicited) > 0 && !st.solicitedPeer(from)
 }
 
-// adoptManifestLocked installs a manifest that hashes to the object's root:
-// the parsed form for verification, pre-built frames for re-serving it
-// downstream; a filling or decoded object gets its buffer with it
-// (placeLocked). st.mu must be held.
-func (st *objectState) adoptManifestLocked(man *integrity.Manifest, raw []byte) {
-	st.man, st.manFrames, st.manAsm = man, manifestFrames(st.id, raw), nil
-	st.placeLocked()
+// genHeldLocked reports whether every run holding a digest of generation
+// g's natives is in hand: whether g can be verified, and so whether it is
+// gated until it is (gatedLocked). st.mu must be held.
+func (st *objectState) genHeldLocked(g int) bool {
+	for x, end := g*st.kPer, (g+1)*st.kPer; x < end; x += integrity.RunLen - x%integrity.RunLen {
+		if !st.man.Holds(x) {
+			return false
+		}
+	}
+	return true
 }
 
 // Per-native proof states (objectState.proof); the zero value is "not
@@ -153,7 +157,7 @@ const (
 // nativeProvenLocked reports whether pay, the decoded payload of native x,
 // matches the manifest's digest for it, hashing it the first time only. A
 // decoded native never changes short of a ResetGen, which clears its
-// generation's bits. st.mu must be held and the manifest be in hand.
+// generation's bits. st.mu must be held and x's run in hand.
 func (st *objectState) nativeProvenLocked(x int, pay []byte) bool {
 	if st.proof[x] == 0 {
 		st.proof[x] = proofGood
@@ -164,31 +168,15 @@ func (st *objectState) nativeProvenLocked(x int, pay []byte) bool {
 	return st.proof[x] == proofGood
 }
 
-// manifestFrames splits one encoded manifest into ready-to-send MANIFEST
-// frames.
-func manifestFrames(id packet.ObjectID, raw []byte) [][]byte {
-	frames := make([][]byte, 0, (len(raw)+packet.MaxManifestChunk-1)/packet.MaxManifestChunk)
-	for off := 0; off < len(raw); off += packet.MaxManifestChunk {
-		end := min(off+packet.MaxManifestChunk, len(raw))
-		frame, err := packet.AppendManifestChunk(
-			[]byte{frameManifest}, id, uint32(len(raw)), uint32(off), raw[off:end])
-		if err != nil {
-			return nil
-		}
-		frames = append(frames, frame)
-	}
-	return frames
-}
-
 // verifyGenLocked runs the freshly completed generation g through the
-// manifest, if there is one yet: a generation verifies, or fails and is
-// quarantined into acts. Without a manifest it stays open until one comes
-// (settleLocked retro-verifies). Checked in decode order, the first native
-// that fails is the verdict and names its forger (generation.Coder.Source).
-// st.mu must be held and the coder complete for g.
+// manifest once its runs are in: it verifies, or fails and is quarantined
+// into acts. Until then it stays open (settleLocked retro-verifies as runs
+// arrive). Checked in decode order, the first native that fails is the
+// verdict and names its forger (generation.Coder.Source). st.mu must be
+// held and the coder complete for g.
 func (s *Session) verifyGenLocked(st *objectState, g int, acts *pollActions) {
 	gg := &st.guard[g]
-	if st.man == nil || gg.state == genVerified {
+	if gg.state == genVerified || !st.genHeldLocked(g) {
 		return
 	}
 	natives, err := st.coder.GenData(g)
@@ -303,20 +291,19 @@ func (s *Session) auditFailsLocked(st *objectState, g int, in *inFrame) bool {
 	return false
 }
 
-// handleManifest feeds one MANIFEST frame into the object's reassembly.
-// Once the manifest is whole and hashes to the root the object's ID
-// commits to, it is adopted: generations already complete are
-// retro-verified (settleLocked quarantines any that fail), and the push
-// rounds send it on to every peer from the next one (sendManifest). A whole
-// manifest that does not hash to the root convicts its sender: an honest
-// node sends only a manifest it adopted, or its own.
+// handleManifest checks one MANIFEST frame alone (manifestRunLocked). An
+// adopted run retro-verifies the complete generations it covers
+// (settleLocked), the last one gives the object its buffer (placeLocked),
+// and the push rounds send it on to every peer (sendManifest). A run that
+// does not hash to the root convicts its sender: an honest node forwards
+// only runs it adopted, or its own.
 func (s *Session) handleManifest(from transport.Addr, data []byte) {
-	mc, err := packet.ParseManifestChunk(data)
+	mr, err := packet.ParseManifestChunk(data)
 	if err != nil {
 		return
 	}
 	s.mu.Lock()
-	st := s.objects[mc.Object]
+	st := s.objects[mr.Object]
 	if _, b := s.banned[from]; b {
 		st = nil
 	}
@@ -326,111 +313,54 @@ func (s *Session) handleManifest(from transport.Addr, data []byte) {
 	}
 	var acts pollActions
 	st.mu.Lock()
-	adopted, forged := s.manifestChunkLocked(st, from, mc)
+	adopted, forged := st.manifestRunLocked(mr, data)
 	if forged {
-		s.logf("session: %v manifest from %s does not hash to the object's root", st.id, from)
+		s.logf("session: %v manifest run %d from %s does not hash to the object's root", st.id, mr.Run, from)
 		acts.bans = append(acts.bans, from)
 	}
 	if adopted {
+		st.placeLocked()
 		s.settleLocked(st, -1, &acts)
 		st.touch(s.clk.Now())
 	}
 	st.mu.Unlock()
 	s.applyPollActions(&acts)
 	if adopted {
-		s.wake() // every peer is owed the manifest: the next round starts on it
+		s.wake() // every peer is owed the run: the next round starts on it
 		s.notifyWatchers(st)
 	}
 }
 
-// manifestAsm is one sender's copy of a manifest being reassembled from its
-// MANIFEST chunks, in any order and any chunking: have marks the bytes in,
-// left counts the rest, at is when its last chunk came. Every sender
-// assembles its own copy, so a whole one that does not hash to the root is
-// byte-exact proof against that sender, and one that never completes holds
-// up nobody else's.
-type manifestAsm struct {
-	at   time.Time
-	buf  []byte
-	have []uint64
-	left int
-}
-
-// maxManifestAsms bounds the copies of a manifest an object assembles at
-// once from senders it did not solicit; each is a buffer the manifest's
-// size. A solicited sender always gets one: the fetch's candidate set
-// bounds those.
-const maxManifestAsms = 4
-
-// add copies one chunk in at off and reports whether the manifest is whole.
-// A byte that came before is overwritten with what its sender says now.
-func (a *manifestAsm) add(off int, data []byte) bool {
-	copy(a.buf[off:], data)
-	for i, end := off, off+len(data); i < end; {
-		w, lo := i>>6, i&63
-		hi := min(64, end-(i&^63))
-		mask := ^uint64(0) >> (64 - (hi - lo)) << lo
-		a.left -= bits.OnesCount64(mask &^ a.have[w])
-		a.have[w] |= mask
-		i = (w + 1) << 6
-	}
-	return a.left == 0
-}
-
-// manifestChunkLocked adds one chunk to its sender's copy of the object's
-// manifest and reports whether that completed and adopted the manifest, or
-// proved its sender a forger. Only an object whose root is known assembles one — the
-// root comes with the size, in a META that verified — and only with the
-// geometry to size it by; a caching object does too, so that a cache
-// re-serves the manifest its fetchers cannot complete without. Chunks that
-// come before the META are dropped: the sender repeats MANIFEST with its
-// META resends. st.mu must be held.
-func (s *Session) manifestChunkLocked(st *objectState, from transport.Addr, mc packet.ManifestChunk) (adopted, forged bool) {
-	total := 8 + int64(st.k)*integrity.DigestSize
-	if st.man != nil || st.size.Load() < 0 || (st.phase != phCaching && !st.phase.decoding()) || int64(mc.Total) != total {
-		return false, false // have one, no root to check one against, or not this object's size
-	}
-	now := s.clk.Now()
-	a := st.manAsm[from]
-	if a == nil {
-		if len(st.manAsm) >= maxManifestAsms && !st.solicitedPeer(from) && !st.dropStaleAsmLocked(now.Add(-s.metaResend())) {
-			return false, false // every slot held by a sender still sending
-		}
-		if st.manAsm == nil {
-			st.manAsm = make(map[transport.Addr]*manifestAsm)
-		}
-		a = &manifestAsm{buf: make([]byte, total), have: make([]uint64, (total+63)/64), left: int(total)}
-		st.manAsm[from] = a
-	}
-	a.at = now
-	if !a.add(int(mc.Off), mc.Data) {
+// manifestRunLocked checks one manifest run, body its MANIFEST frame's, and
+// reports whether it was adopted or proved its sender a forger. Only a
+// rooted object takes one (a run before its META comes again with the
+// META's resends), a caching one too, to re-serve it. A run out of bounds
+// is dropped, a held one dropped unhashed, any other hashed up to the root:
+// adopted, its frame kept, or proof against its one sender. st.mu must be held.
+func (st *objectState) manifestRunLocked(mr packet.ManifestChunk, body []byte) (adopted, forged bool) {
+	if st.size.Load() < 0 || (st.phase != phCaching && !st.phase.decoding()) {
 		return false, false
 	}
-	delete(st.manAsm, from)
-	if integrity.Root(a.buf) != st.root {
-		return false, true
-	}
-	man, err := integrity.UnmarshalManifest(a.buf)
-	if err != nil || man.K() != st.k || man.M() != st.m {
-		return false, false // what the ID commits to, malformed by whoever made it: nothing to adopt
-	}
-	st.adoptManifestLocked(man, a.buf)
-	return true, false
-}
-
-// dropStaleAsmLocked frees the assembly slot whose sender went quiet
-// longest ago, if that was no later than cutoff, and reports whether it
-// freed one. st.mu must be held.
-func (st *objectState) dropStaleAsmLocked(cutoff time.Time) bool {
-	var victim transport.Addr
-	var va *manifestAsm
-	for from, a := range st.manAsm {
-		if !a.at.After(cutoff) && (va == nil || a.at.Before(va.at) || a.at.Equal(va.at) && from < victim) {
-			victim, va = from, a
+	if st.man == nil {
+		if st.man, _ = integrity.Expect(st.k, st.m, st.root); st.man == nil {
+			return false, false
 		}
+		st.manFrames = make([][]byte, st.man.Runs())
 	}
-	if va != nil {
-		delete(st.manAsm, victim)
+	r := int(mr.Run)
+	if st.man.HoldsRun(r) {
+		return false, false
 	}
-	return va != nil
+	switch err := st.man.AdoptRun(r, mr.Digests, mr.Proof); {
+	case errors.Is(err, integrity.ErrCorrupt):
+		return false, true
+	case err != nil:
+		return false, false // counts not the ones the run's index implies
+	}
+	// Replaced wholesale, never written in place: a push round sends the
+	// frames it snapshotted with no lock held.
+	frames := slices.Clone(st.manFrames)
+	frames[r] = append([]byte{frameManifest}, body...)
+	st.manFrames = frames
+	return true, false
 }

@@ -18,8 +18,8 @@ import (
 // phase, and the functions of this file are the only code that creates an
 // objectState, assigns its phase, coder, buffer or data, or closes done:
 // admitLocked (outside input or a local call creates or sizes state),
-// seedLocked (Serve), promoteLocked (a fetch at a cache), placeLocked (a
-// manifest adopted), settleLocked (whatever may have completed something)
+// seedLocked (Serve), promoteLocked (a fetch at a cache), placeLocked (the
+// manifest's last run adopted), settleLocked (whatever may have completed something)
 // and evictLocked. Every other file asks the phase.
 // DESIGN.md §4 has the phase × event table.
 //
@@ -40,8 +40,8 @@ const (
 	// phFilling: the coder exists and lacks rank, or holds a generation that
 	// has yet to be accepted.
 	phFilling
-	// phDecoded: every generation decoded, not every one verified — the
-	// manifest has not arrived to check them against.
+	// phDecoded: every generation decoded, not every one verified — runs
+	// of the manifest have yet to arrive to check them against.
 	phDecoded
 	// phComplete: every generation verified against the manifest the ID
 	// commits to, the content assembled, done closed. Serve enters here.
@@ -117,9 +117,9 @@ type objectState struct {
 	// buf is the object buffer, k·m bytes, native x of generation g in slot
 	// g·kPer + x, and data is its head once complete (DESIGN.md §4, "One
 	// copy per object"). A filling or decoded object has one exactly while
-	// it holds an adopted manifest (placeLocked): the natives decoded before
-	// the manifest move into their slots at adoption, and every native
-	// decoded after it is written into its slot as it peels. A source's is
+	// it holds every run of the manifest (placeLocked): the natives decoded
+	// before the last run move into their slots at its adoption, and every
+	// native decoded after it is written into its slot as it peels. A source's is
 	// its content, when that is exactly k·m bytes.
 	buf      []byte
 	data     []byte        // assembled content (phComplete): buf's head, or a source's content
@@ -131,14 +131,13 @@ type objectState struct {
 	// root is the manifest root the ID commits to, with the geometry and
 	// the size (integrity.ObjectID), as a META that verified or Serve gave
 	// it: written once, before size, and read only once size is known, so
-	// size ≥ 0 says the object is rooted. man/manFrames hold the adopted
-	// manifest (parsed, and pre-built MANIFEST frames for re-serving);
-	// manAsm holds the copies being reassembled before adoption, one per
-	// sender.
+	// size ≥ 0 says the object is rooted. man holds the manifest's runs
+	// adopted so far (all of them at a source), manFrames[r] run r's
+	// MANIFEST frame for re-serving, nil until it is held; both nil until
+	// the first run arrives.
 	root      [integrity.DigestSize]byte
 	man       *integrity.Manifest
 	manFrames [][]byte
-	manAsm    map[transport.Addr]*manifestAsm
 	// guard[g] is generation g's verification state, proof[x] the kept
 	// verdict of checking decoded native x against its digest, so it can cut
 	// through ahead of its generation and is hashed once (nativeProvenLocked);
@@ -169,7 +168,7 @@ type objectState struct {
 	// that node's own defense convicts. Its forgeries are dropped or
 	// quarantined away and its refill refused for a while (refusesLocked);
 	// a raw sender pushing forgeries unasked is never banned for them. A
-	// forged manifest convicts any sender: no honest node sends one.
+	// forged manifest run convicts any sender: no honest node sends one.
 	solicited map[transport.Addr]struct{}
 
 	size       atomic.Int64 // -1 until a META that verified (or Serve) provides it, with root
@@ -325,7 +324,7 @@ func (s *Session) reshapeLocked(st *objectState, geo geometry) {
 		to = phFilling
 	}
 	st.shapeLocked(to, geo, coder)
-	st.sysLog, st.sysMerged, st.manAsm, st.received = nil, nil, nil, 0
+	st.sysLog, st.sysMerged, st.received = nil, nil, 0
 	for _, ps := range st.peers {
 		ps.sysCursor = 0
 		ps.forgetProgressLocked()
@@ -347,13 +346,13 @@ func (s *Session) seedLocked(st *objectState, src *served, coder *generation.Cod
 		s.cache.Drop(st.id)
 	}
 	st.shapeLocked(phComplete, src.geo, coder)
-	st.root = src.root
+	st.root = src.man.Root()
 	st.size.Store(int64(len(content)))
 	st.data = content[:len(content):len(content)]
 	if len(content) == st.k*st.m {
 		st.buf = st.data
 	}
-	st.adoptManifestLocked(src.man, src.raw)
+	st.man, st.manFrames = src.man, src.frames
 	st.vouchLocked()
 	close(st.done)
 	st.pinned = true
@@ -403,7 +402,7 @@ func (s *Session) promoteLocked(st *objectState) (progressed bool) {
 }
 
 // settleLocked brings the phase up to date after any event that can
-// complete something — a row ingested, the size learned, a manifest
+// complete something — a row ingested, the size learned, a manifest run
 // adopted, a cache promoted — and returns the one reply owed to the sender
 // of the frame behind it (owedLocked; g is that frame's generation, −1 for
 // none). Every complete generation not yet verified meets the manifest, if
@@ -446,16 +445,16 @@ func (st *objectState) assembleLocked() {
 	close(st.done)
 }
 
-// placeLocked gives a filling or decoded object that has adopted its
+// placeLocked gives a filling or decoded object that holds every run of its
 // manifest the object buffer, and places every generation's decoder in its
 // slots (generation.Coder.Place): the natives decoded so far move in, once,
 // and each one decoded from now on is written there as it peels. A
-// receiver commits k·m bytes only to a manifest that hashes to the root
+// receiver commits k·m bytes only once every run has hashed to the root
 // the ID commits to. Nothing is allocated if k·m bytes overflow an int
 // (32-bit builds): the natives stay in arena rows, and the object never
 // assembles. st.mu must be held.
 func (st *objectState) placeLocked() {
-	if (st.phase != phFilling && st.phase != phDecoded) || st.man == nil || st.buf != nil ||
+	if (st.phase != phFilling && st.phase != phDecoded) || !st.man.Complete() || st.buf != nil ||
 		int64(st.k)*int64(st.m) > math.MaxInt {
 		return
 	}

@@ -2,6 +2,7 @@ package session
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"go/ast"
 	"go/parser"
@@ -89,17 +90,17 @@ func checkPhaseInvariants(tb testing.TB, s *Session) {
 }
 
 // checkObjectBufferLocked holds an object's buffer to its rule: a filling
-// or decoded object with m > 0 has one exactly while it holds an adopted
-// manifest — a receiver commits k·m bytes to a manifest that hashes to the
-// root the ID commits to, and to nothing less — unless k·m bytes overflow
+// or decoded object with m > 0 has one exactly while it holds every run of
+// its manifest — a receiver commits k·m bytes once every run has hashed to
+// the root the ID commits to, and to nothing less — unless k·m bytes overflow
 // an int (32-bit builds), where it never has one. Where there is a buffer
 // it is k·m bytes, every native decoded here sits in its slot, and once
 // complete the content is its head. st.mu must be held.
 func checkObjectBufferLocked(tb testing.TB, id packet.ObjectID, st *objectState, ph phase) {
 	tb.Helper()
 	fits := int64(st.k)*int64(st.m) <= math.MaxInt
-	if (ph == phFilling || ph == phDecoded) && st.m > 0 && (st.buf != nil) != (st.man != nil && fits) {
-		tb.Errorf("%v: phase %v, object buffer %v, manifest adopted %v", id, ph, st.buf != nil, st.man != nil)
+	if held := st.man != nil && st.man.Complete(); (ph == phFilling || ph == phDecoded) && st.m > 0 && (st.buf != nil) != (held && fits) {
+		tb.Errorf("%v: phase %v, object buffer %v, every run held %v", id, ph, st.buf != nil, held)
 	}
 	if st.buf == nil {
 		return
@@ -146,25 +147,31 @@ func (st *objectState) genInBufLocked(g int) bool {
 	return true
 }
 
-// manifestChunks builds the MANIFEST frames of content's m-byte natives
-// under id — a true manifest, or a forged one when content is not the
-// object's — in n chunks.
-func manifestChunks(tb testing.TB, id packet.ObjectID, content []byte, m, n int) [][]byte {
+// manifestRuns builds the MANIFEST frames of content's m-byte natives
+// under id, one a run — a true manifest, or a forged one when content is
+// not the object's.
+func manifestRuns(tb testing.TB, id packet.ObjectID, content []byte, m int) [][]byte {
 	tb.Helper()
 	man, err := integrity.NewManifest(lt.Natives(content, m))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	raw, _ := man.MarshalBinary()
-	var chunks [][]byte
-	for off, size := 0, (len(raw)+n-1)/n; off < len(raw); off += size {
-		fr, err := packet.AppendManifestChunk([]byte{frameManifest}, id, uint32(len(raw)), uint32(off), raw[off:min(off+size, len(raw))])
-		if err != nil {
+	frames := make([][]byte, man.Runs())
+	for r := range frames {
+		digests, proof := man.RunProof(r)
+		if frames[r], err = packet.AppendManifestChunk([]byte{frameManifest}, id, uint32(r), digests, proof); err != nil {
 			tb.Fatal(err)
 		}
-		chunks = append(chunks, fr)
 	}
-	return chunks
+	return frames
+}
+
+// forgedRun is MANIFEST frame fr with one digest byte flipped: a run of
+// the right length that does not hash to the root.
+func forgedRun(fr []byte) []byte {
+	bad := bytes.Clone(fr)
+	bad[1+23+5] ^= 0x40
+	return bad
 }
 
 // metaFor builds a META as a sender of (k, m, size, gens) and manifest root
@@ -189,7 +196,7 @@ const metaV1Len = metaLen - integrity.DigestSize
 // given and to a made-up manifest root drawn from tag, so its META
 // verifies while no manifest ever will.
 func fakeObject(tag string, k, m int, size int64, gens int) (packet.ObjectID, []byte) {
-	root := integrity.Root([]byte(tag))
+	root := sha256.Sum256([]byte(tag))
 	id := integrity.ObjectID(size, k, gens, m, root)
 	return id, metaFor(id, k, m, size, gens, root)
 }
@@ -201,7 +208,7 @@ func servedMeta(tb testing.TB, content []byte, k, gens int) (packet.ObjectID, []
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return src.id, metaFor(src.id, src.geo.kPer*gens, src.geo.m, int64(len(content)), gens, src.root)
+	return src.id, metaFor(src.id, src.geo.kPer*gens, src.geo.m, int64(len(content)), gens, src.man.Root())
 }
 
 // TestServeOverCachedObject: Serve on an object the session holds as a
@@ -285,7 +292,7 @@ func TestForgedMetaDroppedOnArrival(t *testing.T) {
 	const k, m, gens = 32, 32, 2
 	content := testContent(k*m, 79)
 	forgery := func(id packet.ObjectID) (meta, row []byte) {
-		meta = metaFor(id, 2*k, m/2, k*m, 1, integrity.Root([]byte("forged")))
+		meta = metaFor(id, 2*k, m/2, k*m, 1, sha256.Sum256([]byte("forged")))
 		return meta, handRow(t, id, testContent(k*m, 80), 1, 2*k, 0, true, 0)
 	}
 	honest := func(t *testing.T, o ObjectStats) {
@@ -378,6 +385,11 @@ const (
 	evFbCacheAd
 	evFbReceipt
 	evFbFrontier
+	// The three MANIFEST events each end with the manifest's true run — at
+	// the matrix's geometries its one frame — delivered: first, alone, from
+	// the sender; out-of-order, behind a forged copy from the sender that
+	// raced ahead of it; last, from another peer, with the sender's forged
+	// copy last.
 	evManifestFirst
 	evManifestOutOfOrder
 	evManifestLast
@@ -408,7 +420,7 @@ type objCell struct {
 	gens, kPer, m int
 	held          int          // natives [0, held) of every generation were fed at set-up
 	old           *objectState // the evicted row's state, as a worker would still hold it
-	chunks        [][]byte     // the true manifest, in three MANIFEST frames
+	runs          [][]byte     // the true manifest's MANIFEST frames: one run at these k
 	meta          []byte       // the true META
 }
 
@@ -443,7 +455,7 @@ func newObjCell(t *testing.T, rng *rand.Rand, row int) *objCell {
 			role(cfg)
 		}
 	})
-	c.chunks = manifestChunks(t, c.id, c.content, c.m, 3)
+	c.runs = manifestRuns(t, c.id, c.content, c.m)
 	meta := c.meta
 	fill := func(upTo int) { // natives [0, upTo) of every generation, from "src"
 		for g := 0; g < c.gens; g++ {
@@ -473,7 +485,7 @@ func newObjCell(t *testing.T, rng *rand.Rand, row int) *objCell {
 		fill(c.kPer)
 	case rowComplete:
 		injectFrame(c.s, "src", meta)
-		injectBurst(c.s, "src", c.chunks)
+		injectBurst(c.s, "src", c.runs)
 		fill(c.kPer)
 	}
 	if row == rowEvicted {
@@ -539,13 +551,13 @@ func (c *objCell) fire(t *testing.T, ev int) {
 		}
 		in(encodeReceipt(c.id, uint32(last), 16, 12, 0, c.kPer, []int32{0, 1}))
 	case evManifestFirst:
-		in(c.chunks[0])
+		in(c.runs[0])
 	case evManifestOutOfOrder:
-		in(c.chunks[len(c.chunks)-1])
+		in(forgedRun(c.runs[0]))
+		injectFrame(c.s, "src", c.runs[0])
 	case evManifestLast:
-		for _, ch := range c.chunks {
-			in(ch)
-		}
+		injectFrame(c.s, "src", c.runs[0])
+		in(forgedRun(c.runs[0]))
 	case evMember:
 		body, err := packet.AppendMemberBody([]byte{frameMember}, 0, []packet.MemberEntry{{Addr: string(matrixSender)}})
 		if err != nil {
@@ -601,7 +613,7 @@ func (c *objCell) expect(row, ev int) (after, replies string) {
 		case row == rowComplete:
 			replies = "FB2"
 		}
-	case evManifestLast:
+	case evManifestFirst, evManifestOutOfOrder, evManifestLast:
 		if row == rowDecoded {
 			after = "complete" // every generation verifies at once
 		}
@@ -710,21 +722,8 @@ func (c *objCell) checkCell(t *testing.T, row, ev int, sent map[transport.Addr][
 		t.Errorf("idle object survived eviction: %+v", o)
 	case ev == evServe && row <= rowCaching && (o.Cached || !o.Pinned || !o.Complete):
 		t.Errorf("served: %+v, want complete, pinned and not cached", o)
-	case ev == evManifestLast && row >= rowFilling:
-		wantVerified := map[int]int{rowFilling: 0, rowPoisoned: 0, rowDecoded: c.gens, rowComplete: c.gens}[row]
-		wantPolluted := int64(btoi(row == rowPoisoned))
-		if !o.HaveManifest || o.GensVerified != wantVerified || o.Polluted != wantPolluted {
-			t.Errorf("manifest delivered: %+v, want it adopted, %d generations verified, %d quarantined", o, wantVerified, wantPolluted)
-		}
-		if row == rowPoisoned {
-			// The forged row that released the first false native came from
-			// src, unsolicited: not banned, but refused the refill and not
-			// re-armed for it.
-			gg := c.s.objects[c.id].guard[0]
-			if r := kinds(sent["src"]); r != "" || gg.state != genQuarantined || !slices.Equal(gg.refused, []transport.Addr{"src"}) || len(c.s.BannedPeers()) != 0 {
-				t.Errorf("quarantine sent %q to the forger, guard state %d refusing %v, banned %v", r, gg.state, gg.refused, c.s.BannedPeers())
-			}
-		}
+	case ev == evManifestFirst || ev == evManifestOutOfOrder || ev == evManifestLast:
+		c.checkManifestCell(t, row, ev, o, sent)
 	case ev == evFbFrontier:
 		// Kept where rows are drawn from a coder against it; announced (no
 		// geometry to read it by) and caching (rows dealt as held) ignore it,
@@ -736,11 +735,43 @@ func (c *objCell) checkCell(t *testing.T, row, ev int, sent map[transport.Addr][
 		if want := uint64(btoi(row != rowAnnounced)); ps.link.Sent() != 0 || uint64(ps.link.Lacks(16)) != 16-12*want {
 			t.Errorf("the receipt's counters: link lacks %d of 16 natives, want %d", ps.link.Lacks(16), 16-12*want)
 		}
-	case (ev == evManifestFirst || ev == evManifestOutOfOrder) && o.HaveManifest && row != rowComplete:
-		t.Errorf("manifest adopted from a partial delivery: %+v", o)
 	case ev == evBeginFetch && row == rowCaching:
 		if cs, _ := c.s.CacheStats(); cs.Rows != 0 || o.Decoded != c.gens*c.held {
 			t.Errorf("promoted: %d rows left in the cache, %d natives decoded, want 0 and %d", cs.Rows, o.Decoded, c.gens*c.held)
+		}
+	}
+}
+
+// checkManifestCell: every MANIFEST event ends with the true run adopted,
+// so from filling on the manifest is held and each complete generation is
+// verified, or quarantined if poisoned. A forged run convicts its sender
+// where it is hashed — at a rooted object that does not hold the run yet,
+// so when it races ahead (out-of-order) — and is dropped unhashed once the
+// run is held (last).
+func (c *objCell) checkManifestCell(t *testing.T, row, ev int, o ObjectStats, sent map[transport.Addr][][]byte) {
+	t.Helper()
+	var wantBanned []transport.Addr
+	if rooted := row >= rowCaching && row <= rowDecoded; rooted && ev == evManifestOutOfOrder {
+		wantBanned = []transport.Addr{matrixSender}
+	}
+	if b := c.s.BannedPeers(); !slices.Equal(b, wantBanned) {
+		t.Errorf("banned %v, want %v", b, wantBanned)
+	}
+	if row < rowFilling {
+		return
+	}
+	wantVerified := map[int]int{rowFilling: 0, rowPoisoned: 0, rowDecoded: c.gens, rowComplete: c.gens}[row]
+	wantPolluted := int64(btoi(row == rowPoisoned))
+	if !o.HaveManifest || o.GensVerified != wantVerified || o.Polluted != wantPolluted {
+		t.Errorf("manifest delivered: %+v, want it adopted, %d generations verified, %d quarantined", o, wantVerified, wantPolluted)
+	}
+	if row == rowPoisoned {
+		// The forged row that released the first false native came from
+		// src, unsolicited: not banned, but refused the refill and not
+		// re-armed for it.
+		gg := c.s.objects[c.id].guard[0]
+		if r := kinds(sent["src"]); r != "" || gg.state != genQuarantined || !slices.Equal(gg.refused, []transport.Addr{"src"}) {
+			t.Errorf("quarantine sent %q to the forger, guard state %d refusing %v", r, gg.state, gg.refused)
 		}
 	}
 }

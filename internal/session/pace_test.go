@@ -58,6 +58,12 @@ type carried struct {
 // named "relay" relays; mut adjusts every node's config.
 func newStepNet(t *testing.T, k, m int, seed int64, mut func(*Config), names ...transport.Addr) *stepNet {
 	t.Helper()
+	return newStepNetG(t, k, 1, m, seed, mut, names...)
+}
+
+// newStepNetG is newStepNet with the object served in gens generations.
+func newStepNetG(t *testing.T, k, gens, m int, seed int64, mut func(*Config), names ...transport.Addr) *stepNet {
+	t.Helper()
 	n := &stepNet{
 		t: t, clk: transport.NewVClock(), names: names,
 		nodes: make(map[transport.Addr]*Session), recs: make(map[transport.Addr]*recTransport),
@@ -71,7 +77,7 @@ func newStepNet(t *testing.T, k, m int, seed int64, mut func(*Config), names ...
 			}
 		})
 	}
-	id, err := n.nodes[names[0]].Serve(testContent(k*m, seed), k, 1)
+	id, err := n.nodes[names[0]].Serve(testContent(k*m, seed), k, gens)
 	if err != nil {
 		t.Fatal(err)
 	}

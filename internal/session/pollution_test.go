@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ltnc/internal/integrity"
 	"ltnc/internal/packet"
 	"ltnc/internal/transport"
 )
@@ -201,27 +202,20 @@ func TestPolluterConvictedFetchSurvives(t *testing.T) {
 	}
 }
 
-// TestManifestStallerHoldsUpNobody: a candidate that repeats one byte of the
-// true manifest every tick, and never sends the rest, neither completes a
-// copy nor is convicted. It holds up no one: every sender assembles its own
-// copy, so the source's, re-sent once the fetcher has decoded, completes
-// beside it and the fetch completes verified. The source's first manifest
-// pass is lost, so the staller's chunk is in first.
+// TestManifestStallerHoldsUpNobody: a candidate that re-sends one valid run
+// of a two-run manifest every tick, and never the other, neither completes
+// the manifest nor is convicted: its run is adopted once and dropped,
+// unhashed, every time after. It holds up no one: each run proves itself
+// alone, so the source's other run, re-sent once the fetcher has decoded,
+// completes the manifest beside it and the fetch completes verified. The
+// source's first manifest pass is lost, so the staller's run is in first.
 func TestManifestStallerHoldsUpNobody(t *testing.T) {
-	const k, m, seed = 64, 64, 37
+	const k, m, seed = 2 * integrity.RunLen, 8, 37
 	n := newStepNet(t, k, m, seed, nil, "source", "dest")
 	n.delay = n.nodes["source"].cfg.Tick / 2
 	dst := n.nodes["dest"]
 	content := testContent(k*m, seed)
-	whole := manifestChunks(t, n.id, content, m, 1)[0]
-	mc, err := packet.ParseManifestChunk(whole[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	stall, err := packet.AppendManifestChunk([]byte{frameManifest}, n.id, mc.Total, 0, mc.Data[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
+	stall := manifestRuns(t, n.id, content, m)[0]
 	stalling := false
 	n.lose = func(from, to transport.Addr, f []byte) bool {
 		return from == "source" && f[0] == frameManifest && !stalling
@@ -231,7 +225,7 @@ func TestManifestStallerHoldsUpNobody(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fetch.End()
-	for tick := 0; tick < 200; tick++ {
+	for tick := 0; tick < 1000; tick++ {
 		if _, _, _, ok := fetch.Result(); ok {
 			break
 		}
@@ -253,63 +247,97 @@ func TestManifestStallerHoldsUpNobody(t *testing.T) {
 	}
 }
 
-// TestManifestAsmSlots pins the bound on unsolicited copies: four senders
-// that keep sending hold the four shared slots and a fifth is refused; a
-// slot whose sender has gone quiet for a META resend interval goes to the
-// newcomer; a solicited sender always gets a copy of its own.
-func TestManifestAsmSlots(t *testing.T) {
-	const k, m = 16, 32
-	content := testContent(k*m, 91)
+// TestForgedRunRefutedOnArrival: one MANIFEST frame whose run differs from
+// the true one in a single digest byte, at a valid length, is refuted the
+// moment it arrives, at a fetcher and at a relay alike, and its sender is
+// banned at that frame: each frame proves itself against the object's ID,
+// so no other frame of the sender's is needed. The manifest is two runs,
+// and the forged frame is the second, alone; the true META came from
+// another peer.
+func TestForgedRunRefutedOnArrival(t *testing.T) {
+	const k, m = 2 * integrity.RunLen, 8
+	content := testContent(k*m, 44)
 	id, meta := servedMeta(t, content, k, 1)
-	whole := manifestChunks(t, id, content, m, 1)[0]
-	mc, err := packet.ParseManifestChunk(whole[1:])
+	forged := forgedRun(manifestRuns(t, id, content, m)[1])
+	for _, relay := range []bool{false, true} {
+		name := map[bool]string{false: "fetcher", true: "relay"}[relay]
+		t.Run(name, func(t *testing.T) {
+			s, _, _ := pushSession(t, "node", func(c *Config) { c.Relay = relay })
+			if !relay {
+				fetch, err := s.BeginFetch(id, "src", "mallory")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer fetch.End()
+			}
+			stepFrame(s, "src", meta)
+			if b := s.BannedPeers(); len(b) != 0 {
+				t.Fatalf("set-up: banned %v", b)
+			}
+			stepFrame(s, "mallory", forged)
+			if b := s.BannedPeers(); !slices.Equal(b, []transport.Addr{"mallory"}) {
+				t.Fatalf("after one forged run: banned %v, want [mallory]", b)
+			}
+			st := s.objects[id]
+			st.mu.Lock()
+			held := st.man != nil && (st.man.HoldsRun(0) || st.man.HoldsRun(1))
+			st.mu.Unlock()
+			if o, _ := s.Object(id); held || o.HaveManifest || o.Size != int64(len(content)) {
+				t.Fatalf("after the forged run: %+v, a run held %v; want none held, the true META kept", o, held)
+			}
+		})
+	}
+}
+
+// TestGenerationVerifiesAheadOfLastRun: a k = 16,384, G = 16 fetch, whose
+// manifest is 16 runs, one a generation, verifies generation 0 with the
+// source's run 15 not yet in: every run that reaches the fetcher proves
+// itself, and the generation it covers verifies as it completes. Run 15 is
+// lost until generation 0 has verified; the fetch then completes verified
+// once a later pass brings it.
+func TestGenerationVerifiesAheadOfLastRun(t *testing.T) {
+	const k, gens, m, seed = 16 * integrity.RunLen, 16, 4, 58
+	n := newStepNetG(t, k, gens, m, seed, nil, "source", "dest")
+	n.delay = n.nodes["source"].cfg.Tick / 2
+	dst := n.nodes["dest"]
+	lost := 0
+	n.lose = func(from, to transport.Addr, f []byte) bool {
+		if f[0] != frameManifest {
+			return false
+		}
+		mr, err := packet.ParseManifestChunk(f[1:])
+		if err != nil || mr.Run != gens-1 {
+			return false
+		}
+		o, _ := dst.Object(n.id)
+		lost += btoi(o.GensVerified == 0)
+		return o.GensVerified == 0
+	}
+	fetch, err := dst.BeginFetch(n.id, "source")
 	if err != nil {
 		t.Fatal(err)
 	}
-	stall, err := packet.AppendManifestChunk([]byte{frameManifest}, id, mc.Total, 0, mc.Data[:1])
-	if err != nil {
-		t.Fatal(err)
+	defer fetch.End()
+	ahead := false
+	for tick := 0; tick < 2000; tick++ {
+		if _, _, _, ok := fetch.Result(); ok {
+			break
+		}
+		n.tick()
+		st := dst.objects[n.id]
+		st.mu.Lock()
+		if st.guard != nil && st.guard[0].state == genVerified && !st.man.HoldsRun(gens-1) {
+			ahead = true
+		}
+		st.mu.Unlock()
 	}
-	stallers := []transport.Addr{"s1", "s2", "s3", "s4"}
-	setup := func(t *testing.T, mut func(*Config)) (*Session, *transport.VClock) {
-		s, _, clk := pushSession(t, "node", mut)
-		return s, clk
+	if !ahead || lost == 0 {
+		t.Fatalf("generation 0 verified ahead of run 15: %v (run 15 lost %d times)", ahead, lost)
 	}
-	t.Run("relay", func(t *testing.T) {
-		relay, clk := setup(t, func(c *Config) { c.Relay = true })
-		injectFrame(relay, "src", meta)
-		for _, a := range stallers {
-			injectFrame(relay, a, stall)
-		}
-		injectFrame(relay, "src", whole)
-		if o, _ := relay.Object(id); o.HaveManifest {
-			t.Fatal("a fifth unsolicited sender got a copy while four were sending")
-		}
-		clk.Advance(relay.metaResend())
-		for _, a := range stallers[:3] { // s4 has gone quiet
-			injectFrame(relay, a, stall)
-		}
-		injectFrame(relay, "src", whole)
-		if o, _ := relay.Object(id); !o.HaveManifest {
-			t.Fatal("the quiet sender's slot did not go to the newcomer")
-		}
-	})
-	t.Run("solicited", func(t *testing.T) {
-		dst, _ := setup(t, nil)
-		fetch, err := dst.BeginFetch(id, "src")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fetch.End()
-		injectFrame(dst, "src", meta)
-		for _, a := range stallers {
-			injectFrame(dst, a, stall)
-		}
-		injectFrame(dst, "src", whole)
-		if o, _ := dst.Object(id); !o.HaveManifest {
-			t.Fatal("a solicited sender was refused a copy")
-		}
-	})
+	data, stats, err, ok := fetch.Result()
+	if !ok || err != nil || !bytes.Equal(data, testContent(k*m, seed)) || stats.GensVerified != gens {
+		t.Fatalf("fetch: ok=%v err=%v, stats %+v", ok, err, stats)
+	}
 }
 
 // TestFetchAllCandidatesBannedErrPolluted pins the typed failure: when
@@ -547,7 +575,7 @@ func TestForgedManifestRefutedAtRelay(t *testing.T) {
 	relay, rec, clk := pushSession(t, "relay", func(c *Config) { c.Relay = true })
 	_, meta := servedMeta(t, content, k, 1)
 	injectFrame(relay, "mallory", meta)
-	injectBurst(relay, "mallory", manifestChunks(t, id, forged, m, 2))
+	injectBurst(relay, "mallory", manifestRuns(t, id, forged, m))
 	if b := relay.BannedPeers(); !slices.Equal(b, []transport.Addr{"mallory"}) {
 		t.Fatalf("banned %v, want the forged manifest's sender", b)
 	}
@@ -617,7 +645,7 @@ func testDenseForger(t *testing.T, others int) {
 	}
 	defer fetch.End()
 	injectFrame(f, "src", meta)
-	injectBurst(f, "src", manifestChunks(t, id, content, m, 2))
+	injectBurst(f, "src", manifestRuns(t, id, content, m))
 	if o, _ := f.Object(id); !o.HaveManifest {
 		t.Fatal("set-up: the manifest was not adopted")
 	}

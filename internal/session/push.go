@@ -44,7 +44,7 @@ type peerPlan struct {
 	// the peer reports completion.
 	gensDone []bool // generations complete at the peer (nil = none)
 	needMeta bool
-	// needMan marks a peer owed MANIFEST chunks: manAt is its manNext as
+	// needMan marks a peer owed manifest runs: manAt is its manNext as
 	// planned, manNext advances on this copy as emit sends them
 	// (sendManifest) and is written back unless a REQ re-armed the peer
 	// meanwhile.
@@ -149,10 +149,10 @@ func (s *Session) planLocked(now time.Time) (plans []objectPlan, live bool) {
 		op := objectPlan{st: st}
 		sizeKnown := st.size.Load() >= 0
 		st.mu.Lock()
-		chunks := len(st.manFrames)
+		frames := st.manFrames
 		st.mu.Unlock()
 		for _, addr := range addrs {
-			p := s.planPeerLocked(st, addr, sizeKnown, chunks, now)
+			p := s.planPeerLocked(st, addr, sizeKnown, frames, now)
 			if p.burst == 0 && !p.needMeta && !p.needMan {
 				continue
 			}
@@ -166,14 +166,14 @@ func (s *Session) planLocked(now time.Time) (plans []objectPlan, live bool) {
 	return plans, live
 }
 
-// planPeerLocked snapshots one peer of st, whose manifest is chunks
-// MANIFEST frames (0: none held), for a round at now. s.mu must be held.
-func (s *Session) planPeerLocked(st *objectState, addr transport.Addr, sizeKnown bool, chunks int, now time.Time) peerPlan {
+// planPeerLocked snapshots one peer of st, whose held manifest runs are
+// frames (nil where not held), for a round at now. s.mu must be held.
+func (s *Session) planPeerLocked(st *objectState, addr transport.Addr, sizeKnown bool, frames [][]byte, now time.Time) peerPlan {
 	ps := st.peer(addr)
 	p := peerPlan{addr: addr, cacheCursor: ps.cacheCursor, sysCursor: ps.sysCursor, repairAt: ps.repairAt, repairStep: ps.repairStep,
 		manAt: ps.manNext, manNext: ps.manNext}
 	p.needMeta = sizeKnown && now.Sub(ps.metaAt) >= s.metaResend()
-	p.needMan = ps.manNext >= 0 && ps.manNext < chunks
+	p.needMan = ps.manNext >= 0 && ps.manNext < len(frames) && frames[ps.manNext] != nil
 	// Grant is also what folds the peer's receipts into its loss estimate.
 	// The taper reads what the peer itself reported missing when it has:
 	// fed by several senders, it never brings one link's innovative count
@@ -221,7 +221,7 @@ func frontierLacks(f []byte, kPer int) int {
 }
 
 // emit sends one object's round: rows are built under st.mu, so decode
-// workers stall at most per object; then META and the next MANIFEST chunks
+// workers stall at most per object; then META and the next manifest runs
 // go out directly, ahead of the round's DATA, which is staged into the
 // coalescer. An announced, evicted or below-threshold object emits
 // nothing.
@@ -244,7 +244,7 @@ func (s *Session) emit(op *objectPlan) {
 		ready = true
 	}
 	if ready {
-		// manFrames is replaced wholesale under st.mu and never mutated in
+		// manFrames is replaced wholesale under st.mu and never written in
 		// place, so the snapshot is safe to send after unlock.
 		manifest = st.manFrames
 	}
@@ -290,24 +290,24 @@ func (s *Session) emit(op *objectPlan) {
 	clear(s.rowBuf) // staged: natives back on the free list, coded rows garbage
 }
 
-// manifestChunksPerRound is how many MANIFEST chunks a peer gets a round,
-// 64 KiB. A 16 MiB object's manifest is 17 chunks, 524 KiB: sent in one
-// burst it overflows a receive buffer of Linux's default 208 KiB, and the
-// same chunks are lost on every resend. At four a round, back to back with
-// the round's DATA, one fetch in four over loopback still lost a chunk.
+// manifestChunksPerRound is how many manifest runs a peer gets a round,
+// 64 KiB. A 16 MiB object's manifest is 16 runs, 524 KiB: in one burst it
+// overflows a receive buffer of Linux's default 208 KiB, the same frames
+// lost on every resend. At four a round, back to back with the round's
+// DATA, one fetch in four over loopback still lost one.
 const manifestChunksPerRound = 2
 
-// sendManifest sends the peer its next MANIFEST chunks, if it is owed any,
-// behind the round's META.
+// sendManifest sends the peer its next manifest runs, if it is owed any,
+// behind the round's META, in run order: a pass waits at a run not held.
 func (s *Session) sendManifest(p *peerPlan, frames [][]byte) {
-	if p.manNext < 0 || p.manNext >= len(frames) {
+	if p.manNext < 0 {
 		return
 	}
-	end := min(p.manNext+manifestChunksPerRound, len(frames))
-	for _, mf := range frames[p.manNext:end] {
-		s.tr.Send(p.addr, mf)
+	for sent := 0; sent < manifestChunksPerRound && p.manNext < len(frames) && frames[p.manNext] != nil; sent++ {
+		s.tr.Send(p.addr, frames[p.manNext])
+		p.manNext++
 	}
-	if p.manNext = end; end == len(frames) {
+	if p.manNext > 0 && p.manNext == len(frames) {
 		p.manNext = -1
 	}
 }
@@ -318,19 +318,19 @@ func (s *Session) sendManifest(p *peerPlan, frames [][]byte) {
 func (st *objectState) quarantinedLocked(g int) bool { return st.guard[g].state == genQuarantined }
 
 // gatedLocked reports whether generation g must not recode downstream.
-// Quarantined generations never do. And once the object's manifest is in
-// hand, only verified generations recode at all: a partially-filled
+// Quarantined generations never do. And once its runs of the manifest are
+// in hand (genHeldLocked), it recodes only once verified: a partially-filled
 // generation may hold a polluter's forged rows, and pushing recodes of it
 // would launder the garbage through this honest node — whose downstreams
 // would then convict *it* (the row that released their first false native
 // came from this node).
 // A coded row can only be checked against its whole generation, so for
 // coded rows that is the store-and-forward unit; a decoded native is
-// checkable alone, and drawRowsLocked does not wait. Without a manifest
-// there is nothing to verify against; legacy flows recode freely, gated
+// checkable alone, and drawRowsLocked does not wait. Without those runs
+// there is nothing to verify against; the generation recodes freely, gated
 // only by explicit quarantine. st.mu must be held.
 func (st *objectState) gatedLocked(g int) bool {
-	return st.quarantinedLocked(g) || (st.man != nil && st.guard[g].state != genVerified)
+	return st.quarantinedLocked(g) || (st.guard[g].state != genVerified && st.genHeldLocked(g))
 }
 
 // mergeLogLocked appends what each generation decoded since the last call
@@ -373,7 +373,7 @@ func (st *objectState) mergeLogLocked() {
 // decode-order log, emitting each native AT MOST once as a degree-1 row
 // before any coded repair. It is the relay's cut-through path: a native
 // decoded this tick ends the log and leaves this tick, while its
-// generation is still filling. So the gate here is per native: manifest in
+// generation is still filling. So the gate here is per native: its runs in
 // hand and generation unverified, the row goes out only if the decoded
 // payload matches its digest; a mismatch (belief propagation peeled a
 // forged row) is passed over for good, and quarantines its generation at
@@ -417,7 +417,7 @@ func (s *Session) drawRowsLocked(st *objectState, p *peerPlan) {
 // drawNativeLocked adds native x to the peer's burst as a degree-1 row if
 // it may leave: the peer lacks its generation, this node has decoded it,
 // and — the gate of the systematic pass and of every repeat alike —
-// manifest in hand and generation unverified, the decoded payload matches
+// its runs in hand and generation unverified, the decoded payload matches
 // its digest. The row is a packet off the push rounds' free list with the
 // native's bytes copied in, here under st.mu: a move or a quarantine after
 // the lock drops cannot change what is staged. st.mu must be held.

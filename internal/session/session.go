@@ -66,10 +66,11 @@
 //	               Kinds 1, 4 and 5 are retired (the per-row redundancy
 //	               abort, the cache advertisement, the receipt without a
 //	               departure count): a session drops them.
-//	MANIFEST 0x05 | manifest chunk (packet.ManifestChunk): objectID(16) |
-//	               total(4) | off(4) | n(2) | bytes — one slice of the
-//	               object's integrity manifest (internal/integrity),
-//	               sent and resent behind META, a few chunks a round
+//	MANIFEST 0x05 | manifest run (packet.ManifestChunk): objectID(16) |
+//	               run(4) | n(2) | depth(1) | n digests | depth siblings
+//	               (32 B each) — up to 1,024 native digests (internal/
+//	               integrity) with their Merkle proof, checked alone
+//	               against the ID; sent and resent behind META, 2 a round
 //	MEMBER   0x06 | partial-view exchange (packet.MemberEntry list): the
 //	               PEX shuffle of the membership plane — peer addresses
 //	               with age, capacity hint and relay/cache role; see
@@ -219,7 +220,7 @@ type peerState struct {
 	frontier             [][]byte
 	unsettled            []sentNative
 	repairAt, repairStep int
-	// manNext is the next of the object's MANIFEST chunks to send the peer
+	// manNext is the next of the object's manifest runs to send the peer
 	// (sendManifest), −1 once all of them have gone; a META sent or a REQ
 	// heard re-arms a pass that has ended (max(manNext, 0): a pass under
 	// way goes on).
@@ -397,15 +398,14 @@ func (s *Session) AddPeer(addr transport.Addr) {
 }
 
 // served is what Serve derives from content before it takes a lock: the
-// geometry, the natives (views of content), the manifest, its encoding and
-// root, and the ID they hash to.
+// geometry, the natives (views of content), the manifest, the ID they hash
+// to, and the manifest's MANIFEST frames, one a run.
 type served struct {
 	geo     geometry
 	natives [][]byte
 	man     *integrity.Manifest
-	raw     []byte
-	root    [integrity.DigestSize]byte
 	id      packet.ObjectID
+	frames  [][]byte
 }
 
 // deriveServed splits content into k natives across gens generations as
@@ -427,11 +427,14 @@ func deriveServed(content []byte, k, gens int) (*served, error) {
 	if src.man, err = integrity.NewManifest(src.natives); err != nil {
 		return nil, err
 	}
-	if src.raw, err = src.man.MarshalBinary(); err != nil {
-		return nil, err
+	src.id = integrity.ObjectID(int64(len(content)), k, gens, src.geo.m, src.man.Root())
+	src.frames = make([][]byte, src.man.Runs())
+	for r := range src.frames {
+		digests, proof := src.man.RunProof(r)
+		if src.frames[r], err = packet.AppendManifestChunk([]byte{frameManifest}, src.id, uint32(r), digests, proof); err != nil {
+			return nil, err
+		}
 	}
-	src.root = integrity.Root(src.raw)
-	src.id = integrity.ObjectID(int64(len(content)), k, gens, src.geo.m, src.root)
 	return src, nil
 }
 

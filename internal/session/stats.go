@@ -33,8 +33,9 @@ type ObjectStats struct {
 	Aborted     int64 // redundant DATA dropped on the header
 	Sent        int64 // recoded DATA frames pushed
 	Subscribers int
-	// HaveManifest reports whether the object's integrity manifest has
-	// been adopted (served locally or assembled from MANIFEST frames);
+	// HaveManifest reports whether every run of the object's integrity
+	// manifest is held (served locally, or each run proven on arrival
+	// against the object's ID);
 	// GensVerified counts generations that passed digest verification.
 	HaveManifest bool
 	GensVerified int
@@ -177,7 +178,7 @@ func (s *Session) statsLocked(st *objectState) ObjectStats {
 		o.GensComplete = st.coder.CompleteCount()
 		o.GenDecoded = st.coder.AppendGenDecoded(make([]int, 0, o.Generations))
 	}
-	o.HaveManifest = st.man != nil
+	o.HaveManifest = st.man.Complete()
 	o.Polluted = st.polluted
 	for g := range st.guard {
 		if st.guard[g].state == genVerified {

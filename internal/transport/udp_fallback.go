@@ -27,7 +27,7 @@ func reusePortControl(cfg UDPConfig) func(network, address string, c syscall.Raw
 // for; the kernel caps it at its own limit (rmem_max on Linux). With no
 // reader goroutines and rings in front of it, as the fast path has, frames
 // wait in the kernel while the receive loop handles the one before, and
-// the default 208 KiB overflows under a 16 MiB object's manifest chunks
+// the default 208 KiB overflows under a 16 MiB object's manifest frames
 // and the DATA between them (swarm's
 // TestLargeManifestArrivesBeforeFirstGeneration).
 const portableReadBuffer = 4 << 20

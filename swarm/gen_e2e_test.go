@@ -194,11 +194,13 @@ func TestGenerationLargeObjectE2E(t *testing.T) {
 }
 
 // TestLargeManifestArrivesBeforeFirstGeneration: a 16 MiB object's
-// manifest is 17 MANIFEST chunks, 524 KiB — more than a default socket
-// receive buffer holds. Sent a few chunks a round and reassembled in any
-// order, it is in before the fetcher completes its first generation, in
-// every round over loopback UDP: without it no generation can verify, and
-// the object cannot complete.
+// manifest is 16 MANIFEST frames, 524 KiB — more than a default socket
+// receive buffer holds. Sent two frames a round, each run of digests
+// checked on arrival alone, every generation's run is in before that
+// generation completes, in every round over loopback UDP: a complete
+// generation whose run is held verifies at once, so at no snapshot is a
+// generation complete and not verified. Without its run no generation can
+// verify, and the object cannot complete.
 func TestLargeManifestArrivesBeforeFirstGeneration(t *testing.T) {
 	const size, k = 16 << 20, 16 << 10
 	content := make([]byte, size)
@@ -213,10 +215,10 @@ func TestLargeManifestArrivesBeforeFirstGeneration(t *testing.T) {
 				t.Fatal(err)
 			}
 			dst := startNode(t, ctx, swarm.Config{Listen: "127.0.0.1:0", Seed: int64(2*round + 2)})
-			var early atomic.Int32 // generations complete while the manifest was not in
+			var early atomic.Int32 // generations complete while their runs were not in
 			stop := dst.Watch(id, func(o swarm.ObjectStats) {
-				if !o.HaveManifest {
-					early.Store(int32(o.GensComplete))
+				if n := o.GensComplete - o.GensVerified; n > 0 {
+					early.Store(int32(n))
 				}
 			})
 			defer stop()
@@ -228,7 +230,7 @@ func TestLargeManifestArrivesBeforeFirstGeneration(t *testing.T) {
 				t.Fatalf("fetch: bytes equal %v, manifest %v", bytes.Equal(got, content), rep.Stats.HaveManifest)
 			}
 			if n := early.Load(); n > 0 {
-				t.Fatalf("%d generations complete before the manifest was in", n)
+				t.Fatalf("%d generations complete before their runs of the manifest were in", n)
 			}
 		})
 	}

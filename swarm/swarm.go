@@ -148,7 +148,7 @@ type Config struct {
 	// receipt clock. Packets leave as the peers' receipt reports arrive: a
 	// window of packets in flight toward each peer starts at a few, doubles
 	// while the reports show the packets arriving, halves on a loss step or
-	// when the reports stop, and stays between 1 and 32; packets leave
+	// when the reports stop, and stays between 1 and 64; packets leave
 	// whenever a report frees window. The timer only guarantees a peer that
 	// never reports one packet a Tick; it runs while some peer is owed
 	// packets and parks otherwise. At most 1,024 packets leave toward one
