@@ -24,16 +24,40 @@
 // sender's rows have departed over there (OnDeparted) — arrived, or proven
 // lost by a later arrival: every DATA row carries its send sequence and
 // the link is FIFO — proves the rows up to that count it did not credit
-// lost, oldest first. And a row nothing has credited or proven by the end
-// of the tick after the one it was sent in ages out: the link lost it with
-// nothing behind it to say so, or the peer reports late, without
-// departures, or not at all. Proof and ageing feed one column: rows written
-// off as lost against rows credited over one interval is a loss sample; an
+// lost, oldest first. And a row nothing has credited or proven within the
+// link's horizon of its send ages out: the link lost it with nothing
+// behind it to say so, or the peer reports late, without departures, or
+// not at all. Proof and ageing feed one column: rows written off as lost
+// against rows credited over one interval is a loss sample; an
 // exponentially weighted moving average of the samples is the link's loss
 // level, and a sample against the level is what moves the window. A proof
-// arrives with the receipt after the loss, where ageing takes two ticks;
-// ageing stays the backstop for the case stamps cannot close — the last
-// receipt of a window lost — and for peers that send no departures at all.
+// arrives with the receipt after the loss; ageing stays the backstop for
+// the case stamps cannot close — the last rows of a window lost, or the
+// receipt that would prove them — and for peers that send no departures at
+// all.
+//
+// The horizon is the link's own round trip (RFC 6298's shape). The Link
+// keeps the time of its newest sends; a departure count names the newest
+// row that departed, each row has its own sequence number — there is no
+// retransmission ambiguity to skip samples for (Karn) — and the fold time
+// less that row's send time is a round-trip sample, smoothed as SRTT and
+// RTTVAR. A row ages out once it has been in flight for
+//
+//	horizon = min(2·Tick, SRTT + max(Tick/4, 4·RTTVAR)),
+//
+// 2·Tick before the first sample. Tick/4 is RFC 6298's clock granularity
+// G: without it a link of constant delay, RTTVAR decayed to nothing, would
+// tie each receipt with its rows' deadline. The cap keeps the pacer's reach
+// where it was when the horizon was two ticks: on a round trip past two
+// ticks every row ages out before its receipt can arrive, the in-flight
+// count stops being the in-network count (TickCeiling rows per tick of
+// round trip can be on the wire, and a receiver's queue can overflow), and
+// while the rate climbs the loss level over-reads, up to MaxLoss, until the
+// rate is steady. The floor, the cap, the ceiling and completion hold there
+// (TestRoundTripBeyondTwoTicks, simnet's TestScenarioPacedLongRoundTrip);
+// the queue argument under MaxBurst does not. Deadline says when the
+// oldest row in flight ages out, so the caller can take its next Grant
+// then and not at the next tick.
 //
 // A departure count may only under-report: a count behind the rows already
 // settled proves nothing — 0, what a receiver reports for rows that came
@@ -41,17 +65,10 @@
 // receiver that anchored its count on a stale stream, a liar) is ignored —
 // neither is a re-baseline, the counters it rode in with fold as usual.
 //
-// The Link's only notion of time is the tick index its caller passes to
-// Grant: the session's clock divided by its Config.Tick. Ageing rows out
-// after two ticks assumes receipts come back within two ticks. On a longer
-// round trip every row ages out before its receipt can arrive: the
-// in-flight count stops being the in-network count (TickCeiling rows per
-// tick of round trip can be on the wire, and a receiver's queue can
-// overflow), and while the rate climbs the loss level over-reads, up to
-// MaxLoss, until the rate is steady. The floor, the cap, the ceiling and
-// completion hold there (TestRoundTripBeyondTwoTicks, simnet's
-// TestScenarioPacedLongRoundTrip); the queue argument under MaxBurst does
-// not.
+// The Link's clock is the one its caller passes to Grant and OnSend, with
+// the caller's Tick; the tick index, the session's clock divided by the
+// Tick, is what the floor, the per-tick ceiling, the probe and the silence
+// rule count in.
 //
 // Receivers are not trusted. Every output is clamped: an under-claiming
 // liar (reporting rows it received as lost) can drag the estimate no
@@ -63,13 +80,19 @@
 // Self-contradictory reports (innovative > received, counters running
 // backwards or wrapping) re-baseline without crediting anything. A forged
 // departure count buys nothing a forged received count cannot: it only
-// empties the liar's own in-flight count.
+// empties the liar's own in-flight count. Timed early or late, it moves
+// only its own link's horizon, and only within [Tick/4, 2·Tick]: ageing
+// sooner frees nothing the window and TickCeiling do not bound already.
 //
 // Link carries no lock: the session mutates it under the same mutex that
 // guards its peer table.
 package adapt
 
-import "math"
+import (
+	"math"
+	"sort"
+	"time"
+)
 
 const (
 	// Alpha is the EWMA weight of a fresh loss sample.
@@ -134,6 +157,18 @@ const (
 	quietTicks = 4
 )
 
+// sends is how many of its newest sends a Link keeps the time of: two
+// full windows of one row each, so every row in flight — at most
+// MaxBurst, two more for the probe — and those a late receipt may still
+// name are dated.
+const sends = 2 * MaxBurst
+
+// send dates one OnSend: the rows pushed through it, and when.
+type send struct {
+	end uint64 // Sent() after it
+	at  int64  // the caller's clock, in nanoseconds
+}
+
 // Link is the per-(peer, object) estimator state. The zero value is
 // ready to use and reports Loss() = 0 until the first sample, so an
 // adaptive sender treats a silent peer exactly like a clean link.
@@ -154,23 +189,61 @@ type Link struct {
 	// count, and aged out and never reported after all.
 	proven, aged uint64
 
+	// The newest sends, oldest first from ring[head], n of them; the rows
+	// up to floor went in sends no longer kept, the newest of them at
+	// floorAt.
+	ring         [sends]send
+	head, n      int
+	floor        uint64
+	floorAt      int64
+	srtt, rttvar int64  // the round-trip estimate, in nanoseconds
+	sampled      uint64 // the newest row a sample timed; 0 before the first
+	period       int64  // the caller's Tick, in nanoseconds, from the latest Grant
+
 	window   int   // rows allowed in flight, in [1, MaxBurst]; 0 before the first Grant
 	inFlight int   // rows sent and neither credited nor aged out
-	old      int   // of those, the rows sent before the current tick
 	tick     int64 // the latest Grant's tick index
 	tickSent int   // rows sent in that tick
 	heard    int64 // tick of the last fold, or of the first send after it
 	unacked  bool  // rows sent since the last fold
 }
 
-// OnSend records n DATA rows pushed to the peer.
-func (l *Link) OnSend(n int) {
+// OnSend records n DATA rows pushed to the peer at now.
+func (l *Link) OnSend(n int, now time.Time) {
+	if n <= 0 {
+		return
+	}
 	l.sent += uint64(n)
 	l.inFlight += n
 	l.tickSent += n
 	if !l.unacked {
 		l.unacked, l.heard = true, l.tick
 	}
+	at := now.UnixNano()
+	if l.n > 0 {
+		if last := &l.ring[(l.head+l.n-1)%sends]; last.at == at {
+			last.end = l.sent // the same instant: one send
+			return
+		}
+	}
+	if l.n == sends {
+		l.floor, l.floorAt = l.ring[l.head].end, l.ring[l.head].at
+		l.head, l.n = (l.head+1)%sends, l.n-1
+	}
+	l.ring[(l.head+l.n)%sends] = send{l.sent, at}
+	l.n++
+}
+
+// sentAt returns the send that carried row (counted from 1, at most Sent)
+// — its last row and its time — or, for a row older than any send kept,
+// the newest send that is not: its rows are at least that old.
+func (l *Link) sentAt(row uint64) (end uint64, at int64) {
+	if row <= l.floor {
+		return l.floor, l.floorAt
+	}
+	i := sort.Search(l.n, func(i int) bool { return l.ring[(l.head+i)%sends].end >= row })
+	s := l.ring[(l.head+i)%sends]
+	return s.end, s.at
 }
 
 // Sent returns the rows pushed so far.
@@ -190,7 +263,8 @@ func (l *Link) OnReport(received, innovative uint32) {
 // OnDeparted adds to the receipt OnReport just recorded the departure count
 // it carried: how many of the rows pushed on this link, counted from the
 // first, have arrived or been proven lost over there. The next Grant writes
-// off as lost every row up to it that no receipt credited.
+// off as lost every row up to it that no receipt credited, and times the
+// newest of them.
 func (l *Link) OnDeparted(departed uint32) { l.departed, l.departs = departed, true }
 
 // Lost returns the rows written off as lost over the link's life: proven by
@@ -216,14 +290,35 @@ func (l *Link) Settled() uint64 { return l.sent - uint64(l.inFlight) }
 // from this sender.
 func (l *Link) Lacks(k int) int { return int(max(0, int64(k)-int64(l.inno))) }
 
+// Horizon returns how long a row may be in flight before it ages out:
+// min(2·Tick, SRTT + max(Tick/4, 4·RTTVAR)), 2·Tick before the first
+// round-trip sample — Tick as of the latest Grant.
+func (l *Link) Horizon() time.Duration {
+	if l.sampled == 0 {
+		return time.Duration(2 * l.period)
+	}
+	return time.Duration(min(2*l.period, l.srtt+max(l.period/4, 4*l.rttvar)))
+}
+
+// Deadline returns when the oldest row in flight ages out, by the horizon
+// as of the latest Grant; the zero Time with none in flight.
+func (l *Link) Deadline() time.Time {
+	if l.inFlight == 0 {
+		return time.Time{}
+	}
+	_, at := l.sentAt(l.Settled() + 1)
+	return time.Unix(0, at+int64(l.Horizon()))
+}
+
 // Grant is the pacer's one step, taken by every push round that plans
-// this link: it ages the rows in flight to tick, folds the newest receipt
-// into the in-flight count, the loss level and the window, runs the
+// this link at now, Tick being the caller's: it ages out the rows in
+// flight past the horizon, folds the newest receipt into the in-flight
+// count, the round-trip estimate, the loss level and the window, runs the
 // silence rule, and returns how many rows may leave toward the peer now —
 // what the window has free, at least one row per tick while fewer than
 // MaxBurst are in flight (the floor every peer had before receipts set
 // the pace, and all a peer that never sends one gets), never more than
-// TickCeiling in one tick.
+// TickCeiling in one tick. Tick must be positive.
 //
 // The floor row is also granted past a full window while rows sent since
 // the last fold are unanswered: the probe. When the last receipt of a full
@@ -241,20 +336,26 @@ func (l *Link) Lacks(k int) int { return int(max(0, int64(k)-int64(l.inno))) }
 // verification, assembly) is slowest to answer exactly then — so as lacks
 // closes in on zero the window tapers to half of it, down to tailWindow:
 // from there on any row may be the last.
-func (l *Link) Grant(tick int64, lacks int) int {
+func (l *Link) Grant(now time.Time, tick time.Duration, lacks int) int {
+	at := now.UnixNano()
+	l.period = int64(tick)
+	tickAt := at / l.period
 	if l.window == 0 {
-		l.window, l.tick = startWindow, tick
+		l.window, l.tick = startWindow, tickAt
 	}
-	l.age(tick)
+	l.age(at)
+	if tickAt > l.tick {
+		l.tick, l.tickSent = tickAt, 0
+	}
 	switch {
 	case l.fresh:
-		l.fresh, l.unacked, l.heard = false, false, tick
-		l.fold()
-	case l.unacked && tick-l.heard >= int64(quietTicks+2*ReceiptEvery/l.window):
+		l.fresh, l.unacked, l.heard = false, false, l.tick
+		l.fold(at)
+	case l.unacked && l.tick-l.heard >= int64(quietTicks+2*ReceiptEvery/l.window):
 		// Rows unacknowledged and no receipt: a peer that never sends one
 		// (a pre-receipt version) or a dead link. Halve toward the floor
 		// of 1.
-		l.window, l.heard = max(1, l.window/2), tick
+		l.window, l.heard = max(1, l.window/2), l.tick
 	}
 	free := min(l.window, max(tailWindow, lacks/2)) - l.inFlight
 	if l.tickSent == 0 && (l.inFlight < MaxBurst || l.unacked) {
@@ -263,27 +364,25 @@ func (l *Link) Grant(tick int64, lacks int) int {
 	return max(0, min(free, TickCeiling-l.tickSent))
 }
 
-// age moves the link to tick: rows sent before the previous tick began and
-// still in flight leave the in-flight count as lost.
-func (l *Link) age(tick int64) {
-	if tick <= l.tick {
-		return
+// age writes off as lost the rows in flight at now for the horizon or
+// longer, oldest first: a send at a time.
+func (l *Link) age(now int64) {
+	h := int64(l.Horizon())
+	for l.inFlight > 0 {
+		end, at := l.sentAt(l.Settled() + 1)
+		if now-at < h {
+			return
+		}
+		gone := int(min(end-l.Settled(), uint64(l.inFlight)))
+		l.writeOff(gone)
+		l.aged += uint64(gone)
 	}
-	gone := l.old
-	if tick-l.tick > 1 {
-		gone = l.inFlight
-	}
-	l.writeOff(gone)
-	l.aged += uint64(gone)
-	l.old = l.inFlight
-	l.tick, l.tickSent = tick, 0
 }
 
 // writeOff takes the n oldest rows in flight out as lost.
 func (l *Link) writeOff(n int) {
 	l.expired += n
 	l.inFlight -= n
-	l.old = max(0, l.old-n)
 }
 
 // prove writes off the rows the newest receipt's departure count says have
@@ -302,17 +401,50 @@ func (l *Link) prove() {
 	}
 }
 
+// rtt takes a round-trip sample at now from the newest receipt's
+// departure count: the row it names, mapped onto the rows sent modulo 2³²
+// as prove maps it, was sent a round trip ago — if it is newer than every
+// row timed so far (a stale or repeated count would time a row twice, late)
+// and its send is still dated. One past what was sent is ignored. The
+// estimate follows RFC 6298: RTTVAR moves a quarter of the way to the
+// sample's distance from SRTT, SRTT an eighth of the way to the sample.
+func (l *Link) rtt(now int64) {
+	if !l.departs {
+		return
+	}
+	back := uint64(uint32(l.sent) - l.departed)
+	if back >= l.sent-l.floor {
+		return
+	}
+	row := l.sent - back
+	if row <= l.sampled {
+		return
+	}
+	_, at := l.sentAt(row)
+	r := max(0, now-at)
+	if l.sampled == 0 {
+		l.srtt, l.rttvar = r, r/2
+	} else {
+		l.rttvar += (abs(l.srtt-r) - l.rttvar) / 4
+		l.srtt += (r - l.srtt) / 8
+	}
+	l.sampled = row
+}
+
+func abs(d int64) int64 { return max(d, -d) }
+
 // fold credits the rows the newest receipt reports for the first time,
-// proves lost what it says departed uncredited, and, once the open
-// interval has seen enough departures, closes it into a loss sample.
-func (l *Link) fold() {
+// proves lost what it says departed uncredited, times the row its
+// departure count names, and, once the open interval has seen enough
+// departures, closes it into a loss sample.
+func (l *Link) fold(now int64) {
 	defer func() { l.baseRecv, l.baseInno = l.recv, l.inno }()
 	// Self-contradictory claims (a receiver restart, a uint32 wrap, a
 	// liar) only re-baseline: the counters, and with them the rows in
 	// flight and the open interval, which nothing can be credited against
 	// any more.
 	if l.recv < l.baseRecv || l.inno < l.baseInno || l.inno > l.recv {
-		l.inFlight, l.old, l.credited, l.expired = 0, 0, 0, 0
+		l.inFlight, l.credited, l.expired = 0, 0, 0
 		l.reports++
 		return
 	}
@@ -323,11 +455,11 @@ func (l *Link) fold() {
 	credit := int(min(reported, uint64(l.inFlight)))
 	late := int(min(reported-uint64(credit), uint64(l.expired)))
 	l.inFlight -= credit
-	l.old = max(0, l.old-credit)
 	l.expired -= late
 	l.aged -= min(l.aged, uint64(late)) // a proven row cannot arrive after the row that proved it
 	l.credited += credit + late
 	l.prove()
+	l.rtt(now)
 	if l.reports == 0 {
 		// The first receipt is proof of life, and worth one doubling. As far
 		// as loss goes it only opens the first interval: everything sent a

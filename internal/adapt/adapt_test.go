@@ -5,15 +5,30 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 )
+
+// testTick is the Tick the tests run the Link at; their clock counts whole
+// ticks, tick index i at i·testTick, unless a test needs the instants
+// between.
+const testTick = 2 * time.Millisecond
+
+// at returns the start of tick index tick.
+func at(tick int64) time.Time { return time.Unix(0, tick*int64(testTick)) }
+
+// grantAt is Grant at the start of tick index tick.
+func (l *Link) grantAt(tick int64, lacks int) int { return l.Grant(at(tick), testTick, lacks) }
+
+// send is OnSend at the start of the latest Grant's tick.
+func (l *Link) send(n int) { l.OnSend(n, at(l.tick)) }
 
 // report pushes n rows, delivers a receipt claiming the given cumulative
 // counters and folds it a tick later, mimicking one send→receipt round
 // trip.
 func report(l *Link, sent int, received, innovative uint32) {
-	l.OnSend(sent)
+	l.send(sent)
 	l.OnReport(received, innovative)
-	l.Grant(l.tick+1, math.MaxInt32)
+	l.grantAt(l.tick+1, math.MaxInt32)
 }
 
 func TestZeroValueIsCleanLink(t *testing.T) {
@@ -133,9 +148,9 @@ func TestContradictoryReportsRebaseline(t *testing.T) {
 func paceClean(l *Link, ticks int) []int {
 	var bursts []int
 	for i := 0; i < ticks; i++ {
-		b := l.Grant(l.tick+1, math.MaxInt32)
+		b := l.grantAt(l.tick+1, math.MaxInt32)
 		bursts = append(bursts, b)
-		l.OnSend(b)
+		l.send(b)
 		l.OnReport(uint32(l.Sent()), uint32(l.Sent()))
 	}
 	return bursts
@@ -194,11 +209,11 @@ func TestBurstBounds(t *testing.T) {
 				if i%tc.rounds == 0 {
 					peak = 0
 				}
-				b := l.Grant(tick, math.MaxInt32)
+				b := l.grantAt(tick, math.MaxInt32)
 				if i%tc.rounds == 0 && b < 1 && l.InFlight() < MaxBurst {
 					t.Fatalf("tick %d: the first round of a tick granted %d rows with %d in flight: the floor is 1", tick, b, l.InFlight())
 				}
-				l.OnSend(b)
+				l.send(b)
 				if peak += b; peak > TickCeiling {
 					t.Fatalf("tick %d: %d rows, the ceiling is %d", tick, peak, TickCeiling)
 				}
@@ -241,17 +256,17 @@ func TestBurstRampAndSilence(t *testing.T) {
 		t.Fatalf("clean link settled at %d, want the cap %d (%v)", last, MaxBurst, bursts)
 	}
 	// Receipts stop; rows keep going out.
-	l.Grant(l.tick+1, math.MaxInt32) // folds the last receipt
+	l.grantAt(l.tick+1, math.MaxInt32) // folds the last receipt
 	silent := 0
 	for i := 0; i < 200; i++ {
-		b := l.Grant(l.tick+1, math.MaxInt32)
+		b := l.grantAt(l.tick+1, math.MaxInt32)
 		if b < 1 && l.InFlight() < MaxBurst {
 			t.Fatalf("silent link granted %d with %d rows in flight", b, l.InFlight())
 		}
-		l.OnSend(b)
+		l.send(b)
 		silent += b
 	}
-	if b := l.Grant(l.tick+1, math.MaxInt32); b != 1 || l.Window() != 1 {
+	if b := l.grantAt(l.tick+1, math.MaxInt32); b != 1 || l.Window() != 1 {
 		t.Errorf("silent link still grants %d at window %d after 200 ticks, want 1 and 1", b, l.Window())
 	}
 	if silent > 200+8*MaxBurst {
@@ -261,7 +276,7 @@ func TestBurstRampAndSilence(t *testing.T) {
 	var idle Link
 	paceClean(&idle, 40)
 	for i := 0; i < 200; i++ {
-		idle.Grant(idle.tick+1, math.MaxInt32)
+		idle.grantAt(idle.tick+1, math.MaxInt32)
 	}
 	if w := idle.Window(); w != MaxBurst {
 		t.Errorf("idle link with no rows outstanding decayed to %d", w)
@@ -270,43 +285,43 @@ func TestBurstRampAndSilence(t *testing.T) {
 
 // TestLostRowsLeaveTheWindow: rows the link lost are never credited, and
 // still stop counting as in flight — at the receipt whose departure count
-// proves them lost, at the latest by the end of the tick after the one
-// they were sent in — so steady loss neither closes the window nor reads
-// as anything but its level. A full window whose every row was lost, no
-// receipt coming back, gets the probe: one row a tick past the window,
-// whose receipt proves the rest.
+// proves them lost, at the latest two ticks after their send, the horizon
+// of a link no receipt has timed — so steady loss neither closes the window
+// nor reads as anything but its level. A full window whose every row was
+// lost, no receipt coming back, gets the probe: one row a tick past the
+// window, whose receipt proves the rest.
 func TestLostRowsLeaveTheWindow(t *testing.T) {
 	var l Link
 	paceClean(&l, 40)
-	l.Grant(l.tick+1, math.MaxInt32)
+	l.grantAt(l.tick+1, math.MaxInt32)
 	recv := uint32(l.Sent())
-	l.OnSend(MaxBurst) // all lost: no receipt will ever name them
-	if got := l.Grant(l.tick, math.MaxInt32); got != 0 {
+	l.send(MaxBurst) // all lost: no receipt will ever name them
+	if got := l.grantAt(l.tick, math.MaxInt32); got != 0 {
 		t.Fatalf("granted %d rows behind a full window", got)
 	}
-	if got := l.Grant(l.tick+1, math.MaxInt32); got != 1 {
+	if got := l.grantAt(l.tick+1, math.MaxInt32); got != 1 {
 		t.Fatalf("granted %d rows a tick after a full window went unanswered, want the probe", got)
 	}
-	l.OnSend(1) // the probe, lost too
-	if got := l.Grant(l.tick, math.MaxInt32); got != 0 || l.InFlight() != MaxBurst+1 {
+	l.send(1) // the probe, lost too
+	if got := l.grantAt(l.tick, math.MaxInt32); got != 0 || l.InFlight() != MaxBurst+1 {
 		t.Fatalf("granted %d more with %d in flight in the probe's tick, want none and %d", got, l.InFlight(), MaxBurst+1)
 	}
-	if got := l.Grant(l.tick+1, math.MaxInt32); got != MaxBurst-1 || l.InFlight() != 1 {
+	if got := l.grantAt(l.tick+1, math.MaxInt32); got != MaxBurst-1 || l.InFlight() != 1 {
 		t.Fatalf("two ticks on: granted %d with %d in flight, want the window back but for the probe", got, l.InFlight())
 	}
 	// The same full window lost, and this time the probe arrives: its
 	// receipt's departure count proves everything before it lost in the
 	// probe's own tick. (That much loss at once is a step: the window
 	// halves.)
-	l.OnSend(MaxBurst - 1)
-	if got := l.Grant(l.tick+1, math.MaxInt32); got != 1 {
+	l.send(MaxBurst - 1)
+	if got := l.grantAt(l.tick+1, math.MaxInt32); got != 1 {
 		t.Fatalf("granted %d rows a tick after a full window went unanswered, want the probe", got)
 	}
-	l.OnSend(1)
+	l.send(1)
 	recv++
 	l.OnReport(recv, recv)
 	l.OnDeparted(uint32(l.Sent()))
-	if got := l.Grant(l.tick, math.MaxInt32); got != l.Window() || l.InFlight() != 0 {
+	if got := l.grantAt(l.tick, math.MaxInt32); got != l.Window() || l.InFlight() != 0 {
 		t.Fatalf("the probe's receipt: granted %d with %d in flight, want the whole window (%d) back at once", got, l.InFlight(), l.Window())
 	}
 	if proven, aged := l.Lost(); proven != MaxBurst-1 || aged != MaxBurst+1 {
@@ -315,14 +330,14 @@ func TestLostRowsLeaveTheWindow(t *testing.T) {
 	// A receipt reporting aged-out rows after all takes them back: late,
 	// not lost.
 	var late Link
-	late.Grant(1, math.MaxInt32)
-	late.OnSend(4)
+	late.grantAt(1, math.MaxInt32)
+	late.send(4)
 	late.OnReport(4, 4)
-	late.Grant(1, math.MaxInt32)
-	late.OnSend(10)
-	late.Grant(3, math.MaxInt32) // two ticks of silence: all ten age out
-	late.OnReport(10, 10)        // and six of them were only late
-	late.Grant(3, math.MaxInt32)
+	late.grantAt(1, math.MaxInt32)
+	late.send(10)
+	late.grantAt(3, math.MaxInt32) // two ticks of silence: all ten age out
+	late.OnReport(10, 10)          // and six of them were only late
+	late.grantAt(3, math.MaxInt32)
 	if _, aged := late.Lost(); aged != 4 {
 		t.Errorf("six of ten aged-out rows reported late: %d counted as aged out, want 4", aged)
 	}
@@ -332,8 +347,8 @@ func TestLostRowsLeaveTheWindow(t *testing.T) {
 	for _, departs := range []bool{false, true} {
 		rows := 0
 		for i := 0; i < 200; i++ {
-			b := l.Grant(l.tick+1, math.MaxInt32)
-			l.OnSend(b)
+			b := l.grantAt(l.tick+1, math.MaxInt32)
+			l.send(b)
 			rows += b
 			recv += uint32(b - b/4)
 			l.OnReport(recv, recv)
@@ -359,8 +374,8 @@ func TestLostRowsLeaveTheWindow(t *testing.T) {
 // re-baseline: the counters it rode in with fold as usual.
 func TestDepartedOnlyUnderReports(t *testing.T) {
 	var l Link
-	l.Grant(1, math.MaxInt32)
-	l.OnSend(20)
+	l.grantAt(1, math.MaxInt32)
+	l.send(20)
 	for _, step := range []struct {
 		name                    string
 		recv, departed          uint32
@@ -374,7 +389,7 @@ func TestDepartedOnlyUnderReports(t *testing.T) {
 	} {
 		l.OnReport(step.recv, step.recv)
 		l.OnDeparted(step.departed)
-		l.Grant(1, math.MaxInt32)
+		l.grantAt(1, math.MaxInt32)
 		if proven, _ := l.Lost(); l.Settled() != step.wantSettled || proven != step.wantProven {
 			t.Errorf("%s: %d settled, %d proven lost; want %d and %d", step.name, l.Settled(), proven, step.wantSettled, step.wantProven)
 		}
@@ -398,11 +413,11 @@ func TestDepartedProvesLoss(t *testing.T) {
 	lostUpTo := []int{0} // lost rows among the first n sent
 	lost := 0
 	for i := 0; i < 3000*rounds; i++ {
-		b := l.Grant(int64(1+i/rounds), math.MaxInt32)
+		b := l.grantAt(int64(1+i/rounds), math.MaxInt32)
 		if l.InFlight() < 0 || l.InFlight() > MaxBurst+2 {
 			t.Fatalf("round %d: %d rows in flight", i, l.InFlight())
 		}
-		l.OnSend(b)
+		l.send(b)
 		for ; b > 0; b-- {
 			seq++
 			if rng.Float64() < p {
@@ -415,7 +430,7 @@ func TestDepartedProvesLoss(t *testing.T) {
 		l.OnReport(recv, recv)
 		l.OnDeparted(departed)
 	}
-	l.Grant(l.tick, math.MaxInt32) // fold the last receipt
+	l.grantAt(l.tick, math.MaxInt32) // fold the last receipt
 	settled := l.Settled()
 	proven, aged := l.Lost()
 	if got, want := proven+aged, uint64(lostUpTo[settled]); got != want {
@@ -442,11 +457,11 @@ func paceLagged(t *testing.T, l *Link, rtt, ticks int) (grants []int, peakLoss f
 		if tick > rtt && sentBy[tick-rtt] > 0 {
 			l.OnReport(sentBy[tick-rtt], sentBy[tick-rtt])
 		}
-		b := l.Grant(int64(tick), math.MaxInt32)
+		b := l.grantAt(int64(tick), math.MaxInt32)
 		if b < 1 && l.InFlight() < MaxBurst {
 			t.Fatalf("tick %d: granted %d with %d in flight: the floor is 1", tick, b, l.InFlight())
 		}
-		l.OnSend(b)
+		l.send(b)
 		if b > TickCeiling || l.InFlight() > MaxBurst {
 			t.Fatalf("tick %d: %d rows granted, %d in flight", tick, b, l.InFlight())
 		}
@@ -472,7 +487,7 @@ func TestFirstReceiptTakesNoSample(t *testing.T) {
 		t.Fatalf("before any receipt: %d reports, window %d", l.Reports(), l.Window())
 	}
 	l.OnReport(uint32(l.Sent()), uint32(l.Sent()))
-	l.Grant(rtt+1, math.MaxInt32)
+	l.grantAt(rtt+1, math.MaxInt32)
 	if l.Reports() != 1 || l.Window() != 2*startWindow {
 		t.Errorf("first receipt: %d reports, window %d, want 1 and %d", l.Reports(), l.Window(), 2*startWindow)
 	}
@@ -525,18 +540,18 @@ func TestRoundTripBeyondTwoTicks(t *testing.T) {
 func TestBurstTaper(t *testing.T) {
 	var l Link
 	paceClean(&l, 40) // at the cap; the peer has reported every row innovative
-	l.Grant(l.tick+1, math.MaxInt32)
+	l.grantAt(l.tick+1, math.MaxInt32)
 	inno := int(l.inno)
 	for _, tc := range []struct{ missing, want int }{
 		{1000, MaxBurst}, {2 * MaxBurst, MaxBurst}, {40, 20}, {2 * tailWindow, tailWindow}, {3, tailWindow}, {0, tailWindow}, {-500, tailWindow},
 	} {
-		if got := l.Grant(l.tick+1, l.Lacks(inno+tc.missing)); got != tc.want {
+		if got := l.grantAt(l.tick+1, l.Lacks(inno+tc.missing)); got != tc.want {
 			t.Errorf("%d rows missing: granted %d, want %d", tc.missing, got, tc.want)
 		}
 	}
 	// The taper only ever lowers: a link still at its start window keeps it.
 	var fresh Link
-	if got := fresh.Grant(0, 0); got != startWindow {
+	if got := fresh.grantAt(0, 0); got != startWindow {
 		t.Errorf("fresh link tapered to %d, want its start window %d", got, startWindow)
 	}
 }
@@ -548,28 +563,28 @@ func TestBurstTaper(t *testing.T) {
 // which empties the in-flight count, settles it all at once.
 func TestSettledCountsDepartures(t *testing.T) {
 	var l Link
-	l.Grant(1, math.MaxInt32)
-	l.OnSend(10)
+	l.grantAt(1, math.MaxInt32)
+	l.send(10)
 	if l.Settled() != 0 {
 		t.Fatalf("%d rows settled with 10 just sent", l.Settled())
 	}
 	l.OnReport(6, 6) // four of the ten were lost, or are behind this receipt
-	l.Grant(1, math.MaxInt32)
+	l.grantAt(1, math.MaxInt32)
 	if l.Settled() != 6 || l.InFlight() != 4 {
 		t.Fatalf("a receipt for 6 of 10 rows: %d settled, %d in flight", l.Settled(), l.InFlight())
 	}
-	l.OnSend(5)
-	l.Grant(2, math.MaxInt32)
+	l.send(5)
+	l.grantAt(2, math.MaxInt32)
 	if l.Settled() != 6 {
 		t.Fatalf("%d rows settled a tick on with no receipt, want 6 still", l.Settled())
 	}
-	l.Grant(3, math.MaxInt32)
+	l.grantAt(3, math.MaxInt32)
 	if l.Settled() != 15 || l.InFlight() != 0 {
 		t.Fatalf("two ticks of silence: %d settled, %d in flight, want everything aged out", l.Settled(), l.InFlight())
 	}
-	l.OnSend(8)
+	l.send(8)
 	l.OnReport(3, 9) // innovative > received
-	l.Grant(3, math.MaxInt32)
+	l.grantAt(3, math.MaxInt32)
 	if l.Settled() != l.Sent() {
 		t.Fatalf("a contradictory receipt left %d of %d rows unsettled", l.Sent()-l.Settled(), l.Sent())
 	}
@@ -589,12 +604,12 @@ func TestSettledCountsDepartures(t *testing.T) {
 // the rest of the window stays in flight.
 func TestUnstampedReceiptWritesOffNothing(t *testing.T) {
 	var l Link
-	l.Grant(1, math.MaxInt32)
+	l.grantAt(1, math.MaxInt32)
 	for _, recv := range []uint32{0, 4, 16, 25} {
-		l.OnSend(10)
+		l.send(10)
 		l.OnReport(recv, recv)
 		l.OnDeparted(0)
-		l.Grant(1, math.MaxInt32) // one tick: nothing ages
+		l.grantAt(1, math.MaxInt32) // one tick: nothing ages
 		if proven, aged := l.Lost(); proven != 0 || aged != 0 {
 			t.Fatalf("%d of %d rows reported received with departed 0: %d proven lost, %d aged", recv, l.Sent(), proven, aged)
 		}

@@ -70,9 +70,13 @@ type Config struct {
 	// within [1, adapt.MaxBurst]; frames leave whenever a receipt or a
 	// decode frees window (internal/adapt, DESIGN.md §16). The window alone
 	// paces an honest peer; adapt.TickCeiling per Tick, far above what one
-	// takes, bounds what forged receipts can buy. The timer runs only while
-	// some peer is owed rows; an idle session wakes for housekeeping a few
-	// times a second.
+	// takes, bounds what forged receipts can buy. Tick caps the loss
+	// horizon but is not its unit: a row no receipt has credited or proven
+	// lost ages out after its link's measured round trip plus max(Tick/4,
+	// 4·RTTVAR), never later than 2·Tick, and the timer also fires when the
+	// oldest row in flight is due to. The timer runs only while some peer is
+	// owed rows; an idle session wakes for housekeeping a few times a
+	// second.
 	Tick time.Duration
 	// IdleTimeout evicts object state (and subscribers) untouched for
 	// this long; default 60s. Pinned (locally served) objects stay.

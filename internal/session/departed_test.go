@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -26,9 +27,11 @@ import (
 // 68 27 85 0 104 0 128 …: whole ticks idle behind a window of rows
 // already lost), 17.4 with them while adapt.TickCeiling was 128 rows a tick
 // and bound the window's turnover, 10.3 with the window alone pacing the
-// link (360 runs: 3–26 ticks, a standard deviation of 3.2). A lossless
-// fabric takes 1 tick, 8 under the old ceiling. The rows it takes per hop
-// stay where frontier repair put them.
+// link (360 runs: 3–26 ticks, a standard deviation of 3.2), 8.5 with a
+// window of two receiver batches (12 seeds: 5–11), and 2.7 (2–4) with what
+// no receipt proves ageing out at the link's round trip plus Tick/4, not at
+// the end of the next tick. A lossless fabric takes 1 tick, 8 under the old
+// ceiling. The rows it takes per hop stay where frontier repair put them.
 func TestLossyFetchTicks(t *testing.T) {
 	const k, m, p, runs = 1024, 16, 0.20, 12
 	fetch := func(lose func(from, to transport.Addr, frame []byte) bool) (ticks int, perTick []string, c *stepNet) {
@@ -151,6 +154,52 @@ func TestLateAnchorFallsBackToAgeing(t *testing.T) {
 	}
 }
 
+// TestTailLossAgesAtRoundTrip: a link with a round trip of a tenth of a
+// Tick loses the last DATA row of each of the source's first 24 bursts (a
+// burst being what one Step sends; past 24 it loses nothing, or the last
+// native, repeated alone, would never arrive). A pass row lost so is proven
+// by the rows of the next burst; a lone repeat lost so has nothing behind
+// it, and the source idles until the row ages out — at the link's round
+// trip plus Tick/4, where it waited two ticks before. The fetch of 64
+// natives took 31 ticks then; it takes 4 now, the deadline round resending
+// each lost repeat within the tick it was lost in.
+func TestTailLossAgesAtRoundTrip(t *testing.T) {
+	const k, bursts, tickBound = 64, 24, 31
+	n := newStepNet(t, k, 16, 61, nil, "src", "dst").subscribe()
+	n.delay = n.nodes["src"].cfg.Tick / 20
+	var last []byte // the last DATA row of the Step under way at src
+	burst, dropped := 0, 0
+	n.lose = func(from, _ transport.Addr, f []byte) bool {
+		if from == "src" && f[0] == frameData {
+			burst, last = burst+1, f
+		}
+		return false
+	}
+	n.stepped = func(name transport.Addr) {
+		if name != "src" {
+			return
+		}
+		if burst > 0 && dropped < bursts {
+			i := slices.IndexFunc(n.flight, func(c carried) bool { return &c.frame[0] == &last[0] })
+			n.flight = slices.Delete(n.flight, i, i+1)
+			dropped++
+		}
+		burst, last = 0, nil
+	}
+	ticks := 0
+	for ; ticks < 1000 && !n.fetched().Complete; ticks++ {
+		n.tick()
+	}
+	proven, aged := n.nodes["src"].objects[n.id].peers["dst"].link.Lost()
+	t.Logf("%d ticks; %d rows dropped, %d proven lost, %d aged out", ticks, dropped, proven, aged)
+	if !n.fetched().Complete || dropped < bursts || aged == 0 {
+		t.Fatalf("complete %v after %d ticks, %d rows dropped, %d aged out: the test exercised nothing", n.fetched().Complete, ticks, dropped, aged)
+	}
+	if ticks > tickBound/2 {
+		t.Errorf("the fetch took %d ticks, want at most half the %d it took with rows ageing at two ticks", ticks, tickBound)
+	}
+}
+
 // TestPassThroughClearsStamps: a budget-bound cache forwards the rows it
 // has no room for byte for byte — the upstream's stamp included, which is
 // the upstream's place on its own link. Cleared, the downstream's count of
@@ -257,14 +306,14 @@ func TestReceiptFormsParseAsThemselves(t *testing.T) {
 			}
 			injectFrame(s, "peer", encodeReq(id))
 			ps := s.objects[id].peers["peer"]
-			ps.link.OnSend(16)
+			ps.link.OnSend(16, s.clk.Now())
 			fl, dec := 0, []int32(nil)
 			if form.frontier {
 				fl, dec = kPer, decoded
 			}
 			frame := encodeReceipt(id, 0, received, received, form.departed, fl, dec)
 			injectFrame(s, "peer", frame)
-			ps.link.Grant(0, kPer)
+			ps.link.Grant(s.clk.Now(), s.cfg.Tick, kPer)
 			want := max(uint64(received), uint64(form.departed))
 			proven, _ := ps.link.Lost()
 			if got := ps.link.Settled(); got != want || proven != want-received {

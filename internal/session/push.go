@@ -106,13 +106,17 @@ type objectPlan struct {
 
 // push sends one burst per object and target with rows to come. It
 // reports whether any object still has a target that has not reported
-// completion: the push timer keeps its Tick period exactly that long.
-func (s *Session) push() (live bool) {
+// completion — the push timer keeps its Tick period exactly that long —
+// and the earliest instant a row in flight toward a target ages out
+// (adapt.Link.Deadline), zero with none in flight: the timer runs a round
+// then too, so a row lost with nothing behind it to prove it leaves the
+// window a round trip after it was sent, not at a tick.
+func (s *Session) push() (live bool, age time.Time) {
 	s.mu.Lock()
-	plans, live := s.planLocked(s.clk.Now())
+	plans, live, age := s.planLocked(s.clk.Now())
 	s.mu.Unlock()
 	if len(plans) == 0 {
-		return live
+		return live, age
 	}
 	// DATA frames are staged into the coalescer's pooled slabs and flushed
 	// as per-peer batches at the end of the round (early per-peer flushes
@@ -126,18 +130,27 @@ func (s *Session) push() (live bool) {
 	}
 	s.coal.Flush()
 	s.mu.Lock()
-	s.commitLocked(plans, s.clk.Now())
+	age = earliest(age, s.commitLocked(plans, s.clk.Now()))
 	s.mu.Unlock()
-	return live
+	return live, age
+}
+
+// earliest returns the earlier of two instants, zero standing for none.
+func earliest(a, b time.Time) time.Time {
+	if a.IsZero() || !b.IsZero() && b.Before(a) {
+		return b
+	}
+	return a
 }
 
 // planLocked snapshots this round's targets: objects in ID order, each
 // object's peers in targetsLocked order. The order is part of the
 // protocol's determinism — every peer's Recode draws from the object's
 // one coder RNG, so who goes first decides what everyone gets. A peer
-// whose window is full and whose META is not due is left out. s.mu must
-// be held.
-func (s *Session) planLocked(now time.Time) (plans []objectPlan, live bool) {
+// whose window is full and whose META is not due is left out; age is the
+// earliest ageing deadline over every link planned, left out or not. s.mu
+// must be held.
+func (s *Session) planLocked(now time.Time) (plans []objectPlan, live bool, age time.Time) {
 	objs := make([]*objectState, 0, len(s.objects))
 	for _, st := range s.objects {
 		objs = append(objs, st)
@@ -152,7 +165,8 @@ func (s *Session) planLocked(now time.Time) (plans []objectPlan, live bool) {
 		frames := st.manFrames
 		st.mu.Unlock()
 		for _, addr := range addrs {
-			p := s.planPeerLocked(st, addr, sizeKnown, frames, now)
+			p, at := s.planPeerLocked(st, addr, sizeKnown, frames, now)
+			age = earliest(age, at)
 			if p.burst == 0 && !p.needMeta && !p.needMan {
 				continue
 			}
@@ -163,14 +177,15 @@ func (s *Session) planLocked(now time.Time) (plans []objectPlan, live bool) {
 			plans = append(plans, op)
 		}
 	}
-	return plans, live
+	return plans, live, age
 }
 
 // planPeerLocked snapshots one peer of st, whose held manifest runs are
-// frames (nil where not held), for a round at now. s.mu must be held.
-func (s *Session) planPeerLocked(st *objectState, addr transport.Addr, sizeKnown bool, frames [][]byte, now time.Time) peerPlan {
+// frames (nil where not held), for a round at now, and returns when the
+// oldest row in flight on the peer's link ages out. s.mu must be held.
+func (s *Session) planPeerLocked(st *objectState, addr transport.Addr, sizeKnown bool, frames [][]byte, now time.Time) (p peerPlan, age time.Time) {
 	ps := st.peer(addr)
-	p := peerPlan{addr: addr, cacheCursor: ps.cacheCursor, sysCursor: ps.sysCursor, repairAt: ps.repairAt, repairStep: ps.repairStep,
+	p = peerPlan{addr: addr, cacheCursor: ps.cacheCursor, sysCursor: ps.sysCursor, repairAt: ps.repairAt, repairStep: ps.repairStep,
 		manAt: ps.manNext, manNext: ps.manNext}
 	p.needMeta = sizeKnown && now.Sub(ps.metaAt) >= s.metaResend()
 	p.needMan = ps.manNext >= 0 && ps.manNext < len(frames) && frames[ps.manNext] != nil
@@ -182,9 +197,9 @@ func (s *Session) planPeerLocked(st *objectState, addr transport.Addr, sizeKnown
 	if ps.frontier != nil {
 		lacks = ps.lacksLocked(st.kPer)
 	}
-	p.burst = ps.link.Grant(now.UnixNano()/int64(s.cfg.Tick), lacks)
+	p.burst, age = ps.link.Grant(now, s.cfg.Tick, lacks), ps.link.Deadline()
 	if p.burst == 0 && !p.needMeta && !p.needMan {
-		return p // nothing to send: planLocked leaves the peer out
+		return p, age // nothing to send: planLocked leaves the peer out
 	}
 	if ps.gensDoneN > 0 {
 		p.gensDone = slices.Clone(ps.gensDone)
@@ -197,7 +212,7 @@ func (s *Session) planPeerLocked(st *objectState, addr transport.Addr, sizeKnown
 	}
 	ps.unsettled = ps.unsettled[:copy(ps.unsettled, ps.unsettled[n:])]
 	p.frontier, p.unsettled, p.sentBase = slices.Clone(ps.frontier), ps.unsettled, uint32(ps.link.Sent())
-	return p
+	return p, age
 }
 
 // lacksLocked counts the natives the peer's frontier leaves missing, over
@@ -567,10 +582,12 @@ func (s *Session) commitRow(p *peerPlan, frame []byte) {
 	s.coal.Commit(p.addr, frame)
 }
 
-// commitLocked writes one round's results back. Only peers still tracked
-// are written to: re-creating one evicted or banned mid-push just to
-// park a cursor would resurrect it. s.mu must be held.
-func (s *Session) commitLocked(plans []objectPlan, now time.Time) {
+// commitLocked writes one round's results back, the DATA frames sent at
+// now, and returns the earliest ageing deadline over the links that sent
+// any. Only peers still tracked are written to: re-creating one evicted or
+// banned mid-push just to park a cursor would resurrect it. s.mu must be
+// held.
+func (s *Session) commitLocked(plans []objectPlan, now time.Time) (age time.Time) {
 	for i := range plans {
 		st := plans[i].st
 		for j := range plans[i].peers {
@@ -594,11 +611,13 @@ func (s *Session) commitLocked(plans []objectPlan, now time.Time) {
 			ps.unsettled, ps.repairAt = p.unsettled, p.repairAt
 			if p.sent > 0 {
 				// The DATA frames committed toward the peer are in flight on
-				// its link from here on.
-				ps.link.OnSend(p.sent)
+				// its link from here on, dated now.
+				ps.link.OnSend(p.sent, now)
+				age = earliest(age, ps.link.Deadline())
 			}
 		}
 	}
+	return age
 }
 
 // metaResend is how long a sent META is trusted before it is repeated to

@@ -614,8 +614,8 @@ func newMatrixCell(t *testing.T, rng *rand.Rand, obj, peer int) *matrixCell {
 			// A window full of rows no receipt has answered yet, sent this
 			// tick: the pacer grants the peer nothing until one does, and
 			// the round leaves it out.
-			ps.link.Grant(now.UnixNano()/int64(c.s.cfg.Tick), c.st.k)
-			ps.link.OnSend(ps.link.Window())
+			ps.link.Grant(now, c.s.cfg.Tick, c.st.k)
+			ps.link.OnSend(ps.link.Window(), now)
 		case peerGensPartial:
 			ps.metaAt = now
 			ps.gensDone = make([]bool, gens)
@@ -660,7 +660,7 @@ func checkMatrixCell(t *testing.T, c *matrixCell, obj, peer int) {
 	sentBefore, now := st.sent, s.clk.Now()
 	// What the peer's window grants this round, read off a copy of its link.
 	probe := before.link
-	grant := probe.Grant(now.UnixNano()/int64(s.cfg.Tick), probe.Lacks(st.k))
+	grant := probe.Grant(now, s.cfg.Tick, probe.Lacks(st.k))
 
 	s.push()
 

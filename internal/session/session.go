@@ -633,6 +633,7 @@ func (s *Session) pushLoop(ctx context.Context) {
 type pushTimer struct {
 	at                       time.Time     // the next fire
 	period                   time.Duration // and the period from there
+	age                      time.Time     // the next row in flight to age out; zero with none
 	evictEvery, shuffleEvery time.Duration
 	evictAt, shuffleAt       time.Time
 	reqAt                    time.Time // earliest fetch REQ resend; zero with none due
@@ -656,13 +657,12 @@ func (s *Session) newPushTimer(now time.Time) *pushTimer {
 	return t
 }
 
-// rounds runs push rounds — housekeeping first when the timer's deadline
-// has come — for as long as a wake-up is pending (woken: the caller took
-// one already), and returns the timer's next deadline: a Tick away while
-// some peer is owed rows, the next housekeeping deadline otherwise. Each
-// round reads the clock afresh: a virtual one stands still for all of
-// them, and on the wall clock a stream of wake-ups cannot hold the timer's
-// own rounds off.
+// rounds runs push rounds — housekeeping first when the timer's fire has
+// come — for as long as a wake-up is pending (woken: the caller took one
+// already) or a row in flight is due to age out, and returns the timer's
+// next deadline (due). Each round reads the clock afresh: a virtual one
+// stands still for all of them, and on the wall clock a stream of wake-ups
+// cannot hold the timer's own rounds off.
 func (s *Session) rounds(t *pushTimer, woken bool) time.Time {
 	for ; ; woken = false {
 		now := s.clk.Now()
@@ -671,8 +671,8 @@ func (s *Session) rounds(t *pushTimer, woken bool) time.Time {
 			select {
 			case <-s.wakeC: // a timer round serves the wake-up too
 			default:
-				if !timed {
-					return t.at
+				if now.Before(t.due()) {
+					return t.due()
 				}
 			}
 		}
@@ -684,17 +684,21 @@ func (s *Session) rounds(t *pushTimer, woken bool) time.Time {
 	}
 }
 
-// round is one turn of the push plane, the timer's or a wake-up's, and
-// returns the period to re-arm the timer with, zero to leave it running.
-// While push finds a target the period is Tick: the floor (adapt.Link
-// grants a row a Tick to a peer whose receipts never come) and the beat the
-// silence rule and the META resend are read against. With nothing owed to
-// anyone the timer parks until the next housekeeping deadline.
+// round is one turn of the push plane — the timer's, a wake-up's or an
+// ageing deadline's — and returns the period to re-arm the timer with,
+// zero to leave it running. While push finds a target the period is Tick:
+// the floor (adapt.Link grants a row a Tick to a peer whose receipts never
+// come) and the beat the silence rule and the META resend are read
+// against. The rows in flight set one more deadline, the earliest of them
+// to age out (push), and the timer is due at whichever comes first. There
+// are deadlines only while rows are in flight, so with nothing owed to
+// anyone the timer still parks until the next housekeeping deadline.
 func (t *pushTimer) round(s *Session, now time.Time, timed bool) (rearm time.Duration) {
 	if timed {
 		t.run(s, now) // first: a shuffle may hand push new neighbors
 	}
-	live := s.push()
+	live, age := s.push()
+	t.age = age
 	if !live && !timed {
 		// About to park: a fetch's REQ may have gone out since the last
 		// timer round looked.
@@ -725,6 +729,10 @@ func (t *pushTimer) run(s *Session, now time.Time) {
 		t.evictAt = laterThan(now, t.evictAt, t.evictEvery)
 	}
 }
+
+// due returns when the timer is due next: its next fire, or the ageing
+// deadline of a row in flight if that comes first.
+func (t *pushTimer) due() time.Time { return earliest(t.at, t.age) }
 
 // next returns the earliest deadline a parked timer must wake for.
 func (t *pushTimer) next() time.Time {

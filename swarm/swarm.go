@@ -151,9 +151,12 @@ type Config struct {
 	// when the reports stop, and stays between 1 and 64; packets leave
 	// whenever a report frees window. The timer only guarantees a peer that
 	// never reports one packet a Tick; it runs while some peer is owed
-	// packets and parks otherwise. At most 1,024 packets leave toward one
-	// peer per Tick, far above what an honest peer's reports free: the bound
-	// on what forged ones can take.
+	// packets and parks otherwise. A packet no report accounts for counts as
+	// lost once its link's measured round trip, plus a margin of at least a
+	// quarter Tick, has passed: Tick caps that wait at two Ticks, but is not
+	// its unit. At most 1,024 packets leave toward one peer per Tick, far
+	// above what an honest peer's reports free: the bound on what forged ones
+	// can take.
 	Tick time.Duration
 	// Burst once fixed how many packets were pushed per object, target and
 	// Tick, on the timer alone. The peers' receipt reports now clock every
