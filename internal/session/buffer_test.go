@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"maps"
+	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
@@ -385,5 +386,45 @@ func TestForgedUnitRowNeverTouchesTheBuffer(t *testing.T) {
 	at := (g*kPer + x) * m
 	if !bytes.Equal(st.buf[at:at+m], content[at:at+m]) || !st.genInBufLocked(g) {
 		t.Fatal("the true unit row did not decode into its slot")
+	}
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestObjectIDBuildsNoFrames: ObjectID is the ID Serve returns, and Serve
+// sends the MANIFEST frames of the content's manifest, one a run; ObjectID
+// builds none of them, ≈ 32 bytes a native that nothing would send.
+func TestObjectIDBuildsNoFrames(t *testing.T) {
+	const k, m, gens = 8192, 16, 8
+	content := testContent(k*m, 97)
+	s, _, _ := pushSession(t, "src", nil)
+	id, err := s.Serve(content, k, gens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ObjectID(content, k, gens); err != nil || got != id {
+		t.Fatalf("ObjectID: %v %v, Serve returned %v", got, err, id)
+	}
+	want, frameBytes := manifestRuns(t, id, content, m), 0
+	for _, fr := range want {
+		frameBytes += len(fr)
+	}
+	if got := s.objects[id].manFrames; !slices.EqualFunc(got, want, bytes.Equal) {
+		t.Fatalf("Serve holds %d MANIFEST frames, not the %d of the content's manifest", len(got), len(want))
+	}
+	idOnly := allocated(func() { ObjectID(content, k, gens) })
+	served := allocated(func() {
+		src, _ := deriveServed(content, k, gens)
+		src.buildFrames()
+	})
+	if served < idOnly+uint64(frameBytes)/2 {
+		t.Errorf("ObjectID allocates %d bytes, deriving and framing %d: the %d bytes of frames are built for the ID alone", idOnly, served, frameBytes)
 	}
 }

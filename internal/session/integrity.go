@@ -190,9 +190,10 @@ func (s *Session) verifyGenLocked(st *objectState, g int, acts *pollActions) {
 			return
 		}
 	}
-	// Verified: any refusal lapses. Vigilant, the natives — in their slots
-	// of the object buffer — stay as the audit reference: any further row
-	// offered to this generation can now be checked byte-exactly.
+	// Verified: any refusal lapses. Vigilant, the natives — the decoder's
+	// own, in their slots of the object buffer once it is placed — stay as
+	// the audit reference: any further row offered to this generation can
+	// now be checked byte-exactly.
 	*gg = genGuard{state: genVerified}
 	if st.vigilant {
 		gg.natives = natives
@@ -293,7 +294,7 @@ func (s *Session) auditFailsLocked(st *objectState, g int, in *inFrame) bool {
 
 // handleManifest checks one MANIFEST frame alone (manifestRunLocked). An
 // adopted run retro-verifies the complete generations it covers
-// (settleLocked), the last one gives the object its buffer (placeLocked),
+// (settleLocked), the last one commits the object's buffer (commitBufLocked),
 // and the push rounds send it on to every peer (sendManifest). A run that
 // does not hash to the root convicts its sender: an honest node forwards
 // only runs it adopted, or its own.
@@ -319,7 +320,7 @@ func (s *Session) handleManifest(from transport.Addr, data []byte) {
 		acts.bans = append(acts.bans, from)
 	}
 	if adopted {
-		st.placeLocked()
+		s.commitBufLocked(st)
 		s.settleLocked(st, -1, &acts)
 		st.touch(s.clk.Now())
 	}

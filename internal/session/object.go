@@ -18,9 +18,10 @@ import (
 // phase, and the functions of this file are the only code that creates an
 // objectState, assigns its phase, coder, buffer or data, or closes done:
 // admitLocked (outside input or a local call creates or sizes state),
-// seedLocked (Serve), promoteLocked (a fetch at a cache), placeLocked (the
-// manifest's last run adopted), settleLocked (whatever may have completed something)
-// and evictLocked. Every other file asks the phase.
+// seedLocked (Serve), promoteLocked (a fetch at a cache), commitBufLocked and
+// placeLocked (the manifest's last run adopted, the buffer it is owed),
+// settleLocked (whatever may have completed something) and evictLocked.
+// Every other file asks the phase.
 // DESIGN.md §4 has the phase × event table.
 //
 //	announced ─┬─► caching ──(fetched here)──┐
@@ -116,16 +117,19 @@ type objectState struct {
 	coder *generation.Coder
 	// buf is the object buffer, k·m bytes, native x of generation g in slot
 	// g·kPer + x, and data is its head once complete (DESIGN.md §4, "One
-	// copy per object"). A filling or decoded object has one exactly while
-	// it holds every run of the manifest (placeLocked): the natives decoded
-	// before the last run move into their slots at its adoption, and every
-	// native decoded after it is written into its slot as it peels. A source's is
-	// its content, when that is exactly k·m bytes.
-	buf      []byte
-	data     []byte        // assembled content (phComplete): buf's head, or a source's content
-	done     chan struct{} // closed on entering phComplete
-	received int64
-	aborted  int64
+	// copy per object"). A filling or decoded object is owed one once it
+	// holds every run of the manifest (commitBufLocked) and has it, or is
+	// committing — its buffer being allocated off the lock — never both:
+	// the natives decoded before the buffer is placed move into their
+	// slots then (placeLocked), and every native decoded after it is
+	// written into its slot as it peels. A source's is its content, when
+	// that is exactly k·m bytes.
+	buf        []byte
+	committing bool
+	data       []byte        // assembled content (phComplete): buf's head, or a source's content
+	done       chan struct{} // closed on entering phComplete
+	received   int64
+	aborted    int64
 
 	// Pollution defense (decode plane, guarded by mu; DESIGN.md §13).
 	// root is the manifest root the ID commits to, with the geometry and
@@ -375,7 +379,7 @@ func (s *Session) promoteLocked(st *objectState) (progressed bool) {
 		return false
 	}
 	st.shapeLocked(phFilling, geo, coder)
-	st.placeLocked()
+	s.commitBufLocked(st)
 	s.cache.Drain(st.id, func(g uint32, vec *bitvec.Vector, payload []byte) {
 		gi := int(g)
 		if gi >= geo.gens || coder.GenComplete(gi) {
@@ -445,23 +449,112 @@ func (st *objectState) assembleLocked() {
 	close(st.done)
 }
 
-// placeLocked gives a filling or decoded object that holds every run of its
-// manifest the object buffer, and places every generation's decoder in its
-// slots (generation.Coder.Place): the natives decoded so far move in, once,
-// and each one decoded from now on is written there as it peels. A
-// receiver commits k·m bytes only once every run has hashed to the root
-// the ID commits to. Nothing is allocated if k·m bytes overflow an int
-// (32-bit builds): the natives stay in arena rows, and the object never
-// assembles. st.mu must be held.
-func (st *objectState) placeLocked() {
-	if (st.phase != phFilling && st.phase != phDecoded) || !st.man.Complete() || st.buf != nil ||
+// commitBufLocked owes a filling or decoded object that holds every run of
+// its manifest the object buffer: a receiver commits k·m bytes only once
+// every run has hashed to the root the ID commits to. Under Run the object
+// is committing while a goroutine of its own allocates the buffer — a
+// clear of k·m bytes — with no lock held, DATA decoding into arena rows
+// meanwhile, and installBuffer places it; otherwise it is allocated and
+// placed here (committer). Nothing is allocated if k·m bytes overflow an
+// int (32-bit builds): the natives stay in arena rows, and the object
+// never assembles. st.mu must be held.
+func (s *Session) commitBufLocked(st *objectState) {
+	if (st.phase != phFilling && st.phase != phDecoded) || !st.man.Complete() || st.buf != nil || st.committing ||
 		int64(st.k)*int64(st.m) > math.MaxInt {
 		return
 	}
-	st.buf = make([]byte, st.k*st.m)
+	n := st.k * st.m
+	st.committing = true
+	if !s.commits.spawn(func() { s.installBuffer(st, n) }) {
+		st.placeLocked(s.commits.newBuf(n))
+	}
+}
+
+// installBuffer is a commit's goroutine: it allocates the n-byte object
+// buffer with no lock held, then places it and settles the object, which
+// assembles and completes if every generation has verified meanwhile. It
+// does nothing if the object is no longer committing (evicted) or the
+// session has closed.
+func (s *Session) installBuffer(st *objectState, n int) {
+	buf := s.commits.newBuf(n)
+	select {
+	case <-s.closed:
+		return
+	default:
+	}
+	var acts pollActions
+	st.mu.Lock()
+	placed := st.committing
+	if placed {
+		st.placeLocked(buf)
+		s.settleLocked(st, -1, &acts)
+	}
+	st.mu.Unlock()
+	if placed {
+		s.applyPollActions(&acts)
+		s.wake()
+		s.notifyWatchers(st)
+	}
+}
+
+// placeLocked gives a committing object its buffer and places every
+// generation's decoder in its slots (generation.Coder.Place): the natives
+// decoded so far move in, once, and each one decoded from now on is
+// written there as it peels. st.mu must be held.
+func (st *objectState) placeLocked(buf []byte) {
+	st.buf, st.committing = buf, false
 	for g := range st.guard {
 		st.placeGenLocked(g)
 	}
+}
+
+// committer runs the allocation of object buffers (commitBufLocked): each on
+// a goroutine of its own while Run drives the session, so the clear of k·m
+// bytes (≈ 10 ms for 16 MiB) holds up neither the receive loop nor the
+// object lock, and inline otherwise, so that under Step, and for a caller
+// feeding frames itself, the buffer is placed the moment the last run is
+// adopted.
+type committer struct {
+	mu    sync.Mutex
+	async bool               // between Run's start and stop
+	wg    sync.WaitGroup     // the goroutines stop waits for
+	alloc func(n int) []byte // tests' seam; nil: make
+}
+
+func (c *committer) start() {
+	c.mu.Lock()
+	c.async = true
+	c.mu.Unlock()
+}
+
+// stop sends commits back inline and waits for the goroutines under way.
+func (c *committer) stop() {
+	c.mu.Lock()
+	c.async = false
+	c.mu.Unlock()
+	c.wg.Wait()
+}
+
+// spawn runs f on a goroutine of its own, if Run is up, and reports whether
+// it did.
+func (c *committer) spawn(f func()) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.async {
+		c.wg.Add(1)
+		go func() {
+			defer c.wg.Done()
+			f()
+		}()
+	}
+	return c.async
+}
+
+func (c *committer) newBuf(n int) []byte {
+	if c.alloc != nil {
+		return c.alloc(n)
+	}
+	return make([]byte, n)
 }
 
 // placeGenLocked places generation g's decoder in its slots of the object
@@ -478,8 +571,8 @@ func (st *objectState) placeGenLocked(g int) {
 // owedLocked is the one answer to "what does the sender of this frame need
 // to hear about where the object stands": kind 2 once complete (or, at a
 // cache, once every generation is held at full rank); to a DATA frame (g,
-// its generation, is not −1), a REQ when decoded — the manifest is
-// missing, and a REQ re-arms the sender's META and MANIFEST where kind 2
+// its generation, is not −1), a REQ when decoded without every run of the
+// manifest — a REQ re-arms the sender's META and MANIFEST where kind 2
 // would stop them and wedge the object there; kind 3 when the frame's
 // generation is done and the object is not; nothing otherwise. st.mu must
 // be held.
@@ -490,8 +583,13 @@ func (s *Session) owedLocked(st *objectState, g int) []byte {
 			return nil
 		}
 	case phDecoded:
-		if g < 0 {
+		switch {
+		case g < 0:
 			return nil // a META or a manifest: a REQ would only draw another META
+		case st.committing:
+			// Every run is in and the buffer on its way: the frame's
+			// generation is done, as while filling.
+			return genFeedbackFrame(st.id, g)
 		}
 		return encodeReq(st.id)
 	case phFilling:
@@ -508,5 +606,6 @@ func (s *Session) owedLocked(st *objectState, g int) []byte {
 // evictLocked takes the object out of the lifecycle: a shard worker that
 // resolved this state before it left the table re-checks the phase after
 // locking and drops its frames, so a decode can never split across an
-// evicted and a relearned state. st.mu must be held.
-func (st *objectState) evictLocked() { st.phase = phEvicted }
+// evicted and a relearned state, and a buffer on its way is not placed
+// (installBuffer). st.mu must be held.
+func (st *objectState) evictLocked() { st.phase, st.committing = phEvicted, false }

@@ -90,17 +90,20 @@ func checkPhaseInvariants(tb testing.TB, s *Session) {
 }
 
 // checkObjectBufferLocked holds an object's buffer to its rule: a filling
-// or decoded object with m > 0 has one exactly while it holds every run of
-// its manifest — a receiver commits k·m bytes once every run has hashed to
-// the root the ID commits to, and to nothing less — unless k·m bytes overflow
-// an int (32-bit builds), where it never has one. Where there is a buffer
-// it is k·m bytes, every native decoded here sits in its slot, and once
-// complete the content is its head. st.mu must be held.
+// or decoded object with m > 0 that holds every run of its manifest has a
+// buffer or is committing one, never both — a receiver commits k·m bytes
+// once every run has hashed to the root the ID commits to, and to nothing
+// less — and one that lacks a run has neither, as has one whose k·m bytes
+// overflow an int (32-bit builds). Only a filling or decoded object is
+// ever committing. Where there is a buffer it is k·m bytes, every native
+// decoded here sits in its slot, and once complete the content is its
+// head. st.mu must be held.
 func checkObjectBufferLocked(tb testing.TB, id packet.ObjectID, st *objectState, ph phase) {
 	tb.Helper()
 	fits := int64(st.k)*int64(st.m) <= math.MaxInt
-	if held := st.man != nil && st.man.Complete(); (ph == phFilling || ph == phDecoded) && st.m > 0 && (st.buf != nil) != (held && fits) {
-		tb.Errorf("%v: phase %v, object buffer %v, every run held %v", id, ph, st.buf != nil, held)
+	held, filling := st.man != nil && st.man.Complete(), ph == phFilling || ph == phDecoded
+	if filling && st.m > 0 && (st.buf != nil || st.committing) != (held && fits) || st.committing && (st.buf != nil || !filling) {
+		tb.Errorf("%v: phase %v, object buffer %v, committing %v, every run held %v", id, ph, st.buf != nil, st.committing, held)
 	}
 	if st.buf == nil {
 		return
@@ -366,6 +369,9 @@ const (
 	rowFilling
 	rowPoisoned // filling, and generation 0 is complete around a forged native (no manifest yet)
 	rowDecoded  // every generation decoded, the manifest not in yet
+	// filling, every run of the manifest in, the object buffer committing:
+	// its allocation is held up until the cell is played (objCell.place)
+	rowCommitting
 	rowComplete
 	rowEvicted
 	matrixRows
@@ -402,7 +408,7 @@ const (
 )
 
 var (
-	matrixRowNames = [matrixRows]string{"announced", "caching", "filling", "filling-poisoned", "decoded", "complete", "evicted"}
+	matrixRowNames = [matrixRows]string{"announced", "caching", "filling", "filling-poisoned", "decoded", "filling-committing", "complete", "evicted"}
 	matrixEvNames  = [matrixEvents]string{"DATA-unit", "DATA-dense", "DATA-redundant", "DATA-wrong-geometry", "REQ",
 		"META-short", "META-long", "FB-redundant", "FB-complete", "FB-gen-complete", "FB-cache-ad", "FB-receipt", "FB-receipt+frontier",
 		"MANIFEST-first", "MANIFEST-out-of-order", "MANIFEST-last", "MEMBER", "Serve", "BeginFetch", "Watch", "evict"}
@@ -420,6 +426,8 @@ type objCell struct {
 	gens, kPer, m int
 	held          int          // natives [0, held) of every generation were fed at set-up
 	old           *objectState // the evicted row's state, as a worker would still hold it
+	st            *objectState // the state the cell began with
+	allocs        *heldAllocs  // a committing cell's buffer allocations, held up until place
 	runs          [][]byte     // the true manifest's MANIFEST frames: one run at these k
 	meta          []byte       // the true META
 }
@@ -475,6 +483,14 @@ func newObjCell(t *testing.T, rng *rand.Rand, row int) *objCell {
 	case rowCaching, rowFilling, rowEvicted:
 		injectFrame(c.s, "src", meta)
 		fill(c.kPer - 2)
+	case rowCommitting:
+		// Commits go to goroutines, as under Run, each allocation held up
+		// until the cell has been played.
+		c.allocs = holdAllocs(c.s)
+		c.s.commits.start()
+		injectFrame(c.s, "src", meta)
+		fill(c.kPer - 2)
+		injectBurst(c.s, "src", c.runs)
 	case rowPoisoned:
 		injectFrame(c.s, "src", meta)
 		fill(c.kPer - 2)
@@ -488,8 +504,9 @@ func newObjCell(t *testing.T, rng *rand.Rand, row int) *objCell {
 		injectBurst(c.s, "src", c.runs)
 		fill(c.kPer)
 	}
+	c.st = c.s.objects[c.id]
 	if row == rowEvicted {
-		c.old = c.s.objects[c.id]
+		c.old = c.st
 		c.clk.Advance(2 * time.Minute)
 		c.s.evict()
 	}
@@ -584,7 +601,7 @@ func (c *objCell) fire(t *testing.T, ev int) {
 // in row's phase ("none": the session holds no state for it), and the
 // frames the sender of ev is owed, receipts apart.
 func (c *objCell) expect(row, ev int) (after, replies string) {
-	before := [matrixRows]string{"announced", "caching", "filling", "filling", "decoded", "complete", "none"}[row]
+	before := [matrixRows]string{"announced", "caching", "filling", "filling", "decoded", "filling", "complete", "none"}[row]
 	after = before
 	// The retired short META and kind-1 and kind-4 FEEDBACK are dropped
 	// whatever the phase: their cells keep the defaults.
@@ -603,7 +620,7 @@ func (c *objCell) expect(row, ev int) (after, replies string) {
 		switch row {
 		case rowEvicted:
 			after = "announced" // a relay remembers who asked
-		case rowCaching, rowFilling, rowPoisoned, rowDecoded, rowComplete:
+		case rowCaching, rowFilling, rowPoisoned, rowDecoded, rowCommitting, rowComplete:
 			replies = "META"
 		}
 	case evMetaLong:
@@ -688,6 +705,7 @@ func TestObjectStateMatrix(t *testing.T) {
 				}
 				checkPhaseInvariants(t, c.s)
 				c.checkCell(t, row, ev, sent)
+				c.place(t)
 			})
 		}
 	}
@@ -700,6 +718,31 @@ func TestObjectStateMatrix(t *testing.T) {
 		if guards[gs] == 0 {
 			t.Errorf("no cell ended with a generation guard in state %d", gs)
 		}
+	}
+}
+
+// place lets a committing cell's buffer allocation through once the cell
+// has been played and holds what follows to the rule: the state the cell
+// began with has its buffer, placed with every native decoded meanwhile
+// in its slot, unless it left the table — an evicted state is given none.
+func (c *objCell) place(t *testing.T) {
+	t.Helper()
+	if c.allocs == nil {
+		return
+	}
+	c.st.mu.Lock()
+	committing, ph := c.st.committing, c.st.phase
+	c.st.mu.Unlock()
+	if committing == (ph == phEvicted) {
+		t.Fatalf("phase %v, committing its buffer %v", ph, committing)
+	}
+	c.allocs.free()
+	c.s.commits.stop()
+	checkPhaseInvariants(t, c.s)
+	c.st.mu.Lock()
+	defer c.st.mu.Unlock()
+	if placed, evicted := c.st.buf != nil, c.st.phase == phEvicted; placed == evicted || c.st.committing {
+		t.Errorf("buffer released: placed %v, still committing %v, in phase %v", placed, c.st.committing, c.st.phase)
 	}
 }
 
@@ -760,7 +803,7 @@ func (c *objCell) checkManifestCell(t *testing.T, row, ev int, o ObjectStats, se
 	if row < rowFilling {
 		return
 	}
-	wantVerified := map[int]int{rowFilling: 0, rowPoisoned: 0, rowDecoded: c.gens, rowComplete: c.gens}[row]
+	wantVerified := map[int]int{rowFilling: 0, rowPoisoned: 0, rowDecoded: c.gens, rowCommitting: 0, rowComplete: c.gens}[row]
 	wantPolluted := int64(btoi(row == rowPoisoned))
 	if !o.HaveManifest || o.GensVerified != wantVerified || o.Polluted != wantPolluted {
 		t.Errorf("manifest delivered: %+v, want it adopted, %d generations verified, %d quarantined", o, wantVerified, wantPolluted)

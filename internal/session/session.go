@@ -338,6 +338,9 @@ type Session struct {
 	// stepper is Step's state, owned by its caller as Run's goroutines own
 	// theirs.
 	stepper stepper
+	// commits allocates object buffers: off the lock under Run, inline
+	// otherwise (commitBufLocked).
+	commits committer
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -399,7 +402,8 @@ func (s *Session) AddPeer(addr transport.Addr) {
 
 // served is what Serve derives from content before it takes a lock: the
 // geometry, the natives (views of content), the manifest, the ID they hash
-// to, and the manifest's MANIFEST frames, one a run.
+// to (deriveServed), and the manifest's MANIFEST frames, one a run
+// (buildFrames).
 type served struct {
 	geo     geometry
 	natives [][]byte
@@ -428,20 +432,27 @@ func deriveServed(content []byte, k, gens int) (*served, error) {
 		return nil, err
 	}
 	src.id = integrity.ObjectID(int64(len(content)), k, gens, src.geo.m, src.man.Root())
+	return src, nil
+}
+
+// buildFrames builds the MANIFEST frames Serve sends, one a run: 32 bytes
+// a native, which ObjectID has no use for.
+func (src *served) buildFrames() (err error) {
 	src.frames = make([][]byte, src.man.Runs())
 	for r := range src.frames {
 		digests, proof := src.man.RunProof(r)
 		if src.frames[r], err = packet.AppendManifestChunk([]byte{frameManifest}, src.id, uint32(r), digests, proof); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return src, nil
+	return nil
 }
 
 // ObjectID returns the ID Serve(content, k, gens) returns, without serving
 // anything: the object's size and geometry and the root of its manifest,
 // hashed (integrity.ObjectID). It costs what Serve's own derivation does,
-// one SHA-256 pass over content.
+// one SHA-256 pass over content, and builds none of the MANIFEST frames
+// Serve sends.
 func ObjectID(content []byte, k, gens int) (packet.ObjectID, error) {
 	src, err := deriveServed(content, k, gens)
 	if err != nil {
@@ -466,11 +477,14 @@ func ObjectID(content []byte, k, gens int) (packet.ObjectID, error) {
 // read-only from here on.
 func (s *Session) Serve(content []byte, k, gens int) (packet.ObjectID, error) {
 	// Everything that touches every byte happens before any lock is taken
-	// — the manifest digests, the ID over their root — so serving a large
-	// object does not stall the ingest of every other. The natives are
-	// views of content itself (only a zero-padded tail is copied): the
-	// coder recodes from them and the object's data is content.
+	// — the manifest digests, the ID over their root, the MANIFEST frames —
+	// so serving a large object does not stall the ingest of every other.
+	// The natives are views of content itself (only a zero-padded tail is
+	// copied): the coder recodes from them and the object's data is content.
 	src, err := deriveServed(content, k, gens)
+	if err == nil {
+		err = src.buildFrames()
+	}
 	if err != nil {
 		return packet.ObjectID{}, err
 	}
@@ -536,6 +550,7 @@ func (s *Session) Run(ctx context.Context) error {
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	s.commits.start()
 	s.shards = make([]chan inFrame, decodeWorkers())
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -555,6 +570,7 @@ func (s *Session) Run(ctx context.Context) error {
 	err := s.recvLoop(ctx)
 	cancel()
 	wg.Wait()
+	s.commits.stop()
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return ctx.Err()
 	}

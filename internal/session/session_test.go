@@ -86,6 +86,14 @@ func startSession(t *testing.T, tr transport.Transport, mut func(*Config)) *Sess
 	if err != nil {
 		t.Fatal(err)
 	}
+	runSession(t, s)
+	return s
+}
+
+// runSession runs s; cleanup closes it. The channel closes once Run has
+// returned.
+func runSession(t *testing.T, s *Session) <-chan struct{} {
+	t.Helper()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -95,7 +103,7 @@ func startSession(t *testing.T, tr transport.Transport, mut func(*Config)) *Sess
 		s.Close()
 		<-done
 	})
-	return s
+	return done
 }
 
 func attach(t *testing.T, sw *transport.Switch, name transport.Addr) *transport.ChanTransport {
