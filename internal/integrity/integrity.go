@@ -24,6 +24,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 
 	"ltnc/internal/packet"
 )
@@ -64,7 +66,8 @@ var ErrCorrupt = errors.New("integrity: digest mismatch")
 var ErrBadManifest = errors.New("integrity: bad manifest")
 
 // NewManifest digests the k native payloads of a content (as produced by
-// lt.Split) and builds the Merkle tree over their runs.
+// lt.Split), over up to GOMAXPROCS goroutines (digestAll), and builds the
+// Merkle tree over their runs.
 func NewManifest(natives [][]byte) (*Manifest, error) {
 	if len(natives) == 0 || len(natives[0]) == 0 {
 		return nil, errors.New("integrity: no natives, or empty ones")
@@ -73,14 +76,12 @@ func NewManifest(natives [][]byte) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	flat := make([]byte, 0, man.k*DigestSize)
 	for i, n := range natives {
 		if len(n) != man.m {
 			return nil, fmt.Errorf("integrity: native %d has %d bytes, want %d", i, len(n), man.m)
 		}
-		sum := sha256.Sum256(n)
-		flat = append(flat, sum[:]...)
 	}
+	flat := digestAll(natives)
 	level := make([][DigestSize]byte, len(man.runs))
 	for r := range man.runs {
 		man.runs[r] = flat[r*RunLen*DigestSize : min(len(flat), (r+1)*RunLen*DigestSize)]
@@ -103,6 +104,40 @@ func NewManifest(natives [][]byte) (*Manifest, error) {
 	}
 	man.root = level[0]
 	return man, nil
+}
+
+// minDigestChunk is the fewest natives one goroutine of digestAll hashes:
+// below it a goroutine costs about what it saves.
+const minDigestChunk = 256
+
+// digestAll returns the natives' SHA-256 digests end to end, hashed in
+// contiguous chunks of at least minDigestChunk natives over up to
+// GOMAXPROCS goroutines: each digest lands in its own slot, so the bytes
+// are those of one pass in order.
+func digestAll(natives [][]byte) []byte {
+	flat := make([]byte, len(natives)*DigestSize)
+	digest := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sum := sha256.Sum256(natives[i])
+			copy(flat[i*DigestSize:], sum[:])
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(natives)/minDigestChunk)
+	if workers <= 1 {
+		digest(0, len(natives))
+		return flat
+	}
+	chunk := (len(natives) + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := 0; lo < len(natives); lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			digest(lo, hi)
+		}(lo, min(lo+chunk, len(natives)))
+	}
+	wg.Wait()
+	return flat
 }
 
 // Expect is the manifest a receiver assembles for k natives of m bytes

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ltnc/internal/packet"
@@ -291,5 +292,46 @@ func TestObjectIDCommitsToEveryField(t *testing.T) {
 	}
 	if got, want := id.String(), "94291673bf93acf23c50756aa5a336cf"; got != want {
 		t.Errorf("ObjectID = %s, want %s", got, want)
+	}
+}
+
+// TestParallelDigestsMatchSequential: the natives are digested in chunks
+// over up to GOMAXPROCS goroutines, and the manifest is byte for byte the
+// one-goroutine manifest — every digest the native's SHA-256 in its slot,
+// the root and every run's proof the same — at k on either side of a run
+// and of a chunk boundary, one native, and many.
+func TestParallelDigestsMatchSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, k := range []int{1, 1023, 1025, 16384} {
+		ns := natives(t, k, 64, int64(k))
+		var want *Manifest
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			man, err := NewManifest(ns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for x, n := range ns {
+				d, _ := man.RunProof(x / RunLen)
+				if sum := sha256.Sum256(n); !bytes.Equal(d[x%RunLen*DigestSize:][:DigestSize], sum[:]) {
+					t.Fatalf("k=%d, GOMAXPROCS %d: native %d's digest is not its SHA-256", k, procs, x)
+				}
+			}
+			if want == nil {
+				want = man
+				continue
+			}
+			if man.Root() != want.Root() || man.Runs() != want.Runs() {
+				t.Fatalf("k=%d: GOMAXPROCS %d gives root %x over %d runs, one goroutine %x over %d",
+					k, procs, man.Root(), man.Runs(), want.Root(), want.Runs())
+			}
+			for r := 0; r < man.Runs(); r++ {
+				d, p := man.RunProof(r)
+				wd, wp := want.RunProof(r)
+				if !bytes.Equal(d, wd) || !bytes.Equal(p, wp) {
+					t.Errorf("k=%d: run %d's digests or proof differ at GOMAXPROCS %d", k, r, procs)
+				}
+			}
+		}
 	}
 }

@@ -200,10 +200,11 @@ func (s *Session) handleMeta(from transport.Addr, data []byte) []byte {
 
 // handleFeedback validates a FEEDBACK frame's kind against its body
 // length — kind 2 uses the short body, kind 3 appends the completed
-// generation id, kind 6 (receipt report) its counters, and a receipt may
-// carry a frontier behind them, whose length is the object's to judge — and
-// hands it to the kind's handler under s.mu. Any other kind, the retired 1,
-// 4 and 5 among them, is dropped.
+// generation id, kind 7 (need) the proof it names, kind 6 (receipt report)
+// its counters, and a receipt may carry a frontier behind them, whose
+// length is the object's to judge — and hands it to the kind's handler
+// under s.mu. Any other kind, the retired 1, 4 and 5 among them, is
+// dropped.
 func (s *Session) handleFeedback(from transport.Addr, data []byte) {
 	if len(data) < feedbackLen-1 {
 		return
@@ -217,6 +218,8 @@ func (s *Session) handleFeedback(from transport.Addr, data []byte) {
 		want = genFeedbackLen
 	case fbReceipt:
 		want = receiptLen
+	case fbNeed:
+		want = needLen
 	default:
 		return
 	}
@@ -250,7 +253,46 @@ func (s *Session) handleFeedback(from transport.Addr, data []byte) {
 		ps.onGenCompleteLocked(int(st.gens.Load()), binary.BigEndian.Uint32(data[17:21]))
 	case fbReceipt:
 		s.onReceiptLocked(st, ps, from, data[17:])
+	case fbNeed:
+		s.onNeedLocked(st, ps, binary.BigEndian.Uint32(data[17:21]))
 	}
+}
+
+// onNeedLocked is a kind-7 need: the peer lacks the object's META
+// (needMeta) or run r of its manifest, the lowest it does not hold. A need
+// is answered once the peer's link horizon has passed since the META, or
+// any run, last went to it — sooner, the frame or the receipt that named
+// its lack may still be on the wire: the META is owed, and with it run 0
+// (a node without the META holds no run), or run r is, each sent ahead of
+// the next round's manifest pass. What the peer reported of its rows, its
+// window and its frontier stand: a missing proof is a loss to repair like
+// a missing row, not a new client. A need for proof this session does not
+// hold, for a run past the manifest's end or for one a pass is on its way
+// to moves nothing, and a peer done with the object has none. So a flood
+// of needs buys at most one META and one run a horizon. Session.mu must be
+// held.
+func (s *Session) onNeedLocked(st *objectState, ps *peerState, r uint32) {
+	if ps.done || st.size.Load() < 0 {
+		return
+	}
+	now, horizon := s.clk.Now(), ps.link.Horizon()
+	if r == needMeta {
+		if now.Sub(ps.metaAt) < horizon {
+			return
+		}
+		ps.metaOwed, r = true, 0
+		s.wake()
+	}
+	st.mu.Lock()
+	frames := st.manFrames
+	st.mu.Unlock()
+	// Unsigned compare: int(r) can wrap negative on 32-bit builds.
+	if r >= uint32(len(frames)) || frames[r] == nil || ps.manOwed > 0 || (ps.manNext >= 0 && ps.manNext <= int(r)) ||
+		now.Sub(ps.manAt) < horizon {
+		return
+	}
+	ps.manOwed = int(r) + 1
+	s.wake()
 }
 
 // onGenCompleteLocked marks generation gen of a gens-generation object
@@ -351,6 +393,18 @@ func genFeedbackFrame(id packet.ObjectID, gen int) []byte {
 	copy(buf[1:17], id[:])
 	buf[17] = fbGenComplete
 	binary.BigEndian.PutUint32(buf[18:22], uint32(gen))
+	return buf
+}
+
+// needFrame encodes the kind-7 feedback: the sender of the frame lacks
+// object id's META (r = needMeta) or run r of its manifest, the lowest it
+// does not hold.
+func needFrame(id packet.ObjectID, r uint32) []byte {
+	buf := make([]byte, needLen)
+	buf[0] = frameFeedback
+	copy(buf[1:17], id[:])
+	buf[17] = fbNeed
+	binary.BigEndian.PutUint32(buf[18:22], r)
 	return buf
 }
 

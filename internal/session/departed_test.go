@@ -261,12 +261,21 @@ func TestRedundantRowsClockReceipts(t *testing.T) {
 		injectBurst(dst, "src", frames)
 	}
 	counters := func() (receipts int, received, innovative, departed uint32) {
+		needs := 0
 		for _, f := range rec.take()["src"] {
-			if !isReceipt(f) {
-				t.Fatalf("the upstream was sent %x, want receipts only", f)
+			switch {
+			case isNeed(f):
+				// No META came: each receipt goes out with a need for it.
+				needs++
+			case !isReceipt(f):
+				t.Fatalf("the upstream was sent %x, want receipts and their needs only", f)
+			default:
+				receipts++
+				received, innovative, departed = binary.BigEndian.Uint32(f[22:26]), binary.BigEndian.Uint32(f[26:30]), binary.BigEndian.Uint32(f[30:34])
 			}
-			receipts++
-			received, innovative, departed = binary.BigEndian.Uint32(f[22:26]), binary.BigEndian.Uint32(f[26:30]), binary.BigEndian.Uint32(f[30:34])
+		}
+		if needs != receipts {
+			t.Errorf("%d receipts went out with %d needs, want one each: the object has no META", receipts, needs)
 		}
 		return receipts, received, innovative, departed
 	}

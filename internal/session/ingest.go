@@ -233,22 +233,25 @@ func (s *Session) ingestBatch(batch []inFrame, scratch *ingestScratch, drained b
 // locking — nowhere. What the frame owes goes into scratch. st.mu must be
 // held.
 func (s *Session) ingestOneLocked(st *objectState, in *inFrame, scratch *ingestScratch, acts *pollActions) {
-	var fb []byte
+	var fb, receipt []byte
 	var judged, progressed bool
 	switch st.phase {
 	case phCaching:
 		var forward bool
 		fb, judged, progressed, forward = s.ingestCachedLocked(st, in)
-		fb = st.receiptLocked(in, fb, judged, progressed || forward)
+		receipt = st.receiptLocked(in, fb != nil, judged, progressed || forward)
 		if forward {
 			scratch.forwards = append(scratch.forwards, ingestForward{st, in.f.From, append([]byte(nil), in.f.Data...)})
 		}
 	case phFilling, phDecoded, phComplete:
 		fb, judged, progressed = s.decodeDataLocked(st, in, acts)
-		fb = st.receiptLocked(in, fb, judged, progressed)
+		receipt = st.receiptLocked(in, fb != nil, judged, progressed)
 	}
-	if fb != nil {
+	switch {
+	case fb != nil:
 		scratch.replies = append(scratch.replies, ingestReply{in.f.From, fb})
+	case receipt != nil:
+		scratch.replies = st.receiptOutLocked(scratch.replies, in.f.From, receipt)
 	}
 	if n := len(scratch.notify); progressed && (n == 0 || scratch.notify[n-1] != st) {
 		scratch.notify = append(scratch.notify, st)
@@ -293,10 +296,25 @@ func flushReceipts(batch []inFrame, states []*objectState, replies []ingestReply
 		}
 		st.mu.Lock()
 		if t := st.rx[from]; t != nil && t.since > 0 && st.phase != phEvicted {
-			replies = append(replies, ingestReply{from, st.receiptFrameLocked(batch[i].wv.Generation, t)})
+			replies = st.receiptOutLocked(replies, from, st.receiptFrameLocked(batch[i].wv.Generation, t))
 			t.since = 0
 		}
 		st.mu.Unlock()
+	}
+	return replies
+}
+
+// receiptOutLocked adds a receipt for to to replies and, while the object
+// is filling without all its proof, the kind-7 need beside it
+// (needLocked): the receipt clock that repairs lost rows repairs a lost
+// META or manifest run too. A decoded object answers each DATA frame with
+// its need already (owedLocked). st.mu must be held.
+func (st *objectState) receiptOutLocked(replies []ingestReply, to transport.Addr, receipt []byte) []ingestReply {
+	replies = append(replies, ingestReply{to, receipt})
+	if st.phase == phFilling {
+		if need := st.needLocked(); need != nil {
+			replies = append(replies, ingestReply{to, need})
+		}
 	}
 	return replies
 }
@@ -308,20 +326,20 @@ func flushReceipts(batch []inFrame, states []*objectState, replies []ingestReply
 // geometry drops, quarantine refusals or forgeries — bumps the
 // per-upstream tally and advances its departure count by the frame's
 // stamp; progressed, it counts as innovative too. Every receiptEvery such
-// frames a receipt report fills an otherwise-empty feedback slot. The
-// receipt is the only word a redundant row gets back: its upstream reads
-// it as received and not innovative. A frame that already produced
-// feedback keeps it (completion signals outrank receipts); the due receipt
-// rides the next quiet frame, or leaves when the worker's queue drains
-// (flushReceipts), so the cumulative counters lose nothing. st.mu must be
-// held.
-func (st *objectState) receiptLocked(in *inFrame, fb []byte, judged, progressed bool) []byte {
+// frames a receipt report is due, and returned if the frame owes no other
+// feedback (owed). The receipt is the only word a redundant row gets back:
+// its upstream reads it as received and not innovative. A frame that
+// already produced feedback keeps it (completion signals outrank
+// receipts); the due receipt rides the next quiet frame, or leaves when
+// the worker's queue drains (flushReceipts), so the cumulative counters
+// lose nothing. st.mu must be held.
+func (st *objectState) receiptLocked(in *inFrame, owed, judged, progressed bool) []byte {
 	if !judged {
-		return fb
+		return nil
 	}
 	t := st.tallyLocked(in.f.From)
 	if t == nil {
-		return fb
+		return nil
 	}
 	t.rows++
 	if progressed {
@@ -329,11 +347,11 @@ func (st *objectState) receiptLocked(in *inFrame, fb []byte, judged, progressed 
 	}
 	t.depart(in.wv.Stamp)
 	t.since++
-	if t.since >= receiptEvery && fb == nil {
-		fb = st.receiptFrameLocked(in.wv.Generation, t)
-		t.since = 0
+	if t.since < receiptEvery || owed {
+		return nil
 	}
-	return fb
+	t.since = 0
+	return st.receiptFrameLocked(in.wv.Generation, t)
 }
 
 // tallyLocked returns from's tally, made with the next sender tag on its

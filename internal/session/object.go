@@ -571,11 +571,11 @@ func (st *objectState) placeGenLocked(g int) {
 // owedLocked is the one answer to "what does the sender of this frame need
 // to hear about where the object stands": kind 2 once complete (or, at a
 // cache, once every generation is held at full rank); to a DATA frame (g,
-// its generation, is not −1), a REQ when decoded without every run of the
-// manifest — a REQ re-arms the sender's META and MANIFEST where kind 2
-// would stop them and wedge the object there; kind 3 when the frame's
-// generation is done and the object is not; nothing otherwise. st.mu must
-// be held.
+// its generation, is not −1), a kind-7 need when decoded without the META
+// or every run of the manifest (needLocked) — kind 2 would stop the
+// sender's META and MANIFEST and wedge the object there, and the need
+// leaves its frontier standing; kind 3 when the frame's generation is done
+// and the object is not; nothing otherwise. st.mu must be held.
 func (s *Session) owedLocked(st *objectState, g int) []byte {
 	switch st.phase {
 	case phCaching:
@@ -585,13 +585,13 @@ func (s *Session) owedLocked(st *objectState, g int) []byte {
 	case phDecoded:
 		switch {
 		case g < 0:
-			return nil // a META or a manifest: a REQ would only draw another META
+			return nil // a META or a manifest: the receipts say what is still lacking
 		case st.committing:
 			// Every run is in and the buffer on its way: the frame's
 			// generation is done, as while filling.
 			return genFeedbackFrame(st.id, g)
 		}
-		return encodeReq(st.id)
+		return st.needLocked()
 	case phFilling:
 		if g >= 0 && st.coder.GenComplete(g) {
 			return genFeedbackFrame(st.id, g)
@@ -601,6 +601,24 @@ func (s *Session) owedLocked(st *objectState, g int) []byte {
 		return nil
 	}
 	return feedbackFrame(st.id, fbComplete)
+}
+
+// needLocked returns the kind-7 need a filling or decoded object owes a
+// sender while it lacks proof — its META, or a run of the manifest (the
+// lowest it does not hold) — and nil otherwise: the receipt clock repairs
+// lost proof as it repairs lost rows (DESIGN.md §13). st.mu must be held.
+func (st *objectState) needLocked() []byte {
+	if st.phase != phFilling && st.phase != phDecoded || st.man.Complete() {
+		return nil
+	}
+	if st.size.Load() < 0 {
+		return needFrame(st.id, needMeta)
+	}
+	r := 0
+	for st.man != nil && st.man.HoldsRun(r) {
+		r++
+	}
+	return needFrame(st.id, uint32(r))
 }
 
 // evictLocked takes the object out of the lifecycle: a shard worker that

@@ -391,6 +391,7 @@ const (
 	evFbCacheAd
 	evFbReceipt
 	evFbFrontier
+	evFbNeed
 	// The three MANIFEST events each end with the manifest's true run — at
 	// the matrix's geometries its one frame — delivered: first, alone, from
 	// the sender; out-of-order, behind a forged copy from the sender that
@@ -410,7 +411,7 @@ const (
 var (
 	matrixRowNames = [matrixRows]string{"announced", "caching", "filling", "filling-poisoned", "decoded", "filling-committing", "complete", "evicted"}
 	matrixEvNames  = [matrixEvents]string{"DATA-unit", "DATA-dense", "DATA-redundant", "DATA-wrong-geometry", "REQ",
-		"META-short", "META-long", "FB-redundant", "FB-complete", "FB-gen-complete", "FB-cache-ad", "FB-receipt", "FB-receipt+frontier",
+		"META-short", "META-long", "FB-redundant", "FB-complete", "FB-gen-complete", "FB-cache-ad", "FB-receipt", "FB-receipt+frontier", "FB-need",
 		"MANIFEST-first", "MANIFEST-out-of-order", "MANIFEST-last", "MEMBER", "Serve", "BeginFetch", "Watch", "evict"}
 )
 
@@ -567,6 +568,15 @@ func (c *objCell) fire(t *testing.T, ev int) {
 			st.peer(matrixSender)
 		}
 		in(encodeReceipt(c.id, uint32(last), 16, 12, 0, c.kPer, []int32{0, 1}))
+	case evFbNeed:
+		// From a peer pushed to, its META long sent and a row in flight
+		// toward it: the need owes it the META once sized, and the peer's
+		// progress stands.
+		if st := c.s.objects[c.id]; st != nil {
+			ps := st.peer(matrixSender)
+			ps.metaAt, ps.unsettled = c.clk.Now().Add(-time.Second), []sentNative{{1, 0}}
+		}
+		in(needFrame(c.id, needMeta))
 	case evManifestFirst:
 		in(c.runs[0])
 	case evManifestOutOfOrder:
@@ -610,9 +620,13 @@ func (c *objCell) expect(row, ev int) (after, replies string) {
 		switch {
 		case row == rowAnnounced || row == rowEvicted: // first geometry heard fixes it (a relay learns an unknown object)
 			after = "filling"
+			replies = "FB7" // its receipt goes out with a need for the META
 		case ev == evDataWrongGeometry:
-		case row == rowDecoded:
-			replies = "REQ" // decoded, no manifest: ask for it rather than stop the sender
+		case row == rowFilling || row == rowPoisoned || row == rowDecoded:
+			// No manifest: filling, the receipt goes out with a need for its
+			// run; decoded, the frame is answered with one — not a REQ, which
+			// would drop the sender's frontier, nor kind 2, which would stop it.
+			replies = "FB7"
 		case row == rowComplete:
 			replies = "FB2"
 		}
@@ -777,6 +791,22 @@ func (c *objCell) checkCell(t *testing.T, row, ev int, sent map[transport.Addr][
 		}
 		if want := uint64(btoi(row != rowAnnounced)); ps.link.Sent() != 0 || uint64(ps.link.Lacks(16)) != 16-12*want {
 			t.Errorf("the receipt's counters: link lacks %d of 16 natives, want %d", ps.link.Lacks(16), 16-12*want)
+		}
+	case ev == evFbNeed:
+		ps := c.s.objects[c.id].peers[matrixSender]
+		if owed, want := ps.metaOwed, row != rowAnnounced; owed != want || len(ps.unsettled) != 1 {
+			t.Errorf("META owed: %v, want %v; %d rows in flight, want the 1 the need found", owed, want, len(ps.unsettled))
+		}
+	case ev >= evDataUnit && ev <= evDataWrongGeometry:
+		// A need names the META where none came, else the run none holds.
+		want := uint32(0)
+		if row == rowAnnounced {
+			want = needMeta
+		}
+		for _, f := range sent[matrixSender] {
+			if isNeed(f) && binary.BigEndian.Uint32(f[18:]) != want {
+				t.Errorf("need names %#x, want %#x", f[18:], want)
+			}
 		}
 	case ev == evBeginFetch && row == rowCaching:
 		if cs, _ := c.s.CacheStats(); cs.Rows != 0 || o.Decoded != c.gens*c.held {

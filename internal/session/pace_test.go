@@ -561,8 +561,10 @@ func TestReceiptFlushedOnDrain(t *testing.T) {
 	}
 	answers := rec.take()["src"]
 	// Hand-built rows carry no stamp: the receipt's departure count is 0.
-	if len(answers) != 1 || !isReceipt(answers[0]) || binary.BigEndian.Uint32(answers[0][22:26]) != 2 || binary.BigEndian.Uint32(answers[0][30:34]) != 0 {
-		t.Errorf("two rows in two batches answered by %d frames %x, want one receipt reporting both, departed 0", len(answers), answers)
+	// No META came, so the receipt goes out with a need for it.
+	if len(answers) != 2 || !isReceipt(answers[0]) || binary.BigEndian.Uint32(answers[0][22:26]) != 2 || binary.BigEndian.Uint32(answers[0][30:34]) != 0 ||
+		!isNeed(answers[1]) {
+		t.Errorf("two rows in two batches answered by %d frames %x, want one receipt reporting both, departed 0, and its need", len(answers), answers)
 	}
 }
 

@@ -43,13 +43,17 @@ type peerPlan struct {
 	// delivery needs no ack: a META lost to the fabric is repeated until
 	// the peer reports completion.
 	gensDone []bool // generations complete at the peer (nil = none)
-	needMeta bool
+	// metaPass: the META is due on its cadence, and re-arms the manifest
+	// pass behind it; a META a need owed goes alone.
+	needMeta, metaPass bool
 	// needMan marks a peer owed manifest runs: manAt is its manNext as
 	// planned, manNext advances on this copy as emit sends them
 	// (sendManifest) and is written back unless a REQ re-armed the peer
-	// meanwhile.
-	needMan        bool
-	manAt, manNext int
+	// meanwhile; manOwed is the run a need re-armed, plus one (0: none),
+	// and manSent says whether any run left.
+	needMan                 bool
+	manAt, manNext, manOwed int
+	manSent                 bool
 	// burst is how many DATA frames this peer gets this round: what the
 	// peer's window has free (adapt.Link.Grant).
 	burst int
@@ -186,9 +190,10 @@ func (s *Session) planLocked(now time.Time) (plans []objectPlan, live bool, age 
 func (s *Session) planPeerLocked(st *objectState, addr transport.Addr, sizeKnown bool, frames [][]byte, now time.Time) (p peerPlan, age time.Time) {
 	ps := st.peer(addr)
 	p = peerPlan{addr: addr, cacheCursor: ps.cacheCursor, sysCursor: ps.sysCursor, repairAt: ps.repairAt, repairStep: ps.repairStep,
-		manAt: ps.manNext, manNext: ps.manNext}
-	p.needMeta = sizeKnown && now.Sub(ps.metaAt) >= s.metaResend()
-	p.needMan = ps.manNext >= 0 && ps.manNext < len(frames) && frames[ps.manNext] != nil
+		manAt: ps.manNext, manNext: ps.manNext, manOwed: ps.manOwed}
+	p.metaPass = now.Sub(ps.metaAt) >= s.metaResend()
+	p.needMeta = sizeKnown && (p.metaPass || ps.metaOwed)
+	p.needMan = ps.manOwed > 0 || ps.manNext >= 0 && ps.manNext < len(frames) && frames[ps.manNext] != nil
 	// Grant is also what folds the peer's receipts into its loss estimate.
 	// The taper reads what the peer itself reported missing when it has:
 	// fed by several senders, it never brings one link's innovative count
@@ -287,7 +292,7 @@ func (s *Session) emit(op *objectPlan) {
 	for i := range op.peers {
 		p := &op.peers[i]
 		if meta != nil && p.needMeta {
-			if p.metaSent = s.tr.Send(p.addr, meta) == nil; p.metaSent {
+			if p.metaSent = s.tr.Send(p.addr, meta) == nil; p.metaSent && p.metaPass {
 				// The manifest rides the META's resend cadence: lossy
 				// datagrams, no acks — repeat until the peer is done.
 				p.manNext = max(p.manNext, 0)
@@ -312,14 +317,22 @@ func (s *Session) emit(op *objectPlan) {
 // DATA, one fetch in four over loopback still lost one.
 const manifestChunksPerRound = 2
 
-// sendManifest sends the peer its next manifest runs, if it is owed any,
-// behind the round's META, in run order: a pass waits at a run not held.
+// sendManifest sends the peer the run a need re-armed, if any, then its
+// next manifest runs, if it is owed any, behind the round's META, in run
+// order: a pass waits at a run not held.
 func (s *Session) sendManifest(p *peerPlan, frames [][]byte) {
+	send := func(r int) {
+		s.tr.Send(p.addr, frames[r])
+		p.manSent = true
+	}
+	if r := p.manOwed - 1; r >= 0 && r < len(frames) && frames[r] != nil {
+		send(r)
+	}
 	if p.manNext < 0 {
 		return
 	}
 	for sent := 0; sent < manifestChunksPerRound && p.manNext < len(frames) && frames[p.manNext] != nil; sent++ {
-		s.tr.Send(p.addr, frames[p.manNext])
+		send(p.manNext)
 		p.manNext++
 	}
 	if p.manNext > 0 && p.manNext == len(frames) {
@@ -600,10 +613,16 @@ func (s *Session) commitLocked(plans []objectPlan, now time.Time) (age time.Time
 				continue
 			}
 			if p.metaSent {
-				ps.metaAt = now
+				ps.metaAt, ps.metaOwed = now, false
 			}
 			if ps.manNext == p.manAt {
 				ps.manNext = p.manNext
+			}
+			if p.manSent {
+				ps.manAt = now
+				if ps.manOwed == p.manOwed {
+					ps.manOwed = 0
+				}
 			}
 			ps.cacheCursor = p.cacheCursor
 			// Monotone: a concurrent sweep may have pushed further already.

@@ -114,6 +114,11 @@ func isReceipt(frame []byte) bool {
 	return len(frame) >= receiptLen && frame[0] == frameFeedback && frame[17] == fbReceipt
 }
 
+// isNeed reports whether frame is a kind-7 need.
+func isNeed(frame []byte) bool {
+	return len(frame) == needLen && frame[0] == frameFeedback && frame[17] == fbNeed
+}
+
 // take returns and forgets the frames recorded since the last take; the
 // running per-destination digests are kept.
 func (r *recTransport) take() map[transport.Addr][][]byte {

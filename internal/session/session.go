@@ -63,6 +63,13 @@
 //	               filling there, its frontier: ⌈k/G ÷ 8⌉ bytes, bit i
 //	               (least significant first) set once native i of gen is
 //	               decoded; the sender repeats what is missing
+//	               7=need: run(4) — the receiver, filling or decoded,
+//	               lacks the META (run = 2³²−1) or this run of the
+//	               manifest, the lowest it does not hold; sent beside every
+//	               receipt while filling and to every DATA frame once
+//	               decoded, and answered a link horizon after the META or
+//	               a run last went to it, the sender's frontier for it
+//	               left standing
 //	               Kinds 1, 4 and 5 are retired (the per-row redundancy
 //	               abort, the cache advertisement, the receipt without a
 //	               departure count): a session drops them.
@@ -70,7 +77,8 @@
 //	               run(4) | n(2) | depth(1) | n digests | depth siblings
 //	               (32 B each) — up to 1,024 native digests (internal/
 //	               integrity) with their Merkle proof, checked alone
-//	               against the ID; sent and resent behind META, 2 a round
+//	               against the ID; sent and resent behind META, 2 a round,
+//	               and one a need names ahead of them
 //	MEMBER   0x06 | partial-view exchange (packet.MemberEntry list): the
 //	               PEX shuffle of the membership plane — peer addresses
 //	               with age, capacity hint and relay/cache role; see
@@ -85,12 +93,14 @@
 // its geometry and the root of its integrity manifest (one SHA-256 digest
 // per native), which rides MANIFEST frames behind META. A META whose
 // fields do not hash to the ID is dropped on arrival, and a manifest is
-// adopted only if it hashes to the META's root. Once a receiver holds the
-// manifest it verifies every generation the moment it completes, and an
-// object completes only once every generation has verified, so nothing
-// hashes a whole object; a digest mismatch quarantines the generation —
-// decode state reset, downstream recoding of it gated, every upstream
-// re-armed for the refill. Every row is decoded under its sender's tag, and
+// adopted only if it hashes to the META's root; a receiver that lacks
+// either says so beside its receipts (kind 7), and the upstream re-sends
+// it a round trip after it went, as it repeats a lost row. Once a
+// receiver holds the manifest it verifies every generation the moment it
+// completes, and an object completes only once every generation has
+// verified, so nothing hashes a whole object; a digest mismatch
+// quarantines the generation — decode state reset, downstream recoding of
+// it gated, every upstream re-armed for the refill. Every row is decoded under its sender's tag, and
 // a native takes its value from the one row that released it, so the first
 // native in decode order that fails its digest names the sender of a row
 // that was false as it arrived: a solicited one is banned session-wide; an
@@ -145,6 +155,7 @@ const (
 	fbComplete    = 0x02
 	fbGenComplete = 0x03
 	fbReceipt     = 0x06
+	fbNeed        = 0x07
 
 	reqLen = 1 + 16
 	// META carries the generation count — G = 1 is a count like any other —
@@ -160,6 +171,10 @@ const (
 	// receiver still filling that generation appends its frontier
 	// (frontierLen bytes); the short form stays valid.
 	receiptLen = feedbackLen + 16
+	// Kind 7 (need) appends what proof the receiver lacks: the lowest run
+	// of the manifest it does not hold, or needMeta for the META.
+	needLen  = feedbackLen + 4
+	needMeta = 1<<32 - 1
 )
 
 // frontierLen is the length of one generation's frontier — its
@@ -221,10 +236,16 @@ type peerState struct {
 	unsettled            []sentNative
 	repairAt, repairStep int
 	// manNext is the next of the object's manifest runs to send the peer
-	// (sendManifest), −1 once all of them have gone; a META sent or a REQ
-	// heard re-arms a pass that has ended (max(manNext, 0): a pass under
-	// way goes on).
-	manNext int
+	// (sendManifest), −1 once all of them have gone; a META sent on its
+	// cadence or a REQ heard re-arms a pass that has ended (max(manNext,
+	// 0): a pass under way goes on). metaOwed and manOwed are what a kind-7 need re-armed
+	// (onNeedLocked): the META, and one more than a run (0: none), sent
+	// ahead of the pass; manAt is when a run last went to the peer, what a
+	// need for one is timed against.
+	metaOwed bool
+	manNext  int
+	manOwed  int
+	manAt    time.Time
 }
 
 // forgetProgressLocked drops what the peer reported of its progress: a
