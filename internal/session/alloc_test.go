@@ -142,7 +142,8 @@ func TestPushRowAllocBudget(t *testing.T) {
 	}
 	cursor := 0
 	round := func(rows int, repeat bool) {
-		p := peerPlan{addr: "sink", burst: rows, sysCursor: cursor, unsettled: unsettled[:0], repairStep: 1}
+		// The peer's proof pass is over: every run has gone ahead of its rows.
+		p := peerPlan{addr: "sink", burst: rows, sysCursor: cursor, unsettled: unsettled[:0], repairStep: 1, pass: -1}
 		switch {
 		case repeat:
 			p.sysCursor, p.frontier = st.k, frontier

@@ -45,10 +45,11 @@ func within(r, buf []byte) bool {
 // returns are the object buffer, and every generation's natives are its
 // slots — one backing array, no joined copy. With the manifest in hand
 // (it comes right behind the META) the buffer exists before the first
-// generation completes, and the natives decode into it; without one
-// nothing is committed and nothing completes, every generation decoded or
-// not, until the manifest comes: then the natives move into their slots
-// at once, and every generation verifies.
+// generation completes, and the natives decode into it; without one — its
+// frames lost on the way — nothing is committed and nothing completes,
+// every generation decoded or not, until the manifest comes on a need:
+// then the natives move into their slots at once, and every generation
+// verifies.
 func TestFetchedContentIsTheNatives(t *testing.T) {
 	const gens, kPer, m = 4, 16, 32
 	for _, verified := range []bool{true, false} {
@@ -65,15 +66,20 @@ func TestFetchedContentIsTheNatives(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer fetch.End()
-			frames := src.objects[id].manFrames
-			if !verified {
-				src.objects[id].manFrames = nil // the manifest stays at the source, for now
+			lose := !verified // the manifest's frames, for now
+			tick := func() {
+				pushTicks(src, srcClk, 1)
+				if rec := src.tr.(*recTransport); lose {
+					for to, fs := range rec.frames {
+						rec.frames[to] = slices.DeleteFunc(fs, func(f []byte) bool { return f[0] == frameManifest })
+					}
+				}
+				route(src, f)
 			}
 			st := f.objects[id]
 			sawPartial := false
-			for tick := 0; tick < 4*gens*2+8; tick++ {
-				pushTicks(src, srcClk, 1)
-				route(src, f)
+			for range 4*gens*2 + 8 {
+				tick()
 				st.mu.Lock()
 				if st.phase == phFilling && st.coder.CompleteCount() > 0 {
 					if hasBuf := st.buf != nil; hasBuf != verified {
@@ -88,9 +94,10 @@ func TestFetchedContentIsTheNatives(t *testing.T) {
 				if ph := st.phaseNow(); ph != phDecoded || st.buf != nil {
 					t.Fatalf("every generation in, no manifest: phase %v, object buffer %v; want decoded, none", ph, st.buf != nil)
 				}
-				src.objects[id].manFrames = frames
-				pushTicks(src, srcClk, 1)
-				route(src, f)
+				lose = false
+				for i := 0; i < 8 && st.phaseNow() != phComplete; i++ {
+					tick()
+				}
 			}
 			data, _, err, ok := fetch.Result()
 			if !ok || err != nil || !bytes.Equal(data, content) {

@@ -217,9 +217,13 @@ func TestPeerTableBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < maxPeersPerObject+50; i++ {
-		reply := src.handleReq(transport.Addr(fmt.Sprintf("p%d", i)), id[:])
-		if reply == nil {
-			t.Fatalf("REQ %d got no META", i)
+		addr := transport.Addr(fmt.Sprintf("p%d", i))
+		src.handleReq(addr, id[:])
+		src.mu.Lock()
+		ps := src.objects[id].peers[addr]
+		src.mu.Unlock()
+		if ps == nil || !ps.reqSub {
+			t.Fatalf("REQ %d subscribed no one", i)
 		}
 	}
 	src.mu.Lock()
@@ -234,7 +238,9 @@ func TestPeerTableBounded(t *testing.T) {
 }
 
 // TestCacheReqDrawsOnlyMeta: a REQ to a cache-mode session for an object
-// it holds, sized, is answered by exactly one frame, the META, and the
+// it holds, sized, is answered by nothing; the next push round sends the
+// requester the META, the first item of its proof pass, and nothing else:
+// the cache holds no run of the manifest, so its rows wait for one. The
 // cached object reports its generation count like any shaped object.
 func TestCacheReqDrawsOnlyMeta(t *testing.T) {
 	const gens, kPer, m = 2, 8, 16
@@ -252,8 +258,12 @@ func TestCacheReqDrawsOnlyMeta(t *testing.T) {
 	}
 	rec.take()
 	injectFrame(s, "fetcher", encodeReq(id))
+	if got := rec.take()["fetcher"]; len(got) != 0 {
+		t.Fatalf("the REQ drew %d frames (%q), want none", len(got), kinds(got))
+	}
+	s.push()
 	got := rec.take()["fetcher"]
 	if len(got) != 1 || len(got[0]) != metaLen || got[0][0] != frameMeta {
-		t.Fatalf("the REQ drew %d frames (%q), want the META alone", len(got), kinds(got))
+		t.Fatalf("the round after the REQ sent %d frames (%q), want the META alone", len(got), kinds(got))
 	}
 }

@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"ltnc/internal/integrity"
+	"ltnc/internal/packet"
 	"ltnc/internal/transport"
 )
 
@@ -156,23 +158,70 @@ func TestVirtualClockEndToEnd(t *testing.T) {
 	}
 }
 
-// TestVirtualMetaResend pins the META repair path to the virtual clock: a
-// configured push peer that never acks keeps receiving periodic METAs at
-// the metaResend cadence, measured purely in virtual time.
+// TestVirtualMetaResend: proof goes to a peer once, in one pass, and only
+// a need brings an item of it again. A configured peer that never answers
+// gets one META and one manifest pass — each run once — in a virtual
+// second; a relay, and a cache, whose first META is lost learn it from the
+// need beside their receipts, and get no third.
 func TestVirtualMetaResend(t *testing.T) {
-	n := newStepNet(t, 16, 32, 1, nil, "source")
-	src := n.nodes["source"]
-	src.AddPeer("sink")
-	metas := 0
-	n.lose = func(_, to transport.Addr, f []byte) bool {
-		metas += btoi(to == "sink" && f[0] == frameMeta)
-		return false
-	}
-	// The resend interval is max(25·Tick, 50ms), so one virtual second
-	// carries a META every interval and no more.
-	n.run(time.Second)
-	if want := int(time.Second / src.metaResend()); metas < want || metas > want+1 {
-		t.Fatalf("%d METAs to a silent peer in a virtual second, want one per %v", metas, src.metaResend())
+	const k, m = 3 * integrity.RunLen, 8
+	t.Run("silent", func(t *testing.T) {
+		n := newStepNet(t, k, m, 1, nil, "source")
+		n.nodes["source"].AddPeer("sink")
+		metas, runs := 0, map[uint32]int{}
+		n.lose = func(_, to transport.Addr, f []byte) bool {
+			switch {
+			case to != "sink":
+			case f[0] == frameMeta:
+				metas++
+			case f[0] == frameManifest:
+				mr, err := packet.ParseManifestChunk(f[1:])
+				if err != nil {
+					t.Fatal(err)
+				}
+				runs[mr.Run]++
+			}
+			return false
+		}
+		n.run(time.Second)
+		if metas != 1 || len(runs) != 3 || runs[0] != 1 || runs[1] != 1 || runs[2] != 1 {
+			t.Fatalf("a silent peer got %d METAs and runs %v in a virtual second, want one META and each of 3 runs once", metas, runs)
+		}
+	})
+	for _, node := range []transport.Addr{"relay", "cache"} {
+		t.Run(string(node), func(t *testing.T) {
+			n := newStepNet(t, k, m, 2, func(c *Config) {
+				if c.Transport.LocalAddr() == "cache" {
+					c.CacheBudget = 4 << 20 // room for full rank: the cache reports completion
+				}
+			}, "source", node)
+			n.nodes["source"].AddPeer(node)
+			metas, needs := 0, 0
+			n.lose = func(from, to transport.Addr, f []byte) bool {
+				if from == node && isNeed(f) && bigEndianU32(f[18:22]) == needMeta {
+					needs++
+				}
+				if to != node || f[0] != frameMeta {
+					return false
+				}
+				metas++
+				return metas == 1
+			}
+			for i := 0; i < 100; i++ {
+				if o, ok := n.nodes[node].Object(n.id); ok && o.Size >= 0 {
+					break
+				}
+				n.tick()
+			}
+			if o, ok := n.nodes[node].Object(n.id); !ok || o.Size < 0 {
+				t.Fatalf("%s never learned the size: %+v", node, o)
+			}
+			n.run(time.Second)
+			if metas != 2 || needs == 0 {
+				t.Fatalf("%d METAs went to the %s, %d needs for one came back; want the lost one and one repair, after a need",
+					metas, node, needs)
+			}
+		})
 	}
 }
 

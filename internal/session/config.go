@@ -62,8 +62,8 @@ type Config struct {
 	Transport transport.Transport
 	// Tick is the push timer's period (default 2ms): the floor under the
 	// receipt clock — a peer whose receipts never come still gets a frame
-	// a Tick — and the unit the silence rule, the META resend and the
-	// per-link rate ceiling are counted in. The peer's receipts clock the
+	// a Tick — and the unit the silence rule and the per-link rate
+	// ceiling are counted in. The peer's receipts clock the
 	// push: per (peer, object) a window of frames in flight starts at
 	// a few, doubles while the peer's receipt reports show the rows
 	// arriving, halves when they show a loss step or stop coming, and stays
@@ -132,7 +132,7 @@ type Config struct {
 	// partial-view exchange goes out.
 	ShufflePeriod time.Duration
 	// Clock is the instant every session deadline is read against — the
-	// push timer, META resend, idle eviction, fetch retries. Default: the
+	// push timer, proof repair, idle eviction, fetch retries. Default: the
 	// system clock, the only one Run accepts. Simulations
 	// (internal/simnet) inject a virtual clock and drive the session with
 	// Step, so a minute of protocol time passes in milliseconds of wall

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/fnv"
-	"time"
 
 	"ltnc/internal/integrity"
 	"ltnc/internal/packet"
@@ -30,7 +29,7 @@ func (s *Session) handleFrame(f transport.Frame) {
 	var reply []byte
 	switch f.Data[0] {
 	case frameReq:
-		reply = s.handleReq(f.From, f.Data[1:])
+		s.handleReq(f.From, f.Data[1:])
 	case frameMeta:
 		reply = s.handleMeta(f.From, f.Data[1:])
 	case frameFeedback:
@@ -45,13 +44,14 @@ func (s *Session) handleFrame(f transport.Frame) {
 	}
 }
 
-// handleReq registers a subscriber and answers with the object's META
-// when the size is known. The manifest follows from the next push round
-// on, two runs a round (sendManifest), so a fetcher can verify
-// generations as they complete.
-func (s *Session) handleReq(from transport.Addr, data []byte) []byte {
+// handleReq registers a subscriber, re-arms its proof pass if the pass
+// has ended and wakes the push loop: the pass (takeProof) sends the META
+// from the next round on, then the manifest two runs a round, ahead of the
+// rows they prove, so a fetcher can verify generations as they complete.
+// A REQ is answered by nothing else.
+func (s *Session) handleReq(from transport.Addr, data []byte) {
 	if len(data) != reqLen-1 {
-		return nil
+		return
 	}
 	var id packet.ObjectID
 	copy(id[:], data)
@@ -64,7 +64,7 @@ func (s *Session) handleReq(from transport.Addr, data []byte) []byte {
 	// by the first header that arrives.
 	st := s.admitLocked(id, from, geometry{}, false)
 	if st == nil {
-		return nil // banned peer, or unknown object: the requester will retry elsewhere
+		return // banned peer, or unknown object: the requester will retry elsewhere
 	}
 	now := s.clk.Now()
 	st.touch(now)
@@ -72,7 +72,7 @@ func (s *Session) handleReq(from transport.Addr, data []byte) []byte {
 		s.cache.Touch(id, now) // REQ demand drives the eviction score
 	}
 	if _, known := st.peers[from]; !known && len(st.peers) >= maxPeersPerObject && !st.dropOnePeerLocked() {
-		return nil // peer table full of live subscribers: drop the REQ
+		return // peer table full of live subscribers: drop the REQ
 	}
 	ps := st.peer(from)
 	ps.lastReq = s.clk.Now()
@@ -82,18 +82,10 @@ func (s *Session) handleReq(from transport.Addr, data []byte) []byte {
 	// restarted one): forget which generations it had completed and what
 	// it held of the others.
 	ps.forgetProgressLocked()
-	// REQ also re-arms META: over a lossy channel the requester may have
-	// missed it, and without the size it can never finish (it keeps
-	// re-REQing, so a lost reply heals on the next round).
-	// So does a manifest pass that has ended.
-	ps.metaAt = time.Time{}
-	ps.manNext = max(ps.manNext, 0)
+	// A pass under way goes on; what of it the requester lost, its needs
+	// bring back.
+	ps.pass = max(ps.pass, 0)
 	s.wake() // a new target: un-park the push timer, open its window now
-	if st.size.Load() < 0 {
-		return nil
-	}
-	ps.metaAt = s.clk.Now()
-	return s.metaFrame(st)
 }
 
 // dropOnePeerLocked evicts one entry from a full peer table: a peer that
@@ -160,9 +152,10 @@ func parseMeta(data []byte) (id packet.ObjectID, geo geometry, size int64, root 
 // object otherwise was a forgery and is undone (reshapeLocked) — learns
 // its size and root, and answers with whatever that completed
 // (settleLocked): a META to an object already complete — or, at a cache,
-// fully covered — means the sender never heard so and will keep resending
-// until it does; the idempotent reply closes the loop, exactly as the DATA
-// path answers a row of a complete object with the same frame.
+// fully covered — means the sender never heard so, or the peer table
+// entry that heard it was dropped; the idempotent reply closes the loop,
+// exactly as the DATA path answers a row of a complete object with the
+// same frame.
 func (s *Session) handleMeta(from transport.Addr, data []byte) []byte {
 	id, geo, size, root, ok := parseMeta(data)
 	if !ok {
@@ -193,6 +186,7 @@ func (s *Session) handleMeta(from transport.Addr, data []byte) []byte {
 	st.mu.Unlock()
 	s.applyPollActions(&acts)
 	if learned {
+		s.wake() // every pass waiting at the META can start
 		s.notifyWatchers(st)
 	}
 	return reply
@@ -258,40 +252,31 @@ func (s *Session) handleFeedback(from transport.Addr, data []byte) {
 	}
 }
 
-// onNeedLocked is a kind-7 need: the peer lacks the object's META
-// (needMeta) or run r of its manifest, the lowest it does not hold. A need
-// is answered once the peer's link horizon has passed since the META, or
-// any run, last went to it — sooner, the frame or the receipt that named
-// its lack may still be on the wire: the META is owed, and with it run 0
-// (a node without the META holds no run), or run r is, each sent ahead of
-// the next round's manifest pass. What the peer reported of its rows, its
-// window and its frontier stand: a missing proof is a loss to repair like
-// a missing row, not a new client. A need for proof this session does not
-// hold, for a run past the manifest's end or for one a pass is on its way
-// to moves nothing, and a peer done with the object has none. So a flood
-// of needs buys at most one META and one run a horizon. Session.mu must be
-// held.
+// onNeedLocked is a kind-7 need: the peer lacks run r of the manifest —
+// item r+1 of the proof pass — or, r = needMeta, the META, item 0 (the
+// uint32 sum wraps there). A need is answered once the peer's link horizon
+// has passed since any item of the proof last went to it — sooner, the
+// frame or the receipt that named its lack may still be on the wire: the
+// item is owed, sent ahead of the next round's pass. What the peer
+// reported of its rows, its window and its frontier stand: a missing
+// proof is a loss to repair like a missing row, not a new client. A need
+// for an item this session does not hold, for a run past the manifest's
+// end or for an item the pass is on its way to moves nothing, and a peer
+// done with the object has none. So a flood of needs buys at most one item
+// a horizon. Session.mu must be held.
 func (s *Session) onNeedLocked(st *objectState, ps *peerState, r uint32) {
-	if ps.done || st.size.Load() < 0 {
+	if ps.done || ps.owed > 0 || s.clk.Since(ps.proofAt) < ps.link.Horizon() {
 		return
-	}
-	now, horizon := s.clk.Now(), ps.link.Horizon()
-	if r == needMeta {
-		if now.Sub(ps.metaAt) < horizon {
-			return
-		}
-		ps.metaOwed, r = true, 0
-		s.wake()
 	}
 	st.mu.Lock()
-	frames := st.manFrames
+	sized, frames := st.size.Load() >= 0, st.manFrames
 	st.mu.Unlock()
-	// Unsigned compare: int(r) can wrap negative on 32-bit builds.
-	if r >= uint32(len(frames)) || frames[r] == nil || ps.manOwed > 0 || (ps.manNext >= 0 && ps.manNext <= int(r)) ||
-		now.Sub(ps.manAt) < horizon {
+	// Unsigned compare: int(r)+1 can wrap negative on 32-bit builds.
+	item := r + 1
+	if item > uint32(len(frames)) || !holdsProof(int(item), sized, frames) || ps.pass >= 0 && ps.pass <= int(item) {
 		return
 	}
-	ps.manOwed = int(r) + 1
+	ps.owed = int(item) + 1
 	s.wake()
 }
 
@@ -397,8 +382,7 @@ func genFeedbackFrame(id packet.ObjectID, gen int) []byte {
 }
 
 // needFrame encodes the kind-7 feedback: the sender of the frame lacks
-// object id's META (r = needMeta) or run r of its manifest, the lowest it
-// does not hold.
+// object id's META (r = needMeta) or run r of its manifest (needLocked).
 func needFrame(id packet.ObjectID, r uint32) []byte {
 	buf := make([]byte, needLen)
 	buf[0] = frameFeedback

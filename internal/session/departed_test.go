@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"ltnc/internal/cache"
 	"ltnc/internal/packet"
@@ -48,7 +47,7 @@ func TestLossyFetchTicks(t *testing.T) {
 	if n, perTick, _ := fetch(nil); n > 4 {
 		t.Errorf("lossless fetch took %d ticks (the source's rows per tick %s), want at most 4", n, strings.Join(perTick, " "))
 	}
-	base := time.Now().UnixNano()
+	base := testSeed(t)
 	t.Logf("loss seeds %d..%d", base, base+runs-1)
 	ticks := 0
 	sent := map[transport.Addr]int64{}

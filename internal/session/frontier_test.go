@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"testing"
-	"time"
 
 	"ltnc/internal/adapt"
 	"ltnc/internal/packet"
@@ -51,7 +50,7 @@ func nativeOf(t *testing.T, f []byte) int {
 // frontier left standing.
 func TestFrontierRepairNearErasureBound(t *testing.T) {
 	const k, m, p, runs = 1024, 16, 0.20, 6
-	base := time.Now().UnixNano()
+	base := testSeed(t)
 	t.Logf("loss seeds %d..%d", base, base+runs-1)
 	overlapped := 0
 	sent := map[transport.Addr]int64{}

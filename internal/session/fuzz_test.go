@@ -178,13 +178,16 @@ func FuzzSessionFrames(f *testing.F) {
 	f.Add(encodeReceipt(id, 0, 4, 9, 0, 16, []int32{1, 2, 3}))
 	f.Add(encodeReceipt(id, 0, 32, 16, 1<<32-1, 0, nil))
 	// The need: for the META, the first run, a run past the manifest's end
-	// and one that wraps int on 32-bit builds, truncated inside the run and
-	// over-long.
+	// and ones whose proof item, one more, wraps an int on 32-bit builds
+	// (2³²−1 wraps to the META's item 0 in uint32), truncated inside the run
+	// and over-long.
 	need := needFrame(id, needMeta)
 	f.Add(need)
 	f.Add(needFrame(id, 0))
 	f.Add(needFrame(id, 1))
+	f.Add(needFrame(id, 1<<31-1))
 	f.Add(needFrame(id, 1<<31))
+	f.Add(needFrame(id, 1<<32-2))
 	f.Add(need[:needLen-2])
 	f.Add(append(need, 0x00))
 	mc, err := packet.AppendManifestChunk([]byte{frameManifest}, id, 0, make([]byte, 64), nil)
@@ -251,10 +254,12 @@ func FuzzSessionFrameSequence(f *testing.F) {
 		encodeReceipt(id, 0, 1, 1, 1, 0, nil), encodeReceipt(id, 0, 2, 2, 90, 0, nil),
 		encodeReceipt(id, 0, 3, 3, 0, 0, nil), encodeReceipt(id, 0, 4, 4, 2, 8, []int32{1}),
 		feedbackFrame(id, fbRetiredRedundant), retiredReceipt(id, 0, 5, 5, 1)))
-	// A subscriber's needs: the META, the first run, runs past the end, a
-	// flood of the same, truncated and over-long.
+	// A subscriber's needs: the META, the first run, runs past the end —
+	// 2³¹−1 and 2³²−2 among them — a flood of the same, truncated and
+	// over-long.
 	f.Add(sequence(append([]byte{frameData}, wire...), encodeReq(id),
 		needFrame(id, needMeta), needFrame(id, 0), needFrame(id, 7), needFrame(id, 1<<31),
+		needFrame(id, 1<<31-1), needFrame(id, 1<<32-2),
 		needFrame(id, needMeta), needFrame(id, needMeta), needFrame(id, 0)[:needLen-1], append(needFrame(id, 0), 0)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"ltnc/internal/bitvec"
 	"ltnc/internal/cache"
@@ -158,6 +159,7 @@ type ingestReply struct {
 type ingestForward struct {
 	st    *objectState
 	from  transport.Addr
+	gen   uint32
 	frame []byte
 }
 
@@ -241,7 +243,7 @@ func (s *Session) ingestOneLocked(st *objectState, in *inFrame, scratch *ingestS
 		fb, judged, progressed, forward = s.ingestCachedLocked(st, in)
 		receipt = st.receiptLocked(in, fb != nil, judged, progressed || forward)
 		if forward {
-			scratch.forwards = append(scratch.forwards, ingestForward{st, in.f.From, append([]byte(nil), in.f.Data...)})
+			scratch.forwards = append(scratch.forwards, ingestForward{st, in.f.From, in.wv.Generation, append([]byte(nil), in.f.Data...)})
 		}
 	case phFilling, phDecoded, phComplete:
 		fb, judged, progressed = s.decodeDataLocked(st, in, acts)
@@ -251,7 +253,7 @@ func (s *Session) ingestOneLocked(st *objectState, in *inFrame, scratch *ingestS
 	case fb != nil:
 		scratch.replies = append(scratch.replies, ingestReply{in.f.From, fb})
 	case receipt != nil:
-		scratch.replies = st.receiptOutLocked(scratch.replies, in.f.From, receipt)
+		scratch.replies = st.receiptOutLocked(scratch.replies, in.f.From, receipt, in.wv.Generation)
 	}
 	if n := len(scratch.notify); progressed && (n == 0 || scratch.notify[n-1] != st) {
 		scratch.notify = append(scratch.notify, st)
@@ -260,16 +262,21 @@ func (s *Session) ingestOneLocked(st *objectState, in *inFrame, scratch *ingestS
 
 // passThrough sends on a row a budget-bound cache had no room for, its
 // stamp cleared: it is the upstream's place on the upstream's link, and
-// downstream it would advance the departure count of this node's own.
+// downstream it would advance the departure count of this node's own. It
+// goes to no target whose proof pass has yet to send the runs over its
+// generation.
 func (s *Session) passThrough(fw ingestForward) {
 	packet.Restamp(fw.frame[1:], 0)
 	s.mu.Lock()
 	addrs := s.targetsLocked(fw.st)
+	last := (int(fw.gen)+1)*fw.st.kPer - 1 // the frame's geometry is the object's: admitted
+	addrs = slices.DeleteFunc(addrs, func(a transport.Addr) bool {
+		ps := fw.st.peers[a]
+		return a == fw.from || ps == nil || !proven(ps.pass, last)
+	})
 	s.mu.Unlock()
 	for _, a := range addrs {
-		if a != fw.from {
-			s.tr.Send(a, fw.frame)
-		}
+		s.tr.Send(a, fw.frame)
 	}
 }
 
@@ -296,7 +303,8 @@ func flushReceipts(batch []inFrame, states []*objectState, replies []ingestReply
 		}
 		st.mu.Lock()
 		if t := st.rx[from]; t != nil && t.since > 0 && st.phase != phEvicted {
-			replies = st.receiptOutLocked(replies, from, st.receiptFrameLocked(batch[i].wv.Generation, t))
+			gen := batch[i].wv.Generation
+			replies = st.receiptOutLocked(replies, from, st.receiptFrameLocked(gen, t), gen)
 			t.since = 0
 		}
 		st.mu.Unlock()
@@ -304,15 +312,16 @@ func flushReceipts(batch []inFrame, states []*objectState, replies []ingestReply
 	return replies
 }
 
-// receiptOutLocked adds a receipt for to to replies and, while the object
-// is filling without all its proof, the kind-7 need beside it
-// (needLocked): the receipt clock that repairs lost rows repairs a lost
-// META or manifest run too. A decoded object answers each DATA frame with
-// its need already (owedLocked). st.mu must be held.
-func (st *objectState) receiptOutLocked(replies []ingestReply, to transport.Addr, receipt []byte) []ingestReply {
+// receiptOutLocked adds a receipt for to, about a row of generation gen,
+// to replies and, while the object is caching or filling without the
+// proof of what it holds, the kind-7 need beside it (needLocked): the
+// receipt clock that repairs lost rows repairs a lost META or manifest run
+// too. A decoded object answers each DATA frame with its need already
+// (owedLocked). st.mu must be held.
+func (st *objectState) receiptOutLocked(replies []ingestReply, to transport.Addr, receipt []byte, gen uint32) []ingestReply {
 	replies = append(replies, ingestReply{to, receipt})
-	if st.phase == phFilling {
-		if need := st.needLocked(); need != nil {
+	if st.phase == phCaching || st.phase == phFilling {
+		if need := st.needLocked(int(gen)); need != nil {
 			replies = append(replies, ingestReply{to, need})
 		}
 	}

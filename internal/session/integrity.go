@@ -334,8 +334,8 @@ func (s *Session) handleManifest(from transport.Addr, data []byte) {
 
 // manifestRunLocked checks one manifest run, body its MANIFEST frame's, and
 // reports whether it was adopted or proved its sender a forger. Only a
-// rooted object takes one (a run before its META comes again with the
-// META's resends), a caching one too, to re-serve it. A run out of bounds
+// rooted object takes one (a run before its META is asked for again by a
+// need, once the META is in), a caching one too, to re-serve it. A run out of bounds
 // is dropped, a held one dropped unhashed, any other hashed up to the root:
 // adopted, its frame kept, or proof against its one sender. st.mu must be held.
 func (st *objectState) manifestRunLocked(mr packet.ManifestChunk, body []byte) (adopted, forged bool) {

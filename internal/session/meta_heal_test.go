@@ -8,12 +8,11 @@ import (
 	"ltnc/internal/transport"
 )
 
-// TestRedundantMetaElicitsComplete pins the lost-fbComplete heal: a
-// sender that never heard a receiver's completion keeps resending META;
-// the complete, sized receiver must answer each redundant META with
-// fbComplete so the sender can finally stop. (Without the reply the META
-// cycle to a generation-complete peer — one whose kind-3 feedback
-// already stops all DATA — would never converge.)
+// TestRedundantMetaElicitsComplete pins the lost-fbComplete heal on the
+// META path: a complete, sized receiver answers a redundant META — one
+// that reaches it after its completion, or from a sender whose peer entry
+// for it was dropped and made afresh — with fbComplete, as the DATA path
+// answers a row of a complete object, so the sender can stop.
 func TestRedundantMetaElicitsComplete(t *testing.T) {
 	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 64, Seed: 21})
 	if err != nil {
@@ -32,8 +31,8 @@ func TestRedundantMetaElicitsComplete(t *testing.T) {
 		t.Fatalf("served object not complete: %+v", st)
 	}
 
-	// A bare port plays the sender whose fbComplete was lost: it repeats
-	// the META, as the push loop would.
+	// A bare port plays the sender whose fbComplete was lost: its proof
+	// pass sends the META.
 	sender := attach(t, sw, "sender")
 	_, meta := servedMeta(t, content, 16, 1)
 	if err := sender.Send("recv", meta); err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"ltnc/internal/integrity"
 	"ltnc/internal/packet"
 	"ltnc/internal/transport"
 )
@@ -23,12 +24,12 @@ const proofRepairSlack = 4
 // TestLostProofRepairedAtRoundTrip: source → relay → fetcher, a round trip
 // a tick; the first META, or the first MANIFEST, on its way to the relay or
 // to the fetcher is lost. The need clocked by the receipts behind it brings
-// it back within a few ticks of the lossless run — not at the META's
-// 25-tick cadence, nor by a REQ once the node has decoded — no node sends a
-// REQ, every upstream's frontier for its peer stands from the first receipt
-// to completion, and the proof is sent again exactly once: the needs of the
-// receipts that crossed the resend, and one more delivered with it, fall
-// inside the horizon and resend nothing.
+// it back within a few ticks of the lossless run — not by a REQ once the
+// node has decoded — no node sends a REQ, every upstream's frontier for its
+// peer stands from the first receipt to completion, and the proof is sent
+// again exactly once: the needs of the receipts that crossed the resend,
+// and one more delivered with it, fall inside the horizon and resend
+// nothing.
 func TestLostProofRepairedAtRoundTrip(t *testing.T) {
 	const k, m = 1024, 16
 	hops := [...][2]transport.Addr{{"src", "relay"}, {"relay", "dst"}}
@@ -100,8 +101,33 @@ func TestLostProofRepairedAtRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLosslessFetchSendsNoNeed: a lossless source → fetcher transfer of a
+// 16-run object (k = 16,384, G = 16, a run a generation) sends no need.
+// The source's proof pass puts each run on the link ahead of the rows it
+// proves, and a need names only a run over a generation the node has a row
+// of, so no run is asked for while it is on its way.
+func TestLosslessFetchSendsNoNeed(t *testing.T) {
+	const k, gens, m = 16 * integrity.RunLen, 16, 8
+	c := newStepNetG(t, k, gens, m, 83, nil, "src", "dst").subscribe()
+	needs := 0
+	c.lose = func(from, _ transport.Addr, f []byte) bool {
+		needs += btoi(from == "dst" && isNeed(f))
+		return false
+	}
+	ticks := 0
+	for ; ticks < 2000 && !c.fetched().Complete; ticks++ {
+		c.tick()
+	}
+	if !c.fetched().Complete {
+		t.Fatalf("fetch incomplete after %d ticks", ticks)
+	}
+	if needs != 0 {
+		t.Errorf("a lossless fetch sent %d needs, want none", needs)
+	}
+}
+
 // needSource serves a k-native object to a subscriber, peer, and runs
-// the rounds that send it the META and every run of the manifest.
+// the rounds of its proof pass: the META and every run of the manifest.
 func needSource(t *testing.T, k int) (*Session, *recTransport, *transport.VClock, packet.ObjectID) {
 	t.Helper()
 	s, rec, clk := pushSession(t, "src", nil)
@@ -110,7 +136,7 @@ func needSource(t *testing.T, k int) (*Session, *recTransport, *transport.VClock
 		t.Fatal(err)
 	}
 	injectFrame(s, "peer", encodeReq(id))
-	for ps := s.objects[id].peers["peer"]; ps.manNext >= 0; {
+	for ps := s.objects[id].peers["peer"]; ps.pass >= 0; {
 		s.push()
 	}
 	rec.take()
@@ -120,18 +146,20 @@ func needSource(t *testing.T, k int) (*Session, *recTransport, *transport.VClock
 // TestNeedBounds holds a kind-7 need to what it may buy. Dropped whole: one
 // short or long, for an object the session does not know, from a peer it
 // does not push to, from a banned peer, and one naming a run past the
-// manifest's end. From a peer pushed to, a flood — a need for the META and
-// one for each run before every push round — buys at most one META and
-// one run a horizon, and leaves the peer's frontier standing.
+// manifest's end — 2³¹−1 and 2³²−2 among them, whose item, one more, wraps
+// an int on 32-bit builds. 2³²−1 names the META, item 0, and buys it
+// alone. From a peer pushed to, a flood — a need for the META and one for
+// each run before every push round — buys at most one item a horizon, and
+// leaves the peer's frontier standing.
 func TestNeedBounds(t *testing.T) {
 	const k = 3 * 1024 // three runs
 	t.Run("dropped", func(t *testing.T) {
 		s, rec, clk, id := needSource(t, k)
 		clk.Advance(time.Second)
 		s.mu.Lock()
-		// Past the horizon, short of the META's cadence: a need would be
-		// answered, and nothing else is owed.
-		s.objects[id].peers["peer"].metaAt = clk.Now().Add(-10 * time.Millisecond)
+		// Past the horizon: a need would be answered, and nothing else is
+		// owed.
+		s.objects[id].peers["peer"].proofAt = clk.Now().Add(-10 * time.Millisecond)
 		s.banned["banned"] = struct{}{}
 		s.objects[id].peer("banned")
 		s.mu.Unlock()
@@ -142,7 +170,7 @@ func TestNeedBounds(t *testing.T) {
 				needFrame(id, needMeta)[:needLen-1],
 				append(needFrame(id, needMeta), 0),
 				needFrame(other, needMeta),
-				needFrame(id, 3), needFrame(id, 1<<31), needFrame(id, needMeta-1),
+				needFrame(id, 3), needFrame(id, 1<<31-1), needFrame(id, 1<<31), needFrame(id, 1<<32-2),
 			},
 			"stranger": {needFrame(id, needMeta), needFrame(id, 0)},
 			"banned":   {needFrame(id, needMeta), needFrame(id, 0)},
@@ -164,12 +192,18 @@ func TestNeedBounds(t *testing.T) {
 		if meta, man, _ := frameCounts(rec.take()["peer"]); meta != 0 || man != 1 {
 			t.Errorf("a need for run 2 drew %d META and %d MANIFEST frames, want the run alone", meta, man)
 		}
+		clk.Advance(10 * time.Millisecond)
+		injectFrame(s, "peer", needFrame(id, 1<<32-1))
+		s.push()
+		if meta, man, _ := frameCounts(rec.take()["peer"]); meta != 1 || man != 0 {
+			t.Errorf("a need for run 2³²−1 drew %d META and %d MANIFEST frames, want the META alone", meta, man)
+		}
 	})
 	t.Run("flood", func(t *testing.T) {
 		s, rec, clk, id := needSource(t, k)
 		ps := s.objects[id].peers["peer"]
 		ps.frontier = [][]byte{make([]byte, frontierLen(k))}
-		const span = 40 * time.Millisecond // short of the META's 50 ms cadence
+		const span = 40 * time.Millisecond
 		meta, man := 0, 0
 		for start := clk.Now(); clk.Since(start) < span; clk.Advance(s.cfg.Tick / 8) {
 			injectBurst(s, "peer", [][]byte{needFrame(id, needMeta), needFrame(id, 0), needFrame(id, 1), needFrame(id, 2)})
@@ -180,11 +214,11 @@ func TestNeedBounds(t *testing.T) {
 		h := ps.link.Horizon() // no round trip sampled: two ticks
 		most := int(span/h) + 1
 		t.Logf("over %v at a horizon of %v: %d META, %d MANIFEST frames", span, h, meta, man)
-		if meta == 0 || man == 0 {
-			t.Fatalf("%d META and %d MANIFEST frames went again: the needs did nothing", meta, man)
+		if meta+man == 0 {
+			t.Fatal("no META or MANIFEST frame went again: the needs did nothing")
 		}
-		if meta > most || man > most {
-			t.Errorf("a flood of needs bought %d META and %d MANIFEST frames over %v; want at most %d of each, one a horizon of %v",
+		if meta+man > most {
+			t.Errorf("a flood of needs bought %d META and %d MANIFEST frames over %v; want at most %d, one a horizon of %v",
 				meta, man, span, most, h)
 		}
 		if ps.frontier == nil {

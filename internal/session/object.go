@@ -573,9 +573,9 @@ func (st *objectState) placeGenLocked(g int) {
 // cache, once every generation is held at full rank); to a DATA frame (g,
 // its generation, is not −1), a kind-7 need when decoded without the META
 // or every run of the manifest (needLocked) — kind 2 would stop the
-// sender's META and MANIFEST and wedge the object there, and the need
-// leaves its frontier standing; kind 3 when the frame's generation is done
-// and the object is not; nothing otherwise. st.mu must be held.
+// sender and wedge the object there, and the need leaves its frontier
+// standing; kind 3 when the frame's generation is done and the object is
+// not; nothing otherwise. st.mu must be held.
 func (s *Session) owedLocked(st *objectState, g int) []byte {
 	switch st.phase {
 	case phCaching:
@@ -591,7 +591,7 @@ func (s *Session) owedLocked(st *objectState, g int) []byte {
 			// generation is done, as while filling.
 			return genFeedbackFrame(st.id, g)
 		}
-		return st.needLocked()
+		return st.needLocked(g)
 	case phFilling:
 		if g >= 0 && st.coder.GenComplete(g) {
 			return genFeedbackFrame(st.id, g)
@@ -603,22 +603,35 @@ func (s *Session) owedLocked(st *objectState, g int) []byte {
 	return feedbackFrame(st.id, fbComplete)
 }
 
-// needLocked returns the kind-7 need a filling or decoded object owes a
-// sender while it lacks proof — its META, or a run of the manifest (the
-// lowest it does not hold) — and nil otherwise: the receipt clock repairs
-// lost proof as it repairs lost rows (DESIGN.md §13). st.mu must be held.
-func (st *objectState) needLocked() []byte {
-	if st.phase != phFilling && st.phase != phDecoded || st.man.Complete() {
+// needLocked returns the kind-7 need a caching, filling or decoded object
+// owes the sender of a row of generation g while it lacks the proof of
+// what it has received: its META, or the lowest run of the manifest it
+// does not hold among those over g — over any generation once every one
+// is decoded, and the rows of a generation done here stop coming — and nil
+// otherwise. A run over generations no row has reached yet is on its way:
+// the pass sends it ahead of them. The receipt clock repairs lost proof as
+// it repairs lost rows (DESIGN.md §13). st.mu must be held.
+func (st *objectState) needLocked(g int) []byte {
+	if st.phase != phCaching && st.phase != phFilling && st.phase != phDecoded || st.man.Complete() {
 		return nil
 	}
 	if st.size.Load() < 0 {
 		return needFrame(st.id, needMeta)
 	}
-	r := 0
-	for st.man != nil && st.man.HoldsRun(r) {
-		r++
+	runs := (st.k + integrity.RunLen - 1) / integrity.RunLen
+	first, last := 0, runs-1
+	if st.phase != phDecoded {
+		if g < 0 || g >= int(st.gens.Load()) {
+			return nil
+		}
+		first, last = g*st.kPer/integrity.RunLen, ((g+1)*st.kPer-1)/integrity.RunLen
 	}
-	return needFrame(st.id, uint32(r))
+	for r := first; r <= last; r++ {
+		if st.man == nil || !st.man.HoldsRun(r) {
+			return needFrame(st.id, uint32(r))
+		}
+	}
+	return nil
 }
 
 // evictLocked takes the object out of the lifecycle: a shard worker that

@@ -569,12 +569,12 @@ func (c *objCell) fire(t *testing.T, ev int) {
 		}
 		in(encodeReceipt(c.id, uint32(last), 16, 12, 0, c.kPer, []int32{0, 1}))
 	case evFbNeed:
-		// From a peer pushed to, its META long sent and a row in flight
-		// toward it: the need owes it the META once sized, and the peer's
-		// progress stands.
+		// From a peer pushed to, its proof pass long over and a row in
+		// flight toward it: the need owes it the META once sized, and the
+		// peer's progress stands.
 		if st := c.s.objects[c.id]; st != nil {
 			ps := st.peer(matrixSender)
-			ps.metaAt, ps.unsettled = c.clk.Now().Add(-time.Second), []sentNative{{1, 0}}
+			ps.pass, ps.proofAt, ps.unsettled = -1, c.clk.Now().Add(-time.Second), []sentNative{{1, 0}}
 		}
 		in(needFrame(c.id, needMeta))
 	case evManifestFirst:
@@ -622,20 +622,20 @@ func (c *objCell) expect(row, ev int) (after, replies string) {
 			after = "filling"
 			replies = "FB7" // its receipt goes out with a need for the META
 		case ev == evDataWrongGeometry:
-		case row == rowFilling || row == rowPoisoned || row == rowDecoded:
-			// No manifest: filling, the receipt goes out with a need for its
-			// run; decoded, the frame is answered with one — not a REQ, which
-			// would drop the sender's frontier, nor kind 2, which would stop it.
+		case row == rowCaching || row == rowFilling || row == rowPoisoned || row == rowDecoded:
+			// No manifest: caching or filling, the receipt goes out with a
+			// need for the run over the row; decoded, the frame is answered
+			// with one — not a REQ, which would drop the sender's frontier,
+			// nor kind 2, which would stop it.
 			replies = "FB7"
 		case row == rowComplete:
 			replies = "FB2"
 		}
 	case evReq:
-		switch row {
-		case rowEvicted:
+		// Answered by nothing: the REQ re-arms the sender's proof pass, and
+		// the push rounds send it.
+		if row == rowEvicted {
 			after = "announced" // a relay remembers who asked
-		case rowCaching, rowFilling, rowPoisoned, rowDecoded, rowCommitting, rowComplete:
-			replies = "META"
 		}
 	case evMetaLong:
 		switch {
@@ -678,7 +678,7 @@ func (c *objCell) expect(row, ev int) (after, replies string) {
 // invariants hold and no state appeared that may not. Every phase and every
 // generation-guard state must be entered by some cell.
 func TestObjectStateMatrix(t *testing.T) {
-	seed := time.Now().UnixNano()
+	seed := testSeed(t)
 	t.Logf("matrix seed %d", seed)
 	rng := rand.New(rand.NewSource(seed))
 	phases, guards := map[string]int{}, map[uint8]int{}
@@ -794,8 +794,13 @@ func (c *objCell) checkCell(t *testing.T, row, ev int, sent map[transport.Addr][
 		}
 	case ev == evFbNeed:
 		ps := c.s.objects[c.id].peers[matrixSender]
-		if owed, want := ps.metaOwed, row != rowAnnounced; owed != want || len(ps.unsettled) != 1 {
-			t.Errorf("META owed: %v, want %v; %d rows in flight, want the 1 the need found", owed, want, len(ps.unsettled))
+		if owed, want := ps.owed == 1, row != rowAnnounced; owed != want || len(ps.unsettled) != 1 {
+			t.Errorf("META owed: %v (owed %d), want %v; %d rows in flight, want the 1 the need found", owed, ps.owed, want, len(ps.unsettled))
+		}
+	case ev == evReq:
+		// The REQ re-arms the sender's proof pass, and nothing else answers it.
+		if ps := c.s.objects[c.id].peers[matrixSender]; ps == nil || !ps.reqSub || ps.pass < 0 {
+			t.Errorf("REQ: peer state %+v, want a subscriber with its proof pass armed", ps)
 		}
 	case ev >= evDataUnit && ev <= evDataWrongGeometry:
 		// A need names the META where none came, else the run none holds.

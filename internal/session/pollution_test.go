@@ -197,8 +197,12 @@ func TestPolluterConvictedFetchSurvives(t *testing.T) {
 		t.Fatalf("banned = %v, want [polluter]", banned)
 	}
 	// Once banned, the polluter is refused service too.
-	if reply := dst.handleReq("polluter", id[:]); reply != nil {
-		t.Fatal("banned peer was served a REQ reply")
+	dst.handleReq("polluter", id[:])
+	dst.mu.Lock()
+	_, served := dst.objects[id].peers["polluter"]
+	dst.mu.Unlock()
+	if served {
+		t.Fatal("banned peer's REQ made it a push target")
 	}
 }
 

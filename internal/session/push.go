@@ -8,6 +8,7 @@ import (
 
 	"ltnc/internal/adapt"
 	"ltnc/internal/bitvec"
+	"ltnc/internal/integrity"
 	"ltnc/internal/packet"
 	"ltnc/internal/transport"
 )
@@ -36,24 +37,15 @@ import (
 // describes and records what left, commitLocked writes the result back.
 type peerPlan struct {
 	addr transport.Addr
-	// Snapshot of the peer's state, taken under s.mu. needMeta marks a
-	// candidate only: metaAt is stamped at commit, after the META has
-	// actually been sent — a below-threshold object emits nothing this
-	// tick and must retry next tick. The stamp expires (metaResend), so
-	// delivery needs no ack: a META lost to the fabric is repeated until
-	// the peer reports completion.
+	// Snapshot of the peer's state, taken under s.mu.
 	gensDone []bool // generations complete at the peer (nil = none)
-	// metaPass: the META is due on its cadence, and re-arms the manifest
-	// pass behind it; a META a need owed goes alone.
-	needMeta, metaPass bool
-	// needMan marks a peer owed manifest runs: manAt is its manNext as
-	// planned, manNext advances on this copy as emit sends them
-	// (sendManifest) and is written back unless a REQ re-armed the peer
-	// meanwhile; manOwed is the run a need re-armed, plus one (0: none),
-	// and manSent says whether any run left.
-	needMan                 bool
-	manAt, manNext, manOwed int
-	manSent                 bool
+	// The proof pass: passAt is the peer's pass as planned, pass advances
+	// on this copy as emit takes the round's items (takeProof) and is
+	// written back unless a REQ re-armed the peer meanwhile; owed is the
+	// item a need re-armed, plus one (0: none); proof holds the items that
+	// go this round, ahead of its rows.
+	passAt, pass, owed int
+	proof              [][]byte
 	// burst is how many DATA frames this peer gets this round: what the
 	// peer's window has free (adapt.Link.Grant).
 	burst int
@@ -74,16 +66,18 @@ type peerPlan struct {
 	rows             []*packet.Packet // coder-drawn burst (a window of Session.rowBuf): sysRows natives, repRows repeats, then recodes
 	sysRows, repRows int
 
-	// What left: metaSent — the META send succeeded; sent — DATA frames
-	// committed to the coalescer window (the flush's error, like a lost
-	// datagram, is not worth unwinding the stats for), sys of them
-	// systematic and rep repeats.
-	metaSent       bool
+	// What left: sent — DATA frames committed to the coalescer window (the
+	// flush's error, like a lost datagram, is not worth unwinding the stats
+	// for), sys of them systematic and rep repeats.
 	sent, sys, rep int
 }
 
 // has reports whether the peer reported generation g complete.
 func (p *peerPlan) has(g int) bool { return genDone(p.gensDone, g) }
+
+// proven reports whether a proof pass standing at pass has sent the run
+// holding native x's digest: a row of x may follow it.
+func proven(pass, x int) bool { return pass < 0 || x/integrity.RunLen+1 < pass }
 
 // genDone reads a peer's kind-3 reports, a slice sized lazily: nil, none.
 func genDone(done []bool, g int) bool { return g < len(done) && done[g] }
@@ -100,12 +94,10 @@ func (p *peerPlan) native(x int, z *packet.Packet) {
 	p.unsettled = append(p.unsettled, sentNative{p.sentBase + uint32(len(p.rows)), int32(x)})
 }
 
-// objectPlan is one object's share of a push round; needMeta is set when
-// any of its peers needs the META.
+// objectPlan is one object's share of a push round.
 type objectPlan struct {
-	st       *objectState
-	peers    []peerPlan
-	needMeta bool
+	st    *objectState
+	peers []peerPlan
 }
 
 // push sends one burst per object and target with rows to come. It
@@ -151,9 +143,9 @@ func earliest(a, b time.Time) time.Time {
 // object's peers in targetsLocked order. The order is part of the
 // protocol's determinism — every peer's Recode draws from the object's
 // one coder RNG, so who goes first decides what everyone gets. A peer
-// whose window is full and whose META is not due is left out; age is the
-// earliest ageing deadline over every link planned, left out or not. s.mu
-// must be held.
+// whose window is full and who is owed no proof held here is left out;
+// age is the earliest ageing deadline over every link planned, left out or
+// not. s.mu must be held.
 func (s *Session) planLocked(now time.Time) (plans []objectPlan, live bool, age time.Time) {
 	objs := make([]*objectState, 0, len(s.objects))
 	for _, st := range s.objects {
@@ -164,18 +156,16 @@ func (s *Session) planLocked(now time.Time) (plans []objectPlan, live bool, age 
 		addrs := s.targetsLocked(st)
 		live = live || len(addrs) > 0
 		op := objectPlan{st: st}
-		sizeKnown := st.size.Load() >= 0
+		sized := st.size.Load() >= 0
 		st.mu.Lock()
 		frames := st.manFrames
 		st.mu.Unlock()
 		for _, addr := range addrs {
-			p, at := s.planPeerLocked(st, addr, sizeKnown, frames, now)
+			p, at, due := s.planPeerLocked(st, addr, sized, frames, now)
 			age = earliest(age, at)
-			if p.burst == 0 && !p.needMeta && !p.needMan {
-				continue
+			if due {
+				op.peers = append(op.peers, p)
 			}
-			op.needMeta = op.needMeta || p.needMeta
-			op.peers = append(op.peers, p)
 		}
 		if len(op.peers) > 0 {
 			plans = append(plans, op)
@@ -184,16 +174,15 @@ func (s *Session) planLocked(now time.Time) (plans []objectPlan, live bool, age 
 	return plans, live, age
 }
 
-// planPeerLocked snapshots one peer of st, whose held manifest runs are
-// frames (nil where not held), for a round at now, and returns when the
-// oldest row in flight on the peer's link ages out. s.mu must be held.
-func (s *Session) planPeerLocked(st *objectState, addr transport.Addr, sizeKnown bool, frames [][]byte, now time.Time) (p peerPlan, age time.Time) {
+// planPeerLocked snapshots one peer of st — sized or not, its held manifest
+// runs frames (nil where not held) — for a round at now, and returns when
+// the oldest row in flight on the peer's link ages out and whether the
+// round has anything for the peer: rows its window grants, or proof it
+// holds. s.mu must be held.
+func (s *Session) planPeerLocked(st *objectState, addr transport.Addr, sized bool, frames [][]byte, now time.Time) (p peerPlan, age time.Time, due bool) {
 	ps := st.peer(addr)
 	p = peerPlan{addr: addr, cacheCursor: ps.cacheCursor, sysCursor: ps.sysCursor, repairAt: ps.repairAt, repairStep: ps.repairStep,
-		manAt: ps.manNext, manNext: ps.manNext, manOwed: ps.manOwed}
-	p.metaPass = now.Sub(ps.metaAt) >= s.metaResend()
-	p.needMeta = sizeKnown && (p.metaPass || ps.metaOwed)
-	p.needMan = ps.manOwed > 0 || ps.manNext >= 0 && ps.manNext < len(frames) && frames[ps.manNext] != nil
+		passAt: ps.pass, pass: ps.pass, owed: ps.owed}
 	// Grant is also what folds the peer's receipts into its loss estimate.
 	// The taper reads what the peer itself reported missing when it has:
 	// fed by several senders, it never brings one link's innovative count
@@ -203,8 +192,8 @@ func (s *Session) planPeerLocked(st *objectState, addr transport.Addr, sizeKnown
 		lacks = ps.lacksLocked(st.kPer)
 	}
 	p.burst, age = ps.link.Grant(now, s.cfg.Tick, lacks), ps.link.Deadline()
-	if p.burst == 0 && !p.needMeta && !p.needMan {
-		return p, age // nothing to send: planLocked leaves the peer out
+	if p.burst == 0 && p.owed == 0 && (p.pass < 0 || !holdsProof(p.pass, sized, frames)) {
+		return p, age, false // nothing to send: planLocked leaves the peer out
 	}
 	if ps.gensDoneN > 0 {
 		p.gensDone = slices.Clone(ps.gensDone)
@@ -217,7 +206,7 @@ func (s *Session) planPeerLocked(st *objectState, addr transport.Addr, sizeKnown
 	}
 	ps.unsettled = ps.unsettled[:copy(ps.unsettled, ps.unsettled[n:])]
 	p.frontier, p.unsettled, p.sentBase = slices.Clone(ps.frontier), ps.unsettled, uint32(ps.link.Sent())
-	return p, age
+	return p, age, true
 }
 
 // lacksLocked counts the natives the peer's frontier leaves missing, over
@@ -240,33 +229,35 @@ func frontierLacks(f []byte, kPer int) int {
 	return kPer
 }
 
-// emit sends one object's round: rows are built under st.mu, so decode
-// workers stall at most per object; then META and the next manifest runs
-// go out directly, ahead of the round's DATA, which is staged into the
-// coalescer. An announced, evicted or below-threshold object emits
-// nothing.
+// emit sends one object's round. Under st.mu it takes each peer's proof
+// for the round (takeProof), then draws its rows — none of a run the pass
+// has yet to send it — so decode workers stall at most per object; then
+// the proof goes out directly, ahead of the round's DATA, which is staged
+// into the coalescer. An evicted object emits nothing, an announced one has
+// no proof to send, and a below-threshold one sends only its proof.
 func (s *Session) emit(op *objectPlan) {
 	st := op.st
-	var meta []byte
-	var manifest [][]byte
 	cached, ready := false, false
 	st.mu.Lock()
 	switch st.phase {
 	case phCaching:
 		// Frames come from the cached basis (the cache has its own lock);
 		// no aggressiveness gate — whatever rank the cache holds is already
-		// worth serving. Its size stays -1 until the origin's META arrives,
-		// and with it needMeta stays false.
+		// worth serving.
 		cached, ready = true, true
 	case phFilling:
 		ready = st.coder.Received() >= threshold(st.k)
 	case phDecoded, phComplete:
 		ready = true
 	}
-	if ready {
-		// manFrames is replaced wholesale under st.mu and never written in
-		// place, so the snapshot is safe to send after unlock.
-		manifest = st.manFrames
+	var proof [][]byte // built for the first peer the round owes proof
+	for i := range op.peers {
+		if p := &op.peers[i]; st.phase != phEvicted && (p.pass >= 0 || p.owed > 0) {
+			if proof == nil {
+				proof = s.proofLocked(st)
+			}
+			p.takeProof(proof)
+		}
 	}
 	if ready && !cached {
 		st.mergeLogLocked()
@@ -285,24 +276,17 @@ func (s *Session) emit(op *objectPlan) {
 			off += p.burst
 		}
 	}
-	if ready && op.needMeta {
-		meta = s.metaFrame(st)
-	}
+	kPer := st.kPer
 	st.mu.Unlock()
 	for i := range op.peers {
 		p := &op.peers[i]
-		if meta != nil && p.needMeta {
-			if p.metaSent = s.tr.Send(p.addr, meta) == nil; p.metaSent && p.metaPass {
-				// The manifest rides the META's resend cadence: lossy
-				// datagrams, no acks — repeat until the peer is done.
-				p.manNext = max(p.manNext, 0)
-			}
+		for _, f := range p.proof {
+			s.tr.Send(p.addr, f)
 		}
-		s.sendManifest(p, manifest)
 	}
 	for i := range op.peers {
 		if cached {
-			s.stageCached(st, &op.peers[i])
+			s.stageCached(st, &op.peers[i], kPer)
 		} else {
 			s.stageRows(&op.peers[i])
 		}
@@ -310,33 +294,51 @@ func (s *Session) emit(op *objectPlan) {
 	clear(s.rowBuf) // staged: natives back on the free list, coded rows garbage
 }
 
+// proofLocked returns the object's proof as a pass sends it: item 0 its
+// META, item r+1 the MANIFEST frame of run r, nil where this node does not
+// hold it. manFrames is replaced wholesale under st.mu and never written in
+// place, so the frames are safe to send after unlock. st.mu must be held.
+func (s *Session) proofLocked(st *objectState) [][]byte {
+	proof := make([][]byte, 1+(st.k+integrity.RunLen-1)/integrity.RunLen)
+	if st.size.Load() >= 0 {
+		proof[0] = s.metaFrame(st)
+	}
+	copy(proof[1:], st.manFrames)
+	return proof
+}
+
+// holdsProof reports whether item i of an object's proof is held, given
+// whether its size (and so its META) is known and its manifest's frames.
+func holdsProof(i int, sized bool, frames [][]byte) bool {
+	if i == 0 {
+		return sized
+	}
+	return i <= len(frames) && frames[i-1] != nil
+}
+
 // manifestChunksPerRound is how many manifest runs a peer gets a round,
-// 64 KiB. A 16 MiB object's manifest is 16 runs, 524 KiB: in one burst it
-// overflows a receive buffer of Linux's default 208 KiB, the same frames
-// lost on every resend. At four a round, back to back with the round's
-// DATA, one fetch in four over loopback still lost one.
+// 64 KiB, behind the META. A 16 MiB object's manifest is 16 runs, 524 KiB:
+// in one burst it overflows a receive buffer of Linux's default 208 KiB,
+// the same frames lost on every repair. At four a round, back to back with
+// the round's DATA, one fetch in four over loopback still lost one.
 const manifestChunksPerRound = 2
 
-// sendManifest sends the peer the run a need re-armed, if any, then its
-// next manifest runs, if it is owed any, behind the round's META, in run
-// order: a pass waits at a run not held.
-func (s *Session) sendManifest(p *peerPlan, frames [][]byte) {
-	send := func(r int) {
-		s.tr.Send(p.addr, frames[r])
-		p.manSent = true
+// takeProof picks the peer's proof items for the round out of proof (nil
+// where not held): the item a need owed, if held, then the pass's next
+// items in order, up to manifestChunksPerRound runs; the pass waits at an
+// item not held.
+func (p *peerPlan) takeProof(proof [][]byte) {
+	if i := p.owed - 1; i >= 0 && i < len(proof) && proof[i] != nil {
+		p.proof = append(p.proof, proof[i])
 	}
-	if r := p.manOwed - 1; r >= 0 && r < len(frames) && frames[r] != nil {
-		send(r)
+	for runs := 0; p.pass >= 0 && p.pass < len(proof) && proof[p.pass] != nil && runs < manifestChunksPerRound; p.pass++ {
+		p.proof = append(p.proof, proof[p.pass])
+		if p.pass > 0 {
+			runs++
+		}
 	}
-	if p.manNext < 0 {
-		return
-	}
-	for sent := 0; sent < manifestChunksPerRound && p.manNext < len(frames) && frames[p.manNext] != nil; sent++ {
-		send(p.manNext)
-		p.manNext++
-	}
-	if p.manNext > 0 && p.manNext == len(frames) {
-		p.manNext = -1
+	if p.pass == len(proof) {
+		p.pass = -1
 	}
 }
 
@@ -345,21 +347,16 @@ func (s *Session) sendManifest(p *peerPlan, frames [][]byte) {
 // a relay must not launder pollution. st.mu must be held.
 func (st *objectState) quarantinedLocked(g int) bool { return st.guard[g].state == genQuarantined }
 
-// gatedLocked reports whether generation g must not recode downstream.
-// Quarantined generations never do. And once its runs of the manifest are
-// in hand (genHeldLocked), it recodes only once verified: a partially-filled
-// generation may hold a polluter's forged rows, and pushing recodes of it
-// would launder the garbage through this honest node — whose downstreams
-// would then convict *it* (the row that released their first false native
-// came from this node).
-// A coded row can only be checked against its whole generation, so for
-// coded rows that is the store-and-forward unit; a decoded native is
-// checkable alone, and drawRowsLocked does not wait. Without those runs
-// there is nothing to verify against; the generation recodes freely, gated
-// only by explicit quarantine. st.mu must be held.
-func (st *objectState) gatedLocked(g int) bool {
-	return st.quarantinedLocked(g) || (st.guard[g].state != genVerified && st.genHeldLocked(g))
-}
+// gatedLocked reports whether generation g must not recode downstream: it
+// has not verified. A partially-filled generation may hold a polluter's
+// forged rows, and pushing recodes of it would launder the garbage through
+// this honest node — whose downstreams would then convict *it* (the row
+// that released their first false native came from this node). A coded row
+// can only be checked against its whole generation, so for coded rows that
+// is the store-and-forward unit; a decoded native is checkable alone
+// against its run of the manifest, and waits for that run only
+// (drawNativeLocked). st.mu must be held.
+func (st *objectState) gatedLocked(g int) bool { return st.guard[g].state != genVerified }
 
 // mergeLogLocked appends what each generation decoded since the last call
 // to the object's decode-order log (0..k−1 for a seeded source). After a
@@ -385,12 +382,13 @@ func (st *objectState) mergeLogLocked() {
 // frontier lacks (repairLocked), coded rows for the generations it says
 // nothing about. Rows are recoded per target so each peer's burst
 // round-robins across exactly the generations it still needs (kind-3
-// feedback) and may be served (gatedLocked). A generation with a frontier
+// feedback) and may be served: verified (gatedLocked), every run over it
+// sent to the peer ahead (proven). A generation with a frontier
 // in hand is not coded for blind: what this node has decoded of it goes
 // out as repeats, and an LT row over the rest of the generation would
 // mostly land on natives the peer has. The exception is a node free to
-// recode (ungated) that holds coded rows of the generation it cannot
-// decode yet, and fewer natives than the peer lacks: those rows reach what
+// recode (verified) that holds coded rows of the generation it has not
+// peeled yet, and fewer natives than the peer lacks: those rows reach what
 // its natives cannot. A generation with no frontier is not coded for while
 // a native of it sent toward the peer is unsettled — repairLocked's gate:
 // the next receipt or completion report says whether anything is owed, and
@@ -401,20 +399,22 @@ func (st *objectState) mergeLogLocked() {
 // decode-order log, emitting each native AT MOST once as a degree-1 row
 // before any coded repair. It is the relay's cut-through path: a native
 // decoded this tick ends the log and leaves this tick, while its
-// generation is still filling. So the gate here is per native: its runs in
-// hand and generation unverified, the row goes out only if the decoded
-// payload matches its digest; a mismatch (belief propagation peeled a
-// forged row) is passed over for good, and quarantines its generation at
-// completion. The cursor indexes the log because an index-order cursor
-// cannot cut through: it must skip every native not yet decoded — a peer
-// subscribed before the relay completes then gets no plain row at all — or
-// stall on it, head-of-line blocked by the first native upstream lost. A
-// log cursor never waits on a native; at the end of the log it has sent
-// all there is. Entries of generations the peer has, or that are
-// quarantined, are passed over too. st.mu must be held.
+// generation is still filling. So the gate here is per native
+// (drawNativeLocked): its generation unverified, the row goes out only
+// once its run is in hand and the decoded payload matches its digest; a
+// mismatch (belief propagation peeled a forged row) is passed over for
+// good, and quarantines its generation at completion. The cursor indexes
+// the log because an index-order cursor cannot cut through: it must skip
+// every native not yet decoded — a peer subscribed before the relay
+// completes then gets no plain row at all — or stall on it, head-of-line
+// blocked by the first native upstream lost. A log cursor waits only at a
+// native whose run this node does not hold or has not yet sent the peer:
+// stepping past would leave it to frontier repair. Entries of generations
+// the peer has, or that are quarantined, are passed over. st.mu must be
+// held.
 func (s *Session) drawRowsLocked(st *objectState, p *peerPlan) {
 	skip := func(g int) bool {
-		if p.has(g) || st.gatedLocked(g) {
+		if p.has(g) || st.gatedLocked(g) || !proven(p.pass, (g+1)*st.kPer-1) {
 			return true
 		}
 		if p.frontier == nil || p.frontier[g] == nil {
@@ -422,10 +422,8 @@ func (s *Session) drawRowsLocked(st *objectState, p *peerPlan) {
 		}
 		return st.coder.GenStored(g) == 0 || len(st.coder.DecodeLog(g)) >= frontierLacks(p.frontier[g], st.kPer)
 	}
-	for len(p.rows) < p.burst && p.sysCursor < len(st.sysLog) {
-		x := int(st.sysLog[p.sysCursor])
+	for len(p.rows) < p.burst && p.sysCursor < len(st.sysLog) && s.drawNativeLocked(st, p, int(st.sysLog[p.sysCursor])) {
 		p.sysCursor++
-		s.drawNativeLocked(st, p, x)
 	}
 	p.sysRows = len(p.rows)
 	s.repairLocked(st, p)
@@ -444,22 +442,29 @@ func (s *Session) drawRowsLocked(st *objectState, p *peerPlan) {
 
 // drawNativeLocked adds native x to the peer's burst as a degree-1 row if
 // it may leave: the peer lacks its generation, this node has decoded it,
-// and — the gate of the systematic pass and of every repeat alike —
-// its runs in hand and generation unverified, the decoded payload matches
-// its digest. The row is a packet off the push rounds' free list with the
-// native's bytes copied in, here under st.mu: a move or a quarantine after
-// the lock drops cannot change what is staged. st.mu must be held.
-func (s *Session) drawNativeLocked(st *objectState, p *peerPlan, x int) {
+// the run holding its digest is in hand and the pass has sent it to the
+// peer, and — its generation unverified — the decoded payload matches that
+// digest: the gate of the systematic pass and of every repeat alike. It
+// reports false, drawing nothing, for a native that waits for its run: the
+// systematic pass stops there, repair passes over it. The row is a packet
+// off the push rounds' free list with the native's bytes copied in, here
+// under st.mu: a move or a quarantine after the lock drops cannot change
+// what is staged. st.mu must be held.
+func (s *Session) drawNativeLocked(st *objectState, p *peerPlan, x int) (ready bool) {
 	g := x / st.kPer
 	if p.has(g) || st.quarantinedLocked(g) {
-		return
+		return true
+	}
+	if !st.man.Holds(x) || !proven(p.pass, x) {
+		return false
 	}
 	z := s.takeNativeRow(st.kPer, st.m)
 	if st.coder.NativeRow(z, x) && (!st.gatedLocked(g) || st.nativeProvenLocked(x, z.Payload)) {
 		p.native(x, z)
-		return
+		return true
 	}
 	s.putNativeRow(z)
+	return true
 }
 
 // maxFreeRows bounds the push rounds' free list of native rows: four
@@ -497,8 +502,9 @@ func (s *Session) putNativeRow(z *packet.Packet) {
 // repairLocked is the repair phase of one peer's burst (the paper's
 // Algorithm 4, degree-1 branch, with the receiver's state on the wire): it
 // repeats the natives the peer's frontier lacks and this node may send
-// (drawNativeLocked), but none whose last send toward the peer the link
-// still counts in flight — its fate is not in the frontier yet.
+// (drawNativeLocked: one waiting for its run is passed over), but none
+// whose last send toward the peer the link still counts in flight — its
+// fate is not in the frontier yet.
 //
 // The scan visits the frontier's bytes — eight natives each, generation
 // after generation — in an order of this (sender, peer)'s own: from
@@ -570,12 +576,10 @@ func (s *Session) stageRows(p *peerPlan) {
 }
 
 // stageCached deals one peer's burst from the cached basis, along the
-// peer's own cursor and around the generations it already covers.
-func (s *Session) stageCached(st *objectState, p *peerPlan) {
-	var skip func(uint32) bool
-	if done := p.gensDone; done != nil {
-		skip = func(g uint32) bool { return int(g) < len(done) && done[g] }
-	}
+// peer's own cursor, around the generations it already covers and those
+// of kPer natives whose runs the pass has yet to send it.
+func (s *Session) stageCached(st *objectState, p *peerPlan, kPer int) {
+	skip := func(g uint32) bool { return p.has(int(g)) || !proven(p.pass, (int(g)+1)*kPer-1) }
 	for p.sent < p.burst {
 		frame, ok := s.cache.AppendFrame(append(s.coal.Stage(), frameData), st.id, &p.cacheCursor, skip)
 		if !ok || len(frame) > transport.MaxFrame {
@@ -612,16 +616,13 @@ func (s *Session) commitLocked(plans []objectPlan, now time.Time) (age time.Time
 			if !ok {
 				continue
 			}
-			if p.metaSent {
-				ps.metaAt, ps.metaOwed = now, false
+			if ps.pass == p.passAt {
+				ps.pass = p.pass
 			}
-			if ps.manNext == p.manAt {
-				ps.manNext = p.manNext
-			}
-			if p.manSent {
-				ps.manAt = now
-				if ps.manOwed == p.manOwed {
-					ps.manOwed = 0
+			if len(p.proof) > 0 {
+				ps.proofAt = now
+				if ps.owed == p.owed {
+					ps.owed = 0
 				}
 			}
 			ps.cacheCursor = p.cacheCursor
@@ -637,12 +638,6 @@ func (s *Session) commitLocked(plans []objectPlan, now time.Time) (age time.Time
 		}
 	}
 	return age
-}
-
-// metaResend is how long a sent META is trusted before it is repeated to
-// a still-incomplete peer; see peerState.metaAt.
-func (s *Session) metaResend() time.Duration {
-	return max(25*s.cfg.Tick, 50*time.Millisecond)
 }
 
 // targetsLocked returns the push targets for one object: every live

@@ -266,20 +266,28 @@ func feed(dst *Session, src *recTransport, without ...byte) {
 // the MANIFEST frames left out of the digest, every case's stream is, byte
 // for byte, the one it was (each object here is one run, one MANIFEST frame
 // before and after).
+//
+// The full and stamp-zeroed digests of all five were re-pinned when proof
+// became one pass per peer, ahead of its rows, with the META cadence gone:
+// every peer's stream now opens with its META and its one MANIFEST frame
+// and carries no other, where the cadence put the pair in again every 25
+// ticks (static-g1-manifest's a went from M F 38 DATA M F 25 DATA to M F 63
+// DATA, say). The DATA frames did not move, row for row, in any case: the
+// five dataGoldens stand as they were.
 var pushGoldens = map[string]string{
-	"static-g1-manifest": "4189d8fb3342d9fdbd021d3c2584ada1aa61019b00e75e217b3aad26de2772c7",
-	"g4-gen-complete":    "561b70f685bf0fb553202b21e6a634319e6f48500f3d932c8a70a0cf7e8ecd8d",
-	"systematic":         "5eaee3cba1b91de2023357e1a9cc21ad04fbc571dfebfda0b3c8726315bf562e",
-	"cache-req":          "b2d14225353f8e6900607d98022bb1cdf85485e660aaeef2df9d476994f7f095",
-	"paced":              "11091afb3b7bb21d1a64dce8c9915d34e75b805332f8e582780d630731c9d2e6",
+	"static-g1-manifest": "8c93b71f2658fd9e2c6247e0b1d7d9107535844d190e6d1f80df6d733b819ff3",
+	"g4-gen-complete":    "35420757a4b23154748feb779499542a8e5e45d917e2393339b4e68142079e24",
+	"systematic":         "b54ece229f44a72a4b6d12ac521e7c9111412bb6e60d6a201aca969c825f84c8",
+	"cache-req":          "71c6d777b2f4f9a7d758cfe40968810f2a21c504ddbb5a5dc3374e8da810c9e7",
+	"paced":              "517fe9900bd55fed07ee80e46bfe5215ec5b925c3c8060434f529ff1e1acba9b",
 }
 
 var maskedGoldens = map[string]string{
-	"static-g1-manifest": "28333b56e0aa29a58ca25b05f3970a291e2189910b0738568d6cde8e78c00078",
-	"g4-gen-complete":    "c712d7e532074d8ff57e4a8a9aaff3602565e914bdf317ed45e2688e33fbbce9",
-	"systematic":         "4e5f43a5dd7320656bc10e4cafaa8dd274e75f3c0d123a52cd7993e062ccbe0e",
-	"cache-req":          "28b0cacb3d93ffd6fa027f1d89e6fab844c18cb85ca418d7fffbf6cd9403a78f",
-	"paced":              "fb78a2be01fa5ebb5ce5be2507c4997cbc19c7cf147dd4c84476a5e34e4ebcce",
+	"static-g1-manifest": "1e8e2c97fefcf7330bfbb47a2f8165cb0f8a8ca0f19446d5eec12d964dfd1dc6",
+	"g4-gen-complete":    "23989fd5ed936bbdeee43d5c382d5123a75e7f343d843447f423674673f5cc3b",
+	"systematic":         "375d99434396329a29b61758bfc0352df3511fa6b64ced2e5b83f10a8d0a99ce",
+	"cache-req":          "25861481ff8e7a73e9f8da74f5e512f30999314a28da5898b3f655cdbad69335",
+	"paced":              "34e2041fcbf27e9d5e17f40b98477bd8e333bcf709ba1f4c8c9a3fe337189705",
 }
 
 var dataGoldens = map[string]string{
@@ -302,7 +310,7 @@ func TestPushGolden(t *testing.T) {
 			}
 			pushTicks(s, clk, 10)
 			injectFrame(s, "sub", encodeReq(id))
-			pushTicks(s, clk, 40) // crosses a META+manifest resend
+			pushTicks(s, clk, 40)
 			injectFrame(s, "a", feedbackFrame(id, fbComplete))
 			pushTicks(s, clk, 10)
 			return rec
@@ -454,6 +462,11 @@ const (
 	objModes
 )
 
+// Peer states: fresh — a configured peer, its proof pass from the start;
+// needs-META — a subscriber whose pass has sent all it could and a need has
+// re-armed the META; done; paused — a subscriber whose REQ re-armed its
+// pass and whose window is full; gensDone-partial — a subscriber whose pass
+// has sent all it could and who has reported some generations complete.
 const (
 	peerFresh = iota
 	peerNeedsMeta
@@ -610,9 +623,14 @@ func newMatrixCell(t *testing.T, rng *rand.Rand, obj, peer int) *matrixCell {
 	} else {
 		injectFrame(c.s, matrixPeer, encodeReq(id))
 		ps := c.st.peers[matrixPeer]
+		if peer == peerNeedsMeta || peer == peerGensPartial {
+			ps.pass = passEnd(c.st)
+		}
 		switch peer {
 		case peerNeedsMeta:
-			ps.metaAt = now.Add(-c.s.metaResend())
+			if c.st.size.Load() >= 0 {
+				ps.owed = 1 // what a need for the META re-arms: item 0
+			}
 		case peerDone:
 			ps.done = true
 		case peerPaused:
@@ -622,7 +640,6 @@ func newMatrixCell(t *testing.T, rng *rand.Rand, obj, peer int) *matrixCell {
 			ps.link.Grant(now, c.s.cfg.Tick, c.st.k)
 			ps.link.OnSend(ps.link.Window(), now)
 		case peerGensPartial:
-			ps.metaAt = now
 			ps.gensDone = make([]bool, gens)
 			for _, g := range rng.Perm(gens)[:1+rng.Intn(gens-1)] {
 				ps.gensDone[g] = true
@@ -638,8 +655,15 @@ func newMatrixCell(t *testing.T, rng *rand.Rand, obj, peer int) *matrixCell {
 	return c
 }
 
+// passEnd is where a proof pass that has sent all it could of st's proof
+// stands: at the first item st does not hold, or −1 past the last.
+func passEnd(st *objectState) int {
+	proof := (&Session{}).proofLocked(st)
+	return slices.IndexFunc(proof, func(f []byte) bool { return f == nil })
+}
+
 func TestPushStateMatrix(t *testing.T) {
-	seed := time.Now().UnixNano()
+	seed := testSeed(t)
 	t.Logf("matrix seed %d", seed)
 	rng := rand.New(rand.NewSource(seed))
 	for obj := 0; obj < objModes; obj++ {
@@ -651,6 +675,70 @@ func TestPushStateMatrix(t *testing.T) {
 			})
 		}
 	}
+}
+
+// matrixWant is what one push() of a matrix cell should emit to the peer,
+// and whether the round draws rows from a coder for it.
+type matrixWant struct {
+	meta, manifest, data int
+	draws                bool
+}
+
+// want derives the cell's expected round. Proof goes to every peer not
+// done of an object not evicted, its window full or not: the META a need
+// owes, if held, then the pass from the item it stands at, up to
+// manifestChunksPerRound runs, waiting at an item not held. Rows follow
+// only once the run that proves them has gone — at these geometries the
+// manifest is one run — from an object ready to emit, to a peer whose
+// window is open.
+func (c *matrixCell) want(obj, peer, grant int, before peerState) (w matrixWant) {
+	st := c.st
+	if peer == peerDone || obj == objDead {
+		return w
+	}
+	proof := (&Session{}).proofLocked(st)
+	if i := before.owed - 1; i >= 0 && proof[i] != nil {
+		w.meta++
+	}
+	pass := before.pass
+	for runs := 0; pass >= 0 && pass < len(proof) && proof[pass] != nil && runs < manifestChunksPerRound; pass++ {
+		if pass == 0 {
+			w.meta++
+		} else {
+			w.manifest++
+			runs++
+		}
+	}
+	if peer == peerPaused || obj == objBelowThreshold {
+		return w
+	}
+	w.draws = obj != objCached && obj != objCachedSizeless
+	if proven := pass < 0 || pass == len(proof) || pass > 1; !proven {
+		return w
+	}
+	switch {
+	case obj == objQuarantined:
+		return w
+	case obj < objUnverifiedProven:
+		w.data = grant
+		return w
+	}
+	// Natives 0 and 1 of every generation are decoded, or none is; what
+	// leaves is those that match their digests, for the generations the
+	// peer still needs.
+	good := 0
+	switch obj {
+	case objUnverifiedProven:
+		good = 2
+	case objUnverifiedMismatch:
+		good = btoi(!c.early) // late: native 0 is true, 1 peeled false
+	}
+	need := int(st.gens.Load())
+	for _, d := range c.done {
+		need -= btoi(d)
+	}
+	w.data = min(grant, good*need)
+	return w
 }
 
 // checkMatrixCell runs one push() on the cell and asserts what left and
@@ -666,6 +754,7 @@ func checkMatrixCell(t *testing.T, c *matrixCell, obj, peer int) {
 	// What the peer's window grants this round, read off a copy of its link.
 	probe := before.link
 	grant := probe.Grant(now, s.cfg.Tick, probe.Lacks(st.k))
+	want := c.want(obj, peer, grant, before)
 
 	s.push()
 
@@ -676,42 +765,16 @@ func checkMatrixCell(t *testing.T, c *matrixCell, obj, peer int) {
 		}
 	}
 	meta, manifest, data := frameCounts(frames[matrixPeer])
-	targeted := peer != peerDone && peer != peerPaused
-	emits := targeted && obj != objDead && obj != objBelowThreshold
-	wantMeta := emits && obj != objCachedSizeless && (peer == peerFresh || peer == peerNeedsMeta)
-	wantMan, wantData := 0, 0
-	if peer != peerDone && obj != objDead && obj != objBelowThreshold {
-		// Every peer starts owed the manifest, which leaves a few chunks a
-		// round whether a META goes with them or not, and takes no window:
-		// a paused peer gets it too.
-		wantMan = min(len(st.manFrames), manifestChunksPerRound)
-	}
-	switch {
-	case !emits:
-	case obj >= objUnverifiedProven:
-		// Natives 0 and 1 of every generation are decoded, or none is;
-		// what leaves is those that match their digests, for the
-		// generations the peer still needs.
-		good := 0
-		switch obj {
-		case objUnverifiedProven:
-			good = 2
-		case objUnverifiedMismatch:
-			good = btoi(!c.early) // late: native 0 is true, 1 peeled false
-		}
-		need := int(st.gens.Load())
-		for _, d := range c.done {
-			need -= btoi(d)
-		}
-		wantData = min(grant, good*need)
-	case obj < objQuarantined:
-		wantData = grant
-	}
-	if meta != btoi(wantMeta) || manifest != wantMan || data != wantData {
+	if got := (matrixWant{meta, manifest, data, want.draws}); got != want {
 		t.Fatalf("emitted %d META, %d MANIFEST, %d DATA; want %d, %d, %d",
-			meta, manifest, data, btoi(wantMeta), wantMan, wantData)
+			meta, manifest, data, want.meta, want.manifest, want.data)
 	}
-	if wantMeta && frames[matrixPeer][0][0] != frameMeta {
+	for i, f := range frames[matrixPeer] {
+		if f[0] == frameData && i < want.meta+want.manifest {
+			t.Fatalf("DATA frame %d of the round went ahead of its proof", i)
+		}
+	}
+	if want.meta > 0 && frames[matrixPeer][0][0] != frameMeta {
 		t.Fatalf("META did not lead the round: first frame kind %#x", frames[matrixPeer][0][0])
 	}
 	systematic := obj == objReady || obj >= objUnverifiedProven
@@ -734,48 +797,54 @@ func checkMatrixCell(t *testing.T, c *matrixCell, obj, peer int) {
 		}
 	}
 
-	if got := st.sent - sentBefore; got != int64(wantData) {
-		t.Fatalf("st.sent moved by %d, %d DATA frames left", got, wantData)
+	if got := st.sent - sentBefore; got != int64(want.data) {
+		t.Fatalf("st.sent moved by %d, %d DATA frames left", got, want.data)
 	}
-	if want := int64(btoi(systematic) * wantData); st.systematic != want {
+	if want := int64(btoi(systematic) * want.data); st.systematic != want {
 		t.Fatalf("st.systematic = %d, want %d", st.systematic, want)
 	}
 	ps := st.peers[matrixPeer]
 	if ps == nil {
 		t.Fatal("peer state missing after push")
 	}
-	if !targeted {
-		if ps.metaAt != before.metaAt || ps.cacheCursor != before.cacheCursor ||
+	proofWent := want.meta+want.manifest > 0
+	if untouched := peer == peerDone || peer == peerPaused && !proofWent; untouched {
+		if ps.proofAt != before.proofAt || ps.pass != before.pass || ps.cacheCursor != before.cacheCursor ||
 			ps.sysCursor != before.sysCursor || ps.link != before.link {
 			t.Fatalf("push wrote back to an untargeted peer: %+v (was %+v)", *ps, before)
 		}
 		return
 	}
-	if wantMeta && !ps.metaAt.Equal(now) {
-		t.Fatalf("metaAt = %v after a META went out at %v", ps.metaAt, now)
+	if proofWent != ps.proofAt.Equal(now) || !proofWent && !ps.proofAt.Equal(before.proofAt) {
+		t.Fatalf("proofAt %v -> %v; proof went at %v: %v", before.proofAt, ps.proofAt, now, proofWent)
 	}
-	if !wantMeta && !ps.metaAt.Equal(before.metaAt) {
-		t.Fatalf("metaAt moved %v -> %v though no META left", before.metaAt, ps.metaAt)
+	if ps.owed != 0 && proofWent {
+		t.Fatalf("owed = %d after the round's proof went", ps.owed)
+	}
+	if proofWent && ps.pass == before.pass && before.pass >= 0 && want.manifest+want.meta > btoi(before.owed > 0) {
+		t.Fatalf("the pass stands at %d after sending from it", ps.pass)
 	}
 	cached := obj == objCached || obj == objCachedSizeless
-	if moved := ps.cacheCursor != before.cacheCursor; moved != (cached && wantData > 0) {
+	// The cache's rotation moves past what it may not deal the peer.
+	if moved := ps.cacheCursor != before.cacheCursor; moved && !cached || cached && want.data > 0 && !moved {
 		t.Fatalf("cacheCursor %d -> %d in mode %s", before.cacheCursor, ps.cacheCursor, objModeNames[obj])
 	}
 	switch {
-	case !emits || cached:
-		if ps.sysCursor != 0 {
-			t.Fatalf("sysCursor = %d with no systematic pass", ps.sysCursor)
+	case !want.draws:
+		if ps.sysCursor != before.sysCursor {
+			t.Fatalf("sysCursor %d -> %d with no systematic pass", before.sysCursor, ps.sysCursor)
 		}
-	case wantData == grant:
-		if ps.sysCursor < wantData {
-			t.Fatalf("sysCursor = %d after %d systematic rows", ps.sysCursor, wantData)
+	case want.data == grant:
+		if ps.sysCursor < want.data {
+			t.Fatalf("sysCursor = %d after %d systematic rows", ps.sysCursor, want.data)
 		}
 	case ps.sysCursor != len(st.sysLog):
 		// A short round means the pass ran out of log, passing over what
-		// it may not send — it never waits on an entry.
+		// it may not send: every run is held and has gone to the peer, so
+		// it waits at no entry.
 		t.Fatalf("sysCursor = %d after a short burst, the log holds %d", ps.sysCursor, len(st.sysLog))
 	}
-	if emits && obj >= objUnverifiedProven {
+	if want.data > 0 && obj >= objUnverifiedProven {
 		// Every native the pass drew for this peer was hashed, once, and
 		// the verdict kept.
 		for _, x := range st.sysLog[:ps.sysCursor] {
@@ -791,8 +860,8 @@ func checkMatrixCell(t *testing.T, c *matrixCell, obj, peer int) {
 			}
 		}
 	}
-	if got := ps.link.Sent() - before.link.Sent(); got != uint64(wantData) {
-		t.Fatalf("link estimator counted %d rows sent, %d DATA frames left", got, wantData)
+	if got := ps.link.Sent() - before.link.Sent(); got != uint64(want.data) {
+		t.Fatalf("link estimator counted %d rows sent, %d DATA frames left", got, want.data)
 	}
 }
 

@@ -123,7 +123,7 @@
 // cached basis, and sends the feedback a decoder would (receipts,
 // generation-complete, complete) so an origin stops streaming once the
 // cache covers the object. A REQ for a cached object is answered as any
-// other: with the META once the size is known.
+// other: by the proof pass, the META first once the size is known.
 package session
 
 import (
@@ -196,15 +196,8 @@ type sentNative struct {
 
 type peerState struct {
 	lastReq time.Time // last REQ (zero for configured peers)
-	// metaAt is when a META was last sent to this peer (zero: never).
-	// META is repeated periodically rather than latched once: datagrams
-	// are lossy, Send success does not mean delivery, and a configured
-	// push-peer — unlike a fetching client — never re-REQs, so a single
-	// lost META would otherwise wedge the whole downstream pipeline
-	// (the relay could never tell ITS subscribers the object size).
-	metaAt time.Time
-	done   bool // reported complete: stop pushing
-	reqSub bool // subscribed via REQ (pruned when idle)
+	done    bool      // reported complete: stop pushing
+	reqSub  bool      // subscribed via REQ (pruned when idle)
 	// cacheCursor is this peer's position in the cache's serve rotation
 	// (cache mode only). Per peer so concurrent fetchers each walk the
 	// whole cached basis instead of aliasing onto disjoint slices of it.
@@ -235,17 +228,15 @@ type peerState struct {
 	frontier             [][]byte
 	unsettled            []sentNative
 	repairAt, repairStep int
-	// manNext is the next of the object's manifest runs to send the peer
-	// (sendManifest), −1 once all of them have gone; a META sent on its
-	// cadence or a REQ heard re-arms a pass that has ended (max(manNext,
-	// 0): a pass under way goes on). metaOwed and manOwed are what a kind-7 need re-armed
-	// (onNeedLocked): the META, and one more than a run (0: none), sent
-	// ahead of the pass; manAt is when a run last went to the peer, what a
-	// need for one is timed against.
-	metaOwed bool
-	manNext  int
-	manOwed  int
-	manAt    time.Time
+	// The proof pass (DESIGN.md §13): item 0 is the object's META, item
+	// r+1 run r of its manifest. pass is the next item to send the peer
+	// (takeProof), −1 once the last has gone: it starts at first contact,
+	// and a REQ re-arms it once it has ended. No row goes to the peer ahead
+	// of the run that proves it. owed is one more than the item a kind-7
+	// need re-armed (0: none), sent ahead of the pass; proofAt is when an
+	// item last went to the peer, what a need is timed against.
+	pass, owed int
+	proofAt    time.Time
 }
 
 // forgetProgressLocked drops what the peer reported of its progress: a
@@ -725,8 +716,7 @@ func (s *Session) rounds(t *pushTimer, woken bool) time.Time {
 // ageing deadline's — and returns the period to re-arm the timer with,
 // zero to leave it running. While push finds a target the period is Tick:
 // the floor (adapt.Link grants a row a Tick to a peer whose receipts never
-// come) and the beat the silence rule and the META resend are read
-// against. The rows in flight set one more deadline, the earliest of them
+// come) and the beat the silence rule is read against. The rows in flight set one more deadline, the earliest of them
 // to age out (push), and the timer is due at whichever comes first. There
 // are deadlines only while rows are in flight, so with nothing owed to
 // anyone the timer still parks until the next housekeeping deadline.

@@ -409,7 +409,7 @@ func TestServedObjectsSurviveEviction(t *testing.T) {
 }
 
 // metaDropTransport drops the first n META frames sent through it,
-// simulating the loss of the REQ reply on a datagram channel.
+// simulating their loss on a datagram channel.
 type metaDropTransport struct {
 	transport.Transport
 	mu   sync.Mutex
@@ -432,8 +432,8 @@ func (m *metaDropTransport) Send(to transport.Addr, frame []byte) error {
 }
 
 // TestLostMetaRecovers: the fetch must complete even when the server's
-// first META replies are lost — the periodic REQ resend re-arms META on
-// the server, so a dropped reply heals instead of wedging the transfer.
+// first METAs are lost — the need beside the client's receipts brings the
+// META again, so a dropped one heals instead of wedging the transfer.
 func TestLostMetaRecovers(t *testing.T) {
 	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 512})
 	if err != nil {
@@ -636,11 +636,11 @@ func TestPushMetaAfterThreshold(t *testing.T) {
 	}
 }
 
-// TestLostMetaToConfiguredPeerHeals pins the META resend: a configured
-// push-peer never REQs, so when its first METAs are lost to the fabric
-// the size must still arrive through periodic resends — a latched
-// "metaSent" here wedged the whole downstream pipeline (the relay could
-// never announce the size to its own subscribers).
+// TestLostMetaToConfiguredPeerHeals pins the META's repair: a configured
+// push-peer never REQs, so when its first METAs are lost to the fabric the
+// size must still arrive, through the needs beside its receipts — a META
+// sent once and never again would wedge the whole downstream pipeline (the
+// relay could never announce the size to its own subscribers).
 func TestLostMetaToConfiguredPeerHeals(t *testing.T) {
 	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 256})
 	if err != nil {

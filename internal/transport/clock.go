@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// Clock is the instant the dissemination stack reads — META resend stamps,
+// Clock is the instant the dissemination stack reads — proof send stamps,
 // idle eviction cutoffs, fetch retries, the push timer's deadlines.
 // Production code runs on SystemClock; a simulation runs every session on
 // one VClock and steps them itself (session.Step), so a minute of protocol
@@ -33,7 +33,7 @@ func (systemClock) Since(t time.Time) time.Duration { return time.Since(t) }
 
 // VClockBase is where a fresh VClock starts. It is deliberately far from
 // the zero time.Time: protocol code uses the zero value as "never"
-// (metaAt, lastReq), and a clock starting at zero would alias it.
+// (proofAt, lastReq), and a clock starting at zero would alias it.
 var VClockBase = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // VClock is a virtual clock: a settable instant that stands still until

@@ -27,9 +27,11 @@ func reusePortControl(cfg UDPConfig) func(network, address string, c syscall.Raw
 // for; the kernel caps it at its own limit (rmem_max on Linux). With no
 // reader goroutines and rings in front of it, as the fast path has, frames
 // wait in the kernel while the receive loop handles the one before, and
-// the default 208 KiB overflows under a 16 MiB object's manifest frames
-// and the DATA between them (swarm's
-// TestLargeManifestArrivesBeforeFirstGeneration).
+// the default 208 KiB overflows under a 16 MiB object's manifest — its 16
+// frames of 32 KiB go to a fetcher once, two a push round, each ahead of
+// the DATA it proves — and the DATA between them; a frame lost there
+// comes again only when the fetcher's need asks for it, a round trip on
+// (swarm's TestLargeManifestArrivesBeforeFirstGeneration).
 const portableReadBuffer = 4 << 20
 
 func (t *UDPTransport) initBatch() error {

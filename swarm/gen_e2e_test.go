@@ -195,12 +195,14 @@ func TestGenerationLargeObjectE2E(t *testing.T) {
 
 // TestLargeManifestArrivesBeforeFirstGeneration: a 16 MiB object's
 // manifest is 16 MANIFEST frames, 524 KiB — more than a default socket
-// receive buffer holds. Sent two frames a round, each run of digests
-// checked on arrival alone, every generation's run is in before that
-// generation completes, in every round over loopback UDP: a complete
-// generation whose run is held verifies at once, so at no snapshot is a
-// generation complete and not verified. Without its run no generation can
-// verify, and the object cannot complete.
+// receive buffer holds. The source's proof pass sends them once, two a
+// round, each ahead of the rows of the generation it proves, and each run
+// of digests is checked on arrival alone; so every generation's run is in
+// before that generation completes, in every round over loopback UDP: a
+// complete generation whose run is held verifies at once, so at no
+// snapshot is a generation complete and not verified. A frame lost on the
+// way comes again only on the fetcher's need. Without its run no
+// generation can verify, and the object cannot complete.
 func TestLargeManifestArrivesBeforeFirstGeneration(t *testing.T) {
 	const size, k = 16 << 20, 16 << 10
 	content := make([]byte, size)
