@@ -83,8 +83,8 @@ func (s *Session) BeginFetch(id packet.ObjectID, from ...transport.Addr) (*Fetch
 	f.st, f.from = st, from
 	var acts pollActions
 	st.mu.Lock()
-	// The candidate set is this fetch's trust decision: these peers (and
-	// only these) can be convicted if their rows fail verification.
+	// The candidate set: these peers always get a sender tag and are not
+	// pushed back to while the fetch runs.
 	st.soliciteLocked(from...)
 	// An object this session holds as a partial cache gets a decoder first,
 	// seeded with the cached rows; the fetch is for the rank still missing,
@@ -234,9 +234,9 @@ func (f *Fetching) resend(now time.Time) {
 // configured peers plus the current neighbor selection, with the
 // bootstrap set folded in periodically (and whenever nothing else is
 // known) so the origin stays reachable however the view drifts. Every
-// candidate is solicited before it is REQed — solicitation is the trust
-// decision pollution conviction requires, and it must cover peers
-// discovered mid-fetch exactly like those known at the start.
+// candidate is solicited before it is REQed — a chosen upstream always gets
+// a sender tag and is not pushed back to mid-fetch (objectState.solicited),
+// peers discovered mid-fetch exactly like those known at the start.
 func (s *Session) fetchCandidates(st *objectState, static []transport.Addr, attempt int) []transport.Addr {
 	m := s.member
 	out := append([]transport.Addr(nil), static...)

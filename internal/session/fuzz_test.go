@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -226,7 +228,10 @@ func FuzzSessionFrames(f *testing.F) {
 
 // FuzzSessionFrameSequence replays the fuzz input as a sequence of
 // length-prefixed frames against one session, so state built by earlier
-// frames (learned objects, peers) is exercised by later ones.
+// frames (learned objects, peers) is exercised by later ones. A zero length
+// byte switches the sender between two addresses, neither of them asked for
+// anything. Besides the phase invariants, a banned address moves nothing:
+// no frame from it changes any object's decode state.
 func FuzzSessionFrameSequence(f *testing.F) {
 	id := packet.NewObjectID([]byte("seq object"))
 	p := packet.Native(8, 1, make([]byte, 4))
@@ -261,17 +266,43 @@ func FuzzSessionFrameSequence(f *testing.F) {
 		needFrame(id, needMeta), needFrame(id, 0), needFrame(id, 7), needFrame(id, 1<<31),
 		needFrame(id, 1<<31-1), needFrame(id, 1<<32-2),
 		needFrame(id, needMeta), needFrame(id, needMeta), needFrame(id, 0)[:needLen-1], append(needFrame(id, 0), 0)))
+	// An object whose META and single manifest run fit the one-byte length
+	// (k = 4, m = 4): an unasked sender's forged unit row is proven false on
+	// arrival and bans it, and the true rows it sends after move nothing;
+	// the same from the second address, the first sending true rows after;
+	// and a forged dense row that poisons the generation until it fails.
+	const k, m = 4, 4
+	content := testContent(k*m, 7)
+	sid, meta := servedMeta(f, content, k, 1)
+	run := manifestRuns(f, sid, content, m)[0]
+	row := func(forged bool, idx ...int) []byte { return handRow(f, sid, content, 1, k, 0, forged, idx...) }
+	// (An empty frame is the zero byte that switches the sender.)
+	f.Add(sequence(meta, run, row(true, 1), row(false, 0), row(false, 1), row(false, 2), row(false, 3)))
+	f.Add(sequence(meta, run, row(false, 0), nil, row(true, 1), row(false, 1), row(false, 2),
+		nil, row(false, 1), row(false, 2), row(false, 3)))
+	f.Add(sequence(meta, row(false, 0), nil, row(true, 1, 2), row(false, 1), row(false, 3), run,
+		row(false, 2), nil, row(false, 0), row(false, 1), row(false, 2), row(false, 3)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := fuzzSession(t, nil)
+		from, other := transport.Addr("peer"), transport.Addr("other")
 		for len(data) > 0 {
 			n := int(data[0])
 			data = data[1:]
-			if n == 0 || n > len(data) {
+			if n == 0 {
+				from, other = other, from
+				continue
+			}
+			if n > len(data) {
 				break
 			}
-			stepFrame(s, "peer", data[:n])
+			banned := slices.Contains(s.BannedPeers(), from)
+			before := decodeStates(s)
+			stepFrame(s, from, data[:n])
 			checkPhaseInvariants(t, s)
+			if after := decodeStates(s); banned && !maps.EqualFunc(before, after, decodeState.equal) {
+				t.Fatalf("a frame from %s, banned, moved decode state: %v → %v", from, before, after)
+			}
 			data = data[n:]
 		}
 		if len(s.Objects()) > s.cfg.MaxObjects {
@@ -415,4 +446,36 @@ func FuzzCacheSessionFrames(f *testing.F) {
 			t.Fatalf("cache budget violated: %+v", cs)
 		}
 	})
+}
+
+// decodeState is what an object's decoder has taken in: rows received,
+// natives decoded, rows stored short of decoding, and the per-native proof
+// states.
+type decodeState struct {
+	received        int64
+	decoded, stored int
+	proof           []uint8
+}
+
+func (a decodeState) equal(b decodeState) bool {
+	return a.received == b.received && a.decoded == b.decoded && a.stored == b.stored && bytes.Equal(a.proof, b.proof)
+}
+
+// decodeStates snapshots the decode state of every object s decodes.
+func decodeStates(s *Session) map[packet.ObjectID]decodeState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[packet.ObjectID]decodeState)
+	for id, st := range s.objects {
+		st.mu.Lock()
+		if st.coder != nil {
+			d := decodeState{received: st.received, decoded: st.coder.DecodedCount(), proof: bytes.Clone(st.proof)}
+			for g := range st.coder.Generations() {
+				d.stored += st.coder.GenStored(g)
+			}
+			out[id] = d
+		}
+		st.mu.Unlock()
+	}
+	return out
 }

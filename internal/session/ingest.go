@@ -332,9 +332,9 @@ func (st *objectState) receiptOutLocked(replies []ingestReply, to transport.Addr
 // §16), shared by the decode and cache-admission paths: every frame the
 // decoder or the admission policy actually judged — innovative, redundant
 // on its header, or for a generation or object already done, but not
-// geometry drops, quarantine refusals or forgeries — bumps the
-// per-upstream tally and advances its departure count by the frame's
-// stamp; progressed, it counts as innovative too. Every receiptEvery such
+// geometry drops or forgeries — bumps the per-upstream tally and advances
+// its departure count by the frame's stamp; progressed, it counts as
+// innovative too. Every receiptEvery such
 // frames a receipt report is due, and returned if the frame owes no other
 // feedback (owed). The receipt is the only word a redundant row gets back:
 // its upstream reads it as received and not innovative. A frame that
@@ -372,7 +372,7 @@ func (st *objectState) tallyLocked(from transport.Addr) *rxTally {
 	}
 	if st.rx == nil {
 		st.rx = make(map[transport.Addr]*rxTally)
-	} else if len(st.rx) >= maxPeersPerObject && !st.solicitedPeer(from) {
+	} else if _, sol := st.solicited[from]; len(st.rx) >= maxPeersPerObject && !sol {
 		return nil
 	}
 	t := &rxTally{tag: int32(len(st.senders))}
@@ -414,14 +414,8 @@ func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActio
 	if in.wv.M != st.m || st.coder.Check(in.wv.Generations, in.wv.Generation, in.wv.K) != nil {
 		return nil, false, false // not the object's geometry: drop
 	}
-	now := s.clk.Now()
-	st.touch(now)
+	st.touch(s.clk.Now())
 	g := int(in.wv.Generation)
-	if st.refusesLocked(g, in.f.From, now) {
-		// Unsolicited rows a quarantine of g turned away from its refill.
-		st.aborted++
-		return nil, false, false
-	}
 	if s.auditFailsLocked(st, g, in) {
 		// The row disagrees byte-exactly with a verified generation: the
 		// sender forged it. (Honest senders stop pushing a generation when
@@ -508,14 +502,11 @@ func (st *objectState) unitRowLocked(g int, vec *bitvec.Vector, pay []byte) (pla
 	return idx, st.man.Verify(idx, pay) != nil
 }
 
-// forgedRowLocked drops a row proven forged byte for byte. Only a solicited
-// upstream is convicted of it; an unsolicited pusher may be honestly
-// relaying a poisoned buffer it cannot verify. st.mu must be held.
+// forgedRowLocked drops a row proven forged byte for byte and convicts its
+// sender. st.mu must be held.
 func (st *objectState) forgedRowLocked(in *inFrame, acts *pollActions) {
 	st.aborted++
-	if st.solicitedPeer(in.f.From) {
-		acts.bans = append(acts.bans, in.f.From)
-	}
+	acts.bans = append(acts.bans, in.f.From)
 }
 
 // ingestCachedLocked is the cache-mode counterpart of decodeDataLocked:

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"maps"
 	"slices"
-	"time"
 
 	"ltnc/internal/bitvec"
 	"ltnc/internal/integrity"
@@ -89,8 +88,7 @@ func (s *Session) BannedPeers() []transport.Addr {
 	return out
 }
 
-// soliciteLocked records addrs as the object's chosen upstreams. Only
-// solicited peers can be convicted over this object's rows (see the
+// soliciteLocked records addrs as the object's chosen upstreams (see the
 // solicited field). st.mu must be held.
 func (st *objectState) soliciteLocked(addrs ...transport.Addr) {
 	if st.solicited == nil {
@@ -101,38 +99,12 @@ func (st *objectState) soliciteLocked(addrs ...transport.Addr) {
 	}
 }
 
-// solicitedPeer reports whether addr is a chosen upstream for this
-// object. st.mu must be held.
-func (st *objectState) solicitedPeer(addr transport.Addr) bool {
-	_, ok := st.solicited[addr]
-	return ok
-}
-
 // vouchLocked marks every generation verified: the content is local, and
 // a source's natives are views of it. st.mu must be held.
 func (st *objectState) vouchLocked() {
 	for g := range st.guard {
 		st.guard[g].state = genVerified
 	}
-}
-
-// refusalWindow is how long a quarantined generation refuses rows after a
-// failed verification named an unsolicited sender (refusesLocked).
-func (s *Session) refusalWindow() time.Duration {
-	return max(100*s.cfg.Tick, 250*time.Millisecond)
-}
-
-// refusesLocked reports whether generation g refuses from's rows: for
-// refusalWindow after a quarantine of g named an unsolicited sender, until
-// g verifies, those of every sender its quarantines named and, if solicited
-// upstreams can refill it, of every unsolicited one, so that a sprayer's
-// next address cannot poison the refill either. st.mu must be held.
-func (st *objectState) refusesLocked(g int, from transport.Addr, now time.Time) bool {
-	gg := &st.guard[g]
-	if !now.Before(gg.refusedUntil) {
-		return false
-	}
-	return slices.Contains(gg.refused, from) || len(st.solicited) > 0 && !st.solicitedPeer(from)
 }
 
 // genHeldLocked reports whether every run holding a digest of generation
@@ -190,10 +162,9 @@ func (s *Session) verifyGenLocked(st *objectState, g int, acts *pollActions) {
 			return
 		}
 	}
-	// Verified: any refusal lapses. Vigilant, the natives — the decoder's
-	// own, in their slots of the object buffer once it is placed — stay as
-	// the audit reference: any further row offered to this generation can
-	// now be checked byte-exactly.
+	// Verified. Vigilant, the natives — the decoder's own, in their slots of
+	// the object buffer once it is placed — stay as the audit reference: any
+	// further row offered to this generation can now be checked byte-exactly.
 	*gg = genGuard{state: genVerified}
 	if st.vigilant {
 		gg.natives = natives
@@ -203,18 +174,18 @@ func (s *Session) verifyGenLocked(st *objectState, g int, acts *pollActions) {
 // quarantineGenLocked handles a generation whose decoded natives failed
 // digest verification, the first of them released by a row from the sender
 // tagged src (−1: untagged). Every native decoded before it was true, so
-// that row was false as it arrived: byte-exact proof. A solicited sender is
-// convicted of it; an unsolicited one may be an honest node recoding a
-// buffer it cannot verify, so it is only refused the refill for a while
-// (refusesLocked). The decode state is reset, downstream recoding gated, and
-// every other upstream not refused re-armed with a REQ: one that heard the
-// premature generation-complete feedback has stopped sending. st.mu must be
-// held.
+// that row was false as it arrived: byte-exact proof, and its sender is
+// banned, whoever it is: no decoder-backed node emits a row it has not
+// proven (DESIGN.md §13 names the cache exception). The decode state is
+// reset, downstream recoding gated, and every other upstream re-armed with
+// a REQ: one that heard the premature generation-complete feedback has
+// stopped sending. st.mu must be held.
 func (s *Session) quarantineGenLocked(st *objectState, g int, src int32, acts *pollActions) {
 	gg := &st.guard[g]
 	var forger transport.Addr
 	if src >= 0 {
 		forger = st.senders[src]
+		acts.bans = append(acts.bans, forger)
 	}
 	st.polluted++
 	st.vigilant = true
@@ -226,21 +197,10 @@ func (s *Session) quarantineGenLocked(st *objectState, g int, src int32, acts *p
 		st.sysMerged[g] = 0
 	}
 	clear(st.proof[g*st.kPer : (g+1)*st.kPer])
-	// The audit reference goes with the reset; the senders refused stay.
+	// The audit reference goes with the reset.
 	gg.state, gg.natives = genQuarantined, nil
-	now := s.clk.Now()
-	switch {
-	case forger == "":
-	case st.solicitedPeer(forger):
-		acts.bans = append(acts.bans, forger)
-	default:
-		if !slices.Contains(gg.refused, forger) {
-			gg.refused = append(gg.refused, forger)
-		}
-		gg.refusedUntil = now.Add(s.refusalWindow())
-	}
 	for _, addr := range slices.Sorted(maps.Keys(st.rx)) {
-		if addr != forger && !st.refusesLocked(g, addr, now) {
+		if addr != forger {
 			acts.sends = append(acts.sends, ingestReply{addr, encodeReq(st.id)})
 		}
 	}

@@ -91,13 +91,9 @@ const (
 // genGuard is one generation's pollution-defense state (guarded by mu).
 type genGuard struct {
 	state uint8
-	// refused — the unsolicited senders its quarantines named, until it
-	// verifies; refusedUntil — when the refusal lapses (refusesLocked);
 	// natives — the verified natives, kept (vigilant mode) as the
 	// reference for byte-exact row audits.
-	refused      []transport.Addr
-	refusedUntil time.Time
-	natives      [][]byte
+	natives [][]byte
 }
 
 // objectState splits into two lock domains. The decode plane — phase,
@@ -164,15 +160,12 @@ type objectState struct {
 	rx      map[transport.Addr]*rxTally
 	senders []transport.Addr
 	// solicited holds the peers this session explicitly chose as upstreams
-	// for the object (the Fetch candidate set). A proven forged row — a
-	// unit row failing its digest, an audited row, the row that released a
-	// generation's first false native — bans its sender only if it is
-	// solicited: an unsolicited pusher may be an honest node recoding a
-	// buffer it cannot yet verify (it holds no manifest), whose poisoner
-	// that node's own defense convicts. Its forgeries are dropped or
-	// quarantined away and its refill refused for a while (refusesLocked);
-	// a raw sender pushing forgeries unasked is never banned for them. A
-	// forged manifest run convicts any sender: no honest node sends one.
+	// for the object (the Fetch candidate set). It bounds resources, not
+	// trust: a solicited sender gets a sender tag past maxPeersPerObject
+	// (tallyLocked), so addresses flooding the tally table cannot lock the
+	// fetch's own upstreams out, and nothing is pushed back up to it while
+	// the fetch runs (targetsLocked). Conviction does not ask: every proven
+	// forgery bans its sender (DESIGN.md §13).
 	solicited map[transport.Addr]struct{}
 
 	size       atomic.Int64 // -1 until a META that verified (or Serve) provides it, with root

@@ -822,15 +822,19 @@ func (c *objCell) checkCell(t *testing.T, row, ev int, sent map[transport.Addr][
 
 // checkManifestCell: every MANIFEST event ends with the true run adopted,
 // so from filling on the manifest is held and each complete generation is
-// verified, or quarantined if poisoned. A forged run convicts its sender
-// where it is hashed — at a rooted object that does not hold the run yet,
-// so when it races ahead (out-of-order) — and is dropped unhashed once the
-// run is held (last).
+// verified, or quarantined if poisoned — which convicts src, the sender of
+// the forged row that released the first false native. A forged run
+// convicts its sender where it is hashed — at a rooted object that does not
+// hold the run yet, so when it races ahead (out-of-order) — and is dropped
+// unhashed once the run is held (last).
 func (c *objCell) checkManifestCell(t *testing.T, row, ev int, o ObjectStats, sent map[transport.Addr][][]byte) {
 	t.Helper()
 	var wantBanned []transport.Addr
 	if rooted := row >= rowCaching && row <= rowDecoded; rooted && ev == evManifestOutOfOrder {
 		wantBanned = []transport.Addr{matrixSender}
+	}
+	if row == rowPoisoned {
+		wantBanned = append(wantBanned, "src")
 	}
 	if b := c.s.BannedPeers(); !slices.Equal(b, wantBanned) {
 		t.Errorf("banned %v, want %v", b, wantBanned)
@@ -844,12 +848,9 @@ func (c *objCell) checkManifestCell(t *testing.T, row, ev int, o ObjectStats, se
 		t.Errorf("manifest delivered: %+v, want it adopted, %d generations verified, %d quarantined", o, wantVerified, wantPolluted)
 	}
 	if row == rowPoisoned {
-		// The forged row that released the first false native came from
-		// src, unsolicited: not banned, but refused the refill and not
-		// re-armed for it.
-		gg := c.s.objects[c.id].guard[0]
-		if r := kinds(sent["src"]); r != "" || gg.state != genQuarantined || !slices.Equal(gg.refused, []transport.Addr{"src"}) {
-			t.Errorf("quarantine sent %q to the forger, guard state %d refusing %v", r, gg.state, gg.refused)
+		// The forger, src, is banned (above) and not re-armed for the refill.
+		if r, state := kinds(sent["src"]), c.s.objects[c.id].guard[0].state; r != "" || state != genQuarantined {
+			t.Errorf("quarantine sent %q to the forger, guard state %d", r, state)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -411,8 +412,9 @@ func TestDropOnePeerVictimOrdering(t *testing.T) {
 // TestRelayEmitsOnlyProvenRows is the emit oracle for the taint gate's
 // native grain: a relay that holds the manifest forwards decoded natives
 // before their generation can be verified, so every DATA frame it emits —
-// whatever mix of true rows, forged unit rows and forged dense rows it was
-// fed — must carry exactly the XOR of the TRUE natives its vector names.
+// whatever mix of true rows from the source and forged dense and unit rows
+// from a forger it was fed — must carry exactly the XOR of the TRUE natives
+// its vector names.
 // A false native belief propagation peeled out of a forged dense row never
 // leaves — not in the systematic pass and not as a repeat, when the
 // subscriber's frontier shows it missing; its generation quarantines when
@@ -438,7 +440,11 @@ func TestRelayEmitsOnlyProvenRows(t *testing.T) {
 		t.Fatal("set-up: the relay holds no manifest")
 	}
 	in := func(forged bool, idx ...int) {
-		injectFrame(relay, "src", handRow(t, id, content, 1, k, 0, forged, idx...))
+		from := transport.Addr("src")
+		if forged {
+			from = "mallory"
+		}
+		injectFrame(relay, from, handRow(t, id, content, 1, k, 0, forged, idx...))
 	}
 	plain, coded := map[int]int{}, 0 // degree-1 rows emitted per native, coded rows emitted
 	push := func(ticks int) (data int) {
@@ -470,13 +476,16 @@ func TestRelayEmitsOnlyProvenRows(t *testing.T) {
 	for x := 0; x < 8; x++ {
 		in(false, x) // true unit rows: proven on arrival
 	}
-	in(true, 8)    // forged unit row: refused on arrival, never decoded
 	in(true, 0, 9) // forged dense row over a decoded native: peels a false 9
 	in(false, 10, 11)
 	in(false, 10)   // peels a true 11 nothing has hashed yet: proven when drawn
 	in(true, 9, 12) // the false 9 poisons what it touches: a false 12
+	in(true, 8)     // forged unit row: dropped on arrival, never decoded, its sender banned
 	if got := st.coder.DecodedCount(); got != 8+4 {
 		t.Fatalf("set-up: %d natives decoded, want 12", got)
+	}
+	if b := relay.BannedPeers(); !slices.Equal(b, []transport.Addr{"mallory"}) {
+		t.Fatalf("after a forged unit row the relay banned %v, want its sender", b)
 	}
 	push(6)
 	for x := 0; x < k; x++ {
@@ -533,14 +542,7 @@ func TestRelayEmitsOnlyProvenRows(t *testing.T) {
 	// relay codes blind, once the natives ahead of it have settled. The
 	// subscriber sends no receipt, so the pacer's floor of a row a tick is
 	// the pace: k ticks and two more for the last native to age out bound it.
-	// The refill comes from src, whose row released the first false native:
-	// unsolicited, it is not banned, but its rows of the generation are
-	// refused until the refusal window has passed.
-	in(false, 0)
-	if got := st.coder.DecodedCount(); got != 0 || !slices.Equal(st.guard[0].refused, []transport.Addr{"src"}) {
-		t.Fatalf("within the refusal window: %d natives decoded from src, refusing %v; want none, [src]", got, st.guard[0].refused)
-	}
-	clk.Advance(relay.refusalWindow())
+	// The refill comes from src, which forged nothing.
 	for x := 0; x < k; x++ {
 		in(false, x)
 	}
@@ -554,8 +556,8 @@ func TestRelayEmitsOnlyProvenRows(t *testing.T) {
 	if plain[9] == 0 || plain[12] == 0 || coded == 0 {
 		t.Fatalf("after the refill: native 9 ×%d, 12 ×%d, %d coded rows", plain[9], plain[12], coded)
 	}
-	if b := relay.BannedPeers(); len(b) != 0 {
-		t.Fatalf("the relay banned %v: an unsolicited upstream is never convicted", b)
+	if b := relay.BannedPeers(); !slices.Equal(b, []transport.Addr{"mallory"}) {
+		t.Fatalf("the relay banned %v, want the forger alone", b)
 	}
 }
 
@@ -683,14 +685,14 @@ func testDenseForger(t *testing.T, others int) {
 // time: while the source serves a node, addresses the node never asked —
 // one, two or four, as one host's UDP ports would be — spray forged dense
 // rows at it, two a tick between them, from the first tick to the end. The
-// forgeries poison the generation until it fails verification; the node
-// still completes byte-exact within the bound, and no sprayer is banned: an
-// unsolicited sender may be an honest node relaying what it cannot verify.
-// A fetcher solicited the source, which alone refills a generation a
-// sprayer poisoned. A relay the source pushes to solicited no one, so each
-// quarantine refuses one more sprayer and the refills run clean once every
-// one that got a row in is refused. Either is complete within 100 ms of
-// virtual time (a clean fetch of the object takes 22 ms here).
+// forgeries poison the generation until it fails verification, and each
+// quarantine bans the sprayer whose row released the first false native,
+// asked for or not: no decoder-backed node emits a row it has not proven. So there
+// are at most as many quarantines as sprayers, each naming a sprayer, the
+// source never; the refills run clean once every sprayer that got a row in
+// is banned. A fetcher (it solicited the source) and a relay (the source
+// pushes to it; it solicited no one) both complete byte-exact within 100 ms
+// of virtual time (a clean fetch of the object takes 22 ms here).
 func TestUnsolicitedSprayerCannotStallAFetch(t *testing.T) {
 	for _, fetching := range []bool{true, false} {
 		for _, sprayers := range []int{1, 2, 4} {
@@ -744,14 +746,86 @@ func testSprayers(t *testing.T, fetching bool, sprayers int) {
 	if o.Polluted == 0 {
 		t.Fatal("no quarantine: the sprayed forgeries never poisoned a decode")
 	}
-	if fetching && o.Polluted != 1 {
-		t.Fatalf("%d quarantines beside %d sprayers: the first refuses every unsolicited sender, so the source's refill is clean", o.Polluted, sprayers)
+	b := dst.BannedPeers()
+	if o.Polluted > int64(sprayers) || int64(len(b)) != o.Polluted {
+		t.Fatalf("%d quarantines beside %d sprayers, banned %v: want each quarantine to ban the sprayer it names, so at most one a sprayer", o.Polluted, sprayers, b)
 	}
-	if b := dst.BannedPeers(); len(b) != 0 {
-		t.Fatalf("banned %v: an unsolicited sender is never convicted", b)
+	for _, addr := range b {
+		if !strings.HasPrefix(string(addr), "spray-") {
+			t.Fatalf("banned %v: %s sprayed nothing", b, addr)
+		}
 	}
 	if took > bound {
 		t.Fatalf("complete after %v of virtual time beside %d sprayers (%d quarantines), over %v", took, sprayers, o.Polluted, bound)
 	}
-	t.Logf("complete after %v, %d quarantines, %d rows sprayed", took, o.Polluted, sprayed)
+	t.Logf("complete after %v, %d quarantines, banned %v, %d rows sprayed", took, o.Polluted, b, sprayed)
+}
+
+// TestHonestRelayIsNeverConvicted: source → relay → fetcher, the relay
+// pushing to the fetcher as a configured peer, so the fetcher never asked
+// it for anything. A raw sprayer sends the relay forged unit and dense rows
+// from the first instant — before the relay holds any run of the object's
+// manifest, so nothing can check them yet — and one a tick after. The
+// relay convicts the sprayer, asked for or not, and emits only rows that
+// are the XOR of the true natives they name: no row leaves it unproven. So
+// the fetcher, which would convict the relay of any forgery it passed on,
+// completes byte-exact and bans no one.
+func TestHonestRelayIsNeverConvicted(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) { testHonestRelay(t, seed) })
+	}
+}
+
+func testHonestRelay(t *testing.T, seed int64) {
+	const k, m = 128, 32
+	const bound = 100 * time.Millisecond
+	n := newStepNet(t, k, m, seed, nil, "src", "relay", "fetcher")
+	n.delay = n.nodes["src"].cfg.Tick / 2
+	relay, fetcher := n.nodes["relay"], n.nodes["fetcher"]
+	relay.AddPeer("fetcher")
+	fetcher.Watch(n.id, func(ObjectStats) {})
+	content := testContent(k*m, seed)
+	emitted := 0
+	n.lose = func(from, _ transport.Addr, f []byte) bool {
+		if from == "relay" && f[0] == frameData {
+			if emitted++; !trueRow(t, content, m, f) {
+				t.Fatalf("the relay emitted a row that is not the XOR of the true natives it names: %x", f[:48])
+			}
+		}
+		return false
+	}
+	rng := rand.New(rand.NewSource(seed))
+	sprayed := 0
+	spray := func() { // unit and dense rows by turns
+		idx := []int{rng.Intn(k)}
+		if sprayed%2 == 1 {
+			idx = append(idx, (idx[0]+1+rng.Intn(k-1))%k)
+		}
+		n.recs["relay"].deliver("sprayer", handRow(t, n.id, content, 1, k, 0, true, idx...))
+		sprayed++
+	}
+	for range 4 {
+		spray()
+	}
+	start := n.clk.Now()
+	for n.clk.Since(start) < bound && !n.fetched().Complete {
+		n.tick()
+		spray()
+	}
+	o := n.fetched()
+	st := fetcher.objects[n.id]
+	st.mu.Lock()
+	data := st.data
+	st.mu.Unlock()
+	if !o.Complete || !bytes.Equal(data, content) {
+		t.Fatalf("fetcher after %v: %+v, content byte-exact %v", n.clk.Since(start), o, bytes.Equal(data, content))
+	}
+	if b := relay.BannedPeers(); !slices.Equal(b, []transport.Addr{"sprayer"}) {
+		t.Fatalf("the relay banned %v, want the sprayer", b)
+	}
+	if b := fetcher.BannedPeers(); len(b) != 0 {
+		t.Fatalf("the fetcher banned %v: the relay forwarded nothing forged", b)
+	}
+	ro, _ := relay.Object(n.id)
+	t.Logf("complete after %v: the relay quarantined %d times and emitted %d rows; %d forged rows sprayed", n.clk.Since(start), ro.Polluted, emitted, sprayed)
 }

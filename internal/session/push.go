@@ -672,13 +672,9 @@ func (s *Session) targetsLocked(st *objectState) (out []transport.Addr) {
 			// fetching: if it wants our rows it asks for them (reqSub,
 			// handled above — mesh peers fetching from each other do
 			// exactly that). Unasked push-back up the edge we fetch over
-			// wastes frames at best; at worst — before the manifest
-			// arrives — it launders a polluter's forged rows out of our
-			// unverifiable buffer into an honest peer's decoder. Once every
-			// generation has verified against the manifest (the object is
-			// complete), push-back resumes: recodes of proven bytes cannot
-			// launder anything, and a finished fetcher re-seeding its
-			// upstream (an edge cache, say) is useful cut-through.
+			// only wastes frames. Once the object is complete, push-back
+			// resumes: a finished fetcher re-seeding its upstream (an edge
+			// cache, say) is useful cut-through.
 			continue
 		}
 		out = append(out, addr)

@@ -868,7 +868,7 @@ func checkMatrixCell(t *testing.T, c *matrixCell, obj, peer int) {
 // handRow builds a DATA frame of generation g (of gens, kPer natives each)
 // whose code vector selects idx. A true row carries the XOR of those
 // natives of content; a forged one carries noise.
-func handRow(t *testing.T, id packet.ObjectID, content []byte, gens, kPer, g int, forged bool, idx ...int) []byte {
+func handRow(t testing.TB, id packet.ObjectID, content []byte, gens, kPer, g int, forged bool, idx ...int) []byte {
 	t.Helper()
 	m := len(content) / (gens * kPer)
 	z := packet.Native(kPer, idx[0], make([]byte, m))

@@ -103,14 +103,13 @@
 // it gated, every upstream re-armed for the refill. Every row is decoded under its sender's tag, and
 // a native takes its value from the one row that released it, so the first
 // native in decode order that fails its digest names the sender of a row
-// that was false as it arrived: a solicited one is banned session-wide; an
-// unsolicited one (it may be relaying a buffer it cannot verify) is not,
-// but for a while the generation refuses its rows and, if the fetch has
-// solicited upstreams to refill it, every unsolicited sender's. A sender
-// that could not be tagged is not decoded from. A unit row is digest-checked
-// on arrival, and once a generation is verified every further row offered
-// to it is audited byte-exactly; both convict a solicited sender on the
-// spot.
+// that was false as it arrived. A unit row is digest-checked on arrival,
+// and once a generation is verified every further row offered to it is
+// audited byte-exactly. Each of these proofs, like a manifest run that does
+// not hash to the root, bans its sender session-wide, asked for or not: no
+// decoder-backed node emits a row it has not proven (a cache deals rows it
+// cannot prove; DESIGN.md §13). A sender that could not be tagged is not
+// decoded from.
 // Fetchers surface the events via ObjectStats (Polluted, GensVerified)
 // and fail with ErrPolluted only when every candidate peer is banned;
 // the content a Fetch returns is always byte-exact — every native of it

@@ -1,22 +1,26 @@
 package simnet
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
 
 	"ltnc/internal/adapt"
+	"ltnc/internal/bitvec"
 	"ltnc/internal/packet"
 	"ltnc/internal/session"
 	"ltnc/internal/transport"
 )
 
 // The invariants a run is checked against as it goes: the Watch contract
-// (monoWatch), the header and pacing bounds on every DATA frame crossing
-// the fabric (inspect), and the membership views (sampleViews, checkViews).
+// (monoWatch), the header and pacing bounds and the emit oracle on every
+// DATA frame crossing the fabric (inspect), and the membership views
+// (sampleViews, checkViews).
 
 // monoWatch asserts the Watch contract along a fetch: snapshots arrive in
 // monotone order — decoded counts and completed generations never
@@ -71,9 +75,12 @@ type flowCount struct {
 	n     int
 }
 
-// inspect is the fabric frame tap implementing the header-size invariant:
+// inspect is the fabric frame tap implementing the header-size invariant —
 // every DATA frame must parse, match its object's published geometry, and
-// be exactly the O(k/G) wire size the generation layer promises.
+// be exactly the O(k/G) wire size the generation layer promises — and the
+// emit oracle: every DATA frame a node but a polluter sends, from the first
+// on, carries exactly the XOR of the true natives its code vector names.
+// The tap only reads frames.
 func (r *runner) inspect(from, to transport.Addr, frame []byte) {
 	if len(frame) == 0 || frame[0] != dataTag {
 		return
@@ -106,6 +113,9 @@ func (r *runner) inspect(from, to transport.Addr, frame []byte) {
 		r.violatef("%s→%s: DATA frame %d bytes, want exactly %d", from, to, len(frame), g.wireSize)
 	default:
 		r.maxHeader = max(r.maxHeader, len(frame)-1-g.m)
+		if !r.pollSet[from] && !r.trueRow(g, wv, frame[1:]) {
+			r.violatef("%s→%s: DATA row of %v generation %d is not the XOR of the true natives it names", from, to, wv.Object, wv.Generation)
+		}
 	}
 	if r.pollSet[from] {
 		return
@@ -124,6 +134,30 @@ func (r *runner) inspect(from, to transport.Addr, frame []byte) {
 	if c.n == adapt.TickCeiling+1 { // report each breached tick once
 		r.violatef("%s→%s: more than %d DATA frames of %v in one tick", from, to, adapt.TickCeiling, wv.Object)
 	}
+}
+
+// trueRow reports whether the DATA row wv views in data, of an object of
+// geometry g, carries the XOR of the true natives its code vector names.
+func (r *runner) trueRow(g objGeom, wv packet.WireView, data []byte) bool {
+	if int(wv.Generation) >= g.gens {
+		return false
+	}
+	if cap(r.rowBuf) < g.m {
+		r.rowBuf = make([]byte, g.m)
+	}
+	want := r.rowBuf[:g.m]
+	clear(want)
+	base := int(wv.Generation) * g.kPer
+	for j, b := range wv.VecBytes(data) {
+		for ; b != 0; b &= b - 1 {
+			i := 8*j + bits.TrailingZeros8(b)
+			if i >= g.kPer {
+				return false
+			}
+			bitvec.XorBytes(want, g.natives[(base+i)*g.m:][:g.m])
+		}
+	}
+	return bytes.Equal(want, wv.PayloadBytes(data))
 }
 
 // viewTarget is the convergence fill target for one session's view: the

@@ -25,7 +25,8 @@ import (
 
 type objGeom struct {
 	kPer, gens, m int
-	wireSize      int // exact expected DATA frame size on the wire
+	wireSize      int    // exact expected DATA frame size on the wire
+	natives       []byte // the content zero-padded to gens·kPer·m bytes: native x at x·m
 }
 
 // simNode is one session on the fabric and the fetches it has running.
@@ -93,6 +94,8 @@ type runner struct {
 	// Tick, which the tap can read as well as the session.
 	flows   map[flowKey]flowCount
 	maxFlow int64
+	// rowBuf is the emit oracle's scratch row (trueRow).
+	rowBuf []byte
 }
 
 func (r *runner) violatef(format string, args ...any) {
@@ -380,7 +383,9 @@ func (r *runner) startSources() error {
 			if st.Generations > 1 {
 				wire = 1 + packet.GenWireSize(st.KPer, st.M)
 			}
-			r.geom[id] = objGeom{kPer: st.KPer, gens: st.Generations, m: st.M, wireSize: wire}
+			natives := make([]byte, st.Generations*st.KPer*st.M)
+			copy(natives, r.contents[id])
+			r.geom[id] = objGeom{kPer: st.KPer, gens: st.Generations, m: st.M, wireSize: wire, natives: natives}
 		}
 	}
 	return nil
@@ -608,6 +613,13 @@ func (r *runner) report() *Report {
 		r.checkViews(nodes, rep)
 	}
 	for _, nd := range nodes {
+		// Every proven forgery bans its sender, asked for or not; no
+		// honest node sends one, so none is banned.
+		for _, b := range nd.sess.BannedPeers() {
+			if !r.pollSet[b] {
+				r.violatef("node %s: banned %s, which is no polluter", nd.name, b)
+			}
+		}
 		if cs, ok := nd.sess.CacheStats(); ok {
 			if rep.CacheTiers == nil {
 				rep.CacheTiers = make(map[string]cache.Stats)
