@@ -167,6 +167,22 @@ var named = map[string]namedScenario{
 			}
 		},
 	},
+	"polluted-mesh": {
+		desc: "Byzantine mesh: 2 polluters spray 8 recoding fetchers, so forged rows reach nodes that forward; a node pushes on only natives its manifest run proves, and no honest node is convicted",
+		make: func(seed int64) Scenario {
+			return Scenario{
+				Name:    "polluted-mesh",
+				Seed:    seed,
+				Sources: 1, Fetchers: 8, Polluters: 2,
+				Wiring:          WiringMesh,
+				Objects:         []ObjectSpec{{Size: 64 << 10, K: 256, Generations: 4}},
+				PeersPerFetcher: 2,
+				Link:            LinkConfig{Latency: 2 * time.Millisecond},
+				Duration:        60 * time.Second,
+				MaxOverhead:     2.5,
+			}
+		},
+	},
 	"flash-crowd-1k": {
 		desc: "1,000 sessions flash-join a 3-node bootstrap through the membership plane while 2 polluters gossip themselves in; every fetch byte-identical, views bounded, convicts never re-admitted",
 		make: func(seed int64) Scenario {

@@ -126,8 +126,9 @@ type Scenario struct {
 	// geometry, garbage payloads) and ignore all feedback — the adversary
 	// the session layer's integrity manifests and blame/quarantine
 	// machinery exist for. Every fetcher subscribes at all polluters on
-	// top of its honest relay picks, so each fetch is exposed. Requires
-	// star wiring without a cache tier.
+	// top of its honest relay picks, so each fetch is exposed; under mesh
+	// wiring every fetcher forwards too, so forged rows reach nodes that
+	// push onward. Requires star or mesh wiring without a cache tier.
 	Polluters int
 
 	// Liars adds lying-receiver actors: raw ports that REQ-subscribe at
@@ -277,8 +278,8 @@ func (sc *Scenario) checkTiers() error {
 			return fmt.Errorf("simnet: %d bootstrap nodes but only %d sources+relays", sc.Bootstrap, sc.Sources+sc.Relays)
 		}
 	}
-	if sc.Polluters > 0 && sc.Bootstrap == 0 && (sc.Wiring != WiringStar || sc.Caches > 0) {
-		return fmt.Errorf("simnet: polluter tier requires star wiring without caches")
+	if sc.Polluters > 0 && sc.Bootstrap == 0 && (sc.Wiring == WiringLine || sc.Caches > 0) {
+		return fmt.Errorf("simnet: polluter tier requires star or mesh wiring without caches")
 	}
 	if sc.Caches > 0 {
 		if sc.Wiring != WiringStar {

@@ -353,6 +353,25 @@ func TestScenarioPollutedSwarm(t *testing.T) {
 		poisoned, rep.DataFrames, rep.ForgedDataFrames, cleanRep.DataFrames)
 }
 
+// TestScenarioPollutedMesh: every node of the mesh forwards, so forged
+// rows reach nodes with downstreams of their own. The run's emit oracle
+// and its honest-ban check (runScenario) hold only if no node forwards a
+// native its manifest run does not prove; this pins that the attack
+// landed at all.
+func TestScenarioPollutedMesh(t *testing.T) {
+	t.Parallel()
+	rep := runScenario(t, "polluted-mesh", 1)
+	poisoned := 0
+	for _, f := range rep.Fetches {
+		if f.Polluted > 0 {
+			poisoned++
+		}
+	}
+	if rep.ForgedDataFrames == 0 || poisoned == 0 {
+		t.Errorf("%d forged DATA frames, %d poisoned fetches: the forged stream never landed", rep.ForgedDataFrames, poisoned)
+	}
+}
+
 // TestScenarioLyingReceivers wires the lying-receiver actor into the
 // polluted-swarm harness: 2 polluters forge garbage rows while 2 liars
 // REQ-subscribe everywhere and flood forged kind-6 receipt reports — one

@@ -25,7 +25,10 @@ type UDPConfig struct {
 	Readers int
 	// Batch is the frame count per recvmmsg/sendmmsg syscall (and the
 	// segment count cap for a GSO super-send). Default 32, max 64 (the
-	// kernel's UDP_MAX_SEGMENTS).
+	// kernel's UDP_MAX_SEGMENTS). A receive shard whose socket took
+	// UDP_GRO arms min(Batch, 8) recvmmsg slots instead: each slot holds
+	// a MaxFrame buffer, and there each message may be a super-datagram
+	// of up to 64 frames.
 	Batch int
 	// RingSize is the per-reader ring capacity in frames; when a ring is
 	// full the reader parks and lets the kernel socket buffer absorb the
@@ -66,9 +69,11 @@ type UDPStats struct {
 	// GSO sendmsg each count once); SentFrames the frames they carried.
 	SendSyscalls int64
 	SentFrames   int64
-	// RecvSyscalls counts read-side syscalls; RecvFrames the frames they
+	// RecvSyscalls counts read-side syscalls; RecvMessages the datagrams
+	// they filled, a GRO super-datagram once; RecvFrames the frames those
 	// produced (after GRO splitting).
 	RecvSyscalls int64
+	RecvMessages int64
 	RecvFrames   int64
 	// GSOBatches counts sends that rode a GSO super-payload; GROFrames
 	// counts frames recovered by splitting GRO super-datagrams.
@@ -86,6 +91,7 @@ type udpCounters struct {
 	sendSyscalls atomic.Int64
 	sentFrames   atomic.Int64
 	recvSyscalls atomic.Int64
+	recvMessages atomic.Int64
 	recvFrames   atomic.Int64
 	gsoBatches   atomic.Int64
 	groFrames    atomic.Int64
@@ -115,6 +121,10 @@ type UDPTransport struct {
 	watchMu   sync.Mutex
 	watchCtx  context.Context
 	watchStop chan struct{}
+
+	// rbuf is the portable path's read buffer, touched only by the one
+	// consumer that calls Recv; nil once a large frame has taken it.
+	rbuf *[]byte
 
 	stats udpCounters
 	batch batchState
@@ -160,6 +170,7 @@ func (t *UDPTransport) Stats() UDPStats {
 		SendSyscalls: t.stats.sendSyscalls.Load(),
 		SentFrames:   t.stats.sentFrames.Load(),
 		RecvSyscalls: t.stats.recvSyscalls.Load(),
+		RecvMessages: t.stats.recvMessages.Load(),
 		RecvFrames:   t.stats.recvFrames.Load(),
 		GSOBatches:   t.stats.gsoBatches.Load(),
 		GROFrames:    t.stats.groFrames.Load(),
@@ -264,7 +275,11 @@ func (t *UDPTransport) RecvBatch(ctx context.Context, out []Frame) (int, error) 
 
 // recvDirect is the portable blocking receive: one ReadFromUDP syscall
 // per datagram, zero deadline syscalls in the steady state (context
-// cancellation is delegated to the armed watcher).
+// cancellation is delegated to the armed watcher). It reads into the
+// transport's MaxFrame buffer and keeps the fast path's lone-datagram
+// rule: a datagram of at most smallFrame bytes is copied out to a buffer
+// of its own size class, since it may wait in an ingest queue, and a
+// larger one takes the buffer with it.
 func (t *UDPTransport) recvDirect(ctx context.Context) (Frame, error) {
 	if t.closed.Load() {
 		return Frame{}, ErrClosed
@@ -273,18 +288,18 @@ func (t *UDPTransport) recvDirect(ctx context.Context) (Frame, error) {
 		return Frame{}, err
 	}
 	t.watch(ctx)
-	bufp := GetBuf()
+	if t.rbuf == nil {
+		t.rbuf = GetBuf()
+	}
 	for {
 		t.stats.recvSyscalls.Add(1)
-		n, from, err := t.conn.ReadFromUDP(*bufp)
+		n, from, err := t.conn.ReadFromUDP(*t.rbuf)
 		if err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				if cerr := ctx.Err(); cerr != nil {
-					PutBuf(bufp)
 					return Frame{}, cerr
 				}
 				if t.closed.Load() {
-					PutBuf(bufp)
 					return Frame{}, ErrClosed
 				}
 				// A stale wake-deadline left by a previous context's
@@ -292,18 +307,20 @@ func (t *UDPTransport) recvDirect(ctx context.Context) (Frame, error) {
 				t.conn.SetReadDeadline(time.Time{})
 				continue
 			}
-			PutBuf(bufp)
 			if t.closed.Load() || errors.Is(err, net.ErrClosed) {
 				return Frame{}, ErrClosed
 			}
 			return Frame{}, fmt.Errorf("transport: recv: %w", err)
 		}
+		t.stats.recvMessages.Add(1)
 		t.stats.recvFrames.Add(1)
-		return Frame{
-			From:    Addr(from.String()),
-			Data:    (*bufp)[:n],
-			release: func() { PutBuf(bufp) },
-		}, nil
+		addr, data := Addr(from.String()), (*t.rbuf)[:n]
+		if n <= smallFrame {
+			return copyFrame(addr, data), nil
+		}
+		bufp := t.rbuf
+		t.rbuf = nil
+		return Frame{From: addr, Data: data, release: func() { PutBuf(bufp) }}, nil
 	}
 }
 

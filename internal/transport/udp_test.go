@@ -362,8 +362,11 @@ func TestUDPStatsSnapshot(t *testing.T) {
 	if as.SendSyscalls < 1 || as.SentFrames < 1 {
 		t.Fatalf("sender stats not counted: %+v", as)
 	}
-	if bs.RecvSyscalls < 1 || bs.RecvFrames < 1 {
+	if bs.RecvSyscalls < 1 || bs.RecvMessages < 1 || bs.RecvFrames < 1 {
 		t.Fatalf("receiver stats not counted: %+v", bs)
+	}
+	if bs.RecvMessages > bs.RecvFrames {
+		t.Fatalf("%d messages gave %d frames: a message is at least one frame", bs.RecvMessages, bs.RecvFrames)
 	}
 	if bs.BatchEnabled != batchSupported {
 		t.Fatalf("BatchEnabled = %v, batchSupported = %v", bs.BatchEnabled, batchSupported)
@@ -372,8 +375,8 @@ func TestUDPStatsSnapshot(t *testing.T) {
 
 // A received frame may wait in an ingest queue for as long as its decode
 // worker is busy, and there it should hold a buffer of its own size
-// class: a small frame off the Switch or off the batched UDP path owns at
-// most smallFrame bytes, a large one still gets through intact.
+// class: a small frame off the Switch or off either UDP path owns at most
+// smallFrame bytes, a large one still gets through intact.
 func TestSmallFramesOwnSmallBuffers(t *testing.T) {
 	sw, err := NewSwitch(SwitchConfig{})
 	if err != nil {
@@ -388,13 +391,14 @@ func TestSmallFramesOwnSmallBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	ua, ub := listenPair(t, UDPConfig{})
+	pa, pb := listenPair(t, UDPConfig{DisableBatch: true})
 	for _, link := range []struct {
 		name     string
 		from, to Transport
-		sized    bool
 	}{
-		{"switch", sa, sb, true},
-		{"udp", ua, ub, batchSupported},
+		{"switch", sa, sb},
+		{"udp", ua, ub},
+		{"udp-per-frame", pa, pb},
 	} {
 		for _, n := range []int{1200, smallFrame, smallFrame + 1, 30000} {
 			payload := bytes.Repeat([]byte{byte(n)}, n)
@@ -410,7 +414,7 @@ func TestSmallFramesOwnSmallBuffers(t *testing.T) {
 			if !bytes.Equal(f.Data, payload) {
 				t.Fatalf("%s: %d-byte frame corrupted in transit", link.name, n)
 			}
-			if link.sized && n <= smallFrame && cap(f.Data) > smallFrame {
+			if n <= smallFrame && cap(f.Data) > smallFrame {
 				t.Errorf("%s: %d-byte frame owns a %d-byte buffer, want ≤ %d", link.name, n, cap(f.Data), smallFrame)
 			}
 			f.Release()
