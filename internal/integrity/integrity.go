@@ -178,8 +178,8 @@ const idDomain = "ltnc/object/v2"
 // ObjectID derives the self-certifying ID of an object of size bytes, k
 // natives of m bytes each in gens generations, whose manifest has the given
 // Merkle root: SHA-256(idDomain ‖ u64 size ‖ u32 k ‖ u32 gens ‖ u32 m ‖
-// root), truncated to 16 bytes. Whoever holds the ID checks a META's
-// geometry and each run of the manifest on arrival, and through the
+// root), truncated to 16 bytes. Whoever holds the ID checks the geometry
+// and each run of the manifest on arrival, and through the
 // manifest every native, so no node hashes a whole object.
 func ObjectID(size int64, k, gens, m int, root [DigestSize]byte) packet.ObjectID {
 	var buf [len(idDomain) + 8 + 3*4 + DigestSize]byte

@@ -7,30 +7,52 @@ import (
 	"testing"
 )
 
+// testRun is a run of n digests and depth siblings, of an object whose k
+// puts it last at index 7 — a full one when n is runDigests — in gens
+// generations; the digests, the siblings and the root are random.
+func testRun(rng *rand.Rand, id ObjectID, n, depth int) ManifestChunk {
+	mc := ManifestChunk{Object: id, K: uint32(7*runDigests + n), M: 16, Gens: 1, Run: 7,
+		Digests: make([]byte, n*hashSize), Proof: make([]byte, depth*hashSize)}
+	mc.Size = int64(mc.K)*int64(mc.M) - 3
+	rng.Read(mc.Root[:])
+	rng.Read(mc.Digests)
+	rng.Read(mc.Proof)
+	return mc
+}
+
 func TestManifestChunkRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	id := NewObjectID([]byte("manifest roundtrip"))
-	for _, c := range []struct{ n, depth int }{{1, 0}, {17, 3}, {MaxManifestChunk / hashSize, MaxManifestDepth}} {
-		digests, proof := make([]byte, c.n*hashSize), make([]byte, c.depth*hashSize)
-		rng.Read(digests)
-		rng.Read(proof)
-		body, err := AppendManifestChunk(nil, id, 7, digests, proof)
+	for _, c := range []struct{ n, depth int }{{1, 0}, {17, 3}, {runDigests, MaxManifestDepth}} {
+		want := testRun(rng, id, c.n, c.depth)
+		body, err := AppendManifestChunk(nil, want)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(body) != manifestChunkFixed+(c.n+c.depth)*hashSize {
+			t.Fatalf("%d digests, %d siblings: %d bytes", c.n, c.depth, len(body))
 		}
 		mr, err := ParseManifestChunk(body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mr.Object != id || mr.Run != 7 || !bytes.Equal(mr.Digests, digests) || !bytes.Equal(mr.Proof, proof) {
+		if !sameRun(mr, want) {
 			t.Fatalf("%d digests, %d siblings: parsed %+v", c.n, c.depth, mr)
 		}
 	}
 }
 
+// sameRun reports whether two runs carry the same fields.
+func sameRun(a, b ManifestChunk) bool {
+	return a.Object == b.Object && a.K == b.K && a.M == b.M && a.Gens == b.Gens && a.Size == b.Size && a.Root == b.Root &&
+		a.Run == b.Run && bytes.Equal(a.Digests, b.Digests) && bytes.Equal(a.Proof, b.Proof)
+}
+
 func TestManifestChunkParseErrors(t *testing.T) {
 	id := NewObjectID([]byte("manifest errors"))
-	good, err := AppendManifestChunk(nil, id, 1, make([]byte, 2*hashSize), make([]byte, hashSize))
+	// Run 1 of 2, the last: two digests, one sibling.
+	good, err := AppendManifestChunk(nil, ManifestChunk{Object: id, K: runDigests + 2, M: 8, Size: 100, Gens: 1, Run: 1,
+		Digests: make([]byte, 2*hashSize), Proof: make([]byte, hashSize)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +70,19 @@ func TestManifestChunkParseErrors(t *testing.T) {
 		{"no digests", good[:manifestChunkFixed]},
 		{"truncated data", good[:len(good)-1]},
 		{"trailing", append(append([]byte(nil), good...), 0)},
-		{"zero total", mut(func(d []byte) { d[20], d[21] = 0, 0 })},       // a run of no digests
-		{"huge total", mut(func(d []byte) { d[20], d[21] = 0x04, 0x01 })}, // 1,025 digests, past a run
-		{"range past total", mut(func(d []byte) { d[22] = 2 })},           // two siblings declared, one sent
-		{"too deep", mut(func(d []byte) { d[22] = MaxManifestDepth + 1 })},
+		{"zero total", mut(func(d []byte) { d[72], d[73] = 0, 0 })},       // a run of no digests
+		{"huge total", mut(func(d []byte) { d[72], d[73] = 0x04, 0x01 })}, // 1,025 digests, past a run
+		{"short run", mut(func(d []byte) { d[73] = 1 })},                  // one digest where k leaves two
+		{"range past total", mut(func(d []byte) { d[74] = 2 })},           // two siblings declared, one sent
+		{"too deep", mut(func(d []byte) { d[74] = MaxManifestDepth + 1 })},
+		{"zero id", mut(func(d []byte) { clear(d[:16]) })},
+		{"no natives", mut(func(d []byte) { clear(d[16:20]) })},
+		{"no generations", mut(func(d []byte) { clear(d[32:36]) })},
+		{"ragged generations", mut(func(d []byte) { d[35] = 4 })},            // 1,026 natives do not split in 4
+		{"size past k·m", mut(func(d []byte) { d[30], d[31] = 0x20, 0x11 })}, // 8,209 bytes > 1,026·8
+		{"negative size", mut(func(d []byte) { d[24] = 0x80 })},
+		{"run past the last", mut(func(d []byte) { d[71] = 2 })},
+		{"run past 2³²", mut(func(d []byte) { d[68], d[71] = 0xff, 0xff })},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -69,15 +100,19 @@ func TestAppendManifestChunkBounds(t *testing.T) {
 	id := NewObjectID([]byte("append bounds"))
 	for _, c := range []struct {
 		name          string
+		k             uint32
 		digests, sibs int
 	}{
-		{"no digests", 0, 0},
-		{"ragged digests", hashSize + 1, 0},
-		{"oversized run", MaxManifestChunk + hashSize, 0},
-		{"ragged proof", hashSize, 1},
-		{"too deep", hashSize, (MaxManifestDepth + 1) * hashSize},
+		{"no digests", 1, 0, 0},
+		{"ragged digests", 1, hashSize + 1, 0},
+		{"oversized run", 2 * runDigests, MaxManifestChunk + hashSize, 0},
+		{"ragged proof", 1, hashSize, 1},
+		{"too deep", 1, hashSize, (MaxManifestDepth + 1) * hashSize},
+		{"digests k does not imply", 2, hashSize, 0},
+		{"no natives", 0, hashSize, 0},
 	} {
-		if _, err := AppendManifestChunk(nil, id, 0, make([]byte, c.digests), make([]byte, c.sibs)); !errors.Is(err, ErrBadManifestChunk) {
+		mc := ManifestChunk{Object: id, K: c.k, M: 1, Gens: 1, Digests: make([]byte, c.digests), Proof: make([]byte, c.sibs)}
+		if _, err := AppendManifestChunk(nil, mc); !errors.Is(err, ErrBadManifestChunk) {
 			t.Errorf("%s: got %v, want ErrBadManifestChunk", c.name, err)
 		}
 	}
@@ -87,14 +122,28 @@ func TestAppendManifestChunkBounds(t *testing.T) {
 // every accepted body survives a round trip — its fields re-encode to the
 // same bytes (the encoding is canonical) and parse back to the same fields.
 func FuzzManifestRun(f *testing.F) {
+	rng := rand.New(rand.NewSource(2))
 	id := NewObjectID([]byte("fuzz manifest"))
 	for _, c := range []struct{ n, depth int }{{1, 0}, {3, 2}, {4, MaxManifestDepth}} {
-		body, err := AppendManifestChunk(nil, id, uint32(c.n), bytes.Repeat([]byte{0xd1}, c.n*hashSize), bytes.Repeat([]byte{0x5b}, c.depth*hashSize))
+		body, err := AppendManifestChunk(nil, testRun(rng, id, c.n, c.depth))
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(body)
 		f.Add(body[:len(body)-1])
+	}
+	// A description of no object: no generations, a ragged split, a size
+	// past k·m; and a run past the last.
+	body, _ := AppendManifestChunk(nil, testRun(rng, id, 2, 1))
+	for _, mut := range []func(d []byte){
+		func(d []byte) { clear(d[32:36]) },
+		func(d []byte) { d[35] = 7 },
+		func(d []byte) { d[24] = 0x7f },
+		func(d []byte) { d[71]++ },
+	} {
+		d := bytes.Clone(body)
+		mut(d)
+		f.Add(d)
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -105,7 +154,7 @@ func FuzzManifestRun(f *testing.F) {
 			}
 			return
 		}
-		again, err := AppendManifestChunk(nil, mr.Object, mr.Run, mr.Digests, mr.Proof)
+		again, err := AppendManifestChunk(nil, mr)
 		if err != nil {
 			t.Fatalf("accepted body does not re-encode: %v", err)
 		}
@@ -113,8 +162,7 @@ func FuzzManifestRun(f *testing.F) {
 			t.Fatalf("non-canonical: %x re-encodes as %x", data, again)
 		}
 		back, err := ParseManifestChunk(again)
-		if err != nil || back.Object != mr.Object || back.Run != mr.Run ||
-			!bytes.Equal(back.Digests, mr.Digests) || !bytes.Equal(back.Proof, mr.Proof) {
+		if err != nil || !sameRun(back, mr) {
 			t.Fatalf("round trip: %+v, %v; want %+v", back, err, mr)
 		}
 	})

@@ -52,8 +52,8 @@ func TestAdaptiveReceiptEmission(t *testing.T) {
 		if err != nil {
 			t.Fatalf("last receipt reported %d rows of %d: %v", received, receiptEvery, err)
 		}
-		if isNeed(f.Data) && bigEndianU32(f.Data[18:22]) == needMeta {
-			f.Release() // no META came: each receipt goes out with a need for it
+		if isNeed(f.Data) && bigEndianU32(f.Data[18:22]) == 0 {
+			f.Release() // no run came: each receipt goes out with a need for the first
 			continue
 		}
 		if f.Data[17] != fbReceipt || len(f.Data) != receiptLen+frontierLen(k) {

@@ -180,15 +180,15 @@ func TestPushRowAllocBudget(t *testing.T) {
 func TestUnitRowsTakeNoArenaRows(t *testing.T) {
 	const k, m = 64, 32
 	content := testContent(k*m, 97)
-	id, meta := servedMeta(t, content, k, 1)
+	d := servedDesc(t, content, k, 1)
+	id := d.Object
 	for run := range 3 {
 		f, _, _ := pushSession(t, "fetcher", nil)
 		fetch, err := f.BeginFetch(id, "src")
 		if err != nil {
 			t.Fatal(err)
 		}
-		injectFrame(f, "src", meta)
-		injectBurst(f, "src", manifestRuns(t, id, content, m))
+		injectBurst(f, "src", manifestRuns(t, d, content))
 		arena := f.objects[id].coder.Arena()
 		_, free := arena.FreeCounts()
 		handed := arena.RowsHanded()

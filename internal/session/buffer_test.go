@@ -44,7 +44,7 @@ func within(r, buf []byte) bool {
 // TestFetchedContentIsTheNatives: at a fetcher (G = 4) the bytes Fetch
 // returns are the object buffer, and every generation's natives are its
 // slots — one backing array, no joined copy. With the manifest in hand
-// (it comes right behind the META) the buffer exists before the first
+// (it comes first, ahead of the rows) the buffer exists before the first
 // generation completes, and the natives decode into it; without one — its
 // frames lost on the way — nothing is committed and nothing completes,
 // every generation decoded or not, until the manifest comes on a need:
@@ -214,7 +214,7 @@ func TestForgedManifestRefillsMovedGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, meta := servedMeta(t, content, k, gens)
+	d := servedDesc(t, content, k, gens)
 	f, fRec, _ := pushSession(t, "fetcher", nil)
 	fetch, err := f.BeginFetch(id, "mallory", "forger", "src")
 	if err != nil {
@@ -223,7 +223,7 @@ func TestForgedManifestRefillsMovedGenerations(t *testing.T) {
 	defer fetch.End()
 	fRec.take() // the first REQs: the source is asked after the forgery
 
-	injectFrame(f, "mallory", meta) // a true META: anyone may copy one
+	injectFrame(f, "mallory", descFrame(d)) // a true description: anyone may copy one
 	st := f.objects[id]
 	for g := range gens - 1 {
 		for i := range kPer {
@@ -235,7 +235,7 @@ func TestForgedManifestRefillsMovedGenerations(t *testing.T) {
 		t.Errorf("set-up: %d generations complete, object buffer %v; want %d, none", st.coder.CompleteCount(), st.buf != nil, gens-1)
 	}
 	st.mu.Unlock()
-	injectBurst(f, "forger", manifestRuns(t, id, forged, m))
+	injectBurst(f, "forger", manifestRuns(t, d, forged))
 	if b := f.BannedPeers(); len(b) != 1 || b[0] != "forger" {
 		t.Fatalf("banned %v, want the forged manifest's sender", b)
 	}
@@ -251,7 +251,7 @@ func TestForgedManifestRefillsMovedGenerations(t *testing.T) {
 	span := (gens - 1) * kPer * m
 	var buf []byte // the buffer the true manifest commits
 
-	// The source's opening round: its META and manifest first, then its
+	// The source's opening round: its manifest first, then its
 	// rows, every one of which is admitted.
 	injectFrame(src, "fetcher", encodeReq(id))
 	pushTicks(src, srcClk, 1)
@@ -302,7 +302,7 @@ func TestForgedManifestRefillsMovedGenerations(t *testing.T) {
 }
 
 // TestObjectBufferNeedsTheManifest pins "no manifest → no
-// buffer": the largest object a META may announce — k at MaxK, m the
+// buffer": the largest object a description may announce — k at MaxK, m the
 // largest a DATA frame of its generations carries, ≈ 4 GiB — costs a
 // receiver nothing of that size while no manifest that hashes to the
 // root the ID commits to has been adopted, not even with forged DATA
@@ -315,8 +315,8 @@ func TestObjectBufferNeedsTheManifest(t *testing.T) {
 		t.Fatalf("set-up: %+v is not the largest admissible geometry for MaxK %d", geo, relay.cfg.MaxK)
 	}
 	k := geo.gens * geo.kPer
-	id, meta := fakeObject("never served", k, geo.m, int64(k)*int64(geo.m), geo.gens)
-	injectFrame(relay, "mallory", meta)
+	id, desc := fakeObject("never served", k, geo.m, int64(k)*int64(geo.m), geo.gens)
+	injectFrame(relay, "mallory", desc)
 	payload := make([]byte, geo.m)
 	for g := range 4 {
 		for i := range geo.kPer {
@@ -332,7 +332,7 @@ func TestObjectBufferNeedsTheManifest(t *testing.T) {
 	}
 	st := relay.objects[id]
 	if st == nil {
-		t.Fatal("set-up: the forged META created no state")
+		t.Fatal("set-up: the forged description created no state")
 	}
 	st.mu.Lock()
 	complete, buffered := st.coder.CompleteCount(), st.buf != nil
@@ -356,15 +356,15 @@ func TestForgedUnitRowNeverTouchesTheBuffer(t *testing.T) {
 	const gens, kPer, m = 2, 8, 16
 	const g, x = 1, 3 // the forged native: generation g's x
 	content := testContent(gens*kPer*m, 96)
-	id, meta := servedMeta(t, content, gens*kPer, gens)
+	d := servedDesc(t, content, gens*kPer, gens)
+	id := d.Object
 	f, _, _ := pushSession(t, "fetcher", nil)
 	fetch, err := f.BeginFetch(id, "mallory", "eve", "src")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fetch.End()
-	injectFrame(f, "src", meta)
-	injectBurst(f, "src", manifestRuns(t, id, content, m))
+	injectBurst(f, "src", manifestRuns(t, d, content))
 	injectFrame(f, "src", handRow(t, id, content, gens, kPer, g, false, x-1))
 	st := f.objects[id]
 	st.mu.Lock()
@@ -419,7 +419,7 @@ func TestObjectIDBuildsNoFrames(t *testing.T) {
 	if got, err := ObjectID(content, k, gens); err != nil || got != id {
 		t.Fatalf("ObjectID: %v %v, Serve returned %v", got, err, id)
 	}
-	want, frameBytes := manifestRuns(t, id, content, m), 0
+	want, frameBytes := manifestRuns(t, servedDesc(t, content, k, gens), content), 0
 	for _, fr := range want {
 		frameBytes += len(fr)
 	}
@@ -429,7 +429,7 @@ func TestObjectIDBuildsNoFrames(t *testing.T) {
 	idOnly := allocated(func() { ObjectID(content, k, gens) })
 	served := allocated(func() {
 		src, _ := deriveServed(content, k, gens)
-		src.buildFrames()
+		src.buildFrames(int64(len(content)))
 	})
 	if served < idOnly+uint64(frameBytes)/2 {
 		t.Errorf("ObjectID allocates %d bytes, deriving and framing %d: the %d bytes of frames are built for the ID alone", idOnly, served, frameBytes)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -161,7 +162,7 @@ func TestCachePromoteOnFetch(t *testing.T) {
 	}
 	src.AddPeer("cache")
 
-	// Wait for full coverage and a known size (the origin's META).
+	// Wait for full coverage and a known size (the origin's manifest run).
 	deadline := time.Now().Add(20 * time.Second)
 	for {
 		cs, _ := cacheSess.CacheStats()
@@ -238,16 +239,19 @@ func TestPeerTableBounded(t *testing.T) {
 }
 
 // TestCacheReqDrawsOnlyMeta: a REQ to a cache-mode session for an object
-// it holds, sized, is answered by nothing; the next push round sends the
-// requester the META, the first item of its proof pass, and nothing else:
-// the cache holds no run of the manifest, so its rows wait for one. The
-// cached object reports its generation count like any shaped object.
+// it holds, described, is answered by nothing, and so is the next push
+// round: the cache holds no run of the manifest, the object's description
+// alone proves nothing (there is no META to send any more), and its rows
+// wait for a run. Once the run is adopted, the round after sends it ahead
+// of every row. The cached object reports its generation count like any
+// shaped object.
 func TestCacheReqDrawsOnlyMeta(t *testing.T) {
 	const gens, kPer, m = 2, 8, 16
 	content := testContent(gens*kPer*m, 41)
-	id, meta := servedMeta(t, content, gens*kPer, gens)
+	d := servedDesc(t, content, gens*kPer, gens)
+	id := d.Object
 	s, rec, _ := pushSession(t, "cache", func(cfg *Config) { cfg.CacheBudget = 1 << 20 })
-	injectFrame(s, "origin", meta)
+	injectFrame(s, "origin", descFrame(d))
 	for g := 0; g < gens; g++ {
 		for i := 0; i < kPer; i++ {
 			injectFrame(s, "origin", handRow(t, id, content, gens, kPer, g, false, i))
@@ -262,8 +266,14 @@ func TestCacheReqDrawsOnlyMeta(t *testing.T) {
 		t.Fatalf("the REQ drew %d frames (%q), want none", len(got), kinds(got))
 	}
 	s.push()
+	if got := rec.take()["fetcher"]; len(got) != 0 {
+		t.Fatalf("the round after the REQ sent %d frames (%q), want none: no run is held", len(got), kinds(got))
+	}
+	injectBurst(s, "origin", manifestRuns(t, d, content))
+	rec.take()
+	s.push()
 	got := rec.take()["fetcher"]
-	if len(got) != 1 || len(got[0]) != metaLen || got[0][0] != frameMeta {
-		t.Fatalf("the round after the REQ sent %d frames (%q), want the META alone", len(got), kinds(got))
+	if len(got) < 2 || got[0][0] != frameManifest || slices.ContainsFunc(got[1:], func(f []byte) bool { return f[0] != frameData }) {
+		t.Fatalf("the round after the run was adopted sent %q, want the run, then rows", kinds(got))
 	}
 }

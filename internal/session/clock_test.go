@@ -158,34 +158,36 @@ func TestVirtualClockEndToEnd(t *testing.T) {
 	}
 }
 
-// TestVirtualMetaResend: proof goes to a peer once, in one pass, and only
-// a need brings an item of it again. A configured peer that never answers
-// gets one META and one manifest pass — each run once — in a virtual
-// second; a relay, and a cache, whose first META is lost learn it from the
-// need beside their receipts, and get no third.
-func TestVirtualMetaResend(t *testing.T) {
+// TestVirtualProofResend: proof goes to a peer once, in one pass, and only
+// a need brings a run of it again. A configured peer that never answers
+// gets each run of the manifest once in a virtual second; a relay, and a
+// cache, whose first run is lost learn it from the need beside their
+// receipts, and get no third copy.
+func TestVirtualProofResend(t *testing.T) {
 	const k, m = 3 * integrity.RunLen, 8
+	// copies counts MANIFEST frame f in runs, under its run's index, and
+	// returns the index.
+	copies := func(t *testing.T, runs map[uint32]int, f []byte) uint32 {
+		mr, err := packet.ParseManifestChunk(f[1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[mr.Run]++
+		return mr.Run
+	}
 	t.Run("silent", func(t *testing.T) {
 		n := newStepNet(t, k, m, 1, nil, "source")
 		n.nodes["source"].AddPeer("sink")
-		metas, runs := 0, map[uint32]int{}
+		runs := map[uint32]int{}
 		n.lose = func(_, to transport.Addr, f []byte) bool {
-			switch {
-			case to != "sink":
-			case f[0] == frameMeta:
-				metas++
-			case f[0] == frameManifest:
-				mr, err := packet.ParseManifestChunk(f[1:])
-				if err != nil {
-					t.Fatal(err)
-				}
-				runs[mr.Run]++
+			if to == "sink" && f[0] == frameManifest {
+				copies(t, runs, f)
 			}
 			return false
 		}
 		n.run(time.Second)
-		if metas != 1 || len(runs) != 3 || runs[0] != 1 || runs[1] != 1 || runs[2] != 1 {
-			t.Fatalf("a silent peer got %d METAs and runs %v in a virtual second, want one META and each of 3 runs once", metas, runs)
+		if len(runs) != 3 || runs[0] != 1 || runs[1] != 1 || runs[2] != 1 {
+			t.Fatalf("a silent peer got runs %v in a virtual second, want each of 3 runs once", runs)
 		}
 	})
 	for _, node := range []transport.Addr{"relay", "cache"} {
@@ -196,30 +198,29 @@ func TestVirtualMetaResend(t *testing.T) {
 				}
 			}, "source", node)
 			n.nodes["source"].AddPeer(node)
-			metas, needs := 0, 0
+			runs, needs := map[uint32]int{}, 0
 			n.lose = func(from, to transport.Addr, f []byte) bool {
-				if from == node && isNeed(f) && bigEndianU32(f[18:22]) == needMeta {
+				if from == node && isNeed(f) && bigEndianU32(f[18:22]) == 0 {
 					needs++
 				}
-				if to != node || f[0] != frameMeta {
+				if to != node || f[0] != frameManifest {
 					return false
 				}
-				metas++
-				return metas == 1
+				return copies(t, runs, f) == 0 && runs[0] == 1
 			}
 			for i := 0; i < 100; i++ {
-				if o, ok := n.nodes[node].Object(n.id); ok && o.Size >= 0 {
+				if o, ok := n.nodes[node].Object(n.id); ok && o.HaveManifest {
 					break
 				}
 				n.tick()
 			}
-			if o, ok := n.nodes[node].Object(n.id); !ok || o.Size < 0 {
-				t.Fatalf("%s never learned the size: %+v", node, o)
+			if o, ok := n.nodes[node].Object(n.id); !ok || !o.HaveManifest {
+				t.Fatalf("%s never held the manifest: %+v", node, o)
 			}
 			n.run(time.Second)
-			if metas != 2 || needs == 0 {
-				t.Fatalf("%d METAs went to the %s, %d needs for one came back; want the lost one and one repair, after a need",
-					metas, node, needs)
+			if runs[0] != 2 || runs[1] != 1 || runs[2] != 1 || needs == 0 {
+				t.Fatalf("runs %v went to the %s, %d needs for run 0 came back; want the lost first run twice, after a need, and every other once",
+					runs, node, needs)
 			}
 		})
 	}
@@ -232,9 +233,9 @@ func TestVirtualIdleEviction(t *testing.T) {
 	n := newStepNet(t, 16, 32, 5, func(c *Config) { c.IdleTimeout = 10 * time.Second }, "relay")
 	relay := n.nodes["relay"]
 
-	// Teach the relay an object via META.
-	id, meta := fakeObject("idle", 16, 32, 200, 1)
-	n.recs["relay"].deliver("feeder", meta)
+	// Teach the relay an object by its description.
+	id, desc := fakeObject("idle", 16, 32, 200, 1)
+	n.recs["relay"].deliver("feeder", desc)
 	learned := func() bool {
 		_, ok := relay.Object(id)
 		return ok

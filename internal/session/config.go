@@ -82,7 +82,7 @@ type Config struct {
 	// this long; default 60s. Pinned (locally served) objects stay.
 	IdleTimeout time.Duration
 	// Relay makes the session create decode state for objects it first
-	// learns about from incoming DATA or META frames and re-push them —
+	// learns about from incoming DATA or MANIFEST frames and re-push them —
 	// the paper's recoding intermediary. Fetch-only clients leave it
 	// false and decode only objects they asked for.
 	Relay bool

@@ -5,19 +5,19 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 
-	"ltnc/internal/integrity"
 	"ltnc/internal/packet"
 	"ltnc/internal/transport"
 )
 
-// The control plane: REQ, META and FEEDBACK handlers (MANIFEST lives in
+// The control plane: REQ and FEEDBACK handlers (MANIFEST lives in
 // integrity.go, MEMBER in member.go), run inline on the receive loop, and
 // the frame encoders. Peer bookkeeping is guarded by s.mu.
 
-// handleFrame dispatches one control frame (REQ, META, FEEDBACK,
-// MANIFEST) inline on the receive loop and sends its replies after the
+// handleFrame dispatches one control frame (REQ, FEEDBACK, MANIFEST,
+// MEMBER) inline on the receive loop and sends its replies after the
 // session lock is released — a reply is a syscall on UDP and must not
-// stall the session.
+// stall the session. Any other kind, the retired 0x03 among them, is
+// dropped.
 func (s *Session) handleFrame(f transport.Frame) {
 	if len(f.Data) == 0 {
 		return
@@ -30,12 +30,10 @@ func (s *Session) handleFrame(f transport.Frame) {
 	switch f.Data[0] {
 	case frameReq:
 		s.handleReq(f.From, f.Data[1:])
-	case frameMeta:
-		reply = s.handleMeta(f.From, f.Data[1:])
 	case frameFeedback:
 		s.handleFeedback(f.From, f.Data[1:])
 	case frameManifest:
-		s.handleManifest(f.From, f.Data[1:])
+		reply = s.handleManifest(f.From, f.Data[1:])
 	case frameMember:
 		reply = s.handleMember(f.From, f.Data[1:])
 	}
@@ -45,10 +43,10 @@ func (s *Session) handleFrame(f transport.Frame) {
 }
 
 // handleReq registers a subscriber, re-arms its proof pass if the pass
-// has ended and wakes the push loop: the pass (takeProof) sends the META
-// from the next round on, then the manifest two runs a round, ahead of the
-// rows they prove, so a fetcher can verify generations as they complete.
-// A REQ is answered by nothing else.
+// has ended and wakes the push loop: the pass (takeProof) sends the
+// manifest from the next round on, two runs a round, ahead of the rows
+// they prove, so a fetcher can verify generations as they complete. A REQ
+// is answered by nothing else.
 func (s *Session) handleReq(from transport.Addr, data []byte) {
 	if len(data) != reqLen-1 {
 		return
@@ -122,76 +120,6 @@ func evictBefore(a, b *peerState, lower bool) bool {
 	return lower
 }
 
-// parseMeta decodes a META body: the object, its geometry, its size and its
-// manifest root — and checks that they hash to the object's ID, which makes
-// the geometry and the root the object's own, whoever sent them.
-func parseMeta(data []byte) (id packet.ObjectID, geo geometry, size int64, root [integrity.DigestSize]byte, ok bool) {
-	if len(data) != metaLen-1 {
-		return id, geo, 0, root, false
-	}
-	copy(id[:], data[:16])
-	k := int(binary.BigEndian.Uint32(data[16:20]))
-	geo.m = int(binary.BigEndian.Uint32(data[20:24]))
-	size = int64(binary.BigEndian.Uint64(data[24:32]))
-	geo.gens = int(binary.BigEndian.Uint32(data[32:36]))
-	copy(root[:], data[36:])
-	// Generation geometry must be consistent: every generation the same
-	// code length, at least one native each (ragged splits are
-	// ErrBadGeneration territory — dropped here, as a datagram receiver
-	// drops anything malformed; the bounds are admitLocked's).
-	if id.IsZero() || k < 1 || geo.m < 0 || size < 0 || size > int64(k)*int64(max(geo.m, 1)) ||
-		geo.gens < 1 || k%geo.gens != 0 || integrity.ObjectID(size, k, geo.gens, geo.m, root) != id {
-		return id, geo, 0, root, false
-	}
-	geo.kPer = k / geo.gens
-	return id, geo, size, root, true
-}
-
-// handleMeta admits the object a META describes, if it may be — parseMeta
-// has checked its fields against the ID, so a DATA header that shaped the
-// object otherwise was a forgery and is undone (reshapeLocked) — learns
-// its size and root, and answers with whatever that completed
-// (settleLocked): a META to an object already complete — or, at a cache,
-// fully covered — means the sender never heard so, or the peer table
-// entry that heard it was dropped; the idempotent reply closes the loop,
-// exactly as the DATA path answers a row of a complete object with the
-// same frame.
-func (s *Session) handleMeta(from transport.Addr, data []byte) []byte {
-	id, geo, size, root, ok := parseMeta(data)
-	if !ok {
-		return nil
-	}
-	s.mu.Lock()
-	st := s.admitLocked(id, from, geo, false)
-	if st != nil {
-		s.reshapeLocked(st, geo)
-	}
-	s.mu.Unlock()
-	if st == nil {
-		return nil
-	}
-	st.mu.Lock()
-	if st.phase == phEvicted || !st.shapeIs(geo) {
-		st.mu.Unlock()
-		return nil // evicted since, or not the object's geometry (still announced: it has none): drop
-	}
-	st.touch(s.clk.Now())
-	learned := st.size.Load() < 0
-	if learned {
-		st.root = root // before the size: a known size says the root is set
-		st.size.Store(size)
-	}
-	var acts pollActions
-	reply := s.settleLocked(st, -1, &acts)
-	st.mu.Unlock()
-	s.applyPollActions(&acts)
-	if learned {
-		s.wake() // every pass waiting at the META can start
-		s.notifyWatchers(st)
-	}
-	return reply
-}
-
 // handleFeedback validates a FEEDBACK frame's kind against its body
 // length — kind 2 uses the short body, kind 3 appends the completed
 // generation id, kind 7 (need) the proof it names, kind 6 (receipt report)
@@ -252,31 +180,27 @@ func (s *Session) handleFeedback(from transport.Addr, data []byte) {
 	}
 }
 
-// onNeedLocked is a kind-7 need: the peer lacks run r of the manifest —
-// item r+1 of the proof pass — or, r = needMeta, the META, item 0 (the
-// uint32 sum wraps there). A need is answered once the peer's link horizon
-// has passed since any item of the proof last went to it — sooner, the
-// frame or the receipt that named its lack may still be on the wire: the
-// item is owed, sent ahead of the next round's pass. What the peer
-// reported of its rows, its window and its frontier stand: a missing
-// proof is a loss to repair like a missing row, not a new client. A need
-// for an item this session does not hold, for a run past the manifest's
-// end or for an item the pass is on its way to moves nothing, and a peer
-// done with the object has none. So a flood of needs buys at most one item
-// a horizon. Session.mu must be held.
+// onNeedLocked is a kind-7 need: the peer lacks run r of the manifest. A
+// need is answered once the peer's link horizon has passed since a run
+// last went to it — sooner, the frame or the receipt that named its lack
+// may still be on the wire: the run is owed, sent ahead of the next
+// round's pass. What the peer reported of its rows, its window and its
+// frontier stand: a missing proof is a loss to repair like a missing row,
+// not a new client. A need for a run this session does not hold, for one
+// past the manifest's end or for one the pass is on its way to moves
+// nothing, and a peer done with the object has none. So a flood of needs
+// buys at most one run a horizon. Session.mu must be held.
 func (s *Session) onNeedLocked(st *objectState, ps *peerState, r uint32) {
 	if ps.done || ps.owed > 0 || s.clk.Since(ps.proofAt) < ps.link.Horizon() {
 		return
 	}
 	st.mu.Lock()
-	sized, frames := st.size.Load() >= 0, st.manFrames
+	frames := st.manFrames
 	st.mu.Unlock()
-	// Unsigned compare: int(r)+1 can wrap negative on 32-bit builds.
-	item := r + 1
-	if item > uint32(len(frames)) || !holdsProof(int(item), sized, frames) || ps.pass >= 0 && ps.pass <= int(item) {
+	if !holdsProof(int(r), frames) || ps.pass >= 0 && ps.pass <= int(r) {
 		return
 	}
-	ps.owed = int(item) + 1
+	ps.owed = int(r) + 1
 	s.wake()
 }
 
@@ -346,22 +270,6 @@ func (s *Session) repairOrder(peer transport.Addr) (at, step int) {
 	return int(sum >> 40), int(sum>>8&0xFFFFFF) | 1
 }
 
-// metaFrame encodes a META for st, whose size must be known. Callers must
-// hold either s.mu or st.mu (k, gens and m are immutable once the coder
-// exists, which is guaranteed for any object with a known size, and the
-// root was written before the size).
-func (s *Session) metaFrame(st *objectState) []byte {
-	buf := make([]byte, metaLen)
-	buf[0] = frameMeta
-	copy(buf[1:17], st.id[:])
-	binary.BigEndian.PutUint32(buf[17:21], uint32(st.k))
-	binary.BigEndian.PutUint32(buf[21:25], uint32(st.m))
-	binary.BigEndian.PutUint64(buf[25:33], uint64(st.size.Load()))
-	binary.BigEndian.PutUint32(buf[33:37], uint32(st.gens.Load()))
-	copy(buf[37:], st.root[:])
-	return buf
-}
-
 func feedbackFrame(id packet.ObjectID, kind byte) []byte {
 	buf := make([]byte, feedbackLen)
 	buf[0] = frameFeedback
@@ -381,8 +289,8 @@ func genFeedbackFrame(id packet.ObjectID, gen int) []byte {
 	return buf
 }
 
-// needFrame encodes the kind-7 feedback: the sender of the frame lacks
-// object id's META (r = needMeta) or run r of its manifest (needLocked).
+// needFrame encodes the kind-7 feedback: the sender of the frame lacks run
+// r of object id's manifest (needLocked).
 func needFrame(id packet.ObjectID, r uint32) []byte {
 	buf := make([]byte, needLen)
 	buf[0] = frameFeedback

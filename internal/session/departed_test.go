@@ -18,7 +18,7 @@ import (
 // and the sender writes off a lost row at the receipt after it.
 
 // TestLossyFetchTicks: source → relay → fetcher on the event clock, k =
-// 1,024, every frame — DATA, receipts, META, MANIFEST — dropped with
+// 1,024, every frame — DATA, receipts, MANIFEST — dropped with
 // probability 0.2. A row a hop lost leaves its sender's window at the
 // receipt after it, not when it ages out at the end of the next tick, so
 // the window keeps turning over: 36.9 ticks on average over 60 seeds
@@ -264,7 +264,7 @@ func TestRedundantRowsClockReceipts(t *testing.T) {
 		for _, f := range rec.take()["src"] {
 			switch {
 			case isNeed(f):
-				// No META came: each receipt goes out with a need for it.
+				// No run came: each receipt goes out with a need for run 0.
 				needs++
 			case !isReceipt(f):
 				t.Fatalf("the upstream was sent %x, want receipts and their needs only", f)
@@ -274,7 +274,7 @@ func TestRedundantRowsClockReceipts(t *testing.T) {
 			}
 		}
 		if needs != receipts {
-			t.Errorf("%d receipts went out with %d needs, want one each: the object has no META", receipts, needs)
+			t.Errorf("%d receipts went out with %d needs, want one each: the object has no run", receipts, needs)
 		}
 		return receipts, received, innovative, departed
 	}

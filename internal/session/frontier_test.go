@@ -44,10 +44,10 @@ func nativeOf(t *testing.T, f []byte) int {
 // lost receipt makes it repeat in vain; blind LT repair needed 1.7·k and
 // more. And the second hop does not queue behind the first: the relay
 // repeats natives toward the fetcher while it is still filling itself, and
-// the fetcher is done within a few round trips of the relay. META and
-// MANIFEST frames are lost like the rest: a receipt sent while either is
-// missing goes out with a need for it, repaired a horizon later with the
-// frontier left standing.
+// the fetcher is done within a few round trips of the relay. MANIFEST
+// frames are lost like the rest: a receipt sent while one is missing goes
+// out with a need for it, repaired a horizon later with the frontier left
+// standing.
 func TestFrontierRepairNearErasureBound(t *testing.T) {
 	const k, m, p, runs = 1024, 16, 0.20, 6
 	base := testSeed(t)
@@ -83,7 +83,7 @@ func TestFrontierRepairNearErasureBound(t *testing.T) {
 			}
 			// A hop codes only before a receipt has named the generation, or
 			// from rows it cannot decode yet (drawRowsLocked): a few rows. A
-			// lost META or manifest run is asked for by a need, which leaves
+			// lost manifest run is asked for by a need, which leaves
 			// the frontier standing upstream; a REQ would drop it, and the
 			// rows behind it would go blind — 17 to 27 of them.
 			if coded := o.Sent - o.Systematic - o.Repeated; coded > 16 {
@@ -281,11 +281,11 @@ func TestFrontierForgedStaysOnItsLink(t *testing.T) {
 			for round := 0; round < roundsPerTick; round++ {
 				s.push()
 				frames := rec.take()
-				_, _, n := frameCounts(frames["honest"])
+				_, n := frameCounts(frames["honest"])
 				if got += uint32(n); n > 0 {
 					injectFrame(s, "honest", receiptFrame(id, 0, got, got))
 				}
-				_, _, n = frameCounts(frames["z-liar"])
+				_, n = frameCounts(frames["z-liar"])
 				liars += n
 				if forge != nil {
 					link := &s.objects[id].peers["z-liar"].link

@@ -16,7 +16,7 @@ import (
 
 // fuzzSession builds a relay session nobody runs: the fuzz targets step it
 // frame by frame (stepFrame), so the fuzzer exercises the full
-// frame-parsing surface (v2 DATA dispatch, REQ, META, FEEDBACK) and the
+// frame-parsing surface (v2 DATA dispatch, REQ, FEEDBACK, MANIFEST) and the
 // push round behind it without timing.
 func fuzzSession(tb testing.TB, mut func(*Config)) *Session {
 	tb.Helper()
@@ -98,7 +98,7 @@ func FuzzSessionFrames(f *testing.F) {
 	id := integrity.ObjectID(128, 16, 1, 8, root)
 
 	// Seed: one valid frame of each type, plus truncated/oversized
-	// content-ID variants of META and FEEDBACK.
+	// content-ID variants of MANIFEST and FEEDBACK.
 	p := packet.Native(16, 3, make([]byte, 8))
 	p.Object = id
 	wire, err := packet.Marshal(p)
@@ -116,17 +116,21 @@ func FuzzSessionFrames(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(append([]byte{frameData}, genWire...)) // v3 generation-coded DATA
-	meta := metaFor(id, 16, 8, 128, 1, root)     // its fields hash to id
+	desc := descFor(id, 16, 8, 128, 1, root)     // its description hashes to id
+	f.Add(desc)
+	f.Add(desc[:20])                                                   // truncated inside the content ID
+	f.Add(append(desc, 0xff, 0xee))                                    // oversized MANIFEST
+	f.Add(descFor(id, 16, 8, 128, 1, sha256.Sum256([]byte("forged")))) // a forged root: must drop
+	f.Add(descFor(id, 32, 4, 128, 1, root))                            // a plausible forged geometry: must drop
+	_, genDesc := fakeObject("fuzz generations", 64, 8, 128, 4)
+	f.Add(genDesc)
+	f.Add(descFor(id, 64, 8, 128, 5, root)) // 64 % 5 != 0: must drop
+	f.Add(genDesc[:34])                     // truncated inside the generation count
+	// The retired META, 0x03, at its last length and its root-less one:
+	// dropped, whatever it says.
+	meta := retiredMeta(packet.ManifestChunk{Object: id, K: 16, M: 8, Size: 128, Gens: 1, Root: root})
 	f.Add(meta)
-	f.Add(meta[:20])                                                   // truncated inside the content ID
-	f.Add(append(meta, 0xff, 0xee))                                    // oversized META
-	f.Add(meta[:metaV1Len])                                            // the retired root-less form: must drop
-	f.Add(metaFor(id, 16, 8, 128, 1, sha256.Sum256([]byte("forged")))) // a forged root: must drop
-	f.Add(metaFor(id, 32, 4, 128, 1, root))                            // a plausible forged geometry: must drop
-	_, genMeta := fakeObject("fuzz generations", 64, 8, 128, 4)
-	f.Add(genMeta)
-	f.Add(metaFor(id, 64, 8, 128, 5, root)) // 64 % 5 != 0: must drop
-	f.Add(genMeta[:34])                     // truncated inside the generation count
+	f.Add(meta[:37])
 	fb := feedbackFrame(id, fbComplete)
 	f.Add(fb)
 	f.Add(fb[:9])           // truncated FEEDBACK
@@ -149,8 +153,8 @@ func FuzzSessionFrames(f *testing.F) {
 	f.Add(retiredReceipt(id, 0, 32, 16, 2))    // with a frontier for k/G ≤ 16
 	f.Add(retiredReceipt(id, 0, 32, 16, 4))    // as long as the short receipt
 	f.Add(retiredReceipt(id, 0, 32, 16, 8))    // as long as a receipt with a frontier for k/G ≤ 32
-	f.Add(metaFor(id, 16, 8, 128, 0, root))    // no generations: must drop
-	f.Add(metaFor(id, 16, 8, 16*8+1, 1, root)) // larger than k natives hold: must drop
+	f.Add(descFor(id, 16, 8, 128, 0, root))    // no generations: must drop
+	f.Add(descFor(id, 16, 8, 16*8+1, 1, root)) // larger than k natives hold: must drop
 	// The receipt and the stamped DATA it answers: short, truncated inside
 	// the departure count, a frontier for k/G ≤ 8 only, a lie on its face,
 	// the under-claiming liar's favorite, without its body, with the seed
@@ -179,24 +183,24 @@ func FuzzSessionFrames(f *testing.F) {
 	f.Add(encodeReceipt(id, 0, 32, 16, 0, 12, []int32{13}))
 	f.Add(encodeReceipt(id, 0, 4, 9, 0, 16, []int32{1, 2, 3}))
 	f.Add(encodeReceipt(id, 0, 32, 16, 1<<32-1, 0, nil))
-	// The need: for the META, the first run, a run past the manifest's end
-	// and ones whose proof item, one more, wraps an int on 32-bit builds
-	// (2³²−1 wraps to the META's item 0 in uint32), truncated inside the run
-	// and over-long.
-	need := needFrame(id, needMeta)
+	// The need: for the first run, a run past the manifest's end and ones
+	// that wrap an int on 32-bit builds — 2³²−1 among them, once the META's
+	// sentinel — truncated inside the run and over-long.
+	need := needFrame(id, 0)
 	f.Add(need)
-	f.Add(needFrame(id, 0))
+	f.Add(needFrame(id, 1<<32-1))
 	f.Add(needFrame(id, 1))
 	f.Add(needFrame(id, 1<<31-1))
 	f.Add(needFrame(id, 1<<31))
 	f.Add(needFrame(id, 1<<32-2))
 	f.Add(need[:needLen-2])
 	f.Add(append(need, 0x00))
-	mc, err := packet.AppendManifestChunk([]byte{frameManifest}, id, 0, make([]byte, 64), nil)
+	mc, err := packet.AppendManifestChunk([]byte{frameManifest},
+		packet.ManifestChunk{Object: id, K: 16, M: 8, Size: 128, Gens: 1, Root: root, Digests: make([]byte, 16*integrity.DigestSize)})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(mc)                    // MANIFEST run for an unknown/known object
+	f.Add(mc)                    // a run, under a description that verifies, that does not hash to the root
 	f.Add(mc[:12])               // truncated inside the content ID
 	f.Add(append(mc, 0x00))      // trailing byte: must drop
 	f.Add([]byte{frameManifest}) // bare kind byte
@@ -204,13 +208,16 @@ func FuzzSessionFrames(f *testing.F) {
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xff, 0xff, 0xff})
 	_, huge := fakeObject("fuzz huge", 16, 1<<30, 128, 1)
-	f.Add(huge) // a geometry no frame could carry, in a META that verifies: must create no state
+	f.Add(huge) // a geometry no frame could carry, in a description that verifies: must create no state
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := fuzzSession(t, nil)
 		stepFrame(s, "peer", data)
 		// Whatever arrived, the relay bounds must hold.
 		objs := s.Objects()
+		if len(data) > 0 && data[0] == 0x03 && len(objs) != 0 {
+			t.Fatalf("a frame of the retired kind 0x03 created state: %+v", objs)
+		}
 		if len(objs) > s.cfg.MaxObjects {
 			t.Fatalf("session grew to %d objects, bound %d", len(objs), s.cfg.MaxObjects)
 		}
@@ -259,28 +266,28 @@ func FuzzSessionFrameSequence(f *testing.F) {
 		encodeReceipt(id, 0, 1, 1, 1, 0, nil), encodeReceipt(id, 0, 2, 2, 90, 0, nil),
 		encodeReceipt(id, 0, 3, 3, 0, 0, nil), encodeReceipt(id, 0, 4, 4, 2, 8, []int32{1}),
 		feedbackFrame(id, fbRetiredRedundant), retiredReceipt(id, 0, 5, 5, 1)))
-	// A subscriber's needs: the META, the first run, runs past the end —
-	// 2³¹−1 and 2³²−2 among them — a flood of the same, truncated and
-	// over-long.
+	// A subscriber's needs: the first run, runs past the end — 2³¹−1,
+	// 2³²−2 and 2³²−1, once the META's sentinel, among them — a flood of
+	// the same, truncated and over-long.
 	f.Add(sequence(append([]byte{frameData}, wire...), encodeReq(id),
-		needFrame(id, needMeta), needFrame(id, 0), needFrame(id, 7), needFrame(id, 1<<31),
+		needFrame(id, 1<<32-1), needFrame(id, 0), needFrame(id, 7), needFrame(id, 1<<31),
 		needFrame(id, 1<<31-1), needFrame(id, 1<<32-2),
-		needFrame(id, needMeta), needFrame(id, needMeta), needFrame(id, 0)[:needLen-1], append(needFrame(id, 0), 0)))
-	// An object whose META and single manifest run fit the one-byte length
-	// (k = 4, m = 4): an unasked sender's forged unit row is proven false on
+		needFrame(id, 0), needFrame(id, 0), needFrame(id, 0)[:needLen-1], append(needFrame(id, 0), 0)))
+	// An object whose single manifest run fits the one-byte length (k = 4,
+	// m = 4): an unasked sender's forged unit row is proven false on
 	// arrival and bans it, and the true rows it sends after move nothing;
 	// the same from the second address, the first sending true rows after;
 	// and a forged dense row that poisons the generation until it fails.
 	const k, m = 4, 4
 	content := testContent(k*m, 7)
-	sid, meta := servedMeta(f, content, k, 1)
-	run := manifestRuns(f, sid, content, m)[0]
-	row := func(forged bool, idx ...int) []byte { return handRow(f, sid, content, 1, k, 0, forged, idx...) }
+	sd := servedDesc(f, content, k, 1)
+	run := manifestRuns(f, sd, content)[0]
+	row := func(forged bool, idx ...int) []byte { return handRow(f, sd.Object, content, 1, k, 0, forged, idx...) }
 	// (An empty frame is the zero byte that switches the sender.)
-	f.Add(sequence(meta, run, row(true, 1), row(false, 0), row(false, 1), row(false, 2), row(false, 3)))
-	f.Add(sequence(meta, run, row(false, 0), nil, row(true, 1), row(false, 1), row(false, 2),
+	f.Add(sequence(run, row(true, 1), row(false, 0), row(false, 1), row(false, 2), row(false, 3)))
+	f.Add(sequence(run, row(false, 0), nil, row(true, 1), row(false, 1), row(false, 2),
 		nil, row(false, 1), row(false, 2), row(false, 3)))
-	f.Add(sequence(meta, row(false, 0), nil, row(true, 1, 2), row(false, 1), row(false, 3), run,
+	f.Add(sequence(row(false, 0), nil, row(true, 1, 2), row(false, 1), row(false, 3), run,
 		row(false, 2), nil, row(false, 0), row(false, 1), row(false, 2), row(false, 3)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -315,26 +322,24 @@ func FuzzSessionFrameSequence(f *testing.F) {
 // bytes: a manifest of two runs, each with a one-hash proof.
 const manifestFuzzK, manifestFuzzM = integrity.RunLen + 6, 1
 
-// manifestFuzzSeeds are the object's META, its two MANIFEST frames and the
-// boundary shapes of the run layout, each a frame sequence as
-// FuzzManifestFrames reads one: every frame behind a two-byte length.
+// manifestFuzzSeeds are the object's two MANIFEST frames and the boundary
+// shapes of the run layout, each a frame sequence as FuzzManifestFrames
+// reads one: every frame behind a two-byte length.
 func manifestFuzzSeeds(tb testing.TB) (seeds [][]byte, id packet.ObjectID, runs [][]byte) {
 	content := make([]byte, manifestFuzzK*manifestFuzzM)
 	for i := range content {
 		content[i] = byte(i * 7)
 	}
-	id, learn := servedMeta(tb, content, manifestFuzzK, 1)
-	runs = manifestRuns(tb, id, content, manifestFuzzM)
+	d := servedDesc(tb, content, manifestFuzzK, 1)
+	runs = manifestRuns(tb, d, content)
 	mr, err := packet.ParseManifestChunk(runs[1][1:])
 	if err != nil {
 		tb.Fatal(err)
 	}
-	reRun := func(r uint32, digests, proof []byte) []byte {
-		fr, err := packet.AppendManifestChunk([]byte{frameManifest}, id, r, digests, proof)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return fr
+	mr.Proof = nil
+	short, err := packet.AppendManifestChunk([]byte{frameManifest}, mr)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	pack := func(frames ...[]byte) []byte {
 		var seq []byte
@@ -344,24 +349,96 @@ func manifestFuzzSeeds(tb testing.TB) (seeds [][]byte, id packet.ObjectID, runs 
 		}
 		return seq
 	}
-	return [][]byte{
-		pack(learn, runs[0], runs[1]),                            // clean adoption
-		pack(learn, runs[1]),                                     // a valid run alone
-		pack(learn, reRun(1, mr.Digests, nil), runs[1]),          // a short proof, then the true run
-		pack(learn, reRun(2, mr.Digests, mr.Proof), runs[1]),     // a run index past the end
-		pack(learn, runs[1], runs[1]),                            // a duplicate run
-		pack(learn, forgedRun(runs[1]), runs[0]),                 // a forged run: its sender banned
-		pack(learn, runs[1], forgedRun(runs[1]), runs[0]),        // forged, once held: dropped unhashed
-		pack(runs[1], learn, runs[0]),                            // a run before the object is rooted
-		pack(learn, reRun(0, mr.Digests, mr.Proof)),              // run 1's digests as run 0's
-		pack(learn, runs[1][:len(runs[1])-1], runs[1][:1+23+32]), // truncated frames
-	}, id, runs
+	seeds = [][]byte{
+		pack(runs[0], runs[1]),                                     // clean adoption
+		pack(runs[1]),                                              // a valid run alone: enough on its own
+		pack(runs[1], runs[0]),                                     // out of order
+		pack(short, runs[1]),                                       // a short proof, then the true run
+		pack(runs[1], runs[1]),                                     // a duplicate run
+		pack(forgedRun(runs[1]), runs[0]),                          // a forged run: its sender banned
+		pack(runs[1], forgedRun(runs[1]), runs[0]),                 // forged, once held: dropped unhashed
+		pack(withRun(runs[1], 0)),                                  // run 1's digests as run 0's
+		pack(runs[1][:len(runs[1])-1], runs[1][:runFixed+32]),      // truncated frames
+		pack(descFrame(d), runs[0]),                                // the description alone, then a run
+		pack(retiredMeta(d), runs[1]),                              // the retired META, then a run
+		pack(runs[1][:runFixed-3], runs[1][:1+16+52], runs[0][:1]), // cut inside the counts, after the description, bare
+	}
+	for _, bad := range badDescriptions(runs[1]) {
+		seeds = append(seeds, pack(bad, runs[1]))
+	}
+	return seeds, d.Object, runs
+}
+
+// withRun is MANIFEST frame fr with its run index set to r.
+func withRun(fr []byte, r uint32) []byte {
+	fr = bytes.Clone(fr)
+	binary.BigEndian.PutUint32(fr[1+16+52:], r)
+	return fr
+}
+
+// badDescriptions are MANIFEST frame fr under descriptions it may not
+// carry, by what is wrong with them: each is dropped before any state is
+// made or any sender convicted.
+func badDescriptions(fr []byte) map[string][]byte {
+	bad := func(off int, b ...byte) []byte {
+		fr := bytes.Clone(fr)
+		copy(fr[1+off:], b)
+		return fr
+	}
+	return map[string][]byte{
+		"root not the ID's":  bad(36+7, fr[1+36+7]^0x10),
+		"size past k·m":      bad(24, 0, 0, 0, 0, 0xff, 0, 0, 0),
+		"generations ragged": bad(32, 0, 0, 0, 4), // k = 1,030 does not split in 4
+		"no generations":     bad(32, 0, 0, 0, 0),
+		"run past the last":  withRun(fr, 2),
+		"run 2³²−1":          withRun(fr, 1<<32-1),
+	}
+}
+
+// TestAnyRunIsEnoughAlone: a relay that has heard nothing of an object —
+// no DATA, no REQ, no other run — adopts run 2 of its three, one a
+// generation, from that frame alone, and learns the object's size and
+// geometry from it.
+func TestAnyRunIsEnoughAlone(t *testing.T) {
+	const k, gens = 3 * integrity.RunLen, 3
+	content := testContent(k, 61) // m = 1
+	d := servedDesc(t, content, k, gens)
+	s := fuzzSession(t, func(c *Config) { c.MaxK = k })
+	stepFrame(s, "peer", manifestRuns(t, d, content)[2])
+	o, ok := s.Object(d.Object)
+	if !ok || o.Size != int64(len(content)) || o.K != k || o.Generations != gens || o.KPer != k/gens || o.M != 1 {
+		t.Fatalf("after run 2 alone: %+v, held %v; want the object sized and shaped as described", o, ok)
+	}
+	st := s.objects[d.Object]
+	st.mu.Lock()
+	held := []bool{st.man.HoldsRun(0), st.man.HoldsRun(1), st.man.HoldsRun(2)}
+	st.mu.Unlock()
+	if !slices.Equal(held, []bool{false, false, true}) || len(s.BannedPeers()) != 0 {
+		t.Fatalf("runs held %v, banned %v; want run 2 adopted and no one banned", held, s.BannedPeers())
+	}
+}
+
+// TestBadDescriptionDropped: a MANIFEST frame whose description does not
+// hash to its ID, or describes no object — a size past k·m, a ragged
+// generation split, no generations — or whose run lies past the last its
+// k has, changes nothing at a relay: no state, no ban.
+func TestBadDescriptionDropped(t *testing.T) {
+	_, _, runs := manifestFuzzSeeds(t)
+	for name, fr := range badDescriptions(runs[1]) {
+		t.Run(name, func(t *testing.T) {
+			s := fuzzSession(t, func(c *Config) { c.MaxK = 2 * manifestFuzzK })
+			stepFrame(s, "peer", fr)
+			if objs, banned := s.Objects(), s.BannedPeers(); len(objs) != 0 || len(banned) != 0 {
+				t.Fatalf("state %+v, banned %v; want neither", objs, banned)
+			}
+		})
+	}
 }
 
 // FuzzManifestFrames drives MANIFEST checking and adoption with frame
-// sequences: an object learned from its META, then arbitrary runs — in
-// order, out of order, duplicated, past the last run, short of proof,
-// forged. No input may panic, adopt a run but the one the object's root
+// sequences: arbitrary runs of one object — in order, out of order,
+// duplicated, past the last run, short of proof, forged, under
+// descriptions true and false. No input may panic, adopt a run but the one the object's root
 // names, or grow state beyond the session bounds.
 func FuzzManifestFrames(f *testing.F) {
 	seeds, id, runs := manifestFuzzSeeds(f)

@@ -152,9 +152,10 @@ func TestGenFeedbackSteersPush(t *testing.T) {
 	}
 }
 
-// TestMetaGenerationMismatchDropped: a META whose generation count
-// disagrees with the local decode state must be dropped, and a malformed
-// count must never create state.
+// TestMetaGenerationMismatchDropped: a MANIFEST frame whose description's
+// generation count disagrees with the local decode state must be dropped,
+// a malformed count must never create state, and neither does the retired
+// META.
 func TestMetaGenerationMismatchDropped(t *testing.T) {
 	sw, err := transport.NewSwitch(transport.SwitchConfig{})
 	if err != nil {
@@ -174,28 +175,32 @@ func TestMetaGenerationMismatchDropped(t *testing.T) {
 	if len(s.Objects()) != 0 {
 		t.Fatal("ragged generation split created state")
 	}
-	// Valid extended META learns the object with G=4.
+	// A valid description learns the object with G=4.
 	id, good := fakeObject("gen meta object", 128, 16, 2048, 4)
-	meta := func(k, m int, size int64, gens int) []byte {
-		return metaFor(id, k, m, size, gens, sha256.Sum256([]byte("gen meta object")))
+	desc := func(k, m int, size int64, gens int) []byte {
+		return descFor(id, k, m, size, gens, sha256.Sum256([]byte("gen meta object")))
 	}
 	s.handleFrame(transport.NewFrame("peer", good, nil))
 	objs := s.Objects()
 	if len(objs) != 1 || objs[0].Generations != 4 || objs[0].KPer != 32 {
-		t.Fatalf("extended META mislearned: %+v", objs)
+		t.Fatalf("description mislearned: %+v", objs)
 	}
 	// Conflicting count for the same object: dropped, state unchanged.
-	s.handleFrame(transport.NewFrame("peer", meta(128, 16, 2048, 2), nil))
+	s.handleFrame(transport.NewFrame("peer", desc(128, 16, 2048, 2), nil))
 	objs = s.Objects()
 	if len(objs) != 1 || objs[0].Generations != 4 {
 		t.Fatalf("G mismatch mutated state: %+v", objs)
 	}
-	// The retired root-less META creates no state; G = 1 is a count like
-	// any other.
+	// The retired META, both its lengths, creates no state; G = 1 is a
+	// count like any other.
 	id2, single := fakeObject("single generation meta object", 16, 8, 128, 1)
-	s.handleFrame(transport.NewFrame("peer", single[:metaV1Len], nil))
+	meta := retiredMeta(packet.ManifestChunk{Object: id2, K: 16, M: 8, Size: 128, Gens: 1,
+		Root: sha256.Sum256([]byte("single generation meta object"))})
+	for _, fr := range [][]byte{meta, meta[:37]} {
+		s.handleFrame(transport.NewFrame("peer", fr, nil))
+	}
 	if len(s.Objects()) != 1 {
-		t.Fatalf("the root-less META created state: %+v", s.Objects())
+		t.Fatalf("the retired META created state: %+v", s.Objects())
 	}
 	s.handleFrame(transport.NewFrame("peer", single, nil))
 	found := false
@@ -203,12 +208,12 @@ func TestMetaGenerationMismatchDropped(t *testing.T) {
 		if o.ID == id2 {
 			found = true
 			if o.Generations != 1 || o.KPer != 16 {
-				t.Fatalf("single-generation META mislearned: %+v", o)
+				t.Fatalf("single-generation description mislearned: %+v", o)
 			}
 		}
 	}
 	if !found {
-		t.Fatal("single-generation META did not create state")
+		t.Fatal("single-generation description did not create state")
 	}
 }
 
@@ -301,7 +306,7 @@ func TestWatchMonotoneAcrossGenerations(t *testing.T) {
 	src := startSession(t, attach(t, sw, "src"), nil)
 	dst := startSession(t, attach(t, sw, "dst"), nil)
 
-	id, _ := servedMeta(t, content, k, gens)
+	id := servedDesc(t, content, k, gens).Object
 	type snap struct {
 		decoded, gensComplete int
 		genDecoded            []int

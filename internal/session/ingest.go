@@ -315,8 +315,7 @@ func flushReceipts(batch []inFrame, states []*objectState, replies []ingestReply
 // receiptOutLocked adds a receipt for to, about a row of generation gen,
 // to replies and, while the object is caching or filling without the
 // proof of what it holds, the kind-7 need beside it (needLocked): the
-// receipt clock that repairs lost rows repairs a lost META or manifest run
-// too. A decoded object answers each DATA frame with its need already
+// receipt clock that repairs lost rows repairs a lost manifest run too. A decoded object answers each DATA frame with its need already
 // (owedLocked). st.mu must be held.
 func (st *objectState) receiptOutLocked(replies []ingestReply, to transport.Addr, receipt []byte, gen uint32) []ingestReply {
 	replies = append(replies, ingestReply{to, receipt})

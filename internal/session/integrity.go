@@ -14,9 +14,9 @@ import (
 // The integrity plane (DESIGN.md §13): manifests, per-generation
 // verification, quarantine and decode-provenance blame, bans. An object's
 // ID commits to its geometry and its manifest's Merkle root
-// (integrity.ObjectID): a META and each MANIFEST frame are checked on
-// arrival, alone, and every native against its run of the manifest, so
-// nothing here hashes a whole object.
+// (integrity.ObjectID): each MANIFEST frame carries that description and is
+// checked on arrival, alone, and every native against its run of the
+// manifest, so nothing here hashes a whole object.
 // Detection runs under st.mu on the decode path; its consequences collect
 // in pollActions and are applied once every lock is dropped.
 
@@ -252,54 +252,77 @@ func (s *Session) auditFailsLocked(st *objectState, g int, in *inFrame) bool {
 	return false
 }
 
-// handleManifest checks one MANIFEST frame alone (manifestRunLocked). An
-// adopted run retro-verifies the complete generations it covers
-// (settleLocked), the last one commits the object's buffer (commitBufLocked),
-// and the push rounds send it on to every peer (sendManifest). A run that
-// does not hash to the root convicts its sender: an honest node forwards
-// only runs it adopted, or its own.
-func (s *Session) handleManifest(from transport.Addr, data []byte) {
+// handleManifest checks one MANIFEST frame alone. Its description must
+// hash to the object's ID, or the frame is dropped: nobody is banned for a
+// frame that names another object. Any such frame is enough on its own: it
+// admits the object, if it may be, and a DATA header that shaped the
+// object otherwise was a forgery and is undone (reshapeLocked); it gives
+// an object not rooted yet its size and root; then its run is hashed up to
+// the root (manifestRunLocked). An adopted run retro-verifies the complete
+// generations it covers (settleLocked), the last one commits the object's
+// buffer (commitBufLocked), and the push rounds send it on to every peer
+// (takeProof). A run that does not hash to the root convicts its sender:
+// an honest node forwards only runs it adopted, or its own. Anyone else
+// is answered with whatever the frame completed (settleLocked): a run to
+// an object already complete — or, at a cache, fully covered — means the
+// sender never heard so, or the peer table entry that heard it was
+// dropped; the idempotent reply closes the loop, exactly as the DATA path
+// answers a row of a complete object with the same frame.
+func (s *Session) handleManifest(from transport.Addr, data []byte) []byte {
 	mr, err := packet.ParseManifestChunk(data)
-	if err != nil {
-		return
+	if err != nil || integrity.ObjectID(mr.Size, int(mr.K), int(mr.Gens), int(mr.M), mr.Root) != mr.Object {
+		return nil
 	}
+	geo := geometry{gens: int(mr.Gens), kPer: int(mr.K / mr.Gens), m: int(mr.M)}
 	s.mu.Lock()
-	st := s.objects[mr.Object]
-	if _, b := s.banned[from]; b {
-		st = nil
+	st := s.admitLocked(mr.Object, from, geo, false)
+	if st != nil {
+		s.reshapeLocked(st, geo)
 	}
 	s.mu.Unlock()
 	if st == nil {
-		return
+		return nil
+	}
+	st.mu.Lock()
+	if st.phase == phEvicted || !st.shapeIs(geo) {
+		st.mu.Unlock()
+		return nil // evicted since, or not the object's geometry (still announced: it has none): drop
+	}
+	st.touch(s.clk.Now())
+	learned := st.size.Load() < 0
+	if learned {
+		st.root = mr.Root // before the size: a known size says the root is set
+		st.size.Store(mr.Size)
+	}
+	adopted, forged := st.manifestRunLocked(mr, data)
+	if adopted {
+		s.commitBufLocked(st)
 	}
 	var acts pollActions
-	st.mu.Lock()
-	adopted, forged := st.manifestRunLocked(mr, data)
+	var reply []byte
 	if forged {
 		s.logf("session: %v manifest run %d from %s does not hash to the object's root", st.id, mr.Run, from)
 		acts.bans = append(acts.bans, from)
-	}
-	if adopted {
-		s.commitBufLocked(st)
-		s.settleLocked(st, -1, &acts)
-		st.touch(s.clk.Now())
+	} else {
+		reply = s.settleLocked(st, -1, &acts)
 	}
 	st.mu.Unlock()
 	s.applyPollActions(&acts)
-	if adopted {
+	if learned || adopted {
 		s.wake() // every peer is owed the run: the next round starts on it
 		s.notifyWatchers(st)
 	}
+	return reply
 }
 
-// manifestRunLocked checks one manifest run, body its MANIFEST frame's, and
-// reports whether it was adopted or proved its sender a forger. Only a
-// rooted object takes one (a run before its META is asked for again by a
-// need, once the META is in), a caching one too, to re-serve it. A run out of bounds
-// is dropped, a held one dropped unhashed, any other hashed up to the root:
-// adopted, its frame kept, or proof against its one sender. st.mu must be held.
+// manifestRunLocked checks one manifest run, body its MANIFEST frame's, at
+// a rooted object, and reports whether it was adopted or proved its sender
+// a forger. A caching object takes one too, to re-serve it. A run out of
+// bounds is dropped, a held one dropped unhashed, any other hashed up to
+// the root: adopted, its frame kept, or proof against its one sender.
+// st.mu must be held.
 func (st *objectState) manifestRunLocked(mr packet.ManifestChunk, body []byte) (adopted, forged bool) {
-	if st.size.Load() < 0 || (st.phase != phCaching && !st.phase.decoding()) {
+	if st.phase != phCaching && !st.phase.decoding() {
 		return false, false
 	}
 	if st.man == nil {
@@ -316,7 +339,7 @@ func (st *objectState) manifestRunLocked(mr packet.ManifestChunk, body []byte) (
 	case errors.Is(err, integrity.ErrCorrupt):
 		return false, true
 	case err != nil:
-		return false, false // counts not the ones the run's index implies
+		return false, false // a proof not as deep as the run's index implies
 	}
 	// Replaced wholesale, never written in place: a push round sends the
 	// frames it snapshotted with no lock held.

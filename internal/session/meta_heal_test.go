@@ -9,10 +9,12 @@ import (
 )
 
 // TestRedundantMetaElicitsComplete pins the lost-fbComplete heal on the
-// META path: a complete, sized receiver answers a redundant META — one
-// that reaches it after its completion, or from a sender whose peer entry
-// for it was dropped and made afresh — with fbComplete, as the DATA path
-// answers a row of a complete object, so the sender can stop.
+// proof path: a complete, sized receiver answers a redundant run of the
+// manifest — one that reaches it after its completion, or from a sender
+// whose peer entry for it was dropped and made afresh — with fbComplete,
+// as the DATA path answers a row of a complete object, so the sender can
+// stop. The run carries the object's description, the fields the META
+// that once led the proof carried alone.
 func TestRedundantMetaElicitsComplete(t *testing.T) {
 	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 64, Seed: 21})
 	if err != nil {
@@ -32,10 +34,9 @@ func TestRedundantMetaElicitsComplete(t *testing.T) {
 	}
 
 	// A bare port plays the sender whose fbComplete was lost: its proof
-	// pass sends the META.
+	// pass sends the run.
 	sender := attach(t, sw, "sender")
-	_, meta := servedMeta(t, content, 16, 1)
-	if err := sender.Send("recv", meta); err != nil {
+	if err := sender.Send("recv", manifestRuns(t, servedDesc(t, content, 16, 1), content)[0]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -44,12 +45,12 @@ func TestRedundantMetaElicitsComplete(t *testing.T) {
 	for {
 		f, err := sender.Recv(ctx)
 		if err != nil {
-			t.Fatalf("no reply to redundant META: %v", err)
+			t.Fatalf("no reply to a redundant run: %v", err)
 		}
 		isComplete := len(f.Data) == feedbackLen && f.Data[0] == frameFeedback && f.Data[17] == fbComplete
 		f.Release()
 		if isComplete {
-			return // the sender would latch done and stop the META cycle
+			return // the sender would latch done and stop pushing
 		}
 	}
 }

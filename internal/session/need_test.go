@@ -1,6 +1,7 @@
 package session
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -9,49 +10,56 @@ import (
 	"ltnc/internal/transport"
 )
 
-// Lost proof (DESIGN.md §13): a node that lacks an object's META or a run
-// of its manifest says so beside every receipt (FEEDBACK kind 7, need), and
-// the upstream re-sends it a horizon after it last went, its frontier for
-// the node left standing.
+// Lost proof (DESIGN.md §13): a node that lacks a run of an object's
+// manifest says so beside every receipt (FEEDBACK kind 7, need), and the
+// upstream re-sends it a horizon after it last went, its frontier for the
+// node left standing.
 
 // proofRepairSlack is how many ticks past the lossless run a fetch may take
-// when one META or MANIFEST frame is lost on its way: the receipt that
-// names the lack leaves with the rows behind the lost frame, the upstream
-// answers it a horizon (at most two ticks) after the frame went, and the
-// proof crosses in one more.
+// when one MANIFEST frame is lost on its way: the receipt that names the
+// lack leaves with the rows behind the lost frame, the upstream answers it
+// a horizon (at most two ticks) after the frame went, and the proof
+// crosses in one more.
 const proofRepairSlack = 4
 
 // TestLostProofRepairedAtRoundTrip: source → relay → fetcher, a round trip
-// a tick; the first META, or the first MANIFEST, on its way to the relay or
-// to the fetcher is lost. The need clocked by the receipts behind it brings
+// a tick; the first MANIFEST frame on its way to the relay, to the fetcher
+// or on both hops is lost — of a one-run object (k = 1,024), and the first
+// of three (first-of-3). The need clocked by the receipts behind it brings
 // it back within a few ticks of the lossless run — not by a REQ once the
 // node has decoded — no node sends a REQ, every upstream's frontier for its
-// peer stands from the first receipt to completion, and the proof is sent
-// again exactly once: the needs of the receipts that crossed the resend,
-// and one more delivered with it, fall inside the horizon and resend
-// nothing.
+// peer stands from the first receipt to completion, and the lost run is
+// sent again exactly once: the needs of the receipts that crossed the
+// resend, and one more delivered with it, fall inside the horizon and
+// resend nothing. Every other run crosses every hop once: any run is
+// adopted on its first arrival, whatever went before it.
 func TestLostProofRepairedAtRoundTrip(t *testing.T) {
-	const k, m = 1024, 16
+	const m = 16
 	hops := [...][2]transport.Addr{{"src", "relay"}, {"relay", "dst"}}
-	run := func(t *testing.T, kind byte, hop [2]transport.Addr) (ticks int) {
+	run := func(t *testing.T, k int, lossy ...[2]transport.Addr) (ticks int) {
 		c := newStepNet(t, k, m, 71, nil, "src", "relay", "dst").subscribe()
 		c.delay = c.nodes["src"].cfg.Tick / 2
-		sent, reqs := 0, 0
+		sent, reqs := map[[2]transport.Addr]map[uint32]int{}, 0
 		c.lose = func(from, to transport.Addr, f []byte) bool {
 			reqs += btoi(f[0] == frameReq)
-			if f[0] != kind || from != hop[0] || to != hop[1] {
+			if f[0] != frameManifest {
 				return false
 			}
-			if sent++; sent == 2 {
+			hop := [2]transport.Addr{from, to}
+			if sent[hop] == nil {
+				sent[hop] = map[uint32]int{}
+			}
+			r := bigEndianU32(f[1+16+52:])
+			sent[hop][r]++
+			if !slices.Contains(lossy, hop) || r != 0 {
+				return false
+			}
+			if sent[hop][0] == 2 {
 				// The repair: a need arriving with it finds it inside the
 				// horizon.
-				r := uint32(needMeta)
-				if kind == frameManifest {
-					r = 0 // the one run of k = 1,024
-				}
-				c.recs[from].deliver(to, needFrame(c.id, r))
+				c.recs[from].deliver(to, needFrame(c.id, 0))
 			}
-			return sent == 1
+			return sent[hop][0] == 1
 		}
 		had := map[[2]transport.Addr]bool{}
 		c.stepped = func(transport.Addr) {
@@ -75,23 +83,32 @@ func TestLostProofRepairedAtRoundTrip(t *testing.T) {
 		if reqs != 0 {
 			t.Errorf("%d REQs sent: a decoded node asked again by REQ", reqs)
 		}
-		if kind != 0 && sent != 2 {
-			t.Errorf("the proof went %d times to %s, want the lost one and one repair", sent, hop[1])
-		}
 		for _, h := range hops {
+			for r := range uint32((k + integrity.RunLen - 1) / integrity.RunLen) {
+				want := 1 + btoi(r == 0 && slices.Contains(lossy, h))
+				if sent[h][r] != want {
+					t.Errorf("run %d went %d times from %s to %s, want %d", r, sent[h][r], h[0], h[1], want)
+				}
+			}
 			if !had[h] {
 				t.Errorf("%s never held a frontier for %s: the test exercises nothing", h[0], h[1])
 			}
 		}
 		return ticks
 	}
-	lossless := run(t, 0, hops[0])
-	t.Logf("lossless: %d ticks", lossless)
-	for _, kind := range []byte{frameMeta, frameManifest} {
-		for _, hop := range hops {
-			name := map[byte]string{frameMeta: "META", frameManifest: "MANIFEST"}[kind] + "-to-" + string(hop[1])
+	for _, c := range []struct {
+		name string
+		k    int
+	}{{"MANIFEST", integrity.RunLen}, {"first-of-3", 3 * integrity.RunLen}} {
+		lossless := run(t, c.k)
+		t.Logf("%s lossless: %d ticks", c.name, lossless)
+		for _, lossy := range [][][2]transport.Addr{hops[:1], hops[1:], hops[:]} {
+			name := c.name + "-to-" + string(lossy[len(lossy)-1][1])
+			if len(lossy) == len(hops) {
+				name = c.name + "-to-both"
+			}
 			t.Run(name, func(t *testing.T) {
-				ticks := run(t, kind, hop)
+				ticks := run(t, c.k, lossy...)
 				t.Logf("%d ticks", ticks)
 				if ticks > lossless+proofRepairSlack {
 					t.Errorf("fetch took %d ticks, the lossless one %d: want at most %d more", ticks, lossless, proofRepairSlack)
@@ -127,7 +144,7 @@ func TestLosslessFetchSendsNoNeed(t *testing.T) {
 }
 
 // needSource serves a k-native object to a subscriber, peer, and runs
-// the rounds of its proof pass: the META and every run of the manifest.
+// the rounds of its proof pass: every run of the manifest.
 func needSource(t *testing.T, k int) (*Session, *recTransport, *transport.VClock, packet.ObjectID) {
 	t.Helper()
 	s, rec, clk := pushSession(t, "src", nil)
@@ -146,10 +163,10 @@ func needSource(t *testing.T, k int) (*Session, *recTransport, *transport.VClock
 // TestNeedBounds holds a kind-7 need to what it may buy. Dropped whole: one
 // short or long, for an object the session does not know, from a peer it
 // does not push to, from a banned peer, and one naming a run past the
-// manifest's end — 2³¹−1 and 2³²−2 among them, whose item, one more, wraps
-// an int on 32-bit builds. 2³²−1 names the META, item 0, and buys it
-// alone. From a peer pushed to, a flood — a need for the META and one for
-// each run before every push round — buys at most one item a horizon, and
+// manifest's end — 2³¹−1, 2³²−2 and 2³²−1 (once the META's sentinel) among
+// them, which wrap an int on 32-bit builds. A need for a run the session
+// holds buys that run alone. From a peer pushed to, a flood — a need for
+// each run before every push round — buys at most one run a horizon, and
 // leaves the peer's frontier standing.
 func TestNeedBounds(t *testing.T) {
 	const k = 3 * 1024 // three runs
@@ -167,21 +184,21 @@ func TestNeedBounds(t *testing.T) {
 		other[0] = 1
 		frames := map[transport.Addr][][]byte{
 			"peer": {
-				needFrame(id, needMeta)[:needLen-1],
-				append(needFrame(id, needMeta), 0),
-				needFrame(other, needMeta),
-				needFrame(id, 3), needFrame(id, 1<<31-1), needFrame(id, 1<<31), needFrame(id, 1<<32-2),
+				needFrame(id, 0)[:needLen-1],
+				append(needFrame(id, 0), 0),
+				needFrame(other, 0),
+				needFrame(id, 3), needFrame(id, 1<<31-1), needFrame(id, 1<<31), needFrame(id, 1<<32-2), needFrame(id, 1<<32-1),
 			},
-			"stranger": {needFrame(id, needMeta), needFrame(id, 0)},
-			"banned":   {needFrame(id, needMeta), needFrame(id, 0)},
+			"stranger": {needFrame(id, 0), needFrame(id, 1)},
+			"banned":   {needFrame(id, 0), needFrame(id, 1)},
 		}
 		for from, fs := range frames {
 			injectBurst(s, from, fs)
 		}
 		s.push()
 		for to, fs := range rec.take() {
-			if meta, man, _ := frameCounts(fs); meta+man > 0 {
-				t.Errorf("%d META and %d MANIFEST frames to %s", meta, man, to)
+			if man, _ := frameCounts(fs); man > 0 {
+				t.Errorf("%d MANIFEST frames to %s", man, to)
 			}
 		}
 		if _, ok := s.objects[id].peers["stranger"]; ok {
@@ -189,14 +206,8 @@ func TestNeedBounds(t *testing.T) {
 		}
 		injectFrame(s, "peer", needFrame(id, 2))
 		s.push()
-		if meta, man, _ := frameCounts(rec.take()["peer"]); meta != 0 || man != 1 {
-			t.Errorf("a need for run 2 drew %d META and %d MANIFEST frames, want the run alone", meta, man)
-		}
-		clk.Advance(10 * time.Millisecond)
-		injectFrame(s, "peer", needFrame(id, 1<<32-1))
-		s.push()
-		if meta, man, _ := frameCounts(rec.take()["peer"]); meta != 1 || man != 0 {
-			t.Errorf("a need for run 2³²−1 drew %d META and %d MANIFEST frames, want the META alone", meta, man)
+		if fs := rec.take()["peer"]; len(fs) != 1 || fs[0][0] != frameManifest || bigEndianU32(fs[0][1+16+52:]) != 2 {
+			t.Errorf("a need for run 2 drew %q, want the run alone", kinds(fs))
 		}
 	})
 	t.Run("flood", func(t *testing.T) {
@@ -204,22 +215,22 @@ func TestNeedBounds(t *testing.T) {
 		ps := s.objects[id].peers["peer"]
 		ps.frontier = [][]byte{make([]byte, frontierLen(k))}
 		const span = 40 * time.Millisecond
-		meta, man := 0, 0
+		man := 0
 		for start := clk.Now(); clk.Since(start) < span; clk.Advance(s.cfg.Tick / 8) {
-			injectBurst(s, "peer", [][]byte{needFrame(id, needMeta), needFrame(id, 0), needFrame(id, 1), needFrame(id, 2)})
+			injectBurst(s, "peer", [][]byte{needFrame(id, 0), needFrame(id, 1), needFrame(id, 2)})
 			s.push()
-			n, r, _ := frameCounts(rec.take()["peer"])
-			meta, man = meta+n, man+r
+			r, _ := frameCounts(rec.take()["peer"])
+			man += r
 		}
 		h := ps.link.Horizon() // no round trip sampled: two ticks
 		most := int(span/h) + 1
-		t.Logf("over %v at a horizon of %v: %d META, %d MANIFEST frames", span, h, meta, man)
-		if meta+man == 0 {
-			t.Fatal("no META or MANIFEST frame went again: the needs did nothing")
+		t.Logf("over %v at a horizon of %v: %d MANIFEST frames", span, h, man)
+		if man == 0 {
+			t.Fatal("no MANIFEST frame went again: the needs did nothing")
 		}
-		if meta+man > most {
-			t.Errorf("a flood of needs bought %d META and %d MANIFEST frames over %v; want at most %d, one a horizon of %v",
-				meta, man, span, most, h)
+		if man > most {
+			t.Errorf("a flood of needs bought %d MANIFEST frames over %v; want at most %d, one a horizon of %v",
+				man, span, most, h)
 		}
 		if ps.frontier == nil {
 			t.Error("the flood of needs dropped the peer's frontier")

@@ -33,7 +33,7 @@ type phase uint8
 const (
 	// phAnnounced: the id and nothing else — a Watch, a BeginFetch, or a REQ
 	// a relay heard before the object's first frame. The first admissible
-	// geometry (DATA header or META) makes it filling: somebody here asked.
+	// geometry (DATA header or MANIFEST) makes it filling: somebody here asked.
 	phAnnounced phase = iota
 	// phCaching: geometry fixed, rows held undecoded in Session.cache, no
 	// coder (cache-mode sessions, objects learned from the network only).
@@ -59,7 +59,7 @@ func (p phase) String() string { return phaseNames[p] }
 // decoding reports whether an object in phase p has a coder.
 func (p phase) decoding() bool { return p == phFilling || p == phDecoded || p == phComplete }
 
-// geometry is an object's shape as a DATA header or a META states it; the
+// geometry is an object's shape as a DATA header or a MANIFEST states it; the
 // zero value is "none stated" (a REQ, Watch, BeginFetch).
 type geometry struct{ gens, kPer, m int }
 
@@ -129,12 +129,12 @@ type objectState struct {
 
 	// Pollution defense (decode plane, guarded by mu; DESIGN.md §13).
 	// root is the manifest root the ID commits to, with the geometry and
-	// the size (integrity.ObjectID), as a META that verified or Serve gave
-	// it: written once, before size, and read only once size is known, so
-	// size ≥ 0 says the object is rooted. man holds the manifest's runs
-	// adopted so far (all of them at a source), manFrames[r] run r's
-	// MANIFEST frame for re-serving, nil until it is held; both nil until
-	// the first run arrives.
+	// the size (integrity.ObjectID), as the first MANIFEST frame whose
+	// description verified or Serve gave it: written once, before size, and
+	// read only once size is known, so size ≥ 0 says the object is rooted.
+	// man holds the manifest's runs adopted so far (all of them at a
+	// source), manFrames[r] run r's MANIFEST frame for re-serving, nil until
+	// it is held; both nil until the first run arrives.
 	root      [integrity.DigestSize]byte
 	man       *integrity.Manifest
 	manFrames [][]byte
@@ -168,7 +168,7 @@ type objectState struct {
 	// forgery bans its sender (DESIGN.md §13).
 	solicited map[transport.Addr]struct{}
 
-	size       atomic.Int64 // -1 until a META that verified (or Serve) provides it, with root
+	size       atomic.Int64 // -1 until a MANIFEST frame's description that verified (or Serve) provides it, with root
 	gens       atomic.Int32 // generation count G; 0 while announced
 	lastActive atomic.Int64 // unix nanos
 
@@ -215,7 +215,7 @@ func (st *objectState) shapeIs(geo geometry) bool {
 }
 
 // admitLocked is the one place anything may create an object's state or
-// fix its geometry: outside input (a DATA header, a META, a REQ — from is
+// fix its geometry: outside input (a DATA header, a MANIFEST, a REQ — from is
 // its sender, geo what it states) and the local calls (Serve, BeginFetch,
 // Watch: local, no geometry). It returns the object's state, nil when the
 // input is to be dropped. A state whose geometry is already fixed comes
@@ -287,15 +287,15 @@ func (st *objectState) shapeLocked(to phase, geo geometry, coder *generation.Cod
 	}
 }
 
-// reshapeLocked is a META that verified meeting an object a DATA header
-// shaped otherwise: caching stays caching, filling | decoded → filling, at
-// the META's geometry, which is the one the ID commits to. The header was
-// a forgery, and what was built on it goes — the cache entry, or the coder
-// with its guards, proofs and decode log — and every peer's systematic
-// pass starts over. With no root yet there was no manifest, so nothing had
-// verified. DATA may shape an object before its META arrives because
-// waiting for the META would cost a resend whenever one is lost. s.mu must
-// be held.
+// reshapeLocked is a MANIFEST frame whose description verified meeting an
+// object a DATA header shaped otherwise: caching stays caching, filling |
+// decoded → filling, at the description's geometry, which is the one the
+// ID commits to. The header was a forgery, and what was built on it goes —
+// the cache entry, or the coder with its guards, proofs and decode log —
+// and every peer's systematic pass starts over. With no root yet there was
+// no manifest, so nothing had verified. DATA may shape an object before
+// its first run arrives because waiting for one would cost a resend
+// whenever it is lost. s.mu must be held.
 func (s *Session) reshapeLocked(st *objectState, geo geometry) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -314,7 +314,7 @@ func (s *Session) reshapeLocked(st *objectState, geo geometry) {
 	default:
 		return
 	}
-	s.logf("session: %v reshaped from k/G=%d G=%d m=%d to the META's k/G=%d G=%d m=%d",
+	s.logf("session: %v reshaped from k/G=%d G=%d m=%d to the manifest's k/G=%d G=%d m=%d",
 		st.id, st.kPer, st.gens.Load(), st.m, geo.kPer, geo.gens, geo.m)
 	to := phCaching
 	if coder != nil {
@@ -427,7 +427,8 @@ func (s *Session) settleLocked(st *objectState, g int, acts *pollActions) []byte
 // assembleLocked is settleLocked's last step, decoded → complete: once every
 // generation has verified, the object buffer's head is the content: every
 // native decoded into its slot. A verified generation means an adopted
-// manifest, so the buffer, and that a META that verified gave the size.
+// manifest, so the buffer, and that a description that verified gave the
+// size.
 func (st *objectState) assembleLocked() {
 	size := st.size.Load()
 	if size < 0 || size > int64(len(st.buf)) {
@@ -564,8 +565,8 @@ func (st *objectState) placeGenLocked(g int) {
 // owedLocked is the one answer to "what does the sender of this frame need
 // to hear about where the object stands": kind 2 once complete (or, at a
 // cache, once every generation is held at full rank); to a DATA frame (g,
-// its generation, is not −1), a kind-7 need when decoded without the META
-// or every run of the manifest (needLocked) — kind 2 would stop the
+// its generation, is not −1), a kind-7 need when decoded without every run
+// of the manifest (needLocked) — kind 2 would stop the
 // sender and wedge the object there, and the need leaves its frontier
 // standing; kind 3 when the frame's generation is done and the object is
 // not; nothing otherwise. st.mu must be held.
@@ -578,7 +579,7 @@ func (s *Session) owedLocked(st *objectState, g int) []byte {
 	case phDecoded:
 		switch {
 		case g < 0:
-			return nil // a META or a manifest: the receipts say what is still lacking
+			return nil // a manifest run: the receipts say what is still lacking
 		case st.committing:
 			// Every run is in and the buffer on its way: the frame's
 			// generation is done, as while filling.
@@ -598,18 +599,16 @@ func (s *Session) owedLocked(st *objectState, g int) []byte {
 
 // needLocked returns the kind-7 need a caching, filling or decoded object
 // owes the sender of a row of generation g while it lacks the proof of
-// what it has received: its META, or the lowest run of the manifest it
-// does not hold among those over g — over any generation once every one
-// is decoded, and the rows of a generation done here stop coming — and nil
-// otherwise. A run over generations no row has reached yet is on its way:
-// the pass sends it ahead of them. The receipt clock repairs lost proof as
-// it repairs lost rows (DESIGN.md §13). st.mu must be held.
+// what it has received: the lowest run of the manifest it does not hold
+// among those over g — over any generation once every one is decoded, and
+// the rows of a generation done here stop coming — and nil otherwise,
+// whether or not a run has described the object yet. A run over
+// generations no row has reached yet is on its way: the pass sends it
+// ahead of them. The receipt clock repairs lost proof as it repairs lost
+// rows (DESIGN.md §13). st.mu must be held.
 func (st *objectState) needLocked(g int) []byte {
 	if st.phase != phCaching && st.phase != phFilling && st.phase != phDecoded || st.man.Complete() {
 		return nil
-	}
-	if st.size.Load() < 0 {
-		return needFrame(st.id, needMeta)
 	}
 	runs := (st.k + integrity.RunLen - 1) / integrity.RunLen
 	first, last := 0, runs-1

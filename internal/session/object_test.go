@@ -150,68 +150,95 @@ func (st *objectState) genInBufLocked(g int) bool {
 	return true
 }
 
-// manifestRuns builds the MANIFEST frames of content's m-byte natives
-// under id, one a run — a true manifest, or a forged one when content is
-// not the object's.
-func manifestRuns(tb testing.TB, id packet.ObjectID, content []byte, m int) [][]byte {
+// manifestRuns builds the MANIFEST frames of content's natives under the
+// description d, one a run — the object's true manifest when content is
+// the object's, a forged one otherwise: its runs do not hash to d's root.
+func manifestRuns(tb testing.TB, d packet.ManifestChunk, content []byte) [][]byte {
 	tb.Helper()
-	man, err := integrity.NewManifest(lt.Natives(content, m))
+	man, err := integrity.NewManifest(lt.Natives(content, int(d.M)))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	frames := make([][]byte, man.Runs())
 	for r := range frames {
-		digests, proof := man.RunProof(r)
-		if frames[r], err = packet.AppendManifestChunk([]byte{frameManifest}, id, uint32(r), digests, proof); err != nil {
+		d.Run = uint32(r)
+		d.Digests, d.Proof = man.RunProof(r)
+		if frames[r], err = packet.AppendManifestChunk([]byte{frameManifest}, d); err != nil {
 			tb.Fatal(err)
 		}
 	}
 	return frames
 }
 
+// runFixed is where a MANIFEST frame's digests begin.
+const runFixed = 1 + 16 + 52 + 4 + 2 + 1
+
 // forgedRun is MANIFEST frame fr with one digest byte flipped: a run of
-// the right length that does not hash to the root.
+// the right length, under a description that verifies, that does not hash
+// to the root.
 func forgedRun(fr []byte) []byte {
 	bad := bytes.Clone(fr)
-	bad[1+23+5] ^= 0x40
+	bad[runFixed+5] ^= 0x40
 	return bad
 }
 
-// metaFor builds a META as a sender of (k, m, size, gens) and manifest root
-// would; it verifies where id is what those fields hash to. Its first
-// metaV1Len bytes are the retired root-less form, which a session drops.
-func metaFor(id packet.ObjectID, k, m int, size int64, gens int, root [integrity.DigestSize]byte) []byte {
-	buf := make([]byte, metaLen)
-	buf[0] = frameMeta
-	copy(buf[1:17], id[:])
-	binary.BigEndian.PutUint32(buf[17:21], uint32(k))
-	binary.BigEndian.PutUint32(buf[21:25], uint32(m))
-	binary.BigEndian.PutUint64(buf[25:33], uint64(size))
-	binary.BigEndian.PutUint32(buf[33:37], uint32(gens))
-	copy(buf[37:], root[:])
-	return buf
+// descFor builds a MANIFEST frame as a sender of (k, m, size, gens) and
+// manifest root would state the object's description, for ID id — it
+// verifies where id is what those fields hash to — bytes written as they
+// are, whether the codec would take them or not. Its run is run 0 under a
+// proof deeper than any the object's runs have: the description is learned
+// and the run dropped unhashed, its sender not convicted — the frame
+// describes the object and proves nothing.
+func descFor(id packet.ObjectID, k, m int, size int64, gens int, root [integrity.DigestSize]byte) []byte {
+	buf := append([]byte{frameManifest}, id[:]...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(k))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(m))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(size))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(gens))
+	buf = append(buf, root[:]...)
+	n := min(max(k, 1), integrity.RunLen)
+	buf = binary.BigEndian.AppendUint32(buf, 0)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(n))
+	buf = append(buf, packet.MaxManifestDepth)
+	return append(buf, make([]byte, (n+packet.MaxManifestDepth)*integrity.DigestSize)...)
 }
 
-// metaV1Len is the length of the retired META, which carried no root.
-const metaV1Len = metaLen - integrity.DigestSize
+// descFrame is descFor of description d.
+func descFrame(d packet.ManifestChunk) []byte {
+	return descFor(d.Object, int(d.K), int(d.M), d.Size, int(d.Gens), d.Root)
+}
+
+// retiredMeta is the 69-byte frame of kind 0x03, the retired META, as a
+// sender of d would have sent it; its first 37 bytes are the older
+// root-less form. A session drops both.
+func retiredMeta(d packet.ManifestChunk) []byte {
+	buf := append([]byte{0x03}, d.Object[:]...)
+	buf = binary.BigEndian.AppendUint32(buf, d.K)
+	buf = binary.BigEndian.AppendUint32(buf, d.M)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(d.Size))
+	buf = binary.BigEndian.AppendUint32(buf, d.Gens)
+	return append(buf, d.Root[:]...)
+}
 
 // fakeObject names an object nobody serves: its ID commits to the fields
-// given and to a made-up manifest root drawn from tag, so its META
-// verifies while no manifest ever will.
+// given and to a made-up manifest root drawn from tag, so its description
+// (descFor) verifies while no run of its manifest ever will.
 func fakeObject(tag string, k, m int, size int64, gens int) (packet.ObjectID, []byte) {
 	root := sha256.Sum256([]byte(tag))
 	id := integrity.ObjectID(size, k, gens, m, root)
-	return id, metaFor(id, k, m, size, gens, root)
+	return id, descFor(id, k, m, size, gens, root)
 }
 
-// servedMeta is the ID and the META of content served as (k, gens).
-func servedMeta(tb testing.TB, content []byte, k, gens int) (packet.ObjectID, []byte) {
+// servedDesc is the description of content served as (k, gens), as its
+// MANIFEST frames carry it.
+func servedDesc(tb testing.TB, content []byte, k, gens int) packet.ManifestChunk {
 	tb.Helper()
 	src, err := deriveServed(content, k, gens)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return src.id, metaFor(src.id, src.geo.kPer*gens, src.geo.m, int64(len(content)), gens, src.man.Root())
+	return packet.ManifestChunk{Object: src.id, K: uint32(src.geo.kPer * gens), M: uint32(src.geo.m), Gens: uint32(gens),
+		Size: int64(len(content)), Root: src.man.Root()}
 }
 
 // TestServeOverCachedObject: Serve on an object the session holds as a
@@ -268,35 +295,36 @@ func TestServeOverCachedObject(t *testing.T) {
 	}
 }
 
-// TestForgedMetaGeometryNoFrameCouldCarry: a META whose (kPer, m) no DATA
-// frame could carry creates no state, even one whose fields hash to its ID:
-// whoever makes an object may make it as large as they like, and admission
-// still bounds what a session gives state to. Before admission was one
-// function the META path bounded m only by m ≥ 0, so one such META sized a
-// relay's state.
+// TestForgedMetaGeometryNoFrameCouldCarry: a MANIFEST frame whose
+// description's (kPer, m) no DATA frame could carry creates no state, even
+// one whose fields hash to its ID: whoever makes an object may make it as
+// large as they like, and admission still bounds what a session gives
+// state to. Before admission was one function the META path bounded m only
+// by m ≥ 0, so one such META sized a relay's state.
 func TestForgedMetaGeometryNoFrameCouldCarry(t *testing.T) {
 	relay, _, _ := pushSession(t, "relay", func(cfg *Config) { cfg.Relay = true })
-	_, meta := fakeObject("no frame could carry it", 16, 1<<30, 64, 1)
-	injectFrame(relay, "mallory", meta)
+	_, desc := fakeObject("no frame could carry it", 16, 1<<30, 64, 1)
+	injectFrame(relay, "mallory", desc)
 	if objs := relay.Objects(); len(objs) != 0 {
-		t.Fatalf("META with m = 1<<30 created state: %+v", objs)
+		t.Fatalf("a description with m = 1<<30 created state: %+v", objs)
 	}
 }
 
 // TestForgedMetaDroppedOnArrival: a forger races the source to a relay and
-// to a fetcher with a META that states a plausible geometry for the
-// object's ID — the same bytes as twice the natives, half as large, in one
-// generation — and a DATA row of that geometry. The ID commits to the true
-// geometry, so the forged META is dropped on arrival at both. The forged
-// row still shapes the object ahead of any META (waiting for one would cost
-// a resend whenever it is lost), and the true META, when it comes, undoes
+// to a fetcher with a MANIFEST frame whose description states a plausible
+// geometry for the object's ID — the same bytes as twice the natives, half
+// as large, in one generation — and a DATA row of that geometry. The ID
+// commits to the true geometry, so the forged description is dropped on
+// arrival at both, and bans no one. The forged row still shapes the object
+// ahead of any run (waiting for one would cost a resend whenever it is
+// lost), and the true description, on the first run that comes, undoes
 // that. Both complete at the honest bound: each native received once.
 func TestForgedMetaDroppedOnArrival(t *testing.T) {
 	const k, m, gens = 32, 32, 2
 	content := testContent(k*m, 79)
-	forgery := func(id packet.ObjectID) (meta, row []byte) {
-		meta = metaFor(id, 2*k, m/2, k*m, 1, sha256.Sum256([]byte("forged")))
-		return meta, handRow(t, id, testContent(k*m, 80), 1, 2*k, 0, true, 0)
+	forgery := func(id packet.ObjectID) (desc, row []byte) {
+		desc = descFor(id, 2*k, m/2, k*m, 1, sha256.Sum256([]byte("forged")))
+		return desc, handRow(t, id, testContent(k*m, 80), 1, 2*k, 0, true, 0)
 	}
 	honest := func(t *testing.T, o ObjectStats) {
 		t.Helper()
@@ -312,10 +340,10 @@ func TestForgedMetaDroppedOnArrival(t *testing.T) {
 			t.Fatal(err)
 		}
 		relay, _, _ := pushSession(t, "relay", func(cfg *Config) { cfg.Relay = true })
-		meta, row := forgery(id)
-		injectFrame(relay, "mallory", meta)
-		if objs := relay.Objects(); len(objs) != 0 {
-			t.Fatalf("the forged META created state: %+v", objs)
+		desc, row := forgery(id)
+		injectFrame(relay, "mallory", desc)
+		if objs, banned := relay.Objects(), relay.BannedPeers(); len(objs) != 0 || len(banned) != 0 {
+			t.Fatalf("the forged description created state %+v, banned %v", objs, banned)
 		}
 		injectFrame(relay, "mallory", row)
 		if o, _ := relay.Object(id); o.KPer != 2*k || o.Generations != 1 {
@@ -341,10 +369,10 @@ func TestForgedMetaDroppedOnArrival(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer fetch.End()
-		meta, row := forgery(id)
-		injectFrame(f, "mallory", meta)
+		desc, row := forgery(id)
+		injectFrame(f, "mallory", desc)
 		if o, _ := f.Object(id); o.K != 0 || o.Size >= 0 {
-			t.Fatalf("the forged META shaped %+v", o)
+			t.Fatalf("the forged description shaped %+v", o)
 		}
 		injectFrame(f, "mallory", row)
 		fRec.take()
@@ -383,7 +411,9 @@ const (
 	evDataRedundant
 	evDataWrongGeometry
 	evReq
-	evMetaShort // the retired root-less META: dropped
+	// The retired META, kind 0x03, root-less (short) and as it was last
+	// sent (long): dropped, whatever the phase.
+	evMetaShort
 	evMetaLong
 	evFbRedundant // the retired kind-1 abort: dropped
 	evFbComplete
@@ -430,7 +460,7 @@ type objCell struct {
 	st            *objectState // the state the cell began with
 	allocs        *heldAllocs  // a committing cell's buffer allocations, held up until place
 	runs          [][]byte     // the true manifest's MANIFEST frames: one run at these k
-	meta          []byte       // the true META
+	meta          []byte       // the object's retired 0x03 META
 }
 
 const matrixSender transport.Addr = "peer"
@@ -449,7 +479,8 @@ func newObjCell(t *testing.T, rng *rand.Rand, row int) *objCell {
 	}
 	k := c.gens * c.kPer
 	c.content = testContent(k*c.m, rng.Int63())
-	c.id, c.meta = servedMeta(t, c.content, k, c.gens)
+	d := servedDesc(t, c.content, k, c.gens)
+	c.id, c.meta = d.Object, retiredMeta(d)
 	seed := rng.Int63()
 	role := func(cfg *Config) { cfg.Relay = true }
 	switch {
@@ -464,8 +495,7 @@ func newObjCell(t *testing.T, rng *rand.Rand, row int) *objCell {
 			role(cfg)
 		}
 	})
-	c.runs = manifestRuns(t, c.id, c.content, c.m)
-	meta := c.meta
+	c.runs = manifestRuns(t, d, c.content)
 	fill := func(upTo int) { // natives [0, upTo) of every generation, from "src"
 		for g := 0; g < c.gens; g++ {
 			for i := 0; i < upTo; i++ {
@@ -482,26 +512,21 @@ func newObjCell(t *testing.T, rng *rand.Rand, row int) *objCell {
 			c.s.Watch(c.id, func(ObjectStats) {})
 		}
 	case rowCaching, rowFilling, rowEvicted:
-		injectFrame(c.s, "src", meta)
 		fill(c.kPer - 2)
 	case rowCommitting:
 		// Commits go to goroutines, as under Run, each allocation held up
 		// until the cell has been played.
 		c.allocs = holdAllocs(c.s)
 		c.s.commits.start()
-		injectFrame(c.s, "src", meta)
 		fill(c.kPer - 2)
 		injectBurst(c.s, "src", c.runs)
 	case rowPoisoned:
-		injectFrame(c.s, "src", meta)
 		fill(c.kPer - 2)
 		injectFrame(c.s, "src", c.row(0, true, c.kPer-2))
 		injectFrame(c.s, "src", c.row(0, false, c.kPer-1))
 	case rowDecoded:
-		injectFrame(c.s, "src", meta)
 		fill(c.kPer)
 	case rowComplete:
-		injectFrame(c.s, "src", meta)
 		injectBurst(c.s, "src", c.runs)
 		fill(c.kPer)
 	}
@@ -524,8 +549,8 @@ func kinds(frames [][]byte) string {
 		case f[0] == frameFeedback:
 			out = append(out, "FB"+string('0'+f[17]))
 		default:
-			out = append(out, map[byte]string{frameData: "DATA", frameReq: "REQ", frameMeta: "META",
-				frameManifest: "MANIFEST", frameMember: "MEMBER"}[f[0]])
+			out = append(out, map[byte]string{frameData: "DATA", frameReq: "REQ", frameManifest: "MANIFEST",
+				frameMember: "MEMBER"}[f[0]])
 		}
 	}
 	return strings.Join(out, " ")
@@ -548,7 +573,7 @@ func (c *objCell) fire(t *testing.T, ev int) {
 	case evReq:
 		in(encodeReq(c.id))
 	case evMetaShort:
-		in(c.meta[:metaV1Len])
+		in(c.meta[:37])
 	case evMetaLong:
 		in(c.meta)
 	case evFbRedundant:
@@ -570,13 +595,13 @@ func (c *objCell) fire(t *testing.T, ev int) {
 		in(encodeReceipt(c.id, uint32(last), 16, 12, 0, c.kPer, []int32{0, 1}))
 	case evFbNeed:
 		// From a peer pushed to, its proof pass long over and a row in
-		// flight toward it: the need owes it the META once sized, and the
+		// flight toward it: the need owes it run 0 where it is held, and the
 		// peer's progress stands.
 		if st := c.s.objects[c.id]; st != nil {
 			ps := st.peer(matrixSender)
 			ps.pass, ps.proofAt, ps.unsettled = -1, c.clk.Now().Add(-time.Second), []sentNative{{1, 0}}
 		}
-		in(needFrame(c.id, needMeta))
+		in(needFrame(c.id, 0))
 	case evManifestFirst:
 		in(c.runs[0])
 	case evManifestOutOfOrder:
@@ -613,14 +638,14 @@ func (c *objCell) fire(t *testing.T, ev int) {
 func (c *objCell) expect(row, ev int) (after, replies string) {
 	before := [matrixRows]string{"announced", "caching", "filling", "filling", "decoded", "filling", "complete", "none"}[row]
 	after = before
-	// The retired short META and kind-1 and kind-4 FEEDBACK are dropped
-	// whatever the phase: their cells keep the defaults.
+	// The retired META, either length, and kind-1 and kind-4 FEEDBACK are
+	// dropped whatever the phase: their cells keep the defaults.
 	switch ev {
 	case evDataUnit, evDataDense, evDataRedundant, evDataWrongGeometry:
 		switch {
 		case row == rowAnnounced || row == rowEvicted: // first geometry heard fixes it (a relay learns an unknown object)
 			after = "filling"
-			replies = "FB7" // its receipt goes out with a need for the META
+			replies = "FB7" // its receipt goes out with a need for the first run
 		case ev == evDataWrongGeometry:
 		case row == rowCaching || row == rowFilling || row == rowPoisoned || row == rowDecoded:
 			// No manifest: caching or filling, the receipt goes out with a
@@ -637,16 +662,17 @@ func (c *objCell) expect(row, ev int) (after, replies string) {
 		if row == rowEvicted {
 			after = "announced" // a relay remembers who asked
 		}
-	case evMetaLong:
-		switch {
-		case row == rowAnnounced || row == rowEvicted:
-			after = "filling" // the META verified: its geometry is the object's
-		case row == rowComplete:
-			replies = "FB2"
-		}
 	case evManifestFirst, evManifestOutOfOrder, evManifestLast:
-		if row == rowDecoded {
+		switch row {
+		case rowAnnounced, rowEvicted:
+			after = "filling" // any run is enough on its own: its description verified
+		case rowDecoded:
 			after = "complete" // every generation verifies at once
+		}
+		// The sender's frame is answered by what it completed, unless it
+		// convicted its sender (out of order, hashed before the true run).
+		if after == "complete" && (ev != evManifestOutOfOrder || row == rowComplete) {
+			replies = "FB2"
 		}
 	case evMember:
 		replies = "MEMBER" // a memberless session answers with its self-advert
@@ -794,8 +820,9 @@ func (c *objCell) checkCell(t *testing.T, row, ev int, sent map[transport.Addr][
 		}
 	case ev == evFbNeed:
 		ps := c.s.objects[c.id].peers[matrixSender]
-		if owed, want := ps.owed == 1, row != rowAnnounced; owed != want || len(ps.unsettled) != 1 {
-			t.Errorf("META owed: %v (owed %d), want %v; %d rows in flight, want the 1 the need found", owed, ps.owed, want, len(ps.unsettled))
+		// Run 0 is owed where it is held: every run is in.
+		if owed, want := ps.owed == 1, row == rowCommitting || row == rowComplete; owed != want || len(ps.unsettled) != 1 {
+			t.Errorf("run 0 owed: %v (owed %d), want %v; %d rows in flight, want the 1 the need found", owed, ps.owed, want, len(ps.unsettled))
 		}
 	case ev == evReq:
 		// The REQ re-arms the sender's proof pass, and nothing else answers it.
@@ -803,14 +830,10 @@ func (c *objCell) checkCell(t *testing.T, row, ev int, sent map[transport.Addr][
 			t.Errorf("REQ: peer state %+v, want a subscriber with its proof pass armed", ps)
 		}
 	case ev >= evDataUnit && ev <= evDataWrongGeometry:
-		// A need names the META where none came, else the run none holds.
-		want := uint32(0)
-		if row == rowAnnounced {
-			want = needMeta
-		}
+		// A need names the run none holds: at these geometries, the one.
 		for _, f := range sent[matrixSender] {
-			if isNeed(f) && binary.BigEndian.Uint32(f[18:]) != want {
-				t.Errorf("need names %#x, want %#x", f[18:], want)
+			if isNeed(f) && binary.BigEndian.Uint32(f[18:]) != 0 {
+				t.Errorf("need names %#x, want run 0", f[18:])
 			}
 		}
 	case ev == evBeginFetch && row == rowCaching:
@@ -824,13 +847,13 @@ func (c *objCell) checkCell(t *testing.T, row, ev int, sent map[transport.Addr][
 // so from filling on the manifest is held and each complete generation is
 // verified, or quarantined if poisoned — which convicts src, the sender of
 // the forged row that released the first false native. A forged run
-// convicts its sender where it is hashed — at a rooted object that does not
-// hold the run yet, so when it races ahead (out-of-order) — and is dropped
-// unhashed once the run is held (last).
+// convicts its sender where it is hashed — at any object that does not hold
+// the run yet, announced or not, so when it races ahead (out-of-order) —
+// and is dropped unhashed once the run is held (last).
 func (c *objCell) checkManifestCell(t *testing.T, row, ev int, o ObjectStats, sent map[transport.Addr][][]byte) {
 	t.Helper()
 	var wantBanned []transport.Addr
-	if rooted := row >= rowCaching && row <= rowDecoded; rooted && ev == evManifestOutOfOrder {
+	if hashed := row <= rowDecoded; hashed && ev == evManifestOutOfOrder {
 		wantBanned = []transport.Addr{matrixSender}
 	}
 	if row == rowPoisoned {

@@ -370,12 +370,12 @@ func TestPacedForgedReceiptsStayOnTheirLink(t *testing.T) {
 			for round := 0; round < roundsPerTick; round++ {
 				s.push()
 				frames := rec.take()
-				_, _, n := frameCounts(frames["honest"])
+				_, n := frameCounts(frames["honest"])
 				mine += n
 				if got += uint32(n); n > 0 { // the honest queue ran dry behind them
 					injectFrame(s, "honest", receiptFrame(id, 0, got, got))
 				}
-				_, _, n = frameCounts(frames["z-liar"])
+				_, n = frameCounts(frames["z-liar"])
 				liars += n
 				if withLiar {
 					link := &s.objects[id].peers["z-liar"].link
@@ -435,7 +435,7 @@ func TestRelayRemembersEarlyREQ(t *testing.T) {
 		feed(relay, srcRec)
 		pushTicks(relay, relayClk, 1)
 	}
-	if _, _, data := frameCounts(relayRec.take()["sub"]); data == 0 {
+	if _, data := frameCounts(relayRec.take()["sub"]); data == 0 {
 		t.Error("the early subscriber was never pushed to once the relay held the object")
 	}
 
@@ -561,7 +561,7 @@ func TestReceiptFlushedOnDrain(t *testing.T) {
 	}
 	answers := rec.take()["src"]
 	// Hand-built rows carry no stamp: the receipt's departure count is 0.
-	// No META came, so the receipt goes out with a need for it.
+	// No run came, so the receipt goes out with a need for run 0.
 	if len(answers) != 2 || !isReceipt(answers[0]) || binary.BigEndian.Uint32(answers[0][22:26]) != 2 || binary.BigEndian.Uint32(answers[0][30:34]) != 0 ||
 		!isNeed(answers[1]) {
 		t.Errorf("two rows in two batches answered by %d frames %x, want one receipt reporting both, departed 0, and its need", len(answers), answers)
@@ -589,9 +589,9 @@ func TestIdleSessionParksTimer(t *testing.T) {
 	if next := src.Step(); next.Sub(clk.Now()) != src.cfg.Tick {
 		t.Errorf("with a subscriber the next step is due in %v, want a Tick (%v)", next.Sub(clk.Now()), src.cfg.Tick)
 	}
-	// META and DATA have left with the clock standing still.
-	if meta, _, data := frameCounts(rec.take()["sub"]); meta != 1 || data == 0 {
-		t.Errorf("a parked source answered a REQ with %d META and %d DATA frames in the Step that took it", meta, data)
+	// The manifest and DATA have left with the clock standing still.
+	if man, data := frameCounts(rec.take()["sub"]); man != 1 || data == 0 {
+		t.Errorf("a parked source answered a REQ with %d MANIFEST and %d DATA frames in the Step that took it", man, data)
 	}
 }
 
@@ -608,7 +608,7 @@ func TestFetchRetriesLostREQ(t *testing.T) {
 				reqs++
 				return dropped && reqs == 1
 			}
-			return f[0] == frameData // the META answers the REQ; the transfer must not end the fetch
+			return f[0] == frameData // the run answers the REQ; the transfer must not end the fetch
 		}
 		dst := n.nodes["dst"]
 		f, err := dst.BeginFetch(n.id, "src")

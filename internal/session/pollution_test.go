@@ -220,7 +220,7 @@ func TestManifestStallerHoldsUpNobody(t *testing.T) {
 	n.delay = n.nodes["source"].cfg.Tick / 2
 	dst := n.nodes["dest"]
 	content := testContent(k*m, seed)
-	stall := manifestRuns(t, n.id, content, m)[0]
+	stall := manifestRuns(t, servedDesc(t, content, k, 1), content)[0]
 	stalling := false
 	n.lose = func(from, to transport.Addr, f []byte) bool {
 		return from == "source" && f[0] == frameManifest && !stalling
@@ -234,7 +234,7 @@ func TestManifestStallerHoldsUpNobody(t *testing.T) {
 		if _, _, _, ok := fetch.Result(); ok {
 			break
 		}
-		if o, _ := dst.Object(n.id); o.Size > 0 {
+		if o, _ := dst.Object(n.id); o.K > 0 { // the first rows are in
 			n.recs["dest"].deliver("staller", stall)
 			stalling = true
 		}
@@ -257,13 +257,14 @@ func TestManifestStallerHoldsUpNobody(t *testing.T) {
 // moment it arrives, at a fetcher and at a relay alike, and its sender is
 // banned at that frame: each frame proves itself against the object's ID,
 // so no other frame of the sender's is needed. The manifest is two runs,
-// and the forged frame is the second, alone; the true META came from
-// another peer.
+// and the forged frame is the second, alone: no frame came before it. Its
+// description, true, is learned; its run convicts its sender.
 func TestForgedRunRefutedOnArrival(t *testing.T) {
 	const k, m = 2 * integrity.RunLen, 8
 	content := testContent(k*m, 44)
-	id, meta := servedMeta(t, content, k, 1)
-	forged := forgedRun(manifestRuns(t, id, content, m)[1])
+	d := servedDesc(t, content, k, 1)
+	id := d.Object
+	forged := forgedRun(manifestRuns(t, d, content)[1])
 	for _, relay := range []bool{false, true} {
 		name := map[bool]string{false: "fetcher", true: "relay"}[relay]
 		t.Run(name, func(t *testing.T) {
@@ -275,10 +276,6 @@ func TestForgedRunRefutedOnArrival(t *testing.T) {
 				}
 				defer fetch.End()
 			}
-			stepFrame(s, "src", meta)
-			if b := s.BannedPeers(); len(b) != 0 {
-				t.Fatalf("set-up: banned %v", b)
-			}
 			stepFrame(s, "mallory", forged)
 			if b := s.BannedPeers(); !slices.Equal(b, []transport.Addr{"mallory"}) {
 				t.Fatalf("after one forged run: banned %v, want [mallory]", b)
@@ -288,7 +285,7 @@ func TestForgedRunRefutedOnArrival(t *testing.T) {
 			held := st.man != nil && (st.man.HoldsRun(0) || st.man.HoldsRun(1))
 			st.mu.Unlock()
 			if o, _ := s.Object(id); held || o.HaveManifest || o.Size != int64(len(content)) {
-				t.Fatalf("after the forged run: %+v, a run held %v; want none held, the true META kept", o, held)
+				t.Fatalf("after the forged run: %+v, a run held %v; want none held, the true description kept", o, held)
 			}
 		})
 	}
@@ -430,7 +427,7 @@ func TestRelayEmitsOnlyProvenRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	relay, rec, clk := pushSession(t, "relay", func(c *Config) { c.Relay = true })
-	// META and manifest come from the source's opening round; its DATA is
+	// The manifest comes from the source's opening round; its DATA is
 	// replaced by the hand-made mix below.
 	pushTicks(src, srcClk, 1)
 	feed(relay, srcRec, frameData)
@@ -562,8 +559,8 @@ func TestRelayEmitsOnlyProvenRows(t *testing.T) {
 }
 
 // TestForgedManifestRefutedAtRelay: a forger races the source to a relay
-// with the object's true META — anyone may copy one — and a whole forged
-// manifest behind it. The manifest does not hash to the root the ID
+// with a whole forged manifest under the object's true description —
+// anyone may copy one. The manifest does not hash to the root the ID
 // commits to: it is refused the moment it is whole and its sender banned,
 // so nothing is ever proven against it. The source's manifest is adopted
 // after it; rows that only the forged one would prove are refused on
@@ -579,14 +576,12 @@ func TestForgedManifestRefutedAtRelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	relay, rec, clk := pushSession(t, "relay", func(c *Config) { c.Relay = true })
-	_, meta := servedMeta(t, content, k, 1)
-	injectFrame(relay, "mallory", meta)
-	injectBurst(relay, "mallory", manifestRuns(t, id, forged, m))
+	injectBurst(relay, "mallory", manifestRuns(t, servedDesc(t, content, k, 1), forged))
 	if b := relay.BannedPeers(); !slices.Equal(b, []transport.Addr{"mallory"}) {
 		t.Fatalf("banned %v, want the forged manifest's sender", b)
 	}
 	if o, _ := relay.Object(id); o.HaveManifest || o.Size != int64(len(content)) {
-		t.Fatalf("after the forged manifest: %+v; want it refused, the true META kept", o)
+		t.Fatalf("after the forged manifest: %+v; want it refused, the true description kept", o)
 	}
 	injectFrame(relay, "sub", encodeReq(id))
 	emitted := 0
@@ -643,15 +638,15 @@ func TestDenseForgerConvictedAtFirstFailure(t *testing.T) {
 func testDenseForger(t *testing.T, others int) {
 	const gens, kPer, m = 2, 8, 16
 	content := testContent(gens*kPer*m, 95)
-	id, meta := servedMeta(t, content, gens*kPer, gens)
+	d := servedDesc(t, content, gens*kPer, gens)
+	id := d.Object
 	f, rec, _ := pushSession(t, "fetcher", nil)
 	fetch, err := f.BeginFetch(id, "mallory", "src")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fetch.End()
-	injectFrame(f, "src", meta)
-	injectBurst(f, "src", manifestRuns(t, id, content, m))
+	injectBurst(f, "src", manifestRuns(t, d, content))
 	if o, _ := f.Object(id); !o.HaveManifest {
 		t.Fatal("set-up: the manifest was not adopted")
 	}

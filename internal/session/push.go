@@ -40,10 +40,10 @@ type peerPlan struct {
 	// Snapshot of the peer's state, taken under s.mu.
 	gensDone []bool // generations complete at the peer (nil = none)
 	// The proof pass: passAt is the peer's pass as planned, pass advances
-	// on this copy as emit takes the round's items (takeProof) and is
+	// on this copy as emit takes the round's runs (takeProof) and is
 	// written back unless a REQ re-armed the peer meanwhile; owed is the
-	// item a need re-armed, plus one (0: none); proof holds the items that
-	// go this round, ahead of its rows.
+	// run a need re-armed, plus one (0: none); proof holds the MANIFEST
+	// frames that go this round, ahead of its rows.
 	passAt, pass, owed int
 	proof              [][]byte
 	// burst is how many DATA frames this peer gets this round: what the
@@ -77,7 +77,7 @@ func (p *peerPlan) has(g int) bool { return genDone(p.gensDone, g) }
 
 // proven reports whether a proof pass standing at pass has sent the run
 // holding native x's digest: a row of x may follow it.
-func proven(pass, x int) bool { return pass < 0 || x/integrity.RunLen+1 < pass }
+func proven(pass, x int) bool { return pass < 0 || x/integrity.RunLen < pass }
 
 // genDone reads a peer's kind-3 reports, a slice sized lazily: nil, none.
 func genDone(done []bool, g int) bool { return g < len(done) && done[g] }
@@ -156,12 +156,11 @@ func (s *Session) planLocked(now time.Time) (plans []objectPlan, live bool, age 
 		addrs := s.targetsLocked(st)
 		live = live || len(addrs) > 0
 		op := objectPlan{st: st}
-		sized := st.size.Load() >= 0
 		st.mu.Lock()
 		frames := st.manFrames
 		st.mu.Unlock()
 		for _, addr := range addrs {
-			p, at, due := s.planPeerLocked(st, addr, sized, frames, now)
+			p, at, due := s.planPeerLocked(st, addr, frames, now)
 			age = earliest(age, at)
 			if due {
 				op.peers = append(op.peers, p)
@@ -174,12 +173,12 @@ func (s *Session) planLocked(now time.Time) (plans []objectPlan, live bool, age 
 	return plans, live, age
 }
 
-// planPeerLocked snapshots one peer of st — sized or not, its held manifest
-// runs frames (nil where not held) — for a round at now, and returns when
+// planPeerLocked snapshots one peer of st — its held manifest runs frames
+// (nil where not held) — for a round at now, and returns when
 // the oldest row in flight on the peer's link ages out and whether the
 // round has anything for the peer: rows its window grants, or proof it
 // holds. s.mu must be held.
-func (s *Session) planPeerLocked(st *objectState, addr transport.Addr, sized bool, frames [][]byte, now time.Time) (p peerPlan, age time.Time, due bool) {
+func (s *Session) planPeerLocked(st *objectState, addr transport.Addr, frames [][]byte, now time.Time) (p peerPlan, age time.Time, due bool) {
 	ps := st.peer(addr)
 	p = peerPlan{addr: addr, cacheCursor: ps.cacheCursor, sysCursor: ps.sysCursor, repairAt: ps.repairAt, repairStep: ps.repairStep,
 		passAt: ps.pass, pass: ps.pass, owed: ps.owed}
@@ -192,7 +191,7 @@ func (s *Session) planPeerLocked(st *objectState, addr transport.Addr, sized boo
 		lacks = ps.lacksLocked(st.kPer)
 	}
 	p.burst, age = ps.link.Grant(now, s.cfg.Tick, lacks), ps.link.Deadline()
-	if p.burst == 0 && p.owed == 0 && (p.pass < 0 || !holdsProof(p.pass, sized, frames)) {
+	if p.burst == 0 && p.owed == 0 && !holdsProof(p.pass, frames) {
 		return p, age, false // nothing to send: planLocked leaves the peer out
 	}
 	if ps.gensDoneN > 0 {
@@ -252,9 +251,9 @@ func (s *Session) emit(op *objectPlan) {
 	}
 	var proof [][]byte // built for the first peer the round owes proof
 	for i := range op.peers {
-		if p := &op.peers[i]; st.phase != phEvicted && (p.pass >= 0 || p.owed > 0) {
+		if p := &op.peers[i]; st.phase != phEvicted && st.phase != phAnnounced && (p.pass >= 0 || p.owed > 0) {
 			if proof == nil {
-				proof = s.proofLocked(st)
+				proof = st.proofLocked()
 			}
 			p.takeProof(proof)
 		}
@@ -294,48 +293,38 @@ func (s *Session) emit(op *objectPlan) {
 	clear(s.rowBuf) // staged: natives back on the free list, coded rows garbage
 }
 
-// proofLocked returns the object's proof as a pass sends it: item 0 its
-// META, item r+1 the MANIFEST frame of run r, nil where this node does not
-// hold it. manFrames is replaced wholesale under st.mu and never written in
-// place, so the frames are safe to send after unlock. st.mu must be held.
-func (s *Session) proofLocked(st *objectState) [][]byte {
-	proof := make([][]byte, 1+(st.k+integrity.RunLen-1)/integrity.RunLen)
-	if st.size.Load() >= 0 {
-		proof[0] = s.metaFrame(st)
-	}
-	copy(proof[1:], st.manFrames)
+// proofLocked returns the object's proof as a pass sends it, one item a run
+// of its shaped manifest: the run's MANIFEST frame, nil where this node
+// does not hold it. manFrames is replaced wholesale under st.mu and never
+// written in place, so the frames are safe to send after unlock. st.mu
+// must be held.
+func (st *objectState) proofLocked() [][]byte {
+	proof := make([][]byte, (st.k+integrity.RunLen-1)/integrity.RunLen)
+	copy(proof, st.manFrames)
 	return proof
 }
 
-// holdsProof reports whether item i of an object's proof is held, given
-// whether its size (and so its META) is known and its manifest's frames.
-func holdsProof(i int, sized bool, frames [][]byte) bool {
-	if i == 0 {
-		return sized
-	}
-	return i <= len(frames) && frames[i-1] != nil
-}
+// holdsProof reports whether run r of an object's proof is held, given its
+// manifest's frames.
+func holdsProof(r int, frames [][]byte) bool { return r >= 0 && r < len(frames) && frames[r] != nil }
 
 // manifestChunksPerRound is how many manifest runs a peer gets a round,
-// 64 KiB, behind the META. A 16 MiB object's manifest is 16 runs, 524 KiB:
+// 64 KiB. A 16 MiB object's manifest is 16 runs, 524 KiB:
 // in one burst it overflows a receive buffer of Linux's default 208 KiB,
 // the same frames lost on every repair. At four a round, back to back with
 // the round's DATA, one fetch in four over loopback still lost one.
 const manifestChunksPerRound = 2
 
-// takeProof picks the peer's proof items for the round out of proof (nil
-// where not held): the item a need owed, if held, then the pass's next
-// items in order, up to manifestChunksPerRound runs; the pass waits at an
-// item not held.
+// takeProof picks the peer's runs for the round out of proof (nil where
+// not held): the run a need owed, if held, then the pass's next runs in
+// order, up to manifestChunksPerRound; the pass waits at a run not held.
 func (p *peerPlan) takeProof(proof [][]byte) {
-	if i := p.owed - 1; i >= 0 && i < len(proof) && proof[i] != nil {
-		p.proof = append(p.proof, proof[i])
+	if holdsProof(p.owed-1, proof) {
+		p.proof = append(p.proof, proof[p.owed-1])
 	}
-	for runs := 0; p.pass >= 0 && p.pass < len(proof) && proof[p.pass] != nil && runs < manifestChunksPerRound; p.pass++ {
+	for runs := 0; runs < manifestChunksPerRound && holdsProof(p.pass, proof); runs++ {
 		p.proof = append(p.proof, proof[p.pass])
-		if p.pass > 0 {
-			runs++
-		}
+		p.pass++
 	}
 	if p.pass == len(proof) {
 		p.pass = -1

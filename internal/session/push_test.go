@@ -146,18 +146,16 @@ func foldDigests(sums map[transport.Addr]hash.Hash) string {
 }
 
 // frameCounts splits recorded frames by kind.
-func frameCounts(frames [][]byte) (meta, manifest, data int) {
+func frameCounts(frames [][]byte) (manifest, data int) {
 	for _, f := range frames {
 		switch f[0] {
-		case frameMeta:
-			meta++
 		case frameManifest:
 			manifest++
 		case frameData:
 			data++
 		}
 	}
-	return meta, manifest, data
+	return manifest, data
 }
 
 // pushSession builds a session over a recording transport and a virtual
@@ -274,20 +272,26 @@ func feed(dst *Session, src *recTransport, without ...byte) {
 // ticks (static-g1-manifest's a went from M F 38 DATA M F 25 DATA to M F 63
 // DATA, say). The DATA frames did not move, row for row, in any case: the
 // five dataGoldens stand as they were.
+//
+// The full and stamp-zeroed digests of all five were re-pinned when the
+// META was folded into the MANIFEST frame: every peer's stream now opens
+// with its one MANIFEST frame, 52 bytes longer for the object's
+// description, and no META. The DATA frames did not move, row for row, in
+// any case: the five dataGoldens stand as they were.
 var pushGoldens = map[string]string{
-	"static-g1-manifest": "8c93b71f2658fd9e2c6247e0b1d7d9107535844d190e6d1f80df6d733b819ff3",
-	"g4-gen-complete":    "35420757a4b23154748feb779499542a8e5e45d917e2393339b4e68142079e24",
-	"systematic":         "b54ece229f44a72a4b6d12ac521e7c9111412bb6e60d6a201aca969c825f84c8",
-	"cache-req":          "71c6d777b2f4f9a7d758cfe40968810f2a21c504ddbb5a5dc3374e8da810c9e7",
-	"paced":              "517fe9900bd55fed07ee80e46bfe5215ec5b925c3c8060434f529ff1e1acba9b",
+	"static-g1-manifest": "3f3feef470a46913e81b8924a7ebe52a2ba666145a6a1b634d8738840e6826a5",
+	"g4-gen-complete":    "7d970b948dd12ce0947912562b80e7689bf5fc7da29885c513170e855125221c",
+	"systematic":         "1a3de104309dce0a97cea671fdc6c8c02a74b61e98649e5d81e51b7cafefd2d4",
+	"cache-req":          "65487337abd703f80e95fad36d3d1b749107a54a7294cf03eb1fe102ac8c5012",
+	"paced":              "b42076a06d76534e8bd142e0c2f560fae5ab2db5dfc6ce8ea26573668e66ee37",
 }
 
 var maskedGoldens = map[string]string{
-	"static-g1-manifest": "1e8e2c97fefcf7330bfbb47a2f8165cb0f8a8ca0f19446d5eec12d964dfd1dc6",
-	"g4-gen-complete":    "23989fd5ed936bbdeee43d5c382d5123a75e7f343d843447f423674673f5cc3b",
-	"systematic":         "375d99434396329a29b61758bfc0352df3511fa6b64ced2e5b83f10a8d0a99ce",
-	"cache-req":          "25861481ff8e7a73e9f8da74f5e512f30999314a28da5898b3f655cdbad69335",
-	"paced":              "34e2041fcbf27e9d5e17f40b98477bd8e333bcf709ba1f4c8c9a3fe337189705",
+	"static-g1-manifest": "890ef08198ed094d6d88e803e240aa33077c59ae3744f64d34bada20ce5930de",
+	"g4-gen-complete":    "bc86a3573f0b3fd09378b73005786ee87c0a6de286e818a708cec8fd13352a3a",
+	"systematic":         "2860bdf5fa674e071e4ff9066dda9a4aa86e2333a1cc840014a90de76ab53b57",
+	"cache-req":          "4f01503692333a588352d5fbe90426a8b8266d4fb9eb5752417fa39a4784c766",
+	"paced":              "7156dfdefa4ff206253beaec8ebb92043b3780344acc29ae07488f77e3093fa4",
 }
 
 var dataGoldens = map[string]string{
@@ -386,7 +390,7 @@ func TestPushGolden(t *testing.T) {
 			got := uint32(0)
 			for tick := 0; tick < 60; tick++ {
 				pushTicks(s, clk, 1)
-				_, _, data := frameCounts(rec.take()["a"])
+				_, data := frameCounts(rec.take()["a"])
 				for ; data > 0; data-- {
 					if got++; got%receiptEvery == 0 {
 						injectFrame(s, "a", receiptFrame(id, 0, got, got))
@@ -464,7 +468,8 @@ const (
 
 // Peer states: fresh — a configured peer, its proof pass from the start;
 // needs-META — a subscriber whose pass has sent all it could and a need has
-// re-armed the META; done; paused — a subscriber whose REQ re-armed its
+// re-armed run 0, the first frame that describes the object (once the
+// META); done; paused — a subscriber whose REQ re-armed its
 // pass and whose window is full; gensDone-partial — a subscriber whose pass
 // has sent all it could and who has reported some generations complete.
 const (
@@ -542,7 +547,7 @@ func newMatrixCell(t *testing.T, rng *rand.Rand, obj, peer int) *matrixCell {
 		// it through, so the cache covers every generation a peer may ask for.
 		var without []byte
 		if obj == objCachedSizeless {
-			without = []byte{frameMeta, frameManifest}
+			without = []byte{frameManifest}
 		}
 		for full := false; !full; full, _ = c.s.cache.Coverage(id) {
 			if srcClk.Since(transport.VClockBase) > time.Second {
@@ -580,7 +585,6 @@ func newMatrixCell(t *testing.T, rng *rand.Rand, obj, peer int) *matrixCell {
 				}
 			}
 		}
-		deliver(frameMeta)
 		if !c.early {
 			deliver(frameManifest)
 		}
@@ -628,8 +632,8 @@ func newMatrixCell(t *testing.T, rng *rand.Rand, obj, peer int) *matrixCell {
 		}
 		switch peer {
 		case peerNeedsMeta:
-			if c.st.size.Load() >= 0 {
-				ps.owed = 1 // what a need for the META re-arms: item 0
+			if holdsProof(0, c.st.manFrames) {
+				ps.owed = 1 // what a need for run 0 re-arms
 			}
 		case peerDone:
 			ps.done = true
@@ -658,8 +662,7 @@ func newMatrixCell(t *testing.T, rng *rand.Rand, obj, peer int) *matrixCell {
 // passEnd is where a proof pass that has sent all it could of st's proof
 // stands: at the first item st does not hold, or −1 past the last.
 func passEnd(st *objectState) int {
-	proof := (&Session{}).proofLocked(st)
-	return slices.IndexFunc(proof, func(f []byte) bool { return f == nil })
+	return slices.IndexFunc(st.proofLocked(), func(f []byte) bool { return f == nil })
 }
 
 func TestPushStateMatrix(t *testing.T) {
@@ -680,15 +683,15 @@ func TestPushStateMatrix(t *testing.T) {
 // matrixWant is what one push() of a matrix cell should emit to the peer,
 // and whether the round draws rows from a coder for it.
 type matrixWant struct {
-	meta, manifest, data int
-	draws                bool
+	manifest, data int
+	draws          bool
 }
 
 // want derives the cell's expected round. Proof goes to every peer not
-// done of an object not evicted, its window full or not: the META a need
-// owes, if held, then the pass from the item it stands at, up to
-// manifestChunksPerRound runs, waiting at an item not held. Rows follow
-// only once the run that proves them has gone — at these geometries the
+// done of an object not evicted, its window full or not: the run a need
+// owes, if held, then the pass from the run it stands at, up to
+// manifestChunksPerRound runs, waiting at a run not held. Rows follow only
+// once the run that proves them has gone — at these geometries the
 // manifest is one run — from an object ready to emit, to a peer whose
 // window is open.
 func (c *matrixCell) want(obj, peer, grant int, before peerState) (w matrixWant) {
@@ -696,24 +699,19 @@ func (c *matrixCell) want(obj, peer, grant int, before peerState) (w matrixWant)
 	if peer == peerDone || obj == objDead {
 		return w
 	}
-	proof := (&Session{}).proofLocked(st)
+	proof := st.proofLocked()
 	if i := before.owed - 1; i >= 0 && proof[i] != nil {
-		w.meta++
+		w.manifest++
 	}
 	pass := before.pass
-	for runs := 0; pass >= 0 && pass < len(proof) && proof[pass] != nil && runs < manifestChunksPerRound; pass++ {
-		if pass == 0 {
-			w.meta++
-		} else {
-			w.manifest++
-			runs++
-		}
+	for runs := 0; pass >= 0 && pass < len(proof) && proof[pass] != nil && runs < manifestChunksPerRound; pass, runs = pass+1, runs+1 {
+		w.manifest++
 	}
 	if peer == peerPaused || obj == objBelowThreshold {
 		return w
 	}
 	w.draws = obj != objCached && obj != objCachedSizeless
-	if proven := pass < 0 || pass == len(proof) || pass > 1; !proven {
+	if proven := pass != 0; !proven { // the one run has gone, now or before
 		return w
 	}
 	switch {
@@ -764,18 +762,14 @@ func checkMatrixCell(t *testing.T, c *matrixCell, obj, peer int) {
 			t.Fatalf("push addressed %s, the only target is %s", to, matrixPeer)
 		}
 	}
-	meta, manifest, data := frameCounts(frames[matrixPeer])
-	if got := (matrixWant{meta, manifest, data, want.draws}); got != want {
-		t.Fatalf("emitted %d META, %d MANIFEST, %d DATA; want %d, %d, %d",
-			meta, manifest, data, want.meta, want.manifest, want.data)
+	manifest, data := frameCounts(frames[matrixPeer])
+	if got := (matrixWant{manifest, data, want.draws}); got != want {
+		t.Fatalf("emitted %d MANIFEST, %d DATA; want %d, %d", manifest, data, want.manifest, want.data)
 	}
 	for i, f := range frames[matrixPeer] {
-		if f[0] == frameData && i < want.meta+want.manifest {
+		if f[0] == frameData && i < want.manifest {
 			t.Fatalf("DATA frame %d of the round went ahead of its proof", i)
 		}
-	}
-	if want.meta > 0 && frames[matrixPeer][0][0] != frameMeta {
-		t.Fatalf("META did not lead the round: first frame kind %#x", frames[matrixPeer][0][0])
 	}
 	systematic := obj == objReady || obj >= objUnverifiedProven
 	for _, f := range frames[matrixPeer] {
@@ -807,7 +801,7 @@ func checkMatrixCell(t *testing.T, c *matrixCell, obj, peer int) {
 	if ps == nil {
 		t.Fatal("peer state missing after push")
 	}
-	proofWent := want.meta+want.manifest > 0
+	proofWent := want.manifest > 0
 	if untouched := peer == peerDone || peer == peerPaused && !proofWent; untouched {
 		if ps.proofAt != before.proofAt || ps.pass != before.pass || ps.cacheCursor != before.cacheCursor ||
 			ps.sysCursor != before.sysCursor || ps.link != before.link {
@@ -821,7 +815,7 @@ func checkMatrixCell(t *testing.T, c *matrixCell, obj, peer int) {
 	if ps.owed != 0 && proofWent {
 		t.Fatalf("owed = %d after the round's proof went", ps.owed)
 	}
-	if proofWent && ps.pass == before.pass && before.pass >= 0 && want.manifest+want.meta > btoi(before.owed > 0) {
+	if proofWent && ps.pass == before.pass && before.pass >= 0 && want.manifest > btoi(before.owed > 0) {
 		t.Fatalf("the pass stands at %d after sending from it", ps.pass)
 	}
 	cached := obj == objCached || obj == objCachedSizeless

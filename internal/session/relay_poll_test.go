@@ -25,8 +25,8 @@ func TestPolluterThroughRelay(t *testing.T) {
 	n.delay = n.nodes["source"].cfg.Tick / 2
 	relay, dst := n.nodes["relay"], n.nodes["dest"]
 	content := testContent(k*m, seed)
-	// The relay answers the fetcher's REQ with META and manifest once it
-	// holds both.
+	// The relay answers the fetcher's REQ with the manifest once it holds
+	// it.
 	for tick := 0; ; tick++ {
 		if o, _ := relay.Object(n.id); o.HaveManifest {
 			break

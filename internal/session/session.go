@@ -24,7 +24,7 @@
 // and evicted from any. Announced is an id with no geometry yet: a Watch or
 // BeginFetch registered it, or a relay heard a REQ ahead of the first DATA
 // frame. On a plain session, a relay and a cache-mode session alike the
-// first admissible DATA header or META makes an announced object filling —
+// first admissible DATA header or MANIFEST makes an announced object filling —
 // it gets a decoder, because somebody here asked for it; only objects a
 // cache-mode session first hears of from the network are caching (rows held
 // undecoded, no decoder), and fetching one here promotes it to filling.
@@ -43,11 +43,8 @@
 //	DATA     0x01 | packet v2/v3 wire encoding (object ID, generation id
 //	               and — v3 — the generation count inside)
 //	REQ      0x02 | objectID(16)                     subscribe to an object
-//	META     0x03 | objectID(16) | k(4) | m(4) | size(8) | gens(4) | root(32)
-//	               gens=1 for a single-generation object; root is the
-//	               SHA-256 of the encoded manifest, and the fields hash
-//	               to the object ID (integrity.ObjectID) or the frame is
-//	               dropped
+//	         0x03   retired (the META, whose fields every MANIFEST frame
+//	               now carries): a session drops it
 //	FEEDBACK 0x04 | objectID(16) | kind(1) [| gen(4)]
 //	               2=complete 3=generation complete (gen id present for
 //	               kind 3 only)
@@ -64,21 +61,25 @@
 //	               (least significant first) set once native i of gen is
 //	               decoded; the sender repeats what is missing
 //	               7=need: run(4) — the receiver, filling or decoded,
-//	               lacks the META (run = 2³²−1) or this run of the
-//	               manifest, the lowest it does not hold; sent beside every
-//	               receipt while filling and to every DATA frame once
-//	               decoded, and answered a link horizon after the META or
-//	               a run last went to it, the sender's frontier for it
-//	               left standing
+//	               lacks this run of the manifest, the lowest it does not
+//	               hold; sent beside every receipt while filling and to
+//	               every DATA frame once decoded, and answered a link
+//	               horizon after a run last went to it, the sender's
+//	               frontier for it left standing
 //	               Kinds 1, 4 and 5 are retired (the per-row redundancy
 //	               abort, the cache advertisement, the receipt without a
 //	               departure count): a session drops them.
 //	MANIFEST 0x05 | manifest run (packet.ManifestChunk): objectID(16) |
-//	               run(4) | n(2) | depth(1) | n digests | depth siblings
-//	               (32 B each) — up to 1,024 native digests (internal/
-//	               integrity) with their Merkle proof, checked alone
-//	               against the ID; sent and resent behind META, 2 a round,
-//	               and one a need names ahead of them
+//	               k(4) | m(4) | size(8) | gens(4) | root(32) | run(4) |
+//	               n(2) | depth(1) | n digests | depth siblings (32 B
+//	               each) — the object's description (gens=1 for a
+//	               single-generation object; root the manifest's Merkle
+//	               root), which must hash to the ID (integrity.ObjectID)
+//	               or the frame is dropped, then up to 1,024 native
+//	               digests (internal/integrity) with their Merkle proof,
+//	               checked alone against the root; any one frame shapes,
+//	               sizes and roots the object. 2 a round, and one a need
+//	               names ahead of them
 //	MEMBER   0x06 | partial-view exchange (packet.MemberEntry list): the
 //	               PEX shuffle of the membership plane — peer addresses
 //	               with age, capacity hint and relay/cache role; see
@@ -91,11 +92,12 @@
 //
 // Pollution defense (DESIGN.md §13): an object's ID commits to its size,
 // its geometry and the root of its integrity manifest (one SHA-256 digest
-// per native), which rides MANIFEST frames behind META. A META whose
-// fields do not hash to the ID is dropped on arrival, and a manifest is
-// adopted only if it hashes to the META's root; a receiver that lacks
-// either says so beside its receipts (kind 7), and the upstream re-sends
-// it a round trip after it went, as it repeats a lost row. Once a
+// per native), which rides MANIFEST frames, each with the object's
+// description. A frame whose description does not hash to the ID is
+// dropped on arrival, and a run is adopted only if it hashes to the root;
+// a receiver that lacks one says so beside its receipts (kind 7), and the
+// upstream re-sends it a round trip after it went, as it repeats a lost
+// row. Once a
 // receiver holds the manifest it verifies every generation the moment it
 // completes, and an object completes only once every generation has
 // verified, so nothing hashes a whole object; a digest mismatch
@@ -122,7 +124,7 @@
 // cached basis, and sends the feedback a decoder would (receipts,
 // generation-complete, complete) so an origin stops streaming once the
 // cache covers the object. A REQ for a cached object is answered as any
-// other: by the proof pass, the META first once the size is known.
+// other: by the proof pass, the runs it holds.
 package session
 
 import (
@@ -146,7 +148,6 @@ import (
 const (
 	frameData     = 0x01
 	frameReq      = 0x02
-	frameMeta     = 0x03
 	frameFeedback = 0x04
 	frameManifest = 0x05
 	frameMember   = 0x06
@@ -157,9 +158,6 @@ const (
 	fbNeed        = 0x07
 
 	reqLen = 1 + 16
-	// META carries the generation count — G = 1 is a count like any other —
-	// and the manifest root the ID commits to.
-	metaLen = 1 + 16 + 4 + 4 + 8 + 4 + integrity.DigestSize
 	// FEEDBACK kind 2 is the short form; kind 3 appends the completed
 	// generation id.
 	feedbackLen    = 1 + 16 + 1
@@ -171,9 +169,8 @@ const (
 	// (frontierLen bytes); the short form stays valid.
 	receiptLen = feedbackLen + 16
 	// Kind 7 (need) appends what proof the receiver lacks: the lowest run
-	// of the manifest it does not hold, or needMeta for the META.
-	needLen  = feedbackLen + 4
-	needMeta = 1<<32 - 1
+	// of the manifest it does not hold.
+	needLen = feedbackLen + 4
 )
 
 // frontierLen is the length of one generation's frontier — its
@@ -227,13 +224,13 @@ type peerState struct {
 	frontier             [][]byte
 	unsettled            []sentNative
 	repairAt, repairStep int
-	// The proof pass (DESIGN.md §13): item 0 is the object's META, item
-	// r+1 run r of its manifest. pass is the next item to send the peer
-	// (takeProof), −1 once the last has gone: it starts at first contact,
-	// and a REQ re-arms it once it has ended. No row goes to the peer ahead
-	// of the run that proves it. owed is one more than the item a kind-7
-	// need re-armed (0: none), sent ahead of the pass; proofAt is when an
-	// item last went to the peer, what a need is timed against.
+	// The proof pass (DESIGN.md §13) is the runs of the object's manifest,
+	// in order. pass is the next run to send the peer (takeProof), −1 once
+	// the last has gone: it starts at first contact, and a REQ re-arms it
+	// once it has ended. No row goes to the peer ahead of the run that
+	// proves it. owed is one more than the run a kind-7 need re-armed (0:
+	// none), sent ahead of the pass; proofAt is when a run last went to the
+	// peer, what a need is timed against.
 	pass, owed int
 	proofAt    time.Time
 }
@@ -446,13 +443,17 @@ func deriveServed(content []byte, k, gens int) (*served, error) {
 	return src, nil
 }
 
-// buildFrames builds the MANIFEST frames Serve sends, one a run: 32 bytes
-// a native, which ObjectID has no use for.
-func (src *served) buildFrames() (err error) {
+// buildFrames builds the MANIFEST frames Serve sends, one a run of the
+// manifest of the size-byte content — 32 bytes a native, which ObjectID has
+// no use for — each behind the object's description.
+func (src *served) buildFrames(size int64) (err error) {
 	src.frames = make([][]byte, src.man.Runs())
+	mc := packet.ManifestChunk{Object: src.id, K: uint32(src.geo.gens * src.geo.kPer), M: uint32(src.geo.m),
+		Gens: uint32(src.geo.gens), Size: size, Root: src.man.Root()}
 	for r := range src.frames {
-		digests, proof := src.man.RunProof(r)
-		if src.frames[r], err = packet.AppendManifestChunk([]byte{frameManifest}, src.id, uint32(r), digests, proof); err != nil {
+		mc.Run = uint32(r)
+		mc.Digests, mc.Proof = src.man.RunProof(r)
+		if src.frames[r], err = packet.AppendManifestChunk([]byte{frameManifest}, mc); err != nil {
 			return err
 		}
 	}
@@ -494,7 +495,7 @@ func (s *Session) Serve(content []byte, k, gens int) (packet.ObjectID, error) {
 	// copied): the coder recodes from them and the object's data is content.
 	src, err := deriveServed(content, k, gens)
 	if err == nil {
-		err = src.buildFrames()
+		err = src.buildFrames(int64(len(content)))
 	}
 	if err != nil {
 		return packet.ObjectID{}, err

@@ -408,16 +408,16 @@ func TestServedObjectsSurviveEviction(t *testing.T) {
 	}
 }
 
-// metaDropTransport drops the first n META frames sent through it,
+// proofDropTransport drops the first n MANIFEST frames sent through it,
 // simulating their loss on a datagram channel.
-type metaDropTransport struct {
+type proofDropTransport struct {
 	transport.Transport
 	mu   sync.Mutex
 	drop int
 }
 
-func (m *metaDropTransport) Send(to transport.Addr, frame []byte) error {
-	if len(frame) > 0 && frame[0] == frameMeta {
+func (m *proofDropTransport) Send(to transport.Addr, frame []byte) error {
+	if len(frame) > 0 && frame[0] == frameManifest {
 		m.mu.Lock()
 		d := m.drop
 		if d > 0 {
@@ -432,14 +432,15 @@ func (m *metaDropTransport) Send(to transport.Addr, frame []byte) error {
 }
 
 // TestLostMetaRecovers: the fetch must complete even when the server's
-// first METAs are lost — the need beside the client's receipts brings the
-// META again, so a dropped one heals instead of wedging the transfer.
+// first proof frames, which carry the object's description, are lost —
+// the need beside the client's receipts brings the run again, so a dropped
+// one heals instead of wedging the transfer.
 func TestLostMetaRecovers(t *testing.T) {
 	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcTr := &metaDropTransport{Transport: attach(t, sw, "source"), drop: 2}
+	srcTr := &proofDropTransport{Transport: attach(t, sw, "source"), drop: 2}
 	src := startSession(t, srcTr, nil)
 	client := startSession(t, attach(t, sw, "client"), nil)
 
@@ -452,10 +453,10 @@ func TestLostMetaRecovers(t *testing.T) {
 	defer cancel()
 	got, _, err := client.Fetch(ctx, id, "source")
 	if err != nil {
-		t.Fatalf("fetch never recovered from lost META: %v", err)
+		t.Fatalf("fetch never recovered from lost proof: %v", err)
 	}
 	if !bytes.Equal(got, content) {
-		t.Fatal("content mismatch after META loss")
+		t.Fatal("content mismatch after proof loss")
 	}
 }
 
@@ -575,12 +576,13 @@ func TestLossyChanTransfer(t *testing.T) {
 }
 
 // TestPushMetaAfterThreshold is the regression test for a push() bug:
-// marking META as sent for a below-threshold object (which emits no
-// frames that tick) must not latch — the configured peer would otherwise
-// receive DATA forever but never the size, and could never assemble the
-// object. The relay here learns the META while it has no packets, holds
-// one short of the recoding threshold for a while, then crosses it; the
-// peer must still get a META.
+// marking the object's description (once the META) as sent for a
+// below-threshold object (which emits no rows that tick) must not latch —
+// the configured peer would otherwise receive DATA forever but never the
+// size, and could never assemble the object. The relay here learns the
+// manifest's one run while it has no packets, holds one short of the
+// recoding threshold for a while, then crosses it; the peer must still get
+// the run.
 func TestPushMetaAfterThreshold(t *testing.T) {
 	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 256})
 	if err != nil {
@@ -598,12 +600,17 @@ func TestPushMetaAfterThreshold(t *testing.T) {
 	probe := attach(t, sw, "probe")
 	defer probe.Close()
 
-	id, meta := fakeObject("late meta", k, m, k*m, 1)
-	if err := probe.Send("relay", meta); err != nil {
+	var content []byte
+	for i := range k {
+		content = append(content, bytes.Repeat([]byte{byte(i)}, m)...)
+	}
+	d := servedDesc(t, content, k, 1)
+	id := d.Object
+	if err := probe.Send("relay", manifestRuns(t, d, content)[0]); err != nil {
 		t.Fatal(err)
 	}
 	native := func(i int) {
-		p := packet.Native(k, i, bytes.Repeat([]byte{byte(i)}, m))
+		p := packet.Native(k, i, content[i*m:(i+1)*m])
 		p.Object = id
 		wire, err := packet.Marshal(p)
 		if err != nil {
@@ -626,27 +633,29 @@ func TestPushMetaAfterThreshold(t *testing.T) {
 	for {
 		f, err := probe.Recv(ctx)
 		if err != nil {
-			t.Fatalf("no META ever pushed after threshold: %v", err)
+			t.Fatalf("no MANIFEST ever pushed after threshold: %v", err)
 		}
-		isMeta := len(f.Data) == metaLen && f.Data[0] == frameMeta
+		isRun := len(f.Data) > 0 && f.Data[0] == frameManifest
 		f.Release()
-		if isMeta {
+		if isRun {
 			return
 		}
 	}
 }
 
-// TestLostMetaToConfiguredPeerHeals pins the META's repair: a configured
-// push-peer never REQs, so when its first METAs are lost to the fabric the
-// size must still arrive, through the needs beside its receipts — a META
-// sent once and never again would wedge the whole downstream pipeline (the
-// relay could never announce the size to its own subscribers).
+// TestLostMetaToConfiguredPeerHeals pins the repair of the object's
+// description: a configured push-peer never REQs, so when its first proof
+// frames — the object's one run, which alone describes it — are lost to
+// the fabric the size must still arrive, through the needs beside its
+// receipts — a run sent once and never again would wedge the whole
+// downstream pipeline (the relay could never prove the rows it forwards to
+// its own subscribers).
 func TestLostMetaToConfiguredPeerHeals(t *testing.T) {
 	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	drop := &metaDropTransport{Transport: attach(t, sw, "src"), drop: 3}
+	drop := &proofDropTransport{Transport: attach(t, sw, "src"), drop: 3}
 	src := startSession(t, drop, nil)
 	relay := startSession(t, attach(t, sw, "relay"), func(c *Config) { c.Relay = true })
 	src.AddPeer("relay")
@@ -665,7 +674,7 @@ func TestLostMetaToConfiguredPeerHeals(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("relay never learned the size: lost META was not resent")
+			t.Fatal("relay never learned the size: the lost run was not resent")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -673,7 +682,7 @@ func TestLostMetaToConfiguredPeerHeals(t *testing.T) {
 	dropped := drop.drop == 0
 	drop.mu.Unlock()
 	if !dropped {
-		t.Fatal("test dropped no META frames")
+		t.Fatal("test dropped no MANIFEST frames")
 	}
 }
 

@@ -17,7 +17,7 @@ type ObjectStats struct {
 	// on the wire for this object.
 	Generations int
 	KPer        int
-	Size        int64 // -1 while unknown (no META yet)
+	Size        int64 // -1 until the first run of the manifest that arrives describes the object
 	Decoded     int
 	Complete    bool
 	// GensComplete is how many generations are fully decoded;
@@ -90,7 +90,7 @@ func (o ObjectStats) Overhead() float64 {
 // notify locks; register from a goroutine instead — cancel is fine).
 // Watching an unknown object announces it: the session holds its id and,
 // on a plain session and a cache-mode one alike, gives it a decoder with
-// the first DATA header or META that arrives (a watched object is asked
+// the first DATA header or MANIFEST that arrives (a watched object is asked
 // for: a cache-mode session decodes it instead of caching its rows);
 // watchers do not pin it against idle eviction, and an evicted object
 // stops notifying. The returned cancel unregisters fn (it never fires

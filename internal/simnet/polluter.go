@@ -136,7 +136,7 @@ func (p *polluter) step() time.Time {
 }
 
 // receive records REQ subscriptions and keeps the membership lie alive.
-// Everything else (META, FEEDBACK; a repeated REQ only keeps its
+// Everything else (MANIFEST, FEEDBACK; a repeated REQ only keeps its
 // subscription alive) is dropped on the floor: a polluter that honored
 // feedback would stop forging and never be convicted.
 func (p *polluter) receive(f transport.Frame, now time.Time) {

@@ -3,8 +3,8 @@
 // dissemination sessions (sources, recoding relays, fetchers) on a shaped
 // network fabric plus a timeline of churn, crash, partition and link
 // events — and Run it. Time is virtual and the whole swarm is stepped on
-// the caller's goroutine: a minute of protocol time (push ticks, META
-// resend, idle eviction, fetch retries) passes in a fraction of a wall
+// the caller's goroutine: a minute of protocol time (push ticks, proof
+// repair, idle eviction, fetch retries) passes in a fraction of a wall
 // second, and everything the engine randomizes derives from the scenario
 // seed, so two runs of one (Seed, Scenario) return the same Report —
 // every frame's fate (TraceHash), the virtual time taken, every fetch's
