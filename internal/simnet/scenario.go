@@ -9,7 +9,8 @@ import (
 
 // dataTag is the session wire protocol's DATA frame type byte (see the
 // internal/session package doc); the header-bound invariant recognizes
-// DATA frames by it.
+// DATA frames by it, and a link draws their fates from a stream of their
+// own.
 const dataTag = 0x01
 
 // Wiring selects how a scenario's nodes are peered.

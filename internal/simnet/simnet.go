@@ -4,7 +4,9 @@
 // transport.Transport, joined by directed links with configurable loss,
 // latency, jitter, bandwidth and MTU; partitions split the fabric and
 // heal, ports crash and join. Every random decision — loss coins, jitter
-// draws — comes from per-link RNG streams derived from one seed.
+// draws — comes from per-link RNG streams derived from one seed, DATA
+// frames drawing from one stream of their link and every other frame from
+// a second, so a change to the control plane moves no DATA verdict.
 //
 // Time is virtual and the whole fabric runs on one goroutine: the Net owns
 // a transport.VClock that every session on it shares, and Run is a stepper
@@ -161,10 +163,12 @@ type Stats struct {
 type linkKey struct{ from, to transport.Addr }
 
 type link struct {
-	cfg      LinkConfig
-	rng      uint64    // the link's draw stream (xrand.SplitMix64 state)
-	seq      uint64    // per-link frame counter (send order)
-	nextFree time.Time // bandwidth serialization horizon
+	cfg LinkConfig
+	// data and ctl are the link's draw streams (xrand.SplitMix64 state):
+	// DATA frames draw from data, every other frame from ctl.
+	data, ctl uint64
+	seq       uint64    // per-link frame counter (send order)
+	nextFree  time.Time // bandwidth serialization horizon
 }
 
 // event is one scheduled occurrence: a callback, or with fn nil the
@@ -401,9 +405,11 @@ func (n *Net) partitioned(from, to transport.Addr) bool {
 }
 
 // link returns (creating on first use) the state of the directed link
-// from → to. The link's draw stream is seeded from the fabric seed and the
-// endpoint names only, so one link's draw sequence is independent of
-// traffic on every other link. (A stream is eight bytes of SplitMix64
+// from → to. The link's draw streams are seeded from the fabric seed and
+// the endpoint names only, so one link's draw sequence is independent of
+// traffic on every other link; its control stream is derived from its DATA
+// stream's seed, so control frames, however many cross the link, leave the
+// DATA frames' draws as they were. (A stream is eight bytes of SplitMix64
 // state: a thousand-node gossip swarm has a hundred thousand links.)
 func (n *Net) link(from, to transport.Addr) *link {
 	key := linkKey{from, to}
@@ -418,7 +424,9 @@ func (n *Net) link(from, to transport.Addr) *link {
 	h.Write([]byte(from))
 	h.Write([]byte{0})
 	h.Write([]byte(to))
-	l := &link{cfg: cfg, rng: uint64(n.cfg.Seed) ^ h.Sum64()}
+	seed := uint64(n.cfg.Seed) ^ h.Sum64()
+	ctl := seed
+	l := &link{cfg: cfg, data: seed, ctl: xrand.SplitMix64(&ctl)}
 	n.links[key] = l
 	return l
 }
@@ -453,12 +461,17 @@ func (n *Net) send(from, to transport.Addr, frame []byte) error {
 	now := n.clk.Now()
 	rec := TraceRec{From: from, To: to, Seq: l.seq, Size: len(frame), SentAt: now, At: now}
 	l.seq++
-	// Fixed draw order per link regardless of the frame's fate, so one
-	// frame's verdict never shifts the stream for the frames after it.
-	lossDraw := float64(xrand.SplitMix64(&l.rng)>>11) / (1 << 53)
+	// Fixed draw order per link and frame class regardless of the frame's
+	// fate, so one frame's verdict never shifts the stream for the frames
+	// after it, and a control frame never shifts a DATA frame's.
+	rng := &l.ctl
+	if len(frame) > 0 && frame[0] == dataTag {
+		rng = &l.data
+	}
+	lossDraw := float64(xrand.SplitMix64(rng)>>11) / (1 << 53)
 	var jit time.Duration
 	if l.cfg.Jitter > 0 {
-		jit = time.Duration(xrand.SplitMix64(&l.rng) % uint64(l.cfg.Jitter))
+		jit = time.Duration(xrand.SplitMix64(rng) % uint64(l.cfg.Jitter))
 	}
 	mtu := l.cfg.MTU
 	if mtu == 0 {

@@ -3,6 +3,7 @@ package simnet
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -328,5 +329,64 @@ func TestFabricDeterministicTrace(t *testing.T) {
 	h3, _ := scriptedRun(t, 43)
 	if h3 == h1 {
 		t.Fatalf("different seeds produced identical traces")
+	}
+}
+
+// dataFates sends 400 DATA frames over a 20 %-loss, jittered link, ctl(i)
+// control frames ahead of the i-th, and returns each DATA frame's fate:
+// the virtual instant it arrived at, or −1 if the link lost it.
+func dataFates(t *testing.T, ctl func(i int) int) []time.Duration {
+	t.Helper()
+	n := newNet(t, Config{Seed: 7, QueueDepth: 1 << 12, DefaultLink: LinkConfig{
+		Loss: 0.2, Latency: time.Millisecond, Jitter: 3 * time.Millisecond,
+	}})
+	a := mustAttach(t, n, "a")
+	b := mustAttach(t, n, "b")
+	fates := make([]time.Duration, 400)
+	for i := range fates {
+		fates[i] = -1
+	}
+	b.Drive(func() time.Time {
+		for f, ok := b.Poll(); ok; f, ok = b.Poll() {
+			if f.Data[0] == dataTag {
+				fates[int(f.Data[1])<<8|int(f.Data[2])] = n.Elapsed()
+			}
+			f.Release()
+		}
+		return n.Now().Add(time.Hour)
+	})
+	for i := range fates {
+		for c := range ctl(i) {
+			a.Send("b", []byte{0x04, byte(c)})
+		}
+		a.Send("b", []byte{dataTag, byte(i >> 8), byte(i)})
+	}
+	n.After(10*time.Millisecond, func() {})
+	runUntil(t, n, func() bool { return n.Elapsed() >= 10*time.Millisecond })
+	return fates
+}
+
+// TestFabricControlFramesMoveNoDataVerdict pins the draw split: control
+// frames draw loss and jitter from a stream of their own, so sending more
+// of them, interleaved anyhow, leaves every DATA frame's fate — lost, or
+// the instant it arrived — exactly as it was.
+func TestFabricControlFramesMoveNoDataVerdict(t *testing.T) {
+	alone := dataFates(t, func(int) int { return 0 })
+	lost := 0
+	for _, at := range alone {
+		if at < 0 {
+			lost++
+		}
+	}
+	if lost < 40 || lost > 120 {
+		t.Fatalf("%d of %d DATA frames lost on a 20 %% loss link", lost, len(alone))
+	}
+	for name, ctl := range map[string]func(int) int{
+		"one each":  func(int) int { return 1 },
+		"irregular": func(i int) int { return i * 7 % 5 },
+	} {
+		if got := dataFates(t, ctl); !slices.Equal(got, alone) {
+			t.Errorf("%s: control frames moved DATA verdicts", name)
+		}
 	}
 }
