@@ -20,7 +20,7 @@
 // while the global byte budget has room. Eviction removes whole
 // generations — partial generations serve fetchers just as well per row,
 // and whole-generation eviction keeps the accounting and the steering
-// feedback (generation-complete, kind 3) honest — scored by demand
+// feedback (a report's generation-complete flag) honest — scored by demand
 // recency × innovation density, with a no-thrash guard: a generation is
 // only evicted for a strictly hotter incoming one.
 //
@@ -411,7 +411,7 @@ func (c *Cache) Coverage(id packet.ObjectID) (full, held bool) {
 // reaches full rank. (Serving fresh dense GF(2) mixes instead of rows
 // would dodge the aliasing but starve the belief-propagation decoder
 // downstream, which only peels low-degree packets.) skip excludes
-// generations the receiver already covers (kind-3 feedback).
+// generations the receiver already covers (reported complete).
 func (c *Cache) AppendFrame(dst []byte, id packet.ObjectID, cursor *uint64, skip func(gen uint32) bool) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -52,20 +52,17 @@ func TestAdaptiveReceiptEmission(t *testing.T) {
 		if err != nil {
 			t.Fatalf("last receipt reported %d rows of %d: %v", received, receiptEvery, err)
 		}
-		if isNeed(f.Data) && bigEndianU32(f.Data[18:22]) == 0 {
-			f.Release() // no run came: each receipt goes out with a need for the first
-			continue
-		}
-		if f.Data[17] != fbReceipt || len(f.Data) != receiptLen+frontierLen(k) {
-			t.Fatalf("reply = %x, want a kind-6 receipt with a %d-byte frontier", f.Data, frontierLen(k))
+		// No run came: each receipt says it needs the first.
+		if !isNeed(f.Data) || bigEndianU32(f.Data[19:23]) != 0 || len(f.Data) != reportLen+frontierLen(k) {
+			t.Fatalf("reply = %x, want a report needing run 0 with a %d-byte frontier", f.Data, frontierLen(k))
 		}
 		var gotID packet.ObjectID
 		copy(gotID[:], f.Data[1:17])
 		if gotID != id {
 			t.Fatalf("receipt for %v, want %v", gotID, id)
 		}
-		next, innovative, departed := bigEndianU32(f.Data[22:26]), bigEndianU32(f.Data[26:30]), bigEndianU32(f.Data[30:34])
-		if frontier := binary.LittleEndian.Uint32(f.Data[receiptLen:]); frontier != 1<<next-1 {
+		next, innovative, departed := bigEndianU32(f.Data[27:31]), bigEndianU32(f.Data[31:35]), bigEndianU32(f.Data[35:39])
+		if frontier := binary.LittleEndian.Uint32(f.Data[reportLen:]); frontier != 1<<next-1 {
 			t.Fatalf("frontier %032b with natives 0..%d in", frontier, next-1)
 		}
 		f.Release()

@@ -200,7 +200,7 @@ func TestVirtualProofResend(t *testing.T) {
 			n.nodes["source"].AddPeer(node)
 			runs, needs := map[uint32]int{}, 0
 			n.lose = func(from, to transport.Addr, f []byte) bool {
-				if from == node && isNeed(f) && bigEndianU32(f[18:22]) == 0 {
+				if from == node && isNeed(f) && bigEndianU32(f[19:23]) == 0 {
 					needs++
 				}
 				if to != node || f[0] != frameManifest {

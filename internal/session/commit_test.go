@@ -49,7 +49,7 @@ type receiptCounter struct {
 }
 
 func (r *receiptCounter) Send(to transport.Addr, frame []byte) error {
-	if isReceipt(frame) {
+	if isReport(frame) {
 		r.n.Add(1)
 	}
 	return r.Transport.Send(to, frame)

@@ -120,32 +120,19 @@ func evictBefore(a, b *peerState, lower bool) bool {
 	return lower
 }
 
-// handleFeedback validates a FEEDBACK frame's kind against its body
-// length — kind 2 uses the short body, kind 3 appends the completed
-// generation id, kind 7 (need) the proof it names, kind 6 (receipt report)
-// its counters, and a receipt may carry a frontier behind them, whose
-// length is the object's to judge — and hands it to the kind's handler
-// under s.mu. Any other kind, the retired 1, 4 and 5 among them, is
-// dropped.
+// handleFeedback takes a report (FEEDBACK kind 6) with one encoding — no
+// unknown flag, a need only under its flag — and drops any other frame,
+// the retired kinds among them. A complete report latches done and
+// forgets the peer's progress, and folds nothing else. Otherwise the
+// counters and the frontier fold into the peer's link (onReceiptLocked),
+// generation complete marks gen done at the peer, and a need re-arms the
+// run it names (onNeedLocked).
 func (s *Session) handleFeedback(from transport.Addr, data []byte) {
-	if len(data) < feedbackLen-1 {
+	if len(data) < reportLen-1 || data[16] != fbReport {
 		return
 	}
-	kind := data[16]
-	var want int
-	switch kind {
-	case fbComplete:
-		want = feedbackLen
-	case fbGenComplete:
-		want = genFeedbackLen
-	case fbReceipt:
-		want = receiptLen
-	case fbNeed:
-		want = needLen
-	default:
-		return
-	}
-	if len(data) != want-1 && (kind != fbReceipt || len(data) < want-1) {
+	flags, need := data[17], binary.BigEndian.Uint32(data[18:22])
+	if flags&^(repComplete|repGenComplete|repNeed) != 0 || flags&repNeed == 0 && need != 0 {
 		return
 	}
 	var id packet.ObjectID
@@ -164,23 +151,22 @@ func (s *Session) handleFeedback(from transport.Addr, data []byte) {
 	// (spoofable) source addresses grow the peer map of a long-lived
 	// pinned object without bound.
 	ps, ok := st.peers[from]
-	if !ok {
-		return
-	}
-	switch kind {
-	case fbComplete:
+	switch body := data[reportLen-1-16:]; {
+	case !ok: // not a peer pushed to
+	case flags&repComplete != 0:
 		ps.done = true
 		ps.forgetProgressLocked()
-	case fbGenComplete:
-		ps.onGenCompleteLocked(int(st.gens.Load()), binary.BigEndian.Uint32(data[17:21]))
-	case fbReceipt:
-		s.onReceiptLocked(st, ps, from, data[17:])
-	case fbNeed:
-		s.onNeedLocked(st, ps, binary.BigEndian.Uint32(data[17:21]))
+	case s.onReceiptLocked(st, ps, from, body):
+		if flags&repGenComplete != 0 {
+			ps.onGenCompleteLocked(int(st.gens.Load()), binary.BigEndian.Uint32(body[0:4]))
+		}
+		if flags&repNeed != 0 {
+			s.onNeedLocked(st, ps, need)
+		}
 	}
 }
 
-// onNeedLocked is a kind-7 need: the peer lacks run r of the manifest. A
+// onNeedLocked is a report's need: the peer lacks run r of the manifest. A
 // need is answered once the peer's link horizon has passed since a run
 // last went to it — sooner, the frame or the receipt that named its lack
 // may still be on the wire: the run is owed, sent ahead of the next
@@ -205,8 +191,8 @@ func (s *Session) onNeedLocked(st *objectState, ps *peerState, r uint32) {
 }
 
 // onGenCompleteLocked marks generation gen of a gens-generation object
-// complete at the peer (kind 3): recoding toward it skips gen from the
-// next round. Session.mu must be held.
+// complete at the peer (a report's generation-complete flag): recoding
+// toward it skips gen from the next round. Session.mu must be held.
 func (ps *peerState) onGenCompleteLocked(gens int, gen uint32) {
 	// Unsigned compare: int(gen) can wrap negative on 32-bit builds.
 	if gens < 2 || gen >= uint32(gens) {
@@ -224,22 +210,23 @@ func (ps *peerState) onGenCompleteLocked(gens int, gen uint32) {
 	}
 }
 
-// onReceiptLocked feeds a receipt report (body: gen, received, innovative,
-// departed, then gen's frontier or nothing) to the peer's link and wakes
-// the push goroutine to fold it: the rows it acknowledges, or proves lost,
-// have left the window. A tail that is not the object's frontier length
-// voids the frame. A frontier is kept only by a session that draws rows
-// for the object from a coder (a cache deals what it holds, whatever the
-// peer lacks), and only if it names an open generation and no native past
-// its end; dropped, the counters it rode in with are folded as a short
-// receipt's are. Session.mu must be held.
-func (s *Session) onReceiptLocked(st *objectState, ps *peerState, from transport.Addr, body []byte) {
-	if tail := body[receiptLen-feedbackLen:]; len(tail) > 0 {
+// onReceiptLocked feeds a report's counters (body: gen, received,
+// innovative, departed, then gen's frontier or nothing) to the peer's link
+// and wakes the push goroutine to fold it: the rows it acknowledges, or
+// proves lost, have left the window. A tail that is not the object's
+// frontier length voids the frame: it reports whether the report stands.
+// A frontier is kept only by a session that draws rows for the object from
+// a coder (a cache deals what it holds, whatever the peer lacks), and only
+// if it names an open generation and no native past its end; dropped, the
+// counters it rode in with are folded as a short report's are.
+// Session.mu must be held.
+func (s *Session) onReceiptLocked(st *objectState, ps *peerState, from transport.Addr, body []byte) bool {
+	if tail := body[16:]; len(tail) > 0 {
 		st.mu.Lock()
 		kPer, coded := st.kPer, st.phase.decoding()
 		st.mu.Unlock()
 		if len(tail) != frontierLen(kPer) {
-			return
+			return false
 		}
 		// Unsigned compare: int(gen) can wrap negative on 32-bit builds.
 		gens, gen := int(st.gens.Load()), binary.BigEndian.Uint32(body[0:4])
@@ -255,6 +242,7 @@ func (s *Session) onReceiptLocked(st *objectState, ps *peerState, from transport
 	s.wake()
 	ps.link.OnReport(binary.BigEndian.Uint32(body[4:8]), binary.BigEndian.Uint32(body[8:12]))
 	ps.link.OnDeparted(binary.BigEndian.Uint32(body[12:16]))
+	return true
 }
 
 // repairOrder draws the order in which this session scans peer's frontiers
@@ -270,56 +258,27 @@ func (s *Session) repairOrder(peer transport.Addr) (at, step int) {
 	return int(sum >> 40), int(sum>>8&0xFFFFFF) | 1
 }
 
-func feedbackFrame(id packet.ObjectID, kind byte) []byte {
-	buf := make([]byte, feedbackLen)
+// encodeReport encodes a report (FEEDBACK kind 6) to the addressed peer
+// about object id: flags and need, then the counters — the sender of the
+// frame has judged received DATA rows from the peer, of which innovative
+// advanced its decode, and the highest send sequence among them that came
+// stamped is departed (0: none did); gen is the generation the report is
+// about. Counters are cumulative per (sender, object), so a lost report
+// costs nothing but its flags, which the next batch of the peer's rows
+// says again. A receiver still filling gen appends gen's frontier — kPer
+// bits, those of the natives in decoded (indices within the generation)
+// set — against which the sender repeats exactly what is missing instead
+// of coding blind; kPer 0 is the short form.
+func encodeReport(id packet.ObjectID, flags byte, need, gen, received, innovative, departed uint32, kPer int, decoded []int32) []byte {
+	buf := make([]byte, reportLen+frontierLen(kPer))
 	buf[0] = frameFeedback
 	copy(buf[1:17], id[:])
-	buf[17] = kind
-	return buf
-}
-
-// genFeedbackFrame encodes the kind-3 feedback: generation gen of object
-// id is complete at the sender of the frame.
-func genFeedbackFrame(id packet.ObjectID, gen int) []byte {
-	buf := make([]byte, genFeedbackLen)
-	buf[0] = frameFeedback
-	copy(buf[1:17], id[:])
-	buf[17] = fbGenComplete
-	binary.BigEndian.PutUint32(buf[18:22], uint32(gen))
-	return buf
-}
-
-// needFrame encodes the kind-7 feedback: the sender of the frame lacks run
-// r of object id's manifest (needLocked).
-func needFrame(id packet.ObjectID, r uint32) []byte {
-	buf := make([]byte, needLen)
-	buf[0] = frameFeedback
-	copy(buf[1:17], id[:])
-	buf[17] = fbNeed
-	binary.BigEndian.PutUint32(buf[18:22], r)
-	return buf
-}
-
-// encodeReceipt encodes the kind-6 feedback: the sender of the frame has
-// judged received DATA rows from the addressed peer for object id, of
-// which innovative advanced its decode, and the highest send sequence among
-// them that came stamped is departed (0: none did); gen is the generation
-// of the frame that triggered the report. Counters are cumulative per
-// (sender, object), so a lost receipt costs nothing — the next one carries
-// the same information. A receiver still filling gen appends gen's frontier
-// — kPer bits, those of the natives in decoded (indices within the
-// generation) set — against which the sender repeats exactly what is
-// missing instead of coding blind; kPer 0 is the short form.
-func encodeReceipt(id packet.ObjectID, gen, received, innovative, departed uint32, kPer int, decoded []int32) []byte {
-	buf := make([]byte, receiptLen+frontierLen(kPer))
-	buf[0] = frameFeedback
-	copy(buf[1:17], id[:])
-	buf[17] = fbReceipt
-	for i, c := range [...]uint32{gen, received, innovative, departed} {
-		binary.BigEndian.PutUint32(buf[feedbackLen+4*i:], c)
+	buf[17], buf[18] = fbReport, flags
+	for i, c := range [...]uint32{need, gen, received, innovative, departed} {
+		binary.BigEndian.PutUint32(buf[19+4*i:], c)
 	}
 	for _, i := range decoded {
-		buf[receiptLen+int(i>>3)] |= 1 << (i & 7)
+		buf[reportLen+int(i>>3)] |= 1 << (i & 7)
 	}
 	return buf
 }

@@ -2,7 +2,6 @@ package session
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -262,19 +261,16 @@ func TestRedundantRowsClockReceipts(t *testing.T) {
 	counters := func() (receipts int, received, innovative, departed uint32) {
 		needs := 0
 		for _, f := range rec.take()["src"] {
-			switch {
-			case isNeed(f):
-				// No run came: each receipt goes out with a need for run 0.
-				needs++
-			case !isReceipt(f):
-				t.Fatalf("the upstream was sent %x, want receipts and their needs only", f)
-			default:
-				receipts++
-				received, innovative, departed = binary.BigEndian.Uint32(f[22:26]), binary.BigEndian.Uint32(f[26:30]), binary.BigEndian.Uint32(f[30:34])
+			if !isReport(f) {
+				t.Fatalf("the upstream was sent %x, want reports only", f)
 			}
+			// No run came: each receipt says it needs run 0.
+			receipts++
+			needs += btoi(isNeed(f))
+			_, received, innovative, departed = reportCounters(f)
 		}
 		if needs != receipts {
-			t.Errorf("%d receipts went out with %d needs, want one each: the object has no run", receipts, needs)
+			t.Errorf("%d receipts of which %d name a need, want all: the object has no run", receipts, needs)
 		}
 		return receipts, received, innovative, departed
 	}
@@ -319,7 +315,7 @@ func TestReceiptFormsParseAsThemselves(t *testing.T) {
 			if form.frontier {
 				fl, dec = kPer, decoded
 			}
-			frame := encodeReceipt(id, 0, received, received, form.departed, fl, dec)
+			frame := encodeReport(id, 0, 0, 0, received, received, form.departed, fl, dec)
 			injectFrame(s, "peer", frame)
 			ps.link.Grant(s.clk.Now(), s.cfg.Tick, kPer)
 			want := max(uint64(received), uint64(form.departed))

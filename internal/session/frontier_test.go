@@ -245,19 +245,19 @@ func TestFrontierForgedStaysOnItsLink(t *testing.T) {
 		repeated bool
 	}{
 		{"all-missing", func(id packet.ObjectID, i int) []byte {
-			return encodeReceipt(id, uint32(i%gens), uint32(i+1)<<16, uint32(i+1)<<16, 0, kPer, nil)
+			return encodeReport(id, 0, 0, uint32(i%gens), uint32(i+1)<<16, uint32(i+1)<<16, 0, kPer, nil)
 		}, true},
 		{"all-present-but-incomplete", func(id packet.ObjectID, i int) []byte {
-			return encodeReceipt(id, uint32(i%gens), uint32(i+1)<<16, uint32(i+1)<<16, 0, kPer, full)
+			return encodeReport(id, 0, 0, uint32(i%gens), uint32(i+1)<<16, uint32(i+1)<<16, 0, kPer, full)
 		}, false},
 		{"wrong-length", func(id packet.ObjectID, i int) []byte {
-			return encodeReceipt(id, 0, uint32(i+1)<<16, uint32(i+1)<<16, 0, kPer+8, nil)
+			return encodeReport(id, 0, 0, 0, uint32(i+1)<<16, uint32(i+1)<<16, 0, kPer+8, nil)
 		}, false},
 		{"generation-past-G", func(id packet.ObjectID, i int) []byte {
-			return encodeReceipt(id, gens+uint32(i), uint32(i+1)<<16, uint32(i+1)<<16, 0, kPer, nil)
+			return encodeReport(id, 0, 0, gens+uint32(i), uint32(i+1)<<16, uint32(i+1)<<16, 0, kPer, nil)
 		}, false},
 		{"bits-past-kPer", func(id packet.ObjectID, i int) []byte {
-			f := encodeReceipt(id, 0, uint32(i+1)<<16, uint32(i+1)<<16, 0, kPer, nil)
+			f := encodeReport(id, 0, 0, 0, uint32(i+1)<<16, uint32(i+1)<<16, 0, kPer, nil)
 			f[len(f)-1] = 0x80
 			return f
 		}, false},
@@ -335,7 +335,7 @@ func TestFrontierForgedStaysOnItsLink(t *testing.T) {
 
 // withDeparted sets receipt f's departure count.
 func withDeparted(f []byte, departed uint32) []byte {
-	binary.BigEndian.PutUint32(f[receiptLen-4:], departed)
+	binary.BigEndian.PutUint32(f[reportLen-4:], departed)
 	return f
 }
 

@@ -62,19 +62,26 @@ func injectFrame(s *Session, from transport.Addr, data []byte) {
 }
 
 // The FEEDBACK kinds a session no longer speaks: kind 1, the per-row
-// redundancy abort, kind 4, the cache advertisement, and kind 5, the
-// receipt without a departure count. A session drops all three.
+// redundancy abort, kind 2, complete, kind 3, generation complete, kind 4,
+// the cache advertisement, kind 5, the receipt without a departure count,
+// and kind 7, the need. A session drops them all: the report (kind 6)
+// says what 2, 3 and 7 said.
 const (
-	fbRetiredRedundant = 0x01
-	fbRetiredCacheAd   = 0x04
-	fbRetiredReceipt   = 0x05
+	fbRetiredRedundant   = 0x01
+	fbRetiredComplete    = 0x02
+	fbRetiredGenComplete = 0x03
+	fbRetiredCacheAd     = 0x04
+	fbRetiredReceipt     = 0x05
+	fbRetiredNeed        = 0x07
 )
 
-// retiredCacheAd builds a kind-4 advertisement as caches sent it: the
-// generations held at full rank, the generation count and the summed rank.
-func retiredCacheAd(id packet.ObjectID, gensFull, gens, rank uint32) []byte {
-	buf := feedbackFrame(id, fbRetiredCacheAd)
-	for _, c := range []uint32{gensFull, gens, rank} {
+// retiredFeedback builds a FEEDBACK frame of a retired kind as its senders
+// did: the object, the kind, then body, each a big-endian u32 (kind 3's
+// generation, kind 4's coverage, kind 5's counters, kind 7's run).
+func retiredFeedback(id packet.ObjectID, kind byte, body ...uint32) []byte {
+	buf := append([]byte{frameFeedback}, id[:]...)
+	buf = append(buf, kind)
+	for _, c := range body {
 		buf = binary.BigEndian.AppendUint32(buf, c)
 	}
 	return buf
@@ -83,11 +90,35 @@ func retiredCacheAd(id packet.ObjectID, gensFull, gens, rank uint32) []byte {
 // retiredReceipt builds a kind-5 receipt as its senders did: counters gen,
 // received and innovative, then frontierBytes zero bytes of frontier.
 func retiredReceipt(id packet.ObjectID, gen, received, innovative uint32, frontierBytes int) []byte {
-	buf := feedbackFrame(id, fbRetiredReceipt)
-	for _, c := range []uint32{gen, received, innovative} {
-		buf = binary.BigEndian.AppendUint32(buf, c)
+	return append(retiredFeedback(id, fbRetiredReceipt, gen, received, innovative), make([]byte, frontierBytes)...)
+}
+
+// reportSeeds are the reports a session must take apart: every flag
+// combination, an unknown flag bit, the need bit with run 0, a run past
+// the manifest and 2³²−1, a need with its flag clear, and reports one byte
+// short and one byte long. Then the retired kinds 2, 3 and 7, which it
+// must drop: complete, generation complete, with its generation and
+// truncated inside it, and needs for run 0 and 2³²−1.
+func reportSeeds(id packet.ObjectID) [][]byte {
+	var seeds [][]byte
+	for flags := range byte(8) {
+		seeds = append(seeds, encodeReport(id, flags, 0, 0, 32, 16, 0, 0, nil))
 	}
-	return append(buf, make([]byte, frontierBytes)...)
+	seeds = append(seeds,
+		encodeReport(id, 1<<3, 0, 0, 32, 16, 0, 0, nil),
+		encodeReport(id, 0x80|repComplete, 0, 0, 32, 16, 0, 0, nil),
+		needReport(id, 0), needReport(id, 1), needReport(id, 1<<32-1),
+		encodeReport(id, 0, 1, 0, 32, 16, 0, 0, nil),
+		encodeReport(id, repGenComplete, 1, 1, 32, 16, 0, 0, nil),
+		receiptFrame(id, 0, 32, 16)[:reportLen-1],
+		append(receiptFrame(id, 0, 32, 16), 0),
+		retiredFeedback(id, fbRetiredComplete),
+		retiredFeedback(id, fbRetiredGenComplete, 0),
+		retiredFeedback(id, fbRetiredGenComplete, 2)[:20],
+		retiredFeedback(id, fbRetiredNeed, 0),
+		retiredFeedback(id, fbRetiredNeed, 1<<32-1),
+	)
+	return seeds
 }
 
 // FuzzSessionFrames throws arbitrary bytes at the session's frame
@@ -131,24 +162,20 @@ func FuzzSessionFrames(f *testing.F) {
 	meta := retiredMeta(packet.ManifestChunk{Object: id, K: 16, M: 8, Size: 128, Gens: 1, Root: root})
 	f.Add(meta)
 	f.Add(meta[:37])
-	fb := feedbackFrame(id, fbComplete)
+	fb := completeReport(id)
 	f.Add(fb)
-	f.Add(fb[:9])           // truncated FEEDBACK
-	f.Add(append(fb, 0x01)) // oversized FEEDBACK
-	genFb := genFeedbackFrame(id, 2)
-	f.Add(genFb)
-	f.Add(genFb[:genFeedbackLen-2]) // truncated inside the generation id
-	short := append([]byte(nil), fb...)
-	short[17] = fbGenComplete // kind 3 without its generation id: must drop
-	f.Add(short)
+	f.Add(fb[:9]) // truncated FEEDBACK
+	for _, seed := range reportSeeds(id) {
+		f.Add(seed)
+	}
 	// The retired kinds, as their senders built them: must drop.
-	ad := retiredCacheAd(id, 1, 4, 16)
+	ad := retiredFeedback(id, fbRetiredCacheAd, 1, 4, 16)
 	f.Add(ad)
-	f.Add(ad[:len(ad)-3])                      // truncated inside the rank
-	f.Add(append(ad, 0x00))                    // oversized advertisement
-	f.Add(retiredCacheAd(id, 9, 4, 16))        // gensFull > gens
-	f.Add(feedbackFrame(id, fbRetiredCacheAd)) // kind 4 without its coverage body
-	f.Add(feedbackFrame(id, fbRetiredRedundant))
+	f.Add(ad[:len(ad)-3])                                  // truncated inside the rank
+	f.Add(append(ad, 0x00))                                // oversized advertisement
+	f.Add(retiredFeedback(id, fbRetiredCacheAd, 9, 4, 16)) // gensFull > gens
+	f.Add(retiredFeedback(id, fbRetiredCacheAd))           // kind 4 without its coverage body
+	f.Add(retiredFeedback(id, fbRetiredRedundant))
 	f.Add(retiredReceipt(id, 1, 32, 16, 0))
 	f.Add(retiredReceipt(id, 0, 32, 16, 2))    // with a frontier for k/G ≤ 16
 	f.Add(retiredReceipt(id, 0, 32, 16, 4))    // as long as the short receipt
@@ -165,36 +192,22 @@ func FuzzSessionFrames(f *testing.F) {
 	stamped := append([]byte{frameData}, wire...)
 	packet.Restamp(stamped[1:], packet.SeqStamp(5))
 	f.Add(stamped)
-	rc := encodeReceipt(id, 1, 32, 16, 40, 0, nil)
+	rc := encodeReport(id, 0, 0, 1, 32, 16, 40, 0, nil)
 	f.Add(rc)
-	f.Add(rc[:receiptLen-2])
+	f.Add(rc[:reportLen-2])
 	f.Add(append(rc, 0x00))
 	f.Add(receiptFrame(id, 0, 4, 9))
 	f.Add(receiptFrame(id, 0, 0, 0))
-	shortRc := append([]byte(nil), fb...)
-	shortRc[17] = fbReceipt
-	f.Add(shortRc)
-	long := encodeReceipt(id, 0, 32, 16, 40, 16, []int32{0, 3, 15}) // the seed DATA's geometry: k/G = 16
+	f.Add(retiredFeedback(id, fbReport))
+	long := encodeReport(id, 0, 0, 0, 32, 16, 40, 16, []int32{0, 3, 15}) // the seed DATA's geometry: k/G = 16
 	f.Add(long)
 	f.Add(long[:len(long)-1])
 	f.Add(append(long, 0xff))
-	f.Add(encodeReceipt(id, 4, 32, 16, 0, 16, nil))
-	f.Add(encodeReceipt(id, 1<<31, 32, 16, 0, 16, nil))
-	f.Add(encodeReceipt(id, 0, 32, 16, 0, 12, []int32{13}))
-	f.Add(encodeReceipt(id, 0, 4, 9, 0, 16, []int32{1, 2, 3}))
-	f.Add(encodeReceipt(id, 0, 32, 16, 1<<32-1, 0, nil))
-	// The need: for the first run, a run past the manifest's end and ones
-	// that wrap an int on 32-bit builds — 2³²−1 among them, once the META's
-	// sentinel — truncated inside the run and over-long.
-	need := needFrame(id, 0)
-	f.Add(need)
-	f.Add(needFrame(id, 1<<32-1))
-	f.Add(needFrame(id, 1))
-	f.Add(needFrame(id, 1<<31-1))
-	f.Add(needFrame(id, 1<<31))
-	f.Add(needFrame(id, 1<<32-2))
-	f.Add(need[:needLen-2])
-	f.Add(append(need, 0x00))
+	f.Add(encodeReport(id, 0, 0, 4, 32, 16, 0, 16, nil))
+	f.Add(encodeReport(id, 0, 0, 1<<31, 32, 16, 0, 16, nil))
+	f.Add(encodeReport(id, 0, 0, 0, 32, 16, 0, 12, []int32{13}))
+	f.Add(encodeReport(id, 0, 0, 0, 4, 9, 0, 16, []int32{1, 2, 3}))
+	f.Add(encodeReport(id, 0, 0, 0, 32, 16, 1<<32-1, 0, nil))
 	mc, err := packet.AppendManifestChunk([]byte{frameManifest},
 		packet.ManifestChunk{Object: id, K: 16, M: 8, Size: 128, Gens: 1, Root: root, Digests: make([]byte, 16*integrity.DigestSize)})
 	if err != nil {
@@ -251,28 +264,30 @@ func FuzzSessionFrameSequence(f *testing.F) {
 		}
 		return seq
 	}
-	f.Add(sequence(append([]byte{frameData}, wire...), encodeReq(id), feedbackFrame(id, fbComplete)))
+	f.Add(sequence(append([]byte{frameData}, wire...), encodeReq(id), completeReport(id)))
 	// A subscriber of a held object (k/G = 8) and its receipts: a frontier,
 	// one of the wrong length, one past the object's generations, one with a
 	// native past the generation's end.
 	f.Add(sequence(append([]byte{frameData}, wire...), encodeReq(id),
-		encodeReceipt(id, 0, 1, 1, 0, 8, []int32{1}), encodeReceipt(id, 0, 2, 2, 0, 16, nil),
-		encodeReceipt(id, 7, 3, 3, 0, 8, nil), encodeReceipt(id, 0, 4, 4, 0, 6, []int32{7})))
+		encodeReport(id, 0, 0, 0, 1, 1, 0, 8, []int32{1}), encodeReport(id, 0, 0, 0, 2, 2, 0, 16, nil),
+		encodeReport(id, 0, 0, 7, 3, 3, 0, 8, nil), encodeReport(id, 0, 0, 0, 4, 4, 0, 6, []int32{7})))
 	// Stamped rows, then receipts: honest, past what was sent, backwards,
 	// and with a frontier; then the retired kinds 1 and 5.
 	stamped := append([]byte{frameData}, wire...)
 	packet.Restamp(stamped[1:], packet.SeqStamp(1))
 	f.Add(sequence(stamped, encodeReq(id), stamped,
-		encodeReceipt(id, 0, 1, 1, 1, 0, nil), encodeReceipt(id, 0, 2, 2, 90, 0, nil),
-		encodeReceipt(id, 0, 3, 3, 0, 0, nil), encodeReceipt(id, 0, 4, 4, 2, 8, []int32{1}),
-		feedbackFrame(id, fbRetiredRedundant), retiredReceipt(id, 0, 5, 5, 1)))
+		encodeReport(id, 0, 0, 0, 1, 1, 1, 0, nil), encodeReport(id, 0, 0, 0, 2, 2, 90, 0, nil),
+		encodeReport(id, 0, 0, 0, 3, 3, 0, 0, nil), encodeReport(id, 0, 0, 0, 4, 4, 2, 8, []int32{1}),
+		retiredFeedback(id, fbRetiredRedundant), retiredReceipt(id, 0, 5, 5, 1)))
 	// A subscriber's needs: the first run, runs past the end — 2³¹−1,
-	// 2³²−2 and 2³²−1, once the META's sentinel, among them — a flood of
-	// the same, truncated and over-long.
+	// 2³²−2 and 2³²−1 among them — a flood of the same, truncated and
+	// over-long; then every report seed, the retired kinds 2, 3 and 7
+	// among them.
 	f.Add(sequence(append([]byte{frameData}, wire...), encodeReq(id),
-		needFrame(id, 1<<32-1), needFrame(id, 0), needFrame(id, 7), needFrame(id, 1<<31),
-		needFrame(id, 1<<31-1), needFrame(id, 1<<32-2),
-		needFrame(id, 0), needFrame(id, 0), needFrame(id, 0)[:needLen-1], append(needFrame(id, 0), 0)))
+		needReport(id, 1<<32-1), needReport(id, 0), needReport(id, 7), needReport(id, 1<<31),
+		needReport(id, 1<<31-1), needReport(id, 1<<32-2),
+		needReport(id, 0), needReport(id, 0), needReport(id, 0)[:reportLen-1], append(needReport(id, 0), 0)))
+	f.Add(sequence(append([][]byte{append([]byte{frameData}, wire...), encodeReq(id)}, reportSeeds(id)...)...))
 	// An object whose single manifest run fits the one-byte length (k = 4,
 	// m = 4): an unasked sender's forged unit row is proven false on
 	// arrival and bans it, and the true rows it sends after move nothing;
@@ -494,8 +509,15 @@ func FuzzCacheSessionFrames(f *testing.F) {
 		append([]byte{frameData}, wire...),
 		append([]byte{frameData}, genWire...),
 		encodeReq(id),
-		retiredCacheAd(id, 2, 4, 9), // a retired kind: must drop
+		retiredFeedback(id, fbRetiredCacheAd, 2, 4, 9), // a retired kind: must drop
 	} {
+		seq = append(seq, byte(len(fr)))
+		seq = append(seq, fr...)
+	}
+	f.Add(seq)
+	// A subscriber's reports, then every report seed and retired kind.
+	seq = seq[:0:0]
+	for _, fr := range append([][]byte{append([]byte{frameData}, wire...), encodeReq(id)}, reportSeeds(id)...) {
 		seq = append(seq, byte(len(fr)))
 		seq = append(seq, fr...)
 	}

@@ -63,7 +63,7 @@ func TestGenerationTransfer(t *testing.T) {
 }
 
 // TestGenFeedbackSteersPush: after a peer reports generation 0 complete
-// (kind-3 feedback), every subsequent push toward it must carry other
+// (a report's flag), every subsequent push toward it must carry other
 // generations only — whatever is left of the completed generation's
 // systematic pass is passed over, and its redundancy stream never starts.
 // The peer acknowledges every round, so receipts open the window as they
@@ -126,8 +126,10 @@ func TestGenFeedbackSteersPush(t *testing.T) {
 		}
 	}
 
-	// Peer reports generation 0 complete, most of its pass unsent.
-	s.handleFrame(transport.NewFrame("peer", genFeedbackFrame(id, 0), nil))
+	// Peer reports generation 0 complete, most of its pass unsent, every
+	// row sent so far acknowledged.
+	n := uint32(s.objects[id].sent)
+	s.handleFrame(transport.NewFrame("peer", encodeReport(id, repGenComplete, 0, 0, n, n, 0, 0, nil), nil))
 
 	seen := map[uint32]int{}
 	sent := 0

@@ -142,6 +142,7 @@ func (s *Session) ingestReady(d *stepper) {
 type ingestScratch struct {
 	states   []*objectState
 	replies  []ingestReply
+	reports  []owedReport
 	notify   []*objectState
 	forwards []ingestForward
 }
@@ -149,6 +150,29 @@ type ingestScratch struct {
 type ingestReply struct {
 	addr  transport.Addr
 	frame []byte
+}
+
+// owedReport is a report a batch owes one upstream about one generation of
+// an object, sent at its end: the flags of every status the batch found
+// for it (owedLocked), or the drained queue's receipt.
+type owedReport struct {
+	st    *objectState
+	to    transport.Addr
+	gen   uint32
+	flags byte
+}
+
+// owe adds a report owed to about generation gen of st, flagged flags, to
+// the batch's: one per (object, upstream, generation), or per (object,
+// upstream) once complete.
+func (sc *ingestScratch) owe(st *objectState, to transport.Addr, gen uint32, flags byte) {
+	for i := range sc.reports {
+		if r := &sc.reports[i]; r.st == st && r.to == to && (r.gen == gen || r.flags&flags&repComplete != 0) {
+			r.flags |= flags
+			return
+		}
+	}
+	sc.reports = append(sc.reports, owedReport{st, to, gen, flags})
 }
 
 // ingestForward is one DATA frame a budget-bound cache passes through to
@@ -167,19 +191,20 @@ type ingestForward struct {
 // the objects a relay or cache may learn from a header admitted — under a
 // single session-lock acquisition, then frames are fed to the decoders
 // under per-object locks (held across runs of consecutive frames for the
-// same object), and feedback replies go out after all locks are dropped.
-// scratch is the calling worker's reusable workspace; drained says the
-// worker's queue was empty behind this batch, so nothing else is coming to
-// carry a receipt the batch left owing.
+// same object), and the reports it owes go out after all locks are dropped
+// (sendReports). scratch is the calling worker's reusable workspace;
+// drained says the worker's queue was empty behind this batch.
 func (s *Session) ingestBatch(batch []inFrame, scratch *ingestScratch, drained bool) {
 	if cap(scratch.states) < len(batch) {
 		scratch.states = make([]*objectState, len(batch))
 	}
 	states := scratch.states[:len(batch)]
-	scratch.replies, scratch.notify, scratch.forwards = scratch.replies[:0], scratch.notify[:0], scratch.forwards[:0]
+	scratch.replies, scratch.reports = scratch.replies[:0], scratch.reports[:0]
+	scratch.notify, scratch.forwards = scratch.notify[:0], scratch.forwards[:0]
 	defer func() { // do not retain object states or frames across batches
 		clear(states)
 		clear(scratch.replies)
+		clear(scratch.reports)
 		clear(scratch.notify)
 		clear(scratch.forwards)
 	}()
@@ -214,13 +239,15 @@ func (s *Session) ingestBatch(batch []inFrame, scratch *ingestScratch, drained b
 		// plans nothing and costs nothing measurable.
 		s.wake()
 	}
-	if drained {
-		scratch.replies = flushReceipts(batch, states, scratch.replies)
+	for i := 0; drained && i < len(batch); i++ {
+		// No frame is coming to carry a receipt the batch left owing, and a
+		// sender may be waiting on it (sendReports).
+		if states[i] != nil {
+			scratch.owe(states[i], batch[i].f.From, batch[i].wv.Generation, 0)
+		}
 	}
 	s.applyPollActions(&acts)
-	for _, r := range scratch.replies {
-		s.tr.Send(r.addr, r.frame)
-	}
+	s.sendReports(scratch)
 	for _, fw := range scratch.forwards {
 		s.passThrough(fw)
 	}
@@ -232,28 +259,26 @@ func (s *Session) ingestBatch(batch []inFrame, scratch *ingestScratch, drained b
 // ingestOneLocked takes one DATA frame to where its object's phase says:
 // the cache's admission policy, the decoder, or — announced still (the
 // admission refused the geometry) or evicted between resolution and
-// locking — nowhere. What the frame owes goes into scratch. st.mu must be
-// held.
+// locking — nowhere. A status the frame owes goes into scratch, and a
+// receipt due — counters as they stand at this frame — goes now. st.mu
+// must be held.
 func (s *Session) ingestOneLocked(st *objectState, in *inFrame, scratch *ingestScratch, acts *pollActions) {
-	var fb, receipt []byte
-	var judged, progressed bool
+	var owed byte
+	var judged, progressed, forward bool
 	switch st.phase {
 	case phCaching:
-		var forward bool
-		fb, judged, progressed, forward = s.ingestCachedLocked(st, in)
-		receipt = st.receiptLocked(in, fb != nil, judged, progressed || forward)
+		owed, judged, progressed, forward = s.ingestCachedLocked(st, in)
 		if forward {
 			scratch.forwards = append(scratch.forwards, ingestForward{st, in.f.From, in.wv.Generation, append([]byte(nil), in.f.Data...)})
 		}
 	case phFilling, phDecoded, phComplete:
-		fb, judged, progressed = s.decodeDataLocked(st, in, acts)
-		receipt = st.receiptLocked(in, fb != nil, judged, progressed)
+		owed, judged, progressed = s.decodeDataLocked(st, in, acts)
 	}
-	switch {
-	case fb != nil:
-		scratch.replies = append(scratch.replies, ingestReply{in.f.From, fb})
-	case receipt != nil:
-		scratch.replies = st.receiptOutLocked(scratch.replies, in.f.From, receipt, in.wv.Generation)
+	switch due := st.receiptLocked(in, judged, progressed || forward); {
+	case owed != 0:
+		scratch.owe(st, in.f.From, in.wv.Generation, owed)
+	case due:
+		scratch.replies = append(scratch.replies, ingestReply{in.f.From, st.reportLocked(in.f.From, in.wv.Generation, 0)})
 	}
 	if n := len(scratch.notify); progressed && (n == 0 || scratch.notify[n-1] != st) {
 		scratch.notify = append(scratch.notify, st)
@@ -289,42 +314,25 @@ func genCount(gens uint32) int {
 	return int(gens)
 }
 
-// flushReceipts is the other half of receiptLocked: behind a drained
-// queue no further frame is coming to carry the report for the rows a
-// sender has unreported, and a sender whose window is smaller than
-// receiptEvery is waiting on exactly that report to send the next — and
-// its departure count is what proves the window's losses. One receipt per
-// (object, sender) of the batch that is owed one.
-func flushReceipts(batch []inFrame, states []*objectState, replies []ingestReply) []ingestReply {
-	for i := range batch {
-		st, from := states[i], batch[i].f.From
-		if st == nil || (i > 0 && states[i-1] == st && batch[i-1].f.From == from) {
-			continue
+// sendReports is the other half of receiptLocked: the receipts that fell
+// due, then each report the batch owes, encoded under its object's lock
+// if it has flags or rows of its upstream's not yet reported (a report
+// before it, about another generation, may have reported them); all are
+// sent with no lock held. Behind a drained queue a sender whose window is
+// smaller than receiptEvery is waiting on exactly the report the batch
+// owes it to send the next, and its departure count is what proves the
+// window's losses.
+func (s *Session) sendReports(scratch *ingestScratch) {
+	for _, r := range scratch.reports {
+		r.st.mu.Lock()
+		if t := r.st.rx[r.to]; r.st.phase != phEvicted && (r.flags != 0 || t != nil && t.since > 0) {
+			scratch.replies = append(scratch.replies, ingestReply{r.to, r.st.reportLocked(r.to, r.gen, r.flags)})
 		}
-		st.mu.Lock()
-		if t := st.rx[from]; t != nil && t.since > 0 && st.phase != phEvicted {
-			gen := batch[i].wv.Generation
-			replies = st.receiptOutLocked(replies, from, st.receiptFrameLocked(gen, t), gen)
-			t.since = 0
-		}
-		st.mu.Unlock()
+		r.st.mu.Unlock()
 	}
-	return replies
-}
-
-// receiptOutLocked adds a receipt for to, about a row of generation gen,
-// to replies and, while the object is caching or filling without the
-// proof of what it holds, the kind-7 need beside it (needLocked): the
-// receipt clock that repairs lost rows repairs a lost manifest run too. A decoded object answers each DATA frame with its need already
-// (owedLocked). st.mu must be held.
-func (st *objectState) receiptOutLocked(replies []ingestReply, to transport.Addr, receipt []byte, gen uint32) []ingestReply {
-	replies = append(replies, ingestReply{to, receipt})
-	if st.phase == phCaching || st.phase == phFilling {
-		if need := st.needLocked(int(gen)); need != nil {
-			replies = append(replies, ingestReply{to, need})
-		}
+	for _, r := range scratch.replies {
+		s.tr.Send(r.addr, r.frame)
 	}
-	return replies
 }
 
 // receiptLocked is the receiver half of the receipt clock (DESIGN.md
@@ -333,21 +341,16 @@ func (st *objectState) receiptOutLocked(replies []ingestReply, to transport.Addr
 // on its header, or for a generation or object already done, but not
 // geometry drops or forgeries — bumps the per-upstream tally and advances
 // its departure count by the frame's stamp; progressed, it counts as
-// innovative too. Every receiptEvery such
-// frames a receipt report is due, and returned if the frame owes no other
-// feedback (owed). The receipt is the only word a redundant row gets back:
-// its upstream reads it as received and not innovative. A frame that
-// already produced feedback keeps it (completion signals outrank
-// receipts); the due receipt rides the next quiet frame, or leaves when
-// the worker's queue drains (flushReceipts), so the cumulative counters
-// lose nothing. st.mu must be held.
-func (st *objectState) receiptLocked(in *inFrame, owed, judged, progressed bool) []byte {
+// innovative too. Every receiptEvery such frames a receipt is due, and it
+// says so. The receipt is the only word a redundant row gets back: its
+// upstream reads it as received and not innovative. st.mu must be held.
+func (st *objectState) receiptLocked(in *inFrame, judged, progressed bool) (due bool) {
 	if !judged {
-		return nil
+		return false
 	}
 	t := st.tallyLocked(in.f.From)
 	if t == nil {
-		return nil
+		return false
 	}
 	t.rows++
 	if progressed {
@@ -355,11 +358,7 @@ func (st *objectState) receiptLocked(in *inFrame, owed, judged, progressed bool)
 	}
 	t.depart(in.wv.Stamp)
 	t.since++
-	if t.since < receiptEvery || owed {
-		return nil
-	}
-	t.since = 0
-	return st.receiptFrameLocked(in.wv.Generation, t)
+	return t.since >= receiptEvery
 }
 
 // tallyLocked returns from's tally, made with the next sender tag on its
@@ -380,18 +379,29 @@ func (st *objectState) tallyLocked(from transport.Addr) *rxTally {
 	return t
 }
 
-// receiptFrameLocked encodes the receipt for tally t, about generation gen
-// (as the frame behind it stated it, unchecked): with gen's frontier while
-// gen is filling here, the counters alone otherwise — a cache has no
-// decoder to speak for, and a finished generation says so by kind 3 or 2.
-// An upstream whose rows carry no stamps gets a departure count of 0, which
-// proves nothing. st.mu must be held.
-func (st *objectState) receiptFrameLocked(gen uint32, t *rxTally) []byte {
+// reportLocked encodes the report owed to about generation gen (as the
+// frame behind it stated it, unchecked): flags, the run the object lacks
+// (needLocked) — so the receipt clock that repairs lost rows repairs a
+// lost manifest run too — to's tally's counters, zeros for a sender with
+// none, and gen's frontier while gen is filling here; a cache has no
+// decoder to speak for, and a finished generation says so by its flag.
+// The tally's next receiptEvery rows start. An upstream whose rows carry
+// no stamps gets a departure count of 0, which proves nothing. st.mu must
+// be held.
+func (st *objectState) reportLocked(to transport.Addr, gen uint32, flags byte) []byte {
+	need, lacks := st.needLocked(int(gen))
+	if flags &^= repNeed; lacks {
+		flags |= repNeed
+	}
+	var rows, inno, departed uint32
+	if t := st.rx[to]; t != nil {
+		rows, inno, departed, t.since = t.rows, t.inno, t.departed, 0
+	}
 	kPer, decoded := 0, []int32(nil)
 	if st.phase == phFilling && gen < uint32(st.coder.Generations()) && !st.coder.GenComplete(int(gen)) {
 		kPer, decoded = st.kPer, st.coder.DecodeLog(int(gen))
 	}
-	return encodeReceipt(st.id, gen, t.rows, t.inno, t.departed, kPer, decoded)
+	return encodeReport(st.id, flags, need, gen, rows, inno, departed, kPer, decoded)
 }
 
 // decodeDataLocked is the decode hot path for one DATA frame; st.mu must
@@ -402,26 +412,26 @@ func (st *objectState) receiptFrameLocked(gen uint32, t *rxTally) []byte {
 // allocation — a unit row whose digest has matched straight into its
 // native's slot of the object buffer — tagged with its sender
 // (objectState.senders), so a generation that fails verification names
-// who forged it. Returns the feedback frame to send (nil for none), whether
+// who forged it. Returns the flags owed the sender (owedLocked), whether
 // the frame was judged — innovative, redundant, or for a generation or
 // object already done: what its upstream's receipts count — and whether the
 // decode state advanced (an innovative packet was fed in), which drives
 // watcher notifications. Pollution consequences (bans, re-arm REQs)
 // accumulate in acts for the batch layer to apply once all locks are
 // dropped.
-func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActions) (fb []byte, judged, progressed bool) {
+func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActions) (owed byte, judged, progressed bool) {
 	if in.wv.M != st.m || st.coder.Check(in.wv.Generations, in.wv.Generation, in.wv.K) != nil {
-		return nil, false, false // not the object's geometry: drop
+		return 0, false, false // not the object's geometry: drop
 	}
 	st.touch(s.clk.Now())
 	g := int(in.wv.Generation)
 	if s.auditFailsLocked(st, g, in) {
 		// The row disagrees byte-exactly with a verified generation: the
 		// sender forged it. (Honest senders stop pushing a generation when
-		// its kind-3 feedback arrives; a polluter that keeps pushing into
+		// a report flags it complete; a polluter that keeps pushing into
 		// verified territory convicts itself on the first frame.)
 		st.forgedRowLocked(in, acts)
-		return nil, false, false
+		return 0, false, false
 	}
 	if st.phase != phFilling || st.coder.GenComplete(g) {
 		// Done here, the object or this generation of it: abort the payload
@@ -434,27 +444,27 @@ func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActio
 	vec := st.coder.AcquireVec(g)
 	if vec.UnmarshalInto(in.wv.VecBytes(data)) != nil {
 		st.coder.ReleaseVec(g, vec)
-		return nil, false, false
+		return 0, false, false
 	}
 	plain, forged := st.unitRowLocked(g, vec, in.wv.PayloadBytes(data))
 	if forged {
 		st.coder.ReleaseVec(g, vec)
 		st.forgedRowLocked(in, acts)
-		return nil, false, false
+		return 0, false, false
 	}
 	// The code vector has been read; if it is redundant the payload is
 	// never copied or decoded, and only the sender's receipts say so.
 	if st.coder.IsRedundant(g, vec) {
 		st.coder.ReleaseVec(g, vec)
 		st.aborted++
-		return nil, true, false
+		return 0, true, false
 	}
 	t := st.tallyLocked(in.f.From)
 	if t == nil {
 		// No tag left to name this unsolicited sender by: fail closed.
 		st.coder.ReleaseVec(g, vec)
 		st.aborted++
-		return nil, false, false
+		return 0, false, false
 	}
 	// A unit row checked against its digest goes straight into its slot
 	// (either row is nil when m = 0).
@@ -475,7 +485,7 @@ func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActio
 		// generation — but the reset is visible progress (Polluted grew).
 		return s.settleLocked(st, g, acts), true, true
 	}
-	return nil, true, true
+	return 0, true, true
 }
 
 // unitRowLocked checks a degree-1 row on arrival. Over GF(2) it is a native
@@ -510,16 +520,16 @@ func (st *objectState) forgedRowLocked(in *inFrame, acts *pollActions) {
 
 // ingestCachedLocked is the cache-mode counterpart of decodeDataLocked:
 // the row goes to the cache's admission policy instead of a decoder, and
-// the resulting feedback mirrors what a real decoder would say — receipts,
-// generation-complete, complete — so the sender's existing pacing, steering
+// the flags it owes mirror what a real decoder would say — generation
+// complete, complete — so the sender's existing pacing, steering
 // and completion machinery offloads the origin with no new protocol state
 // on its side. st.mu must be held and the object be caching. forward asks
 // the batch layer to pass the frame through to the object's push targets
 // (innovative row, no budget room).
-func (s *Session) ingestCachedLocked(st *objectState, in *inFrame) (fb []byte, judged, progressed, forward bool) {
+func (s *Session) ingestCachedLocked(st *objectState, in *inFrame) (owed byte, judged, progressed, forward bool) {
 	gens := int(st.gens.Load())
 	if !st.shapeIs(geometry{genCount(in.wv.Generations), in.wv.K, in.wv.M}) {
-		return nil, false, false, false // inconsistent geometry: drop
+		return 0, false, false, false // inconsistent geometry: drop
 	}
 	now := s.clk.Now()
 	st.touch(now)
@@ -539,14 +549,14 @@ func (s *Session) ingestCachedLocked(st *objectState, in *inFrame) (fb []byte, j
 			// The cache holds full rank for every generation: the paper's
 			// completion feedback, even though nothing was decoded. The
 			// origin stops pushing — the offload this tier exists for.
-			return feedbackFrame(st.id, fbComplete), true, stored, false
+			return repComplete, true, stored, false
 		case res.GenFull && gens >= 2:
-			return genFeedbackFrame(st.id, int(in.wv.Generation)), true, stored, false
+			return repGenComplete, true, stored, false
 		}
-		return nil, true, stored, false
+		return 0, true, stored, false
 	case cache.NoRoom:
 		st.aborted++
-		return nil, true, false, true
+		return 0, true, false, true
 	}
-	return nil, false, false, false // Mismatch: drop
+	return 0, false, false, false // Mismatch: drop
 }

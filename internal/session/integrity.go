@@ -211,7 +211,7 @@ func (s *Session) quarantineGenLocked(st *objectState, g int, src int32, acts *p
 // against the proven natives: the payload must equal the XOR of the
 // natives its code vector selects. Only runs in vigilant mode (pollution
 // already seen on the object) — honest peers stop sending completed
-// generations when they hear the kind-3 feedback, so the rows that keep
+// generations when a report flags them complete, so the rows that keep
 // arriving are exactly the ones worth convicting on. A failed audit is
 // byte-exact proof the sender forged the row. st.mu must be held.
 func (s *Session) auditFailsLocked(st *objectState, g int, in *inFrame) bool {
@@ -266,8 +266,9 @@ func (s *Session) auditFailsLocked(st *objectState, g int, in *inFrame) bool {
 // is answered with whatever the frame completed (settleLocked): a run to
 // an object already complete — or, at a cache, fully covered — means the
 // sender never heard so, or the peer table entry that heard it was
-// dropped; the idempotent reply closes the loop, exactly as the DATA path
-// answers a row of a complete object with the same frame.
+// dropped; the idempotent complete report (the sender's tally here, or
+// zeros) closes the loop, exactly as the DATA path answers a row of a
+// complete object.
 func (s *Session) handleManifest(from transport.Addr, data []byte) []byte {
 	mr, err := packet.ParseManifestChunk(data)
 	if err != nil || integrity.ObjectID(mr.Size, int(mr.K), int(mr.Gens), int(mr.M), mr.Root) != mr.Object {
@@ -303,8 +304,8 @@ func (s *Session) handleManifest(from transport.Addr, data []byte) []byte {
 	if forged {
 		s.logf("session: %v manifest run %d from %s does not hash to the object's root", st.id, mr.Run, from)
 		acts.bans = append(acts.bans, from)
-	} else {
-		reply = s.settleLocked(st, -1, &acts)
+	} else if owed := s.settleLocked(st, -1, &acts); owed != 0 {
+		reply = st.reportLocked(from, 0, owed)
 	}
 	st.mu.Unlock()
 	s.applyPollActions(&acts)

@@ -11,9 +11,23 @@ import (
 )
 
 // Lost proof (DESIGN.md §13): a node that lacks a run of an object's
-// manifest says so beside every receipt (FEEDBACK kind 7, need), and the
-// upstream re-sends it a horizon after it last went, its frontier for the
-// node left standing.
+// manifest says so in every report (the need), and the upstream re-sends
+// it a horizon after it last went, its frontier for the node left
+// standing.
+
+// needFrom is the report node would send upstream naming run r of c's
+// object: its counters for upstream's rows as they stand, and the need.
+func (c *stepNet) needFrom(node, upstream transport.Addr, r uint32) []byte {
+	var rows, inno, departed uint32
+	if st := c.nodes[node].objects[c.id]; st != nil {
+		st.mu.Lock()
+		if t := st.rx[upstream]; t != nil {
+			rows, inno, departed = t.rows, t.inno, t.departed
+		}
+		st.mu.Unlock()
+	}
+	return encodeReport(c.id, repNeed, r, 0, rows, inno, departed, 0, nil)
+}
 
 // proofRepairSlack is how many ticks past the lossless run a fetch may take
 // when one MANIFEST frame is lost on its way: the receipt that names the
@@ -57,7 +71,7 @@ func TestLostProofRepairedAtRoundTrip(t *testing.T) {
 			if sent[hop][0] == 2 {
 				// The repair: a need arriving with it finds it inside the
 				// horizon.
-				c.recs[from].deliver(to, needFrame(c.id, 0))
+				c.recs[from].deliver(to, c.needFrom(to, from, 0))
 			}
 			return sent[hop][0] == 1
 		}
@@ -160,11 +174,11 @@ func needSource(t *testing.T, k int) (*Session, *recTransport, *transport.VClock
 	return s, rec, clk, id
 }
 
-// TestNeedBounds holds a kind-7 need to what it may buy. Dropped whole: one
-// short or long, for an object the session does not know, from a peer it
-// does not push to, from a banned peer, and one naming a run past the
-// manifest's end — 2³¹−1, 2³²−2 and 2³²−1 (once the META's sentinel) among
-// them, which wrap an int on 32-bit builds. A need for a run the session
+// TestNeedBounds holds a report's need to what it may buy. Dropped whole:
+// one short or long, for an object the session does not know, from a peer
+// it does not push to, from a banned peer, and one naming a run past the
+// manifest's end — 2³¹−1, 2³²−2 and 2³²−1 among them, which wrap an int
+// on 32-bit builds. A need for a run the session
 // holds buys that run alone. From a peer pushed to, a flood — a need for
 // each run before every push round — buys at most one run a horizon, and
 // leaves the peer's frontier standing.
@@ -184,13 +198,13 @@ func TestNeedBounds(t *testing.T) {
 		other[0] = 1
 		frames := map[transport.Addr][][]byte{
 			"peer": {
-				needFrame(id, 0)[:needLen-1],
-				append(needFrame(id, 0), 0),
-				needFrame(other, 0),
-				needFrame(id, 3), needFrame(id, 1<<31-1), needFrame(id, 1<<31), needFrame(id, 1<<32-2), needFrame(id, 1<<32-1),
+				needReport(id, 0)[:reportLen-1],
+				append(needReport(id, 0), 0),
+				needReport(other, 0),
+				needReport(id, 3), needReport(id, 1<<31-1), needReport(id, 1<<31), needReport(id, 1<<32-2), needReport(id, 1<<32-1),
 			},
-			"stranger": {needFrame(id, 0), needFrame(id, 1)},
-			"banned":   {needFrame(id, 0), needFrame(id, 1)},
+			"stranger": {needReport(id, 0), needReport(id, 1)},
+			"banned":   {needReport(id, 0), needReport(id, 1)},
 		}
 		for from, fs := range frames {
 			injectBurst(s, from, fs)
@@ -204,7 +218,7 @@ func TestNeedBounds(t *testing.T) {
 		if _, ok := s.objects[id].peers["stranger"]; ok {
 			t.Error("a need from a stranger made it a peer")
 		}
-		injectFrame(s, "peer", needFrame(id, 2))
+		injectFrame(s, "peer", needReport(id, 2))
 		s.push()
 		if fs := rec.take()["peer"]; len(fs) != 1 || fs[0][0] != frameManifest || bigEndianU32(fs[0][1+16+52:]) != 2 {
 			t.Errorf("a need for run 2 drew %q, want the run alone", kinds(fs))
@@ -217,7 +231,7 @@ func TestNeedBounds(t *testing.T) {
 		const span = 40 * time.Millisecond
 		man := 0
 		for start := clk.Now(); clk.Since(start) < span; clk.Advance(s.cfg.Tick / 8) {
-			injectBurst(s, "peer", [][]byte{needFrame(id, 0), needFrame(id, 1), needFrame(id, 2)})
+			injectBurst(s, "peer", [][]byte{needReport(id, 0), needReport(id, 1), needReport(id, 2)})
 			s.push()
 			r, _ := frameCounts(rec.take()["peer"])
 			man += r

@@ -400,7 +400,7 @@ func (s *Session) promoteLocked(st *objectState) (progressed bool) {
 
 // settleLocked brings the phase up to date after any event that can
 // complete something — a row ingested, the size learned, a manifest run
-// adopted, a cache promoted — and returns the one reply owed to the sender
+// adopted, a cache promoted — and returns the flags owed to the sender
 // of the frame behind it (owedLocked; g is that frame's generation, −1 for
 // none). Every complete generation not yet verified meets the manifest, if
 // there is one yet, and is accepted or quarantined (reset, with the
@@ -408,7 +408,7 @@ func (s *Session) promoteLocked(st *objectState) (progressed bool) {
 // once every one has verified against the manifest the ID commits to it is
 // complete and done closes: every native a Fetch returns was checked
 // against an authenticated digest. st.mu must be held.
-func (s *Session) settleLocked(st *objectState, g int, acts *pollActions) []byte {
+func (s *Session) settleLocked(st *objectState, g int, acts *pollActions) byte {
 	if st.phase == phFilling || st.phase == phDecoded {
 		for gg := range st.guard {
 			if st.guard[gg].state != genVerified && st.coder.GenComplete(gg) {
@@ -563,67 +563,59 @@ func (st *objectState) placeGenLocked(g int) {
 }
 
 // owedLocked is the one answer to "what does the sender of this frame need
-// to hear about where the object stands": kind 2 once complete (or, at a
-// cache, once every generation is held at full rank); to a DATA frame (g,
-// its generation, is not −1), a kind-7 need when decoded without every run
-// of the manifest (needLocked) — kind 2 would stop the
+// to hear about where the object stands", as report flags: complete once
+// complete (or, at a cache, once every generation is held at full rank);
+// to a DATA frame (g, its generation, is not −1), a need when decoded
+// without every run of the manifest (needLocked) — complete would stop the
 // sender and wedge the object there, and the need leaves its frontier
-// standing; kind 3 when the frame's generation is done and the object is
-// not; nothing otherwise. st.mu must be held.
-func (s *Session) owedLocked(st *objectState, g int) []byte {
+// standing — and generation g complete when it is done, the object not;
+// none otherwise. st.mu must be held.
+func (s *Session) owedLocked(st *objectState, g int) byte {
 	switch st.phase {
+	case phComplete:
+		return repComplete
 	case phCaching:
-		if full, _ := s.cache.Coverage(st.id); !full {
-			return nil
+		if full, _ := s.cache.Coverage(st.id); full {
+			return repComplete
 		}
-	case phDecoded:
-		switch {
-		case g < 0:
-			return nil // a manifest run: the receipts say what is still lacking
-		case st.committing:
-			// Every run is in and the buffer on its way: the frame's
-			// generation is done, as while filling.
-			return genFeedbackFrame(st.id, g)
+	case phFilling, phDecoded:
+		if _, lacks := st.needLocked(g); g >= 0 && st.phase == phDecoded && lacks {
+			return repNeed
 		}
-		return st.needLocked(g)
-	case phFilling:
 		if g >= 0 && st.coder.GenComplete(g) {
-			return genFeedbackFrame(st.id, g)
+			return repGenComplete
 		}
-		return nil
-	case phAnnounced, phEvicted:
-		return nil
 	}
-	return feedbackFrame(st.id, fbComplete)
+	return 0
 }
 
-// needLocked returns the kind-7 need a caching, filling or decoded object
-// owes the sender of a row of generation g while it lacks the proof of
-// what it has received: the lowest run of the manifest it does not hold
+// needLocked returns the run a caching, filling or decoded object lacks,
+// as the sender of a row of generation g is told, while it lacks the proof
+// of what it has received: the lowest run of the manifest it does not hold
 // among those over g — over any generation once every one is decoded, and
-// the rows of a generation done here stop coming — and nil otherwise,
-// whether or not a run has described the object yet. A run over
-// generations no row has reached yet is on its way: the pass sends it
-// ahead of them. The receipt clock repairs lost proof as it repairs lost
-// rows (DESIGN.md §13). st.mu must be held.
-func (st *objectState) needLocked(g int) []byte {
+// the rows of a generation done here stop coming — whether or not a run
+// has described the object yet. A run over generations no row has reached
+// yet is on its way: the pass sends it ahead of them. The report clock
+// repairs lost proof as it repairs lost rows (DESIGN.md §13). st.mu must
+// be held.
+func (st *objectState) needLocked(g int) (run uint32, lacks bool) {
 	if st.phase != phCaching && st.phase != phFilling && st.phase != phDecoded || st.man.Complete() {
-		return nil
+		return 0, false
 	}
 	runs := (st.k + integrity.RunLen - 1) / integrity.RunLen
 	first, last := 0, runs-1
 	if st.phase != phDecoded {
 		if g < 0 || g >= int(st.gens.Load()) {
-			return nil
+			return 0, false
 		}
 		first, last = g*st.kPer/integrity.RunLen, ((g+1)*st.kPer-1)/integrity.RunLen
 	}
 	for r := first; r <= last; r++ {
 		if st.man == nil || !st.man.HoldsRun(r) {
-			return needFrame(st.id, uint32(r))
+			return uint32(r), true
 		}
 	}
-	return nil
+	return 0, false
 }
 
 // evictLocked takes the object out of the lifecycle: a shard worker that

@@ -540,12 +540,22 @@ func newObjCell(t *testing.T, rng *rand.Rand, row int) *objCell {
 	return c
 }
 
-// kinds names the frames a cell sent to one address, receipts apart.
+// kinds names the frames a cell sent to one address, a report by its
+// flags, and receipts (reports with none) apart.
 func kinds(frames [][]byte) string {
 	var out []string
 	for _, f := range frames {
 		switch {
-		case isReceipt(f):
+		case isReport(f):
+			var flags []string
+			for bit, name := range []string{"complete", "gen-complete", "need"} {
+				if f[18]&(1<<bit) != 0 {
+					flags = append(flags, name)
+				}
+			}
+			if len(flags) > 0 {
+				out = append(out, strings.Join(flags, "+"))
+			}
 		case f[0] == frameFeedback:
 			out = append(out, "FB"+string('0'+f[17]))
 		default:
@@ -577,13 +587,13 @@ func (c *objCell) fire(t *testing.T, ev int) {
 	case evMetaLong:
 		in(c.meta)
 	case evFbRedundant:
-		in(feedbackFrame(c.id, fbRetiredRedundant))
+		in(retiredFeedback(c.id, fbRetiredRedundant))
 	case evFbComplete:
-		in(feedbackFrame(c.id, fbComplete))
+		in(completeReport(c.id))
 	case evFbGenComplete:
-		in(genFeedbackFrame(c.id, last))
+		in(genCompleteReport(c.id, uint32(last)))
 	case evFbCacheAd:
-		in(retiredCacheAd(c.id, 1, uint32(c.gens), uint32(c.kPer)))
+		in(retiredFeedback(c.id, fbRetiredCacheAd, 1, uint32(c.gens), uint32(c.kPer)))
 	case evFbReceipt:
 		in(receiptFrame(c.id, 0, 16, 12))
 	case evFbFrontier:
@@ -592,7 +602,7 @@ func (c *objCell) fire(t *testing.T, ev int) {
 		if st := c.s.objects[c.id]; st != nil {
 			st.peer(matrixSender)
 		}
-		in(encodeReceipt(c.id, uint32(last), 16, 12, 0, c.kPer, []int32{0, 1}))
+		in(encodeReport(c.id, 0, 0, uint32(last), 16, 12, 0, c.kPer, []int32{0, 1}))
 	case evFbNeed:
 		// From a peer pushed to, its proof pass long over and a row in
 		// flight toward it: the need owes it run 0 where it is held, and the
@@ -601,7 +611,7 @@ func (c *objCell) fire(t *testing.T, ev int) {
 			ps := st.peer(matrixSender)
 			ps.pass, ps.proofAt, ps.unsettled = -1, c.clk.Now().Add(-time.Second), []sentNative{{1, 0}}
 		}
-		in(needFrame(c.id, 0))
+		in(needReport(c.id, 0))
 	case evManifestFirst:
 		in(c.runs[0])
 	case evManifestOutOfOrder:
@@ -645,16 +655,16 @@ func (c *objCell) expect(row, ev int) (after, replies string) {
 		switch {
 		case row == rowAnnounced || row == rowEvicted: // first geometry heard fixes it (a relay learns an unknown object)
 			after = "filling"
-			replies = "FB7" // its receipt goes out with a need for the first run
+			replies = "need" // its receipt says it needs the first run
 		case ev == evDataWrongGeometry:
 		case row == rowCaching || row == rowFilling || row == rowPoisoned || row == rowDecoded:
-			// No manifest: caching or filling, the receipt goes out with a
-			// need for the run over the row; decoded, the frame is answered
-			// with one — not a REQ, which would drop the sender's frontier,
-			// nor kind 2, which would stop it.
-			replies = "FB7"
+			// No manifest: caching or filling, the receipt says it needs
+			// the run over the row; decoded, the frame is answered with a
+			// need — not a REQ, which would drop the sender's frontier,
+			// nor a complete report, which would stop it.
+			replies = "need"
 		case row == rowComplete:
-			replies = "FB2"
+			replies = "complete"
 		}
 	case evReq:
 		// Answered by nothing: the REQ re-arms the sender's proof pass, and
@@ -672,7 +682,7 @@ func (c *objCell) expect(row, ev int) (after, replies string) {
 		// The sender's frame is answered by what it completed, unless it
 		// convicted its sender (out of order, hashed before the true run).
 		if after == "complete" && (ev != evManifestOutOfOrder || row == rowComplete) {
-			replies = "FB2"
+			replies = "complete"
 		}
 	case evMember:
 		replies = "MEMBER" // a memberless session answers with its self-advert
@@ -798,8 +808,8 @@ func (c *objCell) checkCell(t *testing.T, row, ev int, sent map[transport.Addr][
 		c.old.mu.Lock()
 		c.s.ingestOneLocked(c.old, &inFrame{f: transport.NewFrame(matrixSender, c.row(0, false, 0), nil)}, &scratch, &pollActions{})
 		c.old.mu.Unlock()
-		if len(scratch.replies) != 0 || len(scratch.notify) != 0 {
-			t.Errorf("evicted state: %d replies, %d notifications for a frame fed into it", len(scratch.replies), len(scratch.notify))
+		if len(scratch.replies)+len(scratch.reports) != 0 || len(scratch.notify) != 0 {
+			t.Errorf("evicted state: %d reports, %d notifications for a frame fed into it", len(scratch.replies)+len(scratch.reports), len(scratch.notify))
 		}
 	case ev == evEvict && held:
 		t.Errorf("idle object survived eviction: %+v", o)
@@ -832,8 +842,8 @@ func (c *objCell) checkCell(t *testing.T, row, ev int, sent map[transport.Addr][
 	case ev >= evDataUnit && ev <= evDataWrongGeometry:
 		// A need names the run none holds: at these geometries, the one.
 		for _, f := range sent[matrixSender] {
-			if isNeed(f) && binary.BigEndian.Uint32(f[18:]) != 0 {
-				t.Errorf("need names %#x, want run 0", f[18:])
+			if isNeed(f) && binary.BigEndian.Uint32(f[19:]) != 0 {
+				t.Errorf("need names %#x, want run 0", f[19:23])
 			}
 		}
 	case ev == evBeginFetch && row == rowCaching:

@@ -1,7 +1,6 @@
 package session
 
 import (
-	"encoding/binary"
 	"maps"
 	"math/bits"
 	"math/rand"
@@ -112,7 +111,7 @@ func (n *stepNet) settle() {
 			n.flight = n.flight[1:]
 			if rec := n.recs[c.to]; rec != nil {
 				rec.deliver(c.from, c.frame)
-				n.receipts += btoi(isReceipt(c.frame))
+				n.receipts += btoi(isReport(c.frame))
 			}
 		}
 		moved := false
@@ -260,7 +259,7 @@ func TestPacedRampReachesCap(t *testing.T) {
 // always had, and its fetch still completes.
 func TestPacedLegacyFloor(t *testing.T) {
 	l := newPacedLink(t, 256, 16, 32)
-	l.lose = func(_, _ transport.Addr, f []byte) bool { return isReceipt(f) }
+	l.lose = func(_, _ transport.Addr, f []byte) bool { return isReport(f) }
 	var bursts []int
 	for tick := 0; tick < 2000 && !l.fetched().Complete; tick++ {
 		bursts = append(bursts, l.tick()["src"])
@@ -382,7 +381,7 @@ func TestPacedForgedReceiptsStayOnTheirLink(t *testing.T) {
 					flightPeak = max(flightPeak, link.InFlight())
 					i := tick*roundsPerTick + round
 					recv, inno := forged(i)
-					injectFrame(s, "z-liar", encodeReceipt(id, 0, recv, inno, departed(i, uint32(link.Sent())), 0, nil))
+					injectFrame(s, "z-liar", encodeReport(id, 0, 0, 0, recv, inno, departed(i, uint32(link.Sent())), 0, nil))
 				}
 			}
 			honest = append(honest, mine)
@@ -561,10 +560,12 @@ func TestReceiptFlushedOnDrain(t *testing.T) {
 	}
 	answers := rec.take()["src"]
 	// Hand-built rows carry no stamp: the receipt's departure count is 0.
-	// No run came, so the receipt goes out with a need for run 0.
-	if len(answers) != 2 || !isReceipt(answers[0]) || binary.BigEndian.Uint32(answers[0][22:26]) != 2 || binary.BigEndian.Uint32(answers[0][30:34]) != 0 ||
-		!isNeed(answers[1]) {
-		t.Errorf("two rows in two batches answered by %d frames %x, want one receipt reporting both, departed 0, and its need", len(answers), answers)
+	// No run came, so the receipt says it needs run 0.
+	if len(answers) != 1 || !isNeed(answers[0]) {
+		t.Fatalf("two rows in two batches answered by %d frames %x, want one receipt needing run 0", len(answers), answers)
+	}
+	if _, recv, _, dep := reportCounters(answers[0]); recv != 2 || dep != 0 {
+		t.Errorf("the receipt reports %d rows, departed %d; want both rows, departed 0", recv, dep)
 	}
 }
 

@@ -500,7 +500,7 @@ func TestRelayEmitsOnlyProvenRows(t *testing.T) {
 	// The subscriber reports that it holds nothing. Twelve natives are
 	// decoded here; the ten that are proven are repeated, the two false ones
 	// never, and the frontier buys no coded row from the gated generation.
-	injectFrame(relay, "sub", encodeReceipt(id, 0, 10, 10, 0, k, nil))
+	injectFrame(relay, "sub", encodeReport(id, 0, 0, 0, 10, 10, 0, k, nil))
 	push(6)
 	for x := 0; x < k; x++ {
 		if proven := x < 8 || x == 10 || x == 11; (plain[x] > 1) != proven {

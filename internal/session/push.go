@@ -79,7 +79,8 @@ func (p *peerPlan) has(g int) bool { return genDone(p.gensDone, g) }
 // holding native x's digest: a row of x may follow it.
 func proven(pass, x int) bool { return pass < 0 || x/integrity.RunLen < pass }
 
-// genDone reads a peer's kind-3 reports, a slice sized lazily: nil, none.
+// genDone reads the generations a peer reported complete, a slice sized
+// lazily: nil, none.
 func genDone(done []bool, g int) bool { return g < len(done) && done[g] }
 
 // native adds native row z of x to the burst, and to the rows in flight.
@@ -370,8 +371,8 @@ func (st *objectState) mergeLogLocked() {
 // first pass while it lasts, then repair — repeats of what the peer's
 // frontier lacks (repairLocked), coded rows for the generations it says
 // nothing about. Rows are recoded per target so each peer's burst
-// round-robins across exactly the generations it still needs (kind-3
-// feedback) and may be served: verified (gatedLocked), every run over it
+// round-robins across exactly the generations it still needs (the
+// reports' generation-complete flags) and may be served: verified (gatedLocked), every run over it
 // sent to the peer ahead (proven). A generation with a frontier
 // in hand is not coded for blind: what this node has decoded of it goes
 // out as repeats, and an LT row over the rest of the generation would

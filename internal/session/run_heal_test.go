@@ -8,14 +8,13 @@ import (
 	"ltnc/internal/transport"
 )
 
-// TestRedundantMetaElicitsComplete pins the lost-fbComplete heal on the
-// proof path: a complete, sized receiver answers a redundant run of the
-// manifest — one that reaches it after its completion, or from a sender
-// whose peer entry for it was dropped and made afresh — with fbComplete,
-// as the DATA path answers a row of a complete object, so the sender can
-// stop. The run carries the object's description, the fields the META
-// that once led the proof carried alone.
-func TestRedundantMetaElicitsComplete(t *testing.T) {
+// TestRedundantRunElicitsComplete pins the heal of a lost complete report
+// on the proof path: a complete, sized receiver answers a redundant run of
+// the manifest — one that reaches it after its completion, or from a
+// sender whose peer entry for it was dropped and made afresh — with a
+// report flagging the object complete, as the DATA path answers a row of
+// a complete object, so the sender can stop.
+func TestRedundantRunElicitsComplete(t *testing.T) {
 	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 64, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
@@ -33,8 +32,8 @@ func TestRedundantMetaElicitsComplete(t *testing.T) {
 		t.Fatalf("served object not complete: %+v", st)
 	}
 
-	// A bare port plays the sender whose fbComplete was lost: its proof
-	// pass sends the run.
+	// A bare port plays the sender whose complete report was lost: its
+	// proof pass sends the run.
 	sender := attach(t, sw, "sender")
 	if err := sender.Send("recv", manifestRuns(t, servedDesc(t, content, 16, 1), content)[0]); err != nil {
 		t.Fatal(err)
@@ -47,7 +46,7 @@ func TestRedundantMetaElicitsComplete(t *testing.T) {
 		if err != nil {
 			t.Fatalf("no reply to a redundant run: %v", err)
 		}
-		isComplete := len(f.Data) == feedbackLen && f.Data[0] == frameFeedback && f.Data[17] == fbComplete
+		isComplete := isReport(f.Data) && f.Data[18] == repComplete
 		f.Release()
 		if isComplete {
 			return // the sender would latch done and stop pushing

@@ -15,8 +15,8 @@
 // against its decode state and drops a redundant payload without copying
 // or decoding it. The sender learns of it from the receipt counters every
 // receiver reports per upstream (kind 6 below: rows received, rows
-// innovative), the one progress signal a sender has, and from completion
-// (kinds 2 and 3). Idle object states are evicted so a long-running relay
+// innovative), the one progress signal a sender has, and from the
+// completion flags the same report carries. Idle object states are evicted so a long-running relay
 // does not accumulate decode state for every object it ever carried.
 //
 // Every object is in exactly one phase (object.go; DESIGN.md §4 has the
@@ -45,30 +45,23 @@
 //	REQ      0x02 | objectID(16)                     subscribe to an object
 //	         0x03   retired (the META, whose fields every MANIFEST frame
 //	               now carries): a session drops it
-//	FEEDBACK 0x04 | objectID(16) | kind(1) [| gen(4)]
-//	               2=complete 3=generation complete (gen id present for
-//	               kind 3 only)
-//	               6=receipt report: gen(4), received(4), innovative(4),
-//	               departed(4) — the receiver's cumulative per-sender row
-//	               counters, one report per 16 rows judged, fed to the
-//	               sender's loss estimator and pacer (adapt.Link,
-//	               DESIGN.md §16); departed is the highest send sequence
-//	               among the sender's stamped rows (header byte 3: the
-//	               row's send sequence on the link, mod 128) — every row
-//	               up to it has arrived or is lost — and 0 when the rows
-//	               came unstamped — then, while generation gen is still
-//	               filling there, its frontier: ⌈k/G ÷ 8⌉ bytes, bit i
-//	               (least significant first) set once native i of gen is
-//	               decoded; the sender repeats what is missing
-//	               7=need: run(4) — the receiver, filling or decoded,
-//	               lacks this run of the manifest, the lowest it does not
-//	               hold; sent beside every receipt while filling and to
-//	               every DATA frame once decoded, and answered a link
-//	               horizon after a run last went to it, the sender's
-//	               frontier for it left standing
-//	               Kinds 1, 4 and 5 are retired (the per-row redundancy
-//	               abort, the cache advertisement, the receipt without a
-//	               departure count): a session drops them.
+//	FEEDBACK 0x04 | objectID(16) | 6 | flags(1) | need(4) | gen(4) |
+//	               received(4) | innovative(4) | departed(4) [| frontier]
+//	               the receiver's one report: flags bit 0 says the object
+//	               is complete there, bit 1 that generation gen is, bit 2
+//	               that it lacks run need of the manifest (need is 0
+//	               without it; any other bit voids the report); then its
+//	               cumulative counters of the sender's rows — judged, and
+//	               innovative — and departed, the highest send sequence
+//	               among them that came stamped (header byte 3), all fed
+//	               to the sender's pacer (adapt.Link, DESIGN.md §16); and,
+//	               while gen is filling there, its frontier: ⌈k/G ÷ 8⌉
+//	               bytes, bit i set once native i of gen is decoded. One
+//	               goes per 16 rows judged, when the worker's queue drains,
+//	               and at a batch's end for what the batch found complete
+//	               or lacking proof: at most one a batch per (object,
+//	               upstream, generation). Kinds 1–5 and 7 are retired: a
+//	               session drops them.
 //	MANIFEST 0x05 | manifest run (packet.ManifestChunk): objectID(16) |
 //	               k(4) | m(4) | size(8) | gens(4) | root(32) | run(4) |
 //	               n(2) | depth(1) | n digests | depth siblings (32 B
@@ -86,7 +79,7 @@
 //	               member.go and Config.Bootstrap
 //
 // A receiver that completes one generation of a still-incomplete object
-// reports kind 3, and the sender stops recoding that generation toward it
+// flags it in its report, and the sender stops recoding that generation toward it
 // — the per-generation analogue of the paper's binary feedback — while
 // recoding round-robins across the generations the peer still needs.
 //
@@ -95,7 +88,7 @@
 // per native), which rides MANIFEST frames, each with the object's
 // description. A frame whose description does not hash to the ID is
 // dropped on arrival, and a run is adopted only if it hashes to the root;
-// a receiver that lacks one says so beside its receipts (kind 7), and the
+// a receiver that lacks one says so in its reports (the need), and the
 // upstream re-sends it a round trip after it went, as it repeats a lost
 // row. Once a
 // receiver holds the manifest it verifies every generation the moment it
@@ -152,25 +145,18 @@ const (
 	frameManifest = 0x05
 	frameMember   = 0x06
 
-	fbComplete    = 0x02
-	fbGenComplete = 0x03
-	fbReceipt     = 0x06
-	fbNeed        = 0x07
+	fbReport = 0x06
+
+	// The report's flags.
+	repComplete    = 1 << 0
+	repGenComplete = 1 << 1
+	repNeed        = 1 << 2
 
 	reqLen = 1 + 16
-	// FEEDBACK kind 2 is the short form; kind 3 appends the completed
-	// generation id.
-	feedbackLen    = 1 + 16 + 1
-	genFeedbackLen = feedbackLen + 4
-	// Kind 6 (receipt report) appends the receiver's cumulative counters
-	// for rows arriving from the addressed sender: the generation of the
-	// triggering frame, rows received, rows innovative and rows departed. A
-	// receiver still filling that generation appends its frontier
-	// (frontierLen bytes); the short form stays valid.
-	receiptLen = feedbackLen + 16
-	// Kind 7 (need) appends what proof the receiver lacks: the lowest run
-	// of the manifest it does not hold.
-	needLen = feedbackLen + 4
+	// A report (FEEDBACK kind 6): type, object, kind, flags and need, then
+	// the counters gen, received, innovative and departed; gen's frontier
+	// (frontierLen bytes) may follow.
+	reportLen = 1 + 16 + 1 + 1 + 4 + 16
 )
 
 // frontierLen is the length of one generation's frontier — its
@@ -198,8 +184,8 @@ type peerState struct {
 	// (cache mode only). Per peer so concurrent fetchers each walk the
 	// whole cached basis instead of aliasing onto disjoint slices of it.
 	cacheCursor uint64
-	// gensDone marks generations the peer reported complete (kind-3
-	// feedback): recoding toward it skips them. Lazily sized to the
+	// gensDone marks generations the peer reported complete (a report's
+	// generation-complete flag): recoding toward it skips them. Lazily sized to the
 	// object's G; gensDoneN counts the true entries.
 	gensDone  []bool
 	gensDoneN int
@@ -228,7 +214,7 @@ type peerState struct {
 	// in order. pass is the next run to send the peer (takeProof), −1 once
 	// the last has gone: it starts at first contact, and a REQ re-arms it
 	// once it has ended. No row goes to the peer ahead of the run that
-	// proves it. owed is one more than the run a kind-7 need re-armed (0:
+	// proves it. owed is one more than the run a report's need re-armed (0:
 	// none), sent ahead of the pass; proofAt is when a run last went to the
 	// peer, what a need is timed against.
 	pass, owed int

@@ -3,7 +3,6 @@ package session
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"math/rand"
 	"sync"
 	"testing"
@@ -65,8 +64,8 @@ func (c *captureTransport) Recv(ctx context.Context) (transport.Frame, error) {
 type shortReceipts struct{ transport.Transport }
 
 func (t shortReceipts) Send(to transport.Addr, frame []byte) error {
-	if isReceipt(frame) {
-		frame = frame[:receiptLen]
+	if isReport(frame) {
+		frame = frame[:reportLen]
 	}
 	return t.Transport.Send(to, frame)
 }
@@ -332,13 +331,13 @@ func TestRedundancyAbortFeedback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !isReceipt(f.Data) {
+		if !isReport(f.Data) {
 			t.Fatalf("reply frame = %x, want receipts only", f.Data)
 		}
 		var gotID packet.ObjectID
 		copy(gotID[:], f.Data[1:17])
-		received = binary.BigEndian.Uint32(f.Data[22:26])
-		innovative := binary.BigEndian.Uint32(f.Data[26:30])
+		_, recv, innovative, _ := reportCounters(f.Data)
+		received = recv
 		f.Release()
 		if gotID != id || innovative != 1 {
 			t.Fatalf("receipt for %v reports %d received, %d innovative; want %v and 1 innovative", gotID, received, innovative, id)
@@ -743,12 +742,12 @@ func TestEvictedStateDropsInFlightFrames(t *testing.T) {
 
 	in := frame(1)
 	stale.mu.Lock()
-	fb, _, _ := s.decodeDataLocked(stale, &in, &pollActions{})
+	owed, _, _ := s.decodeDataLocked(stale, &in, &pollActions{})
 	received := stale.received
 	stale.mu.Unlock()
 	in.f.Release()
-	if fb != nil {
-		t.Fatalf("dead state produced feedback %v", fb)
+	if owed != 0 {
+		t.Fatalf("dead state owed a report, flags %03b", owed)
 	}
 	if received != 1 {
 		t.Fatalf("dead state decoded the frame (received %d, want 1)", received)

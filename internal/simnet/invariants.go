@@ -80,8 +80,11 @@ type flowCount struct {
 // be exactly the O(k/G) wire size the generation layer promises — and the
 // emit oracle: every DATA frame a node but a polluter sends, from the first
 // on, carries exactly the XOR of the true natives its code vector names.
-// The tap only reads frames.
+// It counts the FEEDBACK frames too. The tap only reads frames.
 func (r *runner) inspect(from, to transport.Addr, frame []byte) {
+	if len(frame) > 0 && frame[0] == fbTag {
+		r.feedbackFrames++
+	}
 	if len(frame) == 0 || frame[0] != dataTag {
 		return
 	}

@@ -4,17 +4,21 @@ import (
 	"encoding/binary"
 	"time"
 
+	"ltnc/internal/integrity"
 	"ltnc/internal/packet"
 	"ltnc/internal/transport"
 )
 
-// fbTag is the session wire protocol's FEEDBACK frame type byte and
-// receiptKind the receipt report's discriminator inside it (see the
-// internal/session package doc for the frame vocabulary and DESIGN.md §16
-// for the receipt layout).
+// fbTag is the session wire protocol's FEEDBACK frame type byte,
+// reportKind the receiver report's discriminator inside it, then the
+// report's flags (the internal/session package doc has the layout).
 const (
-	fbTag       = 0x04
-	receiptKind = 0x06
+	fbTag      = 0x04
+	reportKind = 0x06
+
+	flagComplete    = 1 << 0
+	flagGenComplete = 1 << 1
+	flagNeed        = 1 << 2
 )
 
 // liar is a lying receiver on the fabric: a raw port — no session, no
@@ -33,11 +37,13 @@ const (
 // sent, far past that, backwards, wrapping) and a forged frontier
 // (forgedFrontier), which could redirect a sender's repair: everything
 // missing, everything present, a generation the object does not have, the
-// wrong length, natives past the generation's end. The pacer's ceiling
-// (adapt.TickCeiling rows a tick, checked frame by frame in every run)
-// is the defense: a departure count empties no more than a received count
-// does, and a frontier chooses which rows its claimant gets, never how
-// many. The fabric steps it: it pumps at virtual intervals and goes quiet
+// wrong length, natives past the generation's end — and forged flags
+// (forgedFlags). The pacer's ceiling (adapt.TickCeiling rows a tick,
+// checked frame by frame in every run) is the defense: a departure count
+// empties no more than a received count does, a frontier chooses which
+// rows its claimant gets, never how many, a forged complete only stops
+// the pushes to the liar, and a need buys at most one run a horizon. The
+// fabric steps it: it pumps at virtual intervals and goes quiet
 // once no DATA has arrived for liarIdle of virtual time, bounding the
 // traffic a run can see.
 type liar struct {
@@ -45,9 +51,9 @@ type liar struct {
 	port    *Port
 	ids     []packet.ObjectID
 	servers []transport.Addr
-	// geom, for a liar that forges departure counts and frontiers too, is
-	// every object's geometry; nil and its receipts are the counters alone,
-	// the departure count what it was sent.
+	// geom, for a liar that forges departure counts, frontiers and flags
+	// too, is every object's geometry; nil and its reports are the counters
+	// alone, the departure count what it was sent.
 	geom map[packet.ObjectID]objGeom
 	// rows counts the DATA rows each (server, object) pushed at the liar:
 	// what it was sent, as near as it can tell.
@@ -101,19 +107,37 @@ func startLiar(net *Net, name string, claims [][2]uint32, every time.Duration, i
 	return nil
 }
 
-// forgedReceipt hand-builds the FEEDBACK frame the session layer's receipt
-// path parses — counters gen, received, innovative and departed — then the
-// frontier of generation gen or nothing: the liar speaks the wire protocol
-// without a session.
-func forgedReceipt(id packet.ObjectID, counters [4]uint32, frontier []byte) []byte {
-	buf := make([]byte, 18, 18+4*len(counters)+len(frontier))
+// forgedReport hand-builds the FEEDBACK frame the session layer's report
+// path parses — flags and need, counters gen, received, innovative and
+// departed — then the frontier of generation gen or nothing: the liar
+// speaks the wire protocol without a session.
+func forgedReport(id packet.ObjectID, flags byte, need uint32, counters [4]uint32, frontier []byte) []byte {
+	buf := make([]byte, 19, 23+4*len(counters)+len(frontier))
 	buf[0] = fbTag
 	copy(buf[1:17], id[:])
-	buf[17] = receiptKind
+	buf[17], buf[18] = reportKind, flags
+	buf = binary.BigEndian.AppendUint32(buf, need)
 	for _, c := range counters {
 		buf = binary.BigEndian.AppendUint32(buf, c)
 	}
 	return append(buf, frontier...)
+}
+
+// forgedFlags is the n-th flag forgery for an object of geometry g, in a
+// cycle of four: none; complete, while the liar stays subscribed (it
+// re-subscribes on its next pump); the report's generation complete —
+// forgedFrontier's, the one past the last and 2³²−1 among them; a need,
+// its run the manifest's next each time.
+func forgedFlags(g objGeom, n int) (flags byte, need uint32) {
+	switch n % 4 {
+	case 1:
+		return flagComplete, 0
+	case 2:
+		return flagGenComplete, 0
+	case 3:
+		return flagNeed, uint32(n / 4 % ((g.gens*g.kPer + integrity.RunLen - 1) / integrity.RunLen))
+	}
+	return 0, 0
 }
 
 // forgedDeparted is the n-th departure-count forgery toward a server that
@@ -135,8 +159,8 @@ func forgedDeparted(sent uint32, n int) uint32 {
 // forgedFrontier is the n-th frontier forgery for an object of geometry g,
 // in a cycle of five: nothing decoded, in a generation that moves with n;
 // everything decoded, yet no completion reported; a generation past the
-// last; a byte too many; and natives past the generation's end (or, with no
-// padding to lie in, a byte too few).
+// last (every other time, 2³²−1); a byte too many; and natives past the
+// generation's end (or, with no padding to lie in, a byte too few).
 func forgedFrontier(g objGeom, n int) (gen uint32, frontier []byte) {
 	frontier = make([]byte, (g.kPer+7)/8)
 	gen = uint32(n / 5 % g.gens)
@@ -146,7 +170,7 @@ func forgedFrontier(g objGeom, n int) (gen uint32, frontier []byte) {
 			frontier[i>>3] |= 1 << (i & 7)
 		}
 	case 2:
-		gen = uint32(g.gens)
+		gen = []uint32{uint32(g.gens), 1<<32 - 1}[n/5%2]
 	case 3:
 		frontier = append(frontier, 0)
 	case 4:
@@ -178,9 +202,10 @@ func (l *liar) step() time.Time {
 	return l.pumpAt
 }
 
-// pump sends the next forged receipt of the cycle to every (server,
+// pump sends the next forged report of the cycle to every (server,
 // object) pair, plus periodic REQ re-subscriptions so a sender that paused
-// or evicted the liar is solicited again.
+// or evicted the liar is solicited again — at once after a forged
+// complete.
 func (l *liar) pump(now time.Time) {
 	if now.Sub(l.lastData) >= liarIdle {
 		return
@@ -197,11 +222,16 @@ func (l *liar) pump(now time.Time) {
 				l.port.Send(to, append([]byte{reqTag}, id[:]...))
 			}
 			gen, departed, frontier := uint32(0), l.rows[pushedAt{to, id}], []byte(nil)
+			flags, need := byte(0), uint32(0)
 			if g, forges := l.geom[id]; forges {
 				gen, frontier = forgedFrontier(g, l.pumps)
 				departed = forgedDeparted(departed, l.pumps)
+				flags, need = forgedFlags(g, l.pumps)
 			}
-			l.port.Send(to, forgedReceipt(id, [4]uint32{gen, claim[0], claim[1], departed}, frontier))
+			if flags&flagComplete != 0 {
+				l.lastSub = time.Time{} // still subscribed: the next pump says so
+			}
+			l.port.Send(to, forgedReport(id, flags, need, [4]uint32{gen, claim[0], claim[1], departed}, frontier))
 		}
 	}
 }

@@ -88,6 +88,7 @@ type runner struct {
 	originData      int64
 	dataFrames      int64
 	forgedData      int64
+	feedbackFrames  int64
 	// flows counts the DATA frames each (sender, receiver, object) has
 	// carried, polluters' aside — in all, maxFlow the most of any, and in
 	// the tick in progress: the pacer's tick index is the clock divided by
@@ -655,6 +656,7 @@ func (r *runner) report() *Report {
 	rep.OriginDataFrames = r.originData
 	rep.DataFrames = r.dataFrames
 	rep.ForgedDataFrames = r.forgedData
+	rep.FeedbackFrames = r.feedbackFrames
 	rep.MaxFlowDataFrames = r.maxFlow
 	rep.Net = r.net.Stats()
 	if sc.Trace {

@@ -8,9 +8,8 @@ import (
 )
 
 // dataTag is the session wire protocol's DATA frame type byte (see the
-// internal/session package doc); the header-bound invariant recognizes
-// DATA frames by it, and a link draws their fates from a stream of their
-// own.
+// internal/session package doc); the header-bound invariant and a link's
+// draws recognize DATA frames by it.
 const dataTag = 0x01
 
 // Wiring selects how a scenario's nodes are peered.
@@ -359,6 +358,8 @@ type Report struct {
 	DataFrames        int64 `json:"data_frames"`
 	ForgedDataFrames  int64 `json:"forged_data_frames,omitempty"`
 	MaxFlowDataFrames int64 `json:"max_flow_data_frames"`
+	// FeedbackFrames counts every FEEDBACK frame offered to the fabric.
+	FeedbackFrames int64 `json:"feedback_frames"`
 
 	Net Stats `json:"net"`
 	// TimelineHash digests the resolved event schedule (churn victims,

@@ -236,6 +236,26 @@ func TestScenarioHarshMultihop(t *testing.T) {
 	t.Logf("most DATA frames on one hop: %d (k = %d, k/(1 − p) = %.0f)", rep.MaxFlowDataFrames, k, float64(k)/(1-p))
 }
 
+// TestScenarioFeedbackFrames pins what receivers spend reporting: one
+// report carries the counters, completion and the need, at most once a
+// batch per (object, upstream, generation), so FEEDBACK frames stay within
+// a few hundred on the lines that answered DATA one frame at a time when
+// completion and the need had FEEDBACK kinds of their own (561 and 1,228
+// frames then).
+func TestScenarioFeedbackFrames(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct {
+		name string
+		most int64
+	}{{"asym-uplink", 400}, {"edge-cache", 600}} {
+		rep := runScenarioSeed(t, c.name, 1)
+		t.Logf("%s 1: %d FEEDBACK frames, %d DATA frames", c.name, rep.FeedbackFrames, rep.DataFrames)
+		if rep.FeedbackFrames == 0 || rep.FeedbackFrames > c.most {
+			t.Errorf("%s 1: %d FEEDBACK frames, want 1 to %d", c.name, rep.FeedbackFrames, c.most)
+		}
+	}
+}
+
 // TestScenarioEdgeCache is the cache-tier acceptance case: 8 fetchers
 // pull one hot object exclusively from 3 budgeted partial caches. Every
 // fetch completes byte-identically (runScenario checks that), no cache

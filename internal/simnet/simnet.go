@@ -4,9 +4,8 @@
 // transport.Transport, joined by directed links with configurable loss,
 // latency, jitter, bandwidth and MTU; partitions split the fabric and
 // heal, ports crash and join. Every random decision — loss coins, jitter
-// draws — comes from per-link RNG streams derived from one seed, DATA
-// frames drawing from one stream of their link and every other frame from
-// a second, so a change to the control plane moves no DATA verdict.
+// draws — comes from per-link RNG streams derived from one seed, one for
+// DATA frames and one for the rest, so control frames move no DATA verdict.
 //
 // Time is virtual and the whole fabric runs on one goroutine: the Net owns
 // a transport.VClock that every session on it shares, and Run is a stepper
@@ -163,10 +162,8 @@ type Stats struct {
 type linkKey struct{ from, to transport.Addr }
 
 type link struct {
-	cfg LinkConfig
-	// data and ctl are the link's draw streams (xrand.SplitMix64 state):
-	// DATA frames draw from data, every other frame from ctl.
-	data, ctl uint64
+	cfg       LinkConfig
+	data, ctl uint64    // draw streams (xrand.SplitMix64 state): DATA frames', the rest's
 	seq       uint64    // per-link frame counter (send order)
 	nextFree  time.Time // bandwidth serialization horizon
 }
@@ -407,10 +404,9 @@ func (n *Net) partitioned(from, to transport.Addr) bool {
 // link returns (creating on first use) the state of the directed link
 // from → to. The link's draw streams are seeded from the fabric seed and
 // the endpoint names only, so one link's draw sequence is independent of
-// traffic on every other link; its control stream is derived from its DATA
-// stream's seed, so control frames, however many cross the link, leave the
-// DATA frames' draws as they were. (A stream is eight bytes of SplitMix64
-// state: a thousand-node gossip swarm has a hundred thousand links.)
+// traffic on every other link, and the control stream's from the DATA
+// stream's seed. (A stream is eight bytes of SplitMix64 state: a
+// thousand-node gossip swarm has a hundred thousand links.)
 func (n *Net) link(from, to transport.Addr) *link {
 	key := linkKey{from, to}
 	if l, ok := n.links[key]; ok {
@@ -462,8 +458,7 @@ func (n *Net) send(from, to transport.Addr, frame []byte) error {
 	rec := TraceRec{From: from, To: to, Seq: l.seq, Size: len(frame), SentAt: now, At: now}
 	l.seq++
 	// Fixed draw order per link and frame class regardless of the frame's
-	// fate, so one frame's verdict never shifts the stream for the frames
-	// after it, and a control frame never shifts a DATA frame's.
+	// fate: no verdict shifts the stream for the frames after it.
 	rng := &l.ctl
 	if len(frame) > 0 && frame[0] == dataTag {
 		rng = &l.data
