@@ -25,7 +25,7 @@
 // only evicted for a strictly hotter incoming one.
 //
 // A Cache is safe for concurrent use; the session layer calls it from
-// both the decode plane (admission) and the control plane (REQ demand,
+// both the decode plane (admission) and the control plane (subscription demand,
 // serving, eviction).
 package cache
 
@@ -149,7 +149,7 @@ type entry struct {
 	m     int
 	arena *bitvec.Arena
 	g     []genStore
-	// lastDemand is the last time a REQ touched the object (entry
+	// lastDemand is the last time a subscription touched the object (entry
 	// creation counts as demand, so a freshly admitted object is not the
 	// universal first victim).
 	lastDemand time.Time
@@ -357,7 +357,7 @@ func (c *Cache) evictGenLocked(e *entry, g int) {
 	}
 }
 
-// Touch records fetch demand for an object (a REQ arrived), refreshing
+// Touch records fetch demand for an object (a subscription arrived), refreshing
 // its eviction recency. Unknown objects are ignored.
 func (c *Cache) Touch(id packet.ObjectID, now time.Time) {
 	c.mu.Lock()

@@ -78,7 +78,7 @@ func bigEndianU32(b []byte) uint32 {
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }
 
-// TestSystematicFirstPass: a source answers a REQ with every
+// TestSystematicFirstPass: a source answers a subscription with every
 // native exactly once, in order, as degree-1 rows before any coded
 // repair — and the stats expose the count.
 func TestSystematicFirstPass(t *testing.T) {
@@ -95,7 +95,7 @@ func TestSystematicFirstPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := probe.Send("source", encodeReq(id)); err != nil {
+	if err := probe.Send("source", subReport(id)); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -204,7 +204,7 @@ func TestLyingReceiverDoesNotStarveHonest(t *testing.T) {
 	}
 	// The liar subscribes and floods forged receipts: "I received
 	// nothing", forever — the under-claim that extorts redundancy.
-	if err := liar.Send("source", encodeReq(id)); err != nil {
+	if err := liar.Send("source", subReport(id)); err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})

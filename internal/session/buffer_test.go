@@ -221,7 +221,7 @@ func TestForgedManifestRefillsMovedGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fetch.End()
-	fRec.take() // the first REQs: the source is asked after the forgery
+	fRec.take() // the first subscriptions: the source is asked after the forgery
 
 	injectFrame(f, "mallory", descFrame(d)) // a true description: anyone may copy one
 	st := f.objects[id]
@@ -253,7 +253,7 @@ func TestForgedManifestRefillsMovedGenerations(t *testing.T) {
 
 	// The source's opening round: its manifest first, then its
 	// rows, every one of which is admitted.
-	injectFrame(src, "fetcher", encodeReq(id))
+	injectFrame(src, "fetcher", subReport(id))
 	pushTicks(src, srcClk, 1)
 	var rows [][]byte
 	for _, fr := range src.tr.(*recTransport).take()["fetcher"] {

@@ -35,7 +35,7 @@ func TestCacheServesFetcher(t *testing.T) {
 	src.AddPeer("cache")
 
 	// The cache reaches full rank for every generation purely from the
-	// push stream (no REQ, no decode).
+	// push stream (no subscription, no decode).
 	deadline := time.Now().Add(20 * time.Second)
 	for {
 		cs, ok := cacheSess.CacheStats()
@@ -203,8 +203,11 @@ func TestCachePromoteOnFetch(t *testing.T) {
 }
 
 // TestPeerTableBounded: the per-object peer table stops growing at
-// maxPeersPerObject — a REQ flood from distinct (spoofable) addresses
-// must not allocate unbounded feedback/steering state.
+// maxPeersPerObject — a flood of subscription reports from distinct
+// (spoofable) addresses must not allocate unbounded push/steering state —
+// and what may subscribe no one does not: a stranger's complete report, a
+// banned peer's report, and a report for an object a plain session does
+// not hold.
 func TestPeerTableBounded(t *testing.T) {
 	sw, err := transport.NewSwitch(transport.SwitchConfig{})
 	if err != nil {
@@ -217,14 +220,18 @@ func TestPeerTableBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < maxPeersPerObject+50; i++ {
-		addr := transport.Addr(fmt.Sprintf("p%d", i))
-		src.handleReq(addr, id[:])
+	report := func(addr transport.Addr, frame []byte) *peerState {
+		src.handleFeedback(addr, frame[1:])
 		src.mu.Lock()
-		ps := src.objects[id].peers[addr]
-		src.mu.Unlock()
-		if ps == nil || !ps.reqSub {
-			t.Fatalf("REQ %d subscribed no one", i)
+		defer src.mu.Unlock()
+		if st := src.objects[id]; st != nil {
+			return st.peers[addr]
+		}
+		return nil
+	}
+	for i := 0; i < maxPeersPerObject+50; i++ {
+		if ps := report(transport.Addr(fmt.Sprintf("p%d", i)), subReport(id)); ps == nil || !ps.subscribed {
+			t.Fatalf("subscription %d subscribed no one", i)
 		}
 	}
 	src.mu.Lock()
@@ -234,17 +241,31 @@ func TestPeerTableBounded(t *testing.T) {
 		t.Fatalf("peer table grew to %d entries, bound is %d", n, maxPeersPerObject)
 	}
 	if n < maxPeersPerObject {
-		t.Fatalf("peer table holds %d entries; eviction dropped more than one per REQ", n)
+		t.Fatalf("peer table holds %d entries; eviction dropped more than one per subscription", n)
+	}
+	src.mu.Lock()
+	src.banned["mallory"] = struct{}{}
+	src.mu.Unlock()
+	if ps := report("stranger", completeReport(id)); ps != nil {
+		t.Errorf("a stranger's complete report made a peer entry: %+v", ps)
+	}
+	if ps := report("mallory", subReport(id)); ps != nil {
+		t.Errorf("a banned peer's report subscribed it: %+v", ps)
+	}
+	other := packet.NewObjectID([]byte("nobody here holds it"))
+	src.handleFeedback("stranger", subReport(other)[1:])
+	if _, held := src.Object(other); held {
+		t.Error("a plain session took state for an unknown object from a report")
 	}
 }
 
-// TestCacheReqDrawsOnlyMeta: a REQ to a cache-mode session for an object
-// it holds, described, is answered by nothing, and so is the next push
-// round: the cache holds no run of the manifest, the object's description
-// alone proves nothing (there is no META to send any more), and its rows
-// wait for a run. Once the run is adopted, the round after sends it ahead
-// of every row. The cached object reports its generation count like any
-// shaped object.
+// TestCacheReqDrawsOnlyMeta: a subscription to a cache-mode session for an
+// object it holds, described, is answered by nothing, and so is the next
+// push round: the cache holds no run of the manifest, the object's
+// description alone proves nothing (there is no META to send any more), and
+// its rows wait for a run. Once the run is adopted, the round after sends it
+// ahead of every row. The cached object reports its generation count like
+// any shaped object.
 func TestCacheReqDrawsOnlyMeta(t *testing.T) {
 	const gens, kPer, m = 2, 8, 16
 	content := testContent(gens*kPer*m, 41)
@@ -261,13 +282,13 @@ func TestCacheReqDrawsOnlyMeta(t *testing.T) {
 		t.Fatalf("set-up: %+v, want a sized cached object of %d generations of %d", o, gens, kPer)
 	}
 	rec.take()
-	injectFrame(s, "fetcher", encodeReq(id))
+	injectFrame(s, "fetcher", subReport(id))
 	if got := rec.take()["fetcher"]; len(got) != 0 {
-		t.Fatalf("the REQ drew %d frames (%q), want none", len(got), kinds(got))
+		t.Fatalf("the subscription drew %d frames (%q), want none", len(got), kinds(got))
 	}
 	s.push()
 	if got := rec.take()["fetcher"]; len(got) != 0 {
-		t.Fatalf("the round after the REQ sent %d frames (%q), want none: no run is held", len(got), kinds(got))
+		t.Fatalf("the round after the subscription sent %d frames (%q), want none: no run is held", len(got), kinds(got))
 	}
 	injectBurst(s, "origin", manifestRuns(t, d, content))
 	rec.take()

@@ -135,7 +135,7 @@ func TestVirtualClockEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.End()
-	// With the clock frozen the fetch must not complete: the REQ is still
+	// With the clock frozen the fetch must not complete: the subscription is still
 	// on its way to the relay.
 	n.settle()
 	if _, _, _, done := f.Result(); done {

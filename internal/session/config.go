@@ -10,18 +10,16 @@ import (
 	"ltnc/internal/transport"
 )
 
-// maxPeersPerObject bounds one object's peer table (REQ subscribers plus
-// feedback/steering state): at capacity a fresh REQ evicts a completed
-// or stalest subscriber, or is dropped. Without the bound the map grows
-// with every address that ever REQed or fed back, for the object's whole
-// lifetime.
+// maxPeersPerObject bounds one object's peer table: at capacity a
+// subscription evicts a completed or stalest subscriber, or is dropped.
+// Without the bound the map grows with every address that ever sent a
+// report, for the object's whole lifetime.
 const maxPeersPerObject = 256
 
-// reqResend is a fetch's steady REQ cadence; reqRetry is how many Ticks
-// after its first REQ a fetch that has heard nothing of the object tries
-// again, doubling from there up to reqResend. A lost REQ then costs a few
-// ticks, not the 250 ms that outlast a whole paced transfer, and a fetch
-// nobody answers sends five REQs more than it used to.
+// reqResend is a fetch's steady subscription cadence; reqRetry is how many
+// Ticks after its first a fetch that has heard nothing of the object tries
+// again, doubling from there up to reqResend. A lost subscription then
+// costs a few ticks, not the 250 ms that outlast a whole paced transfer.
 const (
 	reqResend = 250 * time.Millisecond
 	reqRetry  = 4
@@ -120,7 +118,7 @@ type Config struct {
 	// Bootstrap enables the epidemic membership plane (member.go): the
 	// session joins the swarm by shuffling partial views with these
 	// addresses, discovers further peers via MEMBER gossip, and steers
-	// pushes and fetch REQs toward its sampled neighbors instead of a
+	// pushes and fetches toward its sampled neighbors instead of a
 	// static peer list. Empty (the default) disables the plane entirely;
 	// AddPeer-configured peers then remain the only standing targets.
 	Bootstrap []transport.Addr

@@ -9,14 +9,14 @@ import (
 	"ltnc/internal/transport"
 )
 
-// The control plane: REQ and FEEDBACK handlers (MANIFEST lives in
-// integrity.go, MEMBER in member.go), run inline on the receive loop, and
-// the frame encoders. Peer bookkeeping is guarded by s.mu.
+// The control plane: the FEEDBACK handler (MANIFEST lives in integrity.go,
+// MEMBER in member.go), run inline on the receive loop, and the report's
+// encoder. Peer bookkeeping is guarded by s.mu.
 
-// handleFrame dispatches one control frame (REQ, FEEDBACK, MANIFEST,
-// MEMBER) inline on the receive loop and sends its replies after the
-// session lock is released — a reply is a syscall on UDP and must not
-// stall the session. Any other kind, the retired 0x03 among them, is
+// handleFrame dispatches one control frame (FEEDBACK, MANIFEST, MEMBER)
+// inline on the receive loop and sends its replies after the session lock
+// is released — a reply is a syscall on UDP and must not stall the
+// session. Any other kind, the retired 0x02 and 0x03 among them, is
 // dropped.
 func (s *Session) handleFrame(f transport.Frame) {
 	if len(f.Data) == 0 {
@@ -28,8 +28,6 @@ func (s *Session) handleFrame(f transport.Frame) {
 	s.memberAlive(f.From)
 	var reply []byte
 	switch f.Data[0] {
-	case frameReq:
-		s.handleReq(f.From, f.Data[1:])
 	case frameFeedback:
 		s.handleFeedback(f.From, f.Data[1:])
 	case frameManifest:
@@ -42,62 +40,43 @@ func (s *Session) handleFrame(f transport.Frame) {
 	}
 }
 
-// handleReq registers a subscriber, re-arms its proof pass if the pass
-// has ended and wakes the push loop: the pass (takeProof) sends the
-// manifest from the next round on, two runs a round, ahead of the rows
-// they prove, so a fetcher can verify generations as they complete. A REQ
-// is answered by nothing else.
-func (s *Session) handleReq(from transport.Addr, data []byte) {
-	if len(data) != reqLen-1 {
-		return
-	}
-	var id packet.ObjectID
-	copy(id[:], data)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// A relay remembers who asked (the object becomes announced): it may be
-	// a tick away from its first DATA frame here, and the requester's next
-	// REQ is a quarter of a second off — longer than a paced transfer.
-	// Bounded like every learned object (MaxObjects, idle eviction), sized
-	// by the first header that arrives.
+// subscribeLocked subscribes from to object id, admitted as geometry-less
+// input (a relay remembers the object, a plain or cache session drops an
+// unknown one) within maxPeersPerObject. It may be a new client behind the
+// address: its progress is forgotten — a stale generation-done mark would
+// starve it — and an ended proof pass re-armed, or rows would go ahead of
+// their proof. s.mu must be held.
+func (s *Session) subscribeLocked(id packet.ObjectID, from transport.Addr) {
 	st := s.admitLocked(id, from, geometry{}, false)
 	if st == nil {
-		return // banned peer, or unknown object: the requester will retry elsewhere
+		return // banned peer, or unknown object: the subscriber will retry elsewhere
 	}
 	now := s.clk.Now()
 	st.touch(now)
 	if s.cache != nil {
-		s.cache.Touch(id, now) // REQ demand drives the eviction score
+		s.cache.Touch(id, now) // demand drives the eviction score
 	}
 	if _, known := st.peers[from]; !known && len(st.peers) >= maxPeersPerObject && !st.dropOnePeerLocked() {
-		return // peer table full of live subscribers: drop the REQ
+		return // peer table full of live subscribers: drop the report
 	}
 	ps := st.peer(from)
-	ps.lastReq = s.clk.Now()
-	ps.reqSub = true
-	ps.done = false
-	// A fresh REQ may be a different client behind the same address (or a
-	// restarted one): forget which generations it had completed and what
-	// it held of the others.
+	ps.heard, ps.subscribed, ps.done, ps.pass = now, true, false, max(ps.pass, 0)
 	ps.forgetProgressLocked()
-	// A pass under way goes on; what of it the requester lost, its needs
-	// bring back.
-	ps.pass = max(ps.pass, 0)
 	s.wake() // a new target: un-park the push timer, open its window now
 }
 
 // dropOnePeerLocked evicts one entry from a full peer table: a peer that
 // reported completion if any (its state is pure history — even a
 // configured push peer, which simply re-enters the table on its next
-// interaction), else the REQ-subscriber with the stalest REQ. It reports
+// interaction), else the subscriber heard from least recently. It reports
 // whether an entry was freed; a configured push peer that has NOT
 // reported completion is never the victim — it is neither done nor a
-// REQ subscriber. Session.mu must be held.
+// subscriber. Session.mu must be held.
 func (st *objectState) dropOnePeerLocked() bool {
 	var victim transport.Addr
 	var vps *peerState
 	for addr, ps := range st.peers {
-		if (ps.done || ps.reqSub) && (vps == nil || evictBefore(ps, vps, addr < victim)) {
+		if (ps.done || ps.subscribed) && (vps == nil || evictBefore(ps, vps, addr < victim)) {
 			victim, vps = addr, ps
 		}
 	}
@@ -107,14 +86,15 @@ func (st *objectState) dropOnePeerLocked() bool {
 	return vps != nil
 }
 
-// evictBefore orders two eviction candidates: done first, then the staler
-// REQ, then the address (lower says whether a's is the lower) — a total
-// order, so the victim is not whichever the map yields first.
+// evictBefore orders two eviction candidates: done first, then the one
+// heard from less recently, then the address (lower says whether a's is
+// the lower) — a total order, so the victim is not whichever the map
+// yields first.
 func evictBefore(a, b *peerState, lower bool) bool {
 	if a.done != b.done {
 		return a.done
 	}
-	if c := a.lastReq.Compare(b.lastReq); c != 0 && !a.done {
+	if c := a.heard.Compare(b.heard); c != 0 && !a.done {
 		return c < 0
 	}
 	return lower
@@ -122,11 +102,19 @@ func evictBefore(a, b *peerState, lower bool) bool {
 
 // handleFeedback takes a report (FEEDBACK kind 6) with one encoding — no
 // unknown flag, a need only under its flag — and drops any other frame,
-// the retired kinds among them. A complete report latches done and
-// forgets the peer's progress, and folds nothing else. Otherwise the
-// counters and the frontier fold into the peer's link (onReceiptLocked),
-// generation complete marks gen done at the peer, and a need re-arms the
-// run it names (onNeedLocked).
+// the retired kinds among them. The report is the subscription: one not
+// flagged complete from a peer not in the object's table, or from one that
+// said complete, subscribes it (subscribeLocked). Addresses are spoofable,
+// so that is bounded by the object table (MaxObjects), by
+// maxPeersPerObject entries a table (dropOnePeerLocked) and by the ban
+// list; a stranger's complete report makes nothing, and no stranger's
+// report folds: no row has gone to it for its counters to be read
+// against. Any report refreshes a subscriber's idle clock. A complete
+// report latches done and forgets the
+// peer's progress, and folds nothing else. Otherwise the counters and the
+// frontier fold into the peer's link (onReceiptLocked), generation
+// complete marks gen done at the peer, and a need re-arms the run it
+// names (onNeedLocked).
 func (s *Session) handleFeedback(from transport.Addr, data []byte) {
 	if len(data) < reportLen-1 || data[16] != fbReport {
 		return
@@ -142,17 +130,20 @@ func (s *Session) handleFeedback(from transport.Addr, data []byte) {
 	if _, b := s.banned[from]; b {
 		return // a polluter's feedback steers nothing
 	}
-	st, ok := s.objects[id]
-	if !ok {
+	st, ps := s.objects[id], (*peerState)(nil)
+	if st != nil {
+		ps = st.peers[from]
+	}
+	if flags&repComplete == 0 && (ps == nil || ps.done) {
+		s.subscribeLocked(id, from)
+	}
+	if ps == nil {
 		return
 	}
-	// Look up without creating: feedback names a peer we pushed to, so
-	// its state already exists. Creating here would let arbitrary
-	// (spoofable) source addresses grow the peer map of a long-lived
-	// pinned object without bound.
-	ps, ok := st.peers[from]
+	if ps.subscribed {
+		ps.heard = s.clk.Now()
+	}
 	switch body := data[reportLen-1-16:]; {
-	case !ok: // not a peer pushed to
 	case flags&repComplete != 0:
 		ps.done = true
 		ps.forgetProgressLocked()
@@ -215,10 +206,10 @@ func (ps *peerState) onGenCompleteLocked(gens int, gen uint32) {
 // and wakes the push goroutine to fold it: the rows it acknowledges, or
 // proves lost, have left the window. A tail that is not the object's
 // frontier length voids the frame: it reports whether the report stands.
-// A frontier is kept only by a session that draws rows for the object from
-// a coder (a cache deals what it holds, whatever the peer lacks), and only
-// if it names an open generation and no native past its end; dropped, the
-// counters it rode in with are folded as a short report's are.
+// A frontier naming a generation and no native past its end clears the
+// generation's done mark (a quarantine's re-arm), and is kept where rows
+// are drawn from a coder (a cache deals what it holds, whatever the peer
+// lacks); dropped, its counters fold as a short report's.
 // Session.mu must be held.
 func (s *Session) onReceiptLocked(st *objectState, ps *peerState, from transport.Addr, body []byte) bool {
 	if tail := body[16:]; len(tail) > 0 {
@@ -230,13 +221,17 @@ func (s *Session) onReceiptLocked(st *objectState, ps *peerState, from transport
 		}
 		// Unsigned compare: int(gen) can wrap negative on 32-bit builds.
 		gens, gen := int(st.gens.Load()), binary.BigEndian.Uint32(body[0:4])
-		open := coded && gen < uint32(gens) && !genDone(ps.gensDone, int(gen))
-		if pad := len(tail)*8 - kPer; open && tail[len(tail)-1]>>(8-pad) == 0 {
-			if ps.frontier == nil {
-				ps.frontier = make([][]byte, gens)
-				ps.repairAt, ps.repairStep = s.repairOrder(from)
+		if pad := len(tail)*8 - kPer; gen < uint32(gens) && tail[len(tail)-1]>>(8-pad) == 0 {
+			if genDone(ps.gensDone, int(gen)) {
+				ps.gensDone[gen], ps.gensDoneN = false, ps.gensDoneN-1
 			}
-			ps.frontier[gen] = bytes.Clone(tail)
+			if coded {
+				if ps.frontier == nil {
+					ps.frontier = make([][]byte, gens)
+					ps.repairAt, ps.repairStep = s.repairOrder(from)
+				}
+				ps.frontier[gen] = bytes.Clone(tail)
+			}
 		}
 	}
 	s.wake()
@@ -280,12 +275,5 @@ func encodeReport(id packet.ObjectID, flags byte, need, gen, received, innovativ
 	for _, i := range decoded {
 		buf[reportLen+int(i>>3)] |= 1 << (i & 7)
 	}
-	return buf
-}
-
-func encodeReq(id packet.ObjectID) []byte {
-	buf := make([]byte, reqLen)
-	buf[0] = frameReq
-	copy(buf[1:], id[:])
 	return buf
 }

@@ -308,7 +308,7 @@ func TestReceiptFormsParseAsThemselves(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			injectFrame(s, "peer", encodeReq(id))
+			injectFrame(s, "peer", subReport(id))
 			ps := s.objects[id].peers["peer"]
 			ps.link.OnSend(16, s.clk.Now())
 			fl, dec := 0, []int32(nil)

@@ -11,8 +11,8 @@ import (
 	"ltnc/internal/transport"
 )
 
-// The fetch plane: a fetch in progress (BeginFetch), its REQ resends —
-// deadlines the push timer's housekeeping serves — and their steering.
+// The fetch plane: a fetch in progress (BeginFetch), its resent
+// subscriptions — deadlines the push timer serves — and their steering.
 
 // Fetching is one fetch in progress, as BeginFetch registered it. Its
 // waiter pins the object's state against idle eviction until End.
@@ -22,11 +22,11 @@ type Fetching struct {
 	from    []transport.Addr
 	dynamic bool // no explicit sources: candidates re-drawn from the membership view
 	failed  chan struct{}
-	// What follows belongs to whoever sends the REQs: BeginFetch until the
-	// fetch is registered, reqSweep from then on.
+	// What follows belongs to whoever sends the subscriptions: BeginFetch
+	// until the fetch is registered, reqSweep from then on.
 	attempt  int
 	interval time.Duration
-	at       time.Time // the next REQ resend
+	at       time.Time // the next subscription resend
 	err      error     // set before failed is closed
 }
 
@@ -51,17 +51,17 @@ func (s *Session) Fetch(ctx context.Context, id packet.ObjectID, from ...transpo
 	return data, stats, err
 }
 
-// BeginFetch subscribes to object id and returns at once. The REQ goes to
-// every address in from — or, when none is given, to every configured
-// peer (AddPeer) plus, with the membership plane on, the evolving neighbor
-// selection (each resend round re-draws candidates from the view, so a
-// fetch started with an empty view succeeds once discovery catches up);
-// with no candidates and no membership it fails with ErrNoPeers. REQs are
-// resent (datagrams are lossy) until the transfer finishes or the fetch
-// Ends: every reqResend once anything of the object has arrived, and
-// before that — when the REQ itself may be what was lost, and waiting
-// reqResend for it would cost more than the whole transfer — after a few
-// Ticks, doubling.
+// BeginFetch subscribes to object id and returns at once. The
+// subscription goes to every address in from — or, when none is given, to
+// every configured peer (AddPeer) plus, with the membership plane on, the
+// evolving neighbor selection (each resend round re-draws candidates from
+// the view, so a fetch started with an empty view succeeds once discovery
+// catches up); with no candidates and no membership it fails with
+// ErrNoPeers. It is resent (datagrams are lossy) until the transfer
+// finishes or the fetch Ends: every reqResend once anything of the object
+// has arrived, and before that — when it may be what was lost, and waiting
+// reqResend would cost more than the whole transfer — after a few Ticks,
+// doubling.
 func (s *Session) BeginFetch(id packet.ObjectID, from ...transport.Addr) (*Fetching, error) {
 	if id.IsZero() {
 		return nil, errors.New("session: fetch of zero object id")
@@ -98,7 +98,7 @@ func (s *Session) BeginFetch(id packet.ObjectID, from ...transport.Addr) (*Fetch
 	}
 	f.interval = min(reqRetry*s.cfg.Tick, reqResend)
 	f.at = s.clk.Now().Add(f.interval)
-	f.sendReqs()
+	f.subscribe()
 	s.mu.Lock()
 	s.fetches = append(s.fetches, f)
 	s.mu.Unlock()
@@ -106,8 +106,8 @@ func (s *Session) BeginFetch(id packet.ObjectID, from ...transport.Addr) (*Fetch
 	return f, nil
 }
 
-// End unregisters the fetch: no more REQs, and the object's state may age
-// out again. Call it once, whether or not the fetch resolved.
+// End unregisters the fetch: no more resends, and the object's state may
+// age out again. Call it once, whether or not the fetch resolved.
 func (f *Fetching) End() {
 	s := f.s
 	s.mu.Lock()
@@ -148,14 +148,14 @@ func (f *Fetching) Result() (data []byte, stats ObjectStats, err error, ok bool)
 	return data, f.s.stats(f.st), err, true
 }
 
-// sendReqs sends one REQ per candidate peer not banned; the fetch fails
-// only if no peer could be reached at all (a dead resolve on one address
-// must not mask a live source on another) — or if pollution defense has
-// banned every candidate, which fails fast with ErrPolluted.
+// subscribe sends each candidate peer not banned its subscription; the
+// fetch fails only if no peer could be reached at all (a dead resolve on
+// one address must not mask a live source on another) — or if pollution
+// defense has banned every candidate, which fails fast with ErrPolluted.
 // ErrUnknownPeer is tolerated, on the first send as on resends: a peer
 // that has not attached (or resolved) yet may appear before the next
 // retry, and failing would turn that startup race into a hard failure.
-func (f *Fetching) sendReqs() {
+func (f *Fetching) subscribe() {
 	s, st := f.s, f.st
 	all := f.from
 	if f.dynamic {
@@ -173,10 +173,9 @@ func (f *Fetching) sendReqs() {
 		}
 		err = fmt.Errorf("session: fetch %v: %w", st.id, ErrPolluted)
 	}
-	req := encodeReq(st.id)
 	sent := 0
 	for _, addr := range targets {
-		if e := s.tr.Send(addr, req); e == nil {
+		if e := s.tr.Send(addr, s.subscription(st, addr)); e == nil {
 			sent++
 		} else if err == nil {
 			err = e
@@ -188,9 +187,9 @@ func (f *Fetching) sendReqs() {
 	}
 }
 
-// reqSweep sends the REQ resends that are due and returns when the next
-// one is — the zero time with no fetch waiting on one. It runs every timer
-// round of the push plane, and before the timer parks.
+// reqSweep sends the subscription resends that are due and returns when
+// the next one is — the zero time with no fetch waiting on one. It runs
+// every timer round of the push plane, and before the timer parks.
 func (s *Session) reqSweep() (next time.Time) {
 	s.mu.Lock()
 	fetches := slices.Clone(s.fetches)
@@ -210,10 +209,10 @@ func (s *Session) reqSweep() (next time.Time) {
 	return next
 }
 
-// resend is one REQ deadline coming due.
+// resend is one subscription deadline coming due.
 func (f *Fetching) resend(now time.Time) {
 	if f.interval < reqResend {
-		// Still on the short retry. A REQ that was answered needs no
+		// Still on the short retry. A subscription that was answered needs no
 		// repeat; one that was not gets it now, and the next later.
 		f.st.mu.Lock()
 		answered := f.st.size.Load() >= 0 || f.st.received+f.st.aborted > 0
@@ -226,7 +225,7 @@ func (f *Fetching) resend(now time.Time) {
 		}
 	}
 	f.at = now.Add(f.interval)
-	f.sendReqs()
+	f.subscribe()
 }
 
 // fetchCandidates assembles one resend round's candidate set for a
@@ -234,9 +233,10 @@ func (f *Fetching) resend(now time.Time) {
 // configured peers plus the current neighbor selection, with the
 // bootstrap set folded in periodically (and whenever nothing else is
 // known) so the origin stays reachable however the view drifts. Every
-// candidate is solicited before it is REQed — a chosen upstream always gets
-// a sender tag and is not pushed back to mid-fetch (objectState.solicited),
-// peers discovered mid-fetch exactly like those known at the start.
+// candidate is solicited before it is subscribed to — a chosen upstream
+// always gets a sender tag and is not pushed back to mid-fetch
+// (objectState.solicited), peers discovered mid-fetch exactly like those
+// known at the start.
 func (s *Session) fetchCandidates(st *objectState, static []transport.Addr, attempt int) []transport.Addr {
 	m := s.member
 	out := append([]transport.Addr(nil), static...)
@@ -258,9 +258,9 @@ func (s *Session) fetchCandidates(st *objectState, static []transport.Addr, atte
 	return out
 }
 
-// notBanned picks the REQ targets for one resend round: the candidates not
-// banned. An empty result therefore means every candidate has been
-// convicted of pollution (ErrPolluted at the caller).
+// notBanned picks the subscription targets for one resend round: the
+// candidates not banned. An empty result therefore means every candidate
+// has been convicted of pollution (ErrPolluted at the caller).
 func (s *Session) notBanned(all []transport.Addr) []transport.Addr {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -274,4 +274,16 @@ func (s *Session) notBanned(all []transport.Addr) []transport.Addr {
 		}
 	}
 	return live
+}
+
+// subscription is the report a fetch subscribes, and resends, with at
+// to: the one it owes to about its lowest open generation.
+func (s *Session) subscription(st *objectState, to transport.Addr) []byte {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	g := 0
+	for st.coder != nil && g < st.coder.Generations()-1 && st.coder.GenComplete(g) {
+		g++
+	}
+	return st.reportLocked(to, uint32(g), s.owedLocked(st, g))
 }

@@ -84,8 +84,8 @@ func TestFrontierRepairNearErasureBound(t *testing.T) {
 			// A hop codes only before a receipt has named the generation, or
 			// from rows it cannot decode yet (drawRowsLocked): a few rows. A
 			// lost manifest run is asked for by a need, which leaves
-			// the frontier standing upstream; a REQ would drop it, and the
-			// rows behind it would go blind — 17 to 27 of them.
+			// the frontier standing upstream; were it dropped, the rows
+			// behind it would go blind — 17 to 27 of them.
 			if coded := o.Sent - o.Systematic - o.Repeated; coded > 16 {
 				t.Errorf("seed %d: %s sent %d coded rows with a frontier in hand (%d first-pass, %d repeats)", seed, hop, coded, o.Systematic, o.Repeated)
 			}
@@ -125,7 +125,7 @@ func twoSources(t *testing.T, k, m int, seed int64) *stepNet {
 	return n
 }
 
-func (n *stepNet) join(src transport.Addr) { n.recs[src].deliver("dst", encodeReq(n.id)) }
+func (n *stepNet) join(src transport.Addr) { n.recs[src].deliver("dst", subReport(n.id)) }
 
 // TestTaperReadsTheFrontier: a fetcher fed by two sources takes part of its
 // natives from each, so one link's innovative count never comes near k and
@@ -268,11 +268,11 @@ func TestFrontierForgedStaysOnItsLink(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		injectFrame(s, "honest", encodeReq(id))
+		injectFrame(s, "honest", subReport(id))
 		if forge != nil {
 			// The liar has been through the systematic pass: what it gets from
 			// here on is repair, and its frontier says which.
-			injectFrame(s, "z-liar", encodeReq(id))
+			injectFrame(s, "z-liar", subReport(id))
 			s.objects[id].peers["z-liar"].sysCursor = k
 		}
 		got := uint32(0)
@@ -352,7 +352,7 @@ func TestCodedRowsWaitForThePassToSettle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	injectFrame(s, "peer", encodeReq(id))
+	injectFrame(s, "peer", subReport(id))
 	// round pushes once and returns the DATA rows it sent, and how many of
 	// them were not degree 1.
 	round := func() (rows, coded int) {

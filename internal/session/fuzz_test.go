@@ -16,7 +16,7 @@ import (
 
 // fuzzSession builds a relay session nobody runs: the fuzz targets step it
 // frame by frame (stepFrame), so the fuzzer exercises the full
-// frame-parsing surface (v2 DATA dispatch, REQ, FEEDBACK, MANIFEST) and the
+// frame-parsing surface (v2 DATA dispatch, FEEDBACK, MANIFEST) and the
 // push round behind it without timing.
 func fuzzSession(tb testing.TB, mut func(*Config)) *Session {
 	tb.Helper()
@@ -87,6 +87,50 @@ func retiredFeedback(id packet.ObjectID, kind byte, body ...uint32) []byte {
 	return buf
 }
 
+// retiredReq is the 17-byte REQ, frame kind 0x02, as its senders built
+// it: the object alone. The report took its jobs; a session drops it.
+func retiredReq(id packet.ObjectID) []byte { return append([]byte{0x02}, id[:]...) }
+
+// tableSize counts the objects s holds and the peer entries among them.
+func tableSize(s *Session) (objects, peers int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, st := range s.objects {
+		peers += len(st.peers)
+	}
+	return len(s.objects), peers
+}
+
+// createsNothing reports whether frame may make no object or peer entry,
+// whoever sends it: the retired REQ, or a complete report from a peer
+// not in the object's table.
+func createsNothing(s *Session, from transport.Addr, frame []byte) bool {
+	if len(frame) > 0 && frame[0] == 0x02 {
+		return true
+	}
+	if !isReport(frame) || frame[18]&repComplete == 0 {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var id packet.ObjectID
+	copy(id[:], frame[1:17])
+	st := s.objects[id]
+	return st == nil || st.peers[from] == nil
+}
+
+// stepCreatingNothing is stepFrame, failing tb when a frame that may
+// create no object or peer entry (createsNothing) does.
+func stepCreatingNothing(tb testing.TB, s *Session, from transport.Addr, frame []byte) {
+	tb.Helper()
+	quiet := createsNothing(s, from, frame)
+	objs, peers := tableSize(s)
+	stepFrame(s, from, frame)
+	if o, p := tableSize(s); quiet && (o != objs || p != peers) {
+		tb.Fatalf("frame %x made state: %d objects and %d peer entries, were %d and %d", frame[:min(len(frame), 20)], o, p, objs, peers)
+	}
+}
+
 // retiredReceipt builds a kind-5 receipt as its senders did: counters gen,
 // received and innovative, then frontierBytes zero bytes of frontier.
 func retiredReceipt(id packet.ObjectID, gen, received, innovative uint32, frontierBytes int) []byte {
@@ -137,7 +181,6 @@ func FuzzSessionFrames(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(append([]byte{frameData}, wire...))
-	f.Add(encodeReq(id))
 	gp := packet.Native(16, 3, make([]byte, 8))
 	gp.Object = id
 	gp.Generation = 1
@@ -162,6 +205,15 @@ func FuzzSessionFrames(f *testing.F) {
 	meta := retiredMeta(packet.ManifestChunk{Object: id, K: 16, M: 8, Size: 128, Gens: 1, Root: root})
 	f.Add(meta)
 	f.Add(meta[:37])
+	// The retired REQ, 0x02, whole and as its kind byte alone: dropped. A
+	// stranger's subscription makes it a subscriber where the object is
+	// held; its complete report makes nothing; a non-complete report with
+	// counters is what a peer that said complete sends to re-open.
+	f.Add(retiredReq(id))
+	f.Add(retiredReq(id)[:1])
+	f.Add(subReport(id))
+	f.Add(completeReport(id))
+	f.Add(receiptFrame(id, 0, 16, 16))
 	fb := completeReport(id)
 	f.Add(fb)
 	f.Add(fb[:9]) // truncated FEEDBACK
@@ -225,7 +277,7 @@ func FuzzSessionFrames(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := fuzzSession(t, nil)
-		stepFrame(s, "peer", data)
+		stepCreatingNothing(t, s, "peer", data)
 		// Whatever arrived, the relay bounds must hold.
 		objs := s.Objects()
 		if len(data) > 0 && data[0] == 0x03 && len(objs) != 0 {
@@ -264,18 +316,18 @@ func FuzzSessionFrameSequence(f *testing.F) {
 		}
 		return seq
 	}
-	f.Add(sequence(append([]byte{frameData}, wire...), encodeReq(id), completeReport(id)))
+	f.Add(sequence(append([]byte{frameData}, wire...), subReport(id), completeReport(id)))
 	// A subscriber of a held object (k/G = 8) and its receipts: a frontier,
 	// one of the wrong length, one past the object's generations, one with a
 	// native past the generation's end.
-	f.Add(sequence(append([]byte{frameData}, wire...), encodeReq(id),
+	f.Add(sequence(append([]byte{frameData}, wire...), subReport(id),
 		encodeReport(id, 0, 0, 0, 1, 1, 0, 8, []int32{1}), encodeReport(id, 0, 0, 0, 2, 2, 0, 16, nil),
 		encodeReport(id, 0, 0, 7, 3, 3, 0, 8, nil), encodeReport(id, 0, 0, 0, 4, 4, 0, 6, []int32{7})))
 	// Stamped rows, then receipts: honest, past what was sent, backwards,
 	// and with a frontier; then the retired kinds 1 and 5.
 	stamped := append([]byte{frameData}, wire...)
 	packet.Restamp(stamped[1:], packet.SeqStamp(1))
-	f.Add(sequence(stamped, encodeReq(id), stamped,
+	f.Add(sequence(stamped, subReport(id), stamped,
 		encodeReport(id, 0, 0, 0, 1, 1, 1, 0, nil), encodeReport(id, 0, 0, 0, 2, 2, 90, 0, nil),
 		encodeReport(id, 0, 0, 0, 3, 3, 0, 0, nil), encodeReport(id, 0, 0, 0, 4, 4, 2, 8, []int32{1}),
 		retiredFeedback(id, fbRetiredRedundant), retiredReceipt(id, 0, 5, 5, 1)))
@@ -283,11 +335,19 @@ func FuzzSessionFrameSequence(f *testing.F) {
 	// 2³²−2 and 2³²−1 among them — a flood of the same, truncated and
 	// over-long; then every report seed, the retired kinds 2, 3 and 7
 	// among them.
-	f.Add(sequence(append([]byte{frameData}, wire...), encodeReq(id),
+	f.Add(sequence(append([]byte{frameData}, wire...), subReport(id),
 		needReport(id, 1<<32-1), needReport(id, 0), needReport(id, 7), needReport(id, 1<<31),
 		needReport(id, 1<<31-1), needReport(id, 1<<32-2),
 		needReport(id, 0), needReport(id, 0), needReport(id, 0)[:reportLen-1], append(needReport(id, 0), 0)))
-	f.Add(sequence(append([][]byte{append([]byte{frameData}, wire...), encodeReq(id)}, reportSeeds(id)...)...))
+	f.Add(sequence(append([][]byte{append([]byte{frameData}, wire...), subReport(id)}, reportSeeds(id)...)...))
+	// The retired REQ, whole and its kind byte alone, at a held object and
+	// an unknown one; a stranger's complete report (the other address); a
+	// subscriber that says complete, then re-opens with a receipt, with a
+	// frontier, and with a subscription.
+	f.Add(sequence(retiredReq(id), retiredReq(id)[:1], append([]byte{frameData}, wire...), retiredReq(id), retiredReq(id)[:1]))
+	f.Add(sequence(append([]byte{frameData}, wire...), nil, completeReport(id), subReport(id)))
+	f.Add(sequence(append([]byte{frameData}, wire...), subReport(id), completeReport(id), receiptFrame(id, 0, 1, 1),
+		completeReport(id), encodeReport(id, 0, 0, 0, 1, 1, 0, 8, []int32{1}), completeReport(id), subReport(id)))
 	// An object whose single manifest run fits the one-byte length (k = 4,
 	// m = 4): an unasked sender's forged unit row is proven false on
 	// arrival and bans it, and the true rows it sends after move nothing;
@@ -320,7 +380,7 @@ func FuzzSessionFrameSequence(f *testing.F) {
 			}
 			banned := slices.Contains(s.BannedPeers(), from)
 			before := decodeStates(s)
-			stepFrame(s, from, data[:n])
+			stepCreatingNothing(t, s, from, data[:n])
 			checkPhaseInvariants(t, s)
 			if after := decodeStates(s); banned && !maps.EqualFunc(before, after, decodeState.equal) {
 				t.Fatalf("a frame from %s, banned, moved decode state: %v → %v", from, before, after)
@@ -411,7 +471,7 @@ func badDescriptions(fr []byte) map[string][]byte {
 }
 
 // TestAnyRunIsEnoughAlone: a relay that has heard nothing of an object —
-// no DATA, no REQ, no other run — adopts run 2 of its three, one a
+// no DATA, no subscription, no other run — adopts run 2 of its three, one a
 // generation, from that frame alone, and learns the object's size and
 // geometry from it.
 func TestAnyRunIsEnoughAlone(t *testing.T) {
@@ -508,20 +568,30 @@ func FuzzCacheSessionFrames(f *testing.F) {
 	for _, fr := range [][]byte{
 		append([]byte{frameData}, wire...),
 		append([]byte{frameData}, genWire...),
-		encodeReq(id),
+		subReport(id),
 		retiredFeedback(id, fbRetiredCacheAd, 2, 4, 9), // a retired kind: must drop
 	} {
 		seq = append(seq, byte(len(fr)))
 		seq = append(seq, fr...)
 	}
 	f.Add(seq)
-	// A subscriber's reports, then every report seed and retired kind.
-	seq = seq[:0:0]
-	for _, fr := range append([][]byte{append([]byte{frameData}, wire...), encodeReq(id)}, reportSeeds(id)...) {
-		seq = append(seq, byte(len(fr)))
-		seq = append(seq, fr...)
+	// A subscriber's reports, then every report seed and retired kind; the
+	// retired REQ, whole and its kind byte alone, before and after the
+	// object is held; a stranger's complete report; a subscriber that says
+	// complete, then re-opens with a receipt and with a subscription.
+	for _, frames := range [][][]byte{
+		append([][]byte{append([]byte{frameData}, wire...), subReport(id)}, reportSeeds(id)...),
+		{retiredReq(id), retiredReq(id)[:1], append([]byte{frameData}, wire...), retiredReq(id), retiredReq(id)[:1]},
+		{completeReport(id), append([]byte{frameData}, wire...), completeReport(id)},
+		{append([]byte{frameData}, wire...), subReport(id), completeReport(id), receiptFrame(id, 0, 1, 1), completeReport(id), subReport(id)},
+	} {
+		seq = seq[:0:0]
+		for _, fr := range frames {
+			seq = append(seq, byte(len(fr)))
+			seq = append(seq, fr...)
+		}
+		f.Add(seq)
 	}
-	f.Add(seq)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := fuzzSession(t, func(c *Config) {
@@ -534,7 +604,7 @@ func FuzzCacheSessionFrames(f *testing.F) {
 			if n == 0 || n > len(data) {
 				break
 			}
-			stepFrame(s, "peer", data[:n])
+			stepCreatingNothing(t, s, "peer", data[:n])
 			checkPhaseInvariants(t, s)
 			data = data[n:]
 		}

@@ -383,8 +383,9 @@ func (st *objectState) tallyLocked(from transport.Addr) *rxTally {
 // frame behind it stated it, unchecked): flags, the run the object lacks
 // (needLocked) — so the receipt clock that repairs lost rows repairs a
 // lost manifest run too — to's tally's counters, zeros for a sender with
-// none, and gen's frontier while gen is filling here; a cache has no
-// decoder to speak for, and a finished generation says so by its flag.
+// none, and gen's frontier while gen is open here (filling, or just
+// quarantined); a cache has no decoder to speak for, and a finished
+// generation says so by its flag.
 // The tally's next receiptEvery rows start. An upstream whose rows carry
 // no stamps gets a departure count of 0, which proves nothing. st.mu must
 // be held.
@@ -398,7 +399,7 @@ func (st *objectState) reportLocked(to transport.Addr, gen uint32, flags byte) [
 		rows, inno, departed, t.since = t.rows, t.inno, t.departed, 0
 	}
 	kPer, decoded := 0, []int32(nil)
-	if st.phase == phFilling && gen < uint32(st.coder.Generations()) && !st.coder.GenComplete(int(gen)) {
+	if st.phase.decoding() && gen < uint32(st.coder.Generations()) && !st.coder.GenComplete(int(gen)) {
 		kPer, decoded = st.kPer, st.coder.DecodeLog(int(gen))
 	}
 	return encodeReport(st.id, flags, need, gen, rows, inno, departed, kPer, decoded)
@@ -416,7 +417,7 @@ func (st *objectState) reportLocked(to transport.Addr, gen uint32, flags byte) [
 // the frame was judged — innovative, redundant, or for a generation or
 // object already done: what its upstream's receipts count — and whether the
 // decode state advanced (an innovative packet was fed in), which drives
-// watcher notifications. Pollution consequences (bans, re-arm REQs)
+// watcher notifications. Pollution consequences (bans, re-arm reports)
 // accumulate in acts for the batch layer to apply once all locks are
 // dropped.
 func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActions) (owed byte, judged, progressed bool) {

@@ -22,7 +22,7 @@ import (
 
 // pollActions collects the consequences of pollution detection that must
 // run after the decode-plane lock is released: session-wide bans (they
-// take Session.mu) and REQ frames that re-arm upstream senders for a
+// take Session.mu) and the reports that re-arm upstream senders for a
 // quarantined generation's re-fetch (sends must not run under any lock).
 type pollActions struct {
 	bans  []transport.Addr
@@ -178,8 +178,9 @@ func (s *Session) verifyGenLocked(st *objectState, g int, acts *pollActions) {
 // banned, whoever it is: no decoder-backed node emits a row it has not
 // proven (DESIGN.md §13 names the cache exception). The decode state is
 // reset, downstream recoding gated, and every other upstream re-armed with
-// a REQ: one that heard the premature generation-complete feedback has
-// stopped sending. st.mu must be held.
+// a report about g: one that heard the premature generation-complete flag
+// has stopped sending g, and g's frontier, carried now that g is open
+// again, clears that mark. st.mu must be held.
 func (s *Session) quarantineGenLocked(st *objectState, g int, src int32, acts *pollActions) {
 	gg := &st.guard[g]
 	var forger transport.Addr
@@ -201,7 +202,7 @@ func (s *Session) quarantineGenLocked(st *objectState, g int, src int32, acts *p
 	gg.state, gg.natives = genQuarantined, nil
 	for _, addr := range slices.Sorted(maps.Keys(st.rx)) {
 		if addr != forger {
-			acts.sends = append(acts.sends, ingestReply{addr, encodeReq(st.id)})
+			acts.sends = append(acts.sends, ingestReply{addr, st.reportLocked(addr, uint32(g), 0)})
 		}
 	}
 	s.logf("session: %v generation %d failed verification: quarantined, first false native from %q", st.id, g, forger)

@@ -19,7 +19,7 @@ import (
 // small sample of it with one peer per shuffle round, and draws its
 // active neighbor sets from the view by capacity-weighted sampling. The
 // neighbor sets — not the static peer list — then feed push targeting
-// and Fetch REQ steering, so per-peer resident state and per-tick push
+// and Fetch subscription steering, so per-peer resident state and per-tick push
 // work stay bounded by ViewSize and Fanout no matter how large the
 // swarm grows.
 //
@@ -49,7 +49,7 @@ type membership struct {
 	mu  sync.Mutex
 	rng *rand.Rand
 	// round counts shuffle rounds run; reqNbrs and pushNbrs are the
-	// neighbor selections refreshed each round: REQ steering draws from
+	// neighbor selections refreshed each round: fetch steering draws from
 	// any live entry, proactive pushes only target relay- or cache-role
 	// peers (pushing at a plain fetcher that never asked wastes frames).
 	// Both slices are replaced wholesale, never mutated — readers may
@@ -239,7 +239,7 @@ func (m *membership) pushTargets() []transport.Addr {
 	return m.pushNbrs
 }
 
-// fetchTargets returns the REQ-steering neighbor set (read-only).
+// fetchTargets returns the fetch-steering neighbor set (read-only).
 func (m *membership) fetchTargets() []transport.Addr {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -388,7 +388,7 @@ type MemberStats struct {
 	ViewLen, ViewCap int
 	// View lists the addresses currently in the view.
 	View []transport.Addr
-	// Neighbors is the REQ-steering neighbor selection; PushNeighbors
+	// Neighbors is the fetch-steering neighbor selection; PushNeighbors
 	// the relay/cache-role subset proactive pushes target.
 	Neighbors, PushNeighbors []transport.Addr
 }
@@ -414,7 +414,7 @@ func (s *Session) MemberStats() MemberStats {
 }
 
 // Neighbors returns the membership plane's current neighbor selection —
-// the peers REQ steering and pushes flow toward in place of a static
+// the peers fetch subscriptions and pushes flow toward in place of a static
 // peer list. Empty on sessions without Bootstrap.
 func (s *Session) Neighbors() []transport.Addr {
 	m := s.member

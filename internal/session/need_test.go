@@ -40,8 +40,9 @@ const proofRepairSlack = 4
 // a tick; the first MANIFEST frame on its way to the relay, to the fetcher
 // or on both hops is lost — of a one-run object (k = 1,024), and the first
 // of three (first-of-3). The need clocked by the receipts behind it brings
-// it back within a few ticks of the lossless run — not by a REQ once the
-// node has decoded — no node sends a REQ, every upstream's frontier for its
+// it back within a few ticks of the lossless run — not by a subscription
+// once the node has decoded — no node sends a report that subscribes or
+// re-opens it at its upstream, every upstream's frontier for its
 // peer stands from the first receipt to completion, and the lost run is
 // sent again exactly once: the needs of the receipts that crossed the
 // resend, and one more delivered with it, fall inside the horizon and
@@ -55,7 +56,7 @@ func TestLostProofRepairedAtRoundTrip(t *testing.T) {
 		c.delay = c.nodes["src"].cfg.Tick / 2
 		sent, reqs := map[[2]transport.Addr]map[uint32]int{}, 0
 		c.lose = func(from, to transport.Addr, f []byte) bool {
-			reqs += btoi(f[0] == frameReq)
+			reqs += btoi(c.subscribes(from, to, f))
 			if f[0] != frameManifest {
 				return false
 			}
@@ -95,7 +96,7 @@ func TestLostProofRepairedAtRoundTrip(t *testing.T) {
 			t.Fatalf("fetch incomplete after %d ticks", ticks)
 		}
 		if reqs != 0 {
-			t.Errorf("%d REQs sent: a decoded node asked again by REQ", reqs)
+			t.Errorf("%d subscriptions sent: a node subscribed again mid-fetch", reqs)
 		}
 		for _, h := range hops {
 			for r := range uint32((k + integrity.RunLen - 1) / integrity.RunLen) {
@@ -166,7 +167,7 @@ func needSource(t *testing.T, k int) (*Session, *recTransport, *transport.VClock
 	if err != nil {
 		t.Fatal(err)
 	}
-	injectFrame(s, "peer", encodeReq(id))
+	injectFrame(s, "peer", subReport(id))
 	for ps := s.objects[id].peers["peer"]; ps.pass >= 0; {
 		s.push()
 	}
@@ -175,13 +176,14 @@ func needSource(t *testing.T, k int) (*Session, *recTransport, *transport.VClock
 }
 
 // TestNeedBounds holds a report's need to what it may buy. Dropped whole:
-// one short or long, for an object the session does not know, from a peer
-// it does not push to, from a banned peer, and one naming a run past the
-// manifest's end — 2³¹−1, 2³²−2 and 2³²−1 among them, which wrap an int
-// on 32-bit builds. A need for a run the session
-// holds buys that run alone. From a peer pushed to, a flood — a need for
-// each run before every push round — buys at most one run a horizon, and
-// leaves the peer's frontier standing.
+// one short or long, for an object the session does not know, from a banned
+// peer, and one naming a run past the manifest's end — 2³¹−1, 2³²−2 and
+// 2³²−1 among them, which wrap an int on 32-bit builds. From a peer it does
+// not push to, a need is a report like any other, so it subscribes that
+// peer, and buys nothing the subscription's proof pass does not send anyway.
+// A need for a run the session holds buys that run alone. From a peer pushed
+// to, a flood — a need for each run before every push round — buys at most
+// one run a horizon, and leaves the peer's frontier standing.
 func TestNeedBounds(t *testing.T) {
 	const k = 3 * 1024 // three runs
 	t.Run("dropped", func(t *testing.T) {
@@ -211,12 +213,12 @@ func TestNeedBounds(t *testing.T) {
 		}
 		s.push()
 		for to, fs := range rec.take() {
-			if man, _ := frameCounts(fs); man > 0 {
+			if man, _ := frameCounts(fs); man > 0 && to != "stranger" {
 				t.Errorf("%d MANIFEST frames to %s", man, to)
 			}
 		}
-		if _, ok := s.objects[id].peers["stranger"]; ok {
-			t.Error("a need from a stranger made it a peer")
+		if ps := s.objects[id].peers["stranger"]; ps == nil || !ps.subscribed || ps.owed != 0 {
+			t.Errorf("a need from a stranger: peer state %+v, want a subscriber owed no run", ps)
 		}
 		injectFrame(s, "peer", needReport(id, 2))
 		s.push()

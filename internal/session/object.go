@@ -31,9 +31,9 @@ import (
 type phase uint8
 
 const (
-	// phAnnounced: the id and nothing else — a Watch, a BeginFetch, or a REQ
-	// a relay heard before the object's first frame. The first admissible
-	// geometry (DATA header or MANIFEST) makes it filling: somebody here asked.
+	// phAnnounced: the id alone — a Watch, a BeginFetch, or a subscription a
+	// relay heard before the object's first frame. The first admissible
+	// geometry (DATA header or MANIFEST) makes it filling: somebody asked.
 	phAnnounced phase = iota
 	// phCaching: geometry fixed, rows held undecoded in Session.cache, no
 	// coder (cache-mode sessions, objects learned from the network only).
@@ -60,7 +60,7 @@ func (p phase) String() string { return phaseNames[p] }
 func (p phase) decoding() bool { return p == phFilling || p == phDecoded || p == phComplete }
 
 // geometry is an object's shape as a DATA header or a MANIFEST states it; the
-// zero value is "none stated" (a REQ, Watch, BeginFetch).
+// zero value is "none stated" (a subscription, Watch, BeginFetch).
 type geometry struct{ gens, kPer, m int }
 
 // admissible is the bound on geometry a session gives state to: a sane
@@ -215,18 +215,19 @@ func (st *objectState) shapeIs(geo geometry) bool {
 }
 
 // admitLocked is the one place anything may create an object's state or
-// fix its geometry: outside input (a DATA header, a MANIFEST, a REQ — from is
-// its sender, geo what it states) and the local calls (Serve, BeginFetch,
-// Watch: local, no geometry). It returns the object's state, nil when the
-// input is to be dropped. A state whose geometry is already fixed comes
-// back as it is — the caller compares shapes under st.mu. Otherwise:
-// nothing from a banned peer; geometry within bounds (admissible); an
-// announced object takes the first such geometry and starts filling,
-// whatever the session's role — it is announced because somebody here asked
-// for it; an unknown object gets state only under MaxObjects, caching on a
-// cache-mode session and filling on a relay when geometry came with it,
-// announced on a relay that heard a REQ, nothing elsewhere; a local call
-// always gets (announced) state. s.mu must be held.
+// fix its geometry: outside input (a DATA header, a MANIFEST, a
+// subscription — from is its sender, geo what it states) and the local
+// calls (Serve, BeginFetch, Watch: local, no geometry). It returns the
+// object's state, nil when the input is to be dropped. A state whose
+// geometry is already fixed comes back as it is — the caller compares
+// shapes under st.mu. Otherwise: nothing from a banned peer; geometry
+// within bounds (admissible); an announced object takes the first such
+// geometry and starts filling, whatever the session's role — it is
+// announced because somebody here asked for it; an unknown object gets
+// state only under MaxObjects, caching on a cache-mode session and filling
+// on a relay when geometry came with it, announced on a relay that heard a
+// subscription, nothing elsewhere; a local call always gets (announced)
+// state. s.mu must be held.
 func (s *Session) admitLocked(id packet.ObjectID, from transport.Addr, geo geometry, local bool) *objectState {
 	if _, b := s.banned[from]; b {
 		return nil

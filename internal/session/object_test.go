@@ -283,7 +283,7 @@ func TestServeOverCachedObject(t *testing.T) {
 	// The pacer's floor alone, a row a tick, would bring the k natives in k
 	// ticks; the fetcher's receipts open the window well before.
 	for tick := 0; tick < k; tick++ {
-		feed(c, fRec) // the REQ, then feedback
+		feed(c, fRec) // the subscription, then feedback
 		pushTicks(c, cClk, 1)
 		feed(f, cRec)
 	}
@@ -376,7 +376,7 @@ func TestForgedMetaDroppedOnArrival(t *testing.T) {
 		}
 		injectFrame(f, "mallory", row)
 		fRec.take()
-		injectFrame(src, "fetcher", encodeReq(id))
+		injectFrame(src, "fetcher", subReport(id))
 		for tick := 0; tick < 4*k; tick++ {
 			pushTicks(src, srcClk, 1)
 			route(src, f)
@@ -410,7 +410,11 @@ const (
 	evDataDense
 	evDataRedundant
 	evDataWrongGeometry
-	evReq
+	// A stranger's subscription (a report with no flag and no counter), and
+	// the retired REQ, kind 0x02, whose jobs the report took: dropped,
+	// whatever the phase.
+	evSub
+	evReqRetired
 	// The retired META, kind 0x03, root-less (short) and as it was last
 	// sent (long): dropped, whatever the phase.
 	evMetaShort
@@ -440,8 +444,8 @@ const (
 
 var (
 	matrixRowNames = [matrixRows]string{"announced", "caching", "filling", "filling-poisoned", "decoded", "filling-committing", "complete", "evicted"}
-	matrixEvNames  = [matrixEvents]string{"DATA-unit", "DATA-dense", "DATA-redundant", "DATA-wrong-geometry", "REQ",
-		"META-short", "META-long", "FB-redundant", "FB-complete", "FB-gen-complete", "FB-cache-ad", "FB-receipt", "FB-receipt+frontier", "FB-need",
+	matrixEvNames  = [matrixEvents]string{"DATA-unit", "DATA-dense", "DATA-redundant", "DATA-wrong-geometry", "subscription",
+		"REQ", "META-short", "META-long", "FB-redundant", "FB-complete", "FB-gen-complete", "FB-cache-ad", "FB-receipt", "FB-receipt+frontier", "FB-need",
 		"MANIFEST-first", "MANIFEST-out-of-order", "MANIFEST-last", "MEMBER", "Serve", "BeginFetch", "Watch", "evict"}
 )
 
@@ -507,7 +511,7 @@ func newObjCell(t *testing.T, rng *rand.Rand, row int) *objCell {
 	switch row {
 	case rowAnnounced:
 		if c.s.cfg.Relay {
-			injectFrame(c.s, "asker", encodeReq(c.id))
+			injectFrame(c.s, "asker", subReport(c.id))
 		} else {
 			c.s.Watch(c.id, func(ObjectStats) {})
 		}
@@ -559,8 +563,7 @@ func kinds(frames [][]byte) string {
 		case f[0] == frameFeedback:
 			out = append(out, "FB"+string('0'+f[17]))
 		default:
-			out = append(out, map[byte]string{frameData: "DATA", frameReq: "REQ", frameManifest: "MANIFEST",
-				frameMember: "MEMBER"}[f[0]])
+			out = append(out, map[byte]string{frameData: "DATA", frameManifest: "MANIFEST", frameMember: "MEMBER"}[f[0]])
 		}
 	}
 	return strings.Join(out, " ")
@@ -580,8 +583,10 @@ func (c *objCell) fire(t *testing.T, ev int) {
 		in(c.row(last, false, 0))
 	case evDataWrongGeometry:
 		in(handRow(t, c.id, make([]byte, c.gens*(c.kPer+1)*c.m), c.gens, c.kPer+1, last, false, 0))
-	case evReq:
-		in(encodeReq(c.id))
+	case evSub:
+		in(subReport(c.id))
+	case evReqRetired:
+		in(retiredReq(c.id))
 	case evMetaShort:
 		in(c.meta[:37])
 	case evMetaLong:
@@ -597,8 +602,7 @@ func (c *objCell) fire(t *testing.T, ev int) {
 	case evFbReceipt:
 		in(receiptFrame(c.id, 0, 16, 12))
 	case evFbFrontier:
-		// Feedback is heard only from a peer there is state for: one that was
-		// pushed to.
+		// From a peer pushed to: a stranger's report only subscribes it.
 		if st := c.s.objects[c.id]; st != nil {
 			st.peer(matrixSender)
 		}
@@ -660,15 +664,17 @@ func (c *objCell) expect(row, ev int) (after, replies string) {
 		case row == rowCaching || row == rowFilling || row == rowPoisoned || row == rowDecoded:
 			// No manifest: caching or filling, the receipt says it needs
 			// the run over the row; decoded, the frame is answered with a
-			// need — not a REQ, which would drop the sender's frontier,
-			// nor a complete report, which would stop it.
+			// need, which leaves the sender's frontier standing — not a
+			// complete report, which would stop it.
 			replies = "need"
 		case row == rowComplete:
 			replies = "complete"
 		}
-	case evReq:
-		// Answered by nothing: the REQ re-arms the sender's proof pass, and
-		// the push rounds send it.
+	case evSub, evFbGenComplete, evFbReceipt, evFbFrontier, evFbNeed:
+		// Answered by nothing: a report not flagged complete from a stranger
+		// subscribes it and re-arms its proof pass, and the push rounds send
+		// it. (Re-pinned when the report became the subscription: before,
+		// only the REQ did this, and a report from a stranger was dropped.)
 		if row == rowEvicted {
 			after = "announced" // a relay remembers who asked
 		}
@@ -834,10 +840,17 @@ func (c *objCell) checkCell(t *testing.T, row, ev int, sent map[transport.Addr][
 		if owed, want := ps.owed == 1, row == rowCommitting || row == rowComplete; owed != want || len(ps.unsettled) != 1 {
 			t.Errorf("run 0 owed: %v (owed %d), want %v; %d rows in flight, want the 1 the need found", owed, ps.owed, want, len(ps.unsettled))
 		}
-	case ev == evReq:
-		// The REQ re-arms the sender's proof pass, and nothing else answers it.
-		if ps := c.s.objects[c.id].peers[matrixSender]; ps == nil || !ps.reqSub || ps.pass < 0 {
-			t.Errorf("REQ: peer state %+v, want a subscriber with its proof pass armed", ps)
+	case ev == evSub:
+		// The subscription arms the sender's proof pass, and nothing else
+		// answers it.
+		if ps := c.s.objects[c.id].peers[matrixSender]; ps == nil || !ps.subscribed || ps.pass < 0 {
+			t.Errorf("subscription: peer state %+v, want a subscriber with its proof pass armed", ps)
+		}
+	case ev == evReqRetired || ev == evFbComplete:
+		// Neither the retired REQ nor a stranger's complete report makes an
+		// entry.
+		if ps := c.s.objects[c.id].peers[matrixSender]; ps != nil {
+			t.Errorf("peer state %+v made for the sender", ps)
 		}
 	case ev >= evDataUnit && ev <= evDataWrongGeometry:
 		// A need names the run none holds: at these geometries, the one.

@@ -88,13 +88,28 @@ func newStepNetG(t *testing.T, k, gens, m int, seed int64, mut func(*Config), na
 }
 
 // subscribe has the last node want the object — it only watches: a
-// fetch-only session decodes what it asked for — and its REQ reach its
-// predecessor.
+// fetch-only session decodes what it asked for — and its subscription
+// reach its predecessor.
 func (n *stepNet) subscribe() *stepNet {
 	last := len(n.names) - 1
 	n.nodes[n.names[last]].Watch(n.id, func(ObjectStats) {})
-	injectFrame(n.nodes[n.names[last-1]], n.names[last], encodeReq(n.id))
+	injectFrame(n.nodes[n.names[last-1]], n.names[last], subReport(n.id))
 	return n
+}
+
+// subscribes reports whether frame, on its way from → to, is a report
+// that subscribes from at to: not flagged complete, from a peer to holds
+// no entry for or one that said complete.
+func (n *stepNet) subscribes(from, to transport.Addr, f []byte) bool {
+	if !isReport(f) || f[18]&repComplete != 0 {
+		return false
+	}
+	st := n.nodes[to].objects[n.id]
+	if st == nil {
+		return true
+	}
+	ps := st.peers[from]
+	return ps == nil || ps.done
 }
 
 // settle runs the current instant to its fixed point: what is due is
@@ -339,9 +354,9 @@ func TestPacedForgedReceiptsStayOnTheirLink(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		injectFrame(s, "honest", encodeReq(id))
+		injectFrame(s, "honest", subReport(id))
 		if withLiar {
-			injectFrame(s, "z-liar", encodeReq(id))
+			injectFrame(s, "z-liar", subReport(id))
 		}
 		// Mostly an over-claim growing faster than any sender could push —
 		// what keeps a window wide open — and every eighth receipt one of
@@ -412,11 +427,11 @@ func TestPacedForgedReceiptsStayOnTheirLink(t *testing.T) {
 	}
 }
 
-// TestRelayRemembersEarlyREQ: a REQ that reaches a relay a tick before
+// TestRelayRemembersEarlyREQ: a subscription that reaches a relay a tick before
 // the object's first DATA frame does registers the subscriber instead of
-// being dropped — the requester's next REQ is 250 ms off, longer than a
+// being dropped — the requester's next report is 250 ms off, longer than a
 // paced transfer — within the relay's object bound; a fetch-only session
-// still ignores REQs for objects it does not hold.
+// still ignores subscriptions for objects it does not hold.
 func TestRelayRemembersEarlyREQ(t *testing.T) {
 	src, srcRec, srcClk := pushSession(t, "src", nil)
 	src.AddPeer("relay")
@@ -425,9 +440,9 @@ func TestRelayRemembersEarlyREQ(t *testing.T) {
 		t.Fatal(err)
 	}
 	relay, relayRec, relayClk := pushSession(t, "relay", func(c *Config) { c.Relay = true; c.MaxObjects = 2 })
-	injectFrame(relay, "sub", encodeReq(id))
+	injectFrame(relay, "sub", subReport(id))
 	if st, ok := relay.Object(id); !ok || st.Subscribers != 1 {
-		t.Fatalf("relay dropped the early REQ: held %v, %+v", ok, st)
+		t.Fatalf("relay dropped the early subscription: held %v, %+v", ok, st)
 	}
 	for i := 0; i < 40; i++ {
 		pushTicks(src, srcClk, 1)
@@ -439,16 +454,16 @@ func TestRelayRemembersEarlyREQ(t *testing.T) {
 	}
 
 	other := packet.NewObjectID([]byte("another early one"))
-	injectFrame(relay, "sub", encodeReq(other))
-	injectFrame(relay, "sub", encodeReq(packet.NewObjectID([]byte("one too many"))))
+	injectFrame(relay, "sub", subReport(other))
+	injectFrame(relay, "sub", subReport(packet.NewObjectID([]byte("one too many"))))
 	if n := len(relay.Objects()); n != 2 {
-		t.Errorf("relay holds %d objects after REQs for unknown ids, want its MaxObjects bound of 2", n)
+		t.Errorf("relay holds %d objects after subscriptions for unknown ids, want its MaxObjects bound of 2", n)
 	}
 
 	plain, _, _ := pushSession(t, "plain", nil)
-	injectFrame(plain, "sub", encodeReq(id))
+	injectFrame(plain, "sub", subReport(id))
 	if n := len(plain.Objects()); n != 0 {
-		t.Errorf("a fetch-only session registered %d objects from a stranger's REQ", n)
+		t.Errorf("a fetch-only session registered %d objects from a stranger's subscription", n)
 	}
 }
 
@@ -570,8 +585,8 @@ func TestReceiptFlushedOnDrain(t *testing.T) {
 }
 
 // TestIdleSessionParksTimer: a session with nobody to push to asks to be
-// stepped at the housekeeping cadence, not every Tick — and the REQ that
-// gives it a target un-parks it in that very Step.
+// stepped at the housekeeping cadence, not every Tick — and the subscription
+// that gives it a target un-parks it in that very Step.
 func TestIdleSessionParksTimer(t *testing.T) {
 	src, rec, clk := pushSession(t, "source", nil)
 	id, err := src.Serve(testContent(64*16, 41), 64, 1)
@@ -586,30 +601,32 @@ func TestIdleSessionParksTimer(t *testing.T) {
 		}
 		clk.AdvanceTo(next)
 	}
-	rec.deliver("sub", encodeReq(id))
+	rec.deliver("sub", subReport(id))
 	if next := src.Step(); next.Sub(clk.Now()) != src.cfg.Tick {
 		t.Errorf("with a subscriber the next step is due in %v, want a Tick (%v)", next.Sub(clk.Now()), src.cfg.Tick)
 	}
 	// The manifest and DATA have left with the clock standing still.
 	if man, data := frameCounts(rec.take()["sub"]); man != 1 || data == 0 {
-		t.Errorf("a parked source answered a REQ with %d MANIFEST and %d DATA frames in the Step that took it", man, data)
+		t.Errorf("a parked source answered a subscription with %d MANIFEST and %d DATA frames in the Step that took it", man, data)
 	}
 }
 
-// TestFetchRetriesLostREQ: a fetch whose first REQ the network dropped asks
-// again within ten ticks — not a quarter of a second later, longer than
-// the whole paced transfer — and one whose REQ was answered sends no
-// second REQ before the steady resend is due.
+// TestFetchRetriesLostREQ: a fetch whose first subscription (the report
+// that took the retired REQ's place) the network dropped asks again within
+// ten ticks — not a quarter of a second later, longer than the whole paced
+// transfer — and one whose subscription was answered sends no second one
+// before the steady resend is due. No DATA crosses, so every report the
+// fetcher sends is a subscription.
 func TestFetchRetriesLostREQ(t *testing.T) {
 	for _, dropped := range []bool{true, false} {
 		n := newStepNet(t, 64, 16, 42, nil, "src", "dst")
 		reqs := 0
 		n.lose = func(_, to transport.Addr, f []byte) bool {
-			if f[0] == frameReq {
+			if isReport(f) {
 				reqs++
 				return dropped && reqs == 1
 			}
-			return f[0] == frameData // the run answers the REQ; the transfer must not end the fetch
+			return f[0] == frameData // the run answers the subscription; the transfer must not end the fetch
 		}
 		dst := n.nodes["dst"]
 		f, err := dst.BeginFetch(n.id, "src")
@@ -619,7 +636,7 @@ func TestFetchRetriesLostREQ(t *testing.T) {
 		n.next["dst"] = n.clk.Now() // called into: step it
 		n.settle()
 		if reqs != 1 {
-			t.Fatalf("fetch opened with %d REQs, want 1", reqs)
+			t.Fatalf("fetch opened with %d subscriptions, want 1", reqs)
 		}
 		start := n.clk.Now()
 		ticks := 0
@@ -627,16 +644,16 @@ func TestFetchRetriesLostREQ(t *testing.T) {
 			n.tick()
 		}
 		if dropped && reqs != 2 {
-			t.Errorf("REQ lost: %d REQs after %d ticks, want the retry", reqs, ticks)
+			t.Errorf("subscription lost: %d sent after %d ticks, want the retry", reqs, ticks)
 		}
 		if !dropped {
 			n.run(reqResend - n.clk.Since(start) - dst.cfg.Tick)
 			if reqs != 1 {
-				t.Errorf("REQ answered: %d REQs before the %v resend was due, want 1", reqs, reqResend)
+				t.Errorf("subscription answered: %d sent before the %v resend was due, want 1", reqs, reqResend)
 			}
 			n.run((reqRetry + 2) * dst.cfg.Tick)
 			if reqs != 2 {
-				t.Errorf("REQ answered: %d REQs once the %v resend was due, want 2", reqs, reqResend)
+				t.Errorf("subscription answered: %d sent once the %v resend was due, want 2", reqs, reqResend)
 			}
 		}
 		f.End()

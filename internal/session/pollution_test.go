@@ -61,9 +61,10 @@ func TestManifestTravelsAndVerifies(t *testing.T) {
 }
 
 // polluterPort is a hostile actor over a raw switch port: once it sees a
-// REQ it streams forged DATA rows — valid v3 geometry, garbage payloads —
-// at the requester, burst rows every 2 ms and burst more on every frame the
-// requester sends it (the REQ, and the receipts its own rows draw: the
+// subscription (a report not flagged complete) it streams forged DATA rows
+// — valid v3 geometry, garbage payloads — at the subscriber, burst rows
+// every 2 ms and burst more on every frame the subscriber sends it (the
+// subscription, and the receipts its own rows draw: the
 // clock an honest receipt-paced sender runs on), stopping for no feedback,
 // like a peer whose only goal is to poison decoders. With dense set the
 // forged rows are degree-2 (immune to the on-arrival unit-row digest check,
@@ -75,7 +76,7 @@ func polluterPort(t *testing.T, tr *transport.ChanTransport, kPer, m, gens, burs
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	cues := make(chan transport.Frame, 64)
-	go func() { // every frame is a cue to pump; a REQ also names the victim
+	go func() { // every frame is a cue to pump; a subscription also names the victim
 		defer close(cues)
 		for {
 			f, err := tr.Recv(ctx)
@@ -104,7 +105,7 @@ func polluterPort(t *testing.T, tr *transport.ChanTransport, kPer, m, gens, burs
 				if !ok {
 					return
 				}
-				if len(f.Data) == reqLen && f.Data[0] == frameReq {
+				if isReport(f.Data) && f.Data[18]&repComplete == 0 {
 					copy(id[:], f.Data[1:])
 					victim = f.From
 				}
@@ -151,7 +152,7 @@ func polluterPort(t *testing.T, tr *transport.ChanTransport, kPer, m, gens, burs
 // switch can run source and fetcher back to back to completion before the
 // polluter's goroutines are scheduled at all (one CPU, a loaded machine),
 // and then nothing forged ever lands; with each hop a timer, the polluter
-// answers the REQ while the honest rows are still in flight.
+// answers the subscription while the honest rows are still in flight.
 func TestPolluterConvictedFetchSurvives(t *testing.T) {
 	sw, err := transport.NewSwitch(transport.SwitchConfig{QueueDepth: 1024, Seed: 13, Latency: time.Millisecond})
 	if err != nil {
@@ -198,12 +199,12 @@ func TestPolluterConvictedFetchSurvives(t *testing.T) {
 		t.Fatalf("banned = %v, want [polluter]", banned)
 	}
 	// Once banned, the polluter is refused service too.
-	dst.handleReq("polluter", id[:])
+	dst.handleFeedback("polluter", subReport(id)[1:])
 	dst.mu.Lock()
 	_, served := dst.objects[id].peers["polluter"]
 	dst.mu.Unlock()
 	if served {
-		t.Fatal("banned peer's REQ made it a push target")
+		t.Fatal("banned peer's subscription made it a push target")
 	}
 }
 
@@ -364,16 +365,16 @@ func TestFetchAllCandidatesBannedErrPolluted(t *testing.T) {
 
 // TestDropOnePeerVictimOrdering pins dropOnePeerLocked's eviction order:
 // a done peer goes first regardless of anything else, then the stalest
-// REQ subscriber; an entry that is neither done nor a REQ subscriber (a
+// subscriber; an entry that is neither done nor a subscriber (a
 // configured push peer mid-stream) is never the victim.
 func TestDropOnePeerVictimOrdering(t *testing.T) {
 	base := time.Unix(1000, 0)
 	build := func() *objectState {
 		st := &objectState{peers: map[transport.Addr]*peerState{
-			"done-sub":   {reqSub: true, done: true, lastReq: base},
-			"stale-sub":  {reqSub: true, lastReq: base.Add(1 * time.Second)},
-			"fresh-sub":  {reqSub: true, lastReq: base.Add(9 * time.Second)},
-			"configured": {}, // push peer: no REQ, not done
+			"done-sub":   {subscribed: true, done: true, heard: base},
+			"stale-sub":  {subscribed: true, heard: base.Add(1 * time.Second)},
+			"fresh-sub":  {subscribed: true, heard: base.Add(9 * time.Second)},
+			"configured": {}, // push peer: no subscription, not done
 		}}
 		return st
 	}
@@ -386,16 +387,16 @@ func TestDropOnePeerVictimOrdering(t *testing.T) {
 		t.Fatal("done peer survived eviction round 1")
 	}
 	if !st.dropOnePeerLocked() {
-		t.Fatal("table with REQ subscribers freed nothing")
+		t.Fatal("table with subscribers freed nothing")
 	}
 	if _, ok := st.peers["stale-sub"]; ok {
-		t.Fatal("stalest REQ subscriber survived eviction round 2")
+		t.Fatal("stalest subscriber survived eviction round 2")
 	}
 	if _, ok := st.peers["fresh-sub"]; !ok {
-		t.Fatal("fresh REQ subscriber was evicted before the stale one")
+		t.Fatal("fresh subscriber was evicted before the stale one")
 	}
 	if !st.dropOnePeerLocked() {
-		t.Fatal("remaining REQ subscriber freed nothing")
+		t.Fatal("remaining subscriber freed nothing")
 	}
 	// Only the configured push peer remains: nothing may be freed.
 	if st.dropOnePeerLocked() {
@@ -431,7 +432,7 @@ func TestRelayEmitsOnlyProvenRows(t *testing.T) {
 	// replaced by the hand-made mix below.
 	pushTicks(src, srcClk, 1)
 	feed(relay, srcRec, frameData)
-	injectFrame(relay, "sub", encodeReq(id))
+	injectFrame(relay, "sub", subReport(id))
 	st := relay.objects[id]
 	if st.man == nil {
 		t.Fatal("set-up: the relay holds no manifest")
@@ -534,16 +535,17 @@ func TestRelayEmitsOnlyProvenRows(t *testing.T) {
 	}
 
 	// A clean refill verifies, and the generation serves again: the natives
-	// decoded anew (re-sent, proven), then coded repair — a fresh REQ has
-	// dropped the frontier, and with nothing known of the subscriber the
-	// relay codes blind, once the natives ahead of it have settled. The
+	// decoded anew (re-sent, proven), then coded repair — the subscriber
+	// restarts (a complete report, then its subscription), which drops its
+	// frontier, and with nothing known of it the relay codes blind, once the
+	// natives ahead of it have settled. The
 	// subscriber sends no receipt, so the pacer's floor of a row a tick is
 	// the pace: k ticks and two more for the last native to age out bound it.
 	// The refill comes from src, which forged nothing.
 	for x := 0; x < k; x++ {
 		in(false, x)
 	}
-	injectFrame(relay, "sub", encodeReq(id))
+	injectBurst(relay, "sub", [][]byte{completeReport(id), subReport(id)})
 	if st.guard[0].state != genVerified {
 		t.Fatal("the clean refill did not verify")
 	}
@@ -583,7 +585,7 @@ func TestForgedManifestRefutedAtRelay(t *testing.T) {
 	if o, _ := relay.Object(id); o.HaveManifest || o.Size != int64(len(content)) {
 		t.Fatalf("after the forged manifest: %+v; want it refused, the true description kept", o)
 	}
-	injectFrame(relay, "sub", encodeReq(id))
+	injectFrame(relay, "sub", subReport(id))
 	emitted := 0
 	for tick := 0; tick < 4*k; tick++ {
 		pushTicks(src, srcClk, 1)
@@ -618,17 +620,18 @@ func TestForgedManifestRefutedAtRelay(t *testing.T) {
 
 // TestDenseForgerConvictedAtFirstFailure: a solicited upstream that forges
 // only dense rows — no unit-row check touches them, and degree-2 rows never
-// complete a generation alone — is banned at the first generation that
-// fails verification, though the honest source sent all its other rows: the
-// forger's row released the generation's first false native in decode
-// order, and every native decoded before that one was true. The honest
-// source is not blamed for the false native its own true row released
-// later, reduced by the forged one, though that native comes first in
-// index order. The quarantine re-arms the honest source and not the
-// convict. It holds as well after maxPeersPerObject other addresses have
-// each sent a row first: a solicited sender still gets a tag to be named
-// by, and a further unsolicited one, which would get none, has its rows
-// refused rather than decoded untagged.
+// complete a generation alone — is banned at the first generation that fails
+// verification, though the honest source sent all its other rows: the
+// forger's row released the generation's first false native in decode order,
+// and every native decoded before that one was true. The honest source is
+// not blamed for the false native its own true row released later, reduced
+// by the forged one, though that native comes first in index order. The
+// quarantine re-arms the honest source — a report about the generation, its
+// frontier open again — and sends the convict nothing. It holds as well
+// after maxPeersPerObject other addresses have each sent a row first: a
+// solicited sender still gets a tag to be named by, and a further
+// unsolicited one, which would get none, has its rows refused rather than
+// decoded untagged.
 func TestDenseForgerConvictedAtFirstFailure(t *testing.T) {
 	for _, others := range []int{0, maxPeersPerObject} {
 		t.Run(fmt.Sprintf("%d-others", others), func(t *testing.T) { testDenseForger(t, others) })
@@ -663,16 +666,23 @@ func testDenseForger(t *testing.T, others int) {
 	injectFrame(f, "mallory", handRow(t, id, content, gens, kPer, 0, true, 2, 3))
 	injectFrame(f, "src", handRow(t, id, content, gens, kPer, 0, false, 2))    // releases a false 3
 	injectFrame(f, "src", handRow(t, id, content, gens, kPer, 0, false, 0, 3)) // reduced by it: a false 0
-	for _, i := range []int{1, 4, 5, 6, 7} {
+	for _, i := range []int{1, 4, 5, 6} {
 		injectFrame(f, "src", handRow(t, id, content, gens, kPer, 0, false, i))
 	}
+	rec.take()
+	injectFrame(f, "src", handRow(t, id, content, gens, kPer, 0, false, 7)) // completes generation 0
 	o, _ := f.Object(id)
 	if b := f.BannedPeers(); o.Polluted != 1 || !slices.Equal(b, []transport.Addr{"mallory"}) {
 		t.Fatalf("after generation 0 failed: %d quarantines, banned %v; want 1 and mallory", o.Polluted, b)
 	}
 	sent := rec.take()
-	if r, c := kinds(sent["src"]), kinds(sent["mallory"]); !strings.Contains(r, "REQ") || strings.Contains(c, "REQ") {
-		t.Fatalf("the quarantine sent %q to the source and %q to the convict; want a REQ and none", r, c)
+	rearmed := slices.ContainsFunc(sent["src"], func(f []byte) bool {
+		gen, _, _, _ := reportCounters(f)
+		return isReport(f) && gen == 0 && len(f) == reportLen+frontierLen(kPer)
+	})
+	if !rearmed || len(sent["mallory"]) != 0 {
+		t.Fatalf("the quarantine sent %q to the source and %d frames to the convict; want a report about generation 0 with its frontier, and none",
+			kinds(sent["src"]), len(sent["mallory"]))
 	}
 }
 

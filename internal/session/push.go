@@ -41,7 +41,7 @@ type peerPlan struct {
 	gensDone []bool // generations complete at the peer (nil = none)
 	// The proof pass: passAt is the peer's pass as planned, pass advances
 	// on this copy as emit takes the round's runs (takeProof) and is
-	// written back unless a REQ re-armed the peer meanwhile; owed is the
+	// written back unless a subscription re-armed the peer meanwhile; owed is the
 	// run a need re-armed, plus one (0: none); proof holds the MANIFEST
 	// frames that go this round, ahead of its rows.
 	passAt, pass, owed int
@@ -639,7 +639,7 @@ func (s *Session) commitLocked(plans []objectPlan, now time.Time) (age time.Time
 // held.
 func (s *Session) targetsLocked(st *objectState) (out []transport.Addr) {
 	for addr, ps := range st.peers {
-		if ps.reqSub && !ps.done {
+		if ps.subscribed && !ps.done {
 			out = append(out, addr)
 		}
 	}
@@ -659,7 +659,7 @@ func (s *Session) targetsLocked(st *objectState) (out []transport.Addr) {
 		}
 		if _, sol := st.solicited[addr]; sol && st.phase != phComplete {
 			// This peer is our own upstream for an object we are still
-			// fetching: if it wants our rows it asks for them (reqSub,
+			// fetching: if it wants our rows it asks for them (subscribed,
 			// handled above — mesh peers fetching from each other do
 			// exactly that). Unasked push-back up the edge we fetch over
 			// only wastes frames. Once the object is complete, push-back

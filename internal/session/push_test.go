@@ -108,6 +108,10 @@ func receiptFrame(id packet.ObjectID, gen, received, innovative uint32) []byte {
 	return encodeReport(id, 0, 0, gen, received, innovative, 0, 0, nil)
 }
 
+// subReport is a stranger's subscription: a report with no flag and no
+// counter, what a fetch that has heard nothing of the object sends.
+func subReport(id packet.ObjectID) []byte { return receiptFrame(id, 0, 0, 0) }
+
 // completeReport, genCompleteReport and needReport are reports flagging
 // the object complete, generation gen complete, and run r lacking, from a
 // receiver that has judged no row of the addressed sender's.
@@ -230,7 +234,7 @@ func feed(dst *Session, src *recTransport, without ...byte) {
 // re-pinned again when the pacer's state became a window of rows in flight
 // (a receipt per sixteen rows, a tick late, now frees sixteen rows of
 // window where it used to move a per-tick burst, and unacknowledged rows
-// age out). Every configuration keeps to at most one REQ subscriber plus
+// age out). Every configuration keeps to at most one subscriber plus
 // standing peers, the only population whose push order was deterministic
 // before plans were sorted. All five were re-pinned once more when DATA
 // rows began to carry their send sequence in header byte 3; maskedGoldens,
@@ -341,7 +345,7 @@ func TestPushGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			pushTicks(s, clk, 10)
-			injectFrame(s, "sub", encodeReq(id))
+			injectFrame(s, "sub", subReport(id))
 			pushTicks(s, clk, 40)
 			injectFrame(s, "a", completeReport(id))
 			pushTicks(s, clk, 10)
@@ -357,7 +361,7 @@ func TestPushGolden(t *testing.T) {
 			}
 			pushTicks(s, clk, 12)
 			injectFrame(s, "b", genCompleteReport(id, 2))
-			injectFrame(s, "sub", encodeReq(id))
+			injectFrame(s, "sub", subReport(id))
 			pushTicks(s, clk, 30)
 			injectFrame(s, "sub", genCompleteReport(id, 0))
 			injectFrame(s, "b", genCompleteReport(id, 3))
@@ -372,7 +376,7 @@ func TestPushGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			pushTicks(s, clk, 6)
-			injectFrame(s, "sub", encodeReq(id))
+			injectFrame(s, "sub", subReport(id))
 			pushTicks(s, clk, 10)
 			// A lossy receipt from a (half the rows arrived) moves its loss
 			// estimate; a generation-complete report makes its systematic
@@ -396,7 +400,7 @@ func TestPushGolden(t *testing.T) {
 				feed(s, srcRec)
 			}
 			pushTicks(s, clk, 5)
-			injectFrame(s, "sub", encodeReq(id))
+			injectFrame(s, "sub", subReport(id))
 			pushTicks(s, clk, 30)
 			injectFrame(s, "sub", genCompleteReport(id, 1))
 			pushTicks(s, clk, 30)
@@ -414,7 +418,7 @@ func TestPushGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			injectFrame(s, "sub", encodeReq(id))
+			injectFrame(s, "sub", subReport(id))
 			got := uint32(0)
 			for tick := 0; tick < 60; tick++ {
 				pushTicks(s, clk, 1)
@@ -445,7 +449,7 @@ func TestPushGolden(t *testing.T) {
 }
 
 // TestPushDeterministicAcrossSubscribers: two same-seed sessions with
-// three REQ subscribers must emit identical streams. Before plans visited
+// three subscribers must emit identical streams. Before plans visited
 // subscribers in address order, Go's map iteration picked which peer's
 // Recode consumed the shared coder RNG first, so the two runs diverged.
 func TestPushDeterministicAcrossSubscribers(t *testing.T) {
@@ -461,8 +465,8 @@ func TestPushDeterministicAcrossSubscribers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sub := range []transport.Addr{"s3", "s1", "s2"} {
-			injectFrame(s, sub, encodeReq(ida))
-			injectFrame(s, sub, encodeReq(idb))
+			injectFrame(s, sub, subReport(ida))
+			injectFrame(s, sub, subReport(idb))
 		}
 		pushTicks(s, clk, 20)
 		return rec.digest()
@@ -497,7 +501,7 @@ const (
 // Peer states: fresh — a configured peer, its proof pass from the start;
 // needs-META — a subscriber whose pass has sent all it could and a need has
 // re-armed run 0, the first frame that describes the object (once the
-// META); done; paused — a subscriber whose REQ re-armed its
+// META); done; paused — a subscriber whose subscription re-armed its
 // pass and whose window is full; gensDone-partial — a subscriber whose pass
 // has sent all it could and who has reported some generations complete.
 const (
@@ -653,7 +657,7 @@ func newMatrixCell(t *testing.T, rng *rand.Rand, obj, peer int) *matrixCell {
 	if peer == peerFresh {
 		c.s.AddPeer(matrixPeer)
 	} else {
-		injectFrame(c.s, matrixPeer, encodeReq(id))
+		injectFrame(c.s, matrixPeer, subReport(id))
 		ps := c.st.peers[matrixPeer]
 		if peer == peerNeedsMeta || peer == peerGensPartial {
 			ps.pass = passEnd(c.st)

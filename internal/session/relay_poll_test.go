@@ -25,8 +25,8 @@ func TestPolluterThroughRelay(t *testing.T) {
 	n.delay = n.nodes["source"].cfg.Tick / 2
 	relay, dst := n.nodes["relay"], n.nodes["dest"]
 	content := testContent(k*m, seed)
-	// The relay answers the fetcher's REQ with the manifest once it holds
-	// it.
+	// The relay answers the fetcher's subscription with the manifest once
+	// it holds it.
 	for tick := 0; ; tick++ {
 		if o, _ := relay.Object(n.id); o.HaveManifest {
 			break
@@ -53,7 +53,7 @@ func TestPolluterThroughRelay(t *testing.T) {
 	}
 	asked, pushedBack := false, 0
 	n.lose = func(from, to transport.Addr, f []byte) bool {
-		if to == "polluter" && f[0] == frameReq && !asked {
+		if to == "polluter" && isReport(f) && f[18]&repComplete == 0 && !asked {
 			asked = true
 			spray() // the polluter answers at once; the relay is half a tick away
 		}

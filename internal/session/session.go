@@ -19,15 +19,15 @@
 // completion flags the same report carries. Idle object states are evicted so a long-running relay
 // does not accumulate decode state for every object it ever carried.
 //
-// Every object is in exactly one phase (object.go; DESIGN.md §4 has the
-// phase × event table): announced → caching | filling → decoded → complete,
-// and evicted from any. Announced is an id with no geometry yet: a Watch or
-// BeginFetch registered it, or a relay heard a REQ ahead of the first DATA
-// frame. On a plain session, a relay and a cache-mode session alike the
-// first admissible DATA header or MANIFEST makes an announced object filling —
-// it gets a decoder, because somebody here asked for it; only objects a
-// cache-mode session first hears of from the network are caching (rows held
-// undecoded, no decoder), and fetching one here promotes it to filling.
+// Every object is in exactly one phase (object.go; DESIGN.md §4 has the phase ×
+// event table): announced → caching | filling → decoded → complete, and evicted
+// from any. Announced is an id with no geometry yet: a Watch or BeginFetch
+// registered it, or a relay heard a subscription ahead of the first DATA frame.
+// On a plain session, a relay and a cache-mode session alike the first
+// admissible DATA header or MANIFEST makes an announced object filling — it
+// gets a decoder, because somebody here asked for it; only objects a cache-mode
+// session first hears of from the network are caching (rows held undecoded, no
+// decoder), and fetching one here promotes it to filling.
 //
 // Decoding is sharded: DATA frames are dispatched by object ID onto a
 // worker pool, each worker draining its queue in batches and feeding whole
@@ -42,9 +42,8 @@
 //
 //	DATA     0x01 | packet v2/v3 wire encoding (object ID, generation id
 //	               and — v3 — the generation count inside)
-//	REQ      0x02 | objectID(16)                     subscribe to an object
-//	         0x03   retired (the META, whose fields every MANIFEST frame
-//	               now carries): a session drops it
+//	    0x02, 0x03  retired (the REQ, whose jobs the report does, and the
+//	               META, whose fields every MANIFEST frame carries): dropped
 //	FEEDBACK 0x04 | objectID(16) | 6 | flags(1) | need(4) | gen(4) |
 //	               received(4) | innovative(4) | departed(4) [| frontier]
 //	               the receiver's one report: flags bit 0 says the object
@@ -60,7 +59,8 @@
 //	               goes per 16 rows judged, when the worker's queue drains,
 //	               and at a batch's end for what the batch found complete
 //	               or lacking proof: at most one a batch per (object,
-//	               upstream, generation). Kinds 1–5 and 7 are retired: a
+//	               upstream, generation). It is also the subscription
+//	               (handleFeedback). Kinds 1–5 and 7 are retired: a
 //	               session drops them.
 //	MANIFEST 0x05 | manifest run (packet.ManifestChunk): objectID(16) |
 //	               k(4) | m(4) | size(8) | gens(4) | root(32) | run(4) |
@@ -113,11 +113,11 @@
 // A session with Config.CacheBudget set is a partial cache (the coded
 // edge-cache tier, internal/cache): it retains innovative coded rows of
 // objects it learns from the network — never decoding them — under a
-// byte budget, answers REQs for them by serving rows recoded from the
-// cached basis, and sends the feedback a decoder would (receipts,
+// byte budget, answers subscriptions for them by serving rows recoded from
+// the cached basis, and sends the reports a decoder would (receipts,
 // generation-complete, complete) so an origin stops streaming once the
-// cache covers the object. A REQ for a cached object is answered as any
-// other: by the proof pass, the runs it holds.
+// cache covers the object. A subscription to a cached object is answered
+// as any other: by the proof pass, the runs it holds.
 package session
 
 import (
@@ -140,7 +140,6 @@ import (
 // Frame type and feedback kind bytes.
 const (
 	frameData     = 0x01
-	frameReq      = 0x02
 	frameFeedback = 0x04
 	frameManifest = 0x05
 	frameMember   = 0x06
@@ -152,7 +151,6 @@ const (
 	repGenComplete = 1 << 1
 	repNeed        = 1 << 2
 
-	reqLen = 1 + 16
 	// A report (FEEDBACK kind 6): type, object, kind, flags and need, then
 	// the counters gen, received, innovative and departed; gen's frontier
 	// (frontierLen bytes) may follow.
@@ -177,9 +175,9 @@ type sentNative struct {
 }
 
 type peerState struct {
-	lastReq time.Time // last REQ (zero for configured peers)
-	done    bool      // reported complete: stop pushing
-	reqSub  bool      // subscribed via REQ (pruned when idle)
+	heard      time.Time // a subscriber's last report (zero for configured peers)
+	done       bool      // reported complete: stop pushing
+	subscribed bool      // subscribed by a report (pruned when idle)
 	// cacheCursor is this peer's position in the cache's serve rotation
 	// (cache mode only). Per peer so concurrent fetchers each walk the
 	// whole cached basis instead of aliasing onto disjoint slices of it.
@@ -212,8 +210,8 @@ type peerState struct {
 	repairAt, repairStep int
 	// The proof pass (DESIGN.md §13) is the runs of the object's manifest,
 	// in order. pass is the next run to send the peer (takeProof), −1 once
-	// the last has gone: it starts at first contact, and a REQ re-arms it
-	// once it has ended. No row goes to the peer ahead of the run that
+	// the last has gone: it starts at first contact, and a subscription
+	// re-arms it once it has ended. No row goes to the peer ahead of the run that
 	// proves it. owed is one more than the run a report's need re-armed (0:
 	// none), sent ahead of the pass; proofAt is when a run last went to the
 	// peer, what a need is timed against.
@@ -221,9 +219,8 @@ type peerState struct {
 	proofAt    time.Time
 }
 
-// forgetProgressLocked drops what the peer reported of its progress: a
-// fresh REQ may be another client behind the address, and a peer that is
-// done needs none of it. Session.mu must be held.
+// forgetProgressLocked drops the peer's reported progress: a new subscriber
+// may be another client, and a done peer needs none. Session.mu must be held.
 func (ps *peerState) forgetProgressLocked() {
 	ps.gensDone, ps.gensDoneN = nil, 0
 	ps.frontier, ps.unsettled = nil, nil
@@ -326,7 +323,7 @@ type Session struct {
 	freeRows []*packet.Packet
 	// wakeC carries the coalescing wake signal to the push rounds; see wake.
 	wakeC chan struct{}
-	// fetches are the fetches in progress, whose REQ resends the push
+	// fetches are the fetches in progress, whose resends the push
 	// timer's housekeeping serves (fetch.go); guarded by mu.
 	fetches []*Fetching
 	// stepper is Step's state, owned by its caller as Run's goroutines own
@@ -461,13 +458,13 @@ func ObjectID(content []byte, k, gens int) (packet.ObjectID, error) {
 
 // Serve splits content into k natives across gens independently coded
 // generations, seeds a pinned source state and returns the object's ID
-// (ObjectID: it commits to the geometry and the manifest). k is rounded up to the next multiple of gens so every
-// generation has the same code length k/G (and so every wire header is
-// O(k/G)). The object is pushed to configured peers and to anyone who
-// REQs it. Serving an object that is only announced here (a Watch or Fetch
-// registered it before any network state arrived) or only cached completes
-// it — pending fetches return at once, cached rows are dropped for the
-// content itself; an object already decoding or serving is rejected.
+// (ObjectID: it commits to the geometry and the manifest). k is rounded up to
+// the next multiple of gens so every generation has the same code length k/G
+// (and so every wire header is O(k/G)). The object is pushed to configured
+// peers and to any subscriber. Serving an object that is only announced here (a
+// Watch or Fetch registered it before any network state arrived) or only cached
+// completes it — pending fetches return at once, cached rows are dropped for
+// the content itself; an object already decoding or serving is rejected.
 //
 // The session keeps content, not a copy: its natives are views of it, it
 // is what a local Fetch of the object returns, and the session serves
@@ -650,7 +647,7 @@ type pushTimer struct {
 	age                      time.Time     // the next row in flight to age out; zero with none
 	evictEvery, shuffleEvery time.Duration
 	evictAt, shuffleAt       time.Time
-	reqAt                    time.Time // earliest fetch REQ resend; zero with none due
+	reqAt                    time.Time // earliest fetch subscription resend; zero with none due
 	parked                   time.Time // the deadline the timer is parked at; zero: running at Tick
 }
 
@@ -713,7 +710,7 @@ func (t *pushTimer) round(s *Session, now time.Time, timed bool) (rearm time.Dur
 	live, age := s.push()
 	t.age = age
 	if !live && !timed {
-		// About to park: a fetch's REQ may have gone out since the last
+		// About to park: a fetch's resend may have gone out since the last
 		// timer round looked.
 		t.reqAt = s.reqSweep()
 	}
@@ -730,7 +727,7 @@ func (t *pushTimer) round(s *Session, now time.Time, timed bool) (rearm time.Dur
 	return at.Sub(now)
 }
 
-// run does what is due at now; fetch REQ resends are checked every time.
+// run does what is due at now; fetch resends are checked every time.
 func (t *pushTimer) run(s *Session, now time.Time) {
 	t.reqAt = s.reqSweep()
 	if t.shuffleEvery > 0 && !now.Before(t.shuffleAt) {
@@ -772,7 +769,7 @@ func (s *Session) evict() {
 	cutoff := s.clk.Now().Add(-s.cfg.IdleTimeout).UnixNano()
 	for id, st := range s.objects {
 		for addr, ps := range st.peers {
-			if ps.reqSub && !ps.lastReq.IsZero() && ps.lastReq.UnixNano() < cutoff {
+			if ps.subscribed && ps.heard.UnixNano() < cutoff {
 				delete(st.peers, addr)
 			}
 		}

@@ -643,9 +643,9 @@ func TestPushMetaAfterThreshold(t *testing.T) {
 }
 
 // TestLostMetaToConfiguredPeerHeals pins the repair of the object's
-// description: a configured push-peer never REQs, so when its first proof
-// frames — the object's one run, which alone describes it — are lost to
-// the fabric the size must still arrive, through the needs beside its
+// description: a configured push-peer never subscribes, so when its first
+// proof frames — the object's one run, which alone describes it — are lost
+// to the fabric the size must still arrive, through the needs beside its
 // receipts — a run sent once and never again would wedge the whole
 // downstream pipeline (the relay could never prove the rows it forwards to
 // its own subscribers).

@@ -192,7 +192,7 @@ func (s *Session) statsLocked(st *objectState) ObjectStats {
 	o.Repeated = st.repeated
 	lossSum, lossN := 0.0, 0
 	for _, ps := range st.peers {
-		if ps.reqSub && !ps.done {
+		if ps.subscribed && !ps.done {
 			o.Subscribers++
 		}
 		if ps.link.Reports() > 0 {

@@ -10,11 +10,13 @@ import (
 )
 
 // fbTag is the session wire protocol's FEEDBACK frame type byte,
-// reportKind the receiver report's discriminator inside it, then the
-// report's flags (the internal/session package doc has the layout).
+// reportKind the receiver report's discriminator inside it, reportLen its
+// fixed part, then the report's flags (the internal/session package doc
+// has the layout).
 const (
 	fbTag      = 0x04
 	reportKind = 0x06
+	reportLen  = 1 + 16 + 1 + 1 + 4 + 16
 
 	flagComplete    = 1 << 0
 	flagGenComplete = 1 << 1
@@ -22,13 +24,13 @@ const (
 )
 
 // liar is a lying receiver on the fabric: a raw port — no session, no
-// decoder — that REQ-subscribes at every serving node for every object,
-// silently drains the pushes it provokes, and floods forged receipt
-// reports. Even-numbered liars claim they received nothing of what they
-// were sent, all of it departed — proven lost: against a naive sender the
-// under-claim pins the per-peer loss estimate at its ceiling and extorts
-// maximum redundancy forever; the estimator's clamp (MaxLoss) and the
-// liar's own window halving to its floor are what the liar scenarios
+// decoder — that floods every serving node, for every object, with forged
+// reports, each not flagged complete a subscription too, and silently drains
+// the pushes they provoke. Even-numbered liars claim they received nothing
+// of what they were sent, all of it departed — proven lost: against a naive
+// sender the under-claim pins the per-peer loss estimate at its ceiling and
+// extorts maximum redundancy forever; the estimator's clamp (MaxLoss) and
+// the liar's own window halving to its floor are what the liar scenarios
 // verify. Odd-numbered liars go after the receipt-clocked window instead,
 // flooding the claims that could turn it over faster than any receiver
 // empties it (liarClaims, one every liarFlood): everything and more
@@ -38,14 +40,13 @@ const (
 // (forgedFrontier), which could redirect a sender's repair: everything
 // missing, everything present, a generation the object does not have, the
 // wrong length, natives past the generation's end — and forged flags
-// (forgedFlags). The pacer's ceiling (adapt.TickCeiling rows a tick,
-// checked frame by frame in every run) is the defense: a departure count
-// empties no more than a received count does, a frontier chooses which
-// rows its claimant gets, never how many, a forged complete only stops
-// the pushes to the liar, and a need buys at most one run a horizon. The
-// fabric steps it: it pumps at virtual intervals and goes quiet
-// once no DATA has arrived for liarIdle of virtual time, bounding the
-// traffic a run can see.
+// (forgedFlags). The pacer's ceiling (adapt.TickCeiling rows a tick, checked
+// frame by frame in every run) is the defense: a departure count empties no
+// more than a received count does, a frontier chooses which rows its
+// claimant gets, never how many, a forged complete only stops the pushes to
+// the liar, and a need buys at most one run a horizon. The fabric steps it:
+// it pumps at virtual intervals and goes quiet once no DATA has arrived for
+// liarIdle of virtual time, bounding the traffic a run can see.
 type liar struct {
 	net     *Net
 	port    *Port
@@ -65,7 +66,7 @@ type liar struct {
 	claims [][2]uint32
 	pumps  int
 
-	pumpAt, lastData, lastSub time.Time
+	pumpAt, lastData time.Time
 }
 
 // pushedAt names one (server, object) stream toward the liar.
@@ -77,7 +78,6 @@ type pushedAt struct {
 const (
 	liarEvery = 10 * time.Millisecond
 	liarFlood = time.Millisecond // a receipt per step of the fabric's default grid
-	liarResub = 250 * time.Millisecond
 	liarIdle  = 2 * time.Second
 )
 
@@ -123,9 +123,15 @@ func forgedReport(id packet.ObjectID, flags byte, need uint32, counters [4]uint3
 	return append(buf, frontier...)
 }
 
+// subscribes reports whether frame is a subscription: a report not
+// flagged complete.
+func subscribes(frame []byte) bool {
+	return len(frame) >= reportLen && frame[0] == fbTag && frame[17] == reportKind && frame[18]&flagComplete == 0
+}
+
 // forgedFlags is the n-th flag forgery for an object of geometry g, in a
-// cycle of four: none; complete, while the liar stays subscribed (it
-// re-subscribes on its next pump); the report's generation complete —
+// cycle of four: none; complete, while the liar stays subscribed (its next
+// report, not complete, re-opens it); the report's generation complete —
 // forgedFrontier's, the one past the last and 2³²−1 among them; a need,
 // its run the manifest's next each time.
 func forgedFlags(g objGeom, n int) (flags byte, need uint32) {
@@ -203,33 +209,23 @@ func (l *liar) step() time.Time {
 }
 
 // pump sends the next forged report of the cycle to every (server,
-// object) pair, plus periodic REQ re-subscriptions so a sender that paused
-// or evicted the liar is solicited again — at once after a forged
-// complete.
+// object) pair. One not flagged complete is also the liar's subscription,
+// as any report is: a sender that evicted the liar takes it back, and one
+// a forged complete stopped re-opens it.
 func (l *liar) pump(now time.Time) {
 	if now.Sub(l.lastData) >= liarIdle {
 		return
-	}
-	doSub := now.Sub(l.lastSub) >= liarResub
-	if doSub {
-		l.lastSub = now
 	}
 	claim := l.claims[l.pumps%len(l.claims)]
 	l.pumps++
 	for _, to := range l.servers {
 		for _, id := range l.ids {
-			if doSub {
-				l.port.Send(to, append([]byte{reqTag}, id[:]...))
-			}
 			gen, departed, frontier := uint32(0), l.rows[pushedAt{to, id}], []byte(nil)
 			flags, need := byte(0), uint32(0)
 			if g, forges := l.geom[id]; forges {
 				gen, frontier = forgedFrontier(g, l.pumps)
 				departed = forgedDeparted(departed, l.pumps)
 				flags, need = forgedFlags(g, l.pumps)
-			}
-			if flags&flagComplete != 0 {
-				l.lastSub = time.Time{} // still subscribed: the next pump says so
 			}
 			l.port.Send(to, forgedReport(id, flags, need, [4]uint32{gen, claim[0], claim[1], departed}, frontier))
 		}

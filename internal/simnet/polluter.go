@@ -10,25 +10,21 @@ import (
 	"ltnc/internal/transport"
 )
 
-// reqTag is the session wire protocol's REQ frame type byte; the polluter
-// recognizes subscription requests by it (see the internal/session
-// package doc for the frame vocabulary). memberTag is the MEMBER
-// partial-view exchange frame the membership plane gossips over.
-const (
-	reqTag    = 0x02
-	memberTag = 0x06
-)
+// memberTag is the session wire protocol's MEMBER partial-view exchange
+// frame type byte, which the membership plane gossips over (see the
+// internal/session package doc for the frame vocabulary).
+const memberTag = 0x06
 
-// polluter is a Byzantine actor on the fabric: a raw port — no session,
-// no coder — that watches for REQ subscriptions and answers them with a
-// continuous stream of forged DATA rows. The forgeries are wire-perfect
-// (valid v2/v3 geometry for the requested object, exact honest frame
-// size) but carry garbage payloads, so they pass every syntactic check
-// and poison any decoder that accepts them. The polluter ignores all
-// feedback: it never stops on receipts or completion signals, which is
-// precisely the behavior the session's blame/quarantine machinery must
-// convict. The fabric steps it: it pumps at virtual intervals and
-// stops once no REQ has arrived for pollIdle of virtual time, bounding
+// polluter is a Byzantine actor on the fabric: a raw port — no session, no
+// coder — that watches for subscriptions (reports not flagged complete) and
+// answers them with a continuous stream of forged DATA rows. The forgeries
+// are wire-perfect (valid v2/v3 geometry for the requested object, exact
+// honest frame size) but carry garbage payloads, so they pass every
+// syntactic check and poison any decoder that accepts them. The polluter
+// ignores all feedback: it never stops on receipts or completion signals,
+// which is precisely the behavior the session's blame/quarantine machinery
+// must convict. The fabric steps it: it pumps at virtual intervals and stops
+// once no subscription has arrived for pollIdle of virtual time, bounding
 // the forged-traffic inflation a run can see.
 type polluter struct {
 	net  *Net
@@ -52,7 +48,7 @@ type polluter struct {
 	seq     int
 	pumps   int // odd pumps forge unit rows, even ones dense
 
-	pumpAt, advertAt, lastReq time.Time
+	pumpAt, advertAt, lastSub time.Time
 }
 
 type victim struct {
@@ -83,7 +79,7 @@ func startPolluter(net *Net, name string, geom map[packet.ObjectID]objGeom, boot
 		return err
 	}
 	now := net.Now()
-	p := &polluter{net: net, port: port, geom: geom, boot: boot, pumpAt: now.Add(pollEvery), lastReq: now}
+	p := &polluter{net: net, port: port, geom: geom, boot: boot, pumpAt: now.Add(pollEvery), lastSub: now}
 	if len(boot) > 0 {
 		entry := []packet.MemberEntry{{
 			Addr:     name,
@@ -135,10 +131,10 @@ func (p *polluter) step() time.Time {
 	return next
 }
 
-// receive records REQ subscriptions and keeps the membership lie alive.
-// Everything else (MANIFEST, FEEDBACK; a repeated REQ only keeps its
-// subscription alive) is dropped on the floor: a polluter that honored
-// feedback would stop forging and never be convicted.
+// receive records subscriptions and keeps the membership lie alive.
+// Everything else (MANIFEST, complete reports; a subscriber's next report
+// only keeps its subscription alive) is dropped on the floor: a polluter
+// that honored feedback would stop forging and never be convicted.
 func (p *polluter) receive(f transport.Frame, now time.Time) {
 	if len(f.Data) > 0 && f.Data[0] == memberTag && p.reply != nil {
 		// Answer shuffle offers (never replies — the membership plane's
@@ -149,18 +145,18 @@ func (p *polluter) receive(f transport.Frame, now time.Time) {
 			p.port.Send(f.From, p.reply)
 		}
 	}
-	if len(f.Data) != 1+len(packet.ObjectID{}) || f.Data[0] != reqTag {
+	if !subscribes(f.Data) {
 		return
 	}
 	v := victim{to: f.From}
-	copy(v.id[:], f.Data[1:])
+	copy(v.id[:], f.Data[1:17])
 	if _, ok := p.geom[v.id]; !ok {
 		return
 	}
 	if i, known := slices.BinarySearchFunc(p.victims, v, victim.cmp); !known {
 		p.victims = slices.Insert(p.victims, i, v)
 	}
-	p.lastReq = now
+	p.lastSub = now
 }
 
 // pump sends one forged row to every (victim, object) subscription,
@@ -172,7 +168,7 @@ func (p *polluter) receive(f transport.Frame, now time.Time) {
 // verification, and the quarantine convicts the sender of the row that
 // released the generation's first false native.
 func (p *polluter) pump(now time.Time) {
-	if now.Sub(p.lastReq) >= pollIdle {
+	if now.Sub(p.lastSub) >= pollIdle {
 		return
 	}
 	dense := p.pumps%2 == 0

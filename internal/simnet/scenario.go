@@ -122,7 +122,7 @@ type Scenario struct {
 	Objects  []ObjectSpec
 
 	// Polluters adds Byzantine actors to the swarm: raw ports that answer
-	// REQ subscriptions with wire-perfect forged DATA rows (valid
+	// subscriptions with wire-perfect forged DATA rows (valid
 	// geometry, garbage payloads) and ignore all feedback — the adversary
 	// the session layer's integrity manifests and blame/quarantine
 	// machinery exist for. Every fetcher subscribes at all polluters on
@@ -131,18 +131,19 @@ type Scenario struct {
 	// push onward. Requires star or mesh wiring without a cache tier.
 	Polluters int
 
-	// Liars adds lying-receiver actors: raw ports that REQ-subscribe at
-	// every source and relay for every object, drain the resulting pushes,
-	// and flood forged kind-6 receipt reports — the even-numbered ones
-	// claiming they received nothing and that everything they were sent
-	// departed (the extortion play against the estimator, trying to pin the
-	// sender's loss estimate at the ceiling), the odd-numbered ones
-	// over-claiming, running their counters backwards and wrapping them,
-	// ten times a tick (the play against the receipt-clocked window: every
-	// forged receipt empties it). The estimator's clamps (MaxLoss, never
-	// more than adapt.TickCeiling rows a tick) must keep honest fetches
-	// completing. Requires static star wiring without caches or membership
-	// mode.
+	// Liars adds lying-receiver actors: raw ports that flood every
+	// source and relay, for every object, with forged kind-6 reports —
+	// each not flagged complete a subscription too — and drain the
+	// resulting pushes: the even-numbered ones claiming they received
+	// nothing and that everything they were sent departed (the extortion
+	// play against the estimator, trying to pin the sender's loss
+	// estimate at the ceiling), the odd-numbered ones over-claiming,
+	// running their counters backwards and wrapping them, ten times a
+	// tick (the play against the receipt-clocked window: every forged
+	// receipt empties it). The estimator's clamps (MaxLoss, never more
+	// than adapt.TickCeiling rows a tick) must keep honest fetches
+	// completing. Requires static star wiring without caches or
+	// membership mode.
 	Liars int
 
 	// Caches inserts a tier of budgeted partial-cache sessions between
@@ -159,7 +160,7 @@ type Scenario struct {
 	// membership plane: the first Bootstrap nodes (sources first, then
 	// relays) are the only addresses anyone is configured with, every
 	// session joins by PEX view shuffles (session.Config.Bootstrap), and
-	// fetches run with no explicit source — REQ steering follows the
+	// fetches run with no explicit source — subscription steering follows the
 	// gossip-discovered, capacity-weighted neighbor sets. PeersPerFetcher
 	// and the static wiring rules are ignored; Wiring still decides
 	// whether fetchers recode (WiringMesh) or stay plain (WiringStar).

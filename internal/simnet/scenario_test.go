@@ -241,7 +241,7 @@ func TestScenarioHarshMultihop(t *testing.T) {
 // batch per (object, upstream, generation), so FEEDBACK frames stay within
 // a few hundred on the lines that answered DATA one frame at a time when
 // completion and the need had FEEDBACK kinds of their own (561 and 1,228
-// frames then).
+// frames then). The count includes the subscriptions, which are reports.
 func TestScenarioFeedbackFrames(t *testing.T) {
 	t.Parallel()
 	for _, c := range []struct {
@@ -394,7 +394,7 @@ func TestScenarioPollutedMesh(t *testing.T) {
 
 // TestScenarioLyingReceivers wires the lying-receiver actor into the
 // polluted-swarm harness: 2 polluters forge garbage rows while 2 liars
-// REQ-subscribe everywhere and flood forged kind-6 receipt reports — one
+// subscribe everywhere by flooding forged kind-6 reports — one
 // claiming nothing ever arrived and all of it departed, trying to pin the
 // senders' loss estimates at the ceiling, one over-claiming, running its
 // counters backwards and wrapping them ten times a tick, trying to turn

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"testing"
 	"time"
 )
@@ -30,7 +31,7 @@ func conformance(t *testing.T, a, b Transport) {
 		t.Fatalf("recv from = %q, want %q", f.From, a.LocalAddr())
 	}
 	// Reply to the sender address carried on the frame (how sessions
-	// answer REQ and feedback frames).
+	// answer feedback frames).
 	if err := b.Send(f.From, []byte("ack")); err != nil {
 		t.Fatalf("reply: %v", err)
 	}
@@ -219,7 +220,10 @@ func TestUDPRecvReusesPoolBuffers(t *testing.T) {
 	// working set, observable as a backing array coming back. The batch
 	// reader re-arms its next buffer before the consumer releases the
 	// current one, so a couple of buffers stay in flight — any repeat
-	// counts, not specifically the first.
+	// counts, not specifically the first. A GC cycle empties a sync.Pool,
+	// so one between a Release and the next Recv would hide the reuse
+	// under a loaded host: the collector is off for the loop.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	seen := make(map[*byte]bool)
 	reused := false
 	for i := 0; i < 50; i++ {

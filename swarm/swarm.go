@@ -195,8 +195,8 @@ type Config struct {
 	// innovative coded rows under this global byte budget — admitted only
 	// when they raise a generation's rank, evicted whole generations at a
 	// time by demand recency × innovation density — and served to
-	// requesters as stored rows, without ever decoding. A REQ is answered
-	// as at any other holder, with the metadata; a cache advertises
+	// requesters as stored rows, without ever decoding. A subscription is
+	// answered as at any other holder, with the manifest; a cache advertises
 	// nothing else. Mutually exclusive with Relay (a cache deliberately
 	// holds no decode state). See Session.CacheStats.
 	CacheBudget int64
