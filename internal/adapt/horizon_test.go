@@ -128,9 +128,13 @@ func TestHorizonTimesEachRowOnce(t *testing.T) {
 func TestHorizonDepartureWraps(t *testing.T) {
 	var l Link
 	now := at(1)
-	l.Grant(now, testTick, math.MaxInt32)
-	l.OnSend(1<<32-2, now)
-	now = now.Add(2 * testTick)
+	// 2³²−2 rows, in two sends two ticks apart: each count fits an int on
+	// 32-bit builds, and each send has aged out before the next.
+	for range 2 {
+		l.Grant(now, testTick, math.MaxInt32)
+		l.OnSend(1<<31-1, now)
+		now = now.Add(2 * testTick)
+	}
 	l.Grant(now, testTick, math.MaxInt32) // all aged out, none timed
 	if l.InFlight() != 0 || l.Horizon() != 2*testTick {
 		t.Fatalf("%d rows in flight, horizon %v: want none and two ticks", l.InFlight(), l.Horizon())

@@ -68,3 +68,24 @@ func TestUnmarshalAllocBudget(t *testing.T) {
 		t.Errorf("Unmarshal allocates %.1f per call, budget 8", allocs)
 	}
 }
+
+// TestReportCodecDoesNotAllocate: a report appends into a sized buffer and
+// parses, refused or accepted, with no allocation — a session parses every
+// FEEDBACK frame on its receive loop.
+func TestReportCodecDoesNotAllocate(t *testing.T) {
+	r := Report{Object: NewObjectID([]byte("alloc test")), Flags: ReportNeed, Need: 3, Gen: 1, Received: 9, Frontier: make([]byte, 8)}
+	buf := make([]byte, 0, ReportLen+len(r.Frontier))
+	bad := AppendReport(nil, Report{Flags: 1 << 7})
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = AppendReport(buf[:0], r)
+		if _, err := ParseReport(buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseReport(bad); err == nil {
+			t.Fatal("an unknown flag parsed")
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("the report codec allocates %.1f per call, want 0", allocs)
+	}
+}

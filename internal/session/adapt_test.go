@@ -43,7 +43,7 @@ func TestAdaptiveReceiptEmission(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := probe.Send("relay", append([]byte{frameData}, wire...)); err != nil {
+		if err := probe.Send("relay", append([]byte{packet.FrameData}, wire...)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,16 +53,15 @@ func TestAdaptiveReceiptEmission(t *testing.T) {
 			t.Fatalf("last receipt reported %d rows of %d: %v", received, receiptEvery, err)
 		}
 		// No run came: each receipt says it needs the first.
-		if !isNeed(f.Data) || bigEndianU32(f.Data[19:23]) != 0 || len(f.Data) != reportLen+frontierLen(k) {
+		r, _ := parseReport(f.Data)
+		if !isNeed(f.Data) || r.Need != 0 || len(r.Frontier) != frontierLen(k) {
 			t.Fatalf("reply = %x, want a report needing run 0 with a %d-byte frontier", f.Data, frontierLen(k))
 		}
-		var gotID packet.ObjectID
-		copy(gotID[:], f.Data[1:17])
-		if gotID != id {
-			t.Fatalf("receipt for %v, want %v", gotID, id)
+		if r.Object != id {
+			t.Fatalf("receipt for %v, want %v", r.Object, id)
 		}
-		next, innovative, departed := bigEndianU32(f.Data[27:31]), bigEndianU32(f.Data[31:35]), bigEndianU32(f.Data[35:39])
-		if frontier := binary.LittleEndian.Uint32(f.Data[reportLen:]); frontier != 1<<next-1 {
+		next, innovative, departed := r.Received, r.Innovative, r.Departed
+		if frontier := binary.LittleEndian.Uint32(r.Frontier); frontier != 1<<next-1 {
 			t.Fatalf("frontier %032b with natives 0..%d in", frontier, next-1)
 		}
 		f.Release()
@@ -106,7 +105,7 @@ func TestSystematicFirstPass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(f.Data) == 0 || f.Data[0] != frameData {
+		if len(f.Data) == 0 || f.Data[0] != packet.FrameData {
 			f.Release()
 			continue
 		}

@@ -65,7 +65,7 @@ func TestIngestAllocBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			frame := append([]byte{frameData}, wire...)
+			frame := append([]byte{packet.FrameData}, wire...)
 			wv, err := packet.ParseWire(frame[1:])
 			if err != nil {
 				t.Fatal(err)

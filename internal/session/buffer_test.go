@@ -71,7 +71,7 @@ func TestFetchedContentIsTheNatives(t *testing.T) {
 				pushTicks(src, srcClk, 1)
 				if rec := src.tr.(*recTransport); lose {
 					for to, fs := range rec.frames {
-						rec.frames[to] = slices.DeleteFunc(fs, func(f []byte) bool { return f[0] == frameManifest })
+						rec.frames[to] = slices.DeleteFunc(fs, func(f []byte) bool { return f[0] == packet.FrameManifest })
 					}
 				}
 				route(src, f)
@@ -151,7 +151,7 @@ func TestServedContentNeverRecycled(t *testing.T) {
 		pushTicks(src, srcClk, 1)
 		pushTicks(relay, relayClk, 1)
 		for _, fr := range relayRec.frames["fetcher"] {
-			if fr[0] == frameData {
+			if fr[0] == packet.FrameData {
 				rows = append(rows, fr)
 			}
 		}
@@ -257,7 +257,7 @@ func TestForgedManifestRefillsMovedGenerations(t *testing.T) {
 	pushTicks(src, srcClk, 1)
 	var rows [][]byte
 	for _, fr := range src.tr.(*recTransport).take()["fetcher"] {
-		if fr[0] == frameData {
+		if fr[0] == packet.FrameData {
 			rows = append(rows, fr)
 		} else {
 			injectFrame(f, "src", fr)
@@ -327,7 +327,7 @@ func TestObjectBufferNeedsTheManifest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			injectFrame(relay, "mallory", append([]byte{frameData}, wire...))
+			injectFrame(relay, "mallory", append([]byte{packet.FrameData}, wire...))
 		}
 	}
 	st := relay.objects[id]

@@ -115,7 +115,7 @@ func TestCacheIdleEvictionPartial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := probe.Send("cache", append([]byte{frameData}, wire...)); err != nil {
+		if err := probe.Send("cache", append([]byte{packet.FrameData}, wire...)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -294,7 +294,7 @@ func TestCacheReqDrawsOnlyMeta(t *testing.T) {
 	rec.take()
 	s.push()
 	got := rec.take()["fetcher"]
-	if len(got) < 2 || got[0][0] != frameManifest || slices.ContainsFunc(got[1:], func(f []byte) bool { return f[0] != frameData }) {
+	if len(got) < 2 || got[0][0] != packet.FrameManifest || slices.ContainsFunc(got[1:], func(f []byte) bool { return f[0] != packet.FrameData }) {
 		t.Fatalf("the round after the run was adopted sent %q, want the run, then rows", kinds(got))
 	}
 }

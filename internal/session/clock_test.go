@@ -180,7 +180,7 @@ func TestVirtualProofResend(t *testing.T) {
 		n.nodes["source"].AddPeer("sink")
 		runs := map[uint32]int{}
 		n.lose = func(_, to transport.Addr, f []byte) bool {
-			if to == "sink" && f[0] == frameManifest {
+			if to == "sink" && f[0] == packet.FrameManifest {
 				copies(t, runs, f)
 			}
 			return false
@@ -200,10 +200,10 @@ func TestVirtualProofResend(t *testing.T) {
 			n.nodes["source"].AddPeer(node)
 			runs, needs := map[uint32]int{}, 0
 			n.lose = func(from, to transport.Addr, f []byte) bool {
-				if from == node && isNeed(f) && bigEndianU32(f[19:23]) == 0 {
+				if r, _ := parseReport(f); from == node && isNeed(f) && r.Need == 0 {
 					needs++
 				}
-				if to != node || f[0] != frameManifest {
+				if to != node || f[0] != packet.FrameManifest {
 					return false
 				}
 				return copies(t, runs, f) == 0 && runs[0] == 1

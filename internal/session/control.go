@@ -10,8 +10,8 @@ import (
 )
 
 // The control plane: the FEEDBACK handler (MANIFEST lives in integrity.go,
-// MEMBER in member.go), run inline on the receive loop, and the report's
-// encoder. Peer bookkeeping is guarded by s.mu.
+// MEMBER in member.go), run inline on the receive loop; the report's bytes
+// are packet.Report's. Peer bookkeeping is guarded by s.mu.
 
 // handleFrame dispatches one control frame (FEEDBACK, MANIFEST, MEMBER)
 // inline on the receive loop and sends its replies after the session lock
@@ -28,11 +28,11 @@ func (s *Session) handleFrame(f transport.Frame) {
 	s.memberAlive(f.From)
 	var reply []byte
 	switch f.Data[0] {
-	case frameFeedback:
+	case packet.FrameFeedback:
 		s.handleFeedback(f.From, f.Data[1:])
-	case frameManifest:
+	case packet.FrameManifest:
 		reply = s.handleManifest(f.From, f.Data[1:])
-	case frameMember:
+	case packet.FrameMember:
 		reply = s.handleMember(f.From, f.Data[1:])
 	}
 	if reply != nil {
@@ -100,42 +100,35 @@ func evictBefore(a, b *peerState, lower bool) bool {
 	return lower
 }
 
-// handleFeedback takes a report (FEEDBACK kind 6) with one encoding — no
-// unknown flag, a need only under its flag — and drops any other frame,
-// the retired kinds among them. The report is the subscription: one not
-// flagged complete from a peer not in the object's table, or from one that
-// said complete, subscribes it (subscribeLocked). Addresses are spoofable,
-// so that is bounded by the object table (MaxObjects), by
+// handleFeedback takes a report (packet.ParseReport) and drops any other
+// frame, the retired kinds among them. The report is the subscription: one
+// not flagged complete from a peer not in the object's table, or from one
+// that said complete, subscribes it (subscribeLocked). Addresses are
+// spoofable, so that is bounded by the object table (MaxObjects), by
 // maxPeersPerObject entries a table (dropOnePeerLocked) and by the ban
 // list; a stranger's complete report makes nothing, and no stranger's
-// report folds: no row has gone to it for its counters to be read
-// against. Any report refreshes a subscriber's idle clock. A complete
-// report latches done and forgets the
-// peer's progress, and folds nothing else. Otherwise the counters and the
-// frontier fold into the peer's link (onReceiptLocked), generation
-// complete marks gen done at the peer, and a need re-arms the run it
-// names (onNeedLocked).
+// report folds: no row has gone to it for its counters to be read against.
+// Any report refreshes a subscriber's idle clock. A complete report latches
+// done and forgets the peer's progress, and folds nothing else. Otherwise
+// the counters and the frontier fold into the peer's link
+// (onReceiptLocked), generation complete marks gen done at the peer, and a
+// need re-arms the run it names (onNeedLocked).
 func (s *Session) handleFeedback(from transport.Addr, data []byte) {
-	if len(data) < reportLen-1 || data[16] != fbReport {
+	r, err := packet.ParseReport(data)
+	if err != nil {
 		return
 	}
-	flags, need := data[17], binary.BigEndian.Uint32(data[18:22])
-	if flags&^(repComplete|repGenComplete|repNeed) != 0 || flags&repNeed == 0 && need != 0 {
-		return
-	}
-	var id packet.ObjectID
-	copy(id[:], data[:16])
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, b := s.banned[from]; b {
 		return // a polluter's feedback steers nothing
 	}
-	st, ps := s.objects[id], (*peerState)(nil)
+	st, ps := s.objects[r.Object], (*peerState)(nil)
 	if st != nil {
 		ps = st.peers[from]
 	}
-	if flags&repComplete == 0 && (ps == nil || ps.done) {
-		s.subscribeLocked(id, from)
+	if r.Flags&packet.ReportComplete == 0 && (ps == nil || ps.done) {
+		s.subscribeLocked(r.Object, from)
 	}
 	if ps == nil {
 		return
@@ -143,16 +136,16 @@ func (s *Session) handleFeedback(from transport.Addr, data []byte) {
 	if ps.subscribed {
 		ps.heard = s.clk.Now()
 	}
-	switch body := data[reportLen-1-16:]; {
-	case flags&repComplete != 0:
+	switch {
+	case r.Flags&packet.ReportComplete != 0:
 		ps.done = true
 		ps.forgetProgressLocked()
-	case s.onReceiptLocked(st, ps, from, body):
-		if flags&repGenComplete != 0 {
-			ps.onGenCompleteLocked(int(st.gens.Load()), binary.BigEndian.Uint32(body[0:4]))
+	case s.onReceiptLocked(st, ps, from, &r):
+		if r.Flags&packet.ReportGenComplete != 0 {
+			ps.onGenCompleteLocked(int(st.gens.Load()), r.Gen)
 		}
-		if flags&repNeed != 0 {
-			s.onNeedLocked(st, ps, need)
+		if r.Flags&packet.ReportNeed != 0 {
+			s.onNeedLocked(st, ps, r.Need)
 		}
 	}
 }
@@ -201,18 +194,17 @@ func (ps *peerState) onGenCompleteLocked(gens int, gen uint32) {
 	}
 }
 
-// onReceiptLocked feeds a report's counters (body: gen, received,
-// innovative, departed, then gen's frontier or nothing) to the peer's link
-// and wakes the push goroutine to fold it: the rows it acknowledges, or
-// proves lost, have left the window. A tail that is not the object's
-// frontier length voids the frame: it reports whether the report stands.
+// onReceiptLocked feeds a report's counters to the peer's link and wakes
+// the push goroutine to fold it: the rows it acknowledges, or proves lost,
+// have left the window. A frontier that is not the object's frontier
+// length voids the frame: it reports whether the report stands.
 // A frontier naming a generation and no native past its end clears the
 // generation's done mark (a quarantine's re-arm), and is kept where rows
 // are drawn from a coder (a cache deals what it holds, whatever the peer
 // lacks); dropped, its counters fold as a short report's.
 // Session.mu must be held.
-func (s *Session) onReceiptLocked(st *objectState, ps *peerState, from transport.Addr, body []byte) bool {
-	if tail := body[16:]; len(tail) > 0 {
+func (s *Session) onReceiptLocked(st *objectState, ps *peerState, from transport.Addr, r *packet.Report) bool {
+	if tail := r.Frontier; len(tail) > 0 {
 		st.mu.Lock()
 		kPer, coded := st.kPer, st.phase.decoding()
 		st.mu.Unlock()
@@ -220,7 +212,7 @@ func (s *Session) onReceiptLocked(st *objectState, ps *peerState, from transport
 			return false
 		}
 		// Unsigned compare: int(gen) can wrap negative on 32-bit builds.
-		gens, gen := int(st.gens.Load()), binary.BigEndian.Uint32(body[0:4])
+		gens, gen := int(st.gens.Load()), r.Gen
 		if pad := len(tail)*8 - kPer; gen < uint32(gens) && tail[len(tail)-1]>>(8-pad) == 0 {
 			if genDone(ps.gensDone, int(gen)) {
 				ps.gensDone[gen], ps.gensDoneN = false, ps.gensDoneN-1
@@ -235,8 +227,8 @@ func (s *Session) onReceiptLocked(st *objectState, ps *peerState, from transport
 		}
 	}
 	s.wake()
-	ps.link.OnReport(binary.BigEndian.Uint32(body[4:8]), binary.BigEndian.Uint32(body[8:12]))
-	ps.link.OnDeparted(binary.BigEndian.Uint32(body[12:16]))
+	ps.link.OnReport(r.Received, r.Innovative)
+	ps.link.OnDeparted(r.Departed)
 	return true
 }
 
@@ -251,29 +243,4 @@ func (s *Session) repairOrder(peer transport.Addr) (at, step int) {
 	h.Write([]byte(s.tr.LocalAddr() + "\x00" + peer))
 	sum := h.Sum64()
 	return int(sum >> 40), int(sum>>8&0xFFFFFF) | 1
-}
-
-// encodeReport encodes a report (FEEDBACK kind 6) to the addressed peer
-// about object id: flags and need, then the counters — the sender of the
-// frame has judged received DATA rows from the peer, of which innovative
-// advanced its decode, and the highest send sequence among them that came
-// stamped is departed (0: none did); gen is the generation the report is
-// about. Counters are cumulative per (sender, object), so a lost report
-// costs nothing but its flags, which the next batch of the peer's rows
-// says again. A receiver still filling gen appends gen's frontier — kPer
-// bits, those of the natives in decoded (indices within the generation)
-// set — against which the sender repeats exactly what is missing instead
-// of coding blind; kPer 0 is the short form.
-func encodeReport(id packet.ObjectID, flags byte, need, gen, received, innovative, departed uint32, kPer int, decoded []int32) []byte {
-	buf := make([]byte, reportLen+frontierLen(kPer))
-	buf[0] = frameFeedback
-	copy(buf[1:17], id[:])
-	buf[17], buf[18] = fbReport, flags
-	for i, c := range [...]uint32{need, gen, received, innovative, departed} {
-		binary.BigEndian.PutUint32(buf[19+4*i:], c)
-	}
-	for _, i := range decoded {
-		buf[reportLen+int(i>>3)] |= 1 << (i & 7)
-	}
-	return buf
 }

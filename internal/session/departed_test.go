@@ -75,10 +75,10 @@ func TestLossyFetchTicks(t *testing.T) {
 // flight, or delivered and not yet taken by the receiver's Step.
 func (n *stepNet) inNetwork(from, to transport.Addr) (rows int) {
 	for _, c := range n.flight {
-		rows += btoi(c.from == from && c.to == to && c.frame[0] == frameData)
+		rows += btoi(c.from == from && c.to == to && c.frame[0] == packet.FrameData)
 	}
 	for _, f := range n.recs[to].inbox {
-		rows += btoi(f.From == from && f.Data[0] == frameData)
+		rows += btoi(f.From == from && f.Data[0] == packet.FrameData)
 	}
 	return rows
 }
@@ -111,7 +111,7 @@ func TestLateAnchorFallsBackToAgeing(t *testing.T) {
 			n.delay = 3 * n.nodes["src"].cfg.Tick / 10
 			rows, lost := 0, 0
 			n.lose = func(from, _ transport.Addr, f []byte) bool {
-				if from != "src" || f[0] != frameData {
+				if from != "src" || f[0] != packet.FrameData {
 					return false
 				}
 				rows++
@@ -168,7 +168,7 @@ func TestTailLossAgesAtRoundTrip(t *testing.T) {
 	var last []byte // the last DATA row of the Step under way at src
 	burst, dropped := 0, 0
 	n.lose = func(from, _ transport.Addr, f []byte) bool {
-		if from == "src" && f[0] == frameData {
+		if from == "src" && f[0] == packet.FrameData {
 			burst, last = burst+1, f
 		}
 		return false
@@ -213,7 +213,7 @@ func TestPassThroughClearsStamps(t *testing.T) {
 	n.nodes["down"].Watch(n.id, func(ObjectStats) {})
 	forwarded, dealt := 0, 0
 	n.lose = func(from, _ transport.Addr, f []byte) bool {
-		if from == "cache" && f[0] == frameData {
+		if from == "cache" && f[0] == packet.FrameData {
 			forwarded += btoi(f[1+3] == 0)
 			dealt += btoi(f[1+3] != 0)
 		}
@@ -315,7 +315,7 @@ func TestReceiptFormsParseAsThemselves(t *testing.T) {
 			if form.frontier {
 				fl, dec = kPer, decoded
 			}
-			frame := encodeReport(id, 0, 0, 0, received, received, form.departed, fl, dec)
+			frame := reportFrame(packet.Report{Object: id, Received: received, Innovative: received, Departed: form.departed, Frontier: frontierOf(fl, dec...)})
 			injectFrame(s, "peer", frame)
 			ps.link.Grant(s.clk.Now(), s.cfg.Tick, kPer)
 			want := max(uint64(received), uint64(form.departed))

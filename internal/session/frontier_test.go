@@ -2,7 +2,6 @@ package session
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -25,7 +24,7 @@ func lossy(seed int64, p float64) func(_, _ transport.Addr, _ []byte) bool {
 // row or another kind of frame.
 func nativeOf(t *testing.T, f []byte) int {
 	t.Helper()
-	if f[0] != frameData {
+	if f[0] != packet.FrameData {
 		return -1
 	}
 	h, err := packet.ReadHeader(bytes.NewReader(f[1:]))
@@ -140,10 +139,10 @@ func TestTaperReadsTheFrontier(t *testing.T) {
 	// second's are not all redundant — a streak of aborts would pause it.
 	drop, after := lossy(56, 0.20), 0
 	n.lose = func(from, to transport.Addr, f []byte) bool {
-		if to == "dst" && from == "srcB" && f[0] == frameData && n.fetched().Complete {
+		if to == "dst" && from == "srcB" && f[0] == packet.FrameData && n.fetched().Complete {
 			after++
 		}
-		return from == "srcA" && f[0] == frameData && drop(from, to, f)
+		return from == "srcA" && f[0] == packet.FrameData && drop(from, to, f)
 	}
 	n.join("srcA")
 	joined := false
@@ -245,19 +244,19 @@ func TestFrontierForgedStaysOnItsLink(t *testing.T) {
 		repeated bool
 	}{
 		{"all-missing", func(id packet.ObjectID, i int) []byte {
-			return encodeReport(id, 0, 0, uint32(i%gens), uint32(i+1)<<16, uint32(i+1)<<16, 0, kPer, nil)
+			return reportFrame(packet.Report{Object: id, Gen: uint32(i % gens), Received: uint32(i+1) << 16, Innovative: uint32(i+1) << 16, Frontier: frontierOf(kPer)})
 		}, true},
 		{"all-present-but-incomplete", func(id packet.ObjectID, i int) []byte {
-			return encodeReport(id, 0, 0, uint32(i%gens), uint32(i+1)<<16, uint32(i+1)<<16, 0, kPer, full)
+			return reportFrame(packet.Report{Object: id, Gen: uint32(i % gens), Received: uint32(i+1) << 16, Innovative: uint32(i+1) << 16, Frontier: frontierOf(kPer, full...)})
 		}, false},
 		{"wrong-length", func(id packet.ObjectID, i int) []byte {
-			return encodeReport(id, 0, 0, 0, uint32(i+1)<<16, uint32(i+1)<<16, 0, kPer+8, nil)
+			return reportFrame(packet.Report{Object: id, Received: uint32(i+1) << 16, Innovative: uint32(i+1) << 16, Frontier: frontierOf(kPer + 8)})
 		}, false},
 		{"generation-past-G", func(id packet.ObjectID, i int) []byte {
-			return encodeReport(id, 0, 0, gens+uint32(i), uint32(i+1)<<16, uint32(i+1)<<16, 0, kPer, nil)
+			return reportFrame(packet.Report{Object: id, Gen: gens + uint32(i), Received: uint32(i+1) << 16, Innovative: uint32(i+1) << 16, Frontier: frontierOf(kPer)})
 		}, false},
 		{"bits-past-kPer", func(id packet.ObjectID, i int) []byte {
-			f := encodeReport(id, 0, 0, 0, uint32(i+1)<<16, uint32(i+1)<<16, 0, kPer, nil)
+			f := reportFrame(packet.Report{Object: id, Received: uint32(i+1) << 16, Innovative: uint32(i+1) << 16, Frontier: frontierOf(kPer)})
 			f[len(f)-1] = 0x80
 			return f
 		}, false},
@@ -335,8 +334,9 @@ func TestFrontierForgedStaysOnItsLink(t *testing.T) {
 
 // withDeparted sets receipt f's departure count.
 func withDeparted(f []byte, departed uint32) []byte {
-	binary.BigEndian.PutUint32(f[reportLen-4:], departed)
-	return f
+	r, _ := parseReport(f)
+	r.Departed = departed
+	return reportFrame(r)
 }
 
 // TestCodedRowsWaitForThePassToSettle: toward a peer that names no frontier
@@ -358,7 +358,7 @@ func TestCodedRowsWaitForThePassToSettle(t *testing.T) {
 	round := func() (rows, coded int) {
 		s.push()
 		for _, f := range rec.take()["peer"] {
-			if f[0] == frameData {
+			if f[0] == packet.FrameData {
 				rows++
 				coded += btoi(nativeOf(t, f) < 0)
 			}

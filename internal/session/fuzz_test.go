@@ -79,7 +79,7 @@ const (
 // did: the object, the kind, then body, each a big-endian u32 (kind 3's
 // generation, kind 4's coverage, kind 5's counters, kind 7's run).
 func retiredFeedback(id packet.ObjectID, kind byte, body ...uint32) []byte {
-	buf := append([]byte{frameFeedback}, id[:]...)
+	buf := append([]byte{packet.FrameFeedback}, id[:]...)
 	buf = append(buf, kind)
 	for _, c := range body {
 		buf = binary.BigEndian.AppendUint32(buf, c)
@@ -108,7 +108,7 @@ func createsNothing(s *Session, from transport.Addr, frame []byte) bool {
 	if len(frame) > 0 && frame[0] == 0x02 {
 		return true
 	}
-	if !isReport(frame) || frame[18]&repComplete == 0 {
+	if r, ok := parseReport(frame); !ok || r.Flags&packet.ReportComplete == 0 {
 		return false
 	}
 	s.mu.Lock()
@@ -146,15 +146,15 @@ func retiredReceipt(id packet.ObjectID, gen, received, innovative uint32, fronti
 func reportSeeds(id packet.ObjectID) [][]byte {
 	var seeds [][]byte
 	for flags := range byte(8) {
-		seeds = append(seeds, encodeReport(id, flags, 0, 0, 32, 16, 0, 0, nil))
+		seeds = append(seeds, reportFrame(packet.Report{Object: id, Flags: flags, Received: 32, Innovative: 16}))
 	}
 	seeds = append(seeds,
-		encodeReport(id, 1<<3, 0, 0, 32, 16, 0, 0, nil),
-		encodeReport(id, 0x80|repComplete, 0, 0, 32, 16, 0, 0, nil),
+		reportFrame(packet.Report{Object: id, Flags: 1 << 3, Received: 32, Innovative: 16}),
+		reportFrame(packet.Report{Object: id, Flags: 0x80 | packet.ReportComplete, Received: 32, Innovative: 16}),
 		needReport(id, 0), needReport(id, 1), needReport(id, 1<<32-1),
-		encodeReport(id, 0, 1, 0, 32, 16, 0, 0, nil),
-		encodeReport(id, repGenComplete, 1, 1, 32, 16, 0, 0, nil),
-		receiptFrame(id, 0, 32, 16)[:reportLen-1],
+		reportFrame(packet.Report{Object: id, Need: 1, Received: 32, Innovative: 16}),
+		reportFrame(packet.Report{Object: id, Flags: packet.ReportGenComplete, Need: 1, Gen: 1, Received: 32, Innovative: 16}),
+		receiptFrame(id, 0, 32, 16)[:1+packet.ReportLen-1],
 		append(receiptFrame(id, 0, 32, 16), 0),
 		retiredFeedback(id, fbRetiredComplete),
 		retiredFeedback(id, fbRetiredGenComplete, 0),
@@ -180,7 +180,7 @@ func FuzzSessionFrames(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(append([]byte{frameData}, wire...))
+	f.Add(append([]byte{packet.FrameData}, wire...))
 	gp := packet.Native(16, 3, make([]byte, 8))
 	gp.Object = id
 	gp.Generation = 1
@@ -189,8 +189,8 @@ func FuzzSessionFrames(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(append([]byte{frameData}, genWire...)) // v3 generation-coded DATA
-	desc := descFor(id, 16, 8, 128, 1, root)     // its description hashes to id
+	f.Add(append([]byte{packet.FrameData}, genWire...)) // v3 generation-coded DATA
+	desc := descFor(id, 16, 8, 128, 1, root)            // its description hashes to id
 	f.Add(desc)
 	f.Add(desc[:20])                                                   // truncated inside the content ID
 	f.Add(append(desc, 0xff, 0xee))                                    // oversized MANIFEST
@@ -241,35 +241,35 @@ func FuzzSessionFrames(f *testing.F) {
 	// and one that wraps int on 32-bit builds, a native past k/G = 12 in the
 	// padding, a good frontier on contradictory counters, a departure count
 	// past anything sent.
-	stamped := append([]byte{frameData}, wire...)
+	stamped := append([]byte{packet.FrameData}, wire...)
 	packet.Restamp(stamped[1:], packet.SeqStamp(5))
 	f.Add(stamped)
-	rc := encodeReport(id, 0, 0, 1, 32, 16, 40, 0, nil)
+	rc := reportFrame(packet.Report{Object: id, Gen: 1, Received: 32, Innovative: 16, Departed: 40})
 	f.Add(rc)
-	f.Add(rc[:reportLen-2])
+	f.Add(rc[:1+packet.ReportLen-2])
 	f.Add(append(rc, 0x00))
 	f.Add(receiptFrame(id, 0, 4, 9))
 	f.Add(receiptFrame(id, 0, 0, 0))
-	f.Add(retiredFeedback(id, fbReport))
-	long := encodeReport(id, 0, 0, 0, 32, 16, 40, 16, []int32{0, 3, 15}) // the seed DATA's geometry: k/G = 16
+	f.Add(rc[:1+16+1])                                                                                                             // the report's kind byte, and nothing behind it
+	long := reportFrame(packet.Report{Object: id, Received: 32, Innovative: 16, Departed: 40, Frontier: frontierOf(16, 0, 3, 15)}) // the seed DATA's geometry: k/G = 16
 	f.Add(long)
 	f.Add(long[:len(long)-1])
 	f.Add(append(long, 0xff))
-	f.Add(encodeReport(id, 0, 0, 4, 32, 16, 0, 16, nil))
-	f.Add(encodeReport(id, 0, 0, 1<<31, 32, 16, 0, 16, nil))
-	f.Add(encodeReport(id, 0, 0, 0, 32, 16, 0, 12, []int32{13}))
-	f.Add(encodeReport(id, 0, 0, 0, 4, 9, 0, 16, []int32{1, 2, 3}))
-	f.Add(encodeReport(id, 0, 0, 0, 32, 16, 1<<32-1, 0, nil))
-	mc, err := packet.AppendManifestChunk([]byte{frameManifest},
+	f.Add(reportFrame(packet.Report{Object: id, Gen: 4, Received: 32, Innovative: 16, Frontier: frontierOf(16)}))
+	f.Add(reportFrame(packet.Report{Object: id, Gen: 1 << 31, Received: 32, Innovative: 16, Frontier: frontierOf(16)}))
+	f.Add(reportFrame(packet.Report{Object: id, Received: 32, Innovative: 16, Frontier: frontierOf(12, 13)}))
+	f.Add(reportFrame(packet.Report{Object: id, Received: 4, Innovative: 9, Frontier: frontierOf(16, 1, 2, 3)}))
+	f.Add(reportFrame(packet.Report{Object: id, Received: 32, Innovative: 16, Departed: 1<<32 - 1}))
+	mc, err := packet.AppendManifestChunk([]byte{packet.FrameManifest},
 		packet.ManifestChunk{Object: id, K: 16, M: 8, Size: 128, Gens: 1, Root: root, Digests: make([]byte, 16*integrity.DigestSize)})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(mc)                    // a run, under a description that verifies, that does not hash to the root
-	f.Add(mc[:12])               // truncated inside the content ID
-	f.Add(append(mc, 0x00))      // trailing byte: must drop
-	f.Add([]byte{frameManifest}) // bare kind byte
-	f.Add([]byte{frameFeedback})
+	f.Add(mc)                           // a run, under a description that verifies, that does not hash to the root
+	f.Add(mc[:12])                      // truncated inside the content ID
+	f.Add(append(mc, 0x00))             // trailing byte: must drop
+	f.Add([]byte{packet.FrameManifest}) // bare kind byte
+	f.Add([]byte{packet.FrameFeedback})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xff, 0xff, 0xff})
 	_, huge := fakeObject("fuzz huge", 16, 1<<30, 128, 1)
@@ -316,38 +316,38 @@ func FuzzSessionFrameSequence(f *testing.F) {
 		}
 		return seq
 	}
-	f.Add(sequence(append([]byte{frameData}, wire...), subReport(id), completeReport(id)))
+	f.Add(sequence(append([]byte{packet.FrameData}, wire...), subReport(id), completeReport(id)))
 	// A subscriber of a held object (k/G = 8) and its receipts: a frontier,
 	// one of the wrong length, one past the object's generations, one with a
 	// native past the generation's end.
-	f.Add(sequence(append([]byte{frameData}, wire...), subReport(id),
-		encodeReport(id, 0, 0, 0, 1, 1, 0, 8, []int32{1}), encodeReport(id, 0, 0, 0, 2, 2, 0, 16, nil),
-		encodeReport(id, 0, 0, 7, 3, 3, 0, 8, nil), encodeReport(id, 0, 0, 0, 4, 4, 0, 6, []int32{7})))
+	f.Add(sequence(append([]byte{packet.FrameData}, wire...), subReport(id),
+		reportFrame(packet.Report{Object: id, Received: 1, Innovative: 1, Frontier: frontierOf(8, 1)}), reportFrame(packet.Report{Object: id, Received: 2, Innovative: 2, Frontier: frontierOf(16)}),
+		reportFrame(packet.Report{Object: id, Gen: 7, Received: 3, Innovative: 3, Frontier: frontierOf(8)}), reportFrame(packet.Report{Object: id, Received: 4, Innovative: 4, Frontier: frontierOf(6, 7)})))
 	// Stamped rows, then receipts: honest, past what was sent, backwards,
 	// and with a frontier; then the retired kinds 1 and 5.
-	stamped := append([]byte{frameData}, wire...)
+	stamped := append([]byte{packet.FrameData}, wire...)
 	packet.Restamp(stamped[1:], packet.SeqStamp(1))
 	f.Add(sequence(stamped, subReport(id), stamped,
-		encodeReport(id, 0, 0, 0, 1, 1, 1, 0, nil), encodeReport(id, 0, 0, 0, 2, 2, 90, 0, nil),
-		encodeReport(id, 0, 0, 0, 3, 3, 0, 0, nil), encodeReport(id, 0, 0, 0, 4, 4, 2, 8, []int32{1}),
+		reportFrame(packet.Report{Object: id, Received: 1, Innovative: 1, Departed: 1}), reportFrame(packet.Report{Object: id, Received: 2, Innovative: 2, Departed: 90}),
+		reportFrame(packet.Report{Object: id, Received: 3, Innovative: 3}), reportFrame(packet.Report{Object: id, Received: 4, Innovative: 4, Departed: 2, Frontier: frontierOf(8, 1)}),
 		retiredFeedback(id, fbRetiredRedundant), retiredReceipt(id, 0, 5, 5, 1)))
 	// A subscriber's needs: the first run, runs past the end — 2³¹−1,
 	// 2³²−2 and 2³²−1 among them — a flood of the same, truncated and
 	// over-long; then every report seed, the retired kinds 2, 3 and 7
 	// among them.
-	f.Add(sequence(append([]byte{frameData}, wire...), subReport(id),
+	f.Add(sequence(append([]byte{packet.FrameData}, wire...), subReport(id),
 		needReport(id, 1<<32-1), needReport(id, 0), needReport(id, 7), needReport(id, 1<<31),
 		needReport(id, 1<<31-1), needReport(id, 1<<32-2),
-		needReport(id, 0), needReport(id, 0), needReport(id, 0)[:reportLen-1], append(needReport(id, 0), 0)))
-	f.Add(sequence(append([][]byte{append([]byte{frameData}, wire...), subReport(id)}, reportSeeds(id)...)...))
+		needReport(id, 0), needReport(id, 0), needReport(id, 0)[:1+packet.ReportLen-1], append(needReport(id, 0), 0)))
+	f.Add(sequence(append([][]byte{append([]byte{packet.FrameData}, wire...), subReport(id)}, reportSeeds(id)...)...))
 	// The retired REQ, whole and its kind byte alone, at a held object and
 	// an unknown one; a stranger's complete report (the other address); a
 	// subscriber that says complete, then re-opens with a receipt, with a
 	// frontier, and with a subscription.
-	f.Add(sequence(retiredReq(id), retiredReq(id)[:1], append([]byte{frameData}, wire...), retiredReq(id), retiredReq(id)[:1]))
-	f.Add(sequence(append([]byte{frameData}, wire...), nil, completeReport(id), subReport(id)))
-	f.Add(sequence(append([]byte{frameData}, wire...), subReport(id), completeReport(id), receiptFrame(id, 0, 1, 1),
-		completeReport(id), encodeReport(id, 0, 0, 0, 1, 1, 0, 8, []int32{1}), completeReport(id), subReport(id)))
+	f.Add(sequence(retiredReq(id), retiredReq(id)[:1], append([]byte{packet.FrameData}, wire...), retiredReq(id), retiredReq(id)[:1]))
+	f.Add(sequence(append([]byte{packet.FrameData}, wire...), nil, completeReport(id), subReport(id)))
+	f.Add(sequence(append([]byte{packet.FrameData}, wire...), subReport(id), completeReport(id), receiptFrame(id, 0, 1, 1),
+		completeReport(id), reportFrame(packet.Report{Object: id, Received: 1, Innovative: 1, Frontier: frontierOf(8, 1)}), completeReport(id), subReport(id)))
 	// An object whose single manifest run fits the one-byte length (k = 4,
 	// m = 4): an unasked sender's forged unit row is proven false on
 	// arrival and bans it, and the true rows it sends after move nothing;
@@ -412,7 +412,7 @@ func manifestFuzzSeeds(tb testing.TB) (seeds [][]byte, id packet.ObjectID, runs 
 		tb.Fatal(err)
 	}
 	mr.Proof = nil
-	short, err := packet.AppendManifestChunk([]byte{frameManifest}, mr)
+	short, err := packet.AppendManifestChunk([]byte{packet.FrameManifest}, mr)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -566,8 +566,8 @@ func FuzzCacheSessionFrames(f *testing.F) {
 	genWire, _ := packet.Marshal(gp)
 	var seq []byte
 	for _, fr := range [][]byte{
-		append([]byte{frameData}, wire...),
-		append([]byte{frameData}, genWire...),
+		append([]byte{packet.FrameData}, wire...),
+		append([]byte{packet.FrameData}, genWire...),
 		subReport(id),
 		retiredFeedback(id, fbRetiredCacheAd, 2, 4, 9), // a retired kind: must drop
 	} {
@@ -580,10 +580,10 @@ func FuzzCacheSessionFrames(f *testing.F) {
 	// object is held; a stranger's complete report; a subscriber that says
 	// complete, then re-opens with a receipt and with a subscription.
 	for _, frames := range [][][]byte{
-		append([][]byte{append([]byte{frameData}, wire...), subReport(id)}, reportSeeds(id)...),
-		{retiredReq(id), retiredReq(id)[:1], append([]byte{frameData}, wire...), retiredReq(id), retiredReq(id)[:1]},
-		{completeReport(id), append([]byte{frameData}, wire...), completeReport(id)},
-		{append([]byte{frameData}, wire...), subReport(id), completeReport(id), receiptFrame(id, 0, 1, 1), completeReport(id), subReport(id)},
+		append([][]byte{append([]byte{packet.FrameData}, wire...), subReport(id)}, reportSeeds(id)...),
+		{retiredReq(id), retiredReq(id)[:1], append([]byte{packet.FrameData}, wire...), retiredReq(id), retiredReq(id)[:1]},
+		{completeReport(id), append([]byte{packet.FrameData}, wire...), completeReport(id)},
+		{append([]byte{packet.FrameData}, wire...), subReport(id), completeReport(id), receiptFrame(id, 0, 1, 1), completeReport(id), subReport(id)},
 	} {
 		seq = seq[:0:0]
 		for _, fr := range frames {

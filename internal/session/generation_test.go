@@ -99,7 +99,7 @@ func TestGenFeedbackSteersPush(t *testing.T) {
 			if err != nil {
 				return hs
 			}
-			if len(f.Data) > 0 && f.Data[0] == frameData {
+			if len(f.Data) > 0 && f.Data[0] == packet.FrameData {
 				if h, err := packet.ReadHeader(bytes.NewReader(f.Data[1:])); err == nil {
 					hs = append(hs, h)
 				}
@@ -129,7 +129,7 @@ func TestGenFeedbackSteersPush(t *testing.T) {
 	// Peer reports generation 0 complete, most of its pass unsent, every
 	// row sent so far acknowledged.
 	n := uint32(s.objects[id].sent)
-	s.handleFrame(transport.NewFrame("peer", encodeReport(id, repGenComplete, 0, 0, n, n, 0, 0, nil), nil))
+	s.handleFrame(transport.NewFrame("peer", reportFrame(packet.Report{Object: id, Flags: packet.ReportGenComplete, Received: n, Innovative: n}), nil))
 
 	seen := map[uint32]int{}
 	sent := 0
@@ -260,7 +260,7 @@ func TestBadGenerationDataDropped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		injectFrame(s, "peer", append([]byte{frameData}, wire...))
+		injectFrame(s, "peer", append([]byte{packet.FrameData}, wire...))
 	}
 
 	inject(nil) // learn the object with the true geometry

@@ -50,7 +50,7 @@ func (s *Session) recvLoop(ctx context.Context) error {
 // comes back with its wire layout validated (a malformed one is dropped),
 // still owning its buffer.
 func (s *Session) parseFrame(f transport.Frame) (in inFrame, data bool) {
-	if len(f.Data) == 0 || f.Data[0] != frameData {
+	if len(f.Data) == 0 || f.Data[0] != packet.FrameData {
 		s.handleFrame(f)
 		f.Release()
 		return inFrame{}, false
@@ -167,7 +167,7 @@ type owedReport struct {
 // upstream) once complete.
 func (sc *ingestScratch) owe(st *objectState, to transport.Addr, gen uint32, flags byte) {
 	for i := range sc.reports {
-		if r := &sc.reports[i]; r.st == st && r.to == to && (r.gen == gen || r.flags&flags&repComplete != 0) {
+		if r := &sc.reports[i]; r.st == st && r.to == to && (r.gen == gen || r.flags&flags&packet.ReportComplete != 0) {
 			r.flags |= flags
 			return
 		}
@@ -379,30 +379,39 @@ func (st *objectState) tallyLocked(from transport.Addr) *rxTally {
 	return t
 }
 
-// reportLocked encodes the report owed to about generation gen (as the
-// frame behind it stated it, unchecked): flags, the run the object lacks
-// (needLocked) — so the receipt clock that repairs lost rows repairs a
-// lost manifest run too — to's tally's counters, zeros for a sender with
+// reportLocked builds the FEEDBACK frame owed to about generation gen (as
+// the frame behind it stated it, unchecked): flags, the run the object
+// lacks (needLocked) — so the receipt clock that repairs lost rows repairs
+// a lost manifest run too — to's tally's counters, zeros for a sender with
 // none, and gen's frontier while gen is open here (filling, or just
-// quarantined); a cache has no decoder to speak for, and a finished
-// generation says so by its flag.
+// quarantined), against which the sender repeats exactly what is missing
+// instead of coding blind; a cache has no decoder to speak for, and a
+// finished generation says so by its flag. Counters are cumulative per
+// (sender, object), so a lost report costs nothing but its flags, which
+// the next batch of the peer's rows says again.
 // The tally's next receiptEvery rows start. An upstream whose rows carry
 // no stamps gets a departure count of 0, which proves nothing. st.mu must
 // be held.
 func (st *objectState) reportLocked(to transport.Addr, gen uint32, flags byte) []byte {
-	need, lacks := st.needLocked(int(gen))
-	if flags &^= repNeed; lacks {
-		flags |= repNeed
+	r := packet.Report{Object: st.id, Flags: flags &^ packet.ReportNeed, Gen: gen}
+	if need, lacks := st.needLocked(int(gen)); lacks {
+		r.Flags, r.Need = r.Flags|packet.ReportNeed, need
 	}
-	var rows, inno, departed uint32
 	if t := st.rx[to]; t != nil {
-		rows, inno, departed, t.since = t.rows, t.inno, t.departed, 0
+		r.Received, r.Innovative, r.Departed, t.since = t.rows, t.inno, t.departed, 0
 	}
 	kPer, decoded := 0, []int32(nil)
 	if st.phase.decoding() && gen < uint32(st.coder.Generations()) && !st.coder.GenComplete(int(gen)) {
 		kPer, decoded = st.kPer, st.coder.DecodeLog(int(gen))
 	}
-	return encodeReport(st.id, flags, need, gen, rows, inno, departed, kPer, decoded)
+	// One allocation: the frontier is zeroed in place behind the fixed part.
+	n := frontierLen(kPer)
+	buf := packet.AppendReport(append(make([]byte, 0, 1+packet.ReportLen+n), packet.FrameFeedback), r)
+	buf = append(buf, make([]byte, n)...)
+	for _, i := range decoded {
+		buf[1+packet.ReportLen+int(i>>3)] |= 1 << (i & 7)
+	}
+	return buf
 }
 
 // decodeDataLocked is the decode hot path for one DATA frame; st.mu must
@@ -550,9 +559,9 @@ func (s *Session) ingestCachedLocked(st *objectState, in *inFrame) (owed byte, j
 			// The cache holds full rank for every generation: the paper's
 			// completion feedback, even though nothing was decoded. The
 			// origin stops pushing — the offload this tier exists for.
-			return repComplete, true, stored, false
+			return packet.ReportComplete, true, stored, false
 		case res.GenFull && gens >= 2:
-			return repGenComplete, true, stored, false
+			return packet.ReportGenComplete, true, stored, false
 		}
 		return 0, true, stored, false
 	case cache.NoRoom:

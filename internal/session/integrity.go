@@ -346,7 +346,7 @@ func (st *objectState) manifestRunLocked(mr packet.ManifestChunk, body []byte) (
 	// Replaced wholesale, never written in place: a push round sends the
 	// frames it snapshotted with no lock held.
 	frames := slices.Clone(st.manFrames)
-	frames[r] = append([]byte{frameManifest}, body...)
+	frames[r] = append([]byte{packet.FrameManifest}, body...)
 	st.manFrames = frames
 	return true, false
 }

@@ -200,7 +200,7 @@ func (m *membership) exchangeFrame(flags byte, banned map[transport.Addr]struct{
 			Role:     e.Role,
 		})
 	}
-	buf, err := packet.AppendMemberBody([]byte{frameMember}, flags, entries)
+	buf, err := packet.AppendMemberBody([]byte{packet.FrameMember}, flags, entries)
 	if err != nil {
 		return nil
 	}
@@ -359,7 +359,7 @@ func (s *Session) memberSelfAdvert(from transport.Addr, flags byte) []byte {
 		return nil
 	}
 	capacity, role := memberProfile(&s.cfg)
-	buf, err := packet.AppendMemberBody([]byte{frameMember}, packet.MemberFlagReply,
+	buf, err := packet.AppendMemberBody([]byte{packet.FrameMember}, packet.MemberFlagReply,
 		[]packet.MemberEntry{{Addr: string(s.tr.LocalAddr()), Capacity: capacity, Role: role}})
 	if err != nil {
 		return nil

@@ -135,7 +135,7 @@ func TestMembershipBanNeverReadmits(t *testing.T) {
 		if reply == nil {
 			t.Fatal("offer not answered")
 		}
-		if reply[0] != frameMember {
+		if reply[0] != packet.FrameMember {
 			t.Fatalf("reply tag %#x", reply[0])
 		}
 		_, entries, err := packet.ParseMemberBody(reply[1:])
@@ -229,7 +229,7 @@ func TestMembershipStatelessBootstrapReply(t *testing.T) {
 // re-admit a banned peer.
 func FuzzMemberFrames(f *testing.F) {
 	valid := func(flags byte, entries ...packet.MemberEntry) []byte {
-		body, err := packet.AppendMemberBody([]byte{frameMember}, flags, entries)
+		body, err := packet.AppendMemberBody([]byte{packet.FrameMember}, flags, entries)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -253,8 +253,8 @@ func FuzzMemberFrames(f *testing.F) {
 	f.Add(pack(valid(0, packet.MemberEntry{Addr: "fuzz", Capacity: 255})))        // self-insertion attempt
 	f.Add(pack(valid(0, packet.MemberEntry{Addr: "banned-peer", Capacity: 255}))) // banned re-admission attempt
 	f.Add(pack(offer[:len(offer)-2]))                                             // truncated entry
-	f.Add(pack([]byte{frameMember, 0, packet.MaxMemberEntries + 1}))              // oversized count
-	f.Add(pack([]byte{frameMember, 0, 1, 0, 0, 0, 0, 0}))                         // zero-length address
+	f.Add(pack([]byte{packet.FrameMember, 0, packet.MaxMemberEntries + 1}))       // oversized count
+	f.Add(pack([]byte{packet.FrameMember, 0, 1, 0, 0, 0, 0, 0}))                  // zero-length address
 	f.Add(pack(offer, valid(0, packet.MemberEntry{Addr: "late"}), offer))         // sequences
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -26,7 +26,7 @@ func (c *stepNet) needFrom(node, upstream transport.Addr, r uint32) []byte {
 		}
 		st.mu.Unlock()
 	}
-	return encodeReport(c.id, repNeed, r, 0, rows, inno, departed, 0, nil)
+	return reportFrame(packet.Report{Object: c.id, Flags: packet.ReportNeed, Need: r, Received: rows, Innovative: inno, Departed: departed})
 }
 
 // proofRepairSlack is how many ticks past the lossless run a fetch may take
@@ -57,7 +57,7 @@ func TestLostProofRepairedAtRoundTrip(t *testing.T) {
 		sent, reqs := map[[2]transport.Addr]map[uint32]int{}, 0
 		c.lose = func(from, to transport.Addr, f []byte) bool {
 			reqs += btoi(c.subscribes(from, to, f))
-			if f[0] != frameManifest {
+			if f[0] != packet.FrameManifest {
 				return false
 			}
 			hop := [2]transport.Addr{from, to}
@@ -200,7 +200,7 @@ func TestNeedBounds(t *testing.T) {
 		other[0] = 1
 		frames := map[transport.Addr][][]byte{
 			"peer": {
-				needReport(id, 0)[:reportLen-1],
+				needReport(id, 0)[:1+packet.ReportLen-1],
 				append(needReport(id, 0), 0),
 				needReport(other, 0),
 				needReport(id, 3), needReport(id, 1<<31-1), needReport(id, 1<<31), needReport(id, 1<<32-2), needReport(id, 1<<32-1),
@@ -222,7 +222,7 @@ func TestNeedBounds(t *testing.T) {
 		}
 		injectFrame(s, "peer", needReport(id, 2))
 		s.push()
-		if fs := rec.take()["peer"]; len(fs) != 1 || fs[0][0] != frameManifest || bigEndianU32(fs[0][1+16+52:]) != 2 {
+		if fs := rec.take()["peer"]; len(fs) != 1 || fs[0][0] != packet.FrameManifest || bigEndianU32(fs[0][1+16+52:]) != 2 {
 			t.Errorf("a need for run 2 drew %q, want the run alone", kinds(fs))
 		}
 	})

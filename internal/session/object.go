@@ -574,17 +574,17 @@ func (st *objectState) placeGenLocked(g int) {
 func (s *Session) owedLocked(st *objectState, g int) byte {
 	switch st.phase {
 	case phComplete:
-		return repComplete
+		return packet.ReportComplete
 	case phCaching:
 		if full, _ := s.cache.Coverage(st.id); full {
-			return repComplete
+			return packet.ReportComplete
 		}
 	case phFilling, phDecoded:
 		if _, lacks := st.needLocked(g); g >= 0 && st.phase == phDecoded && lacks {
-			return repNeed
+			return packet.ReportNeed
 		}
 		if g >= 0 && st.coder.GenComplete(g) {
-			return repGenComplete
+			return packet.ReportGenComplete
 		}
 	}
 	return 0

@@ -163,7 +163,7 @@ func manifestRuns(tb testing.TB, d packet.ManifestChunk, content []byte) [][]byt
 	for r := range frames {
 		d.Run = uint32(r)
 		d.Digests, d.Proof = man.RunProof(r)
-		if frames[r], err = packet.AppendManifestChunk([]byte{frameManifest}, d); err != nil {
+		if frames[r], err = packet.AppendManifestChunk([]byte{packet.FrameManifest}, d); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -190,7 +190,7 @@ func forgedRun(fr []byte) []byte {
 // and the run dropped unhashed, its sender not convicted — the frame
 // describes the object and proves nothing.
 func descFor(id packet.ObjectID, k, m int, size int64, gens int, root [integrity.DigestSize]byte) []byte {
-	buf := append([]byte{frameManifest}, id[:]...)
+	buf := append([]byte{packet.FrameManifest}, id[:]...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(k))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(m))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(size))
@@ -549,21 +549,22 @@ func newObjCell(t *testing.T, rng *rand.Rand, row int) *objCell {
 func kinds(frames [][]byte) string {
 	var out []string
 	for _, f := range frames {
+		r, isReport := parseReport(f)
 		switch {
-		case isReport(f):
+		case isReport:
 			var flags []string
 			for bit, name := range []string{"complete", "gen-complete", "need"} {
-				if f[18]&(1<<bit) != 0 {
+				if r.Flags&(1<<bit) != 0 {
 					flags = append(flags, name)
 				}
 			}
 			if len(flags) > 0 {
 				out = append(out, strings.Join(flags, "+"))
 			}
-		case f[0] == frameFeedback:
+		case f[0] == packet.FrameFeedback:
 			out = append(out, "FB"+string('0'+f[17]))
 		default:
-			out = append(out, map[byte]string{frameData: "DATA", frameManifest: "MANIFEST", frameMember: "MEMBER"}[f[0]])
+			out = append(out, map[byte]string{packet.FrameData: "DATA", packet.FrameManifest: "MANIFEST", packet.FrameMember: "MEMBER"}[f[0]])
 		}
 	}
 	return strings.Join(out, " ")
@@ -606,7 +607,7 @@ func (c *objCell) fire(t *testing.T, ev int) {
 		if st := c.s.objects[c.id]; st != nil {
 			st.peer(matrixSender)
 		}
-		in(encodeReport(c.id, 0, 0, uint32(last), 16, 12, 0, c.kPer, []int32{0, 1}))
+		in(reportFrame(packet.Report{Object: c.id, Gen: uint32(last), Received: 16, Innovative: 12, Frontier: frontierOf(c.kPer, 0, 1)}))
 	case evFbNeed:
 		// From a peer pushed to, its proof pass long over and a row in
 		// flight toward it: the need owes it run 0 where it is held, and the
@@ -625,7 +626,7 @@ func (c *objCell) fire(t *testing.T, ev int) {
 		injectFrame(c.s, "src", c.runs[0])
 		in(forgedRun(c.runs[0]))
 	case evMember:
-		body, err := packet.AppendMemberBody([]byte{frameMember}, 0, []packet.MemberEntry{{Addr: string(matrixSender)}})
+		body, err := packet.AppendMemberBody([]byte{packet.FrameMember}, 0, []packet.MemberEntry{{Addr: string(matrixSender)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -855,8 +856,8 @@ func (c *objCell) checkCell(t *testing.T, row, ev int, sent map[transport.Addr][
 	case ev >= evDataUnit && ev <= evDataWrongGeometry:
 		// A need names the run none holds: at these geometries, the one.
 		for _, f := range sent[matrixSender] {
-			if isNeed(f) && binary.BigEndian.Uint32(f[19:]) != 0 {
-				t.Errorf("need names %#x, want run 0", f[19:23])
+			if r, _ := parseReport(f); isNeed(f) && r.Need != 0 {
+				t.Errorf("need names %#x, want run 0", r.Need)
 			}
 		}
 	case ev == evBeginFetch && row == rowCaching:

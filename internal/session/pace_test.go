@@ -101,7 +101,7 @@ func (n *stepNet) subscribe() *stepNet {
 // that subscribes from at to: not flagged complete, from a peer to holds
 // no entry for or one that said complete.
 func (n *stepNet) subscribes(from, to transport.Addr, f []byte) bool {
-	if !isReport(f) || f[18]&repComplete != 0 {
+	if r, ok := parseReport(f); !ok || r.Flags&packet.ReportComplete != 0 {
 		return false
 	}
 	st := n.nodes[to].objects[n.id]
@@ -139,7 +139,7 @@ func (n *stepNet) settle() {
 			sent := n.recs[name].take()
 			for _, to := range slices.Sorted(maps.Keys(sent)) {
 				for _, f := range sent[to] {
-					n.data[name] += btoi(f[0] == frameData)
+					n.data[name] += btoi(f[0] == packet.FrameData)
 					if n.lose == nil || !n.lose(name, to, f) {
 						n.flight = append(n.flight, carried{now.Add(n.delay), name, to, f})
 					}
@@ -326,7 +326,7 @@ func TestPacedLossLevelVersusStep(t *testing.T) {
 	}
 	// The step: only DATA drops (a queue overflowing under the burst), so
 	// receipts keep arriving and each one carries the bad news.
-	l.lose = func(_, _ transport.Addr, f []byte) bool { return f[0] == frameData && rng.Float64() < 0.8 }
+	l.lose = func(_, _ transport.Addr, f []byte) bool { return f[0] == packet.FrameData && rng.Float64() < 0.8 }
 	low := adapt.MaxBurst
 	for tick := 0; tick < 30; tick++ {
 		low = min(low, l.tick()["src"])
@@ -396,7 +396,7 @@ func TestPacedForgedReceiptsStayOnTheirLink(t *testing.T) {
 					flightPeak = max(flightPeak, link.InFlight())
 					i := tick*roundsPerTick + round
 					recv, inno := forged(i)
-					injectFrame(s, "z-liar", encodeReport(id, 0, 0, 0, recv, inno, departed(i, uint32(link.Sent())), 0, nil))
+					injectFrame(s, "z-liar", reportFrame(packet.Report{Object: id, Received: recv, Innovative: inno, Departed: departed(i, uint32(link.Sent()))}))
 				}
 			}
 			honest = append(honest, mine)
@@ -626,7 +626,7 @@ func TestFetchRetriesLostREQ(t *testing.T) {
 				reqs++
 				return dropped && reqs == 1
 			}
-			return f[0] == frameData // the run answers the subscription; the transfer must not end the fetch
+			return f[0] == packet.FrameData // the run answers the subscription; the transfer must not end the fetch
 		}
 		dst := n.nodes["dst"]
 		f, err := dst.BeginFetch(n.id, "src")

@@ -105,8 +105,8 @@ func polluterPort(t *testing.T, tr *transport.ChanTransport, kPer, m, gens, burs
 				if !ok {
 					return
 				}
-				if isReport(f.Data) && f.Data[18]&repComplete == 0 {
-					copy(id[:], f.Data[1:])
+				if r, ok := parseReport(f.Data); ok && r.Flags&packet.ReportComplete == 0 {
+					id = r.Object
 					victim = f.From
 				}
 				f.Release()
@@ -130,7 +130,7 @@ func polluterPort(t *testing.T, tr *transport.ChanTransport, kPer, m, gens, burs
 				if err != nil {
 					return
 				}
-				tr.Send(victim, append([]byte{frameData}, wire...))
+				tr.Send(victim, append([]byte{packet.FrameData}, wire...))
 			}
 		}
 	}()
@@ -224,7 +224,7 @@ func TestManifestStallerHoldsUpNobody(t *testing.T) {
 	stall := manifestRuns(t, servedDesc(t, content, k, 1), content)[0]
 	stalling := false
 	n.lose = func(from, to transport.Addr, f []byte) bool {
-		return from == "source" && f[0] == frameManifest && !stalling
+		return from == "source" && f[0] == packet.FrameManifest && !stalling
 	}
 	fetch, err := dst.BeginFetch(n.id, "source", "staller")
 	if err != nil {
@@ -305,7 +305,7 @@ func TestGenerationVerifiesAheadOfLastRun(t *testing.T) {
 	dst := n.nodes["dest"]
 	lost := 0
 	n.lose = func(from, to transport.Addr, f []byte) bool {
-		if f[0] != frameManifest {
+		if f[0] != packet.FrameManifest {
 			return false
 		}
 		mr, err := packet.ParseManifestChunk(f[1:])
@@ -431,7 +431,7 @@ func TestRelayEmitsOnlyProvenRows(t *testing.T) {
 	// The manifest comes from the source's opening round; its DATA is
 	// replaced by the hand-made mix below.
 	pushTicks(src, srcClk, 1)
-	feed(relay, srcRec, frameData)
+	feed(relay, srcRec, packet.FrameData)
 	injectFrame(relay, "sub", subReport(id))
 	st := relay.objects[id]
 	if st.man == nil {
@@ -450,7 +450,7 @@ func TestRelayEmitsOnlyProvenRows(t *testing.T) {
 		for ; ticks > 0; ticks-- {
 			pushTicks(relay, clk, 1)
 			for _, f := range rec.take()["sub"] {
-				if f[0] != frameData {
+				if f[0] != packet.FrameData {
 					continue
 				}
 				data++
@@ -501,7 +501,7 @@ func TestRelayEmitsOnlyProvenRows(t *testing.T) {
 	// The subscriber reports that it holds nothing. Twelve natives are
 	// decoded here; the ten that are proven are repeated, the two false ones
 	// never, and the frontier buys no coded row from the gated generation.
-	injectFrame(relay, "sub", encodeReport(id, 0, 0, 0, 10, 10, 0, k, nil))
+	injectFrame(relay, "sub", reportFrame(packet.Report{Object: id, Received: 10, Innovative: 10, Frontier: frontierOf(k)}))
 	push(6)
 	for x := 0; x < k; x++ {
 		if proven := x < 8 || x == 10 || x == 11; (plain[x] > 1) != proven {
@@ -603,7 +603,7 @@ func TestForgedManifestRefutedAtRelay(t *testing.T) {
 		pushTicks(relay, clk, 1)
 		sent := rec.take()
 		for _, f := range sent["sub"] {
-			if f[0] != frameData {
+			if f[0] != packet.FrameData {
 				continue
 			}
 			if emitted++; !trueRow(t, content, m, f) {
@@ -677,8 +677,8 @@ func testDenseForger(t *testing.T, others int) {
 	}
 	sent := rec.take()
 	rearmed := slices.ContainsFunc(sent["src"], func(f []byte) bool {
-		gen, _, _, _ := reportCounters(f)
-		return isReport(f) && gen == 0 && len(f) == reportLen+frontierLen(kPer)
+		r, ok := parseReport(f)
+		return ok && r.Gen == 0 && len(r.Frontier) == frontierLen(kPer)
 	})
 	if !rearmed || len(sent["mallory"]) != 0 {
 		t.Fatalf("the quarantine sent %q to the source and %d frames to the convict; want a report about generation 0 with its frontier, and none",
@@ -792,7 +792,7 @@ func testHonestRelay(t *testing.T, seed int64) {
 	content := testContent(k*m, seed)
 	emitted := 0
 	n.lose = func(from, _ transport.Addr, f []byte) bool {
-		if from == "relay" && f[0] == frameData {
+		if from == "relay" && f[0] == packet.FrameData {
 			if emitted++; !trueRow(t, content, m, f) {
 				t.Fatalf("the relay emitted a row that is not the XOR of the true natives it names: %x", f[:48])
 			}

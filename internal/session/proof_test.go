@@ -17,7 +17,7 @@ import (
 // per native it carries; nil for any other frame.
 func runsOf(t *testing.T, f []byte) []int {
 	t.Helper()
-	if f[0] != frameData {
+	if f[0] != packet.FrameData {
 		return nil
 	}
 	h, err := packet.ReadHeader(bytes.NewReader(f[1:]))
@@ -49,7 +49,7 @@ func TestRowsFollowTheirProof(t *testing.T) {
 			if proven[link] == nil {
 				proven[link] = map[uint32]bool{}
 			}
-			if f[0] == frameManifest {
+			if f[0] == packet.FrameManifest {
 				mr, err := packet.ParseManifestChunk(f[1:])
 				if err != nil {
 					t.Fatal(err)

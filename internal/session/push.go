@@ -548,7 +548,7 @@ func (s *Session) markLocked(k int, unsettled []sentNative) []uint64 {
 // back to the free list as soon as its bytes are in the slab.
 func (s *Session) stageRows(p *peerPlan) {
 	for i, z := range p.rows {
-		frame := packet.AppendWire(append(s.coal.Stage(), frameData), z)
+		frame := packet.AppendWire(append(s.coal.Stage(), packet.FrameData), z)
 		if i < p.sysRows+p.repRows {
 			s.putNativeRow(z)
 		}
@@ -571,7 +571,7 @@ func (s *Session) stageRows(p *peerPlan) {
 func (s *Session) stageCached(st *objectState, p *peerPlan, kPer int) {
 	skip := func(g uint32) bool { return p.has(int(g)) || !proven(p.pass, (int(g)+1)*kPer-1) }
 	for p.sent < p.burst {
-		frame, ok := s.cache.AppendFrame(append(s.coal.Stage(), frameData), st.id, &p.cacheCursor, skip)
+		frame, ok := s.cache.AppendFrame(append(s.coal.Stage(), packet.FrameData), st.id, &p.cacheCursor, skip)
 		if !ok || len(frame) > transport.MaxFrame {
 			break
 		}

@@ -79,7 +79,7 @@ func (r *recTransport) Send(to transport.Addr, frame []byte) error {
 		return nil
 	}
 	digestFrame(r.sums, to, frame)
-	if frame[0] == frameData {
+	if frame[0] == packet.FrameData {
 		digestFrame(r.data, to, frame)
 		frame = slices.Clone(frame)
 		packet.Restamp(frame[1:], 0)
@@ -105,7 +105,7 @@ func digestFrame(sums map[transport.Addr]hash.Hash, to transport.Addr, frame []b
 // counters alone, what a receiver reports to a sender whose rows carry no
 // stamp.
 func receiptFrame(id packet.ObjectID, gen, received, innovative uint32) []byte {
-	return encodeReport(id, 0, 0, gen, received, innovative, 0, 0, nil)
+	return reportFrame(packet.Report{Object: id, Gen: gen, Received: received, Innovative: innovative})
 }
 
 // subReport is a stranger's subscription: a report with no flag and no
@@ -116,31 +116,59 @@ func subReport(id packet.ObjectID) []byte { return receiptFrame(id, 0, 0, 0) }
 // the object complete, generation gen complete, and run r lacking, from a
 // receiver that has judged no row of the addressed sender's.
 func completeReport(id packet.ObjectID) []byte {
-	return encodeReport(id, repComplete, 0, 0, 0, 0, 0, 0, nil)
+	return reportFrame(packet.Report{Object: id, Flags: packet.ReportComplete})
 }
 
 func genCompleteReport(id packet.ObjectID, gen uint32) []byte {
-	return encodeReport(id, repGenComplete, 0, gen, 0, 0, 0, 0, nil)
+	return reportFrame(packet.Report{Object: id, Flags: packet.ReportGenComplete, Gen: gen})
 }
 
 func needReport(id packet.ObjectID, r uint32) []byte {
-	return encodeReport(id, repNeed, r, 0, 0, 0, 0, 0, nil)
+	return reportFrame(packet.Report{Object: id, Flags: packet.ReportNeed, Need: r})
+}
+
+// reportFrame is the FEEDBACK frame carrying r.
+func reportFrame(r packet.Report) []byte {
+	return packet.AppendReport([]byte{packet.FrameFeedback}, r)
+}
+
+// frontierOf is the frontier of a kPer-native generation with the natives
+// in decoded set; an index past kPer sets a padding bit.
+func frontierOf(kPer int, decoded ...int32) []byte {
+	f := make([]byte, frontierLen(kPer))
+	for _, i := range decoded {
+		f[i>>3] |= 1 << (i & 7)
+	}
+	return f
+}
+
+// parseReport decodes frame as a FEEDBACK frame carrying a report.
+func parseReport(frame []byte) (packet.Report, bool) {
+	if len(frame) == 0 || frame[0] != packet.FrameFeedback {
+		return packet.Report{}, false
+	}
+	r, err := packet.ParseReport(frame[1:])
+	return r, err == nil
 }
 
 // isReport recognizes a report in either form: the counters alone, or with
 // a frontier behind them.
 func isReport(frame []byte) bool {
-	return len(frame) >= reportLen && frame[0] == frameFeedback && frame[17] == fbReport
+	_, ok := parseReport(frame)
+	return ok
 }
 
 // reportCounters reads a report's generation and counters.
 func reportCounters(f []byte) (gen, received, innovative, departed uint32) {
-	c := func(i int) uint32 { return binary.BigEndian.Uint32(f[23+4*i:]) }
-	return c(0), c(1), c(2), c(3)
+	r, _ := parseReport(f)
+	return r.Gen, r.Received, r.Innovative, r.Departed
 }
 
 // isNeed reports whether frame is a report naming a run it lacks.
-func isNeed(frame []byte) bool { return isReport(frame) && frame[18]&repNeed != 0 }
+func isNeed(frame []byte) bool {
+	r, ok := parseReport(frame)
+	return ok && r.Flags&packet.ReportNeed != 0
+}
 
 // take returns and forgets the frames recorded since the last take; the
 // running per-destination digests are kept.
@@ -172,9 +200,9 @@ func foldDigests(sums map[transport.Addr]hash.Hash) string {
 func frameCounts(frames [][]byte) (manifest, data int) {
 	for _, f := range frames {
 		switch f[0] {
-		case frameManifest:
+		case packet.FrameManifest:
 			manifest++
-		case frameData:
+		case packet.FrameData:
 			data++
 		}
 	}
@@ -382,7 +410,7 @@ func TestPushGolden(t *testing.T) {
 			// estimate; a generation-complete report makes its systematic
 			// cursor step over a whole generation.
 			injectFrame(s, "a", receiptFrame(id, 0, 32, 30))
-			injectFrame(s, "a", encodeReport(id, repGenComplete, 0, 1, 32, 30, 0, 0, nil))
+			injectFrame(s, "a", reportFrame(packet.Report{Object: id, Flags: packet.ReportGenComplete, Gen: 1, Received: 32, Innovative: 30}))
 			pushTicks(s, clk, 80) // both systematic passes end, coded repair follows
 			return rec
 		},
@@ -579,7 +607,7 @@ func newMatrixCell(t *testing.T, rng *rand.Rand, obj, peer int) *matrixCell {
 		// it through, so the cache covers every generation a peer may ask for.
 		var without []byte
 		if obj == objCachedSizeless {
-			without = []byte{frameManifest}
+			without = []byte{packet.FrameManifest}
 		}
 		for full := false; !full; full, _ = c.s.cache.Coverage(id) {
 			if srcClk.Since(transport.VClockBase) > time.Second {
@@ -598,7 +626,7 @@ func newMatrixCell(t *testing.T, rng *rand.Rand, obj, peer int) *matrixCell {
 	case objQuarantined:
 		// No manifest, every generation explicitly quarantined.
 		c.s, c.rec, clk = pushSession(t, "node", func(cfg *Config) { mut(cfg); cfg.Relay = true })
-		learn(c.s, 1, frameManifest)
+		learn(c.s, 1, packet.FrameManifest)
 		st := c.s.objects[id]
 		for g := range st.guard {
 			st.guard[g].state = genQuarantined
@@ -618,7 +646,7 @@ func newMatrixCell(t *testing.T, rng *rand.Rand, obj, peer int) *matrixCell {
 			}
 		}
 		if !c.early {
-			deliver(frameManifest)
+			deliver(packet.FrameManifest)
 		}
 		for g := 0; g < gens; g++ {
 			switch obj {
@@ -642,7 +670,7 @@ func newMatrixCell(t *testing.T, rng *rand.Rand, obj, peer int) *matrixCell {
 			}
 		}
 		if c.early {
-			deliver(frameManifest)
+			deliver(packet.FrameManifest)
 		}
 		plain := 2 * gens * btoi(obj != objUnverifiedUndecoded) // natives 0 and 1 of every generation
 		if st := c.s.objects[id]; st.man == nil || st.coder.DecodedCount() != plain {
@@ -799,13 +827,13 @@ func checkMatrixCell(t *testing.T, c *matrixCell, obj, peer int) {
 		t.Fatalf("emitted %d MANIFEST, %d DATA; want %d, %d", manifest, data, want.manifest, want.data)
 	}
 	for i, f := range frames[matrixPeer] {
-		if f[0] == frameData && i < want.manifest {
+		if f[0] == packet.FrameData && i < want.manifest {
 			t.Fatalf("DATA frame %d of the round went ahead of its proof", i)
 		}
 	}
 	systematic := obj == objReady || obj >= objUnverifiedProven
 	for _, f := range frames[matrixPeer] {
-		if f[0] != frameData {
+		if f[0] != packet.FrameData {
 			continue
 		}
 		h, err := packet.ReadHeader(bytes.NewReader(f[1:]))
@@ -916,7 +944,7 @@ func handRow(t testing.TB, id packet.ObjectID, content []byte, gens, kPer, g int
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append([]byte{frameData}, wire...)
+	return append([]byte{packet.FrameData}, wire...)
 }
 
 // trueRow reports whether DATA frame f carries exactly the XOR of the

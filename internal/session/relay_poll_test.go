@@ -48,16 +48,16 @@ func TestPolluterThroughRelay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n.recs["dest"].deliver("polluter", append([]byte{frameData}, wire...))
+			n.recs["dest"].deliver("polluter", append([]byte{packet.FrameData}, wire...))
 		}
 	}
 	asked, pushedBack := false, 0
 	n.lose = func(from, to transport.Addr, f []byte) bool {
-		if to == "polluter" && isReport(f) && f[18]&repComplete == 0 && !asked {
+		if r, ok := parseReport(f); to == "polluter" && ok && r.Flags&packet.ReportComplete == 0 && !asked {
 			asked = true
 			spray() // the polluter answers at once; the relay is half a tick away
 		}
-		if from == "dest" && to == "relay" && f[0] == frameData {
+		if from == "dest" && to == "relay" && f[0] == packet.FrameData {
 			if o, _ := dst.Object(n.id); !o.Complete {
 				pushedBack++
 			}

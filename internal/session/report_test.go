@@ -44,8 +44,8 @@ func TestOneReportABatch(t *testing.T) {
 		if len(fs) != 1 || !isReport(fs[0]) {
 			t.Fatalf("%d frames back for a batch of %d rows (%q), want one report", len(fs), n, kinds(fs))
 		}
-		if fs[0][18] != want {
-			t.Fatalf("report flags %03b, want %03b", fs[0][18], want)
+		if r, _ := parseReport(fs[0]); r.Flags != want {
+			t.Fatalf("report flags %03b, want %03b", r.Flags, want)
 		}
 		gen, received, innovative, _ = reportCounters(fs[0])
 		return gen, received, innovative
@@ -55,7 +55,7 @@ func TestOneReportABatch(t *testing.T) {
 	rec.take()
 	t.Run("generation-complete", func(t *testing.T) {
 		injectBurst(s, "up", batch(0))
-		if gen, recv, inno := report(t, repGenComplete); gen != 0 || recv != kPer+n || inno != kPer {
+		if gen, recv, inno := report(t, packet.ReportGenComplete); gen != 0 || recv != kPer+n || inno != kPer {
 			t.Errorf("report about generation %d, %d rows received, %d innovative; want 0, %d and %d", gen, recv, inno, kPer+n, kPer)
 		}
 	})
@@ -66,7 +66,7 @@ func TestOneReportABatch(t *testing.T) {
 	rec.take()
 	t.Run("complete", func(t *testing.T) {
 		injectBurst(s, "up", batch(0, 1))
-		report(t, repComplete)
+		report(t, packet.ReportComplete)
 	})
 }
 
@@ -136,7 +136,7 @@ func TestDoneReopenedByReport(t *testing.T) {
 		if from != "src" || to != "dst" {
 			return false
 		}
-		if f[0] == frameManifest {
+		if f[0] == packet.FrameManifest {
 			mr, err := packet.ParseManifestChunk(f[1:])
 			if err != nil {
 				t.Fatal(err)
@@ -193,7 +193,7 @@ func TestFrontierReopensItsGeneration(t *testing.T) {
 	if ps.gensDoneN != 3 {
 		t.Fatalf("set-up: generations done %v", ps.gensDone)
 	}
-	injectFrame(s, "peer", encodeReport(id, 0, 0, 1, 0, 0, 0, k/gens, []int32{0, 1}))
+	injectFrame(s, "peer", reportFrame(packet.Report{Object: id, Gen: 1, Frontier: frontierOf(k/gens, 0, 1)}))
 	if genDone(ps.gensDone, 1) || ps.gensDoneN != 2 || ps.frontier == nil || ps.frontier[1] == nil {
 		t.Fatalf("after generation 1's frontier: generations done %v (%d), frontier %v; want 0 and 2 done, 1's frontier kept",
 			ps.gensDone, ps.gensDoneN, ps.frontier != nil)
@@ -203,7 +203,7 @@ func TestFrontierReopensItsGeneration(t *testing.T) {
 	for range 40 {
 		pushTicks(s, clk, 1)
 		for _, f := range rec.take()["peer"] {
-			if f[0] == frameData {
+			if f[0] == packet.FrameData {
 				wv, err := packet.ParseWire(f[1:])
 				if err != nil {
 					t.Fatal(err)

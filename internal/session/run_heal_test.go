@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ltnc/internal/packet"
 	"ltnc/internal/transport"
 )
 
@@ -46,7 +47,8 @@ func TestRedundantRunElicitsComplete(t *testing.T) {
 		if err != nil {
 			t.Fatalf("no reply to a redundant run: %v", err)
 		}
-		isComplete := isReport(f.Data) && f.Data[18] == repComplete
+		r, ok := parseReport(f.Data)
+		isComplete := ok && r.Flags == packet.ReportComplete
 		f.Release()
 		if isComplete {
 			return // the sender would latch done and stop pushing

@@ -44,18 +44,15 @@
 //	               and — v3 — the generation count inside)
 //	    0x02, 0x03  retired (the REQ, whose jobs the report does, and the
 //	               META, whose fields every MANIFEST frame carries): dropped
-//	FEEDBACK 0x04 | objectID(16) | 6 | flags(1) | need(4) | gen(4) |
-//	               received(4) | innovative(4) | departed(4) [| frontier]
-//	               the receiver's one report: flags bit 0 says the object
-//	               is complete there, bit 1 that generation gen is, bit 2
-//	               that it lacks run need of the manifest (need is 0
-//	               without it; any other bit voids the report); then its
-//	               cumulative counters of the sender's rows — judged, and
-//	               innovative — and departed, the highest send sequence
-//	               among them that came stamped (header byte 3), all fed
-//	               to the sender's pacer (adapt.Link, DESIGN.md §16); and,
-//	               while gen is filling there, its frontier: ⌈k/G ÷ 8⌉
-//	               bytes, bit i set once native i of gen is decoded. One
+//	FEEDBACK 0x04 | report (packet.Report, kind 6): the receiver's one
+//	               report — the object complete there, generation gen
+//	               complete, or manifest run need lacking (its flags);
+//	               its cumulative counters of the sender's rows, judged
+//	               and innovative, and departed, the highest send
+//	               sequence among them that came stamped (header byte 3),
+//	               all fed to the sender's pacer (adapt.Link, DESIGN.md
+//	               §16); and, while gen is filling there, gen's frontier,
+//	               ⌈k/G ÷ 8⌉ bytes checked here against the geometry. One
 //	               goes per 16 rows judged, when the worker's queue drains,
 //	               and at a batch's end for what the batch found complete
 //	               or lacking proof: at most one a batch per (object,
@@ -135,26 +132,6 @@ import (
 	"ltnc/internal/lt"
 	"ltnc/internal/packet"
 	"ltnc/internal/transport"
-)
-
-// Frame type and feedback kind bytes.
-const (
-	frameData     = 0x01
-	frameFeedback = 0x04
-	frameManifest = 0x05
-	frameMember   = 0x06
-
-	fbReport = 0x06
-
-	// The report's flags.
-	repComplete    = 1 << 0
-	repGenComplete = 1 << 1
-	repNeed        = 1 << 2
-
-	// A report (FEEDBACK kind 6): type, object, kind, flags and need, then
-	// the counters gen, received, innovative and departed; gen's frontier
-	// (frontierLen bytes) may follow.
-	reportLen = 1 + 16 + 1 + 1 + 4 + 16
 )
 
 // frontierLen is the length of one generation's frontier — its
@@ -436,7 +413,7 @@ func (src *served) buildFrames(size int64) (err error) {
 	for r := range src.frames {
 		mc.Run = uint32(r)
 		mc.Digests, mc.Proof = src.man.RunProof(r)
-		if src.frames[r], err = packet.AppendManifestChunk([]byte{frameManifest}, mc); err != nil {
+		if src.frames[r], err = packet.AppendManifestChunk([]byte{packet.FrameManifest}, mc); err != nil {
 			return err
 		}
 	}

@@ -28,7 +28,7 @@ type captureTransport struct {
 }
 
 func dataVec(frame []byte) (string, bool) {
-	if len(frame) == 0 || frame[0] != frameData {
+	if len(frame) == 0 || frame[0] != packet.FrameData {
 		return "", false
 	}
 	h, err := packet.ReadHeader(bytes.NewReader(frame[1:]))
@@ -65,7 +65,7 @@ type shortReceipts struct{ transport.Transport }
 
 func (t shortReceipts) Send(to transport.Addr, frame []byte) error {
 	if isReport(frame) {
-		frame = frame[:reportLen]
+		frame = frame[:1+packet.ReportLen]
 	}
 	return t.Transport.Send(to, frame)
 }
@@ -313,7 +313,7 @@ func TestRedundancyAbortFeedback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := append([]byte{frameData}, wire...)
+	frame := append([]byte{packet.FrameData}, wire...)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -370,7 +370,7 @@ func TestIdleEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := probe.Send("relay", append([]byte{frameData}, wire...)); err != nil {
+	if err := probe.Send("relay", append([]byte{packet.FrameData}, wire...)); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -416,7 +416,7 @@ type proofDropTransport struct {
 }
 
 func (m *proofDropTransport) Send(to transport.Addr, frame []byte) error {
-	if len(frame) > 0 && frame[0] == frameManifest {
+	if len(frame) > 0 && frame[0] == packet.FrameManifest {
 		m.mu.Lock()
 		d := m.drop
 		if d > 0 {
@@ -482,7 +482,7 @@ func TestRelayLearnBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := probe.Send("relay", append([]byte{frameData}, wire...)); err != nil {
+		if err := probe.Send("relay", append([]byte{packet.FrameData}, wire...)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -615,7 +615,7 @@ func TestPushMetaAfterThreshold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := probe.Send("relay", append([]byte{frameData}, wire...)); err != nil {
+		if err := probe.Send("relay", append([]byte{packet.FrameData}, wire...)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -634,7 +634,7 @@ func TestPushMetaAfterThreshold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("no MANIFEST ever pushed after threshold: %v", err)
 		}
-		isRun := len(f.Data) > 0 && f.Data[0] == frameManifest
+		isRun := len(f.Data) > 0 && f.Data[0] == packet.FrameManifest
 		f.Release()
 		if isRun {
 			return
@@ -717,7 +717,7 @@ func TestEvictedStateDropsInFlightFrames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw := append([]byte{frameData}, wire...)
+		raw := append([]byte{packet.FrameData}, wire...)
 		wv, err := packet.ParseWire(raw[1:])
 		if err != nil {
 			t.Fatal(err)

@@ -82,10 +82,10 @@ type flowCount struct {
 // on, carries exactly the XOR of the true natives its code vector names.
 // It counts the FEEDBACK frames too. The tap only reads frames.
 func (r *runner) inspect(from, to transport.Addr, frame []byte) {
-	if len(frame) > 0 && frame[0] == fbTag {
+	if len(frame) > 0 && frame[0] == packet.FrameFeedback {
 		r.feedbackFrames++
 	}
-	if len(frame) == 0 || frame[0] != dataTag {
+	if len(frame) == 0 || frame[0] != packet.FrameData {
 		return
 	}
 	r.dataFrames++

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"encoding/binary"
 	"time"
 
 	"ltnc/internal/integrity"
@@ -9,24 +8,11 @@ import (
 	"ltnc/internal/transport"
 )
 
-// fbTag is the session wire protocol's FEEDBACK frame type byte,
-// reportKind the receiver report's discriminator inside it, reportLen its
-// fixed part, then the report's flags (the internal/session package doc
-// has the layout).
-const (
-	fbTag      = 0x04
-	reportKind = 0x06
-	reportLen  = 1 + 16 + 1 + 1 + 4 + 16
-
-	flagComplete    = 1 << 0
-	flagGenComplete = 1 << 1
-	flagNeed        = 1 << 2
-)
-
 // liar is a lying receiver on the fabric: a raw port — no session, no
 // decoder — that floods every serving node, for every object, with forged
-// reports, each not flagged complete a subscription too, and silently drains
-// the pushes they provoke. Even-numbered liars claim they received nothing
+// reports (packet.AppendReport: well-formed as the codec sees them, lies in
+// every field and frontier the session checks), each not flagged complete a
+// subscription too, and silently drains the pushes they provoke. Even-numbered liars claim they received nothing
 // of what they were sent, all of it departed — proven lost: against a naive
 // sender the under-claim pins the per-peer loss estimate at its ceiling and
 // extorts maximum redundancy forever; the estimator's clamp (MaxLoss) and
@@ -107,28 +93,6 @@ func startLiar(net *Net, name string, claims [][2]uint32, every time.Duration, i
 	return nil
 }
 
-// forgedReport hand-builds the FEEDBACK frame the session layer's report
-// path parses — flags and need, counters gen, received, innovative and
-// departed — then the frontier of generation gen or nothing: the liar
-// speaks the wire protocol without a session.
-func forgedReport(id packet.ObjectID, flags byte, need uint32, counters [4]uint32, frontier []byte) []byte {
-	buf := make([]byte, 19, 23+4*len(counters)+len(frontier))
-	buf[0] = fbTag
-	copy(buf[1:17], id[:])
-	buf[17], buf[18] = reportKind, flags
-	buf = binary.BigEndian.AppendUint32(buf, need)
-	for _, c := range counters {
-		buf = binary.BigEndian.AppendUint32(buf, c)
-	}
-	return append(buf, frontier...)
-}
-
-// subscribes reports whether frame is a subscription: a report not
-// flagged complete.
-func subscribes(frame []byte) bool {
-	return len(frame) >= reportLen && frame[0] == fbTag && frame[17] == reportKind && frame[18]&flagComplete == 0
-}
-
 // forgedFlags is the n-th flag forgery for an object of geometry g, in a
 // cycle of four: none; complete, while the liar stays subscribed (its next
 // report, not complete, re-opens it); the report's generation complete —
@@ -137,11 +101,11 @@ func subscribes(frame []byte) bool {
 func forgedFlags(g objGeom, n int) (flags byte, need uint32) {
 	switch n % 4 {
 	case 1:
-		return flagComplete, 0
+		return packet.ReportComplete, 0
 	case 2:
-		return flagGenComplete, 0
+		return packet.ReportGenComplete, 0
 	case 3:
-		return flagNeed, uint32(n / 4 % ((g.gens*g.kPer + integrity.RunLen - 1) / integrity.RunLen))
+		return packet.ReportNeed, uint32(n / 4 % ((g.gens*g.kPer + integrity.RunLen - 1) / integrity.RunLen))
 	}
 	return 0, 0
 }
@@ -193,7 +157,7 @@ func forgedFrontier(g objGeom, n int) (gen uint32, frontier []byte) {
 func (l *liar) step() time.Time {
 	now := l.net.Now()
 	for f, ok := l.port.Poll(); ok; f, ok = l.port.Poll() {
-		if len(f.Data) > 0 && f.Data[0] == dataTag {
+		if len(f.Data) > 0 && f.Data[0] == packet.FrameData {
 			l.lastData = now
 			if wv, err := packet.ParseWire(f.Data[1:]); err == nil {
 				l.rows[pushedAt{f.From, wv.Object}]++
@@ -209,9 +173,10 @@ func (l *liar) step() time.Time {
 }
 
 // pump sends the next forged report of the cycle to every (server,
-// object) pair. One not flagged complete is also the liar's subscription,
-// as any report is: a sender that evicted the liar takes it back, and one
-// a forged complete stopped re-opens it.
+// object) pair; the codec leaves a frontier to the session, so a malformed
+// one goes out as forged. One not flagged complete is also the liar's
+// subscription, as any report is: a sender that evicted the liar takes it
+// back, and one a forged complete stopped re-opens it.
 func (l *liar) pump(now time.Time) {
 	if now.Sub(l.lastData) >= liarIdle {
 		return
@@ -220,14 +185,13 @@ func (l *liar) pump(now time.Time) {
 	l.pumps++
 	for _, to := range l.servers {
 		for _, id := range l.ids {
-			gen, departed, frontier := uint32(0), l.rows[pushedAt{to, id}], []byte(nil)
-			flags, need := byte(0), uint32(0)
+			r := packet.Report{Object: id, Received: claim[0], Innovative: claim[1], Departed: l.rows[pushedAt{to, id}]}
 			if g, forges := l.geom[id]; forges {
-				gen, frontier = forgedFrontier(g, l.pumps)
-				departed = forgedDeparted(departed, l.pumps)
-				flags, need = forgedFlags(g, l.pumps)
+				r.Gen, r.Frontier = forgedFrontier(g, l.pumps)
+				r.Departed = forgedDeparted(r.Departed, l.pumps)
+				r.Flags, r.Need = forgedFlags(g, l.pumps)
 			}
-			l.port.Send(to, forgedReport(id, flags, need, [4]uint32{gen, claim[0], claim[1], departed}, frontier))
+			l.port.Send(to, packet.AppendReport([]byte{packet.FrameFeedback}, r))
 		}
 	}
 }

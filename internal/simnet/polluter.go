@@ -10,15 +10,11 @@ import (
 	"ltnc/internal/transport"
 )
 
-// memberTag is the session wire protocol's MEMBER partial-view exchange
-// frame type byte, which the membership plane gossips over (see the
-// internal/session package doc for the frame vocabulary).
-const memberTag = 0x06
-
 // polluter is a Byzantine actor on the fabric: a raw port — no session, no
-// coder — that watches for subscriptions (reports not flagged complete) and
-// answers them with a continuous stream of forged DATA rows. The forgeries
-// are wire-perfect (valid v2/v3 geometry for the requested object, exact
+// coder, every frame read and written through internal/packet's codecs —
+// that watches for subscriptions (reports not flagged complete) and answers
+// them with a continuous stream of forged DATA rows. The forgeries are
+// wire-perfect (valid v2/v3 geometry for the requested object, exact
 // honest frame size) but carry garbage payloads, so they pass every
 // syntactic check and poison any decoder that accepts them. The polluter
 // ignores all feedback: it never stops on receipts or completion signals,
@@ -86,11 +82,11 @@ func startPolluter(net *Net, name string, geom map[packet.ObjectID]objGeom, boot
 			Capacity: 255,
 			Role:     packet.MemberRoleRelay | packet.MemberRoleCache,
 		}}
-		if p.advert, err = packet.AppendMemberBody([]byte{memberTag}, 0, entry); err != nil {
+		if p.advert, err = packet.AppendMemberBody([]byte{packet.FrameMember}, 0, entry); err != nil {
 			port.Close()
 			return err
 		}
-		if p.reply, err = packet.AppendMemberBody([]byte{memberTag}, packet.MemberFlagReply, entry); err != nil {
+		if p.reply, err = packet.AppendMemberBody([]byte{packet.FrameMember}, packet.MemberFlagReply, entry); err != nil {
 			port.Close()
 			return err
 		}
@@ -136,7 +132,7 @@ func (p *polluter) step() time.Time {
 // only keeps its subscription alive) is dropped on the floor: a polluter
 // that honored feedback would stop forging and never be convicted.
 func (p *polluter) receive(f transport.Frame, now time.Time) {
-	if len(f.Data) > 0 && f.Data[0] == memberTag && p.reply != nil {
+	if len(f.Data) > 0 && f.Data[0] == packet.FrameMember && p.reply != nil {
 		// Answer shuffle offers (never replies — the membership plane's
 		// ping-pong guard, honored so the lie stays plausible) with the
 		// self-advert: whoever probes the polluter keeps it fresh and
@@ -145,11 +141,14 @@ func (p *polluter) receive(f transport.Frame, now time.Time) {
 			p.port.Send(f.From, p.reply)
 		}
 	}
-	if !subscribes(f.Data) {
+	if len(f.Data) == 0 || f.Data[0] != packet.FrameFeedback {
 		return
 	}
-	v := victim{to: f.From}
-	copy(v.id[:], f.Data[1:17])
+	r, err := packet.ParseReport(f.Data[1:])
+	if err != nil || r.Flags&packet.ReportComplete != 0 {
+		return // a subscription is a report not flagged complete
+	}
+	v := victim{to: f.From, id: r.Object}
 	if _, ok := p.geom[v.id]; !ok {
 		return
 	}
@@ -192,6 +191,6 @@ func (p *polluter) pump(now time.Time) {
 		if err != nil {
 			return
 		}
-		p.port.Send(v.to, append([]byte{dataTag}, wire...))
+		p.port.Send(v.to, append([]byte{packet.FrameData}, wire...))
 	}
 }

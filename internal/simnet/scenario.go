@@ -7,11 +7,6 @@ import (
 	"ltnc/internal/cache"
 )
 
-// dataTag is the session wire protocol's DATA frame type byte (see the
-// internal/session package doc); the header-bound invariant and a link's
-// draws recognize DATA frames by it.
-const dataTag = 0x01
-
 // Wiring selects how a scenario's nodes are peered.
 type Wiring int
 
@@ -131,18 +126,16 @@ type Scenario struct {
 	// push onward. Requires star or mesh wiring without a cache tier.
 	Polluters int
 
-	// Liars adds lying-receiver actors: raw ports that flood every
-	// source and relay, for every object, with forged kind-6 reports —
-	// each not flagged complete a subscription too — and drain the
-	// resulting pushes: the even-numbered ones claiming they received
-	// nothing and that everything they were sent departed (the extortion
-	// play against the estimator, trying to pin the sender's loss
-	// estimate at the ceiling), the odd-numbered ones over-claiming,
-	// running their counters backwards and wrapping them, ten times a
-	// tick (the play against the receipt-clocked window: every forged
-	// receipt empties it). The estimator's clamps (MaxLoss, never more
-	// than adapt.TickCeiling rows a tick) must keep honest fetches
-	// completing. Requires static star wiring without caches or
+	// Liars adds lying-receiver actors (liar.go): raw ports that flood
+	// every source and relay, for every object, with reports forged
+	// through packet.AppendReport — each not flagged complete a
+	// subscription too — and drain the pushes they draw. Even-numbered
+	// liars claim nothing received and everything departed, every
+	// liarEvery (the play against the loss estimate); odd-numbered ones
+	// over-claim, run their counters backwards and wrap them, and forge
+	// departure counts, frontiers and flags, every liarFlood (the play
+	// against the receipt-clocked window). Honest fetches must still
+	// complete. Requires static star wiring without caches or
 	// membership mode.
 	Liars int
 

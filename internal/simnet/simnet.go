@@ -38,6 +38,7 @@ import (
 	"slices"
 	"time"
 
+	"ltnc/internal/packet"
 	"ltnc/internal/transport"
 	"ltnc/internal/xrand"
 )
@@ -460,7 +461,7 @@ func (n *Net) send(from, to transport.Addr, frame []byte) error {
 	// Fixed draw order per link and frame class regardless of the frame's
 	// fate: no verdict shifts the stream for the frames after it.
 	rng := &l.ctl
-	if len(frame) > 0 && frame[0] == dataTag {
+	if len(frame) > 0 && frame[0] == packet.FrameData {
 		rng = &l.data
 	}
 	lossDraw := float64(xrand.SplitMix64(rng)>>11) / (1 << 53)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"ltnc/internal/packet"
 	"ltnc/internal/transport"
 )
 
@@ -348,7 +349,7 @@ func dataFates(t *testing.T, ctl func(i int) int) []time.Duration {
 	}
 	b.Drive(func() time.Time {
 		for f, ok := b.Poll(); ok; f, ok = b.Poll() {
-			if f.Data[0] == dataTag {
+			if f.Data[0] == packet.FrameData {
 				fates[int(f.Data[1])<<8|int(f.Data[2])] = n.Elapsed()
 			}
 			f.Release()
@@ -359,7 +360,7 @@ func dataFates(t *testing.T, ctl func(i int) int) []time.Duration {
 		for c := range ctl(i) {
 			a.Send("b", []byte{0x04, byte(c)})
 		}
-		a.Send("b", []byte{dataTag, byte(i >> 8), byte(i)})
+		a.Send("b", []byte{packet.FrameData, byte(i >> 8), byte(i)})
 	}
 	n.After(10*time.Millisecond, func() {})
 	runUntil(t, n, func() bool { return n.Elapsed() >= 10*time.Millisecond })
