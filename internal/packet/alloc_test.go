@@ -69,15 +69,16 @@ func TestUnmarshalAllocBudget(t *testing.T) {
 	}
 }
 
-// TestReportCodecDoesNotAllocate: a report appends into a sized buffer and
-// parses, refused or accepted, with no allocation — a session parses every
-// FEEDBACK frame on its receive loop.
+// TestReportCodecDoesNotAllocate: a report and its frontier append into a
+// sized buffer and a report parses, refused or accepted, with no
+// allocation — a session parses every FEEDBACK frame on its receive loop.
 func TestReportCodecDoesNotAllocate(t *testing.T) {
-	r := Report{Object: NewObjectID([]byte("alloc test")), Flags: ReportNeed, Need: 3, Gen: 1, Received: 9, Frontier: make([]byte, 8)}
-	buf := make([]byte, 0, ReportLen+len(r.Frontier))
+	r := Report{Object: NewObjectID([]byte("alloc test")), Flags: ReportNeed, Need: 3, Gen: 1, Received: 9}
+	decoded := []int32{0, 9, 63}
+	buf := make([]byte, 0, ReportLen+FrontierLen(64))
 	bad := AppendReport(nil, Report{Flags: 1 << 7})
 	allocs := testing.AllocsPerRun(100, func() {
-		buf = AppendReport(buf[:0], r)
+		buf = AppendFrontier(AppendReport(buf[:0], r), 64, decoded)
 		if _, err := ParseReport(buf); err != nil {
 			t.Fatal(err)
 		}

@@ -28,7 +28,8 @@ const (
 //	departed     4 bytes  the highest send sequence among them that came
 //	                      stamped (0: none did)
 //	frontier    the rest  while gen is filling: gen's decoded natives,
-//	                      native i at bit i&7 of byte i>>3
+//	                      native i at bit i&7 of byte i>>3, FrontierLen
+//	                      bytes (AppendFrontier)
 //
 // The codec holds the fixed part to one encoding; the frontier's length
 // and padding and gen's range depend on the object's geometry and are the
@@ -67,6 +68,19 @@ func AppendReport(dst []byte, r Report) []byte {
 		dst = binary.BigEndian.AppendUint32(dst, c)
 	}
 	return append(dst, r.Frontier...)
+}
+
+// FrontierLen is the length of a frontier over kPer natives: ⌈kPer/8⌉.
+func FrontierLen(kPer int) int { return (kPer + 7) / 8 }
+
+// AppendFrontier appends the frontier over kPer natives, decoded set.
+func AppendFrontier(dst []byte, kPer int, decoded []int32) []byte {
+	n := len(dst)
+	dst = append(dst, make([]byte, FrontierLen(kPer))...)
+	for _, i := range decoded {
+		dst[n+int(i>>3)] |= 1 << (i & 7)
+	}
+	return dst
 }
 
 // ParseReport decodes a report body. Every accepted body re-encodes to

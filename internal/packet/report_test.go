@@ -15,34 +15,6 @@ func testReport(flags byte, need uint32, frontier []byte) Report {
 	}
 }
 
-// TestReportRoundTrip: every report with a known flag set and its need
-// under its flag parses back to itself, its frontier the body's tail
-// (FuzzReport's seeds hold what it must refuse).
-func TestReportRoundTrip(t *testing.T) {
-	for flags := byte(0); flags < 8; flags++ {
-		need := uint32(0)
-		if flags&ReportNeed != 0 {
-			need = 9
-		}
-		for _, frontier := range [][]byte{nil, {0x0f, 0x80}} {
-			r := testReport(flags, need, frontier)
-			body := AppendReport([]byte{FrameFeedback}, r)[1:]
-			if len(body) != ReportLen+len(frontier) {
-				t.Fatalf("flags %03b: %d bytes, want %d", flags, len(body), ReportLen+len(frontier))
-			}
-			got, err := ParseReport(body)
-			if err != nil {
-				t.Fatalf("flags %03b: %v", flags, err)
-			}
-			if got.Object != r.Object || got.Flags != r.Flags || got.Need != r.Need || got.Gen != r.Gen ||
-				got.Received != r.Received || got.Innovative != r.Innovative || got.Departed != r.Departed ||
-				!bytes.Equal(got.Frontier, frontier) {
-				t.Fatalf("flags %03b: %+v parses as %+v", flags, r, got)
-			}
-		}
-	}
-}
-
 // FuzzReport hardens the report codec: it must never panic, every body it
 // refuses is refused as ErrBadReport, and every report it accepts has kind
 // 6, no unknown flag and a need only under its flag, and re-encodes to the
@@ -84,6 +56,9 @@ func FuzzReport(f *testing.F) {
 		}
 		if data[16] != reportKind || r.Flags&^(ReportComplete|ReportGenComplete|ReportNeed) != 0 || r.Flags&ReportNeed == 0 && r.Need != 0 {
 			t.Fatalf("accepted kind %d, flags %08b, need %d", data[16], r.Flags, r.Need)
+		}
+		if len(r.Frontier) != len(data)-ReportLen {
+			t.Fatalf("%d-byte body: %d-byte frontier", len(data), len(r.Frontier))
 		}
 		if again := AppendReport(nil, r); !bytes.Equal(again, data) {
 			t.Fatalf("non-canonical: %x re-encodes as %x", data, again)

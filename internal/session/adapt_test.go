@@ -54,8 +54,8 @@ func TestAdaptiveReceiptEmission(t *testing.T) {
 		}
 		// No run came: each receipt says it needs the first.
 		r, _ := parseReport(f.Data)
-		if !isNeed(f.Data) || r.Need != 0 || len(r.Frontier) != frontierLen(k) {
-			t.Fatalf("reply = %x, want a report needing run 0 with a %d-byte frontier", f.Data, frontierLen(k))
+		if !isNeed(f.Data) || r.Need != 0 || len(r.Frontier) != packet.FrontierLen(k) {
+			t.Fatalf("reply = %x, want a report needing run 0 with a %d-byte frontier", f.Data, packet.FrontierLen(k))
 		}
 		if r.Object != id {
 			t.Fatalf("receipt for %v, want %v", r.Object, id)

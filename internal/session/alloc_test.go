@@ -138,7 +138,7 @@ func TestPushRowAllocBudget(t *testing.T) {
 	unsettled := make([]sentNative, 0, maxUnsettled)
 	frontier := make([][]byte, gens) // every native missing: the peer reports nothing decoded
 	for g := range frontier {
-		frontier[g] = make([]byte, frontierLen(kPer))
+		frontier[g] = make([]byte, packet.FrontierLen(kPer))
 	}
 	cursor := 0
 	round := func(rows int, repeat bool) {

@@ -208,7 +208,7 @@ func (s *Session) onReceiptLocked(st *objectState, ps *peerState, from transport
 		st.mu.Lock()
 		kPer, coded := st.kPer, st.phase.decoding()
 		st.mu.Unlock()
-		if len(tail) != frontierLen(kPer) {
+		if len(tail) != packet.FrontierLen(kPer) {
 			return false
 		}
 		// Unsigned compare: int(gen) can wrap negative on 32-bit builds.

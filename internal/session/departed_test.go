@@ -324,7 +324,7 @@ func TestReceiptFormsParseAsThemselves(t *testing.T) {
 				t.Errorf("k/G %d, %+v: %d rows settled, %d proven lost; want %d and %d", kPer, form, got, proven, want, want-received)
 			}
 			kept := ps.frontier != nil && ps.frontier[0] != nil
-			if kept != form.frontier || kept && !bytes.Equal(ps.frontier[0], frame[len(frame)-frontierLen(kPer):]) {
+			if kept != form.frontier || kept && !bytes.Equal(ps.frontier[0], frame[len(frame)-packet.FrontierLen(kPer):]) {
 				t.Errorf("k/G %d, %+v: frontier kept %v (%x)", kPer, form, kept, ps.frontier)
 			}
 		}

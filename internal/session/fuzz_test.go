@@ -102,13 +102,14 @@ func tableSize(s *Session) (objects, peers int) {
 }
 
 // createsNothing reports whether frame may make no object or peer entry,
-// whoever sends it: the retired REQ, or a complete report from a peer
-// not in the object's table.
+// whoever sends it: the retired REQ, or a kind-6 FEEDBACK frame with the
+// complete bit set, valid or not, from a peer not in the object's table.
+// It reads the bytes itself, not through the codec under test.
 func createsNothing(s *Session, from transport.Addr, frame []byte) bool {
 	if len(frame) > 0 && frame[0] == 0x02 {
 		return true
 	}
-	if r, ok := parseReport(frame); !ok || r.Flags&packet.ReportComplete == 0 {
+	if len(frame) < 1+packet.ReportLen || frame[0] != packet.FrameFeedback || frame[17] != 6 || frame[18]&packet.ReportComplete == 0 {
 		return false
 	}
 	s.mu.Lock()

@@ -404,14 +404,9 @@ func (st *objectState) reportLocked(to transport.Addr, gen uint32, flags byte) [
 	if st.phase.decoding() && gen < uint32(st.coder.Generations()) && !st.coder.GenComplete(int(gen)) {
 		kPer, decoded = st.kPer, st.coder.DecodeLog(int(gen))
 	}
-	// One allocation: the frontier is zeroed in place behind the fixed part.
-	n := frontierLen(kPer)
-	buf := packet.AppendReport(append(make([]byte, 0, 1+packet.ReportLen+n), packet.FrameFeedback), r)
-	buf = append(buf, make([]byte, n)...)
-	for _, i := range decoded {
-		buf[1+packet.ReportLen+int(i>>3)] |= 1 << (i & 7)
-	}
-	return buf
+	// One allocation: the frontier is set in place behind the fixed part.
+	buf := packet.AppendReport(append(make([]byte, 0, 1+packet.ReportLen+packet.FrontierLen(kPer)), packet.FrameFeedback), r)
+	return packet.AppendFrontier(buf, kPer, decoded)
 }
 
 // decodeDataLocked is the decode hot path for one DATA frame; st.mu must

@@ -229,7 +229,7 @@ func TestNeedBounds(t *testing.T) {
 	t.Run("flood", func(t *testing.T) {
 		s, rec, clk, id := needSource(t, k)
 		ps := s.objects[id].peers["peer"]
-		ps.frontier = [][]byte{make([]byte, frontierLen(k))}
+		ps.frontier = [][]byte{make([]byte, packet.FrontierLen(k))}
 		const span = 40 * time.Millisecond
 		man := 0
 		for start := clk.Now(); clk.Since(start) < span; clk.Advance(s.cfg.Tick / 8) {

@@ -80,7 +80,7 @@ func checkPhaseInvariants(tb testing.TB, s *Session) {
 			for _, f := range ps.frontier {
 				held += len(f)
 			}
-			if gens := int(st.gens.Load()); (held > 0 && !ph.decoding()) || len(ps.frontier) > gens || held > gens*frontierLen(st.kPer) || len(ps.unsettled) > maxUnsettled {
+			if gens := int(st.gens.Load()); (held > 0 && !ph.decoding()) || len(ps.frontier) > gens || held > gens*packet.FrontierLen(st.kPer) || len(ps.unsettled) > maxUnsettled {
 				tb.Errorf("%v: phase %v keeps %d frontier bytes in %d generations and %d rows in flight for %s (G=%d k/G=%d)",
 					id, ph, held, len(ps.frontier), len(ps.unsettled), addr, gens, st.kPer)
 			}

@@ -678,7 +678,7 @@ func testDenseForger(t *testing.T, others int) {
 	sent := rec.take()
 	rearmed := slices.ContainsFunc(sent["src"], func(f []byte) bool {
 		r, ok := parseReport(f)
-		return ok && r.Gen == 0 && len(r.Frontier) == frontierLen(kPer)
+		return ok && r.Gen == 0 && len(r.Frontier) == packet.FrontierLen(kPer)
 	})
 	if !rearmed || len(sent["mallory"]) != 0 {
 		t.Fatalf("the quarantine sent %q to the source and %d frames to the convict; want a report about generation 0 with its frontier, and none",

@@ -511,7 +511,7 @@ func (s *Session) repairLocked(st *objectState, p *peerPlan) {
 	}
 	inFlight := s.markLocked(st.k, p.unsettled)
 	defer clear(inFlight)
-	perGen := frontierLen(st.kPer)
+	perGen := packet.FrontierLen(st.kPer)
 	blocks := len(p.frontier) * perGen
 	round := 1 << bits.Len(uint(blocks-1))
 	for n := 0; n < round; n, p.repairAt = n+1, (p.repairAt+p.repairStep)&(round-1) {

@@ -135,11 +135,7 @@ func reportFrame(r packet.Report) []byte {
 // frontierOf is the frontier of a kPer-native generation with the natives
 // in decoded set; an index past kPer sets a padding bit.
 func frontierOf(kPer int, decoded ...int32) []byte {
-	f := make([]byte, frontierLen(kPer))
-	for _, i := range decoded {
-		f[i>>3] |= 1 << (i & 7)
-	}
-	return f
+	return packet.AppendFrontier(nil, kPer, decoded)
 }
 
 // parseReport decodes frame as a FEEDBACK frame carrying a report.

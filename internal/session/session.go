@@ -134,11 +134,6 @@ import (
 	"ltnc/internal/transport"
 )
 
-// frontierLen is the length of one generation's frontier — its
-// decoded-native bitmap, native i at bit i&7 of byte i>>3 — on the wire
-// and in peerState.
-func frontierLen(kPer int) int { return (kPer + 7) / 8 }
-
 // maxUnsettled bounds peerState.unsettled: eight windows, far more degree-1
 // rows than a link has in flight (adapt.MaxBurst, two more for the probe)
 // at any one time.

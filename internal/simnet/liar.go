@@ -12,27 +12,28 @@ import (
 // decoder — that floods every serving node, for every object, with forged
 // reports (packet.AppendReport: well-formed as the codec sees them, lies in
 // every field and frontier the session checks), each not flagged complete a
-// subscription too, and silently drains the pushes they provoke. Even-numbered liars claim they received nothing
-// of what they were sent, all of it departed — proven lost: against a naive
-// sender the under-claim pins the per-peer loss estimate at its ceiling and
-// extorts maximum redundancy forever; the estimator's clamp (MaxLoss) and
-// the liar's own window halving to its floor are what the liar scenarios
-// verify. Odd-numbered liars go after the receipt-clocked window instead,
-// flooding the claims that could turn it over faster than any receiver
-// empties it (liarClaims, one every liarFlood): everything and more
-// received, counters running backwards, counters wrapping uint32 — and
-// behind each a forged departure count (forgedDeparted: everything it was
-// sent, far past that, backwards, wrapping) and a forged frontier
-// (forgedFrontier), which could redirect a sender's repair: everything
-// missing, everything present, a generation the object does not have, the
-// wrong length, natives past the generation's end — and forged flags
-// (forgedFlags). The pacer's ceiling (adapt.TickCeiling rows a tick, checked
-// frame by frame in every run) is the defense: a departure count empties no
-// more than a received count does, a frontier chooses which rows its
-// claimant gets, never how many, a forged complete only stops the pushes to
-// the liar, and a need buys at most one run a horizon. The fabric steps it:
-// it pumps at virtual intervals and goes quiet once no DATA has arrived for
-// liarIdle of virtual time, bounding the traffic a run can see.
+// subscription too, and silently drains the pushes they provoke.
+// Even-numbered liars claim they received nothing of what they were sent,
+// all of it departed — proven lost: against a naive sender the under-claim
+// pins the per-peer loss estimate at its ceiling and extorts maximum
+// redundancy forever; the estimator's clamp (MaxLoss) and the liar's own
+// window halving to its floor are what the liar scenarios verify.
+// Odd-numbered liars go after the receipt-clocked window instead, flooding
+// the claims that could turn it over faster than any receiver empties it
+// (liarClaims, one every liarFlood): everything and more received, counters
+// running backwards, counters wrapping uint32 — and behind each a forged
+// departure count (forgedDeparted: everything it was sent, far past that,
+// backwards, wrapping) and a forged frontier (forgedFrontier), which could
+// redirect a sender's repair: everything missing, everything present, a
+// generation the object does not have, the wrong length, natives past the
+// generation's end — and forged flags (forgedFlags). The pacer's ceiling
+// (adapt.TickCeiling rows a tick, checked frame by frame in every run) is
+// the defense: a departure count empties no more than a received count does,
+// a frontier chooses which rows its claimant gets, never how many, a forged
+// complete only stops the pushes to the liar, and a need buys at most one
+// run a horizon. The fabric steps it: it pumps at virtual intervals and goes
+// quiet once no DATA has arrived for liarIdle of virtual time, bounding the
+// traffic a run can see.
 type liar struct {
 	net     *Net
 	port    *Port
@@ -132,13 +133,12 @@ func forgedDeparted(sent uint32, n int) uint32 {
 // last (every other time, 2³²−1); a byte too many; and natives past the
 // generation's end (or, with no padding to lie in, a byte too few).
 func forgedFrontier(g objGeom, n int) (gen uint32, frontier []byte) {
-	frontier = make([]byte, (g.kPer+7)/8)
-	gen = uint32(n / 5 % g.gens)
+	var decoded []int32
+	for i := 0; n%5 == 1 && i < g.kPer; i++ {
+		decoded = append(decoded, int32(i)) // everything present
+	}
+	frontier, gen = packet.AppendFrontier(nil, g.kPer, decoded), uint32(n/5%g.gens)
 	switch n % 5 {
-	case 1:
-		for i := 0; i < g.kPer; i++ {
-			frontier[i>>3] |= 1 << (i & 7)
-		}
 	case 2:
 		gen = []uint32{uint32(g.gens), 1<<32 - 1}[n/5%2]
 	case 3:

@@ -145,13 +145,10 @@ func (p *polluter) receive(f transport.Frame, now time.Time) {
 		return
 	}
 	r, err := packet.ParseReport(f.Data[1:])
-	if err != nil || r.Flags&packet.ReportComplete != 0 {
+	if _, ok := p.geom[r.Object]; err != nil || !ok || r.Flags&packet.ReportComplete != 0 {
 		return // a subscription is a report not flagged complete
 	}
 	v := victim{to: f.From, id: r.Object}
-	if _, ok := p.geom[v.id]; !ok {
-		return
-	}
 	if i, known := slices.BinarySearchFunc(p.victims, v, victim.cmp); !known {
 		p.victims = slices.Insert(p.victims, i, v)
 	}
