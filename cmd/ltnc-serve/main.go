@@ -67,7 +67,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		tick    = fs.Duration("tick", 2*time.Millisecond, "push timer period: the floor under the receipt clock (rows are clocked by the peers' receipt reports)")
 		idle    = fs.Duration("idle-timeout", time.Minute, "evict object state idle this long")
 		seed    = fs.Int64("seed", 0, "randomness seed (0 = fresh entropy; set for reproducible runs)")
-		readers = fs.Int("udp-readers", 0, "receive shards on the Linux batched UDP path (SO_REUSEPORT sockets, one core each; 0 = single shard)")
 		verbose = fs.Bool("v", false, "log session events to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -84,7 +83,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	cfg := swarm.Config{
 		Listen:      *listen,
-		UDPReaders:  *readers,
 		Relay:       *relay,
 		Tick:        *tick,
 		IdleTimeout: *idle,

@@ -3,8 +3,8 @@ package transport
 import "sync/atomic"
 
 // spscRing is a fixed-capacity single-producer/single-consumer frame
-// queue: one socket reader goroutine pushes, the transport's RecvBatch
-// consumer pops. Head and tail are monotonically increasing positions
+// queue: the socket's reader goroutine pushes, the consumer that Recv
+// and RecvBatch share pops. Head and tail are monotonically increasing positions
 // masked into the buffer, each written by exactly one side, so the only
 // synchronization is two atomic loads per operation — no locks on the
 // per-frame path. The head/tail words live on separate cache lines so

@@ -5,49 +5,32 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// UDPConfig tunes the UDP transport. The zero value is the default used
-// by ListenUDP: batched I/O where the platform supports it (Linux
-// amd64/arm64: recvmmsg/sendmmsg with UDP GSO/GRO when the kernel
-// accepts them), a single receive shard, 32-frame batches.
-type UDPConfig struct {
-	// Readers is the number of receive shards. With Readers > 1 on the
-	// Linux fast path the transport binds that many SO_REUSEPORT sockets
-	// to the same port, each drained by its own goroutine into a
-	// lock-free SPSC ring — the kernel hashes peers across the sockets,
-	// so independent flows land on independent cores. Clamped to 1 on
-	// platforms without the fast path. Default 1.
-	Readers int
+// udpConfig tunes the UDP transport; the zero value is what ListenUDP
+// uses. Its fields exist so tests can reach paths the kernel otherwise
+// chooses.
+type udpConfig struct {
 	// Batch is the frame count per recvmmsg/sendmmsg syscall (and the
 	// segment count cap for a GSO super-send). Default 32, max 64 (the
-	// kernel's UDP_MAX_SEGMENTS). A receive shard whose socket took
-	// UDP_GRO arms min(Batch, 8) recvmmsg slots instead: each slot holds
-	// a MaxFrame buffer, and there each message may be a super-datagram
-	// of up to 64 frames.
+	// kernel's UDP_MAX_SEGMENTS). A socket that took UDP_GRO arms
+	// min(Batch, 8) recvmmsg slots instead: each slot holds a MaxFrame
+	// buffer, and there each message may be a super-datagram of up to 64
+	// frames.
 	Batch int
-	// RingSize is the per-reader ring capacity in frames; when a ring is
+	// RingSize is the reader's ring capacity in frames; when the ring is
 	// full the reader parks and lets the kernel socket buffer absorb the
 	// burst, so nothing is dropped in user space. Default 1024.
 	RingSize int
-	// DisableBatch forces the portable per-frame syscall path even where
-	// the fast path is available — the escape hatch, and the baseline
-	// leg of the transport benchmark.
-	DisableBatch bool
 	// DisableGSO / DisableGRO turn off segmentation-offload probing
 	// individually while keeping sendmmsg/recvmmsg batching.
 	DisableGSO bool
 	DisableGRO bool
 }
 
-func (c *UDPConfig) setDefaults() {
-	if c.Readers <= 0 || c.DisableBatch || !batchSupported {
-		c.Readers = 1
-	}
+func (c *udpConfig) setDefaults() {
 	if c.Batch <= 0 {
 		c.Batch = 32
 	}
@@ -79,12 +62,10 @@ type UDPStats struct {
 	// counts frames recovered by splitting GRO super-datagrams.
 	GSOBatches int64
 	GROFrames  int64
-	// BatchEnabled/GSO/GRO report what socket setup probing found;
-	// Readers is the active receive shard count.
+	// BatchEnabled/GSO/GRO report what socket setup probing found.
 	BatchEnabled bool
 	GSO          bool
 	GRO          bool
-	Readers      int
 }
 
 type udpCounters struct {
@@ -97,34 +78,28 @@ type udpCounters struct {
 	groFrames    atomic.Int64
 }
 
-// UDPTransport implements Transport over UDP sockets. On Linux
-// amd64/arm64 it runs a batched fast path — recvmmsg readers feeding
-// lock-free rings, sendmmsg/GSO on the way out — and everywhere else a
-// portable per-frame path with identical semantics (see udp_linux.go /
+// UDPTransport implements Transport over one UDP socket. One reader
+// goroutine reads the socket a batch at a time into a lock-free ring,
+// and Recv and RecvBatch take frames off the ring. On Linux amd64/arm64
+// a batch is one recvmmsg (with GRO where the kernel accepts it) and
+// SendBatch rides sendmmsg/GSO; everywhere else a batch is one
+// ReadFromUDP and SendBatch sends frame by frame (see udp_linux.go /
 // udp_fallback.go). Receive buffers come from the process-wide frame
 // pool (GetBuf/PutBuf), so the steady-state receive path performs no
 // per-datagram allocation; callers return buffers with Frame.Release.
 // Destination addresses are resolved once and cached.
 type UDPTransport struct {
-	cfg    UDPConfig
+	cfg    udpConfig
 	conn   *net.UDPConn
 	peers  sync.Map // Addr -> *net.UDPAddr
 	closed atomic.Bool
 	done   chan struct{}
 
-	// Context-cancellation watcher for the portable blocking read path:
-	// one goroutine per distinct context, armed on first use, that calls
-	// SetReadDeadline(past) exactly once on cancellation. The steady
-	// state receive path performs no deadline syscalls at all (the old
-	// implementation paid one SetReadDeadline per datagram to poll a
-	// 250ms rolling deadline).
-	watchMu   sync.Mutex
-	watchCtx  context.Context
-	watchStop chan struct{}
-
-	// rbuf is the portable path's read buffer, touched only by the one
-	// consumer that calls Recv; nil once a large frame has taken it.
-	rbuf *[]byte
+	ring     *spscRing
+	space    chan struct{} // reader wakeup when the consumer frees room (cap 1)
+	notify   chan struct{} // consumer wakeup when the reader pushes (cap 1)
+	readDone chan struct{} // closed when the reader exits
+	readErr  error         // why the reader exited; read after readDone
 
 	stats udpCounters
 	batch batchState
@@ -135,29 +110,32 @@ var _ BatchSender = (*UDPTransport)(nil)
 var _ BatchRecver = (*UDPTransport)(nil)
 
 // ListenUDP opens a UDP transport bound to addr ("127.0.0.1:0" picks a
-// free port; query LocalAddr for the result) with the default UDPConfig.
+// free port; query LocalAddr for the result).
 func ListenUDP(addr string) (*UDPTransport, error) {
-	return ListenUDPConfig(addr, UDPConfig{})
+	return listenUDP(addr, udpConfig{})
 }
 
-// ListenUDPConfig opens a UDP transport with explicit batching, shard
-// and offload settings.
-func ListenUDPConfig(addr string, cfg UDPConfig) (*UDPTransport, error) {
+func listenUDP(addr string, cfg udpConfig) (*UDPTransport, error) {
 	cfg.setDefaults()
-	lc := net.ListenConfig{Control: reusePortControl(cfg)}
-	pc, err := lc.ListenPacket(context.Background(), "udp", addr)
+	pc, err := net.ListenPacket("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %q: %w", addr, err)
 	}
 	t := &UDPTransport{
-		cfg:  cfg,
-		conn: pc.(*net.UDPConn),
-		done: make(chan struct{}),
+		cfg:      cfg,
+		conn:     pc.(*net.UDPConn),
+		done:     make(chan struct{}),
+		ring:     newSPSCRing(cfg.RingSize),
+		space:    make(chan struct{}, 1),
+		notify:   make(chan struct{}, 1),
+		readDone: make(chan struct{}),
 	}
-	if err := t.initBatch(); err != nil {
+	read, err := t.initSocket()
+	if err != nil {
 		pc.Close()
-		return nil, fmt.Errorf("transport: batch setup: %w", err)
+		return nil, fmt.Errorf("transport: socket setup: %w", err)
 	}
+	go t.readLoop(read)
 	return t, nil
 }
 
@@ -174,9 +152,9 @@ func (t *UDPTransport) Stats() UDPStats {
 		RecvFrames:   t.stats.recvFrames.Load(),
 		GSOBatches:   t.stats.gsoBatches.Load(),
 		GROFrames:    t.stats.groFrames.Load(),
-		Readers:      1,
+		BatchEnabled: batchSupported,
 	}
-	s.BatchEnabled, s.GSO, s.GRO, s.Readers = t.batchInfo()
+	s.GSO, s.GRO = t.offloads()
 	return s
 }
 
@@ -218,15 +196,7 @@ func (t *UDPTransport) SendBatch(to Addr, frames [][]byte) (int, error) {
 			return 0, ErrFrameTooBig
 		}
 	}
-	if t.batchEnabled() {
-		return t.sendBatchMmsg(to, frames)
-	}
-	for i, f := range frames {
-		if err := t.Send(to, f); err != nil {
-			return i, err
-		}
-	}
-	return len(frames), nil
+	return t.sendBatch(to, frames)
 }
 
 func (t *UDPTransport) resolve(to Addr) (*net.UDPAddr, error) {
@@ -244,114 +214,106 @@ func (t *UDPTransport) resolve(to Addr) (*net.UDPAddr, error) {
 // Recv blocks for the next datagram. The returned frame's buffer belongs
 // to the transport's pool: call Release when done with Data.
 func (t *UDPTransport) Recv(ctx context.Context) (Frame, error) {
-	if t.batchEnabled() {
-		var one [1]Frame
-		if _, err := t.recvBatchRings(ctx, one[:]); err != nil {
-			return Frame{}, err
-		}
-		return one[0], nil
+	var one [1]Frame
+	if _, err := t.recv(ctx, one[:]); err != nil {
+		return Frame{}, err
 	}
-	return t.recvDirect(ctx)
+	return one[0], nil
 }
 
 // RecvBatch fills out with every frame already queued (blocking for the
-// first), up to len(out). On the fast path whole recvmmsg batches and
-// GRO splits surface in one call; the portable path yields one frame per
-// call.
+// first), up to len(out): whole socket reads, GRO splits included,
+// surface in one call.
 func (t *UDPTransport) RecvBatch(ctx context.Context, out []Frame) (int, error) {
 	if len(out) == 0 {
 		return 0, nil
 	}
-	if t.batchEnabled() {
-		return t.recvBatchRings(ctx, out)
+	return t.recv(ctx, out)
+}
+
+// readLoop is the socket's one reader: it reads a batch with read and
+// pushes the frames into the ring. A full ring parks the reader (after
+// waking the consumer) so back-pressure lands in the kernel socket
+// buffer instead of dropping in user space. It exits when read fails,
+// which Close makes happen, or when Close finds it parked.
+func (t *UDPTransport) readLoop(read func([]Frame) ([]Frame, error)) {
+	defer close(t.readDone)
+	batch := make([]Frame, 0, 2*t.cfg.Batch)
+	for {
+		var err error
+		if batch, err = read(batch[:0]); err != nil {
+			t.readErr = err
+			return
+		}
+		for k, f := range batch {
+			batch[k] = Frame{}
+			for !t.ring.push(f) {
+				wake(t.notify)
+				select {
+				case <-t.space:
+				case <-t.done:
+					f.Release()
+					for _, rest := range batch[k+1:] {
+						rest.Release()
+					}
+					return
+				}
+			}
+		}
+		wake(t.notify)
 	}
-	f, err := t.recvDirect(ctx)
-	if err != nil {
+}
+
+// recv is the consumer that Recv and RecvBatch share: it pops what the
+// ring holds into out, parking on notify while it is empty. Once the
+// transport is closed every pending or later call fails with ErrClosed,
+// and frames still in the ring go back to the pool. A reader that failed
+// for any other reason leaves its error to every call after the ring
+// runs dry.
+func (t *UDPTransport) recv(ctx context.Context, out []Frame) (int, error) {
+	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	out[0] = f
-	return 1, nil
-}
-
-// recvDirect is the portable blocking receive: one ReadFromUDP syscall
-// per datagram, zero deadline syscalls in the steady state (context
-// cancellation is delegated to the armed watcher). It reads into the
-// transport's MaxFrame buffer and keeps the fast path's lone-datagram
-// rule: a datagram of at most smallFrame bytes is copied out to a buffer
-// of its own size class, since it may wait in an ingest queue, and a
-// larger one takes the buffer with it.
-func (t *UDPTransport) recvDirect(ctx context.Context) (Frame, error) {
-	if t.closed.Load() {
-		return Frame{}, ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return Frame{}, err
-	}
-	t.watch(ctx)
-	if t.rbuf == nil {
-		t.rbuf = GetBuf()
-	}
+	readerGone := false
 	for {
-		t.stats.recvSyscalls.Add(1)
-		n, from, err := t.conn.ReadFromUDP(*t.rbuf)
-		if err != nil {
-			if errors.Is(err, os.ErrDeadlineExceeded) {
-				if cerr := ctx.Err(); cerr != nil {
-					return Frame{}, cerr
-				}
-				if t.closed.Load() {
-					return Frame{}, ErrClosed
-				}
-				// A stale wake-deadline left by a previous context's
-				// watcher that lost the re-arm race: clear it and retry.
-				t.conn.SetReadDeadline(time.Time{})
-				continue
-			}
-			if t.closed.Load() || errors.Is(err, net.ErrClosed) {
-				return Frame{}, ErrClosed
-			}
-			return Frame{}, fmt.Errorf("transport: recv: %w", err)
+		if t.closed.Load() {
+			t.ring.drain()
+			return 0, ErrClosed
 		}
-		t.stats.recvMessages.Add(1)
-		t.stats.recvFrames.Add(1)
-		addr, data := Addr(from.String()), (*t.rbuf)[:n]
-		if n <= smallFrame {
-			return copyFrame(addr, data), nil
+		n := 0
+		for n < len(out) {
+			f, ok := t.ring.pop()
+			if !ok {
+				break
+			}
+			out[n] = f
+			n++
 		}
-		bufp := t.rbuf
-		t.rbuf = nil
-		return Frame{From: addr, Data: data, release: func() { PutBuf(bufp) }}, nil
+		if n > 0 {
+			wake(t.space)
+			return n, nil
+		}
+		if readerGone {
+			return 0, fmt.Errorf("transport: recv: %w", t.readErr)
+		}
+		select {
+		case <-t.notify:
+		case <-ctx.Done():
+			return 0, ctx.Err()
+		case <-t.readDone:
+			// Sweep once more: the reader's last pushes are visible now.
+			readerGone = true
+		}
 	}
 }
 
-// watch arms the cancellation watcher for ctx; consecutive receives
-// under the same context reuse the armed watcher, so the hot path does
-// no work beyond one mutex handoff. On cancellation the watcher performs
-// a single SetReadDeadline(past) to wake the blocked reader.
-func (t *UDPTransport) watch(ctx context.Context) {
-	if ctx.Done() == nil {
-		return
+// wake signals a cap-1 wakeup channel without blocking; a signal already
+// pending covers this one.
+func wake(c chan struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
 	}
-	t.watchMu.Lock()
-	defer t.watchMu.Unlock()
-	if t.watchCtx == ctx {
-		return
-	}
-	if t.watchStop != nil {
-		close(t.watchStop)
-	}
-	// A previous watcher may have left its wake-deadline on the socket.
-	t.conn.SetReadDeadline(time.Time{})
-	stop := make(chan struct{})
-	t.watchCtx, t.watchStop = ctx, stop
-	go func() {
-		select {
-		case <-ctx.Done():
-			t.conn.SetReadDeadline(time.Unix(1, 0))
-		case <-stop:
-		case <-t.done:
-		}
-	}()
 }
 
 // Close shuts the socket down; a blocked Recv returns ErrClosed.
@@ -361,6 +323,6 @@ func (t *UDPTransport) Close() error {
 	}
 	close(t.done)
 	err := t.conn.Close()
-	t.closeBatch()
+	<-t.readDone
 	return err
 }

@@ -3,53 +3,61 @@
 package transport
 
 // udp_fallback.go keeps UDPTransport portable: platforms without the
-// recvmmsg/sendmmsg fast path (darwin, windows, 32-bit linux, ...) run
-// the direct per-frame syscall path in udp.go. SendBatch/RecvBatch still
-// exist — they degrade to per-frame loops with identical semantics, so
-// callers written against the batch surface run unchanged. The
-// ltnc_portable build tag selects it on linux/amd64 and linux/arm64 too,
-// so the race detector and the tests run it on the hosts CI has.
+// recvmmsg/sendmmsg fast path (darwin, windows, 32-bit linux, ...) read
+// one datagram a batch with ReadFromUDP, into the same reader, ring and
+// consumer as the fast path (udp.go), and SendBatch sends frame by frame.
+// The ltnc_portable build tag selects it on linux/amd64 and linux/arm64
+// too, so the race detector and the tests run it on the hosts CI has.
 
-import (
-	"context"
-	"syscall"
-)
+import "net"
 
 const batchSupported = false
 
 type batchState struct{}
 
-func reusePortControl(cfg UDPConfig) func(network, address string, c syscall.RawConn) error {
-	return nil
+// initSocket arms the ReadFromUDP reader.
+func (t *UDPTransport) initSocket() (func([]Frame) ([]Frame, error), error) {
+	r := &udpReader{conn: t.conn, stats: &t.stats}
+	return r.read, nil
 }
 
-// portableReadBuffer is the socket receive buffer the per-frame path asks
-// for; the kernel caps it at its own limit (rmem_max on Linux). With no
-// reader goroutines and rings in front of it, as the fast path has, frames
-// wait in the kernel while the receive loop handles the one before, and
-// the default 208 KiB overflows under a 16 MiB object's manifest — its 16
-// frames of 32 KiB go to a fetcher once, two a push round, each ahead of
-// the DATA it proves — and the DATA between them; a frame lost there
-// comes again only when the fetcher's need asks for it, a round trip on
-// (swarm's TestLargeManifestArrivesBeforeFirstGeneration).
-const portableReadBuffer = 4 << 20
+func (t *UDPTransport) offloads() (gso, gro bool) { return false, false }
 
-func (t *UDPTransport) initBatch() error {
-	_ = t.conn.SetReadBuffer(portableReadBuffer) // best effort: refused, the default buffer stands
-	return nil
+func (t *UDPTransport) sendBatch(to Addr, frames [][]byte) (int, error) {
+	for i, f := range frames {
+		if err := t.Send(to, f); err != nil {
+			return i, err
+		}
+	}
+	return len(frames), nil
 }
 
-func (t *UDPTransport) batchEnabled() bool { return false }
-func (t *UDPTransport) closeBatch()        {}
-
-func (t *UDPTransport) batchInfo() (enabled, gso, gro bool, readers int) {
-	return false, false, false, 1
+// udpReader reads one datagram a call into its MaxFrame buffer and keeps
+// the fast path's lone-datagram rule: a datagram of at most smallFrame
+// bytes is copied out to a buffer of its own size class, since it may
+// wait in an ingest queue, and a larger one takes the buffer with it.
+type udpReader struct {
+	conn  *net.UDPConn
+	stats *udpCounters
+	buf   *[]byte // nil once a large frame has taken it
 }
 
-func (t *UDPTransport) recvBatchRings(ctx context.Context, out []Frame) (int, error) {
-	panic("transport: batch rings unavailable on this platform")
-}
-
-func (t *UDPTransport) sendBatchMmsg(to Addr, frames [][]byte) (int, error) {
-	panic("transport: sendmmsg unavailable on this platform")
+func (r *udpReader) read(out []Frame) ([]Frame, error) {
+	if r.buf == nil {
+		r.buf = GetBuf()
+	}
+	r.stats.recvSyscalls.Add(1)
+	n, from, err := r.conn.ReadFromUDP(*r.buf)
+	if err != nil {
+		return out, err
+	}
+	r.stats.recvMessages.Add(1)
+	r.stats.recvFrames.Add(1)
+	addr, data := Addr(from.String()), (*r.buf)[:n]
+	if n <= smallFrame {
+		return append(out, copyFrame(addr, data)), nil
+	}
+	bufp := r.buf
+	r.buf = nil
+	return append(out, Frame{From: addr, Data: data, release: func() { PutBuf(bufp) }}), nil
 }

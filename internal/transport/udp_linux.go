@@ -2,13 +2,12 @@
 
 package transport
 
-// udp_linux.go is the batched UDP fast path: recvmmsg readers (one per
-// SO_REUSEPORT shard) feeding lock-free SPSC rings, sendmmsg on the way
-// out, and UDP GSO/GRO segmentation offload where the kernel accepts it
-// (probed at socket setup, silent fallback otherwise). Everything here
-// is reachable only through the portable surface in udp.go; semantics —
-// blocking, ErrClosed, context cancellation, pooled buffers — are
-// identical to the per-frame path.
+// udp_linux.go is the batched UDP fast path: the socket's reader reads
+// with recvmmsg, sends go out through sendmmsg, and UDP GSO/GRO
+// segmentation offload is used where the kernel accepts it (probed at
+// socket setup, silent fallback otherwise). The reader, its ring and the
+// consumer live in udp.go; semantics — blocking, ErrClosed, context
+// cancellation, pooled buffers — are those of the portable fallback.
 //
 // The syscalls are issued raw (recvmmsg/sendmmsg are not wrapped by the
 // frozen syscall package and golang.org/x/net is deliberately not a
@@ -18,7 +17,6 @@ package transport
 // ReadFromUDP would.
 
 import (
-	"context"
 	"errors"
 	"net"
 	"net/netip"
@@ -31,19 +29,18 @@ import (
 const batchSupported = true
 
 const (
-	solUDP      = 17  // IPPROTO_UDP: level for the UDP_* socket options
-	udpSegment  = 103 // UDP_SEGMENT: GSO segment size (sockopt + cmsg)
-	udpGRO      = 104 // UDP_GRO: receive coalescing (sockopt + cmsg)
-	soReusePort = 15  // SO_REUSEPORT (absent from the frozen syscall pkg)
+	solUDP     = 17  // IPPROTO_UDP: level for the UDP_* socket options
+	udpSegment = 103 // UDP_SEGMENT: GSO segment size (sockopt + cmsg)
+	udpGRO     = 104 // UDP_GRO: receive coalescing (sockopt + cmsg)
 
 	// gsoMaxSegs is the kernel's UDP_MAX_SEGMENTS; gsoMaxBytes keeps a
 	// GSO super-payload inside one UDP datagram (65507 max payload).
 	gsoMaxSegs  = 64
 	gsoMaxBytes = 65000
 
-	// groSlots caps the recvmmsg vector of a shard whose socket took
-	// UDP_GRO. Each slot is armed with a MaxFrame buffer, and GRO hands a
-	// GSO burst back as one super-datagram of up to 64 segments: with 32
+	// groSlots caps the recvmmsg vector of a socket that took UDP_GRO.
+	// Each slot is armed with a MaxFrame buffer, and GRO hands a GSO
+	// burst back as one super-datagram of up to 64 segments: with 32
 	// slots armed, a loopback relay fetch's calls filled 2.2 on average
 	// and more than 8 in 23 of 21,378 (DESIGN.md §15). Eight slots still
 	// take up to 512 segments a call, and arm 512 KiB a socket, not 2 MiB.
@@ -59,18 +56,10 @@ type mmsghdr struct {
 }
 
 type batchState struct {
-	enabled bool
-	gso     bool
-	gro     bool
-	slots   int // recvmmsg vector length: Batch, or min(Batch, groSlots) under GRO
-
-	socks  []*net.UDPConn    // [0] aliases UDPTransport.conn (the send socket)
-	rcs    []syscall.RawConn // raw conns, parallel to socks
-	rings  []*spscRing       // per-reader frame rings, parallel to socks
-	space  []chan struct{}   // per-ring producer wakeup (cap 1)
-	notify chan struct{}     // consumer wakeup (cap 1, shared by all rings)
-	cursor int               // consumer's ring round-robin position
-	wg     sync.WaitGroup
+	gso   bool
+	gro   bool
+	slots int // recvmmsg vector length: Batch, or min(Batch, groSlots) under GRO
+	rc    syscall.RawConn
 
 	raws   sync.Map // Addr -> *rawAddr: sockaddr bytes for the mmsg paths
 	sendMu sync.Mutex
@@ -83,113 +72,26 @@ type rawAddr struct {
 	ln   uint32
 }
 
-func reusePortControl(cfg UDPConfig) func(network, address string, c syscall.RawConn) error {
-	if cfg.DisableBatch || cfg.Readers <= 1 {
-		return nil
-	}
-	return setReusePort
-}
-
-func setReusePort(network, address string, c syscall.RawConn) error {
-	var serr error
-	if err := c.Control(func(fd uintptr) {
-		serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, soReusePort, 1)
-	}); err != nil {
-		return err
-	}
-	return serr
-}
-
-// initBatch probes the kernel and starts the reader shards. Any failure
-// to set up extra shards or offloads degrades silently toward the
-// portable semantics rather than failing the listen.
-func (t *UDPTransport) initBatch() error {
-	if t.cfg.DisableBatch {
-		return nil
-	}
+// initSocket probes the kernel's offloads and arms the recvmmsg reader.
+// A refused offload degrades silently rather than failing the listen.
+func (t *UDPTransport) initSocket() (func([]Frame) ([]Frame, error), error) {
 	b := &t.batch
-	b.socks = []*net.UDPConn{t.conn}
-	if t.cfg.Readers > 1 {
-		// Extra SO_REUSEPORT shards on the same port: the kernel hashes
-		// each peer's flow onto one shard, so per-peer ordering is
-		// preserved while independent peers spread across cores.
-		local := t.conn.LocalAddr().String()
-		lc := net.ListenConfig{Control: setReusePort}
-		for i := 1; i < t.cfg.Readers; i++ {
-			pc, err := lc.ListenPacket(context.Background(), "udp", local)
-			if err != nil {
-				// SO_REUSEPORT refused (exotic kernel/namespace): run
-				// single-sharded rather than fail.
-				for _, c := range b.socks[1:] {
-					c.Close()
-				}
-				b.socks = b.socks[:1]
-				break
-			}
-			b.socks = append(b.socks, pc.(*net.UDPConn))
-		}
+	rc, err := t.conn.SyscallConn()
+	if err != nil {
+		return nil, err
 	}
-	for _, c := range b.socks {
-		rc, err := c.SyscallConn()
-		if err != nil {
-			for _, ex := range b.socks[1:] {
-				ex.Close()
-			}
-			return err
-		}
-		b.rcs = append(b.rcs, rc)
-	}
-	b.gso = !t.cfg.DisableGSO && probeGSO(b.rcs[0])
-	if !t.cfg.DisableGRO {
-		b.gro = true
-		for _, rc := range b.rcs {
-			if !enableGRO(rc) {
-				b.gro = false
-				break
-			}
-		}
-	}
+	b.rc = rc
+	b.gso = !t.cfg.DisableGSO && probeGSO(rc)
+	b.gro = !t.cfg.DisableGRO && enableGRO(rc)
 	b.slots = t.cfg.Batch
 	if b.gro {
 		b.slots = min(b.slots, groSlots)
 	}
-	b.notify = make(chan struct{}, 1)
-	for range b.socks {
-		b.rings = append(b.rings, newSPSCRing(t.cfg.RingSize))
-		b.space = append(b.space, make(chan struct{}, 1))
-	}
 	b.snd = newMmsgSender(t.cfg.Batch)
-	b.enabled = true
-	for i := range b.socks {
-		b.wg.Add(1)
-		go t.readLoop(i)
-	}
-	return nil
+	return newMmsgReceiver(rc, b.slots, b.gro, &t.stats).read, nil
 }
 
-func (t *UDPTransport) batchEnabled() bool { return t.batch.enabled }
-
-func (t *UDPTransport) batchInfo() (enabled, gso, gro bool, readers int) {
-	b := &t.batch
-	readers = 1
-	if b.enabled {
-		readers = len(b.socks)
-	}
-	return b.enabled, b.gso, b.gro, readers
-}
-
-func (t *UDPTransport) closeBatch() {
-	b := &t.batch
-	if !b.enabled {
-		return
-	}
-	for _, c := range b.socks[1:] {
-		c.Close()
-	}
-	b.wg.Wait()
-	// Readers are gone; any frames still ringed are drained by the
-	// consumer's final sweep in recvBatchRings (or reclaimed by GC).
-}
+func (t *UDPTransport) offloads() (gso, gro bool) { return t.batch.gso, t.batch.gro }
 
 func probeGSO(rc syscall.RawConn) bool {
 	ok := false
@@ -210,118 +112,16 @@ func enableGRO(rc syscall.RawConn) bool {
 }
 
 // ---------------------------------------------------------------------
-// Receive side: per-shard readers, recvmmsg, GRO splitting.
-
-// readLoop drains one shard socket with recvmmsg and pushes the frames
-// into the shard's ring. A full ring parks the reader (after waking the
-// consumer) so back-pressure lands in the kernel socket buffer instead
-// of dropping in user space.
-func (t *UDPTransport) readLoop(i int) {
-	b := &t.batch
-	defer b.wg.Done()
-	rc, ring, space := b.rcs[i], b.rings[i], b.space[i]
-	rs := newMmsgReceiver(b.slots, b.gro)
-	names := newAddrCache()
-	scratch := make([]Frame, 0, t.cfg.Batch*2)
-	for {
-		n, err := rs.recv(rc)
-		if err != nil {
-			return // socket closed (or unrecoverable): shard retires
-		}
-		t.stats.recvSyscalls.Add(1)
-		t.stats.recvMessages.Add(int64(n))
-		scratch = scratch[:0]
-		groSplits := 0
-		for j := 0; j < n; j++ {
-			before := len(scratch)
-			scratch = rs.frames(j, names, scratch)
-			if len(scratch)-before > 1 {
-				groSplits += len(scratch) - before
-			}
-		}
-		t.stats.recvFrames.Add(int64(len(scratch)))
-		t.stats.groFrames.Add(int64(groSplits))
-		for k, f := range scratch {
-			scratch[k] = Frame{}
-			for !ring.push(f) {
-				select {
-				case b.notify <- struct{}{}:
-				default:
-				}
-				select {
-				case <-space:
-				case <-t.done:
-					f.Release()
-					for _, rest := range scratch[k+1:] {
-						rest.Release()
-					}
-					return
-				}
-			}
-		}
-		select {
-		case b.notify <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// recvBatchRings is the consumer half: sweep the shard rings round-robin
-// into out, parking on the shared notify channel when everything is
-// empty. One wakeup surfaces whole recvmmsg batches.
-func (t *UDPTransport) recvBatchRings(ctx context.Context, out []Frame) (int, error) {
-	b := &t.batch
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	for {
-		n := 0
-		for s := 0; s < len(b.rings) && n < len(out); s++ {
-			i := (b.cursor + s) % len(b.rings)
-			popped := false
-			for n < len(out) {
-				f, ok := b.rings[i].pop()
-				if !ok {
-					break
-				}
-				out[n] = f
-				n++
-				popped = true
-			}
-			if popped {
-				select {
-				case b.space[i] <- struct{}{}:
-				default:
-				}
-			}
-		}
-		b.cursor++
-		if n > 0 {
-			return n, nil
-		}
-		if t.closed.Load() {
-			return 0, ErrClosed
-		}
-		select {
-		case <-b.notify:
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		case <-t.done:
-			// Final sweep below the readers (now retired) — deliver what
-			// already arrived, then report closure.
-			for _, r := range b.rings {
-				r.drain()
-			}
-			return 0, ErrClosed
-		}
-	}
-}
+// Receive side: recvmmsg and GRO splitting.
 
 // mmsgReceiver owns the recvmmsg message vector: headers, iovecs, name
 // and control buffers, and the pooled data buffer each slot currently
 // points at. Slots hand their buffer to frames() and are re-armed with a
 // fresh pooled buffer before the next syscall.
 type mmsgReceiver struct {
+	rc    syscall.RawConn
+	stats *udpCounters
+	addrs *addrCache
 	n     int
 	gro   bool
 	hs    []mmsghdr
@@ -331,8 +131,11 @@ type mmsgReceiver struct {
 	bufs  []*[]byte
 }
 
-func newMmsgReceiver(n int, gro bool) *mmsgReceiver {
+func newMmsgReceiver(rc syscall.RawConn, n int, gro bool, stats *udpCounters) *mmsgReceiver {
 	r := &mmsgReceiver{
+		rc:    rc,
+		stats: stats,
+		addrs: newAddrCache(),
 		n:     n,
 		gro:   gro,
 		hs:    make([]mmsghdr, n),
@@ -349,10 +152,32 @@ func newMmsgReceiver(n int, gro bool) *mmsgReceiver {
 	return r
 }
 
+// read performs one recvmmsg and appends the frames it filled to out,
+// GRO super-datagrams split: the socket reader's batch.
+func (r *mmsgReceiver) read(out []Frame) ([]Frame, error) {
+	n, err := r.recv()
+	if err != nil {
+		return out, err
+	}
+	r.stats.recvSyscalls.Add(1)
+	r.stats.recvMessages.Add(int64(n))
+	first, groSplits := len(out), 0
+	for j := 0; j < n; j++ {
+		before := len(out)
+		out = r.frames(j, out)
+		if len(out)-before > 1 {
+			groSplits += len(out) - before
+		}
+	}
+	r.stats.recvFrames.Add(int64(len(out) - first))
+	r.stats.groFrames.Add(int64(groSplits))
+	return out, nil
+}
+
 // recv re-arms consumed slots and performs one recvmmsg, blocking via
 // the netpoller until at least one datagram is queued. It returns the
 // number of messages filled.
-func (r *mmsgReceiver) recv(rc syscall.RawConn) (int, error) {
+func (r *mmsgReceiver) recv() (int, error) {
 	for i := 0; i < r.n; i++ {
 		if r.bufs[i] == nil {
 			r.bufs[i] = GetBuf()
@@ -377,7 +202,7 @@ func (r *mmsgReceiver) recv(rc syscall.RawConn) (int, error) {
 	}
 	var n int
 	var sysErr syscall.Errno
-	err := rc.Read(func(fd uintptr) bool {
+	err := r.rc.Read(func(fd uintptr) bool {
 		// The fd is non-blocking: an empty queue returns EAGAIN and the
 		// runtime parks us on the netpoller until readable.
 		rn, _, e := syscall.Syscall6(sysRecvmmsg, fd,
@@ -405,10 +230,10 @@ func (r *mmsgReceiver) recv(rc syscall.RawConn) (int, error) {
 // out. A GRO super-datagram (UDP_GRO cmsg present, segment size < total
 // length) splits into per-segment frames that share the slot's pooled
 // buffer under a refcount.
-func (r *mmsgReceiver) frames(j int, names *addrCache, out []Frame) []Frame {
+func (r *mmsgReceiver) frames(j int, out []Frame) []Frame {
 	bufp := r.bufs[j]
 	ln := int(r.hs[j].ln)
-	from := names.lookup(&r.names[j], r.hs[j].hdr.Namelen)
+	from := r.addrs.lookup(&r.names[j], r.hs[j].hdr.Namelen)
 	data := (*bufp)[:ln]
 	seg := 0
 	if r.gro {
@@ -458,7 +283,7 @@ func parseGROSegment(ctrl []byte, n int) int {
 
 // addrCache maps raw peer sockaddrs to their Addr strings so the receive
 // hot path formats each distinct peer once, not once per datagram. Owned
-// by a single reader goroutine — no locking. Bounded: a flood of
+// by the socket's reader goroutine — no locking. Bounded: a flood of
 // spoofed sources resets the map rather than growing it without limit.
 type addrCache struct {
 	m map[rawKey]Addr
@@ -569,11 +394,11 @@ func (t *UDPTransport) resolveRaw(to Addr) (*rawAddr, error) {
 	return ra, nil
 }
 
-// sendBatchMmsg transmits frames to one destination in syscall-sized
+// sendBatch transmits frames to one destination in syscall-sized
 // groups: a uniform run of ≥2 equal-size frames (short tail allowed)
 // rides one GSO sendmsg; anything else goes through sendmmsg. Partial
 // kernel acceptance loops until done, so callers see all-or-error.
-func (t *UDPTransport) sendBatchMmsg(to Addr, frames [][]byte) (int, error) {
+func (t *UDPTransport) sendBatch(to Addr, frames [][]byte) (int, error) {
 	ra, err := t.resolveRaw(to)
 	if err != nil {
 		return 0, err
@@ -583,7 +408,7 @@ func (t *UDPTransport) sendBatchMmsg(to Addr, frames [][]byte) (int, error) {
 	defer b.sendMu.Unlock()
 	sent := 0
 	for sent < len(frames) {
-		n, err := b.snd.sendSome(b.rcs[0], ra, frames[sent:], b, &t.stats)
+		n, err := b.snd.sendSome(b.rc, ra, frames[sent:], b, &t.stats)
 		sent += n
 		if err != nil {
 			if t.closed.Load() || errors.Is(err, net.ErrClosed) {
@@ -628,6 +453,9 @@ func gsoRun(frames [][]byte) (count, segSize int) {
 // it covered. A GSO rejection (kernel probe lied for this socket/route)
 // permanently falls back to sendmmsg.
 func (s *mmsgSender) sendSome(rc syscall.RawConn, ra *rawAddr, frames [][]byte, b *batchState, stats *udpCounters) (int, error) {
+	// One syscall carries at most maxBatch frames, the vectors' length,
+	// as a GSO super-send or a sendmmsg.
+	frames = frames[:min(len(frames), s.maxBatch)]
 	if b.gso {
 		if count, segSize := gsoRun(frames); count > 0 {
 			n, err := s.sendGSO(rc, ra, frames[:count], segSize, stats)
@@ -689,12 +517,9 @@ func (s *mmsgSender) sendGSO(rc syscall.RawConn, ra *rawAddr, group [][]byte, se
 	}
 }
 
-// sendMmsg transmits up to maxBatch frames as one sendmmsg vector.
+// sendMmsg transmits frames, at most maxBatch, as one sendmmsg vector.
 func (s *mmsgSender) sendMmsg(rc syscall.RawConn, ra *rawAddr, frames [][]byte, stats *udpCounters) (int, error) {
 	n := len(frames)
-	if n > s.maxBatch {
-		n = s.maxBatch
-	}
 	for i := 0; i < n; i++ {
 		f := frames[i]
 		if len(f) > 0 {

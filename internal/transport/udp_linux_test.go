@@ -9,36 +9,33 @@ import (
 	"time"
 )
 
-// Tests that reach into the batched fast path's sockets, which the
+// Tests that reach into the batched fast path's socket state, which the
 // portable fallback does not have.
 
 func TestUDPSendBatchIntoClosedSocketReturnsErrClosed(t *testing.T) {
-	a, b := listenPair(t, UDPConfig{})
-	for _, c := range a.batch.socks {
-		c.Close()
-	}
+	a, b := listenPair(t, udpConfig{})
+	a.conn.Close()
 	_, err := a.SendBatch(b.LocalAddr(), [][]byte{[]byte("x"), []byte("y")})
 	if !errors.Is(err, ErrClosed) {
 		t.Fatalf("batch send into closed socket = %v, want ErrClosed", err)
 	}
 }
 
-// A shard whose socket took UDP_GRO arms min(Batch, groSlots) recvmmsg
+// A socket that took UDP_GRO arms min(Batch, groSlots) recvmmsg
 // slots, each with a MaxFrame buffer; without GRO it arms Batch.
 func TestRecvSlotsFollowGRO(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		cfg  UDPConfig
+		cfg  udpConfig
 		want int
 	}{
-		{"gro", UDPConfig{}, groSlots},
-		{"gro-sharded", UDPConfig{Readers: 2}, groSlots},
-		{"gro-small-batch", UDPConfig{Batch: 4}, 4},
-		{"no-gro", UDPConfig{DisableGRO: true}, 32},
-		{"no-gro-max-batch", UDPConfig{Batch: 64, DisableGRO: true}, 64},
+		{"gro", udpConfig{}, groSlots},
+		{"gro-small-batch", udpConfig{Batch: 4}, 4},
+		{"no-gro", udpConfig{DisableGRO: true}, 32},
+		{"no-gro-max-batch", udpConfig{Batch: 64, DisableGRO: true}, 64},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			a, err := ListenUDPConfig("127.0.0.1:0", tc.cfg)
+			a, err := listenUDP("127.0.0.1:0", tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,7 +50,7 @@ func TestRecvSlotsFollowGRO(t *testing.T) {
 	}
 }
 
-// More GRO super-datagrams than a shard has slots, queued in the kernel
+// More GRO super-datagrams than a socket has slots, queued in the kernel
 // while its reader is parked on a full ring, come out whole and in order
 // over successive recvmmsg calls, none of which fills more than groSlots
 // messages.
@@ -63,12 +60,12 @@ func TestGROBurstSpansRecvCalls(t *testing.T) {
 	// holding), so with 2·groSlots+2 bursts at least groSlots+1 wait in
 	// the kernel at once.
 	const bursts, segs, size = 2*groSlots + 2, 32, 64
-	a, err := ListenUDPConfig("127.0.0.1:0", UDPConfig{})
+	a, err := ListenUDP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := ListenUDPConfig("127.0.0.1:0", UDPConfig{RingSize: segs})
+	b, err := listenUDP("127.0.0.1:0", udpConfig{RingSize: segs})
 	if err != nil {
 		t.Fatal(err)
 	}

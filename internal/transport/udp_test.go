@@ -10,13 +10,13 @@ import (
 	"time"
 )
 
-func listenPair(t *testing.T, cfg UDPConfig) (*UDPTransport, *UDPTransport) {
+func listenPair(t *testing.T, cfg udpConfig) (*UDPTransport, *UDPTransport) {
 	t.Helper()
-	a, err := ListenUDPConfig("127.0.0.1:0", cfg)
+	a, err := listenUDP("127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ListenUDPConfig("127.0.0.1:0", cfg)
+	b, err := listenUDP("127.0.0.1:0", cfg)
 	if err != nil {
 		a.Close()
 		t.Fatal(err)
@@ -26,25 +26,23 @@ func listenPair(t *testing.T, cfg UDPConfig) (*UDPTransport, *UDPTransport) {
 }
 
 // The full Transport contract must hold across every configuration of
-// the fast path — and on the forced portable path.
+// the transport; built with ltnc_portable, every case runs the fallback.
 func TestUDPConfigConformance(t *testing.T) {
 	cases := []struct {
 		name string
-		cfg  UDPConfig
+		cfg  udpConfig
 	}{
-		{"portable", UDPConfig{DisableBatch: true}},
-		{"batched", UDPConfig{}},
-		{"no-offload", UDPConfig{DisableGSO: true, DisableGRO: true}},
-		{"sharded", UDPConfig{Readers: 4}},
-		{"tiny-batch", UDPConfig{Batch: 2, RingSize: 4}},
+		{"batched", udpConfig{}},
+		{"no-offload", udpConfig{DisableGSO: true, DisableGRO: true}},
+		{"tiny-batch", udpConfig{Batch: 2, RingSize: 4}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a, err := ListenUDPConfig("127.0.0.1:0", tc.cfg)
+			a, err := listenUDP("127.0.0.1:0", tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := ListenUDPConfig("127.0.0.1:0", tc.cfg)
+			b, err := listenUDP("127.0.0.1:0", tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,17 +53,27 @@ func TestUDPConfigConformance(t *testing.T) {
 	}
 }
 
+// Each SendBatch hands over 48 equal-size frames, more than either
+// configuration's Batch, so the fast path splits them across syscalls.
+// The second configuration's 4-frame ring fills long before the 96
+// frames are in, so its reader parks until the consumer frees room.
 func TestUDPSendBatchRecvBatchRoundTrip(t *testing.T) {
-	a, b := listenPair(t, UDPConfig{})
+	for _, cfg := range []udpConfig{{}, {Batch: 2, RingSize: 4}} {
+		a, b := listenPair(t, cfg)
+		sendRecvInOrder(t, a, b, 96)
+	}
+}
+
+func sendRecvInOrder(t *testing.T, a, b *UDPTransport, total int) {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	const total = 96
-	frames := make([][]byte, 0, 32)
+	frames := make([][]byte, 0, 48)
 	sent := 0
 	for sent < total {
 		frames = frames[:0]
-		for i := 0; i < 32; i++ {
+		for i := 0; i < 48; i++ {
 			frames = append(frames, []byte(fmt.Sprintf("frame %03d", sent+i)))
 		}
 		n, err := a.SendBatch(b.LocalAddr(), frames)
@@ -108,7 +116,7 @@ func TestUDPSendBatchSyscallReduction(t *testing.T) {
 	if !batchSupported {
 		t.Skip("no batch fast path on this platform")
 	}
-	a, b := listenPair(t, UDPConfig{})
+	a, b := listenPair(t, udpConfig{})
 	if !a.Stats().BatchEnabled {
 		t.Skip("batch path did not initialize")
 	}
@@ -139,21 +147,17 @@ func TestUDPSendBatchSyscallReduction(t *testing.T) {
 // not an opaque wrapped error — symmetric with Recv. White-box: close
 // the underlying conn without flipping the transport's closed flag.
 func TestUDPSendIntoClosedSocketReturnsErrClosed(t *testing.T) {
-	for _, cfg := range []UDPConfig{{DisableBatch: true}, {}} {
-		a, b := listenPair(t, cfg)
-		a.conn.Close()
-		err := a.Send(b.LocalAddr(), []byte("late"))
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("cfg %+v: send into closed socket = %v, want ErrClosed", cfg, err)
-		}
+	a, b := listenPair(t, udpConfig{})
+	a.conn.Close()
+	if err := a.Send(b.LocalAddr(), []byte("late")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("send into closed socket = %v, want ErrClosed", err)
 	}
 }
 
-// The portable receive path must block without deadline polling and
-// still honor context cancellation promptly (the old implementation
-// woke every 250ms to poll; the watcher wakes it exactly once).
-func TestUDPRecvDirectCancelPromptly(t *testing.T) {
-	a, _ := listenPair(t, UDPConfig{DisableBatch: true})
+// A Recv blocked on an empty ring must honor context cancellation
+// promptly: the consumer parks on the context, not on the socket.
+func TestUDPRecvCancelPromptly(t *testing.T) {
+	a, _ := listenPair(t, udpConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
@@ -177,10 +181,9 @@ func TestUDPRecvDirectCancelPromptly(t *testing.T) {
 }
 
 // After one context is cancelled, receives under a fresh context must
-// still work: the watcher's stale wake-deadline may not wedge the
-// socket.
-func TestUDPRecvDirectSurvivesContextChurn(t *testing.T) {
-	a, b := listenPair(t, UDPConfig{DisableBatch: true})
+// still work: a cancelled Recv may not wedge the reader or the ring.
+func TestUDPRecvSurvivesContextChurn(t *testing.T) {
+	a, b := listenPair(t, udpConfig{})
 	for i := 0; i < 3; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
@@ -203,53 +206,6 @@ func TestUDPRecvDirectSurvivesContextChurn(t *testing.T) {
 	}
 }
 
-// Sharded receive: every frame sent from many distinct sources arrives
-// exactly once across the SO_REUSEPORT shards.
-func TestUDPShardedReceiveDeliversAll(t *testing.T) {
-	if !batchSupported {
-		t.Skip("no batch fast path on this platform")
-	}
-	b, err := ListenUDPConfig("127.0.0.1:0", UDPConfig{Readers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if got := b.Stats().Readers; got != 4 {
-		t.Skipf("wanted 4 shards, kernel gave %d", got)
-	}
-	const senders, per = 8, 25
-	for s := 0; s < senders; s++ {
-		src, err := ListenUDP("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < per; i++ {
-			if err := src.Send(b.LocalAddr(), []byte{byte(s), byte(i)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		src.Close()
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	seen := make(map[[2]byte]bool)
-	out := make([]Frame, 64)
-	for len(seen) < senders*per {
-		n, err := b.RecvBatch(ctx, out)
-		if err != nil {
-			t.Fatalf("after %d frames: %v", len(seen), err)
-		}
-		for _, f := range out[:n] {
-			key := [2]byte{f.Data[0], f.Data[1]}
-			if seen[key] {
-				t.Fatalf("frame %v delivered twice", key)
-			}
-			seen[key] = true
-			f.Release()
-		}
-	}
-}
-
 // Satellite: allocation budgets for the hot paths. One steady-state
 // send+recv round trip must stay within a small constant number of
 // allocations — no per-frame buffers, no address formatting.
@@ -259,15 +215,13 @@ func TestUDPAllocsPerFrame(t *testing.T) {
 	}
 	cases := []struct {
 		name   string
-		cfg    UDPConfig
+		cfg    udpConfig
 		budget float64
 	}{
-		// Portable path: pooled receive buffer + release closure +
-		// from.String() per datagram.
-		{"portable", UDPConfig{DisableBatch: true}, 8},
-		// Fast path: pooled buffer and release closure per frame; the
-		// addr cache eliminates the formatting.
-		{"batched", UDPConfig{}, 8},
+		// Pooled buffer and release closure per frame; the fast path's
+		// addr cache eliminates the formatting, and the fallback
+		// (ltnc_portable) pays from.String() per datagram.
+		{"batched", udpConfig{}, 8},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -276,7 +230,7 @@ func TestUDPAllocsPerFrame(t *testing.T) {
 			defer cancel()
 			payload := make([]byte, 1024)
 			dst := b.LocalAddr()
-			// Warm up: resolve the peer, arm the watcher, fill caches.
+			// Warm up: resolve the peer, fill caches.
 			for i := 0; i < 4; i++ {
 				if err := a.Send(dst, payload); err != nil {
 					t.Fatal(err)
@@ -311,7 +265,7 @@ func TestUDPSendBatchAllocs(t *testing.T) {
 	if !batchSupported {
 		t.Skip("no batch fast path on this platform")
 	}
-	a, err := ListenUDPConfig("127.0.0.1:0", UDPConfig{})
+	a, err := ListenUDP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +301,7 @@ func TestUDPSendBatchAllocs(t *testing.T) {
 }
 
 func TestUDPStatsSnapshot(t *testing.T) {
-	a, b := listenPair(t, UDPConfig{})
+	a, b := listenPair(t, udpConfig{})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := a.Send(b.LocalAddr(), []byte("one")); err != nil {
@@ -375,7 +329,7 @@ func TestUDPStatsSnapshot(t *testing.T) {
 
 // A received frame may wait in an ingest queue for as long as its decode
 // worker is busy, and there it should hold a buffer of its own size
-// class: a small frame off the Switch or off either UDP path owns at most
+// class: a small frame off the Switch or off the UDP reader owns at most
 // smallFrame bytes, a large one still gets through intact.
 func TestSmallFramesOwnSmallBuffers(t *testing.T) {
 	sw, err := NewSwitch(SwitchConfig{})
@@ -390,15 +344,13 @@ func TestSmallFramesOwnSmallBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ua, ub := listenPair(t, UDPConfig{})
-	pa, pb := listenPair(t, UDPConfig{DisableBatch: true})
+	ua, ub := listenPair(t, udpConfig{})
 	for _, link := range []struct {
 		name     string
 		from, to Transport
 	}{
 		{"switch", sa, sb},
 		{"udp", ua, ub},
-		{"udp-per-frame", pa, pb},
 	} {
 		for _, n := range []int{1200, smallFrame, smallFrame + 1, 30000} {
 			payload := bytes.Repeat([]byte{byte(n)}, n)

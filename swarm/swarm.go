@@ -118,12 +118,6 @@ type Config struct {
 	// Listen, when Transport is nil, binds a fresh UDP transport to this
 	// address ("127.0.0.1:0" picks a free port; query LocalAddr).
 	Listen string
-	// UDPReaders, when Listen is used, sets the receive shard count of
-	// the bound UDP transport: on the Linux batched fast path each shard
-	// is an SO_REUSEPORT socket drained by its own reader, so
-	// independent peer flows spread across cores. 0 or 1 means a single
-	// shard; ignored when Transport is provided.
-	UDPReaders int
 	// Peers are standing push/fetch targets, as if AddPeer were called
 	// for each: every locally known object is pushed toward them, and
 	// Fetch without an explicit source asks them.
@@ -277,7 +271,7 @@ func New(cfg Config) (*Session, error) {
 			return nil, fmt.Errorf("swarm: config needs a Transport or a Listen address")
 		}
 		var err error
-		if tr, err = transport.ListenUDPConfig(cfg.Listen, transport.UDPConfig{Readers: cfg.UDPReaders}); err != nil {
+		if tr, err = transport.ListenUDP(cfg.Listen); err != nil {
 			return nil, err
 		}
 	}

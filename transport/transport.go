@@ -87,32 +87,21 @@ type ChanTransport = transport.ChanTransport
 // NewSwitch builds an in-memory network.
 func NewSwitch(cfg SwitchConfig) (*Switch, error) { return transport.NewSwitch(cfg) }
 
-// UDPTransport implements Transport over UDP sockets with pooled
-// receive buffers. On Linux amd64/arm64 it runs a batched fast path —
-// recvmmsg/sendmmsg with UDP GSO/GRO segmentation offload where the
-// kernel accepts it, optional SO_REUSEPORT receive sharding — probed at
-// socket setup with silent fallback to the portable per-frame path.
+// UDPTransport implements Transport over one UDP socket with pooled
+// receive buffers. One reader goroutine reads the socket into a
+// lock-free ring that Recv and RecvBatch drain. On Linux amd64/arm64 it
+// reads and sends in batches — recvmmsg/sendmmsg with UDP GSO/GRO
+// segmentation offload where the kernel accepts it, probed at socket
+// setup with silent fallback — and elsewhere frame by frame.
 type UDPTransport = transport.UDPTransport
-
-// UDPConfig tunes the UDP transport: receive shard count, frames per
-// batched syscall, per-reader ring capacity, and switches forcing the
-// portable path or disabling GSO/GRO individually. The zero value is
-// the ListenUDP default.
-type UDPConfig = transport.UDPConfig
 
 // UDPStats is a snapshot of a UDPTransport's self-maintained syscall
 // and frame counters plus the capabilities socket setup probing found.
 type UDPStats = transport.UDPStats
 
 // ListenUDP opens a UDP transport bound to addr ("127.0.0.1:0" picks a
-// free port; query LocalAddr for the result) with the default config.
+// free port; query LocalAddr for the result).
 func ListenUDP(addr string) (*UDPTransport, error) { return transport.ListenUDP(addr) }
-
-// ListenUDPConfig opens a UDP transport with explicit batching, shard
-// and offload settings.
-func ListenUDPConfig(addr string, cfg UDPConfig) (*UDPTransport, error) {
-	return transport.ListenUDPConfig(addr, cfg)
-}
 
 // BatchSender is optionally implemented by transports that can hand a
 // whole per-peer batch to the kernel in fewer syscalls than per-frame
