@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
@@ -222,7 +223,12 @@ func TestUDPRecvReusesPoolBuffers(t *testing.T) {
 	// current one, so a couple of buffers stay in flight — any repeat
 	// counts, not specifically the first. A GC cycle empties a sync.Pool,
 	// so one between a Release and the next Recv would hide the reuse
-	// under a loaded host: the collector is off for the loop.
+	// under a loaded host: the collector is off for the loop. Two cycles
+	// first empty the pool of what earlier tests left in it: a stock of
+	// small buffers parked on the reader's P would feed it a fresh one at
+	// every Get while the consumer's Releases pile up on another P.
+	runtime.GC()
+	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	seen := make(map[*byte]bool)
 	reused := false

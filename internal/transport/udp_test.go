@@ -25,6 +25,11 @@ func listenPair(t *testing.T, cfg udpConfig) (*UDPTransport, *UDPTransport) {
 	return a, b
 }
 
+// portableShape gives the fast path the fallback's shape: one datagram
+// a recvmmsg and a sendmmsg, no offload. Built with ltnc_portable, where
+// every configuration runs the fallback, it is the fallback itself.
+var portableShape = udpConfig{Batch: 1, DisableGSO: true, DisableGRO: true}
+
 // The full Transport contract must hold across every configuration of
 // the transport; built with ltnc_portable, every case runs the fallback.
 func TestUDPConfigConformance(t *testing.T) {
@@ -32,6 +37,7 @@ func TestUDPConfigConformance(t *testing.T) {
 		name string
 		cfg  udpConfig
 	}{
+		{"portable", portableShape},
 		{"batched", udpConfig{}},
 		{"no-offload", udpConfig{DisableGSO: true, DisableGRO: true}},
 		{"tiny-batch", udpConfig{Batch: 2, RingSize: 4}},
@@ -221,6 +227,7 @@ func TestUDPAllocsPerFrame(t *testing.T) {
 		// Pooled buffer and release closure per frame; the fast path's
 		// addr cache eliminates the formatting, and the fallback
 		// (ltnc_portable) pays from.String() per datagram.
+		{"portable", portableShape, 8},
 		{"batched", udpConfig{}, 8},
 	}
 	for _, tc := range cases {
