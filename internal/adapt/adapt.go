@@ -2,7 +2,9 @@
 // per-link control signals (DESIGN.md §16): a loss estimate and the pacer —
 // a window of DATA rows the sender may have in flight toward the peer, at
 // most MaxBurst: two of the receiver's ingest batches, so the sender refills
-// one while the receiver decodes the other.
+// one while the receiver decodes the other. A receipt leaves the receiver
+// the moment it falls due, mid-batch, so the sender hears of a batch's
+// first ReceiptEvery rows while the rest decode.
 // Receipts are the only progress signal a receiver sends its upstream; a
 // row it judges redundant counts in the next receipt's received total and
 // not in its innovative one.
@@ -110,8 +112,9 @@ const (
 	ReceiptEvery = 16
 
 	// IngestBatch is how many frames a receiver's ingest worker takes per
-	// wakeup. Its receipts leave when the batch ends, so a window of one
-	// batch has the sender idle while its receiver decodes.
+	// wakeup. Each receipt leaves as it falls due, every ReceiptEvery rows
+	// judged, but a window of one batch still has the sender idle while
+	// its receiver decodes the batch's last rows.
 	IngestBatch = 32
 	// MaxBurst caps the window at two receiver batches: the sender refills
 	// one while the receiver decodes the other. A full window is half the

@@ -30,9 +30,10 @@ const (
 // objects decode concurrently and frames of one object always land on the
 // same worker, in arrival order; a worker drains up to ingestBatchMax frames
 // per wakeup and feeds the batch to the decoders under amortized locking,
-// and the receipts it owes leave when the batch ends — a sender's window
-// cap is two such batches (adapt.MaxBurst), so it refills one while the
-// worker decodes the other; each worker's inbound queue holds
+// sending each receipt the moment it falls due (the object's lock dropped
+// for the send) and the statuses the batch owes when it ends — a sender's
+// window cap is two such batches (adapt.MaxBurst), so it refills one while
+// the worker decodes the other; each worker's inbound queue holds
 // ingestQueueLen frames, two full windows (TestQueuesHoldTwoWindows), and
 // DATA arriving at a full one is dropped, as a datagram network would
 // under overload.

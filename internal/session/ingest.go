@@ -14,7 +14,8 @@ import (
 // The ingest plane: the receive loop validates DATA frames and shards
 // them by object ID onto the decode workers; a worker resolves a batch's
 // object states under s.mu, then decodes (or cache-admits) under each
-// object's st.mu. Replies and pollution consequences go out unlocked.
+// object's st.mu. Replies and pollution consequences go out unlocked: a
+// receipt the moment it falls due, the rest when the batch ends.
 
 func (s *Session) recvLoop(ctx context.Context) error {
 	// Consume whole batches per wakeup: the UDP fast path hands over a
@@ -141,20 +142,14 @@ func (s *Session) ingestReady(d *stepper) {
 // steady-state ingest loop does not allocate per wakeup.
 type ingestScratch struct {
 	states   []*objectState
-	replies  []ingestReply
 	reports  []owedReport
 	notify   []*objectState
 	forwards []ingestForward
 }
 
-type ingestReply struct {
-	addr  transport.Addr
-	frame []byte
-}
-
 // owedReport is a report a batch owes one upstream about one generation of
-// an object, sent at its end: the flags of every status the batch found
-// for it (owedLocked), or the drained queue's receipt.
+// an object, sent at its end (sendReports): the flags of every status the
+// batch found for it (owedLocked), or the drained queue's receipt.
 type owedReport struct {
 	st    *objectState
 	to    transport.Addr
@@ -191,19 +186,21 @@ type ingestForward struct {
 // the objects a relay or cache may learn from a header admitted — under a
 // single session-lock acquisition, then frames are fed to the decoders
 // under per-object locks (held across runs of consecutive frames for the
-// same object), and the reports it owes go out after all locks are dropped
-// (sendReports). scratch is the calling worker's reusable workspace;
-// drained says the worker's queue was empty behind this batch.
+// same object). A receipt that falls due leaves at once, its object's lock
+// dropped for the send and taken again for the next frame: its sender's
+// window turns over on it, and it does not wait on the batch's other rows.
+// The reports the batch owes go out at its end, after all locks are
+// dropped (sendReports). scratch is the calling worker's reusable
+// workspace; drained says the worker's queue was empty behind this batch.
 func (s *Session) ingestBatch(batch []inFrame, scratch *ingestScratch, drained bool) {
 	if cap(scratch.states) < len(batch) {
 		scratch.states = make([]*objectState, len(batch))
 	}
 	states := scratch.states[:len(batch)]
-	scratch.replies, scratch.reports = scratch.replies[:0], scratch.reports[:0]
+	scratch.reports = scratch.reports[:0]
 	scratch.notify, scratch.forwards = scratch.notify[:0], scratch.forwards[:0]
 	defer func() { // do not retain object states or frames across batches
 		clear(states)
-		clear(scratch.replies)
 		clear(scratch.reports)
 		clear(scratch.notify)
 		clear(scratch.forwards)
@@ -226,7 +223,11 @@ func (s *Session) ingestBatch(batch []inFrame, scratch *ingestScratch, drained b
 				cur = st
 				cur.mu.Lock()
 			}
-			s.ingestOneLocked(st, &batch[i], scratch, &acts)
+			if receipt := s.ingestOneLocked(st, &batch[i], scratch, &acts); receipt != nil {
+				cur.mu.Unlock() // no send under an object lock
+				cur = nil
+				s.tr.Send(batch[i].f.From, receipt)
+			}
 		}
 		batch[i].f.Release()
 	}
@@ -247,7 +248,7 @@ func (s *Session) ingestBatch(batch []inFrame, scratch *ingestScratch, drained b
 		}
 	}
 	s.applyPollActions(&acts)
-	s.sendReports(scratch)
+	s.sendReports(scratch.reports)
 	for _, fw := range scratch.forwards {
 		s.passThrough(fw)
 	}
@@ -259,10 +260,10 @@ func (s *Session) ingestBatch(batch []inFrame, scratch *ingestScratch, drained b
 // ingestOneLocked takes one DATA frame to where its object's phase says:
 // the cache's admission policy, the decoder, or — announced still (the
 // admission refused the geometry) or evicted between resolution and
-// locking — nowhere. A status the frame owes goes into scratch, and a
-// receipt due — counters as they stand at this frame — goes now. st.mu
-// must be held.
-func (s *Session) ingestOneLocked(st *objectState, in *inFrame, scratch *ingestScratch, acts *pollActions) {
+// locking — nowhere. A status the frame owes goes into scratch; a
+// receipt due — counters as they stand at this frame — comes back, for
+// the caller to send the moment st.mu drops. st.mu must be held.
+func (s *Session) ingestOneLocked(st *objectState, in *inFrame, scratch *ingestScratch, acts *pollActions) (receipt []byte) {
 	var owed byte
 	var judged, progressed, forward bool
 	switch st.phase {
@@ -278,11 +279,12 @@ func (s *Session) ingestOneLocked(st *objectState, in *inFrame, scratch *ingestS
 	case owed != 0:
 		scratch.owe(st, in.f.From, in.wv.Generation, owed)
 	case due:
-		scratch.replies = append(scratch.replies, ingestReply{in.f.From, st.reportLocked(in.f.From, in.wv.Generation, 0)})
+		receipt = st.reportLocked(in.f.From, in.wv.Generation, 0)
 	}
 	if n := len(scratch.notify); progressed && (n == 0 || scratch.notify[n-1] != st) {
 		scratch.notify = append(scratch.notify, st)
 	}
+	return receipt
 }
 
 // passThrough sends on a row a budget-bound cache had no room for, its
@@ -314,24 +316,25 @@ func genCount(gens uint32) int {
 	return int(gens)
 }
 
-// sendReports is the other half of receiptLocked: the receipts that fell
-// due, then each report the batch owes, encoded under its object's lock
-// if it has flags or rows of its upstream's not yet reported (a report
-// before it, about another generation, may have reported them); all are
-// sent with no lock held. Behind a drained queue a sender whose window is
-// smaller than receiptEvery is waiting on exactly the report the batch
-// owes it to send the next, and its departure count is what proves the
-// window's losses.
-func (s *Session) sendReports(scratch *ingestScratch) {
-	for _, r := range scratch.reports {
+// sendReports sends each report the batch owes at its end, encoded under
+// its object's lock if it has flags or rows of its upstream's not yet
+// reported (a receipt or a report before it, about another generation, may
+// have reported them) and sent with no lock held; the receipts that fell
+// due have left already (ingestBatch). Behind a drained queue a sender
+// whose window is smaller than receiptEvery is waiting on exactly the
+// report the batch owes it to send the next, and its departure count is
+// what proves the window's losses.
+func (s *Session) sendReports(reports []owedReport) {
+	for _, r := range reports {
+		var frame []byte
 		r.st.mu.Lock()
 		if t := r.st.rx[r.to]; r.st.phase != phEvicted && (r.flags != 0 || t != nil && t.since > 0) {
-			scratch.replies = append(scratch.replies, ingestReply{r.to, r.st.reportLocked(r.to, r.gen, r.flags)})
+			frame = r.st.reportLocked(r.to, r.gen, r.flags)
 		}
 		r.st.mu.Unlock()
-	}
-	for _, r := range scratch.replies {
-		s.tr.Send(r.addr, r.frame)
+		if frame != nil {
+			s.tr.Send(r.to, frame)
+		}
 	}
 }
 
@@ -342,8 +345,9 @@ func (s *Session) sendReports(scratch *ingestScratch) {
 // geometry drops or forgeries — bumps the per-upstream tally and advances
 // its departure count by the frame's stamp; progressed, it counts as
 // innovative too. Every receiptEvery such frames a receipt is due, and it
-// says so. The receipt is the only word a redundant row gets back: its
-// upstream reads it as received and not innovative. st.mu must be held.
+// says so, and the batch sends it at once (ingestBatch). The receipt is
+// the only word a redundant row gets back: its upstream reads it as
+// received and not innovative. st.mu must be held.
 func (st *objectState) receiptLocked(in *inFrame, judged, progressed bool) (due bool) {
 	if !judged {
 		return false

@@ -29,6 +29,13 @@ type pollActions struct {
 	sends []ingestReply
 }
 
+// ingestReply is a report built under its object's lock, to be sent once
+// every lock is dropped.
+type ingestReply struct {
+	addr  transport.Addr
+	frame []byte
+}
+
 // apply executes the collected actions: the bans first, then every send
 // but those to a banned peer. Call with no locks held.
 func (s *Session) applyPollActions(acts *pollActions) {

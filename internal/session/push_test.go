@@ -34,6 +34,8 @@ type recTransport struct {
 	// the DATA frames alone.
 	masked map[transport.Addr]hash.Hash
 	data   map[transport.Addr]hash.Hash
+	// sent, if set, sees every frame as the session sends it.
+	sent func(to transport.Addr, frame []byte)
 }
 
 func newRecTransport(self transport.Addr) *recTransport {
@@ -70,6 +72,9 @@ func (r *recTransport) Poll() (transport.Frame, bool) {
 }
 
 func (r *recTransport) Send(to transport.Addr, frame []byte) error {
+	if r.sent != nil {
+		r.sent(to, frame)
+	}
 	r.frames[to] = append(r.frames[to], slices.Clone(frame))
 	if isReport(frame) {
 		// A receipt is the ingest path's reply to DATA fed in, not

@@ -2,6 +2,7 @@ package session
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -68,6 +69,34 @@ func TestOneReportABatch(t *testing.T) {
 		injectBurst(s, "up", batch(0, 1))
 		report(t, packet.ReportComplete)
 	})
+}
+
+// TestReceiptLeavesWhenDue: a receipt leaves the moment it falls due — at
+// the receiptEvery-th of its upstream's rows the batch judges, not behind
+// the batch's other rows — and with no object lock held across the send.
+func TestReceiptLeavesWhenDue(t *testing.T) {
+	const k, m, seed = 64, 16, 51
+	n := newStepNet(t, k, m, seed, nil, "src", "dst").subscribe()
+	dst, content := n.nodes["dst"], testContent(k*m, seed)
+	for i := range 2 * receiptEvery { // one batch, all queued at one instant
+		n.recs["dst"].deliver("src", handRow(t, n.id, content, 1, k, 0, false, i))
+	}
+	var judged []uint32 // the upstream's tally as each receipt left
+	n.recs["dst"].sent = func(to transport.Addr, f []byte) {
+		if to != "src" || !isReport(f) {
+			return
+		}
+		st := dst.objects[n.id]
+		if !st.mu.TryLock() {
+			t.Fatalf("receipt %d left with the object's lock held", len(judged)+1)
+		}
+		judged = append(judged, st.rx["src"].rows)
+		st.mu.Unlock()
+	}
+	dst.Step()
+	if want := []uint32{receiptEvery, 2 * receiptEvery}; !slices.Equal(judged, want) {
+		t.Errorf("receipts left with %v rows judged, want %v: one as each fell due", judged, want)
+	}
 }
 
 // TestRetiredFeedbackKindsMoveNothing: FEEDBACK kinds 2, 3 and 7 are gone
