@@ -12,6 +12,8 @@ import (
 
 	"ltnc/internal/core"
 	"ltnc/internal/experiments"
+	"ltnc/internal/generation"
+	"ltnc/internal/lt"
 	"ltnc/internal/packet"
 	"ltnc/internal/rlnc"
 	"ltnc/internal/sim"
@@ -301,9 +303,9 @@ func BenchmarkFig8dDecodingDataRLNC(b *testing.B) {
 	}
 }
 
-// Decode-engine benchmarks — the hot path tracked by BENCH_decode.json
-// (run cmd/ltnc-bench for the multi-object harness; these are the
-// single-object wall-clock complements with allocation reporting).
+// Decode-engine benchmarks — the ingest hot path in isolation, with
+// allocation reporting. The same layer is measured on real fetches by
+// bench/ (generation.decode_ns_per_row, generation.allocs_per_row).
 
 // engineStream pregenerates one object's wire frames for ingest benches.
 func engineStream(b *testing.B, k, m, count int) [][]byte {
@@ -406,6 +408,97 @@ func BenchmarkDecodeIngestBatched(b *testing.B) {
 			b.Fatal("stream did not decode")
 		}
 	}
+}
+
+// BenchmarkDecodeIngestGenerations decodes one 1 MiB object of k = 1,024
+// split into G = 1, 4 and 16 generations, through the arena path the
+// session runs: parse, abort on a complete generation, the redundancy
+// check, then the row moved into the generation's arena. header_B/pkt is
+// the on-wire header of every frame (the O(k/G) shrink); overhead is
+// frames taken per native.
+func BenchmarkDecodeIngestGenerations(b *testing.B) {
+	const k = 1024
+	content := make([]byte, 1<<20)
+	rand.New(rand.NewSource(xrand.DeriveSeed(1, 9000))).Read(content)
+	id := packet.NewObjectID(content)
+	natives, err := lt.Split(content, k)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := len(natives[0])
+	for gi, G := range []int{1, 4, 16} {
+		b.Run("G="+itoa(G), func(b *testing.B) {
+			opts := generation.Options{Generations: G, KPerGeneration: k / G, M: m, Seed: 1, Stream: 9100 + gi}
+			src, err := generation.New(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := src.Seed(natives); err != nil {
+				b.Fatal(err)
+			}
+			// Undirected, G = 16 takes about 3.8·k frames to complete.
+			frames := make([][]byte, 8*k)
+			for j := range frames {
+				z, ok := src.Recode(nil)
+				if !ok {
+					b.Fatal("recode failed")
+				}
+				z.Object = id
+				if frames[j], err = packet.Marshal(z); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(content)))
+			b.ResetTimer()
+			taken := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer() // building the sink's arena is not ingest
+				sink, err := generation.New(opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				taken += ingestGenerations(b, sink, frames)
+			}
+			b.ReportMetric(float64(len(frames[0])-m), "header_B/pkt")
+			b.ReportMetric(float64(taken)/float64(b.N*k), "overhead")
+		})
+	}
+}
+
+// ingestGenerations feeds frames to sink until it completes and returns
+// how many it took.
+func ingestGenerations(b *testing.B, sink *generation.Coder, frames [][]byte) int {
+	b.Helper()
+	for i, data := range frames {
+		if sink.Complete() {
+			return i
+		}
+		wv, err := packet.ParseWire(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := int(wv.Generation)
+		if sink.GenComplete(g) {
+			continue // aborted on the header, as the session would
+		}
+		vec := sink.AcquireVec(g)
+		if vec.UnmarshalInto(wv.VecBytes(data)) != nil {
+			b.Fatal("bad vector")
+		}
+		if sink.IsRedundant(g, vec) {
+			sink.ReleaseVec(g, vec)
+			continue
+		}
+		row := sink.AcquireRow(g)
+		copy(row, wv.PayloadBytes(data))
+		sink.ReceiveOwned(g, vec, row)
+	}
+	if !sink.Complete() {
+		b.Fatal("stream did not decode")
+	}
+	return len(frames)
 }
 
 // BenchmarkDecodeRLNCBatched decodes an RLNC stream through

@@ -1,6 +1,7 @@
-// Command ltnc-sim regenerates the dissemination experiments of the
-// paper's evaluation (Figure 7) as tab-separated series, and runs named
-// virtual-time swarm scenarios (ltnc/simlab) as JSON reports.
+// Command ltnc-sim regenerates the paper's dissemination experiments
+// (Figure 7) as tab-separated series, runs named virtual-time swarm
+// scenarios (ltnc/simlab) as JSON reports and sweeps the edge-cache
+// offload curve.
 //
 // Usage:
 //
@@ -8,8 +9,10 @@
 //	ltnc-sim -fig 7b [-ks 512,1024,2048,4096] ...
 //	ltnc-sim -fig 7c [-ks 512,1024,2048,4096] ...
 //	ltnc-sim -fig headline [-n 1000] [-k 2048] [-m 256] ...
+//	ltnc-sim -fig ablation [-n 1000] [-k 2048] ...
 //	ltnc-sim -scenario churn50 [-seed 1]
 //	ltnc-sim -list
+//	ltnc-sim -offload 32768,65536,98304 [-offload-out OFFLOAD_cache.json] [-seed 1]
 //
 // Paper scale (N=1000, k up to 4096, 25 runs) takes a while; the defaults
 // are a laptop-scale variant with the same shapes. A -scenario run steps
@@ -47,10 +50,12 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ltnc-sim", flag.ContinueOnError)
 	var (
-		scenario = fs.String("scenario", "", "run this named virtual-time swarm scenario and print a JSON report (see -list)")
-		list     = fs.Bool("list", false, "list the named scenarios and exit")
+		scenario   = fs.String("scenario", "", "run this named virtual-time swarm scenario and print a JSON report (see -list)")
+		list       = fs.Bool("list", false, "list the named scenarios and exit")
+		offload    = fs.String("offload", "", "sweep the edge-cache offload curve over these cache budgets in bytes (comma list)")
+		offloadOut = fs.String("offload-out", "OFFLOAD_cache.json", "offload curve output JSON path (empty: table only)")
 
-		fig   = fs.String("fig", "7a", "experiment: 7a, 7b, 7c or headline")
+		fig   = fs.String("fig", "7a", "experiment: 7a, 7b, 7c, headline or ablation")
 		n     = fs.Int("n", 200, "number of nodes (paper: 1000)")
 		k     = fs.Int("k", 512, "code length for 7a/headline (paper: 2048)")
 		ksArg = fs.String("ks", "256,512,1024,2048", "code lengths for 7b/7c")
@@ -69,6 +74,9 @@ func run(args []string, out io.Writer) error {
 	}
 	if *scenario != "" {
 		return runScenario(out, *scenario, *seed)
+	}
+	if *offload != "" {
+		return offloadCurve(out, *offload, *offloadOut, *seed)
 	}
 	p := experiments.Fig7Params{
 		N: *n, K: *k, Runs: *runs, Seed: *seed, Aggressiveness: *agg, FanIn: *fanIn,
@@ -154,6 +162,37 @@ func runScenario(out io.Writer, name string, seed int64) error {
 			name, rep.Seed, len(rep.Violations), rep.FetchesFailed)
 	}
 	return nil
+}
+
+// offloadCurve prints origin DATA frames against the cache budget: what
+// serving the flash crowd costs the origin at each budget.
+func offloadCurve(out io.Writer, budgetsArg, outPath string, seed int64) error {
+	var budgets []int64
+	for _, part := range strings.Split(budgetsArg, ",") {
+		if part = strings.TrimSpace(part); part == "" {
+			continue
+		}
+		b, err := strconv.ParseInt(part, 10, 64)
+		if err != nil || b <= 0 {
+			return fmt.Errorf("bad -offload budget %q", part)
+		}
+		budgets = append(budgets, b)
+	}
+	rep, err := experiments.RunOffloadCurve(experiments.OffloadParams{Budgets: budgets, Seed: seed})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "edge-cache offload: %d fetchers, %d B object, k=%d, G=%d, seed %d\n",
+		rep.Fetchers, rep.Size, rep.K, rep.Generations, rep.Seed)
+	fmt.Fprintln(out, "budget_bytes\torigin_data_frames\toffload\tcache_rows\tmean_overhead")
+	for _, pt := range rep.Points {
+		fmt.Fprintf(out, "%d\t%d\t%.3f\t%d\t%.2f\n",
+			pt.Budget, pt.OriginDataFrames, pt.Offload, pt.CacheRows, pt.MeanOverhead)
+	}
+	if outPath != "" {
+		err = rep.WriteJSON(outPath)
+	}
+	return err
 }
 
 func ablation(out io.Writer, p experiments.Fig7Params) error {

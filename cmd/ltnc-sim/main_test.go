@@ -2,8 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"ltnc/internal/experiments"
 )
 
 func TestParseKs(t *testing.T) {
@@ -117,5 +122,46 @@ func TestRunUnknownFig(t *testing.T) {
 	}
 	if err := run([]string{"-fig", "7b", "-ks", "x"}, &buf); err == nil {
 		t.Error("bad ks accepted")
+	}
+}
+
+// TestRunOffloadMode: -offload sweeps the edge-cache budget curve, prints
+// one row a budget and writes the curve artifact.
+func TestRunOffloadMode(t *testing.T) {
+	var buf bytes.Buffer
+	out := filepath.Join(t.TempDir(), "offload.json")
+	err := run([]string{"-offload", "65536,98304", "-offload-out", out, "-seed", "1"}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "origin_data_frames") {
+		t.Errorf("missing curve header in %q", buf.String())
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep experiments.OffloadReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Points) != 2 || rep.Points[1].Offload <= 0 {
+		t.Fatalf("offload curve missing or flat: %+v", rep.Points)
+	}
+}
+
+// TestRunRejectsBadFlags: an unknown flag fails, and so does an -offload
+// list with a malformed or non-positive budget or a single point; each
+// offload error must be about the budgets, not the flag itself.
+func TestRunRejectsBadFlags(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-bogus"}, &buf); err == nil {
+		t.Error("unknown flag accepted")
+	}
+	for _, budgets := range []string{"4096,nope", "4096,0", "4096,-8", "65536"} {
+		err := run([]string{"-offload", budgets, "-offload-out", ""}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "budget") {
+			t.Errorf("-offload %s: err = %v, want a budget error", budgets, err)
+		}
 	}
 }

@@ -70,8 +70,8 @@ type OffloadPoint struct {
 	MeanOverhead float64 `json:"mean_overhead"`
 }
 
-// OffloadReport is the JSON artifact ltnc-bench writes: the swept curve
-// plus the workload that produced it.
+// OffloadReport is the JSON artifact ltnc-sim -offload writes: the swept
+// curve plus the workload that produced it.
 type OffloadReport struct {
 	Fetchers    int            `json:"fetchers"`
 	Size        int            `json:"size"`

@@ -294,6 +294,18 @@ func TestHeaderSize(t *testing.T) {
 	if got := WireSize(8, 100); got != 16+1+100 {
 		t.Errorf("WireSize(8,100) = %d", got)
 	}
+	// One 1 MiB object of k = 1,024 at G = 1, 4 and 16: the header a
+	// frame carries shrinks with k/G (BenchmarkDecodeIngestGenerations'
+	// header_B/pkt).
+	if got := ObjectHeaderSize(1024); got != 160 {
+		t.Errorf("ObjectHeaderSize(1024) = %d, want 160", got)
+	}
+	if got := GenHeaderSize(256); got != 68 {
+		t.Errorf("GenHeaderSize(256) = %d, want 68", got)
+	}
+	if got := GenHeaderSize(64); got != 44 {
+		t.Errorf("GenHeaderSize(64) = %d, want 44", got)
+	}
 }
 
 func TestString(t *testing.T) {

@@ -43,7 +43,7 @@ func (c *udpConfig) setDefaults() {
 }
 
 // UDPStats is a snapshot of the transport's syscall and frame counters,
-// the raw material for the syscalls/packet numbers in BENCH_decode.json.
+// the raw material for bench/'s transport.syscalls_per_frame.
 // Syscall counts are maintained by the transport itself (one increment
 // per read/write operation handed to the kernel), so no strace is needed
 // to measure the batching win.

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# cirun.sh — the CI test-selection gate: no vacuous -run or -fuzz.
+# cirun.sh — the CI test-selection gate: no vacuous -run, -fuzz or -bench.
 #
-# `go test -run PATTERN` passes when PATTERN matches no test at all, so a
-# test renamed or deleted drops out of the CI step that names it without
-# a sound. For every `go test` command in .github/workflows/ci.yml this
-# checks that each name in its -run and -fuzz patterns — split at `|`,
-# anchors dropped, a subtest path cut at its first `/`; `^$`, which selects
-# no test on purpose, is skipped — prefixes a `func` declared in a
+# `go test -run PATTERN` passes when PATTERN matches no test at all, and
+# `-bench` likewise, so a test or benchmark renamed or deleted drops out
+# of the CI step that names it without a sound. For every `go test`
+# command in .github/workflows/ci.yml this checks that each name in its
+# -run, -fuzz and -bench patterns — split at `|`, anchors dropped, a
+# subtest path cut at its first `/`; `^$` and `.`, which select nothing
+# and everything on purpose, are skipped — prefixes a `func` declared in a
 # _test.go file of the packages the command runs (`./dir/...` counts every
 # package under dir). It prints each name it could not resolve, and fails
 # if there is one.
@@ -22,7 +23,7 @@ status=0
 resolve() {
 	local pat=$1 cmd=$2 name files
 	shift 2
-	[ "$pat" = '^$' ] && return 0
+	case $pat in '^$' | .) return 0 ;; esac
 	files=$(for d in "$@"; do
 		case $d in
 		*/...) find "${d%/...}" -name '*_test.go' ;;
@@ -50,8 +51,8 @@ while IFS= read -r cmd; do
 		w=${words[i]}
 		case $w in
 		'|' | '&&' | ';') break ;;
-		-run | -fuzz) pats+=("${words[i + 1]}"); i=$((i + 1)) ;;
-		-run=* | -fuzz=*) pats+=("${w#*=}") ;;
+		-run | -fuzz | -bench) pats+=("${words[i + 1]}"); i=$((i + 1)) ;;
+		-run=* | -fuzz=* | -bench=*) pats+=("${w#*=}") ;;
 		./* | .) dirs+=("$w") ;;
 		esac
 	done
