@@ -21,7 +21,10 @@
 // prints the invariant-checked report as JSON; virtual minutes cost a
 // fraction of a wall second, and the same -seed prints the same report,
 // trace_hash included (wall_elapsed excepted). EXPERIMENTS.md records both
-// the command lines used and the measured values.
+// the command lines used and the measured values. An -offload sweep
+// exits non-zero unless origin DATA frames never rise with the budget and
+// every budget whose cache holds the whole object reads exactly k origin
+// frames.
 package main
 
 import (
@@ -182,6 +185,12 @@ func offloadCurve(out io.Writer, budgetsArg, outPath string, seed int64) error {
 	if err != nil {
 		return err
 	}
+	return reportOffload(out, rep, outPath)
+}
+
+// reportOffload prints the curve, writes it to outPath unless that is
+// empty, and then fails unless the curve passes OffloadReport.Check.
+func reportOffload(out io.Writer, rep experiments.OffloadReport, outPath string) error {
 	fmt.Fprintf(out, "edge-cache offload: %d fetchers, %d B object, k=%d, G=%d, seed %d\n",
 		rep.Fetchers, rep.Size, rep.K, rep.Generations, rep.Seed)
 	fmt.Fprintln(out, "budget_bytes\torigin_data_frames\toffload\tcache_rows\tmean_overhead")
@@ -190,9 +199,11 @@ func offloadCurve(out io.Writer, budgetsArg, outPath string, seed int64) error {
 			pt.Budget, pt.OriginDataFrames, pt.Offload, pt.CacheRows, pt.MeanOverhead)
 	}
 	if outPath != "" {
-		err = rep.WriteJSON(outPath)
+		if err := rep.WriteJSON(outPath); err != nil {
+			return err
+		}
 	}
-	return err
+	return rep.Check()
 }
 
 func ablation(out io.Writer, p experiments.Fig7Params) error {

@@ -150,6 +150,44 @@ func TestRunOffloadMode(t *testing.T) {
 	}
 }
 
+// TestOffloadCurveChecked: the -offload output step fails on a curve
+// whose origin frames rise with the budget, or whose cache holds the whole
+// object while the origin sent more than k frames, and passes the curve
+// the sweep measures at seed 1.
+func TestOffloadCurveChecked(t *testing.T) {
+	curve := func(frames ...int64) experiments.OffloadReport {
+		rep := experiments.OffloadReport{K: 256}
+		for i, f := range frames {
+			pt := experiments.OffloadPoint{Budget: int64(i+1) << 15, OriginDataFrames: f}
+			if i == len(frames)-1 {
+				pt.CacheRows = rep.K
+			}
+			rep.Points = append(rep.Points, pt)
+		}
+		return rep
+	}
+	for _, tc := range []struct {
+		frames []int64
+		want   string
+	}{
+		{[]int64{678, 425, 256}, ""},
+		{[]int64{425, 678, 256}, "more than 425"},
+		{[]int64{678, 425, 300}, "origin sent 300"},
+	} {
+		var buf bytes.Buffer
+		err := reportOffload(&buf, curve(tc.frames...), "")
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%v: %v", tc.frames, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%v: err = %v, want one naming %q", tc.frames, err, tc.want)
+		}
+		if !strings.Contains(buf.String(), "origin_data_frames") {
+			t.Errorf("%v: curve not printed before the check", tc.frames)
+		}
+	}
+}
+
 // TestRunRejectsBadFlags: an unknown flag fails, and so does an -offload
 // list with a malformed or non-positive budget or a single point; each
 // offload error must be about the budgets, not the flag itself.

@@ -17,7 +17,9 @@
 //
 // Admission is an incremental rank check: a row is admitted iff it
 // increases the rank of its generation (the innovation check), and only
-// while the global byte budget has room. Eviction removes whole
+// while the global byte budget has room. A per-generation pivot index
+// starts the check at the first stored row that can touch the incoming
+// one, so a unit row is judged in one lookup. Eviction removes whole
 // generations — partial generations serve fetchers just as well per row,
 // and whole-generation eviction keeps the accounting and the steering
 // feedback (a report's generation-complete flag) honest — scored by demand
@@ -30,6 +32,7 @@
 package cache
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"time"
@@ -47,9 +50,14 @@ type Config struct {
 }
 
 // Accounting constants: what one stored row and one cached object cost
-// against the budget beyond their raw vector and payload bytes. The
-// values cover the Go-side bookkeeping (row headers, pivot table, entry
-// struct) so the budget tracks real memory, not just payload bytes.
+// against the budget beyond their raw vector and payload bytes, so the
+// budget tracks real memory, not just payload bytes. RowOverhead stands
+// for a row's Go-side bookkeeping: its row header, its pivot-list entry
+// and its slot in the generation's pivot index (genStore.pos, a 4-byte
+// entry per bit of kPer, made with the generation's first row). It is a
+// flat charge, not a measured size: changing it moves every budget
+// decision. EntryOverhead stands for the entry struct and its
+// per-generation table.
 const (
 	RowOverhead   = 16
 	EntryOverhead = 128
@@ -134,10 +142,29 @@ type row struct {
 }
 
 // genStore holds the cached basis of one generation. rows are kept in
-// pivot-insertion order; pivots[i] is rows[i].vec.LowestSet().
+// pivot-insertion order; pivots[i] is rows[i].vec.LowestSet(). pos is the
+// pivot index: pos[b] is 1 + the insertion position of the row pivoted on
+// bit b, 0 for a bit no stored row is pivoted on; it is made with the
+// generation's first stored row and dropped with its last.
 type genStore struct {
 	rows   []row
 	pivots []int
+	pos    []int32
+}
+
+// first returns the insertion position of the earliest stored row whose
+// pivot v holds, or the rank if there is none. Forward elimination of v
+// can start there: every row before it tests a bit v does not hold, and v
+// is untouched until that row. It costs one lookup per set bit of v,
+// stopping early at position 0.
+func (gs *genStore) first(v *bitvec.Vector) int {
+	start := len(gs.rows)
+	for b := v.LowestSet(); b >= 0 && start > 0; b = v.NextSet(b + 1) {
+		if i := int(gs.pos[b]) - 1; i >= 0 && i < start {
+			start = i
+		}
+	}
+	return start
 }
 
 // entry is one cached object: fixed geometry plus per-generation bases.
@@ -211,6 +238,14 @@ func New(cfg Config) (*Cache, error) {
 // its code-vector bytes in wire encoding and its payload. now is the
 // caller's clock reading, used for eviction scoring. The vector and
 // payload bytes are copied; the caller keeps ownership.
+//
+// The innovation check forward-eliminates the row against the stored
+// basis from the earliest stored row whose pivot the row holds (the
+// generation's pivot index, genStore.first): one lookup per set bit of the
+// row, then one bit test per stored row from there on. A unit row, which
+// at most one stored row can touch, costs one lookup instead of a scan
+// over the rank, so warming a generation from a systematic pass is linear
+// in kPer, not quadratic. The index charges nothing beyond RowOverhead.
 func (c *Cache) Admit(id packet.ObjectID, gens uint32, kPer, m int, gen uint32, vecBytes, payload []byte, now time.Time) AdmitResult {
 	if gens == 0 {
 		gens = 1
@@ -258,8 +293,8 @@ func (c *Cache) Admit(id packet.ObjectID, gens uint32, kPer, m int, gen uint32, 
 	}
 	p := e.arena.Row()
 	copy(p, payload)
-	for i, piv := range gs.pivots {
-		if v.Get(piv) {
+	for i := gs.first(v); i < len(gs.rows); i++ {
+		if v.Get(gs.pivots[i]) {
 			v.Xor(gs.rows[i].vec)
 			if e.m > 0 {
 				bitvec.XorBytes(p, gs.rows[i].payload)
@@ -292,8 +327,13 @@ func (c *Cache) Admit(id packet.ObjectID, gens uint32, kPer, m int, gen uint32, 
 		c.objects[id] = e
 		c.used += EntryOverhead
 	}
+	if gs.pos == nil {
+		gs.pos = make([]int32, e.kPer)
+	}
+	piv := v.LowestSet()
 	gs.rows = append(gs.rows, row{vec: v, payload: p})
-	gs.pivots = append(gs.pivots, v.LowestSet())
+	gs.pivots = append(gs.pivots, piv)
+	gs.pos[piv] = int32(len(gs.rows))
 	e.rowCount++
 	c.used += cost
 	c.admitted++
@@ -321,7 +361,11 @@ func (c *Cache) makeRoomLocked(keep *entry, keepGen int, need int64, now time.Ti
 				if len(e.g[g].rows) == 0 || (e == keep && g == keepGen) {
 					continue
 				}
-				if s := e.score(g, now); s < best {
+				// A tie goes to the lowest object id, then the lowest
+				// generation: the victim must not follow the map's
+				// iteration order, which Go randomises.
+				s := e.score(g, now)
+				if s < best || s == best && victim != nil && bytes.Compare(e.id[:], victim.id[:]) < 0 {
 					best, victim, victimGen = s, e, g
 				}
 			}
@@ -346,7 +390,7 @@ func (c *Cache) evictGenLocked(e *entry, g int) {
 		e.arena.PutVec(r.vec)
 		e.arena.PutRow(r.payload)
 	}
-	gs.rows, gs.pivots = nil, nil
+	gs.rows, gs.pivots, gs.pos = nil, nil, nil
 	e.rowCount -= n
 	c.used -= int64(n) * RowCost(e.kPer, e.m)
 	c.evictedRows += int64(n)
@@ -472,7 +516,7 @@ func (c *Cache) Drain(id packet.ObjectID, fn func(gen uint32, vec *bitvec.Vector
 			e.arena.PutRow(r.payload)
 			n++
 		}
-		gs.rows, gs.pivots = nil, nil
+		gs.rows, gs.pivots, gs.pos = nil, nil, nil
 	}
 	c.used -= int64(n)*RowCost(e.kPer, e.m) + EntryOverhead
 	delete(c.objects, id)

@@ -211,6 +211,34 @@ func TestNoThrashGuard(t *testing.T) {
 	}
 }
 
+// TestEvictionTieGoesToLowestID: of two generations that score the same,
+// the one of the lower object id is evicted, whatever order the cache's
+// object map iterates in.
+func TestEvictionTieGoesToLowestID(t *testing.T) {
+	const kPer, m = 8, 16
+	cost := RowCost(kPer, m)
+	low, high, hot := oid(2), oid(3), oid(9)
+	for run := 0; run < 50; run++ {
+		c := mustCache(t, 2*(cost+EntryOverhead))
+		for _, id := range []packet.ObjectID{high, low} {
+			vb := bitvec.Single(kPer, 0).AppendBinary(nil)
+			if res := c.Admit(id, 1, kPer, m, 0, vb, make([]byte, m), t0); res.Verdict != Stored {
+				t.Fatalf("run %d: seed row: %v", run, res.Verdict)
+			}
+		}
+		vb := bitvec.Single(kPer, 0).AppendBinary(nil)
+		if res := c.Admit(hot, 1, kPer, m, 0, vb, make([]byte, m), t0.Add(time.Hour)); res.Verdict != Stored {
+			t.Fatalf("run %d: hot row: %v", run, res.Verdict)
+		}
+		if _, held := c.Coverage(low); held {
+			t.Fatalf("run %d: the higher id was evicted on a tie", run)
+		}
+		if _, held := c.Coverage(high); !held {
+			t.Fatalf("run %d: both tied objects were evicted", run)
+		}
+	}
+}
+
 // TestServeCursorWalk: AppendFrame deals stored rows under a
 // caller-owned cursor — a fresh cursor walks every pivot of every
 // generation in one rotation set, two interleaved cursors each still see

@@ -90,6 +90,25 @@ func (r OffloadReport) WriteJSON(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
+// Check reports the first point at which the curve breaks what an
+// offload curve must show, or nil: origin DATA frames never rise as the
+// budget grows, and a point whose cache holds the whole object (k rows)
+// reads exactly k origin frames — the origin served it once. Points are
+// in ascending budget order, as RunOffloadCurve reports them.
+func (r OffloadReport) Check() error {
+	for i, pt := range r.Points {
+		if i > 0 && pt.OriginDataFrames > r.Points[i-1].OriginDataFrames {
+			return fmt.Errorf("offload: %d origin frames at budget %d, more than %d at budget %d",
+				pt.OriginDataFrames, pt.Budget, r.Points[i-1].OriginDataFrames, r.Points[i-1].Budget)
+		}
+		if pt.CacheRows == r.K && pt.OriginDataFrames != int64(r.K) {
+			return fmt.Errorf("offload: budget %d holds all k=%d rows, but the origin sent %d frames",
+				pt.Budget, r.K, pt.OriginDataFrames)
+		}
+	}
+	return nil
+}
+
 // crowdAfter is when the crowd arrives: the instant the first fetcher,
 // alone behind the cache, completes, read off a run of sc without the
 // crowd — which the crowd's run replays exactly up to that instant.

@@ -47,6 +47,9 @@ func TestRunOffloadCurve(t *testing.T) {
 	if small.CacheUsed > small.Budget || big.CacheUsed > big.Budget {
 		t.Errorf("cache over budget: %+v", rep.Points)
 	}
+	if err := rep.Check(); err != nil {
+		t.Error(err)
+	}
 
 	// The report is the CI artifact; it must round-trip as JSON.
 	path := filepath.Join(t.TempDir(), "offload.json")

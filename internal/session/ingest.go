@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"time"
 
 	"ltnc/internal/bitvec"
 	"ltnc/internal/cache"
@@ -190,8 +191,9 @@ type ingestForward struct {
 // dropped for the send and taken again for the next frame: its sender's
 // window turns over on it, and it does not wait on the batch's other rows.
 // The reports the batch owes go out at its end, after all locks are
-// dropped (sendReports). scratch is the calling worker's reusable
-// workspace; drained says the worker's queue was empty behind this batch.
+// dropped (sendReports). The clock is read once, for every frame of the
+// batch. scratch is the calling worker's reusable workspace; drained says
+// the worker's queue was empty behind this batch.
 func (s *Session) ingestBatch(batch []inFrame, scratch *ingestScratch, drained bool) {
 	if cap(scratch.states) < len(batch) {
 		scratch.states = make([]*objectState, len(batch))
@@ -212,6 +214,7 @@ func (s *Session) ingestBatch(batch []inFrame, scratch *ingestScratch, drained b
 	}
 	s.mu.Unlock()
 
+	now := s.clk.Now()
 	var acts pollActions
 	var cur *objectState
 	for i := range batch {
@@ -223,7 +226,7 @@ func (s *Session) ingestBatch(batch []inFrame, scratch *ingestScratch, drained b
 				cur = st
 				cur.mu.Lock()
 			}
-			if receipt := s.ingestOneLocked(st, &batch[i], scratch, &acts); receipt != nil {
+			if receipt := s.ingestOneLocked(st, &batch[i], now, scratch, &acts); receipt != nil {
 				cur.mu.Unlock() // no send under an object lock
 				cur = nil
 				s.tr.Send(batch[i].f.From, receipt)
@@ -260,20 +263,21 @@ func (s *Session) ingestBatch(batch []inFrame, scratch *ingestScratch, drained b
 // ingestOneLocked takes one DATA frame to where its object's phase says:
 // the cache's admission policy, the decoder, or — announced still (the
 // admission refused the geometry) or evicted between resolution and
-// locking — nowhere. A status the frame owes goes into scratch; a
-// receipt due — counters as they stand at this frame — comes back, for
-// the caller to send the moment st.mu drops. st.mu must be held.
-func (s *Session) ingestOneLocked(st *objectState, in *inFrame, scratch *ingestScratch, acts *pollActions) (receipt []byte) {
+// locking — nowhere, at the batch's clock reading now. A status the frame
+// owes goes into scratch; a receipt due — counters as they stand at this
+// frame — comes back, for the caller to send the moment st.mu drops.
+// st.mu must be held.
+func (s *Session) ingestOneLocked(st *objectState, in *inFrame, now time.Time, scratch *ingestScratch, acts *pollActions) (receipt []byte) {
 	var owed byte
 	var judged, progressed, forward bool
 	switch st.phase {
 	case phCaching:
-		owed, judged, progressed, forward = s.ingestCachedLocked(st, in)
+		owed, judged, progressed, forward = s.ingestCachedLocked(st, in, now)
 		if forward {
 			scratch.forwards = append(scratch.forwards, ingestForward{st, in.f.From, in.wv.Generation, append([]byte(nil), in.f.Data...)})
 		}
 	case phFilling, phDecoded, phComplete:
-		owed, judged, progressed = s.decodeDataLocked(st, in, acts)
+		owed, judged, progressed = s.decodeDataLocked(st, in, now, acts)
 	}
 	switch due := st.receiptLocked(in, judged, progressed || forward); {
 	case owed != 0:
@@ -427,12 +431,12 @@ func (st *objectState) reportLocked(to transport.Addr, gen uint32, flags byte) [
 // decode state advanced (an innovative packet was fed in), which drives
 // watcher notifications. Pollution consequences (bans, re-arm reports)
 // accumulate in acts for the batch layer to apply once all locks are
-// dropped.
-func (s *Session) decodeDataLocked(st *objectState, in *inFrame, acts *pollActions) (owed byte, judged, progressed bool) {
+// dropped. now is the batch's clock reading.
+func (s *Session) decodeDataLocked(st *objectState, in *inFrame, now time.Time, acts *pollActions) (owed byte, judged, progressed bool) {
 	if in.wv.M != st.m || st.coder.Check(in.wv.Generations, in.wv.Generation, in.wv.K) != nil {
 		return 0, false, false // not the object's geometry: drop
 	}
-	st.touch(s.clk.Now())
+	st.touch(now)
 	g := int(in.wv.Generation)
 	if s.auditFailsLocked(st, g, in) {
 		// The row disagrees byte-exactly with a verified generation: the
@@ -535,12 +539,11 @@ func (st *objectState) forgedRowLocked(in *inFrame, acts *pollActions) {
 // on its side. st.mu must be held and the object be caching. forward asks
 // the batch layer to pass the frame through to the object's push targets
 // (innovative row, no budget room).
-func (s *Session) ingestCachedLocked(st *objectState, in *inFrame) (owed byte, judged, progressed, forward bool) {
+func (s *Session) ingestCachedLocked(st *objectState, in *inFrame, now time.Time) (owed byte, judged, progressed, forward bool) {
 	gens := int(st.gens.Load())
 	if !st.shapeIs(geometry{genCount(in.wv.Generations), in.wv.K, in.wv.M}) {
 		return 0, false, false, false // inconsistent geometry: drop
 	}
-	now := s.clk.Now()
 	st.touch(now)
 	data := in.f.Data[1:]
 	res := s.cache.Admit(st.id, uint32(gens), st.kPer, st.m, in.wv.Generation,

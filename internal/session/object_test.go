@@ -813,7 +813,7 @@ func (c *objCell) checkCell(t *testing.T, row, ev int, sent map[transport.Addr][
 		// a worker still holding it decodes nothing into it.
 		var scratch ingestScratch
 		c.old.mu.Lock()
-		receipt := c.s.ingestOneLocked(c.old, &inFrame{f: transport.NewFrame(matrixSender, c.row(0, false, 0), nil)}, &scratch, &pollActions{})
+		receipt := c.s.ingestOneLocked(c.old, &inFrame{f: transport.NewFrame(matrixSender, c.row(0, false, 0), nil)}, c.s.clk.Now(), &scratch, &pollActions{})
 		c.old.mu.Unlock()
 		if reports := btoi(receipt != nil) + len(scratch.reports); reports != 0 || len(scratch.notify) != 0 {
 			t.Errorf("evicted state: %d reports, %d notifications for a frame fed into it", reports, len(scratch.notify))

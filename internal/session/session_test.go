@@ -742,7 +742,7 @@ func TestEvictedStateDropsInFlightFrames(t *testing.T) {
 
 	in := frame(1)
 	stale.mu.Lock()
-	owed, _, _ := s.decodeDataLocked(stale, &in, &pollActions{})
+	owed, _, _ := s.decodeDataLocked(stale, &in, s.clk.Now(), &pollActions{})
 	received := stale.received
 	stale.mu.Unlock()
 	in.f.Release()
